@@ -37,7 +37,6 @@ const CHEAP_BENCHES: &[&str] = &[
     "bench_candidates",
     "bench_phase1_cache",
     "bench_phase1_batch",
-    "bench_phase1_pivot",
     "bench_phase1_collapse",
     "bench_phase2",
     "bench_service",
@@ -51,7 +50,6 @@ const GATED_ARTIFACTS: &[&str] = &[
     "BENCH_candidates.json",
     "BENCH_phase1_cache.json",
     "BENCH_phase1_batch.json",
-    "BENCH_phase1_pivot.json",
     "BENCH_phase1_collapse.json",
     "BENCH_phase2.json",
     "BENCH_service.json",

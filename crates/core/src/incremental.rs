@@ -19,9 +19,7 @@
 //! randomized batch splits.
 //!
 //! Construct states with [`IncrementalDedup::builder`], which exposes the
-//! same configuration surface as [`crate::pipeline::DedupConfig`] —
-//! including the pivot-pruning and per-phase parallelism knobs that the
-//! historical positional constructor could not reach.
+//! same configuration surface as [`crate::pipeline::DedupConfig`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,7 +58,7 @@ pub struct BatchStats {
 /// [`crate::pipeline::DedupConfig`] surface on the incremental path.
 ///
 /// Defaults match `DedupConfig::new`: `DE_S(5)`, `Max` aggregation,
-/// `c = 4`, `p = 2`, no pair cache, no pivots, both phases sequential,
+/// `c = 4`, `p = 2`, no pair cache, both phases sequential,
 /// and [`DynamicIndexConfig::default`] for the index.
 ///
 /// ```no_run
@@ -72,7 +70,6 @@ pub struct BatchStats {
 ///     .aggregation(Aggregation::Max)
 ///     .sn_threshold(4.0)
 ///     .pair_cache_capacity(1 << 14)
-///     .pivot_count(8)
 ///     .parallelism(Parallelism::threads(0))
 ///     .build()
 ///     .unwrap();
@@ -87,7 +84,6 @@ pub struct IncrementalDedupBuilder<D> {
     c: f64,
     p: f64,
     pair_cache_capacity: usize,
-    pivot_count: Option<usize>,
     parallelism: Parallelism,
     collapse: Option<CollapseKey>,
 }
@@ -103,7 +99,6 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
             c: 4.0,
             p: 2.0,
             pair_cache_capacity: 0,
-            pivot_count: None,
             parallelism: Parallelism::sequential(),
             collapse: None,
         }
@@ -134,20 +129,9 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
     }
 
     /// Set the dynamic index configuration (q-gram length, candidate
-    /// limit, stop-gram thresholds, ...). A later [`Self::pivot_count`]
-    /// call overrides its `pivots` field.
+    /// limit, stop-gram thresholds, ...).
     pub fn index_config(mut self, config: DynamicIndexConfig) -> Self {
         self.index = config;
-        self
-    }
-
-    /// Number of pivot anchors for triangle-inequality pruning during
-    /// verification; `0` disables the layer. The incremental mirror of
-    /// [`crate::pipeline::DedupConfig::pivot_count`]: only takes effect
-    /// when the distance admits metric pruning, and the partition is
-    /// bit-identical either way.
-    pub fn pivot_count(mut self, pivots: usize) -> Self {
-        self.pivot_count = Some(pivots);
         self
     }
 
@@ -211,10 +195,6 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
                 self.p
             )));
         }
-        let mut index_config = self.index;
-        if let Some(pivots) = self.pivot_count {
-            index_config.pivots = pivots;
-        }
         if self.collapse == Some(CollapseKey::RecordString)
             && !self.distance.record_string_invariant()
         {
@@ -226,10 +206,10 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
         }
         let (index, collapse) = match self.collapse {
             Some(key) => (
-                DynamicInvertedIndex::new_collapsed(self.distance, index_config),
+                DynamicInvertedIndex::new_collapsed(self.distance, self.index),
                 Some(IncCollapse { key, by_key: HashMap::new(), classes: Vec::new() }),
             ),
-            None => (DynamicInvertedIndex::new(self.distance, index_config), None),
+            None => (DynamicInvertedIndex::new(self.distance, self.index), None),
         };
         Ok(IncrementalDedup {
             index,
@@ -279,46 +259,6 @@ impl<D: Distance> IncrementalDedup<D> {
     /// — the incremental counterpart of [`crate::pipeline::DedupConfig`].
     pub fn builder(distance: D) -> IncrementalDedupBuilder<D> {
         IncrementalDedupBuilder::new(distance)
-    }
-
-    /// Create an empty incremental state.
-    ///
-    /// # Errors
-    /// Returns the validation message for invalid parameters.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `IncrementalDedup::builder(distance)` — the builder carries the full \
-                `DedupConfig` surface (pivots, parallelism, pair cache) the positional \
-                constructor cannot reach"
-    )]
-    pub fn new(
-        distance: D,
-        index_config: DynamicIndexConfig,
-        cut: CutSpec,
-        agg: Aggregation,
-        c: f64,
-    ) -> Result<Self, String> {
-        Self::builder(distance)
-            .index_config(index_config)
-            .cut(cut)
-            .aggregation(agg)
-            .sn_threshold(c)
-            .build()
-            .map_err(|e| match e {
-                DedupError::InvalidConfig(why) => why,
-                other => other.to_string(),
-            })
-    }
-
-    /// Attach a symmetric pair-distance memo of `capacity` entries (`0`
-    /// detaches it).
-    #[deprecated(
-        since = "0.1.0",
-        note = "configure via `IncrementalDedup::builder(...).pair_cache_capacity(...)`"
-    )]
-    pub fn pair_cache_capacity(mut self, capacity: usize) -> Self {
-        self.pair_cache = (capacity > 0).then(|| PairCache::new(capacity));
-        self
     }
 
     /// Number of records, in full-corpus units: with the collapse
@@ -571,36 +511,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_shim_matches_builder() {
-        // The one-PR compatibility shim: same validation, same results.
-        assert!(IncrementalDedup::new(
-            EditDistance,
-            DynamicIndexConfig::default(),
-            CutSpec::Size(1),
-            Aggregation::Max,
-            4.0,
-        )
-        .is_err());
-        let records: Vec<Vec<String>> =
-            ["the doors", "the doorz", "aaliyah"].iter().map(|s| vec![s.to_string()]).collect();
-        let mut old = IncrementalDedup::new(
-            EditDistance,
-            DynamicIndexConfig::default(),
-            CutSpec::Size(4),
-            Aggregation::Max,
-            4.0,
-        )
-        .unwrap()
-        .pair_cache_capacity(1 << 10);
-        let mut new = fresh_builder().pair_cache_capacity(1 << 10).build().unwrap();
-        old.insert_batch(records.clone());
-        new.insert_batch(records);
-        assert_eq!(old.partition(), new.partition());
-        assert_eq!(old.nn_reln(), new.nn_reln());
-    }
-
-    #[test]
     fn single_batch_matches_batch_pipeline() {
         // Single-typo pairs: close enough that their 2·nn growth spheres
         // stay sparse even in a six-record relation.
@@ -751,46 +661,6 @@ mod tests {
             d.get(fuzzydedup_metrics::Counter::PairCacheHits) > 0,
             "duplicate-heavy refreshes must hit the memo"
         );
-    }
-
-    #[test]
-    fn pivots_do_not_change_incremental_results() {
-        // Counter-backed assertion: serialize against other metric tests.
-        let _serial = fuzzydedup_metrics::serial_guard();
-        let with_pivots = || fresh_builder().pivot_count(5).build().unwrap();
-        // Permuted-token triples: same gram multiset (invisible to the
-        // count filter) but far in edit distance, so the triangle bound
-        // has real work to do; appended in batches so the pivot table
-        // extends incrementally.
-        let batches: Vec<Vec<Vec<String>>> = (0..4)
-            .map(|b| {
-                (0..3)
-                    .flat_map(|g| {
-                        let g = b * 3 + g;
-                        [
-                            vec![format!("alpha bravo charlie delta {g:02}")],
-                            vec![format!("alpha bravo charlie detla {g:02}")],
-                            vec![format!("delta charlie bravo alpha {g:02}")],
-                        ]
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut plain = fresh();
-        let mut pruned = with_pivots();
-        let before = fuzzydedup_metrics::snapshot();
-        for batch in &batches {
-            plain.insert_batch(batch.clone());
-            pruned.insert_batch(batch.clone());
-            assert_eq!(plain.partition(), pruned.partition());
-            assert_eq!(plain.nn_reln(), pruned.nn_reln());
-        }
-        let d = fuzzydedup_metrics::snapshot().delta(&before);
-        assert!(
-            d.get(fuzzydedup_metrics::Counter::PivotLbSkips) > 0,
-            "the triangle bound must fire on permuted candidates"
-        );
-        assert!(d.get(fuzzydedup_metrics::Counter::PivotTableBuildNs) > 0, "pushes were timed");
     }
 
     #[test]

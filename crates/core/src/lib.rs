@@ -88,7 +88,6 @@ pub use phase2::{
     cs_pair_components, partition_entries, partition_entries_ablation, partition_entries_parallel,
     partition_via_tables,
 };
-#[allow(deprecated)]
 pub use pipeline::{DedupConfig, DedupError, DedupOutcome, Deduplicator, IndexChoice, Parallelism};
 pub use problem::CutSpec;
 pub use report::{render_report, ReportOptions};

@@ -136,14 +136,6 @@ pub struct DedupConfig {
     /// identical either way — the cache only skips recomputation (see
     /// [`crate::pair_cache::PairCache`]).
     pub pair_cache_capacity: usize,
-    /// Number of pivot anchors for triangle-inequality pruning during
-    /// Phase-1 verification; `0` (the default) disables the layer. Only
-    /// takes effect when [`DedupConfig::index`] is
-    /// [`IndexChoice::Inverted`] and the distance is a true metric
-    /// ([`fuzzydedup_textdist::Distance::admits_metric_pruning`]) — the
-    /// pruning silently degrades to a no-op otherwise. The partition is
-    /// bit-identical either way (see `fuzzydedup_nnindex::pivot`).
-    pub pivot_count: usize,
     /// Spill `NN_Reln` through heap-file storage once the relation holds
     /// at least this many tuples; `0` (the default) keeps it purely in
     /// memory. Spilled pages flow through the run's buffer pool, so a
@@ -180,7 +172,6 @@ impl DedupConfig {
             buffer_frames: 4096,
             parallelism: Parallelism::sequential(),
             pair_cache_capacity: 0,
-            pivot_count: 0,
             spill_threshold: 0,
             collapse: None,
         }
@@ -249,13 +240,6 @@ impl DedupConfig {
     /// Set the pair-distance memo capacity in entries (`0` disables).
     pub fn pair_cache_capacity(mut self, capacity: usize) -> Self {
         self.pair_cache_capacity = capacity;
-        self
-    }
-
-    /// Set the pivot-anchor count for triangle-inequality pruning
-    /// (`0` disables; inverted index + metric distance only).
-    pub fn pivot_count(mut self, pivots: usize) -> Self {
-        self.pivot_count = pivots;
         self
     }
 
@@ -471,16 +455,8 @@ impl Deduplicator {
             None => None,
         };
         let t_index = Instant::now();
-        // The pivot table is built inside the index constructor, before
-        // `run_phases` opens its counter window — capture its build-time
-        // counter here and merge it into the outcome below.
-        let counters_before_build = fuzzydedup_metrics::snapshot();
         let (mut outcome, build_index) = match &config.index {
             IndexChoice::Inverted(index_config) => {
-                let mut index_config = index_config.clone();
-                if config.pivot_count > 0 {
-                    index_config.pivots = config.pivot_count;
-                }
                 match &collapse_pass {
                     Some((map, build_ns)) => {
                         let index = InvertedIndex::build_collapsed(
@@ -488,7 +464,7 @@ impl Deduplicator {
                             map.multiplicities().to_vec(),
                             distance,
                             pool.clone(),
-                            index_config,
+                            index_config.clone(),
                         );
                         let build_index = t_index.elapsed();
                         pool.reset_stats(); // measure lookups, not the build
@@ -505,7 +481,7 @@ impl Deduplicator {
                             records.to_vec(),
                             distance,
                             pool.clone(),
-                            index_config,
+                            index_config.clone(),
                         );
                         let build_index = t_index.elapsed();
                         pool.reset_stats(); // measure lookups, not the build
@@ -559,11 +535,6 @@ impl Deduplicator {
         timings.build_distance_ns = build_distance.as_nanos() as u64;
         timings.build_index_ns = build_index.as_nanos() as u64;
         timings.total_ns += timings.build_distance_ns + timings.build_index_ns;
-        // Static pivot tables are built exactly once, inside the index
-        // constructor; `run_phases`' own window saw none of it.
-        outcome.metrics.pivot.table_build_ns += fuzzydedup_metrics::snapshot()
-            .delta(&counters_before_build)
-            .get(fuzzydedup_metrics::Counter::PivotTableBuildNs);
         Ok(outcome)
     }
 
@@ -962,39 +933,6 @@ mod tests {
                 .unwrap();
         assert_eq!(seq.partition, p2_only.partition);
         assert!(!p2_only.phase1_stats.visit_order.is_empty(), "phase 1 stayed ordered");
-    }
-
-    #[test]
-    fn pivots_do_not_change_the_partition() {
-        let _serial = fuzzydedup_metrics::serial_guard();
-        // Permuted-token triples keep the gram multiset intact (so the
-        // count filter cannot prune them) while staying far in edit
-        // distance — exactly the candidates the pivot bound rejects.
-        let mut records: Vec<Vec<String>> = Vec::new();
-        for g in 0..12 {
-            records.push(vec![format!("alpha bravo charlie delta {g:02}"), "x".into()]);
-            records.push(vec![format!("alpha bravo charlie detla {g:02}"), "x".into()]);
-            records.push(vec![format!("delta charlie bravo alpha {g:02}"), "x".into()]);
-        }
-        let base =
-            DedupConfig::new(DistanceKind::EditDistance).cut(CutSpec::Size(4)).sn_threshold(4.0);
-        let plain = dedup(&records, &base).unwrap();
-        assert_eq!(plain.metrics.pivot.lb_skips, 0, "knob defaults off");
-        let pruned = dedup(&records, &base.clone().pivot_count(6)).unwrap();
-        assert_eq!(plain.partition, pruned.partition, "pruning is lossless");
-        assert_eq!(plain.nn_reln, pruned.nn_reln);
-        assert!(pruned.metrics.pivot.table_build_ns > 0, "table build was timed");
-        assert!(pruned.metrics.pivot.query_pivot_dists > 0, "queries hit the table");
-        assert!(pruned.metrics.pivot.lb_skips > 0, "the triangle bound fired");
-        // Non-metric distance: the knob degrades to a no-op but results
-        // still match.
-        let fms =
-            DedupConfig::new(DistanceKind::FuzzyMatch).cut(CutSpec::Size(4)).sn_threshold(4.0);
-        let fms_plain = dedup(&records, &fms).unwrap();
-        let fms_pivot = dedup(&records, &fms.clone().pivot_count(6)).unwrap();
-        assert_eq!(fms_plain.partition, fms_pivot.partition);
-        assert_eq!(fms_pivot.metrics.pivot.lb_skips, 0, "non-metric: layer inert");
-        assert_eq!(fms_pivot.metrics.pivot.query_pivot_dists, 0);
     }
 
     #[test]

@@ -138,17 +138,6 @@ pub enum Counter {
     CandBlockSkips,
     /// Frontier batches flushed by the lane-wise staged merge (`nnindex`).
     CandFrontierBatches,
-    /// Nanoseconds spent building the pivot-distance table at index
-    /// construction (`nnindex`).
-    PivotTableBuildNs,
-    /// Candidates rejected by the pivot triangle-inequality lower bound
-    /// before any Myers call (`nnindex`).
-    PivotLbSkips,
-    /// Lookups whose running cutoff was warm-started from a finite pivot
-    /// upper bound (`nnindex`).
-    PivotUbCutoffSeeds,
-    /// Raw query-to-pivot distances computed at lookup time (`nnindex`).
-    PivotQueryDists,
     /// Ingest batches admitted by the dedup service's writer thread
     /// (`core` service).
     ServiceBatchesAdmitted,
@@ -366,22 +355,6 @@ pub struct VerifyBatchMetrics {
     pub batched_candidates: u64,
 }
 
-/// Pivot-table triangle-inequality pruning (`nnindex` layer): the
-/// LAESA-style metric bounds layered under candidate verification.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PivotMetrics {
-    /// Nanoseconds spent building the pivot-distance table.
-    pub table_build_ns: u64,
-    /// Candidates rejected by the triangle lower bound before any Myers
-    /// call.
-    pub lb_skips: u64,
-    /// Lookups whose running cutoff was warm-started from a finite pivot
-    /// upper bound.
-    pub ub_cutoff_seeds: u64,
-    /// Raw query-to-pivot distances computed at lookup time.
-    pub query_pivot_dists: u64,
-}
-
 /// `NN_Reln` spill accounting (`core` layer) plus the run's memory
 /// high-water mark.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -534,8 +507,6 @@ pub struct RunMetrics {
     pub pair_cache: PairCacheMetrics,
     /// Lock-step verification batching.
     pub verify_batch: VerifyBatchMetrics,
-    /// Pivot-table triangle-inequality pruning.
-    pub pivot: PivotMetrics,
     /// `NN_Reln` spill traffic and peak RSS.
     pub spill: SpillMetrics,
     /// Buffer-pool accounting.
@@ -603,12 +574,6 @@ impl RunMetrics {
         self.verify_batch = VerifyBatchMetrics {
             batches: d.get(Counter::VerifyBatches),
             batched_candidates: d.get(Counter::VerifyBatchedCandidates),
-        };
-        self.pivot = PivotMetrics {
-            table_build_ns: d.get(Counter::PivotTableBuildNs),
-            lb_skips: d.get(Counter::PivotLbSkips),
-            ub_cutoff_seeds: d.get(Counter::PivotUbCutoffSeeds),
-            query_pivot_dists: d.get(Counter::PivotQueryDists),
         };
         self.spill = SpillMetrics {
             entries: d.get(Counter::SpillEntries),
@@ -688,12 +653,6 @@ impl RunMetrics {
         w.object("verify_batch", |o| {
             o.u64("batches", self.verify_batch.batches)
                 .u64("batched_candidates", self.verify_batch.batched_candidates);
-        });
-        w.object("pivot", |o| {
-            o.u64("table_build_ns", self.pivot.table_build_ns)
-                .u64("lb_skips", self.pivot.lb_skips)
-                .u64("ub_cutoff_seeds", self.pivot.ub_cutoff_seeds)
-                .u64("query_pivot_dists", self.pivot.query_pivot_dists);
         });
         w.object("spill", |o| {
             o.u64("entries", self.spill.entries)
@@ -831,7 +790,6 @@ mod tests {
             "prepared",
             "pair_cache",
             "verify_batch",
-            "pivot",
             "spill",
             "storage",
             "phase1",
@@ -878,10 +836,6 @@ mod tests {
         incr(Counter::CandBlocksScanned, 31);
         incr(Counter::CandBlockSkips, 14);
         incr(Counter::CandFrontierBatches, 5);
-        incr(Counter::PivotTableBuildNs, 777);
-        incr(Counter::PivotLbSkips, 19);
-        incr(Counter::PivotUbCutoffSeeds, 6);
-        incr(Counter::PivotQueryDists, 48);
         incr(Counter::ServiceBatchesAdmitted, 2);
         incr(Counter::ServiceRecordsAdmitted, 120);
         incr(Counter::ServiceEpochsPublished, 2);
@@ -930,15 +884,6 @@ mod tests {
             }
         );
         assert_eq!(m.verify_batch, VerifyBatchMetrics { batches: 3, batched_candidates: 90 });
-        assert_eq!(
-            m.pivot,
-            PivotMetrics {
-                table_build_ns: 777,
-                lb_skips: 19,
-                ub_cutoff_seeds: 6,
-                query_pivot_dists: 48,
-            }
-        );
         assert_eq!(m.spill, SpillMetrics { entries: 25, bytes: 4096, peak_rss_bytes: 1234 });
         assert_eq!(m.phase1.steal_blocks, 16);
         assert_eq!(

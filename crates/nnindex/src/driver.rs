@@ -1,0 +1,169 @@
+//! The single Phase-1 lookup driver.
+//!
+//! The paper's Phase 1 is one line — "for each v, get NN-List(v) and
+//! ng(v) using index I". Here an index family is only a
+//! [`CandidateSource`]: it says which records are worth verifying for a
+//! query ([`Gathered`]) and how to read them; this module turns a source
+//! and a [`Query`] into every answer the crate serves — `top_k`,
+//! `within`, the combined lookup, and the by-content probe — through the
+//! one verification loop ([`crate::verify_candidates_bounded`]). Kernel
+//! work and instrumentation therefore have one place to go.
+
+use fuzzydedup_relation::Neighbor;
+use fuzzydedup_textdist::Distance;
+
+use crate::candgen::{CandFilter, RecordMeta};
+use crate::{
+    lookup_from_verified, sort_neighbors, verify_candidates_bounded, LookupCost, LookupSpec,
+    LookupWeights, PairDistanceCache, RecordView,
+};
+
+/// The query of one lookup.
+#[derive(Clone, Copy)]
+pub(crate) enum Query<'q> {
+    /// Record `id` of the indexed corpus: weighted by its own
+    /// multiplicity, and the id a [`PairDistanceCache`] keys its pairs on.
+    Indexed(u32),
+    /// The attribute strings of a record that need not be indexed (a
+    /// point query): multiplicity 1, never cached.
+    External(&'q [&'q str]),
+}
+
+/// One candidate gather, ready for verification.
+pub(crate) struct Gathered {
+    /// Candidate ids in verification order (an indexed query's own id
+    /// excluded).
+    pub ids: Vec<u32>,
+    /// Candidates generated before any truncation to `ids`.
+    pub generated: u64,
+    /// The query's length/gram statistics: the q-gram filter's query side.
+    pub query_meta: RecordMeta,
+    /// Query-side shared gram mass per candidate, parallel to `ids`;
+    /// `None` leaves only the length bound of the filter.
+    pub overlaps: Option<Vec<u32>>,
+    /// Query gram mass the gather did not merge (stop grams), credited to
+    /// every candidate by the count filter.
+    pub slack: u32,
+}
+
+impl Gathered {
+    /// A gather that tracked no overlap mass.
+    pub fn ids_only(ids: Vec<u32>, query_meta: RecordMeta) -> Self {
+        let generated = ids.len() as u64;
+        Self { ids, generated, query_meta, overlaps: None, slack: 0 }
+    }
+}
+
+/// What the driver needs from an index family.
+pub(crate) trait CandidateSource {
+    /// The distance candidates are verified with.
+    type Dist: Distance;
+
+    /// The verification distance.
+    fn distance(&self) -> &Self::Dist;
+
+    /// How verification reads the indexed records.
+    fn record_view(&self) -> RecordView<'_>;
+
+    /// Per-record multiplicities when the corpus is collapsed
+    /// (DESIGN.md §7.10), `None` otherwise.
+    fn multiplicities(&self) -> Option<&[u32]>;
+
+    /// The q-gram length `q` and per-record statistics the pruning filter
+    /// runs on; `None` when the distance admits no sound q-gram bound or
+    /// the index keeps no statistics.
+    fn filter_stats(&self) -> Option<(u32, &[RecordMeta])>;
+
+    /// Candidates for indexed record `id`. `radius_bound` is set only by
+    /// pure radius queries and lets the source stop admitting candidates
+    /// that cannot lie within it; the combined lookup must not set it,
+    /// because its growth estimate needs neighbors out to `p · nn(v)`,
+    /// which the radius does not bound.
+    fn gather_candidates(&self, id: u32, radius_bound: Option<f64>) -> Gathered;
+}
+
+/// Verify one gather: arm the q-gram filter from the source's statistics
+/// and run the verification loop. Returns the unsorted survivors and the
+/// number of distance calls attempted.
+fn verify<S: CandidateSource>(
+    source: &S,
+    query: Query<'_>,
+    gathered: &Gathered,
+    spec: LookupSpec,
+    p: f64,
+    weights: Option<&LookupWeights<'_>>,
+    cache: Option<&dyn PairDistanceCache>,
+) -> (Vec<Neighbor>, u64) {
+    let filter = source.filter_stats().map(|(q, meta)| CandFilter {
+        q,
+        query: gathered.query_meta,
+        meta,
+        overlaps: gathered.overlaps.as_deref(),
+        slack: gathered.slack,
+    });
+    verify_candidates_bounded(
+        source.distance(),
+        source.record_view(),
+        query,
+        &gathered.ids,
+        spec,
+        p,
+        weights,
+        filter.as_ref(),
+        cache,
+    )
+}
+
+/// The combined lookup over an already-gathered candidate list: one
+/// verification pass serves both the neighbor list and the neighborhood
+/// growth. Candidates count in full-corpus units when the source is
+/// collapsed.
+pub(crate) fn lookup_gathered<S: CandidateSource>(
+    source: &S,
+    query: Query<'_>,
+    gathered: Gathered,
+    spec: LookupSpec,
+    p: f64,
+    cache: Option<&dyn PairDistanceCache>,
+) -> (Vec<Neighbor>, f64, LookupCost) {
+    let weights = source.multiplicities().map(|mult| LookupWeights {
+        mult,
+        self_mult: match query {
+            Query::Indexed(id) => mult[id as usize],
+            Query::External(_) => 1,
+        },
+    });
+    let (verified, attempted) = verify(source, query, &gathered, spec, p, weights.as_ref(), cache);
+    lookup_from_verified(verified, gathered.generated, attempted, spec, p, weights.as_ref())
+}
+
+/// [`crate::NnIndex::lookup_cached`] for indexed record `id`.
+pub(crate) fn lookup<S: CandidateSource>(
+    source: &S,
+    id: u32,
+    spec: LookupSpec,
+    p: f64,
+    cache: Option<&dyn PairDistanceCache>,
+) -> (Vec<Neighbor>, f64, LookupCost) {
+    lookup_gathered(source, Query::Indexed(id), source.gather_candidates(id, None), spec, p, cache)
+}
+
+/// [`crate::NnIndex::top_k`]: in the index's own id space, unweighted.
+pub(crate) fn top_k<S: CandidateSource>(source: &S, id: u32, k: usize) -> Vec<Neighbor> {
+    let gathered = source.gather_candidates(id, None);
+    let (mut verified, _) =
+        verify(source, Query::Indexed(id), &gathered, LookupSpec::TopK(k), 1.0, None, None);
+    sort_neighbors(&mut verified);
+    verified.truncate(k);
+    verified
+}
+
+/// [`crate::NnIndex::within`]: in the index's own id space, unweighted.
+pub(crate) fn within<S: CandidateSource>(source: &S, id: u32, radius: f64) -> Vec<Neighbor> {
+    let gathered = source.gather_candidates(id, Some(radius));
+    let (mut verified, _) =
+        verify(source, Query::Indexed(id), &gathered, LookupSpec::Radius(radius), 1.0, None, None);
+    verified.retain(|n| n.dist < radius);
+    sort_neighbors(&mut verified);
+    verified
+}

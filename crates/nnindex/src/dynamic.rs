@@ -17,15 +17,10 @@ use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::{record_string, record_term_set, Distance, TermSet};
 
-use crate::candgen::{
-    select_top_candidates, select_top_candidates_weighted, CandFilter, RecordMeta,
-};
-use crate::pivot::PivotTable;
+use crate::candgen::{select_top_candidates, select_top_candidates_weighted, RecordMeta};
+use crate::driver::{self, CandidateSource, Gathered, Query};
 use crate::scratch::with_scoreboard;
-use crate::{
-    lookup_from_verified, sort_neighbors, survive, verify_candidates_bounded, LookupCost,
-    LookupSpec, LookupWeights, NnIndex, PairDistanceCache, RecordView,
-};
+use crate::{LookupCost, LookupSpec, NnIndex, PairDistanceCache, RecordView};
 
 /// Configuration of the dynamic index (mirrors
 /// [`crate::InvertedIndexConfig`]'s candidate-generation knobs).
@@ -42,12 +37,6 @@ pub struct DynamicIndexConfig {
     pub max_df_fraction: f64,
     /// Stop-gram document-frequency floor.
     pub stop_df_floor: u32,
-    /// Pivots for LAESA-style triangle-inequality pruning (0 = off). The
-    /// first `pivots` pushed records become the pivots; the table extends
-    /// with every append. Only takes effect when the distance reports
-    /// [`Distance::admits_metric_pruning`] and is record-string
-    /// invariant; otherwise the layer degrades to a no-op.
-    pub pivots: usize,
 }
 
 impl Default for DynamicIndexConfig {
@@ -58,7 +47,6 @@ impl Default for DynamicIndexConfig {
             candidate_limit: 256,
             max_df_fraction: 0.2,
             stop_df_floor: 100,
-            pivots: 0,
         }
     }
 }
@@ -76,10 +64,6 @@ pub struct DynamicInvertedIndex<D> {
     /// Pre-joined normalized record strings, maintained on `push` when the
     /// distance is [`Distance::record_string_invariant`] (`None` otherwise).
     norm: Option<Vec<String>>,
-    /// Pivot-distance table, extended on every `push`; present only when
-    /// `config.pivots > 0`, the distance admits metric pruning, and the
-    /// norm cache exists to feed it.
-    pivot: Option<PivotTable>,
     /// Per-record multiplicities when the index fronts a collapsed corpus
     /// (DESIGN.md §7.10); `None` in ordinary mode. Maintained by
     /// [`Self::push`] (new class, multiplicity 1) and
@@ -96,11 +80,6 @@ impl<D: Distance> DynamicInvertedIndex<D> {
     pub fn new(distance: D, config: DynamicIndexConfig) -> Self {
         let filter_ok = distance.admits_qgram_filter();
         let norm = distance.record_string_invariant().then(Vec::new);
-        let pivot = if norm.is_some() && distance.admits_metric_pruning() {
-            PivotTable::new_dynamic(config.pivots)
-        } else {
-            None
-        };
         Self {
             records: Vec::new(),
             distance,
@@ -109,7 +88,6 @@ impl<D: Distance> DynamicInvertedIndex<D> {
             meta: Vec::new(),
             filter_ok,
             norm,
-            pivot,
             mult: None,
             n_full: 0,
         }
@@ -134,13 +112,7 @@ impl<D: Distance> DynamicInvertedIndex<D> {
         }
         self.meta.push(RecordMeta { chars: ts.chars, grams: ts.gram_total });
         if let Some(norm) = &mut self.norm {
-            let joined = record_string(&fields);
-            if let Some(pivot) = &mut self.pivot {
-                let start = std::time::Instant::now();
-                pivot.push(&joined);
-                incr(Counter::PivotTableBuildNs, start.elapsed().as_nanos() as u64);
-            }
-            norm.push(joined);
+            norm.push(record_string(&fields));
         }
         self.records.push(record);
         if let Some(mult) = &mut self.mult {
@@ -176,14 +148,6 @@ impl<D: Distance> DynamicInvertedIndex<D> {
     pub fn has_terms(&self, id: u32) -> bool {
         let fields: Vec<&str> = self.records[id as usize].iter().map(String::as_str).collect();
         !record_term_set(&fields, self.config.q, self.config.index_tokens).terms.is_empty()
-    }
-
-    /// Record access for verification: the pre-joined cache when available.
-    fn record_view(&self) -> RecordView<'_> {
-        match &self.norm {
-            Some(norm) => RecordView::Joined(norm),
-            None => RecordView::Fields(&self.records),
-        }
     }
 
     /// The indexed records.
@@ -241,7 +205,13 @@ impl<D: Distance> DynamicInvertedIndex<D> {
             }
             None => select_top_candidates(&mut scored, limit),
         };
-        Gathered { ids, overlaps, slack, generated }
+        Gathered {
+            ids,
+            generated,
+            query_meta: RecordMeta { chars: ts.chars, grams: ts.gram_total },
+            overlaps: Some(overlaps),
+            slack,
+        }
     }
 
     /// One merge pass: scored candidates `(id, weight, shared gram mass)`,
@@ -290,31 +260,17 @@ impl<D: Distance> DynamicInvertedIndex<D> {
         (scored, slack, dropped)
     }
 
-    /// The pruning filter for a gathered candidate list, or `None` when
-    /// the distance admits no sound q-gram bound.
-    fn make_filter<'a>(&'a self, id: u32, gathered: &'a Gathered) -> Option<CandFilter<'a>> {
-        self.filter_ok.then(|| CandFilter {
-            q: self.config.q as u32,
-            query: self.meta[id as usize],
-            meta: &self.meta,
-            overlaps: Some(&gathered.overlaps),
-            slack: gathered.slack,
-        })
-    }
-
     /// Combined lookup **by content**: the nearest neighbors of a record
     /// given as attribute strings, whether or not it is in the index,
-    /// with the same candidate generation and bounded, filtered
-    /// verification as [`NnIndex::lookup`]. Nothing is inserted and no id
-    /// is excluded — probing with the text of an indexed record returns
+    /// through the same candidate generation and the same verification
+    /// driver as [`NnIndex::lookup`]. Nothing is inserted and no id is
+    /// excluded — probing with the text of an indexed record returns
     /// that record itself at distance 0. This is the read side of a
     /// point-query API ("find duplicates of this record now").
     ///
-    /// The pivot table is not consulted (a probe has no pivot row) and
-    /// verification is scalar rather than lock-step batched; both are
-    /// pure performance levers, so the answer is exactly what an
-    /// identical appended record would see under the same corpus
-    /// statistics (document frequencies, stop-gram thresholds).
+    /// The answer is exactly what an identical appended record would see
+    /// under the same corpus statistics (document frequencies, stop-gram
+    /// thresholds).
     pub fn probe(
         &self,
         fields: &[&str],
@@ -323,89 +279,38 @@ impl<D: Distance> DynamicInvertedIndex<D> {
     ) -> (Vec<Neighbor>, f64, LookupCost) {
         let ts = record_term_set(fields, self.config.q, self.config.index_tokens);
         let gathered = self.gather_terms(&ts, None, self.config.candidate_limit);
-        let filter = self.filter_ok.then(|| CandFilter {
-            q: self.config.q as u32,
-            query: RecordMeta { chars: ts.chars, grams: ts.gram_total },
-            meta: &self.meta,
-            overlaps: Some(&gathered.overlaps),
-            slack: gathered.slack,
-        });
-        // Prepare the query through the same view verification reads the
-        // candidates from (pre-joined when the distance is record-string
-        // invariant), so distances match the indexed path bit for bit.
-        let joined;
-        let query_fields: Vec<&str> = if self.norm.is_some() {
-            joined = record_string(fields);
-            vec![joined.as_str()]
-        } else {
-            fields.to_vec()
-        };
-        let mut prepared = self.distance.prepare(&query_fields);
-        let view = self.record_view();
-        // An external probe record has multiplicity 1, so no kth-seeding
-        // or nn-zeroing applies; candidate copies still count in
-        // full-corpus units when the index is collapsed.
-        let weights = self.mult.as_deref().map(LookupWeights::external);
-        let mut survivors: Vec<Neighbor> = Vec::with_capacity(gathered.ids.len());
-        let mut kth: Vec<f64> = Vec::new();
-        let mut nn_running = f64::INFINITY;
-        let mut attempted = 0u64;
-        let mut cand_fields: Vec<&str> = Vec::new();
-        for (i, &c) in gathered.ids.iter().enumerate() {
-            let spec_cut = match spec {
-                LookupSpec::TopK(0) => f64::NEG_INFINITY,
-                LookupSpec::TopK(k) => {
-                    if kth.len() < k {
-                        f64::INFINITY
-                    } else {
-                        kth[k - 1]
-                    }
-                }
-                LookupSpec::Radius(theta) => theta,
-            };
-            let cutoff = spec_cut.max(p * nn_running);
-            if let Some(f) = &filter {
-                if f.prunes(i, c, cutoff) {
-                    continue;
-                }
-            }
-            attempted += 1;
-            cand_fields.clear();
-            view.extend_fields(c, &mut cand_fields);
-            if let Some(d) = prepared.distance_bounded(&cand_fields, cutoff) {
-                let copies = weights.as_ref().map_or(1, |w| w.of(c));
-                survive(&mut survivors, &mut kth, &mut nn_running, spec, c, d, copies);
-            }
-        }
-        lookup_from_verified(survivors, gathered.generated, attempted, spec, p, weights.as_ref())
-    }
-
-    fn answer(&self, id: u32, spec: LookupSpec) -> Vec<Neighbor> {
-        let gathered = self.gather(id, self.config.candidate_limit);
-        let filter = self.make_filter(id, &gathered);
-        let pivot = self.pivot.as_ref().map(|t| t.query(id));
-        let (verified, _) = verify_candidates_bounded(
-            &self.distance,
-            self.record_view(),
-            id,
-            &gathered.ids,
-            spec,
-            1.0,
-            None,
-            filter.as_ref(),
-            pivot.as_ref(),
-            None,
-        );
-        verified
+        driver::lookup_gathered(self, Query::External(fields), gathered, spec, p, None)
     }
 }
 
-/// Result of one candidate gather, ready for verification.
-struct Gathered {
-    ids: Vec<u32>,
-    overlaps: Vec<u32>,
-    slack: u32,
-    generated: u64,
+impl<D: Distance> CandidateSource for DynamicInvertedIndex<D> {
+    type Dist = D;
+
+    fn distance(&self) -> &D {
+        &self.distance
+    }
+
+    /// The pre-joined cache when the distance admits it.
+    fn record_view(&self) -> RecordView<'_> {
+        match &self.norm {
+            Some(norm) => RecordView::Joined(norm),
+            None => RecordView::Fields(&self.records),
+        }
+    }
+
+    fn multiplicities(&self) -> Option<&[u32]> {
+        self.mult.as_deref()
+    }
+
+    fn filter_stats(&self) -> Option<(u32, &[RecordMeta])> {
+        self.filter_ok.then_some((self.config.q as u32, &self.meta[..]))
+    }
+
+    /// The append-only postings have no rare-first order to stop early
+    /// in, so `radius_bound` goes unused.
+    fn gather_candidates(&self, id: u32, _radius_bound: Option<f64>) -> Gathered {
+        self.gather(id, self.config.candidate_limit)
+    }
 }
 
 impl<D: Distance> NnIndex for DynamicInvertedIndex<D> {
@@ -414,22 +319,13 @@ impl<D: Distance> NnIndex for DynamicInvertedIndex<D> {
     }
 
     fn top_k(&self, id: u32, k: usize) -> Vec<Neighbor> {
-        let mut verified = self.answer(id, LookupSpec::TopK(k));
-        sort_neighbors(&mut verified);
-        verified.truncate(k);
-        verified
+        driver::top_k(self, id, k)
     }
 
     fn within(&self, id: u32, radius: f64) -> Vec<Neighbor> {
-        let mut verified = self.answer(id, LookupSpec::Radius(radius));
-        verified.retain(|n| n.dist < radius);
-        sort_neighbors(&mut verified);
-        verified
+        driver::within(self, id, radius)
     }
 
-    /// Combined lookup with *bounded, filtered* verification: each
-    /// candidate is tested against the q-gram pruning bounds and then
-    /// scored against the current best-so-far cutoff.
     fn lookup_cached(
         &self,
         id: u32,
@@ -437,23 +333,7 @@ impl<D: Distance> NnIndex for DynamicInvertedIndex<D> {
         p: f64,
         cache: Option<&dyn PairDistanceCache>,
     ) -> (Vec<Neighbor>, f64, LookupCost) {
-        let gathered = self.gather(id, self.config.candidate_limit);
-        let filter = self.make_filter(id, &gathered);
-        let pivot = self.pivot.as_ref().map(|t| t.query(id));
-        let weights = self.mult.as_deref().map(|m| LookupWeights::for_query(m, id));
-        let (verified, attempted) = verify_candidates_bounded(
-            &self.distance,
-            self.record_view(),
-            id,
-            &gathered.ids,
-            spec,
-            p,
-            weights.as_ref(),
-            filter.as_ref(),
-            pivot.as_ref(),
-            cache,
-        );
-        lookup_from_verified(verified, gathered.generated, attempted, spec, p, weights.as_ref())
+        driver::lookup(self, id, spec, p, cache)
     }
 }
 
@@ -552,40 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn pivot_pruning_is_lossless_across_appends() {
-        let records: Vec<String> = (0..50)
-            .map(|i| match i % 3 {
-                0 => format!("golden dragon palace branch {:02}", i / 3),
-                1 => format!("golden drgon palace branch {:02}", i / 3),
-                _ => format!("completely unrelated payload row {i:03}"),
-            })
-            .collect();
-        let base = DynamicIndexConfig { candidate_limit: 0, ..Default::default() };
-        let mut plain = DynamicInvertedIndex::new(EditDistance, base.clone());
-        let mut pruned =
-            DynamicInvertedIndex::new(EditDistance, DynamicIndexConfig { pivots: 6, ..base });
-        for (step, r) in records.iter().enumerate() {
-            plain.push(vec![r.clone()]);
-            pruned.push(vec![r.clone()]);
-            // Interleave queries with appends: the table must stay
-            // consistent at every growth stage, not just at the end.
-            if step % 7 == 0 {
-                let id = (step / 2) as u32;
-                assert_eq!(plain.top_k(id, 3), pruned.top_k(id, 3), "step {step}");
-            }
-        }
-        assert!(pruned.pivot.is_some());
-        assert_eq!(pruned.pivot.as_ref().unwrap().num_pivots(), 6);
-        for id in 0..plain.len() as u32 {
-            assert_eq!(plain.top_k(id, 5), pruned.top_k(id, 5), "id {id}");
-            assert_eq!(plain.within(id, 0.3), pruned.within(id, 0.3), "id {id}");
-            let (n_a, ng_a, _) = plain.lookup(id, LookupSpec::TopK(3), 2.0);
-            let (n_b, ng_b, _) = pruned.lookup(id, LookupSpec::TopK(3), 2.0);
-            assert_eq!((n_a, ng_a), (n_b, ng_b), "id {id}");
-        }
-    }
-
-    #[test]
     fn probe_finds_indexed_duplicate_at_distance_zero() {
         let mut idx = DynamicInvertedIndex::new(EditDistance, DynamicIndexConfig::default());
         push_all(&mut idx, &["golden dragon", "golden palace", "unrelated thing"]);
@@ -601,27 +447,50 @@ mod tests {
     fn probe_matches_appended_record_lookup() {
         // A probe must answer exactly what the same record would see if it
         // were appended and queried — provided the corpus statistics
-        // match, so the control index holds the probe record too. Small
-        // corpus: the stop floor (df > 100) never fires and no candidate
-        // truncation occurs, hence identical candidate sets.
-        let corpus =
-            ["the doors", "doors", "the beatles", "beatles the", "shania twain", "aaliyah"];
-        let probes = ["the doorz", "shania twin", "zzz nothing shared"];
-        for probe_text in probes {
-            let mut base = DynamicInvertedIndex::new(EditDistance, DynamicIndexConfig::default());
-            let mut ctrl = DynamicInvertedIndex::new(EditDistance, DynamicIndexConfig::default());
-            push_all(&mut base, &corpus);
-            push_all(&mut ctrl, &corpus);
-            // The control holds the probe record (the appended shift of
-            // document frequencies only reorders candidates; with no
-            // stop-grams and no truncation at this size the answer is
-            // unchanged), and `lookup` excludes it from its own results.
-            let probe_id = ctrl.push(vec![probe_text.to_string()]);
-            for spec in [LookupSpec::TopK(3), LookupSpec::Radius(0.4)] {
-                let (got, got_ng, _) = base.probe(&[probe_text], spec, 2.0);
-                let (want, want_ng, _) = ctrl.lookup(probe_id, spec, 2.0);
-                assert_eq!(got, want, "probe {probe_text:?} {spec:?}");
-                assert_eq!(got_ng, want_ng, "probe {probe_text:?} {spec:?}");
+        // match, so the control index holds the probe record too (the
+        // appended shift of document frequencies only reorders
+        // candidates), and `lookup` excludes it from its own results.
+        //
+        // Small corpus, default config: the stop floor (df > 100) never
+        // fires and no candidate truncation occurs, hence identical
+        // candidate sets.
+        let small: Vec<String> =
+            ["the doors", "doors", "the beatles", "beatles the", "shania twain", "aaliyah"]
+                .map(str::to_owned)
+                .to_vec();
+        // Noisy near-duplicate corpus well past `VERIFY_BATCH`: every
+        // probe verifies hundreds of candidates, so the external-query
+        // path runs through ragged lock-step batches with survivors
+        // inside them. Stop grams and truncation are switched off, for
+        // the same identical-candidate-sets reason as above.
+        let noisy = crate::near_duplicate_corpus(240);
+        let unpruned = DynamicIndexConfig {
+            candidate_limit: 0,
+            stop_df_floor: u32::MAX,
+            ..DynamicIndexConfig::default()
+        };
+        let inputs = [
+            (small, DynamicIndexConfig::default(), ["the doorz", "shania twin", "zzz nothing"]),
+            (
+                noisy,
+                unpruned,
+                ["golden dragon palace branch 17", "goldn dragon palace brnch 3", "payload 777"],
+            ),
+        ];
+        for (corpus, config, probes) in inputs {
+            let corpus: Vec<&str> = corpus.iter().map(String::as_str).collect();
+            for probe_text in probes {
+                let mut base = DynamicInvertedIndex::new(EditDistance, config.clone());
+                let mut ctrl = DynamicInvertedIndex::new(EditDistance, config.clone());
+                push_all(&mut base, &corpus);
+                push_all(&mut ctrl, &corpus);
+                let probe_id = ctrl.push(vec![probe_text.to_string()]);
+                for spec in [LookupSpec::TopK(3), LookupSpec::Radius(0.4)] {
+                    let (got, got_ng, _) = base.probe(&[probe_text], spec, 2.0);
+                    let (want, want_ng, _) = ctrl.lookup(probe_id, spec, 2.0);
+                    assert_eq!(got, want, "probe {probe_text:?} {spec:?}");
+                    assert_eq!(got_ng, want_ng, "probe {probe_text:?} {spec:?}");
+                }
             }
         }
     }

@@ -46,15 +46,11 @@ use fuzzydedup_storage::{BufferPool, HeapFile, RecordId};
 use fuzzydedup_textdist::{merge_overlap_bound, record_string, record_term_set, Distance};
 
 use crate::candgen::{
-    select_top_candidates, select_top_candidates_weighted, CandFilter, CsrPostings, PackedPostings,
-    RecordMeta,
+    select_top_candidates, select_top_candidates_weighted, CsrPostings, PackedPostings, RecordMeta,
 };
-use crate::pivot::PivotTable;
+use crate::driver::{self, CandidateSource, Gathered};
 use crate::scratch::{with_merge_stage, with_scoreboard, with_scored, StageRun};
-use crate::{
-    lookup_from_verified, sort_neighbors, verify_candidates_bounded, LookupCost, LookupSpec,
-    LookupWeights, NnIndex, PairDistanceCache, RecordView,
-};
+use crate::{LookupCost, LookupSpec, NnIndex, PairDistanceCache, RecordView};
 use fuzzydedup_metrics::{incr, Counter};
 
 /// How far ahead of the merge scan to prefetch scoreboard slots: deep
@@ -139,12 +135,6 @@ pub struct InvertedIndexConfig {
     /// proxies can cost verification-time count-filter prunes and, under
     /// a `candidate_limit`, reorder which candidates are kept.
     pub prefix_filter: bool,
-    /// Pivots for LAESA-style triangle-inequality pruning (0 = off).
-    /// Only takes effect when the distance reports
-    /// [`Distance::admits_metric_pruning`] *and* is record-string
-    /// invariant (the table is built over the normalized record strings);
-    /// otherwise the layer degrades to a no-op.
-    pub pivots: usize,
 }
 
 impl Default for InvertedIndexConfig {
@@ -158,7 +148,6 @@ impl Default for InvertedIndexConfig {
             chunk_size: 256,
             postings_source: PostingsSource::Packed,
             prefix_filter: false,
-            pivots: 0,
         }
     }
 }
@@ -207,10 +196,6 @@ pub struct InvertedIndex<D> {
     postings: HeapFile,
     /// Whether the distance admits the q-gram pruning filters.
     filter_ok: bool,
-    /// Pivot-distance table for triangle-inequality pruning; present only
-    /// when `config.pivots > 0`, the distance admits metric pruning, and
-    /// the normalized record strings exist to build it over.
-    pivot: Option<PivotTable>,
     /// Per-record multiplicities of a collapsed corpus (DESIGN.md §7.10):
     /// record `i` stands for `mult[i]` identical originals. `None` for an
     /// ordinary corpus. When present, document frequencies, IDF weights,
@@ -218,18 +203,6 @@ pub struct InvertedIndex<D> {
     /// cutoffs are all computed in **full-corpus** units, so lookups are
     /// bit-equivalent to querying the uncollapsed corpus.
     mult: Option<Vec<u32>>,
-}
-
-/// Result of one candidate gather, ready for verification.
-struct Gathered {
-    /// Candidate ids, highest shared weight first.
-    ids: Vec<u32>,
-    /// Query-side shared gram mass per candidate, parallel to `ids`.
-    overlaps: Vec<u32>,
-    /// Query gram mass dropped from the merge (stop grams).
-    slack: u32,
-    /// Candidates generated before truncation.
-    generated: u64,
 }
 
 impl<D: Distance> InvertedIndex<D> {
@@ -345,18 +318,6 @@ impl<D: Distance> InvertedIndex<D> {
                 })
                 .collect()
         });
-        // The pivot table speaks raw Levenshtein over the normalized
-        // record strings, so it needs both the metric capability and the
-        // norm cache; absent either, pruning silently stays off.
-        let pivot = match &norm {
-            Some(norm) if config.pivots > 0 && distance.admits_metric_pruning() => {
-                let start = std::time::Instant::now();
-                let table = PivotTable::build(norm, config.pivots, 0);
-                incr(Counter::PivotTableBuildNs, start.elapsed().as_nanos() as u64);
-                table
-            }
-            _ => None,
-        };
         Self {
             records,
             distance,
@@ -370,7 +331,6 @@ impl<D: Distance> InvertedIndex<D> {
             norm,
             postings,
             filter_ok,
-            pivot,
             mult,
         }
     }
@@ -397,15 +357,6 @@ impl<D: Distance> InvertedIndex<D> {
     /// Number of heap pages occupied by postings.
     pub fn postings_pages(&self) -> usize {
         self.postings.num_pages()
-    }
-
-    /// The record view verification reads: the pre-joined normalized
-    /// strings when the distance admits them, raw fields otherwise.
-    fn record_view(&self) -> RecordView<'_> {
-        match &self.norm {
-            Some(norm) => RecordView::Joined(norm),
-            None => RecordView::Fields(&self.records),
-        }
     }
 
     /// Exact distance between two indexed records.
@@ -440,7 +391,7 @@ impl<D: Distance> InvertedIndex<D> {
         self.gather(id, Some(radius)).ids
     }
 
-    /// Generate, score, truncate. `radius_bound` (set only by [`Self::within`])
+    /// Generate, score, truncate. `radius_bound` (set only by radius queries)
     /// enables the MergeSkip bound for that radius; the combined lookup
     /// must not pass it, because its growth estimate needs neighbors out
     /// to `p · nn(v)`, which the radius does not bound.
@@ -481,7 +432,13 @@ impl<D: Distance> InvertedIndex<D> {
                 ),
                 None => select_top_candidates(scored, self.config.candidate_limit),
             };
-            Gathered { ids, overlaps, slack, generated }
+            Gathered {
+                ids,
+                generated,
+                query_meta: self.meta[id as usize],
+                overlaps: Some(overlaps),
+                slack,
+            }
         })
     }
 
@@ -799,76 +756,53 @@ impl<D: Distance> InvertedIndex<D> {
         out.extend(scores.into_iter().map(|(c, (w, o))| (c, w, o)));
         (slack, dropped)
     }
+}
 
-    /// The pruning filter for a gathered candidate list, or `None` when
-    /// the distance admits no sound q-gram bound.
-    fn make_filter<'a>(&'a self, id: u32, gathered: &'a Gathered) -> Option<CandFilter<'a>> {
-        self.filter_ok.then(|| CandFilter {
-            q: self.config.q as u32,
-            query: self.meta[id as usize],
-            meta: &self.meta,
-            overlaps: Some(&gathered.overlaps),
-            slack: gathered.slack,
-        })
+impl<D: Distance> CandidateSource for InvertedIndex<D> {
+    type Dist = D;
+
+    fn distance(&self) -> &D {
+        &self.distance
+    }
+
+    /// The pre-joined normalized strings when the distance admits them,
+    /// raw fields otherwise.
+    fn record_view(&self) -> RecordView<'_> {
+        match &self.norm {
+            Some(norm) => RecordView::Joined(norm),
+            None => RecordView::Fields(&self.records),
+        }
+    }
+
+    fn multiplicities(&self) -> Option<&[u32]> {
+        self.mult.as_deref()
+    }
+
+    fn filter_stats(&self) -> Option<(u32, &[RecordMeta])> {
+        self.filter_ok.then_some((self.config.q as u32, &self.meta[..]))
+    }
+
+    fn gather_candidates(&self, id: u32, radius_bound: Option<f64>) -> Gathered {
+        self.gather(id, radius_bound)
     }
 }
 
+/// One candidate gather + one verification pass serves both the neighbor
+/// list and the neighborhood growth — the access pattern the paper's
+/// Phase 1 assumes, and half the I/O of two separate calls.
 impl<D: Distance> NnIndex for InvertedIndex<D> {
     fn len(&self) -> usize {
         self.records.len()
     }
 
     fn top_k(&self, id: u32, k: usize) -> Vec<Neighbor> {
-        let gathered = self.gather(id, None);
-        let filter = self.make_filter(id, &gathered);
-        let pivot = self.pivot.as_ref().map(|t| t.query(id));
-        let (mut verified, _) = verify_candidates_bounded(
-            &self.distance,
-            self.record_view(),
-            id,
-            &gathered.ids,
-            LookupSpec::TopK(k),
-            1.0,
-            None,
-            filter.as_ref(),
-            pivot.as_ref(),
-            None,
-        );
-        sort_neighbors(&mut verified);
-        verified.truncate(k);
-        verified
+        driver::top_k(self, id, k)
     }
 
     fn within(&self, id: u32, radius: f64) -> Vec<Neighbor> {
-        let gathered = self.gather(id, Some(radius));
-        let filter = self.make_filter(id, &gathered);
-        let pivot = self.pivot.as_ref().map(|t| t.query(id));
-        let (mut verified, _) = verify_candidates_bounded(
-            &self.distance,
-            self.record_view(),
-            id,
-            &gathered.ids,
-            LookupSpec::Radius(radius),
-            1.0,
-            None,
-            filter.as_ref(),
-            pivot.as_ref(),
-            None,
-        );
-        verified.retain(|n| n.dist < radius);
-        sort_neighbors(&mut verified);
-        verified
+        driver::within(self, id, radius)
     }
 
-    /// One candidate gather + one verification pass serves both the
-    /// neighbor list and the neighborhood growth — the access pattern the
-    /// paper's Phase 1 assumes, and half the I/O of two separate calls.
-    /// Verification is *bounded and filtered*: each candidate is tested
-    /// against the q-gram length/count bounds for the current best-so-far
-    /// cutoff (skipping its distance call when provably outside), and the
-    /// survivors' distance calls take the k-bounded kernel. The query is
-    /// prepared once per lookup, and an optional shared pair-distance
-    /// memo short-circuits candidates whose distance is already known.
     fn lookup_cached(
         &self,
         id: u32,
@@ -876,23 +810,7 @@ impl<D: Distance> NnIndex for InvertedIndex<D> {
         p: f64,
         cache: Option<&dyn PairDistanceCache>,
     ) -> (Vec<Neighbor>, f64, LookupCost) {
-        let gathered = self.gather(id, None);
-        let filter = self.make_filter(id, &gathered);
-        let pivot = self.pivot.as_ref().map(|t| t.query(id));
-        let weights = self.mult.as_deref().map(|m| LookupWeights::for_query(m, id));
-        let (verified, attempted) = verify_candidates_bounded(
-            &self.distance,
-            self.record_view(),
-            id,
-            &gathered.ids,
-            spec,
-            p,
-            weights.as_ref(),
-            filter.as_ref(),
-            pivot.as_ref(),
-            cache,
-        );
-        lookup_from_verified(verified, gathered.generated, attempted, spec, p, weights.as_ref())
+        driver::lookup(self, id, spec, p, cache)
     }
 }
 
@@ -1235,50 +1153,6 @@ mod tests {
         assert_eq!(idx.csr.postings(tid).len(), 300, "CSR mirrors the page postings");
         // And the index still answers queries.
         assert!(!idx.top_k(0, 2).is_empty());
-    }
-
-    #[test]
-    fn pivot_pruning_is_lossless_and_fires() {
-        // Counters are process-global: serialize for the lb_skips check.
-        let _serial = fuzzydedup_metrics::serial_guard();
-        fuzzydedup_metrics::enable();
-        // Each group holds a near-duplicate pair plus a token *permutation*
-        // of it: the permutation shares the pair's gram multiset (so the
-        // q-gram count filter cannot prune it) but sits far away in edit
-        // distance — exactly the candidate only the triangle bound can
-        // reject once the near-dupe has tightened the cutoff.
-        let records: Vec<Vec<String>> = (0..60)
-            .map(|i| {
-                let g = i / 3;
-                let s = match i % 3 {
-                    0 => format!("alpha bravo charlie delta {g:02}"),
-                    1 => format!("alpha bravo charlie detla {g:02}"),
-                    _ => format!("delta charlie bravo alpha {g:02}"),
-                };
-                vec![s]
-            })
-            .collect();
-        let base = InvertedIndexConfig { candidate_limit: 0, ..Default::default() };
-        let plain = build_records(records.clone(), base.clone());
-        let pruned = build_records(records, InvertedIndexConfig { pivots: 8, ..base });
-        assert!(pruned.pivot.is_some(), "edit distance admits metric pruning");
-        let before = fuzzydedup_metrics::snapshot();
-        for id in 0..plain.len() as u32 {
-            assert_eq!(plain.top_k(id, 5), pruned.top_k(id, 5), "top_k id {id}");
-            assert_eq!(plain.within(id, 0.3), pruned.within(id, 0.3), "within id {id}");
-            for spec in [LookupSpec::TopK(3), LookupSpec::Radius(0.25)] {
-                let (n_a, ng_a, _) = plain.lookup(id, spec, 2.0);
-                let (n_b, ng_b, _) = pruned.lookup(id, spec, 2.0);
-                assert_eq!(n_a, n_b, "id {id} {spec:?}");
-                assert_eq!(ng_a, ng_b, "id {id} {spec:?}");
-            }
-        }
-        let delta = fuzzydedup_metrics::snapshot().delta(&before);
-        assert!(
-            delta.get(Counter::PivotLbSkips) > 0,
-            "the triangle bound must reject some far candidates"
-        );
-        assert!(delta.get(Counter::PivotQueryDists) > 0);
     }
 
     /// Delegates to [`EditDistance`] but opts out of the normalized-record

@@ -24,16 +24,22 @@
 //!   expansion with a bounded queue and a visited bit vector), plus
 //!   sequential and shuffled orders for the Figure-8 comparison.
 //!
+//! Every index family (also [`dynamic::DynamicInvertedIndex`] and
+//! [`signature::MinHashIndex`]) only says which records are worth
+//! verifying for a query; one private lookup driver turns that into
+//! `top_k`, `within`, the combined lookup and by-content probes through
+//! one bounded-verification loop.
+//!
 //! Like the paper, we treat the (probabilistic) inverted index as if it
 //! were exact; `tests/` cross-validate its results against the nested-loop
 //! reference and the experiment drivers measure its recall.
 
 pub mod bforder;
 pub mod candgen;
+mod driver;
 pub mod dynamic;
 pub mod inverted;
 pub mod nested_loop;
-pub mod pivot;
 mod scratch;
 pub mod signature;
 
@@ -42,14 +48,14 @@ pub use candgen::{CsrPostings, PackedPostings, RecordMeta, PACKED_BLOCK};
 pub use dynamic::{DynamicIndexConfig, DynamicInvertedIndex};
 pub use inverted::{InvertedIndex, InvertedIndexConfig, PostingsSource};
 pub use nested_loop::NestedLoopIndex;
-pub use pivot::{PivotQuery, PivotTable};
 pub use signature::{MinHashConfig, MinHashIndex};
 
 use candgen::CandFilter;
+use driver::Query;
 
 use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_relation::Neighbor;
-use fuzzydedup_textdist::{Distance, Prepared};
+use fuzzydedup_textdist::{record_string, Distance, Prepared};
 
 /// Cost accounting for one combined [`NnIndex::lookup`], reported by every
 /// implementation and aggregated by Phase 1 into `Phase1Stats` /
@@ -164,34 +170,27 @@ pub trait NnIndex: Send + Sync {
     /// growth `ng(v) = |{u : d(u, v) < p · nn(v)}|` (counting `v` itself),
     /// plus the [`LookupCost`] actually paid to answer.
     ///
-    /// The default implementation issues separate `top_k`/`within` probes
-    /// (each counted in `LookupCost::probes`); candidate-generation
-    /// indexes override [`NnIndex::lookup_cached`] to gather and verify
-    /// candidates once.
-    ///
-    /// **Extension-point warning:** Phase 1 calls
-    /// [`NnIndex::lookup_cached`] directly, and this method is merely its
-    /// `cache = None` shorthand. Overriding only `lookup` does **not**
-    /// change what Phase 1 runs — it silently falls back to the default
-    /// probe-based `lookup_cached`. Implementations that customize the
-    /// combined lookup must override `lookup_cached` (and may leave this
-    /// default delegation in place).
+    /// This is the `cache = None` shorthand of [`NnIndex::lookup_cached`],
+    /// which is what Phase 1 calls and therefore the method to override:
+    /// an implementation that overrides only `lookup` is bypassed by
+    /// Phase 1. Every index in this crate implements `lookup_cached` as
+    /// one call into the crate's single lookup driver (gather candidates
+    /// once, verify them once with a running cutoff, derive the neighbor
+    /// list and `ng` from the survivors) and leaves this default alone.
     fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
         self.lookup_cached(id, spec, p, None)
     }
 
     /// [`NnIndex::lookup`] with an optional shared [`PairDistanceCache`]
-    /// consulted during candidate verification. The default probe-based
-    /// implementation has no verification loop, so it ignores the cache;
-    /// candidate-generation indexes override this method (and inherit
-    /// `lookup` as the `None` case).
+    /// consulted during candidate verification — **the combined-lookup
+    /// extension point** (Phase 1 invokes this method, never `lookup`).
     ///
-    /// **This is the combined-lookup extension point.** Phase 1 invokes
-    /// `lookup_cached`, never `lookup`, so an implementation that
-    /// overrides only `lookup` (the pre-pair-cache extension pattern) is
-    /// bypassed: Phase 1 would take this default probe-based path,
-    /// changing probe counts and losing the impl's combined-lookup
-    /// behavior. Override this method; `lookup` follows automatically.
+    /// The default composes the answer from separate `top_k`/`within`
+    /// probes (each counted in `LookupCost::probes`); it has no
+    /// verification loop, so it ignores the cache. It serves
+    /// implementations outside this crate that only offer the two
+    /// primitives, and is the composition the driver-equivalence suite
+    /// holds the combined lookups of this crate's indexes to.
     fn lookup_cached(
         &self,
         id: u32,
@@ -267,17 +266,7 @@ pub(crate) struct LookupWeights<'a> {
     pub self_mult: u32,
 }
 
-impl<'a> LookupWeights<'a> {
-    /// Weights for a lookup whose query is indexed record `id`.
-    pub fn for_query(mult: &'a [u32], id: u32) -> Self {
-        Self { mult, self_mult: mult[id as usize] }
-    }
-
-    /// Weights for an external (non-indexed) query record.
-    pub fn external(mult: &'a [u32]) -> Self {
-        Self { mult, self_mult: 1 }
-    }
-
+impl LookupWeights<'_> {
     /// Multiplicity of candidate `c`.
     #[inline]
     fn of(&self, c: u32) -> u32 {
@@ -285,12 +274,16 @@ impl<'a> LookupWeights<'a> {
     }
 }
 
-/// Bounded verification of a candidate list: score every candidate with
-/// [`Distance::distance_bounded`], passing the current best-so-far as the
-/// cutoff so the k-bounded edit kernel can abandon hopeless pairs early.
+/// Bounded verification of a candidate list — the one verification loop
+/// in the crate, called only by the lookup driver ([`driver`]), which
+/// every index family and every query flavor (`top_k`, `within`, the
+/// combined lookup, by-content probes) goes through.
 ///
-/// The running cutoff is the larger of what the `spec` still needs and
-/// what the growth estimate still needs:
+/// Every candidate is scored with the prepared query's
+/// `distance_bounded`, passing the current best-so-far as the cutoff so
+/// the k-bounded edit kernel can abandon hopeless pairs early. The
+/// running cutoff is the larger of what the `spec` still needs and what
+/// the growth estimate still needs:
 ///
 /// * **TopK(k)** — the running k-th best distance (`∞` until `k`
 ///   candidates survive);
@@ -307,184 +300,77 @@ impl<'a> LookupWeights<'a> {
 /// of verification attempts (for [`LookupCost`] accounting: every attempt
 /// is one distance call, bounded or not).
 ///
-/// When a `filter` is supplied (only sound for distances with
-/// [`Distance::admits_qgram_filter`]), each candidate is first tested
-/// against the q-gram length/count bounds **with the same running cutoff**
-/// passed to `distance_bounded`: a pruned candidate is one the bounded
-/// call would provably have rejected, so it skips the distance call
-/// entirely and the surviving set — hence the final answer — is unchanged.
+/// The `query` is compiled **once** via [`Distance::prepare`], read
+/// through the same `records` view as the candidates: an indexed query
+/// by id, an external one from its attribute strings (pre-joined when the
+/// view is, so both flavors produce bit-identical distances). Candidates
+/// whose cutoff is finite and below 1 are deferred into lock-step
+/// batches (see [`Running::flush_batch`]); the rest verify immediately.
 ///
-/// The query is compiled **once** via [`Distance::prepare`]; every
-/// surviving candidate is scored through the prepared kernel. When a
-/// [`PairDistanceCache`] is supplied, each candidate (after the filter)
-/// first probes the memo at the running cutoff: an exact hit resolves the
-/// candidate without a distance call, a known-above hit rejects it, and a
-/// miss pays the distance call and stores what it learned. Both the
-/// prepared kernel and the cache are pure performance levers — the
-/// surviving set is identical either way.
+/// `weights` puts the cutoffs in full-corpus units when the corpus is
+/// collapsed (see [`LookupWeights`]). Two optional layers sit in front of
+/// the distance call, each a pure performance lever — the surviving set
+/// is identical with or without:
 ///
-/// When a [`PivotQuery`] is supplied (only sound for distances with
-/// [`Distance::admits_metric_pruning`]), a prepass computes each
-/// candidate's raw triangle bounds in one table scan. The lower bound
-/// adds a pruning rung between the q-gram filter and the cache probe:
-/// `lb_raw / max_chars > cutoff` proves the normalized distance exceeds
-/// the cutoff (division by the same denominator the kernel divides by is
-/// monotone, so `lb_norm ≤ d` exactly), and the bounded call would have
-/// rejected — pruning is lossless and skips the `attempted` count like
-/// the q-gram rungs do. The upper bounds warm-start the running cutoffs
-/// as **static per-lookup components kept separate from the running
-/// state** (folding them into `kth`/`nn_running` would double-count):
-///
-/// * `warm_spec` — the k-th smallest normalized upper bound (TopK(k)
-///   only). The k-th smallest UB is ≥ the k-th smallest true distance,
-///   so every candidate the final top-k needs has `d ≤ d_(k) ≤
-///   warm_spec` and survives the inclusive bounded call.
-/// * `warm_growth` — `p ·` the smallest normalized upper bound, applied
-///   only when `p ≥ 1`: the globally closest candidate `c*` has
-///   `d(c*) ≤ min_ub ≤ p·min_ub` and `d(c*) ≤ p·nn_running` throughout,
-///   so `c*` always survives, `nn_final` is unchanged, and with it the
-///   growth threshold `p·nn_final` every needed survivor is measured
-///   against. (For `p < 1` the component stays ∞ — the growth cutoff
-///   could otherwise reject `c*` itself.)
-///
-/// The effective cutoff is `min(spec_cut, warm_spec).max(min(growth_cut,
-/// warm_growth))`: each side stays ≥ its final threshold, so needed
-/// survivors still pass, and any extra rejection is of a candidate the
-/// final sort/filter would discard anyway — the same over-inclusion
-/// argument as batching. Both warm components are static, so the
-/// tightened cutoff still only shrinks over the candidate order and the
-/// frozen batch cutoff keeps dominating later members.
+/// * `filter` — the q-gram length/count bounds (only sound for distances
+///   with [`Distance::admits_qgram_filter`]), tested **with the same
+///   running cutoff** passed to `distance_bounded`: a pruned candidate is
+///   one the bounded call would provably have rejected, so it skips the
+///   distance call (and the `attempted` count) entirely;
+/// * `cache` — a shared [`PairDistanceCache`], probed after the filter at
+///   the running cutoff: an exact hit resolves the candidate without a
+///   distance call, a known-above hit rejects it, and a miss pays the
+///   distance call and stores what it learned. The memo is keyed on
+///   record ids, so only indexed queries consult it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_candidates_bounded<D: Distance>(
     distance: &D,
     records: RecordView<'_>,
-    id: u32,
+    query: Query<'_>,
     candidates: &[u32],
     spec: LookupSpec,
     p: f64,
     weights: Option<&LookupWeights<'_>>,
     filter: Option<&CandFilter<'_>>,
-    pivot: Option<&PivotQuery<'_>>,
     cache: Option<&dyn PairDistanceCache>,
 ) -> (Vec<Neighbor>, u64) {
-    let mut query: Vec<&str> = Vec::new();
-    records.extend_fields(id, &mut query);
-    let mut prepared = distance.prepare(&query);
-    let mut survivors: Vec<Neighbor> = Vec::with_capacity(candidates.len());
+    let joined;
+    let mut query_fields: Vec<&str> = Vec::new();
+    // The memo with the id it keys this query's pairs under.
+    let cache = match query {
+        Query::Indexed(id) => {
+            records.extend_fields(id, &mut query_fields);
+            cache.map(|cache| (id, cache))
+        }
+        Query::External(fields) => {
+            match records {
+                RecordView::Fields(_) => query_fields.extend_from_slice(fields),
+                RecordView::Joined(_) => {
+                    joined = record_string(fields);
+                    query_fields.push(&joined);
+                }
+            }
+            None
+        }
+    };
+    let mut prepared = distance.prepare(&query_fields);
     // Candidate field slices, reused across the whole list (scalar path).
     let mut fields: Vec<&str> = Vec::new();
-    // Lock-step batch state: candidate ids awaiting verification, the
-    // cutoff frozen when the first of them was deferred, and reusable
-    // flush buffers.
-    let mut pending: Vec<u32> = Vec::with_capacity(VERIFY_BATCH);
-    let mut batch_cutoff = f64::INFINITY;
-    let mut fields_flat: Vec<&str> = Vec::new();
-    let mut results: Vec<Option<f64>> = Vec::new();
-    let self_mult = weights.map_or(1, |w| w.self_mult);
-    // A query standing for m ≥ 2 identical records has nn = 0 in the full
-    // corpus (its own duplicates); seeding the running nn is sound — see
-    // [`LookupWeights`].
-    let mut nn_running = if self_mult >= 2 { 0.0 } else { f64::INFINITY };
-    let mut attempted = 0u64;
     scratch::with_verify_scratch(|scratch| {
-        // Ascending running top-k distances (TopK spec only), capped at k.
-        let kth = &mut scratch.kth;
-        kth.clear();
-        if self_mult >= 2 {
-            if let LookupSpec::TopK(k) = spec {
-                // The query's m − 1 duplicates occupy the head of the full
-                // corpus's top-k at distance 0.
-                kth.resize((self_mult as usize - 1).min(k), 0.0);
-            }
-        }
-        // Pivot prepass: per-candidate normalized lower bounds plus the
-        // two static warm-start cutoff components derived from the upper
-        // bounds (see the doc comment for the soundness argument). The
-        // normalization division happens here rather than in the
-        // rejection loop so the per-candidate test is one compare, and
-        // the table rows are prefetched a few candidates ahead — the
-        // prepass is a random walk over the row-major table.
-        let pivot_bounds = &mut scratch.pivot_bounds;
-        pivot_bounds.clear();
-        let mut warm_spec = f64::INFINITY;
-        let mut warm_growth = f64::INFINITY;
-        if let Some(pv) = pivot {
-            /// Row prefetch distance: deep enough to cover an L2 miss at
-            /// one `bounds` scan per step.
-            const LOOKAHEAD: usize = 8;
-            let q_chars = pv.chars(id);
-            let ub_norms = &mut scratch.ub_norms;
-            ub_norms.clear();
-            let mut min_ub = f64::INFINITY;
-            for (i, &c) in candidates.iter().enumerate() {
-                if let Some(&ahead) = candidates.get(i + LOOKAHEAD) {
-                    pv.prefetch(ahead);
-                }
-                let (lb_raw, ub_raw) = pv.bounds(c);
-                let max_chars = q_chars.max(pv.chars(c));
-                if max_chars == 0 {
-                    // Both strings empty: the true distance is 0.
-                    pivot_bounds.push(0.0);
-                    ub_norms.push(0.0);
-                    min_ub = 0.0;
-                } else {
-                    let denom = max_chars as f64;
-                    pivot_bounds.push(lb_raw as f64 / denom);
-                    let ub = ub_raw as f64 / denom;
-                    ub_norms.push(ub);
-                    min_ub = min_ub.min(ub);
-                }
-            }
-            if p >= 1.0 {
-                warm_growth = p * min_ub;
-            }
-            if let LookupSpec::TopK(k) = spec {
-                if k > 0 && ub_norms.len() >= k {
-                    let (_, kth_ub, _) =
-                        ub_norms.select_nth_unstable_by(k - 1, |a, b| a.total_cmp(b));
-                    warm_spec = *kth_ub;
-                }
-            }
-            if warm_spec.is_finite() || warm_growth.is_finite() {
-                incr(Counter::PivotUbCutoffSeeds, 1);
-            }
-        }
-        // Triangle-bound skips, accumulated locally and published once —
-        // a per-skip atomic add would contend across the work-stealing
-        // verification threads on the shared counter cache line.
-        let mut lb_skips = 0u64;
+        let mut run = Running::start(spec, weights, cache, &mut scratch.kth, candidates.len());
         for (i, &c) in candidates.iter().enumerate() {
-            let spec_cut = match spec {
-                LookupSpec::TopK(0) => f64::NEG_INFINITY,
-                LookupSpec::TopK(k) => {
-                    if kth.len() < k {
-                        f64::INFINITY
-                    } else {
-                        kth[k - 1]
-                    }
-                }
-                LookupSpec::Radius(theta) => theta,
-            };
-            let growth_cut = p * nn_running; // ∞ until the first survivor
-            let cutoff = spec_cut.min(warm_spec).max(growth_cut.min(warm_growth));
+            let cutoff = run.cutoff(p);
             if let Some(f) = filter {
                 if f.prunes(i, c, cutoff) {
                     continue;
                 }
             }
-            // `>` keeps NaN cutoffs from pruning; at cutoff ≥ 1.0 the
-            // normalized bound (≤ 1 always) never fires.
-            if !pivot_bounds.is_empty() && pivot_bounds[i] > cutoff {
-                lb_skips += 1;
-                continue;
-            }
-            if let Some(cache) = cache {
+            if let Some((id, cache)) = cache {
                 match cache.probe(id, c, cutoff) {
                     PairProbe::Exact(d) => {
                         incr(Counter::PairCacheHits, 1);
                         if d <= cutoff {
-                            let copies = weights.map_or(1, |w| w.of(c));
-                            survive(&mut survivors, kth, &mut nn_running, spec, c, d, copies);
+                            run.survive(c, d);
                         }
                         continue;
                     }
@@ -502,72 +388,16 @@ pub(crate) fn verify_candidates_bounded<D: Distance>(
             // plain kernel anyway — verifies immediately on the scalar
             // path so tightening starts as early as possible.
             if cutoff < 1.0 {
-                if pending.is_empty() {
-                    batch_cutoff = cutoff;
-                }
-                records.prefetch(c);
-                pending.push(c);
-                if pending.len() == VERIFY_BATCH {
-                    flush_batch(
-                        &mut prepared,
-                        records,
-                        id,
-                        &mut pending,
-                        batch_cutoff,
-                        &mut survivors,
-                        kth,
-                        &mut nn_running,
-                        spec,
-                        weights,
-                        cache,
-                        &mut attempted,
-                        &mut fields_flat,
-                        &mut results,
-                    );
-                }
+                run.defer(c, cutoff, &mut prepared, records);
                 continue;
             }
-            attempted += 1;
             fields.clear();
             records.extend_fields(c, &mut fields);
-            match prepared.distance_bounded(&fields, cutoff) {
-                Some(d) => {
-                    if let Some(cache) = cache {
-                        cache.store_exact(id, c, d);
-                    }
-                    let copies = weights.map_or(1, |w| w.of(c));
-                    survive(&mut survivors, kth, &mut nn_running, spec, c, d, copies);
-                }
-                None => {
-                    if let Some(cache) = cache {
-                        if cutoff.is_finite() {
-                            cache.store_bound(id, c, cutoff);
-                        }
-                    }
-                }
-            }
+            run.resolve(c, prepared.distance_bounded(&fields, cutoff), cutoff);
         }
-        if lb_skips > 0 {
-            incr(Counter::PivotLbSkips, lb_skips);
-        }
-        flush_batch(
-            &mut prepared,
-            records,
-            id,
-            &mut pending,
-            batch_cutoff,
-            &mut survivors,
-            kth,
-            &mut nn_running,
-            spec,
-            weights,
-            cache,
-            &mut attempted,
-            &mut fields_flat,
-            &mut results,
-        );
-    });
-    (survivors, attempted)
+        run.flush_batch(&mut prepared, records);
+        (run.survivors, run.attempted)
+    })
 }
 
 /// Candidates accumulated per lock-step verification flush. Large enough
@@ -576,100 +406,175 @@ pub(crate) fn verify_candidates_bounded<D: Distance>(
 /// that the running cutoffs still tighten many times per lookup.
 const VERIFY_BATCH: usize = 32;
 
-/// Record a survivor and tighten the running cutoffs. `copies` is the
-/// survivor's multiplicity (1 for an uncollapsed corpus): a weighted
-/// survivor inserts that many copies of its distance into the running
-/// top-k list, exactly as its duplicates would have one by one in the
-/// full corpus.
-fn survive(
-    survivors: &mut Vec<Neighbor>,
-    kth: &mut Vec<f64>,
-    nn_running: &mut f64,
+/// The running state of one verification pass over records read as
+/// `'r`: the survivors so far, the two cutoffs they tighten, the weights
+/// and memo every resolved candidate is reported through, and the
+/// lock-step batch of deferred candidates.
+struct Running<'a, 'r> {
     spec: LookupSpec,
-    c: u32,
-    d: f64,
-    copies: u32,
-) {
-    survivors.push(Neighbor::new(c, d));
-    *nn_running = nn_running.min(d);
-    if let LookupSpec::TopK(k) = spec {
-        if k > 0 {
-            let pos = kth.partition_point(|&x| x <= d);
-            if pos < k {
-                let ins = (copies as usize).min(k - pos);
-                kth.splice(pos..pos, std::iter::repeat_n(d, ins));
-                kth.truncate(k);
+    weights: Option<&'a LookupWeights<'a>>,
+    /// The memo with the id it keys this query's pairs under.
+    cache: Option<(u32, &'a dyn PairDistanceCache)>,
+    survivors: Vec<Neighbor>,
+    /// Ascending running top-k distances (TopK spec only), capped at k.
+    kth: &'a mut Vec<f64>,
+    /// Best distance seen so far (`∞` before the first survivor).
+    nn_running: f64,
+    /// Distance calls paid, bounded or not.
+    attempted: u64,
+    /// Candidates deferred into the current lock-step batch, and the
+    /// cutoff frozen when the first of them was deferred.
+    pending: Vec<u32>,
+    batch_cutoff: f64,
+    /// Flush buffers, reused across batches.
+    fields_flat: Vec<&'r str>,
+    results: Vec<Option<f64>>,
+}
+
+impl<'a, 'r> Running<'a, 'r> {
+    fn start(
+        spec: LookupSpec,
+        weights: Option<&'a LookupWeights<'a>>,
+        cache: Option<(u32, &'a dyn PairDistanceCache)>,
+        kth: &'a mut Vec<f64>,
+        capacity: usize,
+    ) -> Self {
+        let self_mult = weights.map_or(1, |w| w.self_mult);
+        kth.clear();
+        if self_mult >= 2 {
+            if let LookupSpec::TopK(k) = spec {
+                // The query's m − 1 duplicates occupy the head of the full
+                // corpus's top-k at distance 0.
+                kth.resize((self_mult as usize - 1).min(k), 0.0);
+            }
+        }
+        Self {
+            spec,
+            weights,
+            cache,
+            survivors: Vec::with_capacity(capacity),
+            kth,
+            // A query standing for m ≥ 2 identical records has nn = 0 in
+            // the full corpus (its own duplicates); seeding the running nn
+            // is sound — see [`LookupWeights`].
+            nn_running: if self_mult >= 2 { 0.0 } else { f64::INFINITY },
+            attempted: 0,
+            pending: Vec::with_capacity(VERIFY_BATCH),
+            batch_cutoff: f64::INFINITY,
+            fields_flat: Vec::new(),
+            results: Vec::new(),
+        }
+    }
+
+    /// The cutoff the next candidate is verified at: the larger of what
+    /// the spec and the growth estimate still need.
+    fn cutoff(&self, p: f64) -> f64 {
+        let spec_cut = match self.spec {
+            LookupSpec::TopK(0) => f64::NEG_INFINITY,
+            LookupSpec::TopK(k) => {
+                if self.kth.len() < k {
+                    f64::INFINITY
+                } else {
+                    self.kth[k - 1]
+                }
+            }
+            LookupSpec::Radius(theta) => theta,
+        };
+        let growth_cut = p * self.nn_running; // ∞ until the first survivor
+        spec_cut.max(growth_cut)
+    }
+
+    /// Record a survivor and tighten the running cutoffs. A weighted
+    /// survivor inserts as many copies of its distance into the running
+    /// top-k list as its multiplicity (1 for an uncollapsed corpus),
+    /// exactly as its duplicates would have one by one in the full corpus.
+    fn survive(&mut self, c: u32, d: f64) {
+        self.survivors.push(Neighbor::new(c, d));
+        self.nn_running = self.nn_running.min(d);
+        if let LookupSpec::TopK(k) = self.spec {
+            if k > 0 {
+                let pos = self.kth.partition_point(|&x| x <= d);
+                if pos < k {
+                    let copies = self.weights.map_or(1, |w| w.of(c));
+                    let ins = (copies as usize).min(k - pos);
+                    self.kth.splice(pos..pos, std::iter::repeat_n(d, ins));
+                    self.kth.truncate(k);
+                }
             }
         }
     }
-}
 
-/// Verify every pending candidate against the prepared query in one
-/// lock-step batch at `batch_cutoff` — the running cutoff frozen when the
-/// batch's **first** member was deferred.
-///
-/// Running cutoffs only shrink over the candidate order, so the frozen
-/// cutoff dominates the cutoff every later member would have seen on the
-/// scalar path: the batch is *over-inclusive*. Any extra survivor it
-/// admits has `d` above its own scalar cutoff — hence above the final
-/// `max(spec, p·nn)` threshold — and [`lookup_from_verified`]'s
-/// sort/filter discards it, while feeding it into [`survive`] meanwhile
-/// only tightens the running cutoffs toward (never past) their final
-/// values. A batch rejection proves `d > batch_cutoff ≥` the member's own
-/// cutoff, so caching the bound and dropping the candidate is exactly
-/// what the scalar path would have done. The final relation is therefore
-/// bit-identical to unbatched verification.
-#[allow(clippy::too_many_arguments)]
-fn flush_batch<'r>(
-    prepared: &mut Prepared,
-    records: RecordView<'r>,
-    id: u32,
-    pending: &mut Vec<u32>,
-    batch_cutoff: f64,
-    survivors: &mut Vec<Neighbor>,
-    kth: &mut Vec<f64>,
-    nn_running: &mut f64,
-    spec: LookupSpec,
-    weights: Option<&LookupWeights<'_>>,
-    cache: Option<&dyn PairDistanceCache>,
-    attempted: &mut u64,
-    fields_flat: &mut Vec<&'r str>,
-    results: &mut Vec<Option<f64>>,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    incr(Counter::VerifyBatches, 1);
-    incr(Counter::VerifyBatchedCandidates, pending.len() as u64);
-    *attempted += pending.len() as u64;
-    fields_flat.clear();
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(pending.len());
-    for &c in pending.iter() {
-        let start = fields_flat.len();
-        records.extend_fields(c, fields_flat);
-        spans.push((start, fields_flat.len()));
-    }
-    let cands: Vec<&[&str]> = spans.iter().map(|&(s, e)| &fields_flat[s..e]).collect();
-    prepared.distance_bounded_batch(&cands, batch_cutoff, results);
-    for (&c, res) in pending.iter().zip(results.iter()) {
-        match *res {
+    /// Account for one distance call on candidate `c` at `cutoff`: a
+    /// result survives, a rejection proves `d > cutoff`; the memo learns
+    /// whichever it was.
+    fn resolve(&mut self, c: u32, result: Option<f64>, cutoff: f64) {
+        self.attempted += 1;
+        match result {
             Some(d) => {
-                if let Some(cache) = cache {
+                if let Some((id, cache)) = self.cache {
                     cache.store_exact(id, c, d);
                 }
-                let copies = weights.map_or(1, |w| w.of(c));
-                survive(survivors, kth, nn_running, spec, c, d, copies);
+                self.survive(c, d);
             }
             None => {
-                if let Some(cache) = cache {
-                    if batch_cutoff.is_finite() {
-                        cache.store_bound(id, c, batch_cutoff);
+                if let Some((id, cache)) = self.cache {
+                    if cutoff.is_finite() {
+                        cache.store_bound(id, c, cutoff);
                     }
                 }
             }
         }
     }
-    pending.clear();
+
+    /// Defer candidate `c`, whose own cutoff is `cutoff`, into the
+    /// lock-step batch; a full batch is flushed.
+    fn defer(&mut self, c: u32, cutoff: f64, prepared: &mut Prepared, records: RecordView<'r>) {
+        if self.pending.is_empty() {
+            self.batch_cutoff = cutoff;
+        }
+        records.prefetch(c);
+        self.pending.push(c);
+        if self.pending.len() == VERIFY_BATCH {
+            self.flush_batch(prepared, records);
+        }
+    }
+
+    /// Verify every pending candidate against the prepared query in one
+    /// lock-step batch at the cutoff frozen when the batch's **first**
+    /// member was deferred, and clear the batch.
+    ///
+    /// Running cutoffs only shrink over the candidate order, so the frozen
+    /// cutoff dominates the cutoff every later member would have seen on
+    /// the scalar path: the batch is *over-inclusive*. Any extra survivor
+    /// it admits has `d` above its own scalar cutoff — hence above the
+    /// final `max(spec, p·nn)` threshold — and [`lookup_from_verified`]'s
+    /// sort/filter discards it, while feeding it into [`Self::survive`]
+    /// meanwhile only tightens the running cutoffs toward (never past)
+    /// their final values. A batch rejection proves `d > batch_cutoff ≥`
+    /// the member's own cutoff, so caching the bound and dropping the
+    /// candidate is exactly what the scalar path would have done. The
+    /// final relation is therefore bit-identical to unbatched
+    /// verification.
+    fn flush_batch(&mut self, prepared: &mut Prepared, records: RecordView<'r>) {
+        if self.pending.is_empty() {
+            return;
+        }
+        incr(Counter::VerifyBatches, 1);
+        incr(Counter::VerifyBatchedCandidates, self.pending.len() as u64);
+        self.fields_flat.clear();
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(self.pending.len());
+        for &c in &self.pending {
+            let start = self.fields_flat.len();
+            records.extend_fields(c, &mut self.fields_flat);
+            spans.push((start, self.fields_flat.len()));
+        }
+        let cands: Vec<&[&str]> = spans.iter().map(|&(s, e)| &self.fields_flat[s..e]).collect();
+        prepared.distance_bounded_batch(&cands, self.batch_cutoff, &mut self.results);
+        for i in 0..self.pending.len() {
+            self.resolve(self.pending[i], self.results[i], self.batch_cutoff);
+        }
+        self.pending.clear();
+    }
 }
 
 /// How verification reads a record's attribute strings: raw fields, or a
@@ -742,29 +647,19 @@ pub(crate) fn lookup_from_verified(
     };
     sort_neighbors(&mut verified);
     let nn = verified.first().map(|n| n.dist);
-    let ng = match weights {
+    let ng = match nn {
         // A query standing for m ≥ 2 identical records has nn = 0 (its
         // own duplicates) and therefore ng = 1 under the strict `<`.
-        Some(w) if w.self_mult >= 2 => 1.0,
-        Some(w) => match nn {
-            Some(nn) if nn > 0.0 => {
-                let within: u64 = verified
-                    .iter()
-                    .filter(|n| n.dist < p * nn)
-                    .map(|n| u64::from(w.of(n.id)))
-                    .sum();
-                within as f64 + 1.0
-            }
-            Some(_) => 1.0,
-            None => 1.0,
-        },
-        None => match nn {
-            Some(nn) if nn > 0.0 => {
-                verified.iter().filter(|n| n.dist < p * nn).count() as f64 + 1.0
-            }
-            Some(_) => 1.0,
-            None => 1.0,
-        },
+        _ if weights.is_some_and(|w| w.self_mult >= 2) => 1.0,
+        Some(nn) if nn > 0.0 => {
+            let within: u64 = verified
+                .iter()
+                .filter(|n| n.dist < p * nn)
+                .map(|n| u64::from(weights.map_or(1, |w| w.of(n.id))))
+                .sum();
+            within as f64 + 1.0
+        }
+        _ => 1.0,
     };
     let neighbors = match spec {
         LookupSpec::TopK(k) => {
@@ -817,6 +712,21 @@ impl<I: NnIndex + ?Sized> NnIndex for &I {
 /// ascending distance, ties by id.
 pub(crate) fn sort_neighbors(neighbors: &mut [Neighbor]) {
     neighbors.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+}
+
+/// `n` single-field records in groups of four: a base string, two
+/// one-edit variants of it, and an unrelated filler — close pairs among
+/// many candidates, the regime lock-step batching has to stay lossless in.
+#[cfg(test)]
+pub(crate) fn near_duplicate_corpus(n: usize) -> Vec<String> {
+    (0..n)
+        .map(|i| match i % 4 {
+            0 => format!("golden dragon palace branch {:02}", i / 4),
+            1 => format!("golden dragon palace branch {:02}x", i / 4),
+            2 => format!("golden drgon palace branch {:02}", i / 4),
+            _ => format!("totally different payload {i:03}"),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -873,11 +783,10 @@ mod tests {
                 let (survivors, attempted) = verify_candidates_bounded(
                     &EditDistance,
                     RecordView::Fields(&records),
-                    0,
+                    Query::Indexed(0),
                     &candidates,
                     spec,
                     p,
-                    None,
                     None,
                     None,
                     None,
@@ -905,28 +814,27 @@ mod tests {
     ) -> Vec<Neighbor> {
         let query: Vec<&str> = records[id as usize].iter().map(String::as_str).collect();
         let mut prepared = EditDistance.prepare(&query);
-        let mut survivors = Vec::new();
         let mut kth: Vec<f64> = Vec::new();
-        let mut nn_running = f64::INFINITY;
+        let mut run = Running::start(spec, None, None, &mut kth, candidates.len());
         for &c in candidates {
             let spec_cut = match spec {
                 LookupSpec::TopK(0) => f64::NEG_INFINITY,
                 LookupSpec::TopK(k) => {
-                    if kth.len() < k {
+                    if run.kth.len() < k {
                         f64::INFINITY
                     } else {
-                        kth[k - 1]
+                        run.kth[k - 1]
                     }
                 }
                 LookupSpec::Radius(theta) => theta,
             };
-            let cutoff = spec_cut.max(p * nn_running);
+            let cutoff = spec_cut.max(p * run.nn_running);
             let fields: Vec<&str> = records[c as usize].iter().map(String::as_str).collect();
             if let Some(d) = prepared.distance_bounded(&fields, cutoff) {
-                survive(&mut survivors, &mut kth, &mut nn_running, spec, c, d, 1);
+                run.survive(c, d);
             }
         }
-        survivors
+        run.survivors
     }
 
     #[test]
@@ -935,17 +843,8 @@ mod tests {
         // driver's final NN lists and growth estimates bit-for-bit. A
         // duplicate-heavy corpus well past VERIFY_BATCH forces several
         // ragged flushes per lookup and survivors *inside* batches.
-        let records: Vec<Vec<String>> = (0..200)
-            .map(|i| {
-                let s = match i % 4 {
-                    0 => format!("golden dragon palace branch {:02}", i / 4),
-                    1 => format!("golden dragon palace branch {:02}x", i / 4),
-                    2 => format!("golden drgon palace branch {:02}", i / 4),
-                    _ => format!("totally different payload {i:03}"),
-                };
-                vec![s]
-            })
-            .collect();
+        let records: Vec<Vec<String>> =
+            near_duplicate_corpus(200).into_iter().map(|s| vec![s]).collect();
         let specs = [
             LookupSpec::TopK(1),
             LookupSpec::TopK(5),
@@ -959,11 +858,10 @@ mod tests {
                     let (survivors, attempted) = verify_candidates_bounded(
                         &EditDistance,
                         RecordView::Fields(&records),
-                        id,
+                        Query::Indexed(id),
                         &candidates,
                         spec,
                         p,
-                        None,
                         None,
                         None,
                         None,
@@ -994,11 +892,10 @@ mod tests {
         let (_, attempted) = verify_candidates_bounded(
             &EditDistance,
             RecordView::Fields(&records),
-            0,
+            Query::Indexed(0),
             &candidates,
             LookupSpec::TopK(3),
             2.0,
-            None,
             None,
             None,
             None,
@@ -1074,23 +971,21 @@ mod tests {
                 let (filtered, f_attempted) = verify_candidates_bounded(
                     &EditDistance,
                     RecordView::Fields(&records),
-                    0,
+                    Query::Indexed(0),
                     &candidates,
                     spec,
                     p,
                     None,
                     Some(&filter),
                     None,
-                    None,
                 );
                 let (unfiltered, u_attempted) = verify_candidates_bounded(
                     &EditDistance,
                     RecordView::Fields(&records),
-                    0,
+                    Query::Indexed(0),
                     &candidates,
                     spec,
                     p,
-                    None,
                     None,
                     None,
                     None,
@@ -1127,11 +1022,10 @@ mod tests {
         let (survivors, _) = verify_candidates_bounded(
             &EditDistance,
             RecordView::Fields(&records),
-            0,
+            Query::Indexed(0),
             &candidates,
             LookupSpec::TopK(1),
             2.0,
-            None,
             None,
             None,
             None,

@@ -7,10 +7,9 @@
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::Distance;
 
-use crate::{
-    lookup_from_verified, sort_neighbors, verify_candidates_bounded, LookupCost, LookupSpec,
-    LookupWeights, NnIndex, PairDistanceCache, RecordView,
-};
+use crate::candgen::RecordMeta;
+use crate::driver::{self, CandidateSource, Gathered};
+use crate::{sort_neighbors, LookupCost, LookupSpec, NnIndex, PairDistanceCache, RecordView};
 
 /// Exact nearest-neighbor search by full scan.
 pub struct NestedLoopIndex<D> {
@@ -72,11 +71,42 @@ impl<D: Distance> NestedLoopIndex<D> {
     }
 }
 
+impl<D: Distance> CandidateSource for NestedLoopIndex<D> {
+    type Dist = D;
+
+    fn distance(&self) -> &D {
+        &self.distance
+    }
+
+    fn record_view(&self) -> RecordView<'_> {
+        RecordView::Fields(&self.records)
+    }
+
+    fn multiplicities(&self) -> Option<&[u32]> {
+        self.mult.as_deref()
+    }
+
+    /// The exact reference keeps no statistics and prunes nothing.
+    fn filter_stats(&self) -> Option<(u32, &[RecordMeta])> {
+        None
+    }
+
+    /// Every other record is a candidate.
+    fn gather_candidates(&self, id: u32, _radius_bound: Option<f64>) -> Gathered {
+        let ids = (0..self.records.len() as u32).filter(|&other| other != id).collect();
+        Gathered::ids_only(ids, RecordMeta::default())
+    }
+}
+
 impl<D: Distance> NnIndex for NestedLoopIndex<D> {
     fn len(&self) -> usize {
         self.records.len()
     }
 
+    /// Full scan with unbounded distance calls — deliberately *not*
+    /// routed through the lookup driver, so the ground truth the other
+    /// indexes (and the driver itself) are validated against shares no
+    /// cutoff logic with them.
     fn top_k(&self, id: u32, k: usize) -> Vec<Neighbor> {
         let mut all = self.all_neighbors(id);
         sort_neighbors(&mut all);
@@ -84,6 +114,7 @@ impl<D: Distance> NnIndex for NestedLoopIndex<D> {
         all
     }
 
+    /// Full scan, like [`Self::top_k`].
     fn within(&self, id: u32, radius: f64) -> Vec<Neighbor> {
         let mut all = self.all_neighbors(id);
         all.retain(|n| n.dist < radius);
@@ -91,10 +122,10 @@ impl<D: Distance> NnIndex for NestedLoopIndex<D> {
         all
     }
 
-    /// One corpus scan answers both the neighbor list and the growth
-    /// estimate (the default implementation would scan up to three times).
-    /// The scan verifies with the current best-so-far as cutoff, so even
-    /// the exact reference index benefits from the k-bounded edit kernel.
+    /// One corpus scan through the shared driver answers both the
+    /// neighbor list and the growth estimate (the default implementation
+    /// would scan up to three times), verifying with the current
+    /// best-so-far as cutoff.
     fn lookup_cached(
         &self,
         id: u32,
@@ -102,23 +133,7 @@ impl<D: Distance> NnIndex for NestedLoopIndex<D> {
         p: f64,
         cache: Option<&dyn PairDistanceCache>,
     ) -> (Vec<Neighbor>, f64, LookupCost) {
-        let candidates: Vec<u32> =
-            (0..self.records.len() as u32).filter(|&other| other != id).collect();
-        let generated = candidates.len() as u64;
-        let weights = self.mult.as_deref().map(|m| LookupWeights::for_query(m, id));
-        let (verified, attempted) = verify_candidates_bounded(
-            &self.distance,
-            RecordView::Fields(&self.records),
-            id,
-            &candidates,
-            spec,
-            p,
-            weights.as_ref(),
-            None,
-            None,
-            cache,
-        );
-        lookup_from_verified(verified, generated, attempted, spec, p, weights.as_ref())
+        driver::lookup(self, id, spec, p, cache)
     }
 }
 

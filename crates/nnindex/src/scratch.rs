@@ -335,15 +335,6 @@ pub(crate) struct VerifyScratch {
     /// Ascending running top-k distances; cleared at the start of each
     /// verification, capacity retained.
     pub kth: Vec<f64>,
-    /// Pivot prepass output, one entry per candidate: the *normalized*
-    /// triangle lower bound — the raw bound over `max(query_chars,
-    /// cand_chars)`, or `0.0` for an empty-vs-empty pair whose true
-    /// distance is 0. Precomputed so the hot rejection test is a single
-    /// compare. Empty when pivot pruning is off.
-    pub pivot_bounds: Vec<f64>,
-    /// Pivot prepass normalized upper bounds, consumed (and permuted by
-    /// the kth-selection) while deriving the warm-start cutoffs.
-    pub ub_norms: Vec<f64>,
 }
 
 thread_local! {

@@ -28,12 +28,10 @@ use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::{record_term_set, Distance};
 
-use crate::candgen::{CandFilter, RecordMeta};
+use crate::candgen::RecordMeta;
+use crate::driver::{self, CandidateSource, Gathered};
 use crate::scratch::with_scoreboard;
-use crate::{
-    lookup_from_verified, sort_neighbors, verify_candidates_bounded, LookupCost, LookupSpec,
-    LookupWeights, NnIndex, PairDistanceCache, RecordView,
-};
+use crate::{LookupCost, LookupSpec, NnIndex, PairDistanceCache, RecordView};
 
 /// Configuration of the MinHash index.
 #[derive(Debug, Clone)]
@@ -180,18 +178,6 @@ impl<D: Distance> MinHashIndex<D> {
         out
     }
 
-    /// Length-only pruning filter (no overlap data in an LSH probe), or
-    /// `None` when the distance admits no sound q-gram bound.
-    fn make_filter(&self, id: u32) -> Option<CandFilter<'_>> {
-        self.filter_ok.then(|| CandFilter {
-            q: self.config.q as u32,
-            query: self.meta[id as usize],
-            meta: &self.meta,
-            overlaps: None,
-            slack: 0,
-        })
-    }
-
     /// Estimated Jaccard similarity of two records from their signatures.
     pub fn estimated_jaccard(&self, a: u32, b: u32) -> f64 {
         let sa = &self.signatures[a as usize];
@@ -208,53 +194,46 @@ impl<D: Distance> MinHashIndex<D> {
     }
 }
 
+impl<D: Distance> CandidateSource for MinHashIndex<D> {
+    type Dist = D;
+
+    fn distance(&self) -> &D {
+        &self.distance
+    }
+
+    fn record_view(&self) -> RecordView<'_> {
+        RecordView::Fields(&self.records)
+    }
+
+    fn multiplicities(&self) -> Option<&[u32]> {
+        self.mult.as_deref()
+    }
+
+    fn filter_stats(&self) -> Option<(u32, &[RecordMeta])> {
+        self.filter_ok.then_some((self.config.q as u32, &self.meta[..]))
+    }
+
+    /// One band probe. It tracks no overlap mass, so only the length
+    /// bound of the filter applies; banding is distance-agnostic, so
+    /// `radius_bound` goes unused.
+    fn gather_candidates(&self, id: u32, _radius_bound: Option<f64>) -> Gathered {
+        Gathered::ids_only(self.candidates(id), self.meta[id as usize])
+    }
+}
+
 impl<D: Distance> NnIndex for MinHashIndex<D> {
     fn len(&self) -> usize {
         self.records.len()
     }
 
     fn top_k(&self, id: u32, k: usize) -> Vec<Neighbor> {
-        let candidates = self.candidates(id);
-        let filter = self.make_filter(id);
-        let (mut verified, _) = verify_candidates_bounded(
-            &self.distance,
-            RecordView::Fields(&self.records),
-            id,
-            &candidates,
-            LookupSpec::TopK(k),
-            1.0,
-            None,
-            filter.as_ref(),
-            None,
-            None,
-        );
-        sort_neighbors(&mut verified);
-        verified.truncate(k);
-        verified
+        driver::top_k(self, id, k)
     }
 
     fn within(&self, id: u32, radius: f64) -> Vec<Neighbor> {
-        let candidates = self.candidates(id);
-        let filter = self.make_filter(id);
-        let (mut verified, _) = verify_candidates_bounded(
-            &self.distance,
-            RecordView::Fields(&self.records),
-            id,
-            &candidates,
-            LookupSpec::Radius(radius),
-            1.0,
-            None,
-            filter.as_ref(),
-            None,
-            None,
-        );
-        verified.retain(|n| n.dist < radius);
-        sort_neighbors(&mut verified);
-        verified
+        driver::within(self, id, radius)
     }
 
-    /// One band probe + one *bounded, filtered* verification pass
-    /// (length bound plus current best-so-far cutoff) serves both results.
     fn lookup_cached(
         &self,
         id: u32,
@@ -262,29 +241,7 @@ impl<D: Distance> NnIndex for MinHashIndex<D> {
         p: f64,
         cache: Option<&dyn PairDistanceCache>,
     ) -> (Vec<Neighbor>, f64, LookupCost) {
-        let candidates = self.candidates(id);
-        let filter = self.make_filter(id);
-        let weights = self.mult.as_deref().map(|m| LookupWeights::for_query(m, id));
-        let (verified, attempted) = verify_candidates_bounded(
-            &self.distance,
-            RecordView::Fields(&self.records),
-            id,
-            &candidates,
-            spec,
-            p,
-            weights.as_ref(),
-            filter.as_ref(),
-            None,
-            cache,
-        );
-        lookup_from_verified(
-            verified,
-            candidates.len() as u64,
-            attempted,
-            spec,
-            p,
-            weights.as_ref(),
-        )
+        driver::lookup(self, id, spec, p, cache)
     }
 }
 

@@ -21,46 +21,9 @@ use fuzzydedup_nnindex::{
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
 use fuzzydedup_textdist::{EditDistance, UnfilteredDistance};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-/// A corpus of `n` records: random base entities plus noisy duplicates
-/// (character substitutions, deletions, and insertions), the regime the
-/// filters must stay lossless in.
-fn noisy_corpus(seed: u64, n: usize) -> Vec<Vec<String>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let words = ["acme", "global", "logistics", "corp", "north", "trading", "supply", "works"];
-    let mut bases: Vec<String> = Vec::new();
-    for _ in 0..(n / 3).max(1) {
-        let k = rng.gen_range(1..4);
-        let mut parts: Vec<String> = Vec::new();
-        for _ in 0..k {
-            parts.push(words[rng.gen_range(0..words.len())].to_string());
-        }
-        parts.push(format!("{}", rng.gen_range(0..100)));
-        bases.push(parts.join(" "));
-    }
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let base = &bases[rng.gen_range(0..bases.len())];
-        let mut chars: Vec<char> = base.chars().collect();
-        for _ in 0..rng.gen_range(0..3) {
-            if chars.is_empty() {
-                break;
-            }
-            let pos = rng.gen_range(0..chars.len());
-            match rng.gen_range(0..3) {
-                0 => chars[pos] = (b'a' + rng.gen_range(0..26) as u8) as char,
-                1 => {
-                    chars.remove(pos);
-                }
-                _ => chars.insert(pos, (b'a' + rng.gen_range(0..26) as u8) as char),
-            }
-        }
-        out.push(vec![chars.into_iter().collect()]);
-    }
-    out
-}
+mod common;
+use common::noisy_corpus;
 
 /// Assert two indexes (filtered vs unfiltered distance) answer every
 /// query identically, across TopK, Radius, and the combined lookup.
@@ -92,26 +55,6 @@ fn assert_equivalent(filtered: &dyn NnIndex, unfiltered: &dyn NnIndex, label: &s
 
 fn pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(64), Arc::new(InMemoryDisk::new())))
-}
-
-/// `noisy_corpus` plus token-permuted variants of each base: a permuted
-/// record shares its base's q-gram multiset (the count filter cannot
-/// prune it) while sitting far away in edit distance — exactly the
-/// candidates the pivot triangle bound exists to reject, so the pivot
-/// equivalence property is exercised where the pruning actually fires.
-fn permuted_corpus(seed: u64, n: usize) -> Vec<Vec<String>> {
-    let mut out = noisy_corpus(seed, n);
-    let extra: Vec<Vec<String>> = out
-        .iter()
-        .take(n / 2)
-        .map(|rec| {
-            let mut tokens: Vec<&str> = rec[0].split_whitespace().collect();
-            tokens.reverse();
-            vec![tokens.join(" ")]
-        })
-        .collect();
-    out.extend(extra);
-    out
 }
 
 proptest! {
@@ -169,93 +112,4 @@ proptest! {
             MinHashIndex::build(records.clone(), UnfilteredDistance(EditDistance), config);
         assert_equivalent(&filtered, &unfiltered, "minhash");
     }
-
-    #[test]
-    fn pivot_pruning_never_changes_results(seed in 0u64..1_000_000, n in 12usize..32) {
-        let records = permuted_corpus(seed, n);
-
-        // Pivots on vs off, across every postings layout: the triangle
-        // bound may only reject candidates bounded verification would
-        // reject, so TopK, Radius, and combined lookups must be identical.
-        for source in [PostingsSource::Packed, PostingsSource::Csr, PostingsSource::Pages] {
-            let base = InvertedIndexConfig {
-                candidate_limit: 0,
-                postings_source: source,
-                ..Default::default()
-            };
-            let plain =
-                InvertedIndex::build(records.clone(), EditDistance, pool(), base.clone());
-            let pruned = InvertedIndex::build(
-                records.clone(),
-                EditDistance,
-                pool(),
-                InvertedIndexConfig { pivots: 5, ..base },
-            );
-            assert_equivalent(&pruned, &plain, &format!("pivot/inverted/{source:?}"));
-        }
-
-        // Dynamic index: pivots extend on append, identity must hold too.
-        let base = DynamicIndexConfig { candidate_limit: 0, ..Default::default() };
-        let mut plain = DynamicInvertedIndex::new(EditDistance, base.clone());
-        let mut pruned = DynamicInvertedIndex::new(
-            EditDistance,
-            DynamicIndexConfig { pivots: 5, ..base },
-        );
-        for rec in &records {
-            plain.push(rec.clone());
-            pruned.push(rec.clone());
-        }
-        assert_equivalent(&pruned, &plain, "pivot/dynamic");
-
-        // Non-metric control: `UnfilteredDistance` does not forward
-        // `admits_metric_pruning()`, so requesting pivots must degrade to
-        // a no-op (no table is even built) and results must match a
-        // pivot-free build exactly.
-        let base = InvertedIndexConfig { candidate_limit: 0, ..Default::default() };
-        let plain = InvertedIndex::build(
-            records.clone(),
-            UnfilteredDistance(EditDistance),
-            pool(),
-            base.clone(),
-        );
-        let inert = InvertedIndex::build(
-            records.clone(),
-            UnfilteredDistance(EditDistance),
-            pool(),
-            InvertedIndexConfig { pivots: 5, ..base },
-        );
-        assert_equivalent(&inert, &plain, "pivot/non-metric");
-    }
-}
-
-/// Deterministic companion to the property above: on a permuted-token
-/// corpus the pivot bound must actually *fire* (the property alone would
-/// pass vacuously if the layer were accidentally disabled), and the
-/// non-metric control must report zero pivot activity.
-#[test]
-fn pivot_pruning_fires_on_metric_and_stays_inert_on_non_metric() {
-    use fuzzydedup_metrics::Counter;
-    let records = permuted_corpus(0xBEEF, 30);
-    let _serial = fuzzydedup_metrics::serial_guard();
-    fuzzydedup_metrics::enable();
-
-    let config = InvertedIndexConfig { candidate_limit: 0, pivots: 5, ..Default::default() };
-    let metric = InvertedIndex::build(records.clone(), EditDistance, pool(), config.clone());
-    let before = fuzzydedup_metrics::snapshot();
-    for id in 0..records.len() as u32 {
-        metric.top_k(id, 3);
-    }
-    let delta = fuzzydedup_metrics::snapshot().delta(&before);
-    assert!(delta.get(Counter::PivotLbSkips) > 0, "triangle bound must fire on permutations");
-    assert!(delta.get(Counter::PivotQueryDists) > 0, "queries must consult the table");
-
-    let inert =
-        InvertedIndex::build(records.clone(), UnfilteredDistance(EditDistance), pool(), config);
-    let before = fuzzydedup_metrics::snapshot();
-    for id in 0..records.len() as u32 {
-        inert.top_k(id, 3);
-    }
-    let delta = fuzzydedup_metrics::snapshot().delta(&before);
-    assert_eq!(delta.get(Counter::PivotLbSkips), 0, "non-metric control must not prune");
-    assert_eq!(delta.get(Counter::PivotQueryDists), 0, "non-metric control builds no table");
 }

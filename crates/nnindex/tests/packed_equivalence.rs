@@ -18,8 +18,9 @@ use fuzzydedup_nnindex::{
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
 use fuzzydedup_textdist::EditDistance;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+mod common;
+use common::noisy_corpus;
 
 fn pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(64), Arc::new(InMemoryDisk::new())))
@@ -68,42 +69,6 @@ fn assert_packed_matches_csr(records: &[Vec<String>], candidate_limit: usize, la
             assert_eq!(ng_p, ng_c, "{label}: lookup({id}, {spec:?}) growth diverged");
         }
     }
-}
-
-/// Same noisy-near-duplicate corpus generator as `filter_equivalence.rs`.
-fn noisy_corpus(seed: u64, n: usize) -> Vec<Vec<String>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let words = ["acme", "global", "logistics", "corp", "north", "trading", "supply", "works"];
-    let mut bases: Vec<String> = Vec::new();
-    for _ in 0..(n / 3).max(1) {
-        let k = rng.gen_range(1..4);
-        let mut parts: Vec<String> = Vec::new();
-        for _ in 0..k {
-            parts.push(words[rng.gen_range(0..words.len())].to_string());
-        }
-        parts.push(format!("{}", rng.gen_range(0..100)));
-        bases.push(parts.join(" "));
-    }
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let base = &bases[rng.gen_range(0..bases.len())];
-        let mut chars: Vec<char> = base.chars().collect();
-        for _ in 0..rng.gen_range(0..3) {
-            if chars.is_empty() {
-                break;
-            }
-            let pos = rng.gen_range(0..chars.len());
-            match rng.gen_range(0..3) {
-                0 => chars[pos] = (b'a' + rng.gen_range(0..26) as u8) as char,
-                1 => {
-                    chars.remove(pos);
-                }
-                _ => chars.insert(pos, (b'a' + rng.gen_range(0..26) as u8) as char),
-            }
-        }
-        out.push(vec![chars.into_iter().collect()]);
-    }
-    out
 }
 
 proptest! {
@@ -219,62 +184,6 @@ fn prefix_filter_preserves_radius_results_on_packed_and_csr() {
             // Non-radius flavors never arm the bound: identical by
             // construction, asserted to pin the contract.
             assert_eq!(prefix.top_k(id, 3), plain.top_k(id, 3), "{source:?}: id {id}");
-        }
-    }
-}
-
-#[test]
-fn pivot_pruning_is_bit_identical_across_postings_sources() {
-    // Token-permuted pairs share their base's gram multiset (invisible to
-    // the count filter) while being far in edit distance — the candidates
-    // the pivot triangle bound rejects. With pivots on, every postings
-    // layout must still agree with the scalar CSR path AND with its own
-    // pivot-free build, for TopK and radius flavors alike.
-    let mut records = noisy_corpus(0xC0FFEE, 40);
-    let permuted: Vec<Vec<String>> = records
-        .iter()
-        .take(20)
-        .map(|rec| {
-            let mut tokens: Vec<&str> = rec[0].split_whitespace().collect();
-            tokens.reverse();
-            vec![tokens.join(" ")]
-        })
-        .collect();
-    records.extend(permuted);
-
-    let build_pivot = |source: PostingsSource, pivots: usize| {
-        let config = InvertedIndexConfig {
-            candidate_limit: 0,
-            postings_source: source,
-            pivots,
-            ..Default::default()
-        };
-        InvertedIndex::build(records.clone(), EditDistance, pool(), config)
-    };
-    let csr_plain = build_pivot(PostingsSource::Csr, 0);
-    for source in [PostingsSource::Packed, PostingsSource::Csr, PostingsSource::Pages] {
-        let pruned = build_pivot(source, 6);
-        for id in 0..records.len() as u32 {
-            for k in [1, 4] {
-                assert_eq!(
-                    pruned.top_k(id, k),
-                    csr_plain.top_k(id, k),
-                    "{source:?}: pivots changed top_k({id}, {k})"
-                );
-            }
-            for radius in [0.1, 0.3] {
-                assert_eq!(
-                    pruned.within(id, radius),
-                    csr_plain.within(id, radius),
-                    "{source:?}: pivots changed within({id}, {radius})"
-                );
-            }
-            for spec in [LookupSpec::TopK(3), LookupSpec::Radius(0.25)] {
-                let (nn_p, ng_p, _) = pruned.lookup(id, spec, 2.0);
-                let (nn_c, ng_c, _) = csr_plain.lookup(id, spec, 2.0);
-                assert_eq!(nn_p, nn_c, "{source:?}: lookup({id}, {spec:?}) diverged");
-                assert_eq!(ng_p, ng_c, "{source:?}: growth({id}, {spec:?}) diverged");
-            }
         }
     }
 }

@@ -225,17 +225,10 @@ impl Distance for EditDistance {
         true
     }
 
-    /// Raw Levenshtein is a true metric (property-tested below on
-    /// arbitrary Unicode triples), so the pivot-table triangle bounds are
-    /// sound for `ed` as long as they are applied to *raw* edit counts.
-    fn admits_metric_pruning(&self) -> bool {
-        true
-    }
-
     /// Compile the query's record string and Peq bitmasks once; per
     /// candidate only the candidate-side normalization and the Myers scan
     /// remain (common affixes are stripped by mask shifting, not by
-    /// rebuilding the table — see [`PreparedPattern`]).
+    /// rebuilding the table — see `myers::PreparedPattern`).
     fn prepare<'a>(&'a self, query: &[&str]) -> Prepared<'a> {
         let sq = record_string(query);
         Prepared::new(Box::new(PreparedEdit {
@@ -469,10 +462,9 @@ mod tests {
             b in "[a-c丠-丣é-ë\u{1F600}-\u{1F603}]{0,10}",
             c in "[a-c丠-丣é-ë\u{1F600}-\u{1F603}]{0,10}",
         ) {
-            // The soundness premise of the pivot lower/upper bounds
-            // (admits_metric_pruning): the metric property must hold over
-            // multi-byte scalars too — CJK, combining Latin, and astral
-            // emoji all count as single chars.
+            // The metric property must hold over multi-byte scalars too
+            // — CJK, combining Latin, and astral emoji all count as
+            // single chars.
             let ab = levenshtein(&a, &b);
             let bc = levenshtein(&b, &c);
             let ac = levenshtein(&a, &c);

@@ -49,7 +49,7 @@ pub use idf::IdfModel;
 pub use jaccard::{qgram_jaccard, token_jaccard, JaccardDistance};
 pub use jaro::{jaro, jaro_winkler, JaroWinklerDistance};
 pub use monge_elkan::MongeElkanDistance;
-pub use myers::{myers, myers_bounded, myers_bounded_chars, myers_chars, PreparedPattern};
+pub use myers::{myers, myers_bounded, myers_bounded_chars, myers_chars};
 pub use qgram::{merge_overlap_bound, qgrams, record_term_set, QgramProfile, TermSet};
 pub use soundex::soundex;
 pub use tokenize::{normalize, tokenize, Token};
@@ -101,24 +101,6 @@ pub trait Distance: Send + Sync {
     /// filters may run; for every other distance the filters degrade to
     /// no-ops (never silently dropping candidates).
     fn admits_qgram_filter(&self) -> bool {
-        false
-    }
-
-    /// Whether pivot-anchored metric pruning is *sound* for this
-    /// distance: `true` promises that the distance equals raw Levenshtein
-    /// over [`tokenize::record_string`] divided by the longer side's char
-    /// count, and raw Levenshtein is a true metric, so for any pivot `p`
-    /// the triangle inequality gives
-    /// `|lev(q, p) − lev(c, p)| <= lev(q, c) <= lev(q, p) + lev(c, p)`.
-    /// The nearest-neighbor indexes use this to decide whether the
-    /// LAESA-style pivot table (lower-bound rejection + upper-bound
-    /// cutoff warm-start) may run; for every other distance the pivot
-    /// layer degrades to a no-op. Note the *normalized* distance is not a
-    /// metric — the bounds are applied to raw edit counts and only the
-    /// final comparison is normalized, which is why this capability is
-    /// separate from (though currently coextensive with)
-    /// [`Distance::admits_qgram_filter`].
-    fn admits_metric_pruning(&self) -> bool {
         false
     }
 
@@ -262,11 +244,6 @@ impl<D: Distance + ?Sized> Distance for &D {
         // the default `false` silently disables pruning through `&D`.
         (**self).admits_qgram_filter()
     }
-    fn admits_metric_pruning(&self) -> bool {
-        // Same vtable gotcha: without this, pivot pruning would silently
-        // switch off for any distance seen through `&D`.
-        (**self).admits_metric_pruning()
-    }
     fn record_string_invariant(&self) -> bool {
         // Same vtable gotcha, opposite polarity: the default `true` would
         // wrongly bless a per-field inner distance seen through `&D`.
@@ -292,9 +269,6 @@ impl Distance for Box<dyn Distance> {
     fn admits_qgram_filter(&self) -> bool {
         (**self).admits_qgram_filter()
     }
-    fn admits_metric_pruning(&self) -> bool {
-        (**self).admits_metric_pruning()
-    }
     fn record_string_invariant(&self) -> bool {
         (**self).record_string_invariant()
     }
@@ -307,11 +281,10 @@ impl Distance for Box<dyn Distance> {
 }
 
 /// Adapter that hides the inner distance's pruning admissibility:
-/// identical distances, but [`Distance::admits_qgram_filter`] and
-/// [`Distance::admits_metric_pruning`] both report `false` (neither is
-/// forwarded, so the trait defaults apply), so candidate generation and
-/// verification run unpruned. Used to A/B the pruning filters and the
-/// pivot layer (recall-losslessness tests, `exp_index_recall`).
+/// identical distances, but [`Distance::admits_qgram_filter`] reports
+/// `false` (it is not forwarded, so the trait default applies), so
+/// candidate generation and verification run unpruned. Used to A/B the
+/// pruning filters (recall-losslessness tests, `exp_index_recall`).
 pub struct UnfilteredDistance<D>(pub D);
 
 impl<D: Distance> Distance for UnfilteredDistance<D> {

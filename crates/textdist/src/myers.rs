@@ -354,11 +354,7 @@ pub fn myers_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
 /// Blocked (> 64-char) queries reuse their table whenever no affix is
 /// shared; with shared affixes they fall back to the stock kernel, where
 /// stripping shrinks the scan enough to dwarf the rebuild.
-///
-/// Public because the pivot-table builder in `fuzzydedup-nnindex`
-/// compiles each pivot once and streams the whole corpus through
-/// [`PreparedPattern::bounded_batch`].
-pub struct PreparedPattern {
+pub(crate) struct PreparedPattern {
     query: Vec<char>,
     kind: PreparedKind,
     /// Blocked-path column state, reused across candidates.

@@ -24,7 +24,6 @@ benches=(
     bench_phase1
     bench_phase1_cache
     bench_phase1_batch
-    bench_phase1_pivot
     bench_phase1_collapse
     bench_phase2
     bench_service

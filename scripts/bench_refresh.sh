@@ -39,7 +39,6 @@ if [[ ${#benches[@]} -eq 0 ]]; then
         bench_candidates
         bench_phase1_cache
         bench_phase1_batch
-        bench_phase1_pivot
         bench_phase1_collapse
         bench_phase2
         bench_service
@@ -79,21 +78,17 @@ env BENCH_GATE_TOLERANCE="${BENCH_GATE_TOLERANCE:-0.35}" \
 # Append the headline Phase-1 min_ns of this refresh to
 # results/BENCH_trajectory.json (a JSON array, one entry per refresh), so
 # the per-PR performance story is readable without digging through git
-# history of the individual artifacts. The headline rows are the
-# acceptance-claim lanes: bench_phase1_batch/batched_steal and (when
-# present) bench_phase1_pivot/pivot_steal.
+# history of the individual artifacts. The headline row is the
+# acceptance-claim lane: bench_phase1_batch/batched_steal.
 trajectory="results/BENCH_trajectory.json"
 extract_min_ns() { # file row-name -> min_ns or empty
     [[ -f "$1" ]] || return 0
     sed -n "s/.*\"name\": \"$2\", \"mean_ns\": [0-9.]*, \"min_ns\": \([0-9.]*\).*/\1/p" "$1"
 }
 batched_steal="$(extract_min_ns results/BENCH_phase1_batch.json batched_steal)"
-pivot_steal="$(extract_min_ns results/BENCH_phase1_pivot.json pivot_steal)"
-if [[ -n "$batched_steal" || -n "$pivot_steal" ]]; then
+if [[ -n "$batched_steal" ]]; then
     entry="{\"date\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\", \"passes\": $passes"
-    [[ -n "$batched_steal" ]] && entry+=", \"phase1_batch_batched_steal_min_ns\": $batched_steal"
-    [[ -n "$pivot_steal" ]] && entry+=", \"phase1_pivot_pivot_steal_min_ns\": $pivot_steal"
-    entry+="}"
+    entry+=", \"phase1_batch_batched_steal_min_ns\": $batched_steal}"
     if [[ -s "$trajectory" ]]; then
         # Append before the closing bracket of the existing array.
         tmp="$(mktemp)"

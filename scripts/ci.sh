@@ -15,6 +15,11 @@
 #   clippy        cargo clippy --workspace --all-targets -- -D warnings
 #   test          cargo test -q (tier-1 root suite)
 #   test-ws       cargo test -q --workspace
+#   e2e-smoke     benchmark/run.sh --smoke: the repo benchmark at 1/20
+#                 size with every check on. The benchmark package
+#                 path-depends on crates/* but sits outside the
+#                 workspace, so this is the only stage that notices
+#                 when an API change stops it compiling
 #   recall-smoke  exp_index_recall: every index type vs the exact
 #                 nested-loop reference, with the candidate ladder
 #                 asserted recall-lossless (filtered vs
@@ -50,7 +55,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-all_stages=(build fmt clippy test test-ws recall-smoke bench-smoke scale-smoke service-smoke)
+all_stages=(build fmt clippy test test-ws e2e-smoke recall-smoke bench-smoke scale-smoke service-smoke)
 
 fast=0
 skip_bench=0
@@ -156,7 +161,7 @@ wants() {
     fi
     case "$name" in
         build|test) [[ $bench_only -eq 0 ]] ;;
-        fmt|clippy|test-ws|recall-smoke) [[ $bench_only -eq 0 && $fast -eq 0 ]] ;;
+        fmt|clippy|test-ws|e2e-smoke|recall-smoke) [[ $bench_only -eq 0 && $fast -eq 0 ]] ;;
         bench-smoke) [[ $fast -eq 0 && $skip_bench -eq 0 ]] ;;
         scale-smoke) [[ $bench_only -eq 0 && $fast -eq 0 && $skip_bench -eq 0 ]] ;;
         service-smoke) [[ $bench_only -eq 0 && $fast -eq 0 && $skip_bench -eq 0 ]] ;;
@@ -174,6 +179,7 @@ for stage in "${all_stages[@]}"; do
         clippy) run_stage clippy cargo clippy --workspace --all-targets -- -D warnings ;;
         test) run_stage test cargo test -q ;;
         test-ws) run_stage test-ws cargo test -q --workspace ;;
+        e2e-smoke) run_stage e2e-smoke bash benchmark/run.sh --smoke ;;
         recall-smoke)
             # Index recall/losslessness gate: the binary's own assertions
             # (filters lossless, postings layouts identical, prefix

@@ -30,11 +30,6 @@
 //!                         memoize up to N symmetric pair distances during
 //!                         Phase-1 verification (0 = off, the default);
 //!                         the partition is identical either way
-//!   --pivots N            precompute N pivot anchors and prune Phase-1
-//!                         verification by the triangle inequality (0 =
-//!                         off, the default; metric distances only — ed;
-//!                         a no-op otherwise); the partition is identical
-//!                         either way
 //!   --collapse KEY        collapse exact duplicates before Phase 1 and
 //!                         run it weighted over the representatives:
 //!                         record-string (normalized join; whole-record
@@ -105,7 +100,6 @@ struct Options {
     metrics: bool,
     threads: Option<usize>,
     pair_cache_capacity: usize,
-    pivots: usize,
     collapse: Option<CollapseKey>,
     demo: Option<String>,
 }
@@ -123,7 +117,7 @@ fn usage() -> &'static str {
      \x20                 [--columns 0,1] [--gold-column N] [--distance fms|ed|cosine|jaccard|jw|monge-elkan]\n\
      \x20                 [--k N | --theta X] [--c X | --dup-fraction F] [--agg max|avg|max2]\n\
      \x20                 [--minimality] [--report] [--metrics] [--threads N]\n\
-     \x20                 [--pair-cache-capacity N] [--pivots N]\n\
+     \x20                 [--pair-cache-capacity N]\n\
      \x20                 [--collapse record-string|exact-fields]\n\
      \x20                 [--demo table1|restaurants|media|org]"
 }
@@ -146,7 +140,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         metrics: false,
         threads: None,
         pair_cache_capacity: 0,
-        pivots: 0,
         collapse: None,
         demo: None,
     };
@@ -211,9 +204,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--pair-cache-capacity" => {
                 opts.pair_cache_capacity =
                     next(&mut i)?.parse().map_err(|e| format!("bad --pair-cache-capacity: {e}"))?
-            }
-            "--pivots" => {
-                opts.pivots = next(&mut i)?.parse().map_err(|e| format!("bad --pivots: {e}"))?
             }
             "--collapse" => opts.collapse = Some(parse_collapse_key(next(&mut i)?)?),
             "--demo" => opts.demo = Some(next(&mut i)?.clone()),
@@ -330,7 +320,6 @@ fn parse_replay_args(args: &[String]) -> Result<ReplayOptions, String> {
             metrics: false,
             threads: None,
             pair_cache_capacity: 0,
-            pivots: 0,
             collapse: None,
             demo: None,
         },
@@ -587,7 +576,6 @@ fn run() -> Result<(), String> {
         .aggregation(opts.agg)
         .minimality(opts.minimality)
         .pair_cache_capacity(opts.pair_cache_capacity)
-        .pivot_count(opts.pivots)
         .collapse(opts.collapse);
     if let Some(threads) = opts.threads {
         config = config.parallelism(Parallelism::threads(threads));
