@@ -34,7 +34,7 @@ fn main() {
     let mut p99 = u64::MAX;
     let mut ingest = u64::MAX;
     for rep in 1..=REPS {
-        let outcome = replay(config);
+        let outcome = replay(config).expect("replay");
         let rep_p50 = outcome.query_quantile_ns(0.50);
         let rep_p99 = outcome.query_quantile_ns(0.99);
         let rep_ingest = outcome.ingest_ns_per_record();

@@ -11,7 +11,9 @@
 //!   partition must be *bit-identical* to a from-scratch
 //!   `Deduplicator::run_records` over the same corpus with the same knobs
 //!   (`EditDistance`, `DE_S(4)`, `Max`, `c = 4`). Exits non-zero on
-//!   mismatch — this is the CI `service-smoke` invariant;
+//!   mismatch — this is the CI `service-smoke` invariant — and on a
+//!   service error (`ServiceError::WriterFailed`: the writer thread
+//!   panicked, so the drained partition would be short);
 //! - reports exact point-query latency quantiles and service throughput;
 //! - emits the `RunMetrics` JSON (with the `service` section filled) to
 //!   `--out`, or stdout.
@@ -78,7 +80,13 @@ fn main() -> ExitCode {
          query ratio {:.2}, qps {})...",
         config.records, config.batch_size, config.queue_capacity, config.query_ratio, config.qps
     );
-    let outcome = replay(config);
+    let outcome = match replay(config) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("[exp_service_replay] SERVICE FAILURE: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let s = &outcome.stats;
     eprintln!(
         "[exp_service_replay] mixed phase {:.1?}: {} batches / {} records admitted over \

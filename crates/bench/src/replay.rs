@@ -25,7 +25,8 @@
 use std::time::{Duration, Instant};
 
 use fuzzydedup_core::{
-    CutSpec, DedupService, IncrementalDedup, Parallelism, Partition, ServiceConfig, ServiceStats,
+    CutSpec, DedupService, IncrementalDedup, Parallelism, Partition, ServiceConfig, ServiceError,
+    ServiceStats,
 };
 use fuzzydedup_datagen::{org, DatasetSpec};
 use fuzzydedup_metrics::RunMetrics;
@@ -127,7 +128,11 @@ pub fn org_corpus(records: usize) -> Vec<Vec<String>> {
 /// with `EditDistance` + `DE_S(4)` / `Max` / `c = 4` — the same knobs the
 /// drain-identity suite pins, so callers can cheaply verify the final
 /// partition against a from-scratch batch run.
-pub fn replay(config: ReplayConfig) -> ReplayOutcome {
+///
+/// # Errors
+/// [`ServiceError::WriterFailed`] if the service's writer thread panicked
+/// at any point of the replay — the drained partition would be short.
+pub fn replay(config: ReplayConfig) -> Result<ReplayOutcome, ServiceError> {
     assert!((0.0..1.0).contains(&config.query_ratio), "query_ratio must be in [0, 1)");
     let records = org_corpus(config.records);
     let service_config = ServiceConfig::new()
@@ -135,7 +140,8 @@ pub fn replay(config: ReplayConfig) -> ReplayOutcome {
         .queue_capacity(config.queue_capacity.max(1));
     let before = fuzzydedup_metrics::snapshot();
     // Pair cache + parallel refresh: batch-to-batch refreshes re-verify
-    // mostly unchanged pairs, so the memo absorbs the bulk of the work;
+    // mostly unchanged pairs, so the memo (one, shared by the two epoch
+    // sides) absorbs the bulk of the work;
     // both knobs are partition-identical by the incremental test suite,
     // so drain-identity against the (cache-less, sequential) batch
     // pipeline still holds bit-for-bit.
@@ -146,8 +152,7 @@ pub fn replay(config: ReplayConfig) -> ReplayOutcome {
             .pair_cache_capacity(1 << 22)
             .parallelism(Parallelism::threads(0)),
         service_config,
-    )
-    .expect("spawn replay service");
+    )?;
 
     let mut rng = StdRng::seed_from_u64(config.seed);
     // Queries per ingest op: ratio r of total ops means r/(1-r) queries
@@ -160,7 +165,7 @@ pub fn replay(config: ReplayConfig) -> ReplayOutcome {
     let mut ops = 0u64;
     let started = Instant::now();
     for (i, record) in records.iter().enumerate() {
-        service.submit_wait(record.clone()).expect("service accepts while running");
+        service.submit_wait(record.clone())?;
         ops += 1;
         query_debt += queries_per_ingest;
         while query_debt >= 1.0 {
@@ -187,6 +192,9 @@ pub fn replay(config: ReplayConfig) -> ReplayOutcome {
     let replay_wall_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
 
     let stats = service.stats();
+    if stats.writer_failed {
+        return Err(ServiceError::WriterFailed);
+    }
     let (_, partition) = service.snapshot_partition();
     let mut metrics = RunMetrics::default();
     metrics.apply_counter_delta(&fuzzydedup_metrics::snapshot().delta(&before));
@@ -198,14 +206,14 @@ pub fn replay(config: ReplayConfig) -> ReplayOutcome {
     metrics.service.query_p99_ns = percentile_ns(&latencies, 0.99);
     service.shutdown();
 
-    ReplayOutcome {
+    Ok(ReplayOutcome {
         records,
         partition,
         stats,
         metrics,
         query_latencies_ns: latencies,
         replay_wall_ns,
-    }
+    })
 }
 
 /// Where `BENCH_<group>.json` artifacts land for custom (non-criterion)
@@ -292,7 +300,8 @@ mod tests {
             query_ratio: 0.25,
             qps: 0,
             seed: 7,
-        });
+        })
+        .expect("replay");
         assert_eq!(outcome.stats.records_admitted, 300);
         assert_eq!(outcome.stats.corpus_len, 300);
         assert!(outcome.stats.point_queries as usize == outcome.query_latencies_ns.len());

@@ -18,12 +18,24 @@
 //! Equivalence with full recomputation is asserted by the test suite on
 //! randomized batch splits.
 //!
+//! **Three steps, and a delta.** [`IncrementalDedup::insert_batch`] is
+//! *append* (index pushes, collapse bookkeeping, placeholder entries —
+//! the only step that touches the index), *refresh* (the affected-set
+//! scan, the lookups, Phase 2 — reads only) and *install* (write the
+//! refreshed entries and the partition). All three are deterministic, so
+//! a second state with the same history need not repeat the expensive
+//! middle: [`IncrementalDedup::insert_batch_logged`] also returns the
+//! batch's [`BatchDelta`] and [`IncrementalDedup::replay_batch`] runs
+//! append + install from it. The dedup service keeps its two epoch sides
+//! equal this way (`DESIGN.md` §7.9); plain `insert_batch` builds no
+//! delta.
+//!
 //! Construct states with [`IncrementalDedup::builder`], which exposes the
 //! same configuration surface as [`crate::pipeline::DedupConfig`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_nnindex::{
@@ -177,6 +189,31 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
     /// [`DedupError::InvalidConfig`] for an invalid cut, a non-positive
     /// (or NaN) SN threshold, or a growth multiplier below 1.
     pub fn build(self) -> Result<IncrementalDedup<D>, DedupError> {
+        let cache = self.new_pair_cache();
+        self.build_with(cache)
+    }
+
+    /// Build two identical empty states that share one pair memo — the
+    /// two sides of the service's epoch pair. Index ids are the same on
+    /// both sides and only the compute side of a batch runs lookups, so
+    /// one memo sees every batch where two private ones would each see
+    /// every other batch.
+    pub(crate) fn build_pair(self) -> Result<[IncrementalDedup<D>; 2], DedupError>
+    where
+        D: Clone,
+    {
+        let cache = self.new_pair_cache();
+        Ok([self.clone().build_with(cache.clone())?, self.build_with(cache)?])
+    }
+
+    fn new_pair_cache(&self) -> Option<Arc<PairCache>> {
+        (self.pair_cache_capacity > 0).then(|| Arc::new(PairCache::new(self.pair_cache_capacity)))
+    }
+
+    fn build_with(
+        self,
+        pair_cache: Option<Arc<PairCache>>,
+    ) -> Result<IncrementalDedup<D>, DedupError> {
         self.cut.validate().map_err(DedupError::InvalidConfig)?;
         // `!(c > 0.0)` deliberately rejects NaN as well as non-positives.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -219,8 +256,7 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
             c: self.c,
             p: self.p,
             partition: Partition::singletons(0),
-            pair_cache: (self.pair_cache_capacity > 0)
-                .then(|| PairCache::new(self.pair_cache_capacity)),
+            pair_cache,
             parallelism: self.parallelism,
             collapse,
         })
@@ -249,9 +285,38 @@ pub struct IncrementalDedup<D: Distance> {
     c: f64,
     p: f64,
     partition: Partition,
-    pair_cache: Option<PairCache>,
+    /// Owned by a lone state; shared by the two sides of a service epoch
+    /// pair ([`IncrementalDedupBuilder::build_pair`]).
+    pair_cache: Option<Arc<PairCache>>,
     parallelism: Parallelism,
     collapse: Option<IncCollapse>,
+}
+
+/// What [`IncrementalDedup::append`] changed: the input of the refresh.
+struct Appended {
+    /// Index size before the batch; ids below it pre-exist.
+    first_new: u32,
+    /// Ids the batch indexed, ascending.
+    new_ids: Vec<u32>,
+    /// Pre-existing representatives whose multiplicity the batch bumped
+    /// (collapse mode), ascending and distinct: their own entries change
+    /// (ng pins to 1, the weighted cutoff tightens), and so may any entry
+    /// that sees them.
+    dup_reps: Vec<u32>,
+    /// Records in the batch, collapsed duplicates included.
+    inserted: usize,
+}
+
+/// Everything one [`IncrementalDedup::insert_batch_logged`] call changed,
+/// for [`IncrementalDedup::replay_batch`] on a state that was identical
+/// before the batch: the records to append, the refreshed `NN_Reln`
+/// entries, and the partition. Opaque — the contents are only meaningful
+/// to a state with the same history.
+#[derive(Debug)]
+pub struct BatchDelta {
+    records: Vec<Vec<String>>,
+    entries: Vec<NnEntry>,
+    partition: Partition,
 }
 
 impl<D: Distance> IncrementalDedup<D> {
@@ -282,7 +347,7 @@ impl<D: Distance> IncrementalDedup<D> {
     /// maintained entries; with collapse on, the representative-space
     /// entries expanded through [`CollapseMap::expand_reln`]).
     pub fn nn_reln(&self) -> NnReln {
-        self.full_reln()
+        self.expand(NnReln::new(self.entries.clone()))
     }
 
     /// The indexed records — one per exact-duplicate class when the
@@ -331,10 +396,9 @@ impl<D: Distance> IncrementalDedup<D> {
         }
     }
 
-    /// The full-corpus `NN_Reln`: the maintained entries, expanded through
-    /// the class structure when collapse is on.
-    fn full_reln(&self) -> NnReln {
-        let reln = NnReln::new(self.entries.clone());
+    /// The full-corpus `NN_Reln` of a relation over index ids: expanded
+    /// through the class structure when collapse is on.
+    fn expand(&self, reln: NnReln) -> NnReln {
         match &self.collapse {
             None => reln,
             Some(col) => {
@@ -346,35 +410,28 @@ impl<D: Distance> IncrementalDedup<D> {
         }
     }
 
-    fn recompute_entry(&mut self, id: u32) {
+    fn compute_entry(&self, id: u32) -> NnEntry {
         // Route through the caching extension point — plain `lookup` is
         // the cache=None shorthand and would silently bypass the memo.
-        let cache = self.pair_cache.as_ref().map(|c| c as &dyn PairDistanceCache);
+        let cache = self.pair_cache.as_deref().map(|c| c as &dyn PairDistanceCache);
         let (neighbors, ng, _cost) = self.index.lookup_cached(id, self.spec(), self.p, cache);
-        self.entries[id as usize] = NnEntry::new(id, neighbors, ng);
+        NnEntry::new(id, neighbors, ng)
     }
 
-    /// Recompute the entries for `ids`, sequentially or sharded over the
+    /// Compute the entries for `ids`, sequentially or sharded over the
     /// configured Phase-1 worker threads. Every entry is an independent
     /// lookup, so the parallel drive produces bit-identical results (the
     /// same argument as [`crate::parallel::compute_nn_reln_parallel`]);
     /// the shared pair cache stays sound under interleaving by its
     /// contract.
-    fn recompute_entries(&mut self, ids: &[u32]) {
+    fn compute_entries(&self, ids: &[u32]) -> Vec<NnEntry> {
         let threads = match self.parallelism.phase1_threads {
             None => 1,
             Some(n) => resolve_threads(n, ids.len()),
         };
         if threads <= 1 {
-            for &id in ids {
-                self.recompute_entry(id);
-            }
-            return;
+            return ids.iter().map(|&id| self.compute_entry(id)).collect();
         }
-        let spec = self.spec();
-        let p = self.p;
-        let index = &self.index;
-        let cache = self.pair_cache.as_ref().map(|c| c as &dyn PairDistanceCache);
         // Work-stealing over fixed blocks of the refresh list — the same
         // dispenser as parallel Phase 1 (duplicate-dense entries verify
         // far more candidates than sparse ones, so static sharding
@@ -396,26 +453,23 @@ impl<D: Distance> IncrementalDedup<D> {
                     let start = b * block;
                     let end = (start + block).min(ids.len());
                     for (i, &id) in ids.iter().enumerate().take(end).skip(start) {
-                        let (neighbors, ng, _cost) = index.lookup_cached(id, spec, p, cache);
-                        let claimed = slots[i].set(NnEntry::new(id, neighbors, ng)).is_ok();
+                        let claimed = slots[i].set(self.compute_entry(id)).is_ok();
                         debug_assert!(claimed, "id {id} computed twice");
                     }
                 });
             }
         });
-        for (slot, &id) in slots.into_iter().zip(ids) {
-            self.entries[id as usize] = slot.into_inner().expect("all ids computed");
-        }
+        slots.into_iter().map(|slot| slot.into_inner().expect("all ids computed")).collect()
     }
 
-    /// Append a batch of records, refresh affected entries, and recompute
-    /// the partition.
-    pub fn insert_batch(&mut self, records: impl IntoIterator<Item = Vec<String>>) -> BatchStats {
+    /// Step 1 of a batch, the only one both sides of a replayed batch run:
+    /// index the records (or, collapse mode, bump the multiplicity of the
+    /// class an exact duplicate falls in) and give every new id a
+    /// placeholder entry — filled at install, once all ids exist (a batch
+    /// can contain mutual duplicates, so entries must see the whole batch).
+    fn append(&mut self, records: impl IntoIterator<Item = Vec<String>>) -> Appended {
         let first_new = self.index.len() as u32;
         let mut new_ids: Vec<u32> = Vec::new();
-        // Pre-existing representatives whose multiplicity this batch bumped
-        // (collapse mode): their own entries change (ng pins to 1, the
-        // weighted cutoff tightens), and so may any entry that sees them.
         let mut dup_reps: Vec<u32> = Vec::new();
         let mut inserted = 0usize;
         for record in records {
@@ -434,23 +488,24 @@ impl<D: Distance> IncrementalDedup<D> {
                     }
                     continue;
                 }
-                let rep = self.index.push(record);
-                col.by_key.insert(key, rep);
+                col.by_key.insert(key, self.index.len() as u32);
                 col.classes.push(vec![full_id]);
-                self.entries.push(NnEntry::new(rep, Vec::new(), 1.0));
-                new_ids.push(rep);
-                continue;
             }
             let id = self.index.push(record);
-            // Placeholder; filled below once all ids exist (a batch can
-            // contain mutual duplicates, so entries must see the whole
-            // batch).
             self.entries.push(NnEntry::new(id, Vec::new(), 1.0));
             new_ids.push(id);
         }
         dup_reps.sort_unstable();
         dup_reps.dedup();
+        Appended { first_new, new_ids, dup_reps, inserted }
+    }
 
+    /// Step 2, compute side only: the affected-set scan, the lookups of
+    /// every new and affected id, and Phase 2 from scratch (cheap) over
+    /// the relation those entries produce. Reads the state, changes
+    /// nothing.
+    fn refresh(&self, appended: &Appended) -> (Vec<NnEntry>, Partition, BatchStats) {
+        let Appended { first_new, new_ids, dup_reps, inserted } = appended;
         // Affected pre-existing ids: candidates of the changed records —
         // the appended representatives plus (collapse mode) the bumped
         // ones, whose weight shift moves every entry they survive in. The
@@ -459,29 +514,73 @@ impl<D: Distance> IncrementalDedup<D> {
         // inside its own top-k even when the (capped) reverse query drops
         // it, and that old record's entry must still refresh.
         let mut affected: Vec<u32> = Vec::new();
-        for &id in new_ids.iter().chain(&dup_reps) {
+        for &id in new_ids.iter().chain(dup_reps) {
             for candidate in self.index.candidates_with_limit(id, 0) {
-                if candidate < first_new {
+                if candidate < *first_new {
                     affected.push(candidate);
                 }
             }
         }
-        affected.extend_from_slice(&dup_reps);
+        affected.extend_from_slice(dup_reps);
         affected.sort_unstable();
         affected.dedup();
 
         let mut refresh: Vec<u32> = Vec::with_capacity(new_ids.len() + affected.len());
-        refresh.extend_from_slice(&new_ids);
+        refresh.extend_from_slice(new_ids);
         refresh.extend_from_slice(&affected);
-        self.recompute_entries(&refresh);
+        let fresh = self.compute_entries(&refresh);
 
-        // Phase 2 from scratch (cheap), over the full-corpus relation.
-        let reln = self.full_reln();
-        self.partition = match self.parallelism.phase2_threads {
+        let mut entries = self.entries.clone();
+        for entry in &fresh {
+            entries[entry.id as usize] = entry.clone();
+        }
+        let reln = self.expand(NnReln::new(entries));
+        let partition = match self.parallelism.phase2_threads {
             None => partition_entries(&reln, self.cut, self.agg, self.c),
             Some(n) => partition_entries_parallel(&reln, self.cut, self.agg, self.c, n),
         };
-        BatchStats { inserted, refreshed: affected.len() }
+        (fresh, partition, BatchStats { inserted: *inserted, refreshed: affected.len() })
+    }
+
+    /// Step 3: write the refreshed entries and the partition.
+    fn install(&mut self, fresh: Vec<NnEntry>, partition: Partition) {
+        for entry in fresh {
+            let slot = entry.id as usize;
+            self.entries[slot] = entry;
+        }
+        self.partition = partition;
+    }
+
+    /// Append a batch of records, refresh affected entries, and recompute
+    /// the partition.
+    pub fn insert_batch(&mut self, records: impl IntoIterator<Item = Vec<String>>) -> BatchStats {
+        let appended = self.append(records);
+        let (fresh, partition, stats) = self.refresh(&appended);
+        self.install(fresh, partition);
+        stats
+    }
+
+    /// [`Self::insert_batch`], also returning what the batch changed, so a
+    /// second state with the same history can take the batch through
+    /// [`Self::replay_batch`] without repeating the lookups and Phase 2.
+    /// The records move into the delta; this state indexes clones.
+    pub fn insert_batch_logged(&mut self, records: Vec<Vec<String>>) -> (BatchStats, BatchDelta) {
+        let appended = self.append(records.iter().cloned());
+        let (entries, partition, stats) = self.refresh(&appended);
+        self.install(entries.clone(), partition.clone());
+        (stats, BatchDelta { records, entries, partition })
+    }
+
+    /// Take a batch another state computed. That state must have been
+    /// identical to this one before its [`Self::insert_batch_logged`]
+    /// call — same configuration, same batches in the same order — and is
+    /// identical to it again afterwards: `insert_batch` is a deterministic
+    /// function of (state, batch), the append runs here as it ran there,
+    /// and every entry outside the delta is one no record of the batch
+    /// can reach (the affected-set rule of the module docs).
+    pub fn replay_batch(&mut self, delta: BatchDelta) {
+        self.append(delta.records);
+        self.install(delta.entries, delta.partition);
     }
 }
 
@@ -702,6 +801,82 @@ mod tests {
                 let (n_coll, ng_coll, _) = collapsed.query_record(&[probe]);
                 assert_eq!(n_plain, n_coll, "{key:?}: probe {probe:?}");
                 assert_eq!(ng_plain, ng_coll, "{key:?}: probe {probe:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_paired_states_share_a_pair_memo() {
+        let memo = |state: &IncrementalDedup<EditDistance>| state.pair_cache.clone();
+        let [a, b] = fresh_builder().pair_cache_capacity(1 << 10).build_pair().unwrap();
+        assert!(Arc::ptr_eq(&memo(&a).unwrap(), &memo(&b).unwrap()));
+        let lone = fresh_builder().pair_cache_capacity(1 << 10).build().unwrap();
+        assert!(!Arc::ptr_eq(&memo(&a).unwrap(), &memo(&lone).unwrap()));
+        let [a, b] = fresh_builder().build_pair().unwrap();
+        assert!(memo(&a).is_none() && memo(&b).is_none());
+    }
+
+    #[test]
+    fn replayed_delta_equals_recompute_on_alternating_sides() {
+        // The service's left-right discipline without the threads: A and B
+        // take turns computing a batch, the other replays its delta, and a
+        // third state is fed plain `insert_batch`. Near-duplicates, exact
+        // repeats inside and across batches (the collapse path) and two
+        // term-less records.
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut base: Vec<Vec<String>> = (0..72)
+            .map(|i| {
+                let e = (i * 7) % 19;
+                let v = match i % 4 {
+                    0 | 1 => format!("replay entity {e:02} sigma"),
+                    2 => format!("replay entity {e:02} sigmaa"),
+                    _ => format!("replay entitty {e:02} sigma"),
+                };
+                vec![v]
+            })
+            .collect();
+        base.insert(20, vec!["?!".to_string()]);
+        base.insert(50, vec!["?!".to_string()]);
+        let probes = ["replay entity 04 sigma", "replay entitty 11 sigmaa", "?!", "no such thing"];
+        let collapses = [None, Some(CollapseKey::RecordString), Some(CollapseKey::ExactFields)];
+        for cut in [CutSpec::Size(4), CutSpec::Diameter(0.2)] {
+            for collapse in collapses {
+                for cache_capacity in [0, 1 << 12] {
+                    let what = format!("{cut:?} {collapse:?} cache {cache_capacity}");
+                    let builder = fresh_builder()
+                        .cut(cut)
+                        .collapse(collapse)
+                        .pair_cache_capacity(cache_capacity);
+                    let mut sides = builder.clone().build_pair().unwrap();
+                    let mut plain = builder.build().unwrap();
+                    let mut at = 0;
+                    let mut compute = 0;
+                    while at < base.len() {
+                        let take = rng.gen_range(1..=12).min(base.len() - at);
+                        let batch = base[at..at + take].to_vec();
+                        at += take;
+                        let want = plain.insert_batch(batch.clone());
+                        let (got, delta) = sides[compute].insert_batch_logged(batch);
+                        sides[1 - compute].replay_batch(delta);
+                        compute = 1 - compute;
+
+                        assert_eq!(got, want, "{what}: stats at {at}");
+                        let [a, b] = &sides;
+                        assert_eq!(a.nn_reln(), b.nn_reln(), "{what}: relation at {at}");
+                        assert_eq!(a.partition(), b.partition(), "{what}: partition at {at}");
+                        assert_eq!(a.len(), b.len(), "{what}: len at {at}");
+                        assert_eq!(a.nn_reln(), plain.nn_reln(), "{what}: relation at {at}");
+                        assert_eq!(a.partition(), plain.partition(), "{what}: partition at {at}");
+                        assert_eq!(a.len(), plain.len(), "{what}: len at {at}");
+                        for probe in probes {
+                            let (n_a, ng_a, _) = a.query_record(&[probe]);
+                            let (n_b, ng_b, _) = b.query_record(&[probe]);
+                            let (n_p, ng_p, _) = plain.query_record(&[probe]);
+                            assert_eq!((&n_a, ng_a), (&n_b, ng_b), "{what}: probe {probe:?}");
+                            assert_eq!((&n_a, ng_a), (&n_p, ng_p), "{what}: probe {probe:?}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -77,7 +77,7 @@ pub use components::{balance_components, UnionFind};
 pub use criteria::{is_compact_set, sparse_neighborhood_ok, Aggregation};
 pub use distinct::DistinctEstimator;
 pub use eval::{evaluate, evaluate_bcubed, BCubed, PrecisionRecall};
-pub use incremental::{BatchStats, IncrementalDedup, IncrementalDedupBuilder};
+pub use incremental::{BatchDelta, BatchStats, IncrementalDedup, IncrementalDedupBuilder};
 pub use matrix::MatrixIndex;
 pub use nnreln::{NnEntry, NnReln};
 pub use pair_cache::PairCache;

@@ -17,16 +17,28 @@
 //!    record *now*") must not block while the writer rebuilds after a
 //!    batch. We keep **two** complete `IncrementalDedup` states in an
 //!    [`epoch_pair`]: readers run against the active side; the writer
-//!    applies each admitted batch to the *inactive* side, flips the epoch
-//!    with one atomic store, then brings the stale side up to date. This
-//!    generalizes the `pair_cache` seqlock idea from one `(u64, f64)` slot
-//!    to the whole partition+NN state: where a seqlock makes readers
-//!    *retry* around a writer, the left-right pair gives readers an
-//!    untouched side to finish on, so a read never waits on an in-progress
-//!    rebuild (see `DESIGN.md` §7.9 for the full argument).
-//!    `insert_batch` is deterministic, so applying the same batch to both
-//!    sides keeps them bit-identical — which is what makes drain-identity
-//!    testable.
+//!    computes each admitted batch **once**, on the *inactive* side
+//!    ([`IncrementalDedup::insert_batch_logged`]), flips the epoch with one
+//!    atomic store, then brings the stale side up to date by replaying the
+//!    batch's [`crate::incremental::BatchDelta`] — an index append and a
+//!    copy of the refreshed entries and the partition, no lookups and no
+//!    Phase 2 ([`IncrementalDedup::replay_batch`]). This generalizes the
+//!    `pair_cache` seqlock idea from one `(u64, f64)` slot to the whole
+//!    partition+NN state: where a seqlock makes readers *retry* around a
+//!    writer, the left-right pair gives readers an untouched side to
+//!    finish on, so a read never waits on an in-progress rebuild (see
+//!    `DESIGN.md` §7.9 for the full argument). `insert_batch` is a
+//!    deterministic function of (state, batch), so the replayed side is
+//!    bit-identical to the computed one — which is what makes
+//!    drain-identity testable. The left-right pair costs 2× memory and
+//!    1× admission CPU; when the builder asks for a pair memo the two
+//!    sides share one.
+//!
+//!    A panic on the writer thread (a user [`Distance`], a broken
+//!    invariant) ends ingest, not the service: `submit*` return
+//!    [`ServiceError::WriterFailed`], [`DedupService::drain`] returns,
+//!    and readers keep the last published epoch — the panicking batch
+//!    never flipped it.
 //!
 //! 3. **Observability.** Global [`fuzzydedup_metrics`] counters (the
 //!    `service` section of `RunMetrics`), per-service atomics surfaced via
@@ -41,7 +53,7 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use fuzzydedup_metrics::{incr, Counter, ServiceMetrics};
@@ -104,8 +116,9 @@ impl<T> Clone for EpochReader<T> {
 /// Create a left-right epoch pair over two *identical* states.
 ///
 /// The caller promises `left` and `right` start out equivalent; every
-/// [`EpochWriter::publish_with`] call applies the same mutation to both, so
-/// they stay equivalent and readers may be served from either side.
+/// [`EpochWriter::publish_with`] call computes a mutation on one and
+/// replays it on the other, so they stay equivalent and readers may be
+/// served from either side.
 pub fn epoch_pair<T>(left: T, right: T) -> (EpochWriter<T>, EpochReader<T>) {
     let inner = Arc::new(EpochInner {
         epoch: AtomicU64::new(0),
@@ -154,16 +167,25 @@ impl<T> EpochReader<T> {
 }
 
 impl<T> EpochWriter<T> {
-    /// Apply a mutation to both sides and publish it; returns the new
-    /// epoch. `apply` is called exactly twice — once per side — and must be
-    /// deterministic for the sides to stay equivalent.
+    /// Compute a mutation on one side, publish it, and replay it on the
+    /// other; returns the new epoch. `apply` runs once, on the inactive
+    /// slot, and returns a log of what it changed; after the flip `replay`
+    /// runs once, on the lagging slot, with that log, and must leave it
+    /// equivalent to the side `apply` mutated.
     ///
-    /// Readers are never blocked: the first application runs on the
-    /// inactive slot while reads proceed on the active one; the flip is a
-    /// single atomic store. The *writer* briefly waits for stragglers (a
-    /// reader mid-closure on a slot it is about to touch) — backpressure
-    /// lands on the ingest path, where it belongs.
-    pub fn publish_with(&mut self, mut apply: impl FnMut(&mut T)) -> u64 {
+    /// Readers are never blocked: `apply` runs on the inactive slot while
+    /// reads proceed on the active one; the flip is a single atomic store.
+    /// The *writer* briefly waits for stragglers (a reader mid-closure on a
+    /// slot it is about to touch) — backpressure lands on the ingest path,
+    /// where it belongs.
+    ///
+    /// A panic in `apply` leaves the epoch where it was: readers keep the
+    /// published side, and the half-mutated inactive slot is never read.
+    pub fn publish_with<L>(
+        &mut self,
+        apply: impl FnOnce(&mut T) -> L,
+        replay: impl FnOnce(&mut T, L),
+    ) -> u64 {
         let e = self.inner.epoch.load(Ordering::SeqCst);
         let inactive = ((e + 1) & 1) as usize;
         // Stragglers from epoch e-1 may still be inside the inactive slot
@@ -173,7 +195,7 @@ impl<T> EpochWriter<T> {
         }
         // SAFETY: epoch parity routes all new readers to the other slot,
         // and the spin above drained the old ones.
-        apply(unsafe { &mut *self.inner.slots[inactive].get() });
+        let log = apply(unsafe { &mut *self.inner.slots[inactive].get() });
         self.inner.epoch.store(e + 1, Ordering::SeqCst);
         // Bring the previously active side up to date for the next cycle;
         // wait out readers still pinned to it.
@@ -183,7 +205,7 @@ impl<T> EpochWriter<T> {
         }
         // SAFETY: no reader is registered on `old` and new readers go to
         // the published side.
-        apply(unsafe { &mut *self.inner.slots[old].get() });
+        replay(unsafe { &mut *self.inner.slots[old].get() }, log);
         e + 1
     }
 }
@@ -264,6 +286,10 @@ pub enum ServiceError {
     },
     /// The service is shutting down and no longer accepts records.
     ShuttingDown,
+    /// The writer thread panicked while admitting a batch. Records still
+    /// queued will never be admitted; queries keep answering from the
+    /// last published epoch.
+    WriterFailed,
     /// Invalid [`ServiceConfig`].
     InvalidConfig(String),
     /// The underlying incremental state failed to build.
@@ -277,6 +303,7 @@ impl fmt::Display for ServiceError {
                 write!(f, "ingest queue full (capacity {capacity})")
             }
             Self::ShuttingDown => write!(f, "service is shutting down"),
+            Self::WriterFailed => write!(f, "service writer thread panicked"),
             Self::InvalidConfig(why) => write!(f, "invalid service configuration: {why}"),
             Self::Build(_) => write!(f, "failed to build the incremental dedup state"),
         }
@@ -346,10 +373,25 @@ impl LatencyHistogram {
 struct QueueState {
     pending: VecDeque<Vec<String>>,
     shutdown: bool,
+    /// The writer thread unwound (see [`WriterGuard`]); implies `shutdown`.
+    writer_failed: bool,
     /// The writer is applying an admitted batch (pending may be empty while
     /// records are still becoming visible — drain must wait this out).
     in_flight: bool,
     depth_high_water: usize,
+}
+
+impl QueueState {
+    /// Whether the service still admits records.
+    fn accepting(&self) -> Result<(), ServiceError> {
+        if self.writer_failed {
+            Err(ServiceError::WriterFailed)
+        } else if self.shutdown {
+            Err(ServiceError::ShuttingDown)
+        } else {
+            Ok(())
+        }
+    }
 }
 
 struct ServiceShared {
@@ -419,6 +461,9 @@ pub struct ServiceStats {
     pub distinct_groups_estimate: u64,
     /// Whether that estimate is still exact (sample under its cap).
     pub distinct_is_exact: bool,
+    /// The writer thread panicked: ingest is over
+    /// ([`ServiceError::WriterFailed`]) and the snapshot is final.
+    pub writer_failed: bool,
 }
 
 /// A long-running dedup service over the incremental path; see module docs.
@@ -434,20 +479,21 @@ pub struct DedupService<D: Distance + Clone + 'static> {
 
 impl<D: Distance + Clone + 'static> DedupService<D> {
     /// Start a service over an empty incremental state described by
-    /// `builder`. The builder is built twice — once per epoch-pair side —
+    /// `builder`. The builder is built twice — once per epoch-pair side,
+    /// the two sharing one pair memo when the builder asks for one —
     /// which is why `D: Clone`.
     pub fn spawn(
         builder: IncrementalDedupBuilder<D>,
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
         config.validate()?;
-        let left = builder.clone().build()?;
-        let right = builder.build()?;
+        let [left, right] = builder.build_pair()?;
         let (writer_handle, reader) = epoch_pair(left, right);
         let shared = Arc::new(ServiceShared {
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
                 shutdown: false,
+                writer_failed: false,
                 in_flight: false,
                 depth_high_water: 0,
             }),
@@ -476,9 +522,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     /// Submit one record for admission; fails fast when the queue is full.
     pub fn submit(&self, record: Vec<String>) -> Result<(), ServiceError> {
         let mut q = self.shared.queue.lock().unwrap();
-        if q.shutdown {
-            return Err(ServiceError::ShuttingDown);
-        }
+        q.accepting()?;
         if q.pending.len() >= self.config.queue_capacity {
             self.shared.queue_rejections.fetch_add(1, Ordering::Relaxed);
             incr(Counter::ServiceQueueRejections, 1);
@@ -496,9 +540,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     pub fn submit_wait(&self, record: Vec<String>) -> Result<(), ServiceError> {
         let mut q = self.shared.queue.lock().unwrap();
         loop {
-            if q.shutdown {
-                return Err(ServiceError::ShuttingDown);
-            }
+            q.accepting()?;
             if q.pending.len() < self.config.queue_capacity {
                 q.pending.push_back(record);
                 q.depth_high_water = q.depth_high_water.max(q.pending.len());
@@ -542,10 +584,12 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
         self.reader.clone()
     }
 
-    /// Block until every record submitted so far is visible to queries.
+    /// Block until every record submitted so far is visible to queries —
+    /// or, if the writer thread panicked, until it is known that no more
+    /// will be ([`ServiceStats::writer_failed`] tells the two apart).
     pub fn drain(&self) {
         let mut q = self.shared.queue.lock().unwrap();
-        while !q.pending.is_empty() || q.in_flight {
+        while !q.writer_failed && (!q.pending.is_empty() || q.in_flight) {
             q = self.shared.idle.wait(q).unwrap();
         }
     }
@@ -554,9 +598,9 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     pub fn stats(&self) -> ServiceStats {
         let (epoch, corpus_len, num_groups) =
             self.reader.read(|epoch, state| (epoch, state.len(), state.partition().num_groups()));
-        let (queue_depth, depth_high_water) = {
+        let (queue_depth, depth_high_water, writer_failed) = {
             let q = self.shared.queue.lock().unwrap();
-            (q.pending.len(), q.depth_high_water)
+            (q.pending.len(), q.depth_high_water, q.writer_failed)
         };
         let (distinct_groups_estimate, distinct_is_exact) = {
             let d = self.shared.distinct.lock().unwrap();
@@ -577,6 +621,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
             query_p99_ns: self.shared.latency.quantile_ns(0.99),
             distinct_groups_estimate,
             distinct_is_exact,
+            writer_failed,
         }
     }
 
@@ -619,11 +664,35 @@ impl<D: Distance + Clone + 'static> Drop for DedupService<D> {
     }
 }
 
+/// Unwind guard of the writer thread. A panic inside a batch would
+/// otherwise leave `in_flight` set forever: `drain` would never return and
+/// `submit_wait` would block once the queue filled. On unwind the guard
+/// ends ingest and wakes every waiter; the panicking batch never flipped
+/// the epoch, so readers keep the last published side.
+struct WriterGuard<'a>(&'a ServiceShared);
+
+impl Drop for WriterGuard<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let mut q = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        q.shutdown = true;
+        q.writer_failed = true;
+        q.in_flight = false;
+        drop(q);
+        self.0.work.notify_all();
+        self.0.space.notify_all();
+        self.0.idle.notify_all();
+    }
+}
+
 fn writer_loop<D: Distance + Clone + 'static>(
     mut writer: EpochWriter<IncrementalDedup<D>>,
     shared: Arc<ServiceShared>,
     admit_batch_size: usize,
 ) {
+    let _guard = WriterGuard(&shared);
     loop {
         let batch: Vec<Vec<String>> = {
             let mut q = shared.queue.lock().unwrap();
@@ -644,22 +713,24 @@ fn writer_loop<D: Distance + Clone + 'static>(
         shared.space.notify_all();
 
         let n_records = batch.len() as u64;
-        // Canonical keys of the duplicate groups after this batch, captured
-        // from the first (published-next) application.
-        let mut group_keys: Option<Vec<u64>> = None;
-        let epoch = writer.publish_with(|state| {
-            state.insert_batch(batch.iter().cloned());
-            if group_keys.is_none() {
-                group_keys = Some(
+        // Canonical keys of the duplicate groups after this batch.
+        let mut group_keys: Vec<u64> = Vec::new();
+        // Compute the batch once, on the side published next; the lagging
+        // side replays its delta after the flip.
+        let epoch = writer.publish_with(
+            |state| {
+                let (_stats, delta) = state.insert_batch_logged(batch);
+                group_keys.extend(
                     state
                         .partition()
                         .groups()
                         .iter()
-                        .map(|g| u64::from(*g.iter().min().expect("non-empty group")))
-                        .collect(),
+                        .map(|g| u64::from(*g.iter().min().expect("non-empty group"))),
                 );
-            }
-        });
+                delta
+            },
+            IncrementalDedup::replay_batch,
+        );
 
         shared.batches_admitted.fetch_add(1, Ordering::Relaxed);
         shared.records_admitted.fetch_add(n_records, Ordering::Relaxed);
@@ -667,9 +738,9 @@ fn writer_loop<D: Distance + Clone + 'static>(
         incr(Counter::ServiceBatchesAdmitted, 1);
         incr(Counter::ServiceRecordsAdmitted, n_records);
         incr(Counter::ServiceEpochsPublished, 1);
-        if let Some(keys) = group_keys {
+        {
             let mut distinct = shared.distinct.lock().unwrap();
-            for key in keys {
+            for key in group_keys {
                 distinct.observe(key);
             }
         }
@@ -709,36 +780,48 @@ mod tests {
             .collect()
     }
 
+    /// `publish_with` adding `delta` to a counter: computed on one side,
+    /// replayed on the other.
+    fn publish_add(w: &mut EpochWriter<u64>, delta: u64) -> u64 {
+        w.publish_with(
+            |v| {
+                *v += delta;
+                delta
+            },
+            |v, delta| *v += delta,
+        )
+    }
+
     #[test]
     fn epoch_pair_reads_latest_published_value() {
         let (mut w, r) = epoch_pair(0u64, 0u64);
         assert_eq!(r.read(|e, v| (e, *v)), (0, 0));
-        let e = w.publish_with(|v| *v += 7);
+        let e = publish_add(&mut w, 7);
         assert_eq!(e, 1);
         assert_eq!(r.read(|e, v| (e, *v)), (1, 7));
-        w.publish_with(|v| *v += 1);
+        // The second publish computes on the side the first one replayed.
+        publish_add(&mut w, 1);
         assert_eq!(r.read(|_, v| *v), 8);
     }
 
     #[test]
     fn epoch_pair_reader_is_wait_free_during_rebuild() {
-        // Block the writer mid-apply (first application, inactive slot) and
-        // prove a reader still completes against the published side.
+        // Block the writer mid-apply (inactive slot) and prove a reader
+        // still completes against the published side.
         let (mut w, r) = epoch_pair(1u64, 1u64);
         let entered = Arc::new(Barrier::new(2));
         let release = Arc::new(Barrier::new(2));
         let writer = {
             let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
             std::thread::spawn(move || {
-                let mut first = true;
-                w.publish_with(|v| {
-                    if first {
-                        first = false;
+                w.publish_with(
+                    |v| {
                         entered.wait(); // writer is now inside the rebuild
                         release.wait(); // ... and stays there until released
-                    }
-                    *v = 2;
-                });
+                        *v = 2;
+                    },
+                    |v, ()| *v = 2,
+                );
             })
         };
         entered.wait();
@@ -761,8 +844,73 @@ mod tests {
         assert!(panicked.is_err());
         // The reader count was released by the guard: the writer neither
         // deadlocks nor observes a phantom reader.
-        w.publish_with(|v| *v += 1);
+        publish_add(&mut w, 1);
         assert_eq!(r.read(|_, v| *v), 6);
+    }
+
+    #[test]
+    fn epoch_pair_applies_once_and_replays_once_on_an_unread_slot() {
+        let (mut w, r) = epoch_pair(0u64, 0u64);
+        let inner = Arc::clone(&r.inner);
+        let applies = Arc::new(AtomicU64::new(0));
+        let replays = Arc::new(AtomicU64::new(0));
+        // A reader parks on the published slot 0 — the one the first
+        // publish replays on.
+        let entered = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
+        let parked = {
+            let (r, entered, release) = (r.clone(), Arc::clone(&entered), Arc::clone(&release));
+            std::thread::spawn(move || {
+                r.read(|e, v| {
+                    entered.wait();
+                    release.wait();
+                    (e, *v)
+                })
+            })
+        };
+        entered.wait();
+        let writer = {
+            let (applies, replays) = (Arc::clone(&applies), Arc::clone(&replays));
+            std::thread::spawn(move || {
+                for _ in 0..3 {
+                    let e = inner.epoch.load(Ordering::SeqCst);
+                    w.publish_with(
+                        |v| {
+                            applies.fetch_add(1, Ordering::SeqCst);
+                            *v += 1;
+                        },
+                        |v, ()| {
+                            let lagging = (e & 1) as usize;
+                            assert_eq!(
+                                inner.readers[lagging].load(Ordering::SeqCst),
+                                0,
+                                "replay ran on a slot with a registered reader"
+                            );
+                            replays.fetch_add(1, Ordering::SeqCst);
+                            *v += 1;
+                        },
+                    );
+                }
+            })
+        };
+        // The first publish flips without waiting for the parked reader,
+        // then holds its replay back for as long as that reader stays. The
+        // reader is parked on a barrier, so the sleep cannot make a correct
+        // writer fail; it only gives a wrong one time to replay early and
+        // trip the reader-count assertion inside `replay`.
+        while r.epoch() == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(applies.load(Ordering::SeqCst), 1);
+        assert_eq!(replays.load(Ordering::SeqCst), 0);
+        assert_eq!(r.read(|e, v| (e, *v)), (1, 1));
+        release.wait();
+        assert_eq!(parked.join().unwrap(), (0, 0), "the parked reader saw its epoch untouched");
+        writer.join().unwrap();
+        assert_eq!(applies.load(Ordering::SeqCst), 3);
+        assert_eq!(replays.load(Ordering::SeqCst), 3);
+        assert_eq!(r.read(|e, v| (e, *v)), (3, 3));
     }
 
     #[test]
@@ -772,6 +920,8 @@ mod tests {
         assert!(full.source().is_none());
 
         assert_eq!(ServiceError::ShuttingDown.to_string(), "service is shutting down");
+        assert_eq!(ServiceError::WriterFailed.to_string(), "service writer thread panicked");
+        assert!(ServiceError::WriterFailed.source().is_none());
 
         let build: ServiceError = DedupError::InvalidConfig("bad cut".into()).into();
         assert_eq!(build.to_string(), "failed to build the incremental dedup state");
@@ -985,6 +1135,66 @@ mod tests {
         assert_eq!(stats.queue_rejections, rejected);
         assert!(stats.queue_depth_high_water >= 1);
         service.shutdown();
+    }
+
+    /// Edit distance that panics when either record carries the marker.
+    #[derive(Clone)]
+    struct PanicsOnMarker;
+
+    const MARKER: &str = "poison";
+
+    impl Distance for PanicsOnMarker {
+        fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
+            let marked = a.iter().chain(b).any(|field| field.contains(MARKER));
+            assert!(!marked, "injected distance panic on the marker record");
+            EditDistance.distance(a, b)
+        }
+        fn name(&self) -> &str {
+            "panics-on-marker"
+        }
+    }
+
+    #[test]
+    fn writer_panic_fails_ingest_and_keeps_the_published_epoch() {
+        let records = corpus(40);
+        let service = DedupService::spawn(
+            IncrementalDedup::builder(PanicsOnMarker).cut(CutSpec::Size(4)).sn_threshold(4.0),
+            ServiceConfig::new().admit_batch_size(8).queue_capacity(8),
+        )
+        .unwrap();
+        for r in records.clone() {
+            service.submit_wait(r).unwrap();
+        }
+        service.drain();
+        let before = service.stats();
+        assert_eq!(before.corpus_len, records.len());
+        assert!(!before.writer_failed);
+        let (_, published) = service.snapshot_partition();
+
+        // The marker record shares terms with the corpus, so its lookup
+        // verifies candidates and the injected panic unwinds the writer.
+        service.submit_wait(vec![format!("service entity 003 kappa {MARKER}")]).unwrap();
+        // Keep submitting: before the fix this blocked forever once the
+        // dead writer stopped taking from the full queue.
+        let refused = (0..64)
+            .find_map(|i| service.submit_wait(vec![format!("after the panic {i:02}")]).err());
+        assert!(matches!(refused, Some(ServiceError::WriterFailed)), "{refused:?}");
+        // ... and this never returned, `in_flight` being left set.
+        service.drain();
+        assert!(matches!(service.submit(vec!["late".into()]), Err(ServiceError::WriterFailed)));
+
+        // Readers keep the last published epoch, untouched by the batch
+        // that panicked half-way through the inactive side.
+        let after = service.stats();
+        assert!(after.writer_failed);
+        assert_eq!(after.epoch, before.epoch);
+        assert_eq!(after.corpus_len, records.len());
+        assert_eq!(service.snapshot_partition(), (before.epoch, published));
+        let fields: Vec<&str> = records[0].iter().map(String::as_str).collect();
+        let answer = service.query(&fields);
+        assert_eq!(answer.epoch, before.epoch);
+        assert_eq!(answer.neighbors[0].dist, 0.0);
+        // Dropping the service joins the dead writer without hanging.
     }
 
     #[test]

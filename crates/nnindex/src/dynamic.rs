@@ -73,6 +73,9 @@ pub struct DynamicInvertedIndex<D> {
     /// ordinary mode); drives query-time IDF weights and stop thresholds
     /// so collapsed-mode lookups see full-corpus statistics.
     n_full: u64,
+    /// Per record, whether it generates at least one index term (recorded
+    /// at `push`; see [`Self::has_terms`]).
+    has_terms: Vec<bool>,
 }
 
 impl<D: Distance> DynamicInvertedIndex<D> {
@@ -90,6 +93,7 @@ impl<D: Distance> DynamicInvertedIndex<D> {
             norm,
             mult: None,
             n_full: 0,
+            has_terms: Vec::new(),
         }
     }
 
@@ -107,6 +111,7 @@ impl<D: Distance> DynamicInvertedIndex<D> {
         let id = self.records.len() as u32;
         let fields: Vec<&str> = record.iter().map(String::as_str).collect();
         let ts = record_term_set(&fields, self.config.q, self.config.index_tokens);
+        self.has_terms.push(!ts.terms.is_empty());
         for (term, _) in ts.terms {
             self.postings.entry(term).or_default().push(id);
         }
@@ -146,8 +151,7 @@ impl<D: Distance> DynamicInvertedIndex<D> {
     /// see its sibling through the index; expansion of a collapsed answer
     /// consults this to decide sibling visibility (DESIGN.md §7.10).
     pub fn has_terms(&self, id: u32) -> bool {
-        let fields: Vec<&str> = self.records[id as usize].iter().map(String::as_str).collect();
-        !record_term_set(&fields, self.config.q, self.config.index_tokens).terms.is_empty()
+        self.has_terms[id as usize]
     }
 
     /// The indexed records.
@@ -418,6 +422,20 @@ mod tests {
         let id = idx.push(vec!["only".to_string()]);
         assert!(idx.top_k(id, 3).is_empty());
         assert!(idx.within(id, 0.9).is_empty());
+    }
+
+    #[test]
+    fn has_terms_bit_matches_retokenization() {
+        let config = DynamicIndexConfig::default();
+        let mut idx = DynamicInvertedIndex::new(EditDistance, config.clone());
+        push_all(&mut idx, &["golden dragon", "", "  ", "ab", "?!"]);
+        for (id, record) in idx.records().iter().enumerate() {
+            let fields: Vec<&str> = record.iter().map(String::as_str).collect();
+            let terms = record_term_set(&fields, config.q, config.index_tokens).terms;
+            assert_eq!(idx.has_terms(id as u32), !terms.is_empty(), "record {record:?}");
+        }
+        assert!(idx.has_terms(0));
+        assert!(!idx.has_terms(1));
     }
 
     #[test]

@@ -419,19 +419,17 @@ mod tests {
     fn boxed_distance_forwards_bounded_override() {
         // The Box impl must forward distance_bounded to the inner type's
         // override, not fall back to the full-compute default.
-        let _serial = fuzzydedup_metrics::serial_guard();
-        fuzzydedup_metrics::enable();
         let d: Box<dyn Distance> = Box::new(EditDistance);
         let exact = d.distance(&["microsoft corp"], &["microsft corporation"]);
         assert_eq!(
             d.distance_bounded(&["microsoft corp"], &["microsft corporation"], 1.0),
             Some(exact)
         );
-        let before = fuzzydedup_metrics::snapshot();
-        assert_eq!(d.distance_bounded(&["completely unrelated text"], &["zzzz"], 0.05), None);
-        let delta = fuzzydedup_metrics::snapshot().delta(&before);
+        let delta = myers::tally::of(|| {
+            assert_eq!(d.distance_bounded(&["completely unrelated text"], &["zzzz"], 0.05), None);
+        });
         // Reaching the bounded kernel proves the override was dispatched.
-        assert_eq!(delta.get(fuzzydedup_metrics::Counter::EdKernelBounded), 1);
+        assert_eq!(delta(fuzzydedup_metrics::Counter::EdKernelBounded), 1);
     }
 
     #[test]

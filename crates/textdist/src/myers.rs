@@ -236,10 +236,10 @@ pub fn myers_chars(a: &[char], b: &[char]) -> usize {
         return text.len();
     }
     if pattern.len() <= 64 {
-        incr(Counter::EdKernelWord, 1);
+        count(Counter::EdKernelWord, 1);
         word_distance(pattern, text)
     } else {
-        incr(Counter::EdKernelBlocked, 1);
+        count(Counter::EdKernelBlocked, 1);
         blocked_distance(pattern, text)
     }
 }
@@ -267,12 +267,12 @@ pub fn myers(a: &str, b: &str) -> usize {
 /// distance as the cutoff, which abandons most losing candidates after a
 /// prefix of the text.
 pub fn myers_bounded_chars(a: &[char], b: &[char], bound: usize) -> Option<usize> {
-    incr(Counter::EdKernelBounded, 1);
+    count(Counter::EdKernelBounded, 1);
     let (a, b) = strip_common(a, b);
     let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     // The length gap is a lower bound on the distance.
     if text.len() - pattern.len() > bound {
-        incr(Counter::EdKernelEarlyExit, 1);
+        count(Counter::EdKernelEarlyExit, 1);
         return None;
     }
     if pattern.is_empty() {
@@ -300,7 +300,7 @@ pub fn myers_bounded_chars(a: &[char], b: &[char], bound: usize) -> Option<usize
             mv = ph & xv;
             // Each remaining column can lower the score by at most 1.
             if score - (n - j - 1) as isize > bound as isize {
-                incr(Counter::EdKernelEarlyExit, 1);
+                count(Counter::EdKernelEarlyExit, 1);
                 return None;
             }
         }
@@ -321,7 +321,7 @@ pub fn myers_bounded_chars(a: &[char], b: &[char], bound: usize) -> Option<usize
             }
             score += hin as isize;
             if score - (n - j - 1) as isize > bound as isize {
-                incr(Counter::EdKernelEarlyExit, 1);
+                count(Counter::EdKernelEarlyExit, 1);
                 return None;
             }
         }
@@ -412,11 +412,11 @@ impl PreparedPattern {
         let st = &text[pre..text.len() - suf];
         match &self.kind {
             PreparedKind::Word(peq) => {
-                incr(Counter::EdKernelWord, 1);
+                count(Counter::EdKernelWord, 1);
                 word_distance_shifted(peq, pre, sp_len, st)
             }
             PreparedKind::Blocked(peq) if pre == 0 && suf == 0 => {
-                incr(Counter::EdKernelBlocked, 1);
+                count(Counter::EdKernelBlocked, 1);
                 blocked_distance_prepared(peq, self.query.len(), st, &mut self.pv, &mut self.mv)
             }
             PreparedKind::Blocked(_) => myers_chars(&self.query, text),
@@ -502,7 +502,7 @@ impl PreparedPattern {
             }
         }
         if bounded_calls > 0 {
-            incr(Counter::EdKernelBounded, bounded_calls);
+            count(Counter::EdKernelBounded, bounded_calls);
         }
         match &self.kind {
             PreparedKind::Word(peq) => {
@@ -516,7 +516,7 @@ impl PreparedPattern {
             }
         }
         if early_exits > 0 {
-            incr(Counter::EdKernelEarlyExit, early_exits);
+            count(Counter::EdKernelEarlyExit, early_exits);
         }
     }
 
@@ -534,12 +534,12 @@ impl PreparedPattern {
                 return myers_bounded_chars(&self.query, text, bound);
             }
         }
-        incr(Counter::EdKernelBounded, 1);
+        count(Counter::EdKernelBounded, 1);
         let st_len = text.len() - pre - suf;
         // The length gap bounds the distance from below; the query may sit
         // on either side of the candidate's length.
         if st_len.abs_diff(sp_len) > bound {
-            incr(Counter::EdKernelEarlyExit, 1);
+            count(Counter::EdKernelEarlyExit, 1);
             return None;
         }
         if sp_len == 0 {
@@ -624,7 +624,7 @@ fn word_bounded_shifted(
         pv = mh | !(xv | ph);
         mv = ph & xv;
         if score - (n - j - 1) as isize > bound as isize {
-            incr(Counter::EdKernelEarlyExit, 1);
+            count(Counter::EdKernelEarlyExit, 1);
             return None;
         }
     }
@@ -660,7 +660,7 @@ fn blocked_window_bounded(
         pv = mh | !(xv | ph);
         mv = ph & xv;
         if score - (n - j - 1) as isize > bound as isize {
-            incr(Counter::EdKernelEarlyExit, 1);
+            count(Counter::EdKernelEarlyExit, 1);
             return None;
         }
     }
@@ -880,11 +880,47 @@ fn blocked_bounded_prepared(
         }
         score += hin as isize;
         if score - (n - j - 1) as isize > bound as isize {
-            incr(Counter::EdKernelEarlyExit, 1);
+            count(Counter::EdKernelEarlyExit, 1);
             return None;
         }
     }
     (score as usize <= bound).then_some(score as usize)
+}
+
+/// Bump a kernel counter. Under `cfg(test)` the bump also lands in the
+/// calling thread's [`tally`], which is what this crate's unit tests
+/// assert on: the process-global table counts every test running beside
+/// them as well.
+#[inline]
+fn count(counter: Counter, n: u64) {
+    incr(counter, n);
+    #[cfg(test)]
+    tally::add(counter, n);
+}
+
+/// Per-thread mirror of the kernel-counter bumps, for exact assertions in
+/// unit tests (a test and the kernels it calls share one thread).
+#[cfg(test)]
+pub(crate) mod tally {
+    use std::cell::RefCell;
+
+    use fuzzydedup_metrics::{Counter, NUM_COUNTERS};
+
+    thread_local! {
+        static BUMPS: RefCell<[u64; NUM_COUNTERS]> = const { RefCell::new([0; NUM_COUNTERS]) };
+    }
+
+    pub(super) fn add(counter: Counter, n: u64) {
+        BUMPS.with(|bumps| bumps.borrow_mut()[counter as usize] += n);
+    }
+
+    /// Run `f`; the returned lookup gives, per counter, what `f` bumped.
+    pub(crate) fn of(f: impl FnOnce()) -> impl Fn(Counter) -> u64 {
+        let before = BUMPS.with(|bumps| *bumps.borrow());
+        f();
+        let after = BUMPS.with(|bumps| *bumps.borrow());
+        move |counter| after[counter as usize] - before[counter as usize]
+    }
 }
 
 #[cfg(test)]
@@ -894,7 +930,6 @@ mod tests {
 
     #[test]
     fn classic_examples() {
-        let _serial = fuzzydedup_metrics::serial_guard();
         assert_eq!(myers("kitten", "sitting"), 3);
         assert_eq!(myers("flaw", "lawn"), 2);
         assert_eq!(myers("gumbo", "gambol"), 2);
@@ -906,7 +941,6 @@ mod tests {
 
     #[test]
     fn unicode_chars_count_once() {
-        let _serial = fuzzydedup_metrics::serial_guard();
         assert_eq!(myers("café", "cafe"), 1);
         assert_eq!(myers("日本語", "日本"), 1);
         assert_eq!(myers("αβγδ", "αβxδ"), 1);
@@ -914,7 +948,6 @@ mod tests {
 
     #[test]
     fn exact_word_boundary_lengths() {
-        let _serial = fuzzydedup_metrics::serial_guard();
         // Pattern lengths 63, 64, 65 straddle the word/blocked dispatch.
         for m in [1usize, 2, 63, 64, 65, 128, 129, 200] {
             let a: String = (0..m).map(|i| (b'a' + (i % 23) as u8) as char).collect();
@@ -928,7 +961,6 @@ mod tests {
 
     #[test]
     fn blocked_path_matches_dp_on_long_strings() {
-        let _serial = fuzzydedup_metrics::serial_guard();
         let a = "the quick brown fox jumps over the lazy dog, then naps in the warm afternoon sun";
         let b = "the quick brown cat jumps over the lazy dog, then naps in a warm afternoon sun!";
         assert!(a.chars().count() > 64);
@@ -937,7 +969,6 @@ mod tests {
 
     #[test]
     fn bounded_agrees_with_banded_dp_both_sides() {
-        let _serial = fuzzydedup_metrics::serial_guard();
         let pairs = [
             ("kitten", "sitting"),
             ("the doors la woman", "doors la woman"),
@@ -960,14 +991,12 @@ mod tests {
 
     #[test]
     fn bounded_rejects_on_length_gap() {
-        let _serial = fuzzydedup_metrics::serial_guard();
         assert_eq!(myers_bounded("ab", "abcdefgh", 3), None);
         assert_eq!(myers_bounded("abcdefgh", "ab", 3), None);
     }
 
     #[test]
     fn bounded_long_strings() {
-        let _serial = fuzzydedup_metrics::serial_guard();
         let a: String = (0..150).map(|i| (b'a' + (i % 17) as u8) as char).collect();
         let mut b: Vec<char> = a.chars().collect();
         b[10] = 'z';
@@ -979,7 +1008,6 @@ mod tests {
 
     #[test]
     fn prepared_pattern_matches_stock_kernels() {
-        let _serial = fuzzydedup_metrics::serial_guard();
         let queries = [
             "",
             "a",
@@ -1022,9 +1050,6 @@ mod tests {
 
     #[test]
     fn bounded_batch_matches_scalar_bounded() {
-        // Emits enough kernel counters to pollute concurrently-running
-        // exact-counter assertions; serialize with them.
-        let _serial = fuzzydedup_metrics::serial_guard();
         let queries = [
             "",
             "a",
@@ -1078,8 +1103,6 @@ mod tests {
 
     #[test]
     fn bounded_batch_counters_match_scalar() {
-        let _serial = fuzzydedup_metrics::serial_guard();
-        fuzzydedup_metrics::enable();
         let query: Vec<char> = "golden dragon palace".chars().collect();
         let texts: Vec<Vec<char>> =
             ["golden dragon palce", "golden dragon", "palace dragon golden", "zzz"]
@@ -1087,19 +1110,16 @@ mod tests {
                 .map(|t| t.chars().collect())
                 .collect();
         let mut scalar = PreparedPattern::new(query.clone());
-        let before = fuzzydedup_metrics::snapshot();
-        for t in &texts {
-            scalar.bounded(t, 6);
-        }
-        let scalar_delta = fuzzydedup_metrics::snapshot().delta(&before);
+        let scalar_delta = tally::of(|| {
+            for t in &texts {
+                scalar.bounded(t, 6);
+            }
+        });
         let mut batched = PreparedPattern::new(query);
         let requests: Vec<(&[char], usize)> = texts.iter().map(|t| (t.as_slice(), 6)).collect();
-        let before = fuzzydedup_metrics::snapshot();
-        let mut out = Vec::new();
-        batched.bounded_batch(&requests, &mut out);
-        let batch_delta = fuzzydedup_metrics::snapshot().delta(&before);
+        let batch_delta = tally::of(|| batched.bounded_batch(&requests, &mut Vec::new()));
         for c in [Counter::EdKernelBounded, Counter::EdKernelEarlyExit, Counter::EdKernelWord] {
-            assert_eq!(batch_delta.get(c), scalar_delta.get(c), "{c:?}");
+            assert_eq!(batch_delta(c), scalar_delta(c), "{c:?}");
         }
     }
 
@@ -1107,36 +1127,32 @@ mod tests {
     fn prepared_word_path_does_not_rebuild_tables() {
         // The shifted single-word path must take the bounded rung exactly
         // once per candidate and never the unbounded word rung.
-        let _serial = fuzzydedup_metrics::serial_guard();
-        fuzzydedup_metrics::enable();
         let query: Vec<char> = "golden dragon palace".chars().collect();
         let mut prepared = PreparedPattern::new(query);
-        let before = fuzzydedup_metrics::snapshot();
-        for t in ["golden dragon palce", "golden dragon", "palace dragon golden"] {
-            let tc: Vec<char> = t.chars().collect();
-            prepared.bounded(&tc, 30);
-        }
-        let delta = fuzzydedup_metrics::snapshot().delta(&before);
-        assert_eq!(delta.get(Counter::EdKernelBounded), 3);
-        assert_eq!(delta.get(Counter::EdKernelWord), 0);
+        let delta = tally::of(|| {
+            for t in ["golden dragon palce", "golden dragon", "palace dragon golden"] {
+                let tc: Vec<char> = t.chars().collect();
+                prepared.bounded(&tc, 30);
+            }
+        });
+        assert_eq!(delta(Counter::EdKernelBounded), 3);
+        assert_eq!(delta(Counter::EdKernelWord), 0);
     }
 
     #[test]
     fn records_kernel_path_counters() {
-        let _serial = fuzzydedup_metrics::serial_guard();
-        fuzzydedup_metrics::enable();
-        let before = fuzzydedup_metrics::snapshot();
-        myers("short", "strings");
         // Differences at both ends keep the pattern > 64 chars after
         // affix stripping, forcing the blocked path.
         let long_a: String = format!("a{}b", "x".repeat(78));
         let long_b: String = format!("c{}d", "x".repeat(78));
-        myers(&long_a, &long_b);
-        myers_bounded("completely", "different!", 1);
-        let delta = fuzzydedup_metrics::snapshot().delta(&before);
-        assert_eq!(delta.get(Counter::EdKernelWord), 1);
-        assert_eq!(delta.get(Counter::EdKernelBlocked), 1);
-        assert_eq!(delta.get(Counter::EdKernelBounded), 1);
-        assert!(delta.get(Counter::EdKernelEarlyExit) >= 1);
+        let delta = tally::of(|| {
+            myers("short", "strings");
+            myers(&long_a, &long_b);
+            myers_bounded("completely", "different!", 1);
+        });
+        assert_eq!(delta(Counter::EdKernelWord), 1);
+        assert_eq!(delta(Counter::EdKernelBlocked), 1);
+        assert_eq!(delta(Counter::EdKernelBounded), 1);
+        assert!(delta(Counter::EdKernelEarlyExit) >= 1);
     }
 }

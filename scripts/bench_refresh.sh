@@ -75,20 +75,24 @@ env BENCH_GATE_TOLERANCE="${BENCH_GATE_TOLERANCE:-0.35}" \
     cargo run -q --release -p fuzzydedup-bench --bin ci_bench_gate
 
 # ---- headline trajectory --------------------------------------------
-# Append the headline Phase-1 min_ns of this refresh to
+# Append the headline min_ns rows of this refresh to
 # results/BENCH_trajectory.json (a JSON array, one entry per refresh), so
 # the per-PR performance story is readable without digging through git
-# history of the individual artifacts. The headline row is the
-# acceptance-claim lane: bench_phase1_batch/batched_steal.
+# history of the individual artifacts. The headline rows are the
+# acceptance-claim lanes: bench_phase1_batch/batched_steal and the live
+# service's bench_service/replay/ingest_per_record.
 trajectory="results/BENCH_trajectory.json"
 extract_min_ns() { # file row-name -> min_ns or empty
     [[ -f "$1" ]] || return 0
     sed -n "s/.*\"name\": \"$2\", \"mean_ns\": [0-9.]*, \"min_ns\": \([0-9.]*\).*/\1/p" "$1"
 }
 batched_steal="$(extract_min_ns results/BENCH_phase1_batch.json batched_steal)"
+service_ingest="$(extract_min_ns results/BENCH_service.json 'replay\/ingest_per_record')"
 if [[ -n "$batched_steal" ]]; then
     entry="{\"date\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\", \"passes\": $passes"
-    entry+=", \"phase1_batch_batched_steal_min_ns\": $batched_steal}"
+    entry+=", \"phase1_batch_batched_steal_min_ns\": $batched_steal"
+    [[ -n "$service_ingest" ]] && entry+=", \"service_ingest_per_record_min_ns\": $service_ingest"
+    entry+="}"
     if [[ -s "$trajectory" ]]; then
         # Append before the closing bracket of the existing array.
         tmp="$(mktemp)"

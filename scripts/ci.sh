@@ -34,7 +34,8 @@
 #   scale-smoke   exp_scale_1m at 50k records: the full spill-backed,
 #                 work-stealing pipeline end to end on a FileDisk pool
 #   service-smoke exp_service_replay at 5k records: mixed ingest/query
-#                 through the live dedup service, drain-identity asserted
+#                 through the live dedup service, drain-identity asserted;
+#                 also fails if the service's writer thread panicked
 #
 # bench-smoke tolerance: the gate binary defaults to ±15%; on shared /
 # virtualized machines timing noise alone exceeds that, so this driver
@@ -213,7 +214,9 @@ for stage in "${all_stages[@]}"; do
             # service: exercises batched admission, epoch-snapshot point
             # queries, and drain — the binary exits non-zero if the
             # drained service partition is not bit-identical to a
-            # from-scratch batch run (~2 min on 2 cores). Scratch
+            # from-scratch batch run, or if the replay met a service
+            # error (ServiceError::WriterFailed: the writer thread
+            # panicked) (~1 min on 2 cores). Scratch
             # artifact, same policy as scale-smoke.
             run_stage service-smoke cargo run -q --release -p fuzzydedup-bench \
                 --bin exp_service_replay -- \

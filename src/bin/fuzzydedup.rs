@@ -440,6 +440,10 @@ fn run_service<D: fuzzydedup::textdist::Distance + Clone + 'static>(
     }
     service.drain();
     let stats = service.stats();
+    if stats.writer_failed {
+        // The drained snapshot is short of the records still queued.
+        return Err(render_service_error(&ServiceError::WriterFailed));
+    }
     eprintln!(
         "service: {} records in {} batches over {} epochs ({:.1?} wall); \
          queue high-water {}; {} point queries (p50 ~{} ns, p99 ~{} ns); \
