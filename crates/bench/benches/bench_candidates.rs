@@ -1,23 +1,19 @@
-//! Criterion bench: candidate generation across the three postings
-//! layouts — packed delta-blocks (default), the scalar CSR mirror, and
-//! page-backed heap files.
+//! Criterion bench: candidate generation across the two postings
+//! layouts — packed delta-blocks (default) and page-backed heap files.
 //!
 //! Emits `results/BENCH_candidates.json`. Committed rows follow the
 //! worst-window protocol (`scripts/bench_refresh.sh`): in-memory
-//! candidate generation runs ≥ 6× faster than the page-backed path,
-//! and the packed frontier merge beats same-revision CSR by ~5%
-//! worst-window (~8% quiet) at a 2.5× smaller postings footprint —
+//! candidate generation runs ≥ 6× faster than the page-backed path —
 //! the honest breakdown is in DESIGN §7.7. The bench-regression gate
 //! (`ci_bench_gate`) watches all rows for slowdowns.
 //!
 //! All `gen` rows drive [`InvertedIndex::generate_candidates`] — the full
 //! merge + score + truncate pipeline — over the same fixed query sample,
 //! so the only variable is where postings come from: delta-compressed
-//! blocks decoded through the staged lane-wise merge, contiguous CSR
-//! slices with build-time term ids, or heap-file chunks fetched through
-//! the buffer pool with query-time re-tokenization. The `radius` row
-//! additionally arms the MergeSkip overlap bound, exercising the packed
-//! skip-pointer top-up on frozen lists.
+//! blocks decoded through the staged lane-wise merge, or heap-file chunks
+//! fetched through the buffer pool with query-time re-tokenization. The
+//! `radius` row additionally arms the MergeSkip overlap bound, exercising
+//! the packed skip-pointer top-up on frozen lists.
 
 use std::sync::Arc;
 
@@ -72,11 +68,7 @@ fn bench_candidates(c: &mut Criterion) {
     // iteration is unchanged, keeping baselines comparable).
     group.sample_size(30);
 
-    for (label, source) in [
-        ("pages", PostingsSource::Pages),
-        ("csr", PostingsSource::Csr),
-        ("packed", PostingsSource::Packed),
-    ] {
+    for (label, source) in [("pages", PostingsSource::Pages), ("packed", PostingsSource::Packed)] {
         let index = build(&records, source);
         // Sanity: every path must produce real candidate sets.
         assert!(!index.generate_candidates(queries[0]).is_empty());

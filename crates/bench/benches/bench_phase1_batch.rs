@@ -3,7 +3,7 @@
 //! + scale-out PR.
 //!
 //! Emits `results/BENCH_phase1_batch.json`. Four rows over the same
-//! 10k-record Org corpus, edit distance, CSR inverted index, TopK(5) as
+//! 10k-record Org corpus, edit distance, packed inverted index, TopK(5) as
 //! `bench_phase1_cache` (the committed `prepared_cache` row of that bench
 //! is the baseline the acceptance claim is measured against):
 //!

@@ -3,7 +3,7 @@
 //! tentpole claim of the compiled-query-kernels PR.
 //!
 //! Emits `results/BENCH_phase1_cache.json`. Three rows over the same
-//! 10k-record Org corpus, edit distance, CSR inverted index, TopK(5):
+//! 10k-record Org corpus, edit distance, packed inverted index, TopK(5):
 //!
 //! - `unprepared` — the pre-PR path: a wrapper distance that does *not*
 //!   override `Distance::prepare`, so every candidate recompiles the

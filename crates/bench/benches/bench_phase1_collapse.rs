@@ -4,7 +4,7 @@
 //! Emits `results/BENCH_phase1_collapse.json`. Two rows over a
 //! duplicate-heavy 10k-record Org corpus (`DatasetSpec::dup_rate(0.5)` —
 //! half the stream is exact re-emission, the service-ingest shape the
-//! pre-pass targets), edit distance, CSR inverted index, TopK(5):
+//! pre-pass targets), edit distance, packed inverted index, TopK(5):
 //!
 //! - `collapse_off` — the sequential batched lane over the full corpus
 //!   (same configuration as `bench_phase1_batch`'s `batched` row, on this

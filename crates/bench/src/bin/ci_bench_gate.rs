@@ -27,9 +27,8 @@ use fuzzydedup_bench::gate::{
 
 /// The cheap benches the gate re-runs: seconds each, covering the edit
 /// kernel, the distance-function ladder above it, the storage layer below
-/// the index, candidate generation (packed vs CSR vs page-backed
-/// postings), and the two phase drivers (Phase 1 prepared/cached ladder,
-/// Phase 2 seq/par).
+/// the index, candidate generation (packed vs page-backed postings), and
+/// the two phase drivers (Phase 1 prepared/cached ladder, Phase 2 seq/par).
 const CHEAP_BENCHES: &[&str] = &[
     "bench_edit_kernel",
     "bench_distances",

@@ -40,8 +40,8 @@ fn index_config() -> InvertedIndexConfig {
         max_df_fraction: 0.02,
         stop_df_floor: 50,
         // This experiment is *about* postings page traffic: the default
-        // CSR mirror never touches the pool after build, which would
-        // make every order hit 100% BHR vacuously.
+        // packed arena never touches the pool, which would make every
+        // order hit 100% BHR vacuously.
         postings_source: PostingsSource::Pages,
         ..Default::default()
     }

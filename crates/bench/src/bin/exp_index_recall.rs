@@ -13,12 +13,10 @@
 //!   phase cares about);
 //! * the same recall with the candidate ladder disarmed
 //!   (`UnfilteredDistance`), **asserted identical** — the length, q-gram
-//!   count, MergeSkip, and prefix filters must be recall-lossless;
-//! * the three inverted postings layouts (packed, CSR, page-backed),
-//!   asserted to agree with each other (the packed merge promises
-//!   bit-identical candidate sets, not merely close recall);
-//! * the prefix filter's radius queries, asserted identical to the plain
-//!   MergeSkip path;
+//!   count and MergeSkip filters must be recall-lossless;
+//! * the two inverted postings layouts (packed, page-backed), asserted to
+//!   agree with each other (the packed merge promises identical answers,
+//!   not merely close recall);
 //! * end-to-end quality deltas when the whole pipeline runs on each index.
 //!
 //! Any violated assertion exits non-zero, which is what makes this binary
@@ -59,13 +57,8 @@ fn pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(4096), Arc::new(InMemoryDisk::new())))
 }
 
-fn build_inverted(
-    records: &[Vec<String>],
-    source: PostingsSource,
-    prefix_filter: bool,
-) -> InvertedIndex<EditDistance> {
-    let config =
-        InvertedIndexConfig { postings_source: source, prefix_filter, ..Default::default() };
+fn build_inverted(records: &[Vec<String>], source: PostingsSource) -> InvertedIndex<EditDistance> {
+    let config = InvertedIndexConfig { postings_source: source, ..Default::default() };
     InvertedIndex::build(records.to_vec(), EditDistance, pool(), config)
 }
 
@@ -88,10 +81,10 @@ fn main() {
     // One inverted index per postings layout, each with an
     // `UnfilteredDistance` control (`admits_qgram_filter() == false`
     // degrades the whole candidate ladder to a no-op).
-    let sources = [PostingsSource::Packed, PostingsSource::Csr, PostingsSource::Pages];
+    let sources = [PostingsSource::Packed, PostingsSource::Pages];
     let inverted: Vec<(String, InvertedIndex<EditDistance>)> = sources
         .iter()
-        .map(|&s| (format!("inverted/{s:?}").to_lowercase(), build_inverted(&records, s, false)))
+        .map(|&s| (format!("inverted/{s:?}").to_lowercase(), build_inverted(&records, s)))
         .collect();
     let inverted_nofilter: Vec<InvertedIndex<UnfilteredDistance<EditDistance>>> =
         sources.iter().map(|&s| build_inverted_unfiltered(&records, s)).collect();
@@ -124,7 +117,7 @@ fn main() {
     }
 
     // Gate 1: the candidate ladder is recall-lossless on every index
-    // that arms it (inverted × 3 layouts, dynamic).
+    // that arms it (inverted × 2 layouts, dynamic).
     for bound in [0.2, 0.3, 0.4] {
         for (i, (name, idx)) in inverted.iter().enumerate() {
             let (filtered, _) = nn_recall(idx, &exact, bound);
@@ -143,9 +136,8 @@ fn main() {
     }
     println!("(filters on/off rows are asserted identical: the candidate ladder is lossless)");
 
-    // Gate 2: the three postings layouts answer every query identically —
-    // the packed merge claims bit-identical candidate sets, so this is an
-    // equality check on full top-1 results, not a recall comparison.
+    // Gate 2: the two postings layouts answer every query identically —
+    // an equality check on full top-1 results, not a recall comparison.
     let (reference_name, reference) = &inverted[0];
     for (name, idx) in &inverted[1..] {
         for id in 0..records.len() as u32 {
@@ -156,26 +148,9 @@ fn main() {
             );
         }
     }
-    println!("(postings layouts packed/csr/pages are asserted to answer top_1 identically)");
+    println!("(postings layouts packed/pages are asserted to answer top_1 identically)");
 
-    // Gate 3: the prefix filter only short-circuits radius queries, and
-    // losslessly — `within` must match the plain MergeSkip path exactly.
-    for source in [PostingsSource::Packed, PostingsSource::Csr] {
-        let plain = build_inverted(&records, source, false);
-        let prefix = build_inverted(&records, source, true);
-        for id in 0..records.len() as u32 {
-            for radius in [0.1, 0.25] {
-                assert_eq!(
-                    prefix.within(id, radius),
-                    plain.within(id, radius),
-                    "{source:?}: prefix filter changed within({id}, {radius})"
-                );
-            }
-        }
-    }
-    println!("(prefix filter is asserted lossless for radius queries on packed and csr)");
-
-    // Gate 4: the exact-duplicate collapse pre-pass. In the exact regime
+    // Gate 3: the exact-duplicate collapse pre-pass. In the exact regime
     // (no candidate budget, so the budget can never bisect a duplicate
     // class — DESIGN.md §7.10) the expanded NN relation is asserted
     // bit-identical to the collapse-off run. Under the default budget a

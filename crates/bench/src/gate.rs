@@ -499,7 +499,7 @@ mod tests {
         let doc = BenchDoc {
             group: "candidates".to_string(),
             unit: "ns".to_string(),
-            rows: vec![exact("csr/gen", 17424231.0), exact("packed/gen", 9000001.5)],
+            rows: vec![exact("pages/gen", 17424231.0), exact("packed/gen", 9000001.5)],
         };
         let text = render_bench_doc(&doc);
         // The render must be byte-compatible with what the shim writes:

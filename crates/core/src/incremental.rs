@@ -34,10 +34,8 @@
 //! same configuration surface as [`crate::pipeline::DedupConfig`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_nnindex::{
     DynamicIndexConfig, DynamicInvertedIndex, LookupCost, LookupSpec, NnIndex, PairDistanceCache,
 };
@@ -48,10 +46,10 @@ use crate::collapse::{CollapseKey, CollapseMap};
 use crate::criteria::Aggregation;
 use crate::nnreln::{NnEntry, NnReln};
 use crate::pair_cache::PairCache;
-use crate::parallel::resolve_threads;
+use crate::parallel::{resolve_threads, steal_blocks};
 use crate::partition::Partition;
 use crate::phase1::NeighborSpec;
-use crate::phase2::{partition_entries, partition_entries_parallel};
+use crate::phase2::partition_entries_parallel;
 use crate::pipeline::{DedupError, Parallelism};
 use crate::problem::CutSpec;
 
@@ -432,34 +430,7 @@ impl<D: Distance> IncrementalDedup<D> {
         if threads <= 1 {
             return ids.iter().map(|&id| self.compute_entry(id)).collect();
         }
-        // Work-stealing over fixed blocks of the refresh list — the same
-        // dispenser as parallel Phase 1 (duplicate-dense entries verify
-        // far more candidates than sparse ones, so static sharding
-        // strands workers).
-        let slots: Vec<OnceLock<NnEntry>> = ids.iter().map(|_| OnceLock::new()).collect();
-        let block = ids.len().div_ceil(threads * 8).clamp(1, 1024);
-        let n_blocks = ids.len().div_ceil(block);
-        let next_block = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let slots = &slots;
-                let next_block = &next_block;
-                scope.spawn(move || loop {
-                    let b = next_block.fetch_add(1, Ordering::Relaxed);
-                    if b >= n_blocks {
-                        break;
-                    }
-                    incr(Counter::Phase1StealBlocks, 1);
-                    let start = b * block;
-                    let end = (start + block).min(ids.len());
-                    for (i, &id) in ids.iter().enumerate().take(end).skip(start) {
-                        let claimed = slots[i].set(self.compute_entry(id)).is_ok();
-                        debug_assert!(claimed, "id {id} computed twice");
-                    }
-                });
-            }
-        });
-        slots.into_iter().map(|slot| slot.into_inner().expect("all ids computed")).collect()
+        steal_blocks(ids.len(), threads, |i| self.compute_entry(ids[i]))
     }
 
     /// Step 1 of a batch, the only one both sides of a replayed batch run:
@@ -535,10 +506,8 @@ impl<D: Distance> IncrementalDedup<D> {
             entries[entry.id as usize] = entry.clone();
         }
         let reln = self.expand(NnReln::new(entries));
-        let partition = match self.parallelism.phase2_threads {
-            None => partition_entries(&reln, self.cut, self.agg, self.c),
-            Some(n) => partition_entries_parallel(&reln, self.cut, self.agg, self.c, n),
-        };
+        let threads = self.parallelism.phase2_threads.unwrap_or(1);
+        let partition = partition_entries_parallel(&reln, self.cut, self.agg, self.c, threads);
         (fresh, partition, BatchStats { inserted: *inserted, refreshed: affected.len() })
     }
 

@@ -12,7 +12,7 @@
 //! This is an engineering extension beyond the paper; the ablation bench
 //! `bench_phase1` quantifies when it pays off.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use fuzzydedup_metrics::{incr, Counter};
@@ -32,6 +32,45 @@ pub fn resolve_threads(n_threads: usize, n_items: usize) -> usize {
         n_threads
     };
     threads.max(1).min(n_items.max(1))
+}
+
+/// Run `work(i)` for every `i` in `0..n` on `threads` scoped workers and
+/// return the results in index order: the work-stealing dispenser behind
+/// every parallel Phase-1 drive. Static range sharding strands workers
+/// when lookup costs are skewed (duplicate-dense neighborhoods verify far
+/// more candidates than sparse ones); a shared cursor over fixed blocks
+/// keeps every worker busy until the index space drains. ~8 blocks per
+/// worker amortizes the cursor contention while leaving enough granules to
+/// rebalance; the cap keeps tail blocks short on huge corpora. Which
+/// worker claims which block never shows in the result — every item is an
+/// independent query.
+pub(crate) fn steal_blocks<T: Send + Sync>(
+    n: usize,
+    threads: usize,
+    work: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let block = n.div_ceil(threads * 8).clamp(1, 1024);
+    let n_blocks = n.div_ceil(block);
+    let next_block = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let b = next_block.fetch_add(1, Ordering::Relaxed);
+                if b >= n_blocks {
+                    break;
+                }
+                incr(Counter::Phase1StealBlocks, 1);
+                let start = b * block;
+                let end = (start + block).min(n);
+                for (i, slot) in slots.iter().enumerate().take(end).skip(start) {
+                    let claimed = slot.set(work(i)).is_ok();
+                    debug_assert!(claimed, "item {i} computed twice");
+                }
+            });
+        }
+    });
+    slots.into_iter().map(|slot| slot.into_inner().expect("all items computed")).collect()
 }
 
 /// Compute one tuple's `NN_Reln` entry (shared by the sequential and
@@ -82,55 +121,18 @@ pub fn compute_nn_reln_parallel_cached(
     let n = index.len();
     let threads = resolve_threads(n_threads, n);
 
-    // Work-stealing dispenser over fixed id blocks. Static range sharding
-    // strands workers when lookup costs are skewed (duplicate-dense
-    // neighborhoods verify far more candidates than sparse ones); a
-    // shared cursor keeps every worker busy until the id space drains.
-    // ~8 blocks per worker amortizes the cursor contention while leaving
-    // enough granules to rebalance; the cap keeps tail blocks short on
-    // huge corpora. The result is identical to the sequential drive
-    // regardless of which worker claims which block — every entry is an
-    // independent query.
-    let entries: Vec<OnceLock<NnEntry>> = (0..n).map(|_| OnceLock::new()).collect();
-    let block = n.div_ceil(threads * 8).clamp(1, 1024);
-    let n_blocks = n.div_ceil(block);
-    let next_block = AtomicUsize::new(0);
-    let mut worker_costs: Vec<LookupCost> = vec![LookupCost::default(); threads];
-    std::thread::scope(|scope| {
-        for cost_slot in worker_costs.iter_mut() {
-            let entries = &entries;
-            let next_block = &next_block;
-            scope.spawn(move || {
-                let mut cost = LookupCost::default();
-                loop {
-                    let b = next_block.fetch_add(1, Ordering::Relaxed);
-                    if b >= n_blocks {
-                        break;
-                    }
-                    incr(Counter::Phase1StealBlocks, 1);
-                    let start = b * block;
-                    let end = (start + block).min(n);
-                    for (id, slot) in entries.iter().enumerate().take(end).skip(start) {
-                        let (entry, entry_cost) = compute_entry(index, spec, p, id as u32, cache);
-                        cost.absorb(&entry_cost);
-                        let claimed = slot.set(entry).is_ok();
-                        debug_assert!(claimed, "id {id} computed twice");
-                    }
-                }
-                *cost_slot = cost;
-            });
-        }
+    // Probe counts are statistics, summed across workers as they go.
+    let (probes, fallback_probes) = (AtomicU64::new(0), AtomicU64::new(0));
+    let entries = steal_blocks(n, threads, |id| {
+        let (entry, cost) = compute_entry(index, spec, p, id as u32, cache);
+        probes.fetch_add(cost.probes, Ordering::Relaxed);
+        fallback_probes.fetch_add(cost.fallback_probes, Ordering::Relaxed);
+        entry
     });
-    let mut total = LookupCost::default();
-    for cost in &worker_costs {
-        total.absorb(cost);
-    }
-    let reln = NnReln::new(
-        entries.into_iter().map(|e| e.into_inner().expect("all ids computed")).collect(),
-    );
+    let reln = NnReln::new(entries);
     let stats = Phase1Stats {
-        lookups: total.probes,
-        fallback_probes: total.fallback_probes,
+        lookups: probes.into_inner(),
+        fallback_probes: fallback_probes.into_inner(),
         bf_queue_high_water: 0,
         visit_order: Vec::new(),
     };
@@ -294,8 +296,8 @@ mod tests {
     }
 
     #[test]
-    fn csr_index_is_parallel_safe() {
-        // The CSR candidate generator accumulates on a thread-local
+    fn inverted_index_is_parallel_safe() {
+        // The packed candidate generator accumulates on a thread-local
         // epoch-stamped scoreboard; parallel workers must produce the
         // byte-identical relation the sequential drive produces.
         use fuzzydedup_nnindex::{InvertedIndex, InvertedIndexConfig};

@@ -24,7 +24,7 @@ use fuzzydedup_metrics::{
 };
 use fuzzydedup_nnindex::{
     InvertedIndex, InvertedIndexConfig, LookupOrder, MinHashConfig, MinHashIndex, NestedLoopIndex,
-    NnIndex,
+    NnIndex, PostingsSource,
 };
 use fuzzydedup_relation::RelationError;
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, BufferStats, InMemoryDisk, StorageError};
@@ -37,7 +37,7 @@ use crate::nnreln::NnReln;
 use crate::parallel::resolve_threads;
 use crate::partition::Partition;
 use crate::phase1::{NeighborSpec, Phase1Stats};
-use crate::phase2::{partition_entries, partition_entries_parallel, partition_via_tables};
+use crate::phase2::{partition_entries_parallel, partition_via_tables};
 use crate::problem::CutSpec;
 
 /// Which nearest-neighbor index Phase 1 uses.
@@ -61,10 +61,11 @@ impl Default for IndexChoice {
 
 /// Per-phase worker-thread counts — the one knob driving every parallel
 /// path of the pipeline. `None` for a phase means the sequential drive
-/// (for Phase 1 that is the ordered scan honoring
-/// [`DedupConfig::lookup_order`]); `Some(0)` means one worker per
-/// available CPU. Parallel and sequential drives produce identical
-/// results for both phases, so this is purely a performance knob.
+/// (for Phase 1 the ordered scan — breadth-first exactly when the index's
+/// postings are paged, see [`DedupConfig::new`]; for Phase 2 one worker on
+/// the component path); `Some(0)` means one worker per available CPU.
+/// Parallel and sequential drives produce identical results for both
+/// phases, so this is purely a performance knob.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Parallelism {
     /// Worker threads for Phase 1 (NN-list materialization).
@@ -114,8 +115,6 @@ pub struct DedupConfig {
     pub c: f64,
     /// Neighborhood-growth multiplier `p` (the paper fixes 2).
     pub p: f64,
-    /// Phase-1 lookup order.
-    pub order: LookupOrder,
     /// Index choice.
     pub index: IndexChoice,
     /// Apply the §4.5.2 minimality post-pass.
@@ -128,8 +127,9 @@ pub struct DedupConfig {
     pub buffer_frames: usize,
     /// Per-phase worker-thread counts. Results are identical to the
     /// sequential drive either way — see [`crate::parallel`] and
-    /// [`crate::phase2::partition_entries_parallel`]; the sequential BF
-    /// order only matters for disk-resident indexes.
+    /// [`crate::phase2::partition_entries_parallel`]; the sequential
+    /// drive's lookup order only matters for paged postings, and follows
+    /// them (see [`DedupConfig::new`]).
     pub parallelism: Parallelism,
     /// Capacity (in entries) of the symmetric pair-distance memo consulted
     /// during Phase-1 verification; `0` disables it. The partition is
@@ -155,9 +155,17 @@ pub struct DedupConfig {
 }
 
 impl DedupConfig {
-    /// Defaults: `DE_S(5)`, `Max` aggregation, `c = 4`, `p = 2`,
-    /// breadth-first lookups, inverted index, 4096 buffer frames (32 MB),
-    /// both phases sequential.
+    /// Defaults: `DE_S(5)`, `Max` aggregation, `c = 4`, `p = 2`, inverted
+    /// index, 4096 buffer frames (32 MB), both phases sequential.
+    ///
+    /// The sequential Phase-1 lookup order is not a setting: it is
+    /// breadth-first (§4.1.1) iff the index is an inverted index with
+    /// [`PostingsSource::Pages`] — the regime where consecutive lookups of
+    /// neighboring tuples reuse buffered postings pages (55 % vs 35 % hit
+    /// ratio, `BENCH_bf_ordering.json`) — and id order otherwise, where
+    /// nothing is paged and the BF queue is pure overhead (5.25 s vs
+    /// 4.59 s, `BENCH_phase1_order.json`). The partition is the same
+    /// either way.
     pub fn new(distance: DistanceKind) -> Self {
         Self {
             distance,
@@ -165,7 +173,6 @@ impl DedupConfig {
             agg: Aggregation::Max,
             c: 4.0,
             p: 2.0,
-            order: LookupOrder::breadth_first(),
             index: IndexChoice::default(),
             minimality: false,
             via_tables: false,
@@ -198,12 +205,6 @@ impl DedupConfig {
     /// Set the growth multiplier `p`.
     pub fn growth_multiplier(mut self, p: f64) -> Self {
         self.p = p;
-        self
-    }
-
-    /// Set the Phase-1 lookup order.
-    pub fn lookup_order(mut self, order: LookupOrder) -> Self {
-        self.order = order;
         self
     }
 
@@ -454,6 +455,14 @@ impl Deduplicator {
             }
             None => None,
         };
+        // Breadth-first pays only where lookups page postings in.
+        let order = match &config.index {
+            IndexChoice::Inverted(InvertedIndexConfig {
+                postings_source: PostingsSource::Pages,
+                ..
+            }) => LookupOrder::breadth_first(),
+            _ => LookupOrder::Sequential,
+        };
         let t_index = Instant::now();
         let (mut outcome, build_index) = match &config.index {
             IndexChoice::Inverted(index_config) => {
@@ -474,7 +483,7 @@ impl Deduplicator {
                         let sibling_visible: Vec<bool> =
                             (0..map.n_reps() as u32).map(|r| index.record_has_terms(r)).collect();
                         let ctx = CollapseCtx { map, sibling_visible, build_ns: *build_ns };
-                        (self.run_phases_collapsed(&index, pool, Some(ctx))?, build_index)
+                        (self.run_phases(&index, pool, order, Some(ctx))?, build_index)
                     }
                     None => {
                         let index = InvertedIndex::build(
@@ -485,7 +494,7 @@ impl Deduplicator {
                         );
                         let build_index = t_index.elapsed();
                         pool.reset_stats(); // measure lookups, not the build
-                        (self.run_phases(&index, pool)?, build_index)
+                        (self.run_phases(&index, pool, order, None)?, build_index)
                     }
                 }
             }
@@ -500,12 +509,12 @@ impl Deduplicator {
                     // The exact scan sees every pair — siblings included.
                     let sibling_visible = vec![true; map.n_reps()];
                     let ctx = CollapseCtx { map, sibling_visible, build_ns: *build_ns };
-                    (self.run_phases_collapsed(&index, pool, Some(ctx))?, build_index)
+                    (self.run_phases(&index, pool, order, Some(ctx))?, build_index)
                 }
                 None => {
                     let index = NestedLoopIndex::new(records.to_vec(), distance);
                     let build_index = t_index.elapsed();
-                    (self.run_phases(&index, pool)?, build_index)
+                    (self.run_phases(&index, pool, order, None)?, build_index)
                 }
             },
             IndexChoice::MinHash(minhash_config) => match &collapse_pass {
@@ -521,13 +530,13 @@ impl Deduplicator {
                     // siblings always share every band bucket.
                     let sibling_visible = vec![true; map.n_reps()];
                     let ctx = CollapseCtx { map, sibling_visible, build_ns: *build_ns };
-                    (self.run_phases_collapsed(&index, pool, Some(ctx))?, build_index)
+                    (self.run_phases(&index, pool, order, Some(ctx))?, build_index)
                 }
                 None => {
                     let index =
                         MinHashIndex::build(records.to_vec(), distance, minhash_config.clone());
                     let build_index = t_index.elapsed();
-                    (self.run_phases(&index, pool)?, build_index)
+                    (self.run_phases(&index, pool, order, None)?, build_index)
                 }
             },
         };
@@ -554,29 +563,21 @@ impl Deduplicator {
             BufferPoolConfig::with_capacity(self.config.buffer_frames),
             Arc::new(InMemoryDisk::new()),
         ));
-        self.run_phases(index, pool)
+        self.run_phases(index, pool, LookupOrder::Sequential, None)
     }
 
-    /// Run both phases over an already-built index. `pool` carries Phase-2
-    /// tables (and, for the inverted index, already carried Phase-1
-    /// lookups).
+    /// Run both phases over an already-built index, the sequential drive
+    /// looking tuples up in `order`. `pool` carries Phase-2 tables (and,
+    /// for a paged inverted index, already carried Phase-1 lookups). With
+    /// a collapse context the index holds weighted representatives,
+    /// Phase 1 runs in representative space, and the relation is expanded
+    /// back to full ids (inside the Phase-1 window — materializing
+    /// `NN_Reln` is Phase-1 work) before Phase 2 runs unchanged.
     fn run_phases(
         &self,
         index: &dyn NnIndex,
         pool: Arc<BufferPool>,
-    ) -> Result<DedupOutcome, DedupError> {
-        self.run_phases_collapsed(index, pool, None)
-    }
-
-    /// [`Deduplicator::run_phases`] with an optional collapse context:
-    /// the index then holds weighted representatives, Phase 1 runs in
-    /// representative space, and the relation is expanded back to full
-    /// ids (inside the Phase-1 window — materializing `NN_Reln` is
-    /// Phase-1 work) before Phase 2 runs unchanged.
-    fn run_phases_collapsed(
-        &self,
-        index: &dyn NnIndex,
-        pool: Arc<BufferPool>,
+        order: LookupOrder,
         collapse: Option<CollapseCtx<'_>>,
     ) -> Result<DedupOutcome, DedupError> {
         let config = &self.config;
@@ -598,9 +599,7 @@ impl Deduplicator {
             Some(threads) => crate::parallel::compute_nn_reln_parallel_cached(
                 index, spec, config.p, threads, cache,
             ),
-            None => {
-                crate::phase1::compute_nn_reln_cached(index, spec, config.order, config.p, cache)
-            }
+            None => crate::phase1::compute_nn_reln_cached(index, spec, order, config.p, cache),
         };
         // Expand the representative-space relation back to full ids; the
         // partition downstream is bit-identical to the collapse-off run
@@ -638,12 +637,10 @@ impl Deduplicator {
         let mut partition = if config.via_tables {
             partition_via_tables(&nn_reln, config.cut, config.agg, config.c, pool.clone())?
         } else {
-            match config.parallelism.phase2_threads {
-                Some(threads) => {
-                    partition_entries_parallel(&nn_reln, config.cut, config.agg, config.c, threads)
-                }
-                None => partition_entries(&nn_reln, config.cut, config.agg, config.c),
-            }
+            // `None` is one worker on the same component path: its CS-pair
+            // pruning, not its threads, is what beats the naive greedy.
+            let threads = config.parallelism.phase2_threads.unwrap_or(1);
+            partition_entries_parallel(&nn_reln, config.cut, config.agg, config.c, threads)
         };
         let phase2_duration = t2.elapsed();
         let t3 = Instant::now();
@@ -737,7 +734,7 @@ mod tests {
     fn end_to_end_fms_finds_duplicates() {
         // Pin the page-backed postings source: this test also checks that
         // index lookups flow through the buffer pool, which the default
-        // CSR mirror deliberately avoids.
+        // packed arena never touches.
         let config = DedupConfig::new(DistanceKind::FuzzyMatch)
             .cut(CutSpec::Size(4))
             .sn_threshold(4.0)

@@ -1,21 +1,18 @@
-//! Filtered candidate generation: CSR postings arena, q-gram length/count
-//! pruning, and top-candidate selection.
+//! Filtered candidate generation: packed postings arena, q-gram
+//! length/count pruning, and top-candidate selection.
 //!
 //! The candidate-generation indexes share three building blocks:
 //!
-//! * [`CsrPostings`] — an in-memory CSR (compressed sparse row) mirror of
-//!   the page-backed postings: one flat `Vec<u32>` of record ids plus an
-//!   offsets array, one slice per term, postings sorted by id. Lookups
-//!   walk contiguous memory instead of fetching buffer-pool chunks.
-//! * [`PackedPostings`] — the delta-encoded, block-compressed successor
-//!   of the CSR arena (DESIGN.md §7.7): each term's ids are split into
-//!   blocks of [`PACKED_BLOCK`], stored as an absolute first id plus
-//!   per-block fixed-width deltas (1, 2 or 4 bytes each, chosen per
-//!   block), with SoA metadata — including a per-block **max-id skip
-//!   pointer** — so the MergeSkip top-up lands on a block boundary and
-//!   decodes only the blocks a frozen candidate can live in. Typical
-//!   postings shrink ~4× versus raw `u32`s, so more of the hot term
-//!   lists stay cache-resident during the merge.
+//! * [`PackedPostings`] — the in-memory delta-encoded, block-compressed
+//!   postings arena (DESIGN.md §7.7), one list per term, postings sorted
+//!   by id: each term's ids are split into blocks of [`PACKED_BLOCK`],
+//!   stored as an absolute first id plus per-block fixed-width deltas
+//!   (1, 2 or 4 bytes each, chosen per block), with SoA metadata —
+//!   including a per-block **max-id skip pointer** — so the MergeSkip
+//!   top-up lands on a block boundary and decodes only the blocks a
+//!   frozen candidate can live in. Typical postings shrink ~4× versus raw
+//!   `u32`s, so more of the hot term lists stay cache-resident during the
+//!   merge.
 //! * [`CandFilter`] — the verification-time pruning filters. For
 //!   distances that admit them
 //!   ([`Distance::admits_qgram_filter`](fuzzydedup_textdist::Distance::admits_qgram_filter)),
@@ -46,75 +43,6 @@ pub struct RecordMeta {
     pub grams: u32,
 }
 
-/// In-memory CSR postings arena; see module docs. Built once at index
-/// construction by appending each term's posting list in term-id order.
-#[derive(Debug, Clone, Default)]
-pub struct CsrPostings {
-    /// `offsets[t]..offsets[t + 1]` bounds term `t`'s slice of `ids`.
-    offsets: Vec<usize>,
-    /// Flat posting ids, ascending within each term's slice.
-    ids: Vec<u32>,
-}
-
-impl CsrPostings {
-    /// An empty arena, primed with the leading offset.
-    pub fn new() -> Self {
-        Self { offsets: vec![0], ids: Vec::new() }
-    }
-
-    /// Append the next term's posting list (ids ascending). Terms must be
-    /// pushed in term-id order.
-    pub fn push_list(&mut self, postings: &[u32]) {
-        debug_assert!(postings.windows(2).all(|w| w[0] < w[1]), "postings sorted by id");
-        self.ids.extend_from_slice(postings);
-        self.offsets.push(self.ids.len());
-    }
-
-    /// The posting list of a term, sorted ascending by record id.
-    #[inline]
-    pub fn postings(&self, term: u32) -> &[u32] {
-        let t = term as usize;
-        &self.ids[self.offsets[t]..self.offsets[t + 1]]
-    }
-
-    /// Hint the CPU to start pulling a term's posting slice toward L1.
-    /// Merge loops call this one term ahead so the next list's leading
-    /// cache lines arrive while the current list is still being scored.
-    #[inline]
-    pub fn prefetch(&self, term: u32) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let t = term as usize;
-            let (start, end) = (self.offsets[t], self.offsets[t + 1]);
-            // One hint per cache line (16 × u32), capped at 4 lines — the
-            // tail streams in via the hardware prefetcher once the scan
-            // establishes the stride.
-            let mut at = start;
-            while at < end && at < start + 64 {
-                // SAFETY: `at < end ≤ ids.len()`, so the pointer is
-                // in-bounds; prefetch has no other requirements.
-                unsafe {
-                    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                    _mm_prefetch(self.ids.as_ptr().add(at).cast::<i8>(), _MM_HINT_T0);
-                }
-                at += 16;
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = term;
-    }
-
-    /// Number of terms in the arena.
-    pub fn num_terms(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total posting entries across all terms.
-    pub fn num_postings(&self) -> usize {
-        self.ids.len()
-    }
-}
-
 /// Posting ids per delta block of a [`PackedPostings`] arena. 64 ids per
 /// block keeps a worst-case (4-byte-delta) block within four cache lines
 /// and makes the per-block metadata overhead (13 bytes) negligible, while
@@ -123,7 +51,7 @@ impl CsrPostings {
 pub const PACKED_BLOCK: usize = 64;
 
 /// Delta-encoded block-compressed postings arena; see module docs.
-/// Built exactly like [`CsrPostings`] — one [`PackedPostings::push_list`]
+/// Built once at index construction: one [`PackedPostings::push_list`]
 /// per term, in term-id order.
 #[derive(Debug, Clone, Default)]
 pub struct PackedPostings {
@@ -573,19 +501,6 @@ pub(crate) fn select_top_candidates_weighted(
 mod tests {
     use super::*;
 
-    #[test]
-    fn csr_round_trips_lists() {
-        let mut csr = CsrPostings::new();
-        csr.push_list(&[1, 4, 9]);
-        csr.push_list(&[]);
-        csr.push_list(&[2]);
-        assert_eq!(csr.num_terms(), 3);
-        assert_eq!(csr.num_postings(), 4);
-        assert_eq!(csr.postings(0), &[1, 4, 9]);
-        assert_eq!(csr.postings(1), &[] as &[u32]);
-        assert_eq!(csr.postings(2), &[2]);
-    }
-
     fn packed_of(lists: &[Vec<u32>]) -> PackedPostings {
         let mut packed = PackedPostings::new();
         for list in lists {
@@ -638,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_matches_csr_on_random_lists() {
+    fn packed_round_trips_random_lists() {
         let mut rng = 7u64;
         let mut lists = Vec::new();
         for _ in 0..50 {
@@ -650,13 +565,9 @@ mod tests {
             lists.push(ids);
         }
         let packed = packed_of(&lists);
-        let mut csr = CsrPostings::new();
-        for list in &lists {
-            csr.push_list(list);
-        }
-        assert_eq!(packed.num_postings(), csr.num_postings());
-        for t in 0..lists.len() as u32 {
-            assert_eq!(decode(&packed, t), csr.postings(t), "term {t}");
+        assert_eq!(packed.num_postings(), lists.iter().map(Vec::len).sum::<usize>());
+        for (t, list) in lists.iter().enumerate() {
+            assert_eq!(&decode(&packed, t as u32), list, "term {t}");
         }
     }
 

@@ -12,17 +12,16 @@
 //! 2. **verification**: compute the exact distance to the
 //!    highest-weight candidates and keep the qualifying ones.
 //!
-//! Postings are written to chunked records of a [`HeapFile`] at build time
-//! in sorted term order (the paper's picture: "nearest neighbor indexes
-//! ... have a structure similar to inverted indexes in IR, and are usually
+//! An index holds its postings in exactly one layout, chosen at build by
+//! [`InvertedIndexConfig::postings_source`] for the regime it serves:
+//! [`PostingsSource::Packed`] (default) is the in-memory delta-block arena
+//! ([`PackedPostings`]) with per-record term ids cached at build, so
+//! lookups never re-tokenize and never touch the pool;
+//! [`PostingsSource::Pages`] writes chunked records of a [`HeapFile`] in
+//! sorted term order (the paper's picture: "nearest neighbor indexes ...
+//! have a structure similar to inverted indexes in IR, and are usually
 //! large", so lookups hit the database buffer — the locality the
-//! breadth-first lookup order of §4.1.1 exploits). The page copy remains
-//! the durable source of truth; by default candidate generation reads an
-//! in-memory **CSR mirror** of the same postings ([`CsrPostings`]) with
-//! per-record term ids cached at build, so lookups never re-tokenize and
-//! never fetch pages. [`PostingsSource::Pages`] keeps the historical
-//! page-backed path selectable (and its buffer-locality experiments
-//! meaningful).
+//! breadth-first lookup order of §4.1.1 exploits).
 //!
 //! On top of the merge sits the **candidate ladder** (DESIGN.md §7.3):
 //! q-gram length/count pruning during verification, and a MergeSkip-style
@@ -42,22 +41,16 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fuzzydedup_relation::Neighbor;
-use fuzzydedup_storage::{BufferPool, HeapFile, RecordId};
+use fuzzydedup_storage::{BufferPool, HeapFile, Page, RecordId};
 use fuzzydedup_textdist::{merge_overlap_bound, record_string, record_term_set, Distance};
 
 use crate::candgen::{
-    select_top_candidates, select_top_candidates_weighted, CsrPostings, PackedPostings, RecordMeta,
+    select_top_candidates, select_top_candidates_weighted, PackedPostings, RecordMeta,
 };
 use crate::driver::{self, CandidateSource, Gathered};
 use crate::scratch::{with_merge_stage, with_scoreboard, with_scored, StageRun};
 use crate::{LookupCost, LookupSpec, NnIndex, PairDistanceCache, RecordView};
 use fuzzydedup_metrics::{incr, Counter};
-
-/// How far ahead of the merge scan to prefetch scoreboard slots: deep
-/// enough to cover an L2 miss at ~4 posting ids scored per miss window,
-/// shallow enough that the prefetched lines are still resident when the
-/// scan reaches them.
-const SLOT_LOOKAHEAD: usize = 16;
 
 /// Most term runs staged per frontier flush of the packed merge. The
 /// cached query is df-ascending — i.e. already sorted by posting-list
@@ -70,34 +63,22 @@ const FRONTIER_LANES: usize = 8;
 /// adds stream over it.
 const STAGE_CAP: usize = 4096;
 
-/// Where candidate generation reads postings from.
+/// Which postings layout an index builds and reads — the one Phase-1
+/// regime decision: is the NN index resident, or larger than the database
+/// buffer?
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PostingsSource {
-    /// The delta-encoded block-compressed arena (default): ~4× denser
-    /// than raw `u32` postings, merged by the staged lane-wise frontier,
-    /// topped up post-freeze through per-block max-id skip pointers.
+    /// The in-memory delta-encoded block-compressed arena (default): ~4×
+    /// denser than raw `u32` postings, merged by the staged lane-wise
+    /// frontier, topped up post-freeze through per-block max-id skip
+    /// pointers.
     #[default]
     Packed,
-    /// The in-memory CSR mirror: contiguous raw-`u32` posting slices,
-    /// scalar one-term-at-a-time merge. The behavioral reference for the
-    /// packed path.
-    Csr,
-    /// The page-backed postings through the buffer pool: the historical
-    /// path, kept selectable for the buffer-locality experiments and as
-    /// the behavioral reference for both in-memory mirrors.
+    /// Heap-file postings read through the buffer pool: the paper's
+    /// disk-resident index, the regime its breadth-first lookup order
+    /// (§4.1.1, Fig 8) is for, and the behavioral reference for the packed
+    /// merge.
     Pages,
-}
-
-impl PostingsSource {
-    /// Parse from driver flags ("packed" | "csr" | "pages").
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "packed" => Some(Self::Packed),
-            "csr" => Some(Self::Csr),
-            "pages" => Some(Self::Pages),
-            _ => None,
-        }
-    }
 }
 
 /// Configuration of the inverted index.
@@ -118,23 +99,12 @@ pub struct InvertedIndexConfig {
     /// moderately-shared terms destroys recall (and with it the
     /// neighborhood-growth estimates the SN criterion depends on).
     pub stop_df_floor: u32,
-    /// Posting ids per storage chunk. Smaller chunks pack more distinct
-    /// terms per page, increasing cross-term locality.
+    /// Posting ids per storage chunk of a [`PostingsSource::Pages`] index
+    /// (clamped to `[1, what one heap page holds]`). Smaller chunks pack
+    /// more distinct terms per page, increasing cross-term locality.
     pub chunk_size: usize,
-    /// Which postings representation lookups read (the heap-file copy is
-    /// always written).
+    /// Which postings layout the index builds and reads.
     pub postings_source: PostingsSource,
-    /// SSJoin-style prefix filter for radius queries (packed and CSR
-    /// sources): once the rarest merged terms pin the admission set —
-    /// the same `B_min` freeze point as MergeSkip — stop merging
-    /// entirely and credit the unmerged gram mass to the count filter's
-    /// slack, instead of topping up admitted candidates through the
-    /// remaining (longest) lists. Lossless for the final neighbor set by
-    /// the PR 3 cutoff argument; only the overlap *proxies* weaken, which
-    /// the slack credit absorbs. Off by default because the weaker
-    /// proxies can cost verification-time count-filter prunes and, under
-    /// a `candidate_limit`, reorder which candidates are kept.
-    pub prefix_filter: bool,
 }
 
 impl Default for InvertedIndexConfig {
@@ -147,7 +117,6 @@ impl Default for InvertedIndexConfig {
             stop_df_floor: 100,
             chunk_size: 256,
             postings_source: PostingsSource::Packed,
-            prefix_filter: false,
         }
     }
 }
@@ -161,8 +130,22 @@ struct TermEntry {
     df: u32,
     /// Stop gram: df exceeded the configured cutoff at build time.
     stop: bool,
-    /// Postings chunks in the heap file, in id order.
-    chunks: Vec<RecordId>,
+}
+
+/// The one postings layout an index holds (see [`PostingsSource`]).
+enum Postings {
+    Packed(PackedPostings),
+    Pages(PagedPostings),
+}
+
+/// Heap-file postings plus what a lookup needs to find them.
+struct PagedPostings {
+    heap: HeapFile,
+    /// Term string → term id: page-backed lookups re-tokenize the query
+    /// and resolve strings at query time.
+    term_ids: HashMap<String, u32>,
+    /// Per term id, its postings chunks in the heap file, in id order.
+    chunks: Vec<Vec<RecordId>>,
 }
 
 /// One term of a record's cached query: term id plus the record-side
@@ -175,14 +158,8 @@ pub struct InvertedIndex<D> {
     records: Vec<Vec<String>>,
     distance: D,
     config: InvertedIndexConfig,
-    /// Term string → term id; only the page-backed path resolves strings
-    /// at query time.
-    term_ids: HashMap<String, u32>,
     terms: Vec<TermEntry>,
-    /// CSR mirror of the postings, one slice per term id.
-    csr: CsrPostings,
-    /// Delta-encoded block-compressed mirror of the same postings.
-    packed: PackedPostings,
+    postings: Postings,
     /// Per-record query terms cached at build, document-frequency
     /// ascending (rarest first, the MergeSkip merge order).
     queries: Vec<Vec<QueryTerm>>,
@@ -193,7 +170,6 @@ pub struct InvertedIndex<D> {
     /// verification then passes `[norm[c]]` single-field views instead of
     /// re-normalizing every field of every candidate per query.
     norm: Option<Vec<String>>,
-    postings: HeapFile,
     /// Whether the distance admits the q-gram pruning filters.
     filter_ok: bool,
     /// Per-record multiplicities of a collapsed corpus (DESIGN.md §7.10):
@@ -241,7 +217,6 @@ impl<D: Distance> InvertedIndex<D> {
         pool: Arc<BufferPool>,
         config: InvertedIndexConfig,
     ) -> Self {
-        let postings = HeapFile::create(pool);
         // Extract every record's term set once; it feeds the postings,
         // the cached queries, and the filter statistics.
         let term_sets: Vec<_> = records
@@ -274,28 +249,41 @@ impl<D: Distance> InvertedIndex<D> {
         };
         let n = n_full.max(1) as f64;
         let max_df = (config.max_df_fraction * n_full as f64).max(f64::from(config.stop_df_floor));
-        let mut term_ids = HashMap::with_capacity(sorted.len());
+        let mut postings = match config.postings_source {
+            PostingsSource::Packed => Postings::Packed(PackedPostings::new()),
+            PostingsSource::Pages => Postings::Pages(PagedPostings {
+                heap: HeapFile::create(pool),
+                term_ids: HashMap::with_capacity(sorted.len()),
+                chunks: Vec::with_capacity(sorted.len()),
+            }),
+        };
+        let chunk_size = config.chunk_size.clamp(1, Page::max_record_size() / 4);
+        let mut tid_of: HashMap<&str, u32> = HashMap::with_capacity(sorted.len());
         let mut terms = Vec::with_capacity(sorted.len());
-        let mut csr = CsrPostings::new();
-        let mut packed = PackedPostings::new();
         for (term, ids) in sorted {
             let df = match &mult {
                 Some(m) => ids.iter().map(|&i| m[i as usize]).sum::<u32>(),
                 None => ids.len() as u32,
             };
-            let mut chunks = Vec::with_capacity(ids.len() / config.chunk_size + 1);
-            for chunk in ids.chunks(config.chunk_size.max(1)) {
-                let mut bytes = Vec::with_capacity(chunk.len() * 4);
-                for &id in chunk {
-                    bytes.extend_from_slice(&id.to_le_bytes());
+            let tid = terms.len() as u32;
+            match &mut postings {
+                Postings::Packed(packed) => packed.push_list(&ids),
+                Postings::Pages(PagedPostings { heap, term_ids, chunks }) => {
+                    let mut term_chunks = Vec::with_capacity(ids.len().div_ceil(chunk_size));
+                    for chunk in ids.chunks(chunk_size) {
+                        let mut bytes = Vec::with_capacity(chunk.len() * 4);
+                        for &id in chunk {
+                            bytes.extend_from_slice(&id.to_le_bytes());
+                        }
+                        term_chunks.push(heap.insert(&bytes).expect("postings chunk fits a page"));
+                    }
+                    chunks.push(term_chunks);
+                    term_ids.insert(term.to_string(), tid);
                 }
-                chunks.push(postings.insert(&bytes).expect("postings chunk fits a page"));
             }
-            term_ids.insert(term.to_string(), terms.len() as u32);
-            csr.push_list(&ids);
-            packed.push_list(&ids);
+            tid_of.insert(term, tid);
             let weight = (1.0 + n / f64::from(df)).ln();
-            terms.push(TermEntry { weight, df, stop: f64::from(df) > max_df, chunks });
+            terms.push(TermEntry { weight, df, stop: f64::from(df) > max_df });
         }
         // Cache each record's query: term ids + gram counts, rarest term
         // first (ties by id for determinism).
@@ -303,7 +291,7 @@ impl<D: Distance> InvertedIndex<D> {
         let mut meta = Vec::with_capacity(records.len());
         for ts in &term_sets {
             let mut query: Vec<QueryTerm> =
-                ts.terms.iter().map(|(term, count)| (term_ids[term.as_str()], *count)).collect();
+                ts.terms.iter().map(|(term, count)| (tid_of[term.as_str()], *count)).collect();
             query.sort_by_key(|&(tid, _)| (terms[tid as usize].df, tid));
             queries.push(query);
             meta.push(RecordMeta { chars: ts.chars, grams: ts.gram_total });
@@ -318,21 +306,7 @@ impl<D: Distance> InvertedIndex<D> {
                 })
                 .collect()
         });
-        Self {
-            records,
-            distance,
-            config,
-            term_ids,
-            terms,
-            csr,
-            packed,
-            queries,
-            meta,
-            norm,
-            postings,
-            filter_ok,
-            mult,
-        }
+        Self { records, distance, config, terms, postings, queries, meta, norm, filter_ok, mult }
     }
 
     /// Whether record `id` produces any indexed terms. For a collapsed
@@ -354,9 +328,13 @@ impl<D: Distance> InvertedIndex<D> {
         self.terms.len()
     }
 
-    /// Number of heap pages occupied by postings.
+    /// Number of heap pages occupied by postings (`0` for a packed index,
+    /// which never touches the pool).
     pub fn postings_pages(&self) -> usize {
-        self.postings.num_pages()
+        match &self.postings {
+            Postings::Packed(_) => 0,
+            Postings::Pages(paged) => paged.heap.num_pages(),
+        }
     }
 
     /// Exact distance between two indexed records.
@@ -366,16 +344,21 @@ impl<D: Distance> InvertedIndex<D> {
         self.distance.distance(&ra, &rb)
     }
 
-    /// Bytes the in-memory candidate-generation postings occupy, as
-    /// `(csr, packed)`: the CSR mirror's raw `4 × postings` against the
-    /// delta arena plus its block directory (first/last/offset 4 B each,
-    /// length 2 B, width 1 B per block). Per-term offset tables are
-    /// common to both layouts and excluded from both counts. Backs the
-    /// compression ratio quoted in DESIGN §7.7.
+    /// Postings footprint as `(raw, packed)`: the raw `4 × postings` a
+    /// `u32`-per-posting layout takes (what a [`PostingsSource::Pages`]
+    /// index writes, before page overhead) against the delta arena plus its
+    /// block directory (first/last/offset 4 B each, length 2 B, width 1 B
+    /// per block) — `0` for an index that holds no arena. Per-term offset
+    /// tables are excluded from both counts. Backs the compression ratio
+    /// quoted in DESIGN §7.7.
     pub fn postings_bytes(&self) -> (usize, usize) {
-        let csr = self.csr.num_postings() * 4;
-        let packed = self.packed.arena_bytes() + self.packed.num_blocks() * 15;
-        (csr, packed)
+        // Every record appears once in the list of each of its terms.
+        let raw = self.queries.iter().map(Vec::len).sum::<usize>() * 4;
+        let packed = match &self.postings {
+            Postings::Packed(packed) => packed.arena_bytes() + packed.num_blocks() * 15,
+            Postings::Pages(_) => 0,
+        };
+        (raw, packed)
     }
 
     /// Candidate ids for a query record in verification order (highest
@@ -385,8 +368,8 @@ impl<D: Distance> InvertedIndex<D> {
     }
 
     /// Candidate ids for a radius query: same as
-    /// [`Self::generate_candidates`] but with the MergeSkip / prefix
-    /// bound active for `radius`. Public for benchmarks and experiments.
+    /// [`Self::generate_candidates`] but with the MergeSkip bound active
+    /// for `radius`. Public for benchmarks and experiments.
     pub fn generate_candidates_radius(&self, id: u32, radius: f64) -> Vec<u32> {
         self.gather(id, Some(radius)).ids
     }
@@ -402,11 +385,13 @@ impl<D: Distance> InvertedIndex<D> {
     fn gather(&self, id: u32, radius_bound: Option<f64>) -> Gathered {
         with_scored(|scored| {
             scored.clear();
-            let (mut slack, dropped) = match self.config.postings_source {
-                PostingsSource::Packed => self.generate_packed(id, false, radius_bound, scored),
-                PostingsSource::Csr => self.generate_csr(id, false, radius_bound, scored),
-                PostingsSource::Pages => self.generate_pages(id, false, scored),
+            let generate = |include_stops, radius_bound, scored: &mut _| match &self.postings {
+                Postings::Packed(packed) => {
+                    self.generate_packed(packed, id, include_stops, radius_bound, scored)
+                }
+                Postings::Pages(paged) => self.generate_pages(paged, id, include_stops, scored),
             };
+            let (mut slack, dropped) = generate(false, radius_bound, scored);
             incr(Counter::StopGramsDropped, dropped);
             if scored.is_empty() && dropped > 0 {
                 // Every candidate-bearing term was a stop gram (common for
@@ -414,12 +399,7 @@ impl<D: Distance> InvertedIndex<D> {
                 // the floor would silently cost recall — and the SN
                 // criterion its growth estimate — so retry with stop grams
                 // included.
-                let (reslack, _) = match self.config.postings_source {
-                    PostingsSource::Packed => self.generate_packed(id, true, None, scored),
-                    PostingsSource::Csr => self.generate_csr(id, true, None, scored),
-                    PostingsSource::Pages => self.generate_pages(id, true, scored),
-                };
-                slack = reslack;
+                (slack, _) = generate(true, None, scored);
             }
             let generated = scored.len() as u64;
             incr(Counter::CandidatesGenerated, generated);
@@ -442,8 +422,8 @@ impl<D: Distance> InvertedIndex<D> {
         })
     }
 
-    /// CSR merge: walk the cached query terms rarest-first over contiguous
-    /// posting slices, accumulating on the thread-local scoreboard.
+    /// Packed merge: the staged lane-wise frontier over the delta-block
+    /// arena (DESIGN.md §7.7), walking the cached query terms rarest-first.
     ///
     /// For radius queries the rare-first order buys the MergeSkip bound:
     /// a candidate within normalized radius θ of the query (char count
@@ -453,135 +433,24 @@ impl<D: Distance> InvertedIndex<D> {
     /// unmerged (most frequent, longest) lists plus the stop-gram slack
     /// drops below `B_min`, a candidate not yet on the scoreboard can
     /// never qualify — so the merge stops admitting new candidates and
-    /// only tops up the ones already seen, by binary search when that is
+    /// only tops up the ones already seen, through the per-block max-id
+    /// skip pointers ([`PackedPostings::probe_sorted`]) when that is
     /// cheaper than scanning.
-    fn generate_csr(
-        &self,
-        id: u32,
-        include_stops: bool,
-        radius_bound: Option<f64>,
-        out: &mut Vec<(u32, f64, u32)>,
-    ) -> (u32, u64) {
-        let query = &self.queries[id as usize];
-        let q = self.config.q;
-        let mut slack = 0u32;
-        let mut dropped = 0u64;
-        let mut remaining = 0u32; // mergeable gram mass not yet consumed
-        for &(tid, gram_count) in query {
-            if !include_stops && self.terms[tid as usize].stop {
-                slack += gram_count;
-                dropped += 1;
-            } else {
-                remaining += gram_count;
-            }
-        }
-        let b_min = radius_bound.and_then(|theta| {
-            if !self.filter_ok {
-                return None;
-            }
-            merge_overlap_bound(self.meta[id as usize].chars, q, theta)
-        });
-        let mut scanned = 0u64;
-        let mut skipping = false;
-        let mut frozen: Vec<u32> = Vec::new();
-        with_scoreboard(|board| {
-            board.begin(self.records.len());
-            for (qi, &(tid, gram_count)) in query.iter().enumerate() {
-                let entry = &self.terms[tid as usize];
-                if !include_stops && entry.stop {
-                    continue; // counted in slack above
-                }
-                // Pull the next mergeable term's posting list toward L1
-                // while this one is being scored.
-                if let Some(&(next_tid, _)) = query.get(qi + 1) {
-                    if include_stops || !self.terms[next_tid as usize].stop {
-                        self.csr.prefetch(next_tid);
-                    }
-                }
-                if !skipping {
-                    if let Some(b_min) = b_min {
-                        // Conservative margin: on a tie, keep admitting.
-                        if f64::from(remaining) + f64::from(slack) + 1e-9 < b_min {
-                            if self.config.prefix_filter {
-                                // Prefix mode: the admission set is
-                                // already pinned; credit everything
-                                // unmerged to the slack and stop instead
-                                // of topping up through the long tail.
-                                slack += remaining;
-                                remaining = 0;
-                                break;
-                            }
-                            skipping = true;
-                            frozen = board.admitted_ids();
-                        }
-                    }
-                }
-                let list = self.csr.postings(tid);
-                if skipping {
-                    // Gallop when the board is small relative to the
-                    // list; otherwise scan with a membership check.
-                    let gallop_cost =
-                        frozen.len() * (usize::BITS - list.len().leading_zeros()) as usize;
-                    if gallop_cost < list.len() {
-                        incr(Counter::PostingsSkipped, list.len() as u64);
-                        for &fid in &frozen {
-                            if list.binary_search(&fid).is_ok() {
-                                board.add(fid, entry.weight, gram_count);
-                            }
-                        }
-                    } else {
-                        scanned += list.len() as u64;
-                        for (j, &other) in list.iter().enumerate() {
-                            if let Some(&ahead) = list.get(j + SLOT_LOOKAHEAD) {
-                                board.prefetch(ahead);
-                            }
-                            if other != id && board.contains(other) {
-                                board.add(other, entry.weight, gram_count);
-                            }
-                        }
-                    }
-                } else {
-                    scanned += list.len() as u64;
-                    for (j, &other) in list.iter().enumerate() {
-                        if let Some(&ahead) = list.get(j + SLOT_LOOKAHEAD) {
-                            board.prefetch(ahead);
-                        }
-                        if other != id {
-                            board.add(other, entry.weight, gram_count);
-                        }
-                    }
-                }
-                remaining -= gram_count;
-            }
-            board.drain_into(out);
-        });
-        incr(Counter::NnPostingsScanned, scanned);
-        (slack, dropped)
-    }
-
-    /// Packed merge: the staged lane-wise frontier over the delta-block
-    /// arena (DESIGN.md §7.7). Produces the *same scored candidates as
-    /// [`Self::generate_csr`], bit for bit* — the packed-equivalence
-    /// property suite holds the two paths to identical output — via three
-    /// structural guarantees:
+    ///
+    /// Scores match a scalar one-term-at-a-time merge bit for bit (the
+    /// packed-equivalence suite holds it to one):
     ///
     /// * terms are applied to the scoreboard strictly in cached-query
     ///   order (df-ascending = list-length-ascending), so every
-    ///   candidate's `f64` weight accumulates in the scalar order;
-    /// * the MergeSkip freeze point is *precomputed*: it depends only on
-    ///   the remaining-mass trajectory, never on the scoreboard, so the
-    ///   staged merge freezes before exactly the same term as the scalar
-    ///   loop checks it;
+    ///   candidate's `f64` weight accumulates in that order;
+    /// * the freeze point is *precomputed*: it depends only on the
+    ///   remaining-mass trajectory, never on the scoreboard;
     /// * the query's own id is excluded by pre-stamping its slot, which
-    ///   removes the scalar loop's per-posting `other != id` branch
-    ///   without changing the admitted set.
-    ///
-    /// Post-freeze top-ups walk the per-block max-id skip pointers
-    /// ([`PackedPostings::probe_sorted`]) instead of per-id binary
-    /// search; in prefix-filter mode the top-up phase is skipped
-    /// entirely (see [`InvertedIndexConfig::prefix_filter`]).
+    ///   spares a per-posting `other != id` branch without changing the
+    ///   admitted set.
     fn generate_packed(
         &self,
+        packed: &PackedPostings,
         id: u32,
         include_stops: bool,
         radius_bound: Option<f64>,
@@ -609,9 +478,9 @@ impl<D: Distance> InvertedIndex<D> {
             merge_overlap_bound(self.meta[id as usize].chars, self.config.q, theta)
         });
         // Precompute the freeze point: the first mergeable term before
-        // whose merge the scalar loop would stop admitting. The check
-        // depends only on the remaining/slack trajectory (same
-        // conservative tie margin as the scalar loop).
+        // whose merge admission stops. The check depends only on the
+        // remaining/slack trajectory; the margin is conservative — on a
+        // tie, keep admitting.
         let mut freeze_at = mergeable.len();
         if let Some(b_min) = b_min {
             let mut rem = remaining;
@@ -640,10 +509,10 @@ impl<D: Distance> InvertedIndex<D> {
                     // Pull the next list's delta bytes toward L1 while
                     // this one is decoded.
                     if let Some(&(next_tid, _)) = mergeable.get(k + 1) {
-                        self.packed.prefetch(next_tid);
+                        packed.prefetch(next_tid);
                     }
                     let before = stage.ids.len();
-                    blocks_scanned += self.packed.decode_list(tid, &mut stage.ids);
+                    blocks_scanned += packed.decode_list(tid, &mut stage.ids);
                     let len = (stage.ids.len() - before) as u32;
                     scanned += u64::from(len);
                     let entry = &self.terms[tid as usize];
@@ -660,44 +529,35 @@ impl<D: Distance> InvertedIndex<D> {
                     stage.clear();
                 }
                 if freeze_at < mergeable.len() {
-                    if self.config.prefix_filter {
-                        // Prefix mode: stop merging; the unmerged mass
-                        // becomes count-filter slack.
-                        slack +=
-                            remaining - mergeable[..freeze_at].iter().map(|&(_, g)| g).sum::<u32>();
-                    } else {
-                        // Top-up phase: only already-admitted candidates
-                        // can still gain mass. The stamp scan yields ids
-                        // already sorted, which lets the probe walk ride
-                        // the block skip pointers.
-                        let frozen_sorted = board.admitted_ids();
-                        for &(tid, gram_count) in &mergeable[freeze_at..] {
-                            let entry = &self.terms[tid as usize];
-                            let list_len = self.packed.list_len(tid);
-                            // Same probe-vs-scan cost heuristic as the
-                            // scalar path.
-                            let probe_cost = frozen_sorted.len()
-                                * (usize::BITS - list_len.leading_zeros()) as usize;
-                            if probe_cost < list_len {
-                                postings_skipped += list_len as u64;
-                                let (dec, skip) = self.packed.probe_sorted(
-                                    tid,
-                                    &frozen_sorted,
-                                    &mut stage.block,
-                                    |fid| board.add(fid, entry.weight, gram_count),
-                                );
-                                blocks_scanned += dec;
-                                block_skips += skip;
-                            } else {
-                                scanned += list_len as u64;
-                                for block in self.packed.blocks(tid) {
-                                    stage.block.clear();
-                                    self.packed.decode_block(block, &mut stage.block);
-                                    blocks_scanned += 1;
-                                    for &other in &stage.block {
-                                        if board.contains(other) {
-                                            board.add(other, entry.weight, gram_count);
-                                        }
+                    // Top-up phase: only already-admitted candidates can
+                    // still gain mass. The stamp scan yields ids already
+                    // sorted, which lets the probe walk ride the block
+                    // skip pointers.
+                    let frozen_sorted = board.admitted_ids();
+                    for &(tid, gram_count) in &mergeable[freeze_at..] {
+                        let entry = &self.terms[tid as usize];
+                        let list_len = packed.list_len(tid);
+                        // Probe when the board is small relative to the
+                        // list; otherwise scan with a membership check.
+                        let probe_cost =
+                            frozen_sorted.len() * (usize::BITS - list_len.leading_zeros()) as usize;
+                        if probe_cost < list_len {
+                            postings_skipped += list_len as u64;
+                            let (dec, skip) =
+                                packed.probe_sorted(tid, &frozen_sorted, &mut stage.block, |fid| {
+                                    board.add(fid, entry.weight, gram_count)
+                                });
+                            blocks_scanned += dec;
+                            block_skips += skip;
+                        } else {
+                            scanned += list_len as u64;
+                            for block in packed.blocks(tid) {
+                                stage.block.clear();
+                                packed.decode_block(block, &mut stage.block);
+                                blocks_scanned += 1;
+                                for &other in &stage.block {
+                                    if board.contains(other) {
+                                        board.add(other, entry.weight, gram_count);
                                     }
                                 }
                             }
@@ -715,11 +575,12 @@ impl<D: Distance> InvertedIndex<D> {
         (slack, dropped)
     }
 
-    /// Page-backed merge: the historical path. Re-extracts the query's
-    /// term set, resolves term strings through the dictionary, and fetches
-    /// every postings chunk through the buffer pool.
+    /// Page-backed merge: re-extracts the query's term set, resolves term
+    /// strings through the dictionary, and fetches every postings chunk
+    /// through the buffer pool.
     fn generate_pages(
         &self,
+        paged: &PagedPostings,
         id: u32,
         include_stops: bool,
         out: &mut Vec<(u32, f64, u32)>,
@@ -732,15 +593,15 @@ impl<D: Distance> InvertedIndex<D> {
         let mut slack = 0u32;
         let mut dropped = 0u64;
         for (term, gram_count) in &ts.terms {
-            let Some(&tid) = self.term_ids.get(term) else { continue };
+            let Some(&tid) = paged.term_ids.get(term) else { continue };
             let entry = &self.terms[tid as usize];
             if !include_stops && entry.stop {
                 slack += gram_count;
                 dropped += 1;
                 continue;
             }
-            for &chunk in &entry.chunks {
-                let bytes = self.postings.get(chunk).expect("postings chunk exists");
+            for &chunk in &paged.chunks[tid as usize] {
+                let bytes = paged.heap.get(chunk).expect("postings chunk exists");
                 scanned += (bytes.len() / 4) as u64;
                 for raw in bytes.chunks_exact(4) {
                     let other = u32::from_le_bytes(raw.try_into().unwrap());
@@ -870,15 +731,25 @@ mod tests {
     }
 
     #[test]
-    fn postings_bytes_reports_both_layouts() {
-        let idx = build(InvertedIndexConfig::default());
-        let (csr, packed) = idx.postings_bytes();
-        assert_eq!(csr, idx.csr.num_postings() * 4);
-        assert_eq!(packed, idx.packed.arena_bytes() + idx.packed.num_blocks() * 15);
-        assert!(csr > 0 && packed > 0);
-        // The tiny test corpus is directory-dominated (mostly df-1
-        // terms), so no compression claim here — that lives in the
-        // DESIGN §7.7 numbers measured on the 10k bench corpus.
+    fn an_index_holds_one_postings_layout() {
+        let disk = Arc::new(InMemoryDisk::new());
+        let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(16), disk));
+        let packed = InvertedIndex::build(corpus(), EditDistance, pool.clone(), Default::default());
+        // A packed index never touches the pool, building or answering...
+        assert_eq!(packed.postings_pages(), 0);
+        assert_eq!(packed.top_k(0, 1)[0].id, 1);
+        assert_eq!(pool.stats(), Default::default());
+        let (raw, arena) = packed.postings_bytes();
+        assert!(raw > 0 && arena > 0);
+        // (The tiny test corpus is directory-dominated — mostly df-1
+        // terms — so no compression claim here; that lives in the DESIGN
+        // §7.7 numbers measured on the 10k bench corpus.)
+        let config =
+            InvertedIndexConfig { postings_source: PostingsSource::Pages, ..Default::default() };
+        let pages = InvertedIndex::build(corpus(), EditDistance, pool, config);
+        // ...and a paged build holds no arena, only the same raw postings.
+        assert!(pages.postings_pages() >= 1);
+        assert_eq!(pages.postings_bytes(), (raw, 0));
     }
 
     #[test]
@@ -934,48 +805,21 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_lookups_stay_off_the_pool() {
-        for source in [PostingsSource::Packed, PostingsSource::Csr] {
-            let disk = Arc::new(InMemoryDisk::new());
-            let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(2), disk));
-            let config = InvertedIndexConfig { postings_source: source, ..Default::default() };
-            let idx = InvertedIndex::build(corpus(), EditDistance, pool.clone(), config);
-            // The page copy is still written at build time...
-            assert!(idx.postings_pages() >= 1);
-            pool.reset_stats();
-            let nn = idx.top_k(0, 1);
-            assert_eq!(nn[0].id, 1);
-            // ...but the in-memory lookup paths never read it back.
-            assert_eq!(pool.stats().accesses(), 0, "{source:?} lookups must not fetch pages");
-        }
-    }
-
-    #[test]
-    fn all_postings_sources_agree() {
+    fn both_postings_sources_agree() {
         for candidate_limit in [0, 3, 256] {
             let packed = build(InvertedIndexConfig { candidate_limit, ..Default::default() });
-            let csr = build(InvertedIndexConfig {
-                candidate_limit,
-                postings_source: PostingsSource::Csr,
-                ..Default::default()
-            });
             let pages = build(InvertedIndexConfig {
                 candidate_limit,
                 postings_source: PostingsSource::Pages,
                 ..Default::default()
             });
             for id in 0..packed.len() as u32 {
-                assert_eq!(packed.top_k(id, 4), csr.top_k(id, 4), "packed/csr id {id}");
-                assert_eq!(csr.top_k(id, 4), pages.top_k(id, 4), "csr/pages id {id}");
-                assert_eq!(packed.within(id, 0.4), csr.within(id, 0.4), "packed/csr id {id}");
-                assert_eq!(csr.within(id, 0.4), pages.within(id, 0.4), "csr/pages id {id}");
+                assert_eq!(packed.top_k(id, 4), pages.top_k(id, 4), "id {id}");
+                assert_eq!(packed.within(id, 0.4), pages.within(id, 0.4), "id {id}");
                 let (n_k, ng_k, _) = packed.lookup(id, LookupSpec::TopK(3), 2.0);
-                let (n_c, ng_c, _) = csr.lookup(id, LookupSpec::TopK(3), 2.0);
                 let (n_p, ng_p, _) = pages.lookup(id, LookupSpec::TopK(3), 2.0);
-                assert_eq!(n_k, n_c, "id {id}");
-                assert_eq!(ng_k, ng_c, "id {id}");
-                assert_eq!(n_c, n_p, "id {id}");
-                assert_eq!(ng_c, ng_p, "id {id}");
+                assert_eq!(n_k, n_p, "id {id}");
+                assert_eq!(ng_k, ng_p, "id {id}");
             }
         }
     }
@@ -1004,7 +848,7 @@ mod tests {
             .iter()
             .map(|s| vec![s.to_string()])
             .collect();
-        for source in [PostingsSource::Packed, PostingsSource::Csr, PostingsSource::Pages] {
+        for source in [PostingsSource::Packed, PostingsSource::Pages] {
             let _serial = fuzzydedup_metrics::serial_guard();
             fuzzydedup_metrics::enable();
             let config = InvertedIndexConfig {
@@ -1133,26 +977,48 @@ mod tests {
         // 300 records sharing one token with chunk_size 64 → ≥5 chunks.
         let records: Vec<Vec<String>> =
             (0..300).map(|i| vec![format!("shared token{i:03}")]).collect();
-        let disk = Arc::new(InMemoryDisk::new());
-        let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(16), disk));
-        let idx = InvertedIndex::build(
+        let idx = build_records(
             records,
-            EditDistance,
-            pool,
             InvertedIndexConfig {
                 chunk_size: 64,
                 max_df_fraction: 1.1,
                 stop_df_floor: 1000,
+                postings_source: PostingsSource::Pages,
                 ..Default::default()
             },
         );
-        let tid = *idx.term_ids.get("shared").expect("token indexed");
-        let entry = &idx.terms[tid as usize];
-        assert!(entry.chunks.len() >= 5);
-        assert_eq!(entry.df, 300);
-        assert_eq!(idx.csr.postings(tid).len(), 300, "CSR mirrors the page postings");
+        let Postings::Pages(paged) = &idx.postings else { panic!("built as Pages") };
+        let tid = paged.term_ids["shared"];
+        assert!(paged.chunks[tid as usize].len() >= 5);
+        assert_eq!(idx.terms[tid as usize].df, 300);
         // And the index still answers queries.
         assert!(!idx.top_k(0, 2).is_empty());
+    }
+
+    #[test]
+    fn chunk_size_is_clamped_to_what_a_page_holds() {
+        // One token with 3000 postings: `chunk_size: 0` used to divide by
+        // zero sizing the chunk vector, and a single 12 kB chunk does not
+        // fit a page.
+        let records: Vec<Vec<String>> =
+            (0..3000).map(|i| vec![format!("shared t{i:04}")]).collect();
+        let build = |chunk_size| {
+            build_records(
+                records.clone(),
+                InvertedIndexConfig {
+                    chunk_size,
+                    postings_source: PostingsSource::Pages,
+                    ..Default::default()
+                },
+            )
+        };
+        let reference = build(256);
+        for chunk_size in [0, usize::MAX] {
+            let idx = build(chunk_size);
+            for id in [0, 1500, 2999] {
+                assert_eq!(idx.top_k(id, 3), reference.top_k(id, 3), "chunk_size {chunk_size}");
+            }
+        }
     }
 
     /// Delegates to [`EditDistance`] but opts out of the normalized-record

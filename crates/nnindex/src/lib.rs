@@ -44,7 +44,7 @@ mod scratch;
 pub mod signature;
 
 pub use bforder::{drive_lookups, DriveReport, LookupOrder};
-pub use candgen::{CsrPostings, PackedPostings, RecordMeta, PACKED_BLOCK};
+pub use candgen::{PackedPostings, RecordMeta, PACKED_BLOCK};
 pub use dynamic::{DynamicIndexConfig, DynamicInvertedIndex};
 pub use inverted::{InvertedIndex, InvertedIndexConfig, PostingsSource};
 pub use nested_loop::NestedLoopIndex;

@@ -66,32 +66,21 @@ proptest! {
 
         // candidate_limit 0: both sides verify every candidate sharing a
         // term, so results can only diverge through filter unsoundness.
-        // The prefix filter rides the same lossless-cutoff argument, so it
-        // joins the matrix on the sources that implement it.
-        for source in [PostingsSource::Packed, PostingsSource::Csr, PostingsSource::Pages] {
-            let prefix_modes: &[bool] =
-                if source == PostingsSource::Pages { &[false] } else { &[false, true] };
-            for &prefix_filter in prefix_modes {
-                let config = InvertedIndexConfig {
-                    candidate_limit: 0,
-                    postings_source: source,
-                    prefix_filter,
-                    ..Default::default()
-                };
-                let filtered =
-                    InvertedIndex::build(records.clone(), EditDistance, pool(), config.clone());
-                let unfiltered = InvertedIndex::build(
-                    records.clone(),
-                    UnfilteredDistance(EditDistance),
-                    pool(),
-                    config,
-                );
-                assert_equivalent(
-                    &filtered,
-                    &unfiltered,
-                    &format!("inverted/{source:?}/prefix={prefix_filter}"),
-                );
-            }
+        for source in [PostingsSource::Packed, PostingsSource::Pages] {
+            let config = InvertedIndexConfig {
+                candidate_limit: 0,
+                postings_source: source,
+                ..Default::default()
+            };
+            let filtered =
+                InvertedIndex::build(records.clone(), EditDistance, pool(), config.clone());
+            let unfiltered = InvertedIndex::build(
+                records.clone(),
+                UnfilteredDistance(EditDistance),
+                pool(),
+                config,
+            );
+            assert_equivalent(&filtered, &unfiltered, &format!("inverted/{source:?}"));
         }
 
         let config = DynamicIndexConfig { candidate_limit: 0, ..Default::default() };

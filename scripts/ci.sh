@@ -23,10 +23,9 @@
 #   recall-smoke  exp_index_recall: every index type vs the exact
 #                 nested-loop reference, with the candidate ladder
 #                 asserted recall-lossless (filtered vs
-#                 UnfilteredDistance), the three postings layouts
-#                 asserted to agree, the prefix filter asserted
-#                 lossless for radius queries, and the exact-duplicate
-#                 collapse pre-pass asserted partition-lossless on a
+#                 UnfilteredDistance), the two postings layouts
+#                 asserted to agree, and the exact-duplicate collapse
+#                 pre-pass asserted partition-lossless on a
 #                 duplicate-heavy corpus for every index family
 #   bench-smoke   ci_bench_gate: re-run cheap benches, fail on regression
 #                 vs the committed results/BENCH_*.json baselines; the
@@ -183,8 +182,8 @@ for stage in "${all_stages[@]}"; do
         e2e-smoke) run_stage e2e-smoke bash benchmark/run.sh --smoke ;;
         recall-smoke)
             # Index recall/losslessness gate: the binary's own assertions
-            # (filters lossless, postings layouts identical, prefix
-            # filter lossless) fail the stage by exiting non-zero.
+            # (filters lossless, postings layouts identical, collapse
+            # lossless) fail the stage by exiting non-zero.
             run_stage recall-smoke cargo run -q --release -p fuzzydedup-bench \
                 --bin exp_index_recall
             ;;

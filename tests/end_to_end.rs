@@ -82,16 +82,25 @@ fn via_tables_path_is_identical_on_real_data() {
 }
 
 #[test]
-fn lookup_order_does_not_change_results() {
-    use fuzzydedup::nnindex::LookupOrder;
+fn lookup_order_follows_the_postings_regime() {
+    use fuzzydedup::nnindex::{InvertedIndexConfig, PostingsSource};
     let mut rng = StdRng::seed_from_u64(4);
     let dataset = restaurants::generate(&mut rng, DatasetSpec::with_entities(80));
-    let base = de_config(DistanceKind::FuzzyMatch);
-    let bf = dedup(&dataset.records, &base).unwrap();
-    let seq = dedup(&dataset.records, &base.clone().lookup_order(LookupOrder::Sequential)).unwrap();
-    let rnd = dedup(&dataset.records, &base.clone().lookup_order(LookupOrder::Random(99))).unwrap();
-    assert_eq!(bf.partition, seq.partition);
-    assert_eq!(bf.partition, rnd.partition);
+    let over = |postings_source| {
+        let index = InvertedIndexConfig { postings_source, ..Default::default() };
+        let config = de_config(DistanceKind::FuzzyMatch).index_choice(IndexChoice::Inverted(index));
+        dedup(&dataset.records, &config).unwrap()
+    };
+    // Resident postings: id order. Paged postings: the breadth-first order
+    // that keeps neighboring tuples' pages buffered. Same partition.
+    let packed = over(PostingsSource::Packed);
+    let ids: Vec<u32> = (0..dataset.records.len() as u32).collect();
+    assert_eq!(packed.phase1_stats.visit_order, ids);
+    assert_eq!(packed.metrics.phase1.bf_queue_high_water, 0);
+    let pages = over(PostingsSource::Pages);
+    assert!(pages.metrics.phase1.bf_queue_high_water > 0);
+    assert_ne!(pages.phase1_stats.visit_order, ids);
+    assert_eq!(packed.partition, pages.partition);
 }
 
 #[test]

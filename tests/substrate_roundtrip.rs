@@ -137,7 +137,7 @@ fn buffer_stats_flow_through_the_whole_stack() {
     ));
     let records: Vec<Vec<String>> = (0..300).map(|i| vec![format!("record number {i}")]).collect();
     // This test exercises the storage path, so pin the page-backed
-    // postings source (the default CSR mirror never reads pages back).
+    // postings source (the default packed arena never touches the pool).
     let index = InvertedIndex::build(
         records.clone(),
         DistanceKind::EditDistance.build(&records),
