@@ -6,10 +6,18 @@
 //! the acceptance claim that the Myers word path is ≥ 4× faster than the
 //! DP on the 16–64 char buckets, and the bench-regression gate
 //! (`ci_bench_gate`) watches it for slowdowns.
+//!
+//! One more row, `verify/org63_per_candidate`, times the kernel where
+//! Phase 1 calls it: **ns per candidate** through the prepared batch call
+//! over compiled Org records (record strings of ≈ 63 chars) at cutoff
+//! 0.6 — everything verification pays per candidate, not the scan alone.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use fuzzydedup_datagen::{org, DatasetSpec};
 use fuzzydedup_textdist::edit::levenshtein_dp_chars_with;
-use fuzzydedup_textdist::{myers_bounded_chars, myers_chars};
+use fuzzydedup_textdist::{
+    myers_bounded_chars, myers_chars, Candidate, CompiledRecords, Distance, EditDistance,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,6 +97,27 @@ fn bench_edit_kernel(c: &mut Criterion) {
             })
         });
     }
+
+    // One lookup's worth of verification: the query prepared once, then
+    // 256 candidates (the default candidate limit) in lock-step batches
+    // of 32 (the driver's flush size) at one cutoff.
+    const CANDIDATES: usize = 256;
+    const BATCH: usize = 32;
+    let records = org::generate(&mut rng, DatasetSpec::with_entities(CANDIDATES)).records;
+    let store = CompiledRecords::compile(&EditDistance, &records);
+    let candidates: Vec<Candidate> =
+        (1..=CANDIDATES).map(|id| store.candidate(id, &records[id])).collect();
+    let query: Vec<&str> = records[0].iter().map(String::as_str).collect();
+    group.bench_function("verify/org63_per_candidate", |b| {
+        let mut prepared = EditDistance.prepare(&query);
+        let mut out = Vec::new();
+        b.iter_per_element(CANDIDATES as u64, || {
+            for batch in candidates.chunks(BATCH) {
+                prepared.distance_bounded_batch(black_box(batch), 0.6, &mut out);
+                black_box(&out);
+            }
+        })
+    });
     group.finish();
 }
 

@@ -33,7 +33,7 @@ use fuzzydedup_core::{
 use fuzzydedup_datagen::{org, DatasetSpec};
 use fuzzydedup_nnindex::{InvertedIndex, InvertedIndexConfig, LookupOrder};
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
-use fuzzydedup_textdist::{Distance, EditDistance, Prepared};
+use fuzzydedup_textdist::{Candidate, CompiledRecords, Distance, EditDistance, Prepared};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,8 +49,8 @@ struct ScalarEdit;
 /// but hides its batch override behind the trait's scalar default.
 struct ScalarPrepared<'a>(Prepared<'a>);
 
-impl fuzzydedup_textdist::PreparedDistance for ScalarPrepared<'_> {
-    fn distance_bounded_prepared(&mut self, candidate: &[&str], cutoff: f64) -> Option<f64> {
+impl<'a> fuzzydedup_textdist::PreparedDistance<'a> for ScalarPrepared<'a> {
+    fn distance_bounded_prepared(&mut self, candidate: Candidate<'a>, cutoff: f64) -> Option<f64> {
         self.0.distance_bounded(candidate, cutoff)
     }
 }
@@ -70,6 +70,12 @@ impl Distance for ScalarEdit {
 
     fn prepare<'a>(&'a self, query: &[&str]) -> Prepared<'a> {
         Prepared::new(Box::new(ScalarPrepared(EditDistance.prepare(query))))
+    }
+
+    /// Same compiled candidates as the batched row: the two differ in
+    /// the batch override alone.
+    fn compile_record(&self, fields: &[&str], store: &mut CompiledRecords) {
+        EditDistance.compile_record(fields, store)
     }
 
     fn admits_qgram_filter(&self) -> bool {

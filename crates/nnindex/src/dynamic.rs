@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_relation::Neighbor;
-use fuzzydedup_textdist::{record_string, record_term_set, Distance, TermSet};
+use fuzzydedup_textdist::{record_term_set, CompiledRecords, Distance, TermSet};
 
 use crate::candgen::{select_top_candidates, select_top_candidates_weighted, RecordMeta};
 use crate::driver::{self, CandidateSource, Gathered, Query};
@@ -61,9 +61,10 @@ pub struct DynamicInvertedIndex<D> {
     meta: Vec<RecordMeta>,
     /// Whether the distance admits the q-gram pruning filters.
     filter_ok: bool,
-    /// Pre-joined normalized record strings, maintained on `push` when the
-    /// distance is [`Distance::record_string_invariant`] (`None` otherwise).
-    norm: Option<Vec<String>>,
+    /// Every record compiled by the distance on `push`
+    /// ([`Distance::compile_record`]): what verification reads candidates
+    /// from.
+    compiled: CompiledRecords,
     /// Per-record multiplicities when the index fronts a collapsed corpus
     /// (DESIGN.md §7.10); `None` in ordinary mode. Maintained by
     /// [`Self::push`] (new class, multiplicity 1) and
@@ -82,7 +83,6 @@ impl<D: Distance> DynamicInvertedIndex<D> {
     /// Create an empty index.
     pub fn new(distance: D, config: DynamicIndexConfig) -> Self {
         let filter_ok = distance.admits_qgram_filter();
-        let norm = distance.record_string_invariant().then(Vec::new);
         Self {
             records: Vec::new(),
             distance,
@@ -90,7 +90,7 @@ impl<D: Distance> DynamicInvertedIndex<D> {
             postings: HashMap::new(),
             meta: Vec::new(),
             filter_ok,
-            norm,
+            compiled: CompiledRecords::default(),
             mult: None,
             n_full: 0,
             has_terms: Vec::new(),
@@ -116,9 +116,7 @@ impl<D: Distance> DynamicInvertedIndex<D> {
             self.postings.entry(term).or_default().push(id);
         }
         self.meta.push(RecordMeta { chars: ts.chars, grams: ts.gram_total });
-        if let Some(norm) = &mut self.norm {
-            norm.push(record_string(&fields));
-        }
+        self.distance.compile_record(&fields, &mut self.compiled);
         self.records.push(record);
         if let Some(mult) = &mut self.mult {
             mult.push(1);
@@ -294,12 +292,8 @@ impl<D: Distance> CandidateSource for DynamicInvertedIndex<D> {
         &self.distance
     }
 
-    /// The pre-joined cache when the distance admits it.
     fn record_view(&self) -> RecordView<'_> {
-        match &self.norm {
-            Some(norm) => RecordView::Joined(norm),
-            None => RecordView::Fields(&self.records),
-        }
+        RecordView { records: &self.records, compiled: &self.compiled }
     }
 
     fn multiplicities(&self) -> Option<&[u32]> {

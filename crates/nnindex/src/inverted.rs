@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_storage::{BufferPool, HeapFile, Page, RecordId};
-use fuzzydedup_textdist::{merge_overlap_bound, record_string, record_term_set, Distance};
+use fuzzydedup_textdist::{merge_overlap_bound, record_term_set, CompiledRecords, Distance};
 
 use crate::candgen::{
     select_top_candidates, select_top_candidates_weighted, PackedPostings, RecordMeta,
@@ -165,11 +165,10 @@ pub struct InvertedIndex<D> {
     queries: Vec<Vec<QueryTerm>>,
     /// Per-record length/gram statistics for the pruning filters.
     meta: Vec<RecordMeta>,
-    /// Pre-joined normalized record strings, built once when the distance
-    /// is [`Distance::record_string_invariant`] (`None` otherwise):
-    /// verification then passes `[norm[c]]` single-field views instead of
-    /// re-normalizing every field of every candidate per query.
-    norm: Option<Vec<String>>,
+    /// Every record compiled once by the distance
+    /// ([`Distance::compile_record`]): what verification reads candidates
+    /// from.
+    compiled: CompiledRecords,
     /// Whether the distance admits the q-gram pruning filters.
     filter_ok: bool,
     /// Per-record multiplicities of a collapsed corpus (DESIGN.md §7.10):
@@ -297,16 +296,19 @@ impl<D: Distance> InvertedIndex<D> {
             meta.push(RecordMeta { chars: ts.chars, grams: ts.gram_total });
         }
         let filter_ok = distance.admits_qgram_filter();
-        let norm: Option<Vec<String>> = distance.record_string_invariant().then(|| {
-            records
-                .iter()
-                .map(|record| {
-                    let fields: Vec<&str> = record.iter().map(String::as_str).collect();
-                    record_string(&fields)
-                })
-                .collect()
-        });
-        Self { records, distance, config, terms, postings, queries, meta, norm, filter_ok, mult }
+        let compiled = CompiledRecords::compile(&distance, &records);
+        Self {
+            records,
+            distance,
+            config,
+            terms,
+            postings,
+            queries,
+            meta,
+            compiled,
+            filter_ok,
+            mult,
+        }
     }
 
     /// Whether record `id` produces any indexed terms. For a collapsed
@@ -626,13 +628,8 @@ impl<D: Distance> CandidateSource for InvertedIndex<D> {
         &self.distance
     }
 
-    /// The pre-joined normalized strings when the distance admits them,
-    /// raw fields otherwise.
     fn record_view(&self) -> RecordView<'_> {
-        match &self.norm {
-            Some(norm) => RecordView::Joined(norm),
-            None => RecordView::Fields(&self.records),
-        }
+        RecordView { records: &self.records, compiled: &self.compiled }
     }
 
     fn multiplicities(&self) -> Option<&[u32]> {
@@ -1021,11 +1018,12 @@ mod tests {
         }
     }
 
-    /// Delegates to [`EditDistance`] but opts out of the normalized-record
-    /// cache, forcing the per-candidate field-join path.
-    struct NoCacheEdit;
+    /// Delegates to [`EditDistance`] but compiles nothing, so candidates
+    /// reach the prepared query as raw fields — what a third-party
+    /// distance that overrides only `prepare` gets.
+    struct RawFieldsEdit;
 
-    impl Distance for NoCacheEdit {
+    impl Distance for RawFieldsEdit {
         fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
             EditDistance.distance(a, b)
         }
@@ -1035,39 +1033,43 @@ mod tests {
         fn prepare<'a>(&'a self, query: &[&str]) -> fuzzydedup_textdist::Prepared<'a> {
             EditDistance.prepare(query)
         }
-        fn record_string_invariant(&self) -> bool {
-            false
-        }
         fn name(&self) -> &str {
-            "nocache-ed"
+            "rawfields-ed"
         }
     }
 
     #[test]
-    fn norm_cache_matches_field_join_path() {
-        // Multi-field records with messy whitespace/case so the per-field
-        // normalize+join actually has work to do.
+    fn compiled_store_matches_raw_field_path() {
+        use fuzzydedup_textdist::Candidate;
+        // Multi-field records with messy whitespace/case/punctuation so
+        // the per-call normalize+join actually has work to do.
         let records: Vec<Vec<String>> = [
             vec!["Acme  Widgets", "12 Main St", "Springfield"],
             vec!["ACME widgets", "12 Main Street", "Springfield"],
             vec!["Beta Corp", "9 Pier Rd", "Oakland"],
             vec!["beta corp.", "9 pier road", "oakland"],
-            vec!["Gamma LLC", "1 First Ave", "Dover"],
-            vec!["Gama LLC", "1 First Ave", "Dover"],
+            vec!["Gamma LLC", "", "Dover"],
+            vec!["Gama LLC", "--", "Dover"],
         ]
         .into_iter()
         .map(|r| r.into_iter().map(str::to_owned).collect())
         .collect();
         let config = InvertedIndexConfig::default();
-        let cached = build_records(records.clone(), config.clone());
-        assert!(cached.norm.is_some(), "EditDistance is record-string invariant");
+        let compiled = build_records(records.clone(), config.clone());
+        assert!(
+            matches!(compiled.record_view().candidate(0), Candidate::Chars(_)),
+            "ed compiles records to chars"
+        );
         let disk = Arc::new(InMemoryDisk::new());
         let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(16), disk));
-        let control = InvertedIndex::build(records, NoCacheEdit, pool, config);
-        assert!(control.norm.is_none(), "opt-out must disable the cache");
-        for id in 0..cached.len() as u32 {
-            assert_eq!(cached.top_k(id, 3), control.top_k(id, 3), "top_k id {id}");
-            assert_eq!(cached.within(id, 0.4), control.within(id, 0.4), "within id {id}");
+        let control = InvertedIndex::build(records, RawFieldsEdit, pool, config);
+        assert!(
+            matches!(control.record_view().candidate(0), Candidate::Fields(_)),
+            "a distance that compiles nothing is verified from raw fields"
+        );
+        for id in 0..compiled.len() as u32 {
+            assert_eq!(compiled.top_k(id, 3), control.top_k(id, 3), "top_k id {id}");
+            assert_eq!(compiled.within(id, 0.4), control.within(id, 0.4), "within id {id}");
         }
     }
 }

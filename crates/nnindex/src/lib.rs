@@ -55,7 +55,7 @@ use driver::Query;
 
 use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_relation::Neighbor;
-use fuzzydedup_textdist::{record_string, Distance, Prepared};
+use fuzzydedup_textdist::{Candidate, CompiledRecords, Distance, Prepared};
 
 /// Cost accounting for one combined [`NnIndex::lookup`], reported by every
 /// implementation and aggregated by Phase 1 into `Phase1Stats` /
@@ -148,6 +148,16 @@ pub trait PairDistanceCache: Sync {
 ///   `radius` (for the inverted index: every such neighbor that shares at
 ///   least one indexed term with the query — the probabilistic caveat the
 ///   paper accepts).
+///
+/// Every index of this crate compiles its records once with the
+/// verification distance ([`Distance::compile_record`]) and verifies
+/// candidates from that store. What a third-party distance gets by
+/// default: one that overrides neither `prepare` nor `compile_record` is
+/// verified from the raw attribute strings through its own
+/// `distance_bounded`, one call per candidate — the same answers, none
+/// of the compile-once savings; overriding `prepare` alone compiles the
+/// query side only. An index implemented outside this crate is free to
+/// verify however it likes; only the result contracts above bind it.
 pub trait NnIndex: Send + Sync {
     /// Number of records in the indexed corpus.
     fn len(&self) -> usize;
@@ -300,10 +310,11 @@ impl LookupWeights<'_> {
 /// of verification attempts (for [`LookupCost`] accounting: every attempt
 /// is one distance call, bounded or not).
 ///
-/// The `query` is compiled **once** via [`Distance::prepare`], read
-/// through the same `records` view as the candidates: an indexed query
-/// by id, an external one from its attribute strings (pre-joined when the
-/// view is, so both flavors produce bit-identical distances). Candidates
+/// The `query` is compiled **once** via [`Distance::prepare`] from its
+/// attribute strings — an indexed query's are read from the corpus, an
+/// external one's are given — and every candidate is read through
+/// `records` in the form the index compiled at build, so the loop itself
+/// normalizes, decodes and allocates nothing per candidate. Candidates
 /// whose cutoff is finite and below 1 are deferred into lock-step
 /// batches (see [`Running::flush_batch`]); the rest verify immediately.
 ///
@@ -334,28 +345,15 @@ pub(crate) fn verify_candidates_bounded<D: Distance>(
     filter: Option<&CandFilter<'_>>,
     cache: Option<&dyn PairDistanceCache>,
 ) -> (Vec<Neighbor>, u64) {
-    let joined;
-    let mut query_fields: Vec<&str> = Vec::new();
     // The memo with the id it keys this query's pairs under.
-    let cache = match query {
-        Query::Indexed(id) => {
-            records.extend_fields(id, &mut query_fields);
-            cache.map(|cache| (id, cache))
-        }
-        Query::External(fields) => {
-            match records {
-                RecordView::Fields(_) => query_fields.extend_from_slice(fields),
-                RecordView::Joined(_) => {
-                    joined = record_string(fields);
-                    query_fields.push(&joined);
-                }
-            }
-            None
-        }
+    let (query_fields, cache): (Vec<&str>, _) = match query {
+        Query::Indexed(id) => (
+            records.records[id as usize].iter().map(String::as_str).collect(),
+            cache.map(|cache| (id, cache)),
+        ),
+        Query::External(fields) => (fields.to_vec(), None),
     };
     let mut prepared = distance.prepare(&query_fields);
-    // Candidate field slices, reused across the whole list (scalar path).
-    let mut fields: Vec<&str> = Vec::new();
     scratch::with_verify_scratch(|scratch| {
         let mut run = Running::start(spec, weights, cache, &mut scratch.kth, candidates.len());
         for (i, &c) in candidates.iter().enumerate() {
@@ -388,14 +386,12 @@ pub(crate) fn verify_candidates_bounded<D: Distance>(
             // plain kernel anyway — verifies immediately on the scalar
             // path so tightening starts as early as possible.
             if cutoff < 1.0 {
-                run.defer(c, cutoff, &mut prepared, records);
+                run.defer(c, records.candidate(c), cutoff, &mut prepared);
                 continue;
             }
-            fields.clear();
-            records.extend_fields(c, &mut fields);
-            run.resolve(c, prepared.distance_bounded(&fields, cutoff), cutoff);
+            run.resolve(c, prepared.distance_bounded(records.candidate(c), cutoff), cutoff);
         }
-        run.flush_batch(&mut prepared, records);
+        run.flush_batch(&mut prepared);
         (run.survivors, run.attempted)
     })
 }
@@ -422,12 +418,13 @@ struct Running<'a, 'r> {
     nn_running: f64,
     /// Distance calls paid, bounded or not.
     attempted: u64,
-    /// Candidates deferred into the current lock-step batch, and the
-    /// cutoff frozen when the first of them was deferred.
+    /// Candidates deferred into the current lock-step batch — ids and,
+    /// in step, their compiled forms — and the cutoff frozen when the
+    /// first of them was deferred.
     pending: Vec<u32>,
+    pending_forms: Vec<Candidate<'r>>,
     batch_cutoff: f64,
-    /// Flush buffers, reused across batches.
-    fields_flat: Vec<&'r str>,
+    /// The batch's results, reused across flushes.
     results: Vec<Option<f64>>,
 }
 
@@ -460,8 +457,8 @@ impl<'a, 'r> Running<'a, 'r> {
             nn_running: if self_mult >= 2 { 0.0 } else { f64::INFINITY },
             attempted: 0,
             pending: Vec::with_capacity(VERIFY_BATCH),
+            pending_forms: Vec::with_capacity(VERIFY_BATCH),
             batch_cutoff: f64::INFINITY,
-            fields_flat: Vec::new(),
             results: Vec::new(),
         }
     }
@@ -526,16 +523,19 @@ impl<'a, 'r> Running<'a, 'r> {
         }
     }
 
-    /// Defer candidate `c`, whose own cutoff is `cutoff`, into the
-    /// lock-step batch; a full batch is flushed.
-    fn defer(&mut self, c: u32, cutoff: f64, prepared: &mut Prepared, records: RecordView<'r>) {
+    /// Defer candidate `c`, read as `form` and whose own cutoff is
+    /// `cutoff`, into the lock-step batch; a full batch is flushed.
+    fn defer<'p>(&mut self, c: u32, form: Candidate<'r>, cutoff: f64, prepared: &mut Prepared<'p>)
+    where
+        'r: 'p,
+    {
         if self.pending.is_empty() {
             self.batch_cutoff = cutoff;
         }
-        records.prefetch(c);
         self.pending.push(c);
+        self.pending_forms.push(form);
         if self.pending.len() == VERIFY_BATCH {
-            self.flush_batch(prepared, records);
+            self.flush_batch(prepared);
         }
     }
 
@@ -555,72 +555,41 @@ impl<'a, 'r> Running<'a, 'r> {
     /// candidate is exactly what the scalar path would have done. The
     /// final relation is therefore bit-identical to unbatched
     /// verification.
-    fn flush_batch(&mut self, prepared: &mut Prepared, records: RecordView<'r>) {
+    fn flush_batch<'p>(&mut self, prepared: &mut Prepared<'p>)
+    where
+        'r: 'p,
+    {
         if self.pending.is_empty() {
             return;
         }
         incr(Counter::VerifyBatches, 1);
         incr(Counter::VerifyBatchedCandidates, self.pending.len() as u64);
-        self.fields_flat.clear();
-        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(self.pending.len());
-        for &c in &self.pending {
-            let start = self.fields_flat.len();
-            records.extend_fields(c, &mut self.fields_flat);
-            spans.push((start, self.fields_flat.len()));
-        }
-        let cands: Vec<&[&str]> = spans.iter().map(|&(s, e)| &self.fields_flat[s..e]).collect();
-        prepared.distance_bounded_batch(&cands, self.batch_cutoff, &mut self.results);
+        prepared.distance_bounded_batch(&self.pending_forms, self.batch_cutoff, &mut self.results);
         for i in 0..self.pending.len() {
             self.resolve(self.pending[i], self.results[i], self.batch_cutoff);
         }
         self.pending.clear();
+        self.pending_forms.clear();
     }
 }
 
-/// How verification reads a record's attribute strings: raw fields, or a
-/// pre-joined normalized record string built once at index construction
-/// (only offered when the distance is
-/// [`Distance::record_string_invariant`], so both views give bit-identical
-/// distances — the joined view just skips re-normalizing every field of
-/// every candidate on every query it appears in).
+/// How verification reads the indexed corpus: the raw records — the query
+/// side of a lookup, and the candidates of a distance that compiles
+/// nothing — beside the store the index compiled them into, once, with
+/// [`Distance::compile_record`].
 #[derive(Clone, Copy)]
-pub(crate) enum RecordView<'r> {
+pub(crate) struct RecordView<'r> {
     /// One slice of attribute strings per record.
-    Fields(&'r [Vec<String>]),
-    /// One pre-joined normalized record string per record.
-    Joined(&'r [String]),
+    pub records: &'r [Vec<String>],
+    /// The same records, compiled by the verification distance.
+    pub compiled: &'r CompiledRecords,
 }
 
 impl<'r> RecordView<'r> {
-    /// Append record `c`'s field view to `out`.
+    /// Record `c` as verification reads it.
     #[inline]
-    pub fn extend_fields(self, c: u32, out: &mut Vec<&'r str>) {
-        match self {
-            RecordView::Fields(records) => {
-                out.extend(records[c as usize].iter().map(String::as_str));
-            }
-            RecordView::Joined(norm) => out.push(norm[c as usize].as_str()),
-        }
-    }
-
-    /// Hint the CPU to pull a deferred candidate's record toward L1 while
-    /// the earlier batch members are still accumulating, so the flush's
-    /// gather of field slices doesn't stall on cold record memory.
-    #[inline]
-    pub fn prefetch(self, c: u32) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `c` is a candidate id, so it indexes in-bounds; prefetch
-        // itself has no other requirements.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let ptr = match self {
-                RecordView::Fields(records) => records.as_ptr().add(c as usize).cast::<i8>(),
-                RecordView::Joined(norm) => norm.as_ptr().add(c as usize).cast::<i8>(),
-            };
-            _mm_prefetch(ptr, _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = c;
+    pub fn candidate(self, c: u32) -> Candidate<'r> {
+        self.compiled.candidate(c as usize, &self.records[c as usize])
     }
 }
 
@@ -768,6 +737,7 @@ mod tests {
         .iter()
         .map(|s| vec![s.to_string()])
         .collect();
+        let compiled = CompiledRecords::compile(&EditDistance, &records);
         let candidates: Vec<u32> = (1..records.len() as u32).collect();
         let specs = [
             LookupSpec::TopK(0),
@@ -782,7 +752,7 @@ mod tests {
             for p in [1.0, 2.0, 4.0] {
                 let (survivors, attempted) = verify_candidates_bounded(
                     &EditDistance,
-                    RecordView::Fields(&records),
+                    RecordView { records: &records, compiled: &compiled },
                     Query::Indexed(0),
                     &candidates,
                     spec,
@@ -803,8 +773,9 @@ mod tests {
         }
     }
 
-    /// Scalar reference: the pre-batching driver — one immediate
-    /// `distance_bounded` per candidate at its own running cutoff.
+    /// Scalar reference: the pre-batching, pre-compilation driver — one
+    /// immediate `distance_bounded` per candidate, read as raw fields, at
+    /// its own running cutoff.
     fn verify_scalar(
         records: &[Vec<String>],
         id: u32,
@@ -829,8 +800,8 @@ mod tests {
                 LookupSpec::Radius(theta) => theta,
             };
             let cutoff = spec_cut.max(p * run.nn_running);
-            let fields: Vec<&str> = records[c as usize].iter().map(String::as_str).collect();
-            if let Some(d) = prepared.distance_bounded(&fields, cutoff) {
+            let raw = Candidate::Fields(&records[c as usize]);
+            if let Some(d) = prepared.distance_bounded(raw, cutoff) {
                 run.survive(c, d);
             }
         }
@@ -845,6 +816,7 @@ mod tests {
         // ragged flushes per lookup and survivors *inside* batches.
         let records: Vec<Vec<String>> =
             near_duplicate_corpus(200).into_iter().map(|s| vec![s]).collect();
+        let compiled = CompiledRecords::compile(&EditDistance, &records);
         let specs = [
             LookupSpec::TopK(1),
             LookupSpec::TopK(5),
@@ -857,7 +829,7 @@ mod tests {
                 for p in [1.0, 2.0] {
                     let (survivors, attempted) = verify_candidates_bounded(
                         &EditDistance,
-                        RecordView::Fields(&records),
+                        RecordView { records: &records, compiled: &compiled },
                         Query::Indexed(id),
                         &candidates,
                         spec,
@@ -887,11 +859,12 @@ mod tests {
         let _serial = fuzzydedup_metrics::serial_guard();
         let records: Vec<Vec<String>> =
             (0..100).map(|i| vec![format!("golden dragon palace branch {:02}", i / 2)]).collect();
+        let compiled = CompiledRecords::compile(&EditDistance, &records);
         let candidates: Vec<u32> = (1..100).collect();
         let before = fuzzydedup_metrics::snapshot();
         let (_, attempted) = verify_candidates_bounded(
             &EditDistance,
-            RecordView::Fields(&records),
+            RecordView { records: &records, compiled: &compiled },
             Query::Indexed(0),
             &candidates,
             LookupSpec::TopK(3),
@@ -929,6 +902,7 @@ mod tests {
         .iter()
         .map(|s| vec![s.to_string()])
         .collect();
+        let compiled = CompiledRecords::compile(&EditDistance, &records);
         let q = 3usize;
         let joined: Vec<String> = records
             .iter()
@@ -970,7 +944,7 @@ mod tests {
             for p in [1.0, 2.0] {
                 let (filtered, f_attempted) = verify_candidates_bounded(
                     &EditDistance,
-                    RecordView::Fields(&records),
+                    RecordView { records: &records, compiled: &compiled },
                     Query::Indexed(0),
                     &candidates,
                     spec,
@@ -981,7 +955,7 @@ mod tests {
                 );
                 let (unfiltered, u_attempted) = verify_candidates_bounded(
                     &EditDistance,
-                    RecordView::Fields(&records),
+                    RecordView { records: &records, compiled: &compiled },
                     Query::Indexed(0),
                     &candidates,
                     spec,
@@ -1017,11 +991,12 @@ mod tests {
         .iter()
         .map(|s| vec![s.to_string()])
         .collect();
+        let compiled = CompiledRecords::compile(&EditDistance, &records);
         let candidates: Vec<u32> = vec![1, 2, 3];
         let before = fuzzydedup_metrics::snapshot();
         let (survivors, _) = verify_candidates_bounded(
             &EditDistance,
-            RecordView::Fields(&records),
+            RecordView { records: &records, compiled: &compiled },
             Query::Indexed(0),
             &candidates,
             LookupSpec::TopK(1),

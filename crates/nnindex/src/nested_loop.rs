@@ -5,7 +5,7 @@
 //! ground truth the inverted index is validated against.
 
 use fuzzydedup_relation::Neighbor;
-use fuzzydedup_textdist::Distance;
+use fuzzydedup_textdist::{CompiledRecords, Distance};
 
 use crate::candgen::RecordMeta;
 use crate::driver::{self, CandidateSource, Gathered};
@@ -15,6 +15,10 @@ use crate::{sort_neighbors, LookupCost, LookupSpec, NnIndex, PairDistanceCache, 
 pub struct NestedLoopIndex<D> {
     records: Vec<Vec<String>>,
     distance: D,
+    /// Every record compiled once by the distance, read by the combined
+    /// lookup's verification (the full-scan primitives stay on the
+    /// unprepared [`Distance::distance`]).
+    compiled: CompiledRecords,
     /// Per-record multiplicities of a collapsed corpus (DESIGN.md §7.10);
     /// `None` for an ordinary (uncollapsed) corpus.
     mult: Option<Vec<u32>>,
@@ -23,7 +27,8 @@ pub struct NestedLoopIndex<D> {
 impl<D: Distance> NestedLoopIndex<D> {
     /// Build over a corpus of records.
     pub fn new(records: Vec<Vec<String>>, distance: D) -> Self {
-        Self { records, distance, mult: None }
+        let compiled = CompiledRecords::compile(&distance, &records);
+        Self { records, distance, compiled, mult: None }
     }
 
     /// Build over a collapsed corpus: record `i` stands for
@@ -37,7 +42,7 @@ impl<D: Distance> NestedLoopIndex<D> {
     ) -> Self {
         assert_eq!(records.len(), multiplicities.len(), "one multiplicity per record");
         assert!(multiplicities.iter().all(|&m| m >= 1), "multiplicities are positive");
-        Self { records, distance, mult: Some(multiplicities) }
+        Self { mult: Some(multiplicities), ..Self::new(records, distance) }
     }
 
     /// The indexed records.
@@ -79,7 +84,7 @@ impl<D: Distance> CandidateSource for NestedLoopIndex<D> {
     }
 
     fn record_view(&self) -> RecordView<'_> {
-        RecordView::Fields(&self.records)
+        RecordView { records: &self.records, compiled: &self.compiled }
     }
 
     fn multiplicities(&self) -> Option<&[u32]> {

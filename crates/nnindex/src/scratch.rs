@@ -326,10 +326,10 @@ impl MergeStage {
 }
 
 /// Reusable buffers for the bounded-verification loop: the running top-k
-/// distance window survives across lookups on the same thread, so a
-/// verification allocates nothing after warm-up (the prepared query and
-/// candidate field slices are reused within a lookup by
-/// `verify_candidates_bounded` itself).
+/// distance window survives across lookups on the same thread. What
+/// borrows from the corpus — the prepared query and the lock-step batch
+/// buffers — is allocated once per lookup by `verify_candidates_bounded`
+/// itself.
 #[derive(Default)]
 pub(crate) struct VerifyScratch {
     /// Ascending running top-k distances; cleared at the start of each

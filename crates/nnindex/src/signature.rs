@@ -26,7 +26,7 @@ use std::collections::HashMap;
 
 use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_relation::Neighbor;
-use fuzzydedup_textdist::{record_term_set, Distance};
+use fuzzydedup_textdist::{record_term_set, CompiledRecords, Distance};
 
 use crate::candgen::RecordMeta;
 use crate::driver::{self, CandidateSource, Gathered};
@@ -83,6 +83,10 @@ pub struct MinHashIndex<D> {
     signatures: Vec<Vec<u64>>,
     /// Per-record length statistics for the length pruning filter.
     meta: Vec<RecordMeta>,
+    /// Every record compiled once by the distance
+    /// ([`Distance::compile_record`]): what verification reads candidates
+    /// from.
+    compiled: CompiledRecords,
     /// Whether the distance admits the q-gram pruning filters. The LSH
     /// index tracks no per-candidate overlap mass, so only the length
     /// bound applies.
@@ -130,7 +134,18 @@ impl<D: Distance> MinHashIndex<D> {
             }
         }
         let filter_ok = distance.admits_qgram_filter();
-        Self { records, distance, config, buckets, signatures, meta, filter_ok, mult: None }
+        let compiled = CompiledRecords::compile(&distance, &records);
+        Self {
+            records,
+            distance,
+            config,
+            buckets,
+            signatures,
+            meta,
+            compiled,
+            filter_ok,
+            mult: None,
+        }
     }
 
     /// Build over a collapsed corpus: record `i` stands for
@@ -202,7 +217,7 @@ impl<D: Distance> CandidateSource for MinHashIndex<D> {
     }
 
     fn record_view(&self) -> RecordView<'_> {
-        RecordView::Fields(&self.records)
+        RecordView { records: &self.records, compiled: &self.compiled }
     }
 
     fn multiplicities(&self) -> Option<&[u32]> {

@@ -1,0 +1,255 @@
+//! Compiled records: what a distance keeps of a record so that verifying
+//! it against a query costs only the comparison.
+//!
+//! A nearest-neighbor index verifies the same record against hundreds of
+//! queries and the record never changes, so everything a distance derives
+//! from the record alone — the normalized record string decoded to chars
+//! for `ed`, the token/IDF decomposition for `fms` — is derived **once**,
+//! by [`Distance::compile_record`](crate::Distance::compile_record), into a
+//! [`CompiledRecords`] store the index owns. Verification then hands the
+//! prepared query a [`Candidate`] view of the store (DESIGN.md §7.5).
+
+use crate::Distance;
+
+/// One token of a record compiled by `fms`: its chars' span in the store's
+/// arena and its IDF weight.
+#[derive(Debug, Clone, Copy)]
+struct TokenSpan {
+    start: usize,
+    end: usize,
+    weight: f64,
+}
+
+/// The token/IDF decomposition of one record: its normalized tokens in
+/// record order, each with its IDF weight, and their total weight.
+#[derive(Debug, Clone, Copy)]
+pub struct WeightedTokens<'c> {
+    arena: &'c [char],
+    spans: &'c [TokenSpan],
+    total: f64,
+}
+
+impl<'c> WeightedTokens<'c> {
+    /// Number of tokens.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the record has no tokens.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Sum of the token weights, accumulated in record order.
+    pub fn total_weight(&self) -> f64 {
+        self.total
+    }
+
+    /// The tokens in record order, as `(chars, weight)`.
+    pub fn iter(&self) -> impl Iterator<Item = (&'c [char], f64)> + '_ {
+        self.spans.iter().map(|t| (&self.arena[t.start..t.end], t.weight))
+    }
+}
+
+/// One candidate record as a prepared query sees it.
+///
+/// A prepared query is handed either the raw attribute strings — always
+/// acceptable, and all a distance that compiles nothing ever sees — or the
+/// form its **own** distance compiled. Handing it another distance's
+/// compiled form is a bug in the caller and panics.
+#[derive(Debug, Clone, Copy)]
+pub enum Candidate<'c> {
+    /// The raw attribute strings; normalized, decoded and tokenized per
+    /// call, exactly as [`Distance::distance_bounded`](crate::Distance::distance_bounded)
+    /// would.
+    Fields(&'c [String]),
+    /// The normalized record string ([`crate::record_string`]) decoded to
+    /// chars: what `ed` compiles.
+    Chars(&'c [char]),
+    /// The token/IDF decomposition: what `fms` compiles.
+    Tokens(WeightedTokens<'c>),
+}
+
+impl Candidate<'_> {
+    /// Run `f` on the raw attribute strings of a [`Candidate::Fields`]
+    /// candidate — the per-call path of every prepared query.
+    ///
+    /// # Panics
+    /// On a compiled form: the prepared query that reaches for raw fields
+    /// is not the one this candidate was compiled for.
+    pub fn with_fields<R>(self, f: impl FnOnce(&[&str]) -> R) -> R {
+        let Candidate::Fields(fields) = self else {
+            panic!("candidate was compiled by another distance: {self:?}");
+        };
+        // Records rarely have more than a handful of attributes; those
+        // that do pay one allocation.
+        const INLINE: usize = 8;
+        if fields.len() <= INLINE {
+            let mut buf = [""; INLINE];
+            for (slot, field) in buf.iter_mut().zip(fields) {
+                *slot = field;
+            }
+            f(&buf[..fields.len()])
+        } else {
+            let all: Vec<&str> = fields.iter().map(String::as_str).collect();
+            f(&all)
+        }
+    }
+}
+
+/// The records of one corpus compiled by one distance, appended to by
+/// [`Distance::compile_record`](crate::Distance::compile_record) in record-id
+/// order and read back as [`Candidate`]s.
+///
+/// All records live in flat arenas, so a candidate costs two offset loads
+/// and no pointer chase. A store holds one compiled form: the first push
+/// decides it, and a distance that compiles nothing leaves the store empty
+/// (its candidates are the raw fields).
+#[derive(Debug, Default)]
+pub struct CompiledRecords {
+    repr: Repr,
+}
+
+#[derive(Debug, Default)]
+enum Repr {
+    /// Nothing compiled: candidates are the raw attribute strings.
+    #[default]
+    Raw,
+    /// One run of chars per record; `ends[id]` closes record `id`'s run.
+    Chars { arena: Vec<char>, ends: Vec<usize> },
+    /// One run of tokens per record; `records[id]` holds where its run of
+    /// `spans` ends and its total weight.
+    Tokens { arena: Vec<char>, spans: Vec<TokenSpan>, records: Vec<(usize, f64)> },
+}
+
+impl CompiledRecords {
+    /// Compile a whole corpus with `distance`, in record-id order — the
+    /// store an index over a fixed corpus builds once.
+    pub fn compile<D: Distance + ?Sized>(distance: &D, records: &[Vec<String>]) -> Self {
+        let mut store = Self::default();
+        for record in records {
+            let fields: Vec<&str> = record.iter().map(String::as_str).collect();
+            distance.compile_record(&fields, &mut store);
+        }
+        store
+    }
+
+    /// Append a record compiled to its record-string chars.
+    pub fn push_chars(&mut self, chars: impl IntoIterator<Item = char>) {
+        if let Repr::Raw = self.repr {
+            self.repr = Repr::Chars { arena: Vec::new(), ends: Vec::new() };
+        }
+        let Repr::Chars { arena, ends } = &mut self.repr else {
+            panic!("a store holds one compiled form");
+        };
+        arena.extend(chars);
+        ends.push(arena.len());
+    }
+
+    /// Append a record compiled to its weighted tokens, in record order.
+    pub fn push_tokens<'t>(&mut self, tokens: impl IntoIterator<Item = (&'t str, f64)>) {
+        if let Repr::Raw = self.repr {
+            self.repr = Repr::Tokens { arena: Vec::new(), spans: Vec::new(), records: Vec::new() };
+        }
+        let Repr::Tokens { arena, spans, records } = &mut self.repr else {
+            panic!("a store holds one compiled form");
+        };
+        let first = spans.len();
+        for (text, weight) in tokens {
+            let start = arena.len();
+            arena.extend(text.chars());
+            spans.push(TokenSpan { start, end: arena.len(), weight });
+        }
+        let total = spans[first..].iter().map(|t| t.weight).sum();
+        records.push((spans.len(), total));
+    }
+
+    /// Record `id` as a candidate: its compiled form, or `fields` — its
+    /// raw attribute strings — when the distance compiled nothing.
+    ///
+    /// # Panics
+    /// If the store holds a compiled form but no record `id`.
+    pub fn candidate<'c>(&'c self, id: usize, fields: &'c [String]) -> Candidate<'c> {
+        match &self.repr {
+            Repr::Raw => Candidate::Fields(fields),
+            Repr::Chars { arena, ends } => {
+                let start = if id == 0 { 0 } else { ends[id - 1] };
+                Candidate::Chars(&arena[start..ends[id]])
+            }
+            Repr::Tokens { arena, spans, records } => {
+                let start = if id == 0 { 0 } else { records[id - 1].0 };
+                let (end, total) = records[id];
+                Candidate::Tokens(WeightedTokens { arena, spans: &spans[start..end], total })
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_empty_store_hands_back_the_raw_fields() {
+        let store = CompiledRecords::default();
+        let fields = vec!["The Doors".to_string(), "LA Woman".to_string()];
+        let seen = store.candidate(7, &fields).with_fields(|f| f.join("|"));
+        assert_eq!(seen, "The Doors|LA Woman");
+    }
+
+    #[test]
+    fn with_fields_serves_wide_records() {
+        let fields: Vec<String> = (0..20).map(|i| format!("f{i}")).collect();
+        let n = Candidate::Fields(&fields).with_fields(|f| {
+            assert_eq!(f[19], "f19");
+            f.len()
+        });
+        assert_eq!(n, 20);
+    }
+
+    #[test]
+    fn char_runs_come_back_per_record() {
+        let mut store = CompiledRecords::default();
+        store.push_chars("abc".chars());
+        store.push_chars("".chars());
+        store.push_chars("dé".chars());
+        let runs: Vec<String> = (0..3)
+            .map(|id| match store.candidate(id, &[]) {
+                Candidate::Chars(c) => c.iter().collect(),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(runs, ["abc", "", "dé"]);
+    }
+
+    #[test]
+    fn token_runs_come_back_per_record() {
+        let mut store = CompiledRecords::default();
+        store.push_tokens([("golden", 1.5), ("dragon", 2.0)]);
+        store.push_tokens([]);
+        store.push_tokens([("café", 0.25)]);
+        let Candidate::Tokens(first) = store.candidate(0, &[]) else { panic!() };
+        assert_eq!(first.len(), 2);
+        assert_eq!(first.total_weight(), 3.5);
+        let texts: Vec<String> = first.iter().map(|(c, _)| c.iter().collect()).collect();
+        assert_eq!(texts, ["golden", "dragon"]);
+        let Candidate::Tokens(second) = store.candidate(1, &[]) else { panic!() };
+        assert!(second.is_empty());
+        let Candidate::Tokens(third) = store.candidate(2, &[]) else { panic!() };
+        assert_eq!(third.iter().next().map(|(c, w)| (c.len(), w)), Some((4, 0.25)));
+    }
+
+    #[test]
+    #[should_panic(expected = "one compiled form")]
+    fn a_store_holds_one_form() {
+        let mut store = CompiledRecords::default();
+        store.push_chars("abc".chars());
+        store.push_tokens([("abc", 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "another distance")]
+    fn raw_field_access_on_a_compiled_candidate_panics() {
+        Candidate::Chars(&['a']).with_fields(|_| ());
+    }
+}

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use crate::idf::IdfModel;
 use crate::tokenize::tokenize_record;
-use crate::{Distance, Prepared, PreparedDistance};
+use crate::{Candidate, Distance, Prepared, PreparedDistance};
 
 /// TF-IDF cosine distance.
 #[derive(Debug, Clone)]
@@ -118,10 +118,10 @@ struct PreparedCosine<'a> {
     norm: f64,
 }
 
-impl PreparedDistance for PreparedCosine<'_> {
-    fn distance_bounded_prepared(&mut self, candidate: &[&str], cutoff: f64) -> Option<f64> {
+impl<'c> PreparedDistance<'c> for PreparedCosine<'_> {
+    fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
         fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::DistCosine, 1);
-        let vb = sorted_vector(self.idf, candidate);
+        let vb = candidate.with_fields(|fields| sorted_vector(self.idf, fields));
         let d = 1.0 - similarity_sorted(&self.vector, self.norm, &vb, norm(&vb));
         (d <= cutoff).then_some(d)
     }

@@ -15,7 +15,7 @@
 
 use crate::myers::{myers_bounded_chars, myers_chars, PreparedPattern};
 use crate::tokenize::{record_string, record_string_into};
-use crate::{Distance, Prepared, PreparedDistance};
+use crate::{Candidate, CompiledRecords, Distance, Prepared, PreparedDistance};
 
 /// Classic Levenshtein distance (unit costs for insert / delete / substitute)
 /// between two strings, computed over Unicode scalar values.
@@ -193,10 +193,8 @@ impl Distance for EditDistance {
 
     fn distance_bounded(&self, a: &[&str], b: &[&str], cutoff: f64) -> Option<f64> {
         fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::DistEdit, 1);
-        let sa = record_string(a);
-        let sb = record_string(b);
-        let ca: Vec<char> = sa.chars().collect();
-        let cb: Vec<char> = sb.chars().collect();
+        let ca = record_chars(a);
+        let cb = record_chars(b);
         let max = ca.len().max(cb.len());
         if max == 0 {
             return (cutoff >= 0.0).then_some(0.0);
@@ -225,20 +223,25 @@ impl Distance for EditDistance {
         true
     }
 
-    /// Compile the query's record string and Peq bitmasks once; per
-    /// candidate only the candidate-side normalization and the Myers scan
-    /// remain (common affixes are stripped by mask shifting, not by
-    /// rebuilding the table — see `myers::PreparedPattern`).
+    /// Compile the query's record string and Peq bitmasks once; a
+    /// compiled candidate then costs only the Myers scan (common affixes
+    /// are stripped by mask shifting, not by rebuilding the table — see
+    /// `myers::PreparedPattern`).
     fn prepare<'a>(&'a self, query: &[&str]) -> Prepared<'a> {
-        let sq = record_string(query);
         Prepared::new(Box::new(PreparedEdit {
-            pattern: PreparedPattern::new(sq.chars().collect()),
+            pattern: PreparedPattern::new(record_chars(query)),
             text: String::new(),
             chars: Vec::new(),
-            arena: Vec::new(),
-            spans: Vec::new(),
+            requests: Vec::new(),
+            slots: Vec::new(),
             raw_out: Vec::new(),
         }))
+    }
+
+    /// A record compiles to its record string decoded to chars — the
+    /// very input of the Myers kernel.
+    fn compile_record(&self, fields: &[&str], store: &mut CompiledRecords) {
+        store.push_chars(record_chars(fields));
     }
 
     fn name(&self) -> &str {
@@ -246,92 +249,106 @@ impl Distance for EditDistance {
     }
 }
 
-/// Compiled `ed` query: the query's [`PreparedPattern`] plus reusable
-/// candidate-side buffers (zero allocation per candidate once warm).
-struct PreparedEdit {
-    pattern: PreparedPattern,
+/// What `ed` compares: the record string decoded to chars. Query and
+/// candidates both go through here, so compiled and per-call results
+/// cannot differ.
+fn record_chars(fields: &[&str]) -> Vec<char> {
+    record_string(fields).chars().collect()
+}
+
+/// Compiled `ed` query: the query's [`PreparedPattern`] plus buffers
+/// reused across every candidate and batch of the lookup.
+struct PreparedEdit<'c> {
+    pattern: PreparedPattern<'c>,
+    /// Per-call scratch for raw-field candidates: the record string and
+    /// its chars.
     text: String,
     chars: Vec<char>,
-    /// Batch-path scratch: every candidate's normalized chars packed into
-    /// one arena (`spans` indexes it), so a whole batch is live at once
-    /// for the lock-step kernel without per-candidate allocation.
-    arena: Vec<char>,
-    spans: Vec<(usize, usize)>,
+    /// Batch scratch: the candidates that reach the bounded kernel with
+    /// their raw bounds, the `(output slot, longer side)` of each, and
+    /// the kernel's raw results.
+    requests: Vec<(&'c [char], usize)>,
+    slots: Vec<(usize, usize)>,
     raw_out: Vec<Option<usize>>,
 }
 
-impl PreparedDistance for PreparedEdit {
-    fn distance_bounded_prepared(&mut self, candidate: &[&str], cutoff: f64) -> Option<f64> {
+/// The `ed` ladder over decoded chars: the bounded-ratio logic of
+/// [`EditDistance::distance_bounded`] with the query side compiled.
+fn bounded_ratio(pattern: &mut PreparedPattern, chars: &[char], cutoff: f64) -> Option<f64> {
+    let max = pattern.query().len().max(chars.len());
+    if max == 0 {
+        return (cutoff >= 0.0).then_some(0.0);
+    }
+    if cutoff < 0.0 {
+        return None;
+    }
+    if cutoff >= 1.0 {
+        // Every normalized distance qualifies; no point bounding.
+        return Some(pattern.distance(chars) as f64 / max as f64);
+    }
+    // Same over-inclusive raw bound as the unprepared path.
+    let raw_bound = (cutoff * max as f64).ceil() as usize;
+    let raw = pattern.bounded(chars, raw_bound)?;
+    let d = raw as f64 / max as f64;
+    (d <= cutoff).then_some(d)
+}
+
+impl<'c> PreparedEdit<'c> {
+    /// The scalar rung, uncounted: compiled chars go straight to the
+    /// kernel, raw fields are normalized and decoded into the scratch.
+    fn bounded(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
+        let chars = match candidate {
+            Candidate::Chars(chars) => chars,
+            raw => {
+                raw.with_fields(|fields| record_string_into(fields, &mut self.text));
+                self.chars.clear();
+                self.chars.extend(self.text.chars());
+                &self.chars
+            }
+        };
+        bounded_ratio(&mut self.pattern, chars, cutoff)
+    }
+}
+
+impl<'c> PreparedDistance<'c> for PreparedEdit<'c> {
+    fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
         fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::DistEdit, 1);
-        record_string_into(candidate, &mut self.text);
-        self.chars.clear();
-        self.chars.extend(self.text.chars());
-        let max = self.pattern.query().len().max(self.chars.len());
-        if max == 0 {
-            return (cutoff >= 0.0).then_some(0.0);
-        }
-        if cutoff < 0.0 {
-            return None;
-        }
-        if cutoff >= 1.0 {
-            // Every normalized distance qualifies; no point bounding.
-            return Some(self.pattern.distance(&self.chars) as f64 / max as f64);
-        }
-        // Same over-inclusive raw bound as the unprepared path.
-        let raw_bound = (cutoff * max as f64).ceil() as usize;
-        let raw = self.pattern.bounded(&self.chars, raw_bound)?;
-        let d = raw as f64 / max as f64;
-        (d <= cutoff).then_some(d)
+        self.bounded(candidate, cutoff)
     }
 
-    /// The scalar ladder above, applied per candidate, with every request
-    /// that reaches the bounded kernel routed through the lock-step
-    /// [`PreparedPattern::bounded_batch`] instead of one scan at a time.
+    /// The scalar ladder, applied per candidate, with every compiled
+    /// candidate that reaches the bounded kernel routed through the
+    /// lock-step [`PreparedPattern::bounded_batch`] instead of one scan at
+    /// a time. Raw-field candidates take the scalar rung.
     fn distance_bounded_batch(
         &mut self,
-        candidates: &[&[&str]],
+        candidates: &[Candidate<'c>],
         cutoff: f64,
         out: &mut Vec<Option<f64>>,
     ) {
         fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::DistEdit, candidates.len() as u64);
         out.clear();
         out.resize(candidates.len(), None);
-        self.arena.clear();
-        self.spans.clear();
-        for cand in candidates {
-            record_string_into(cand, &mut self.text);
-            let start = self.arena.len();
-            self.arena.extend(self.text.chars());
-            self.spans.push((start, self.arena.len()));
-        }
+        self.requests.clear();
+        self.slots.clear();
         let qlen = self.pattern.query().len();
-        // Split borrows: the requests reference the arena while the
-        // pattern advances its own mutable scratch.
-        let PreparedEdit { pattern, arena, spans, raw_out, .. } = self;
-        let mut requests: Vec<(&[char], usize)> = Vec::with_capacity(candidates.len());
-        let mut slots: Vec<(usize, usize)> = Vec::with_capacity(candidates.len());
-        for (i, &(start, end)) in spans.iter().enumerate() {
-            let chars = &arena[start..end];
+        for (i, &candidate) in candidates.iter().enumerate() {
+            let Candidate::Chars(chars) = candidate else {
+                out[i] = self.bounded(candidate, cutoff);
+                continue;
+            };
             let max = qlen.max(chars.len());
-            if max == 0 {
-                out[i] = (cutoff >= 0.0).then_some(0.0);
+            if max == 0 || !(0.0..1.0).contains(&cutoff) {
+                // The rungs of the ladder that never bound.
+                out[i] = bounded_ratio(&mut self.pattern, chars, cutoff);
                 continue;
             }
-            if cutoff < 0.0 {
-                continue;
-            }
-            if cutoff >= 1.0 {
-                // Every normalized distance qualifies; no point bounding.
-                out[i] = Some(pattern.distance(chars) as f64 / max as f64);
-                continue;
-            }
-            // Same over-inclusive raw bound as the scalar path.
             let raw_bound = (cutoff * max as f64).ceil() as usize;
-            requests.push((chars, raw_bound));
-            slots.push((i, max));
+            self.requests.push((chars, raw_bound));
+            self.slots.push((i, max));
         }
-        pattern.bounded_batch(&requests, raw_out);
-        for (&(i, max), raw) in slots.iter().zip(raw_out.iter()) {
+        self.pattern.bounded_batch(&self.requests, &mut self.raw_out);
+        for (&(i, max), raw) in self.slots.iter().zip(&self.raw_out) {
             if let Some(raw) = raw {
                 let d = *raw as f64 / max as f64;
                 out[i] = (d <= cutoff).then_some(d);

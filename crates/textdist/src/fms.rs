@@ -41,18 +41,26 @@ use parking_lot::Mutex;
 use crate::idf::IdfModel;
 use crate::myers::myers_chars;
 use crate::tokenize::tokenize_record;
-use crate::{Distance, Prepared, PreparedDistance};
+use crate::{Candidate, CompiledRecords, Distance, Prepared, PreparedDistance, WeightedTokens};
 
-/// Cached per-record token decomposition: `(token chars, idf weight)` plus
-/// the total weight.
-type Decomposition = Arc<(Vec<(Vec<char>, f64)>, f64)>;
+/// A memoized decomposition: a store holding the one record.
+type Decomposition = Arc<CompiledRecords>;
+
+/// The tokens of a one-record store.
+fn tokens_of(decomposition: &CompiledRecords) -> WeightedTokens<'_> {
+    match decomposition.candidate(0, &[]) {
+        Candidate::Tokens(tokens) => tokens,
+        other => unreachable!("fms compiles records to tokens, not {other:?}"),
+    }
+}
 
 /// Symmetric fuzzy match distance; see module docs.
 ///
-/// Internally memoizes record decompositions (tokenization + IDF lookups):
-/// dedup pipelines evaluate each record against hundreds of candidates, so
-/// the decomposition is reused across calls. The cache is bounded and
-/// thread-safe.
+/// The unprepared [`Distance::distance`] memoizes record decompositions
+/// (tokenization + IDF lookups) behind a bounded, thread-safe cache; the
+/// verification path never touches it — an index compiles every record's
+/// decomposition once ([`Distance::compile_record`]) and a prepared query
+/// pins its own.
 #[derive(Debug)]
 pub struct FuzzyMatchDistance {
     idf: IdfModel,
@@ -85,20 +93,15 @@ impl FuzzyMatchDistance {
         Self { idf, max_token_ned: 0.8, cache: Mutex::new(HashMap::new()) }
     }
 
+    /// The memoized decomposition of a record given as raw fields.
     fn decompose(&self, fields: &[&str]) -> Decomposition {
         let key = fields.join("\u{1f}");
         if let Some(hit) = self.cache.lock().get(&key) {
             return hit.clone();
         }
-        let tokens: Vec<(Vec<char>, f64)> = tokenize_record(fields)
-            .into_iter()
-            .map(|t| {
-                let w = self.idf.idf(&t.text);
-                (t.text.chars().collect(), w)
-            })
-            .collect();
-        let total: f64 = tokens.iter().map(|(_, w)| w).sum();
-        let value: Decomposition = Arc::new((tokens, total));
+        let mut store = CompiledRecords::default();
+        self.compile_record(fields, &mut store);
+        let value: Decomposition = Arc::new(store);
         let mut cache = self.cache.lock();
         if cache.len() >= CACHE_CAP {
             cache.clear();
@@ -122,15 +125,13 @@ impl FuzzyMatchDistance {
     pub fn similarity(&self, a: &[&str], b: &[&str]) -> f64 {
         let da = self.decompose(a);
         let db = self.decompose(b);
-        similarity_decomposed(&da, &db, self.max_token_ned)
+        similarity_decomposed(tokens_of(&da), tokens_of(&db), self.max_token_ned)
     }
 }
 
-/// fms similarity over two cached decompositions. Shared by the per-call
-/// path and the prepared layer so both produce bit-identical results.
-fn similarity_decomposed(da: &Decomposition, db: &Decomposition, max_token_ned: f64) -> f64 {
-    let (ta, wa) = (&da.0, da.1);
-    let (tb, wb) = (&db.0, db.1);
+/// fms similarity over two decompositions. Shared by the per-call path
+/// and the prepared layer so both produce bit-identical results.
+fn similarity_decomposed(ta: WeightedTokens, tb: WeightedTokens, max_token_ned: f64) -> f64 {
     if ta.is_empty() && tb.is_empty() {
         return 1.0;
     }
@@ -171,7 +172,7 @@ fn similarity_decomposed(da: &Decomposition, db: &Decomposition, max_token_ned: 
             gain += g;
         }
     }
-    (gain / (wa + wb)).clamp(0.0, 1.0)
+    (gain / (ta.total_weight() + tb.total_weight())).clamp(0.0, 1.0)
 }
 
 impl Distance for FuzzyMatchDistance {
@@ -180,10 +181,16 @@ impl Distance for FuzzyMatchDistance {
         1.0 - self.similarity(a, b)
     }
 
-    /// Pin the query's decomposition once, bypassing the shared memo's
-    /// key-join + lock on every candidate comparison.
+    /// Pin the query's decomposition once.
     fn prepare<'a>(&'a self, query: &[&str]) -> Prepared<'a> {
         Prepared::new(Box::new(PreparedFms { query: self.decompose(query), distance: self }))
+    }
+
+    /// A record compiles to its decomposition: normalized tokens in
+    /// record order, each with its IDF weight.
+    fn compile_record(&self, fields: &[&str], store: &mut CompiledRecords) {
+        let tokens = tokenize_record(fields);
+        store.push_tokens(tokens.iter().map(|t| (t.text.as_str(), self.idf.idf(&t.text))));
     }
 
     fn name(&self) -> &str {
@@ -197,11 +204,21 @@ struct PreparedFms<'a> {
     query: Decomposition,
 }
 
-impl PreparedDistance for PreparedFms<'_> {
-    fn distance_bounded_prepared(&mut self, candidate: &[&str], cutoff: f64) -> Option<f64> {
+impl<'c> PreparedDistance<'c> for PreparedFms<'_> {
+    /// A compiled candidate pays only the matching; raw fields go through
+    /// the memo, as the unprepared path does.
+    fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
         fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::DistFms, 1);
-        let db = self.distance.decompose(candidate);
-        let d = 1.0 - similarity_decomposed(&self.query, &db, self.distance.max_token_ned);
+        let query = tokens_of(&self.query);
+        let max_token_ned = self.distance.max_token_ned;
+        let similarity = match candidate {
+            Candidate::Tokens(tokens) => similarity_decomposed(query, tokens, max_token_ned),
+            raw => {
+                let memo = raw.with_fields(|fields| self.distance.decompose(fields));
+                similarity_decomposed(query, tokens_of(&memo), max_token_ned)
+            }
+        };
+        let d = 1.0 - similarity;
         (d <= cutoff).then_some(d)
     }
 }

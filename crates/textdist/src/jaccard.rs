@@ -9,7 +9,7 @@ use std::collections::HashSet;
 
 use crate::qgram::QgramProfile;
 use crate::tokenize::{record_string, tokenize_record};
-use crate::{Distance, Prepared, PreparedDistance};
+use crate::{Candidate, Distance, Prepared, PreparedDistance};
 
 fn token_set(fields: &[&str]) -> HashSet<String> {
     tokenize_record(fields).into_iter().map(|t| t.text).collect()
@@ -108,16 +108,16 @@ struct PreparedJaccard {
     kind: PreparedJaccardKind,
 }
 
-impl PreparedDistance for PreparedJaccard {
-    fn distance_bounded_prepared(&mut self, candidate: &[&str], cutoff: f64) -> Option<f64> {
+impl<'c> PreparedDistance<'c> for PreparedJaccard {
+    fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
         fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::DistJaccard, 1);
-        let d = match &self.kind {
-            PreparedJaccardKind::Tokens(sa) => 1.0 - set_jaccard(sa, &token_set(candidate)),
+        let d = candidate.with_fields(|fields| match &self.kind {
+            PreparedJaccardKind::Tokens(sa) => 1.0 - set_jaccard(sa, &token_set(fields)),
             PreparedJaccardKind::Qgrams { profile, q } => {
-                let pb = QgramProfile::build(&record_string(candidate), *q);
+                let pb = QgramProfile::build(&record_string(fields), *q);
                 1.0 - profile_jaccard(profile, &pb)
             }
-        };
+        });
         (d <= cutoff).then_some(d)
     }
 }

@@ -6,7 +6,7 @@
 //! distance function for quality comparisons.
 
 use crate::tokenize::{record_string, record_string_into};
-use crate::{Distance, Prepared, PreparedDistance};
+use crate::{Candidate, Distance, Prepared, PreparedDistance};
 
 /// Jaro similarity in `[0, 1]`. Both-empty pairs are `1`.
 ///
@@ -94,10 +94,10 @@ struct PreparedJaroWinkler {
     text: String,
 }
 
-impl PreparedDistance for PreparedJaroWinkler {
-    fn distance_bounded_prepared(&mut self, candidate: &[&str], cutoff: f64) -> Option<f64> {
+impl<'c> PreparedDistance<'c> for PreparedJaroWinkler {
+    fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
         fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::DistJaroWinkler, 1);
-        record_string_into(candidate, &mut self.text);
+        candidate.with_fields(|fields| record_string_into(fields, &mut self.text));
         let d = 1.0 - jaro_winkler(&self.query, &self.text);
         (d <= cutoff).then_some(d)
     }

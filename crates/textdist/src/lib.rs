@@ -25,6 +25,7 @@
 //! each module check symmetry, range, and identity-of-indiscernibles on the
 //! string representation.
 
+pub mod compiled;
 pub mod composite;
 pub mod cosine;
 pub mod edit;
@@ -38,6 +39,7 @@ pub mod qgram;
 pub mod soundex;
 pub mod tokenize;
 
+pub use compiled::{Candidate, CompiledRecords, WeightedTokens};
 pub use composite::{CompositeDistance, FieldWeight};
 pub use cosine::CosineDistance;
 pub use edit::{
@@ -52,7 +54,7 @@ pub use monge_elkan::MongeElkanDistance;
 pub use myers::{myers, myers_bounded, myers_bounded_chars, myers_chars};
 pub use qgram::{merge_overlap_bound, qgrams, record_term_set, QgramProfile, TermSet};
 pub use soundex::soundex;
-pub use tokenize::{normalize, tokenize, Token};
+pub use tokenize::{normalize, normalize_into, tokenize, Token};
 
 pub use tokenize::{record_string, record_string_into};
 
@@ -68,6 +70,16 @@ pub use tokenize::{record_string, record_string_into};
 /// The triangle inequality is *not* required — neither edit distance after
 /// normalization nor fuzzy match similarity satisfies it, and the
 /// duplicate-elimination framework does not rely on it.
+///
+/// **Extension point.** Only [`Distance::distance`] and
+/// [`Distance::name`] are required. Everything else is a performance
+/// lever with a correct default: `distance_bounded` filters the full
+/// distance, [`Distance::prepare`] recompiles the query per call,
+/// [`Distance::compile_record`] compiles nothing — so the indexes verify
+/// a third-party distance from the raw attribute strings, one
+/// `distance_bounded` call per candidate. Override them in that order as
+/// profiles demand; each override must reproduce the default's results
+/// bit for bit.
 pub trait Distance: Send + Sync {
     /// Distance between two records, each given as a slice of attribute
     /// strings. Single-attribute records pass a one-element slice.
@@ -108,12 +120,11 @@ pub trait Distance: Send + Sync {
     /// joined normalized view ([`record_string`] / [`tokenize_record`]):
     /// `true` promises
     /// `d(a, b) == d([record_string(a)], [record_string(b)])` for every
-    /// pair, so callers that verify the same records against many queries
-    /// (the nearest-neighbor indexes) may pre-join each record once and
-    /// pass the single-field view instead of re-normalizing every field
-    /// per verification. Every whole-record distance in this crate
-    /// qualifies; per-field combinators ([`CompositeDistance`]) must
-    /// return `false`.
+    /// pair, so records with equal record strings are at distance 0 and
+    /// interchangeable — what lets the collapse pre-pass key duplicate
+    /// classes on the record string. Every whole-record distance in this
+    /// crate qualifies; per-field combinators ([`CompositeDistance`])
+    /// must return `false`.
     fn record_string_invariant(&self) -> bool {
         true
     }
@@ -130,11 +141,34 @@ pub trait Distance: Send + Sync {
     /// through the unprepared path, so every existing implementation
     /// keeps working; distances with expensive per-query state (Peq
     /// tables, token vectors, IDF weights) override it.
+    ///
+    /// `'a` spans the distance **and** the corpus: the candidates handed
+    /// to the prepared query live at least as long as it does, so it may
+    /// keep slices of them in buffers it reuses across batches.
     fn prepare<'a>(&'a self, query: &[&str]) -> Prepared<'a> {
         Prepared::new(Box::new(FallbackPrepared {
             distance: self,
             query: query.iter().map(|s| s.to_string()).collect(),
         }))
+    }
+
+    /// Compile a *candidate* record once: append to `store` whatever
+    /// this distance derives from the record alone, so that verifying it
+    /// against any prepared query repeats none of that work. An index
+    /// calls this once per record, in record-id order, and hands
+    /// verification [`CompiledRecords::candidate`] views.
+    ///
+    /// The default compiles nothing: candidates then reach the prepared
+    /// query as [`Candidate::Fields`], the raw attribute strings, and the
+    /// per-call path serves them — a third-party distance is correct
+    /// without overriding anything. An override must derive the compiled
+    /// form with the same function its [`Distance::prepare`] applies to
+    /// the query (`ed`: [`record_string`] decoded to chars; `fms`: the
+    /// token/IDF decomposition), which is what keeps compiled results
+    /// bit-identical to [`Distance::distance_bounded`] on the raw fields;
+    /// its prepared query must still accept [`Candidate::Fields`].
+    fn compile_record(&self, fields: &[&str], store: &mut CompiledRecords) {
+        let _ = (fields, store);
     }
 
     /// A short human-readable name ("ed", "fms", "cosine", ...).
@@ -147,12 +181,16 @@ pub trait Distance: Send + Sync {
 ///
 /// `&mut self` lets implementations keep internal scratch buffers — a
 /// prepared query is owned by one lookup on one thread (`Send`, not
-/// `Sync`).
-pub trait PreparedDistance: Send {
+/// `Sync`). `'c` is the lifetime of the candidates it verifies (see
+/// [`Distance::prepare`]).
+pub trait PreparedDistance<'c>: Send {
     /// Bounded distance from the compiled query to a candidate record:
     /// `Some(d)` iff `d <= cutoff`, else `None`, exactly as
-    /// [`Distance::distance_bounded`] on the original query.
-    fn distance_bounded_prepared(&mut self, candidate: &[&str], cutoff: f64) -> Option<f64>;
+    /// [`Distance::distance_bounded`] on the original query and the
+    /// candidate's raw fields. Every implementation accepts
+    /// [`Candidate::Fields`]; one whose distance overrides
+    /// [`Distance::compile_record`] also accepts that compiled form.
+    fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64>;
 
     /// Bounded distance to a whole batch of candidates at one shared
     /// cutoff: `out[i]` must equal
@@ -164,12 +202,12 @@ pub trait PreparedDistance: Send {
     /// pass over their compiled tables.
     fn distance_bounded_batch(
         &mut self,
-        candidates: &[&[&str]],
+        candidates: &[Candidate<'c>],
         cutoff: f64,
         out: &mut Vec<Option<f64>>,
     ) {
         out.clear();
-        for cand in candidates {
+        for &cand in candidates {
             let d = self.distance_bounded_prepared(cand, cutoff);
             out.push(d);
         }
@@ -177,22 +215,22 @@ pub trait PreparedDistance: Send {
 }
 
 /// A query compiled by [`Distance::prepare`], borrowing the distance it
-/// came from. Records prepared-layer metrics (`prepared` section of
-/// `RunMetrics`): one `PreparedQueries` per compilation, one
-/// `PreparedReuses` per evaluation served.
-pub struct Prepared<'a>(Box<dyn PreparedDistance + 'a>);
+/// came from and the corpus it verifies. Records prepared-layer metrics
+/// (`prepared` section of `RunMetrics`): one `PreparedQueries` per
+/// compilation, one `PreparedReuses` per evaluation served.
+pub struct Prepared<'a>(Box<dyn PreparedDistance<'a> + 'a>);
 
 impl<'a> Prepared<'a> {
     /// Wrap a compiled query (implementation hook for `prepare`
     /// overrides).
-    pub fn new(inner: Box<dyn PreparedDistance + 'a>) -> Self {
+    pub fn new(inner: Box<dyn PreparedDistance<'a> + 'a>) -> Self {
         fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::PreparedQueries, 1);
         Prepared(inner)
     }
 
     /// Bounded distance to a candidate through the compiled query;
-    /// equivalent to `distance_bounded(query, candidate, cutoff)`.
-    pub fn distance_bounded(&mut self, candidate: &[&str], cutoff: f64) -> Option<f64> {
+    /// equivalent to `distance_bounded(query, candidate fields, cutoff)`.
+    pub fn distance_bounded(&mut self, candidate: Candidate<'a>, cutoff: f64) -> Option<f64> {
         fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::PreparedReuses, 1);
         self.0.distance_bounded_prepared(candidate, cutoff)
     }
@@ -203,7 +241,7 @@ impl<'a> Prepared<'a> {
     /// them (see [`PreparedDistance::distance_bounded_batch`]).
     pub fn distance_bounded_batch(
         &mut self,
-        candidates: &[&[&str]],
+        candidates: &[Candidate<'a>],
         cutoff: f64,
         out: &mut Vec<Option<f64>>,
     ) {
@@ -223,10 +261,11 @@ struct FallbackPrepared<'a, D: ?Sized> {
     query: Vec<String>,
 }
 
-impl<D: Distance + ?Sized> PreparedDistance for FallbackPrepared<'_, D> {
-    fn distance_bounded_prepared(&mut self, candidate: &[&str], cutoff: f64) -> Option<f64> {
-        let query: Vec<&str> = self.query.iter().map(String::as_str).collect();
-        self.distance.distance_bounded(&query, candidate, cutoff)
+impl<'c, D: Distance + ?Sized> PreparedDistance<'c> for FallbackPrepared<'_, D> {
+    fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
+        Candidate::Fields(&self.query).with_fields(|query| {
+            candidate.with_fields(|fields| self.distance.distance_bounded(query, fields, cutoff))
+        })
     }
 }
 
@@ -254,6 +293,11 @@ impl<D: Distance + ?Sized> Distance for &D {
         // recompile per call even when the inner type compiles queries.
         (**self).prepare(query)
     }
+    fn compile_record(&self, fields: &[&str], store: &mut CompiledRecords) {
+        // Same vtable gotcha: the default compiles nothing, which is
+        // correct but re-normalizes every candidate on every lookup.
+        (**self).compile_record(fields, store)
+    }
     fn name(&self) -> &str {
         (**self).name()
     }
@@ -274,6 +318,9 @@ impl Distance for Box<dyn Distance> {
     }
     fn prepare<'a>(&'a self, query: &[&str]) -> Prepared<'a> {
         (**self).prepare(query)
+    }
+    fn compile_record(&self, fields: &[&str], store: &mut CompiledRecords) {
+        (**self).compile_record(fields, store)
     }
     fn name(&self) -> &str {
         (**self).name()
@@ -301,6 +348,9 @@ impl<D: Distance> Distance for UnfilteredDistance<D> {
         // Filter admissibility is hidden, but prepared kernels stay live:
         // distances are identical either way.
         self.0.prepare(query)
+    }
+    fn compile_record(&self, fields: &[&str], store: &mut CompiledRecords) {
+        self.0.compile_record(fields, store)
     }
     fn name(&self) -> &str {
         self.0.name()

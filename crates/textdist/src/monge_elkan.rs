@@ -14,7 +14,7 @@
 
 use crate::myers::myers_chars;
 use crate::tokenize::tokenize_record;
-use crate::{Distance, Prepared, PreparedDistance};
+use crate::{Candidate, Distance, Prepared, PreparedDistance};
 
 /// One direction of Monge-Elkan: mean over `a`'s tokens of the best
 /// similarity (1 − normalized Levenshtein) against `b`'s tokens.
@@ -80,10 +80,10 @@ struct PreparedMongeElkan {
     query: Vec<Vec<char>>,
 }
 
-impl PreparedDistance for PreparedMongeElkan {
-    fn distance_bounded_prepared(&mut self, candidate: &[&str], cutoff: f64) -> Option<f64> {
+impl<'c> PreparedDistance<'c> for PreparedMongeElkan {
+    fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
         fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::DistMongeElkan, 1);
-        let tb = token_chars(candidate);
+        let tb = candidate.with_fields(token_chars);
         let sim = (directed(&self.query, &tb) + directed(&tb, &self.query)) / 2.0;
         let d = (1.0 - sim).clamp(0.0, 1.0);
         (d <= cutoff).then_some(d)

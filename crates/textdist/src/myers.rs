@@ -354,12 +354,19 @@ pub fn myers_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
 /// Blocked (> 64-char) queries reuse their table whenever no affix is
 /// shared; with shared affixes they fall back to the stock kernel, where
 /// stripping shrinks the scan enough to dwarf the rebuild.
-pub(crate) struct PreparedPattern {
+///
+/// `'t` is the lifetime of the candidate texts: batch requests outlive the
+/// pattern, so the lock-step lanes that borrow them are buffers the
+/// pattern owns and reuses across batches.
+pub(crate) struct PreparedPattern<'t> {
     query: Vec<char>,
     kind: PreparedKind,
     /// Blocked-path column state, reused across candidates.
     pv: Vec<u64>,
     mv: Vec<u64>,
+    /// Lock-step lanes, refilled per batch.
+    lanes: Vec<BatchLane<'t>>,
+    blocked_lanes: Vec<BlockedLane<'t>>,
 }
 
 // The word-path table dwarfs the blocked variant, but a pattern is
@@ -373,7 +380,7 @@ enum PreparedKind {
     Blocked(PeqBlocks),
 }
 
-impl PreparedPattern {
+impl<'t> PreparedPattern<'t> {
     /// Compile a query's equality table once.
     pub fn new(query: Vec<char>) -> Self {
         let kind = if query.len() <= 64 {
@@ -381,7 +388,14 @@ impl PreparedPattern {
         } else {
             PreparedKind::Blocked(PeqBlocks::build(&query))
         };
-        Self { query, kind, pv: Vec::new(), mv: Vec::new() }
+        Self {
+            query,
+            kind,
+            pv: Vec::new(),
+            mv: Vec::new(),
+            lanes: Vec::new(),
+            blocked_lanes: Vec::new(),
+        }
     }
 
     /// The compiled query.
@@ -433,11 +447,15 @@ impl PreparedPattern {
     /// sorted into length buckets first so the lanes of a chunk retire
     /// together. Blocked, affix-fallback, and degenerate requests take
     /// the scalar rungs unchanged.
-    pub fn bounded_batch(&mut self, requests: &[(&[char], usize)], out: &mut Vec<Option<usize>>) {
+    pub fn bounded_batch(
+        &mut self,
+        requests: &[(&'t [char], usize)],
+        out: &mut Vec<Option<usize>>,
+    ) {
         out.clear();
         out.resize(requests.len(), None);
-        let mut lanes: Vec<BatchLane> = Vec::with_capacity(requests.len());
-        let mut blocked_lanes: Vec<BlockedLane> = Vec::new();
+        self.lanes.clear();
+        self.blocked_lanes.clear();
         let mut bounded_calls = 0u64;
         let mut early_exits = 0u64;
         for (i, &(text, bound)) in requests.iter().enumerate() {
@@ -466,7 +484,7 @@ impl PreparedPattern {
             match &self.kind {
                 PreparedKind::Word(_) | PreparedKind::Blocked(_) if sp_len <= 64 => {
                     let mask = if sp_len == 64 { !0u64 } else { (1u64 << sp_len) - 1 };
-                    lanes.push(BatchLane {
+                    self.lanes.push(BatchLane {
                         text: st,
                         pre: pre as u32,
                         out_idx: i as u32,
@@ -480,7 +498,7 @@ impl PreparedPattern {
                 }
                 PreparedKind::Word(_) => unreachable!("word queries are ≤ 64 chars"),
                 PreparedKind::Blocked(peq) if (2..=BLOCKED_MAX_W).contains(&peq.w) => {
-                    blocked_lanes.push(BlockedLane {
+                    self.blocked_lanes.push(BlockedLane {
                         text: st,
                         out_idx: i as u32,
                         pv: [!0u64; BLOCKED_MAX_W],
@@ -506,13 +524,17 @@ impl PreparedPattern {
         }
         match &self.kind {
             PreparedKind::Word(peq) => {
-                early_exits += word_bounded_lockstep(|c, pre| peq.get(c) >> pre, &mut lanes, out);
+                early_exits +=
+                    word_bounded_lockstep(|c, pre| peq.get(c) >> pre, &mut self.lanes, out);
             }
             PreparedKind::Blocked(peq) => {
+                early_exits += word_bounded_lockstep(
+                    |c, pre| peq.window(c, pre as usize),
+                    &mut self.lanes,
+                    out,
+                );
                 early_exits +=
-                    word_bounded_lockstep(|c, pre| peq.window(c, pre as usize), &mut lanes, out);
-                early_exits +=
-                    blocked_bounded_lockstep(peq, self.query.len(), &mut blocked_lanes, out);
+                    blocked_bounded_lockstep(peq, self.query.len(), &mut self.blocked_lanes, out);
             }
         }
         if early_exits > 0 {

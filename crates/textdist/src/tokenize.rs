@@ -27,29 +27,42 @@ impl Token {
 /// a space, and collapse runs of whitespace into a single space. Leading and
 /// trailing whitespace is removed.
 ///
+/// Idempotent: of the chars a lowercase mapping yields, only the
+/// alphanumeric ones are kept (`'İ'` lowercases to `i` plus a combining
+/// dot, which a second pass would otherwise turn into a space).
+///
 /// ```
 /// use fuzzydedup_textdist::normalize;
 /// assert_eq!(normalize("  The  Doors! "), "the doors");
 /// assert_eq!(normalize("I'm Holdin' On"), "i m holdin on");
 /// assert_eq!(normalize("AC/DC"), "ac dc");
+/// assert_eq!(normalize("İİ"), "ii");
 /// ```
 pub fn normalize(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    normalize_into(s, &mut out);
+    out
+}
+
+/// [`normalize`] **appended** to a caller-provided buffer: whatever `out`
+/// already holds is kept, and a normalized form that turns out empty
+/// appends nothing.
+pub fn normalize_into(s: &str, out: &mut String) {
+    let start = out.len();
     let mut pending_space = false;
     for ch in s.chars() {
-        if ch.is_alphanumeric() {
-            if pending_space && !out.is_empty() {
+        if !ch.is_alphanumeric() {
+            pending_space = true;
+            continue;
+        }
+        for lower in ch.to_lowercase().filter(|c| c.is_alphanumeric()) {
+            if pending_space && out.len() > start {
                 out.push(' ');
             }
             pending_space = false;
-            for lower in ch.to_lowercase() {
-                out.push(lower);
-            }
-        } else {
-            pending_space = true;
+            out.push(lower);
         }
     }
-    out
 }
 
 /// Tokenize a string into normalized word tokens.
@@ -94,19 +107,20 @@ pub fn record_string(fields: &[&str]) -> String {
 }
 
 /// [`record_string`] written into a caller-provided buffer (cleared
-/// first), so the prepared-distance layer can reuse one allocation across
-/// a whole candidate list.
+/// first), so callers that join many records reuse one allocation.
 pub fn record_string_into(fields: &[&str], out: &mut String) {
     out.clear();
     for field in fields {
-        let n = normalize(field);
-        if n.is_empty() {
-            continue;
-        }
-        if !out.is_empty() {
+        let mark = out.len();
+        if mark > 0 {
             out.push(' ');
         }
-        out.push_str(&n);
+        let body = out.len();
+        normalize_into(field, out);
+        if out.len() == body {
+            // The field normalized to nothing: take the separator back.
+            out.truncate(mark);
+        }
     }
 }
 
@@ -159,9 +173,52 @@ mod tests {
         assert_eq!(record_string(&[]), "");
     }
 
+    #[test]
+    fn normalize_keeps_only_alphanumerics_of_a_lowercase_mapping() {
+        // 'İ' (U+0130) lowercases to 'i' + U+0307; the combining dot is
+        // not alphanumeric and must not survive to become a space later.
+        assert_eq!(normalize("İİİİ cafe"), "iiii cafe");
+        assert_eq!(normalize(&normalize("İstanbul İ")), normalize("İstanbul İ"));
+    }
+
+    #[test]
+    fn normalize_is_idempotent_on_every_char() {
+        for ch in (0..=char::MAX as u32).filter_map(char::from_u32) {
+            // Between letters, so a char that vanishes or becomes a
+            // separator shows either way.
+            let once = normalize(&format!("a{ch}b"));
+            assert_eq!(normalize(&once), once, "U+{:04X}", ch as u32);
+        }
+    }
+
+    #[test]
+    fn normalize_into_appends() {
+        let mut out = String::from("kept");
+        normalize_into("  The Doors! ", &mut out);
+        assert_eq!(out, "keptthe doors");
+        normalize_into("?!", &mut out);
+        assert_eq!(out, "keptthe doors");
+    }
+
+    #[test]
+    fn record_string_skips_fields_that_normalize_to_nothing() {
+        assert_eq!(record_string(&["a", "--", "b"]), "a b");
+        assert_eq!(record_string(&["!!", "x"]), "x");
+        assert_eq!(record_string(&["x", "!!"]), "x");
+    }
+
     proptest! {
         #[test]
-        fn normalize_is_idempotent(s in ".{0,64}") {
+        fn normalize_is_idempotent(
+            // Arbitrary Unicode: any scalar value, with half the draws
+            // folded into the first 0x600 code points, where the case
+            // mappings that expand or carry combining marks live.
+            points in prop::collection::vec((0u32..0x11_0000, any::<bool>()), 0..64),
+        ) {
+            let s: String = points
+                .into_iter()
+                .filter_map(|(p, low)| char::from_u32(if low { p % 0x600 } else { p }))
+                .collect();
             let once = normalize(&s);
             prop_assert_eq!(normalize(&once), once);
         }

@@ -1,18 +1,38 @@
 //! Property tests pinning the lock-step batched prepared path to the
 //! scalar prepared path it accelerates (DESIGN.md §7.6).
 //!
-//! For every built-in distance, `Prepared::distance_bounded_batch` over a
-//! candidate list must agree *bit-exactly*, slot for slot, with calling
-//! `Prepared::distance_bounded` per candidate at the same cutoff — across
-//! Unicode (including 4-byte supplementary-plane chars), >64-char blocked
-//! patterns, cutoffs on both sides of the true distance, ragged final
-//! batches, and batch size 1.
+//! For every built-in distance — and one custom distance running on the
+//! trait's defaults — `Prepared::distance_bounded_batch` over a list of
+//! compiled candidates must agree *bit-exactly*, slot for slot, with
+//! calling `Prepared::distance_bounded` per candidate at the same cutoff,
+//! and with the unprepared `Distance::distance_bounded` on the raw fields
+//! — across Unicode (including 4-byte supplementary-plane chars), >64-char
+//! blocked patterns, cutoffs on both sides of the true distance, ragged
+//! final batches, batch size 1, and batches mixing compiled candidates
+//! with raw-field ones.
 
 use fuzzydedup_textdist::{
-    CosineDistance, Distance, EditDistance, FuzzyMatchDistance, IdfModel, JaccardDistance,
-    JaroWinklerDistance, MongeElkanDistance, UnfilteredDistance,
+    record_string, Candidate, CompiledRecords, CompositeDistance, CosineDistance, Distance,
+    EditDistance, FuzzyMatchDistance, IdfModel, JaccardDistance, JaroWinklerDistance,
+    MongeElkanDistance, UnfilteredDistance,
 };
 use proptest::prelude::*;
+
+/// A third-party distance that implements only what the trait demands
+/// (the relative length gap of the record strings); bounded calls,
+/// `prepare`, `compile_record` and the batch call are all defaults.
+struct LengthGap;
+
+impl Distance for LengthGap {
+    fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
+        let la = record_string(a).chars().count();
+        let lb = record_string(b).chars().count();
+        la.abs_diff(lb) as f64 / la.max(lb).max(1) as f64
+    }
+    fn name(&self) -> &str {
+        "length-gap"
+    }
+}
 
 fn idf() -> IdfModel {
     IdfModel::fit_strings(&[
@@ -36,6 +56,8 @@ fn all_distances() -> Vec<Box<dyn Distance>> {
         Box::new(JaroWinklerDistance),
         Box::new(MongeElkanDistance),
         Box::new(UnfilteredDistance(EditDistance)),
+        Box::new(CompositeDistance::uniform(EditDistance)),
+        Box::new(LengthGap),
     ]
 }
 
@@ -52,28 +74,53 @@ fn batch_cutoffs(dist: &dyn Distance, query: &[&str], candidates: &[Vec<&str>]) 
     cuts
 }
 
-/// Core check: batched results equal per-candidate scalar results — for
-/// the whole list in one call and re-chunked at sizes 1 and 3 (ragged
-/// final chunks included whenever `len % 3 != 0`).
+/// Core check: batched results over compiled candidates equal the
+/// unprepared call on the raw fields and the per-candidate scalar
+/// results — for the whole list in one call and re-chunked at sizes 1
+/// and 3 (ragged final chunks included whenever `len % 3 != 0`), and
+/// again with every other candidate handed over as raw fields.
 fn assert_batch_equals_scalar(dist: &dyn Distance, query: &[&str], candidates: &[Vec<&str>]) {
-    let cand_slices: Vec<&[&str]> = candidates.iter().map(Vec::as_slice).collect();
+    let owned: Vec<Vec<String>> =
+        candidates.iter().map(|c| c.iter().map(|f| f.to_string()).collect()).collect();
+    let mut store = CompiledRecords::default();
+    for cand in candidates {
+        dist.compile_record(cand, &mut store);
+    }
+    let compiled: Vec<Candidate> =
+        owned.iter().enumerate().map(|(i, fields)| store.candidate(i, fields)).collect();
+    let mixed: Vec<Candidate> = compiled
+        .iter()
+        .zip(&owned)
+        .enumerate()
+        .map(|(i, (&form, fields))| if i % 2 == 0 { form } else { Candidate::Fields(fields) })
+        .collect();
     let mut prepared = dist.prepare(query);
     let mut out = Vec::new();
     for cutoff in batch_cutoffs(dist, query, candidates) {
         let expected: Vec<Option<f64>> =
-            cand_slices.iter().map(|c| prepared.distance_bounded(c, cutoff)).collect();
-        for chunk_size in [candidates.len().max(1), 1, 3] {
-            let mut got: Vec<Option<f64>> = Vec::new();
-            for chunk in cand_slices.chunks(chunk_size) {
-                prepared.distance_bounded_batch(chunk, cutoff, &mut out);
-                got.extend_from_slice(&out);
+            candidates.iter().map(|c| dist.distance_bounded(query, c, cutoff)).collect();
+        let scalar: Vec<Option<f64>> =
+            compiled.iter().map(|&c| prepared.distance_bounded(c, cutoff)).collect();
+        assert_eq!(
+            scalar,
+            expected,
+            "{}: scalar(compiled) != unprepared at cutoff {cutoff} for {query:?} vs {candidates:?}",
+            dist.name()
+        );
+        for forms in [&compiled, &mixed] {
+            for chunk_size in [candidates.len().max(1), 1, 3] {
+                let mut got: Vec<Option<f64>> = Vec::new();
+                for chunk in forms.chunks(chunk_size) {
+                    prepared.distance_bounded_batch(chunk, cutoff, &mut out);
+                    got.extend_from_slice(&out);
+                }
+                assert_eq!(
+                    got,
+                    expected,
+                    "{}: batch(chunk={chunk_size}) != scalar at cutoff {cutoff} for {query:?} vs {candidates:?}",
+                    dist.name()
+                );
             }
-            assert_eq!(
-                got,
-                expected,
-                "{}: batch(chunk={chunk_size}) != scalar at cutoff {cutoff} for {query:?} vs {candidates:?}",
-                dist.name()
-            );
         }
     }
 }
@@ -125,8 +172,9 @@ proptest! {
 }
 
 /// Deterministic seams: empty strings, identical records, the 63/64/65
-/// word boundary, 4-byte chars, and a mixed batch that straddles the
-/// word/blocked split so lane bucketing retires lanes at different
+/// word boundary, 4-byte chars, U+0130 (whose lowercase mapping expands),
+/// uppercase/punctuation/empty fields, and a mixed batch that straddles
+/// the word/blocked split so lane bucketing retires lanes at different
 /// columns.
 #[test]
 fn deterministic_batch_boundary_cases() {
@@ -144,8 +192,11 @@ fn deterministic_batch_boundary_cases() {
         vec![&long_uni],
         vec!["日本語 café 🜁"],
         vec!["microsft corporation"],
+        vec!["GOLDEN Dragon", "", "Palace!"],
+        vec!["İİİİ golden", "dragon"],
+        vec![],
     ];
-    for query in ["golden dragon palace", "", &b64, &long_uni] {
+    for query in ["golden dragon palace", "", &b64, &long_uni, "İİİİ Golden-Dragon"] {
         for dist in all_distances() {
             assert_batch_equals_scalar(&dist, &[query], &cands);
         }

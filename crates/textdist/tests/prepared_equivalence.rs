@@ -1,10 +1,13 @@
 //! Property tests pinning the prepared-query layer to the unprepared
 //! [`Distance`] API it accelerates (DESIGN.md §7.5).
 //!
-//! For every built-in distance, compiling the query once via
-//! [`Distance::prepare`] and evaluating candidates through
+//! For every built-in distance — and one custom distance that overrides
+//! nothing, so it runs on the trait's defaults — compiling the query once
+//! via [`Distance::prepare`] and evaluating candidates through
 //! `Prepared::distance_bounded` must agree *bit-exactly* with the
-//! per-call [`Distance::distance_bounded`] — and both must equal the
+//! per-call [`Distance::distance_bounded`] on the raw fields, whether the
+//! candidate reaches the prepared query as raw fields or in the form
+//! [`Distance::compile_record`] compiled once — and all must equal the
 //! plain [`Distance::distance`] filtered at the cutoff. Cutoffs are
 //! sampled on both sides of the true distance (including the exact
 //! boundary), candidates include Unicode/multibyte text, and the edit
@@ -12,10 +15,27 @@
 //! Myers path and the prepare-time affix stripping are both exercised.
 
 use fuzzydedup_textdist::{
-    CosineDistance, Distance, EditDistance, FuzzyMatchDistance, IdfModel, JaccardDistance,
-    JaroWinklerDistance, MongeElkanDistance, UnfilteredDistance,
+    record_string, Candidate, CompiledRecords, CompositeDistance, CosineDistance, Distance,
+    EditDistance, FuzzyMatchDistance, IdfModel, JaccardDistance, JaroWinklerDistance,
+    MongeElkanDistance, UnfilteredDistance,
 };
 use proptest::prelude::*;
+
+/// A third-party distance that implements only what the trait demands:
+/// the relative length gap of the record strings. Everything else —
+/// bounded calls, `prepare`, `compile_record` — is the trait's default.
+struct LengthGap;
+
+impl Distance for LengthGap {
+    fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
+        let la = record_string(a).chars().count();
+        let lb = record_string(b).chars().count();
+        la.abs_diff(lb) as f64 / la.max(lb).max(1) as f64
+    }
+    fn name(&self) -> &str {
+        "length-gap"
+    }
+}
 
 /// Cutoffs straddling the true distance `d`: fixed grid points plus the
 /// exact boundary and points just inside/outside it.
@@ -34,19 +54,33 @@ fn cutoffs(d: f64) -> Vec<f64> {
     ]
 }
 
-/// Core equivalence check: one query prepared once, every candidate
-/// evaluated at every cutoff through both paths.
+/// Core equivalence check: the candidates compiled once, one query
+/// prepared once, every candidate evaluated at every cutoff through the
+/// unprepared call and through the prepared query in both forms.
 fn assert_equivalent(dist: &dyn Distance, query: &[&str], candidates: &[Vec<&str>]) {
-    let mut prepared = dist.prepare(query);
+    let owned: Vec<Vec<String>> =
+        candidates.iter().map(|c| c.iter().map(|f| f.to_string()).collect()).collect();
+    let mut store = CompiledRecords::default();
     for cand in candidates {
+        dist.compile_record(cand, &mut store);
+    }
+    let mut prepared = dist.prepare(query);
+    for (i, cand) in candidates.iter().enumerate() {
         let plain = dist.distance(query, cand);
         for cutoff in cutoffs(plain) {
             let bounded = dist.distance_bounded(query, cand, cutoff);
-            let via_prepared = prepared.distance_bounded(cand, cutoff);
+            let via_raw = prepared.distance_bounded(Candidate::Fields(&owned[i]), cutoff);
+            let via_compiled = prepared.distance_bounded(store.candidate(i, &owned[i]), cutoff);
             assert_eq!(
                 bounded,
-                via_prepared,
-                "{}: prepared != bounded at cutoff {cutoff} for {query:?} vs {cand:?}",
+                via_raw,
+                "{}: prepared(raw) != bounded at cutoff {cutoff} for {query:?} vs {cand:?}",
+                dist.name()
+            );
+            assert_eq!(
+                bounded,
+                via_compiled,
+                "{}: prepared(compiled) != bounded at cutoff {cutoff} for {query:?} vs {cand:?}",
                 dist.name()
             );
             let expect = (plain <= cutoff).then_some(plain);
@@ -84,6 +118,8 @@ fn all_distances() -> Vec<Box<dyn Distance>> {
         Box::new(JaroWinklerDistance),
         Box::new(MongeElkanDistance),
         Box::new(UnfilteredDistance(EditDistance)),
+        Box::new(CompositeDistance::uniform(EditDistance)),
+        Box::new(LengthGap),
     ]
 }
 
@@ -161,25 +197,59 @@ fn deterministic_boundary_cases() {
     }
 }
 
-/// One prepared query evaluated against many candidates in sequence —
-/// internal scratch buffers must not leak state between candidates.
+/// What compilation must see exactly as the per-call path does:
+/// uppercase, punctuation, empty and multiple fields, non-ASCII whose
+/// lowercase mapping expands (U+0130), and records past 64 chars.
+#[test]
+fn compiled_candidates_on_messy_records() {
+    let long = "Golden-Dragon PALACE ".repeat(4) + "İstanbul";
+    let candidates: Vec<Vec<&str>> = vec![
+        vec!["The DOORS", "L.A. Woman!"],
+        vec!["the doors", "", "la woman"],
+        vec!["", ""],
+        vec![],
+        vec!["İİİİ Cafe", "İSTANBUL"],
+        vec!["iiii cafe", "istanbul"],
+        vec!["i i i i cafe"],
+        vec![&long, "Ünïcödé — Straße №5"],
+        vec!["??", "--", "!!"],
+    ];
+    for dist in all_distances() {
+        for query in &candidates {
+            assert_equivalent(&dist, query, &candidates);
+        }
+    }
+}
+
+/// One prepared query evaluated against many candidates in sequence, raw
+/// and compiled forms interleaved — internal scratch buffers must not
+/// leak state between candidates.
 #[test]
 fn prepared_reuse_across_candidates() {
-    let cands = [
+    let cands: Vec<Vec<String>> = [
         "golden dragon palace",
         "",
         "golden dragon",
         "a much longer candidate string that exceeds sixty four characters in total length",
         "golden dragon palace",
         "日本語",
-    ];
+    ]
+    .iter()
+    .map(|c| vec![c.to_string()])
+    .collect();
     for dist in all_distances() {
         let query = ["golden dragon palace"];
+        let mut store = CompiledRecords::default();
+        for c in &cands {
+            dist.compile_record(&[c[0].as_str()], &mut store);
+        }
         let mut prepared = dist.prepare(&query);
-        for c in cands {
-            let expect = dist.distance_bounded(&query, &[c], 0.75);
-            let got = prepared.distance_bounded(&[c], 0.75);
-            assert_eq!(expect, got, "{}: reuse mismatch on {c:?}", dist.name());
+        for (i, c) in cands.iter().enumerate() {
+            let expect = dist.distance_bounded(&query, &[c[0].as_str()], 0.75);
+            let raw = prepared.distance_bounded(Candidate::Fields(c), 0.75);
+            let compiled = prepared.distance_bounded(store.candidate(i, c), 0.75);
+            assert_eq!(expect, raw, "{}: raw reuse mismatch on {c:?}", dist.name());
+            assert_eq!(expect, compiled, "{}: compiled reuse mismatch on {c:?}", dist.name());
         }
     }
 }
