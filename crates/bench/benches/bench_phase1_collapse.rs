@@ -6,9 +6,7 @@
 //! half the stream is exact re-emission, the service-ingest shape the
 //! pre-pass targets), edit distance, packed inverted index, TopK(5):
 //!
-//! - `collapse_off` — the sequential batched lane over the full corpus
-//!   (same configuration as `bench_phase1_batch`'s `batched` row, on this
-//!   corpus).
+//! - `collapse_off` — sequential Phase 1 over the full corpus.
 //! - `collapse_on` — everything the collapse path adds at runtime:
 //!   hash the full corpus into exact-duplicate classes
 //!   (`CollapseMap::build`), run Phase 1 weighted over the ~half-size

@@ -27,15 +27,14 @@ use fuzzydedup_bench::gate::{
 
 /// The cheap benches the gate re-runs: seconds each, covering the edit
 /// kernel, the distance-function ladder above it, the storage layer below
-/// the index, candidate generation (packed vs page-backed postings), and
-/// the two phase drivers (Phase 1 prepared/cached ladder, Phase 2 seq/par).
+/// the index, candidate generation (packed vs page-backed postings), the
+/// two phase drivers (Phase 1 collapse on/off, Phase 2 seq/par) and the
+/// service replay.
 const CHEAP_BENCHES: &[&str] = &[
     "bench_edit_kernel",
     "bench_distances",
     "bench_buffer_pool",
     "bench_candidates",
-    "bench_phase1_cache",
-    "bench_phase1_batch",
     "bench_phase1_collapse",
     "bench_phase2",
     "bench_service",
@@ -47,8 +46,6 @@ const GATED_ARTIFACTS: &[&str] = &[
     "BENCH_distances.json",
     "BENCH_buffer_pool.json",
     "BENCH_candidates.json",
-    "BENCH_phase1_cache.json",
-    "BENCH_phase1_batch.json",
     "BENCH_phase1_collapse.json",
     "BENCH_phase2.json",
     "BENCH_service.json",

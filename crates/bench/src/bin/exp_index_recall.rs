@@ -29,8 +29,8 @@ use std::sync::Arc;
 use fuzzydedup_core::{evaluate, CollapseKey, CutSpec, DedupConfig, Deduplicator, IndexChoice};
 use fuzzydedup_datagen::{restaurants, DatasetSpec};
 use fuzzydedup_nnindex::{
-    DynamicIndexConfig, DynamicInvertedIndex, InvertedIndex, InvertedIndexConfig, MinHashConfig,
-    MinHashIndex, NestedLoopIndex, NnIndex, PostingsSource,
+    DynamicIndexConfig, DynamicInvertedIndex, InvertedIndex, InvertedIndexConfig, NestedLoopIndex,
+    NnIndex, PostingsSource,
 };
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
 use fuzzydedup_textdist::{DistanceKind, EditDistance, UnfilteredDistance};
@@ -97,8 +97,6 @@ fn main() {
         dynamic_nofilter.push(rec.clone());
     }
 
-    let minhash = MinHashIndex::build(records.clone(), EditDistance, MinHashConfig::default());
-
     println!("\n# Nearest-neighbor recall vs exact reference (truth within distance bound):");
     println!("{:<18} {:>12} {:>12} {:>12}", "index", "nn<0.2", "nn<0.3", "nn<0.4");
     let mut rows: Vec<(&str, &dyn NnIndex)> = Vec::new();
@@ -106,7 +104,6 @@ fn main() {
         rows.push((name.as_str(), idx as &dyn NnIndex));
     }
     rows.push(("dynamic", &dynamic as &dyn NnIndex));
-    rows.push(("minhash", &minhash as &dyn NnIndex));
     for (name, idx) in &rows {
         let mut row = format!("{name:<18}");
         for bound in [0.2, 0.3, 0.4] {
@@ -165,7 +162,6 @@ fn main() {
         ("nested", IndexChoice::NestedLoop, true),
         ("inverted/uncapped", IndexChoice::Inverted(uncapped), true),
         ("inverted/default", IndexChoice::Inverted(InvertedIndexConfig::default()), false),
-        ("minhash", IndexChoice::MinHash(MinHashConfig::default()), true),
     ] {
         let base = DedupConfig::new(DistanceKind::EditDistance)
             .cut(CutSpec::Size(4))
@@ -193,7 +189,6 @@ fn main() {
     for (name, choice) in [
         ("nested", IndexChoice::NestedLoop),
         ("inverted", IndexChoice::Inverted(InvertedIndexConfig::default())),
-        ("minhash", IndexChoice::MinHash(MinHashConfig::default())),
     ] {
         let config = DedupConfig::new(DistanceKind::FuzzyMatch)
             .cut(CutSpec::Size(4))

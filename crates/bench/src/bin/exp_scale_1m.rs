@@ -115,7 +115,6 @@ fn main() {
         .cut(cut)
         .sn_threshold(4.0)
         .parallelism(Parallelism::threads(threads))
-        .pair_cache_capacity(1 << 22)
         .spill_threshold(spill_threshold);
     eprintln!(
         "[exp_scale_1m] running pipeline: cut={cut:?}, threads={threads} (0 = all cores), \

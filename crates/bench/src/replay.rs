@@ -25,8 +25,7 @@
 use std::time::{Duration, Instant};
 
 use fuzzydedup_core::{
-    CutSpec, DedupService, IncrementalDedup, Parallelism, Partition, ServiceConfig, ServiceError,
-    ServiceStats,
+    CutSpec, DedupService, IncrementalDedup, Partition, ServiceConfig, ServiceError, ServiceStats,
 };
 use fuzzydedup_datagen::{org, DatasetSpec};
 use fuzzydedup_metrics::RunMetrics;
@@ -139,18 +138,11 @@ pub fn replay(config: ReplayConfig) -> Result<ReplayOutcome, ServiceError> {
         .admit_batch_size(config.batch_size.max(1))
         .queue_capacity(config.queue_capacity.max(1));
     let before = fuzzydedup_metrics::snapshot();
-    // Pair cache + parallel refresh: batch-to-batch refreshes re-verify
-    // mostly unchanged pairs, so the memo (one, shared by the two epoch
-    // sides) absorbs the bulk of the work;
-    // both knobs are partition-identical by the incremental test suite,
-    // so drain-identity against the (cache-less, sequential) batch
-    // pipeline still holds bit-for-bit.
+    // The service `fuzzydedup replay` and the repo benchmark's
+    // `service_replay` ship: the builder's defaults under the cut and
+    // threshold the drain-identity suite pins.
     let mut service = DedupService::spawn(
-        IncrementalDedup::builder(EditDistance)
-            .cut(CutSpec::Size(4))
-            .sn_threshold(4.0)
-            .pair_cache_capacity(1 << 22)
-            .parallelism(Parallelism::threads(0)),
+        IncrementalDedup::builder(EditDistance).cut(CutSpec::Size(4)).sn_threshold(4.0),
         service_config,
     )?;
 

@@ -1,12 +1,9 @@
-//! Global-threshold baselines: single-linkage and star componentization.
+//! The global-threshold baseline: single-linkage.
 //!
 //! The paper compares against "a standard thresholding strategy (denoted
 //! thr) based on single linkage clustering": induce the threshold graph
 //! from `NN_Reln` (an edge between tuples at distance below θ) and return
-//! each maximal connected component as a set of duplicates. It also notes
-//! that alternative componentizations (stars, cliques) "still return
-//! similar results" because most duplicate groups are tiny; we provide the
-//! star variant for that comparison.
+//! each maximal connected component as a set of duplicates.
 
 use crate::nnreln::NnReln;
 use crate::partition::Partition;
@@ -66,30 +63,6 @@ pub fn single_linkage(reln: &NnReln, theta: f64) -> Partition {
     Partition::from_groups(n, groups.into_iter().filter(|g| !g.is_empty()))
 }
 
-/// Star componentization: process tuples in id order; an unassigned tuple
-/// claims all unassigned neighbors within θ as one group. Unlike single
-/// linkage it does not chain transitively.
-pub fn star_componentize(reln: &NnReln, theta: f64) -> Partition {
-    let n = reln.len();
-    let mut assigned = vec![false; n];
-    let mut groups: Vec<Vec<u32>> = Vec::new();
-    for v in 0..n as u32 {
-        if assigned[v as usize] {
-            continue;
-        }
-        let mut group = vec![v];
-        assigned[v as usize] = true;
-        for nb in &reln.entry(v).neighbors {
-            if nb.dist < theta && !assigned[nb.id as usize] {
-                assigned[nb.id as usize] = true;
-                group.push(nb.id);
-            }
-        }
-        groups.push(group);
-    }
-    Partition::from_groups(n, groups)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,20 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn star_does_not_chain() {
-        let reln = chain();
-        let p = star_componentize(&reln, 1.5);
-        // 0 claims 1 (distance 1); 2 is beyond 1.5 from 0 and 1 is taken.
-        assert!(p.are_together(0, 1));
-        assert!(!p.are_together(0, 2));
-        assert!(!p.are_together(1, 2));
-    }
-
-    #[test]
     fn zero_threshold_yields_singletons() {
         let reln = chain();
         assert_eq!(single_linkage(&reln, 0.0), Partition::singletons(4));
-        assert_eq!(star_componentize(&reln, 0.0), Partition::singletons(4));
     }
 
     #[test]
@@ -151,7 +113,6 @@ mod tests {
     fn empty_relation() {
         let reln = NnReln::new(vec![]);
         assert_eq!(single_linkage(&reln, 0.5).num_groups(), 0);
-        assert_eq!(star_componentize(&reln, 0.5).num_groups(), 0);
     }
 
     #[test]

@@ -78,65 +78,6 @@ pub fn evaluate(partition: &Partition, gold: &[usize]) -> PrecisionRecall {
     PrecisionRecall { precision, recall, predicted_pairs, true_pairs, correct_pairs }
 }
 
-/// B-cubed precision/recall (Bagga & Baldwin): per-record averages instead
-/// of per-pair counts. B-cubed weights every *record* equally, so one huge
-/// wrong merge cannot dominate the score the way it dominates pairwise
-/// precision — the complementary view modern entity-resolution evaluations
-/// report alongside pairwise metrics.
-///
-/// For record `i` with predicted group `G(i)` and gold cluster `C(i)`:
-/// `precision_i = |G(i) ∩ C(i)| / |G(i)|`, `recall_i = |G(i) ∩ C(i)| /
-/// |C(i)|`; the dataset scores are the means over all records.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BCubed {
-    /// Mean per-record precision.
-    pub precision: f64,
-    /// Mean per-record recall.
-    pub recall: f64,
-}
-
-impl BCubed {
-    /// Harmonic mean.
-    pub fn f1(&self) -> f64 {
-        let (p, r) = (self.precision, self.recall);
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-}
-
-/// Compute B-cubed scores for a predicted partition against gold labels.
-///
-/// # Panics
-/// Panics if `gold.len() != partition.n()`.
-pub fn evaluate_bcubed(partition: &Partition, gold: &[usize]) -> BCubed {
-    assert_eq!(gold.len(), partition.n(), "gold labels must cover the relation");
-    let n = partition.n();
-    if n == 0 {
-        return BCubed { precision: 1.0, recall: 1.0 };
-    }
-    let mut gold_sizes: HashMap<usize, u64> = HashMap::new();
-    for &g in gold {
-        *gold_sizes.entry(g).or_insert(0) += 1;
-    }
-    // |G(i) ∩ C(i)| per (group, gold) cell.
-    let mut cells: HashMap<(usize, usize), u64> = HashMap::new();
-    for id in 0..n as u32 {
-        *cells.entry((partition.group_index_of(id), gold[id as usize])).or_insert(0) += 1;
-    }
-    let mut precision_sum = 0.0;
-    let mut recall_sum = 0.0;
-    for id in 0..n as u32 {
-        let group = partition.group_of(id);
-        let cell = cells[&(partition.group_index_of(id), gold[id as usize])] as f64;
-        precision_sum += cell / group.len() as f64;
-        recall_sum += cell / gold_sizes[&gold[id as usize]] as f64;
-    }
-    BCubed { precision: precision_sum / n as f64, recall: recall_sum / n as f64 }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,51 +160,5 @@ mod tests {
     #[should_panic(expected = "gold labels")]
     fn mismatched_lengths_panic() {
         evaluate(&Partition::singletons(3), &[0, 1]);
-    }
-
-    #[test]
-    fn bcubed_perfect_and_empty() {
-        let gold = vec![0, 0, 1];
-        let p = Partition::from_groups(3, vec![vec![0, 1]]);
-        let b = evaluate_bcubed(&p, &gold);
-        assert_eq!(b.precision, 1.0);
-        assert_eq!(b.recall, 1.0);
-        assert_eq!(b.f1(), 1.0);
-        let e = evaluate_bcubed(&Partition::singletons(0), &[]);
-        assert_eq!(e.f1(), 1.0);
-    }
-
-    #[test]
-    fn bcubed_hand_computed() {
-        // Gold: {0,1,2}; predicted: {0,1}, {2}.
-        let gold = vec![0, 0, 0];
-        let p = Partition::from_groups(3, vec![vec![0, 1]]);
-        let b = evaluate_bcubed(&p, &gold);
-        // precision: records 0,1 → 2/2; record 2 → 1/1 → mean 1.
-        assert_eq!(b.precision, 1.0);
-        // recall: records 0,1 → 2/3; record 2 → 1/3 → mean 5/9.
-        assert!((b.recall - 5.0 / 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bcubed_is_gentler_than_pairwise_on_one_big_merge() {
-        // One wrong giant group of 2 gold clusters of 4: pairwise
-        // precision = 12/28; B-cubed precision = 4/8 per record = 0.5.
-        let gold = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let p = Partition::from_groups(8, vec![(0..8).collect()]);
-        let pairwise = evaluate(&p, &gold);
-        let bcubed = evaluate_bcubed(&p, &gold);
-        assert!((pairwise.precision - 12.0 / 28.0).abs() < 1e-12);
-        assert!((bcubed.precision - 0.5).abs() < 1e-12);
-        assert!(bcubed.precision > pairwise.precision);
-        assert_eq!(bcubed.recall, 1.0);
-    }
-
-    #[test]
-    fn bcubed_singletons_have_full_precision() {
-        let gold = vec![0, 0, 1];
-        let b = evaluate_bcubed(&Partition::singletons(3), &gold);
-        assert_eq!(b.precision, 1.0);
-        assert!((b.recall - (0.5 + 0.5 + 1.0) / 3.0).abs() < 1e-12);
     }
 }

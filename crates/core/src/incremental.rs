@@ -30,6 +30,17 @@
 //! equal this way (`DESIGN.md` §7.9); plain `insert_batch` builds no
 //! delta.
 //!
+//! **The pair memo follows the entry point.** Every batch re-verifies the
+//! unchanged pairs of the entries it refreshes, which is exactly the
+//! traffic a symmetric pair-distance memo absorbs, so an incremental state
+//! always holds one [`PairCache`] of `PAIR_MEMO_SLOTS` slots — there is
+//! no setting for it, and the batch pipeline, where a pair is verified at
+//! most twice, never holds one (`DESIGN.md` §7.5). The memo is keyed on
+//! the unordered pair, so it leans on the [`Distance`] contract's symmetry
+//! holding to the bit, as it does for every built-in distance. It only
+//! skips recomputation: the incremental ≡ batch identities asserted here
+//! and in `crate::service` are the memo-on ≡ memo-off check.
+//!
 //! Construct states with [`IncrementalDedup::builder`], which exposes the
 //! same configuration surface as [`crate::pipeline::DedupConfig`].
 
@@ -50,8 +61,13 @@ use crate::parallel::{resolve_threads, steal_blocks};
 use crate::partition::Partition;
 use crate::phase1::NeighborSpec;
 use crate::phase2::partition_entries_parallel;
-use crate::pipeline::{DedupError, Parallelism};
+use crate::pipeline::{validate_params, DedupError, Parallelism};
 use crate::problem::CutSpec;
+
+/// Slots of the pair memo every incremental state holds (768 KiB): the
+/// largest size that keeps `peak_rss_mb` within +5 % on every workload of
+/// the repo benchmark (sizing table in `DESIGN.md` §7.5).
+const PAIR_MEMO_SLOTS: usize = 1 << 15;
 
 /// Statistics of one incremental batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,8 +84,8 @@ pub struct BatchStats {
 /// [`crate::pipeline::DedupConfig`] surface on the incremental path.
 ///
 /// Defaults match `DedupConfig::new`: `DE_S(5)`, `Max` aggregation,
-/// `c = 4`, `p = 2`, no pair cache, both phases sequential,
-/// and [`DynamicIndexConfig::default`] for the index.
+/// `c = 4`, `p = 2`, both phases sequential, and
+/// [`DynamicIndexConfig::default`] for the index.
 ///
 /// ```no_run
 /// use fuzzydedup_core::{Aggregation, CutSpec, IncrementalDedup, Parallelism};
@@ -79,7 +95,6 @@ pub struct BatchStats {
 ///     .cut(CutSpec::Size(4))
 ///     .aggregation(Aggregation::Max)
 ///     .sn_threshold(4.0)
-///     .pair_cache_capacity(1 << 14)
 ///     .parallelism(Parallelism::threads(0))
 ///     .build()
 ///     .unwrap();
@@ -93,7 +108,6 @@ pub struct IncrementalDedupBuilder<D> {
     agg: Aggregation,
     c: f64,
     p: f64,
-    pair_cache_capacity: usize,
     parallelism: Parallelism,
     collapse: Option<CollapseKey>,
 }
@@ -108,7 +122,6 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
             agg: Aggregation::Max,
             c: 4.0,
             p: 2.0,
-            pair_cache_capacity: 0,
             parallelism: Parallelism::sequential(),
             collapse: None,
         }
@@ -145,18 +158,6 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
         self
     }
 
-    /// Capacity (in entries) of the symmetric pair-distance memo consulted
-    /// during verification; `0` (the default) disables it. Refreshed
-    /// entries re-verify many unchanged pairs batch after batch, so the
-    /// memo pays off exactly here; the partition and `NN_Reln` are
-    /// identical with the cache on or off (see
-    /// [`crate::pair_cache::PairCache`] for the soundness contract —
-    /// symmetric distance kernels only).
-    pub fn pair_cache_capacity(mut self, capacity: usize) -> Self {
-        self.pair_cache_capacity = capacity;
-        self
-    }
-
     /// Per-phase worker-thread counts, as on the batch pipeline: entry
     /// refreshes shard over `phase1_threads` workers and the partition
     /// recompute over `phase2_threads`. Results are identical to the
@@ -187,8 +188,7 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
     /// [`DedupError::InvalidConfig`] for an invalid cut, a non-positive
     /// (or NaN) SN threshold, or a growth multiplier below 1.
     pub fn build(self) -> Result<IncrementalDedup<D>, DedupError> {
-        let cache = self.new_pair_cache();
-        self.build_with(cache)
+        self.build_with(Arc::new(PairCache::new(PAIR_MEMO_SLOTS)))
     }
 
     /// Build two identical empty states that share one pair memo — the
@@ -200,36 +200,12 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
     where
         D: Clone,
     {
-        let cache = self.new_pair_cache();
+        let cache = Arc::new(PairCache::new(PAIR_MEMO_SLOTS));
         Ok([self.clone().build_with(cache.clone())?, self.build_with(cache)?])
     }
 
-    fn new_pair_cache(&self) -> Option<Arc<PairCache>> {
-        (self.pair_cache_capacity > 0).then(|| Arc::new(PairCache::new(self.pair_cache_capacity)))
-    }
-
-    fn build_with(
-        self,
-        pair_cache: Option<Arc<PairCache>>,
-    ) -> Result<IncrementalDedup<D>, DedupError> {
-        self.cut.validate().map_err(DedupError::InvalidConfig)?;
-        // `!(c > 0.0)` deliberately rejects NaN as well as non-positives.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let bad_c = !(self.c > 0.0);
-        if bad_c {
-            return Err(DedupError::InvalidConfig(format!(
-                "SN threshold c must be positive, got {}",
-                self.c
-            )));
-        }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let bad_p = !(self.p >= 1.0);
-        if bad_p {
-            return Err(DedupError::InvalidConfig(format!(
-                "growth multiplier p must be >= 1, got {}",
-                self.p
-            )));
-        }
+    fn build_with(self, pair_cache: Arc<PairCache>) -> Result<IncrementalDedup<D>, DedupError> {
+        validate_params(&self.cut, self.c, self.p)?;
         if self.collapse == Some(CollapseKey::RecordString)
             && !self.distance.record_string_invariant()
         {
@@ -285,7 +261,7 @@ pub struct IncrementalDedup<D: Distance> {
     partition: Partition,
     /// Owned by a lone state; shared by the two sides of a service epoch
     /// pair ([`IncrementalDedupBuilder::build_pair`]).
-    pair_cache: Option<Arc<PairCache>>,
+    pair_cache: Arc<PairCache>,
     parallelism: Parallelism,
     collapse: Option<IncCollapse>,
 }
@@ -411,8 +387,8 @@ impl<D: Distance> IncrementalDedup<D> {
     fn compute_entry(&self, id: u32) -> NnEntry {
         // Route through the caching extension point — plain `lookup` is
         // the cache=None shorthand and would silently bypass the memo.
-        let cache = self.pair_cache.as_deref().map(|c| c as &dyn PairDistanceCache);
-        let (neighbors, ng, _cost) = self.index.lookup_cached(id, self.spec(), self.p, cache);
+        let cache: &dyn PairDistanceCache = &*self.pair_cache;
+        let (neighbors, ng, _cost) = self.index.lookup_cached(id, self.spec(), self.p, Some(cache));
         NnEntry::new(id, neighbors, ng)
     }
 
@@ -568,6 +544,17 @@ mod tests {
         fresh_builder().build().unwrap()
     }
 
+    /// The batch pipeline under `fresh_builder`'s parameters and `cut`. It
+    /// never holds a pair memo, so it is the memo-off side of every
+    /// incremental ≡ batch assertion below.
+    fn batch_run(records: &[Vec<String>], cut: CutSpec) -> crate::pipeline::DedupOutcome {
+        use crate::pipeline::{DedupConfig, Deduplicator};
+        let config = DedupConfig::new(fuzzydedup_textdist::DistanceKind::EditDistance)
+            .cut(cut)
+            .sn_threshold(4.0);
+        Deduplicator::new(config).run_records(records).unwrap()
+    }
+
     #[test]
     fn invalid_params_rejected() {
         let bad_cut = fresh_builder().cut(CutSpec::Size(1)).build();
@@ -612,6 +599,8 @@ mod tests {
         assert_eq!(inc.len(), 3);
     }
 
+    /// Also the memo-on ≡ memo-off check: an incremental state always
+    /// holds the pair memo, the batch pipeline never does.
     #[test]
     fn incremental_equals_full_recompute_on_random_splits() {
         let mut rng = StdRng::seed_from_u64(13);
@@ -625,6 +614,7 @@ mod tests {
                 vec![v]
             })
             .collect();
+        let batch = batch_run(&base, CutSpec::Size(4));
         for trial in 0..3 {
             // Random batch split.
             let mut inc = fresh();
@@ -639,6 +629,8 @@ mod tests {
             full.insert_batch(base.clone());
             assert_eq!(inc.partition(), full.partition(), "trial {trial}");
             assert_eq!(inc.nn_reln(), full.nn_reln(), "trial {trial}");
+            assert_eq!(inc.partition(), &batch.partition, "trial {trial}: batch pipeline");
+            assert_eq!(inc.nn_reln(), batch.nn_reln, "trial {trial}: batch pipeline");
         }
     }
 
@@ -702,7 +694,7 @@ mod tests {
     }
 
     #[test]
-    fn pair_cache_hits_without_changing_results() {
+    fn pair_memo_hits_without_changing_results() {
         // Counter-backed assertion: serialize against other metric tests.
         let _serial = fuzzydedup_metrics::serial_guard();
         // Duplicate-heavy append stream: every batch lands near the same
@@ -713,22 +705,69 @@ mod tests {
                 (0..10).map(|i| vec![format!("shared entity record {:02} v{b}", i % 5)]).collect()
             })
             .collect();
-        let mut plain = fresh();
-        let mut cached = fresh_builder().pair_cache_capacity(1 << 14).build().unwrap();
+        let mut inc = fresh();
         let before = fuzzydedup_metrics::snapshot();
         for batch in &batches {
-            plain.insert_batch(batch.clone());
-            cached.insert_batch(batch.clone());
+            inc.insert_batch(batch.clone());
         }
         let d = fuzzydedup_metrics::snapshot().delta(&before);
-        // The memo only skips recomputation; the state must not move.
-        assert_eq!(plain.partition(), cached.partition());
-        assert_eq!(plain.nn_reln(), cached.nn_reln());
-        // The incremental path actually consults the cache now.
         assert!(
             d.get(fuzzydedup_metrics::Counter::PairCacheHits) > 0,
             "duplicate-heavy refreshes must hit the memo"
         );
+        // The memo only skips recomputation; the memo-less batch pipeline
+        // must land on the same state.
+        let batch = batch_run(&batches.concat(), CutSpec::Size(4));
+        assert_eq!(inc.partition(), &batch.partition);
+        assert_eq!(inc.nn_reln(), batch.nn_reln);
+    }
+
+    #[test]
+    fn tiny_pair_memo_under_heavy_eviction_is_sound_seq_and_par() {
+        // The soundness contract on `PairDistanceCache`: exact hits carry
+        // true distances and `KnownAbove` only skips calls that would be
+        // rejected anyway, so the state must not depend on the memo's
+        // size or on how refresh workers interleave on its contents. A
+        // 64-slot memo (the smallest `PairCache`) collides on nearly every
+        // store, which exercises the overwrite/eviction path; four refresh
+        // workers race on it. Edit distance is the bit-symmetric kernel
+        // the contract requires.
+        let near_dups: Vec<Vec<String>> = (0..120)
+            .map(|i| {
+                let s = match i % 3 {
+                    0 => format!("customer record number {i:03}"),
+                    1 => format!("customer record numbr {i:03}"),
+                    _ => format!("unrelated payload {i:03}"),
+                };
+                vec![s]
+            })
+            .collect();
+        let repeats: Vec<Vec<String>> =
+            (0..90).map(|i| vec![format!("shared prefix token row {:02}", i % 45)]).collect();
+        let tiny = || Arc::new(PairCache::new(64));
+        for records in [near_dups, repeats] {
+            for cut in [CutSpec::Size(4), CutSpec::Diameter(0.2)] {
+                let builder = fresh_builder().cut(cut);
+                let mut roomy = builder.clone().build().unwrap();
+                let mut seq = builder.clone().build_with(tiny()).unwrap();
+                let mut par =
+                    builder.parallelism(Parallelism::threads(4)).build_with(tiny()).unwrap();
+                for chunk in records.chunks(23) {
+                    roomy.insert_batch(chunk.to_vec());
+                    seq.insert_batch(chunk.to_vec());
+                    par.insert_batch(chunk.to_vec());
+                    assert_eq!(roomy.nn_reln(), seq.nn_reln(), "{cut:?}: tiny memo diverged");
+                    assert_eq!(roomy.partition(), seq.partition(), "{cut:?}");
+                    assert_eq!(seq.nn_reln(), par.nn_reln(), "{cut:?}: parallel refresh diverged");
+                    assert_eq!(seq.partition(), par.partition(), "{cut:?}");
+                }
+                assert!(seq.pair_cache.len() > 32, "the tiny memo saw traffic");
+                // Memo-off: the batch pipeline never holds one.
+                let batch = batch_run(&records, cut);
+                assert_eq!(seq.nn_reln(), batch.nn_reln, "{cut:?}: batch pipeline");
+                assert_eq!(seq.partition(), &batch.partition, "{cut:?}: batch pipeline");
+            }
+        }
     }
 
     #[test]
@@ -776,13 +815,9 @@ mod tests {
 
     #[test]
     fn only_paired_states_share_a_pair_memo() {
-        let memo = |state: &IncrementalDedup<EditDistance>| state.pair_cache.clone();
-        let [a, b] = fresh_builder().pair_cache_capacity(1 << 10).build_pair().unwrap();
-        assert!(Arc::ptr_eq(&memo(&a).unwrap(), &memo(&b).unwrap()));
-        let lone = fresh_builder().pair_cache_capacity(1 << 10).build().unwrap();
-        assert!(!Arc::ptr_eq(&memo(&a).unwrap(), &memo(&lone).unwrap()));
         let [a, b] = fresh_builder().build_pair().unwrap();
-        assert!(memo(&a).is_none() && memo(&b).is_none());
+        assert!(Arc::ptr_eq(&a.pair_cache, &b.pair_cache));
+        assert!(!Arc::ptr_eq(&a.pair_cache, &fresh().pair_cache));
     }
 
     #[test]
@@ -810,40 +845,35 @@ mod tests {
         let collapses = [None, Some(CollapseKey::RecordString), Some(CollapseKey::ExactFields)];
         for cut in [CutSpec::Size(4), CutSpec::Diameter(0.2)] {
             for collapse in collapses {
-                for cache_capacity in [0, 1 << 12] {
-                    let what = format!("{cut:?} {collapse:?} cache {cache_capacity}");
-                    let builder = fresh_builder()
-                        .cut(cut)
-                        .collapse(collapse)
-                        .pair_cache_capacity(cache_capacity);
-                    let mut sides = builder.clone().build_pair().unwrap();
-                    let mut plain = builder.build().unwrap();
-                    let mut at = 0;
-                    let mut compute = 0;
-                    while at < base.len() {
-                        let take = rng.gen_range(1..=12).min(base.len() - at);
-                        let batch = base[at..at + take].to_vec();
-                        at += take;
-                        let want = plain.insert_batch(batch.clone());
-                        let (got, delta) = sides[compute].insert_batch_logged(batch);
-                        sides[1 - compute].replay_batch(delta);
-                        compute = 1 - compute;
+                let what = format!("{cut:?} {collapse:?}");
+                let builder = fresh_builder().cut(cut).collapse(collapse);
+                let mut sides = builder.clone().build_pair().unwrap();
+                let mut plain = builder.build().unwrap();
+                let mut at = 0;
+                let mut compute = 0;
+                while at < base.len() {
+                    let take = rng.gen_range(1..=12).min(base.len() - at);
+                    let batch = base[at..at + take].to_vec();
+                    at += take;
+                    let want = plain.insert_batch(batch.clone());
+                    let (got, delta) = sides[compute].insert_batch_logged(batch);
+                    sides[1 - compute].replay_batch(delta);
+                    compute = 1 - compute;
 
-                        assert_eq!(got, want, "{what}: stats at {at}");
-                        let [a, b] = &sides;
-                        assert_eq!(a.nn_reln(), b.nn_reln(), "{what}: relation at {at}");
-                        assert_eq!(a.partition(), b.partition(), "{what}: partition at {at}");
-                        assert_eq!(a.len(), b.len(), "{what}: len at {at}");
-                        assert_eq!(a.nn_reln(), plain.nn_reln(), "{what}: relation at {at}");
-                        assert_eq!(a.partition(), plain.partition(), "{what}: partition at {at}");
-                        assert_eq!(a.len(), plain.len(), "{what}: len at {at}");
-                        for probe in probes {
-                            let (n_a, ng_a, _) = a.query_record(&[probe]);
-                            let (n_b, ng_b, _) = b.query_record(&[probe]);
-                            let (n_p, ng_p, _) = plain.query_record(&[probe]);
-                            assert_eq!((&n_a, ng_a), (&n_b, ng_b), "{what}: probe {probe:?}");
-                            assert_eq!((&n_a, ng_a), (&n_p, ng_p), "{what}: probe {probe:?}");
-                        }
+                    assert_eq!(got, want, "{what}: stats at {at}");
+                    let [a, b] = &sides;
+                    assert_eq!(a.nn_reln(), b.nn_reln(), "{what}: relation at {at}");
+                    assert_eq!(a.partition(), b.partition(), "{what}: partition at {at}");
+                    assert_eq!(a.len(), b.len(), "{what}: len at {at}");
+                    assert_eq!(a.nn_reln(), plain.nn_reln(), "{what}: relation at {at}");
+                    assert_eq!(a.partition(), plain.partition(), "{what}: partition at {at}");
+                    assert_eq!(a.len(), plain.len(), "{what}: len at {at}");
+                    for probe in probes {
+                        let (n_a, ng_a, _) = a.query_record(&[probe]);
+                        let (n_b, ng_b, _) = b.query_record(&[probe]);
+                        let (n_p, ng_p, _) = plain.query_record(&[probe]);
+                        assert_eq!((&n_a, ng_a), (&n_b, ng_b), "{what}: probe {probe:?}");
+                        assert_eq!((&n_a, ng_a), (&n_p, ng_p), "{what}: probe {probe:?}");
                     }
                 }
             }

@@ -16,7 +16,7 @@
 //!   in-memory form and in the paper's SQL-shaped form running on the
 //!   `relation` substrate;
 //! * the **single-linkage global-threshold baseline** the paper compares
-//!   against, plus a star-flavored componentization ([`baseline`]);
+//!   against ([`baseline`]);
 //! * **precision/recall evaluation** against gold clusterings ([`eval`]);
 //! * the **SN-threshold estimation heuristic** of §4.4 ([`threshold`]);
 //! * checkers for the **axiomatic properties** of §3.1 — uniqueness, scale
@@ -47,7 +47,6 @@
 
 pub mod axioms;
 pub mod baseline;
-pub mod blocking;
 pub mod collapse;
 pub mod components;
 pub mod constraints;
@@ -70,20 +69,19 @@ pub mod service;
 pub mod spill;
 pub mod threshold;
 
-pub use baseline::{single_linkage, star_componentize};
-pub use blocking::{blocked_single_linkage, BlockingKey};
+pub use baseline::single_linkage;
 pub use collapse::{CollapseKey, CollapseMap};
 pub use components::{balance_components, UnionFind};
 pub use criteria::{is_compact_set, sparse_neighborhood_ok, Aggregation};
 pub use distinct::DistinctEstimator;
-pub use eval::{evaluate, evaluate_bcubed, BCubed, PrecisionRecall};
+pub use eval::{evaluate, PrecisionRecall};
 pub use incremental::{BatchDelta, BatchStats, IncrementalDedup, IncrementalDedupBuilder};
 pub use matrix::MatrixIndex;
 pub use nnreln::{NnEntry, NnReln};
 pub use pair_cache::PairCache;
-pub use parallel::{compute_nn_reln_parallel, compute_nn_reln_parallel_cached, resolve_threads};
+pub use parallel::{compute_nn_reln_parallel, resolve_threads};
 pub use partition::Partition;
-pub use phase1::{compute_nn_reln, compute_nn_reln_cached, NeighborSpec, Phase1Stats};
+pub use phase1::{compute_nn_reln, NeighborSpec, Phase1Stats};
 pub use phase2::{
     cs_pair_components, partition_entries, partition_entries_ablation, partition_entries_parallel,
     partition_via_tables,

@@ -1,10 +1,12 @@
-//! Symmetric pair-distance memoization for Phase 1.
+//! Symmetric pair-distance memoization for the incremental path.
 //!
-//! Phase 1 verifies each candidate pair from both sides: record `a` sees `b`
-//! among its candidates and vice versa. Without memoization the exact
-//! distance is computed twice. [`PairCache`] stores one entry per
-//! *unordered* pair so the second verification is a table probe instead of
-//! a distance call.
+//! Verification sees each candidate pair from both sides — record `a` sees
+//! `b` among its candidates and vice versa — and an incremental state
+//! re-verifies the unchanged pairs of every entry a batch refreshes.
+//! [`PairCache`] stores one entry per *unordered* pair so every
+//! verification after the first is a table probe instead of a distance
+//! call. Every [`crate::incremental::IncrementalDedup`] holds one; the
+//! batch pipeline, which verifies a pair at most twice, does not.
 //!
 //! The probe sits on the innermost verification loop, in competition with a
 //! bit-parallel Myers call that costs a few hundred nanoseconds — a lock
@@ -20,9 +22,7 @@
 //!   odd). A failed CAS means another writer is mid-flight — the store is
 //!   *dropped*, not retried: losing a memo entry never affects results.
 //! - Direct mapping doubles as eviction: a colliding pair overwrites the
-//!   slot, so memory stays exactly `capacity` slots and recency wins —
-//!   which suits the breadth-first lookup order, whose whole point is that
-//!   pair reuse clusters in time.
+//!   slot, so memory stays exactly `capacity` slots and recency wins.
 //!
 //! One `u64` key packs the unordered pair `(min << 32) | max`; `u64::MAX`
 //! is the empty sentinel (the pair `(u32::MAX, u32::MAX)` never occurs
@@ -71,8 +71,8 @@ fn decode_bound(v: f64) -> f64 {
 }
 
 /// Bounded memo of exact distances and rejection bounds keyed on unordered
-/// record-id pairs. Lock-free on both paths; safe to share across Phase 1
-/// worker threads.
+/// record-id pairs. Lock-free on both paths; safe to share across refresh
+/// worker threads and the two sides of a service's epoch pair.
 pub struct PairCache {
     /// Seqlock words: even = stable, odd = writer in flight.
     seqs: Vec<AtomicU64>,
@@ -85,8 +85,6 @@ pub struct PairCache {
 
 impl PairCache {
     /// A cache of `capacity` slots, rounded up to a power of two (min 64).
-    /// `capacity == 0` is not meaningful — callers gate construction on a
-    /// positive configured capacity.
     pub fn new(capacity: usize) -> Self {
         let slots = capacity.next_power_of_two().max(64);
         PairCache {

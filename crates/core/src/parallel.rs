@@ -9,14 +9,14 @@
 //! sequential computation (the NN lists do not depend on lookup order —
 //! the same fact Lemma 1's uniqueness rests on).
 //!
-//! This is an engineering extension beyond the paper; the ablation bench
-//! `bench_phase1` quantifies when it pays off.
+//! This is an engineering extension beyond the paper; every batch
+//! workload of the repo benchmark runs it on two threads.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use fuzzydedup_metrics::{incr, Counter};
-use fuzzydedup_nnindex::{LookupCost, LookupSpec, NnIndex, PairDistanceCache};
+use fuzzydedup_nnindex::{LookupCost, LookupSpec, NnIndex};
 
 use crate::nnreln::{NnEntry, NnReln};
 use crate::phase1::{NeighborSpec, Phase1Stats};
@@ -81,13 +81,12 @@ pub(crate) fn compute_entry(
     spec: NeighborSpec,
     p: f64,
     id: u32,
-    cache: Option<&dyn PairDistanceCache>,
 ) -> (NnEntry, LookupCost) {
     let lookup_spec = match spec {
         NeighborSpec::TopK(k) => LookupSpec::TopK(k),
         NeighborSpec::Radius(theta) => LookupSpec::Radius(theta),
     };
-    let (neighbors, ng, cost) = index.lookup_cached(id, lookup_spec, p, cache);
+    let (neighbors, ng, cost) = index.lookup(id, lookup_spec, p);
     (NnEntry::new(id, neighbors, ng), cost)
 }
 
@@ -102,21 +101,6 @@ pub fn compute_nn_reln_parallel(
     p: f64,
     n_threads: usize,
 ) -> (NnReln, Phase1Stats) {
-    compute_nn_reln_parallel_cached(index, spec, p, n_threads, None)
-}
-
-/// [`compute_nn_reln_parallel`] with an optional shared pair-distance
-/// memo. All workers share the same sharded cache; the soundness contract
-/// on [`PairDistanceCache`] guarantees the relation is identical with the
-/// cache on or off, independent of thread interleaving — only the probe
-/// and distance-call *counts* vary.
-pub fn compute_nn_reln_parallel_cached(
-    index: &dyn NnIndex,
-    spec: NeighborSpec,
-    p: f64,
-    n_threads: usize,
-    cache: Option<&dyn PairDistanceCache>,
-) -> (NnReln, Phase1Stats) {
     assert!(p >= 1.0, "growth multiplier p must be >= 1, got {p}");
     let n = index.len();
     let threads = resolve_threads(n_threads, n);
@@ -124,7 +108,7 @@ pub fn compute_nn_reln_parallel_cached(
     // Probe counts are statistics, summed across workers as they go.
     let (probes, fallback_probes) = (AtomicU64::new(0), AtomicU64::new(0));
     let entries = steal_blocks(n, threads, |id| {
-        let (entry, cost) = compute_entry(index, spec, p, id as u32, cache);
+        let (entry, cost) = compute_entry(index, spec, p, id as u32);
         probes.fetch_add(cost.probes, Ordering::Relaxed);
         fallback_probes.fetch_add(cost.fallback_probes, Ordering::Relaxed);
         entry
@@ -327,92 +311,5 @@ mod tests {
                 assert_eq!(seq, par, "spec={spec:?} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn pair_cache_preserves_determinism_seq_and_par() {
-        // The soundness contract on `PairDistanceCache`: exact hits carry
-        // true distances and `KnownAbove` only skips calls that would be
-        // rejected anyway, so the relation must be identical with the
-        // cache on or off, sequential or parallel, even though parallel
-        // workers race on cache *contents*. Edit distance is the
-        // bit-symmetric kernel the cache contract requires.
-        use crate::pair_cache::PairCache;
-        use fuzzydedup_nnindex::{InvertedIndex, InvertedIndexConfig};
-        use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
-        use fuzzydedup_textdist::EditDistance;
-        use std::sync::Arc;
-
-        let records: Vec<Vec<String>> = (0..120)
-            .map(|i| {
-                let s = match i % 3 {
-                    0 => format!("customer record number {i:03}"),
-                    1 => format!("customer record numbr {i:03}"),
-                    _ => format!("unrelated payload {i:03}"),
-                };
-                vec![s]
-            })
-            .collect();
-        let pool = Arc::new(BufferPool::new(
-            BufferPoolConfig::with_capacity(64),
-            Arc::new(InMemoryDisk::new()),
-        ));
-        let idx = InvertedIndex::build(records, EditDistance, pool, InvertedIndexConfig::default());
-        for spec in [NeighborSpec::TopK(4), NeighborSpec::Radius(0.2)] {
-            let (plain, _) = compute_nn_reln(&idx, spec, LookupOrder::Sequential, 2.0);
-            // Sequential with a cache: every pair's second verification
-            // can hit, and the relation must not move.
-            let cache = PairCache::new(1 << 14);
-            let (seq_cached, _) = crate::phase1::compute_nn_reln_cached(
-                &idx,
-                spec,
-                LookupOrder::Sequential,
-                2.0,
-                Some(&cache),
-            );
-            assert_eq!(plain, seq_cached, "seq cached diverged, spec={spec:?}");
-            // Parallel workers sharing one cache: interleaving varies the
-            // hit pattern, never the relation. A fresh cache per thread
-            // count keeps runs independent.
-            for threads in [2, 4, 0] {
-                let cache = PairCache::new(1 << 14);
-                let (par_cached, _) =
-                    compute_nn_reln_parallel_cached(&idx, spec, 2.0, threads, Some(&cache));
-                assert_eq!(plain, par_cached, "spec={spec:?} threads={threads}");
-                let (par_plain, _) = compute_nn_reln_parallel(&idx, spec, 2.0, threads);
-                assert_eq!(plain, par_plain, "spec={spec:?} threads={threads} (no cache)");
-            }
-        }
-    }
-
-    #[test]
-    fn tiny_pair_cache_under_heavy_eviction_is_still_sound() {
-        // A pathologically small cache (64 slots, constant collisions)
-        // exercises the overwrite/eviction path on every store; results
-        // must still be bit-identical to the uncached drive.
-        use crate::pair_cache::PairCache;
-        use fuzzydedup_nnindex::{InvertedIndex, InvertedIndexConfig};
-        use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
-        use fuzzydedup_textdist::EditDistance;
-        use std::sync::Arc;
-
-        let records: Vec<Vec<String>> =
-            (0..90).map(|i| vec![format!("shared prefix token row {:02}", i % 45)]).collect();
-        let pool = Arc::new(BufferPool::new(
-            BufferPoolConfig::with_capacity(64),
-            Arc::new(InMemoryDisk::new()),
-        ));
-        let idx = InvertedIndex::build(records, EditDistance, pool, InvertedIndexConfig::default());
-        let spec = NeighborSpec::TopK(3);
-        let (plain, _) = compute_nn_reln(&idx, spec, LookupOrder::Sequential, 2.0);
-        let cache = PairCache::new(1);
-        let (cached, _) = crate::phase1::compute_nn_reln_cached(
-            &idx,
-            spec,
-            LookupOrder::Sequential,
-            2.0,
-            Some(&cache),
-        );
-        assert_eq!(plain, cached);
     }
 }

@@ -135,61 +135,6 @@ impl Partition {
         })
     }
 
-    /// The **meet** (greatest common refinement) of two partitions: ids
-    /// share a group in the result iff they share a group in *both*
-    /// inputs. The high-precision ensemble combinator — e.g. intersecting
-    /// a `DE` run under fms with one under edit distance keeps only pairs
-    /// both distances agree on.
-    ///
-    /// # Panics
-    /// Panics if the partitions cover different relations.
-    pub fn meet(&self, other: &Partition) -> Partition {
-        assert_eq!(self.n, other.n, "partitions must cover the same relation");
-        let mut cells: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
-        for id in 0..self.n as u32 {
-            cells
-                .entry((self.group_of[id as usize], other.group_of[id as usize]))
-                .or_default()
-                .push(id);
-        }
-        Partition::from_groups(self.n, cells.into_values())
-    }
-
-    /// The **join** (finest common coarsening) of two partitions: ids share
-    /// a group iff they are connected through any chain of same-group
-    /// relations in either input. The high-recall ensemble combinator.
-    ///
-    /// # Panics
-    /// Panics if the partitions cover different relations.
-    pub fn join(&self, other: &Partition) -> Partition {
-        assert_eq!(self.n, other.n, "partitions must cover the same relation");
-        // Union-find over both partitions' groups.
-        let mut parent: Vec<u32> = (0..self.n as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                let gp = parent[parent[x as usize] as usize];
-                parent[x as usize] = gp;
-                x = gp;
-            }
-            x
-        }
-        for p in [self, other] {
-            for g in p.groups() {
-                for w in g.windows(2) {
-                    let (a, b) = (find(&mut parent, w[0]), find(&mut parent, w[1]));
-                    if a != b {
-                        parent[a as usize] = b;
-                    }
-                }
-            }
-        }
-        let mut roots: HashMap<u32, Vec<u32>> = HashMap::new();
-        for id in 0..self.n as u32 {
-            roots.entry(find(&mut parent, id)).or_default().push(id);
-        }
-        Partition::from_groups(self.n, roots.into_values())
-    }
-
     /// Size histogram: map from group size to count, useful for the
     /// "most groups of duplicates are of size 2 or 3" observations.
     pub fn size_histogram(&self) -> HashMap<usize, usize> {
@@ -269,49 +214,6 @@ mod tests {
         let p = Partition::singletons(0);
         assert_eq!(p.num_groups(), 0);
         assert!(p.duplicate_pairs().is_empty());
-    }
-
-    #[test]
-    fn meet_intersects_groups() {
-        let a = Partition::from_groups(5, vec![vec![0, 1, 2], vec![3, 4]]);
-        let b = Partition::from_groups(5, vec![vec![0, 1], vec![2, 3, 4]]);
-        let m = a.meet(&b);
-        assert_eq!(m.groups(), &[vec![0, 1], vec![2], vec![3, 4]]);
-        // Meet refines both inputs.
-        assert!(a.is_refined_by(&m));
-        assert!(b.is_refined_by(&m));
-        // Idempotent and commutative.
-        assert_eq!(a.meet(&a), a);
-        assert_eq!(a.meet(&b), b.meet(&a));
-    }
-
-    #[test]
-    fn join_unions_transitively() {
-        let a = Partition::from_groups(5, vec![vec![0, 1], vec![2, 3]]);
-        let b = Partition::from_groups(5, vec![vec![1, 2]]);
-        let j = a.join(&b);
-        assert!(j.are_together(0, 3), "chained through 1-2");
-        assert!(!j.are_together(0, 4));
-        // Both inputs refine the join.
-        assert!(j.is_refined_by(&a));
-        assert!(j.is_refined_by(&b));
-        assert_eq!(a.join(&a), a);
-        assert_eq!(a.join(&b), b.join(&a));
-    }
-
-    #[test]
-    fn meet_join_absorption() {
-        let a = Partition::from_groups(6, vec![vec![0, 1, 2], vec![4, 5]]);
-        let b = Partition::from_groups(6, vec![vec![1, 2, 3]]);
-        // Lattice absorption laws: a ∧ (a ∨ b) = a and a ∨ (a ∧ b) = a.
-        assert_eq!(a.meet(&a.join(&b)), a);
-        assert_eq!(a.join(&a.meet(&b)), a);
-    }
-
-    #[test]
-    #[should_panic(expected = "same relation")]
-    fn meet_requires_same_n() {
-        Partition::singletons(3).meet(&Partition::singletons(4));
     }
 
     #[test]

@@ -69,21 +69,6 @@ pub fn compute_nn_reln(
     order: LookupOrder,
     p: f64,
 ) -> (NnReln, Phase1Stats) {
-    compute_nn_reln_cached(index, spec, order, p, None)
-}
-
-/// [`compute_nn_reln`] with an optional symmetric pair-distance memo.
-/// Every pair is verified from both sides during Phase 1, so a memo keyed
-/// on unordered pairs turns the second verification into a table probe.
-/// The relation produced is identical with the cache on or off (see the
-/// soundness contract on `PairDistanceCache`).
-pub fn compute_nn_reln_cached(
-    index: &dyn NnIndex,
-    spec: NeighborSpec,
-    order: LookupOrder,
-    p: f64,
-    cache: Option<&dyn fuzzydedup_nnindex::PairDistanceCache>,
-) -> (NnReln, Phase1Stats) {
     assert!(p >= 1.0, "growth multiplier p must be >= 1, got {p}");
     let n = index.len();
     let mut entries: Vec<Option<NnEntry>> = vec![None; n];
@@ -92,7 +77,7 @@ pub fn compute_nn_reln_cached(
         // `compute_entry` handles the nn(v) fallback probe (the radius
         // fetch may be empty even when a nearest neighbor exists beyond θ)
         // and the ng(v) growth-sphere count; see `parallel::compute_entry`.
-        let (entry, cost) = crate::parallel::compute_entry(index, spec, p, id, cache);
+        let (entry, cost) = crate::parallel::compute_entry(index, spec, p, id);
         total_cost.absorb(&cost);
         let expansion: Vec<u32> = entry.neighbors.iter().map(|nb| nb.id).collect();
         entries[id as usize] = Some(entry);

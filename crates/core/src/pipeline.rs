@@ -23,8 +23,7 @@ use fuzzydedup_metrics::{
     CollapseMetrics, Phase1Metrics, RunMetrics, StageTimings, StorageMetrics,
 };
 use fuzzydedup_nnindex::{
-    InvertedIndex, InvertedIndexConfig, LookupOrder, MinHashConfig, MinHashIndex, NestedLoopIndex,
-    NnIndex, PostingsSource,
+    InvertedIndex, InvertedIndexConfig, LookupOrder, NestedLoopIndex, NnIndex, PostingsSource,
 };
 use fuzzydedup_relation::RelationError;
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, BufferStats, InMemoryDisk, StorageError};
@@ -48,9 +47,6 @@ pub enum IndexChoice {
     Inverted(InvertedIndexConfig),
     /// Exact nested-loop scan (the paper's stated fallback).
     NestedLoop,
-    /// MinHash-LSH signature index (the other probabilistic family the
-    /// paper cites, [23, 24]).
-    MinHash(MinHashConfig),
 }
 
 impl Default for IndexChoice {
@@ -131,11 +127,6 @@ pub struct DedupConfig {
     /// drive's lookup order only matters for paged postings, and follows
     /// them (see [`DedupConfig::new`]).
     pub parallelism: Parallelism,
-    /// Capacity (in entries) of the symmetric pair-distance memo consulted
-    /// during Phase-1 verification; `0` disables it. The partition is
-    /// identical either way — the cache only skips recomputation (see
-    /// [`crate::pair_cache::PairCache`]).
-    pub pair_cache_capacity: usize,
     /// Spill `NN_Reln` through heap-file storage once the relation holds
     /// at least this many tuples; `0` (the default) keeps it purely in
     /// memory. Spilled pages flow through the run's buffer pool, so a
@@ -164,8 +155,8 @@ impl DedupConfig {
     /// neighboring tuples reuse buffered postings pages (55 % vs 35 % hit
     /// ratio, `BENCH_bf_ordering.json`) — and id order otherwise, where
     /// nothing is paged and the BF queue is pure overhead (5.25 s vs
-    /// 4.59 s, `BENCH_phase1_order.json`). The partition is the same
-    /// either way.
+    /// 4.59 s on 10k Org records when PR 14 removed the knob). The
+    /// partition is the same either way.
     pub fn new(distance: DistanceKind) -> Self {
         Self {
             distance,
@@ -178,7 +169,6 @@ impl DedupConfig {
             via_tables: false,
             buffer_frames: 4096,
             parallelism: Parallelism::sequential(),
-            pair_cache_capacity: 0,
             spill_threshold: 0,
             collapse: None,
         }
@@ -235,12 +225,6 @@ impl DedupConfig {
     /// Set the per-phase worker-thread counts.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Set the pair-distance memo capacity in entries (`0` disables).
-    pub fn pair_cache_capacity(mut self, capacity: usize) -> Self {
-        self.pair_cache_capacity = capacity;
         self
     }
 
@@ -341,21 +325,20 @@ pub struct DedupOutcome {
     pub metrics: RunMetrics,
 }
 
-// `!(c > 0.0)` deliberately rejects NaN as well as non-positives.
+/// The parameter check of both entry points (the batch pipeline and
+/// [`crate::incremental::IncrementalDedupBuilder::build`]): a valid cut, a
+/// positive SN threshold `c` and a growth multiplier `p >= 1`. The negated
+/// comparisons deliberately reject NaN along with the out-of-range values.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-fn validate(config: &DedupConfig) -> Result<(), DedupError> {
-    config.cut.validate().map_err(DedupError::InvalidConfig)?;
-    if config.p < 1.0 {
+pub(crate) fn validate_params(cut: &CutSpec, c: f64, p: f64) -> Result<(), DedupError> {
+    cut.validate().map_err(DedupError::InvalidConfig)?;
+    if !(p >= 1.0) {
         return Err(DedupError::InvalidConfig(format!(
-            "growth multiplier p must be >= 1, got {}",
-            config.p
+            "growth multiplier p must be >= 1, got {p}"
         )));
     }
-    if !(config.c > 0.0) {
-        return Err(DedupError::InvalidConfig(format!(
-            "SN threshold c must be positive, got {}",
-            config.c
-        )));
+    if !(c > 0.0) {
+        return Err(DedupError::InvalidConfig(format!("SN threshold c must be positive, got {c}")));
     }
     Ok(())
 }
@@ -431,7 +414,7 @@ impl Deduplicator {
         pool: Arc<BufferPool>,
     ) -> Result<DedupOutcome, DedupError> {
         let config = &self.config;
-        validate(config)?;
+        validate_params(&config.cut, config.c, config.p)?;
         let t_dist = Instant::now();
         let distance = config.distance.build(records);
         let build_distance = t_dist.elapsed();
@@ -517,28 +500,6 @@ impl Deduplicator {
                     (self.run_phases(&index, pool, order, None)?, build_index)
                 }
             },
-            IndexChoice::MinHash(minhash_config) => match &collapse_pass {
-                Some((map, build_ns)) => {
-                    let index = MinHashIndex::build_collapsed(
-                        map.rep_records(records),
-                        map.multiplicities().to_vec(),
-                        distance,
-                        minhash_config.clone(),
-                    );
-                    let build_index = t_index.elapsed();
-                    // Identical records hash to identical signatures, so
-                    // siblings always share every band bucket.
-                    let sibling_visible = vec![true; map.n_reps()];
-                    let ctx = CollapseCtx { map, sibling_visible, build_ns: *build_ns };
-                    (self.run_phases(&index, pool, order, Some(ctx))?, build_index)
-                }
-                None => {
-                    let index =
-                        MinHashIndex::build(records.to_vec(), distance, minhash_config.clone());
-                    let build_index = t_index.elapsed();
-                    (self.run_phases(&index, pool, order, None)?, build_index)
-                }
-            },
         };
         let timings = &mut outcome.metrics.timings;
         timings.build_distance_ns = build_distance.as_nanos() as u64;
@@ -581,7 +542,7 @@ impl Deduplicator {
         collapse: Option<CollapseCtx<'_>>,
     ) -> Result<DedupOutcome, DedupError> {
         let config = &self.config;
-        validate(config)?;
+        validate_params(&config.cut, config.c, config.p)?;
         let n = index.len();
         // The cut's neighbor spec counts *full corpus* neighbors: under
         // collapse the index holds representatives, but k/θ budgets (and
@@ -591,15 +552,11 @@ impl Deduplicator {
         let counters_before = fuzzydedup_metrics::snapshot();
 
         let t1 = Instant::now();
-        let pair_cache = (config.pair_cache_capacity > 0)
-            .then(|| crate::pair_cache::PairCache::new(config.pair_cache_capacity));
-        let cache: Option<&dyn fuzzydedup_nnindex::PairDistanceCache> =
-            pair_cache.as_ref().map(|c| c as _);
         let (nn_reln, phase1_stats) = match config.parallelism.phase1_threads {
-            Some(threads) => crate::parallel::compute_nn_reln_parallel_cached(
-                index, spec, config.p, threads, cache,
-            ),
-            None => crate::phase1::compute_nn_reln_cached(index, spec, order, config.p, cache),
+            Some(threads) => {
+                crate::parallel::compute_nn_reln_parallel(index, spec, config.p, threads)
+            }
+            None => crate::phase1::compute_nn_reln(index, spec, order, config.p),
         };
         // Expand the representative-space relation back to full ids; the
         // partition downstream is bit-identical to the collapse-off run
@@ -846,18 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn minhash_index_choice_finds_duplicates() {
-        use fuzzydedup_nnindex::MinHashConfig;
-        let config = DedupConfig::new(DistanceKind::FuzzyMatch)
-            .cut(CutSpec::Size(4))
-            .sn_threshold(4.0)
-            .index_choice(IndexChoice::MinHash(MinHashConfig::default()));
-        let outcome = dedup(&music_records(), &config).unwrap();
-        assert!(outcome.partition.are_together(0, 1), "{:?}", outcome.partition.groups());
-        assert!(outcome.partition.are_together(4, 5));
-    }
-
-    #[test]
     fn run_metrics_populated_end_to_end() {
         // Counter-backed sections are process-global; serialize against
         // other tests that increment or reset the same counters.
@@ -881,6 +826,8 @@ mod tests {
         assert_eq!(m.cand_gen.pruned_by_count, 0);
         // textdist: the verification distance calls are attributed per kind.
         assert!(m.textdist.total() >= m.nnindex.exact_distance_calls);
+        // pair_cache: the batch pipeline holds no memo.
+        assert_eq!(m.pair_cache, fuzzydedup_metrics::PairCacheMetrics::default());
         // storage: index lookups and Phase-2 tables hit the buffer pool.
         assert!(m.storage.hits + m.storage.misses > 0);
         assert!((0.0..=1.0).contains(&m.storage.hit_ratio));
@@ -981,20 +928,11 @@ mod tests {
             by_string.metrics.collapse.collapsed_records
                 > by_fields.metrics.collapse.collapsed_records
         );
-        // The other index families honor the pass too.
+        // The nested-loop index honors the pass too.
         let nl = base.clone().index_choice(IndexChoice::NestedLoop);
         assert_eq!(
             dedup(&records, &nl).unwrap().partition,
             dedup(&records, &nl.clone().collapse(Some(crate::collapse::CollapseKey::RecordString)))
-                .unwrap()
-                .partition
-        );
-        let mh = base
-            .clone()
-            .index_choice(IndexChoice::MinHash(fuzzydedup_nnindex::MinHashConfig::default()));
-        assert_eq!(
-            dedup(&records, &mh).unwrap().partition,
-            dedup(&records, &mh.clone().collapse(Some(crate::collapse::CollapseKey::RecordString)))
                 .unwrap()
                 .partition
         );
@@ -1022,28 +960,5 @@ mod tests {
         )
         .run(&m);
         assert!(matches!(over_index, Err(DedupError::InvalidConfig(_))));
-    }
-
-    #[test]
-    fn pair_cache_does_not_change_the_partition() {
-        let _serial = fuzzydedup_metrics::serial_guard();
-        let base =
-            DedupConfig::new(DistanceKind::EditDistance).cut(CutSpec::Size(4)).sn_threshold(4.0);
-        let plain = dedup(&music_records(), &base).unwrap();
-        let cached = dedup(&music_records(), &base.clone().pair_cache_capacity(1 << 16)).unwrap();
-        assert_eq!(plain.partition, cached.partition);
-        // Cached run reports pair-cache activity; the knob defaults off.
-        assert!(cached.metrics.pair_cache.inserts > 0, "cache saw traffic");
-        assert_eq!(plain.metrics.pair_cache.inserts, 0, "default is disabled");
-        // Parallel Phase 1 sharing the cache still agrees.
-        let par = dedup(
-            &music_records(),
-            &base
-                .clone()
-                .pair_cache_capacity(1 << 16)
-                .parallelism(Parallelism::sequential().phase1(2)),
-        )
-        .unwrap();
-        assert_eq!(plain.partition, par.partition);
     }
 }

@@ -31,8 +31,8 @@
 //!    deterministic function of (state, batch), so the replayed side is
 //!    bit-identical to the computed one — which is what makes
 //!    drain-identity testable. The left-right pair costs 2× memory and
-//!    1× admission CPU; when the builder asks for a pair memo the two
-//!    sides share one.
+//!    1× admission CPU; the two sides share the one pair memo an
+//!    incremental state always holds.
 //!
 //!    A panic on the writer thread (a user [`Distance`], a broken
 //!    invariant) ends ingest, not the service: `submit*` return
@@ -480,7 +480,7 @@ pub struct DedupService<D: Distance + Clone + 'static> {
 impl<D: Distance + Clone + 'static> DedupService<D> {
     /// Start a service over an empty incremental state described by
     /// `builder`. The builder is built twice — once per epoch-pair side,
-    /// the two sharing one pair memo when the builder asks for one —
+    /// the two sharing one pair memo —
     /// which is why `D: Clone`.
     pub fn spawn(
         builder: IncrementalDedupBuilder<D>,
@@ -952,6 +952,8 @@ mod tests {
         ));
     }
 
+    /// Also a memo-on ≡ memo-off check: the service's states always hold
+    /// the pair memo, the batch pipeline never does.
     #[test]
     fn drain_identity_matches_batch_pipeline() {
         let records = corpus(90);
@@ -1002,7 +1004,8 @@ mod tests {
         // The collapse pre-pass on the ingest path: duplicate-heavy
         // streams bump representative multiplicities instead of
         // re-indexing, and the service surfaces (partition, corpus_len,
-        // point queries) still match the collapse-off batch pipeline.
+        // point queries) still match the collapse-off batch pipeline —
+        // which, unlike the service, holds no pair memo.
         let records = corpus(90); // 30 entities × (1 kappa + 2 kappaa): exact repeats
         let mut service = DedupService::spawn(
             builder().collapse(Some(crate::collapse::CollapseKey::RecordString)),

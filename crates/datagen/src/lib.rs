@@ -28,7 +28,6 @@ pub mod csvio;
 pub mod dataset;
 pub mod errors;
 pub mod numeric;
-pub mod riddle;
 pub mod seeds;
 
 pub mod birds;

@@ -24,9 +24,8 @@
 //!   expansion with a bounded queue and a visited bit vector), plus
 //!   sequential and shuffled orders for the Figure-8 comparison.
 //!
-//! Every index family (also [`dynamic::DynamicInvertedIndex`] and
-//! [`signature::MinHashIndex`]) only says which records are worth
-//! verifying for a query; one private lookup driver turns that into
+//! Every index family (also [`dynamic::DynamicInvertedIndex`]) only says
+//! which records are worth verifying for a query; one private lookup driver turns that into
 //! `top_k`, `within`, the combined lookup and by-content probes through
 //! one bounded-verification loop.
 //!
@@ -41,14 +40,12 @@ pub mod dynamic;
 pub mod inverted;
 pub mod nested_loop;
 mod scratch;
-pub mod signature;
 
 pub use bforder::{drive_lookups, DriveReport, LookupOrder};
 pub use candgen::{PackedPostings, RecordMeta, PACKED_BLOCK};
 pub use dynamic::{DynamicIndexConfig, DynamicInvertedIndex};
 pub use inverted::{InvertedIndex, InvertedIndexConfig, PostingsSource};
 pub use nested_loop::NestedLoopIndex;
-pub use signature::{MinHashConfig, MinHashIndex};
 
 use candgen::CandFilter;
 use driver::Query;
@@ -180,20 +177,22 @@ pub trait NnIndex: Send + Sync {
     /// growth `ng(v) = |{u : d(u, v) < p · nn(v)}|` (counting `v` itself),
     /// plus the [`LookupCost`] actually paid to answer.
     ///
-    /// This is the `cache = None` shorthand of [`NnIndex::lookup_cached`],
-    /// which is what Phase 1 calls and therefore the method to override:
-    /// an implementation that overrides only `lookup` is bypassed by
-    /// Phase 1. Every index in this crate implements `lookup_cached` as
-    /// one call into the crate's single lookup driver (gather candidates
-    /// once, verify them once with a running cutoff, derive the neighbor
-    /// list and `ng` from the survivors) and leaves this default alone.
+    /// This is the `cache = None` shorthand of [`NnIndex::lookup_cached`]
+    /// — what the batch Phase 1, which holds no memo, calls. Override
+    /// `lookup_cached`, not this: an implementation that overrides only
+    /// `lookup` is bypassed by every caller that holds a memo (the
+    /// incremental path). Every index in this crate implements
+    /// `lookup_cached` as one call into the crate's single lookup driver
+    /// (gather candidates once, verify them once with a running cutoff,
+    /// derive the neighbor list and `ng` from the survivors) and leaves
+    /// this default alone.
     fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
         self.lookup_cached(id, spec, p, None)
     }
 
     /// [`NnIndex::lookup`] with an optional shared [`PairDistanceCache`]
     /// consulted during candidate verification — **the combined-lookup
-    /// extension point** (Phase 1 invokes this method, never `lookup`).
+    /// extension point** (`lookup` forwards here).
     ///
     /// The default composes the answer from separate `top_k`/`within`
     /// probes (each counted in `LookupCost::probes`); it has no

@@ -41,7 +41,7 @@ struct Slot {
 /// whenever a lookup admits more than a few percent of the corpus, which
 /// the postings merge always does. The scan also yields ids in ascending
 /// order, so consumers that need sorted admission sets (the MergeSkip
-/// top-up probes, LSH candidate lists) get them for free.
+/// top-up probes) get them for free.
 #[derive(Default)]
 pub(crate) struct Scoreboard {
     epoch: u32,

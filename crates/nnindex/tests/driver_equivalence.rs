@@ -4,7 +4,7 @@
 //! `top_k` for the neighbor list and `nn(v)`, `within(p · nn(v))` for the
 //! neighborhood growth — on neighbors and `ng` alike.
 //!
-//! One table: four index families × {TopK, Radius} × {plain build,
+//! One table: three index families × {TopK, Radius} × {plain build,
 //! collapsed (multiplicity-weighted) build}. The weighted case compares
 //! the representative-space answer, expanded back to full-corpus ids,
 //! against the default composition over the *uncollapsed* corpus — the
@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 
 use fuzzydedup_nnindex::{
     DynamicIndexConfig, DynamicInvertedIndex, InvertedIndex, InvertedIndexConfig, LookupSpec,
-    MinHashConfig, MinHashIndex, NestedLoopIndex, NnIndex, PairDistanceCache, PairProbe,
+    NestedLoopIndex, NnIndex, PairDistanceCache, PairProbe,
 };
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
@@ -123,13 +123,6 @@ const FAMILIES: &[Family] = &[
                 }
             }
             Box::new(index)
-        },
-    },
-    Family {
-        name: "minhash",
-        plain: |r| Box::new(MinHashIndex::build(r, EditDistance, MinHashConfig::default())),
-        collapsed: |r, m| {
-            Box::new(MinHashIndex::build_collapsed(r, m, EditDistance, MinHashConfig::default()))
         },
     },
     Family {

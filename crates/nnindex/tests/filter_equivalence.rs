@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use fuzzydedup_nnindex::{
     DynamicIndexConfig, DynamicInvertedIndex, InvertedIndex, InvertedIndexConfig, LookupSpec,
-    MinHashConfig, MinHashIndex, NnIndex, PostingsSource,
+    NnIndex, PostingsSource,
 };
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
 use fuzzydedup_textdist::{EditDistance, UnfilteredDistance};
@@ -91,14 +91,5 @@ proptest! {
             unfiltered.push(rec.clone());
         }
         assert_equivalent(&filtered, &unfiltered, "dynamic");
-
-        // MinHash generates candidates from LSH buckets (distance-agnostic),
-        // so both sides see identical candidate sets by construction and the
-        // length filter is the only ladder rung in play.
-        let config = MinHashConfig::default();
-        let filtered = MinHashIndex::build(records.clone(), EditDistance, config.clone());
-        let unfiltered =
-            MinHashIndex::build(records.clone(), UnfilteredDistance(EditDistance), config);
-        assert_equivalent(&filtered, &unfiltered, "minhash");
     }
 }

@@ -26,8 +26,6 @@
 pub mod error;
 pub mod group;
 pub mod join;
-pub mod merge_join;
-pub mod ops;
 pub mod schema;
 pub mod sort;
 pub mod table;
@@ -37,8 +35,6 @@ pub mod value;
 pub use error::{RelationError, RelationResult};
 pub use group::group_sorted;
 pub use join::hash_join;
-pub use merge_join::merge_join;
-pub use ops::{aggregate_column, filter, project, ColumnStats};
 pub use schema::{Column, ColumnType, Schema};
 pub use sort::{external_sort, SortConfig};
 pub use table::{Table, TupleIter};

@@ -134,18 +134,6 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Compact every page, reclaiming the payload space of deleted
-    /// records. `RecordId`s of live records remain valid. Returns total
-    /// bytes reclaimed.
-    pub fn vacuum(&self) -> StorageResult<usize> {
-        let pages = self.pages.lock().clone();
-        let mut reclaimed = 0;
-        for page_id in pages {
-            reclaimed += self.pool.with_page_mut(page_id, |p| p.compact())?;
-        }
-        Ok(reclaimed)
-    }
-
     /// Collect all live records into memory (convenience for tests and for
     /// sort-run generation).
     pub fn read_all(&self) -> StorageResult<Vec<(RecordId, Vec<u8>)>> {
@@ -237,28 +225,6 @@ mod tests {
         let too_big = vec![0u8; crate::page::PAGE_SIZE];
         assert!(h.insert(&too_big).is_err());
         assert_eq!(h.len(), 0);
-    }
-
-    #[test]
-    fn vacuum_reclaims_and_preserves() {
-        let h = heap(2);
-        let rec = vec![5u8; 1500];
-        let ids: Vec<RecordId> = (0..12).map(|_| h.insert(&rec).unwrap()).collect();
-        for id in ids.iter().step_by(2) {
-            h.delete(*id).unwrap();
-        }
-        let reclaimed = h.vacuum().unwrap();
-        assert_eq!(reclaimed, 6 * 1500);
-        assert_eq!(h.len(), 6);
-        for (i, id) in ids.iter().enumerate() {
-            if i % 2 == 0 {
-                assert!(h.get(*id).is_err());
-            } else {
-                assert_eq!(h.get(*id).unwrap(), rec);
-            }
-        }
-        // Second vacuum is a no-op.
-        assert_eq!(h.vacuum().unwrap(), 0);
     }
 
     #[test]

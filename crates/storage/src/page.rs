@@ -3,9 +3,8 @@
 //! Pages are the unit of I/O and of buffering. We use the classic slotted
 //! layout: a header at the front, a slot directory growing forward after
 //! the header, and record payloads growing backward from the end of the
-//! page. Deleted slots are tombstoned (offset = `u16::MAX`); space is
-//! reclaimed only on page rebuild (not needed by our workloads, which are
-//! append-heavy).
+//! page. Deleted slots are tombstoned (offset = `u16::MAX`) and their
+//! payload space is not reclaimed (our workloads are append-heavy).
 //!
 //! Layout (little-endian):
 //!
@@ -177,47 +176,6 @@ impl Page {
     pub fn records(&self) -> impl Iterator<Item = (u16, &[u8])> {
         (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
     }
-
-    /// Bytes of payload space occupied by tombstoned records (reclaimable
-    /// by [`Page::compact`]).
-    pub fn dead_bytes(&self) -> usize {
-        (0..self.slot_count())
-            .filter_map(|s| {
-                let (offset, len) = self.slot(s);
-                (offset == TOMBSTONE).then_some(len as usize)
-            })
-            .sum()
-    }
-
-    /// Rewrite the page in place, reclaiming the payload space of
-    /// tombstoned records. Slot numbers are **stable** — live records keep
-    /// their slots (so `RecordId`s remain valid) and tombstoned slots stay
-    /// tombstoned. Returns the number of bytes reclaimed.
-    pub fn compact(&mut self) -> usize {
-        let reclaimed = self.dead_bytes();
-        if reclaimed == 0 {
-            return 0;
-        }
-        let live: Vec<(u16, Vec<u8>)> = self.records().map(|(s, r)| (s, r.to_vec())).collect();
-        let slot_count = self.slot_count();
-        // Tombstoned slots no longer occupy payload: zero their lengths so
-        // `dead_bytes` reflects reality (and compaction is idempotent).
-        for s in 0..slot_count {
-            if self.slot(s).0 == TOMBSTONE {
-                self.set_slot(s, TOMBSTONE, 0);
-            }
-        }
-        // Rebuild payloads from the end of the page.
-        let mut end = PAGE_SIZE;
-        for (slot, record) in &live {
-            end -= record.len();
-            self.data[end..end + record.len()].copy_from_slice(record);
-            self.set_slot(*slot, end as u16, record.len() as u16);
-        }
-        self.set_free_space_end(end as u16);
-        self.set_slot_count(slot_count);
-        reclaimed
-    }
 }
 
 impl std::fmt::Debug for Page {
@@ -320,74 +278,7 @@ mod tests {
         assert!(Page::from_bytes(0, &bad).is_err());
     }
 
-    #[test]
-    fn compact_reclaims_dead_space() {
-        let mut p = Page::new();
-        let a = p.insert(&[1u8; 1000]).unwrap();
-        let b = p.insert(&[2u8; 1000]).unwrap();
-        let c = p.insert(&[3u8; 1000]).unwrap();
-        p.delete(b);
-        assert_eq!(p.dead_bytes(), 1000);
-        let before_free = p.free_space();
-        let reclaimed = p.compact();
-        assert_eq!(reclaimed, 1000);
-        assert_eq!(p.free_space(), before_free + 1000);
-        // Live records intact, same slots; tombstone preserved.
-        assert_eq!(p.get(a), Some(&[1u8; 1000][..]));
-        assert_eq!(p.get(c), Some(&[3u8; 1000][..]));
-        assert!(p.get(b).is_none());
-        // Idempotent.
-        assert_eq!(p.compact(), 0);
-        assert_eq!(p.dead_bytes(), 0);
-    }
-
-    #[test]
-    fn compact_then_insert_reuses_space() {
-        let mut p = Page::new();
-        let big = vec![7u8; 3000];
-        p.insert(&big).unwrap();
-        let victim = p.insert(&big).unwrap();
-        while p.fits(big.len()) {
-            p.insert(&big).unwrap();
-        }
-        assert!(!p.fits(big.len()));
-        p.delete(victim);
-        assert!(!p.fits(big.len()), "space not reusable until compaction");
-        p.compact();
-        assert!(p.fits(big.len()));
-        let s = p.insert(&big).unwrap();
-        assert_eq!(p.get(s), Some(big.as_slice()));
-    }
-
     proptest! {
-        #[test]
-        fn compact_preserves_live_records(
-            sizes in prop::collection::vec(1usize..400, 1..24),
-            delete_mask in prop::collection::vec(any::<bool>(), 24),
-        ) {
-            let mut p = Page::new();
-            let mut slots = Vec::new();
-            for (i, sz) in sizes.iter().enumerate() {
-                let rec = vec![(i % 251) as u8; *sz];
-                if p.fits(*sz) {
-                    slots.push((p.insert(&rec).unwrap(), rec));
-                }
-            }
-            let mut expected: Vec<(u16, Option<Vec<u8>>)> = Vec::new();
-            for (i, (slot, rec)) in slots.iter().enumerate() {
-                if delete_mask.get(i).copied().unwrap_or(false) {
-                    p.delete(*slot);
-                    expected.push((*slot, None));
-                } else {
-                    expected.push((*slot, Some(rec.clone())));
-                }
-            }
-            p.compact();
-            for (slot, rec) in &expected {
-                prop_assert_eq!(p.get(*slot), rec.as_deref());
-            }
-        }
-
         #[test]
         fn inserted_records_round_trip(records in prop::collection::vec(
             prop::collection::vec(any::<u8>(), 0..64), 0..40)) {

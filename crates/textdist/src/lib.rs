@@ -15,9 +15,9 @@
 //!   implement the *symmetric* variant the paper evaluates, see [`fms`].
 //!
 //! In addition we provide TF-IDF [`cosine`] similarity, token/q-gram
-//! [`jaccard`], [`mod@jaro`]-Winkler, and [`mod@soundex`] as building blocks and
-//! extensions, plus [`composite`] record-level distances that combine
-//! per-attribute distances with weights.
+//! [`jaccard`] and [`mod@jaro`]-Winkler as building blocks and extensions,
+//! plus [`composite`] record-level distances that combine per-attribute
+//! distances with weights.
 //!
 //! All distances implement the [`Distance`] trait and are **symmetric** and
 //! bounded in `[0, 1]`, as required by the duplicate-elimination framework
@@ -36,7 +36,6 @@ pub mod jaro;
 pub mod monge_elkan;
 pub mod myers;
 pub mod qgram;
-pub mod soundex;
 pub mod tokenize;
 
 pub use compiled::{Candidate, CompiledRecords, WeightedTokens};
@@ -53,7 +52,6 @@ pub use jaro::{jaro, jaro_winkler, JaroWinklerDistance};
 pub use monge_elkan::MongeElkanDistance;
 pub use myers::{myers, myers_bounded, myers_bounded_chars, myers_chars};
 pub use qgram::{merge_overlap_bound, qgrams, record_term_set, QgramProfile, TermSet};
-pub use soundex::soundex;
 pub use tokenize::{normalize, normalize_into, tokenize, Token};
 
 pub use tokenize::{record_string, record_string_into};

@@ -120,7 +120,7 @@ pub fn merge_overlap_bound(chars: u32, q: usize, theta: f64) -> Option<f64> {
     Some(f64::from(chars) * (1.0 - theta * qf) + (qf - 1.0))
 }
 
-/// The indexable terms of a record, as every inverted/signature index in
+/// The indexable terms of a record, as every inverted index in
 /// `fuzzydedup-nnindex` extracts them: padded q-grams of the normalized
 /// record string, optionally plus whole tokens, deduplicated and sorted.
 ///

@@ -3,10 +3,9 @@
 #
 #   scripts/bench_all.sh
 #
-# Runs the criterion benches that have committed baselines (the four the
-# ci_bench_gate watches, plus the phase-1 ablation) and the
-# exp_bf_ordering driver (which emits BENCH_bf_ordering.json alongside
-# its stdout table). Review the diff and commit it to refresh baselines
+# Runs the benches that have committed baselines (the ones
+# ci_bench_gate watches) and the exp_bf_ordering driver (which emits
+# BENCH_bf_ordering.json alongside its stdout table). Review the diff and commit it to refresh baselines
 # intentionally.
 #
 # The criterion shim writes to $BENCH_OUT_DIR when set, else to
@@ -21,9 +20,6 @@ benches=(
     bench_edit_kernel
     bench_buffer_pool
     bench_candidates
-    bench_phase1
-    bench_phase1_cache
-    bench_phase1_batch
     bench_phase1_collapse
     bench_phase2
     bench_service

@@ -37,8 +37,6 @@ if [[ ${#benches[@]} -eq 0 ]]; then
         bench_distances
         bench_buffer_pool
         bench_candidates
-        bench_phase1_cache
-        bench_phase1_batch
         bench_phase1_collapse
         bench_phase2
         bench_service
@@ -78,21 +76,18 @@ env BENCH_GATE_TOLERANCE="${BENCH_GATE_TOLERANCE:-0.35}" \
 # Append the headline min_ns rows of this refresh to
 # results/BENCH_trajectory.json (a JSON array, one entry per refresh), so
 # the per-PR performance story is readable without digging through git
-# history of the individual artifacts. The headline rows are the
-# acceptance-claim lanes: bench_phase1_batch/batched_steal and the live
-# service's bench_service/replay/ingest_per_record.
+# history of the individual artifacts. The headline row is the live
+# service's bench_service/replay/ingest_per_record; the repo benchmark's
+# end-to-end medians are appended per PR by hand (see results/README.md).
 trajectory="results/BENCH_trajectory.json"
 extract_min_ns() { # file row-name -> min_ns or empty
     [[ -f "$1" ]] || return 0
     sed -n "s/.*\"name\": \"$2\", \"mean_ns\": [0-9.]*, \"min_ns\": \([0-9.]*\).*/\1/p" "$1"
 }
-batched_steal="$(extract_min_ns results/BENCH_phase1_batch.json batched_steal)"
 service_ingest="$(extract_min_ns results/BENCH_service.json 'replay\/ingest_per_record')"
-if [[ -n "$batched_steal" ]]; then
+if [[ -n "$service_ingest" ]]; then
     entry="{\"date\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\", \"passes\": $passes"
-    entry+=", \"phase1_batch_batched_steal_min_ns\": $batched_steal"
-    [[ -n "$service_ingest" ]] && entry+=", \"service_ingest_per_record_min_ns\": $service_ingest"
-    entry+="}"
+    entry+=", \"service_ingest_per_record_min_ns\": $service_ingest}"
     if [[ -s "$trajectory" ]]; then
         # Append before the closing bracket of the existing array.
         tmp="$(mktemp)"

@@ -33,8 +33,13 @@
 #   scale-smoke   exp_scale_1m at 50k records: the full spill-backed,
 #                 work-stealing pipeline end to end on a FileDisk pool
 #   service-smoke exp_service_replay at 5k records: mixed ingest/query
-#                 through the live dedup service, drain-identity asserted;
-#                 also fails if the service's writer thread panicked
+#                 through the live dedup service as `fuzzydedup replay`
+#                 builds it, drain-identity asserted; also fails if the
+#                 service's writer thread panicked
+#
+# Every run also counts the ROADMAP's line ledger — Rust outside vendored/
+# and benchmark/, total and per crate — prints it under the stage table
+# and writes it as "rust_lines" into results/ci_summary.json.
 #
 # bench-smoke tolerance: the gate binary defaults to ±15%; on shared /
 # virtualized machines timing noise alone exceeds that, so this driver
@@ -210,8 +215,10 @@ for stage in "${all_stages[@]}"; do
             ;;
         service-smoke)
             # 5k-record mixed ingest/query replay through the live dedup
-            # service: exercises batched admission, epoch-snapshot point
-            # queries, and drain — the binary exits non-zero if the
+            # service, built as `fuzzydedup replay` and the repo benchmark's
+            # `service_replay` build it: exercises batched admission,
+            # epoch-snapshot point queries, and drain — the binary exits
+            # non-zero if the
             # drained service partition is not bit-identical to a
             # from-scratch batch run, or if the replay met a service
             # error (ServiceError::WriterFailed: the writer thread
@@ -238,11 +245,25 @@ else
     echo "ci: FAIL"
 fi
 
+# ---- line ledger -----------------------------------------------------
+# ROADMAP's count: find crates src tests examples -name '*.rs' | xargs wc -l.
+rust_lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
+lines_total=$(rust_lines crates src tests examples)
+ledger_json="\"total\": $lines_total"
+echo
+echo "rust lines outside vendored/ and benchmark/: $lines_total"
+for d in crates/* src tests examples; do
+    n=$(rust_lines "$d")
+    printf '  %-16s %6d\n' "$d" "$n"
+    ledger_json+=", \"$d\": $n"
+done
+
 # ---- machine-readable summary ---------------------------------------
 mkdir -p results
 {
     echo '{'
     echo "  \"overall\": \"$([[ $overall -eq 0 ]] && echo pass || echo fail)\","
+    echo "  \"rust_lines\": {$ledger_json},"
     echo '  "stages": ['
     for i in "${!stages[@]}"; do
         sep=','

@@ -26,10 +26,6 @@
 //!                         to stderr
 //!   --threads N           run both phases on N worker threads (0 = all
 //!                         CPUs); results are identical to sequential
-//!   --pair-cache-capacity N
-//!                         memoize up to N symmetric pair distances during
-//!                         Phase-1 verification (0 = off, the default);
-//!                         the partition is identical either way
 //!   --collapse KEY        collapse exact duplicates before Phase 1 and
 //!                         run it weighted over the representatives:
 //!                         record-string (normalized join; whole-record
@@ -99,7 +95,6 @@ struct Options {
     report: bool,
     metrics: bool,
     threads: Option<usize>,
-    pair_cache_capacity: usize,
     collapse: Option<CollapseKey>,
     demo: Option<String>,
 }
@@ -117,7 +112,6 @@ fn usage() -> &'static str {
      \x20                 [--columns 0,1] [--gold-column N] [--distance fms|ed|cosine|jaccard|jw|monge-elkan]\n\
      \x20                 [--k N | --theta X] [--c X | --dup-fraction F] [--agg max|avg|max2]\n\
      \x20                 [--minimality] [--report] [--metrics] [--threads N]\n\
-     \x20                 [--pair-cache-capacity N]\n\
      \x20                 [--collapse record-string|exact-fields]\n\
      \x20                 [--demo table1|restaurants|media|org]"
 }
@@ -139,7 +133,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         report: false,
         metrics: false,
         threads: None,
-        pair_cache_capacity: 0,
         collapse: None,
         demo: None,
     };
@@ -200,10 +193,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--threads" => {
                 opts.threads =
                     Some(next(&mut i)?.parse().map_err(|e| format!("bad --threads: {e}"))?)
-            }
-            "--pair-cache-capacity" => {
-                opts.pair_cache_capacity =
-                    next(&mut i)?.parse().map_err(|e| format!("bad --pair-cache-capacity: {e}"))?
             }
             "--collapse" => opts.collapse = Some(parse_collapse_key(next(&mut i)?)?),
             "--demo" => opts.demo = Some(next(&mut i)?.clone()),
@@ -319,7 +308,6 @@ fn parse_replay_args(args: &[String]) -> Result<ReplayOptions, String> {
             report: false,
             metrics: false,
             threads: None,
-            pair_cache_capacity: 0,
             collapse: None,
             demo: None,
         },
@@ -579,7 +567,6 @@ fn run() -> Result<(), String> {
         .cut(opts.cut)
         .aggregation(opts.agg)
         .minimality(opts.minimality)
-        .pair_cache_capacity(opts.pair_cache_capacity)
         .collapse(opts.collapse);
     if let Some(threads) = opts.threads {
         config = config.parallelism(Parallelism::threads(threads));

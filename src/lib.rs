@@ -9,7 +9,7 @@
 //! module names:
 //!
 //! * [`textdist`] — distance functions (edit distance, fuzzy match
-//!   similarity, TF-IDF cosine, Jaccard, Jaro-Winkler, Soundex);
+//!   similarity, TF-IDF cosine, Jaccard, Jaro-Winkler);
 //! * [`storage`] — paged storage engine with an instrumented buffer pool
 //!   (the stand-in for the paper's SQL Server backend);
 //! * [`relation`] — schema/tuple model with external sort, grouping, and

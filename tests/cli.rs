@@ -154,6 +154,22 @@ fn bad_arguments_fail_cleanly() {
 }
 
 #[test]
+fn removed_pair_cache_flag_is_unknown_and_prints_usage() {
+    // The pair memo follows the entry point (always on under `replay`,
+    // never in a batch run); neither subcommand takes a flag for it.
+    for args in [
+        vec!["--demo", "table1", "--pair-cache-capacity", "1024"],
+        vec!["replay", "--demo", "table1", "--pair-cache-capacity", "1024"],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert!(!out.status.success(), "args {args:?} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown argument \"--pair-cache-capacity\""), "{stderr}");
+        assert!(stderr.contains("usage: fuzzydedup"), "{stderr}");
+    }
+}
+
+#[test]
 fn malformed_csv_is_reported() {
     let input = temp_path("bad.csv");
     std::fs::write(&input, "name\n\"unterminated\n").unwrap();

@@ -3,10 +3,10 @@
 
 use fuzzydedup::core::{
     evaluate, single_linkage, Aggregation, CutSpec, DedupConfig, DedupError, DedupOutcome,
-    Deduplicator, IndexChoice, Parallelism,
+    Deduplicator, IncrementalDedup, IndexChoice, Parallelism,
 };
 use fuzzydedup::datagen::{media, restaurants, standard_quality_datasets, DatasetSpec};
-use fuzzydedup::textdist::DistanceKind;
+use fuzzydedup::textdist::{Distance, DistanceKind, EditDistance, FuzzyMatchDistance, IdfModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -222,32 +222,62 @@ fn parallel_pipeline_is_identical_on_real_data() {
     }
 }
 
+/// Load `records` into an incremental state in chunks and assert it lands
+/// on the batch run's partition and NN relation.
+fn assert_incremental_equals_batch<D: Distance>(
+    distance: D,
+    parallelism: Parallelism,
+    records: &[Vec<String>],
+    batch: &DedupOutcome,
+) {
+    let mut inc = IncrementalDedup::builder(distance)
+        .cut(CutSpec::Size(4))
+        .sn_threshold(4.0)
+        .parallelism(parallelism)
+        .build()
+        .unwrap();
+    for chunk in records.chunks(37) {
+        inc.insert_batch(chunk.to_vec());
+    }
+    assert_eq!(inc.partition(), &batch.partition, "{parallelism:?}");
+    assert_eq!(inc.nn_reln(), batch.nn_reln, "{parallelism:?}");
+}
+
 #[test]
-fn pair_cache_is_invisible_in_results_seq_and_par() {
-    // The Phase-1 pair-distance memo is a pure performance lever: with
-    // edit distance (bit-symmetric, as the cache contract requires) the
-    // partition AND the NN relation must be bit-identical with the cache
-    // on or off, sequential or parallel. Two capacities: one comfortably
-    // holding the working set, one small enough to evict constantly.
+fn pair_memo_is_invisible_in_results_seq_and_par() {
+    // The pair-distance memo follows the entry point: an incremental
+    // state always holds one, the batch pipeline never does. It is a pure
+    // performance lever: under both of the service's distances (each
+    // symmetric to the bit, as the memo contract requires) the partition
+    // AND the NN relation of a chunked incremental load, sequential or
+    // with a parallel refresh, must be bit-identical to the batch run.
     let mut rng = StdRng::seed_from_u64(9);
-    let dataset = restaurants::generate(&mut rng, DatasetSpec::with_entities(150));
-    let base = de_config(DistanceKind::EditDistance);
-    let plain = dedup(&dataset.records, &base).unwrap();
-    for capacity in [1 << 16, 128] {
-        let cached = dedup(&dataset.records, &base.clone().pair_cache_capacity(capacity)).unwrap();
-        assert_eq!(plain.partition, cached.partition, "capacity={capacity}");
-        assert_eq!(plain.nn_reln, cached.nn_reln, "capacity={capacity}");
-        for threads in [2, 0] {
-            let par = dedup(
-                &dataset.records,
-                &base
-                    .clone()
-                    .pair_cache_capacity(capacity)
-                    .parallelism(Parallelism::threads(threads)),
-            )
-            .unwrap();
-            assert_eq!(plain.partition, par.partition, "capacity={capacity} threads={threads}");
-            assert_eq!(plain.nn_reln, par.nn_reln, "capacity={capacity} threads={threads}");
+    let records = restaurants::generate(&mut rng, DatasetSpec::with_entities(150)).records;
+    let ed = dedup(&records, &de_config(DistanceKind::EditDistance)).unwrap();
+    let fms = dedup(&records, &de_config(DistanceKind::FuzzyMatch)).unwrap();
+    for parallelism in [Parallelism::sequential(), Parallelism::threads(2), Parallelism::threads(0)]
+    {
+        assert_incremental_equals_batch(EditDistance, parallelism, &records, &ed);
+        let fuzzy = FuzzyMatchDistance::new(IdfModel::fit_records(&records));
+        assert_incremental_equals_batch(fuzzy, parallelism, &records, &fms);
+    }
+}
+
+#[test]
+fn growth_multiplier_is_validated_alike_on_both_entry_points() {
+    // One `validate_params` behind the batch pipeline and the incremental
+    // builder: a bad `p` is a typed error on both, never a Phase-1 panic
+    // (NaN used to slip through the batch side's `p < 1.0`).
+    let records = media::table1().records;
+    for p in [f64::NAN, 0.5, -1.0, f64::INFINITY] {
+        let batch = dedup(&records, &de_config(DistanceKind::EditDistance).growth_multiplier(p));
+        let incremental = IncrementalDedup::builder(EditDistance).growth_multiplier(p).build();
+        let want_ok = p >= 1.0;
+        assert_eq!(batch.is_ok(), want_ok, "batch, p = {p}");
+        assert_eq!(incremental.is_ok(), want_ok, "incremental, p = {p}");
+        if !want_ok {
+            assert!(matches!(batch, Err(DedupError::InvalidConfig(_))), "batch, p = {p}");
+            assert!(matches!(incremental, Err(DedupError::InvalidConfig(_))), "incr., p = {p}");
         }
     }
 }
