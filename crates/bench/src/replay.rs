@@ -137,7 +137,6 @@ pub fn replay(config: ReplayConfig) -> Result<ReplayOutcome, ServiceError> {
     let service_config = ServiceConfig::new()
         .admit_batch_size(config.batch_size.max(1))
         .queue_capacity(config.queue_capacity.max(1));
-    let before = fuzzydedup_metrics::snapshot();
     // The service `fuzzydedup replay` and the repo benchmark's
     // `service_replay` ship: the builder's defaults under the cut and
     // threshold the drain-identity suite pins.
@@ -188,12 +187,10 @@ pub fn replay(config: ReplayConfig) -> Result<ReplayOutcome, ServiceError> {
         return Err(ServiceError::WriterFailed);
     }
     let (_, partition) = service.snapshot_partition();
-    let mut metrics = RunMetrics::default();
-    metrics.apply_counter_delta(&fuzzydedup_metrics::snapshot().delta(&before));
-    // Service-filled fields: high-water from the service, quantiles exact
-    // from the recorded requests (the in-service histogram is log2-coarse).
+    let mut metrics = service.metrics();
+    // Quantiles exact from the recorded requests (the in-service histogram
+    // is log2-coarse).
     latencies.sort_unstable();
-    metrics.service.queue_depth_high_water = stats.queue_depth_high_water as u64;
     metrics.service.query_p50_ns = percentile_ns(&latencies, 0.50);
     metrics.service.query_p99_ns = percentile_ns(&latencies, 0.99);
     service.shutdown();

@@ -532,6 +532,7 @@ impl<D: Distance> IncrementalDedup<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuzzydedup_metrics::{scoped, Counter, Tally};
     use fuzzydedup_textdist::EditDistance;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -636,8 +637,6 @@ mod tests {
 
     #[test]
     fn parallelism_does_not_change_results() {
-        // Counter-backed assertion below: serialize against other tests.
-        let _serial = fuzzydedup_metrics::serial_guard();
         let base: Vec<Vec<String>> = (0..80)
             .map(|i| {
                 let v = if i % 4 == 0 {
@@ -650,18 +649,22 @@ mod tests {
             .collect();
         let mut seq = fresh();
         let mut par = fresh_builder().parallelism(Parallelism::threads(2)).build().unwrap();
-        let before = fuzzydedup_metrics::snapshot();
+        // One scope per state: what the parallel refresh's workers count
+        // lands in `par`'s scope through the fold, and only there.
+        let (mut seq_counted, mut par_counted) = (Tally::default(), Tally::default());
         for chunk in base.chunks(17) {
-            seq.insert_batch(chunk.to_vec());
-            par.insert_batch(chunk.to_vec());
+            seq_counted.absorb(&scoped(|| seq.insert_batch(chunk.to_vec())).1);
+            par_counted.absorb(&scoped(|| par.insert_batch(chunk.to_vec())).1);
             assert_eq!(seq.partition(), par.partition());
             assert_eq!(seq.nn_reln(), par.nn_reln());
         }
-        let d = fuzzydedup_metrics::snapshot().delta(&before);
+        assert_eq!(seq_counted.get(Counter::Phase1StealBlocks), 0, "one thread steals nothing");
         assert!(
-            d.get(fuzzydedup_metrics::Counter::Phase1StealBlocks) > 0,
+            par_counted.get(Counter::Phase1StealBlocks) > 0,
             "the parallel refresh must actually steal blocks"
         );
+        // The same lookups ran on both, whoever ran them.
+        assert_eq!(par_counted.get(Counter::NnLookups), seq_counted.get(Counter::NnLookups));
     }
 
     #[test]
@@ -695,8 +698,6 @@ mod tests {
 
     #[test]
     fn pair_memo_hits_without_changing_results() {
-        // Counter-backed assertion: serialize against other metric tests.
-        let _serial = fuzzydedup_metrics::serial_guard();
         // Duplicate-heavy append stream: every batch lands near the same
         // entities, so refreshed entries re-verify the same pairs over
         // and over — exactly the traffic the memo exists to absorb.
@@ -706,15 +707,15 @@ mod tests {
             })
             .collect();
         let mut inc = fresh();
-        let before = fuzzydedup_metrics::snapshot();
-        for batch in &batches {
-            inc.insert_batch(batch.clone());
-        }
-        let d = fuzzydedup_metrics::snapshot().delta(&before);
-        assert!(
-            d.get(fuzzydedup_metrics::Counter::PairCacheHits) > 0,
-            "duplicate-heavy refreshes must hit the memo"
-        );
+        let ((), d) = scoped(|| {
+            for batch in &batches {
+                inc.insert_batch(batch.clone());
+            }
+        });
+        // Sequential refreshes over fixed batches: the memo traffic repeats
+        // exactly.
+        assert_eq!(d.get(Counter::PairCacheHits), 2698, "duplicate-heavy refreshes hit the memo");
+        assert_eq!(d.get(Counter::PairCacheMisses), 592);
         // The memo only skips recomputation; the memo-less batch pipeline
         // must land on the same state.
         let batch = batch_run(&batches.concat(), CutSpec::Size(4));

@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use fuzzydedup_metrics::{incr, Counter};
+use fuzzydedup_metrics::{absorb, incr, scoped, Counter};
 use fuzzydedup_nnindex::{LookupCost, LookupSpec, NnIndex};
 
 use crate::nnreln::{NnEntry, NnReln};
@@ -43,7 +43,9 @@ pub fn resolve_threads(n_threads: usize, n_items: usize) -> usize {
 /// worker amortizes the cursor contention while leaving enough granules to
 /// rebalance; the cap keeps tail blocks short on huge corpora. Which
 /// worker claims which block never shows in the result — every item is an
-/// independent query.
+/// independent query — nor in what the caller counts: each worker hands
+/// its metrics tally back through its join handle and the caller absorbs
+/// it, so `work`'s `incr`s land in the scopes the caller has open.
 pub(crate) fn steal_blocks<T: Send + Sync>(
     n: usize,
     threads: usize,
@@ -53,21 +55,23 @@ pub(crate) fn steal_blocks<T: Send + Sync>(
     let block = n.div_ceil(threads * 8).clamp(1, 1024);
     let n_blocks = n.div_ceil(block);
     let next_block = AtomicUsize::new(0);
+    let drain = || loop {
+        let b = next_block.fetch_add(1, Ordering::Relaxed);
+        if b >= n_blocks {
+            break;
+        }
+        incr(Counter::Phase1StealBlocks, 1);
+        let start = b * block;
+        let end = (start + block).min(n);
+        for (i, slot) in slots.iter().enumerate().take(end).skip(start) {
+            let claimed = slot.set(work(i)).is_ok();
+            debug_assert!(claimed, "item {i} computed twice");
+        }
+    };
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let b = next_block.fetch_add(1, Ordering::Relaxed);
-                if b >= n_blocks {
-                    break;
-                }
-                incr(Counter::Phase1StealBlocks, 1);
-                let start = b * block;
-                let end = (start + block).min(n);
-                for (i, slot) in slots.iter().enumerate().take(end).skip(start) {
-                    let claimed = slot.set(work(i)).is_ok();
-                    debug_assert!(claimed, "item {i} computed twice");
-                }
-            });
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(|| scoped(drain).1)).collect();
+        for worker in workers {
+            absorb(&worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
         }
     });
     slots.into_iter().map(|slot| slot.into_inner().expect("all items computed")).collect()

@@ -338,6 +338,8 @@ pub fn partition_entries_parallel(
     let shards = balance_components(&costs, threads);
 
     let mut shard_groups: Vec<Vec<Vec<u32>>> = vec![Vec::new(); shards.len()];
+    // The workers reach no `incr` (the greedy counts nothing), so there is
+    // no tally to hand back to the caller's metrics scope.
     std::thread::scope(|scope| {
         for (shard, out) in shards.iter().zip(shard_groups.iter_mut()) {
             let (components, graph) = (&components, &graph);

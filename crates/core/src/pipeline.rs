@@ -319,9 +319,9 @@ pub struct DedupOutcome {
     /// worker-thread counts, and per-stage wall times. JSON-serializable
     /// via [`RunMetrics::to_json`]; the CLI prints it under `--metrics`.
     ///
-    /// Counter-backed sections are per-run deltas of process-global
-    /// counters, so concurrent runs in one process bleed into each other;
-    /// `phase1_stats` carries the exact per-run probe counts regardless.
+    /// Counter-backed sections are what this run's own threads counted
+    /// (a [`fuzzydedup_metrics::scoped`] window over both phases), so
+    /// they are exact however many runs share the process.
     pub metrics: RunMetrics,
 }
 
@@ -549,73 +549,77 @@ impl Deduplicator {
         // the Unbounded k = n − 1) are corpus-level quantities.
         let n_full = collapse.as_ref().map_or(n, |c| c.map.n_full());
         let spec = NeighborSpec::from_cut(&config.cut, n_full);
-        let counters_before = fuzzydedup_metrics::snapshot();
+        // The scope the run's counter-backed metrics are read from: both
+        // phases and the minimality pass, on this thread and — through
+        // `steal_blocks`' fold — on the Phase-1 workers.
+        let (phases, tally) = fuzzydedup_metrics::scoped(|| -> Result<_, DedupError> {
+            let t1 = Instant::now();
+            let (nn_reln, phase1_stats) = match config.parallelism.phase1_threads {
+                Some(threads) => {
+                    crate::parallel::compute_nn_reln_parallel(index, spec, config.p, threads)
+                }
+                None => crate::phase1::compute_nn_reln(index, spec, order, config.p),
+            };
+            // Expand the representative-space relation back to full ids; the
+            // partition downstream is bit-identical to the collapse-off run
+            // (DESIGN.md §7.10). Inside the Phase-1 window, like the spill.
+            let (nn_reln, collapse_metrics) = match &collapse {
+                Some(ctx) => {
+                    let t_expand = Instant::now();
+                    let full = ctx.map.expand_reln(&nn_reln, spec, &ctx.sibling_visible);
+                    let expand_ns = t_expand.elapsed().as_nanos() as u64;
+                    let metrics = CollapseMetrics {
+                        classes: ctx.map.n_reps() as u64,
+                        collapsed_records: ctx.map.collapsed_records() as u64,
+                        collapse_ns: ctx.build_ns + expand_ns,
+                    };
+                    (full, metrics)
+                }
+                None => (nn_reln, CollapseMetrics::default()),
+            };
+            // Spill round-trip: write the relation to heap pages (bounded by
+            // the pool) and rehydrate it for Phase 2. Part of the Phase-1
+            // window — materializing `NN_Reln` into the database is Phase-1
+            // work in the paper's architecture.
+            let nn_reln = if config.spill_threshold > 0 && n_full >= config.spill_threshold {
+                let spill_file = fuzzydedup_storage::HeapFile::create(pool.clone());
+                crate::spill::spill_nn_reln(&nn_reln, &spill_file)?;
+                drop(nn_reln);
+                crate::spill::read_nn_reln(&spill_file)?
+            } else {
+                nn_reln
+            };
+            let phase1_duration = t1.elapsed();
+            let buffer_stats = pool.stats();
 
-        let t1 = Instant::now();
-        let (nn_reln, phase1_stats) = match config.parallelism.phase1_threads {
-            Some(threads) => {
-                crate::parallel::compute_nn_reln_parallel(index, spec, config.p, threads)
+            let t2 = Instant::now();
+            let mut partition = if config.via_tables {
+                partition_via_tables(&nn_reln, config.cut, config.agg, config.c, pool.clone())?
+            } else {
+                // `None` is one worker on the same component path: its CS-pair
+                // pruning, not its threads, is what beats the naive greedy.
+                let threads = config.parallelism.phase2_threads.unwrap_or(1);
+                partition_entries_parallel(&nn_reln, config.cut, config.agg, config.c, threads)
+            };
+            let phase2_duration = t2.elapsed();
+            let t3 = Instant::now();
+            if config.minimality {
+                partition = enforce_minimality(&nn_reln, &partition);
             }
-            None => crate::phase1::compute_nn_reln(index, spec, order, config.p),
-        };
-        // Expand the representative-space relation back to full ids; the
-        // partition downstream is bit-identical to the collapse-off run
-        // (DESIGN.md §7.10). Inside the Phase-1 window, like the spill.
-        let (nn_reln, collapse_metrics) = match &collapse {
-            Some(ctx) => {
-                let t_expand = Instant::now();
-                let full = ctx.map.expand_reln(&nn_reln, spec, &ctx.sibling_visible);
-                let expand_ns = t_expand.elapsed().as_nanos() as u64;
-                let metrics = CollapseMetrics {
-                    classes: ctx.map.n_reps() as u64,
-                    collapsed_records: ctx.map.collapsed_records() as u64,
-                    collapse_ns: ctx.build_ns + expand_ns,
-                };
-                (full, metrics)
-            }
-            None => (nn_reln, CollapseMetrics::default()),
-        };
-        // Spill round-trip: write the relation to heap pages (bounded by
-        // the pool) and rehydrate it for Phase 2. Part of the Phase-1
-        // window — materializing `NN_Reln` into the database is Phase-1
-        // work in the paper's architecture.
-        let nn_reln = if config.spill_threshold > 0 && n_full >= config.spill_threshold {
-            let spill_file = fuzzydedup_storage::HeapFile::create(pool.clone());
-            crate::spill::spill_nn_reln(&nn_reln, &spill_file)?;
-            drop(nn_reln);
-            crate::spill::read_nn_reln(&spill_file)?
-        } else {
-            nn_reln
-        };
-        let phase1_duration = t1.elapsed();
-        let buffer_stats = pool.stats();
+            let durations = (phase1_duration, phase2_duration, t3.elapsed());
+            Ok((nn_reln, phase1_stats, collapse_metrics, buffer_stats, partition, durations))
+        });
+        let (nn_reln, phase1_stats, collapse_metrics, buffer_stats, partition, durations) = phases?;
+        let (phase1_duration, phase2_duration, minimality_duration) = durations;
 
-        let t2 = Instant::now();
-        let mut partition = if config.via_tables {
-            partition_via_tables(&nn_reln, config.cut, config.agg, config.c, pool.clone())?
-        } else {
-            // `None` is one worker on the same component path: its CS-pair
-            // pruning, not its threads, is what beats the naive greedy.
-            let threads = config.parallelism.phase2_threads.unwrap_or(1);
-            partition_entries_parallel(&nn_reln, config.cut, config.agg, config.c, threads)
-        };
-        let phase2_duration = t2.elapsed();
-        let t3 = Instant::now();
-        if config.minimality {
-            partition = enforce_minimality(&nn_reln, &partition);
-        }
-        let minimality_duration = t3.elapsed();
-
-        let mut run_metrics = RunMetrics::default();
-        // Pipeline-filled (non-counter) thread counts go in before the
-        // delta is applied; `apply_counter_delta` preserves them.
+        // Counter-backed fields from the scope; the rest is filled below.
+        let mut run_metrics = RunMetrics::from_tally(&tally);
         run_metrics.phase2.threads = match (config.via_tables, config.parallelism.phase2_threads) {
             (true, _) | (false, None) => 1,
             (false, Some(t)) => resolve_threads(t, n_full) as u64,
         };
         run_metrics.collapse = collapse_metrics;
         run_metrics.spill.peak_rss_bytes = fuzzydedup_metrics::peak_rss_bytes();
-        run_metrics.apply_counter_delta(&fuzzydedup_metrics::snapshot().delta(&counters_before));
         // Storage section covers the whole run on this pool: Phase-1 index
         // lookups plus Phase-2 relational tables (when routed via tables).
         let pool_stats = pool.stats();
@@ -636,8 +640,7 @@ impl Deduplicator {
                 Some(t) => resolve_threads(t, n) as u64,
                 None => 1,
             },
-            // Counter-backed, already applied by the delta above.
-            steal_blocks: run_metrics.phase1.steal_blocks,
+            ..run_metrics.phase1 // `steal_blocks` is counter-backed
         };
         run_metrics.timings = StageTimings {
             build_distance_ns: 0, // filled by `run_records`, which owns the builds
@@ -804,9 +807,6 @@ mod tests {
 
     #[test]
     fn run_metrics_populated_end_to_end() {
-        // Counter-backed sections are process-global; serialize against
-        // other tests that increment or reset the same counters.
-        let _serial = fuzzydedup_metrics::serial_guard();
         let config = DedupConfig::new(DistanceKind::FuzzyMatch)
             .cut(CutSpec::Size(4))
             .sn_threshold(4.0)
@@ -855,33 +855,98 @@ mod tests {
         assert!(json.contains("\"components\""), "{json}");
     }
 
+    /// Near-duplicate triples under a per-corpus `tag`, so two corpora
+    /// share no record.
+    fn tagged_corpus(tag: &str, n: usize) -> Vec<Vec<String>> {
+        (0..n)
+            .map(|i| {
+                let typo = ["", "x", "yy"][i % 3];
+                vec![format!("{tag} entity {:03} registered office{typo}", i / 3)]
+            })
+            .collect()
+    }
+
+    /// `m` without what differs between two runs of the same work: wall
+    /// times and the process's memory high-water mark.
+    fn counted(m: &RunMetrics) -> RunMetrics {
+        let mut m = *m;
+        m.timings = StageTimings::default();
+        m.spill.peak_rss_bytes = 0;
+        m
+    }
+
+    #[test]
+    fn overlapped_runs_count_only_their_own_work() {
+        let config = DedupConfig::new(DistanceKind::EditDistance)
+            .cut(CutSpec::Size(4))
+            .parallelism(Parallelism::sequential().phase1(2));
+        let corpora = [tagged_corpus("northern", 240), tagged_corpus("coastal branch", 150)];
+        let alone: Vec<RunMetrics> =
+            corpora.iter().map(|c| counted(&dedup(c, &config).unwrap().metrics)).collect();
+        assert_ne!(alone[0], alone[1], "different corpora, different counts");
+        let start = std::sync::Barrier::new(2);
+        let overlapped: Vec<RunMetrics> = std::thread::scope(|s| {
+            let runs: Vec<_> = corpora
+                .iter()
+                .map(|c| {
+                    let (start, config) = (&start, &config);
+                    s.spawn(move || {
+                        start.wait();
+                        counted(&dedup(c, config).unwrap().metrics)
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|run| run.join().unwrap()).collect()
+        });
+        assert_eq!(overlapped, alone);
+    }
+
     #[test]
     fn parallel_phases_match_sequential() {
-        let base =
-            DedupConfig::new(DistanceKind::FuzzyMatch).cut(CutSpec::Size(4)).sn_threshold(4.0);
-        let seq = dedup(&music_records(), &base).unwrap();
-        for threads in [1, 3, 0] {
-            let par =
-                dedup(&music_records(), &base.clone().parallelism(Parallelism::threads(threads)))
+        // Every NN list is an independent query (Lemma 1's uniqueness), so
+        // the thread count shows in no count: only in `phase1`'s own
+        // telemetry and the two `threads` fields.
+        let thread_blind = |m: &RunMetrics| {
+            let mut m = counted(m);
+            (m.phase1, m.phase2.threads) = Default::default();
+            m
+        };
+        let corpus = tagged_corpus("thread", 180);
+        for (distance, records) in [
+            (DistanceKind::FuzzyMatch, &music_records()),
+            (DistanceKind::FuzzyMatch, &corpus),
+            (DistanceKind::EditDistance, &corpus),
+        ] {
+            let base = DedupConfig::new(distance).cut(CutSpec::Size(4)).sn_threshold(4.0);
+            let seq = dedup(records, &base).unwrap();
+            assert_eq!(seq.metrics.phase1.steal_blocks, 0);
+            for threads in [1, 2, 4, 0] {
+                let par = dedup(records, &base.clone().parallelism(Parallelism::threads(threads)))
                     .unwrap();
-            assert_eq!(seq.partition, par.partition, "threads={threads}");
-            assert_eq!(seq.nn_reln, par.nn_reln);
-            assert!(par.phase1_stats.visit_order.is_empty(), "no order in parallel mode");
-            assert!(par.metrics.phase1.threads >= 1);
-            assert!(par.metrics.phase2.threads >= 1);
-            assert!(par.metrics.phase2.components > 0, "parallel phase 2 extracts components");
+                assert_eq!(seq.partition, par.partition, "threads={threads}");
+                assert_eq!(seq.nn_reln, par.nn_reln);
+                assert!(par.phase1_stats.visit_order.is_empty(), "no order in parallel mode");
+                assert!(par.metrics.phase1.threads >= 1);
+                assert!(par.metrics.phase2.threads >= 1);
+                assert!(par.metrics.phase2.components > 0, "parallel phase 2 extracts components");
+                assert!(par.metrics.phase1.steal_blocks > 0);
+                assert_eq!(
+                    thread_blind(&par.metrics),
+                    thread_blind(&seq.metrics),
+                    "{distance:?} threads={threads}"
+                );
+            }
+            // Phases can also be parallelized independently.
+            let p2_only =
+                dedup(records, &base.clone().parallelism(Parallelism::sequential().phase2(2)))
+                    .unwrap();
+            assert_eq!(seq.partition, p2_only.partition);
+            assert!(!p2_only.phase1_stats.visit_order.is_empty(), "phase 1 stayed ordered");
         }
-        // Phases can also be parallelized independently.
-        let p2_only =
-            dedup(&music_records(), &base.clone().parallelism(Parallelism::sequential().phase2(2)))
-                .unwrap();
-        assert_eq!(seq.partition, p2_only.partition);
-        assert!(!p2_only.phase1_stats.visit_order.is_empty(), "phase 1 stayed ordered");
     }
 
     #[test]
     fn collapse_does_not_change_the_partition() {
-        let _serial = fuzzydedup_metrics::serial_guard();
         // Duplicate-heavy corpus: exact repeats, normalization-equal
         // variants, fuzzy variants, and unrelated rows.
         let mut records: Vec<Vec<String>> = Vec::new();

@@ -40,11 +40,14 @@
 //!    and readers keep the last published epoch — the panicking batch
 //!    never flipped it.
 //!
-//! 3. **Observability.** Global [`fuzzydedup_metrics`] counters (the
-//!    `service` section of `RunMetrics`), per-service atomics surfaced via
-//!    [`DedupService::stats`], a log2-bucket latency histogram for
-//!    coarse-grained p50/p99, per-request [`LookupCost`] on every
-//!    [`QueryAnswer`], and a streaming distinct-entity estimate
+//! 3. **Observability.** [`DedupService::metrics`] — a `RunMetrics` of
+//!    this service alone: the writer thread folds what each admitted batch
+//!    counted, and [`DedupService::query`] what each query counted, into a
+//!    sink the service owns (reads through a raw [`DedupService::reader`]
+//!    handle count on the caller's thread instead). Beside it: per-service
+//!    atomics surfaced via [`DedupService::stats`], a log2-bucket latency
+//!    histogram for coarse-grained p50/p99, per-request [`LookupCost`] on
+//!    every [`QueryAnswer`], and a streaming distinct-entity estimate
 //!    ([`crate::distinct::DistinctEstimator`]) fed with each duplicate
 //!    group's canonical key after every admitted batch.
 
@@ -53,10 +56,10 @@ use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use fuzzydedup_metrics::{incr, Counter, ServiceMetrics};
+use fuzzydedup_metrics::{scoped, RunMetrics, ServiceMetrics, Tally};
 use fuzzydedup_nnindex::LookupCost;
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::Distance;
@@ -409,6 +412,17 @@ struct ServiceShared {
     queue_rejections: AtomicU64,
     latency: LatencyHistogram,
     distinct: Mutex<DistinctEstimator>,
+    /// The sink behind [`DedupService::metrics`].
+    tally: Mutex<Tally>,
+}
+
+impl ServiceShared {
+    /// What this service's batches and queries counted so far. The writer
+    /// folds each batch's scope in and `query()` each query's: one
+    /// uncontended lock per batch / per query.
+    fn counted(&self) -> MutexGuard<'_, Tally> {
+        self.tally.lock().expect("the sink is only held for a plain add or copy")
+    }
 }
 
 /// One point-query response; see [`DedupService::query`].
@@ -507,6 +521,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
             queue_rejections: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             distinct: Mutex::new(DistinctEstimator::new(config.distinct_sample_cap)),
+            tally: Mutex::new(Tally::default()),
         });
         let writer = {
             let shared = Arc::clone(&shared);
@@ -525,7 +540,6 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
         q.accepting()?;
         if q.pending.len() >= self.config.queue_capacity {
             self.shared.queue_rejections.fetch_add(1, Ordering::Relaxed);
-            incr(Counter::ServiceQueueRejections, 1);
             return Err(ServiceError::QueueFull { capacity: self.config.queue_capacity });
         }
         q.pending.push_back(record);
@@ -556,14 +570,16 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     /// wait-free read path (see [`EpochReader::read`]).
     pub fn query(&self, fields: &[&str]) -> QueryAnswer {
         let started = std::time::Instant::now();
-        let answer = self.reader.read(|epoch, state| {
-            let (neighbors, growth, cost) = state.query_record(fields);
-            QueryAnswer { epoch, corpus_len: state.len(), neighbors, growth, cost }
+        let (answer, tally) = scoped(|| {
+            self.reader.read(|epoch, state| {
+                let (neighbors, growth, cost) = state.query_record(fields);
+                QueryAnswer { epoch, corpus_len: state.len(), neighbors, growth, cost }
+            })
         });
         let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.shared.latency.record(ns);
         self.shared.point_queries.fetch_add(1, Ordering::Relaxed);
-        incr(Counter::ServicePointQueries, 1);
+        self.shared.counted().absorb(&tally);
         answer
     }
 
@@ -625,20 +641,27 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
         }
     }
 
-    /// The service-local view of the `service` RunMetrics section,
-    /// including the service-filled fields the global counters cannot
-    /// carry (high-water depth, latency quantiles).
-    pub fn service_metrics(&self) -> ServiceMetrics {
+    /// The `RunMetrics` of this service alone: every counter-backed
+    /// section as counted by its admitted batches and its
+    /// [`Self::query`] calls, and the `service` section from
+    /// [`Self::stats`]. The pipeline-filled sections (`storage`, `phase1`
+    /// probe telemetry, `collapse`, `timings`) stay zero: a service has no
+    /// single run to time.
+    pub fn metrics(&self) -> RunMetrics {
+        let counted = *self.shared.counted();
         let s = self.stats();
-        ServiceMetrics {
-            batches_admitted: s.batches_admitted,
-            records_admitted: s.records_admitted,
-            epochs_published: s.epochs_published,
-            point_queries: s.point_queries,
-            queue_rejections: s.queue_rejections,
-            queue_depth_high_water: s.queue_depth_high_water as u64,
-            query_p50_ns: s.query_p50_ns,
-            query_p99_ns: s.query_p99_ns,
+        RunMetrics {
+            service: ServiceMetrics {
+                batches_admitted: s.batches_admitted,
+                records_admitted: s.records_admitted,
+                epochs_published: s.epochs_published,
+                point_queries: s.point_queries,
+                queue_rejections: s.queue_rejections,
+                queue_depth_high_water: s.queue_depth_high_water as u64,
+                query_p50_ns: s.query_p50_ns,
+                query_p99_ns: s.query_p99_ns,
+            },
+            ..RunMetrics::from_tally(&counted)
         }
     }
 
@@ -717,27 +740,27 @@ fn writer_loop<D: Distance + Clone + 'static>(
         let mut group_keys: Vec<u64> = Vec::new();
         // Compute the batch once, on the side published next; the lagging
         // side replays its delta after the flip.
-        let epoch = writer.publish_with(
-            |state| {
-                let (_stats, delta) = state.insert_batch_logged(batch);
-                group_keys.extend(
-                    state
-                        .partition()
-                        .groups()
-                        .iter()
-                        .map(|g| u64::from(*g.iter().min().expect("non-empty group"))),
-                );
-                delta
-            },
-            IncrementalDedup::replay_batch,
-        );
+        let (epoch, tally) = scoped(|| {
+            writer.publish_with(
+                |state| {
+                    let (_stats, delta) = state.insert_batch_logged(batch);
+                    group_keys.extend(
+                        state
+                            .partition()
+                            .groups()
+                            .iter()
+                            .map(|g| u64::from(*g.iter().min().expect("non-empty group"))),
+                    );
+                    delta
+                },
+                IncrementalDedup::replay_batch,
+            )
+        });
 
         shared.batches_admitted.fetch_add(1, Ordering::Relaxed);
         shared.records_admitted.fetch_add(n_records, Ordering::Relaxed);
         shared.epochs_published.store(epoch, Ordering::Relaxed);
-        incr(Counter::ServiceBatchesAdmitted, 1);
-        incr(Counter::ServiceRecordsAdmitted, n_records);
-        incr(Counter::ServiceEpochsPublished, 1);
+        shared.counted().absorb(&tally);
         {
             let mut distinct = shared.distinct.lock().unwrap();
             for key in group_keys {
@@ -1043,6 +1066,48 @@ mod tests {
         assert_eq!(stats.records_admitted, records.len() as u64);
         assert_eq!(stats.corpus_len, records.len());
         service.shutdown();
+    }
+
+    #[test]
+    fn each_service_counts_only_its_own_batches_and_queries() {
+        let records = corpus(45);
+        let probes: Vec<&Vec<String>> = records.iter().step_by(7).collect();
+        // One-record batches, so the batches are the same on every run.
+        let config = ServiceConfig::new().admit_batch_size(1);
+        let idle = DedupService::spawn(builder(), config).unwrap();
+        let busy = DedupService::spawn(builder(), config).unwrap();
+        for r in records.clone() {
+            busy.submit_wait(r).unwrap();
+        }
+        // The same batches and queries on a state of this thread's own,
+        // while `busy`'s writer thread is admitting them.
+        let mut own = builder().build().unwrap();
+        let ((), expected) = scoped(|| {
+            for r in records.clone() {
+                own.insert_batch(vec![r]);
+            }
+            for probe in &probes {
+                let fields: Vec<&str> = probe.iter().map(String::as_str).collect();
+                own.query_record(&fields);
+            }
+        });
+        busy.drain();
+        for probe in &probes {
+            let fields: Vec<&str> = probe.iter().map(String::as_str).collect();
+            busy.query(&fields);
+        }
+
+        assert_eq!(idle.metrics(), RunMetrics::default(), "an idle service counted nothing");
+        let m = busy.metrics();
+        assert_eq!(m.service.records_admitted, 45);
+        assert_eq!(m.service.batches_admitted, 45);
+        assert_eq!(m.service.point_queries, probes.len() as u64);
+        assert!(m.nnindex.lookups > 45 && m.pair_cache.hits > 0, "{m:?}");
+        assert_eq!(
+            RunMetrics { service: ServiceMetrics::default(), ..m },
+            RunMetrics::from_tally(&expected),
+            "the service counted what the same work counts alone"
+        );
     }
 
     #[test]

@@ -161,12 +161,10 @@ mod tests {
 
     #[test]
     fn spill_counters_account_entries_and_bytes() {
-        let _serial = fuzzydedup_metrics::serial_guard();
-        let before = fuzzydedup_metrics::snapshot();
         let reln = NnReln::new(vec![entry(0, &[(1, 0.25)], 2.0), entry(1, &[(0, 0.25)], 2.0)]);
         let file = heap(8);
-        spill_nn_reln(&reln, &file).unwrap();
-        let d = fuzzydedup_metrics::snapshot().delta(&before);
+        let (spilled, d) = fuzzydedup_metrics::scoped(|| spill_nn_reln(&reln, &file));
+        spilled.unwrap();
         assert_eq!(d.get(Counter::SpillEntries), 2);
         assert_eq!(d.get(Counter::SpillBytes), 2 * (HEADER_BYTES + NEIGHBOR_BYTES) as u64);
     }

@@ -86,7 +86,7 @@ pub fn estimate_sn_threshold_parallel_with(
     let chunk_size = n.div_ceil(threads).max(1);
 
     // Shard: each worker sorts its slice and collapses it to distinct
-    // (value, count) runs.
+    // (value, count) runs. It reaches no `incr`: no metrics tally to fold.
     let mut shard_runs: Vec<Vec<(f64, u64)>> = vec![Vec::new(); threads];
     std::thread::scope(|scope| {
         for (chunk, out) in ng_values.chunks(chunk_size).zip(shard_runs.iter_mut()) {

@@ -1,253 +1,457 @@
 #![warn(missing_docs)]
 
-//! Pipeline-wide run metrics.
+//! Pipeline-wide run metrics: one way to count.
 //!
-//! Every layer of the deduplication pipeline reports into this crate's
-//! process-global counter table — `textdist` counts exact distance
-//! evaluations per kind, `nnindex` counts lookups / candidates / postings
-//! traffic / fallback probes / verification distance calls, `phase2`
-//! counts unnested rows, `CSPairs` cardinality and sort/join passes. The
-//! pipeline snapshots the table around a run ([`snapshot`] /
-//! [`CounterSnapshot::delta`]) and combines the delta with directly
-//! measured per-run state (buffer-pool stats, Phase-1 probe counts, stage
-//! wall times) into a [`RunMetrics`], exposed on `DedupOutcome` and
-//! printed by the `fuzzydedup` CLI under `--metrics`.
+//! Every layer of the deduplication pipeline reports events with
+//! [`incr`] — `textdist` counts exact distance evaluations per kind and
+//! kernel rung, `nnindex` counts lookups / candidates / postings traffic /
+//! verification calls, `core` counts Phase-2 cardinalities, spill bytes
+//! and pair-memo traffic. There is no process-global state:
 //!
-//! Design constraints:
+//! * **tally** — [`incr`] adds to the *calling thread's* tally, a
+//!   `thread_local!` array of `Cell<u64>` with a `const` initializer: a
+//!   plain add, no atomic, no enabled flag, no lazy init, no destructor;
+//! * **scope** — [`scoped`] runs a closure and returns what the thread
+//!   counted meanwhile (a before/after difference of a monotone tally, so
+//!   scopes nest for free). The entry point opens the scope:
+//!   `Deduplicator` around its phases, `DedupService` around each admitted
+//!   batch and each point query, a test around the calls it asserts on;
+//! * **fold** — a thread that spawns workers has each return its
+//!   [`Tally`] through the join handle and [`absorb`]s it, so the work
+//!   shows in the spawner's open scopes. A thread nobody absorbs shows
+//!   nowhere.
 //!
-//! * **cheap**: one relaxed atomic add per event, behind a single relaxed
-//!   load of the enabled flag — effectively free when disabled
-//!   ([`disable`]) and near-free when enabled;
-//! * **no dependencies**: this is the bottom crate of the workspace, so
-//!   every layer (including `textdist`) can link it;
-//! * **process-global**: counters are shared by all concurrent runs in a
-//!   process (the idiom of production metric registries). Per-run deltas
-//!   are therefore exact only when one pipeline runs at a time — tests
-//!   that assert exact counter values serialize through
-//!   [`serial_guard`].
+//! Two runs in one process — or two tests in one binary — therefore
+//! never see each other's counts, however they interleave.
+//!
+//! [`RunMetrics`] is the JSON-serializable summary of one run. Its
+//! sections, fields, JSON keys and the [`Counter`] behind each
+//! counter-backed field are declared **once**, in the `run_metrics!`
+//! table below; the [`Counter`] enum, the section structs,
+//! [`RunMetrics::from_tally`] and [`RunMetrics::to_json`] are generated
+//! from it. Adding a counter is one line there. Fields the counters
+//! cannot carry (thread counts, buffer-pool stats, wall times, latency
+//! quantiles) are marked `by pipeline` / `by service` and filled by that
+//! caller after `from_tally`.
+//!
+//! This is the bottom crate of the workspace and has no dependencies, so
+//! every layer (including `textdist`) can link it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::cell::Cell;
 
 pub mod json;
 
-/// Every counter the pipeline layers report. The discriminant is the
-/// index into the global table.
+/// What one thread counted over some window: a value per [`Counter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// Exact edit-distance evaluations (`textdist`).
-    DistEdit,
-    /// Exact fuzzy-match-similarity evaluations (`textdist`).
-    DistFms,
-    /// Exact TF-IDF cosine evaluations (`textdist`).
-    DistCosine,
-    /// Exact Jaccard evaluations (`textdist`).
-    DistJaccard,
-    /// Exact Jaro-Winkler evaluations (`textdist`).
-    DistJaroWinkler,
-    /// Exact Monge-Elkan evaluations (`textdist`).
-    DistMongeElkan,
-    /// Exact composite record-distance evaluations (`textdist`).
-    DistComposite,
-    /// Combined index lookups answered (`nnindex`).
-    NnLookups,
-    /// Fallback top-1 probes: radius fetch came back empty and the
-    /// nearest-neighbor distance had to be probed separately (`nnindex`).
-    NnFallbackProbes,
-    /// Candidates generated before verification (`nnindex`).
-    NnCandidates,
-    /// Posting ids scanned during candidate generation (`nnindex`).
-    NnPostingsScanned,
-    /// Exact distance calls spent verifying candidates (`nnindex`).
-    NnExactDistCalls,
-    /// NN-list rows unnested into the Edges relation (`phase2`).
-    Phase2UnnestedRows,
-    /// Rows materialized into the `CSPairs` relation (`phase2`).
-    Phase2CsPairs,
-    /// External-sort passes over relations (`phase2`).
-    Phase2SortPasses,
-    /// Join passes over relations (`phase2`).
-    Phase2JoinPasses,
-    /// Myers single-word (≤ 64-char pattern) edit-kernel invocations
-    /// (`textdist`).
-    EdKernelWord,
-    /// Myers blocked multi-word (> 64-char pattern) edit-kernel
-    /// invocations (`textdist`).
-    EdKernelBlocked,
-    /// k-bounded Myers edit-kernel invocations — candidate verification
-    /// with a best-so-far cutoff (`textdist`).
-    EdKernelBounded,
-    /// Bounded invocations that abandoned the computation early (length
-    /// gap or the running score provably exceeded the cutoff).
-    EdKernelEarlyExit,
-    /// Candidates produced by candidate generation, after truncation
-    /// (`nnindex` cand-gen kernel).
-    CandidatesGenerated,
-    /// Candidates discarded before any distance call because the length
-    /// filter proved them outside the running cutoff (`nnindex`).
-    PrunedByLength,
-    /// Candidates discarded before any distance call because the q-gram
-    /// count filter proved them outside the running cutoff (`nnindex`).
-    PrunedByCount,
-    /// Posting ids the MergeSkip merge avoided scanning linearly once no
-    /// new candidate could reach the count threshold (`nnindex`).
-    PostingsSkipped,
-    /// Query terms dropped as stop grams during candidate generation —
-    /// previously a silent recall loss (`nnindex`).
-    StopGramsDropped,
-    /// Scored candidates cut away by the `candidate_limit` partial
-    /// selection — capped recall made visible (`nnindex`).
-    CandidatesTruncated,
-    /// Connected components of the CS-pair graph extracted during Phase 2
-    /// (`phase2` — the unit of Phase-2 parallelism; singletons included).
-    Phase2Components,
-    /// Query compilations by the prepared-distance layer: one per
-    /// `Distance::prepare` call (`textdist`).
-    PreparedQueries,
-    /// Per-candidate evaluations served by an already-compiled prepared
-    /// query — preprocessing amortized instead of redone (`textdist`).
-    PreparedReuses,
-    /// Pair-distance cache probes answered from the memo — verification
-    /// distance calls saved (`core` pair cache).
-    PairCacheHits,
-    /// Pair-distance cache probes that found no usable entry (`core`).
-    PairCacheMisses,
-    /// Occupied slots overwritten by a colliding pair — the direct-mapped
-    /// table's in-place eviction (`core`).
-    PairCacheEvictions,
-    /// Distance results inserted into the pair cache (`core`).
-    PairCacheInserts,
-    /// Lock-step verification batches flushed by the batching driver
-    /// (`nnindex`).
-    VerifyBatches,
-    /// Candidates verified through a lock-step batch rather than one
-    /// scalar prepared call each (`nnindex`).
-    VerifyBatchedCandidates,
-    /// Work-stealing blocks claimed by Phase-1 worker threads (`core`).
-    Phase1StealBlocks,
-    /// `NN_Reln` entries spilled to heap-file storage (`core`).
-    SpillEntries,
-    /// Bytes written to the `NN_Reln` spill heap (`core`).
-    SpillBytes,
-    /// Packed-postings delta blocks decoded during candidate generation
-    /// (`nnindex`).
-    CandBlocksScanned,
-    /// Packed-postings delta blocks skipped via the per-block max-id
-    /// pointers without decoding (`nnindex`).
-    CandBlockSkips,
-    /// Frontier batches flushed by the lane-wise staged merge (`nnindex`).
-    CandFrontierBatches,
-    /// Ingest batches admitted by the dedup service's writer thread
-    /// (`core` service).
-    ServiceBatchesAdmitted,
-    /// Records admitted through those batches (`core` service).
-    ServiceRecordsAdmitted,
-    /// Snapshot epochs published by the service writer — one per admitted
-    /// batch under the left-right protocol (`core` service).
-    ServiceEpochsPublished,
-    /// Point queries served from the epoch snapshot (`core` service).
-    ServicePointQueries,
-    /// Non-blocking submits rejected with `QueueFull` backpressure
-    /// (`core` service).
-    ServiceQueueRejections,
-}
-
-/// Number of counters in [`Counter`].
-pub const NUM_COUNTERS: usize = Counter::ServiceQueueRejections as usize + 1;
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-static COUNTERS: [AtomicU64; NUM_COUNTERS] = [const { AtomicU64::new(0) }; NUM_COUNTERS];
-
-/// Enable metric collection (the default).
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Disable metric collection; [`incr`] becomes a load-and-branch no-op.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Whether collection is currently enabled.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Add `n` to a counter. One relaxed atomic add when enabled; a relaxed
-/// load and branch when disabled.
-#[inline]
-pub fn incr(counter: Counter, n: u64) {
-    if ENABLED.load(Ordering::Relaxed) {
-        COUNTERS[counter as usize].fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Immutable view of all counters at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterSnapshot {
+pub struct Tally {
     values: [u64; NUM_COUNTERS],
 }
 
-/// Capture the current counter values.
-pub fn snapshot() -> CounterSnapshot {
-    let mut values = [0u64; NUM_COUNTERS];
-    for (slot, counter) in values.iter_mut().zip(COUNTERS.iter()) {
-        *slot = counter.load(Ordering::Relaxed);
-    }
-    CounterSnapshot { values }
-}
-
-/// Reset every counter to zero (test/bench setup helper).
-pub fn reset() {
-    for counter in COUNTERS.iter() {
-        counter.store(0, Ordering::Relaxed);
+impl Default for Tally {
+    fn default() -> Self {
+        Self { values: [0; NUM_COUNTERS] }
     }
 }
 
-impl CounterSnapshot {
-    /// Value of one counter at snapshot time.
+impl Tally {
+    /// The count of one counter.
     pub fn get(&self, counter: Counter) -> u64 {
         self.values[counter as usize]
     }
 
-    /// Per-counter difference `self - earlier` (saturating, so a
-    /// concurrent [`reset`] cannot underflow).
-    pub fn delta(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        let mut values = [0u64; NUM_COUNTERS];
-        for (i, slot) in values.iter_mut().enumerate() {
-            *slot = self.values[i].saturating_sub(earlier.values[i]);
+    /// Add another tally into this one (a sink accumulating scopes).
+    pub fn absorb(&mut self, other: &Tally) {
+        for (mine, theirs) in self.values.iter_mut().zip(other.values) {
+            *mine += theirs;
         }
-        CounterSnapshot { values }
     }
 }
 
-/// Serialize tests that assert exact global-counter values: the returned
-/// guard holds a process-wide mutex for the test's duration.
-pub fn serial_guard() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let lock = LOCK.get_or_init(|| Mutex::new(()));
-    lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+thread_local! {
+    static TALLY: [Cell<u64>; NUM_COUNTERS] = const { [const { Cell::new(0) }; NUM_COUNTERS] };
 }
 
-/// Exact distance evaluations per kind (`textdist` layer).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TextdistMetrics {
-    /// Edit-distance evaluations.
-    pub edit: u64,
-    /// Fuzzy-match-similarity evaluations.
-    pub fms: u64,
-    /// Cosine evaluations.
-    pub cosine: u64,
-    /// Jaccard evaluations.
-    pub jaccard: u64,
-    /// Jaro-Winkler evaluations.
-    pub jaro_winkler: u64,
-    /// Monge-Elkan evaluations.
-    pub monge_elkan: u64,
-    /// Composite record-distance evaluations.
-    pub composite: u64,
+/// Add `n` to a counter of the calling thread's tally.
+#[inline]
+pub fn incr(counter: Counter, n: u64) {
+    TALLY.with(|tally| {
+        let cell = &tally[counter as usize];
+        cell.set(cell.get() + n);
+    });
+}
+
+/// The calling thread's tally since the thread started.
+fn thread_total() -> Tally {
+    TALLY.with(|tally| Tally { values: std::array::from_fn(|i| tally[i].get()) })
+}
+
+/// Run `f` and return, beside its result, what the calling thread counted
+/// while it ran — its own [`incr`]s plus every worker tally it
+/// [`absorb`]ed. Scopes nest: an inner scope's counts are also the outer's.
+pub fn scoped<R>(f: impl FnOnce() -> R) -> (R, Tally) {
+    let before = thread_total();
+    let out = f();
+    let mut counted = thread_total();
+    for (after, before) in counted.values.iter_mut().zip(before.values) {
+        *after -= before;
+    }
+    (out, counted)
+}
+
+/// Fold a joined worker's tally into the calling thread's, so the worker's
+/// counts land in every scope the caller has open.
+pub fn absorb(worker: &Tally) {
+    TALLY.with(|tally| {
+        for (cell, n) in tally.iter().zip(worker.values) {
+            cell.set(cell.get() + n);
+        }
+    });
+}
+
+/// The declare-once table. One block per [`RunMetrics`] section —
+/// `field: SectionStruct = "json key" { rows } [+ derived_method]` — and
+/// one row per field — `name [as "json key"]: type = source` — where the
+/// source is `Counter::Variant` (declares the variant and backs the
+/// field with it), `same_as Counter::Variant` (reads a variant another row
+/// declares) or `by pipeline` / `by service` (filled by that caller).
+macro_rules! run_metrics {
+    ($(
+        $(#[$section_meta:meta])*
+        $section:ident: $Section:ident = $section_key:literal {
+            $(
+                $(#[$field_meta:meta])*
+                $field:ident $(as $field_key:literal)?: $ty:ident
+                    $(= Counter::$Counter:ident)?
+                    $(= same_as Counter::$Alias:ident)?
+                    $(= by $filler:ident)?
+            ),* $(,)?
+        } $(+ $derived:ident)?
+    )*) => {
+        /// Every event the pipeline layers count; the discriminant is the
+        /// index into a [`Tally`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($($(
+                #[doc = concat!(
+                    "Backs [`", stringify!($Section), "::", stringify!($field), "`]."
+                )]
+                $Counter,
+            )?)*)*
+        }
+
+        /// Number of counters in [`Counter`].
+        pub const NUM_COUNTERS: usize = [$($($(Counter::$Counter,)?)*)*].len();
+
+        $(
+            $(#[$section_meta])*
+            #[derive(Debug, Clone, Copy, Default, PartialEq)]
+            pub struct $Section {
+                $(
+                    $(#[$field_meta])*
+                    #[doc = ""]
+                    $(#[doc = concat!("Counted by [`Counter::", stringify!($Counter), "`].")])?
+                    $(#[doc = concat!("Reads [`Counter::", stringify!($Alias), "`].")])?
+                    $(#[doc = concat!("Filled by the ", stringify!($filler), ", not counted.")])?
+                    pub $field: $ty,
+                )*
+            }
+        )*
+
+        /// The structured, JSON-serializable metrics of one pipeline run —
+        /// every layer's section in one object.
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct RunMetrics {
+            $(
+                #[doc = concat!(
+                    "The `", $section_key, "` section; see [`", stringify!($Section), "`]."
+                )]
+                pub $section: $Section,
+            )*
+        }
+
+        impl RunMetrics {
+            /// The counter-backed fields read from `tally`; every field
+            /// filled by the pipeline or the service is left at zero.
+            pub fn from_tally(tally: &Tally) -> Self {
+                let mut m = Self::default();
+                $($(
+                    $(m.$section.$field = tally.get(Counter::$Counter);)?
+                    $(m.$section.$field = tally.get(Counter::$Alias);)?
+                )*)*
+                m
+            }
+
+            /// Render as a JSON object (schema documented in `README.md`
+            /// under "Run metrics").
+            pub fn to_json(&self) -> String {
+                let mut w = json::JsonObject::new();
+                $(
+                    w.object($section_key, |o| {
+                        // The key is the field's name unless the row says `as`.
+                        $(o.$ty([$($field_key,)? stringify!($field)][0], self.$section.$field);)*
+                        $(o.u64(stringify!($derived), self.$section.$derived());)?
+                    });
+                )*
+                w.finish()
+            }
+        }
+
+        /// Every counter with the JSON section and key it backs.
+        #[cfg(test)]
+        const BACKED: &[(Counter, &str, &str)] = &[
+            $($($((Counter::$Counter, $section_key, stringify!($field)),)?)*)*
+        ];
+    };
+}
+
+run_metrics! {
+    /// Exact distance evaluations per kind (`textdist` layer).
+    #[derive(Eq)]
+    textdist: TextdistMetrics = "textdist" {
+        /// Edit-distance evaluations.
+        edit: u64 = Counter::DistEdit,
+        /// Fuzzy-match-similarity evaluations.
+        fms: u64 = Counter::DistFms,
+        /// TF-IDF cosine evaluations.
+        cosine: u64 = Counter::DistCosine,
+        /// Jaccard evaluations.
+        jaccard: u64 = Counter::DistJaccard,
+        /// Jaro-Winkler evaluations.
+        jaro_winkler: u64 = Counter::DistJaroWinkler,
+        /// Monge-Elkan evaluations.
+        monge_elkan: u64 = Counter::DistMongeElkan,
+        /// Composite record-distance evaluations.
+        composite: u64 = Counter::DistComposite,
+    } + total
+
+    /// Edit-distance kernel-path counts (`textdist` layer): which rung of
+    /// the kernel-selection ladder (see `DESIGN.md`) served each
+    /// evaluation.
+    #[derive(Eq)]
+    edit_kernel: EditKernelMetrics = "edit_kernel" {
+        /// Myers single-word invocations (pattern ≤ 64 chars).
+        word: u64 = Counter::EdKernelWord,
+        /// Myers blocked multi-word invocations (pattern > 64 chars).
+        blocked: u64 = Counter::EdKernelBlocked,
+        /// k-bounded Myers invocations — candidate verification with a
+        /// best-so-far cutoff.
+        bounded: u64 = Counter::EdKernelBounded,
+        /// Bounded invocations that abandoned the computation early
+        /// (length gap, or the running score provably exceeded the cutoff).
+        early_exit: u64 = Counter::EdKernelEarlyExit,
+    }
+
+    /// Index traffic (`nnindex` layer).
+    #[derive(Eq)]
+    nnindex: NnIndexMetrics = "nnindex" {
+        /// Combined lookups answered.
+        lookups: u64 = Counter::NnLookups,
+        /// Fallback top-1 probes: the radius fetch came back empty and
+        /// the nearest-neighbor distance had to be probed separately.
+        fallback_probes: u64 = Counter::NnFallbackProbes,
+        /// Candidates generated before verification.
+        candidates_generated: u64 = Counter::NnCandidates,
+        /// Posting ids scanned during candidate generation.
+        postings_scanned: u64 = Counter::NnPostingsScanned,
+        /// Exact distance calls spent verifying candidates.
+        exact_distance_calls: u64 = Counter::NnExactDistCalls,
+    }
+
+    /// Candidate-generation accounting (`nnindex` layer): the
+    /// filtered-merge kernel's funnel, from postings scanned through the
+    /// pruning filters to the verified survivors.
+    #[derive(Eq)]
+    cand_gen: CandGenMetrics = "cand_gen" {
+        /// Candidates scored by the merge, before the `candidate_limit` cap.
+        generated: u64 = Counter::CandidatesGenerated,
+        /// Candidates discarded before any distance call because the
+        /// length filter proved them outside the running cutoff.
+        pruned_by_length: u64 = Counter::PrunedByLength,
+        /// Candidates discarded before any distance call because the
+        /// q-gram count filter proved them outside the running cutoff.
+        pruned_by_count: u64 = Counter::PrunedByCount,
+        /// Posting ids the MergeSkip merge avoided scanning linearly once
+        /// no new candidate could reach the count threshold.
+        postings_skipped: u64 = Counter::PostingsSkipped,
+        /// Query terms dropped as stop grams — a recall loss made visible.
+        stop_grams_dropped: u64 = Counter::StopGramsDropped,
+        /// Scored candidates cut away by the `candidate_limit` partial
+        /// selection — capped recall made visible.
+        truncated: u64 = Counter::CandidatesTruncated,
+        /// Packed-postings delta blocks decoded by the merge.
+        blocks_scanned: u64 = Counter::CandBlocksScanned,
+        /// Packed-postings delta blocks skipped via the per-block max-id
+        /// pointers without decoding.
+        block_skips: u64 = Counter::CandBlockSkips,
+        /// Frontier batches flushed by the staged lane-wise merge.
+        frontier_batches: u64 = Counter::CandFrontierBatches,
+    }
+
+    /// Prepared-query accounting (`textdist` layer): how often query
+    /// compilation was amortized across candidate evaluations.
+    #[derive(Eq)]
+    prepared: PreparedMetrics = "prepared" {
+        /// Queries compiled (one per `Distance::prepare` call).
+        prepares: u64 = Counter::PreparedQueries,
+        /// Candidate evaluations served by an already-compiled query —
+        /// preprocessing amortized instead of redone.
+        reuses: u64 = Counter::PreparedReuses,
+    }
+
+    /// Symmetric pair-distance memo accounting (`core` layer).
+    #[derive(Eq)]
+    pair_cache: PairCacheMetrics = "pair_cache" {
+        /// Probes answered from the memo.
+        hits: u64 = Counter::PairCacheHits,
+        /// Probes that found no usable entry.
+        misses: u64 = Counter::PairCacheMisses,
+        /// Occupied slots overwritten by a colliding pair (the
+        /// direct-mapped table's in-place eviction).
+        evictions: u64 = Counter::PairCacheEvictions,
+        /// Distance results inserted.
+        inserts: u64 = Counter::PairCacheInserts,
+        /// Verification distance calls avoided (= hits).
+        distance_calls_saved: u64 = same_as Counter::PairCacheHits,
+    }
+
+    /// Lock-step verification batching (`nnindex` layer): how much of the
+    /// candidate-verification workload went through the batched kernel.
+    #[derive(Eq)]
+    verify_batch: VerifyBatchMetrics = "verify_batch" {
+        /// Batches flushed by the batching driver.
+        batches: u64 = Counter::VerifyBatches,
+        /// Candidates verified inside those batches (the rest of the
+        /// distance calls took the scalar prepared path).
+        batched_candidates: u64 = Counter::VerifyBatchedCandidates,
+    }
+
+    /// `NN_Reln` spill accounting (`core` layer) plus the run's memory
+    /// high-water mark.
+    #[derive(Eq)]
+    spill: SpillMetrics = "spill" {
+        /// Entries spilled to heap-file storage (0 = the relation stayed
+        /// in memory).
+        entries: u64 = Counter::SpillEntries,
+        /// Bytes written to the spill heap.
+        bytes: u64 = Counter::SpillBytes,
+        /// Peak resident set size of the process in bytes
+        /// ([`peak_rss_bytes`]).
+        peak_rss_bytes: u64 = by pipeline,
+    }
+
+    /// Buffer-pool accounting (`storage` layer) — the unified surface over
+    /// the pool's `BufferStats`.
+    storage: StorageMetrics = "storage" {
+        /// Page requests served from a resident frame.
+        hits: u64 = by pipeline,
+        /// Page requests that required a disk read.
+        misses: u64 = by pipeline,
+        /// Frames evicted to make room.
+        evictions: u64 = by pipeline,
+        /// Dirty frames written back on eviction or flush.
+        writebacks: u64 = by pipeline,
+        /// `hits / (hits + misses)`, `0` when idle.
+        hit_ratio: f64 = by pipeline,
+    }
+
+    /// Phase-1 probe accounting and lookup-order telemetry.
+    phase1: Phase1Metrics = "phase1" {
+        /// Tuples processed (one combined lookup each).
+        tuples: u64 = by pipeline,
+        /// Physical index probes issued (≥ `tuples`; includes fallback and
+        /// growth-sphere probes on indexes that need them).
+        index_probes: u64 = by pipeline,
+        /// Fallback top-1 probes within those.
+        fallback_probes: u64 = by pipeline,
+        /// Breadth-first queue high-water mark (0 for other orders).
+        bf_queue_high_water: u64 = by pipeline,
+        /// Mean |id distance| between consecutive lookups — the
+        /// visit-order locality the BF order optimizes (lower = more
+        /// local).
+        visit_stride_mean: f64 = by pipeline,
+        /// Worker threads that drove Phase 1 (1 = the sequential ordered
+        /// scan).
+        threads: u64 = by pipeline,
+        /// Work-stealing blocks claimed by those threads (0 for the
+        /// sequential scan).
+        steal_blocks: u64 = Counter::Phase1StealBlocks,
+    }
+
+    /// Phase-2 relational accounting.
+    #[derive(Eq)]
+    phase2: Phase2Metrics = "phase2" {
+        /// Rows unnested from NN lists into the Edges relation.
+        unnested_rows: u64 = Counter::Phase2UnnestedRows,
+        /// Rows materialized into the `CSPairs` relation.
+        cs_pairs: u64 = Counter::Phase2CsPairs,
+        /// External-sort passes over relations.
+        sort_passes: u64 = Counter::Phase2SortPasses,
+        /// Join passes over relations.
+        join_passes: u64 = Counter::Phase2JoinPasses,
+        /// Connected components of the CS-pair graph — the unit of
+        /// Phase-2 parallelism; singletons included.
+        components: u64 = Counter::Phase2Components,
+        /// Worker threads that drove the partitioner (1 = sequential).
+        threads: u64 = by pipeline,
+    }
+
+    /// Exact-duplicate collapse pre-pass accounting (`core` collapse
+    /// layer): a single deterministic hash scan plus one expansion, both
+    /// measured by the pipeline directly.
+    #[derive(Eq)]
+    collapse: CollapseMetrics = "collapse" {
+        /// Exact-duplicate classes (= representative records Phase 1 ran
+        /// on); 0 when the pass is disabled.
+        classes: u64 = by pipeline,
+        /// Records removed by collapsing (full corpus minus classes).
+        collapsed_records: u64 = by pipeline,
+        /// Wall time of the pass: key hashing/class building plus the
+        /// `NN_Reln` expansion back to full ids.
+        collapse_ns: u64 = by pipeline,
+    }
+
+    /// Long-running dedup-service accounting (`core` service layer):
+    /// ingest admission, snapshot publication, and point-query traffic,
+    /// read from the service's own state (zeroed for batch runs).
+    #[derive(Eq)]
+    service: ServiceMetrics = "service" {
+        /// Ingest batches admitted by the writer thread.
+        batches_admitted: u64 = by service,
+        /// Records admitted through those batches.
+        records_admitted: u64 = by service,
+        /// Snapshot epochs published (one per admitted batch under the
+        /// left-right protocol).
+        epochs_published: u64 = by service,
+        /// Point queries served from the epoch snapshot.
+        point_queries: u64 = by service,
+        /// Non-blocking submits rejected with `QueueFull` backpressure.
+        queue_rejections: u64 = by service,
+        /// Ingest-queue depth high-water mark.
+        queue_depth_high_water: u64 = by service,
+        /// Median point-query latency in nanoseconds (from the service's
+        /// latency histogram).
+        query_p50_ns: u64 = by service,
+        /// 99th-percentile point-query latency in nanoseconds.
+        query_p99_ns: u64 = by service,
+    }
+
+    /// Per-stage wall times in nanoseconds.
+    #[derive(Eq)]
+    timings: StageTimings = "timings_ns" {
+        /// Distance-function construction (IDF fitting etc.).
+        build_distance_ns as "build_distance": u64 = by pipeline,
+        /// Index construction.
+        build_index_ns as "build_index": u64 = by pipeline,
+        /// Phase 1 (NN-list materialization).
+        phase1_ns as "phase1": u64 = by pipeline,
+        /// Phase 2 (partitioning).
+        phase2_ns as "phase2": u64 = by pipeline,
+        /// Minimality post-pass (0 when disabled).
+        minimality_ns as "minimality": u64 = by pipeline,
+        /// Whole run.
+        total_ns as "total": u64 = by pipeline,
+    }
 }
 
 impl TextdistMetrics {
@@ -260,453 +464,6 @@ impl TextdistMetrics {
             + self.jaro_winkler
             + self.monge_elkan
             + self.composite
-    }
-}
-
-/// Edit-distance kernel-path counts (`textdist` layer): which rung of the
-/// kernel-selection ladder (see `DESIGN.md`) served each evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EditKernelMetrics {
-    /// Myers single-word invocations (pattern ≤ 64 chars).
-    pub word: u64,
-    /// Myers blocked multi-word invocations (pattern > 64 chars).
-    pub blocked: u64,
-    /// k-bounded Myers invocations (verification with a cutoff).
-    pub bounded: u64,
-    /// Bounded invocations that exited before scanning the whole text.
-    pub early_exit: u64,
-}
-
-/// Index traffic (`nnindex` layer).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NnIndexMetrics {
-    /// Combined lookups answered.
-    pub lookups: u64,
-    /// Fallback top-1 nn-probes issued.
-    pub fallback_probes: u64,
-    /// Candidates generated before verification.
-    pub candidates_generated: u64,
-    /// Posting ids scanned during candidate generation.
-    pub postings_scanned: u64,
-    /// Exact distance calls spent verifying candidates.
-    pub exact_distance_calls: u64,
-}
-
-/// Candidate-generation accounting (`nnindex` layer): the filtered-merge
-/// kernel's funnel, from postings scanned through the pruning filters to
-/// the verified survivors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CandGenMetrics {
-    /// Candidates scored by the merge, before the `candidate_limit` cap.
-    pub generated: u64,
-    /// Candidates pruned by the length filter before any distance call.
-    pub pruned_by_length: u64,
-    /// Candidates pruned by the q-gram count filter before any distance
-    /// call.
-    pub pruned_by_count: u64,
-    /// Posting ids skipped (not linearly scanned) by the MergeSkip merge.
-    pub postings_skipped: u64,
-    /// Query terms dropped as stop grams.
-    pub stop_grams_dropped: u64,
-    /// Scored candidates cut away by the `candidate_limit` cap.
-    pub truncated: u64,
-    /// Packed-postings delta blocks decoded by the merge.
-    pub blocks_scanned: u64,
-    /// Packed-postings delta blocks skipped via max-id pointers.
-    pub block_skips: u64,
-    /// Frontier batches flushed by the staged lane-wise merge.
-    pub frontier_batches: u64,
-}
-
-/// Prepared-query accounting (`textdist` layer): how often query
-/// compilation was amortized across candidate evaluations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PreparedMetrics {
-    /// Queries compiled (`Distance::prepare` calls).
-    pub prepares: u64,
-    /// Candidate evaluations served by a compiled query.
-    pub reuses: u64,
-}
-
-/// Symmetric pair-distance memo accounting (`core` layer).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PairCacheMetrics {
-    /// Probes answered from the memo.
-    pub hits: u64,
-    /// Probes that found no usable entry.
-    pub misses: u64,
-    /// Occupied slots overwritten by a colliding pair (direct-mapped
-    /// in-place eviction).
-    pub evictions: u64,
-    /// Results inserted.
-    pub inserts: u64,
-    /// Verification distance calls avoided (= hits).
-    pub distance_calls_saved: u64,
-}
-
-/// Lock-step verification batching (`nnindex` layer): how much of the
-/// candidate-verification workload went through the batched kernel.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VerifyBatchMetrics {
-    /// Batches flushed by the batching driver.
-    pub batches: u64,
-    /// Candidates verified inside those batches (the rest of the
-    /// distance calls took the scalar prepared path).
-    pub batched_candidates: u64,
-}
-
-/// `NN_Reln` spill accounting (`core` layer) plus the run's memory
-/// high-water mark.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpillMetrics {
-    /// Entries spilled to heap-file storage (0 = the relation stayed in
-    /// memory).
-    pub entries: u64,
-    /// Bytes written to the spill heap.
-    pub bytes: u64,
-    /// Peak resident set size of the process in bytes (filled by the
-    /// pipeline from [`peak_rss_bytes`], not counter-backed).
-    pub peak_rss_bytes: u64,
-}
-
-/// Buffer-pool accounting (`storage` layer) — the unified surface over
-/// the pool's `BufferStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StorageMetrics {
-    /// Page requests served from a resident frame.
-    pub hits: u64,
-    /// Page requests that required a disk read.
-    pub misses: u64,
-    /// Frames evicted to make room.
-    pub evictions: u64,
-    /// Dirty frames written back on eviction or flush.
-    pub writebacks: u64,
-    /// `hits / (hits + misses)`, `0` when idle.
-    pub hit_ratio: f64,
-}
-
-/// Phase-1 probe accounting and lookup-order telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Phase1Metrics {
-    /// Tuples processed (one combined lookup each).
-    pub tuples: u64,
-    /// Physical index probes issued (≥ `tuples`; includes fallback and
-    /// growth-sphere probes on indexes that need them).
-    pub index_probes: u64,
-    /// Fallback top-1 probes within those.
-    pub fallback_probes: u64,
-    /// Breadth-first queue high-water mark (0 for other orders).
-    pub bf_queue_high_water: u64,
-    /// Mean |id distance| between consecutive lookups — the visit-order
-    /// locality the BF order optimizes (lower = more local).
-    pub visit_stride_mean: f64,
-    /// Worker threads that drove Phase 1 (1 = the sequential ordered
-    /// scan; filled by the pipeline, not counter-backed).
-    pub threads: u64,
-    /// Work-stealing blocks claimed by those threads (0 for the
-    /// sequential scan).
-    pub steal_blocks: u64,
-}
-
-/// Phase-2 relational accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Phase2Metrics {
-    /// Rows unnested from NN lists into the Edges relation.
-    pub unnested_rows: u64,
-    /// `CSPairs` cardinality.
-    pub cs_pairs: u64,
-    /// External-sort passes.
-    pub sort_passes: u64,
-    /// Join passes.
-    pub join_passes: u64,
-    /// Connected components of the CS-pair graph (singletons included;
-    /// 0 when the sequential in-memory path ran, which never extracts
-    /// them).
-    pub components: u64,
-    /// Worker threads that drove the partitioner (1 = sequential; filled
-    /// by the pipeline, not counter-backed).
-    pub threads: u64,
-}
-
-/// Exact-duplicate collapse pre-pass accounting (`core` collapse layer).
-/// Entirely pipeline-filled (like [`Phase2Metrics::threads`]), not
-/// counter-backed: the pass is a single deterministic hash scan plus one
-/// expansion, both timed by the pipeline directly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CollapseMetrics {
-    /// Exact-duplicate classes (= representative records Phase 1 ran on);
-    /// 0 when the pass is disabled.
-    pub classes: u64,
-    /// Records removed by collapsing (full corpus minus classes).
-    pub collapsed_records: u64,
-    /// Wall time of the pass: key hashing/class building plus the
-    /// `NN_Reln` expansion back to full ids.
-    pub collapse_ns: u64,
-}
-
-/// Long-running dedup-service accounting (`core` service layer): ingest
-/// admission, snapshot publication, and point-query traffic. The latency
-/// quantiles and the queue high-water mark are filled by the service from
-/// its own histogram/state (like [`SpillMetrics::peak_rss_bytes`]), not
-/// counter-backed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceMetrics {
-    /// Ingest batches admitted by the writer thread.
-    pub batches_admitted: u64,
-    /// Records admitted through those batches.
-    pub records_admitted: u64,
-    /// Snapshot epochs published (one per admitted batch).
-    pub epochs_published: u64,
-    /// Point queries served from the epoch snapshot.
-    pub point_queries: u64,
-    /// Non-blocking submits rejected with `QueueFull` backpressure.
-    pub queue_rejections: u64,
-    /// Ingest-queue depth high-water mark (service-filled, not
-    /// counter-backed).
-    pub queue_depth_high_water: u64,
-    /// Median point-query latency in nanoseconds (service-filled from its
-    /// latency histogram, not counter-backed).
-    pub query_p50_ns: u64,
-    /// 99th-percentile point-query latency in nanoseconds
-    /// (service-filled, not counter-backed).
-    pub query_p99_ns: u64,
-}
-
-/// Per-stage wall times in nanoseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimings {
-    /// Distance-function construction (IDF fitting etc.).
-    pub build_distance_ns: u64,
-    /// Index construction.
-    pub build_index_ns: u64,
-    /// Phase 1 (NN-list materialization).
-    pub phase1_ns: u64,
-    /// Phase 2 (partitioning).
-    pub phase2_ns: u64,
-    /// Minimality post-pass (0 when disabled).
-    pub minimality_ns: u64,
-    /// Whole run.
-    pub total_ns: u64,
-}
-
-/// The structured, JSON-serializable metrics of one pipeline run —
-/// every layer's section in one object.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunMetrics {
-    /// Exact distance evaluations per kind.
-    pub textdist: TextdistMetrics,
-    /// Edit-kernel path counts (which ladder rung fired).
-    pub edit_kernel: EditKernelMetrics,
-    /// Index traffic.
-    pub nnindex: NnIndexMetrics,
-    /// Candidate-generation funnel (filters, MergeSkip, truncation).
-    pub cand_gen: CandGenMetrics,
-    /// Prepared-query amortization (compilations vs. reuses).
-    pub prepared: PreparedMetrics,
-    /// Symmetric pair-distance memo traffic.
-    pub pair_cache: PairCacheMetrics,
-    /// Lock-step verification batching.
-    pub verify_batch: VerifyBatchMetrics,
-    /// `NN_Reln` spill traffic and peak RSS.
-    pub spill: SpillMetrics,
-    /// Buffer-pool accounting.
-    pub storage: StorageMetrics,
-    /// Phase-1 probes and lookup-order telemetry.
-    pub phase1: Phase1Metrics,
-    /// Phase-2 relational accounting.
-    pub phase2: Phase2Metrics,
-    /// Exact-duplicate collapse pre-pass (zeroed when disabled).
-    pub collapse: CollapseMetrics,
-    /// Long-running dedup-service traffic (zeroed for batch runs).
-    pub service: ServiceMetrics,
-    /// Per-stage wall times.
-    pub timings: StageTimings,
-}
-
-impl RunMetrics {
-    /// Fill the counter-backed sections from a per-run counter delta.
-    pub fn apply_counter_delta(&mut self, d: &CounterSnapshot) {
-        self.textdist = TextdistMetrics {
-            edit: d.get(Counter::DistEdit),
-            fms: d.get(Counter::DistFms),
-            cosine: d.get(Counter::DistCosine),
-            jaccard: d.get(Counter::DistJaccard),
-            jaro_winkler: d.get(Counter::DistJaroWinkler),
-            monge_elkan: d.get(Counter::DistMongeElkan),
-            composite: d.get(Counter::DistComposite),
-        };
-        self.edit_kernel = EditKernelMetrics {
-            word: d.get(Counter::EdKernelWord),
-            blocked: d.get(Counter::EdKernelBlocked),
-            bounded: d.get(Counter::EdKernelBounded),
-            early_exit: d.get(Counter::EdKernelEarlyExit),
-        };
-        self.nnindex = NnIndexMetrics {
-            lookups: d.get(Counter::NnLookups),
-            fallback_probes: d.get(Counter::NnFallbackProbes),
-            candidates_generated: d.get(Counter::NnCandidates),
-            postings_scanned: d.get(Counter::NnPostingsScanned),
-            exact_distance_calls: d.get(Counter::NnExactDistCalls),
-        };
-        self.cand_gen = CandGenMetrics {
-            generated: d.get(Counter::CandidatesGenerated),
-            pruned_by_length: d.get(Counter::PrunedByLength),
-            pruned_by_count: d.get(Counter::PrunedByCount),
-            postings_skipped: d.get(Counter::PostingsSkipped),
-            stop_grams_dropped: d.get(Counter::StopGramsDropped),
-            truncated: d.get(Counter::CandidatesTruncated),
-            blocks_scanned: d.get(Counter::CandBlocksScanned),
-            block_skips: d.get(Counter::CandBlockSkips),
-            frontier_batches: d.get(Counter::CandFrontierBatches),
-        };
-        self.prepared = PreparedMetrics {
-            prepares: d.get(Counter::PreparedQueries),
-            reuses: d.get(Counter::PreparedReuses),
-        };
-        let hits = d.get(Counter::PairCacheHits);
-        self.pair_cache = PairCacheMetrics {
-            hits,
-            misses: d.get(Counter::PairCacheMisses),
-            evictions: d.get(Counter::PairCacheEvictions),
-            inserts: d.get(Counter::PairCacheInserts),
-            distance_calls_saved: hits,
-        };
-        self.verify_batch = VerifyBatchMetrics {
-            batches: d.get(Counter::VerifyBatches),
-            batched_candidates: d.get(Counter::VerifyBatchedCandidates),
-        };
-        self.spill = SpillMetrics {
-            entries: d.get(Counter::SpillEntries),
-            bytes: d.get(Counter::SpillBytes),
-            peak_rss_bytes: self.spill.peak_rss_bytes, // pipeline-filled
-        };
-        self.phase1.steal_blocks = d.get(Counter::Phase1StealBlocks);
-        self.phase2 = Phase2Metrics {
-            unnested_rows: d.get(Counter::Phase2UnnestedRows),
-            cs_pairs: d.get(Counter::Phase2CsPairs),
-            sort_passes: d.get(Counter::Phase2SortPasses),
-            join_passes: d.get(Counter::Phase2JoinPasses),
-            components: d.get(Counter::Phase2Components),
-            threads: self.phase2.threads, // pipeline-filled, not a counter
-        };
-        self.service = ServiceMetrics {
-            batches_admitted: d.get(Counter::ServiceBatchesAdmitted),
-            records_admitted: d.get(Counter::ServiceRecordsAdmitted),
-            epochs_published: d.get(Counter::ServiceEpochsPublished),
-            point_queries: d.get(Counter::ServicePointQueries),
-            queue_rejections: d.get(Counter::ServiceQueueRejections),
-            // Service-filled, not counter-backed.
-            queue_depth_high_water: self.service.queue_depth_high_water,
-            query_p50_ns: self.service.query_p50_ns,
-            query_p99_ns: self.service.query_p99_ns,
-        };
-    }
-
-    /// Render as a JSON object (schema documented in `README.md` under
-    /// "Run metrics").
-    pub fn to_json(&self) -> String {
-        let mut w = json::JsonObject::new();
-        w.object("textdist", |o| {
-            o.u64("edit", self.textdist.edit)
-                .u64("fms", self.textdist.fms)
-                .u64("cosine", self.textdist.cosine)
-                .u64("jaccard", self.textdist.jaccard)
-                .u64("jaro_winkler", self.textdist.jaro_winkler)
-                .u64("monge_elkan", self.textdist.monge_elkan)
-                .u64("composite", self.textdist.composite)
-                .u64("total", self.textdist.total());
-        });
-        w.object("edit_kernel", |o| {
-            o.u64("word", self.edit_kernel.word)
-                .u64("blocked", self.edit_kernel.blocked)
-                .u64("bounded", self.edit_kernel.bounded)
-                .u64("early_exit", self.edit_kernel.early_exit);
-        });
-        w.object("nnindex", |o| {
-            o.u64("lookups", self.nnindex.lookups)
-                .u64("fallback_probes", self.nnindex.fallback_probes)
-                .u64("candidates_generated", self.nnindex.candidates_generated)
-                .u64("postings_scanned", self.nnindex.postings_scanned)
-                .u64("exact_distance_calls", self.nnindex.exact_distance_calls);
-        });
-        w.object("cand_gen", |o| {
-            o.u64("generated", self.cand_gen.generated)
-                .u64("pruned_by_length", self.cand_gen.pruned_by_length)
-                .u64("pruned_by_count", self.cand_gen.pruned_by_count)
-                .u64("postings_skipped", self.cand_gen.postings_skipped)
-                .u64("stop_grams_dropped", self.cand_gen.stop_grams_dropped)
-                .u64("truncated", self.cand_gen.truncated)
-                .u64("blocks_scanned", self.cand_gen.blocks_scanned)
-                .u64("block_skips", self.cand_gen.block_skips)
-                .u64("frontier_batches", self.cand_gen.frontier_batches);
-        });
-        w.object("prepared", |o| {
-            o.u64("prepares", self.prepared.prepares).u64("reuses", self.prepared.reuses);
-        });
-        w.object("pair_cache", |o| {
-            o.u64("hits", self.pair_cache.hits)
-                .u64("misses", self.pair_cache.misses)
-                .u64("evictions", self.pair_cache.evictions)
-                .u64("inserts", self.pair_cache.inserts)
-                .u64("distance_calls_saved", self.pair_cache.distance_calls_saved);
-        });
-        w.object("verify_batch", |o| {
-            o.u64("batches", self.verify_batch.batches)
-                .u64("batched_candidates", self.verify_batch.batched_candidates);
-        });
-        w.object("spill", |o| {
-            o.u64("entries", self.spill.entries)
-                .u64("bytes", self.spill.bytes)
-                .u64("peak_rss_bytes", self.spill.peak_rss_bytes);
-        });
-        w.object("storage", |o| {
-            o.u64("hits", self.storage.hits)
-                .u64("misses", self.storage.misses)
-                .u64("evictions", self.storage.evictions)
-                .u64("writebacks", self.storage.writebacks)
-                .f64("hit_ratio", self.storage.hit_ratio);
-        });
-        w.object("phase1", |o| {
-            o.u64("tuples", self.phase1.tuples)
-                .u64("index_probes", self.phase1.index_probes)
-                .u64("fallback_probes", self.phase1.fallback_probes)
-                .u64("bf_queue_high_water", self.phase1.bf_queue_high_water)
-                .f64("visit_stride_mean", self.phase1.visit_stride_mean)
-                .u64("threads", self.phase1.threads)
-                .u64("steal_blocks", self.phase1.steal_blocks);
-        });
-        w.object("phase2", |o| {
-            o.u64("unnested_rows", self.phase2.unnested_rows)
-                .u64("cs_pairs", self.phase2.cs_pairs)
-                .u64("sort_passes", self.phase2.sort_passes)
-                .u64("join_passes", self.phase2.join_passes)
-                .u64("components", self.phase2.components)
-                .u64("threads", self.phase2.threads);
-        });
-        w.object("collapse", |o| {
-            o.u64("classes", self.collapse.classes)
-                .u64("collapsed_records", self.collapse.collapsed_records)
-                .u64("collapse_ns", self.collapse.collapse_ns);
-        });
-        w.object("service", |o| {
-            o.u64("batches_admitted", self.service.batches_admitted)
-                .u64("records_admitted", self.service.records_admitted)
-                .u64("epochs_published", self.service.epochs_published)
-                .u64("point_queries", self.service.point_queries)
-                .u64("queue_rejections", self.service.queue_rejections)
-                .u64("queue_depth_high_water", self.service.queue_depth_high_water)
-                .u64("query_p50_ns", self.service.query_p50_ns)
-                .u64("query_p99_ns", self.service.query_p99_ns);
-        });
-        w.object("timings_ns", |o| {
-            o.u64("build_distance", self.timings.build_distance_ns)
-                .u64("build_index", self.timings.build_index_ns)
-                .u64("phase1", self.timings.phase1_ns)
-                .u64("phase2", self.timings.phase2_ns)
-                .u64("minimality", self.timings.minimality_ns)
-                .u64("total", self.timings.total_ns);
-        });
-        w.finish()
     }
 }
 
@@ -751,29 +508,51 @@ mod tests {
     use super::*;
 
     #[test]
-    fn incr_snapshot_delta_roundtrip() {
-        let _serial = serial_guard();
-        enable();
-        let before = snapshot();
-        incr(Counter::DistEdit, 3);
-        incr(Counter::NnLookups, 2);
-        incr(Counter::Phase2CsPairs, 7);
-        let delta = snapshot().delta(&before);
-        assert_eq!(delta.get(Counter::DistEdit), 3);
-        assert_eq!(delta.get(Counter::NnLookups), 2);
-        assert_eq!(delta.get(Counter::Phase2CsPairs), 7);
-        assert_eq!(delta.get(Counter::DistFms), 0);
+    fn incr_scoped_roundtrip() {
+        let (inner, outer) = scoped(|| {
+            incr(Counter::DistEdit, 3);
+            let ((), inner) = scoped(|| incr(Counter::DistEdit, 10));
+            incr(Counter::Phase2CsPairs, 7);
+            inner
+        });
+        assert_eq!(inner.get(Counter::DistEdit), 10);
+        assert_eq!(inner.get(Counter::Phase2CsPairs), 0);
+        assert_eq!(
+            outer.get(Counter::DistEdit),
+            13,
+            "scopes nest: the inner's counts are the outer's"
+        );
+        assert_eq!(outer.get(Counter::Phase2CsPairs), 7);
+        assert_eq!(outer.get(Counter::DistFms), 0);
     }
 
     #[test]
-    fn disabled_incr_is_dropped() {
-        let _serial = serial_guard();
-        disable();
-        let before = snapshot();
-        incr(Counter::DistCosine, 10);
-        let delta = snapshot().delta(&before);
-        assert_eq!(delta.get(Counter::DistCosine), 0);
-        enable();
+    fn absorbed_worker_shows_in_its_spawners_scope_and_an_unabsorbed_thread_nowhere() {
+        let ((), counted) = scoped(|| {
+            std::thread::scope(|s| {
+                let absorbed = s.spawn(|| scoped(|| incr(Counter::NnLookups, 5)).1);
+                let ignored = s.spawn(|| incr(Counter::NnLookups, 1_000));
+                absorb(&absorbed.join().unwrap());
+                ignored.join().unwrap();
+            });
+            incr(Counter::NnLookups, 1);
+        });
+        assert_eq!(counted.get(Counter::NnLookups), 6);
+    }
+
+    /// The default document's `(section, keys)` in written order.
+    fn written_schema() -> Vec<(String, Vec<String>)> {
+        let doc = json::parse(&RunMetrics::default().to_json()).unwrap();
+        let json::JsonValue::Obj(sections) = doc else { panic!("not an object") };
+        sections
+            .into_iter()
+            .map(|(section, fields)| {
+                let json::JsonValue::Obj(fields) = fields else {
+                    panic!("{section}: not an object")
+                };
+                (section, fields.into_iter().map(|(key, _)| key).collect())
+            })
+            .collect()
     }
 
     #[test]
@@ -781,124 +560,66 @@ mod tests {
         let mut m = RunMetrics::default();
         m.phase1.index_probes = 42;
         m.storage.hit_ratio = 0.75;
+        m.timings.phase1_ns = 9;
         let json = m.to_json();
-        for section in [
-            "textdist",
-            "edit_kernel",
-            "nnindex",
-            "cand_gen",
-            "prepared",
-            "pair_cache",
-            "verify_batch",
-            "spill",
-            "storage",
-            "phase1",
-            "phase2",
-            "collapse",
-            "service",
-            "timings_ns",
-        ] {
-            assert!(json.contains(&format!("\"{section}\"")), "missing {section}: {json}");
-        }
         assert!(json.contains("\"index_probes\": 42"));
         assert!(json.contains("\"hit_ratio\": 0.75"));
+        assert!(json
+            .contains("\"timings_ns\": {\"build_distance\": 0, \"build_index\": 0, \"phase1\": 9"));
+        // Names, keys and order are held to the README's table below.
+        assert_eq!(written_schema().len(), 14);
     }
 
     #[test]
-    fn apply_counter_delta_maps_counters() {
-        let _serial = serial_guard();
-        enable();
-        let before = snapshot();
-        incr(Counter::DistFms, 5);
-        incr(Counter::NnPostingsScanned, 11);
-        incr(Counter::Phase2SortPasses, 1);
-        incr(Counter::EdKernelWord, 9);
-        incr(Counter::EdKernelBounded, 4);
-        incr(Counter::EdKernelEarlyExit, 2);
-        incr(Counter::CandidatesGenerated, 13);
-        incr(Counter::PrunedByLength, 6);
-        incr(Counter::PrunedByCount, 3);
-        incr(Counter::PostingsSkipped, 21);
-        incr(Counter::StopGramsDropped, 2);
-        incr(Counter::CandidatesTruncated, 8);
-        incr(Counter::Phase2Components, 17);
-        incr(Counter::PreparedQueries, 4);
-        incr(Counter::PreparedReuses, 40);
-        incr(Counter::PairCacheHits, 7);
-        incr(Counter::PairCacheMisses, 5);
-        incr(Counter::PairCacheEvictions, 1);
-        incr(Counter::PairCacheInserts, 12);
-        incr(Counter::VerifyBatches, 3);
-        incr(Counter::VerifyBatchedCandidates, 90);
-        incr(Counter::Phase1StealBlocks, 16);
-        incr(Counter::SpillEntries, 25);
-        incr(Counter::SpillBytes, 4096);
-        incr(Counter::CandBlocksScanned, 31);
-        incr(Counter::CandBlockSkips, 14);
-        incr(Counter::CandFrontierBatches, 5);
-        incr(Counter::ServiceBatchesAdmitted, 2);
-        incr(Counter::ServiceRecordsAdmitted, 120);
-        incr(Counter::ServiceEpochsPublished, 2);
-        incr(Counter::ServicePointQueries, 55);
-        incr(Counter::ServiceQueueRejections, 1);
-        let delta = snapshot().delta(&before);
-        let mut m = RunMetrics::default();
-        m.phase2.threads = 4; // pipeline-filled fields survive the delta
-        m.spill.peak_rss_bytes = 1234;
-        m.service.queue_depth_high_water = 9; // service-filled fields survive
-        m.service.query_p50_ns = 1_000;
-        m.service.query_p99_ns = 9_000;
-        m.apply_counter_delta(&delta);
-        assert_eq!(m.textdist.fms, 5);
-        assert_eq!(m.nnindex.postings_scanned, 11);
-        assert_eq!(m.phase2.sort_passes, 1);
-        assert_eq!(m.phase2.components, 17);
-        assert_eq!(m.phase2.threads, 4);
-        assert_eq!(m.edit_kernel.word, 9);
-        assert_eq!(m.edit_kernel.blocked, 0);
-        assert_eq!(m.edit_kernel.bounded, 4);
-        assert_eq!(m.edit_kernel.early_exit, 2);
-        assert_eq!(
-            m.cand_gen,
-            CandGenMetrics {
-                generated: 13,
-                pruned_by_length: 6,
-                pruned_by_count: 3,
-                postings_skipped: 21,
-                stop_grams_dropped: 2,
-                truncated: 8,
-                blocks_scanned: 31,
-                block_skips: 14,
-                frontier_batches: 5,
+    fn from_tally_maps_every_counter_to_its_field() {
+        assert_eq!(BACKED.len(), NUM_COUNTERS);
+        let ((), tally) = scoped(|| {
+            for (i, &(counter, _, _)) in BACKED.iter().enumerate() {
+                assert_eq!(counter as usize, i, "discriminants follow the table");
+                incr(counter, 1 << i);
             }
-        );
-        assert_eq!(m.prepared, PreparedMetrics { prepares: 4, reuses: 40 });
-        assert_eq!(
-            m.pair_cache,
-            PairCacheMetrics {
-                hits: 7,
-                misses: 5,
-                evictions: 1,
-                inserts: 12,
-                distance_calls_saved: 7,
-            }
-        );
-        assert_eq!(m.verify_batch, VerifyBatchMetrics { batches: 3, batched_candidates: 90 });
-        assert_eq!(m.spill, SpillMetrics { entries: 25, bytes: 4096, peak_rss_bytes: 1234 });
-        assert_eq!(m.phase1.steal_blocks, 16);
-        assert_eq!(
-            m.service,
-            ServiceMetrics {
-                batches_admitted: 2,
-                records_admitted: 120,
-                epochs_published: 2,
-                point_queries: 55,
-                queue_rejections: 1,
-                queue_depth_high_water: 9,
-                query_p50_ns: 1_000,
-                query_p99_ns: 9_000,
-            }
-        );
+        });
+        let m = RunMetrics::from_tally(&tally);
+        let doc = json::parse(&m.to_json()).unwrap();
+        let read = |section: &str, key: &str| {
+            doc.get(section).and_then(|s| s.get(key)).and_then(json::JsonValue::as_f64).unwrap()
+        };
+        // Distinct powers of two: a field reading any other counter, or a
+        // sum of several, cannot produce the expected value.
+        let mut backed_total = 0.0;
+        for (i, &(_, section, key)) in BACKED.iter().enumerate() {
+            assert_eq!(read(section, key), (1u64 << i) as f64, "{section}.{key}");
+            backed_total += read(section, key);
+        }
+        // The two derived keys, and nothing else, also carry counts.
+        assert_eq!(m.pair_cache.distance_calls_saved, m.pair_cache.hits);
+        assert_eq!(read("textdist", "total"), m.textdist.total() as f64);
+        let written: f64 = written_schema()
+            .iter()
+            .flat_map(|(section, keys)| keys.iter().map(|key| read(section, key)))
+            .sum();
+        let derived = (m.pair_cache.hits + m.textdist.total()) as f64;
+        assert_eq!(written, backed_total + derived, "a filled field read a counter");
+    }
+
+    #[test]
+    fn readme_table_matches_the_declaration() {
+        let readme = include_str!("../../../README.md");
+        let (_, rest) =
+            readme.split_once("## Run metrics & observability").expect("README section exists");
+        let table = rest.split("\n## ").next().unwrap();
+        let backticked = |cell: &str| -> Vec<String> {
+            cell.split('`').skip(1).step_by(2).map(str::to_string).collect()
+        };
+        let documented: Vec<(String, Vec<String>)> = table
+            .lines()
+            .filter(|line| line.starts_with("| `"))
+            .map(|line| {
+                let cells: Vec<&str> = line.split('|').collect();
+                (backticked(cells[1]).remove(0), backticked(cells[2]))
+            })
+            .collect();
+        assert_eq!(documented, written_schema());
     }
 
     #[cfg(target_os = "linux")]

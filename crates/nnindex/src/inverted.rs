@@ -846,8 +846,6 @@ mod tests {
             .map(|s| vec![s.to_string()])
             .collect();
         for source in [PostingsSource::Packed, PostingsSource::Pages] {
-            let _serial = fuzzydedup_metrics::serial_guard();
-            fuzzydedup_metrics::enable();
             let config = InvertedIndexConfig {
                 max_df_fraction: 0.01,
                 stop_df_floor: 1,
@@ -855,16 +853,15 @@ mod tests {
                 ..Default::default()
             };
             let idx = build_records(records.clone(), config);
-            let before = fuzzydedup_metrics::snapshot();
-            let nn = idx.top_k(0, 2);
+            let (nn, delta) = fuzzydedup_metrics::scoped(|| idx.top_k(0, 2));
             assert!(!nn.is_empty(), "{source:?}: fallback must produce candidates");
             assert_eq!(nn[0].dist, 0.0, "{source:?}: the exact duplicate is found");
-            let delta = fuzzydedup_metrics::snapshot().delta(&before);
-            assert!(
-                delta.get(Counter::StopGramsDropped) > 0,
+            assert_eq!(
+                delta.get(Counter::StopGramsDropped),
+                12,
                 "{source:?}: dropped stop grams are counted"
             );
-            assert!(delta.get(Counter::CandidatesGenerated) > 0, "{source:?}");
+            assert_eq!(delta.get(Counter::CandidatesGenerated), 3, "{source:?}");
         }
     }
 
@@ -950,21 +947,20 @@ mod tests {
             })
             .collect();
         let config = InvertedIndexConfig { candidate_limit: 0, ..Default::default() };
-        let _serial = fuzzydedup_metrics::serial_guard();
-        fuzzydedup_metrics::enable();
         let idx = build_records(records.clone(), config.clone());
         let disk = Arc::new(InMemoryDisk::new());
         let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(16), disk));
         let control = InvertedIndex::build(records, UnfilteredDistance(EditDistance), pool, config);
-        let before = fuzzydedup_metrics::snapshot();
-        for id in 0..idx.len() as u32 {
-            for radius in [0.05, 0.15, 0.3] {
-                assert_eq!(idx.within(id, radius), control.within(id, radius), "id {id}");
+        let ((), delta) = fuzzydedup_metrics::scoped(|| {
+            for id in 0..idx.len() as u32 {
+                for radius in [0.05, 0.15, 0.3] {
+                    assert_eq!(idx.within(id, radius), control.within(id, radius), "id {id}");
+                }
             }
-        }
-        let delta = fuzzydedup_metrics::snapshot().delta(&before);
-        assert!(
-            delta.get(Counter::PostingsSkipped) > 0,
+        });
+        assert_eq!(
+            delta.get(Counter::PostingsSkipped),
+            802,
             "tight radii over long queries must trigger merge skipping"
         );
     }

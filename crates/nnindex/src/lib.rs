@@ -83,7 +83,7 @@ impl LookupCost {
         self.distance_calls += other.distance_calls;
     }
 
-    /// Mirror this lookup's cost into the process-global metrics counters.
+    /// Count this lookup's cost on the calling thread's tally.
     fn record(&self) {
         incr(Counter::NnLookups, 1);
         incr(Counter::NnFallbackProbes, self.fallback_probes);
@@ -854,32 +854,27 @@ mod tests {
     #[test]
     fn batched_driver_counts_batches() {
         // The duplicate-heavy setup above must actually exercise the
-        // batch path; counters are process-global, so serialize.
-        let _serial = fuzzydedup_metrics::serial_guard();
+        // batch path.
         let records: Vec<Vec<String>> =
             (0..100).map(|i| vec![format!("golden dragon palace branch {:02}", i / 2)]).collect();
         let compiled = CompiledRecords::compile(&EditDistance, &records);
         let candidates: Vec<u32> = (1..100).collect();
-        let before = fuzzydedup_metrics::snapshot();
-        let (_, attempted) = verify_candidates_bounded(
-            &EditDistance,
-            RecordView { records: &records, compiled: &compiled },
-            Query::Indexed(0),
-            &candidates,
-            LookupSpec::TopK(3),
-            2.0,
-            None,
-            None,
-            None,
-        );
-        let d = fuzzydedup_metrics::snapshot().delta(&before);
-        let batches = d.get(Counter::VerifyBatches);
-        let batched = d.get(Counter::VerifyBatchedCandidates);
-        // Lower bounds only: counters are process-global and other tests
-        // in this binary may run (and increment) concurrently.
-        assert!(attempted > 0);
-        assert!(batches > 0, "tight cutoffs must defer candidates into batches");
-        assert!(batched >= batches, "every batch holds at least one candidate");
+        let ((_, attempted), d) = fuzzydedup_metrics::scoped(|| {
+            verify_candidates_bounded(
+                &EditDistance,
+                RecordView { records: &records, compiled: &compiled },
+                Query::Indexed(0),
+                &candidates,
+                LookupSpec::TopK(3),
+                2.0,
+                None,
+                None,
+                None,
+            )
+        });
+        assert_eq!(attempted, 99);
+        assert_eq!(d.get(Counter::VerifyBatches), 3, "tight cutoffs defer candidates into batches");
+        assert_eq!(d.get(Counter::VerifyBatchedCandidates), 96, "K scalar, the rest batched");
     }
 
     #[test]
@@ -979,8 +974,6 @@ mod tests {
 
     #[test]
     fn bounded_verification_takes_bounded_kernel_path() {
-        let _serial = fuzzydedup_metrics::serial_guard();
-        fuzzydedup_metrics::enable();
         let records: Vec<Vec<String>> = [
             "golden dragon palace",
             "golden dragon palce",
@@ -992,22 +985,22 @@ mod tests {
         .collect();
         let compiled = CompiledRecords::compile(&EditDistance, &records);
         let candidates: Vec<u32> = vec![1, 2, 3];
-        let before = fuzzydedup_metrics::snapshot();
-        let (survivors, _) = verify_candidates_bounded(
-            &EditDistance,
-            RecordView { records: &records, compiled: &compiled },
-            Query::Indexed(0),
-            &candidates,
-            LookupSpec::TopK(1),
-            2.0,
-            None,
-            None,
-            None,
-        );
-        let delta = fuzzydedup_metrics::snapshot().delta(&before);
+        let ((survivors, _), delta) = fuzzydedup_metrics::scoped(|| {
+            verify_candidates_bounded(
+                &EditDistance,
+                RecordView { records: &records, compiled: &compiled },
+                Query::Indexed(0),
+                &candidates,
+                LookupSpec::TopK(1),
+                2.0,
+                None,
+                None,
+                None,
+            )
+        });
         // The first candidate is verified with an infinite cutoff (full
         // compute); later ones go through the k-bounded kernel.
-        assert!(delta.get(Counter::EdKernelBounded) >= 2, "delta {delta:?}");
+        assert_eq!(delta.get(Counter::EdKernelBounded), 2, "delta {delta:?}");
         // The close pair survives with its exact distance.
         assert!(survivors.iter().any(|n| n.id == 1));
     }

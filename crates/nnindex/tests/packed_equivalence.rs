@@ -250,21 +250,20 @@ fn packed_skip_counters_fire_on_tight_radii() {
             vec![base]
         })
         .collect();
-    let _serial = fuzzydedup_metrics::serial_guard();
-    fuzzydedup_metrics::enable();
     let idx = build(&records, PostingsSource::Packed, 0);
-    let before = fuzzydedup_metrics::snapshot();
-    for id in 0..records.len() as u32 {
-        for radius in [0.05, 0.15] {
-            idx.within(id, radius);
+    let ((), delta) = fuzzydedup_metrics::scoped(|| {
+        for id in 0..records.len() as u32 {
+            for radius in [0.05, 0.15] {
+                idx.within(id, radius);
+            }
         }
-    }
-    let delta = fuzzydedup_metrics::snapshot().delta(&before);
-    assert!(delta.get(Counter::CandFrontierBatches) > 0, "staged merge must flush batches");
-    assert!(delta.get(Counter::CandBlocksScanned) > 0, "blocks must be decoded");
-    assert!(
-        delta.get(Counter::CandBlockSkips) > 0,
+    });
+    assert_eq!(delta.get(Counter::CandFrontierBatches), 438, "staged merge must flush batches");
+    assert_eq!(delta.get(Counter::CandBlocksScanned), 10_428, "blocks must be decoded");
+    assert_eq!(
+        delta.get(Counter::CandBlockSkips),
+        296,
         "tight radii must skip blocks via the max-id pointers"
     );
-    assert!(delta.get(Counter::PostingsSkipped) > 0, "frozen lists must be skipped");
+    assert_eq!(delta.get(Counter::PostingsSkipped), 19_381, "frozen lists must be skipped");
 }

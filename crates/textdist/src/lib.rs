@@ -473,11 +473,12 @@ mod tests {
             d.distance_bounded(&["microsoft corp"], &["microsft corporation"], 1.0),
             Some(exact)
         );
-        let delta = myers::tally::of(|| {
-            assert_eq!(d.distance_bounded(&["completely unrelated text"], &["zzzz"], 0.05), None);
+        let (far, delta) = fuzzydedup_metrics::scoped(|| {
+            d.distance_bounded(&["completely unrelated text"], &["zzzz"], 0.05)
         });
+        assert_eq!(far, None);
         // Reaching the bounded kernel proves the override was dispatched.
-        assert_eq!(delta(fuzzydedup_metrics::Counter::EdKernelBounded), 1);
+        assert_eq!(delta.get(fuzzydedup_metrics::Counter::EdKernelBounded), 1);
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! * [`crate::edit::levenshtein`] / [`crate::edit::levenshtein_bounded`]
 //!   — the public edit-distance API, which routes here.
 //!
-//! Every invocation records which rung fired into the process-global
-//! metrics counters (`edit_kernel` section of `RunMetrics`), so pipeline
-//! runs show which path verification actually took.
+//! Every invocation counts which rung fired (`edit_kernel` section of
+//! `RunMetrics`), so pipeline runs show which path verification actually
+//! took.
 
 use fuzzydedup_metrics::{incr, Counter};
 
@@ -236,10 +236,10 @@ pub fn myers_chars(a: &[char], b: &[char]) -> usize {
         return text.len();
     }
     if pattern.len() <= 64 {
-        count(Counter::EdKernelWord, 1);
+        incr(Counter::EdKernelWord, 1);
         word_distance(pattern, text)
     } else {
-        count(Counter::EdKernelBlocked, 1);
+        incr(Counter::EdKernelBlocked, 1);
         blocked_distance(pattern, text)
     }
 }
@@ -267,12 +267,12 @@ pub fn myers(a: &str, b: &str) -> usize {
 /// distance as the cutoff, which abandons most losing candidates after a
 /// prefix of the text.
 pub fn myers_bounded_chars(a: &[char], b: &[char], bound: usize) -> Option<usize> {
-    count(Counter::EdKernelBounded, 1);
+    incr(Counter::EdKernelBounded, 1);
     let (a, b) = strip_common(a, b);
     let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     // The length gap is a lower bound on the distance.
     if text.len() - pattern.len() > bound {
-        count(Counter::EdKernelEarlyExit, 1);
+        incr(Counter::EdKernelEarlyExit, 1);
         return None;
     }
     if pattern.is_empty() {
@@ -300,7 +300,7 @@ pub fn myers_bounded_chars(a: &[char], b: &[char], bound: usize) -> Option<usize
             mv = ph & xv;
             // Each remaining column can lower the score by at most 1.
             if score - (n - j - 1) as isize > bound as isize {
-                count(Counter::EdKernelEarlyExit, 1);
+                incr(Counter::EdKernelEarlyExit, 1);
                 return None;
             }
         }
@@ -321,7 +321,7 @@ pub fn myers_bounded_chars(a: &[char], b: &[char], bound: usize) -> Option<usize
             }
             score += hin as isize;
             if score - (n - j - 1) as isize > bound as isize {
-                count(Counter::EdKernelEarlyExit, 1);
+                incr(Counter::EdKernelEarlyExit, 1);
                 return None;
             }
         }
@@ -426,11 +426,11 @@ impl<'t> PreparedPattern<'t> {
         let st = &text[pre..text.len() - suf];
         match &self.kind {
             PreparedKind::Word(peq) => {
-                count(Counter::EdKernelWord, 1);
+                incr(Counter::EdKernelWord, 1);
                 word_distance_shifted(peq, pre, sp_len, st)
             }
             PreparedKind::Blocked(peq) if pre == 0 && suf == 0 => {
-                count(Counter::EdKernelBlocked, 1);
+                incr(Counter::EdKernelBlocked, 1);
                 blocked_distance_prepared(peq, self.query.len(), st, &mut self.pv, &mut self.mv)
             }
             PreparedKind::Blocked(_) => myers_chars(&self.query, text),
@@ -520,7 +520,7 @@ impl<'t> PreparedPattern<'t> {
             }
         }
         if bounded_calls > 0 {
-            count(Counter::EdKernelBounded, bounded_calls);
+            incr(Counter::EdKernelBounded, bounded_calls);
         }
         match &self.kind {
             PreparedKind::Word(peq) => {
@@ -538,7 +538,7 @@ impl<'t> PreparedPattern<'t> {
             }
         }
         if early_exits > 0 {
-            count(Counter::EdKernelEarlyExit, early_exits);
+            incr(Counter::EdKernelEarlyExit, early_exits);
         }
     }
 
@@ -556,12 +556,12 @@ impl<'t> PreparedPattern<'t> {
                 return myers_bounded_chars(&self.query, text, bound);
             }
         }
-        count(Counter::EdKernelBounded, 1);
+        incr(Counter::EdKernelBounded, 1);
         let st_len = text.len() - pre - suf;
         // The length gap bounds the distance from below; the query may sit
         // on either side of the candidate's length.
         if st_len.abs_diff(sp_len) > bound {
-            count(Counter::EdKernelEarlyExit, 1);
+            incr(Counter::EdKernelEarlyExit, 1);
             return None;
         }
         if sp_len == 0 {
@@ -646,7 +646,7 @@ fn word_bounded_shifted(
         pv = mh | !(xv | ph);
         mv = ph & xv;
         if score - (n - j - 1) as isize > bound as isize {
-            count(Counter::EdKernelEarlyExit, 1);
+            incr(Counter::EdKernelEarlyExit, 1);
             return None;
         }
     }
@@ -682,7 +682,7 @@ fn blocked_window_bounded(
         pv = mh | !(xv | ph);
         mv = ph & xv;
         if score - (n - j - 1) as isize > bound as isize {
-            count(Counter::EdKernelEarlyExit, 1);
+            incr(Counter::EdKernelEarlyExit, 1);
             return None;
         }
     }
@@ -902,53 +902,18 @@ fn blocked_bounded_prepared(
         }
         score += hin as isize;
         if score - (n - j - 1) as isize > bound as isize {
-            count(Counter::EdKernelEarlyExit, 1);
+            incr(Counter::EdKernelEarlyExit, 1);
             return None;
         }
     }
     (score as usize <= bound).then_some(score as usize)
 }
 
-/// Bump a kernel counter. Under `cfg(test)` the bump also lands in the
-/// calling thread's [`tally`], which is what this crate's unit tests
-/// assert on: the process-global table counts every test running beside
-/// them as well.
-#[inline]
-fn count(counter: Counter, n: u64) {
-    incr(counter, n);
-    #[cfg(test)]
-    tally::add(counter, n);
-}
-
-/// Per-thread mirror of the kernel-counter bumps, for exact assertions in
-/// unit tests (a test and the kernels it calls share one thread).
-#[cfg(test)]
-pub(crate) mod tally {
-    use std::cell::RefCell;
-
-    use fuzzydedup_metrics::{Counter, NUM_COUNTERS};
-
-    thread_local! {
-        static BUMPS: RefCell<[u64; NUM_COUNTERS]> = const { RefCell::new([0; NUM_COUNTERS]) };
-    }
-
-    pub(super) fn add(counter: Counter, n: u64) {
-        BUMPS.with(|bumps| bumps.borrow_mut()[counter as usize] += n);
-    }
-
-    /// Run `f`; the returned lookup gives, per counter, what `f` bumped.
-    pub(crate) fn of(f: impl FnOnce()) -> impl Fn(Counter) -> u64 {
-        let before = BUMPS.with(|bumps| *bumps.borrow());
-        f();
-        let after = BUMPS.with(|bumps| *bumps.borrow());
-        move |counter| after[counter as usize] - before[counter as usize]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edit::{levenshtein_banded, levenshtein_dp};
+    use fuzzydedup_metrics::scoped;
 
     #[test]
     fn classic_examples() {
@@ -1132,17 +1097,16 @@ mod tests {
                 .map(|t| t.chars().collect())
                 .collect();
         let mut scalar = PreparedPattern::new(query.clone());
-        let scalar_delta = tally::of(|| {
+        let ((), scalar_delta) = scoped(|| {
             for t in &texts {
                 scalar.bounded(t, 6);
             }
         });
         let mut batched = PreparedPattern::new(query);
         let requests: Vec<(&[char], usize)> = texts.iter().map(|t| (t.as_slice(), 6)).collect();
-        let batch_delta = tally::of(|| batched.bounded_batch(&requests, &mut Vec::new()));
-        for c in [Counter::EdKernelBounded, Counter::EdKernelEarlyExit, Counter::EdKernelWord] {
-            assert_eq!(batch_delta(c), scalar_delta(c), "{c:?}");
-        }
+        let ((), batch_delta) = scoped(|| batched.bounded_batch(&requests, &mut Vec::new()));
+        assert_eq!(batch_delta, scalar_delta);
+        assert_eq!(batch_delta.get(Counter::EdKernelBounded), 4);
     }
 
     #[test]
@@ -1151,14 +1115,14 @@ mod tests {
         // once per candidate and never the unbounded word rung.
         let query: Vec<char> = "golden dragon palace".chars().collect();
         let mut prepared = PreparedPattern::new(query);
-        let delta = tally::of(|| {
+        let ((), delta) = scoped(|| {
             for t in ["golden dragon palce", "golden dragon", "palace dragon golden"] {
                 let tc: Vec<char> = t.chars().collect();
                 prepared.bounded(&tc, 30);
             }
         });
-        assert_eq!(delta(Counter::EdKernelBounded), 3);
-        assert_eq!(delta(Counter::EdKernelWord), 0);
+        assert_eq!(delta.get(Counter::EdKernelBounded), 3);
+        assert_eq!(delta.get(Counter::EdKernelWord), 0);
     }
 
     #[test]
@@ -1167,14 +1131,14 @@ mod tests {
         // affix stripping, forcing the blocked path.
         let long_a: String = format!("a{}b", "x".repeat(78));
         let long_b: String = format!("c{}d", "x".repeat(78));
-        let delta = tally::of(|| {
+        let ((), delta) = scoped(|| {
             myers("short", "strings");
             myers(&long_a, &long_b);
             myers_bounded("completely", "different!", 1);
         });
-        assert_eq!(delta(Counter::EdKernelWord), 1);
-        assert_eq!(delta(Counter::EdKernelBlocked), 1);
-        assert_eq!(delta(Counter::EdKernelBounded), 1);
-        assert!(delta(Counter::EdKernelEarlyExit) >= 1);
+        assert_eq!(delta.get(Counter::EdKernelWord), 1);
+        assert_eq!(delta.get(Counter::EdKernelBlocked), 1);
+        assert_eq!(delta.get(Counter::EdKernelBounded), 1);
+        assert_eq!(delta.get(Counter::EdKernelEarlyExit), 1);
     }
 }

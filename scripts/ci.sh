@@ -15,6 +15,12 @@
 #   clippy        cargo clippy --workspace --all-targets -- -D warnings
 #   test          cargo test -q (tier-1 root suite)
 #   test-ws       cargo test -q --workspace
+#   test-interleave
+#                 the metrics/textdist/nnindex/core lib suites again at
+#                 --test-threads 16, so a test that depends on what its
+#                 neighbours do fails on a 2-vCPU box and not first on a
+#                 hosted runner (the process-global counter table made
+#                 fuzzydedup-core fail most runs from 4 threads up; ~30 s)
 #   e2e-smoke     benchmark/run.sh --smoke: the repo benchmark at 1/20
 #                 size with every check on. The benchmark package
 #                 path-depends on crates/* but sits outside the
@@ -60,7 +66,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-all_stages=(build fmt clippy test test-ws e2e-smoke recall-smoke bench-smoke scale-smoke service-smoke)
+all_stages=(build fmt clippy test test-ws test-interleave e2e-smoke recall-smoke bench-smoke scale-smoke service-smoke)
 
 fast=0
 skip_bench=0
@@ -166,7 +172,7 @@ wants() {
     fi
     case "$name" in
         build|test) [[ $bench_only -eq 0 ]] ;;
-        fmt|clippy|test-ws|e2e-smoke|recall-smoke) [[ $bench_only -eq 0 && $fast -eq 0 ]] ;;
+        fmt|clippy|test-ws|test-interleave|e2e-smoke|recall-smoke) [[ $bench_only -eq 0 && $fast -eq 0 ]] ;;
         bench-smoke) [[ $fast -eq 0 && $skip_bench -eq 0 ]] ;;
         scale-smoke) [[ $bench_only -eq 0 && $fast -eq 0 && $skip_bench -eq 0 ]] ;;
         service-smoke) [[ $bench_only -eq 0 && $fast -eq 0 && $skip_bench -eq 0 ]] ;;
@@ -184,6 +190,10 @@ for stage in "${all_stages[@]}"; do
         clippy) run_stage clippy cargo clippy --workspace --all-targets -- -D warnings ;;
         test) run_stage test cargo test -q ;;
         test-ws) run_stage test-ws cargo test -q --workspace ;;
+        test-interleave)
+            run_stage test-interleave cargo test -q -p fuzzydedup-metrics -p fuzzydedup-textdist \
+                -p fuzzydedup-nnindex -p fuzzydedup-core --lib -- --test-threads 16
+            ;;
         e2e-smoke) run_stage e2e-smoke bash benchmark/run.sh --smoke ;;
         recall-smoke)
             # Index recall/losslessness gate: the binary's own assertions
@@ -234,10 +244,10 @@ done
 
 # ---- summary table ---------------------------------------------------
 echo
-echo "stage         result   wall(s)"
-echo "------------  -------  -------"
+echo "stage            result   wall(s)"
+echo "---------------  -------  -------"
 for i in "${!stages[@]}"; do
-    printf '%-13s %-8s %6ss\n' "${stages[$i]}" "${results[$i]}" "${seconds[$i]}"
+    printf '%-16s %-8s %6ss\n' "${stages[$i]}" "${results[$i]}" "${seconds[$i]}"
 done
 if [[ $overall -eq 0 ]]; then
     echo "ci: OK"

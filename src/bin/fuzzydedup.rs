@@ -399,7 +399,6 @@ fn run_service<D: fuzzydedup::textdist::Distance + Clone + 'static>(
     records: &[Vec<String>],
     opts: &ReplayOptions,
 ) -> Result<Partition, String> {
-    let before = fuzzydedup::metrics::snapshot();
     let mut service = DedupService::spawn(
         IncrementalDedup::builder(distance)
             .cut(opts.io.cut)
@@ -448,10 +447,7 @@ fn run_service<D: fuzzydedup::textdist::Distance + Clone + 'static>(
         if stats.distinct_is_exact { " (exact)" } else { "" },
     );
     if opts.io.metrics {
-        let mut m = fuzzydedup::metrics::RunMetrics::default();
-        m.apply_counter_delta(&fuzzydedup::metrics::snapshot().delta(&before));
-        m.service = service.service_metrics();
-        eprintln!("{}", m.to_json());
+        eprintln!("{}", service.metrics().to_json());
     }
     let (_, partition) = service.snapshot_partition();
     service.shutdown();
@@ -578,7 +574,8 @@ fn run() -> Result<(), String> {
             // parallelizes with the same --threads knob; 1 = sequential).
             if records.len() < 100 {
                 eprintln!(
-                    "warning: --dup-fraction needs a meaningful NG distribution;                      {} records is likely too few (consider --c instead)",
+                    "warning: --dup-fraction needs a meaningful NG distribution; \
+                     {} records is likely too few (consider --c instead)",
                     records.len()
                 );
             }

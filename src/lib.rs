@@ -24,9 +24,9 @@
 //! * [`datagen`] — gold-labelled synthetic dataset generators standing in
 //!   for the paper's Media/Org warehouses and the Riddle repository
 //!   datasets;
-//! * [`metrics`] — the run-metrics observability layer: process-global
-//!   counters every layer reports into, and the [`metrics::RunMetrics`]
-//!   summary attached to each [`core::DedupOutcome`].
+//! * [`metrics`] — the run-metrics observability layer: per-thread tallies
+//!   every layer counts into, scoped by the entry point, and the
+//!   [`metrics::RunMetrics`] summary of each [`core::DedupOutcome`].
 //!
 //! ## Quickstart
 //!

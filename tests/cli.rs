@@ -134,6 +134,16 @@ fn dup_fraction_derives_threshold() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("derived SN threshold"), "{stderr}");
+    assert!(!stderr.contains("warning"), "the demo has over 100 records: {stderr}");
+
+    // Under 100 records the NG distribution is too thin: one warning line,
+    // in one piece.
+    let out = bin().args(["--demo", "table1", "--dup-fraction", "0.4"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let warning = stderr.lines().find(|l| l.starts_with("warning: --dup-fraction")).expect("warns");
+    assert!(warning.ends_with("14 records is likely too few (consider --c instead)"), "{warning}");
+    assert!(!warning.contains("  "), "a run of spaces mid-sentence: {warning:?}");
 }
 
 #[test]
