@@ -1,16 +1,14 @@
-//! Criterion bench: buffer-pool access patterns and replacement policies
+//! Criterion bench: buffer-pool access patterns under LRU replacement
 //! (the substrate behind Figure 8's hit-ratio numbers).
 
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk, PageId, ReplacementPolicy};
+use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk, PageId};
 
-fn make_pool(frames: usize, policy: ReplacementPolicy, pages: usize) -> (BufferPool, Vec<PageId>) {
-    let pool = BufferPool::new(
-        BufferPoolConfig { capacity: frames, policy },
-        Arc::new(InMemoryDisk::new()),
-    );
+fn make_pool(frames: usize, pages: usize) -> (BufferPool, Vec<PageId>) {
+    let pool =
+        BufferPool::new(BufferPoolConfig::with_capacity(frames), Arc::new(InMemoryDisk::new()));
     let ids: Vec<PageId> = (0..pages)
         .map(|i| {
             let id = pool.allocate_page();
@@ -26,40 +24,36 @@ fn make_pool(frames: usize, policy: ReplacementPolicy, pages: usize) -> (BufferP
 
 fn bench_buffer_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("buffer_pool");
-    for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Clock] {
-        let label = format!("{policy:?}").to_lowercase();
+    // All-hits: working set fits.
+    let (pool, ids) = make_pool(64, 32);
+    group.bench_function("lru_hits", |b| {
+        b.iter(|| {
+            for &id in &ids {
+                pool.with_page(id, |p| black_box(p.slot_count())).unwrap();
+            }
+        })
+    });
 
-        // All-hits: working set fits.
-        let (pool, ids) = make_pool(64, policy, 32);
-        group.bench_function(format!("{label}_hits"), |b| {
-            b.iter(|| {
-                for &id in &ids {
-                    pool.with_page(id, |p| black_box(p.slot_count())).unwrap();
-                }
-            })
-        });
+    // Thrash: working set 4x the pool.
+    let (pool, ids) = make_pool(16, 64);
+    group.bench_function("lru_thrash", |b| {
+        b.iter(|| {
+            for &id in &ids {
+                pool.with_page(id, |p| black_box(p.slot_count())).unwrap();
+            }
+        })
+    });
 
-        // Thrash: working set 4x the pool.
-        let (pool, ids) = make_pool(16, policy, 64);
-        group.bench_function(format!("{label}_thrash"), |b| {
-            b.iter(|| {
-                for &id in &ids {
-                    pool.with_page(id, |p| black_box(p.slot_count())).unwrap();
-                }
-            })
-        });
-
-        // Skewed: 90% of accesses to 10% of pages (the BF-order shape).
-        let (pool, ids) = make_pool(16, policy, 64);
-        group.bench_function(format!("{label}_skewed"), |b| {
-            b.iter(|| {
-                for round in 0..ids.len() {
-                    let id = if round % 10 == 0 { ids[round % ids.len()] } else { ids[round % 6] };
-                    pool.with_page(id, |p| black_box(p.slot_count())).unwrap();
-                }
-            })
-        });
-    }
+    // Skewed: 90% of accesses to 10% of pages (the BF-order shape).
+    let (pool, ids) = make_pool(16, 64);
+    group.bench_function("lru_skewed", |b| {
+        b.iter(|| {
+            for round in 0..ids.len() {
+                let id = if round % 10 == 0 { ids[round % ids.len()] } else { ids[round % 6] };
+                pool.with_page(id, |p| black_box(p.slot_count())).unwrap();
+            }
+        })
+    });
     group.finish();
 }
 

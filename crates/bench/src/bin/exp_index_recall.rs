@@ -12,8 +12,8 @@
 //!   conditioned on the truth being close (the only case the partitioning
 //!   phase cares about);
 //! * the same recall with the candidate ladder disarmed
-//!   (`UnfilteredDistance`), **asserted identical** — the length, q-gram
-//!   count and MergeSkip filters must be recall-lossless;
+//!   (`UnfilteredDistance`), **asserted identical** — the length and
+//!   q-gram count filters must be recall-lossless;
 //! * the two inverted postings layouts (packed, page-backed), asserted to
 //!   agree with each other (the packed merge promises identical answers,
 //!   not merely close recall);

@@ -26,10 +26,10 @@
 //! ```
 //!
 //! `--records 50000` is the CI smoke configuration (`scripts/ci.sh`
-//! bench-smoke tier). The default cut is `DE_D(0.15)` — radius lookups
-//! let the MergeSkip candidate ladder prune postings, which is what keeps
-//! candidate generation subquadratic at this scale; `--cut size:5`
-//! selects the paper's `DE_S(K)` shape instead.
+//! bench-smoke tier). The default cut is `DE_D(0.15)` — a tight radius
+//! lets the length and q-gram count filters spare most candidates their
+//! distance call; `--cut size:5` selects the paper's `DE_S(K)` shape
+//! instead.
 
 use std::sync::Arc;
 use std::time::Instant;

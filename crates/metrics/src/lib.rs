@@ -271,9 +271,6 @@ run_metrics! {
         /// Candidates discarded before any distance call because the
         /// q-gram count filter proved them outside the running cutoff.
         pruned_by_count: u64 = Counter::PrunedByCount,
-        /// Posting ids the MergeSkip merge avoided scanning linearly once
-        /// no new candidate could reach the count threshold.
-        postings_skipped: u64 = Counter::PostingsSkipped,
         /// Query terms dropped as stop grams — a recall loss made visible.
         stop_grams_dropped: u64 = Counter::StopGramsDropped,
         /// Scored candidates cut away by the `candidate_limit` partial
@@ -281,9 +278,6 @@ run_metrics! {
         truncated: u64 = Counter::CandidatesTruncated,
         /// Packed-postings delta blocks decoded by the merge.
         blocks_scanned: u64 = Counter::CandBlocksScanned,
-        /// Packed-postings delta blocks skipped via the per-block max-id
-        /// pointers without decoding.
-        block_skips: u64 = Counter::CandBlockSkips,
         /// Frontier batches flushed by the staged lane-wise merge.
         frontier_batches: u64 = Counter::CandFrontierBatches,
     }

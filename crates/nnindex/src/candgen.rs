@@ -7,12 +7,9 @@
 //!   postings arena (DESIGN.md §7.7), one list per term, postings sorted
 //!   by id: each term's ids are split into blocks of [`PACKED_BLOCK`],
 //!   stored as an absolute first id plus per-block fixed-width deltas
-//!   (1, 2 or 4 bytes each, chosen per block), with SoA metadata —
-//!   including a per-block **max-id skip pointer** — so the MergeSkip
-//!   top-up lands on a block boundary and decodes only the blocks a
-//!   frozen candidate can live in. Typical postings shrink ~4× versus raw
-//!   `u32`s, so more of the hot term lists stay cache-resident during the
-//!   merge.
+//!   (1, 2 or 4 bytes each, chosen per block), with SoA metadata (11
+//!   bytes a block). Typical postings shrink ~4× versus raw `u32`s, so
+//!   more of the hot term lists stay cache-resident during the merge.
 //! * [`CandFilter`] — the verification-time pruning filters. For
 //!   distances that admit them
 //!   ([`Distance::admits_qgram_filter`](fuzzydedup_textdist::Distance::admits_qgram_filter)),
@@ -45,9 +42,8 @@ pub struct RecordMeta {
 
 /// Posting ids per delta block of a [`PackedPostings`] arena. 64 ids per
 /// block keeps a worst-case (4-byte-delta) block within four cache lines
-/// and makes the per-block metadata overhead (13 bytes) negligible, while
-/// still giving the skip pointers enough granularity that a frozen-merge
-/// top-up decodes only a small fraction of a long list.
+/// and makes the per-block metadata overhead (11 bytes) negligible, while
+/// a short list still pays for one narrow block only.
 pub const PACKED_BLOCK: usize = 64;
 
 /// Delta-encoded block-compressed postings arena; see module docs.
@@ -61,9 +57,6 @@ pub struct PackedPostings {
     term_lens: Vec<u32>,
     /// Absolute first id of each block.
     block_first: Vec<u32>,
-    /// Max (= last) id of each block: the skip pointer. A sorted probe id
-    /// can only live in the first block whose `block_last` reaches it.
-    block_last: Vec<u32>,
     /// Byte offset of each block's delta run in `arena`.
     block_off: Vec<u32>,
     /// Ids per block (`1..=PACKED_BLOCK`).
@@ -109,7 +102,6 @@ impl PackedPostings {
                 }
             }
             self.block_first.push(block[0]);
-            self.block_last.push(*block.last().unwrap());
             self.block_off.push(off as u32);
             self.block_len.push(block.len() as u16);
             self.block_width.push(width);
@@ -176,13 +168,6 @@ impl PackedPostings {
         &mut out[at..]
     }
 
-    /// Decode one block, appending its ids (ascending) to `out`.
-    pub fn decode_block(&self, block: usize, out: &mut Vec<u32>) {
-        let len = self.block_len[block] as usize;
-        let dst = Self::grow_for_decode(out, len);
-        self.decode_block_into(block, dst);
-    }
-
     /// Decode a whole term's posting list, appending to `out`. Returns
     /// the number of blocks decoded.
     pub fn decode_list(&self, term: u32, out: &mut Vec<u32>) -> u64 {
@@ -196,48 +181,6 @@ impl PackedPostings {
         }
         debug_assert!(dst.is_empty(), "term_lens must equal the sum of block_lens");
         n
-    }
-
-    /// Top up already-admitted candidates from a term's list: calls
-    /// `hit(id)` for every id of the **sorted** `probes` present in the
-    /// list. Walks the per-block max-id skip pointers and decodes a block
-    /// (into `scratch`) only when a probe id can land in it — the packed
-    /// replacement for per-id binary search over a raw slice. Returns
-    /// `(blocks_decoded, blocks_skipped)`.
-    pub fn probe_sorted(
-        &self,
-        term: u32,
-        probes: &[u32],
-        scratch: &mut Vec<u32>,
-        mut hit: impl FnMut(u32),
-    ) -> (u64, u64) {
-        debug_assert!(probes.windows(2).all(|w| w[0] < w[1]), "probes sorted by id");
-        let range = self.blocks(term);
-        let total = range.len() as u64;
-        let mut b = range.start;
-        let mut decoded_for = usize::MAX;
-        let mut decoded = 0u64;
-        for &pid in probes {
-            while b < range.end && self.block_last[b] < pid {
-                b += 1;
-            }
-            if b == range.end {
-                break;
-            }
-            if self.block_first[b] > pid {
-                continue;
-            }
-            if decoded_for != b {
-                scratch.clear();
-                self.decode_block(b, scratch);
-                decoded_for = b;
-                decoded += 1;
-            }
-            if scratch.binary_search(&pid).is_ok() {
-                hit(pid);
-            }
-        }
-        (decoded, total - decoded)
     }
 
     /// Hint the CPU to start pulling a term's leading delta bytes toward
@@ -265,16 +208,6 @@ impl PackedPostings {
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = term;
-    }
-
-    /// Number of terms in the arena.
-    pub fn num_terms(&self) -> usize {
-        self.term_blocks.len() - 1
-    }
-
-    /// Total posting entries across all terms.
-    pub fn num_postings(&self) -> usize {
-        self.term_lens.iter().map(|&n| n as usize).sum()
     }
 
     /// Total delta blocks across all terms.
@@ -524,7 +457,6 @@ mod tests {
             let packed = packed_of(std::slice::from_ref(&list));
             assert_eq!(decode(&packed, 0), list, "len {len}");
             assert_eq!(packed.list_len(0), len);
-            assert_eq!(packed.num_postings(), len);
             assert_eq!(packed.num_blocks(), len.div_ceil(PACKED_BLOCK));
         }
     }
@@ -544,12 +476,11 @@ mod tests {
             vec![u32::MAX],
         ];
         let packed = packed_of(&lists);
-        assert_eq!(packed.num_terms(), lists.len());
         for (t, list) in lists.iter().enumerate() {
             assert_eq!(&decode(&packed, t as u32), list, "term {t}");
         }
         // The narrow list really packed down to ~1 byte per id.
-        assert!(packed.arena_bytes() < packed.num_postings() * 4);
+        assert!(packed.arena_bytes() < lists.iter().map(Vec::len).sum::<usize>() * 4);
     }
 
     #[test]
@@ -565,36 +496,9 @@ mod tests {
             lists.push(ids);
         }
         let packed = packed_of(&lists);
-        assert_eq!(packed.num_postings(), lists.iter().map(Vec::len).sum::<usize>());
         for (t, list) in lists.iter().enumerate() {
             assert_eq!(&decode(&packed, t as u32), list, "term {t}");
         }
-    }
-
-    #[test]
-    fn packed_probe_finds_exactly_the_members() {
-        // A two-block list with gaps; probes cover members, non-members
-        // inside gaps, ids below the first block and past the last.
-        let list: Vec<u32> = (0..150u32).map(|i| i * 7 + 3).collect();
-        let packed = packed_of(std::slice::from_ref(&list));
-        let probes: Vec<u32> = (0..1100u32).collect();
-        let mut scratch = Vec::new();
-        let mut hits = Vec::new();
-        let (decoded, skipped) = packed.probe_sorted(0, &probes, &mut scratch, |id| hits.push(id));
-        let expect: Vec<u32> = list.iter().copied().filter(|&id| id < 1100).collect();
-        assert_eq!(hits, expect);
-        assert_eq!(decoded + skipped, packed.num_blocks() as u64);
-        // Sparse probes against a long list must skip most blocks.
-        let long: Vec<u32> = (0..1000u32).collect();
-        let packed = packed_of(&[long]);
-        let mut hits = Vec::new();
-        let (decoded, skipped) =
-            packed.probe_sorted(0, &[5, 999], &mut scratch, |id| hits.push(id));
-        assert_eq!(hits, vec![5, 999]);
-        // 1000 ids → 16 blocks; only the two blocks holding a probe id
-        // are decoded, the other 14 are stepped over via skip pointers.
-        assert_eq!(decoded, 2);
-        assert_eq!(skipped, 14);
     }
 
     fn splitmix(state: &mut u64) -> u64 {

@@ -7,12 +7,19 @@
 //! and a [`Query`] into every answer the crate serves — `top_k`,
 //! `within`, the combined lookup, and the by-content probe — through the
 //! one verification loop ([`crate::verify_candidates_bounded`]). Kernel
-//! work and instrumentation therefore have one place to go.
+//! work and instrumentation therefore have one place to go. The gather
+//! has one scaffold too ([`gather_merged`]): an inverted index supplies
+//! only its merge pass, and the stop-gram fallback, the counting and the
+//! top-candidate selection around it are stated here once.
 
+use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::Distance;
 
-use crate::candgen::{CandFilter, RecordMeta};
+use crate::candgen::{
+    select_top_candidates, select_top_candidates_weighted, CandFilter, RecordMeta,
+};
+use crate::scratch::with_scored;
 use crate::{
     lookup_from_verified, sort_neighbors, verify_candidates_bounded, LookupCost, LookupSpec,
     LookupWeights, PairDistanceCache, RecordView,
@@ -54,6 +61,49 @@ impl Gathered {
     }
 }
 
+/// The gather of an inverted index, around its merge pass.
+///
+/// `merge(include_stops, scored)` merges the query's postings once,
+/// appending every candidate sharing a merged term as `(id, weight, shared
+/// gram mass)`, and returns the query gram mass it left unmerged as stop
+/// grams (the count filter's slack) with the number of stop terms dropped.
+/// The first pass drops stop grams; if that leaves nothing although terms
+/// were dropped — every candidate-bearing term was a stop gram, common for
+/// short records in skewed corpora — the query is not dropped on the floor
+/// (that would silently cost recall, and the SN criterion its growth
+/// estimate) but merged again with stop grams included. The `limit` best
+/// candidates are kept; `weights` — the multiplicities of a collapsed
+/// corpus with the query's own — makes the limit count full-corpus
+/// candidates.
+///
+/// The untruncated scored set lives in a thread-local buffer
+/// ([`with_scored`]) reused across lookups, so the steady-state hot path
+/// allocates only the two truncated output lists.
+pub(crate) fn gather_merged(
+    mut merge: impl FnMut(bool, &mut Vec<(u32, f64, u32)>) -> (u32, u64),
+    limit: usize,
+    weights: Option<(&[u32], u32)>,
+    query_meta: RecordMeta,
+) -> Gathered {
+    with_scored(|scored| {
+        scored.clear();
+        let (mut slack, dropped) = merge(false, scored);
+        incr(Counter::StopGramsDropped, dropped);
+        if scored.is_empty() && dropped > 0 {
+            (slack, _) = merge(true, scored);
+        }
+        let generated = scored.len() as u64;
+        incr(Counter::CandidatesGenerated, generated);
+        let (ids, overlaps) = match weights {
+            Some((mult, self_mult)) => {
+                select_top_candidates_weighted(scored, limit, mult, self_mult)
+            }
+            None => select_top_candidates(scored, limit),
+        };
+        Gathered { ids, generated, query_meta, overlaps: Some(overlaps), slack }
+    })
+}
+
 /// What the driver needs from an index family.
 pub(crate) trait CandidateSource {
     /// The distance candidates are verified with.
@@ -74,12 +124,8 @@ pub(crate) trait CandidateSource {
     /// the index keeps no statistics.
     fn filter_stats(&self) -> Option<(u32, &[RecordMeta])>;
 
-    /// Candidates for indexed record `id`. `radius_bound` is set only by
-    /// pure radius queries and lets the source stop admitting candidates
-    /// that cannot lie within it; the combined lookup must not set it,
-    /// because its growth estimate needs neighbors out to `p · nn(v)`,
-    /// which the radius does not bound.
-    fn gather_candidates(&self, id: u32, radius_bound: Option<f64>) -> Gathered;
+    /// Candidates for indexed record `id`.
+    fn gather_candidates(&self, id: u32) -> Gathered;
 }
 
 /// Verify one gather: arm the q-gram filter from the source's statistics
@@ -145,12 +191,12 @@ pub(crate) fn lookup<S: CandidateSource>(
     p: f64,
     cache: Option<&dyn PairDistanceCache>,
 ) -> (Vec<Neighbor>, f64, LookupCost) {
-    lookup_gathered(source, Query::Indexed(id), source.gather_candidates(id, None), spec, p, cache)
+    lookup_gathered(source, Query::Indexed(id), source.gather_candidates(id), spec, p, cache)
 }
 
 /// [`crate::NnIndex::top_k`]: in the index's own id space, unweighted.
 pub(crate) fn top_k<S: CandidateSource>(source: &S, id: u32, k: usize) -> Vec<Neighbor> {
-    let gathered = source.gather_candidates(id, None);
+    let gathered = source.gather_candidates(id);
     let (mut verified, _) =
         verify(source, Query::Indexed(id), &gathered, LookupSpec::TopK(k), 1.0, None, None);
     sort_neighbors(&mut verified);
@@ -160,7 +206,7 @@ pub(crate) fn top_k<S: CandidateSource>(source: &S, id: u32, k: usize) -> Vec<Ne
 
 /// [`crate::NnIndex::within`]: in the index's own id space, unweighted.
 pub(crate) fn within<S: CandidateSource>(source: &S, id: u32, radius: f64) -> Vec<Neighbor> {
-    let gathered = source.gather_candidates(id, Some(radius));
+    let gathered = source.gather_candidates(id);
     let (mut verified, _) =
         verify(source, Query::Indexed(id), &gathered, LookupSpec::Radius(radius), 1.0, None, None);
     verified.retain(|n| n.dist < radius);

@@ -13,11 +13,10 @@
 
 use std::collections::HashMap;
 
-use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::{record_term_set, CompiledRecords, Distance, TermSet};
 
-use crate::candgen::{select_top_candidates, select_top_candidates_weighted, RecordMeta};
+use crate::candgen::RecordMeta;
 use crate::driver::{self, CandidateSource, Gathered, Query};
 use crate::scratch::with_scoreboard;
 use crate::{LookupCost, LookupSpec, NnIndex, PairDistanceCache, RecordView};
@@ -179,8 +178,7 @@ impl<D: Distance> DynamicInvertedIndex<D> {
         self.gather(id, limit).ids
     }
 
-    /// Generate, score, truncate; mirrors the static index's gather,
-    /// including the stop-gram fallback for fully-stopped queries.
+    /// Generate, score, truncate.
     fn gather(&self, id: u32, limit: usize) -> Gathered {
         let fields: Vec<&str> = self.records[id as usize].iter().map(String::as_str).collect();
         let ts = record_term_set(&fields, self.config.q, self.config.index_tokens);
@@ -189,51 +187,36 @@ impl<D: Distance> DynamicInvertedIndex<D> {
 
     /// [`Self::gather`] over an explicit term set — the shared entry for
     /// indexed queries (`exclude = Some(id)`) and by-content probes of
-    /// records not (yet) in the index (`exclude = None`).
+    /// records not (yet) in the index (`exclude = None`): the driver's
+    /// gather scaffold around this index's merge.
     fn gather_terms(&self, ts: &TermSet, exclude: Option<u32>, limit: usize) -> Gathered {
-        let (mut scored, mut slack, dropped) = self.generate_terms(ts, exclude, false);
-        incr(Counter::StopGramsDropped, dropped);
-        if scored.is_empty() && dropped > 0 {
-            let (rescored, reslack, _) = self.generate_terms(ts, exclude, true);
-            scored = rescored;
-            slack = reslack;
-        }
-        let generated = scored.len() as u64;
-        incr(Counter::CandidatesGenerated, generated);
-        let (ids, overlaps) = match &self.mult {
-            Some(m) => {
-                let self_mult = exclude.map_or(1, |id| m[id as usize]);
-                select_top_candidates_weighted(&mut scored, limit, m, self_mult)
-            }
-            None => select_top_candidates(&mut scored, limit),
-        };
-        Gathered {
-            ids,
-            generated,
-            query_meta: RecordMeta { chars: ts.chars, grams: ts.gram_total },
-            overlaps: Some(overlaps),
-            slack,
-        }
+        driver::gather_merged(
+            |include_stops, scored| self.generate_terms(ts, exclude, include_stops, scored),
+            limit,
+            self.mult.as_deref().map(|m| (m, exclude.map_or(1, |id| m[id as usize]))),
+            RecordMeta { chars: ts.chars, grams: ts.gram_total },
+        )
     }
 
-    /// One merge pass: scored candidates `(id, weight, shared gram mass)`,
-    /// plus the stop-gram slack and the number of dropped stop terms.
-    /// Accumulates on the epoch-stamped thread-local scoreboard (the same
-    /// kernel as the static index) instead of the historical per-query
-    /// `HashMap`; an indexed query's own id is excluded by pre-stamping
-    /// its slot. Terms are applied in the term-set's sorted order, so
-    /// per-candidate weight sums match the historical path bit for bit.
+    /// One merge pass: appends the scored candidates `(id, weight, shared
+    /// gram mass)` to `out` and returns the stop-gram slack and the number
+    /// of dropped stop terms. The scalar merge on the epoch-stamped
+    /// thread-local scoreboard (the accumulator of the static index); an
+    /// indexed query's own id is excluded by pre-stamping its slot. Terms
+    /// are applied in the term-set's sorted order, which fixes every
+    /// per-candidate `f64` weight sum.
     fn generate_terms(
         &self,
         ts: &TermSet,
         exclude: Option<u32>,
         include_stops: bool,
-    ) -> (Vec<(u32, f64, u32)>, u32, u64) {
+        out: &mut Vec<(u32, f64, u32)>,
+    ) -> (u32, u64) {
         let n = self.n_full.max(1) as f64;
         let max_df = (self.config.max_df_fraction * n).max(f64::from(self.config.stop_df_floor));
         let mut slack = 0u32;
         let mut dropped = 0u64;
-        let scored = with_scoreboard(|board| {
+        with_scoreboard(|board| {
             board.begin(self.records.len());
             if let Some(id) = exclude {
                 board.exclude(id);
@@ -252,14 +235,11 @@ impl<D: Distance> DynamicInvertedIndex<D> {
                     dropped += 1;
                     continue;
                 }
-                let weight = (1.0 + n / df).ln();
-                for &other in ids {
-                    board.add(other, weight, *gram_count);
-                }
+                board.add_run(ids.iter().copied(), (1.0 + n / df).ln(), *gram_count);
             }
-            board.drain()
+            board.drain_into(out);
         });
-        (scored, slack, dropped)
+        (slack, dropped)
     }
 
     /// Combined lookup **by content**: the nearest neighbors of a record
@@ -304,9 +284,7 @@ impl<D: Distance> CandidateSource for DynamicInvertedIndex<D> {
         self.filter_ok.then_some((self.config.q as u32, &self.meta[..]))
     }
 
-    /// The append-only postings have no rare-first order to stop early
-    /// in, so `radius_bound` goes unused.
-    fn gather_candidates(&self, id: u32, _radius_bound: Option<f64>) -> Gathered {
+    fn gather_candidates(&self, id: u32) -> Gathered {
         self.gather(id, self.config.candidate_limit)
     }
 }

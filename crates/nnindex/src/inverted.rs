@@ -23,14 +23,15 @@
 //! large", so lookups hit the database buffer — the locality the
 //! breadth-first lookup order of §4.1.1 exploits).
 //!
-//! On top of the merge sits the **candidate ladder** (DESIGN.md §7.3):
-//! q-gram length/count pruning during verification, and a MergeSkip-style
-//! rare-terms-first merge for radius queries that stops admitting new
-//! candidates once the remaining gram mass cannot reach the radius's
-//! overlap bound. All pruning reuses the exact running cutoff of bounded
-//! verification, so results are identical to the unfiltered path; where no
-//! sound bound exists (distances without
-//! [`Distance::admits_qgram_filter`]) the filters degrade to no-ops.
+//! Both layouts merge onto the one epoch-stamped scoreboard
+//! (`scratch::Scoreboard`), and the lookup driver's gather scaffold
+//! wraps either merge in the same stop-gram fallback and top-candidate
+//! selection. On top of the merge sits the **candidate ladder**
+//! (DESIGN.md §7.3): q-gram length/count pruning during verification,
+//! reusing the exact running cutoff of bounded verification, so results
+//! are identical to the unfiltered path; where no sound bound exists
+//! (distances without [`Distance::admits_qgram_filter`]) the filters
+//! degrade to no-ops.
 //!
 //! Like the paper, we *treat this index as exact* (§4: "For the purpose of
 //! this paper, we treat these probabilistic indexes as exact nearest
@@ -42,13 +43,11 @@ use std::sync::Arc;
 
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_storage::{BufferPool, HeapFile, Page, RecordId};
-use fuzzydedup_textdist::{merge_overlap_bound, record_term_set, CompiledRecords, Distance};
+use fuzzydedup_textdist::{record_term_set, CompiledRecords, Distance};
 
-use crate::candgen::{
-    select_top_candidates, select_top_candidates_weighted, PackedPostings, RecordMeta,
-};
+use crate::candgen::{PackedPostings, RecordMeta};
 use crate::driver::{self, CandidateSource, Gathered};
-use crate::scratch::{with_merge_stage, with_scoreboard, with_scored, StageRun};
+use crate::scratch::{with_merge_stage, with_scoreboard, StageRun};
 use crate::{LookupCost, LookupSpec, NnIndex, PairDistanceCache, RecordView};
 use fuzzydedup_metrics::{incr, Counter};
 
@@ -70,8 +69,7 @@ const STAGE_CAP: usize = 4096;
 pub enum PostingsSource {
     /// The in-memory delta-encoded block-compressed arena (default): ~4×
     /// denser than raw `u32` postings, merged by the staged lane-wise
-    /// frontier, topped up post-freeze through per-block max-id skip
-    /// pointers.
+    /// frontier.
     #[default]
     Packed,
     /// Heap-file postings read through the buffer pool: the paper's
@@ -161,7 +159,7 @@ pub struct InvertedIndex<D> {
     terms: Vec<TermEntry>,
     postings: Postings,
     /// Per-record query terms cached at build, document-frequency
-    /// ascending (rarest first, the MergeSkip merge order).
+    /// ascending (rarest first: the packed merge's term order).
     queries: Vec<Vec<QueryTerm>>,
     /// Per-record length/gram statistics for the pruning filters.
     meta: Vec<RecordMeta>,
@@ -325,11 +323,6 @@ impl<D: Distance> InvertedIndex<D> {
         &self.records
     }
 
-    /// Number of distinct terms in the dictionary.
-    pub fn dictionary_size(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Number of heap pages occupied by postings (`0` for a packed index,
     /// which never touches the pool).
     pub fn postings_pages(&self) -> usize {
@@ -349,15 +342,15 @@ impl<D: Distance> InvertedIndex<D> {
     /// Postings footprint as `(raw, packed)`: the raw `4 × postings` a
     /// `u32`-per-posting layout takes (what a [`PostingsSource::Pages`]
     /// index writes, before page overhead) against the delta arena plus its
-    /// block directory (first/last/offset 4 B each, length 2 B, width 1 B
-    /// per block) — `0` for an index that holds no arena. Per-term offset
+    /// block directory (first id and offset 4 B each, length 2 B, width
+    /// 1 B per block) — `0` for an index that holds no arena. Per-term offset
     /// tables are excluded from both counts. Backs the compression ratio
     /// quoted in DESIGN §7.7.
     pub fn postings_bytes(&self) -> (usize, usize) {
         // Every record appears once in the list of each of its terms.
         let raw = self.queries.iter().map(Vec::len).sum::<usize>() * 4;
         let packed = match &self.postings {
-            Postings::Packed(packed) => packed.arena_bytes() + packed.num_blocks() * 15,
+            Postings::Packed(packed) => packed.arena_bytes() + packed.num_blocks() * 11,
             Postings::Pages(_) => 0,
         };
         (raw, packed)
@@ -366,78 +359,13 @@ impl<D: Distance> InvertedIndex<D> {
     /// Candidate ids for a query record in verification order (highest
     /// shared IDF weight first). Public for benchmarks and experiments.
     pub fn generate_candidates(&self, id: u32) -> Vec<u32> {
-        self.gather(id, None).ids
-    }
-
-    /// Candidate ids for a radius query: same as
-    /// [`Self::generate_candidates`] but with the MergeSkip bound active
-    /// for `radius`. Public for benchmarks and experiments.
-    pub fn generate_candidates_radius(&self, id: u32, radius: f64) -> Vec<u32> {
-        self.gather(id, Some(radius)).ids
-    }
-
-    /// Generate, score, truncate. `radius_bound` (set only by radius queries)
-    /// enables the MergeSkip bound for that radius; the combined lookup
-    /// must not pass it, because its growth estimate needs neighbors out
-    /// to `p · nn(v)`, which the radius does not bound.
-    ///
-    /// The untruncated scored set drains into a thread-local buffer
-    /// ([`with_scored`]) reused across lookups, so the steady-state hot
-    /// path allocates only the two truncated output lists.
-    fn gather(&self, id: u32, radius_bound: Option<f64>) -> Gathered {
-        with_scored(|scored| {
-            scored.clear();
-            let generate = |include_stops, radius_bound, scored: &mut _| match &self.postings {
-                Postings::Packed(packed) => {
-                    self.generate_packed(packed, id, include_stops, radius_bound, scored)
-                }
-                Postings::Pages(paged) => self.generate_pages(paged, id, include_stops, scored),
-            };
-            let (mut slack, dropped) = generate(false, radius_bound, scored);
-            incr(Counter::StopGramsDropped, dropped);
-            if scored.is_empty() && dropped > 0 {
-                // Every candidate-bearing term was a stop gram (common for
-                // short records in skewed corpora). Dropping the query on
-                // the floor would silently cost recall — and the SN
-                // criterion its growth estimate — so retry with stop grams
-                // included.
-                (slack, _) = generate(true, None, scored);
-            }
-            let generated = scored.len() as u64;
-            incr(Counter::CandidatesGenerated, generated);
-            let (ids, overlaps) = match &self.mult {
-                Some(m) => select_top_candidates_weighted(
-                    scored,
-                    self.config.candidate_limit,
-                    m,
-                    m[id as usize],
-                ),
-                None => select_top_candidates(scored, self.config.candidate_limit),
-            };
-            Gathered {
-                ids,
-                generated,
-                query_meta: self.meta[id as usize],
-                overlaps: Some(overlaps),
-                slack,
-            }
-        })
+        self.gather_candidates(id).ids
     }
 
     /// Packed merge: the staged lane-wise frontier over the delta-block
-    /// arena (DESIGN.md §7.7), walking the cached query terms rarest-first.
-    ///
-    /// For radius queries the rare-first order buys the MergeSkip bound:
-    /// a candidate within normalized radius θ of the query (char count
-    /// `cq`, q-gram mass `cq + q - 1`) must share at least
-    /// `B_min = cq·(1 - θ·q) + (q - 1)` gram mass with it (see DESIGN.md
-    /// §7.3; requires `θ·q < 1`). Once the gram mass remaining in the
-    /// unmerged (most frequent, longest) lists plus the stop-gram slack
-    /// drops below `B_min`, a candidate not yet on the scoreboard can
-    /// never qualify — so the merge stops admitting new candidates and
-    /// only tops up the ones already seen, through the per-block max-id
-    /// skip pointers ([`PackedPostings::probe_sorted`]) when that is
-    /// cheaper than scanning.
+    /// arena (DESIGN.md §7.7), walking the cached query terms rarest-first:
+    /// whole lists decode into a flat stage, and up to [`FRONTIER_LANES`]
+    /// term runs are applied per scoreboard pass.
     ///
     /// Scores match a scalar one-term-at-a-time merge bit for bit (the
     /// packed-equivalence suite holds it to one):
@@ -445,8 +373,6 @@ impl<D: Distance> InvertedIndex<D> {
     /// * terms are applied to the scoreboard strictly in cached-query
     ///   order (df-ascending = list-length-ascending), so every
     ///   candidate's `f64` weight accumulates in that order;
-    /// * the freeze point is *precomputed*: it depends only on the
-    ///   remaining-mass trajectory, never on the scoreboard;
     /// * the query's own id is excluded by pre-stamping its slot, which
     ///   spares a per-posting `other != id` branch without changing the
     ///   admitted set.
@@ -455,14 +381,12 @@ impl<D: Distance> InvertedIndex<D> {
         packed: &PackedPostings,
         id: u32,
         include_stops: bool,
-        radius_bound: Option<f64>,
         out: &mut Vec<(u32, f64, u32)>,
     ) -> (u32, u64) {
         let query = &self.queries[id as usize];
         let mut slack = 0u32;
         let mut dropped = 0u64;
-        let mut remaining = 0u32; // mergeable gram mass not yet consumed
-                                  // The mergeable terms, in query (df-ascending) order.
+        // The mergeable terms, in query (df-ascending) order.
         let mut mergeable: Vec<(u32, u32)> = Vec::with_capacity(query.len());
         for &(tid, gram_count) in query {
             if !include_stops && self.terms[tid as usize].stop {
@@ -470,44 +394,17 @@ impl<D: Distance> InvertedIndex<D> {
                 dropped += 1;
             } else {
                 mergeable.push((tid, gram_count));
-                remaining += gram_count;
-            }
-        }
-        let b_min = radius_bound.and_then(|theta| {
-            if !self.filter_ok {
-                return None;
-            }
-            merge_overlap_bound(self.meta[id as usize].chars, self.config.q, theta)
-        });
-        // Precompute the freeze point: the first mergeable term before
-        // whose merge admission stops. The check depends only on the
-        // remaining/slack trajectory; the margin is conservative — on a
-        // tie, keep admitting.
-        let mut freeze_at = mergeable.len();
-        if let Some(b_min) = b_min {
-            let mut rem = remaining;
-            for (k, &(_, gram_count)) in mergeable.iter().enumerate() {
-                if f64::from(rem) + f64::from(slack) + 1e-9 < b_min {
-                    freeze_at = k;
-                    break;
-                }
-                rem -= gram_count;
             }
         }
         let mut scanned = 0u64;
         let mut batches = 0u64;
         let mut blocks_scanned = 0u64;
-        let mut block_skips = 0u64;
-        let mut postings_skipped = 0u64;
         with_scoreboard(|board| {
             with_merge_stage(|stage| {
                 board.begin(self.records.len());
                 board.exclude(id);
-                // Admission phase: decode whole lists into the flat
-                // stage and flush up to FRONTIER_LANES term runs per
-                // scoreboard pass.
                 stage.clear();
-                for (k, &(tid, gram_count)) in mergeable[..freeze_at].iter().enumerate() {
+                for (k, &(tid, gram_count)) in mergeable.iter().enumerate() {
                     // Pull the next list's delta bytes toward L1 while
                     // this one is decoded.
                     if let Some(&(next_tid, _)) = mergeable.get(k + 1) {
@@ -530,56 +427,19 @@ impl<D: Distance> InvertedIndex<D> {
                     batches += 1;
                     stage.clear();
                 }
-                if freeze_at < mergeable.len() {
-                    // Top-up phase: only already-admitted candidates can
-                    // still gain mass. The stamp scan yields ids already
-                    // sorted, which lets the probe walk ride the block
-                    // skip pointers.
-                    let frozen_sorted = board.admitted_ids();
-                    for &(tid, gram_count) in &mergeable[freeze_at..] {
-                        let entry = &self.terms[tid as usize];
-                        let list_len = packed.list_len(tid);
-                        // Probe when the board is small relative to the
-                        // list; otherwise scan with a membership check.
-                        let probe_cost =
-                            frozen_sorted.len() * (usize::BITS - list_len.leading_zeros()) as usize;
-                        if probe_cost < list_len {
-                            postings_skipped += list_len as u64;
-                            let (dec, skip) =
-                                packed.probe_sorted(tid, &frozen_sorted, &mut stage.block, |fid| {
-                                    board.add(fid, entry.weight, gram_count)
-                                });
-                            blocks_scanned += dec;
-                            block_skips += skip;
-                        } else {
-                            scanned += list_len as u64;
-                            for block in packed.blocks(tid) {
-                                stage.block.clear();
-                                packed.decode_block(block, &mut stage.block);
-                                blocks_scanned += 1;
-                                for &other in &stage.block {
-                                    if board.contains(other) {
-                                        board.add(other, entry.weight, gram_count);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
                 board.drain_into(out);
             })
         });
         incr(Counter::NnPostingsScanned, scanned);
-        incr(Counter::PostingsSkipped, postings_skipped);
         incr(Counter::CandBlocksScanned, blocks_scanned);
-        incr(Counter::CandBlockSkips, block_skips);
         incr(Counter::CandFrontierBatches, batches);
         (slack, dropped)
     }
 
     /// Page-backed merge: re-extracts the query's term set, resolves term
     /// strings through the dictionary, and fetches every postings chunk
-    /// through the buffer pool.
+    /// through the buffer pool — one term at a time in term-set order, onto
+    /// the same scoreboard as the packed merge.
     fn generate_pages(
         &self,
         paged: &PagedPostings,
@@ -590,33 +450,32 @@ impl<D: Distance> InvertedIndex<D> {
         let record = &self.records[id as usize];
         let fields: Vec<&str> = record.iter().map(String::as_str).collect();
         let ts = record_term_set(&fields, self.config.q, self.config.index_tokens);
-        let mut scores: HashMap<u32, (f64, u32)> = HashMap::new();
         let mut scanned = 0u64;
         let mut slack = 0u32;
         let mut dropped = 0u64;
-        for (term, gram_count) in &ts.terms {
-            let Some(&tid) = paged.term_ids.get(term) else { continue };
-            let entry = &self.terms[tid as usize];
-            if !include_stops && entry.stop {
-                slack += gram_count;
-                dropped += 1;
-                continue;
-            }
-            for &chunk in &paged.chunks[tid as usize] {
-                let bytes = paged.heap.get(chunk).expect("postings chunk exists");
-                scanned += (bytes.len() / 4) as u64;
-                for raw in bytes.chunks_exact(4) {
-                    let other = u32::from_le_bytes(raw.try_into().unwrap());
-                    if other != id {
-                        let slot = scores.entry(other).or_insert((0.0, 0));
-                        slot.0 += entry.weight;
-                        slot.1 += gram_count;
-                    }
+        with_scoreboard(|board| {
+            board.begin(self.records.len());
+            board.exclude(id);
+            for (term, gram_count) in &ts.terms {
+                let Some(&tid) = paged.term_ids.get(term) else { continue };
+                let entry = &self.terms[tid as usize];
+                if !include_stops && entry.stop {
+                    slack += gram_count;
+                    dropped += 1;
+                    continue;
+                }
+                for &chunk in &paged.chunks[tid as usize] {
+                    let bytes = paged.heap.get(chunk).expect("postings chunk exists");
+                    scanned += (bytes.len() / 4) as u64;
+                    let ids = bytes.chunks_exact(4).map(|raw| {
+                        u32::from_le_bytes(raw.try_into().expect("chunks_exact(4) yields 4 bytes"))
+                    });
+                    board.add_run(ids, entry.weight, *gram_count);
                 }
             }
-        }
+            board.drain_into(out);
+        });
         incr(Counter::NnPostingsScanned, scanned);
-        out.extend(scores.into_iter().map(|(c, (w, o))| (c, w, o)));
         (slack, dropped)
     }
 }
@@ -640,8 +499,18 @@ impl<D: Distance> CandidateSource for InvertedIndex<D> {
         self.filter_ok.then_some((self.config.q as u32, &self.meta[..]))
     }
 
-    fn gather_candidates(&self, id: u32, radius_bound: Option<f64>) -> Gathered {
-        self.gather(id, radius_bound)
+    /// Generate, score, truncate: the driver's gather scaffold around this
+    /// index's one merge.
+    fn gather_candidates(&self, id: u32) -> Gathered {
+        driver::gather_merged(
+            |include_stops, scored| match &self.postings {
+                Postings::Packed(packed) => self.generate_packed(packed, id, include_stops, scored),
+                Postings::Pages(paged) => self.generate_pages(paged, id, include_stops, scored),
+            },
+            self.config.candidate_limit,
+            self.mult.as_deref().map(|m| (m, m[id as usize])),
+            self.meta[id as usize],
+        )
     }
 }
 
@@ -794,7 +663,7 @@ mod tests {
         let config =
             InvertedIndexConfig { postings_source: PostingsSource::Pages, ..Default::default() };
         let idx = InvertedIndex::build(corpus(), EditDistance, pool.clone(), config);
-        assert!(idx.dictionary_size() > 10);
+        assert!(idx.terms.len() > 10);
         assert!(idx.postings_pages() >= 1);
         pool.reset_stats();
         idx.top_k(0, 3);
@@ -931,10 +800,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_skip_preserves_radius_results() {
-        // Corpora with shared prefixes and varied lengths: radius merges
-        // enter skip mode partway through the gram mass, and must still
-        // return exactly what the unfiltered control returns.
+    fn radius_results_match_the_unfiltered_control() {
+        // Corpora with shared prefixes and varied lengths, tight radii
+        // over long queries: `within` must return exactly what the
+        // unfiltered control returns.
         let records: Vec<Vec<String>> = (0..40)
             .map(|i| {
                 let base = match i % 4 {
@@ -951,18 +820,11 @@ mod tests {
         let disk = Arc::new(InMemoryDisk::new());
         let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(16), disk));
         let control = InvertedIndex::build(records, UnfilteredDistance(EditDistance), pool, config);
-        let ((), delta) = fuzzydedup_metrics::scoped(|| {
-            for id in 0..idx.len() as u32 {
-                for radius in [0.05, 0.15, 0.3] {
-                    assert_eq!(idx.within(id, radius), control.within(id, radius), "id {id}");
-                }
+        for id in 0..idx.len() as u32 {
+            for radius in [0.05, 0.15, 0.3] {
+                assert_eq!(idx.within(id, radius), control.within(id, radius), "id {id}");
             }
-        });
-        assert_eq!(
-            delta.get(Counter::PostingsSkipped),
-            802,
-            "tight radii over long queries must trigger merge skipping"
-        );
+        }
     }
 
     #[test]

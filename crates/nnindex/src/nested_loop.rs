@@ -50,11 +50,6 @@ impl<D: Distance> NestedLoopIndex<D> {
         &self.records
     }
 
-    /// The distance function.
-    pub fn distance_fn(&self) -> &D {
-        &self.distance
-    }
-
     /// Distance between two records by id.
     pub fn distance_between(&self, a: u32, b: u32) -> f64 {
         let ra: Vec<&str> = self.records[a as usize].iter().map(String::as_str).collect();
@@ -97,7 +92,7 @@ impl<D: Distance> CandidateSource for NestedLoopIndex<D> {
     }
 
     /// Every other record is a candidate.
-    fn gather_candidates(&self, id: u32, _radius_bound: Option<f64>) -> Gathered {
+    fn gather_candidates(&self, id: u32) -> Gathered {
         let ids = (0..self.records.len() as u32).filter(|&other| other != id).collect();
         Gathered::ids_only(ids, RecordMeta::default())
     }

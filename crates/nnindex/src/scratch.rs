@@ -1,14 +1,17 @@
 //! Reusable per-thread lookup scratch: an epoch-stamped dense scoreboard.
 //!
 //! Candidate generation accumulates per-candidate shared IDF weight and
-//! q-gram overlap while merging postings lists. A `HashMap` per lookup
-//! (the historical implementation) pays an allocation plus hashing per
-//! posting id; the scoreboard replaces it with dense arrays indexed by
-//! record id, **epoch-stamped** so that starting a new lookup is one
-//! counter bump instead of an `O(n)` clear. The scoreboard lives in a
-//! thread-local, so repeated lookups allocate nothing and the kernel
-//! composes with `compute_nn_reln_parallel`'s scoped workers (each worker
-//! thread lazily materializes its own scoreboard).
+//! q-gram overlap while merging postings lists. [`Scoreboard`] is the one
+//! accumulator every postings layout merges onto — the packed arena
+//! through the staged [`Scoreboard::apply_runs`], heap-file pages and the
+//! dynamic index's append-only lists through the scalar
+//! [`Scoreboard::add_run`]: a dense array indexed by record id,
+//! **epoch-stamped** so that starting a new lookup is one counter bump
+//! instead of an `O(n)` clear (a `HashMap` per lookup pays an allocation
+//! plus hashing per posting id). The scoreboard lives in a thread-local,
+//! so repeated lookups allocate nothing and the kernel composes with
+//! `compute_nn_reln_parallel`'s scoped workers (each worker thread lazily
+//! materializes its own scoreboard).
 
 use std::cell::RefCell;
 
@@ -36,12 +39,9 @@ struct Slot {
 /// bookkeeping) per posting, and reading the results back through such a
 /// list costs one *random* slot load per candidate. Instead the admitted
 /// set is recovered by a sequential stamp scan over `slots[..active]`
-/// ([`Scoreboard::drain_into`] / [`Scoreboard::admitted_ids`]) — a dense,
-/// prefetcher-friendly sweep that is cheaper than the random walk
-/// whenever a lookup admits more than a few percent of the corpus, which
-/// the postings merge always does. The scan also yields ids in ascending
-/// order, so consumers that need sorted admission sets (the MergeSkip
-/// top-up probes) get them for free.
+/// ([`Scoreboard::drain_into`]) — a dense, prefetcher-friendly sweep that
+/// is cheaper than the random walk whenever a lookup admits more than a
+/// few percent of the corpus, which the postings merge always does.
 #[derive(Default)]
 pub(crate) struct Scoreboard {
     epoch: u32,
@@ -85,11 +85,10 @@ impl Scoreboard {
         self.excluded = id;
     }
 
-    /// Drop the excluded slot's stamp so the stamp scans skip it without
+    /// Drop the excluded slot's stamp so the stamp scan skips it without
     /// a per-slot comparison. Stamp 0 is never the current epoch (see
-    /// [`Scoreboard::begin`]), and idempotence makes it safe to call
-    /// before every scan. Further [`Scoreboard::add`]s to the id would
-    /// re-admit it, so scans must come after the merge — which is the
+    /// [`Scoreboard::begin`]). Further [`Scoreboard::add`]s to the id would
+    /// re-admit it, so the scan must come after the merge — which is the
     /// only order the lookup paths ever use.
     #[inline]
     fn unstamp_excluded(&mut self) {
@@ -112,6 +111,19 @@ impl Scoreboard {
         }
     }
 
+    /// The scalar merge's inner loop: one term's postings, each gaining
+    /// the term's `weight` and `overlap`. Layouts that hand over a term at
+    /// a time — heap-file chunks, the dynamic index's lists — merge through
+    /// here; the packed arena stages several terms for
+    /// [`Scoreboard::apply_runs`], which must leave the board as this
+    /// would.
+    #[inline]
+    pub fn add_run(&mut self, ids: impl IntoIterator<Item = u32>, weight: f64, overlap: u32) {
+        for id in ids {
+            self.add(id, weight, overlap);
+        }
+    }
+
     /// Pull a candidate's slot toward L1 ahead of its [`Scoreboard::add`]
     /// — the merge scan knows the next several posting ids while the
     /// current one is being scored, and the slot accesses are the loop's
@@ -127,37 +139,6 @@ impl Scoreboard {
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = id;
-    }
-
-    /// Whether a candidate has been stamped this epoch.
-    #[inline]
-    pub fn contains(&self, id: u32) -> bool {
-        self.slots[id as usize].stamp == self.epoch
-    }
-
-    /// The admitted ids of this epoch (excluded id withheld), ascending.
-    ///
-    /// A branchless sequential stamp scan: every slot writes its id to
-    /// the output cursor unconditionally and the cursor advances by the
-    /// stamp match, so the sweep runs at streaming speed regardless of
-    /// how the admitted set is scattered.
-    pub fn admitted_ids(&mut self) -> Vec<u32> {
-        self.unstamp_excluded();
-        let epoch = self.epoch;
-        let active = self.active;
-        let mut out: Vec<u32> = Vec::with_capacity(active + 1);
-        let ptr = out.as_mut_ptr();
-        let mut len = 0usize;
-        for (i, slot) in self.slots[..active].iter().enumerate() {
-            // SAFETY: `len <= i < active`, and `active + 1` slots were
-            // reserved above — the unconditional store is in-bounds even
-            // when every slot matches.
-            unsafe { ptr.add(len).write(i as u32) };
-            len += usize::from(slot.stamp == epoch);
-        }
-        // SAFETY: slots `..len` were written above, `len <= active`.
-        unsafe { out.set_len(len) };
-        out
     }
 
     /// Apply a staged frontier batch: `ids` is the flat concatenation of
@@ -280,14 +261,6 @@ impl Scoreboard {
         // from before the call; the rest written above), `len` ≤ capacity.
         unsafe { out.set_len(len) };
     }
-
-    /// [`Self::drain_into`] into a fresh vector, for paths where the
-    /// allocation is not on a measured hot loop.
-    pub fn drain(&mut self) -> Vec<(u32, f64, u32)> {
-        let mut out = Vec::new();
-        self.drain_into(&mut out);
-        out
-    }
 }
 
 /// One staged term run of the lane-wise frontier merge: how many ids of
@@ -303,9 +276,8 @@ pub(crate) struct StageRun {
 }
 
 /// Reusable buffers of the staged packed-postings merge: the flat decoded
-/// id stage with its run descriptors, plus a per-block decode scratch for
-/// the skip-pointer top-up walk. Thread-local like the scoreboard, so a
-/// lookup allocates nothing after warm-up.
+/// id stage with its run descriptors. Thread-local like the scoreboard, so
+/// a lookup allocates nothing after warm-up.
 #[derive(Default)]
 pub(crate) struct MergeStage {
     /// Flat staged posting ids, concatenated across up to
@@ -313,8 +285,6 @@ pub(crate) struct MergeStage {
     pub ids: Vec<u32>,
     /// Run descriptors, in query-term order.
     pub runs: Vec<StageRun>,
-    /// Decode target for single blocks during the skip-pointer walk.
-    pub block: Vec<u32>,
 }
 
 impl MergeStage {
@@ -375,6 +345,33 @@ pub(crate) fn with_verify_scratch<R>(f: impl FnOnce(&mut VerifyScratch) -> R) ->
 mod tests {
     use super::*;
 
+    fn drained(board: &mut Scoreboard) -> Vec<(u32, f64, u32)> {
+        let mut out = Vec::new();
+        board.drain_into(&mut out);
+        out
+    }
+
+    /// The two merges every test that feeds a board runs under: the scalar
+    /// one-term-at-a-time [`Scoreboard::add_run`] and the staged
+    /// [`Scoreboard::apply_runs`], each handed `(ids, weight, overlap)`
+    /// terms in order.
+    type Merge = fn(&mut Scoreboard, &[(&[u32], f64, u32)]);
+    const MERGES: [(&str, Merge); 2] = [
+        ("scalar", |board, terms| {
+            for &(ids, weight, overlap) in terms {
+                board.add_run(ids.iter().copied(), weight, overlap);
+            }
+        }),
+        ("staged", |board, terms| {
+            let ids: Vec<u32> = terms.iter().flat_map(|t| t.0).copied().collect();
+            let runs: Vec<StageRun> = terms
+                .iter()
+                .map(|&(ids, weight, overlap)| StageRun { len: ids.len() as u32, weight, overlap })
+                .collect();
+            board.apply_runs(&ids, &runs);
+        }),
+    ];
+
     #[test]
     fn accumulates_and_resets_by_epoch() {
         let mut board = Scoreboard::default();
@@ -382,53 +379,43 @@ mod tests {
         board.add(7, 1.0, 0);
         board.add(3, 1.5, 2);
         board.add(3, 0.5, 1);
-        assert_eq!(board.admitted_ids(), vec![3, 7]);
-        assert!(board.contains(3) && board.contains(7) && !board.contains(0));
         // Drained ascending by id regardless of first-contact order.
-        let drained = board.drain();
-        assert_eq!(drained, vec![(3, 2.0, 3), (7, 1.0, 0)]);
+        assert_eq!(drained(&mut board), vec![(3, 2.0, 3), (7, 1.0, 0)]);
         // New epoch: previous contributions vanish without any clearing.
         board.begin(10);
-        assert!(board.admitted_ids().is_empty());
-        assert!(!board.contains(3));
+        assert!(drained(&mut board).is_empty());
         board.add(3, 9.0, 9);
-        assert_eq!(board.drain(), vec![(3, 9.0, 9)]);
+        assert_eq!(drained(&mut board), vec![(3, 9.0, 9)]);
     }
 
     #[test]
     fn excluded_id_never_surfaces() {
-        let mut board = Scoreboard::default();
-        board.begin(10);
-        board.exclude(4);
-        board.add(4, 1.0, 1); // self hit: absorbed, withheld from scans
-        board.add(5, 2.0, 2);
-        assert_eq!(board.admitted_ids(), vec![5]);
-        assert_eq!(board.drain(), vec![(5, 2.0, 2)]);
-        // The exclusion is per-epoch: a later lookup sees id 4 again.
-        board.begin(10);
-        board.add(4, 3.0, 3);
-        assert_eq!(board.drain(), vec![(4, 3.0, 3)]);
+        for (label, merge) in MERGES {
+            let mut board = Scoreboard::default();
+            board.begin(10);
+            board.exclude(4);
+            // Self hits are absorbed and withheld from the scan.
+            merge(&mut board, &[(&[4, 5], 1.0, 1), (&[4], 0.5, 1), (&[5], 1.0, 1)]);
+            assert_eq!(drained(&mut board), vec![(5, 2.0, 2)], "{label}");
+            // The exclusion is per-epoch: a later lookup sees id 4 again.
+            board.begin(10);
+            merge(&mut board, &[(&[4], 3.0, 3)]);
+            assert_eq!(drained(&mut board), vec![(4, 3.0, 3)], "{label}");
+        }
     }
 
     #[test]
     fn apply_runs_matches_scalar_adds() {
-        let mut staged = Scoreboard::default();
-        staged.begin(10);
-        let ids = [1u32, 3, 5, 3, 7, 1];
-        let runs = [
-            StageRun { len: 3, weight: 0.5, overlap: 2 },
-            StageRun { len: 2, weight: 1.25, overlap: 1 },
-            StageRun { len: 1, weight: 2.0, overlap: 4 },
-        ];
-        staged.apply_runs(&ids, &runs);
-        let mut scalar = Scoreboard::default();
-        scalar.begin(10);
-        for (run, chunk) in runs.iter().zip([&ids[0..3], &ids[3..5], &ids[5..6]]) {
-            for &id in chunk {
-                scalar.add(id, run.weight, run.overlap);
-            }
-        }
-        assert_eq!(staged.drain(), scalar.drain());
+        let terms: [(&[u32], f64, u32); 3] =
+            [(&[1, 3, 5], 0.5, 2), (&[3, 7], 1.25, 1), (&[1], 2.0, 4)];
+        let [scalar, staged] = MERGES.map(|(_, merge)| {
+            let mut board = Scoreboard::default();
+            board.begin(10);
+            merge(&mut board, &terms);
+            drained(&mut board)
+        });
+        assert_eq!(staged, scalar);
+        assert_eq!(scalar, vec![(1, 2.5, 6), (3, 1.75, 3), (5, 0.5, 2), (7, 1.25, 1)]);
     }
 
     #[test]
@@ -438,26 +425,28 @@ mod tests {
         board.add(1, 1.0, 1);
         board.begin(100);
         board.add(99, 1.0, 1);
-        assert_eq!(board.admitted_ids(), vec![99]);
+        assert_eq!(drained(&mut board), vec![(99, 1.0, 1)]);
         // Shrinking back re-activates only the smaller prefix: the stale
         // stamp on slot 99 is from a dead epoch and cannot resurface.
         board.begin(2);
         board.add(1, 2.0, 2);
-        assert_eq!(board.drain(), vec![(1, 2.0, 2)]);
+        assert_eq!(drained(&mut board), vec![(1, 2.0, 2)]);
     }
 
     #[test]
     fn epoch_wraparound_cannot_alias() {
-        let mut board = Scoreboard::default();
-        board.begin(4);
-        board.add(2, 1.0, 1);
-        // Force the wrap: the pre-wrap stamp on slot 2 must not read as
-        // current after the epoch counter cycles through 0.
-        board.epoch = u32::MAX;
-        board.begin(4);
-        assert!(!board.contains(2));
-        board.add(2, 5.0, 5);
-        assert_eq!(board.drain(), vec![(2, 5.0, 5)]);
+        for (label, merge) in MERGES {
+            let mut board = Scoreboard::default();
+            board.begin(4);
+            merge(&mut board, &[(&[2], 1.0, 1)]);
+            // Force the wrap: the pre-wrap stamp on slot 2 must not read as
+            // current after the epoch counter cycles through 0.
+            board.epoch = u32::MAX;
+            board.begin(4);
+            assert!(drained(&mut board).is_empty(), "{label}");
+            merge(&mut board, &[(&[2, 3], 5.0, 5), (&[2], 1.0, 1)]);
+            assert_eq!(drained(&mut board), vec![(2, 6.0, 6), (3, 5.0, 5)], "{label}");
+        }
     }
 
     #[test]
@@ -471,7 +460,7 @@ mod tests {
                 with_scoreboard(|b| {
                     b.begin(4);
                     // A sibling thread starts from its own scoreboard.
-                    assert!(b.admitted_ids().is_empty());
+                    assert!(drained(b).is_empty());
                 });
             });
         });

@@ -1,5 +1,5 @@
 //! Recall-losslessness property: the candidate ladder (length filter,
-//! q-gram count filter, MergeSkip) never changes lookup results.
+//! q-gram count filter) never changes lookup results.
 //!
 //! Every filter reuses the exact running cutoff of bounded verification,
 //! so a pruned candidate is one verification would have rejected anyway.

@@ -1,18 +1,20 @@
 //! Packed-merge equivalence property: the delta-block postings arena and
 //! the staged lane-wise frontier merge change nothing a caller can see.
 //!
-//! Two references, neither sharing any of the packed machinery:
+//! Two references, neither sharing the arena, the block decode or the
+//! staged frontier:
 //!
-//! * the **page-backed index** ([`PostingsSource::Pages`], a `HashMap`
-//!   merge over heap-file chunks) for lookup results — `top_k`, `within`
-//!   and the combined lookup's neighbors and growth must be identical,
-//!   and every radius answer must survive the MergeSkip freeze;
-//! * a **scalar merge local to this file** for the scored candidate list
-//!   itself. The packed path promises the same `f64` weights accumulated
-//!   in the same (df-ascending) term order, so the comparison is
-//!   `assert_eq!` on the ranked ids, capped or not. (Pages sums in term
-//!   *string* order, which may differ in the last ulp — enough to reorder
-//!   a weight tie at the cap — so capped corpora are held to this one.)
+//! * the **page-backed index** ([`PostingsSource::Pages`], the scalar
+//!   one-term-at-a-time merge over heap-file chunks; it shares only the
+//!   scoreboard it accumulates on) for lookup results — `top_k`, `within`
+//!   and the combined lookup's neighbors and growth must be identical;
+//! * a **scalar merge local to this file**, over `BTreeMap`s, for the
+//!   scored candidate list itself. The packed path promises the same
+//!   `f64` weights accumulated in the same (df-ascending) term order, so
+//!   the comparison is `assert_eq!` on the ranked ids, capped or not.
+//!   (Pages sums in term *string* order, which may differ in the last ulp
+//!   — enough to reorder a weight tie at the cap — so capped corpora are
+//!   held to this one.)
 //!
 //! Seeded noisy corpora plus the structural edge cases: empty posting
 //! intersections, single-term records, fully-stopped queries, collapsed
@@ -116,8 +118,8 @@ fn assert_packed_candidates_match_scalar(
 }
 
 /// Full lookup results must match the page-backed index exactly, for
-/// every query id, across TopK and radius flavors — and the MergeSkip
-/// freeze must never drop a candidate a radius answer needs.
+/// every query id, across TopK and radius flavors — and every radius
+/// answer must be among the packed index's candidates.
 fn assert_packed_matches_pages(
     packed: &InvertedIndex<EditDistance>,
     pages: &InvertedIndex<EditDistance>,
@@ -127,11 +129,11 @@ fn assert_packed_matches_pages(
         for radius in [0.05, 0.2, 0.45] {
             let answer = pages.within(id, radius);
             assert_eq!(packed.within(id, radius), answer, "{label}: within({id}, {radius})");
-            let candidates = packed.generate_candidates_radius(id, radius);
+            let candidates = packed.generate_candidates(id);
             for neighbor in &answer {
                 assert!(
                     candidates.contains(&neighbor.id),
-                    "{label}: MergeSkip dropped {} from radius candidates({id}, {radius})",
+                    "{label}: {} missing from candidates({id}) of within({id}, {radius})",
                     neighbor.id
                 );
             }
@@ -206,9 +208,8 @@ fn fully_stopped_queries_fall_back_identically() {
 #[test]
 fn shared_token_lists_cross_block_boundaries() {
     // 3 * PACKED_BLOCK + 7 records sharing one token: its posting list
-    // spans four delta blocks, so the staged decode, the skip-pointer
-    // walk, and the freeze top-up all cross block boundaries. The per-id
-    // suffix keeps records distinguishable.
+    // spans four delta blocks, so the staged decode crosses block
+    // boundaries. The per-id suffix keeps records distinguishable.
     let n = 3 * PACKED_BLOCK + 7;
     let records: Vec<Vec<String>> =
         (0..n).map(|i| vec![format!("sharedtoken entry{i:03}")]).collect();
@@ -234,10 +235,9 @@ fn collapsed_corpora_agree_across_layouts() {
 }
 
 #[test]
-fn packed_skip_counters_fire_on_tight_radii() {
-    // Long queries + tight radii freeze the merge early; the packed
-    // top-up must take the block-skip walk (CandBlockSkips > 0) and the
-    // staged admission must flush frontier batches.
+fn packed_merge_counters_fire_on_lookups() {
+    // Every lookup merges its whole query: the staged admission must
+    // flush frontier batches and decode every block of every merged list.
     use fuzzydedup_metrics::Counter;
     let records: Vec<Vec<String>> = (0..150)
         .map(|i| {
@@ -253,17 +253,11 @@ fn packed_skip_counters_fire_on_tight_radii() {
     let idx = build(&records, PostingsSource::Packed, 0);
     let ((), delta) = fuzzydedup_metrics::scoped(|| {
         for id in 0..records.len() as u32 {
-            for radius in [0.05, 0.15] {
-                idx.within(id, radius);
+            for spec in [LookupSpec::Radius(0.05), LookupSpec::Radius(0.15)] {
+                idx.lookup(id, spec, 2.0);
             }
         }
     });
-    assert_eq!(delta.get(Counter::CandFrontierBatches), 438, "staged merge must flush batches");
-    assert_eq!(delta.get(Counter::CandBlocksScanned), 10_428, "blocks must be decoded");
-    assert_eq!(
-        delta.get(Counter::CandBlockSkips),
-        296,
-        "tight radii must skip blocks via the max-id pointers"
-    );
-    assert_eq!(delta.get(Counter::PostingsSkipped), 19_381, "frozen lists must be skipped");
+    assert_eq!(delta.get(Counter::CandFrontierBatches), 1052, "staged merge must flush batches");
+    assert_eq!(delta.get(Counter::CandBlocksScanned), 10_724, "blocks must be decoded");
 }

@@ -28,11 +28,6 @@ impl Tuple {
         &self.values
     }
 
-    /// Take ownership of the values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Value at a column index (panics when out of range, like slice
     /// indexing — table code validates arity against the schema on insert).
     pub fn get(&self, idx: usize) -> &Value {

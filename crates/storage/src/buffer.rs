@@ -12,7 +12,8 @@
 //! [`BufferPool::with_page_mut`]): the page is pinned for the duration of
 //! the closure and unpinned afterwards, which makes pin leaks impossible in
 //! safe code. Replacement is LRU (via an ordered recency index, `O(log n)`
-//! per access) or Clock (second chance, `O(1)` amortized).
+//! per access): every pool an entry point, workload or experiment builds
+//! runs it, and Figure 8's committed hit ratios are LRU's.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,23 +25,11 @@ use crate::disk::DiskManager;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId, PAGE_SIZE};
 
-/// Replacement policy for the buffer pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplacementPolicy {
-    /// Evict the least-recently-used unpinned frame.
-    #[default]
-    Lru,
-    /// Clock / second-chance.
-    Clock,
-}
-
 /// Buffer pool configuration.
 #[derive(Debug, Clone)]
 pub struct BufferPoolConfig {
     /// Number of page frames.
     pub capacity: usize,
-    /// Replacement policy.
-    pub policy: ReplacementPolicy,
 }
 
 impl BufferPoolConfig {
@@ -48,18 +37,12 @@ impl BufferPoolConfig {
     /// pages, minimum one frame). `BufferPoolConfig::with_memory(32 << 20)`
     /// models the paper's "32MB" database buffer.
     pub fn with_memory(bytes: usize) -> Self {
-        Self { capacity: (bytes / PAGE_SIZE).max(1), policy: ReplacementPolicy::Lru }
+        Self { capacity: (bytes / PAGE_SIZE).max(1) }
     }
 
     /// Capacity in frames.
     pub fn with_capacity(frames: usize) -> Self {
-        Self { capacity: frames.max(1), policy: ReplacementPolicy::Lru }
-    }
-
-    /// Select a replacement policy.
-    pub fn policy(mut self, policy: ReplacementPolicy) -> Self {
-        self.policy = policy;
-        self
+        Self { capacity: frames.max(1) }
     }
 }
 
@@ -100,8 +83,6 @@ struct Frame {
     pins: u32,
     /// LRU recency tick (key into `lru_index`).
     tick: u64,
-    /// Clock reference bit.
-    referenced: bool,
 }
 
 struct Inner {
@@ -109,7 +90,6 @@ struct Inner {
     page_table: HashMap<PageId, usize>,
     /// tick -> frame index, for O(log n) LRU victim selection.
     lru_index: BTreeMap<u64, usize>,
-    clock_hand: usize,
     next_tick: u64,
 }
 
@@ -117,7 +97,6 @@ struct Inner {
 pub struct BufferPool {
     disk: Arc<dyn DiskManager>,
     inner: Mutex<Inner>,
-    policy: ReplacementPolicy,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -129,14 +108,7 @@ impl BufferPool {
     /// Create a pool over a disk manager.
     pub fn new(config: BufferPoolConfig, disk: Arc<dyn DiskManager>) -> Self {
         let frames = (0..config.capacity)
-            .map(|_| Frame {
-                page_id: None,
-                page: Page::new(),
-                dirty: false,
-                pins: 0,
-                tick: 0,
-                referenced: false,
-            })
+            .map(|_| Frame { page_id: None, page: Page::new(), dirty: false, pins: 0, tick: 0 })
             .collect();
         Self {
             disk,
@@ -144,10 +116,8 @@ impl BufferPool {
                 frames,
                 page_table: HashMap::new(),
                 lru_index: BTreeMap::new(),
-                clock_hand: 0,
                 next_tick: 1,
             }),
-            policy: config.policy,
             capacity: config.capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -237,32 +207,14 @@ impl BufferPool {
         self.inner.lock().page_table.len()
     }
 
-    fn touch(&self, inner: &mut Inner, idx: usize) {
-        match self.policy {
-            ReplacementPolicy::Lru => {
-                let old_tick = inner.frames[idx].tick;
-                if old_tick != 0 {
-                    inner.lru_index.remove(&old_tick);
-                }
-                let tick = inner.next_tick;
-                inner.next_tick += 1;
-                inner.frames[idx].tick = tick;
-                inner.lru_index.insert(tick, idx);
-            }
-            ReplacementPolicy::Clock => {
-                inner.frames[idx].referenced = true;
-            }
-        }
-    }
-
     fn fetch(&self, inner: &mut Inner, id: PageId) -> StorageResult<usize> {
         if let Some(&idx) = inner.page_table.get(&id) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.touch(inner, idx);
+            inner.touch(idx);
             return Ok(idx);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let idx = self.find_victim(inner)?;
+        let idx = inner.find_victim()?;
         // Write back the evicted page if needed.
         if let Some(old_id) = inner.frames[idx].page_id.take() {
             inner.page_table.remove(&old_id);
@@ -278,50 +230,42 @@ impl BufferPool {
         frame.page_id = Some(id);
         frame.dirty = false;
         inner.page_table.insert(id, idx);
-        self.touch(inner, idx);
+        inner.touch(idx);
         Ok(idx)
     }
+}
 
-    fn find_victim(&self, inner: &mut Inner) -> StorageResult<usize> {
+impl Inner {
+    /// Mark frame `idx` most recently used.
+    fn touch(&mut self, idx: usize) {
+        let old_tick = self.frames[idx].tick;
+        if old_tick != 0 {
+            self.lru_index.remove(&old_tick);
+        }
+        let tick = self.next_tick;
+        self.next_tick += 1;
+        self.frames[idx].tick = tick;
+        self.lru_index.insert(tick, idx);
+    }
+
+    fn find_victim(&mut self) -> StorageResult<usize> {
         // Prefer a frame that has never held a page.
-        if let Some(idx) = inner.frames.iter().position(|f| f.page_id.is_none()) {
+        if let Some(idx) = self.frames.iter().position(|f| f.page_id.is_none()) {
             return Ok(idx);
         }
-        match self.policy {
-            ReplacementPolicy::Lru => {
-                let victim = inner
-                    .lru_index
-                    .iter()
-                    .map(|(&tick, &idx)| (tick, idx))
-                    .find(|&(_, idx)| inner.frames[idx].pins == 0);
-                match victim {
-                    Some((tick, idx)) => {
-                        inner.lru_index.remove(&tick);
-                        inner.frames[idx].tick = 0;
-                        Ok(idx)
-                    }
-                    None => Err(StorageError::BufferPoolFull),
-                }
+        // The least-recently-used unpinned frame.
+        let victim = self
+            .lru_index
+            .iter()
+            .map(|(&tick, &idx)| (tick, idx))
+            .find(|&(_, idx)| self.frames[idx].pins == 0);
+        match victim {
+            Some((tick, idx)) => {
+                self.lru_index.remove(&tick);
+                self.frames[idx].tick = 0;
+                Ok(idx)
             }
-            ReplacementPolicy::Clock => {
-                let n = inner.frames.len();
-                // Two sweeps: the first clears reference bits, the second
-                // must find a victim unless everything is pinned.
-                for _ in 0..2 * n {
-                    let idx = inner.clock_hand;
-                    inner.clock_hand = (inner.clock_hand + 1) % n;
-                    let frame = &mut inner.frames[idx];
-                    if frame.pins > 0 {
-                        continue;
-                    }
-                    if frame.referenced {
-                        frame.referenced = false;
-                    } else {
-                        return Ok(idx);
-                    }
-                }
-                Err(StorageError::BufferPoolFull)
-            }
+            None => Err(StorageError::BufferPoolFull),
         }
     }
 }
@@ -331,9 +275,8 @@ mod tests {
     use super::*;
     use crate::disk::InMemoryDisk;
 
-    fn pool(capacity: usize, policy: ReplacementPolicy) -> BufferPool {
-        let disk = Arc::new(InMemoryDisk::new());
-        BufferPool::new(BufferPoolConfig { capacity, policy }, disk)
+    fn pool(capacity: usize) -> BufferPool {
+        BufferPool::new(BufferPoolConfig::with_capacity(capacity), Arc::new(InMemoryDisk::new()))
     }
 
     fn write_marker(pool: &BufferPool, id: PageId, marker: u8) {
@@ -349,25 +292,23 @@ mod tests {
 
     #[test]
     fn pages_survive_eviction() {
-        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Clock] {
-            let pool = pool(2, policy);
-            let ids: Vec<PageId> = (0..5).map(|_| pool.allocate_page()).collect();
-            for (i, &id) in ids.iter().enumerate() {
-                write_marker(&pool, id, i as u8);
-            }
-            // Only 2 frames: earlier pages were evicted and written back.
-            for (i, &id) in ids.iter().enumerate() {
-                assert_eq!(read_marker(&pool, id), i as u8, "policy {policy:?}");
-            }
-            let stats = pool.stats();
-            assert!(stats.evictions > 0);
-            assert!(stats.writebacks > 0);
+        let pool = pool(2);
+        let ids: Vec<PageId> = (0..5).map(|_| pool.allocate_page()).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            write_marker(&pool, id, i as u8);
         }
+        // Only 2 frames: earlier pages were evicted and written back.
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(read_marker(&pool, id), i as u8);
+        }
+        let stats = pool.stats();
+        assert!(stats.evictions > 0);
+        assert!(stats.writebacks > 0);
     }
 
     #[test]
     fn hit_when_resident() {
-        let pool = pool(4, ReplacementPolicy::Lru);
+        let pool = pool(4);
         let id = pool.allocate_page();
         write_marker(&pool, id, 1);
         pool.reset_stats();
@@ -382,7 +323,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let pool = pool(2, ReplacementPolicy::Lru);
+        let pool = pool(2);
         let a = pool.allocate_page();
         let b = pool.allocate_page();
         let c = pool.allocate_page();
@@ -403,7 +344,7 @@ mod tests {
     fn locality_beats_random_access() {
         // The core phenomenon behind Figure 8: sequentially-local access
         // patterns enjoy a far higher hit ratio than scattered ones.
-        let pool_local = pool(8, ReplacementPolicy::Lru);
+        let pool_local = pool(8);
         let ids: Vec<PageId> = (0..64).map(|_| pool_local.allocate_page()).collect();
         for &id in &ids {
             write_marker(&pool_local, id, 0);
@@ -419,7 +360,7 @@ mod tests {
         }
         let local_ratio = pool_local.stats().hit_ratio();
 
-        let pool_rand = pool(8, ReplacementPolicy::Lru);
+        let pool_rand = pool(8);
         let ids2: Vec<PageId> = (0..64).map(|_| pool_rand.allocate_page()).collect();
         for &id in &ids2 {
             write_marker(&pool_rand, id, 0);
@@ -466,7 +407,7 @@ mod tests {
 
     #[test]
     fn capacity_one_pool_works() {
-        let pool = pool(1, ReplacementPolicy::Lru);
+        let pool = pool(1);
         let a = pool.allocate_page();
         let b = pool.allocate_page();
         write_marker(&pool, a, 1);
@@ -476,20 +417,8 @@ mod tests {
     }
 
     #[test]
-    fn clock_policy_second_chance() {
-        let pool = pool(3, ReplacementPolicy::Clock);
-        let ids: Vec<PageId> = (0..6).map(|_| pool.allocate_page()).collect();
-        for (i, &id) in ids.iter().enumerate() {
-            write_marker(&pool, id, i as u8);
-        }
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(read_marker(&pool, id), i as u8);
-        }
-    }
-
-    #[test]
     fn stats_accumulate_and_reset() {
-        let pool = pool(2, ReplacementPolicy::Lru);
+        let pool = pool(2);
         let id = pool.allocate_page();
         write_marker(&pool, id, 0);
         assert!(pool.stats().accesses() > 0);
@@ -500,7 +429,7 @@ mod tests {
 
     #[test]
     fn resident_pages_tracks_occupancy() {
-        let pool = pool(4, ReplacementPolicy::Lru);
+        let pool = pool(4);
         assert_eq!(pool.resident_pages(), 0);
         let ids: Vec<PageId> = (0..6).map(|_| pool.allocate_page()).collect();
         for &id in &ids {

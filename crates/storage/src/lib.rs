@@ -16,9 +16,8 @@
 //! * [`page`] — fixed-size pages with a slotted record layout;
 //! * [`disk`] — [`disk::DiskManager`] trait with in-memory and file-backed
 //!   implementations (reads/writes whole pages, counts I/O);
-//! * [`buffer`] — [`buffer::BufferPool`] with pluggable replacement
-//!   ([`buffer::ReplacementPolicy::Lru`] / `Clock`), pin counts, dirty
-//!   tracking, and [`buffer::BufferStats`];
+//! * [`buffer`] — [`buffer::BufferPool`] with LRU replacement, pin counts,
+//!   dirty tracking, and [`buffer::BufferStats`];
 //! * [`heap`] — [`heap::HeapFile`], an unordered record file over the
 //!   buffer pool with stable [`heap::RecordId`]s and full-scan iteration.
 
@@ -28,7 +27,7 @@ pub mod error;
 pub mod heap;
 pub mod page;
 
-pub use buffer::{BufferPool, BufferPoolConfig, BufferStats, ReplacementPolicy};
+pub use buffer::{BufferPool, BufferPoolConfig, BufferStats};
 pub use disk::{DiskManager, FileDisk, InMemoryDisk};
 pub use error::{StorageError, StorageResult};
 pub use heap::{HeapFile, RecordId};

@@ -4,48 +4,46 @@
 
 use std::sync::Arc;
 
-use fuzzydedup_storage::{BufferPool, BufferPoolConfig, HeapFile, InMemoryDisk, ReplacementPolicy};
+use fuzzydedup_storage::{BufferPool, BufferPoolConfig, HeapFile, InMemoryDisk};
 
 #[test]
 fn concurrent_readers_see_consistent_pages() {
-    for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Clock] {
-        let pool = Arc::new(BufferPool::new(
-            BufferPoolConfig { capacity: 8, policy },
-            Arc::new(InMemoryDisk::new()),
-        ));
-        // 64 pages, each stamped with its index.
-        let ids: Vec<_> = (0..64u64)
-            .map(|i| {
-                let id = pool.allocate_page();
-                pool.with_page_mut(id, |p| {
-                    p.insert(&i.to_le_bytes()).unwrap();
-                })
-                .unwrap();
-                (id, i)
+    let pool = Arc::new(BufferPool::new(
+        BufferPoolConfig::with_capacity(8),
+        Arc::new(InMemoryDisk::new()),
+    ));
+    // 64 pages, each stamped with its index.
+    let ids: Vec<_> = (0..64u64)
+        .map(|i| {
+            let id = pool.allocate_page();
+            pool.with_page_mut(id, |p| {
+                p.insert(&i.to_le_bytes()).unwrap();
             })
-            .collect();
+            .unwrap();
+            (id, i)
+        })
+        .collect();
 
-        std::thread::scope(|scope| {
-            for t in 0..8 {
-                let pool = pool.clone();
-                let ids = ids.clone();
-                scope.spawn(move || {
-                    for round in 0..200 {
-                        let (id, stamp) = ids[(t * 31 + round * 7) % ids.len()];
-                        let got = pool
-                            .with_page(id, |p| {
-                                u64::from_le_bytes(p.get(0).unwrap().try_into().unwrap())
-                            })
-                            .unwrap();
-                        assert_eq!(got, stamp, "policy {policy:?}");
-                    }
-                });
-            }
-        });
-        let stats = pool.stats();
-        // One access per setup write + one per read.
-        assert_eq!(stats.accesses(), 64 + 8 * 200);
-    }
+    std::thread::scope(|scope| {
+        for t in 0..8 {
+            let pool = pool.clone();
+            let ids = ids.clone();
+            scope.spawn(move || {
+                for round in 0..200 {
+                    let (id, stamp) = ids[(t * 31 + round * 7) % ids.len()];
+                    let got = pool
+                        .with_page(id, |p| {
+                            u64::from_le_bytes(p.get(0).unwrap().try_into().unwrap())
+                        })
+                        .unwrap();
+                    assert_eq!(got, stamp);
+                }
+            });
+        }
+    });
+    let stats = pool.stats();
+    // One access per setup write + one per read.
+    assert_eq!(stats.accesses(), 64 + 8 * 200);
 }
 
 #[test]

@@ -79,11 +79,6 @@ impl CosineDistance {
         Self { idf }
     }
 
-    /// Access the IDF model.
-    pub fn idf_model(&self) -> &IdfModel {
-        &self.idf
-    }
-
     /// Cosine similarity in `[0, 1]` between two records.
     pub fn similarity(&self, a: &[&str], b: &[&str]) -> f64 {
         let va = sorted_vector(&self.idf, a);

@@ -195,25 +195,10 @@ impl Distance for EditDistance {
         fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::DistEdit, 1);
         let ca = record_chars(a);
         let cb = record_chars(b);
-        let max = ca.len().max(cb.len());
-        if max == 0 {
-            return (cutoff >= 0.0).then_some(0.0);
-        }
-        if cutoff < 0.0 {
-            return None;
-        }
-        if cutoff >= 1.0 {
-            // Every normalized distance qualifies; no point bounding.
-            return Some(myers_chars(&ca, &cb) as f64 / max as f64);
-        }
-        // Over-inclusive raw bound: ceil guarantees every raw distance whose
-        // normalized value is <= cutoff stays inside the bound, so the
-        // bounded kernel never rejects a qualifying pair (extra survivors
-        // are filtered by the exact comparison below).
-        let raw_bound = (cutoff * max as f64).ceil() as usize;
-        let raw = myers_bounded_chars(&ca, &cb, raw_bound)?;
-        let d = raw as f64 / max as f64;
-        (d <= cutoff).then_some(d)
+        bounded_ratio(ca.len().max(cb.len()), cutoff, |bound| match bound {
+            None => Some(myers_chars(&ca, &cb)),
+            Some(bound) => myers_bounded_chars(&ca, &cb, bound),
+        })
     }
 
     /// `ed` is exactly Levenshtein over `record_string` normalized by the
@@ -272,25 +257,41 @@ struct PreparedEdit<'c> {
     raw_out: Vec<Option<usize>>,
 }
 
-/// The `ed` ladder over decoded chars: the bounded-ratio logic of
-/// [`EditDistance::distance_bounded`] with the query side compiled.
-fn bounded_ratio(pattern: &mut PreparedPattern, chars: &[char], cutoff: f64) -> Option<f64> {
-    let max = pattern.query().len().max(chars.len());
-    if max == 0 {
-        return (cutoff >= 0.0).then_some(0.0);
-    }
-    if cutoff < 0.0 {
-        return None;
-    }
-    if cutoff >= 1.0 {
-        // Every normalized distance qualifies; no point bounding.
-        return Some(pattern.distance(chars) as f64 / max as f64);
-    }
-    // Same over-inclusive raw bound as the unprepared path.
-    let raw_bound = (cutoff * max as f64).ceil() as usize;
-    let raw = pattern.bounded(chars, raw_bound)?;
+/// The raw bound at which the k-bounded kernel answers a normalized
+/// `cutoff` for a pair whose longer side has `max` chars; `None` where the
+/// `ed` cutoff ladder does not bound (two empty records, a negative cutoff,
+/// or a cutoff ≥ 1 that every normalized distance meets).
+///
+/// Over-inclusive: ceil guarantees every raw distance whose normalized
+/// value is <= cutoff stays inside the bound, so the bounded kernel never
+/// rejects a qualifying pair (extra survivors are filtered by the exact
+/// comparison of [`ratio`]).
+fn raw_bound(max: usize, cutoff: f64) -> Option<usize> {
+    (max > 0 && (0.0..1.0).contains(&cutoff)).then(|| (cutoff * max as f64).ceil() as usize)
+}
+
+/// A raw distance as the normalized answer at `cutoff`.
+fn ratio(raw: usize, max: usize, cutoff: f64) -> Option<f64> {
     let d = raw as f64 / max as f64;
     (d <= cutoff).then_some(d)
+}
+
+/// The `ed` ladder for one pair whose longer side has `max` chars, over a
+/// raw kernel called as `kernel(None)` for the exact distance and
+/// `kernel(Some(k))` for the k-bounded one.
+fn bounded_ratio(
+    max: usize,
+    cutoff: f64,
+    kernel: impl FnOnce(Option<usize>) -> Option<usize>,
+) -> Option<f64> {
+    let raw = match raw_bound(max, cutoff) {
+        Some(bound) => kernel(Some(bound)),
+        None if max == 0 => return (cutoff >= 0.0).then_some(0.0),
+        None if cutoff < 0.0 => return None,
+        // Every normalized distance qualifies; no point bounding.
+        None => kernel(None),
+    };
+    ratio(raw?, max, cutoff)
 }
 
 impl<'c> PreparedEdit<'c> {
@@ -306,7 +307,11 @@ impl<'c> PreparedEdit<'c> {
                 &self.chars
             }
         };
-        bounded_ratio(&mut self.pattern, chars, cutoff)
+        let pattern = &mut self.pattern;
+        bounded_ratio(pattern.query().len().max(chars.len()), cutoff, |bound| match bound {
+            None => Some(pattern.distance(chars)),
+            Some(bound) => pattern.bounded(chars, bound),
+        })
     }
 }
 
@@ -333,26 +338,20 @@ impl<'c> PreparedDistance<'c> for PreparedEdit<'c> {
         self.slots.clear();
         let qlen = self.pattern.query().len();
         for (i, &candidate) in candidates.iter().enumerate() {
-            let Candidate::Chars(chars) = candidate else {
-                out[i] = self.bounded(candidate, cutoff);
-                continue;
-            };
-            let max = qlen.max(chars.len());
-            if max == 0 || !(0.0..1.0).contains(&cutoff) {
-                // The rungs of the ladder that never bound.
-                out[i] = bounded_ratio(&mut self.pattern, chars, cutoff);
-                continue;
+            if let Candidate::Chars(chars) = candidate {
+                let max = qlen.max(chars.len());
+                if let Some(bound) = raw_bound(max, cutoff) {
+                    self.requests.push((chars, bound));
+                    self.slots.push((i, max));
+                    continue;
+                }
             }
-            let raw_bound = (cutoff * max as f64).ceil() as usize;
-            self.requests.push((chars, raw_bound));
-            self.slots.push((i, max));
+            // Raw fields, and the rungs of the ladder that never bound.
+            out[i] = self.bounded(candidate, cutoff);
         }
         self.pattern.bounded_batch(&self.requests, &mut self.raw_out);
         for (&(i, max), raw) in self.slots.iter().zip(&self.raw_out) {
-            if let Some(raw) = raw {
-                let d = *raw as f64 / max as f64;
-                out[i] = (d <= cutoff).then_some(d);
-            }
+            out[i] = raw.and_then(|raw| ratio(raw, max, cutoff));
         }
     }
 }

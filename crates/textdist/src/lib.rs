@@ -51,7 +51,7 @@ pub use jaccard::{qgram_jaccard, token_jaccard, JaccardDistance};
 pub use jaro::{jaro, jaro_winkler, JaroWinklerDistance};
 pub use monge_elkan::MongeElkanDistance;
 pub use myers::{myers, myers_bounded, myers_bounded_chars, myers_chars};
-pub use qgram::{merge_overlap_bound, qgrams, record_term_set, QgramProfile, TermSet};
+pub use qgram::{qgrams, record_term_set, QgramProfile, TermSet};
 pub use tokenize::{normalize, normalize_into, tokenize, Token};
 
 pub use tokenize::{record_string, record_string_into};

@@ -9,21 +9,30 @@
 //! bit-vector algorithm for approximate string matching based on dynamic
 //! programming*, JACM 1999; block formulation after Hyyrö 2003).
 //!
+//! The recurrence is written once per width — [`word_step`] for a pattern
+//! of ≤ 64 rows, [`blocked_step`] (over [`advance_block`]) for more — and
+//! every rung of the kernel-selection ladder (`DESIGN.md` §7.2) is a
+//! driver over those two:
+//!
+//! * one **scalar scan** per width ([`word_scan`], [`blocked_scan`]),
+//!   parameterised by where a text char's equality word comes from (a
+//!   fresh table; a prepared table read from the shared prefix on;
+//!   [`PeqBlocks::window`]) and by `const BOUNDED`, which compiles the
+//!   k-bounded early exit in or out (abandon as soon as the running
+//!   bottom-row score can no longer descend to `k`);
+//! * one **lock-step driver** ([`lockstep`]), generic over the lane's
+//!   column state, which advances several candidates of one prepared query
+//!   a column at a time so their dependency chains overlap — same steps,
+//!   same exit test, same final check as the scalar scans beside it.
+//!
 //! All entry points first strip the common prefix and suffix (equal
 //! flanks cannot change the distance, and near-duplicate pairs — the
 //! dominant verification workload — share most of both), then dispatch on
-//! the *stripped* pattern length.
-//!
-//! Three entry points form the kernel-selection ladder (`DESIGN.md`):
-//!
-//! * [`myers_chars`] — dispatches to the **single-word** path when the
-//!   shorter string fits 64 chars, else the **blocked** multi-word path;
-//! * [`myers_bounded_chars`] — the **k-bounded** variant used by
-//!   nearest-neighbor candidate verification: abandons the computation as
-//!   soon as the distance provably exceeds the cutoff (length gap, or the
-//!   running bottom-row score can no longer descend below `k`);
-//! * [`crate::edit::levenshtein`] / [`crate::edit::levenshtein_bounded`]
-//!   — the public edit-distance API, which routes here.
+//! the *stripped* pattern length: [`myers_chars`] / [`myers_bounded_chars`]
+//! are the two entries of the one stock kernel (table built per pair),
+//! `PreparedPattern` is the compiled query the verification loop holds,
+//! and [`crate::edit::levenshtein`] / [`crate::edit::levenshtein_bounded`]
+//! are the public edit-distance API that routes here.
 //!
 //! Every invocation counts which rung fired (`edit_kernel` section of
 //! `RunMetrics`), so pipeline runs show which path verification actually
@@ -70,6 +79,8 @@ impl PeqWord {
 /// Pattern-equality bitmasks for a blocked (> 64-char) pattern: one word
 /// per 64-row block, `w` words per character.
 struct PeqBlocks {
+    /// Pattern length in chars.
+    m: usize,
     w: usize,
     /// `128 × w` words, ASCII direct-indexed: `ascii[c*w + k]`.
     ascii: Vec<u64>,
@@ -94,7 +105,13 @@ impl PeqBlocks {
                 spill.push((c, masks));
             }
         }
-        Self { w, ascii, spill, zero: vec![0u64; w] }
+        Self { m: pattern.len(), w, ascii, spill, zero: vec![0u64; w] }
+    }
+
+    /// Bottom-row bit of the last (possibly partial) block.
+    #[inline]
+    fn last_high(&self) -> u64 {
+        1u64 << ((self.m - 1) % 64)
     }
 
     /// The `w` equality words of `c` (all-zero slice for absent chars).
@@ -109,9 +126,8 @@ impl PeqBlocks {
 
     /// 64 consecutive equality bits of `c` starting at pattern position
     /// `pre` — the single-word view of a ≤ 64-char window into a blocked
-    /// table. Bits past the end of the pattern are garbage exactly as the
-    /// word kernel's bits above `m − 1` are; callers mask to the window
-    /// width.
+    /// table. Bits past the window are garbage exactly as the word
+    /// kernel's bits above `m − 1` are (see [`word_step`]).
     #[inline]
     fn window(&self, c: char, pre: usize) -> u64 {
         let words = self.get(c);
@@ -123,6 +139,26 @@ impl PeqBlocks {
             lo | (words[blk + 1] << (64 - off))
         }
     }
+}
+
+/// One column transition of the single-word recurrence: [`advance_block`]
+/// specialized to `hin = +1` (the top boundary row `D[0][j] = j`), which
+/// keeps the state in registers with no carry branches. Returns the
+/// bottom-row delta `D[m][j] − D[m][j−1]` read at bit `high`. Bits of `eq`
+/// above `high` may hold anything: carries only travel upward, so they
+/// never reach the watched bit.
+#[inline(always)]
+fn word_step(pv: &mut u64, mv: &mut u64, eq: u64, high: u64) -> isize {
+    let xv = eq | *mv;
+    let xh = (((eq & *pv).wrapping_add(*pv)) ^ *pv) | eq;
+    let mut ph = *mv | !(xh | *pv);
+    let mut mh = *pv & xh;
+    let delta = isize::from(ph & high != 0) - isize::from(mh & high != 0);
+    ph = (ph << 1) | 1;
+    mh <<= 1;
+    *pv = mh | !(xv | ph);
+    *mv = ph & xv;
+    delta
 }
 
 /// One column transition of one 64-row block (Hyyrö's formulation of the
@@ -161,66 +197,149 @@ fn advance_block(pv: &mut u64, mv: &mut u64, mut eq: u64, hin: i32, high: u64) -
     hout
 }
 
-/// Strip the common prefix and suffix of two strings: equal flanks never
-/// change the Levenshtein distance, and near-duplicates (the dominant
-/// verification workload) share most of both.
-fn strip_common<'s>(mut a: &'s [char], mut b: &'s [char]) -> (&'s [char], &'s [char]) {
-    let pre = a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count();
-    a = &a[pre..];
-    b = &b[pre..];
-    let suf = a.iter().rev().zip(b.iter().rev()).take_while(|(x, y)| x == y).count();
-    (&a[..a.len() - suf], &b[..b.len() - suf])
+/// One column transition of a blocked pattern: the blocks top to bottom,
+/// each handing its horizontal delta to the next. `pv`, `mv` and `eqs`
+/// hold one word per block; returns the bottom-row delta.
+#[inline(always)]
+fn blocked_step(pv: &mut [u64], mv: &mut [u64], eqs: &[u64], last_high: u64) -> isize {
+    let last = pv.len() - 1;
+    let mut hin = 1i32;
+    for (k, ((pv, mv), &eq)) in pv.iter_mut().zip(mv.iter_mut()).zip(eqs).enumerate() {
+        let high = if k == last { last_high } else { 1u64 << 63 };
+        hin = advance_block(pv, mv, eq, hin, high);
+    }
+    hin as isize
 }
 
-/// Single-word Myers: pattern ≤ 64 chars, any text length. Returns the
-/// exact Levenshtein distance. The column transition is [`advance_block`]
-/// specialized to `hin = +1` (the top boundary row `D[0][j] = j`), which
-/// keeps the state in registers with no carry branches.
-fn word_distance(pattern: &[char], text: &[char]) -> usize {
-    debug_assert!(!pattern.is_empty() && pattern.len() <= 64);
-    let m = pattern.len();
-    let peq = PeqWord::build(pattern);
+/// The bottom-row score `D[m][j]` of one scan and the bound it is held to.
+#[derive(Clone, Copy)]
+struct Row {
+    score: isize,
+    bound: isize,
+}
+
+impl Row {
+    /// Column 0 of an `m`-row pattern. The bound is clamped into `isize`:
+    /// no distance exceeds a slice length, so the clamp changes no answer,
+    /// where a bare `bound as isize` wraps negative above `isize::MAX` and
+    /// rejects every pair on its first column.
+    fn new(m: usize, bound: usize) -> Self {
+        Self { score: m as isize, bound: bound.min(isize::MAX as usize) as isize }
+    }
+
+    /// Whether no suffix can bring the score back within the bound: each
+    /// of the `left` remaining columns lowers it by at most 1.
+    #[inline(always)]
+    fn out_of_reach(&self, left: usize) -> bool {
+        self.score - left as isize > self.bound
+    }
+
+    /// The answer once the last column is in.
+    fn answer(&self) -> Option<usize> {
+        (self.score <= self.bound).then_some(self.score as usize)
+    }
+}
+
+/// The scalar single-word scan: an `m ≤ 64`-row pattern, whose equality
+/// word for a text char comes from `eq_at` — a fresh table, a prepared
+/// table shifted past the shared prefix, or [`PeqBlocks::window`] — against
+/// any text. `BOUNDED` compiles the per-column early exit in or out (an
+/// unbounded scan passes `usize::MAX` and always answers); a run-time
+/// sentinel bound checked per column measured slower end to end.
+fn word_scan<const BOUNDED: bool>(
+    eq_at: impl Fn(char) -> u64,
+    m: usize,
+    text: &[char],
+    bound: usize,
+) -> Option<usize> {
+    debug_assert!((1..=64).contains(&m));
+    if !BOUNDED {
+        incr(Counter::EdKernelWord, 1);
+    }
     let high = 1u64 << (m - 1);
-    let mut pv = !0u64;
-    let mut mv = 0u64;
-    let mut score = m as isize;
-    for &c in text {
-        let eq = peq.get(c);
-        let xv = eq | mv;
-        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-        let mut ph = mv | !(xh | pv);
-        let mut mh = pv & xh;
-        score += isize::from(ph & high != 0);
-        score -= isize::from(mh & high != 0);
-        ph = (ph << 1) | 1;
-        mh <<= 1;
-        pv = mh | !(xv | ph);
-        mv = ph & xv;
+    let (mut pv, mut mv) = (!0u64, 0u64);
+    let mut row = Row::new(m, bound);
+    let n = text.len();
+    for (j, &c) in text.iter().enumerate() {
+        row.score += word_step(&mut pv, &mut mv, eq_at(c), high);
+        if BOUNDED && row.out_of_reach(n - j - 1) {
+            incr(Counter::EdKernelEarlyExit, 1);
+            return None;
+        }
     }
-    score as usize
+    row.answer()
 }
 
-/// Blocked Myers: pattern of any length, `⌈m/64⌉` words per column.
-fn blocked_distance(pattern: &[char], text: &[char]) -> usize {
-    let m = pattern.len();
-    let w = m.div_ceil(64);
-    debug_assert!(w >= 2);
-    let peq = PeqBlocks::build(pattern);
-    // Bottom row of the last (possibly partial) block.
-    let last_high = 1u64 << ((m - 1) % 64);
-    let mut pv = vec![!0u64; w];
-    let mut mv = vec![0u64; w];
-    let mut score = m as isize;
-    for &c in text {
-        let eqs = peq.get(c);
-        let mut hin = 1i32;
-        for k in 0..w {
-            let high = if k + 1 == w { last_high } else { 1u64 << 63 };
-            hin = advance_block(&mut pv[k], &mut mv[k], eqs[k], hin, high);
-        }
-        score += hin as isize;
+/// The scalar blocked scan, `⌈m/64⌉` words per column: the only path for
+/// patterns the lock-step lanes do not hold (beyond [`BLOCKED_MAX_W`]
+/// blocks) and for the stock kernel's > 64-char pairs. `pv`/`mv` are the
+/// caller's column buffers, so a prepared query allocates nothing per
+/// candidate.
+fn blocked_scan<const BOUNDED: bool>(
+    peq: &PeqBlocks,
+    text: &[char],
+    bound: usize,
+    pv: &mut Vec<u64>,
+    mv: &mut Vec<u64>,
+) -> Option<usize> {
+    debug_assert!(peq.w >= 2);
+    if !BOUNDED {
+        incr(Counter::EdKernelBlocked, 1);
     }
-    score as usize
+    pv.clear();
+    pv.resize(peq.w, !0u64);
+    mv.clear();
+    mv.resize(peq.w, 0);
+    let last_high = peq.last_high();
+    let mut row = Row::new(peq.m, bound);
+    let n = text.len();
+    for (j, &c) in text.iter().enumerate() {
+        row.score += blocked_step(pv, mv, peq.get(c), last_high);
+        if BOUNDED && row.out_of_reach(n - j - 1) {
+            incr(Counter::EdKernelEarlyExit, 1);
+            return None;
+        }
+    }
+    row.answer()
+}
+
+/// Lengths of the common prefix and, over what it leaves, the common
+/// suffix of two strings. Equal flanks never change the Levenshtein
+/// distance, and near-duplicates (the dominant verification workload)
+/// share most of both.
+fn common_affixes(a: &[char], b: &[char]) -> (usize, usize) {
+    let pre = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+    let (ar, br) = (&a[pre..], &b[pre..]);
+    let suf = ar.iter().rev().zip(br.iter().rev()).take_while(|(x, y)| x == y).count();
+    (pre, suf)
+}
+
+/// The stock kernel behind [`myers_chars`] and [`myers_bounded_chars`]:
+/// strip the shared affixes, take the shorter side as the pattern (fewer
+/// blocks, and the single-word scan applies whenever `min(|a|, |b|) ≤ 64`
+/// after stripping), build its table and scan.
+fn stock<const BOUNDED: bool>(a: &[char], b: &[char], bound: usize) -> Option<usize> {
+    if BOUNDED {
+        incr(Counter::EdKernelBounded, 1);
+    }
+    let (pre, suf) = common_affixes(a, b);
+    let (a, b) = (&a[pre..a.len() - suf], &b[pre..b.len() - suf]);
+    let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    // The length gap is a lower bound on the distance.
+    if text.len() - pattern.len() > bound {
+        incr(Counter::EdKernelEarlyExit, 1);
+        return None;
+    }
+    if pattern.is_empty() {
+        return Some(text.len());
+    }
+    if pattern.len() <= 64 {
+        let peq = PeqWord::build(pattern);
+        word_scan::<BOUNDED>(|c| peq.get(c), pattern.len(), text, bound)
+    } else {
+        let peq = PeqBlocks::build(pattern);
+        blocked_scan::<BOUNDED>(&peq, text, bound, &mut Vec::new(), &mut Vec::new())
+    }
 }
 
 /// Bit-parallel Levenshtein distance over pre-collected char slices.
@@ -228,20 +347,7 @@ fn blocked_distance(pattern: &[char], text: &[char]) -> usize {
 /// machine word, else the blocked multi-word path. Exact for all inputs
 /// (equivalence with the reference DP is property-tested).
 pub fn myers_chars(a: &[char], b: &[char]) -> usize {
-    let (a, b) = strip_common(a, b);
-    // Shorter side as the pattern: fewer blocks, and the single-word path
-    // applies whenever min(|a|, |b|) ≤ 64 after affix stripping.
-    let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if pattern.is_empty() {
-        return text.len();
-    }
-    if pattern.len() <= 64 {
-        incr(Counter::EdKernelWord, 1);
-        word_distance(pattern, text)
-    } else {
-        incr(Counter::EdKernelBlocked, 1);
-        blocked_distance(pattern, text)
-    }
+    stock::<false>(a, b, usize::MAX).expect("an unbounded scan always answers")
 }
 
 /// [`myers_chars`] over `&str` inputs (chars collected internally).
@@ -267,66 +373,7 @@ pub fn myers(a: &str, b: &str) -> usize {
 /// distance as the cutoff, which abandons most losing candidates after a
 /// prefix of the text.
 pub fn myers_bounded_chars(a: &[char], b: &[char], bound: usize) -> Option<usize> {
-    incr(Counter::EdKernelBounded, 1);
-    let (a, b) = strip_common(a, b);
-    let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    // The length gap is a lower bound on the distance.
-    if text.len() - pattern.len() > bound {
-        incr(Counter::EdKernelEarlyExit, 1);
-        return None;
-    }
-    if pattern.is_empty() {
-        return (text.len() <= bound).then_some(text.len());
-    }
-    let n = text.len();
-    let m = pattern.len();
-    if m <= 64 {
-        let peq = PeqWord::build(pattern);
-        let high = 1u64 << (m - 1);
-        let mut pv = !0u64;
-        let mut mv = 0u64;
-        let mut score = m as isize;
-        for (j, &c) in text.iter().enumerate() {
-            let eq = peq.get(c);
-            let xv = eq | mv;
-            let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-            let mut ph = mv | !(xh | pv);
-            let mut mh = pv & xh;
-            score += isize::from(ph & high != 0);
-            score -= isize::from(mh & high != 0);
-            ph = (ph << 1) | 1;
-            mh <<= 1;
-            pv = mh | !(xv | ph);
-            mv = ph & xv;
-            // Each remaining column can lower the score by at most 1.
-            if score - (n - j - 1) as isize > bound as isize {
-                incr(Counter::EdKernelEarlyExit, 1);
-                return None;
-            }
-        }
-        (score as usize <= bound).then_some(score as usize)
-    } else {
-        let w = m.div_ceil(64);
-        let peq = PeqBlocks::build(pattern);
-        let last_high = 1u64 << ((m - 1) % 64);
-        let mut pv = vec![!0u64; w];
-        let mut mv = vec![0u64; w];
-        let mut score = m as isize;
-        for (j, &c) in text.iter().enumerate() {
-            let eqs = peq.get(c);
-            let mut hin = 1i32;
-            for k in 0..w {
-                let high = if k + 1 == w { last_high } else { 1u64 << 63 };
-                hin = advance_block(&mut pv[k], &mut mv[k], eqs[k], hin, high);
-            }
-            score += hin as isize;
-            if score - (n - j - 1) as isize > bound as isize {
-                incr(Counter::EdKernelEarlyExit, 1);
-                return None;
-            }
-        }
-        (score as usize <= bound).then_some(score as usize)
-    }
+    stock::<true>(a, b, bound)
 }
 
 /// [`myers_bounded_chars`] over `&str` inputs.
@@ -347,12 +394,13 @@ pub fn myers_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
 ///
 /// The pattern-equality table is built over the *unstripped* query at
 /// prepare time. Per candidate only the common-affix lengths are counted;
-/// the single-word path then reuses the table by shifting each mask right
-/// by the prefix length and truncating to the stripped width — the affix
-/// strip without any per-candidate table rebuild (the standalone bounded
-/// kernel re-strips and rebuilds `Peq` from scratch for every candidate).
-/// Blocked (> 64-char) queries reuse their table whenever no affix is
-/// shared; with shared affixes they fall back to the stock kernel, where
+/// a stripped window of ≤ 64 query chars then reuses the table by reading
+/// each equality word from the window's first row on — a shift for a word
+/// table, [`PeqBlocks::window`] for a blocked one — the affix strip without
+/// any per-candidate table rebuild (the stock kernel re-strips and rebuilds
+/// `Peq` from scratch for every pair). Blocked (> 64-char) queries also
+/// reuse their table whole when no affix is shared; a shared affix that
+/// leaves a multi-word window falls back to the stock kernel, where
 /// stripping shrinks the scan enough to dwarf the rebuild.
 ///
 /// `'t` is the lifetime of the candidate texts: batch requests outlive the
@@ -361,12 +409,12 @@ pub fn myers_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
 pub(crate) struct PreparedPattern<'t> {
     query: Vec<char>,
     kind: PreparedKind,
-    /// Blocked-path column state, reused across candidates.
+    /// Scalar blocked-scan column state, reused across candidates.
     pv: Vec<u64>,
     mv: Vec<u64>,
     /// Lock-step lanes, refilled per batch.
-    lanes: Vec<BatchLane<'t>>,
-    blocked_lanes: Vec<BlockedLane<'t>>,
+    lanes: Vec<Lane<'t, WordCols>>,
+    blocked_lanes: Vec<Lane<'t, BlockedCols>>,
 }
 
 // The word-path table dwarfs the blocked variant, but a pattern is
@@ -378,6 +426,23 @@ enum PreparedKind {
     Word(PeqWord),
     /// Query > 64 chars.
     Blocked(PeqBlocks),
+}
+
+/// How one candidate is verified — decided from its length and shared
+/// affixes alone, so the scalar entries and the batch cannot disagree.
+enum Route<'x> {
+    /// A shared affix leaves a multi-word window of a blocked table: the
+    /// stock kernel (which counts itself).
+    Stock,
+    /// The length gap alone exceeds the bound.
+    Gap,
+    /// Nothing of the query is left after stripping: the distance is what
+    /// is left of the text.
+    Rest(usize),
+    /// Scan the stripped `text` against the `rows` query rows from `pre`
+    /// on: a single-word window when `rows ≤ 64`, else the whole blocked
+    /// query.
+    Scan { pre: usize, rows: usize, text: &'x [char] },
 }
 
 impl<'t> PreparedPattern<'t> {
@@ -403,50 +468,80 @@ impl<'t> PreparedPattern<'t> {
         &self.query
     }
 
-    /// Common prefix/suffix lengths of the query and a candidate text
-    /// (prefix first, then suffix over the remainders — the exact
-    /// convention of [`strip_common`], so stripped views agree).
-    fn affixes(&self, text: &[char]) -> (usize, usize) {
-        let q: &[char] = &self.query;
-        let pre = q.iter().zip(text.iter()).take_while(|(x, y)| x == y).count();
-        let (qr, tr) = (&q[pre..], &text[pre..]);
-        let suf = qr.iter().rev().zip(tr.iter().rev()).take_while(|(x, y)| x == y).count();
-        (pre, suf)
+    fn route<'x>(&self, text: &'x [char], bound: usize) -> Route<'x> {
+        let (pre, suf) = common_affixes(&self.query, text);
+        let rows = self.query.len() - pre - suf;
+        if matches!(self.kind, PreparedKind::Blocked(_)) && (pre != 0 || suf != 0) && rows > 64 {
+            return Route::Stock;
+        }
+        let left = text.len() - pre - suf;
+        // The length gap bounds the distance from below; the query may sit
+        // on either side of the candidate's length.
+        if left.abs_diff(rows) > bound {
+            return Route::Gap;
+        }
+        if rows == 0 {
+            return Route::Rest(left);
+        }
+        Route::Scan { pre, rows, text: &text[pre..text.len() - suf] }
+    }
+
+    /// The scalar entry over the scans, bounded or not. Not a batch of
+    /// one: callers hand it text decoded into scratch of their own, which
+    /// does not live for the lanes' `'t`.
+    fn scalar<const BOUNDED: bool>(&mut self, text: &[char], bound: usize) -> Option<usize> {
+        let route = self.route(text, bound);
+        if BOUNDED && !matches!(route, Route::Stock) {
+            incr(Counter::EdKernelBounded, 1);
+        }
+        match route {
+            Route::Stock => stock::<BOUNDED>(&self.query, text, bound),
+            Route::Gap => {
+                incr(Counter::EdKernelEarlyExit, 1);
+                None
+            }
+            Route::Rest(d) => Some(d),
+            Route::Scan { pre, rows, text: st } => match &self.kind {
+                PreparedKind::Word(peq) => {
+                    word_scan::<BOUNDED>(|c| peq.get(c) >> pre, rows, st, bound)
+                }
+                // The window rung is the bounded entries' alone: a lookup's
+                // few unbounded warm-up calls re-strip through the stock
+                // kernel.
+                PreparedKind::Blocked(_) if rows <= 64 && !BOUNDED => {
+                    stock::<BOUNDED>(&self.query, text, bound)
+                }
+                PreparedKind::Blocked(peq) if rows <= 64 => {
+                    word_scan::<BOUNDED>(|c| peq.window(c, pre), rows, st, bound)
+                }
+                PreparedKind::Blocked(peq) => {
+                    blocked_scan::<BOUNDED>(peq, st, bound, &mut self.pv, &mut self.mv)
+                }
+            },
+        }
     }
 
     /// Exact distance to a candidate (equivalent to
     /// [`myers_chars`]`(query, text)`).
     pub fn distance(&mut self, text: &[char]) -> usize {
-        let (pre, suf) = self.affixes(text);
-        let sp_len = self.query.len() - pre - suf;
-        let st_len = text.len() - pre - suf;
-        if sp_len == 0 {
-            return st_len;
-        }
-        let st = &text[pre..text.len() - suf];
-        match &self.kind {
-            PreparedKind::Word(peq) => {
-                incr(Counter::EdKernelWord, 1);
-                word_distance_shifted(peq, pre, sp_len, st)
-            }
-            PreparedKind::Blocked(peq) if pre == 0 && suf == 0 => {
-                incr(Counter::EdKernelBlocked, 1);
-                blocked_distance_prepared(peq, self.query.len(), st, &mut self.pv, &mut self.mv)
-            }
-            PreparedKind::Blocked(_) => myers_chars(&self.query, text),
-        }
+        self.scalar::<false>(text, usize::MAX).expect("an unbounded scan always answers")
+    }
+
+    /// k-bounded distance to a candidate (equivalent to
+    /// [`myers_bounded_chars`]`(query, text, bound)`).
+    pub fn bounded(&mut self, text: &[char], bound: usize) -> Option<usize> {
+        self.scalar::<true>(text, bound)
     }
 
     /// Batched k-bounded distances: `out[i]` ends up exactly what
     /// [`PreparedPattern::bounded`]`(texts[i], bounds[i])` returns — same
-    /// results, same metrics totals — but single-word candidates are
-    /// verified in *lock-step*: their per-candidate column states are laid
-    /// out struct-of-arrays style and advanced one text column at a time
-    /// across several candidates, so the serial dependency chain of one
-    /// Myers recurrence overlaps with its neighbors'. Candidates are
-    /// sorted into length buckets first so the lanes of a chunk retire
-    /// together. Blocked, affix-fallback, and degenerate requests take
-    /// the scalar rungs unchanged.
+    /// results, same metrics totals — but candidates that reach a scan are
+    /// verified in *lock-step* ([`lockstep`]): their column states are
+    /// laid out per lane and advanced one text column at a time across
+    /// several candidates, so the serial dependency chain of one Myers
+    /// recurrence overlaps with its neighbors'. Everything a scan does not
+    /// decide, and blocked queries too wide for the lanes, is answered as
+    /// the scalar entry answers it.
     pub fn bounded_batch(
         &mut self,
         requests: &[(&'t [char], usize)],
@@ -456,359 +551,111 @@ impl<'t> PreparedPattern<'t> {
         out.resize(requests.len(), None);
         self.lanes.clear();
         self.blocked_lanes.clear();
-        let mut bounded_calls = 0u64;
-        let mut early_exits = 0u64;
+        let (mut bounded_calls, mut early_exits) = (0u64, 0u64);
         for (i, &(text, bound)) in requests.iter().enumerate() {
-            let (pre, suf) = self.affixes(text);
-            let sp_len = self.query.len() - pre - suf;
-            if let PreparedKind::Blocked(_) = &self.kind {
-                // Mirrors the scalar rung: a multi-word window after affix
-                // stripping falls back to the stock kernel, a ≤ 64-char
-                // window joins the single-word lanes below.
-                if (pre != 0 || suf != 0) && sp_len > 64 {
-                    out[i] = myers_bounded_chars(&self.query, text, bound);
-                    continue;
-                }
-            }
-            bounded_calls += 1;
-            let st_len = text.len() - pre - suf;
-            if st_len.abs_diff(sp_len) > bound {
-                early_exits += 1;
-                continue;
-            }
-            if sp_len == 0 {
-                out[i] = (st_len <= bound).then_some(st_len);
-                continue;
-            }
-            let st = &text[pre..text.len() - suf];
-            match &self.kind {
-                PreparedKind::Word(_) | PreparedKind::Blocked(_) if sp_len <= 64 => {
-                    let mask = if sp_len == 64 { !0u64 } else { (1u64 << sp_len) - 1 };
-                    self.lanes.push(BatchLane {
-                        text: st,
-                        pre: pre as u32,
-                        out_idx: i as u32,
-                        mask,
-                        high: 1u64 << (sp_len - 1),
-                        pv: !0u64,
-                        mv: 0,
-                        score: sp_len as isize,
-                        bound: bound as isize,
-                    });
-                }
-                PreparedKind::Word(_) => unreachable!("word queries are ≤ 64 chars"),
-                PreparedKind::Blocked(peq) if (2..=BLOCKED_MAX_W).contains(&peq.w) => {
-                    self.blocked_lanes.push(BlockedLane {
-                        text: st,
-                        out_idx: i as u32,
-                        pv: [!0u64; BLOCKED_MAX_W],
-                        mv: [0u64; BLOCKED_MAX_W],
-                        score: sp_len as isize,
-                        bound: bound as isize,
-                    });
-                }
-                PreparedKind::Blocked(peq) => {
-                    out[i] = blocked_bounded_prepared(
-                        peq,
-                        self.query.len(),
-                        st,
-                        bound,
-                        &mut self.pv,
-                        &mut self.mv,
-                    );
-                }
+            let route = self.route(text, bound);
+            bounded_calls += u64::from(!matches!(route, Route::Stock));
+            match route {
+                Route::Stock => out[i] = myers_bounded_chars(&self.query, text, bound),
+                Route::Gap => early_exits += 1,
+                Route::Rest(d) => out[i] = Some(d),
+                Route::Scan { pre, rows, text } => match &self.kind {
+                    PreparedKind::Blocked(peq) if rows > 64 && peq.w > BLOCKED_MAX_W => {
+                        out[i] = blocked_scan::<true>(peq, text, bound, &mut self.pv, &mut self.mv);
+                    }
+                    PreparedKind::Blocked(_) if rows > 64 => {
+                        let cols = BlockedCols { pv: [!0; BLOCKED_MAX_W], mv: [0; BLOCKED_MAX_W] };
+                        self.blocked_lanes.push(Lane::new(text, i, rows, bound, cols));
+                    }
+                    _ => {
+                        let cols =
+                            WordCols { pre: pre as u32, high: 1 << (rows - 1), pv: !0, mv: 0 };
+                        self.lanes.push(Lane::new(text, i, rows, bound, cols));
+                    }
+                },
             }
         }
-        if bounded_calls > 0 {
-            incr(Counter::EdKernelBounded, bounded_calls);
-        }
-        match &self.kind {
-            PreparedKind::Word(peq) => {
-                early_exits +=
-                    word_bounded_lockstep(|c, pre| peq.get(c) >> pre, &mut self.lanes, out);
-            }
+        incr(Counter::EdKernelBounded, bounded_calls);
+        early_exits += match &self.kind {
+            PreparedKind::Word(peq) => lockstep(&mut self.lanes, BATCH_LANES, out, |s, c| {
+                word_step(&mut s.pv, &mut s.mv, peq.get(c) >> s.pre, s.high)
+            }),
             PreparedKind::Blocked(peq) => {
-                early_exits += word_bounded_lockstep(
-                    |c, pre| peq.window(c, pre as usize),
-                    &mut self.lanes,
-                    out,
-                );
-                early_exits +=
-                    blocked_bounded_lockstep(peq, self.query.len(), &mut self.blocked_lanes, out);
+                let (w, last_high) = (peq.w, peq.last_high());
+                lockstep(&mut self.lanes, BATCH_LANES, out, |s, c| {
+                    word_step(&mut s.pv, &mut s.mv, peq.window(c, s.pre as usize), s.high)
+                }) + lockstep(&mut self.blocked_lanes, BLOCKED_BATCH_LANES, out, |s, c| {
+                    blocked_step(&mut s.pv[..w], &mut s.mv[..w], peq.get(c), last_high)
+                })
             }
-        }
-        if early_exits > 0 {
-            incr(Counter::EdKernelEarlyExit, early_exits);
-        }
-    }
-
-    /// k-bounded distance to a candidate (equivalent to
-    /// [`myers_bounded_chars`]`(query, text, bound)`).
-    pub fn bounded(&mut self, text: &[char], bound: usize) -> Option<usize> {
-        let (pre, suf) = self.affixes(text);
-        let sp_len = self.query.len() - pre - suf;
-        if let PreparedKind::Blocked(_) = &self.kind {
-            // A shared affix leaves a shifted window of the blocked table.
-            // When the window still spans multiple words, stripping shrinks
-            // the scan enough to dwarf a table rebuild; fall back. A ≤ 64
-            // window reuses the table via [`PeqBlocks::window`] below.
-            if (pre != 0 || suf != 0) && sp_len > 64 {
-                return myers_bounded_chars(&self.query, text, bound);
-            }
-        }
-        incr(Counter::EdKernelBounded, 1);
-        let st_len = text.len() - pre - suf;
-        // The length gap bounds the distance from below; the query may sit
-        // on either side of the candidate's length.
-        if st_len.abs_diff(sp_len) > bound {
-            incr(Counter::EdKernelEarlyExit, 1);
-            return None;
-        }
-        if sp_len == 0 {
-            return (st_len <= bound).then_some(st_len);
-        }
-        let st = &text[pre..text.len() - suf];
-        match &self.kind {
-            PreparedKind::Word(peq) => word_bounded_shifted(peq, pre, sp_len, st, bound),
-            PreparedKind::Blocked(peq) if sp_len <= 64 => {
-                blocked_window_bounded(peq, pre, sp_len, st, bound)
-            }
-            PreparedKind::Blocked(peq) => blocked_bounded_prepared(
-                peq,
-                self.query.len(),
-                st,
-                bound,
-                &mut self.pv,
-                &mut self.mv,
-            ),
-        }
+        };
+        incr(Counter::EdKernelEarlyExit, early_exits);
     }
 }
 
-/// Bottom-row bit and significant-width mask for a shifted stripped
-/// pattern of `sp_len` chars starting `pre` chars into the compiled query.
-#[inline]
-fn shifted_masks(pre: usize, sp_len: usize) -> (u64, u64) {
-    debug_assert!(sp_len >= 1 && pre + sp_len <= 64);
-    let mask = if sp_len == 64 { !0u64 } else { (1u64 << sp_len) - 1 };
-    (mask, 1u64 << (sp_len - 1))
-}
-
-/// [`word_distance`] driven by shifted prepared masks instead of a
-/// freshly built table. Bits above `sp_len − 1` carry garbage exactly as
-/// the stock kernel's do above `m − 1`: carries only travel upward, so
-/// they never reach the watched bottom-row bit.
-fn word_distance_shifted(peq: &PeqWord, pre: usize, sp_len: usize, text: &[char]) -> usize {
-    let (mask, high) = shifted_masks(pre, sp_len);
-    let mut pv = !0u64;
-    let mut mv = 0u64;
-    let mut score = sp_len as isize;
-    for &c in text {
-        let eq = (peq.get(c) >> pre) & mask;
-        let xv = eq | mv;
-        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-        let mut ph = mv | !(xh | pv);
-        let mut mh = pv & xh;
-        score += isize::from(ph & high != 0);
-        score -= isize::from(mh & high != 0);
-        ph = (ph << 1) | 1;
-        mh <<= 1;
-        pv = mh | !(xv | ph);
-        mv = ph & xv;
-    }
-    score as usize
-}
-
-/// k-bounded [`word_distance_shifted`] with the per-column early exit of
-/// [`myers_bounded_chars`].
-fn word_bounded_shifted(
-    peq: &PeqWord,
-    pre: usize,
-    sp_len: usize,
-    text: &[char],
-    bound: usize,
-) -> Option<usize> {
-    let (mask, high) = shifted_masks(pre, sp_len);
-    let n = text.len();
-    let mut pv = !0u64;
-    let mut mv = 0u64;
-    let mut score = sp_len as isize;
-    for (j, &c) in text.iter().enumerate() {
-        let eq = (peq.get(c) >> pre) & mask;
-        let xv = eq | mv;
-        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-        let mut ph = mv | !(xh | pv);
-        let mut mh = pv & xh;
-        score += isize::from(ph & high != 0);
-        score -= isize::from(mh & high != 0);
-        ph = (ph << 1) | 1;
-        mh <<= 1;
-        pv = mh | !(xv | ph);
-        mv = ph & xv;
-        if score - (n - j - 1) as isize > bound as isize {
-            incr(Counter::EdKernelEarlyExit, 1);
-            return None;
-        }
-    }
-    (score as usize <= bound).then_some(score as usize)
-}
-
-/// k-bounded single-word kernel over a ≤ 64-char window of a blocked
-/// table ([`PeqBlocks::window`]); the affix-stripped fast path for > 64
-/// char queries whose candidates share most of both flanks.
-fn blocked_window_bounded(
-    peq: &PeqBlocks,
-    pre: usize,
-    sp_len: usize,
-    text: &[char],
-    bound: usize,
-) -> Option<usize> {
-    let mask = if sp_len == 64 { !0u64 } else { (1u64 << sp_len) - 1 };
-    let high = 1u64 << (sp_len - 1);
-    let n = text.len();
-    let mut pv = !0u64;
-    let mut mv = 0u64;
-    let mut score = sp_len as isize;
-    for (j, &c) in text.iter().enumerate() {
-        let eq = peq.window(c, pre) & mask;
-        let xv = eq | mv;
-        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
-        let mut ph = mv | !(xh | pv);
-        let mut mh = pv & xh;
-        score += isize::from(ph & high != 0);
-        score -= isize::from(mh & high != 0);
-        ph = (ph << 1) | 1;
-        mh <<= 1;
-        pv = mh | !(xv | ph);
-        mv = ph & xv;
-        if score - (n - j - 1) as isize > bound as isize {
-            incr(Counter::EdKernelEarlyExit, 1);
-            return None;
-        }
-    }
-    (score as usize <= bound).then_some(score as usize)
-}
-
-/// One candidate's column state in the lock-step word path: everything
-/// [`word_bounded_shifted`] keeps in locals, owned per lane so a chunk of
-/// lanes can advance together.
-struct BatchLane<'t> {
+/// One candidate of a lock-step chunk: everything a scalar scan keeps in
+/// locals, owned per lane so a chunk of lanes can advance together.
+struct Lane<'t, S> {
     text: &'t [char],
-    pre: u32,
     out_idx: u32,
-    mask: u64,
+    row: Row,
+    cols: S,
+}
+
+impl<'t, S> Lane<'t, S> {
+    fn new(text: &'t [char], out_idx: usize, rows: usize, bound: usize, cols: S) -> Self {
+        Self { text, out_idx: out_idx as u32, row: Row::new(rows, bound), cols }
+    }
+}
+
+/// A word lane's column state: where its window starts in the prepared
+/// table, the window's bottom-row bit, and the `Pv`/`Mv` words.
+struct WordCols {
+    pre: u32,
     high: u64,
     pv: u64,
     mv: u64,
-    score: isize,
-    bound: isize,
 }
 
-/// Lanes advanced together per chunk. Wide enough to overlap the Myers
-/// recurrence's serial dependency chain across candidates, small enough
-/// that a chunk's state stays in L1.
-const BATCH_LANES: usize = 8;
-
-/// Lock-step driver for the shifted single-word path: lanes are sorted
-/// into length buckets, then each chunk advances one text column at a
-/// time across all its live lanes. Per lane the transition and the
-/// early-exit check are bit-identical to [`word_bounded_shifted`];
-/// returns the number of early exits (callers aggregate the counter).
-///
-/// `eq_at(c, pre)` supplies the (unmasked) equality word of `c` for the
-/// lane's window: `PeqWord::get >> pre` for word queries,
-/// [`PeqBlocks::window`] for ≤ 64-char windows of blocked queries.
-fn word_bounded_lockstep(
-    eq_at: impl Fn(char, u32) -> u64,
-    lanes: &mut [BatchLane],
-    out: &mut [Option<usize>],
-) -> u64 {
-    lanes.sort_unstable_by_key(|l| l.text.len());
-    let mut early_exits = 0u64;
-    for chunk in lanes.chunks_mut(BATCH_LANES) {
-        let mut active = chunk.len();
-        let mut j = 0usize;
-        while active > 0 {
-            let mut i = 0;
-            while i < active {
-                let lane = &mut chunk[i];
-                let n = lane.text.len();
-                if j == n {
-                    // Same final check as the scalar kernel's fallthrough.
-                    out[lane.out_idx as usize] =
-                        (lane.score as usize <= lane.bound as usize).then_some(lane.score as usize);
-                    active -= 1;
-                    chunk.swap(i, active);
-                    continue;
-                }
-                let eq = eq_at(lane.text[j], lane.pre) & lane.mask;
-                let xv = eq | lane.mv;
-                let xh = (((eq & lane.pv).wrapping_add(lane.pv)) ^ lane.pv) | eq;
-                let mut ph = lane.mv | !(xh | lane.pv);
-                let mut mh = lane.pv & xh;
-                lane.score += isize::from(ph & lane.high != 0);
-                lane.score -= isize::from(mh & lane.high != 0);
-                ph = (ph << 1) | 1;
-                mh <<= 1;
-                lane.pv = mh | !(xv | ph);
-                lane.mv = ph & xv;
-                if lane.score - (n - j - 1) as isize > lane.bound {
-                    early_exits += 1;
-                    out[lane.out_idx as usize] = None;
-                    active -= 1;
-                    chunk.swap(i, active);
-                    continue;
-                }
-                i += 1;
-            }
-            j += 1;
-        }
-    }
-    early_exits
-}
-
-/// One candidate's column state in the lock-step blocked path: the
-/// `w`-word `Pv`/`Mv` columns [`blocked_bounded_prepared`] keeps in its
-/// scratch vectors, inlined into fixed arrays so a chunk of lanes lives
-/// in a handful of cache lines.
-struct BlockedLane<'t> {
-    text: &'t [char],
-    out_idx: u32,
+/// A blocked lane's column state: the `w`-word `Pv`/`Mv` columns the
+/// scalar scan keeps in vectors, inlined into fixed arrays so a chunk of
+/// lanes lives in a handful of cache lines.
+struct BlockedCols {
     pv: [u64; BLOCKED_MAX_W],
     mv: [u64; BLOCKED_MAX_W],
-    score: isize,
-    bound: isize,
 }
 
+/// Word lanes advanced together per chunk. Wide enough to overlap the
+/// Myers recurrence's serial dependency chain across candidates, small
+/// enough that a chunk's state stays in L1.
+const BATCH_LANES: usize = 8;
+
 /// Widest blocked query (in 64-row blocks) eligible for lock-step; wider
-/// queries take the scalar blocked rung. 4 blocks = 256 pattern chars,
+/// queries take the scalar blocked scan. 4 blocks = 256 pattern chars,
 /// comfortably past record-string lengths in the evaluation datasets.
 const BLOCKED_MAX_W: usize = 4;
 
-/// Lanes advanced together in the blocked lock-step. Half the word
-/// path's width: each lane carries `w ≥ 2` words of column state, so 4
-/// lanes already expose enough independent chains to fill the ALUs.
+/// Blocked lanes advanced together per chunk. Half the word path's width:
+/// each lane carries `w ≥ 2` words of column state, so 4 lanes already
+/// expose enough independent chains to fill the ALUs.
 const BLOCKED_BATCH_LANES: usize = 4;
 
-/// Lock-step driver for the blocked (no shared affix) path, the
-/// multi-word sibling of [`word_bounded_lockstep`]: per lane the
-/// transition and early-exit check are bit-identical to
-/// [`blocked_bounded_prepared`]; returns the number of early exits.
-fn blocked_bounded_lockstep(
-    peq: &PeqBlocks,
-    m: usize,
-    lanes: &mut [BlockedLane],
+/// The lock-step driver: lanes are sorted into length buckets so the lanes
+/// of a chunk retire together, then each chunk of `width` lanes advances
+/// one text column at a time across all its live lanes, `step` applying
+/// one column of the lane's recurrence and returning the bottom-row delta.
+/// Per lane the transition, the early-exit check and the final answer are
+/// the scalar scans' own ([`word_step`] / [`blocked_step`], [`Row`]);
+/// returns the number of early exits (the caller aggregates the counter).
+fn lockstep<S>(
+    lanes: &mut [Lane<'_, S>],
+    width: usize,
     out: &mut [Option<usize>],
+    step: impl Fn(&mut S, char) -> isize,
 ) -> u64 {
-    if lanes.is_empty() {
-        return 0;
-    }
-    let w = peq.w;
-    debug_assert!((2..=BLOCKED_MAX_W).contains(&w));
-    let last_high = 1u64 << ((m - 1) % 64);
     lanes.sort_unstable_by_key(|l| l.text.len());
     let mut early_exits = 0u64;
-    for chunk in lanes.chunks_mut(BLOCKED_BATCH_LANES) {
+    for chunk in lanes.chunks_mut(width) {
         let mut active = chunk.len();
         let mut j = 0usize;
         while active > 0 {
@@ -816,97 +663,26 @@ fn blocked_bounded_lockstep(
             while i < active {
                 let lane = &mut chunk[i];
                 let n = lane.text.len();
-                if j == n {
-                    out[lane.out_idx as usize] =
-                        (lane.score as usize <= lane.bound as usize).then_some(lane.score as usize);
-                    active -= 1;
-                    chunk.swap(i, active);
-                    continue;
-                }
-                let eqs = peq.get(lane.text[j]);
-                let mut hin = 1i32;
-                for (k, &eq) in eqs.iter().enumerate().take(w) {
-                    let high = if k + 1 == w { last_high } else { 1u64 << 63 };
-                    hin = advance_block(&mut lane.pv[k], &mut lane.mv[k], eq, hin, high);
-                }
-                lane.score += hin as isize;
-                if lane.score - (n - j - 1) as isize > lane.bound {
+                let answer = if j == n {
+                    lane.row.answer()
+                } else {
+                    lane.row.score += step(&mut lane.cols, lane.text[j]);
+                    if !lane.row.out_of_reach(n - j - 1) {
+                        i += 1;
+                        continue;
+                    }
                     early_exits += 1;
-                    out[lane.out_idx as usize] = None;
-                    active -= 1;
-                    chunk.swap(i, active);
-                    continue;
-                }
-                i += 1;
+                    None
+                };
+                // Retired: swap a live lane into its slot.
+                out[lane.out_idx as usize] = answer;
+                active -= 1;
+                chunk.swap(i, active);
             }
             j += 1;
         }
     }
     early_exits
-}
-
-/// [`blocked_distance`] over a prepared table, with the column state
-/// borrowed from the prepared query so repeated candidates allocate
-/// nothing.
-fn blocked_distance_prepared(
-    peq: &PeqBlocks,
-    m: usize,
-    text: &[char],
-    pv: &mut Vec<u64>,
-    mv: &mut Vec<u64>,
-) -> usize {
-    let w = peq.w;
-    debug_assert!(w >= 2);
-    let last_high = 1u64 << ((m - 1) % 64);
-    pv.clear();
-    pv.resize(w, !0u64);
-    mv.clear();
-    mv.resize(w, 0);
-    let mut score = m as isize;
-    for &c in text {
-        let eqs = peq.get(c);
-        let mut hin = 1i32;
-        for k in 0..w {
-            let high = if k + 1 == w { last_high } else { 1u64 << 63 };
-            hin = advance_block(&mut pv[k], &mut mv[k], eqs[k], hin, high);
-        }
-        score += hin as isize;
-    }
-    score as usize
-}
-
-/// k-bounded [`blocked_distance_prepared`].
-fn blocked_bounded_prepared(
-    peq: &PeqBlocks,
-    m: usize,
-    text: &[char],
-    bound: usize,
-    pv: &mut Vec<u64>,
-    mv: &mut Vec<u64>,
-) -> Option<usize> {
-    let w = peq.w;
-    debug_assert!(w >= 2);
-    let last_high = 1u64 << ((m - 1) % 64);
-    pv.clear();
-    pv.resize(w, !0u64);
-    mv.clear();
-    mv.resize(w, 0);
-    let n = text.len();
-    let mut score = m as isize;
-    for (j, &c) in text.iter().enumerate() {
-        let eqs = peq.get(c);
-        let mut hin = 1i32;
-        for k in 0..w {
-            let high = if k + 1 == w { last_high } else { 1u64 << 63 };
-            hin = advance_block(&mut pv[k], &mut mv[k], eqs[k], hin, high);
-        }
-        score += hin as isize;
-        if score - (n - j - 1) as isize > bound as isize {
-            incr(Counter::EdKernelEarlyExit, 1);
-            return None;
-        }
-    }
-    (score as usize <= bound).then_some(score as usize)
 }
 
 #[cfg(test)]
@@ -914,6 +690,7 @@ mod tests {
     use super::*;
     use crate::edit::{levenshtein_banded, levenshtein_dp};
     use fuzzydedup_metrics::scoped;
+    use proptest::prelude::*;
 
     #[test]
     fn classic_examples() {
@@ -963,6 +740,9 @@ mod tests {
             ("", "abc"),
             ("same", "same"),
             ("microsoft corp", "microsft corporation"),
+            // Rejected on the length gap alone, whichever side is longer.
+            ("ab", "abcdefgh"),
+            ("abcdefgh", "ab"),
         ];
         for (a, b) in pairs {
             let exact = levenshtein_dp(a, b);
@@ -977,12 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_rejects_on_length_gap() {
-        assert_eq!(myers_bounded("ab", "abcdefgh", 3), None);
-        assert_eq!(myers_bounded("abcdefgh", "ab", 3), None);
-    }
-
-    #[test]
     fn bounded_long_strings() {
         let a: String = (0..150).map(|i| (b'a' + (i % 17) as u8) as char).collect();
         let mut b: Vec<char> = a.chars().collect();
@@ -993,59 +767,68 @@ mod tests {
         assert_eq!(myers_bounded(&a, &b, 1), None);
     }
 
-    #[test]
-    fn prepared_pattern_matches_stock_kernels() {
-        let queries = [
-            "",
-            "a",
-            "the doors",
-            "microsoft corporation",
-            // Exactly 64 chars (mask edge), then > 64 (blocked kind).
-            &"x".repeat(64),
-            &format!("a{}b", "y".repeat(78)),
-            &"prefix shared middle differs suffix shared tail tail tail tail tail!".repeat(2),
-        ];
-        let texts = [
-            "",
-            "a",
-            "doors",
-            "the doors la woman",
-            "microsft corp",
-            &"x".repeat(64),
-            &"x".repeat(90),
-            &format!("a{}b", "y".repeat(78)),
-            &format!("c{}d", "y".repeat(78)),
-            &"prefix shared middle DIFFERS suffix shared tail tail tail tail tail!".repeat(2),
-        ];
-        for q in queries {
-            let qc: Vec<char> = q.chars().collect();
-            let mut prepared = PreparedPattern::new(qc.clone());
-            for t in texts {
-                let tc: Vec<char> = t.chars().collect();
-                let exact = myers_chars(&qc, &tc);
-                assert_eq!(prepared.distance(&tc), exact, "{q:?} vs {t:?}");
-                for bound in [0, 1, exact.saturating_sub(1), exact, exact + 1, exact + 10] {
-                    assert_eq!(
-                        prepared.bounded(&tc, bound),
-                        myers_bounded_chars(&qc, &tc, bound),
-                        "{q:?} vs {t:?} bound {bound}"
-                    );
-                }
+    /// Every rung held to the DP oracles, not to another fast path: for one
+    /// query and its candidates, the stock kernel, the prepared scalar entry
+    /// and the prepared batch (re-chunked at 1, 3, 8 and 32, so ragged
+    /// tails and refilled lanes are covered) must all answer what
+    /// `levenshtein_dp` / `levenshtein_banded` answer, at per-candidate
+    /// bounds on both sides of each true distance, and the batch must count
+    /// exactly what the scalar entry counts.
+    fn assert_rungs_match_oracle(query: &str, texts: &[String]) {
+        let qc: Vec<char> = query.chars().collect();
+        let tcs: Vec<Vec<char>> = texts.iter().map(|t| t.chars().collect()).collect();
+        let mut scalar = PreparedPattern::new(qc.clone());
+        let mut batched = PreparedPattern::new(qc.clone());
+        let exact: Vec<usize> = texts.iter().map(|t| levenshtein_dp(query, t)).collect();
+        for (tc, &d) in tcs.iter().zip(&exact) {
+            assert_eq!(myers_chars(&qc, tc), d, "stock {query:?} vs {tc:?}");
+            assert_eq!(scalar.distance(tc), d, "prepared {query:?} vs {tc:?}");
+        }
+        for slack in [isize::MIN, -2, -1, 0, 1, 40] {
+            let requests: Vec<(&[char], usize)> = tcs
+                .iter()
+                .zip(&exact)
+                .map(|(t, d)| (t.as_slice(), d.saturating_add_signed(slack)))
+                .collect();
+            let want: Vec<Option<usize>> = texts
+                .iter()
+                .zip(&requests)
+                .map(|(t, &(_, bound))| levenshtein_banded(query, t, bound))
+                .collect();
+            let stock: Vec<_> =
+                requests.iter().map(|&(t, bound)| myers_bounded_chars(&qc, t, bound)).collect();
+            assert_eq!(stock, want, "stock {query:?} slack {slack}");
+            let (got, scalar_tally) = scoped(|| {
+                requests.iter().map(|&(t, bound)| scalar.bounded(t, bound)).collect::<Vec<_>>()
+            });
+            assert_eq!(got, want, "scalar {query:?} slack {slack}");
+            for chunk_size in [1, 3, 8, 32] {
+                let (got, tally) = scoped(|| {
+                    let (mut got, mut out) = (Vec::new(), Vec::new());
+                    for chunk in requests.chunks(chunk_size) {
+                        batched.bounded_batch(chunk, &mut out);
+                        got.extend_from_slice(&out);
+                    }
+                    got
+                });
+                assert_eq!(got, want, "batch of {chunk_size}: {query:?} slack {slack}");
+                assert_eq!(tally, scalar_tally, "batch of {chunk_size}: {query:?} slack {slack}");
             }
         }
     }
 
     #[test]
-    fn bounded_batch_matches_scalar_bounded() {
+    fn fixed_inputs_match_the_oracle_on_every_rung() {
         let queries = [
             "",
             "a",
             "the doors",
             "microsoft corporation",
+            // Exactly 64 chars (the word edge), then > 64 (blocked kind).
             &"x".repeat(64),
             &format!("a{}b", "y".repeat(78)),
-            // Blocked query whose candidates share long affixes: the
-            // stripped window fits one word and joins the word lanes.
+            // Blocked query whose candidates share long affixes: a window
+            // of ≤ 64 chars joins the word lanes, a wider one falls back.
             &"prefix shared middle differs suffix shared tail tail tail tail tail!".repeat(2),
         ];
         let texts: Vec<String> = vec![
@@ -1062,51 +845,74 @@ mod tests {
             "completely unrelated".into(),
             "prefix shared middle DIFFERS suffix shared tail tail tail tail tail!".repeat(2),
             "prefix shared middle differs suffix shared tail tail tail tail tail?".repeat(2),
+            "prefix shared MUDDLE differs suffix shared tail tail tail tail tail!".to_owned()
+                + "prefix shared middle differs suffix shared tail tail tail tail tail!",
         ];
-        let text_chars: Vec<Vec<char>> = texts.iter().map(|t| t.chars().collect()).collect();
-        for q in queries {
-            let qc: Vec<char> = q.chars().collect();
-            let mut scalar = PreparedPattern::new(qc.clone());
-            let mut batched = PreparedPattern::new(qc.clone());
-            for bound in [0usize, 1, 2, 5, 30, 100] {
-                let requests: Vec<(&[char], usize)> =
-                    text_chars.iter().map(|t| (t.as_slice(), bound)).collect();
-                let expect: Vec<Option<usize>> =
-                    text_chars.iter().map(|t| scalar.bounded(t, bound)).collect();
-                let mut out = Vec::new();
-                batched.bounded_batch(&requests, &mut out);
-                assert_eq!(out, expect, "{q:?} bound {bound}");
-                // Ragged tails and batch size 1 reuse the same lanes.
-                for chunk in requests.chunks(1).chain(requests.chunks(3)) {
-                    let mut small = Vec::new();
-                    batched.bounded_batch(chunk, &mut small);
-                    for (req, got) in chunk.iter().zip(&small) {
-                        assert_eq!(*got, scalar.bounded(req.0, req.1), "{q:?} bound {bound}");
+        for query in queries {
+            assert_rungs_match_oracle(query, &texts);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random Unicode (one `.` draw in sixteen is from all planes)
+        /// queries of 1…300 chars — word, ≤ 4-block and > 4-block — against
+        /// an unrelated text and near-duplicates of three shapes: edits
+        /// clustered within 40 chars (long shared affixes: the shifted word
+        /// path and the ≤ 64-char window of a blocked table), edits spread
+        /// over the text (a multi-word window: the stock fallback), and
+        /// both ends changed as well (no affix: the whole-query lanes).
+        #[test]
+        fn every_rung_matches_the_dp_oracle(
+            query in ".{1,300}",
+            unrelated in ".{0,300}",
+            shapes in prop::collection::vec(
+                (0usize..3, 0usize..300, prop::collection::vec((0usize..40, ".", 0usize..3), 0..5)),
+                1..36,
+            ),
+        ) {
+            let qc: Vec<char> = query.chars().collect();
+            let mut texts = vec![unrelated];
+            for (shape, center, edits) in &shapes {
+                let mut t = qc.clone();
+                if *shape == 2 {
+                    t[0] = '\u{1F600}';
+                    t.push('\u{10FFFF}');
+                }
+                for (offset, c, kind) in edits {
+                    let at = (center + offset * if *shape == 0 { 1 } else { 7 }) % t.len().max(1);
+                    match kind {
+                        0 if !t.is_empty() => t[at] = c.chars().next().unwrap(),
+                        1 if !t.is_empty() => drop(t.remove(at)),
+                        _ => t.insert(at, c.chars().next().unwrap()),
                     }
                 }
+                texts.push(t.into_iter().collect());
             }
+            assert_rungs_match_oracle(&query, &texts);
         }
     }
 
     #[test]
-    fn bounded_batch_counters_match_scalar() {
-        let query: Vec<char> = "golden dragon palace".chars().collect();
-        let texts: Vec<Vec<char>> =
-            ["golden dragon palce", "golden dragon", "palace dragon golden", "zzz"]
-                .iter()
-                .map(|t| t.chars().collect())
-                .collect();
-        let mut scalar = PreparedPattern::new(query.clone());
-        let ((), scalar_delta) = scoped(|| {
-            for t in &texts {
-                scalar.bounded(t, 6);
+    fn huge_bounds_reject_nothing() {
+        // `bound as isize` wrapped negative above `isize::MAX`: the early
+        // exit fired on the first column. ≤ 64 chars, ≤ 4 blocks and > 4
+        // blocks, differing at both ends so nothing strips.
+        for m in [6usize, 80, 300] {
+            let (a, b) = (format!("a{}b", "x".repeat(m)), format!("c{}d", "x".repeat(m)));
+            let want = Some(levenshtein_dp(&a, &b));
+            let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+            for bound in [isize::MAX as usize, isize::MAX as usize + 1, usize::MAX] {
+                assert_eq!(myers_bounded_chars(&a, &b, bound), want, "stock m={m} {bound:#x}");
+                let mut prepared = PreparedPattern::new(a.clone());
+                assert_eq!(prepared.bounded(&b, bound), want, "scalar m={m} {bound:#x}");
+                let mut out = Vec::new();
+                prepared.bounded_batch(&[(&b, bound)], &mut out);
+                assert_eq!(out, [want], "batch m={m} {bound:#x}");
             }
-        });
-        let mut batched = PreparedPattern::new(query);
-        let requests: Vec<(&[char], usize)> = texts.iter().map(|t| (t.as_slice(), 6)).collect();
-        let ((), batch_delta) = scoped(|| batched.bounded_batch(&requests, &mut Vec::new()));
-        assert_eq!(batch_delta, scalar_delta);
-        assert_eq!(batch_delta.get(Counter::EdKernelBounded), 4);
+        }
+        assert_eq!(myers_bounded("kitten", "sitting", usize::MAX), Some(3));
     }
 
     #[test]

@@ -93,33 +93,6 @@ impl QgramProfile {
     }
 }
 
-/// MergeSkip / prefix-filter admission bound for a radius query: the
-/// minimum padded q-gram mass a record within normalized edit distance
-/// `theta` of a query with `chars` normalized characters must share with
-/// it.
-///
-/// Derivation: `d = lev / max(cq, cc) <= theta` implies
-/// `lev <= theta * max(cq, cc)`, and by the count filter
-/// (each edit destroys at most `q` padded grams)
-/// `overlap >= max(gq, gc) - lev*q >= (cq + q - 1) - theta*max(cq,cc)*q`.
-/// The right side is smallest when the *candidate* is the longer record,
-/// but the candidate's length is unknown at merge time; bounding
-/// `max(cq, cc) <= cq / (1 - theta)` (the largest `cc` the length filter
-/// admits) and simplifying conservatively to the standard SSJoin form
-/// gives `B_min = cq * (1 - theta*q) + (q - 1)`, valid whenever
-/// `theta * q < 1`. Returns `None` outside that regime (the bound is
-/// vacuous or negative there, so callers must not skip anything).
-pub fn merge_overlap_bound(chars: u32, q: usize, theta: f64) -> Option<f64> {
-    let qf = q as f64;
-    let tq = theta * qf;
-    // NaN must land in the vacuous branch too, hence the explicit check
-    // rather than `!(tq < 1.0)`.
-    if tq >= 1.0 || tq.is_nan() || q == 0 {
-        return None;
-    }
-    Some(f64::from(chars) * (1.0 - theta * qf) + (qf - 1.0))
-}
-
 /// The indexable terms of a record, as every inverted index in
 /// `fuzzydedup-nnindex` extracts them: padded q-grams of the normalized
 /// record string, optionally plus whole tokens, deduplicated and sorted.
@@ -234,44 +207,7 @@ mod tests {
         assert!(no_tokens.terms.iter().all(|(_, c)| *c > 0));
     }
 
-    #[test]
-    fn merge_overlap_bound_regimes() {
-        // theta*q >= 1: no usable bound.
-        assert_eq!(merge_overlap_bound(20, 3, 0.4), None);
-        assert_eq!(merge_overlap_bound(20, 0, 0.1), None);
-        assert_eq!(merge_overlap_bound(20, 3, f64::NAN), None);
-        // theta = 0 requires the full query gram mass (chars + q - 1).
-        assert_eq!(merge_overlap_bound(20, 3, 0.0), Some(22.0));
-        // Monotone: a tighter radius demands more shared mass.
-        let loose = merge_overlap_bound(20, 3, 0.3).unwrap();
-        let tight = merge_overlap_bound(20, 3, 0.1).unwrap();
-        assert!(tight > loose);
-    }
-
     proptest! {
-        #[test]
-        fn merge_overlap_bound_is_sound(a in "[a-d]{4,12}", b in "[a-d]{4,12}") {
-            // Any pair within normalized distance theta must share at
-            // least B_min(query_chars, q, theta) grams — the admission
-            // bound MergeSkip and the prefix filter freeze on.
-            let q = 3usize;
-            let ca = a.chars().count() as u32;
-            let cb = b.chars().count() as u32;
-            let lev = levenshtein(&a, &b);
-            let d = lev as f64 / ca.max(cb) as f64;
-            let pa = QgramProfile::build(&a, q);
-            let pb = QgramProfile::build(&b, q);
-            let overlap = f64::from(pa.overlap(&pb));
-            for theta in [0.05, 0.15, 0.3] {
-                if d <= theta {
-                    if let Some(b_min) = merge_overlap_bound(ca, q, theta) {
-                        prop_assert!(overlap + 1e-9 >= b_min,
-                            "a={a:?} b={b:?} d={d} theta={theta} overlap={overlap} b_min={b_min}");
-                    }
-                }
-            }
-        }
-
         #[test]
         fn count_filter_is_sound(a in "[a-d]{0,10}", b in "[a-d]{0,10}") {
             // If ed(a,b) = k, the q-gram overlap is at least

@@ -21,6 +21,12 @@
 #                 neighbours do fails on a 2-vCPU box and not first on a
 #                 hosted runner (the process-global counter table made
 #                 fuzzydedup-core fail most runs from 4 threads up; ~30 s)
+#   test-release  cargo test -q --release -p fuzzydedup-textdist
+#                 -p fuzzydedup-nnindex: the kernels' shipped build — no
+#                 debug_assert, inline(always) / const-generic scans, the
+#                 SSE2 postings decode, set_len — which the debug-profile
+#                 stages above never run (--skip-bench runs it, --fast
+#                 does not)
 #   e2e-smoke     benchmark/run.sh --smoke: the repo benchmark at 1/20
 #                 size with every check on. The benchmark package
 #                 path-depends on crates/* but sits outside the
@@ -66,7 +72,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-all_stages=(build fmt clippy test test-ws test-interleave e2e-smoke recall-smoke bench-smoke scale-smoke service-smoke)
+all_stages=(build fmt clippy test test-ws test-interleave test-release e2e-smoke recall-smoke bench-smoke scale-smoke service-smoke)
 
 fast=0
 skip_bench=0
@@ -172,7 +178,7 @@ wants() {
     fi
     case "$name" in
         build|test) [[ $bench_only -eq 0 ]] ;;
-        fmt|clippy|test-ws|test-interleave|e2e-smoke|recall-smoke) [[ $bench_only -eq 0 && $fast -eq 0 ]] ;;
+        fmt|clippy|test-ws|test-interleave|test-release|e2e-smoke|recall-smoke) [[ $bench_only -eq 0 && $fast -eq 0 ]] ;;
         bench-smoke) [[ $fast -eq 0 && $skip_bench -eq 0 ]] ;;
         scale-smoke) [[ $bench_only -eq 0 && $fast -eq 0 && $skip_bench -eq 0 ]] ;;
         service-smoke) [[ $bench_only -eq 0 && $fast -eq 0 && $skip_bench -eq 0 ]] ;;
@@ -193,6 +199,10 @@ for stage in "${all_stages[@]}"; do
         test-interleave)
             run_stage test-interleave cargo test -q -p fuzzydedup-metrics -p fuzzydedup-textdist \
                 -p fuzzydedup-nnindex -p fuzzydedup-core --lib -- --test-threads 16
+            ;;
+        test-release)
+            run_stage test-release cargo test -q --release -p fuzzydedup-textdist \
+                -p fuzzydedup-nnindex
             ;;
         e2e-smoke) run_stage e2e-smoke bash benchmark/run.sh --smoke ;;
         recall-smoke)

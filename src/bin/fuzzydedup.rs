@@ -71,14 +71,47 @@ use std::process::ExitCode;
 
 use fuzzydedup::core::{
     estimate_sn_threshold_parallel, evaluate, Aggregation, CollapseKey, CutSpec, DedupConfig,
-    DedupError, DedupService, Deduplicator, IncrementalDedup, Parallelism, Partition,
-    ServiceConfig, ServiceError,
+    DedupService, Deduplicator, IncrementalDedup, Parallelism, Partition, ServiceConfig,
+    ServiceError,
 };
 use fuzzydedup::datagen::csvio::{parse_csv, write_csv};
 use fuzzydedup::datagen::{media, org, restaurants, Dataset, DatasetSpec};
 use fuzzydedup::textdist::DistanceKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Which subcommand is parsing: the batch command or `replay`.
+#[derive(Clone, Copy, PartialEq)]
+enum Cmd {
+    Batch,
+    Replay,
+}
+
+/// Every flag of both subcommands: name, whether it takes a value, and
+/// whether the batch command / `replay` accepts it.
+const FLAGS: &[(&str, bool, bool, bool)] = &[
+    ("--input", true, true, true),
+    ("--output", true, true, true),
+    ("--no-header", false, true, true),
+    ("--columns", true, true, true),
+    ("--gold-column", true, true, false),
+    ("--distance", true, true, true),
+    ("--k", true, true, true),
+    ("--theta", true, true, true),
+    ("--c", true, true, true),
+    ("--dup-fraction", true, true, false),
+    ("--agg", true, true, true),
+    ("--minimality", false, true, false),
+    ("--report", false, true, false),
+    ("--metrics", false, true, true),
+    ("--threads", true, true, false),
+    ("--collapse", true, true, true),
+    ("--demo", true, true, true),
+    ("--batch-size", true, false, true),
+    ("--queue-capacity", true, false, true),
+    ("--query-ratio", true, false, true),
+    ("--seed", true, false, true),
+];
 
 struct Options {
     input: Option<String>,
@@ -97,6 +130,10 @@ struct Options {
     threads: Option<usize>,
     collapse: Option<CollapseKey>,
     demo: Option<String>,
+    batch_size: usize,
+    queue_capacity: usize,
+    query_ratio: f64,
+    seed: u64,
 }
 
 fn parse_collapse_key(name: &str) -> Result<CollapseKey, String> {
@@ -107,16 +144,35 @@ fn parse_collapse_key(name: &str) -> Result<CollapseKey, String> {
     }
 }
 
-fn usage() -> &'static str {
-    "usage: fuzzydedup --input records.csv [--output out.csv] [--no-header]\n\
-     \x20                 [--columns 0,1] [--gold-column N] [--distance fms|ed|cosine|jaccard|jw|monge-elkan]\n\
-     \x20                 [--k N | --theta X] [--c X | --dup-fraction F] [--agg max|avg|max2]\n\
-     \x20                 [--minimality] [--report] [--metrics] [--threads N]\n\
-     \x20                 [--collapse record-string|exact-fields]\n\
-     \x20                 [--demo table1|restaurants|media|org]"
+fn usage(cmd: Cmd) -> &'static str {
+    match cmd {
+        Cmd::Batch => {
+            "usage: fuzzydedup --input records.csv [--output out.csv] [--no-header]\n\
+             \x20                 [--columns 0,1] [--gold-column N] [--distance fms|ed|cosine|jaccard|jw|monge-elkan]\n\
+             \x20                 [--k N | --theta X] [--c X | --dup-fraction F] [--agg max|avg|max2]\n\
+             \x20                 [--minimality] [--report] [--metrics] [--threads N]\n\
+             \x20                 [--collapse record-string|exact-fields]\n\
+             \x20                 [--demo table1|restaurants|media|org]"
+        }
+        Cmd::Replay => {
+            "usage: fuzzydedup replay (--input records.csv | --demo NAME) [--output out.csv]\n\
+             \x20                 [--no-header] [--columns 0,1] [--distance ed|fms]\n\
+             \x20                 [--k N | --theta X] [--c X] [--agg max|avg|max2]\n\
+             \x20                 [--batch-size N] [--queue-capacity N] [--query-ratio F]\n\
+             \x20                 [--collapse record-string|exact-fields] [--seed N] [--metrics]"
+        }
+    }
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+/// Parse a flag's value, naming the flag on failure.
+fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
+
+fn parse_args(cmd: Cmd, args: &[String]) -> Result<Options, String> {
     let mut cut_set = false;
     let mut opts = Options {
         input: None,
@@ -125,7 +181,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         columns: None,
         gold_column: None,
         distance: DistanceKind::FuzzyMatch,
-        cut: CutSpec::Size(5),
+        cut: CutSpec::Size(if cmd == Cmd::Batch { 5 } else { 4 }),
         c: None,
         dup_fraction: None,
         agg: Aggregation::Max,
@@ -135,77 +191,82 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         threads: None,
         collapse: None,
         demo: None,
+        batch_size: 64,
+        queue_capacity: 1024,
+        query_ratio: 0.0,
+        seed: 7,
     };
-    let mut i = 0;
-    let next = |i: &mut usize| -> Result<&String, String> {
-        *i += 1;
-        args.get(*i).ok_or_else(|| format!("missing value for {}", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--input" => opts.input = Some(next(&mut i)?.clone()),
-            "--output" => opts.output = Some(next(&mut i)?.clone()),
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            return Err(usage(cmd).to_string());
+        }
+        let &(flag, takes_value, ..) = FLAGS
+            .iter()
+            .find(|&&(name, _, batch, replay)| {
+                name == arg && if cmd == Cmd::Batch { batch } else { replay }
+            })
+            .ok_or_else(|| format!("unknown argument {arg:?}\n{}", usage(cmd)))?;
+        let value = if takes_value {
+            args.next().ok_or_else(|| format!("missing value for {flag}"))?.as_str()
+        } else {
+            ""
+        };
+        match flag {
+            "--input" => opts.input = Some(value.to_string()),
+            "--output" => opts.output = Some(value.to_string()),
             "--no-header" => opts.header = false,
             "--columns" => {
-                let spec = next(&mut i)?;
-                let cols: Result<Vec<usize>, _> =
-                    spec.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                opts.columns = Some(cols.map_err(|e| format!("bad --columns: {e}"))?);
+                let cols: Result<Vec<usize>, String> =
+                    value.split(',').map(|s| parsed(flag, s.trim())).collect();
+                opts.columns = Some(cols?);
             }
-            "--gold-column" => {
-                opts.gold_column =
-                    Some(next(&mut i)?.parse().map_err(|e| format!("bad --gold-column: {e}"))?)
-            }
+            "--gold-column" => opts.gold_column = Some(parsed(flag, value)?),
             "--distance" => {
-                let name = next(&mut i)?;
-                opts.distance = DistanceKind::parse(name)
-                    .ok_or_else(|| format!("unknown distance {name:?}"))?;
+                opts.distance = DistanceKind::parse(value)
+                    .ok_or_else(|| format!("unknown distance {value:?}"))?;
             }
-            "--k" => {
+            "--k" | "--theta" => {
                 if cut_set {
                     return Err("--k and --theta are mutually exclusive".to_string());
                 }
                 cut_set = true;
-                let k = next(&mut i)?.parse().map_err(|e| format!("bad --k: {e}"))?;
-                opts.cut = CutSpec::Size(k);
+                opts.cut = if flag == "--k" {
+                    CutSpec::Size(parsed(flag, value)?)
+                } else {
+                    CutSpec::Diameter(parsed(flag, value)?)
+                };
             }
-            "--theta" => {
-                if cut_set {
-                    return Err("--k and --theta are mutually exclusive".to_string());
-                }
-                cut_set = true;
-                let t = next(&mut i)?.parse().map_err(|e| format!("bad --theta: {e}"))?;
-                opts.cut = CutSpec::Diameter(t);
-            }
-            "--c" => opts.c = Some(next(&mut i)?.parse().map_err(|e| format!("bad --c: {e}"))?),
-            "--dup-fraction" => {
-                opts.dup_fraction =
-                    Some(next(&mut i)?.parse().map_err(|e| format!("bad --dup-fraction: {e}"))?)
-            }
+            "--c" => opts.c = Some(parsed(flag, value)?),
+            "--dup-fraction" => opts.dup_fraction = Some(parsed(flag, value)?),
             "--agg" => {
-                let name = next(&mut i)?;
-                opts.agg = Aggregation::parse(name)
-                    .ok_or_else(|| format!("unknown aggregation {name:?}"))?;
+                opts.agg = Aggregation::parse(value)
+                    .ok_or_else(|| format!("unknown aggregation {value:?}"))?;
             }
             "--minimality" => opts.minimality = true,
             "--report" => opts.report = true,
             "--metrics" => opts.metrics = true,
-            "--threads" => {
-                opts.threads =
-                    Some(next(&mut i)?.parse().map_err(|e| format!("bad --threads: {e}"))?)
+            "--threads" => opts.threads = Some(parsed(flag, value)?),
+            "--collapse" => opts.collapse = Some(parse_collapse_key(value)?),
+            "--demo" => opts.demo = Some(value.to_string()),
+            "--batch-size" => opts.batch_size = parsed(flag, value)?,
+            "--queue-capacity" => opts.queue_capacity = parsed(flag, value)?,
+            "--query-ratio" => {
+                opts.query_ratio = parsed(flag, value)?;
+                if !(0.0..1.0).contains(&opts.query_ratio) {
+                    return Err("--query-ratio must be in [0, 1)".to_string());
+                }
             }
-            "--collapse" => opts.collapse = Some(parse_collapse_key(next(&mut i)?)?),
-            "--demo" => opts.demo = Some(next(&mut i)?.clone()),
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown argument {other:?}\n{}", usage())),
+            "--seed" => opts.seed = parsed(flag, value)?,
+            other => unreachable!("{other} is in FLAGS but not applied"),
         }
-        i += 1;
     }
     if opts.input.is_none() && opts.demo.is_none() {
-        return Err(format!("--input or --demo is required\n{}", usage()));
+        return Err(format!("--input or --demo is required\n{}", usage(cmd)));
     }
     if opts.demo.is_some() && (opts.gold_column.is_some() || opts.columns.is_some()) {
-        return Err("--gold-column/--columns do not apply to --demo datasets                     (demos carry their own gold labels)"
+        return Err("--gold-column/--columns do not apply to --demo datasets \
+                    (demos carry their own gold labels)"
             .to_string());
     }
     Ok(opts)
@@ -273,150 +334,31 @@ fn load_input(opts: &Options) -> Result<LoadedInput, String> {
 // `replay` subcommand: stream the input through the live dedup service.
 // ---------------------------------------------------------------------------
 
-struct ReplayOptions {
-    io: Options,
-    c: f64,
-    batch_size: usize,
-    queue_capacity: usize,
-    query_ratio: f64,
-    seed: u64,
-}
-
-fn replay_usage() -> &'static str {
-    "usage: fuzzydedup replay (--input records.csv | --demo NAME) [--output out.csv]\n\
-     \x20                 [--no-header] [--columns 0,1] [--distance ed|fms]\n\
-     \x20                 [--k N | --theta X] [--c X] [--agg max|avg|max2]\n\
-     \x20                 [--batch-size N] [--queue-capacity N] [--query-ratio F]\n\
-     \x20                 [--collapse record-string|exact-fields] [--seed N] [--metrics]"
-}
-
-fn parse_replay_args(args: &[String]) -> Result<ReplayOptions, String> {
-    let mut cut_set = false;
-    let mut opts = ReplayOptions {
-        io: Options {
-            input: None,
-            output: None,
-            header: true,
-            columns: None,
-            gold_column: None,
-            distance: DistanceKind::FuzzyMatch,
-            cut: CutSpec::Size(4),
-            c: None,
-            dup_fraction: None,
-            agg: Aggregation::Max,
-            minimality: false,
-            report: false,
-            metrics: false,
-            threads: None,
-            collapse: None,
-            demo: None,
-        },
-        c: 4.0,
-        batch_size: 64,
-        queue_capacity: 1024,
-        query_ratio: 0.0,
-        seed: 7,
-    };
-    let mut i = 0;
-    let next = |i: &mut usize| -> Result<&String, String> {
-        *i += 1;
-        args.get(*i).ok_or_else(|| format!("missing value for {}", args[*i - 1]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--input" => opts.io.input = Some(next(&mut i)?.clone()),
-            "--output" => opts.io.output = Some(next(&mut i)?.clone()),
-            "--no-header" => opts.io.header = false,
-            "--columns" => {
-                let spec = next(&mut i)?;
-                let cols: Result<Vec<usize>, _> =
-                    spec.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                opts.io.columns = Some(cols.map_err(|e| format!("bad --columns: {e}"))?);
-            }
-            "--demo" => opts.io.demo = Some(next(&mut i)?.clone()),
-            "--distance" => {
-                let name = next(&mut i)?;
-                opts.io.distance = DistanceKind::parse(name)
-                    .ok_or_else(|| format!("unknown distance {name:?}"))?;
-            }
-            "--k" => {
-                if cut_set {
-                    return Err("--k and --theta are mutually exclusive".to_string());
-                }
-                cut_set = true;
-                let k = next(&mut i)?.parse().map_err(|e| format!("bad --k: {e}"))?;
-                opts.io.cut = CutSpec::Size(k);
-            }
-            "--theta" => {
-                if cut_set {
-                    return Err("--k and --theta are mutually exclusive".to_string());
-                }
-                cut_set = true;
-                let t = next(&mut i)?.parse().map_err(|e| format!("bad --theta: {e}"))?;
-                opts.io.cut = CutSpec::Diameter(t);
-            }
-            "--c" => opts.c = next(&mut i)?.parse().map_err(|e| format!("bad --c: {e}"))?,
-            "--agg" => {
-                let name = next(&mut i)?;
-                opts.io.agg = Aggregation::parse(name)
-                    .ok_or_else(|| format!("unknown aggregation {name:?}"))?;
-            }
-            "--batch-size" => {
-                opts.batch_size =
-                    next(&mut i)?.parse().map_err(|e| format!("bad --batch-size: {e}"))?
-            }
-            "--queue-capacity" => {
-                opts.queue_capacity =
-                    next(&mut i)?.parse().map_err(|e| format!("bad --queue-capacity: {e}"))?
-            }
-            "--query-ratio" => {
-                opts.query_ratio =
-                    next(&mut i)?.parse().map_err(|e| format!("bad --query-ratio: {e}"))?;
-                if !(0.0..1.0).contains(&opts.query_ratio) {
-                    return Err("--query-ratio must be in [0, 1)".to_string());
-                }
-            }
-            "--collapse" => opts.io.collapse = Some(parse_collapse_key(next(&mut i)?)?),
-            "--seed" => {
-                opts.seed = next(&mut i)?.parse().map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--metrics" => opts.io.metrics = true,
-            "--help" | "-h" => return Err(replay_usage().to_string()),
-            other => return Err(format!("unknown argument {other:?}\n{}", replay_usage())),
-        }
-        i += 1;
-    }
-    if opts.io.input.is_none() && opts.io.demo.is_none() {
-        return Err(format!("--input or --demo is required\n{}", replay_usage()));
-    }
-    Ok(opts)
-}
-
 /// Stream `records` through a [`DedupService`] built on `distance`,
 /// interleaving point queries, and return the drained partition.
 fn run_service<D: fuzzydedup::textdist::Distance + Clone + 'static>(
     distance: D,
     records: &[Vec<String>],
-    opts: &ReplayOptions,
+    opts: &Options,
 ) -> Result<Partition, String> {
     let mut service = DedupService::spawn(
         IncrementalDedup::builder(distance)
-            .cut(opts.io.cut)
-            .aggregation(opts.io.agg)
-            .sn_threshold(opts.c)
-            .collapse(opts.io.collapse),
+            .cut(opts.cut)
+            .aggregation(opts.agg)
+            .sn_threshold(opts.c.unwrap_or(4.0))
+            .collapse(opts.collapse),
         ServiceConfig::new()
             .admit_batch_size(opts.batch_size.max(1))
             .queue_capacity(opts.queue_capacity.max(1)),
     )
-    .map_err(|e| render_service_error(&e))?;
+    .map_err(|e| render_error(&e))?;
 
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let queries_per_ingest = opts.query_ratio / (1.0 - opts.query_ratio);
     let mut query_debt = 0.0f64;
     let started = std::time::Instant::now();
     for (i, record) in records.iter().enumerate() {
-        service.submit_wait(record.clone()).map_err(|e| render_service_error(&e))?;
+        service.submit_wait(record.clone()).map_err(|e| render_error(&e))?;
         query_debt += queries_per_ingest;
         while query_debt >= 1.0 {
             query_debt -= 1.0;
@@ -429,7 +371,7 @@ fn run_service<D: fuzzydedup::textdist::Distance + Clone + 'static>(
     let stats = service.stats();
     if stats.writer_failed {
         // The drained snapshot is short of the records still queued.
-        return Err(render_service_error(&ServiceError::WriterFailed));
+        return Err(render_error(&ServiceError::WriterFailed));
     }
     eprintln!(
         "service: {} records in {} batches over {} epochs ({:.1?} wall); \
@@ -446,7 +388,7 @@ fn run_service<D: fuzzydedup::textdist::Distance + Clone + 'static>(
         stats.distinct_groups_estimate,
         if stats.distinct_is_exact { " (exact)" } else { "" },
     );
-    if opts.io.metrics {
+    if opts.metrics {
         eprintln!("{}", service.metrics().to_json());
     }
     let (_, partition) = service.snapshot_partition();
@@ -454,38 +396,71 @@ fn run_service<D: fuzzydedup::textdist::Distance + Clone + 'static>(
     Ok(partition)
 }
 
-fn render_service_error(e: &ServiceError) -> String {
-    use std::error::Error;
-    let mut msg = e.to_string();
-    let mut cause: Option<&dyn Error> = e.source();
-    while let Some(c) = cause {
-        msg.push_str(": ");
-        msg.push_str(&c.to_string());
-        cause = c.source();
+/// The matching columns of every row: `--columns`, or every column but
+/// the gold one.
+fn project_columns(
+    opts: &Options,
+    header: &[String],
+    rows: &[Vec<String>],
+) -> Result<Vec<Vec<String>>, String> {
+    let match_columns: Vec<usize> = match &opts.columns {
+        Some(cols) => cols.clone(),
+        None => (0..header.len()).filter(|i| Some(*i) != opts.gold_column).collect(),
+    };
+    if let Some(c) = match_columns.iter().find(|&&c| c >= header.len()) {
+        return Err(format!("--columns index {c} out of range (arity {})", header.len()));
     }
-    msg
+    Ok(rows.iter().map(|r| match_columns.iter().map(|&c| r[c].clone()).collect()).collect())
+}
+
+/// Precision and recall against the gold labels, when the input has them.
+fn report_gold(partition: &Partition, gold: Option<&Vec<usize>>) {
+    if let Some(gold) = gold {
+        let pr = evaluate(partition, gold);
+        eprintln!(
+            "vs gold labels: recall={:.3} precision={:.3} f1={:.3}",
+            pr.recall,
+            pr.precision,
+            pr.f1()
+        );
+    }
+}
+
+/// Output: the original rows plus a trailing `group_id` column, to
+/// `--output` or stdout.
+fn write_grouped(
+    opts: &Options,
+    header: &[String],
+    rows: &[Vec<String>],
+    partition: &Partition,
+) -> Result<(), String> {
+    let mut out_rows: Vec<Vec<String>> = Vec::with_capacity(rows.len() + 1);
+    let mut out_header = header.to_vec();
+    out_header.push("group_id".to_string());
+    out_rows.push(out_header);
+    for (i, row) in rows.iter().enumerate() {
+        let mut out = row.clone();
+        out.push(partition.group_index_of(i as u32).to_string());
+        out_rows.push(out);
+    }
+    let text = write_csv(&out_rows);
+    match &opts.output {
+        Some(path) => std::fs::write(path, text).map_err(|e| e.to_string())?,
+        None => print!("{text}"),
+    }
+    Ok(())
 }
 
 fn run_replay(args: &[String]) -> Result<(), String> {
-    let opts = parse_replay_args(args)?;
-    let (header, rows, gold) = load_input(&opts.io)?;
+    let opts = parse_args(Cmd::Replay, args)?;
+    let (header, rows, gold) = load_input(&opts)?;
     if rows.is_empty() {
         eprintln!("no records");
         return Ok(());
     }
-    let match_columns: Vec<usize> = match &opts.io.columns {
-        Some(cols) => cols.clone(),
-        None => (0..header.len()).collect(),
-    };
-    for &c in &match_columns {
-        if c >= header.len() {
-            return Err(format!("--columns index {c} out of range (arity {})", header.len()));
-        }
-    }
-    let records: Vec<Vec<String>> =
-        rows.iter().map(|r| match_columns.iter().map(|&c| r[c].clone()).collect()).collect();
+    let records = project_columns(&opts, &header, &rows)?;
 
-    let partition = match opts.io.distance {
+    let partition = match opts.distance {
         DistanceKind::EditDistance => {
             run_service(fuzzydedup::textdist::EditDistance, &records, &opts)?
         }
@@ -506,31 +481,8 @@ fn run_replay(args: &[String]) -> Result<(), String> {
         partition.num_groups(),
         partition.num_duplicate_pairs(),
     );
-    if let Some(gold) = &gold {
-        let pr = evaluate(&partition, gold);
-        eprintln!(
-            "vs gold labels: recall={:.3} precision={:.3} f1={:.3}",
-            pr.recall,
-            pr.precision,
-            pr.f1()
-        );
-    }
-
-    let mut out_rows: Vec<Vec<String>> = Vec::with_capacity(rows.len() + 1);
-    let mut out_header = header.clone();
-    out_header.push("group_id".to_string());
-    out_rows.push(out_header);
-    for (i, row) in rows.iter().enumerate() {
-        let mut out = row.clone();
-        out.push(partition.group_index_of(i as u32).to_string());
-        out_rows.push(out);
-    }
-    let text = write_csv(&out_rows);
-    match &opts.io.output {
-        Some(path) => std::fs::write(path, text).map_err(|e| e.to_string())?,
-        None => print!("{text}"),
-    }
-    Ok(())
+    report_gold(&partition, gold.as_ref());
+    write_grouped(&opts, &header, &rows, &partition)
 }
 
 fn run() -> Result<(), String> {
@@ -538,25 +490,13 @@ fn run() -> Result<(), String> {
     if args.first().map(String::as_str) == Some("replay") {
         return run_replay(&args[1..]);
     }
-    let opts = parse_args(&args)?;
+    let opts = parse_args(Cmd::Batch, &args)?;
     let (header, rows, gold) = load_input(&opts)?;
     if rows.is_empty() {
         eprintln!("no records");
         return Ok(());
     }
-
-    // Project the matching columns (excluding the gold column).
-    let match_columns: Vec<usize> = match &opts.columns {
-        Some(cols) => cols.clone(),
-        None => (0..header.len()).filter(|i| Some(*i) != opts.gold_column).collect(),
-    };
-    for &c in &match_columns {
-        if c >= header.len() {
-            return Err(format!("--columns index {c} out of range (arity {})", header.len()));
-        }
-    }
-    let records: Vec<Vec<String>> =
-        rows.iter().map(|r| match_columns.iter().map(|&c| r[c].clone()).collect()).collect();
+    let records = project_columns(&opts, &header, &rows)?;
 
     // Resolve the SN threshold.
     let mut config = DedupConfig::new(opts.distance)
@@ -610,15 +550,7 @@ fn run() -> Result<(), String> {
         outcome.phase1_duration,
         outcome.phase2_duration,
     );
-    if let Some(gold) = &gold {
-        let pr = evaluate(partition, gold);
-        eprintln!(
-            "vs gold labels: recall={:.3} precision={:.3} f1={:.3}",
-            pr.recall,
-            pr.precision,
-            pr.f1()
-        );
-    }
+    report_gold(partition, gold.as_ref());
     if opts.metrics {
         // Stdout carries the CSV; observability goes to stderr.
         eprintln!("{}", outcome.metrics.to_json());
@@ -632,31 +564,14 @@ fn run() -> Result<(), String> {
         );
         eprintln!("\n{report}");
     }
-
-    // Output: original rows + group_id.
-    let mut out_rows: Vec<Vec<String>> = Vec::with_capacity(rows.len() + 1);
-    let mut out_header = header.clone();
-    out_header.push("group_id".to_string());
-    out_rows.push(out_header);
-    for (i, row) in rows.iter().enumerate() {
-        let mut out = row.clone();
-        out.push(partition.group_index_of(i as u32).to_string());
-        out_rows.push(out);
-    }
-    let text = write_csv(&out_rows);
-    match &opts.output {
-        Some(path) => std::fs::write(path, text).map_err(|e| e.to_string())?,
-        None => print!("{text}"),
-    }
-    Ok(())
+    write_grouped(&opts, &header, &rows, partition)
 }
 
-/// Render a [`DedupError`] with its full `source()` chain — the Display
-/// of each layer no longer embeds its cause, so the chain is the message.
-fn render_error(e: &DedupError) -> String {
-    use std::error::Error;
+/// Render an error with its full `source()` chain — the Display of each
+/// layer does not embed its cause, so the chain is the message.
+fn render_error(e: &dyn std::error::Error) -> String {
     let mut msg = e.to_string();
-    let mut cause: Option<&dyn Error> = e.source();
+    let mut cause = e.source();
     while let Some(c) = cause {
         msg.push_str(": ");
         msg.push_str(&c.to_string());

@@ -180,6 +180,42 @@ fn removed_pair_cache_flag_is_unknown_and_prints_usage() {
 }
 
 #[test]
+fn demo_rejects_columns_alike_on_both_subcommands() {
+    // One parser: `replay` used to accept the combination the batch command
+    // rejects, and the batch message carried a run of 21 spaces.
+    let [batch, replay] = [vec![], vec!["replay"]].map(|mut args| {
+        args.extend(["--demo", "table1", "--columns", "0"]);
+        let out = bin().args(&args).output().unwrap();
+        assert!(!out.status.success(), "args {args:?} should fail");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    });
+    assert_eq!(replay, batch);
+    assert!(batch.starts_with("--gold-column/--columns do not apply to --demo"), "{batch}");
+    assert!(!batch.contains("  "), "a run of spaces mid-sentence: {batch:?}");
+}
+
+#[test]
+fn each_subcommand_takes_its_own_flags_and_prints_its_own_usage() {
+    for (args, usage) in [
+        (vec!["--demo", "table1", "--batch-size", "8"], "usage: fuzzydedup --input"),
+        (vec!["replay", "--demo", "table1", "--threads", "2"], "usage: fuzzydedup replay"),
+        (vec!["replay", "--demo", "table1", "--gold-column", "0"], "usage: fuzzydedup replay"),
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert!(!out.status.success(), "args {args:?} should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument {:?}", args[args.len() - 2])),
+            "{stderr}"
+        );
+        assert!(stderr.contains(usage), "{stderr}");
+    }
+    // A flag that takes a value says so when it is last.
+    let out = bin().args(["replay", "--demo", "table1", "--seed"]).output().unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stderr).trim(), "missing value for --seed");
+}
+
+#[test]
 fn malformed_csv_is_reported() {
     let input = temp_path("bad.csv");
     std::fs::write(&input, "name\n\"unterminated\n").unwrap();
