@@ -7,16 +7,23 @@
 //! DP on the 16–64 char buckets, and the bench-regression gate
 //! (`ci_bench_gate`) watches it for slowdowns.
 //!
-//! One more row, `verify/org63_per_candidate`, times the kernel where
-//! Phase 1 calls it: **ns per candidate** through the prepared batch call
-//! over compiled Org records (record strings of ≈ 63 chars) at cutoff
-//! 0.6 — everything verification pays per candidate, not the scan alone.
+//! Two more rows time the kernel where Phase 1 calls it: **ns per
+//! candidate** through the prepared batch call over compiled Org records
+//! at cutoff 0.6 — everything verification pays per candidate, not the scan
+//! alone — once per lane kind of the chunk kernel (DESIGN.md §7.6):
+//! `verify/org_word_per_candidate` (the query is the first record of ≤ 64
+//! chars: word lanes) and `verify/org_blocked_per_candidate` (the first
+//! longer one: blocked lanes, and window lanes where affixes strip). Org
+//! record strings have a median of ≈ 63 chars with ≈ 41 % over 64, so a
+//! single row prepared from `records[0]` timed whichever kind that one
+//! record's length happened to select.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fuzzydedup_datagen::{org, DatasetSpec};
 use fuzzydedup_textdist::edit::levenshtein_dp_chars_with;
 use fuzzydedup_textdist::{
-    myers_bounded_chars, myers_chars, Candidate, CompiledRecords, Distance, EditDistance,
+    myers_bounded_chars, myers_chars, record_string, Candidate, CompiledRecords, Distance,
+    EditDistance,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,25 +106,36 @@ fn bench_edit_kernel(c: &mut Criterion) {
     }
 
     // One lookup's worth of verification: the query prepared once, then
-    // 256 candidates (the default candidate limit) in lock-step batches
-    // of 32 (the driver's flush size) at one cutoff.
+    // 256 candidates (the default candidate limit) in batches of 32 (the
+    // driver's flush size) at one cutoff — every other record, so both rows
+    // verify the same kind of candidates and differ in the query alone.
     const CANDIDATES: usize = 256;
     const BATCH: usize = 32;
     let records = org::generate(&mut rng, DatasetSpec::with_entities(CANDIDATES)).records;
     let store = CompiledRecords::compile(&EditDistance, &records);
-    let candidates: Vec<Candidate> =
-        (1..=CANDIDATES).map(|id| store.candidate(id, &records[id])).collect();
-    let query: Vec<&str> = records[0].iter().map(String::as_str).collect();
-    group.bench_function("verify/org63_per_candidate", |b| {
-        let mut prepared = EditDistance.prepare(&query);
-        let mut out = Vec::new();
-        b.iter_per_element(CANDIDATES as u64, || {
-            for batch in candidates.chunks(BATCH) {
-                prepared.distance_bounded_batch(black_box(batch), 0.6, &mut out);
-                black_box(&out);
-            }
-        })
-    });
+    let fields = |id: usize| records[id].iter().map(String::as_str).collect::<Vec<&str>>();
+    let first = |long: bool| {
+        (0..records.len())
+            .find(|&id| (record_string(&fields(id)).chars().count() > 64) == long)
+            .expect("Org has records on both sides of 64 chars")
+    };
+    for (row, query) in [("org_word", first(false)), ("org_blocked", first(true))] {
+        let candidates: Vec<Candidate> = (0..records.len())
+            .filter(|&id| id != query)
+            .take(CANDIDATES)
+            .map(|id| store.candidate(id, &records[id]))
+            .collect();
+        group.bench_function(format!("verify/{row}_per_candidate"), |b| {
+            let mut prepared = EditDistance.prepare(&fields(query));
+            let mut out = Vec::new();
+            b.iter_per_element(CANDIDATES as u64, || {
+                for batch in candidates.chunks(BATCH) {
+                    prepared.distance_bounded_batch(black_box(batch), 0.6, &mut out);
+                    black_box(&out);
+                }
+            })
+        });
+    }
     group.finish();
 }
 

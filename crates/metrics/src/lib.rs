@@ -309,8 +309,9 @@ run_metrics! {
         distance_calls_saved: u64 = same_as Counter::PairCacheHits,
     }
 
-    /// Lock-step verification batching (`nnindex` layer): how much of the
-    /// candidate-verification workload went through the batched kernel.
+    /// Batched verification (`nnindex` driver, `textdist` chunk kernel): how
+    /// much of the candidate-verification workload went through the batched
+    /// kernel, and how many of the columns it was offered it had to scan.
     #[derive(Eq)]
     verify_batch: VerifyBatchMetrics = "verify_batch" {
         /// Batches flushed by the batching driver.
@@ -318,6 +319,13 @@ run_metrics! {
         /// Candidates verified inside those batches (the rest of the
         /// distance calls took the scalar prepared path).
         batched_candidates: u64 = Counter::VerifyBatchedCandidates,
+        /// Text columns handed to the chunk kernel: the sum of its lanes'
+        /// text lengths.
+        columns_offered: u64 = Counter::VerifyColumnsOffered,
+        /// Text columns the chunk kernel advanced a live lane through —
+        /// each lane up to its own end or the column its chunk stopped at;
+        /// the rest of `columns_offered` is what the bounded exit skipped.
+        columns_scanned: u64 = Counter::VerifyColumnsScanned,
     }
 
     /// `NN_Reln` spill accounting (`core` layer) plus the run's memory

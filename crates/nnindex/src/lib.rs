@@ -875,6 +875,11 @@ mod tests {
         assert_eq!(attempted, 99);
         assert_eq!(d.get(Counter::VerifyBatches), 3, "tight cutoffs defer candidates into batches");
         assert_eq!(d.get(Counter::VerifyBatchedCandidates), 96, "K scalar, the rest batched");
+        // The records differ in their last two chars only, so what a lane is
+        // offered is the one or two text columns left after stripping — and
+        // it scans them all: the kernel asks whether to stop every fourth.
+        assert_eq!(d.get(Counter::VerifyColumnsOffered), 168);
+        assert_eq!(d.get(Counter::VerifyColumnsScanned), 168);
     }
 
     #[test]

@@ -322,9 +322,9 @@ impl<'c> PreparedDistance<'c> for PreparedEdit<'c> {
     }
 
     /// The scalar ladder, applied per candidate, with every compiled
-    /// candidate that reaches the bounded kernel routed through the
-    /// lock-step [`PreparedPattern::bounded_batch`] instead of one scan at
-    /// a time. Raw-field candidates take the scalar rung.
+    /// candidate that reaches the bounded kernel routed through the chunk
+    /// kernel ([`PreparedPattern::bounded_batch`]) instead of one scan at a
+    /// time. Raw-field candidates take the scalar rung.
     fn distance_bounded_batch(
         &mut self,
         candidates: &[Candidate<'c>],

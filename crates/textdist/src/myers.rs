@@ -9,21 +9,26 @@
 //! bit-vector algorithm for approximate string matching based on dynamic
 //! programming*, JACM 1999; block formulation after Hyyrö 2003).
 //!
-//! The recurrence is written once per width — [`word_step`] for a pattern
-//! of ≤ 64 rows, [`blocked_step`] (over [`advance_block`]) for more — and
-//! every rung of the kernel-selection ladder (`DESIGN.md` §7.2) is a
-//! driver over those two:
+//! The recurrence is written once — [`block_step`], one column of one
+//! 64-row block, over a small lane-word abstraction ([`LaneWord`]) — and
+//! read at two widths: [`word_step`] for a pattern of ≤ 64 rows (the block
+//! step under a constant `+1` carry), [`blocked_step`] for more. The
+//! abstraction has three instances: `u64` (one candidate per word),
+//! `[u64; 4]` and, behind `#[target_feature(enable = "avx2")]`, an AVX2
+//! register (four candidates per word, [`Lanes4`]). Every rung of the
+//! kernel-selection ladder (`DESIGN.md` §7.2) is a driver over those steps:
 //!
-//! * one **scalar scan** per width ([`word_scan`], [`blocked_scan`]),
-//!   parameterised by where a text char's equality word comes from (a
-//!   fresh table; a prepared table read from the shared prefix on;
-//!   [`PeqBlocks::window`]) and by `const BOUNDED`, which compiles the
-//!   k-bounded early exit in or out (abandon as soon as the running
-//!   bottom-row score can no longer descend to `k`);
-//! * one **lock-step driver** ([`lockstep`]), generic over the lane's
-//!   column state, which advances several candidates of one prepared query
-//!   a column at a time so their dependency chains overlap — same steps,
-//!   same exit test, same final check as the scalar scans beside it.
+//! * one **scalar scan** per width ([`word_scan`], [`blocked_scan`]), the
+//!   `u64` instance, parameterised by where a text char's equality word
+//!   comes from (a fresh table; a prepared table read from the shared
+//!   prefix on; [`PeqBlocks::window`]) and by `const BOUNDED`, which
+//!   compiles the k-bounded early exit in or out (abandon as soon as the
+//!   running bottom-row score can no longer descend to `k`);
+//! * one **chunk kernel** ([`Chunk`], `DESIGN.md` §7.6), which holds the
+//!   column state of eight candidates of one prepared query in two
+//!   four-lane words and advances all of them per text column — AVX2 where
+//!   [`dispatch_lanes`] detects it, the same kernel over `[u64; 4]`
+//!   elsewhere — with the scalar scans beside it as its oracle.
 //!
 //! All entry points first strip the common prefix and suffix (equal
 //! flanks cannot change the distance, and near-duplicate pairs — the
@@ -76,36 +81,24 @@ impl PeqWord {
     }
 }
 
-/// Pattern-equality bitmasks for a blocked (> 64-char) pattern: one word
-/// per 64-row block, `w` words per character.
+/// Pattern-equality bitmasks for a blocked (> 64-char) pattern: one
+/// [`PeqWord`] per 64-row block, so a block's word for a char is one load
+/// off that block's own table.
 struct PeqBlocks {
     /// Pattern length in chars.
     m: usize,
-    w: usize,
-    /// `128 × w` words, ASCII direct-indexed: `ascii[c*w + k]`.
-    ascii: Vec<u64>,
-    spill: Vec<(char, Vec<u64>)>,
-    zero: Vec<u64>,
+    blocks: Vec<PeqWord>,
 }
 
 impl PeqBlocks {
     fn build(pattern: &[char]) -> Self {
-        let w = pattern.len().div_ceil(64);
-        let mut ascii = vec![0u64; 128 * w];
-        let mut spill: Vec<(char, Vec<u64>)> = Vec::new();
-        for (i, &c) in pattern.iter().enumerate() {
-            let (block, bit) = (i / 64, 1u64 << (i % 64));
-            if (c as u32) < 128 {
-                ascii[c as usize * w + block] |= bit;
-            } else if let Some(entry) = spill.iter_mut().find(|(s, _)| *s == c) {
-                entry.1[block] |= bit;
-            } else {
-                let mut masks = vec![0u64; w];
-                masks[block] |= bit;
-                spill.push((c, masks));
-            }
-        }
-        Self { m: pattern.len(), w, ascii, spill, zero: vec![0u64; w] }
+        Self { m: pattern.len(), blocks: pattern.chunks(64).map(PeqWord::build).collect() }
+    }
+
+    /// Blocks: `⌈m / 64⌉`.
+    #[inline]
+    fn w(&self) -> usize {
+        self.blocks.len()
     }
 
     /// Bottom-row bit of the last (possibly partial) block.
@@ -114,101 +107,148 @@ impl PeqBlocks {
         1u64 << ((self.m - 1) % 64)
     }
 
-    /// The `w` equality words of `c` (all-zero slice for absent chars).
-    #[inline]
-    fn get(&self, c: char) -> &[u64] {
-        if (c as u32) < 128 {
-            &self.ascii[c as usize * self.w..(c as usize + 1) * self.w]
-        } else {
-            self.spill.iter().find(|(s, _)| *s == c).map_or(&self.zero[..], |(_, m)| m)
-        }
-    }
-
     /// 64 consecutive equality bits of `c` starting at pattern position
     /// `pre` — the single-word view of a ≤ 64-char window into a blocked
     /// table. Bits past the window are garbage exactly as the word
     /// kernel's bits above `m − 1` are (see [`word_step`]).
     #[inline]
     fn window(&self, c: char, pre: usize) -> u64 {
-        let words = self.get(c);
         let (blk, off) = (pre / 64, pre % 64);
-        let lo = words[blk] >> off;
-        if off == 0 || blk + 1 == self.w {
-            lo
-        } else {
-            lo | (words[blk + 1] << (64 - off))
+        let lo = self.blocks[blk].get(c) >> off;
+        match self.blocks.get(blk + 1) {
+            Some(next) if off != 0 => lo | (next.get(c) << (64 - off)),
+            _ => lo,
         }
     }
 }
 
-/// One column transition of the single-word recurrence: [`advance_block`]
-/// specialized to `hin = +1` (the top boundary row `D[0][j] = j`), which
-/// keeps the state in registers with no carry branches. Returns the
-/// bottom-row delta `D[m][j] − D[m][j−1]` read at bit `high`. Bits of `eq`
-/// above `high` may hold anything: carries only travel upward, so they
-/// never reach the watched bit.
-#[inline(always)]
-fn word_step(pv: &mut u64, mv: &mut u64, eq: u64, high: u64) -> isize {
-    let xv = eq | *mv;
-    let xh = (((eq & *pv).wrapping_add(*pv)) ^ *pv) | eq;
-    let mut ph = *mv | !(xh | *pv);
-    let mut mh = *pv & xh;
-    let delta = isize::from(ph & high != 0) - isize::from(mh & high != 0);
-    ph = (ph << 1) | 1;
-    mh <<= 1;
-    *pv = mh | !(xv | ph);
-    *mv = ph & xv;
-    delta
+/// The word operations one Myers column is made of, over the candidates a
+/// word holds side by side — one in a `u64` (the scalar scans), four in a
+/// `[u64; 4]` or an AVX2 register (the chunk kernel, [`Lanes4`]). Every
+/// operation acts on each 64-bit lane independently.
+trait LaneWord: Copy {
+    /// `x` in every lane.
+    fn splat(x: u64) -> Self;
+    fn and(self, o: Self) -> Self;
+    fn or(self, o: Self) -> Self;
+    fn xor(self, o: Self) -> Self;
+    /// Wrapping sum.
+    fn add(self, o: Self) -> Self;
+    /// Wrapping difference.
+    fn sub(self, o: Self) -> Self;
+    /// `self >> 63`: the top bit as a 0/1 word.
+    fn shr63(self) -> Self;
+    /// All ones in a lane that is zero, zero in any other.
+    fn zero_mask(self) -> Self;
+
+    #[inline(always)]
+    fn not(self) -> Self {
+        self.xor(Self::splat(!0))
+    }
+    /// `self << 1`.
+    #[inline(always)]
+    fn shl1(self) -> Self {
+        self.add(self)
+    }
 }
 
-/// One column transition of one 64-row block (Hyyrö's formulation of the
-/// Myers recurrence, with explicit horizontal carries between blocks).
+impl LaneWord for u64 {
+    #[inline(always)]
+    fn splat(x: u64) -> Self {
+        x
+    }
+    #[inline(always)]
+    fn and(self, o: Self) -> Self {
+        self & o
+    }
+    #[inline(always)]
+    fn or(self, o: Self) -> Self {
+        self | o
+    }
+    #[inline(always)]
+    fn xor(self, o: Self) -> Self {
+        self ^ o
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self.wrapping_add(o)
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self.wrapping_sub(o)
+    }
+    #[inline(always)]
+    fn shr63(self) -> Self {
+        self >> 63
+    }
+    #[inline(always)]
+    fn zero_mask(self) -> Self {
+        u64::from(self == 0).wrapping_neg()
+    }
+}
+
+/// One column transition of one 64-row block, in every lane of `W` at once
+/// (Hyyrö's formulation of the Myers recurrence, with explicit horizontal
+/// carries between blocks): the one place the recurrence is written.
 ///
-/// `hin`/`hout` are the horizontal deltas entering the block's top row
-/// and leaving its bottom row (`high` selects the bottom row's bit; for a
-/// partial last block that is bit `m%64 − 1`, and garbage above it never
-/// propagates downward — carries in the embedded addition only travel
-/// toward higher bits).
-#[inline]
-fn advance_block(pv: &mut u64, mv: &mut u64, mut eq: u64, hin: i32, high: u64) -> i32 {
-    let xv = eq | *mv;
-    if hin < 0 {
-        eq |= 1;
-    }
-    let xh = (((eq & *pv).wrapping_add(*pv)) ^ *pv) | eq;
-    let mut ph = *mv | !(xh | *pv);
-    let mut mh = *pv & xh;
-    let mut hout = 0i32;
-    if ph & high != 0 {
-        hout += 1;
-    }
-    if mh & high != 0 {
-        hout -= 1;
-    }
-    ph <<= 1;
-    mh <<= 1;
-    match hin.cmp(&0) {
-        std::cmp::Ordering::Less => mh |= 1,
-        std::cmp::Ordering::Greater => ph |= 1,
-        std::cmp::Ordering::Equal => {}
-    }
-    *pv = mh | !(xv | ph);
-    *mv = ph & xv;
-    hout
+/// `hp`/`hm` are 0/1 words: the horizontal delta entering the block's top
+/// row is `+1` where `hp` is set, `−1` where `hm` is, else `0`. Returns the
+/// block's horizontal deltas `(ph, mh)`, bit `i` for row `i` — the caller
+/// reads the carry into the next block off bit 63 ([`LaneWord::shr63`]), or
+/// the bottom-row delta off the pattern's last row ([`bottom_delta`]).
+/// Garbage above a partial last block's rows never propagates downward:
+/// carries in the embedded addition only travel toward higher bits.
+#[inline(always)]
+fn block_step<W: LaneWord>(pv: &mut W, mv: &mut W, eq: W, hp: W, hm: W) -> (W, W) {
+    let xv = eq.or(*mv);
+    let eq = eq.or(hm);
+    let xh = eq.and(*pv).add(*pv).xor(*pv).or(eq);
+    let ph = mv.or(xh.or(*pv).not());
+    let mh = pv.and(xh);
+    let (ph_in, mh_in) = (ph.shl1().or(hp), mh.shl1().or(hm));
+    *pv = mh_in.or(xv.or(ph_in).not());
+    *mv = ph_in.and(xv);
+    (ph, mh)
 }
 
-/// One column transition of a blocked pattern: the blocks top to bottom,
-/// each handing its horizontal delta to the next. `pv`, `mv` and `eqs`
-/// hold one word per block; returns the bottom-row delta.
+/// The bottom-row delta `D[m][j] − D[m][j−1]` of a column whose horizontal
+/// deltas are `(ph, mh)`, read at bit `high`: `+1`, `0` or `−1` in two's
+/// complement. A lane whose `high` is zero reads `0` — how the chunk kernel
+/// freezes the score of a lane past its end.
 #[inline(always)]
-fn blocked_step(pv: &mut [u64], mv: &mut [u64], eqs: &[u64], last_high: u64) -> isize {
-    let last = pv.len() - 1;
-    let mut hin = 1i32;
-    for (k, ((pv, mv), &eq)) in pv.iter_mut().zip(mv.iter_mut()).zip(eqs).enumerate() {
-        let high = if k == last { last_high } else { 1u64 << 63 };
-        hin = advance_block(pv, mv, eq, hin, high);
+fn bottom_delta<W: LaneWord>((ph, mh): (W, W), high: W) -> W {
+    // `zero_mask` is −1 where the bit is clear: (1 + p) − (1 + m) = p − m.
+    ph.and(high).zero_mask().sub(mh.and(high).zero_mask())
+}
+
+/// One column of a pattern of ≤ 64 rows: [`block_step`] under the top
+/// boundary row `D[0][j] = j` (a constant `+1` carry, which folds away and
+/// keeps the state in registers). Bits of `eq` above `high` may hold
+/// anything: carries only travel upward, so they never reach the watched
+/// bit.
+#[inline(always)]
+fn word_step<W: LaneWord>(pv: &mut W, mv: &mut W, eq: W, high: W) -> W {
+    bottom_delta(block_step(pv, mv, eq, W::splat(1), W::splat(0)), high)
+}
+
+/// One column of a blocked pattern: the blocks top to bottom, each handing
+/// its bottom row's horizontal delta to the next. `pv` and `mv` hold one
+/// word per block and `eq_of(k)` is block `k`'s equality word; returns the
+/// bottom-row delta.
+#[inline(always)]
+fn blocked_step<W: LaneWord>(
+    pv: &mut [W],
+    mv: &mut [W],
+    eq_of: impl Fn(usize) -> W,
+    last_high: W,
+) -> W {
+    let (mut hp, mut hm) = (W::splat(1), W::splat(0));
+    let mut bottom = (hm, hm);
+    for (k, (pv, mv)) in pv.iter_mut().zip(mv).enumerate() {
+        bottom = block_step(pv, mv, eq_of(k), hp, hm);
+        (hp, hm) = (bottom.0.shr63(), bottom.1.shr63());
     }
-    hin as isize
+    bottom_delta(bottom, last_high)
 }
 
 /// The bottom-row score `D[m][j]` of one scan and the bound it is held to.
@@ -261,7 +301,7 @@ fn word_scan<const BOUNDED: bool>(
     let mut row = Row::new(m, bound);
     let n = text.len();
     for (j, &c) in text.iter().enumerate() {
-        row.score += word_step(&mut pv, &mut mv, eq_at(c), high);
+        row.score += word_step(&mut pv, &mut mv, eq_at(c), high) as isize;
         if BOUNDED && row.out_of_reach(n - j - 1) {
             incr(Counter::EdKernelEarlyExit, 1);
             return None;
@@ -271,7 +311,7 @@ fn word_scan<const BOUNDED: bool>(
 }
 
 /// The scalar blocked scan, `⌈m/64⌉` words per column: the only path for
-/// patterns the lock-step lanes do not hold (beyond [`BLOCKED_MAX_W`]
+/// patterns the chunk kernel's lanes do not hold (beyond [`BLOCKED_MAX_W`]
 /// blocks) and for the stock kernel's > 64-char pairs. `pv`/`mv` are the
 /// caller's column buffers, so a prepared query allocates nothing per
 /// candidate.
@@ -282,19 +322,19 @@ fn blocked_scan<const BOUNDED: bool>(
     pv: &mut Vec<u64>,
     mv: &mut Vec<u64>,
 ) -> Option<usize> {
-    debug_assert!(peq.w >= 2);
+    debug_assert!(peq.w() >= 2);
     if !BOUNDED {
         incr(Counter::EdKernelBlocked, 1);
     }
     pv.clear();
-    pv.resize(peq.w, !0u64);
+    pv.resize(peq.w(), !0u64);
     mv.clear();
-    mv.resize(peq.w, 0);
+    mv.resize(peq.w(), 0);
     let last_high = peq.last_high();
     let mut row = Row::new(peq.m, bound);
     let n = text.len();
     for (j, &c) in text.iter().enumerate() {
-        row.score += blocked_step(pv, mv, peq.get(c), last_high);
+        row.score += blocked_step(pv, mv, |k| peq.blocks[k].get(c), last_high) as isize;
         if BOUNDED && row.out_of_reach(n - j - 1) {
             incr(Counter::EdKernelEarlyExit, 1);
             return None;
@@ -399,12 +439,15 @@ pub fn myers_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
 /// table, [`PeqBlocks::window`] for a blocked one — the affix strip without
 /// any per-candidate table rebuild (the stock kernel re-strips and rebuilds
 /// `Peq` from scratch for every pair). Blocked (> 64-char) queries also
-/// reuse their table whole when no affix is shared; a shared affix that
-/// leaves a multi-word window falls back to the stock kernel, where
-/// stripping shrinks the scan enough to dwarf the rebuild.
+/// reuse their table whole when no affix is shared. A shared affix that
+/// leaves a multi-word window has no view into the table: the scalar entry
+/// falls back to the stock kernel (re-strip, rebuild), a batch scans the
+/// *unstripped* text against the whole query in a blocked lane (the
+/// distance is affix-invariant, and a vector lane's extra columns cost less
+/// than a 2 KiB table rebuild).
 ///
 /// `'t` is the lifetime of the candidate texts: batch requests outlive the
-/// pattern, so the lock-step lanes that borrow them are buffers the
+/// pattern, so the chunk kernel's lanes that borrow them are buffers the
 /// pattern owns and reuses across batches.
 pub(crate) struct PreparedPattern<'t> {
     query: Vec<char>,
@@ -412,9 +455,10 @@ pub(crate) struct PreparedPattern<'t> {
     /// Scalar blocked-scan column state, reused across candidates.
     pv: Vec<u64>,
     mv: Vec<u64>,
-    /// Lock-step lanes, refilled per batch.
-    lanes: Vec<Lane<'t, WordCols>>,
-    blocked_lanes: Vec<Lane<'t, BlockedCols>>,
+    /// The chunk kernel's lanes, refilled per batch: windows of ≤ 64 query
+    /// rows, and whole blocked queries.
+    word_lanes: Vec<Lane<'t>>,
+    blocked_lanes: Vec<Lane<'t>>,
 }
 
 // The word-path table dwarfs the blocked variant, but a pattern is
@@ -431,8 +475,9 @@ enum PreparedKind {
 /// How one candidate is verified — decided from its length and shared
 /// affixes alone, so the scalar entries and the batch cannot disagree.
 enum Route<'x> {
-    /// A shared affix leaves a multi-word window of a blocked table: the
-    /// stock kernel (which counts itself).
+    /// A shared affix leaves a multi-word window of a blocked table, and the
+    /// caller has no lane to scan the unstripped text in: the stock kernel
+    /// (which counts itself).
     Stock,
     /// The length gap alone exceeds the bound.
     Gap,
@@ -458,7 +503,7 @@ impl<'t> PreparedPattern<'t> {
             kind,
             pv: Vec::new(),
             mv: Vec::new(),
-            lanes: Vec::new(),
+            word_lanes: Vec::new(),
             blocked_lanes: Vec::new(),
         }
     }
@@ -468,11 +513,17 @@ impl<'t> PreparedPattern<'t> {
         &self.query
     }
 
-    fn route<'x>(&self, text: &'x [char], bound: usize) -> Route<'x> {
-        let (pre, suf) = common_affixes(&self.query, text);
-        let rows = self.query.len() - pre - suf;
+    /// `unstripped_lane`: whether the caller can scan a whole blocked query
+    /// in a lane (a batch, up to [`BLOCKED_MAX_W`] blocks).
+    fn route<'x>(&self, text: &'x [char], bound: usize, unstripped_lane: bool) -> Route<'x> {
+        let (mut pre, mut suf) = common_affixes(&self.query, text);
+        let mut rows = self.query.len() - pre - suf;
         if matches!(self.kind, PreparedKind::Blocked(_)) && (pre != 0 || suf != 0) && rows > 64 {
-            return Route::Stock;
+            if !unstripped_lane {
+                return Route::Stock;
+            }
+            // Equal flanks change neither the distance nor the length gap.
+            (pre, suf, rows) = (0, 0, self.query.len());
         }
         let left = text.len() - pre - suf;
         // The length gap bounds the distance from below; the query may sit
@@ -490,7 +541,7 @@ impl<'t> PreparedPattern<'t> {
     /// one: callers hand it text decoded into scratch of their own, which
     /// does not live for the lanes' `'t`.
     fn scalar<const BOUNDED: bool>(&mut self, text: &[char], bound: usize) -> Option<usize> {
-        let route = self.route(text, bound);
+        let route = self.route(text, bound, false);
         if BOUNDED && !matches!(route, Route::Stock) {
             incr(Counter::EdKernelBounded, 1);
         }
@@ -535,161 +586,529 @@ impl<'t> PreparedPattern<'t> {
 
     /// Batched k-bounded distances: `out[i]` ends up exactly what
     /// [`PreparedPattern::bounded`]`(texts[i], bounds[i])` returns — same
-    /// results, same metrics totals — but candidates that reach a scan are
-    /// verified in *lock-step* ([`lockstep`]): their column states are
-    /// laid out per lane and advanced one text column at a time across
-    /// several candidates, so the serial dependency chain of one Myers
-    /// recurrence overlaps with its neighbors'. Everything a scan does not
-    /// decide, and blocked queries too wide for the lanes, is answered as
-    /// the scalar entry answers it.
+    /// results, same `edit_kernel` totals — but candidates that reach a scan
+    /// are verified by the *chunk kernel* ([`Chunk`]), eight to a text
+    /// column in vector lanes. Everything a scan does not decide, and
+    /// blocked queries too wide for the lanes, is answered as the scalar
+    /// entry answers it.
     pub fn bounded_batch(
         &mut self,
         requests: &[(&'t [char], usize)],
         out: &mut Vec<Option<usize>>,
     ) {
+        self.bounded_batch_on(requests, out, dispatch_lanes);
+    }
+
+    /// [`PreparedPattern::bounded_batch`] with its lanes run by `run` — the
+    /// dispatch, or (from the tests) one instance of [`run_lanes`] called
+    /// directly. A routing pass answers into `out` everything a lane does
+    /// not decide and queues the rest as lanes; `run` scans those.
+    fn bounded_batch_on(
+        &mut self,
+        requests: &[(&'t [char], usize)],
+        out: &mut Vec<Option<usize>>,
+        run: RunLanes,
+    ) {
         out.clear();
         out.resize(requests.len(), None);
-        self.lanes.clear();
+        self.word_lanes.clear();
         self.blocked_lanes.clear();
-        let (mut bounded_calls, mut early_exits) = (0u64, 0u64);
+        let in_lanes = match &self.kind {
+            PreparedKind::Word(_) => true,
+            PreparedKind::Blocked(peq) => peq.w() <= BLOCKED_MAX_W,
+        };
+        let (mut bounded_calls, mut gap_exits) = (0u64, 0u64);
         for (i, &(text, bound)) in requests.iter().enumerate() {
-            let route = self.route(text, bound);
+            let route = self.route(text, bound, in_lanes);
             bounded_calls += u64::from(!matches!(route, Route::Stock));
             match route {
+                // Only past `BLOCKED_MAX_W` blocks: a narrower query rides a
+                // lane unstripped.
                 Route::Stock => out[i] = myers_bounded_chars(&self.query, text, bound),
-                Route::Gap => early_exits += 1,
+                Route::Gap => gap_exits += 1,
                 Route::Rest(d) => out[i] = Some(d),
                 Route::Scan { pre, rows, text } => match &self.kind {
-                    PreparedKind::Blocked(peq) if rows > 64 && peq.w > BLOCKED_MAX_W => {
+                    PreparedKind::Blocked(peq) if rows > 64 && !in_lanes => {
                         out[i] = blocked_scan::<true>(peq, text, bound, &mut self.pv, &mut self.mv);
                     }
-                    PreparedKind::Blocked(_) if rows > 64 => {
-                        let cols = BlockedCols { pv: [!0; BLOCKED_MAX_W], mv: [0; BLOCKED_MAX_W] };
-                        self.blocked_lanes.push(Lane::new(text, i, rows, bound, cols));
-                    }
                     _ => {
-                        let cols =
-                            WordCols { pre: pre as u32, high: 1 << (rows - 1), pv: !0, mv: 0 };
-                        self.lanes.push(Lane::new(text, i, rows, bound, cols));
+                        let lanes =
+                            if rows > 64 { &mut self.blocked_lanes } else { &mut self.word_lanes };
+                        let row = Row::new(rows, bound);
+                        lanes.push(Lane { text, out_idx: i as u32, pre: pre as u32, row });
                     }
                 },
             }
         }
+        let tally = run(&self.kind, &mut self.word_lanes, &mut self.blocked_lanes, out);
         incr(Counter::EdKernelBounded, bounded_calls);
-        early_exits += match &self.kind {
-            PreparedKind::Word(peq) => lockstep(&mut self.lanes, BATCH_LANES, out, |s, c| {
-                word_step(&mut s.pv, &mut s.mv, peq.get(c) >> s.pre, s.high)
-            }),
-            PreparedKind::Blocked(peq) => {
-                let (w, last_high) = (peq.w, peq.last_high());
-                lockstep(&mut self.lanes, BATCH_LANES, out, |s, c| {
-                    word_step(&mut s.pv, &mut s.mv, peq.window(c, s.pre as usize), s.high)
-                }) + lockstep(&mut self.blocked_lanes, BLOCKED_BATCH_LANES, out, |s, c| {
-                    blocked_step(&mut s.pv[..w], &mut s.mv[..w], peq.get(c), last_high)
-                })
-            }
-        };
-        incr(Counter::EdKernelEarlyExit, early_exits);
+        incr(Counter::EdKernelEarlyExit, gap_exits + tally.early_exits);
+        incr(Counter::VerifyColumnsOffered, tally.columns_offered);
+        incr(Counter::VerifyColumnsScanned, tally.columns_scanned);
     }
 }
 
-/// One candidate of a lock-step chunk: everything a scalar scan keeps in
-/// locals, owned per lane so a chunk of lanes can advance together.
-struct Lane<'t, S> {
+/// What runs the lanes of one batch, word lanes then blocked lanes:
+/// [`dispatch_lanes`], or one instance of [`run_lanes`].
+type RunLanes =
+    for<'t> fn(&PreparedKind, &mut [Lane<'t>], &mut [Lane<'t>], &mut [Option<usize>]) -> LaneTally;
+
+/// One candidate queued for the chunk kernel: what a scalar scan is called
+/// with.
+struct Lane<'t> {
+    /// The stripped text to scan.
     text: &'t [char],
     out_idx: u32,
+    /// A word lane's first query row (its window into the prepared table);
+    /// 0 in a blocked lane.
+    pre: u32,
+    /// Column 0: the query rows scanned as the score, and the bound.
     row: Row,
-    cols: S,
 }
 
-impl<'t, S> Lane<'t, S> {
-    fn new(text: &'t [char], out_idx: usize, rows: usize, bound: usize, cols: S) -> Self {
-        Self { text, out_idx: out_idx as u32, row: Row::new(rows, bound), cols }
+impl Lane<'_> {
+    /// The bottom row's bit in its (last) word.
+    fn high(&self) -> u64 {
+        1 << ((self.row.score - 1) % 64)
     }
 }
 
-/// A word lane's column state: where its window starts in the prepared
-/// table, the window's bottom-row bit, and the `Pv`/`Mv` words.
-struct WordCols {
-    pre: u32,
-    high: u64,
-    pv: u64,
-    mv: u64,
+/// Four candidates side by side in one [`LaneWord`]: what the chunk kernel
+/// needs beyond the column step.
+trait Lanes4: LaneWord {
+    fn from_lanes(lanes: [u64; 4]) -> Self;
+    fn to_lanes(self) -> [u64; 4];
+    /// All ones in a lane where `self > o` as signed integers, else zero.
+    fn gt(self, o: Self) -> Self;
+    /// Whether any bit of any lane is set.
+    fn any(self) -> bool;
 }
 
-/// A blocked lane's column state: the `w`-word `Pv`/`Mv` columns the
-/// scalar scan keeps in vectors, inlined into fixed arrays so a chunk of
-/// lanes lives in a handful of cache lines.
-struct BlockedCols {
-    pv: [u64; BLOCKED_MAX_W],
-    mv: [u64; BLOCKED_MAX_W],
+/// `[u64; 4]` methods that apply the `u64` method of the same name to each
+/// lane.
+macro_rules! lane_by_lane {
+    ($($op:ident($($o:ident)?)),*) => {$(
+        #[inline(always)]
+        fn $op(self $(, $o: Self)?) -> Self {
+            std::array::from_fn(|i| self[i].$op($($o[i])?))
+        }
+    )*};
 }
 
-/// Word lanes advanced together per chunk. Wide enough to overlap the
-/// Myers recurrence's serial dependency chain across candidates, small
-/// enough that a chunk's state stays in L1.
-const BATCH_LANES: usize = 8;
+/// The portable instance: four `u64`s in an array, each operation the
+/// scalar one lane by lane (which the compiler may or may not vectorise).
+/// Compiled and tested on every target; what runs where AVX2 is absent.
+impl LaneWord for [u64; 4] {
+    #[inline(always)]
+    fn splat(x: u64) -> Self {
+        [x; 4]
+    }
+    lane_by_lane! { and(o), or(o), xor(o), add(o), sub(o), shr63(), zero_mask() }
+}
 
-/// Widest blocked query (in 64-row blocks) eligible for lock-step; wider
-/// queries take the scalar blocked scan. 4 blocks = 256 pattern chars,
-/// comfortably past record-string lengths in the evaluation datasets.
-const BLOCKED_MAX_W: usize = 4;
+impl Lanes4 for [u64; 4] {
+    #[inline(always)]
+    fn from_lanes(lanes: [u64; 4]) -> Self {
+        lanes
+    }
+    #[inline(always)]
+    fn to_lanes(self) -> [u64; 4] {
+        self
+    }
+    #[inline(always)]
+    fn gt(self, o: Self) -> Self {
+        std::array::from_fn(|i| u64::from(self[i] as i64 > o[i] as i64).wrapping_neg())
+    }
+    #[inline(always)]
+    fn any(self) -> bool {
+        self != [0; 4]
+    }
+}
 
-/// Blocked lanes advanced together per chunk. Half the word path's width:
-/// each lane carries `w ≥ 2` words of column state, so 4 lanes already
-/// expose enough independent chains to fill the ALUs.
-const BLOCKED_BATCH_LANES: usize = 4;
+/// The AVX2 instance: four candidates in one 256-bit register.
+///
+/// `std::arch` intrinsics inline only into code compiled with their target
+/// feature, so every generic function between [`run_lanes`](avx2::run_lanes)
+/// and the operations below is `#[inline(always)]`, and a closure that
+/// holds a vector operation has a single call site: the whole kernel lands
+/// in that one function's body. (An intrinsic left as a call costs ~4× the
+/// whole run; `verify/org_*_per_candidate` in `bench_edit_kernel` would
+/// show it.) Leaving AVX2 to the auto-vectoriser over arrays was measured
+/// instead and is not enough — LLVM scalarises the shift/insert half of the
+/// step.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{Lane, LaneTally, LaneWord, Lanes4, PreparedKind};
+    use std::arch::x86_64::*;
 
-/// The lock-step driver: lanes are sorted into length buckets so the lanes
-/// of a chunk retire together, then each chunk of `width` lanes advances
-/// one text column at a time across all its live lanes, `step` applying
-/// one column of the lane's recurrence and returning the bottom-row delta.
-/// Per lane the transition, the early-exit check and the final answer are
-/// the scalar scans' own ([`word_step`] / [`blocked_step`], [`Row`]);
-/// returns the number of early exits (the caller aggregates the counter).
-fn lockstep<S>(
-    lanes: &mut [Lane<'_, S>],
-    width: usize,
-    out: &mut [Option<usize>],
-    step: impl Fn(&mut S, char) -> isize,
-) -> u64 {
-    lanes.sort_unstable_by_key(|l| l.text.len());
-    let mut early_exits = 0u64;
-    for chunk in lanes.chunks_mut(width) {
-        let mut active = chunk.len();
-        let mut j = 0usize;
-        while active > 0 {
-            let mut i = 0;
-            while i < active {
-                let lane = &mut chunk[i];
-                let n = lane.text.len();
-                let answer = if j == n {
-                    lane.row.answer()
-                } else {
-                    lane.row.score += step(&mut lane.cols, lane.text[j]);
-                    if !lane.row.out_of_reach(n - j - 1) {
-                        i += 1;
-                        continue;
-                    }
-                    early_exits += 1;
-                    None
-                };
-                // Retired: swap a live lane into its slot.
-                out[lane.out_idx as usize] = answer;
-                active -= 1;
-                chunk.swap(i, active);
+    /// Only this module can name the type, and it makes one only inside
+    /// [`run_lanes`], whose caller has detected AVX2: that is what makes
+    /// the operations below sound.
+    #[derive(Clone, Copy)]
+    struct Avx2(__m256i);
+
+    /// [`super::run_lanes`] on the AVX2 instance.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn run_lanes(
+        kind: &PreparedKind,
+        word_lanes: &mut [Lane<'_>],
+        blocked_lanes: &mut [Lane<'_>],
+        out: &mut [Option<usize>],
+    ) -> LaneTally {
+        super::run_lanes::<Avx2>(kind, word_lanes, blocked_lanes, out)
+    }
+
+    /// Methods that are one two-operand intrinsic.
+    macro_rules! binary {
+        ($($op:ident = $intrinsic:ident),*) => {$(
+            #[inline(always)]
+            fn $op(self, o: Self) -> Self {
+                // SAFETY: AVX2 is on wherever an `Avx2` exists (see the type).
+                Self(unsafe { $intrinsic(self.0, o.0) })
             }
-            j += 1;
+        )*};
+    }
+
+    impl LaneWord for Avx2 {
+        #[inline(always)]
+        fn splat(x: u64) -> Self {
+            // SAFETY: AVX2 is on wherever an `Avx2` is made (see the type).
+            Self(unsafe { _mm256_set1_epi64x(x as i64) })
+        }
+        binary! {
+            and = _mm256_and_si256, or = _mm256_or_si256, xor = _mm256_xor_si256,
+            add = _mm256_add_epi64, sub = _mm256_sub_epi64
+        }
+        #[inline(always)]
+        fn shr63(self) -> Self {
+            // SAFETY: as in `splat`.
+            Self(unsafe { _mm256_srli_epi64::<63>(self.0) })
+        }
+        #[inline(always)]
+        fn zero_mask(self) -> Self {
+            // SAFETY: as in `splat`.
+            Self(unsafe { _mm256_cmpeq_epi64(self.0, _mm256_setzero_si256()) })
         }
     }
-    early_exits
+
+    impl Lanes4 for Avx2 {
+        #[inline(always)]
+        fn from_lanes(l: [u64; 4]) -> Self {
+            // SAFETY: as in `splat`.
+            Self(unsafe { _mm256_set_epi64x(l[3] as i64, l[2] as i64, l[1] as i64, l[0] as i64) })
+        }
+        #[inline(always)]
+        fn to_lanes(self) -> [u64; 4] {
+            let mut lanes = [0u64; 4];
+            // SAFETY: as in `splat`; the unaligned store writes exactly the
+            // 32 bytes of `lanes`.
+            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), self.0) };
+            lanes
+        }
+        binary! { gt = _mm256_cmpgt_epi64 }
+        #[inline(always)]
+        fn any(self) -> bool {
+            // SAFETY: as in `splat`.
+            unsafe { _mm256_testz_si256(self.0, self.0) == 0 }
+        }
+    }
+}
+
+/// Candidates a chunk advances together: two [`Lanes4`] words.
+const CHUNK_LANES: usize = 8;
+
+/// Widest blocked query (in 64-row blocks) the lanes hold; wider queries
+/// take the scalar blocked scan. 4 blocks = 256 pattern chars, comfortably
+/// past record-string lengths in the evaluation datasets.
+const BLOCKED_MAX_W: usize = 4;
+
+/// What the lanes of one batch count (the caller adds it to the counters
+/// once, never per column).
+#[derive(Default)]
+struct LaneTally {
+    /// Lanes rejected: as many as the scalar scans would count early exits,
+    /// since a scan counts one on every rejection (`out_of_reach(0)` is
+    /// `score > bound` at the last column).
+    early_exits: u64,
+    /// Sum of the lanes' text lengths.
+    columns_offered: u64,
+    /// Columns each lane was advanced through while live: up to its own end
+    /// or the column its chunk stopped at.
+    columns_scanned: u64,
+}
+
+/// `f(slot)` for the eight slots of a chunk, as its two vector halves.
+#[inline(always)]
+fn halves<V: Lanes4>(f: impl Fn(usize) -> u64) -> [V; 2] {
+    [V::from_lanes([f(0), f(1), f(2), f(3)]), V::from_lanes([f(4), f(5), f(6), f(7)])]
+}
+
+/// The column state of one chunk, as two vector halves of four slots each.
+trait ChunkColumns<V> {
+    /// Advance half `h` (slots `4h..4h + 4`) one text column: the slots'
+    /// chars to equality words (`pres`: each slot's first query row), one
+    /// [`word_step`] / [`blocked_step`] over `V`; returns the bottom-row
+    /// deltas read at `high`.
+    fn step(
+        &mut self,
+        h: usize,
+        chars: &[char; CHUNK_LANES],
+        pres: &[u32; CHUNK_LANES],
+        high: V,
+    ) -> V;
+}
+
+/// The chunk kernel: up to [`CHUNK_LANES`] lanes of one prepared query (the
+/// shortest first, the longest last — the caller sorts by text length)
+/// advanced together, one text column of all of them per iteration.
+///
+/// Per column the driver gathers each slot's text char and `cols` steps its
+/// two halves — the scalar scans' own recurrence, over `V` — returning the
+/// bottom-row deltas, which the driver adds to the scores. A lane past its
+/// end is handed `high = 0`, which freezes its score ([`bottom_delta`]); an
+/// unfilled slot replays lane 0 with `high = 0` and `bound = MIN`, so the
+/// gather has a fixed trip count. No lane retires on its own — a vector
+/// computes a dead lane for free — but every fourth column one vector test
+/// asks whether any lane is unfinished and still within reach of its bound
+/// ([`Row::out_of_reach`], on all lanes at once), and the chunk stops when
+/// none is. At the end each lane answers as [`Row::answer`] does, if it
+/// finished: being out of reach is monotone, so a scalar scan rejects
+/// exactly the lanes that end above their bound or never end.
+struct Chunk<'a, 't, V, C> {
+    lanes: &'a [Lane<'t>],
+    /// Per slot: the text and the lane's first query row.
+    texts: [&'t [char]; CHUNK_LANES],
+    pres: [u32; CHUNK_LANES],
+    cols: C,
+    scores: [V; 2],
+    /// The bottom-row bit of each lane still running, zero elsewhere.
+    highs: [V; 2],
+    lens: [V; 2],
+    /// `bound + len`: a lane is out of reach after `done` columns once
+    /// `score + done` exceeds it (`score − (len − done) > bound`).
+    limits: [V; 2],
+}
+
+impl<'a, 't, V: Lanes4, C: ChunkColumns<V>> Chunk<'a, 't, V, C> {
+    #[inline(always)]
+    fn new(lanes: &'a [Lane<'t>], cols: C) -> Self {
+        let slot = |s: usize| lanes.get(s).unwrap_or(&lanes[0]);
+        let mut chunk = Self {
+            lanes,
+            texts: std::array::from_fn(|s| slot(s).text),
+            pres: std::array::from_fn(|s| slot(s).pre),
+            cols,
+            scores: halves(|s| slot(s).row.score as u64),
+            highs: [V::splat(0); 2],
+            lens: halves(|s| slot(s).text.len() as u64),
+            limits: halves(|s| {
+                let bound = lanes.get(s).map_or(i64::MIN, |lane| lane.row.bound as i64);
+                bound.saturating_add(slot(s).text.len() as i64) as u64
+            }),
+        };
+        chunk.set_highs(0);
+        chunk
+    }
+
+    /// The lanes still running at column `j`.
+    #[inline(always)]
+    fn set_highs(&mut self, j: usize) {
+        let lanes = self.lanes;
+        self.highs = halves(|s| match lanes.get(s) {
+            Some(lane) if j < lane.text.len() => lane.high(),
+            _ => 0,
+        });
+    }
+
+    /// The lanes of half `h` that are unfinished after `done` columns and
+    /// still within reach of their bounds, as a mask.
+    #[inline(always)]
+    fn live(&self, h: usize, done: V) -> V {
+        let out_of_reach = self.scores[h].add(done).gt(self.limits[h]);
+        self.lens[h].gt(done).and(out_of_reach.not())
+    }
+
+    /// Advance every slot through column `j`, whose chars are `chars`;
+    /// returns whether the chunk goes on.
+    #[inline(always)]
+    fn column(&mut self, j: usize, chars: &[char; CHUNK_LANES]) -> bool {
+        // Both halves written out: a loop over them keeps the column state
+        // in memory, indexed, instead of in registers.
+        let deltas = [
+            self.cols.step(0, chars, &self.pres, self.highs[0]),
+            self.cols.step(1, chars, &self.pres, self.highs[1]),
+        ];
+        self.scores = [self.scores[0].add(deltas[0]), self.scores[1].add(deltas[1])];
+        if j % 4 != 3 {
+            return true;
+        }
+        let done = V::splat(j as u64 + 1);
+        self.live(0, done).or(self.live(1, done)).any()
+    }
+
+    /// Scan the chunk and answer its lanes into `out`.
+    #[inline(always)]
+    fn scan(mut self, out: &mut [Option<usize>], tally: &mut LaneTally) {
+        let n_min = self.lanes[0].text.len();
+        let n_max = self.lanes[self.lanes.len() - 1].text.len();
+        let mut chars = ['\0'; CHUNK_LANES];
+        let mut j = 0;
+        let mut on = true;
+        // Every lane is running: no text can end under the gather.
+        while on && j < n_min {
+            for (c, text) in chars.iter_mut().zip(&self.texts) {
+                *c = text[j];
+            }
+            on = self.column(j, &chars);
+            j += 1;
+        }
+        // The ragged tail: lanes end one by one, in slot order.
+        while on && j < n_max {
+            self.set_highs(j);
+            for (c, text) in chars.iter_mut().zip(&self.texts) {
+                *c = text.get(j).copied().unwrap_or_default();
+            }
+            on = self.column(j, &chars);
+            j += 1;
+        }
+        let (stop, scores) = (j, [self.scores[0].to_lanes(), self.scores[1].to_lanes()]);
+        for (s, lane) in self.lanes.iter().enumerate() {
+            let len = lane.text.len();
+            let row = Row { score: scores[s / 4][s % 4] as isize, ..lane.row };
+            let answer = if len <= stop { row.answer() } else { None };
+            tally.columns_offered += len as u64;
+            tally.columns_scanned += len.min(stop) as u64;
+            tally.early_exits += u64::from(answer.is_none());
+            out[lane.out_idx as usize] = answer;
+        }
+    }
+}
+
+/// Word lanes: windows of ≤ 64 query rows, each lane's equality word read
+/// from its own first row on by `eq_at(char, pre)`.
+struct WordColumns<'f, V, F> {
+    eq_at: &'f F,
+    pv: [V; 2],
+    mv: [V; 2],
+}
+
+impl<V: Lanes4, F: Fn(char, u32) -> u64> ChunkColumns<V> for WordColumns<'_, V, F> {
+    #[inline(always)]
+    fn step(
+        &mut self,
+        h: usize,
+        chars: &[char; CHUNK_LANES],
+        pres: &[u32; CHUNK_LANES],
+        high: V,
+    ) -> V {
+        let mut eq = [0u64; 4];
+        for (i, eq) in eq.iter_mut().enumerate() {
+            *eq = (self.eq_at)(chars[4 * h + i], pres[4 * h + i]);
+        }
+        word_step(&mut self.pv[h], &mut self.mv[h], V::from_lanes(eq), high)
+    }
+}
+
+/// Blocked lanes: the whole query of 2 to [`BLOCKED_MAX_W`] blocks, the
+/// column state the scalar scan keeps in vectors inlined into fixed arrays.
+struct BlockedColumns<'p, V> {
+    peq: &'p PeqBlocks,
+    pv: [[V; BLOCKED_MAX_W]; 2],
+    mv: [[V; BLOCKED_MAX_W]; 2],
+}
+
+impl<V: Lanes4> ChunkColumns<V> for BlockedColumns<'_, V> {
+    #[inline(always)]
+    fn step(
+        &mut self,
+        h: usize,
+        chars: &[char; CHUNK_LANES],
+        _: &[u32; CHUNK_LANES],
+        high: V,
+    ) -> V {
+        let blocks = &self.peq.blocks[..];
+        let c = [chars[4 * h], chars[4 * h + 1], chars[4 * h + 2], chars[4 * h + 3]];
+        let eq_of = |k: usize| {
+            let block = &blocks[k];
+            V::from_lanes([block.get(c[0]), block.get(c[1]), block.get(c[2]), block.get(c[3])])
+        };
+        let w = blocks.len();
+        blocked_step(&mut self.pv[h][..w], &mut self.mv[h][..w], eq_of, high)
+    }
+}
+
+/// Sorts a batch's lanes of one kind by text length — lanes that end
+/// together share a chunk — and runs them chunk by chunk over fresh column
+/// state.
+#[inline(always)]
+fn scan_lanes<V: Lanes4, C: ChunkColumns<V>>(
+    lanes: &mut [Lane<'_>],
+    out: &mut [Option<usize>],
+    tally: &mut LaneTally,
+    fresh: impl Fn() -> C,
+) {
+    lanes.sort_unstable_by_key(|lane| lane.text.len());
+    for chunk in lanes.chunks(CHUNK_LANES) {
+        Chunk::new(chunk, fresh()).scan(out, tally);
+    }
+}
+
+/// Every lane of one batch on the widest instance the machine has, chosen
+/// per batch (the detection is a cached load).
+fn dispatch_lanes(
+    kind: &PreparedKind,
+    word_lanes: &mut [Lane<'_>],
+    blocked_lanes: &mut [Lane<'_>],
+    out: &mut [Option<usize>],
+) -> LaneTally {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected on the line above.
+        return unsafe { avx2::run_lanes(kind, word_lanes, blocked_lanes, out) };
+    }
+    run_lanes::<[u64; 4]>(kind, word_lanes, blocked_lanes, out)
+}
+
+/// Every lane of one batch, on the instance `V`: the single function the
+/// AVX2 and portable paths both are.
+#[inline(always)]
+fn run_lanes<V: Lanes4>(
+    kind: &PreparedKind,
+    word_lanes: &mut [Lane<'_>],
+    blocked_lanes: &mut [Lane<'_>],
+    out: &mut [Option<usize>],
+) -> LaneTally {
+    let mut tally = LaneTally::default();
+    let (pv, mv) = (V::splat(!0), V::splat(0));
+    match kind {
+        PreparedKind::Word(peq) => {
+            let eq_at = |c, pre: u32| peq.get(c) >> pre;
+            let fresh = || WordColumns { eq_at: &eq_at, pv: [pv; 2], mv: [mv; 2] };
+            scan_lanes(word_lanes, out, &mut tally, fresh);
+        }
+        PreparedKind::Blocked(peq) => {
+            let eq_at = |c, pre: u32| peq.window(c, pre as usize);
+            let fresh = || WordColumns { eq_at: &eq_at, pv: [pv; 2], mv: [mv; 2] };
+            scan_lanes(word_lanes, out, &mut tally, fresh);
+            let fresh = || BlockedColumns {
+                peq,
+                pv: [[pv; BLOCKED_MAX_W]; 2],
+                mv: [[mv; BLOCKED_MAX_W]; 2],
+            };
+            scan_lanes(blocked_lanes, out, &mut tally, fresh);
+        }
+    }
+    tally
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::edit::{levenshtein_banded, levenshtein_dp};
-    use fuzzydedup_metrics::scoped;
+    use fuzzydedup_metrics::{scoped, Tally};
     use proptest::prelude::*;
 
     #[test]
@@ -767,14 +1186,69 @@ mod tests {
         assert_eq!(myers_bounded(&a, &b, 1), None);
     }
 
+    /// The AVX2 instance, where the machine has it.
+    fn avx2_runner() -> Option<RunLanes> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Some(|kind, word_lanes, blocked_lanes, out| {
+                // SAFETY: this closure is only returned once AVX2 is detected.
+                unsafe { avx2::run_lanes(kind, word_lanes, blocked_lanes, out) }
+            });
+        }
+        None
+    }
+
+    /// The shipped dispatch, the portable instance, and the AVX2 instance
+    /// where detected (a skip line where not, so a green run there is not
+    /// read as having tested it).
+    fn lane_runners() -> Vec<(&'static str, RunLanes)> {
+        let mut runners: Vec<(&'static str, RunLanes)> =
+            vec![("dispatch", dispatch_lanes), ("portable", run_lanes::<[u64; 4]>)];
+        match avx2_runner() {
+            Some(run) => runners.push(("avx2", run)),
+            None => eprintln!("skipped: AVX2 not detected, its lanes are not tested here"),
+        }
+        runners
+    }
+
+    /// What a batch must count as the scalar entry counts it: the
+    /// `edit_kernel` section. `verify_batch.columns_{offered, scanned}` are
+    /// left out on purpose — only the chunk kernel has columns to report.
+    fn kernel_counts(tally: &Tally) -> [u64; 4] {
+        [
+            Counter::EdKernelWord,
+            Counter::EdKernelBlocked,
+            Counter::EdKernelBounded,
+            Counter::EdKernelEarlyExit,
+        ]
+        .map(|counter| tally.get(counter))
+    }
+
+    type BoundOf = fn(usize, usize) -> usize;
+
+    /// Per-candidate bounds from the true distance `d` and the longer
+    /// side's length `n`: zero, both sides of `d`, mid-way, the length (no
+    /// pair is farther apart), and the largest `usize`.
+    const BOUNDS: [(&str, BoundOf); 8] = [
+        ("0", |_, _| 0),
+        ("d-2", |d, _| d.saturating_sub(2)),
+        ("d-1", |d, _| d.saturating_sub(1)),
+        ("d/2", |d, _| d / 2),
+        ("d", |d, _| d),
+        ("d+1", |d, _| d + 1),
+        ("n", |_, n| n),
+        ("MAX", |_, _| usize::MAX),
+    ];
+
     /// Every rung held to the DP oracles, not to another fast path: for one
     /// query and its candidates, the stock kernel, the prepared scalar entry
-    /// and the prepared batch (re-chunked at 1, 3, 8 and 32, so ragged
-    /// tails and refilled lanes are covered) must all answer what
-    /// `levenshtein_dp` / `levenshtein_banded` answer, at per-candidate
-    /// bounds on both sides of each true distance, and the batch must count
-    /// exactly what the scalar entry counts.
-    fn assert_rungs_match_oracle(query: &str, texts: &[String]) {
+    /// and the prepared batch — re-chunked at `batch_sizes`, so ragged tails,
+    /// unfilled slots and second chunks are covered, and with its lanes run
+    /// by the dispatch, by the portable instance and by the AVX2 instance
+    /// where detected — must all answer what `levenshtein_dp` /
+    /// `levenshtein_banded` answer, at each of [`BOUNDS`], and every batch
+    /// must count exactly what the scalar entry counts.
+    fn assert_rungs_match_oracle(query: &str, texts: &[String], batch_sizes: &[usize]) {
         let qc: Vec<char> = query.chars().collect();
         let tcs: Vec<Vec<char>> = texts.iter().map(|t| t.chars().collect()).collect();
         let mut scalar = PreparedPattern::new(qc.clone());
@@ -784,35 +1258,53 @@ mod tests {
             assert_eq!(myers_chars(&qc, tc), d, "stock {query:?} vs {tc:?}");
             assert_eq!(scalar.distance(tc), d, "prepared {query:?} vs {tc:?}");
         }
-        for slack in [isize::MIN, -2, -1, 0, 1, 40] {
+        let runners = lane_runners();
+        for (bound_name, bound_of) in BOUNDS {
             let requests: Vec<(&[char], usize)> = tcs
                 .iter()
                 .zip(&exact)
-                .map(|(t, d)| (t.as_slice(), d.saturating_add_signed(slack)))
+                .map(|(t, &d)| (t.as_slice(), bound_of(d, qc.len().max(t.len()))))
                 .collect();
-            let want: Vec<Option<usize>> = texts
-                .iter()
-                .zip(&requests)
-                .map(|(t, &(_, bound))| levenshtein_banded(query, t, bound))
+            let want: Vec<Option<usize>> = (texts.iter().zip(&requests).zip(&exact))
+                // The banded DP's band arithmetic overflows on huge bounds.
+                .map(|((t, &(_, bound)), &d)| match bound {
+                    usize::MAX => Some(d),
+                    _ => levenshtein_banded(query, t, bound),
+                })
                 .collect();
             let stock: Vec<_> =
                 requests.iter().map(|&(t, bound)| myers_bounded_chars(&qc, t, bound)).collect();
-            assert_eq!(stock, want, "stock {query:?} slack {slack}");
+            assert_eq!(stock, want, "stock {query:?} bound {bound_name}");
             let (got, scalar_tally) = scoped(|| {
                 requests.iter().map(|&(t, bound)| scalar.bounded(t, bound)).collect::<Vec<_>>()
             });
-            assert_eq!(got, want, "scalar {query:?} slack {slack}");
-            for chunk_size in [1, 3, 8, 32] {
-                let (got, tally) = scoped(|| {
-                    let (mut got, mut out) = (Vec::new(), Vec::new());
-                    for chunk in requests.chunks(chunk_size) {
-                        batched.bounded_batch(chunk, &mut out);
-                        got.extend_from_slice(&out);
-                    }
-                    got
-                });
-                assert_eq!(got, want, "batch of {chunk_size}: {query:?} slack {slack}");
-                assert_eq!(tally, scalar_tally, "batch of {chunk_size}: {query:?} slack {slack}");
+            assert_eq!(got, want, "scalar {query:?} bound {bound_name}");
+            for &size in batch_sizes {
+                let mut columns = None;
+                for &(runner, run) in &runners {
+                    let what = format!("{runner} batch of {size}: {query:?} bound {bound_name}");
+                    let (got, tally) = scoped(|| {
+                        let (mut got, mut out) = (Vec::new(), Vec::new());
+                        for chunk in requests.chunks(size) {
+                            batched.bounded_batch_on(chunk, &mut out, run);
+                            got.extend_from_slice(&out);
+                        }
+                        got
+                    });
+                    assert_eq!(got, want, "{what}");
+                    assert_eq!(kernel_counts(&tally), kernel_counts(&scalar_tally), "{what}");
+                    // Every instance stops every chunk at the same column.
+                    let (offered, scanned) = (
+                        tally.get(Counter::VerifyColumnsOffered),
+                        tally.get(Counter::VerifyColumnsScanned),
+                    );
+                    assert!(scanned <= offered, "{what}");
+                    assert_eq!(
+                        *columns.get_or_insert((offered, scanned)),
+                        (offered, scanned),
+                        "{what}"
+                    );
+                }
             }
         }
     }
@@ -849,7 +1341,110 @@ mod tests {
                 + "prefix shared middle differs suffix shared tail tail tail tail tail!",
         ];
         for query in queries {
-            assert_rungs_match_oracle(query, &texts);
+            assert_rungs_match_oracle(query, &texts, &[1, 3, 8, 32]);
+        }
+    }
+
+    /// A query of `m` chars with no long repeats, a few of them outside
+    /// ASCII (the spill lists of the equality tables).
+    fn assorted_query(m: usize) -> Vec<char> {
+        const ALPHABET: &[char] = &[
+            'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'k', 'l', 'm', 'n', 'o', 'p', 'r', 's',
+            't', 'u', 'w', ' ', '1', '7', 'é', '日', 'λ',
+        ];
+        (0..m).map(|i| ALPHABET[(i * i * 31 + i * 7 + i / 5) % ALPHABET.len()]).collect()
+    }
+
+    /// Candidate `i` of 17 of one shape, each shape one way through the
+    /// routing and the 17 of assorted lengths, so a sorted chunk's shortest
+    /// and longest lane differ and the ragged tail runs.
+    fn assorted_candidate(query: &[char], shape: usize, i: usize) -> String {
+        let m = query.len();
+        let mut t = query.to_vec();
+        match shape {
+            // Both ends changed: nothing strips (the whole-query lanes).
+            0 => {
+                t[0] = 'Ω';
+                t[m - 1] = '語';
+                t.drain(m / 2..m / 2 + i);
+            }
+            // Edits around the centre only: long shared affixes (the shifted
+            // word lanes; the window lanes of a blocked query). Candidate 0
+            // only deletes, so all of its text strips away: an empty lane.
+            1 if i == 0 => drop(t.drain(m / 2..m / 2 + 3)),
+            1 => {
+                t[m / 2] = 'Ω';
+                t.splice(m / 2..m / 2, std::iter::repeat_n('語', i));
+            }
+            // A shared prefix of up to 20 chars and no shared suffix: of a
+            // blocked query more than 64 rows are left (the unstripped lane).
+            _ => {
+                t[20.min(m / 4)] = 'Ω';
+                t[m - 1] = '語';
+                t.drain(m / 2..m / 2 + i);
+            }
+        }
+        t.into_iter().collect()
+    }
+
+    #[test]
+    fn chunk_occupancies_and_ragged_lengths_match_the_oracle_on_every_instance() {
+        // A word query, then blocked queries of 2, 3, 4 and (past the lanes)
+        // 5 blocks; per shape 17 candidates batched 1 to 17 at a time: every
+        // chunk occupancy from a lone lane through a full chunk to a second
+        // chunk of one.
+        let sizes: Vec<usize> = (1..=17).collect();
+        for m in [40, 100, 150, 250, 300] {
+            let query = assorted_query(m);
+            for shape in 0..3 {
+                let texts: Vec<String> =
+                    (0..17).map(|i| assorted_candidate(&query, shape, i)).collect();
+                assert_rungs_match_oracle(&query.iter().collect::<String>(), &texts, &sizes);
+            }
+        }
+    }
+
+    #[test]
+    fn a_multi_word_window_rides_an_unstripped_blocked_lane() {
+        // A 2-block query and a candidate that shares its first 20 chars
+        // with > 64 rows left: no view into the prepared table. The scalar
+        // entry re-strips through the stock kernel; a batch scans the whole
+        // text in a blocked lane, and must answer and count the same.
+        let query = assorted_query(100);
+        let text: Vec<char> = assorted_candidate(&query, 2, 5).chars().collect();
+        let mut prepared = PreparedPattern::new(query.clone());
+        assert!(matches!(prepared.route(&text, usize::MAX, false), Route::Stock));
+        assert!(matches!(
+            prepared.route(&text, usize::MAX, true),
+            Route::Scan { pre: 0, rows: 100, text: unstripped } if unstripped.len() == text.len()
+        ));
+        let (q, t): (String, String) = (query.iter().collect(), text.iter().collect());
+        let (d, gap) = (levenshtein_dp(&q, &t), query.len() - text.len());
+        for bound in [0, gap - 1, gap, d - 1, d, d + 1, 100] {
+            let want = levenshtein_banded(&q, &t, bound);
+            let (got, scalar_tally) = scoped(|| prepared.bounded(&text, bound));
+            assert_eq!(got, want, "scalar, bound {bound}");
+            assert_eq!(scalar_tally.get(Counter::EdKernelBounded), 1);
+            assert_eq!(scalar_tally.get(Counter::EdKernelEarlyExit), u64::from(want.is_none()));
+            for (runner, run) in lane_runners() {
+                let mut out = Vec::new();
+                let ((), tally) =
+                    scoped(|| prepared.bounded_batch_on(&[(&text, bound)], &mut out, run));
+                assert_eq!(out, [want], "{runner}, bound {bound}");
+                assert_eq!(kernel_counts(&tally), kernel_counts(&scalar_tally), "{runner} {bound}");
+                // What the lane is offered is the text it rides over — all of
+                // it, unless the length gap alone rejected the candidate — and
+                // a bound the first differing column already rules out (char
+                // 20) stops the scan at the next reach test.
+                let offered = if bound < gap { 0 } else { text.len() as u64 };
+                assert_eq!(tally.get(Counter::VerifyColumnsOffered), offered, "{runner} {bound}");
+                let scanned = tally.get(Counter::VerifyColumnsScanned);
+                match bound {
+                    _ if bound >= d => assert_eq!(scanned, offered, "{runner} {bound}"),
+                    _ if bound == gap => assert_eq!(scanned, 24, "{runner} {bound}"),
+                    _ => assert!(scanned <= offered, "{runner} {bound}"),
+                }
+            }
         }
     }
 
@@ -890,7 +1485,7 @@ mod tests {
                 }
                 texts.push(t.into_iter().collect());
             }
-            assert_rungs_match_oracle(&query, &texts);
+            assert_rungs_match_oracle(&query, &texts, &[1, 3, 8, 32]);
         }
     }
 

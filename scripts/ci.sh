@@ -24,9 +24,13 @@
 #   test-release  cargo test -q --release -p fuzzydedup-textdist
 #                 -p fuzzydedup-nnindex: the kernels' shipped build — no
 #                 debug_assert, inline(always) / const-generic scans, the
-#                 SSE2 postings decode, set_len — which the debug-profile
-#                 stages above never run (--skip-bench runs it, --fast
-#                 does not)
+#                 AVX2 chunk kernel, the SSE2 postings decode, set_len —
+#                 which the debug-profile stages above never run
+#                 (--skip-bench runs it, --fast does not). Prints
+#                 "avx2: detected" or "avx2: absent": the oracle tests
+#                 run the AVX2 lanes only where the CPU has them, so a
+#                 green run on a box without AVX2 has tested the
+#                 portable lanes alone
 #   e2e-smoke     benchmark/run.sh --smoke: the repo benchmark at 1/20
 #                 size with every check on. The benchmark package
 #                 path-depends on crates/* but sits outside the
@@ -51,7 +55,9 @@
 #
 # Every run also counts the ROADMAP's line ledger — Rust outside vendored/
 # and benchmark/, total and per crate — prints it under the stage table
-# and writes it as "rust_lines" into results/ci_summary.json.
+# and writes it as "rust_lines" into results/ci_summary.json, beside the
+# toolchain that ran ("rustc": `rustc --version`, which must be at least
+# Cargo.toml's rust-version) and whether the CPU has AVX2 ("avx2").
 #
 # bench-smoke tolerance: the gate binary defaults to ±15%; on shared /
 # virtualized machines timing noise alone exceeds that, so this driver
@@ -102,6 +108,14 @@ case "${1:-}" in
     "") ;;
     *) echo "usage: scripts/ci.sh [--fast|--skip-bench|--bench-only|--stage <name>]" >&2; exit 2 ;;
 esac
+
+rustc_version="$(rustc --version 2>/dev/null || echo unknown)"
+# What `is_x86_feature_detected!("avx2")` will see (Linux, then macOS).
+avx2="absent"
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null ||
+    sysctl -n machdep.cpu.leaf7_features 2>/dev/null | grep -qw AVX2; then
+    avx2="detected"
+fi
 
 stages=()      # name
 results=()     # pass | FAIL | skipped
@@ -201,6 +215,7 @@ for stage in "${all_stages[@]}"; do
                 -p fuzzydedup-nnindex -p fuzzydedup-core --lib -- --test-threads 16
             ;;
         test-release)
+            echo "avx2: $avx2"
             run_stage test-release cargo test -q --release -p fuzzydedup-textdist \
                 -p fuzzydedup-nnindex
             ;;
@@ -283,6 +298,8 @@ mkdir -p results
 {
     echo '{'
     echo "  \"overall\": \"$([[ $overall -eq 0 ]] && echo pass || echo fail)\","
+    echo "  \"rustc\": \"$rustc_version\","
+    echo "  \"avx2\": \"$avx2\","
     echo "  \"rust_lines\": {$ledger_json},"
     echo '  "stages": ['
     for i in "${!stages[@]}"; do
