@@ -7,14 +7,14 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fuzzydedup_core::{Aggregation, CutSpec, IncrementalDedup};
 use fuzzydedup_datagen::{restaurants, DatasetSpec};
-use fuzzydedup_nnindex::DynamicIndexConfig;
+use fuzzydedup_nnindex::InvertedIndexConfig;
 use fuzzydedup_textdist::{FuzzyMatchDistance, IdfModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn state_with(records: &[Vec<String>], idf: &IdfModel) -> IncrementalDedup<FuzzyMatchDistance> {
     let mut state = IncrementalDedup::builder(FuzzyMatchDistance::new(idf.clone()))
-        .index_config(DynamicIndexConfig::default())
+        .index_config(InvertedIndexConfig::default())
         .cut(CutSpec::Size(4))
         .aggregation(Aggregation::Max)
         .sn_threshold(6.0)

@@ -56,8 +56,10 @@ impl CollapseKey {
     }
 }
 
-/// The result of the collapse pass: the class structure mapping the full
-/// corpus onto its unique representatives and back.
+/// The class structure mapping the full corpus onto its unique
+/// representatives and back. It grows one record at a time
+/// ([`CollapseMap::admit`]): the batch pre-pass admits the whole corpus
+/// ([`CollapseMap::build`]), the incremental path each batch as it arrives.
 ///
 /// Representative ids are assigned in order of first occurrence, so
 /// representative `r`'s record is the first (minimum-id) member of class
@@ -66,7 +68,11 @@ impl CollapseKey {
 /// expects after expansion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollapseMap {
-    /// Per representative, the full-corpus member ids, ascending.
+    key: CollapseKey,
+    /// Normalization key → representative id.
+    by_key: HashMap<String, u32>,
+    /// Per representative, the full-corpus member ids, ascending (records
+    /// are admitted in full-id order).
     classes: Vec<Vec<u32>>,
     /// Per full-corpus id, its representative id.
     owner: Vec<u32>,
@@ -75,47 +81,42 @@ pub struct CollapseMap {
 }
 
 impl CollapseMap {
-    /// Group `records` into exact-duplicate classes under `key`.
-    pub fn build(records: &[Vec<String>], key: CollapseKey) -> Self {
-        let mut by_key: HashMap<String, u32> = HashMap::with_capacity(records.len());
-        let mut classes: Vec<Vec<u32>> = Vec::new();
-        let mut owner: Vec<u32> = Vec::with_capacity(records.len());
-        for (id, record) in records.iter().enumerate() {
-            let fields: Vec<&str> = record.iter().map(String::as_str).collect();
-            let k = key.key_of(&fields);
-            let rep = *by_key.entry(k).or_insert_with(|| {
-                classes.push(Vec::new());
-                (classes.len() - 1) as u32
-            });
-            classes[rep as usize].push(id as u32);
-            owner.push(rep);
+    /// An empty map grouping records by `key`.
+    pub fn new(key: CollapseKey) -> Self {
+        Self {
+            key,
+            by_key: HashMap::new(),
+            classes: Vec::new(),
+            owner: Vec::new(),
+            mult: Vec::new(),
         }
-        let mult = classes.iter().map(|c| c.len() as u32).collect();
-        Self { classes, owner, mult }
     }
 
-    /// Assemble a map from a known class structure: `classes[r]` holds the
-    /// ascending full-corpus member ids of representative `r`, and every
-    /// full id in `0..n_full` appears exactly once. The incremental path
-    /// maintains this structure directly as records arrive and borrows the
-    /// expansion machinery through this constructor.
-    ///
-    /// # Panics
-    /// Panics if the classes do not partition a `0..n` id range.
-    pub fn from_parts(classes: Vec<Vec<u32>>) -> Self {
-        let n_full: usize = classes.iter().map(Vec::len).sum();
-        let mut owner = vec![u32::MAX; n_full];
-        for (r, members) in classes.iter().enumerate() {
-            for &id in members {
-                assert!(
-                    (id as usize) < n_full && owner[id as usize] == u32::MAX,
-                    "classes must partition 0..{n_full}"
-                );
-                owner[id as usize] = r as u32;
-            }
+    /// Group `records` into exact-duplicate classes under `key`.
+    pub fn build(records: &[Vec<String>], key: CollapseKey) -> Self {
+        let mut map = Self::new(key);
+        map.by_key.reserve(records.len());
+        map.owner.reserve(records.len());
+        for record in records {
+            let fields: Vec<&str> = record.iter().map(String::as_str).collect();
+            map.admit(&fields);
         }
-        let mult = classes.iter().map(|c| c.len() as u32).collect();
-        Self { classes, owner, mult }
+        map
+    }
+
+    /// Admit the next record of the corpus (full id [`Self::n_full`]) and
+    /// return its representative id; the record opened a new class exactly
+    /// when that id equals the previous [`Self::n_reps`].
+    pub fn admit(&mut self, fields: &[&str]) -> u32 {
+        let rep = *self.by_key.entry(self.key.key_of(fields)).or_insert(self.classes.len() as u32);
+        if rep as usize == self.classes.len() {
+            self.classes.push(Vec::new());
+            self.mult.push(0);
+        }
+        self.classes[rep as usize].push(self.owner.len() as u32);
+        self.mult[rep as usize] += 1;
+        self.owner.push(rep);
+        rep
     }
 
     /// Number of classes (= representatives).
@@ -260,6 +261,17 @@ mod tests {
         let reps = map.rep_records(&records);
         assert_eq!(reps.len(), 2);
         assert_eq!(reps[0], records[0], "rep record is the first member's");
+    }
+
+    #[test]
+    fn admit_returns_the_class_and_opens_one_on_a_new_key() {
+        let mut map = CollapseMap::new(CollapseKey::ExactFields);
+        assert_eq!(map.admit(&["x"]), 0);
+        assert_eq!(map.admit(&["y"]), 1);
+        assert_eq!(map.admit(&["x"]), 0, "a repeat joins its class");
+        assert_eq!((map.n_reps(), map.n_full()), (2, 3));
+        let records = [rec(&["x"]), rec(&["y"]), rec(&["x"])];
+        assert_eq!(map, CollapseMap::build(&records, CollapseKey::ExactFields));
     }
 
     #[test]

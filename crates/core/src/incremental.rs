@@ -44,11 +44,10 @@
 //! Construct states with [`IncrementalDedup::builder`], which exposes the
 //! same configuration surface as [`crate::pipeline::DedupConfig`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use fuzzydedup_nnindex::{
-    DynamicIndexConfig, DynamicInvertedIndex, LookupCost, LookupSpec, NnIndex, PairDistanceCache,
+    Growing, InvertedIndex, InvertedIndexConfig, LookupCost, LookupSpec, NnIndex,
 };
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::Distance;
@@ -85,7 +84,7 @@ pub struct BatchStats {
 ///
 /// Defaults match `DedupConfig::new`: `DE_S(5)`, `Max` aggregation,
 /// `c = 4`, `p = 2`, both phases sequential, and
-/// [`DynamicIndexConfig::default`] for the index.
+/// [`InvertedIndexConfig::default`] for the index.
 ///
 /// ```no_run
 /// use fuzzydedup_core::{Aggregation, CutSpec, IncrementalDedup, Parallelism};
@@ -103,7 +102,7 @@ pub struct BatchStats {
 #[derive(Debug, Clone)]
 pub struct IncrementalDedupBuilder<D> {
     distance: D,
-    index: DynamicIndexConfig,
+    index: InvertedIndexConfig,
     cut: CutSpec,
     agg: Aggregation,
     c: f64,
@@ -117,7 +116,7 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
     pub fn new(distance: D) -> Self {
         Self {
             distance,
-            index: DynamicIndexConfig::default(),
+            index: InvertedIndexConfig::default(),
             cut: CutSpec::Size(5),
             agg: Aggregation::Max,
             c: 4.0,
@@ -151,9 +150,11 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
         self
     }
 
-    /// Set the dynamic index configuration (q-gram length, candidate
-    /// limit, stop-gram thresholds, ...).
-    pub fn index_config(mut self, config: DynamicIndexConfig) -> Self {
+    /// Set the index configuration (q-gram length, candidate limit,
+    /// stop-gram thresholds, ...). The state's index keeps growing, so
+    /// `postings_source` and `chunk_size` — what a batch build freezes
+    /// into — are never read.
+    pub fn index_config(mut self, config: InvertedIndexConfig) -> Self {
         self.index = config;
         self
     }
@@ -173,7 +174,7 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
     /// Arriving records that normalize to an already-indexed key (see
     /// [`CollapseKey`]) are *not* re-indexed: their representative's
     /// multiplicity is bumped instead
-    /// ([`DynamicInvertedIndex::note_duplicate`]), lookups weight cutoffs
+    /// ([`InvertedIndex::note_duplicate`]), lookups weight cutoffs
     /// and growth counts in full-corpus units, and the partition /
     /// `NN_Reln` / point-query surfaces are expanded back to full-corpus
     /// ids — identical to running with the knob off (DESIGN.md §7.10).
@@ -215,12 +216,9 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
                 self.distance.name()
             )));
         }
-        let (index, collapse) = match self.collapse {
-            Some(key) => (
-                DynamicInvertedIndex::new_collapsed(self.distance, self.index),
-                Some(IncCollapse { key, by_key: HashMap::new(), classes: Vec::new() }),
-            ),
-            None => (DynamicInvertedIndex::new(self.distance, self.index), None),
+        let index = match self.collapse {
+            Some(_) => InvertedIndex::new_collapsed(self.distance, self.index),
+            None => InvertedIndex::new(self.distance, self.index),
         };
         Ok(IncrementalDedup {
             index,
@@ -232,27 +230,16 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
             partition: Partition::singletons(0),
             pair_cache,
             parallelism: self.parallelism,
-            collapse,
+            collapse: self.collapse.map(CollapseMap::new),
         })
     }
 }
 
-/// Collapse bookkeeping on the incremental path: the normalization-key
-/// map and the class structure, maintained as records arrive. Index ids
-/// are representative ids; full-corpus ids are assigned in arrival order
-/// and only materialize on the expansion surfaces.
-struct IncCollapse {
-    key: CollapseKey,
-    /// Normalization key → representative (index) id.
-    by_key: HashMap<String, u32>,
-    /// Per representative, the full-corpus member ids, ascending (appends
-    /// arrive in full-id order, so pushes keep each class sorted).
-    classes: Vec<Vec<u32>>,
-}
-
 /// An incrementally-maintained deduplication state; see module docs.
 pub struct IncrementalDedup<D: Distance> {
-    index: DynamicInvertedIndex<D>,
+    /// The batch pipeline's index, never frozen: with the collapse
+    /// pre-pass on it holds one record per class of `collapse`.
+    index: InvertedIndex<D, Growing>,
     entries: Vec<NnEntry>,
     cut: CutSpec,
     agg: Aggregation,
@@ -263,7 +250,10 @@ pub struct IncrementalDedup<D: Distance> {
     /// pair ([`IncrementalDedupBuilder::build_pair`]).
     pair_cache: Arc<PairCache>,
     parallelism: Parallelism,
-    collapse: Option<IncCollapse>,
+    /// The class map of the collapse pre-pass, admitting records as they
+    /// arrive: index ids are its representative ids, and full-corpus ids
+    /// only materialize on the expansion surfaces.
+    collapse: Option<CollapseMap>,
 }
 
 /// What [`IncrementalDedup::append`] changed: the input of the refresh.
@@ -340,7 +330,7 @@ impl<D: Distance> IncrementalDedup<D> {
     /// of this record now" API (see `crate::service`).
     pub fn query_record(&self, fields: &[&str]) -> (Vec<Neighbor>, f64, LookupCost) {
         let (neighbors, ng, cost) = self.index.probe(fields, self.spec(), self.p);
-        let Some(col) = &self.collapse else {
+        let Some(map) = &self.collapse else {
             return (neighbors, ng, cost);
         };
         // Expand representative hits to full-corpus ids: every member of a
@@ -351,7 +341,7 @@ impl<D: Distance> IncrementalDedup<D> {
         let mut full: Vec<Neighbor> = neighbors
             .iter()
             .flat_map(|nb| {
-                col.classes[nb.id as usize].iter().map(|&member| Neighbor::new(member, nb.dist))
+                map.classes()[nb.id as usize].iter().map(|&member| Neighbor::new(member, nb.dist))
             })
             .collect();
         full.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
@@ -375,20 +365,17 @@ impl<D: Distance> IncrementalDedup<D> {
     fn expand(&self, reln: NnReln) -> NnReln {
         match &self.collapse {
             None => reln,
-            Some(col) => {
-                let map = CollapseMap::from_parts(col.classes.clone());
+            Some(map) => {
                 let visible: Vec<bool> =
-                    (0..map.n_reps()).map(|r| self.index.has_terms(r as u32)).collect();
+                    (0..map.n_reps()).map(|r| self.index.record_has_terms(r as u32)).collect();
                 map.expand_reln(&reln, NeighborSpec::from_cut(&self.cut, self.len()), &visible)
             }
         }
     }
 
     fn compute_entry(&self, id: u32) -> NnEntry {
-        // Route through the caching extension point — plain `lookup` is
-        // the cache=None shorthand and would silently bypass the memo.
-        let cache: &dyn PairDistanceCache = &*self.pair_cache;
-        let (neighbors, ng, _cost) = self.index.lookup_cached(id, self.spec(), self.p, Some(cache));
+        let (neighbors, ng, _cost) =
+            self.index.lookup_memoized(id, self.spec(), self.p, &*self.pair_cache);
         NnEntry::new(id, neighbors, ng)
     }
 
@@ -421,22 +408,18 @@ impl<D: Distance> IncrementalDedup<D> {
         let mut inserted = 0usize;
         for record in records {
             inserted += 1;
-            if let Some(col) = self.collapse.as_mut() {
+            if let Some(map) = self.collapse.as_mut() {
                 let fields: Vec<&str> = record.iter().map(String::as_str).collect();
-                let key = col.key.key_of(&fields);
-                let full_id = self.index.n_full() as u32;
-                if let Some(&rep) = col.by_key.get(&key) {
+                let rep = map.admit(&fields);
+                if (rep as usize) < self.index.len() {
                     // Exact duplicate of an indexed class: no re-indexing,
                     // just the multiplicity bump.
                     self.index.note_duplicate(rep);
-                    col.classes[rep as usize].push(full_id);
                     if rep < first_new {
                         dup_reps.push(rep);
                     }
                     continue;
                 }
-                col.by_key.insert(key, self.index.len() as u32);
-                col.classes.push(vec![full_id]);
             }
             let id = self.index.push(record);
             self.entries.push(NnEntry::new(id, Vec::new(), 1.0));

@@ -1,11 +1,16 @@
 //! Phase 2 — partitioning the relation into compact SN groups (§4.2).
 //!
-//! Three equivalent implementations are provided:
+//! Four entry points, three of them equivalent implementations of the
+//! real algorithm:
 //!
 //! * [`partition_entries`] — the direct in-memory form: process tuples in
 //!   increasing id order; for each unassigned tuple `v`, find the largest
 //!   non-trivial compact SN set anchored at `v` (i.e. whose minimum id is
 //!   `v`) satisfying the cut specification, emit it, and mark its members.
+//!
+//! * [`partition_entries_ablation`] — the same loop with either criterion
+//!   switchable off (`exp_ablation`); `partition_entries` is it with both
+//!   on.
 //!
 //! * [`partition_entries_parallel`] — the component-parallel form: every
 //!   emitted group is a clique in the mutual-neighbor (CS-pair) graph, so
@@ -28,8 +33,9 @@
 //!   SN set G ... is grouped under v₁ in the result of CS-group query",
 //!   because set equality is transitive.
 //!
-//! `tests` (and the `phase2_equivalence` property suite) assert all three
-//! paths produce identical partitions.
+//! `tests` (and the `phase2_equivalence` property suite) assert that the
+//! sequential, component-parallel and relational paths produce identical
+//! partitions.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -55,8 +61,10 @@ pub fn partition_entries(reln: &NnReln, cut: CutSpec, agg: Aggregation, c: f64) 
 /// The greedy group search anchored at `v`: the largest non-trivial
 /// prefix set of `v` whose minimum id is `v`, with no member already
 /// assigned, passing the (optionally ablated) CS and SN criteria and the
-/// diameter cut. Shared verbatim by the sequential, component-parallel and
-/// relational drivers so they cannot drift.
+/// diameter cut. Shared by the sequential (ablation) and component-parallel
+/// drivers so those two cannot drift; [`partition_via_tables`] runs its own
+/// loop over the stored `CSPairs` flags and is held to this one by the
+/// equivalence suites.
 ///
 /// `prune` optionally supplies the materialized CS-pair back ranks
 /// ([`CsPairGraph`]); candidate sizes the graph proves hopeless are then

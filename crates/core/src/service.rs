@@ -229,14 +229,11 @@ pub struct ServiceConfig {
     /// [`DedupService::submit`] fails fast and
     /// [`DedupService::submit_wait`] blocks.
     pub queue_capacity: usize,
-    /// Sample cap for the streaming distinct-entity estimate
-    /// (default 4096; exact until that many distinct groups are seen).
-    pub distinct_sample_cap: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self { admit_batch_size: 64, queue_capacity: 1024, distinct_sample_cap: 4096 }
+        Self { admit_batch_size: 64, queue_capacity: 1024 }
     }
 }
 
@@ -256,12 +253,6 @@ impl ServiceConfig {
     /// Set [`Self::queue_capacity`].
     pub fn queue_capacity(mut self, n: usize) -> Self {
         self.queue_capacity = n;
-        self
-    }
-
-    /// Set [`Self::distinct_sample_cap`].
-    pub fn distinct_sample_cap(mut self, n: usize) -> Self {
-        self.distinct_sample_cap = n;
         self
     }
 
@@ -397,6 +388,10 @@ impl QueueState {
     }
 }
 
+/// Sample cap of the streaming distinct-entity estimate: exact until that
+/// many distinct groups are seen.
+const DISTINCT_SAMPLE_CAP: usize = 4096;
+
 struct ServiceShared {
     queue: Mutex<QueueState>,
     /// Signaled when records arrive or shutdown begins (writer waits).
@@ -520,7 +515,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
             point_queries: AtomicU64::new(0),
             queue_rejections: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
-            distinct: Mutex::new(DistinctEstimator::new(config.distinct_sample_cap)),
+            distinct: Mutex::new(DistinctEstimator::new(DISTINCT_SAMPLE_CAP)),
             tally: Mutex::new(Tally::default()),
         });
         let writer = {

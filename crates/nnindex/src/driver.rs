@@ -183,7 +183,8 @@ pub(crate) fn lookup_gathered<S: CandidateSource>(
     lookup_from_verified(verified, gathered.generated, attempted, spec, p, weights.as_ref())
 }
 
-/// [`crate::NnIndex::lookup_cached`] for indexed record `id`.
+/// [`crate::NnIndex::lookup`] for indexed record `id`, through `cache` when
+/// the caller holds a pair memo.
 pub(crate) fn lookup<S: CandidateSource>(
     source: &S,
     id: u32,

@@ -12,31 +12,43 @@
 //! 2. **verification**: compute the exact distance to the
 //!    highest-weight candidates and keep the qualifying ones.
 //!
-//! An index holds its postings in exactly one layout, chosen at build by
-//! [`InvertedIndexConfig::postings_source`] for the regime it serves:
+//! **One struct over its postings layout.** The paper's partition does not
+//! depend on arrival order, so the index a batch run builds and the index a
+//! stream grows are the same object at two moments. An
+//! [`InvertedIndex<D, Growing>`] takes records one [`push`] at a time —
+//! term set → dictionary / document frequency / posting, the cached query,
+//! the filter statistics, the compiled record and the multiplicity are all
+//! written there, once — and answers while it grows: IDF weights and the
+//! stop-gram test are evaluated at lookup from the maintained document
+//! frequencies, so a term that becomes common loses discrimination power
+//! without a rebuild. [`InvertedIndex::build`] is push-all followed by a
+//! freeze into the layout [`InvertedIndexConfig::postings_source`] names:
 //! [`PostingsSource::Packed`] (default) is the in-memory delta-block arena
-//! ([`PackedPostings`]) with per-record term ids cached at build, so
-//! lookups never re-tokenize and never touch the pool;
-//! [`PostingsSource::Pages`] writes chunked records of a [`HeapFile`] in
-//! sorted term order (the paper's picture: "nearest neighbor indexes ...
-//! have a structure similar to inverted indexes in IR, and are usually
-//! large", so lookups hit the database buffer — the locality the
-//! breadth-first lookup order of §4.1.1 exploits).
+//! ([`PackedPostings`]); [`PostingsSource::Pages`] writes chunked records of
+//! a [`HeapFile`] in sorted term order (the paper's picture: "nearest
+//! neighbor indexes ... have a structure similar to inverted indexes in IR,
+//! and are usually large", so lookups hit the database buffer — the
+//! locality the breadth-first lookup order of §4.1.1 exploits). A
+//! [`Frozen`] index has no `push`; no lookup, growing or frozen,
+//! re-tokenizes an indexed record.
 //!
-//! Both layouts merge onto the one epoch-stamped scoreboard
-//! (`scratch::Scoreboard`), and the lookup driver's gather scaffold
-//! wraps either merge in the same stop-gram fallback and top-candidate
-//! selection. On top of the merge sits the **candidate ladder**
-//! (DESIGN.md §7.3): q-gram length/count pruning during verification,
-//! reusing the exact running cutoff of bounded verification, so results
-//! are identical to the unfiltered path; where no sound bound exists
-//! (distances without [`Distance::admits_qgram_filter`]) the filters
-//! degrade to no-ops.
+//! The merges are two, both onto the one epoch-stamped scoreboard
+//! (`scratch::Scoreboard`): the staged frontier over the packed arena, and
+//! one scalar term-at-a-time merge shared by growing lists and heap pages.
+//! The lookup driver's gather scaffold wraps either in the same stop-gram
+//! fallback and top-candidate selection. On top of the merge sits the
+//! **candidate ladder** (DESIGN.md §7.3): q-gram length/count pruning
+//! during verification, reusing the exact running cutoff of bounded
+//! verification, so results are identical to the unfiltered path; where no
+//! sound bound exists (distances without [`Distance::admits_qgram_filter`])
+//! the filters degrade to no-ops.
 //!
 //! Like the paper, we *treat this index as exact* (§4: "For the purpose of
 //! this paper, we treat these probabilistic indexes as exact nearest
 //! neighbor indexes"); `tests/` measure how close it gets against
 //! [`crate::NestedLoopIndex`].
+//!
+//! [`push`]: InvertedIndex::push
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -46,8 +58,8 @@ use fuzzydedup_storage::{BufferPool, HeapFile, Page, RecordId};
 use fuzzydedup_textdist::{record_term_set, CompiledRecords, Distance};
 
 use crate::candgen::{PackedPostings, RecordMeta};
-use crate::driver::{self, CandidateSource, Gathered};
-use crate::scratch::{with_merge_stage, with_scoreboard, StageRun};
+use crate::driver::{self, CandidateSource, Gathered, Query};
+use crate::scratch::{with_merge_stage, with_scoreboard, Scoreboard, StageRun};
 use crate::{LookupCost, LookupSpec, NnIndex, PairDistanceCache, RecordView};
 use fuzzydedup_metrics::{incr, Counter};
 
@@ -62,9 +74,9 @@ const FRONTIER_LANES: usize = 8;
 /// adds stream over it.
 const STAGE_CAP: usize = 4096;
 
-/// Which postings layout an index builds and reads — the one Phase-1
-/// regime decision: is the NN index resident, or larger than the database
-/// buffer?
+/// Which postings layout [`InvertedIndex::build`] freezes into — the one
+/// Phase-1 regime decision: is the NN index resident, or larger than the
+/// database buffer?
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PostingsSource {
     /// The in-memory delta-encoded block-compressed arena (default): ~4×
@@ -101,7 +113,8 @@ pub struct InvertedIndexConfig {
     /// (clamped to `[1, what one heap page holds]`). Smaller chunks pack
     /// more distinct terms per page, increasing cross-term locality.
     pub chunk_size: usize,
-    /// Which postings layout the index builds and reads.
+    /// Which postings layout [`InvertedIndex::build`] freezes into. A
+    /// growing index reads neither this nor `chunk_size`.
     pub postings_source: PostingsSource,
 }
 
@@ -119,18 +132,67 @@ impl Default for InvertedIndexConfig {
     }
 }
 
-/// Build-time per-term state, indexed by term id (term ids follow sorted
-/// term order, so neighboring ids are lexicographically-similar grams).
+/// One term of a record's cached query: term id plus the record-side
+/// q-gram multiset count (`0` for a token-only term, which carries IDF
+/// weight but no overlap mass).
+type QueryTerm = (u32, u32);
+
+/// A query term one merge pass applies: term id, gram count, IDF weight.
+type MergeTerm = (u32, u32, f64);
+
+/// The postings layout of an [`InvertedIndex`]: [`Growing`] while records
+/// arrive, [`Frozen`] once [`InvertedIndex::build`] has laid them out.
+/// Everything else about the index — and every answer it gives — is the
+/// same under both.
+pub trait Layout: Send + Sync + Sized {
+    /// Term `tid`'s IDF weight and stop-gram verdict.
+    #[doc(hidden)]
+    fn term<D: Distance>(index: &InvertedIndex<D, Self>, tid: u32) -> (f64, bool);
+
+    /// Merge the postings of `terms`, in order: every record holding one,
+    /// `exclude` withheld, is appended to `out` as `(id, weight, shared
+    /// gram mass)`.
+    #[doc(hidden)]
+    fn merge<D: Distance>(
+        index: &InvertedIndex<D, Self>,
+        terms: &[MergeTerm],
+        exclude: Option<u32>,
+        out: &mut Vec<(u32, f64, u32)>,
+    );
+}
+
+/// Postings that still take records: one appendable list per term, term
+/// ids in order of first appearance.
+#[derive(Default)]
+pub struct Growing {
+    /// Term string → term id.
+    dictionary: HashMap<String, u32>,
+    /// Per term id, its document frequency in full-corpus units —
+    /// maintained by [`InvertedIndex::push`] and
+    /// [`InvertedIndex::note_duplicate`], never re-summed at lookup.
+    df: Vec<u32>,
+    /// Per term id, the ascending ids of the records that hold it.
+    lists: Vec<Vec<u32>>,
+}
+
+/// Postings laid out for a fixed corpus, term ids in sorted term order (so
+/// neighboring ids are lexicographically-similar grams).
+pub struct Frozen {
+    terms: Vec<TermEntry>,
+    postings: Postings,
+}
+
+/// Per-term state of a frozen index, indexed by term id.
 struct TermEntry {
     /// IDF weight `ln(1 + N/df)`.
     weight: f64,
     /// Document frequency.
     df: u32,
-    /// Stop gram: df exceeded the configured cutoff at build time.
+    /// Stop gram: df exceeded the configured cutoff at freeze.
     stop: bool,
 }
 
-/// The one postings layout an index holds (see [`PostingsSource`]).
+/// The one postings layout a frozen index holds (see [`PostingsSource`]).
 enum Postings {
     Packed(PackedPostings),
     Pages(PagedPostings),
@@ -139,27 +201,20 @@ enum Postings {
 /// Heap-file postings plus what a lookup needs to find them.
 struct PagedPostings {
     heap: HeapFile,
-    /// Term string → term id: page-backed lookups re-tokenize the query
-    /// and resolve strings at query time.
-    term_ids: HashMap<String, u32>,
     /// Per term id, its postings chunks in the heap file, in id order.
     chunks: Vec<Vec<RecordId>>,
 }
 
-/// One term of a record's cached query: term id plus the record-side
-/// q-gram multiset count (`0` for a token-only term, which carries IDF
-/// weight but no overlap mass).
-type QueryTerm = (u32, u32);
-
 /// Inverted-index nearest-neighbor search; see module docs.
-pub struct InvertedIndex<D> {
+pub struct InvertedIndex<D, L = Frozen> {
     records: Vec<Vec<String>>,
     distance: D,
     config: InvertedIndexConfig,
-    terms: Vec<TermEntry>,
-    postings: Postings,
-    /// Per-record query terms cached at build, document-frequency
-    /// ascending (rarest first: the packed merge's term order).
+    layout: L,
+    /// Per-record query terms cached at [`Self::push`]. A growing index and
+    /// a paged one keep them in term-string order (which is term-id order
+    /// once frozen); the packed merge wants them document-frequency
+    /// ascending, rarest first.
     queries: Vec<Vec<QueryTerm>>,
     /// Per-record length/gram statistics for the pruning filters.
     meta: Vec<RecordMeta>,
@@ -176,17 +231,192 @@ pub struct InvertedIndex<D> {
     /// cutoffs are all computed in **full-corpus** units, so lookups are
     /// bit-equivalent to querying the uncollapsed corpus.
     mult: Option<Vec<u32>>,
+    /// Full-corpus record count behind the index: the sum of `mult`, or
+    /// the number of records.
+    n_full: u64,
+}
+
+impl<D: Distance> InvertedIndex<D, Growing> {
+    /// Create an empty index.
+    pub fn new(distance: D, config: InvertedIndexConfig) -> Self {
+        let filter_ok = distance.admits_qgram_filter();
+        Self {
+            records: Vec::new(),
+            distance,
+            config,
+            layout: Growing::default(),
+            queries: Vec::new(),
+            meta: Vec::new(),
+            compiled: CompiledRecords::default(),
+            filter_ok,
+            mult: None,
+            n_full: 0,
+        }
+    }
+
+    /// Create an empty index in **collapsed mode**: each pushed record is
+    /// a class representative with multiplicity 1, bumped by
+    /// [`Self::note_duplicate`] when an exact duplicate arrives
+    /// (DESIGN.md §7.10).
+    pub fn new_collapsed(distance: D, config: InvertedIndexConfig) -> Self {
+        Self { mult: Some(Vec::new()), ..Self::new(distance, config) }
+    }
+
+    /// Append a record, returning its id. All per-record work of the
+    /// index happens here, whichever way the index is later read.
+    pub fn push(&mut self, record: Vec<String>) -> u32 {
+        let id = self.records.len() as u32;
+        let fields: Vec<&str> = record.iter().map(String::as_str).collect();
+        let ts = record_term_set(&fields, self.config.q, self.config.index_tokens);
+        let Growing { dictionary, df, lists } = &mut self.layout;
+        let query = ts.terms.into_iter().map(|(term, gram_count)| {
+            let tid = *dictionary.entry(term).or_insert_with(|| {
+                df.push(0);
+                lists.push(Vec::new());
+                (lists.len() - 1) as u32
+            });
+            df[tid as usize] += 1;
+            // Term sets are deduplicated per record, so ids arrive in
+            // strictly increasing order.
+            lists[tid as usize].push(id);
+            (tid, gram_count)
+        });
+        self.queries.push(query.collect());
+        self.meta.push(RecordMeta { chars: ts.chars, grams: ts.gram_total });
+        self.distance.compile_record(&fields, &mut self.compiled);
+        self.records.push(record);
+        if let Some(mult) = &mut self.mult {
+            mult.push(1);
+        }
+        self.n_full += 1;
+        id
+    }
+
+    /// Record the arrival of an exact duplicate of representative `id`
+    /// (collapsed mode only). Identical records carry identical term sets,
+    /// so bumping the document frequency of each of `id`'s terms keeps
+    /// them exactly those of the full corpus.
+    pub fn note_duplicate(&mut self, id: u32) {
+        let mult = self.mult.as_mut().expect("duplicates are noted in collapsed mode");
+        mult[id as usize] += 1;
+        self.n_full += 1;
+        for &(tid, _) in &self.queries[id as usize] {
+            self.layout.df[tid as usize] += 1;
+        }
+    }
+
+    /// Combined lookup **by content**: the nearest neighbors of a record
+    /// given as attribute strings, whether or not it is in the index,
+    /// through the same candidate generation and the same verification
+    /// driver as [`NnIndex::lookup`]. Nothing is inserted and no id is
+    /// excluded — probing with the text of an indexed record returns
+    /// that record itself at distance 0. This is the read side of a
+    /// point-query API ("find duplicates of this record now").
+    ///
+    /// The answer is exactly what an identical appended record would see
+    /// under the same corpus statistics (document frequencies, stop-gram
+    /// thresholds).
+    pub fn probe(
+        &self,
+        fields: &[&str],
+        spec: LookupSpec,
+        p: f64,
+    ) -> (Vec<Neighbor>, f64, LookupCost) {
+        // The probe's text is not indexed, so this is the one lookup that
+        // tokenizes; a term no record holds has nothing to merge.
+        let ts = record_term_set(fields, self.config.q, self.config.index_tokens);
+        let query: Vec<QueryTerm> = ts
+            .terms
+            .iter()
+            .filter_map(|(term, gram_count)| {
+                Some((*self.layout.dictionary.get(term)?, *gram_count))
+            })
+            .collect();
+        let meta = RecordMeta { chars: ts.chars, grams: ts.gram_total };
+        let gathered = self.gather(&query, meta, None, self.config.candidate_limit);
+        driver::lookup_gathered(self, Query::External(fields), gathered, spec, p, None)
+    }
+
+    /// Lay the postings out as [`InvertedIndexConfig::postings_source`]
+    /// names, `Pages` through `pool`. Term ids are reassigned in sorted
+    /// term order, for page locality and lexicographic adjacency of
+    /// similar grams.
+    fn freeze(mut self, pool: Arc<BufferPool>) -> InvertedIndex<D> {
+        let Growing { dictionary, df, lists } = std::mem::take(&mut self.layout);
+        let mut sorted: Vec<(String, u32)> = dictionary.into_iter().collect();
+        sorted.sort_unstable();
+        let mut postings = match self.config.postings_source {
+            PostingsSource::Packed => Postings::Packed(PackedPostings::new()),
+            PostingsSource::Pages => Postings::Pages(PagedPostings {
+                heap: HeapFile::create(pool),
+                chunks: Vec::with_capacity(sorted.len()),
+            }),
+        };
+        let chunk_size = self.config.chunk_size.clamp(1, Page::max_record_size() / 4);
+        let mut frozen_tid = vec![0u32; sorted.len()];
+        let mut terms = Vec::with_capacity(sorted.len());
+        for (_, grown_tid) in sorted {
+            let ids = &lists[grown_tid as usize];
+            match &mut postings {
+                Postings::Packed(packed) => packed.push_list(ids),
+                Postings::Pages(PagedPostings { heap, chunks }) => {
+                    let mut term_chunks = Vec::with_capacity(ids.len().div_ceil(chunk_size));
+                    for chunk in ids.chunks(chunk_size) {
+                        let mut bytes = Vec::with_capacity(chunk.len() * 4);
+                        for &id in chunk {
+                            bytes.extend_from_slice(&id.to_le_bytes());
+                        }
+                        term_chunks.push(heap.insert(&bytes).expect("postings chunk fits a page"));
+                    }
+                    chunks.push(term_chunks);
+                }
+            }
+            frozen_tid[grown_tid as usize] = terms.len() as u32;
+            let df = df[grown_tid as usize];
+            let (weight, stop) = (self.idf_weight(df), self.is_stop_gram(df));
+            terms.push(TermEntry { weight, df, stop });
+        }
+        let mut queries = self.queries;
+        for query in &mut queries {
+            for (tid, _) in query.iter_mut() {
+                *tid = frozen_tid[*tid as usize];
+            }
+            // Term-string order is now term-id order, as the page merge
+            // reads it; the packed merge wants the rarest term first (ties
+            // by id for determinism).
+            if let Postings::Packed(_) = postings {
+                query.sort_by_key(|&(tid, _)| (terms[tid as usize].df, tid));
+            }
+        }
+        InvertedIndex {
+            records: self.records,
+            distance: self.distance,
+            config: self.config,
+            layout: Frozen { terms, postings },
+            queries,
+            meta: self.meta,
+            compiled: self.compiled,
+            filter_ok: self.filter_ok,
+            mult: self.mult,
+            n_full: self.n_full,
+        }
+    }
 }
 
 impl<D: Distance> InvertedIndex<D> {
-    /// Build the index over a corpus, storing postings through `pool`.
+    /// Build the index over a corpus — push every record, then freeze —
+    /// storing [`PostingsSource::Pages`] postings through `pool`.
     pub fn build(
         records: Vec<Vec<String>>,
         distance: D,
         pool: Arc<BufferPool>,
         config: InvertedIndexConfig,
     ) -> Self {
-        Self::build_inner(records, None, distance, pool, config)
+        let mut index = InvertedIndex::new(distance, config);
+        for record in records {
+            index.push(record);
+        }
+        index.freeze(pool)
     }
 
     /// Build over a collapsed corpus: record `i` stands for
@@ -204,111 +434,44 @@ impl<D: Distance> InvertedIndex<D> {
     ) -> Self {
         assert_eq!(records.len(), multiplicities.len(), "one multiplicity per record");
         assert!(multiplicities.iter().all(|&m| m >= 1), "multiplicities are positive");
-        Self::build_inner(records, Some(multiplicities), distance, pool, config)
+        let mut index = InvertedIndex::new_collapsed(distance, config);
+        for (record, m) in records.into_iter().zip(multiplicities) {
+            let id = index.push(record);
+            for _ in 1..m {
+                index.note_duplicate(id);
+            }
+        }
+        index.freeze(pool)
     }
 
-    fn build_inner(
-        records: Vec<Vec<String>>,
-        mult: Option<Vec<u32>>,
-        distance: D,
-        pool: Arc<BufferPool>,
-        config: InvertedIndexConfig,
-    ) -> Self {
-        // Extract every record's term set once; it feeds the postings,
-        // the cached queries, and the filter statistics.
-        let term_sets: Vec<_> = records
-            .iter()
-            .map(|record| {
-                let fields: Vec<&str> = record.iter().map(String::as_str).collect();
-                record_term_set(&fields, config.q, config.index_tokens)
-            })
-            .collect();
-        let mut term_postings: HashMap<&str, Vec<u32>> = HashMap::new();
-        for (id, ts) in term_sets.iter().enumerate() {
-            for (term, _) in &ts.terms {
-                // Term sets are deduplicated per record, so ids arrive in
-                // strictly increasing order.
-                term_postings.entry(term.as_str()).or_default().push(id as u32);
-            }
-        }
-        // Assign term ids and write postings in sorted term order, for
-        // page locality and lexicographic adjacency of similar grams.
-        let mut sorted: Vec<(&str, Vec<u32>)> = term_postings.into_iter().collect();
-        sorted.sort_by(|a, b| a.0.cmp(b.0));
-        // All corpus-level statistics are in full-corpus units: for a
-        // collapsed corpus, N is the original record count and each
-        // posting counts its multiplicity toward df — identical records
-        // carry identical term sets, so these are exactly the df values
-        // the uncollapsed build would compute.
-        let n_full: u64 = match &mult {
-            Some(m) => m.iter().map(|&x| u64::from(x)).sum(),
-            None => records.len() as u64,
-        };
-        let n = n_full.max(1) as f64;
-        let max_df = (config.max_df_fraction * n_full as f64).max(f64::from(config.stop_df_floor));
-        let mut postings = match config.postings_source {
-            PostingsSource::Packed => Postings::Packed(PackedPostings::new()),
-            PostingsSource::Pages => Postings::Pages(PagedPostings {
-                heap: HeapFile::create(pool),
-                term_ids: HashMap::with_capacity(sorted.len()),
-                chunks: Vec::with_capacity(sorted.len()),
-            }),
-        };
-        let chunk_size = config.chunk_size.clamp(1, Page::max_record_size() / 4);
-        let mut tid_of: HashMap<&str, u32> = HashMap::with_capacity(sorted.len());
-        let mut terms = Vec::with_capacity(sorted.len());
-        for (term, ids) in sorted {
-            let df = match &mult {
-                Some(m) => ids.iter().map(|&i| m[i as usize]).sum::<u32>(),
-                None => ids.len() as u32,
-            };
-            let tid = terms.len() as u32;
-            match &mut postings {
-                Postings::Packed(packed) => packed.push_list(&ids),
-                Postings::Pages(PagedPostings { heap, term_ids, chunks }) => {
-                    let mut term_chunks = Vec::with_capacity(ids.len().div_ceil(chunk_size));
-                    for chunk in ids.chunks(chunk_size) {
-                        let mut bytes = Vec::with_capacity(chunk.len() * 4);
-                        for &id in chunk {
-                            bytes.extend_from_slice(&id.to_le_bytes());
-                        }
-                        term_chunks.push(heap.insert(&bytes).expect("postings chunk fits a page"));
-                    }
-                    chunks.push(term_chunks);
-                    term_ids.insert(term.to_string(), tid);
-                }
-            }
-            tid_of.insert(term, tid);
-            let weight = (1.0 + n / f64::from(df)).ln();
-            terms.push(TermEntry { weight, df, stop: f64::from(df) > max_df });
-        }
-        // Cache each record's query: term ids + gram counts, rarest term
-        // first (ties by id for determinism).
-        let mut queries = Vec::with_capacity(records.len());
-        let mut meta = Vec::with_capacity(records.len());
-        for ts in &term_sets {
-            let mut query: Vec<QueryTerm> =
-                ts.terms.iter().map(|(term, count)| (tid_of[term.as_str()], *count)).collect();
-            query.sort_by_key(|&(tid, _)| (terms[tid as usize].df, tid));
-            queries.push(query);
-            meta.push(RecordMeta { chars: ts.chars, grams: ts.gram_total });
-        }
-        let filter_ok = distance.admits_qgram_filter();
-        let compiled = CompiledRecords::compile(&distance, &records);
-        Self {
-            records,
-            distance,
-            config,
-            terms,
-            postings,
-            queries,
-            meta,
-            compiled,
-            filter_ok,
-            mult,
+    /// Number of heap pages occupied by postings (`0` for a packed index,
+    /// which never touches the pool).
+    pub fn postings_pages(&self) -> usize {
+        match &self.layout.postings {
+            Postings::Packed(_) => 0,
+            Postings::Pages(paged) => paged.heap.num_pages(),
         }
     }
 
+    /// Postings footprint as `(raw, packed)`: the raw `4 × postings` a
+    /// `u32`-per-posting layout takes (what a [`PostingsSource::Pages`]
+    /// index writes, before page overhead) against the delta arena plus its
+    /// block directory (first id and offset 4 B each, length 2 B, width
+    /// 1 B per block) — `0` for an index that holds no arena. Per-term offset
+    /// tables are excluded from both counts. Backs the compression ratio
+    /// quoted in DESIGN §7.7.
+    pub fn postings_bytes(&self) -> (usize, usize) {
+        // Every record appears once in the list of each of its terms.
+        let raw = self.queries.iter().map(Vec::len).sum::<usize>() * 4;
+        let packed = match &self.layout.postings {
+            Postings::Packed(packed) => packed.arena_bytes() + packed.num_blocks() * 11,
+            Postings::Pages(_) => 0,
+        };
+        (raw, packed)
+    }
+}
+
+impl<D: Distance, L: Layout> InvertedIndex<D, L> {
     /// Whether record `id` produces any indexed terms. For a collapsed
     /// corpus this decides whether a class's members can see each other at
     /// all in the full corpus (a term-less record generates no candidates,
@@ -323,164 +486,238 @@ impl<D: Distance> InvertedIndex<D> {
         &self.records
     }
 
-    /// Number of heap pages occupied by postings (`0` for a packed index,
-    /// which never touches the pool).
-    pub fn postings_pages(&self) -> usize {
-        match &self.postings {
-            Postings::Packed(_) => 0,
-            Postings::Pages(paged) => paged.heap.num_pages(),
-        }
-    }
-
-    /// Exact distance between two indexed records.
-    pub fn distance_between(&self, a: u32, b: u32) -> f64 {
-        let ra: Vec<&str> = self.records[a as usize].iter().map(String::as_str).collect();
-        let rb: Vec<&str> = self.records[b as usize].iter().map(String::as_str).collect();
-        self.distance.distance(&ra, &rb)
-    }
-
-    /// Postings footprint as `(raw, packed)`: the raw `4 × postings` a
-    /// `u32`-per-posting layout takes (what a [`PostingsSource::Pages`]
-    /// index writes, before page overhead) against the delta arena plus its
-    /// block directory (first id and offset 4 B each, length 2 B, width
-    /// 1 B per block) — `0` for an index that holds no arena. Per-term offset
-    /// tables are excluded from both counts. Backs the compression ratio
-    /// quoted in DESIGN §7.7.
-    pub fn postings_bytes(&self) -> (usize, usize) {
-        // Every record appears once in the list of each of its terms.
-        let raw = self.queries.iter().map(Vec::len).sum::<usize>() * 4;
-        let packed = match &self.postings {
-            Postings::Packed(packed) => packed.arena_bytes() + packed.num_blocks() * 11,
-            Postings::Pages(_) => 0,
-        };
-        (raw, packed)
+    /// Full-corpus record count (equals [`NnIndex::len`] unless the corpus
+    /// is collapsed).
+    pub fn n_full(&self) -> u64 {
+        self.n_full
     }
 
     /// Candidate ids for a query record in verification order (highest
-    /// shared IDF weight first). Public for benchmarks and experiments.
+    /// shared IDF weight first), capped at
+    /// [`InvertedIndexConfig::candidate_limit`].
     pub fn generate_candidates(&self, id: u32) -> Vec<u32> {
-        self.gather_candidates(id).ids
+        self.candidates_with_limit(id, self.config.candidate_limit)
     }
 
-    /// Packed merge: the staged lane-wise frontier over the delta-block
-    /// arena (DESIGN.md §7.7), walking the cached query terms rarest-first:
-    /// whole lists decode into a flat stage, and up to [`FRONTIER_LANES`]
-    /// term runs are applied per scoreboard pass.
-    ///
-    /// Scores match a scalar one-term-at-a-time merge bit for bit (the
-    /// packed-equivalence suite holds it to one):
-    ///
-    /// * terms are applied to the scoreboard strictly in cached-query
-    ///   order (df-ascending = list-length-ascending), so every
-    ///   candidate's `f64` weight accumulates in that order;
-    /// * the query's own id is excluded by pre-stamping its slot, which
-    ///   spares a per-posting `other != id` branch without changing the
-    ///   admitted set.
-    fn generate_packed(
+    /// [`Self::generate_candidates`] with an explicit cap (`0` =
+    /// unlimited). The incremental-dedup affected-set scan needs the
+    /// *uncapped* variant: candidate visibility is symmetric in shared
+    /// terms, but the per-query cap is not — an existing record can rank a
+    /// new record inside its own top-k while falling outside the new
+    /// record's.
+    pub fn candidates_with_limit(&self, id: u32, limit: usize) -> Vec<u32> {
+        self.gather_indexed(id, limit).ids
+    }
+
+    /// [`NnIndex::lookup`] with a shared [`PairDistanceCache`] consulted
+    /// during candidate verification — same answer, fewer distance calls
+    /// where lookups re-verify pairs (the incremental path, DESIGN.md
+    /// §7.5).
+    pub fn lookup_memoized(
         &self,
-        packed: &PackedPostings,
         id: u32,
-        include_stops: bool,
-        out: &mut Vec<(u32, f64, u32)>,
-    ) -> (u32, u64) {
-        let query = &self.queries[id as usize];
-        let mut slack = 0u32;
-        let mut dropped = 0u64;
-        // The mergeable terms, in query (df-ascending) order.
-        let mut mergeable: Vec<(u32, u32)> = Vec::with_capacity(query.len());
-        for &(tid, gram_count) in query {
-            if !include_stops && self.terms[tid as usize].stop {
-                slack += gram_count;
-                dropped += 1;
-            } else {
-                mergeable.push((tid, gram_count));
-            }
-        }
-        let mut scanned = 0u64;
-        let mut batches = 0u64;
-        let mut blocks_scanned = 0u64;
-        with_scoreboard(|board| {
-            with_merge_stage(|stage| {
-                board.begin(self.records.len());
-                board.exclude(id);
-                stage.clear();
-                for (k, &(tid, gram_count)) in mergeable.iter().enumerate() {
-                    // Pull the next list's delta bytes toward L1 while
-                    // this one is decoded.
-                    if let Some(&(next_tid, _)) = mergeable.get(k + 1) {
-                        packed.prefetch(next_tid);
-                    }
-                    let before = stage.ids.len();
-                    blocks_scanned += packed.decode_list(tid, &mut stage.ids);
-                    let len = (stage.ids.len() - before) as u32;
-                    scanned += u64::from(len);
-                    let entry = &self.terms[tid as usize];
-                    stage.runs.push(StageRun { len, weight: entry.weight, overlap: gram_count });
-                    if stage.runs.len() >= FRONTIER_LANES || stage.ids.len() >= STAGE_CAP {
-                        board.apply_runs(&stage.ids, &stage.runs);
-                        batches += 1;
-                        stage.clear();
+        spec: LookupSpec,
+        p: f64,
+        memo: &dyn PairDistanceCache,
+    ) -> (Vec<Neighbor>, f64, LookupCost) {
+        driver::lookup(self, id, spec, p, Some(memo))
+    }
+
+    /// IDF weight `ln(1 + N/df)` of a term, `N` and `df` in full-corpus
+    /// units. A frozen index evaluates this and [`Self::is_stop_gram`] per
+    /// term at freeze, a growing one per merged term at lookup.
+    fn idf_weight(&self, df: u32) -> f64 {
+        (1.0 + self.n_full.max(1) as f64 / f64::from(df)).ln()
+    }
+
+    /// Whether a term of document frequency `df` is a stop gram.
+    fn is_stop_gram(&self, df: u32) -> bool {
+        let floor = f64::from(self.config.stop_df_floor);
+        f64::from(df) > (self.config.max_df_fraction * self.n_full as f64).max(floor)
+    }
+
+    fn gather_indexed(&self, id: u32, limit: usize) -> Gathered {
+        self.gather(&self.queries[id as usize], self.meta[id as usize], Some(id), limit)
+    }
+
+    /// Generate, score, truncate: the driver's gather scaffold around the
+    /// layout's merge — for an indexed query (`exclude = Some(id)`, read
+    /// from its cached terms) and for a by-content probe alike. A pass
+    /// that drops stop grams leaves their gram mass unmerged: the count
+    /// filter's slack.
+    fn gather(
+        &self,
+        query: &[QueryTerm],
+        query_meta: RecordMeta,
+        exclude: Option<u32>,
+        limit: usize,
+    ) -> Gathered {
+        driver::gather_merged(
+            |include_stops, scored| {
+                let (mut slack, mut dropped) = (0u32, 0u64);
+                let mut terms: Vec<MergeTerm> = Vec::with_capacity(query.len());
+                for &(tid, gram_count) in query {
+                    let (weight, stop) = L::term(self, tid);
+                    if stop && !include_stops {
+                        slack += gram_count;
+                        dropped += 1;
+                    } else {
+                        terms.push((tid, gram_count, weight));
                     }
                 }
-                if !stage.runs.is_empty() {
+                L::merge(self, &terms, exclude, scored);
+                (slack, dropped)
+            },
+            limit,
+            self.mult.as_deref().map(|m| (m, exclude.map_or(1, |id| m[id as usize]))),
+            query_meta,
+        )
+    }
+}
+
+/// Start a merge pass on `board`: ids `0..n`, the query's own id — when it
+/// has one — excluded by pre-stamping its slot, which spares a per-posting
+/// `other != id` branch without changing the admitted set.
+fn begin_merge(board: &mut Scoreboard, n: usize, exclude: Option<u32>) {
+    board.begin(n);
+    if let Some(id) = exclude {
+        board.exclude(id);
+    }
+}
+
+/// The scalar merge, shared by growing lists and heap pages: one term at a
+/// time in cached-query (term-string) order, which fixes every
+/// per-candidate `f64` weight sum. `add_list` feeds a term's postings to
+/// [`Scoreboard::add_run`] and returns how many there were.
+fn merge_scalar(
+    n: usize,
+    terms: &[MergeTerm],
+    exclude: Option<u32>,
+    add_list: impl Fn(&mut Scoreboard, u32, f64, u32) -> u64,
+    out: &mut Vec<(u32, f64, u32)>,
+) {
+    let mut scanned = 0u64;
+    with_scoreboard(|board| {
+        begin_merge(board, n, exclude);
+        for &(tid, gram_count, weight) in terms {
+            scanned += add_list(board, tid, weight, gram_count);
+        }
+        board.drain_into(out);
+    });
+    incr(Counter::NnPostingsScanned, scanned);
+}
+
+impl Layout for Growing {
+    /// Evaluated at lookup: the corpus these describe is still growing.
+    fn term<D: Distance>(index: &InvertedIndex<D, Self>, tid: u32) -> (f64, bool) {
+        let df = index.layout.df[tid as usize];
+        (index.idf_weight(df), index.is_stop_gram(df))
+    }
+
+    fn merge<D: Distance>(
+        index: &InvertedIndex<D, Self>,
+        terms: &[MergeTerm],
+        exclude: Option<u32>,
+        out: &mut Vec<(u32, f64, u32)>,
+    ) {
+        let add_list = |board: &mut Scoreboard, tid: u32, weight, gram_count| {
+            let ids = &index.layout.lists[tid as usize];
+            board.add_run(ids.iter().copied(), weight, gram_count);
+            ids.len() as u64
+        };
+        merge_scalar(index.records.len(), terms, exclude, add_list, out)
+    }
+}
+
+impl Layout for Frozen {
+    fn term<D: Distance>(index: &InvertedIndex<D, Self>, tid: u32) -> (f64, bool) {
+        let entry = &index.layout.terms[tid as usize];
+        (entry.weight, entry.stop)
+    }
+
+    fn merge<D: Distance>(
+        index: &InvertedIndex<D, Self>,
+        terms: &[MergeTerm],
+        exclude: Option<u32>,
+        out: &mut Vec<(u32, f64, u32)>,
+    ) {
+        let n = index.records.len();
+        let paged = match &index.layout.postings {
+            Postings::Packed(packed) => return merge_packed(packed, n, terms, exclude, out),
+            Postings::Pages(paged) => paged,
+        };
+        // Every postings chunk is fetched through the buffer pool.
+        let add_list = |board: &mut Scoreboard, tid: u32, weight, gram_count| {
+            let mut scanned = 0;
+            for &chunk in &paged.chunks[tid as usize] {
+                let bytes = paged.heap.get(chunk).expect("postings chunk exists");
+                scanned += (bytes.len() / 4) as u64;
+                let ids = bytes.chunks_exact(4).map(|raw| {
+                    u32::from_le_bytes(raw.try_into().expect("chunks_exact(4) yields 4 bytes"))
+                });
+                board.add_run(ids, weight, gram_count);
+            }
+            scanned
+        };
+        merge_scalar(n, terms, exclude, add_list, out)
+    }
+}
+
+/// Packed merge: the staged lane-wise frontier over the delta-block arena
+/// (DESIGN.md §7.7), walking the query terms rarest-first: whole lists
+/// decode into a flat stage, and up to [`FRONTIER_LANES`] term runs are
+/// applied per scoreboard pass.
+///
+/// Scores match a scalar one-term-at-a-time merge bit for bit (the
+/// packed-equivalence suite holds it to one): terms are applied to the
+/// scoreboard strictly in cached-query order (df-ascending =
+/// list-length-ascending), so every candidate's `f64` weight accumulates
+/// in that order.
+fn merge_packed(
+    packed: &PackedPostings,
+    n: usize,
+    terms: &[MergeTerm],
+    exclude: Option<u32>,
+    out: &mut Vec<(u32, f64, u32)>,
+) {
+    let mut scanned = 0u64;
+    let mut batches = 0u64;
+    let mut blocks_scanned = 0u64;
+    with_scoreboard(|board| {
+        with_merge_stage(|stage| {
+            begin_merge(board, n, exclude);
+            stage.clear();
+            for (k, &(tid, gram_count, weight)) in terms.iter().enumerate() {
+                // Pull the next list's delta bytes toward L1 while
+                // this one is decoded.
+                if let Some(&(next_tid, ..)) = terms.get(k + 1) {
+                    packed.prefetch(next_tid);
+                }
+                let before = stage.ids.len();
+                blocks_scanned += packed.decode_list(tid, &mut stage.ids);
+                let len = (stage.ids.len() - before) as u32;
+                scanned += u64::from(len);
+                stage.runs.push(StageRun { len, weight, overlap: gram_count });
+                if stage.runs.len() >= FRONTIER_LANES || stage.ids.len() >= STAGE_CAP {
                     board.apply_runs(&stage.ids, &stage.runs);
                     batches += 1;
                     stage.clear();
                 }
-                board.drain_into(out);
-            })
-        });
-        incr(Counter::NnPostingsScanned, scanned);
-        incr(Counter::CandBlocksScanned, blocks_scanned);
-        incr(Counter::CandFrontierBatches, batches);
-        (slack, dropped)
-    }
-
-    /// Page-backed merge: re-extracts the query's term set, resolves term
-    /// strings through the dictionary, and fetches every postings chunk
-    /// through the buffer pool — one term at a time in term-set order, onto
-    /// the same scoreboard as the packed merge.
-    fn generate_pages(
-        &self,
-        paged: &PagedPostings,
-        id: u32,
-        include_stops: bool,
-        out: &mut Vec<(u32, f64, u32)>,
-    ) -> (u32, u64) {
-        let record = &self.records[id as usize];
-        let fields: Vec<&str> = record.iter().map(String::as_str).collect();
-        let ts = record_term_set(&fields, self.config.q, self.config.index_tokens);
-        let mut scanned = 0u64;
-        let mut slack = 0u32;
-        let mut dropped = 0u64;
-        with_scoreboard(|board| {
-            board.begin(self.records.len());
-            board.exclude(id);
-            for (term, gram_count) in &ts.terms {
-                let Some(&tid) = paged.term_ids.get(term) else { continue };
-                let entry = &self.terms[tid as usize];
-                if !include_stops && entry.stop {
-                    slack += gram_count;
-                    dropped += 1;
-                    continue;
-                }
-                for &chunk in &paged.chunks[tid as usize] {
-                    let bytes = paged.heap.get(chunk).expect("postings chunk exists");
-                    scanned += (bytes.len() / 4) as u64;
-                    let ids = bytes.chunks_exact(4).map(|raw| {
-                        u32::from_le_bytes(raw.try_into().expect("chunks_exact(4) yields 4 bytes"))
-                    });
-                    board.add_run(ids, entry.weight, *gram_count);
-                }
+            }
+            if !stage.runs.is_empty() {
+                board.apply_runs(&stage.ids, &stage.runs);
+                batches += 1;
+                stage.clear();
             }
             board.drain_into(out);
-        });
-        incr(Counter::NnPostingsScanned, scanned);
-        (slack, dropped)
-    }
+        })
+    });
+    incr(Counter::NnPostingsScanned, scanned);
+    incr(Counter::CandBlocksScanned, blocks_scanned);
+    incr(Counter::CandFrontierBatches, batches);
 }
 
-impl<D: Distance> CandidateSource for InvertedIndex<D> {
+impl<D: Distance, L: Layout> CandidateSource for InvertedIndex<D, L> {
     type Dist = D;
 
     fn distance(&self) -> &D {
@@ -499,25 +736,15 @@ impl<D: Distance> CandidateSource for InvertedIndex<D> {
         self.filter_ok.then_some((self.config.q as u32, &self.meta[..]))
     }
 
-    /// Generate, score, truncate: the driver's gather scaffold around this
-    /// index's one merge.
     fn gather_candidates(&self, id: u32) -> Gathered {
-        driver::gather_merged(
-            |include_stops, scored| match &self.postings {
-                Postings::Packed(packed) => self.generate_packed(packed, id, include_stops, scored),
-                Postings::Pages(paged) => self.generate_pages(paged, id, include_stops, scored),
-            },
-            self.config.candidate_limit,
-            self.mult.as_deref().map(|m| (m, m[id as usize])),
-            self.meta[id as usize],
-        )
+        self.gather_indexed(id, self.config.candidate_limit)
     }
 }
 
 /// One candidate gather + one verification pass serves both the neighbor
 /// list and the neighborhood growth — the access pattern the paper's
 /// Phase 1 assumes, and half the I/O of two separate calls.
-impl<D: Distance> NnIndex for InvertedIndex<D> {
+impl<D: Distance, L: Layout> NnIndex for InvertedIndex<D, L> {
     fn len(&self) -> usize {
         self.records.len()
     }
@@ -530,14 +757,8 @@ impl<D: Distance> NnIndex for InvertedIndex<D> {
         driver::within(self, id, radius)
     }
 
-    fn lookup_cached(
-        &self,
-        id: u32,
-        spec: LookupSpec,
-        p: f64,
-        cache: Option<&dyn PairDistanceCache>,
-    ) -> (Vec<Neighbor>, f64, LookupCost) {
-        driver::lookup(self, id, spec, p, cache)
+    fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
+        driver::lookup(self, id, spec, p, None)
     }
 }
 
@@ -548,22 +769,26 @@ mod tests {
     use fuzzydedup_storage::{BufferPoolConfig, InMemoryDisk};
     use fuzzydedup_textdist::{EditDistance, UnfilteredDistance};
 
+    const CORPUS: [&str; 10] = [
+        "the doors",
+        "doors",
+        "the beatles",
+        "beatles the",
+        "shania twain",
+        "twian shania",
+        "4th elemynt",
+        "4 th elemynt",
+        "aaliyah",
+        "bob dylan",
+    ];
+
     fn corpus() -> Vec<Vec<String>> {
-        [
-            "the doors",
-            "doors",
-            "the beatles",
-            "beatles the",
-            "shania twain",
-            "twian shania",
-            "4th elemynt",
-            "4 th elemynt",
-            "aaliyah",
-            "bob dylan",
-        ]
-        .iter()
-        .map(|s| vec![s.to_string()])
-        .collect()
+        CORPUS.iter().map(|s| vec![s.to_string()]).collect()
+    }
+
+    fn pool(frames: usize) -> Arc<BufferPool> {
+        let disk = Arc::new(InMemoryDisk::new());
+        Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(frames), disk))
     }
 
     fn build(config: InvertedIndexConfig) -> InvertedIndex<EditDistance> {
@@ -574,9 +799,20 @@ mod tests {
         records: Vec<Vec<String>>,
         config: InvertedIndexConfig,
     ) -> InvertedIndex<EditDistance> {
-        let disk = Arc::new(InMemoryDisk::new());
-        let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(16), disk));
-        InvertedIndex::build(records, EditDistance, pool, config)
+        InvertedIndex::build(records, EditDistance, pool(16), config)
+    }
+
+    /// An index left growing over single-field records.
+    fn grown<D: Distance>(
+        records: &[&str],
+        distance: D,
+        config: InvertedIndexConfig,
+    ) -> InvertedIndex<D, Growing> {
+        let mut index = InvertedIndex::new(distance, config);
+        for record in records {
+            index.push(vec![record.to_string()]);
+        }
+        index
     }
 
     #[test]
@@ -598,8 +834,7 @@ mod tests {
 
     #[test]
     fn an_index_holds_one_postings_layout() {
-        let disk = Arc::new(InMemoryDisk::new());
-        let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(16), disk));
+        let pool = pool(16);
         let packed = InvertedIndex::build(corpus(), EditDistance, pool.clone(), Default::default());
         // A packed index never touches the pool, building or answering...
         assert_eq!(packed.postings_pages(), 0);
@@ -640,7 +875,8 @@ mod tests {
         for id in 0..idx.len() as u32 {
             for n in idx.within(id, 0.3) {
                 assert!(n.dist < 0.3);
-                assert_eq!(n.dist, idx.distance_between(id, n.id));
+                let (a, b) = (&idx.records()[id as usize], &idx.records()[n.id as usize]);
+                assert_eq!(n.dist, EditDistance.distance(&[a[0].as_str()], &[b[0].as_str()]));
             }
         }
     }
@@ -658,12 +894,11 @@ mod tests {
 
     #[test]
     fn page_backed_lookups_touch_the_pool() {
-        let disk = Arc::new(InMemoryDisk::new());
-        let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(2), disk));
+        let pool = pool(2);
         let config =
             InvertedIndexConfig { postings_source: PostingsSource::Pages, ..Default::default() };
         let idx = InvertedIndex::build(corpus(), EditDistance, pool.clone(), config);
-        assert!(idx.terms.len() > 10);
+        assert!(idx.layout.terms.len() > 10);
         assert!(idx.postings_pages() >= 1);
         pool.reset_stats();
         idx.top_k(0, 3);
@@ -736,39 +971,139 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_corpora() {
-        let disk = Arc::new(InMemoryDisk::new());
-        let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(2), disk));
-        let idx = InvertedIndex::build(
-            vec![vec!["solo".to_string()]],
-            EditDistance,
-            pool,
-            Default::default(),
-        );
-        assert!(idx.top_k(0, 3).is_empty());
-        assert!(idx.within(0, 0.9).is_empty());
+        let mut growing = InvertedIndex::new(EditDistance, Default::default());
+        assert!(growing.is_empty());
+        let (neighbors, ng, _) = growing.probe(&["anything"], LookupSpec::TopK(3), 2.0);
+        assert!(neighbors.is_empty());
+        assert_eq!(ng, 1.0);
+        assert_eq!(growing.push(vec!["solo".to_string()]), 0);
+        let built = build_records(vec![vec!["solo".to_string()]], Default::default());
+        for idx in [&growing as &dyn NnIndex, &built] {
+            assert!(idx.top_k(0, 3).is_empty());
+            assert!(idx.within(0, 0.9).is_empty());
+        }
+    }
+
+    #[test]
+    fn grows_and_finds_new_neighbors() {
+        let mut idx = grown(&["the doors", "aaliyah"], EditDistance, Default::default());
+        assert!(idx.top_k(0, 1).first().map(|n| n.dist > 0.5).unwrap_or(true));
+        let new_id = idx.push(vec!["doors".to_string()]);
+        assert_eq!(new_id, 2);
+        // The old record's nearest neighbor is now the new one.
+        let nn = idx.top_k(0, 1);
+        assert_eq!(nn[0].id, 2);
+        // And symmetrically.
+        assert_eq!(idx.top_k(2, 1)[0].id, 0);
+    }
+
+    #[test]
+    fn candidate_sets_are_symmetric_for_shared_terms() {
+        let records = ["golden dragon", "golden palace", "unrelated thing"];
+        let idx = grown(&records, EditDistance, Default::default());
+        assert!(idx.generate_candidates(0).contains(&1));
+        assert!(idx.generate_candidates(1).contains(&0));
+    }
+
+    #[test]
+    fn record_has_terms_bit_matches_retokenization() {
+        let config = InvertedIndexConfig::default();
+        let idx = grown(&["golden dragon", "", "  ", "ab", "?!"], EditDistance, config.clone());
+        for (id, record) in idx.records().iter().enumerate() {
+            let fields: Vec<&str> = record.iter().map(String::as_str).collect();
+            let terms = record_term_set(&fields, config.q, config.index_tokens).terms;
+            assert_eq!(idx.record_has_terms(id as u32), !terms.is_empty(), "record {record:?}");
+        }
+        assert!(idx.record_has_terms(0));
+        assert!(!idx.record_has_terms(1));
+    }
+
+    #[test]
+    fn probe_finds_indexed_duplicate_at_distance_zero() {
+        let records = ["golden dragon", "golden palace", "unrelated thing"];
+        let idx = grown(&records, EditDistance, Default::default());
+        let (neighbors, ng, cost) = idx.probe(&["golden dragon"], LookupSpec::TopK(2), 2.0);
+        assert_eq!(neighbors[0].id, 0);
+        assert_eq!(neighbors[0].dist, 0.0);
+        assert!(ng >= 1.0);
+        assert_eq!(cost.probes, 1);
+        assert!(cost.distance_calls <= cost.candidates);
+    }
+
+    #[test]
+    fn probe_matches_appended_record_lookup() {
+        // A probe must answer exactly what the same record would see if it
+        // were appended and queried — provided the corpus statistics
+        // match, so the control index holds the probe record too (the
+        // appended shift of document frequencies only reorders
+        // candidates), and `lookup` excludes it from its own results.
+        //
+        // Small corpus, default config: the stop floor (df > 100) never
+        // fires and no candidate truncation occurs, hence identical
+        // candidate sets.
+        let small: Vec<String> =
+            ["the doors", "doors", "the beatles", "beatles the", "shania twain", "aaliyah"]
+                .map(str::to_owned)
+                .to_vec();
+        // Noisy near-duplicate corpus well past `VERIFY_BATCH`: every
+        // probe verifies hundreds of candidates, so the external-query
+        // path runs through ragged lock-step batches with survivors
+        // inside them. Stop grams and truncation are switched off, for
+        // the same identical-candidate-sets reason as above.
+        let noisy = crate::near_duplicate_corpus(240);
+        let unpruned = InvertedIndexConfig {
+            candidate_limit: 0,
+            stop_df_floor: u32::MAX,
+            ..InvertedIndexConfig::default()
+        };
+        let inputs = [
+            (small, InvertedIndexConfig::default(), ["the doorz", "shania twin", "zzz nothing"]),
+            (
+                noisy,
+                unpruned,
+                ["golden dragon palace branch 17", "goldn dragon palace brnch 3", "payload 777"],
+            ),
+        ];
+        for (corpus, config, probes) in inputs {
+            let corpus: Vec<&str> = corpus.iter().map(String::as_str).collect();
+            for probe_text in probes {
+                let base = grown(&corpus, EditDistance, config.clone());
+                let mut ctrl = grown(&corpus, EditDistance, config.clone());
+                let probe_id = ctrl.push(vec![probe_text.to_string()]);
+                for spec in [LookupSpec::TopK(3), LookupSpec::Radius(0.4)] {
+                    let (got, got_ng, _) = base.probe(&[probe_text], spec, 2.0);
+                    let (want, want_ng, _) = ctrl.lookup(probe_id, spec, 2.0);
+                    assert_eq!(got, want, "probe {probe_text:?} {spec:?}");
+                    assert_eq!(got_ng, want_ng, "probe {probe_text:?} {spec:?}");
+                }
+            }
+        }
     }
 
     #[test]
     fn combined_lookup_matches_separate_calls() {
-        let idx = build(InvertedIndexConfig::default());
-        for id in 0..idx.len() as u32 {
-            // Top-K flavor.
-            let (neighbors, ng, cost) = idx.lookup(id, LookupSpec::TopK(3), 2.0);
-            assert_eq!(neighbors, idx.top_k(id, 3), "id {id}");
-            let nn = idx.top_k(id, 1).first().map(|n| n.dist);
-            let expected_ng = match nn {
-                Some(nn) if nn > 0.0 => idx.within(id, 2.0 * nn).len() as f64 + 1.0,
-                _ => 1.0,
-            };
-            assert_eq!(ng, expected_ng, "id {id}");
-            // The combined lookup gathers once: one probe; the pruning
-            // filters may spare some candidates their distance call.
-            assert_eq!(cost.probes, 1, "id {id}");
-            assert_eq!(cost.fallback_probes, 0, "id {id}");
-            assert!(cost.distance_calls <= cost.candidates, "id {id}");
-            // Radius flavor.
-            let (neighbors, _, _) = idx.lookup(id, LookupSpec::Radius(0.4), 2.0);
-            assert_eq!(neighbors, idx.within(id, 0.4), "id {id}");
+        let built = build(InvertedIndexConfig::default());
+        let growing = grown(&CORPUS, EditDistance, Default::default());
+        for idx in [&built as &dyn NnIndex, &growing] {
+            for id in 0..idx.len() as u32 {
+                // Top-K flavor.
+                let (neighbors, ng, cost) = idx.lookup(id, LookupSpec::TopK(3), 2.0);
+                assert_eq!(neighbors, idx.top_k(id, 3), "id {id}");
+                let nn = idx.top_k(id, 1).first().map(|n| n.dist);
+                let expected_ng = match nn {
+                    Some(nn) if nn > 0.0 => idx.within(id, 2.0 * nn).len() as f64 + 1.0,
+                    _ => 1.0,
+                };
+                assert_eq!(ng, expected_ng, "id {id}");
+                // The combined lookup gathers once: one probe; the pruning
+                // filters may spare some candidates their distance call.
+                assert_eq!(cost.probes, 1, "id {id}");
+                assert_eq!(cost.fallback_probes, 0, "id {id}");
+                assert!(cost.distance_calls <= cost.candidates, "id {id}");
+                // Radius flavor.
+                let (neighbors, _, _) = idx.lookup(id, LookupSpec::Radius(0.4), 2.0);
+                assert_eq!(neighbors, idx.within(id, 0.4), "id {id}");
+            }
         }
     }
 
@@ -776,26 +1111,30 @@ mod tests {
     fn filters_are_lossless_against_unfiltered_distance() {
         // The UnfilteredDistance adapter computes identical distances but
         // reports no q-gram bound, so generation and verification run
-        // unpruned: both indexes must answer identically. candidate_limit
-        // is 0 so truncation cannot make the comparison vacuous.
-        let records = corpus();
+        // unpruned: both indexes must answer identically, frozen or
+        // growing. candidate_limit is 0 so truncation cannot make the
+        // comparison vacuous.
         let config = InvertedIndexConfig { candidate_limit: 0, ..Default::default() };
-        let disk = Arc::new(InMemoryDisk::new());
-        let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(16), disk));
-        let filtered =
-            InvertedIndex::build(records.clone(), EditDistance, pool.clone(), config.clone());
-        let control = InvertedIndex::build(records, UnfilteredDistance(EditDistance), pool, config);
-        for id in 0..filtered.len() as u32 {
-            assert_eq!(filtered.top_k(id, 5), control.top_k(id, 5), "id {id}");
-            for radius in [0.1, 0.3, 0.6] {
-                assert_eq!(filtered.within(id, radius), control.within(id, radius), "id {id}");
+        let unfiltered = || UnfilteredDistance(EditDistance);
+        let filtered = InvertedIndex::build(corpus(), EditDistance, pool(16), config.clone());
+        let control = InvertedIndex::build(corpus(), unfiltered(), pool(16), config.clone());
+        let growing = grown(&CORPUS, EditDistance, config.clone());
+        let growing_control = grown(&CORPUS, unfiltered(), config);
+        let pairs: [(&dyn NnIndex, &dyn NnIndex); 2] =
+            [(&filtered, &control), (&growing, &growing_control)];
+        for (filtered, control) in pairs {
+            for id in 0..filtered.len() as u32 {
+                assert_eq!(filtered.top_k(id, 5), control.top_k(id, 5), "id {id}");
+                for radius in [0.1, 0.3, 0.6] {
+                    assert_eq!(filtered.within(id, radius), control.within(id, radius), "id {id}");
+                }
+                let (n_f, ng_f, cost_f) = filtered.lookup(id, LookupSpec::TopK(3), 2.0);
+                let (n_u, ng_u, cost_u) = control.lookup(id, LookupSpec::TopK(3), 2.0);
+                assert_eq!(n_f, n_u, "id {id}");
+                assert_eq!(ng_f, ng_u, "id {id}");
+                assert_eq!(cost_f.candidates, cost_u.candidates, "id {id}");
+                assert!(cost_f.distance_calls <= cost_u.distance_calls, "id {id}");
             }
-            let (n_f, ng_f, cost_f) = filtered.lookup(id, LookupSpec::TopK(3), 2.0);
-            let (n_u, ng_u, cost_u) = control.lookup(id, LookupSpec::TopK(3), 2.0);
-            assert_eq!(n_f, n_u, "id {id}");
-            assert_eq!(ng_f, ng_u, "id {id}");
-            assert_eq!(cost_f.candidates, cost_u.candidates, "id {id}");
-            assert!(cost_f.distance_calls <= cost_u.distance_calls, "id {id}");
         }
     }
 
@@ -817,8 +1156,7 @@ mod tests {
             .collect();
         let config = InvertedIndexConfig { candidate_limit: 0, ..Default::default() };
         let idx = build_records(records.clone(), config.clone());
-        let disk = Arc::new(InMemoryDisk::new());
-        let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(16), disk));
+        let pool = pool(16);
         let control = InvertedIndex::build(records, UnfilteredDistance(EditDistance), pool, config);
         for id in 0..idx.len() as u32 {
             for radius in [0.05, 0.15, 0.3] {
@@ -842,10 +1180,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        let Postings::Pages(paged) = &idx.postings else { panic!("built as Pages") };
-        let tid = paged.term_ids["shared"];
-        assert!(paged.chunks[tid as usize].len() >= 5);
-        assert_eq!(idx.terms[tid as usize].df, 300);
+        let Postings::Pages(paged) = &idx.layout.postings else { panic!("built as Pages") };
+        // The shared token (and its grams) are the terms every record holds.
+        let tid = idx.layout.terms.iter().position(|t| t.df == 300).expect("the shared token");
+        assert!(paged.chunks[tid].len() >= 5);
         // And the index still answers queries.
         assert!(!idx.top_k(0, 2).is_empty());
     }
@@ -918,8 +1256,7 @@ mod tests {
             matches!(compiled.record_view().candidate(0), Candidate::Chars(_)),
             "ed compiles records to chars"
         );
-        let disk = Arc::new(InMemoryDisk::new());
-        let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(16), disk));
+        let pool = pool(16);
         let control = InvertedIndex::build(records, RawFieldsEdit, pool, config);
         assert!(
             matches!(control.record_view().candidate(0), Candidate::Fields(_)),

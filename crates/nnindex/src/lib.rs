@@ -15,19 +15,22 @@
 //! * [`nested_loop::NestedLoopIndex`] — the exact reference: scans the
 //!   whole relation per query;
 //! * [`inverted::InvertedIndex`] — an IDF-weighted inverted index over
-//!   q-grams and tokens whose postings are stored on **buffer-pool pages**
-//!   (as in the paper, "nearest neighbor indexes ... have a structure
-//!   similar to inverted indexes in IR, and are usually large" — lookups
-//!   therefore hit the database buffer, which is what makes the
-//!   breadth-first lookup order of §4.1.1 profitable);
+//!   q-grams and tokens. One struct serves the batch and the streaming
+//!   entry points: it grows by `push` (the incremental path queries it
+//!   while it does) and `build` is push-all followed by a freeze into a
+//!   packed in-memory arena or onto **buffer-pool pages** (as in the
+//!   paper, "nearest neighbor indexes ... have a structure similar to
+//!   inverted indexes in IR, and are usually large" — lookups therefore
+//!   hit the database buffer, which is what makes the breadth-first
+//!   lookup order of §4.1.1 profitable);
 //! * [`bforder`] — the lookup-order driver of Figure 5 (breadth-first
 //!   expansion with a bounded queue and a visited bit vector), plus
 //!   sequential and shuffled orders for the Figure-8 comparison.
 //!
-//! Every index family (also [`dynamic::DynamicInvertedIndex`]) only says
-//! which records are worth verifying for a query; one private lookup driver turns that into
-//! `top_k`, `within`, the combined lookup and by-content probes through
-//! one bounded-verification loop.
+//! Every index family only says which records are worth verifying for a
+//! query; one private lookup driver turns that into `top_k`, `within`,
+//! the combined lookup and by-content probes through one
+//! bounded-verification loop.
 //!
 //! Like the paper, we treat the (probabilistic) inverted index as if it
 //! were exact; `tests/` cross-validate its results against the nested-loop
@@ -36,15 +39,13 @@
 pub mod bforder;
 pub mod candgen;
 mod driver;
-pub mod dynamic;
 pub mod inverted;
 pub mod nested_loop;
 mod scratch;
 
 pub use bforder::{drive_lookups, DriveReport, LookupOrder};
 pub use candgen::{PackedPostings, RecordMeta, PACKED_BLOCK};
-pub use dynamic::{DynamicIndexConfig, DynamicInvertedIndex};
-pub use inverted::{InvertedIndex, InvertedIndexConfig, PostingsSource};
+pub use inverted::{Frozen, Growing, InvertedIndex, InvertedIndexConfig, Layout, PostingsSource};
 pub use nested_loop::NestedLoopIndex;
 
 use candgen::CandFilter;
@@ -177,37 +178,15 @@ pub trait NnIndex: Send + Sync {
     /// growth `ng(v) = |{u : d(u, v) < p · nn(v)}|` (counting `v` itself),
     /// plus the [`LookupCost`] actually paid to answer.
     ///
-    /// This is the `cache = None` shorthand of [`NnIndex::lookup_cached`]
-    /// — what the batch Phase 1, which holds no memo, calls. Override
-    /// `lookup_cached`, not this: an implementation that overrides only
-    /// `lookup` is bypassed by every caller that holds a memo (the
-    /// incremental path). Every index in this crate implements
-    /// `lookup_cached` as one call into the crate's single lookup driver
-    /// (gather candidates once, verify them once with a running cutoff,
-    /// derive the neighbor list and `ng` from the survivors) and leaves
-    /// this default alone.
-    fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
-        self.lookup_cached(id, spec, p, None)
-    }
-
-    /// [`NnIndex::lookup`] with an optional shared [`PairDistanceCache`]
-    /// consulted during candidate verification — **the combined-lookup
-    /// extension point** (`lookup` forwards here).
-    ///
-    /// The default composes the answer from separate `top_k`/`within`
-    /// probes (each counted in `LookupCost::probes`); it has no
-    /// verification loop, so it ignores the cache. It serves
+    /// This default composes the answer from separate `top_k`/`within`
+    /// probes (each counted in `LookupCost::probes`). It serves
     /// implementations outside this crate that only offer the two
     /// primitives, and is the composition the driver-equivalence suite
-    /// holds the combined lookups of this crate's indexes to.
-    fn lookup_cached(
-        &self,
-        id: u32,
-        spec: LookupSpec,
-        p: f64,
-        cache: Option<&dyn PairDistanceCache>,
-    ) -> (Vec<Neighbor>, f64, LookupCost) {
-        let _ = cache;
+    /// holds the combined lookups of this crate's indexes to: every index
+    /// here overrides it with one call into the crate's single lookup
+    /// driver (gather candidates once, verify them once with a running
+    /// cutoff, derive the neighbor list and `ng` from the survivors).
+    fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
         let mut cost = LookupCost { probes: 1, ..LookupCost::default() };
         let neighbors = match spec {
             LookupSpec::TopK(k) => self.top_k(id, k),
@@ -661,18 +640,9 @@ impl<I: NnIndex + ?Sized> NnIndex for &I {
         (**self).within(id, radius)
     }
     fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
-        (**self).lookup(id, spec, p)
-    }
-    fn lookup_cached(
-        &self,
-        id: u32,
-        spec: LookupSpec,
-        p: f64,
-        cache: Option<&dyn PairDistanceCache>,
-    ) -> (Vec<Neighbor>, f64, LookupCost) {
         // Forward explicitly — the default body would bypass the inner
         // type's override (the same vtable gotcha as `Distance::prepare`).
-        (**self).lookup_cached(id, spec, p, cache)
+        (**self).lookup(id, spec, p)
     }
 }
 

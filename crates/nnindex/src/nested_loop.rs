@@ -9,7 +9,7 @@ use fuzzydedup_textdist::{CompiledRecords, Distance};
 
 use crate::candgen::RecordMeta;
 use crate::driver::{self, CandidateSource, Gathered};
-use crate::{sort_neighbors, LookupCost, LookupSpec, NnIndex, PairDistanceCache, RecordView};
+use crate::{sort_neighbors, LookupCost, LookupSpec, NnIndex, RecordView};
 
 /// Exact nearest-neighbor search by full scan.
 pub struct NestedLoopIndex<D> {
@@ -126,14 +126,8 @@ impl<D: Distance> NnIndex for NestedLoopIndex<D> {
     /// neighbor list and the growth estimate (the default implementation
     /// would scan up to three times), verifying with the current
     /// best-so-far as cutoff.
-    fn lookup_cached(
-        &self,
-        id: u32,
-        spec: LookupSpec,
-        p: f64,
-        cache: Option<&dyn PairDistanceCache>,
-    ) -> (Vec<Neighbor>, f64, LookupCost) {
-        driver::lookup(self, id, spec, p, cache)
+    fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
+        driver::lookup(self, id, spec, p, None)
     }
 }
 

@@ -3,14 +3,12 @@
 //! (DESIGN.md §7.5). Whatever the store holds — decoded chars for `ed`,
 //! token decompositions for `fms`, nothing for a distance on the trait's
 //! defaults — the answers must be the ones the unprepared
-//! `Distance::distance` gives on the raw fields, and a store filled one
-//! `push` at a time must answer like one built in bulk.
+//! `Distance::distance` gives on the raw fields.
 
 use std::sync::Arc;
 
 use fuzzydedup_nnindex::{
-    DynamicIndexConfig, DynamicInvertedIndex, InvertedIndex, InvertedIndexConfig, LookupSpec,
-    NestedLoopIndex, NnIndex,
+    InvertedIndex, InvertedIndexConfig, LookupSpec, NestedLoopIndex, NnIndex,
 };
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
 use fuzzydedup_textdist::{Distance, EditDistance, FuzzyMatchDistance, IdfModel, JaccardDistance};
@@ -22,15 +20,6 @@ type Records = Vec<Vec<String>>;
 
 fn pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(64), Arc::new(InMemoryDisk::new())))
-}
-
-fn pushed<D: Distance>(records: &Records, distance: D) -> DynamicInvertedIndex<D> {
-    let config = DynamicIndexConfig { candidate_limit: 0, ..Default::default() };
-    let mut index = DynamicInvertedIndex::new(distance, config);
-    for record in records {
-        index.push(record.clone());
-    }
-    index
 }
 
 fn built<D: Distance>(records: &Records, distance: D) -> InvertedIndex<D> {
@@ -50,7 +39,6 @@ fn indexes_agree_on_a_char_whose_lowercase_mapping_expands() {
         ["İİİİ cafe", "iiii cafe", "i i i i cafe"].iter().map(|s| vec![s.to_string()]).collect();
     let exact = NestedLoopIndex::new(records.clone(), EditDistance);
     let inverted = built(&records, EditDistance);
-    let dynamic = pushed(&records, EditDistance);
     for id in 0..records.len() as u32 {
         let truth = exact.top_k(id, 2);
         for n in &truth {
@@ -59,7 +47,6 @@ fn indexes_agree_on_a_char_whose_lowercase_mapping_expands() {
             assert_eq!(n.dist, EditDistance.distance(&a, &b), "id {id} vs {}", n.id);
         }
         assert_eq!(inverted.top_k(id, 2), truth, "inverted id {id}");
-        assert_eq!(dynamic.top_k(id, 2), truth, "dynamic id {id}");
         let (combined, _, _) = exact.lookup(id, LookupSpec::TopK(2), 2.0);
         assert_eq!(combined, truth, "nested-loop combined lookup id {id}");
     }
@@ -84,27 +71,16 @@ fn messy_corpus() -> Records {
     records
 }
 
-/// A `DynamicInvertedIndex` filled by `push` holds the same compiled
-/// store as a static build of the same records, so it answers alike —
-/// for a distance compiling to chars, one compiling to tokens, and one
-/// compiling nothing — and both match the exact reference's distances.
+/// Whatever the store holds — chars, tokens, or nothing — the distances an
+/// index verifies from it are the exact reference's.
 #[test]
-fn pushed_index_answers_like_a_static_build() {
+fn compiled_distances_match_the_exact_reference() {
     fn check<D: Distance + Clone>(records: &Records, distance: D) {
         let name = distance.name().to_string();
-        let dynamic = pushed(records, distance.clone());
-        let fixed = built(records, distance.clone());
+        let index = built(records, distance.clone());
         let exact = NestedLoopIndex::new(records.clone(), distance);
         for id in 0..records.len() as u32 {
-            let got = dynamic.top_k(id, 4);
-            assert_eq!(got, fixed.top_k(id, 4), "{name}: top_k id {id}");
-            assert_eq!(dynamic.within(id, 0.35), fixed.within(id, 0.35), "{name}: within id {id}");
-            for spec in [LookupSpec::TopK(3), LookupSpec::Radius(0.3)] {
-                let (n_d, ng_d, _) = dynamic.lookup(id, spec, 2.0);
-                let (n_f, ng_f, _) = fixed.lookup(id, spec, 2.0);
-                assert_eq!((n_d, ng_d), (n_f, ng_f), "{name}: lookup id {id} {spec:?}");
-            }
-            for n in got {
+            for n in index.top_k(id, 4) {
                 assert_eq!(n.dist, exact.distance_between(id, n.id), "{name}: {id} vs {}", n.id);
             }
         }

@@ -4,19 +4,20 @@
 //! `top_k` for the neighbor list and `nn(v)`, `within(p · nn(v))` for the
 //! neighborhood growth — on neighbors and `ng` alike.
 //!
-//! One table: three index families × {TopK, Radius} × {plain build,
+//! One table: two index families × {TopK, Radius} × {plain build,
 //! collapsed (multiplicity-weighted) build}. The weighted case compares
 //! the representative-space answer, expanded back to full-corpus ids,
 //! against the default composition over the *uncollapsed* corpus — the
-//! bit-equivalence DESIGN.md §7.10 promises. Each case also checks that a
-//! shared pair-distance memo, cold and then warm, changes nothing.
+//! bit-equivalence DESIGN.md §7.10 promises. Each case also checks, on the
+//! index type that takes one — the inverted index, frozen and growing —
+//! that a shared pair-distance memo, cold and then warm, changes nothing.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use fuzzydedup_nnindex::{
-    DynamicIndexConfig, DynamicInvertedIndex, InvertedIndex, InvertedIndexConfig, LookupSpec,
-    NestedLoopIndex, NnIndex, PairDistanceCache, PairProbe,
+    Growing, InvertedIndex, InvertedIndexConfig, Layout, LookupSpec, NestedLoopIndex, NnIndex,
+    PairDistanceCache, PairProbe,
 };
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
@@ -93,8 +94,20 @@ fn inverted_config() -> InvertedIndexConfig {
     InvertedIndexConfig { candidate_limit: 0, ..Default::default() }
 }
 
-fn dynamic_config() -> DynamicIndexConfig {
-    DynamicIndexConfig { candidate_limit: 0, ..Default::default() }
+/// The inverted index left growing: `mult[i] − 1` duplicates of record
+/// `i` noted after its push.
+fn grown(records: Records, mult: Option<Vec<u32>>) -> InvertedIndex<EditDistance, Growing> {
+    let mut index = match mult {
+        Some(_) => InvertedIndex::new_collapsed(EditDistance, inverted_config()),
+        None => InvertedIndex::new(EditDistance, inverted_config()),
+    };
+    for (i, record) in records.into_iter().enumerate() {
+        let id = index.push(record);
+        for _ in 1..mult.as_ref().map_or(1, |m| m[i]) {
+            index.note_duplicate(id);
+        }
+    }
+    index
 }
 
 const FAMILIES: &[Family] = &[
@@ -103,26 +116,6 @@ const FAMILIES: &[Family] = &[
         plain: |r| Box::new(InvertedIndex::build(r, EditDistance, pool(), inverted_config())),
         collapsed: |r, m| {
             Box::new(InvertedIndex::build_collapsed(r, m, EditDistance, pool(), inverted_config()))
-        },
-    },
-    Family {
-        name: "dynamic",
-        plain: |records| {
-            let mut index = DynamicInvertedIndex::new(EditDistance, dynamic_config());
-            for record in records {
-                index.push(record);
-            }
-            Box::new(index)
-        },
-        collapsed: |records, mult| {
-            let mut index = DynamicInvertedIndex::new_collapsed(EditDistance, dynamic_config());
-            for (record, m) in records.into_iter().zip(mult) {
-                let id = index.push(record);
-                for _ in 1..m {
-                    index.note_duplicate(id);
-                }
-            }
-            Box::new(index)
         },
     },
     Family {
@@ -136,13 +129,13 @@ const SPECS: [LookupSpec; 4] =
     [LookupSpec::TopK(1), LookupSpec::TopK(4), LookupSpec::Radius(0.15), LookupSpec::Radius(0.35)];
 const P: f64 = 2.0;
 
-/// `lookup_cached` with a shared memo — first cold, then warm — must
-/// return exactly what the uncached `lookup` returns, once both neighbor
+/// `lookup_memoized` with a shared memo — first cold, then warm — must
+/// return exactly what the memo-less `lookup` returns, once both neighbor
 /// lists are passed through `canonical` (the identity for a plain index;
 /// the full-corpus expansion for a weighted one, whose raw TopK list keeps
 /// every survivor and so depends on how fast the cutoffs tightened).
-fn assert_cache_is_transparent(
-    index: &dyn NnIndex,
+fn assert_memo_is_transparent<L: Layout>(
+    index: &InvertedIndex<EditDistance, L>,
     label: &str,
     canonical: &dyn Fn(u32, LookupSpec, Vec<Neighbor>) -> Vec<Neighbor>,
 ) {
@@ -151,7 +144,7 @@ fn assert_cache_is_transparent(
         for id in 0..index.len() as u32 {
             for spec in SPECS {
                 let (want_n, want_ng, _) = index.lookup(id, spec, P);
-                let (got_n, got_ng, _) = index.lookup_cached(id, spec, P, Some(&cache));
+                let (got_n, got_ng, _) = index.lookup_memoized(id, spec, P, &cache);
                 assert_eq!(
                     canonical(id, spec, got_n),
                     canonical(id, spec, want_n),
@@ -181,8 +174,10 @@ fn combined_lookup_equals_default_composition() {
                 assert!(cost.distance_calls <= cost.candidates, "{}: id {id}", family.name);
             }
         }
-        assert_cache_is_transparent(index.as_ref(), family.name, &|_, _, neighbors| neighbors);
     }
+    let built = InvertedIndex::build(records.clone(), EditDistance, pool(), inverted_config());
+    assert_memo_is_transparent(&built, "frozen", &|_, _, neighbors| neighbors);
+    assert_memo_is_transparent(&grown(records, None), "growing", &|_, _, neighbors| neighbors);
 }
 
 /// Collapse a corpus into unique records with multiplicities, and lay the
@@ -260,6 +255,9 @@ fn weighted_lookup_equals_default_composition_over_the_full_corpus() {
                 assert_eq!(got_ng, want_ng, "{}: ng(rep {rep}, {spec:?})", family.name);
             }
         }
-        assert_cache_is_transparent(weighted.as_ref(), family.name, &expand);
     }
+    let (r, m) = (reps.clone(), mult.clone());
+    let built = InvertedIndex::build_collapsed(r, m, EditDistance, pool(), inverted_config());
+    assert_memo_is_transparent(&built, "frozen", &expand);
+    assert_memo_is_transparent(&grown(reps, Some(mult)), "growing", &expand);
 }

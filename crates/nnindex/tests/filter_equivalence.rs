@@ -4,7 +4,7 @@
 //! Every filter reuses the exact running cutoff of bounded verification,
 //! so a pruned candidate is one verification would have rejected anyway.
 //! We check that end to end: for seeded random corpora of noisy
-//! near-duplicates, each index type answers TopK, Radius, and combined
+//! near-duplicates, each postings layout answers TopK, Radius, and combined
 //! lookups *identically* with the filters armed (`EditDistance`, which
 //! admits the q-gram bound) and disarmed (`UnfilteredDistance`, which
 //! reports `admits_qgram_filter() == false` and degrades every filter to
@@ -14,10 +14,7 @@
 
 use std::sync::Arc;
 
-use fuzzydedup_nnindex::{
-    DynamicIndexConfig, DynamicInvertedIndex, InvertedIndex, InvertedIndexConfig, LookupSpec,
-    NnIndex, PostingsSource,
-};
+use fuzzydedup_nnindex::{InvertedIndex, InvertedIndexConfig, LookupSpec, NnIndex, PostingsSource};
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
 use fuzzydedup_textdist::{EditDistance, UnfilteredDistance};
 use proptest::prelude::*;
@@ -82,14 +79,5 @@ proptest! {
             );
             assert_equivalent(&filtered, &unfiltered, &format!("inverted/{source:?}"));
         }
-
-        let config = DynamicIndexConfig { candidate_limit: 0, ..Default::default() };
-        let mut filtered = DynamicInvertedIndex::new(EditDistance, config.clone());
-        let mut unfiltered = DynamicInvertedIndex::new(UnfilteredDistance(EditDistance), config);
-        for rec in &records {
-            filtered.push(rec.clone());
-            unfiltered.push(rec.clone());
-        }
-        assert_equivalent(&filtered, &unfiltered, "dynamic");
     }
 }

@@ -3,13 +3,15 @@
 //! The paper's pipeline is batch-only; `IncrementalDedup` (an extension,
 //! see DESIGN.md §8) maintains the NN entries incrementally — only new
 //! records and the pre-existing records whose candidate neighborhoods they
-//! enter are recomputed — and re-partitions after each batch.
+//! enter are recomputed — and re-partitions after each batch. Its index is
+//! the batch pipeline's `InvertedIndex`, left growing instead of frozen,
+//! so it takes the same `InvertedIndexConfig`.
 //!
 //! Run with: `cargo run --release --example streaming_dedup`
 
 use fuzzydedup::core::{Aggregation, CutSpec, IncrementalDedup};
 use fuzzydedup::datagen::{restaurants, DatasetSpec};
-use fuzzydedup::nnindex::DynamicIndexConfig;
+use fuzzydedup::nnindex::InvertedIndexConfig;
 use fuzzydedup::textdist::{FuzzyMatchDistance, IdfModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,7 +31,7 @@ fn main() {
     // production, yesterday's corpus).
     let idf = IdfModel::fit_records(&records);
     let mut state = IncrementalDedup::builder(FuzzyMatchDistance::new(idf))
-        .index_config(DynamicIndexConfig::default())
+        .index_config(InvertedIndexConfig::default())
         .cut(CutSpec::Size(4))
         .aggregation(Aggregation::Max)
         .sn_threshold(6.0)

@@ -57,7 +57,10 @@
 # and benchmark/, total and per crate — prints it under the stage table
 # and writes it as "rust_lines" into results/ci_summary.json, beside the
 # toolchain that ran ("rustc": `rustc --version`, which must be at least
-# Cargo.toml's rust-version) and whether the CPU has AVX2 ("avx2").
+# Cargo.toml's rust-version) and whether the CPU has AVX2 ("avx2"). Beside
+# it goes the options ledger, "config_fields": the `pub` fields of every
+# configuration struct and the distinct `--flags` of the CLI's usage text,
+# so "a simplicity PR adds no options" is read off a diff of that file.
 #
 # bench-smoke tolerance: the gate binary defaults to ±15%; on shared /
 # virtualized machines timing noise alone exceeds that, so this driver
@@ -293,6 +296,31 @@ for d in crates/* src tests examples; do
     ledger_json+=", \"$d\": $n"
 done
 
+# ---- options ledger --------------------------------------------------
+# `pub` fields between `pub struct NAME {` and its closing brace.
+pub_fields() { # file struct
+    awk -v open="pub struct $2 {" '
+        index($0, open) == 1 { on = 1; next }
+        on && /^}/ { exit }
+        on && /^    pub [a-z_0-9]+:/ { n++ }
+        END { print n + 0 }' "$1"
+}
+options_json=""
+echo
+echo "configuration fields (pub) and CLI flags:"
+for entry in DedupConfig:crates/core/src/pipeline.rs Parallelism:crates/core/src/pipeline.rs \
+    InvertedIndexConfig:crates/nnindex/src/inverted.rs ServiceConfig:crates/core/src/service.rs \
+    BufferPoolConfig:crates/storage/src/buffer.rs SortConfig:crates/relation/src/sort.rs; do
+    n=$(pub_fields "${entry#*:}" "${entry%%:*}")
+    printf '  %-20s %3d\n' "${entry%%:*}" "$n"
+    options_json+="\"${entry%%:*}\": $n, "
+done
+# Distinct --flags in the usage text of both subcommands.
+cli_flags=$(awk '/^fn usage\(/ { on = 1 } on { print } on && /^}/ { exit }' src/bin/fuzzydedup.rs |
+    grep -o -- '--[a-z][a-z-]*' | sort -u | wc -l)
+printf '  %-20s %3d\n' "cli --flags" "$cli_flags"
+options_json+="\"cli_flags\": $cli_flags"
+
 # ---- machine-readable summary ---------------------------------------
 mkdir -p results
 {
@@ -301,6 +329,7 @@ mkdir -p results
     echo "  \"rustc\": \"$rustc_version\","
     echo "  \"avx2\": \"$avx2\","
     echo "  \"rust_lines\": {$ledger_json},"
+    echo "  \"config_fields\": {$options_json},"
     echo '  "stages": ['
     for i in "${!stages[@]}"; do
         sep=','
