@@ -16,12 +16,19 @@
 //! `pt = lookups / total_work`, reported relative to the random order.
 //!
 //! Run with:
-//! `cargo run --release -p fuzzydedup-bench --bin exp_bf_ordering -- [--records N]`
+//! `cargo run --release -p fuzzydedup-bench --bin exp_bf_ordering -- [--records N] [--out PATH]`
 //!
-//! Besides the stdout table, the full grid (buffer budget × lookup order,
-//! with the sequential order included as a third point of comparison) is
-//! written to `BENCH_bf_ordering.json` under `$BENCH_OUT_DIR` (default
-//! `results/`) — the same convention the criterion benches use.
+//! Besides the stdout table, `--out` writes the full grid (buffer budget ×
+//! lookup order, with the sequential order included as a third point of
+//! comparison) as JSON (`results/BENCH_bf_ordering.json`).
+//!
+//! The hit ratio is a count from the instrumented pool, so the figure's
+//! shape is asserted exactly: at every buffer of at least
+//! [`MIN_ASSERTED_FRAMES`] frames — all three at the default size, the
+//! larger two at `--records 2000` — `BHR(bf)` must exceed both `BHR(seq)`
+//! and `BHR(rnd)`, or the driver exits 1. The pipeline picks breadth-first
+//! order for paged postings on this evidence (`DedupConfig::new`), and
+//! `scripts/ci.sh`'s `recall-smoke` stage re-runs it at `--records 2000`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,6 +66,12 @@ use rand::SeedableRng;
 /// magnitude of a buffer-pool read-through on 2005 hardware).
 const MISS_PENALTY: u64 = 9;
 
+/// A pool of a few frames holds little beyond the page being read, and no
+/// lookup order can reuse what was evicted (3 frames at `--records 2000`
+/// read 24.1 % under every order): the figure's shape is asserted where
+/// the pool can hold a neighborhood's pages.
+const MIN_ASSERTED_FRAMES: usize = 8;
+
 struct RunResult {
     bhr: f64,
     pu: f64,
@@ -90,12 +103,17 @@ fn run(records: &[Vec<String>], frames: usize, order: LookupOrder) -> RunResult 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut n_records = 20_000usize;
+    let mut out_path: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--records" => {
                 i += 1;
                 n_records = args[i].parse().expect("--records N");
+            }
+            "--out" => {
+                i += 1;
+                out_path = Some(args[i].clone());
             }
             other => panic!("unknown argument {other}"),
         }
@@ -136,6 +154,7 @@ fn main() {
         "buffer", "order", "BHR%", "PU%", "pt", "wall(ms)"
     );
     let mut json_rows = JsonArray::new();
+    let (mut asserted, mut shape_holds) = (0, true);
     for (frac, label) in budgets {
         let frames = ((index_pages as f64 * frac) as usize).max(2);
         let rnd = run(&records, frames, LookupOrder::Random(77));
@@ -166,20 +185,26 @@ fn main() {
             label,
             bf.pt / rnd.pt.max(1e-12)
         );
+        if frames >= MIN_ASSERTED_FRAMES {
+            asserted += 1;
+            shape_holds &= bf.bhr > seq.bhr && bf.bhr > rnd.bhr;
+        }
     }
-    let out_dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| "results".to_string());
-    let mut doc = JsonObject::new();
-    doc.str("experiment", "bf_ordering")
-        .u64("records", records.len() as u64)
-        .u64("index_pages", index_pages as u64)
-        .raw("rows", &json_rows.finish());
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("[exp_bf_ordering] cannot create {out_dir}: {e}");
-        return;
+    if let Some(path) = out_path {
+        let mut doc = JsonObject::new();
+        doc.str("experiment", "bf_ordering")
+            .u64("records", records.len() as u64)
+            .u64("index_pages", index_pages as u64)
+            .raw("rows", &json_rows.finish());
+        std::fs::write(&path, doc.finish() + "\n").expect("write --out JSON");
+        eprintln!("[exp_bf_ordering] wrote {path}");
     }
-    let path = format!("{out_dir}/BENCH_bf_ordering.json");
-    match std::fs::write(&path, doc.finish() + "\n") {
-        Ok(()) => eprintln!("[exp_bf_ordering] wrote {path}"),
-        Err(e) => eprintln!("[exp_bf_ordering] cannot write {path}: {e}"),
+    if !shape_holds || asserted < 2 {
+        eprintln!(
+            "[exp_bf_ordering] FAILED: BHR(bf) must exceed BHR(seq) and BHR(rnd) at every buffer \
+             of >= {MIN_ASSERTED_FRAMES} frames, and two such buffers must exist ({asserted} do)"
+        );
+        std::process::exit(1);
     }
+    println!("BHR(bf) is the highest at all {asserted} buffers of >= {MIN_ASSERTED_FRAMES} frames");
 }

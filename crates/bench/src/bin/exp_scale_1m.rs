@@ -25,8 +25,8 @@
 //!     --records 1000000 --threads 0 --frames 16384 --spill-threshold 100000
 //! ```
 //!
-//! `--records 50000` is the CI smoke configuration (`scripts/ci.sh`
-//! bench-smoke tier). The default cut is `DE_D(0.15)` — a tight radius
+//! `--records 50000` is the CI smoke configuration (`scripts/ci.sh`,
+//! stage `scale-smoke`). The default cut is `DE_D(0.15)` — a tight radius
 //! lets the length and q-gram count filters spare most candidates their
 //! distance call; `--cut size:5` selects the paper's `DE_S(K)` shape
 //! instead.

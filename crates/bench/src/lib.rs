@@ -6,11 +6,8 @@
 //!
 //! Each driver in `src/bin/` prints the same rows/series the paper
 //! reports; this library holds the common pieces — algorithm sweeps,
-//! precision/recall tabulation, and plain-text table rendering. The
-//! [`gate`] module holds the bench-regression comparison logic behind
-//! `ci_bench_gate` (the `bench-smoke` stage of `scripts/ci.sh`).
+//! precision/recall tabulation, and plain-text table rendering.
 
-pub mod gate;
 pub mod replay;
 
 use fuzzydedup_core::{

@@ -33,8 +33,6 @@ use fuzzydedup_textdist::EditDistance;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::gate::{render_bench_doc, BenchDoc, BenchRow};
-
 /// Replay workload shape.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayConfig {
@@ -78,27 +76,9 @@ pub struct ReplayOutcome {
     pub stats: ServiceStats,
     /// Run metrics with the `service` section filled (exact quantiles).
     pub metrics: RunMetrics,
-    /// Per-request point-query latencies, sorted ascending (ns).
-    pub query_latencies_ns: Vec<u64>,
     /// Wall-clock of the whole mixed phase, submit of the first record to
     /// drain completion (ns).
     pub replay_wall_ns: u64,
-}
-
-impl ReplayOutcome {
-    /// Exact latency quantile from the recorded requests (0 if none).
-    pub fn query_quantile_ns(&self, q: f64) -> u64 {
-        percentile_ns(&self.query_latencies_ns, q)
-    }
-
-    /// Mean ingest cost per record over the mixed phase (ns) — total wall
-    /// divided by records admitted, the service-level throughput figure.
-    pub fn ingest_ns_per_record(&self) -> u64 {
-        if self.records.is_empty() {
-            return 0;
-        }
-        self.replay_wall_ns / self.records.len() as u64
-    }
 }
 
 /// Exact quantile over an ascending-sorted latency slice (0 if empty).
@@ -195,74 +175,7 @@ pub fn replay(config: ReplayConfig) -> Result<ReplayOutcome, ServiceError> {
     metrics.service.query_p99_ns = percentile_ns(&latencies, 0.99);
     service.shutdown();
 
-    Ok(ReplayOutcome {
-        records,
-        partition,
-        stats,
-        metrics,
-        query_latencies_ns: latencies,
-        replay_wall_ns,
-    })
-}
-
-/// Where `BENCH_<group>.json` artifacts land for custom (non-criterion)
-/// bench mains: `$BENCH_OUT_DIR` (relative values anchored at the
-/// workspace root, matching the criterion shim), else
-/// `<workspace>/results`.
-pub fn bench_out_dir() -> std::path::PathBuf {
-    let root = workspace_root();
-    match std::env::var("BENCH_OUT_DIR") {
-        Ok(dir) if std::path::Path::new(&dir).is_absolute() => std::path::PathBuf::from(dir),
-        Ok(dir) => root.join(dir),
-        Err(_) => root.join("results"),
-    }
-}
-
-/// Walk up from CWD to the `[workspace]` manifest (the criterion shim's
-/// rule — `cargo bench` runs with the package directory as CWD).
-fn workspace_root() -> std::path::PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        let is_root =
-            std::fs::read_to_string(&manifest).map(|s| s.contains("[workspace]")).unwrap_or(false);
-        if is_root {
-            return dir;
-        }
-        if !dir.pop() {
-            return std::path::PathBuf::from(".");
-        }
-    }
-}
-
-/// Write a `BENCH_<group>.json` artifact in the criterion shim's exact
-/// shape from `(name, min_ns-style value)` rows. `samples` records how
-/// many replay repetitions backed each row.
-pub fn write_bench_artifact(
-    group: &str,
-    rows: &[(String, u64)],
-    samples: u64,
-) -> std::path::PathBuf {
-    let doc = BenchDoc {
-        group: group.to_string(),
-        unit: "ns".to_string(),
-        rows: rows
-            .iter()
-            .map(|(name, ns)| BenchRow {
-                name: name.clone(),
-                mean_ns: *ns as f64,
-                min_ns: *ns as f64,
-                max_ns: *ns as f64,
-                samples,
-                iters_per_sample: 1,
-            })
-            .collect(),
-    };
-    let dir = bench_out_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!("BENCH_{group}.json"));
-    std::fs::write(&path, render_bench_doc(&doc)).expect("write bench artifact");
-    path
+    Ok(ReplayOutcome { records, partition, stats, metrics, replay_wall_ns })
 }
 
 #[cfg(test)]
@@ -293,9 +206,8 @@ mod tests {
         .expect("replay");
         assert_eq!(outcome.stats.records_admitted, 300);
         assert_eq!(outcome.stats.corpus_len, 300);
-        assert!(outcome.stats.point_queries as usize == outcome.query_latencies_ns.len());
         // ~1 query per 3 ingests at ratio 0.25.
-        assert!(outcome.query_latencies_ns.len() >= 90);
+        assert!(outcome.stats.point_queries >= 90);
         assert!(outcome.metrics.service.query_p50_ns > 0);
         assert!(outcome.metrics.service.batches_admitted >= 300 / 32);
         let covered: usize = outcome.partition.groups().iter().map(Vec::len).sum();

@@ -1,16 +1,11 @@
-//! Minimal dependency-free JSON writer and reader.
+//! Minimal dependency-free JSON writer.
 //!
 //! The workspace has no registry access, so instead of a serde dependency
 //! the metrics layer renders JSON by hand through these two builders.
 //! Output is compact (`{"a": 1, "b": {"c": 2}}`) and always
 //! syntactically valid: keys and strings are escaped, and non-finite
 //! floats are emitted as `null` rather than the invalid bare tokens
-//! `NaN`/`inf`.
-//!
-//! [`parse`] is the matching reader: a small recursive-descent parser for
-//! the machine-written artifacts this workspace emits (`BENCH_*.json`,
-//! `ci_summary.json`), used by the CI bench-regression gate to compare
-//! fresh measurements against committed baselines.
+//! `NaN`/`inf`. Nothing in the workspace reads JSON back.
 
 /// Escape a string for embedding between JSON double quotes.
 pub fn escape(s: &str) -> String {
@@ -164,222 +159,6 @@ impl JsonArray {
     }
 }
 
-/// A parsed JSON value (see [`parse`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in source order (duplicate keys keep the last value on
-    /// [`JsonValue::get`] lookups walking front-to-back — ours never
-    /// duplicate).
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Object field lookup (`None` for non-objects / missing keys).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a JSON document. Returns `Err` with a byte offset and message on
-/// malformed input; trailing whitespace is allowed, trailing garbage is
-/// not.
-pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", c as char, *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(JsonValue::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(JsonValue::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(JsonValue::Null)
-        }
-        Some(_) => parse_number(bytes, pos),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        // Surrogate pairs don't occur in our artifacts;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid; find the next char boundary).
-                let start = *pos;
-                *pos += 1;
-                while *pos < bytes.len() && (bytes[*pos] & 0xC0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&bytes[start..*pos]).expect("valid utf8"));
-            }
-            None => return Err("unterminated string".to_string()),
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number");
-    text.parse::<f64>().map(JsonValue::Num).map_err(|_| format!("bad number at byte {start}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,62 +200,5 @@ mod tests {
             2,
         );
         assert_eq!(obj.finish(), "{\"mean_ns\": 1234.6, \"ratio\": 0.3333, \"bad\": null}");
-    }
-
-    #[test]
-    fn parse_round_trips_writer_output() {
-        let mut obj = JsonObject::new();
-        obj.str("group", "edit_kernel").u64("n", 42).f64("x", 0.125).bool("ok", true).object(
-            "nested",
-            |o| {
-                o.f64_fixed("mean_ns", 98.7654, 1);
-            },
-        );
-        let text = obj.finish();
-        let v = parse(&text).expect("round trip");
-        assert_eq!(v.get("group").and_then(JsonValue::as_str), Some("edit_kernel"));
-        assert_eq!(v.get("n").and_then(JsonValue::as_f64), Some(42.0));
-        assert_eq!(v.get("x").and_then(JsonValue::as_f64), Some(0.125));
-        assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)));
-        let nested = v.get("nested").expect("nested object");
-        assert_eq!(nested.get("mean_ns").and_then(JsonValue::as_f64), Some(98.8));
-    }
-
-    #[test]
-    fn parse_arrays_strings_and_literals() {
-        let v = parse(r#"[1, -2.5e2, "a\"b\nc", null, false, {}, []]"#).expect("parse");
-        let items = v.as_array().expect("array");
-        assert_eq!(items[0].as_f64(), Some(1.0));
-        assert_eq!(items[1].as_f64(), Some(-250.0));
-        assert_eq!(items[2].as_str(), Some("a\"b\nc"));
-        assert_eq!(items[3], JsonValue::Null);
-        assert_eq!(items[4], JsonValue::Bool(false));
-        assert_eq!(items[5], JsonValue::Obj(Vec::new()));
-        assert_eq!(items[6], JsonValue::Arr(Vec::new()));
-    }
-
-    #[test]
-    fn parse_handles_unicode_and_escapes() {
-        let v = parse("{\"k\": \"caf\u{e9} \\u0041\"}").expect("parse");
-        assert_eq!(v.get("k").and_then(JsonValue::as_str), Some("café A"));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_documents() {
-        for bad in ["{", "[1,", "{\"a\" 1}", "{} x", "\"open", "{\"a\": nope}"] {
-            assert!(parse(bad).is_err(), "{bad:?} should fail");
-        }
-    }
-
-    #[test]
-    fn parse_real_bench_artifact_shape() {
-        let text = "{\n  \"group\": \"distances\",\n  \"unit\": \"ns\",\n  \"benchmarks\": [\n    \
-                    {\"name\": \"ed\", \"mean_ns\": 1024.5, \"min_ns\": 998.0, \"max_ns\": 1100.2, \
-                    \"samples\": 10, \"iters_per_sample\": 10}\n  ]\n}\n";
-        let v = parse(text).expect("parse");
-        let benchmarks = v.get("benchmarks").and_then(JsonValue::as_array).expect("benchmarks");
-        assert_eq!(benchmarks.len(), 1);
-        assert_eq!(benchmarks[0].get("name").and_then(JsonValue::as_str), Some("ed"));
-        assert_eq!(benchmarks[0].get("mean_ns").and_then(JsonValue::as_f64), Some(1024.5));
     }
 }

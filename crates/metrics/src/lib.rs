@@ -542,18 +542,28 @@ mod tests {
         assert_eq!(counted.get(Counter::NnLookups), 6);
     }
 
+    /// A `to_json` document read back as `(section, [(key, value)])` in
+    /// written order. The document is two levels of plain keys over
+    /// numbers, so splitting on its own punctuation reads all of it.
+    fn read_back(json: &str) -> Vec<(String, Vec<(String, f64)>)> {
+        let body = json.strip_prefix('{').and_then(|s| s.strip_suffix("}}")).expect("two levels");
+        body.split("}, ")
+            .map(|section| {
+                let (name, fields) = section.split_once(": {").expect("a section object");
+                let fields = fields.split(", ").map(|field| {
+                    let (key, value) = field.split_once(": ").expect("a key and a value");
+                    (key.trim_matches('"').to_string(), value.parse().expect("a number"))
+                });
+                (name.trim_matches('"').to_string(), fields.collect())
+            })
+            .collect()
+    }
+
     /// The default document's `(section, keys)` in written order.
     fn written_schema() -> Vec<(String, Vec<String>)> {
-        let doc = json::parse(&RunMetrics::default().to_json()).unwrap();
-        let json::JsonValue::Obj(sections) = doc else { panic!("not an object") };
-        sections
+        read_back(&RunMetrics::default().to_json())
             .into_iter()
-            .map(|(section, fields)| {
-                let json::JsonValue::Obj(fields) = fields else {
-                    panic!("{section}: not an object")
-                };
-                (section, fields.into_iter().map(|(key, _)| key).collect())
-            })
+            .map(|(section, fields)| (section, fields.into_iter().map(|(key, _)| key).collect()))
             .collect()
     }
 
@@ -582,9 +592,10 @@ mod tests {
             }
         });
         let m = RunMetrics::from_tally(&tally);
-        let doc = json::parse(&m.to_json()).unwrap();
+        let doc = read_back(&m.to_json());
         let read = |section: &str, key: &str| {
-            doc.get(section).and_then(|s| s.get(key)).and_then(json::JsonValue::as_f64).unwrap()
+            let (_, fields) = doc.iter().find(|(name, _)| name == section).expect("section");
+            fields.iter().find(|(name, _)| name == key).expect("key").1
         };
         // Distinct powers of two: a field reading any other counter, or a
         // sum of several, cannot produce the expected value.

@@ -10,7 +10,7 @@
 //! The public [`levenshtein`] / [`levenshtein_bounded`] entry points route
 //! to the bit-parallel Myers kernel in [`crate::myers`]; the classic two-row
 //! DP survives as [`levenshtein_dp`] (the reference implementation the
-//! equivalence property tests and `bench_edit_kernel` compare against), and
+//! equivalence property tests and the bench crate's tripwire compare against), and
 //! the banded DP as [`levenshtein_banded`].
 
 use crate::myers::{myers_bounded_chars, myers_chars, PreparedPattern};
@@ -44,7 +44,7 @@ pub fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
 
 /// Reference two-row DP Levenshtein, `O(|a|·|b|)` time. Kept as the
 /// independently-derived oracle for the Myers kernel (property tests) and
-/// as the baseline side of `bench_edit_kernel`.
+/// as the control of the tripwire's `myers/… <= dp/…` rows.
 pub fn levenshtein_dp(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();

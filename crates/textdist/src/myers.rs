@@ -732,8 +732,8 @@ impl Lanes4 for [u64; 4] {
 /// and the operations below is `#[inline(always)]`, and a closure that
 /// holds a vector operation has a single call site: the whole kernel lands
 /// in that one function's body. (An intrinsic left as a call costs ~4× the
-/// whole run; `verify/org_*_per_candidate` in `bench_edit_kernel` would
-/// show it.) Leaving AVX2 to the auto-vectoriser over arrays was measured
+/// whole run; the tripwire's `chunk[avx2]/… <= scalar/…` rows would show
+/// it.) Leaving AVX2 to the auto-vectoriser over arrays was measured
 /// instead and is not enough — LLVM scalarises the shift/insert half of the
 /// step.
 #[cfg(target_arch = "x86_64")]

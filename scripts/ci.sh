@@ -5,9 +5,8 @@
 #
 #   scripts/ci.sh                 # all stages
 #   scripts/ci.sh --fast          # tier-1 only: build + root tests
-#   scripts/ci.sh --skip-bench    # all stages except the smoke/bench tiers
-#   scripts/ci.sh --bench-only    # only the bench-smoke stage
-#   scripts/ci.sh --stage NAME    # exactly one stage (e.g. --stage recall-smoke)
+#   scripts/ci.sh --skip-bench    # all stages except tripwire, scale-smoke, service-smoke
+#   scripts/ci.sh --stage NAME    # exactly one stage (e.g. --stage tripwire)
 #
 # Stages (ROADMAP.md tier-1 is build + test):
 #   build         cargo build --release
@@ -42,10 +41,17 @@
 #                 UnfilteredDistance), the two postings layouts
 #                 asserted to agree, and the exact-duplicate collapse
 #                 pre-pass asserted partition-lossless on a
-#                 duplicate-heavy corpus for every index family
-#   bench-smoke   ci_bench_gate: re-run cheap benches, fail on regression
-#                 vs the committed results/BENCH_*.json baselines; the
-#                 per-bench verdicts land in results/ci_summary.json
+#                 duplicate-heavy corpus for every index family; then
+#                 exp_bf_ordering at 2,000 records, which asserts Figure
+#                 8's shape (breadth-first order has the highest buffer
+#                 hit ratio) — the evidence the pipeline's lookup order
+#                 rests on
+#   tripwire      every micro-measurement the docs rest a claim on, as a
+#                 ratio to a control timed alternately in the same
+#                 process (crates/bench/src/bin/tripwire.rs); nothing is
+#                 compared with a committed number, so there is no
+#                 tolerance and no retry; the rows land in
+#                 results/ci_summary.json as "tripwire"
 #   scale-smoke   exp_scale_1m at 50k records: the full spill-backed,
 #                 work-stealing pipeline end to end on a FileDisk pool
 #   service-smoke exp_service_replay at 5k records: mixed ingest/query
@@ -62,35 +68,19 @@
 # configuration struct and the distinct `--flags` of the CLI's usage text,
 # so "a simplicity PR adds no options" is read off a diff of that file.
 #
-# bench-smoke tolerance: the gate binary defaults to ±15%; on shared /
-# virtualized machines timing noise alone exceeds that, so this driver
-# widens it to ±35% unless BENCH_GATE_TOLERANCE is set explicitly. A
-# deliberate slowdown (the acceptance scenario is 50%) still fails.
-#
-# bench-smoke storm retry: a throttle storm (the host briefly clamping
-# CPU) slows *every* bench at once, which looks like a mass regression.
-# When a failing gate pass reports >= 2 REGRESSED rows, this driver
-# sleeps BENCH_STORM_COOLDOWN seconds (default 150) and re-runs the gate
-# once; the stage result is the retry's verdict, and BOTH verdict sets
-# land in results/ci_summary.json ("bench" = final, "bench_first_attempt"
-# = the suspected-storm pass) so a flake is auditable, not erased. A
-# single-bench regression (a real slowdown) is never retried.
-#
 # Exits non-zero if any attempted stage fails; later stages still run so
 # one summary shows everything that is broken.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-all_stages=(build fmt clippy test test-ws test-interleave test-release e2e-smoke recall-smoke bench-smoke scale-smoke service-smoke)
+all_stages=(build fmt clippy test test-ws test-interleave test-release e2e-smoke recall-smoke tripwire scale-smoke service-smoke)
 
 fast=0
 skip_bench=0
-bench_only=0
 only_stage=""
 case "${1:-}" in
     --fast) fast=1 ;;
     --skip-bench) skip_bench=1 ;;
-    --bench-only) bench_only=1 ;;
     --stage)
         # Stage names are validated up front: an unknown or missing name
         # exits 2 with the full stage list, before any work starts — a
@@ -109,7 +99,7 @@ case "${1:-}" in
         fi
         ;;
     "") ;;
-    *) echo "usage: scripts/ci.sh [--fast|--skip-bench|--bench-only|--stage <name>]" >&2; exit 2 ;;
+    *) echo "usage: scripts/ci.sh [--fast|--skip-bench|--stage <name>]" >&2; exit 2 ;;
 esac
 
 rustc_version="$(rustc --version 2>/dev/null || echo unknown)"
@@ -124,9 +114,7 @@ stages=()      # name
 results=()     # pass | FAIL | skipped
 seconds=()     # wall seconds per stage
 overall=0
-verdicts_json="results/ci_bench_verdicts.json"
-first_attempt_json="results/ci_bench_verdicts_first_attempt.json"
-rm -f "$verdicts_json" "$first_attempt_json"
+tripwire_out="$(mktemp)" # the tripwire's stdout; its last line is the rows as JSON
 
 run_stage() {
     local name="$1"; shift
@@ -150,41 +138,15 @@ skip_stage() {
     seconds+=(0)
 }
 
-fail_stage() {
-    local name="$1"; shift
-    stages+=("$name")
-    results+=("FAIL")
-    seconds+=(0)
-    overall=1
-    echo "==> [$name] FAILED: $*" >&2
+recall_smoke() {
+    cargo run -q --release -p fuzzydedup-bench --bin exp_index_recall &&
+        cargo run -q --release -p fuzzydedup-bench --bin exp_bf_ordering -- --records 2000
 }
 
-# One ci_bench_gate pass, verdicts to $1.
-bench_gate_once() {
-    env BENCH_GATE_TOLERANCE="${BENCH_GATE_TOLERANCE:-0.35}" \
-        cargo run -q --release -p fuzzydedup-bench --bin ci_bench_gate -- \
-        --json-out "$1"
-}
-
-# The bench gate with the storm retry: a failing pass whose verdicts show
-# >= 2 REGRESSED rows smells like a host throttle storm (everything slow
-# at once), so cool down and give the gate one more chance. The first
-# pass's verdicts are preserved for the summary either way.
-bench_gate_with_storm_retry() {
-    if bench_gate_once "$verdicts_json"; then
-        return 0
-    fi
-    local regressed
-    regressed=$(grep -o '"verdict": "REGRESSED"' "$verdicts_json" 2>/dev/null | wc -l)
-    if [[ "$regressed" -lt 2 ]]; then
-        return 1 # isolated regression: believe it
-    fi
-    local cooldown="${BENCH_STORM_COOLDOWN:-150}"
-    echo "==> [bench-smoke] $regressed benches REGRESSED at once — suspected throttle storm;" \
-         "cooling down ${cooldown}s and retrying the gate" >&2
-    mv "$verdicts_json" "$first_attempt_json"
-    sleep "$cooldown"
-    bench_gate_once "$verdicts_json"
+# The table goes to the log as it is printed; `pipefail` keeps the
+# binary's exit status.
+tripwire() {
+    cargo run -q --release -p fuzzydedup-bench --bin tripwire | tee "$tripwire_out"
 }
 
 # Whether a stage should run under the current flag set.
@@ -194,11 +156,9 @@ wants() {
         [[ "$name" == "$only_stage" ]]; return
     fi
     case "$name" in
-        build|test) [[ $bench_only -eq 0 ]] ;;
-        fmt|clippy|test-ws|test-interleave|test-release|e2e-smoke|recall-smoke) [[ $bench_only -eq 0 && $fast -eq 0 ]] ;;
-        bench-smoke) [[ $fast -eq 0 && $skip_bench -eq 0 ]] ;;
-        scale-smoke) [[ $bench_only -eq 0 && $fast -eq 0 && $skip_bench -eq 0 ]] ;;
-        service-smoke) [[ $bench_only -eq 0 && $fast -eq 0 && $skip_bench -eq 0 ]] ;;
+        build|test) true ;;
+        fmt|clippy|test-ws|test-interleave|test-release|e2e-smoke|recall-smoke) [[ $fast -eq 0 ]] ;;
+        tripwire|scale-smoke|service-smoke) [[ $fast -eq 0 && $skip_bench -eq 0 ]] ;;
     esac
 }
 
@@ -224,23 +184,14 @@ for stage in "${all_stages[@]}"; do
             ;;
         e2e-smoke) run_stage e2e-smoke bash benchmark/run.sh --smoke ;;
         recall-smoke)
-            # Index recall/losslessness gate: the binary's own assertions
-            # (filters lossless, postings layouts identical, collapse
-            # lossless) fail the stage by exiting non-zero.
-            run_stage recall-smoke cargo run -q --release -p fuzzydedup-bench \
-                --bin exp_index_recall
+            # Two drivers whose own assertions fail the stage by exiting
+            # non-zero: index recall/losslessness (filters lossless,
+            # postings layouts identical, collapse lossless), then
+            # Figure 8's shape from exact pool counts (~25 s at 2,000
+            # records).
+            run_stage recall-smoke recall_smoke
             ;;
-        bench-smoke)
-            # Build the gate quietly first so stage time reflects the
-            # benches — but a broken gate build is a real failure, not
-            # something to paper over and rediscover as a confusing
-            # cargo-run error inside the stage.
-            if cargo build -q --release -p fuzzydedup-bench --bin ci_bench_gate; then
-                run_stage bench-smoke bench_gate_with_storm_retry
-            else
-                fail_stage bench-smoke "ci_bench_gate failed to build"
-            fi
-            ;;
+        tripwire) run_stage tripwire tripwire ;;
         scale-smoke)
             # 50k-record smoke of the 1M scale-out driver: exercises the
             # FileDisk-backed pool, the NN_Reln spill round-trip, and the
@@ -336,22 +287,18 @@ mkdir -p results
         [[ $i -eq $((${#stages[@]} - 1)) ]] && sep=''
         echo "    {\"name\": \"${stages[$i]}\", \"result\": \"${results[$i]}\", \"wall_s\": ${seconds[$i]}}$sep"
     done
-    # bench-smoke's per-bench verdicts (name, baseline/fresh min_ns,
-    # delta, verdict), merged verbatim from ci_bench_gate --json-out.
-    # When the storm retry fired, the suspected-storm first attempt is
-    # kept alongside the final verdicts.
-    if [[ -s "$verdicts_json" ]]; then
+    # The tripwire's rows (name, subject/control ns, ratio, max_ratio,
+    # verdict), verbatim from the last line of its standard output.
+    tripwire_rows="$(tail -n 1 "$tripwire_out")"
+    if [[ "$tripwire_rows" == \[* ]]; then
         echo '  ],'
-        if [[ -s "$first_attempt_json" ]]; then
-            echo "  \"bench_first_attempt\": $(cat "$first_attempt_json"),"
-        fi
-        echo "  \"bench\": $(cat "$verdicts_json")"
+        echo "  \"tripwire\": $tripwire_rows"
     else
         echo '  ]'
     fi
     echo '}'
 } > results/ci_summary.json
-rm -f "$verdicts_json" "$first_attempt_json"
+rm -f "$tripwire_out"
 echo "ci summary -> results/ci_summary.json"
 
 exit $overall
