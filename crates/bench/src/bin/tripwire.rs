@@ -319,12 +319,13 @@ fn candidates_and_phase2(rows: &mut Vec<Row>) {
         control: &mut || drop(black_box(naive())),
     }
     .check(rows);
-    // The relational path sorts and joins through tables: a constant
-    // factor above the in-memory path, not a different growth order.
+    // The relational path writes, joins and sorts page records: a
+    // constant factor above the in-memory path, not a different growth
+    // order.
     let pool = in_memory_pool(4096);
     Claim {
         name: "phase2 via_tables <= components".into(),
-        max_ratio: 100.0,
+        max_ratio: 30.0,
         subject: &mut || {
             let tables = partition_via_tables(&reln, cut, Aggregation::Max, 4.0, pool.clone());
             black_box(tables.expect("in-memory tables"));

@@ -13,8 +13,8 @@
 //! * the scalable **two-phase algorithm**: nearest-neighbor-list
 //!   materialization with breadth-first lookups ([`phase1`]), then
 //!   CSPairs construction and partitioning ([`phase2`]), both in a direct
-//!   in-memory form and in the paper's SQL-shaped form running on the
-//!   `relation` substrate;
+//!   in-memory form and in the paper's SQL-shaped form — one join and one
+//!   external sort (`fuzzydedup-relation`) over heap-file pages;
 //! * the **single-linkage global-threshold baseline** the paper compares
 //!   against ([`baseline`]);
 //! * **precision/recall evaluation** against gold clusterings ([`eval`]);

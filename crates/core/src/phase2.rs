@@ -1,133 +1,200 @@
 //! Phase 2 — partitioning the relation into compact SN groups (§4.2).
 //!
-//! Four entry points, three of them equivalent implementations of the
-//! real algorithm:
+//! Four entry points, one grouping loop. [`Greedy::greedy_group_at`] is the
+//! only place the minimum-id rule, already-assigned members, CS, SN and
+//! the diameter cut are decided: for an unassigned tuple `v` it finds the
+//! largest non-trivial compact SN set anchored at `v` (i.e. whose minimum
+//! id is `v`) satisfying the cut specification. The entry points differ in
+//! the order they offer it anchors and in the [`CsEvidence`] they hand it:
 //!
-//! * [`partition_entries`] — the direct in-memory form: process tuples in
-//!   increasing id order; for each unassigned tuple `v`, find the largest
-//!   non-trivial compact SN set anchored at `v` (i.e. whose minimum id is
-//!   `v`) satisfying the cut specification, emit it, and mark its members.
+//! * [`partition_entries`] — every tuple in increasing id order, CS read
+//!   off the in-memory NN lists.
 //!
-//! * [`partition_entries_ablation`] — the same loop with either criterion
+//! * [`partition_entries_ablation`] — the same with either criterion
 //!   switchable off (`exp_ablation`); `partition_entries` is it with both
 //!   on.
 //!
 //! * [`partition_entries_parallel`] — the component-parallel form: every
 //!   emitted group is a clique in the mutual-neighbor (CS-pair) graph, so
-//!   the greedy partitioner's decisions decompose over that graph's
-//!   connected components. Components are extracted with a union-find,
-//!   cost-balanced over scoped worker threads, processed independently
-//!   (each worker runs the identical greedy over its components' tuples in
-//!   ascending id order), and the collected groups are canonicalized by
+//!   the greedy's decisions decompose over that graph's connected
+//!   components. Components are extracted with a union-find, cost-balanced
+//!   over scoped worker threads and processed independently (each worker
+//!   offers its components' tuples in ascending id order), the
+//!   materialized back ranks ([`CsPairGraph`]) pruning sizes the CS check
+//!   is bound to reject; the collected groups are canonicalized by
 //!   [`Partition::from_groups`] — the output is bit-for-bit identical to
 //!   [`partition_entries`] for every cut/aggregation (`DESIGN.md` §7.4).
 //!
-//! * [`partition_via_tables`] — the paper's SQL-shaped form running on the
-//!   `relation` substrate: unnest the NN lists, equi-join the unnested
-//!   relation with itself to find *mutual* neighbor pairs (`ID < ID2`, each
-//!   in the other's list), compute the `[CS2..CSK]` prefix-equality flags
-//!   into a `CSPairs` table, sort it by `ID` (the CS-group query), extract
-//!   the connected components of the `CSPairs` graph with the same
-//!   union-find as the parallel path, and process each component under its
-//!   minimum id. The paper's observation makes this sound: "each compact
-//!   SN set G ... is grouped under v₁ in the result of CS-group query",
-//!   because set equality is transitive.
+//! * [`partition_via_tables`] — the paper's SQL-shaped form, a fixed query
+//!   plan over three fixed record layouts on heap-file pages: `NN_Reln` in
+//!   the spill's format ([`crate::spill`]), unnested into
+//!   `Edges(id, nb, rank)`; `Edges` equi-joined with itself on
+//!   `(id, nb) = (nb, id)` to find *mutual* neighbor pairs (`ID < ID2`,
+//!   each in the other's list) into `CSPairs(id1, id2, rank12, rank21)`;
+//!   `CSPairs` sorted by `ID` (the CS-group query). The sorted rows give
+//!   the components (the same union-find) and are the CS evidence: a set
+//!   of `m` tuples is compact iff every two of its members are a row with
+//!   both ranks below `m − 1` — what the paper's `[CS2..CSK]` flag columns
+//!   say, at a width that does not grow with the NN lists.
 //!
 //! `tests` (and the `phase2_equivalence` property suite) assert that the
 //! sequential, component-parallel and relational paths produce identical
 //! partitions.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use fuzzydedup_metrics::{incr, Counter};
-use fuzzydedup_relation::{
-    external_sort, group_sorted, hash_join, Column, ColumnType, Neighbor, RelationResult, Schema,
-    SortConfig, Table, Tuple, Value,
-};
-use fuzzydedup_storage::BufferPool;
+use fuzzydedup_relation::{external_sort, hash_join};
+use fuzzydedup_storage::{BufferPool, HeapFile, StorageError, StorageResult};
 
 use crate::components::{balance_components, UnionFind};
 use crate::criteria::{diameter, is_compact_set, sparse_neighborhood_ok, Aggregation};
 use crate::nnreln::{NnEntry, NnReln};
 use crate::partition::Partition;
 use crate::problem::CutSpec;
+use crate::spill::{scan_nn_reln, write_nn_reln};
 
 /// Partition a relation given its materialized `NN_Reln` (in-memory path).
 pub fn partition_entries(reln: &NnReln, cut: CutSpec, agg: Aggregation, c: f64) -> Partition {
     partition_entries_ablation(reln, cut, agg, c, true, true)
 }
 
-/// The greedy group search anchored at `v`: the largest non-trivial
-/// prefix set of `v` whose minimum id is `v`, with no member already
-/// assigned, passing the (optionally ablated) CS and SN criteria and the
-/// diameter cut. Shared by the sequential (ablation) and component-parallel
-/// drivers so those two cannot drift; [`partition_via_tables`] runs its own
-/// loop over the stored `CSPairs` flags and is held to this one by the
-/// equivalence suites.
-///
-/// `prune` optionally supplies the materialized CS-pair back ranks
-/// ([`CsPairGraph`]); candidate sizes the graph proves hopeless are then
-/// skipped without allocating a prefix set. The prune is a *necessary*
-/// condition of the min-id and CS checks below, so passing `Some` never
-/// changes the result — it requires `use_cs` (asserted in debug builds),
-/// which every caller that prunes satisfies.
-#[allow(clippy::too_many_arguments)]
-fn greedy_group_at(
-    reln: &NnReln,
-    v: u32,
+/// Where the greedy reads the CS criterion from.
+#[derive(Clone, Copy)]
+enum CsEvidence<'a> {
+    /// Nowhere: any prefix set is a candidate group (the ablation).
+    Off,
+    /// The in-memory NN lists ([`is_compact_set`]), optionally behind the
+    /// materialized back ranks: candidate sizes the graph proves hopeless
+    /// are then skipped without allocating a prefix set. The prune is a
+    /// *necessary* condition of the min-id and CS checks, so supplying the
+    /// graph never changes the result.
+    Lists(Option<&'a CsPairGraph>),
+    /// The `CSPairs` rows read back from pages, sorted by `(id1, id2)`.
+    Pairs(&'a [CsPair]),
+}
+
+/// One `CSPairs` row: a mutual-neighbor pair `id1 < id2` and the 0-based
+/// rank of each inside the other's NN list.
+struct CsPair {
+    id1: u32,
+    id2: u32,
+    rank12: u32,
+    rank21: u32,
+}
+
+/// The CS criterion from sorted `CSPairs` rows: `s` (ascending, `m` ids)
+/// is compact iff every member's first `m − 1` neighbors are the other
+/// members — every two members are a row, each ranked below `m − 1` by the
+/// other (a member holding the other `m − 1` at ranks `0..m − 1` holds
+/// nothing else there).
+fn is_compact_in_pairs(rows: &[CsPair], s: &[u32]) -> bool {
+    let lim = s.len() as u32 - 2;
+    s.iter().enumerate().all(|(i, &u)| {
+        s[i + 1..].iter().all(|&w| {
+            rows.binary_search_by_key(&(u, w), |r| (r.id1, r.id2))
+                .is_ok_and(|at| rows[at].rank12.max(rows[at].rank21) <= lim)
+        })
+    })
+}
+
+/// What Phase 2 decides with: the relation, the cut, the SN criterion
+/// (optionally ablated) and the evidence CS is read from.
+struct Greedy<'a> {
+    reln: &'a NnReln,
     max_size: usize,
     theta: Option<f64>,
     agg: Aggregation,
     c: f64,
-    use_cs: bool,
+    cs: CsEvidence<'a>,
     use_sn: bool,
-    assigned: &[bool],
-    prune: Option<&CsPairGraph>,
-) -> Option<Vec<u32>> {
-    debug_assert!(prune.is_none() || use_cs, "CS-pair pruning presumes the CS criterion");
-    let entry = reln.entry(v);
-    let upper = max_size.min(entry.neighbors.len() + 1);
-    if let Some(graph) = prune {
-        // Anchor bits are only ever set for sizes ≤ upper (the prefix is
-        // that long) and < 64, so an all-zero mask rules out the whole
-        // tuple in O(1) — unless sizes ≥ 64 are in play, which the mask
-        // cannot speak for.
-        if upper < 64 && graph.anchor[v as usize] == 0 {
+}
+
+impl Greedy<'_> {
+    /// The greedy group search anchored at `v`: the largest non-trivial
+    /// prefix set of `v` whose minimum id is `v`, with no member already
+    /// assigned, passing the CS and SN criteria and the diameter cut.
+    fn greedy_group_at(&self, v: u32, assigned: &[bool]) -> Option<Vec<u32>> {
+        let entry = self.reln.entry(v);
+        let upper = self.max_size.min(entry.neighbors.len() + 1);
+        let hopeless = match self.cs {
+            // Anchor bits are only ever set for sizes ≤ upper (the prefix
+            // is that long) and < 64, so an all-zero mask rules out the
+            // whole tuple in O(1) — unless sizes ≥ 64 are in play, which
+            // the mask cannot speak for.
+            CsEvidence::Lists(Some(graph)) => upper < 64 && graph.anchor[v as usize] == 0,
+            // A group's minimum id has a row of its own to each member.
+            CsEvidence::Pairs(rows) => rows.binary_search_by_key(&v, |r| r.id1).is_err(),
+            _ => false,
+        };
+        if hopeless {
             return None;
         }
+        for m in (2..=upper).rev() {
+            if let CsEvidence::Lists(Some(graph)) = self.cs {
+                if !graph.can_anchor(entry, m) {
+                    continue; // the min-id or CS check below is doomed
+                }
+            }
+            let Some(s) = entry.prefix_set(m) else { continue };
+            // v must be the minimum id of the group ("grouped under the
+            // tuple with the minimum ID"); larger-anchored sets are found
+            // when their own minimum is processed.
+            if s[0] != v {
+                continue;
+            }
+            if s.iter().any(|&u| assigned[u as usize]) {
+                continue;
+            }
+            let compact = match self.cs {
+                CsEvidence::Off => true,
+                CsEvidence::Lists(_) => is_compact_set(self.reln, &s),
+                CsEvidence::Pairs(rows) => is_compact_in_pairs(rows, &s),
+            };
+            if !compact {
+                continue;
+            }
+            if self.use_sn && !sparse_neighborhood_ok(self.reln, &s, self.agg, self.c) {
+                continue;
+            }
+            if let Some(t) = self.theta {
+                // An unrecorded pairwise distance means it exceeds θ.
+                if !diameter(self.reln, &s).is_some_and(|d| d <= t) {
+                    continue;
+                }
+            }
+            return Some(s);
+        }
+        None
     }
-    for m in (2..=upper).rev() {
-        if let Some(graph) = prune {
-            if !graph.can_anchor(entry, m) {
-                continue; // the min-id or CS check below is doomed
+
+    /// Offer `anchors` to the greedy in order, marking each emitted
+    /// group's members assigned.
+    fn groups(&self, anchors: impl IntoIterator<Item = u32>) -> Vec<Vec<u32>> {
+        let mut assigned = vec![false; self.reln.len()];
+        let mut groups: Vec<Vec<u32>> = Vec::new();
+        for v in anchors {
+            if assigned[v as usize] {
+                continue;
+            }
+            if let Some(s) = self.greedy_group_at(v, &assigned) {
+                for &u in &s {
+                    assigned[u as usize] = true;
+                }
+                groups.push(s);
             }
         }
-        let Some(s) = entry.prefix_set(m) else { continue };
-        // v must be the minimum id of the group ("grouped under the
-        // tuple with the minimum ID"); larger-anchored sets are found
-        // when their own minimum is processed.
-        if s[0] != v {
-            continue;
-        }
-        if s.iter().any(|&u| assigned[u as usize]) {
-            continue;
-        }
-        if use_cs && !is_compact_set(reln, &s) {
-            continue;
-        }
-        if use_sn && !sparse_neighborhood_ok(reln, &s, agg, c) {
-            continue;
-        }
-        if let Some(t) = theta {
-            match diameter(reln, &s) {
-                Some(d) if d <= t => {}
-                _ => continue,
-            }
-        }
-        return Some(s);
+        groups
     }
-    None
+}
+
+/// The tuples of the components that can hold a group, in component
+/// order: a singleton component has no mutual pair, so it can neither
+/// anchor nor join one.
+fn anchors_in<'a>(
+    components: impl IntoIterator<Item = &'a Vec<u32>> + 'a,
+) -> impl Iterator<Item = u32> + 'a {
+    components.into_iter().filter(|comp| comp.len() >= 2).flatten().copied()
 }
 
 /// Ablation variant of [`partition_entries`]: either criterion can be
@@ -144,25 +211,16 @@ pub fn partition_entries_ablation(
     use_sn: bool,
 ) -> Partition {
     let n = reln.len();
-    let max_size = cut.max_group_size(n);
-    let theta = cut.diameter_bound();
-    let mut assigned = vec![false; n];
-    let mut groups: Vec<Vec<u32>> = Vec::new();
-
-    for v in 0..n as u32 {
-        if assigned[v as usize] {
-            continue;
-        }
-        if let Some(s) =
-            greedy_group_at(reln, v, max_size, theta, agg, c, use_cs, use_sn, &assigned, None)
-        {
-            for &u in &s {
-                assigned[u as usize] = true;
-            }
-            groups.push(s);
-        }
-    }
-    Partition::from_groups(n, groups)
+    let greedy = Greedy {
+        reln,
+        max_size: cut.max_group_size(n),
+        theta: cut.diameter_bound(),
+        agg,
+        c,
+        cs: if use_cs { CsEvidence::Lists(None) } else { CsEvidence::Off },
+        use_sn,
+    };
+    Partition::from_groups(n, greedy.groups(0..n as u32))
 }
 
 /// The materialized CS-pair structure backing the component-parallel path —
@@ -324,7 +382,6 @@ pub fn partition_entries_parallel(
     let n = reln.len();
     let threads = crate::parallel::resolve_threads(n_threads, n);
     let max_size = cut.max_group_size(n);
-    let theta = cut.diameter_bound();
 
     let (graph, uf) = CsPairGraph::build(reln, max_size);
     let components = uf.components();
@@ -345,278 +402,127 @@ pub fn partition_entries_parallel(
         .collect();
     let shards = balance_components(&costs, threads);
 
+    let greedy = Greedy {
+        reln,
+        max_size,
+        theta: cut.diameter_bound(),
+        agg,
+        c,
+        cs: CsEvidence::Lists(Some(&graph)),
+        use_sn: true,
+    };
     let mut shard_groups: Vec<Vec<Vec<u32>>> = vec![Vec::new(); shards.len()];
     // The workers reach no `incr` (the greedy counts nothing), so there is
     // no tally to hand back to the caller's metrics scope.
     std::thread::scope(|scope| {
         for (shard, out) in shards.iter().zip(shard_groups.iter_mut()) {
-            let (components, graph) = (&components, &graph);
+            let (components, greedy) = (&components, &greedy);
             scope.spawn(move || {
-                let mut assigned = vec![false; n];
-                let mut groups: Vec<Vec<u32>> = Vec::new();
-                for &ci in shard {
-                    let comp = &components[ci];
-                    if comp.len() < 2 {
-                        continue; // no mutual pair, no possible group
-                    }
-                    for &v in comp {
-                        if assigned[v as usize] {
-                            continue;
-                        }
-                        if let Some(s) = greedy_group_at(
-                            reln,
-                            v,
-                            max_size,
-                            theta,
-                            agg,
-                            c,
-                            true,
-                            true,
-                            &assigned,
-                            Some(graph),
-                        ) {
-                            for &u in &s {
-                                assigned[u as usize] = true;
-                            }
-                            groups.push(s);
-                        }
-                    }
-                }
-                *out = groups;
+                *out = greedy.groups(anchors_in(shard.iter().map(|&ci| &components[ci])));
             });
         }
     });
     Partition::from_groups(n, shard_groups.into_iter().flatten())
 }
 
-/// Schema of the materialized `NN_Reln` table: `[ID, NN-List, NG]`.
-pub fn nn_reln_schema() -> Schema {
-    Schema::new(vec![
-        Column::new("id", ColumnType::I64),
-        Column::new("nn_list", ColumnType::Neighbors),
-        Column::new("ng", ColumnType::F64),
-    ])
+/// A record of `N` little-endian `u32` columns — the layout of `Edges`
+/// (3) and `CSPairs` (4), fixed whatever the NN lists' lengths.
+fn u32_record<const N: usize>(columns: [u32; N]) -> Vec<u8> {
+    columns.iter().flat_map(|c| c.to_le_bytes()).collect()
 }
 
-/// Schema of the `CSPairs` relation: ids, NG values, and the variable-length
-/// `[CS2..]` prefix-equality flags.
-pub fn cs_pairs_schema() -> Schema {
-    Schema::new(vec![
-        Column::new("id1", ColumnType::I64),
-        Column::new("id2", ColumnType::I64),
-        Column::new("ng1", ColumnType::F64),
-        Column::new("ng2", ColumnType::F64),
-        Column::new("cs", ColumnType::BoolList),
-    ])
-}
-
-/// Materialize `NN_Reln` as a relation on the given buffer pool.
-pub fn materialize_nn_reln(reln: &NnReln, pool: Arc<BufferPool>) -> RelationResult<Table> {
-    let table = Table::create(pool, Arc::new(nn_reln_schema()));
-    for e in reln.entries() {
-        table.insert(&Tuple::new(vec![
-            Value::I64(e.id as i64),
-            Value::Neighbors(e.neighbors.clone()),
-            Value::F64(e.ng),
-        ]))?;
+/// Decode a [`u32_record`]; `None` when `rec` is not `N` columns wide.
+fn u32_columns<const N: usize>(rec: &[u8]) -> Option<[u32; N]> {
+    let mut columns = [0u32; N];
+    if rec.len() != 4 * N {
+        return None;
     }
-    Ok(table)
+    for (column, bytes) in columns.iter_mut().zip(rec.chunks_exact(4)) {
+        *column = u32::from_le_bytes(bytes.try_into().ok()?);
+    }
+    Some(columns)
 }
 
-/// The paper's SQL-shaped Phase 2 over the relation substrate.
+/// The paper's SQL-shaped Phase 2: a fixed plan over heap files on `pool`.
 ///
-/// Steps (all running through tables on `pool`):
-/// 1. materialize `NN_Reln`;
-/// 2. unnest NN lists into `Edges[id, nb]`;
-/// 3. self-equi-join `Edges` on `(id, nb) = (nb, id)` to find mutual
-///    neighbor pairs with `id1 < id2` (the residual predicate);
-/// 4. compute the `[CS2..]` flags per pair into `CSPairs`;
-/// 5. `ORDER BY id1` via external sort, then group and partition.
+/// 1. write `NN_Reln` (the spill's record format, so a list of any length
+///    chunks across pages);
+/// 2. unnest it into `Edges[id, nb, rank]`;
+/// 3. self-equi-join `Edges` on `(id, nb) = (nb, id)` with the residual
+///    predicate `id < nb`: each mutual neighbor pair once, with both
+///    ranks, into `CSPairs`;
+/// 4. `ORDER BY id1, id2` via the external sort;
+/// 5. read the sorted rows back, take their graph's connected components
+///    (the union-find the component-parallel path uses), and offer each
+///    non-trivial component's tuples to the one greedy with the rows as
+///    its CS evidence.
 pub fn partition_via_tables(
     reln: &NnReln,
     cut: CutSpec,
     agg: Aggregation,
     c: f64,
     pool: Arc<BufferPool>,
-) -> RelationResult<Partition> {
+) -> StorageResult<Partition> {
     let n = reln.len();
-    let max_size = cut.max_group_size(n);
-    let theta = cut.diameter_bound();
 
-    // Step 1: NN_Reln.
-    let nn_table = materialize_nn_reln(reln, pool.clone())?;
+    let nn_reln = HeapFile::create(pool.clone());
+    write_nn_reln(reln, &nn_reln)?;
 
-    // Step 2: unnest into Edges[id, nb].
-    let edges_schema = Arc::new(Schema::new(vec![
-        Column::new("id", ColumnType::I64),
-        Column::new("nb", ColumnType::I64),
-    ]));
-    let edges = Table::create(pool.clone(), edges_schema);
+    let edges = HeapFile::create(pool.clone());
     let mut unnested_rows: u64 = 0;
-    nn_table.scan(|_, t| {
-        let id = t.get(0).as_i64().expect("id column");
-        for nb in t.get(1).as_neighbors().expect("nn_list column") {
-            edges
-                .insert(&Tuple::new(vec![Value::I64(id), Value::I64(nb.id as i64)]))
-                .expect("edges schema");
-            unnested_rows += 1;
+    scan_nn_reln(&nn_reln, |entry| {
+        for (rank, nb) in entry.neighbors.iter().enumerate() {
+            edges.insert(&u32_record([entry.id, nb.id, rank as u32]))?;
         }
+        unnested_rows += entry.neighbors.len() as u64;
+        Ok(())
     })?;
     incr(Counter::Phase2UnnestedRows, unnested_rows);
 
-    // A hash "index" on NN_Reln for the flag computation (the paper uses
-    // user-defined functions / expanded columns server-side; we read the
-    // lists back from the materialized table).
-    let mut by_id: HashMap<i64, (Vec<Neighbor>, f64)> = HashMap::with_capacity(n);
-    nn_table.scan(|_, t| {
-        by_id.insert(
-            t.get(0).as_i64().expect("id"),
-            (t.get(1).as_neighbors().expect("list").to_vec(), t.get(2).as_f64().expect("ng")),
-        );
-    })?;
-
-    // Prefix set of a stored list: {id} ∪ first m−1 neighbor ids, sorted.
-    let prefix_set = |id: i64, list: &[Neighbor], m: usize| -> Option<Vec<u32>> {
-        if list.len() < m - 1 {
-            return None;
-        }
-        let mut s: Vec<u32> = Vec::with_capacity(m);
-        s.push(id as u32);
-        s.extend(list[..m - 1].iter().map(|nb| nb.id));
-        s.sort_unstable();
-        Some(s)
-    };
-
-    // Steps 3–4: mutual pairs + CS flags into CSPairs.
-    let cs_pairs = Table::create(pool.clone(), Arc::new(cs_pairs_schema()));
+    let cs_pairs = HeapFile::create(pool);
     let mut cs_pair_rows: u64 = 0;
     incr(Counter::Phase2JoinPasses, 1);
-    hash_join(&edges, &edges, &[0, 1], &[1, 0], |l, _r| {
-        let id1 = l.get(0).as_i64().expect("id");
-        let id2 = l.get(1).as_i64().expect("nb");
-        if id1 >= id2 {
-            return; // residual predicate ID1 < ID2
-        }
-        let (list1, ng1) = &by_id[&id1];
-        let (list2, ng2) = &by_id[&id2];
-        let max_m = max_size.min(list1.len().min(list2.len()) + 1);
-        let mut flags = Vec::with_capacity(max_m.saturating_sub(1));
-        for m in 2..=max_m {
-            let equal = match (prefix_set(id1, list1, m), prefix_set(id2, list2, m)) {
-                (Some(a), Some(b)) => a == b,
-                _ => false,
-            };
-            flags.push(equal);
-        }
-        cs_pairs
-            .insert(&Tuple::new(vec![
-                Value::I64(id1),
-                Value::I64(id2),
-                Value::F64(*ng1),
-                Value::F64(*ng2),
-                Value::BoolList(flags),
-            ]))
-            .expect("cs_pairs schema");
-        cs_pair_rows += 1;
-    })?;
+    hash_join(
+        &edges,
+        &edges,
+        |rec| u32_columns(rec).map(|[id, nb, rank]| ((id, nb), rank)),
+        |rec| u32_columns(rec).map(|[id, nb, rank]| ((nb, id), rank)),
+        |&(id1, id2), &rank12, &rank21| {
+            if id1 < id2 {
+                cs_pairs.insert(&u32_record([id1, id2, rank12, rank21]))?;
+                cs_pair_rows += 1;
+            }
+            Ok(())
+        },
+    )?;
     incr(Counter::Phase2CsPairs, cs_pair_rows);
 
-    // Step 5: ORDER BY id1 (the CS-group query), then group the sorted
-    // pairs by anchor and extract the connected components of the CSPairs
-    // graph — the same union-find machinery the component-parallel
-    // in-memory path uses ([`cs_pair_components`]), so a component bug
-    // shows up in the `phase2_equivalence` suite on either path.
     incr(Counter::Phase2SortPasses, 1);
-    let sorted = external_sort(&cs_pairs, &SortConfig::by_columns(vec![0, 1]))?;
-    let groups_by_id = group_sorted(sorted.iter().collect::<RelationResult<Vec<_>>>()?, &[0]);
-
-    // Partner flags per anchor (id1 -> id2 -> cs vector) and the CSPairs
-    // graph components.
+    let sorted = external_sort(&cs_pairs, |rec| {
+        u32_columns(rec).map(|[id1, id2, _, _]: [u32; 4]| (id1, id2))
+    })?;
+    let mut rows: Vec<CsPair> = Vec::with_capacity(sorted.len() as usize);
     let mut uf = UnionFind::new(n);
-    let mut partners_of: HashMap<u32, HashMap<u32, Vec<bool>>> = HashMap::new();
-    for (key, rows) in groups_by_id {
-        let v = key[0].as_i64().expect("id1") as u32;
-        let partners: HashMap<u32, Vec<bool>> = rows
-            .iter()
-            .map(|r| {
-                let u = r.get(1).as_i64().expect("id2") as u32;
-                uf.union(v, u);
-                (u, r.get(4).as_bool_list().expect("cs").to_vec())
-            })
-            .collect();
-        partners_of.insert(v, partners);
-    }
+    sorted.try_scan(|at, rec| {
+        let [id1, id2, rank12, rank21] =
+            u32_columns(rec).ok_or(StorageError::CorruptPage(at.page, "CSPairs record length"))?;
+        uf.union(id1, id2);
+        rows.push(CsPair { id1, id2, rank12, rank21 });
+        Ok(())
+    })?;
     let components = uf.components();
     incr(Counter::Phase2Components, components.len() as u64);
 
-    let ngs_of = |s: &[u32]| -> Vec<f64> { s.iter().map(|&u| by_id[&(u as i64)].1).collect() };
-    let mut assigned = vec![false; n];
-    let mut out_groups: Vec<Vec<u32>> = Vec::new();
-    for comp in &components {
-        if comp.len() < 2 {
-            continue; // no CS pair, no possible group
-        }
-        for &v in comp {
-            if assigned[v as usize] {
-                continue;
-            }
-            // Only tuples with outgoing (v < u) pairs can anchor a group.
-            let Some(partners) = partners_of.get(&v) else { continue };
-            let (list_v, _) = &by_id[&(v as i64)];
-            let upper = max_size.min(list_v.len() + 1);
-            for m in (2..=upper).rev() {
-                let Some(s) = prefix_set(v as i64, list_v, m) else { continue };
-                if s[0] != v {
-                    continue;
-                }
-                if s.iter().any(|&u| assigned[u as usize]) {
-                    continue;
-                }
-                // All other members must be CSm-equal partners of v. (Set
-                // equality is transitive, so pairwise checks against v
-                // suffice.)
-                let all_partnered = s.iter().filter(|&&u| u != v).all(|&u| {
-                    partners.get(&u).and_then(|flags| flags.get(m - 2)).copied().unwrap_or(false)
-                });
-                if !all_partnered {
-                    continue;
-                }
-                // SN criterion over stored NG values. The negated
-                // comparison deliberately treats a NaN aggregate as
-                // failing.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                let sn_ok = agg.aggregate(&ngs_of(&s)) < c;
-                if !sn_ok {
-                    continue;
-                }
-                // Diameter cut, if present, from the stored lists.
-                if let Some(t) = theta {
-                    let mut ok = true;
-                    'outer: for (i, &u) in s.iter().enumerate() {
-                        let (list_u, _) = &by_id[&(u as i64)];
-                        for &w in &s[i + 1..] {
-                            match list_u.iter().find(|nb| nb.id == w) {
-                                Some(nb) if nb.dist <= t => {}
-                                _ => {
-                                    ok = false;
-                                    break 'outer;
-                                }
-                            }
-                        }
-                    }
-                    if !ok {
-                        continue;
-                    }
-                }
-                for &u in &s {
-                    assigned[u as usize] = true;
-                }
-                out_groups.push(s);
-                break;
-            }
-        }
-    }
-    Ok(Partition::from_groups(n, out_groups))
+    let greedy = Greedy {
+        reln,
+        max_size: cut.max_group_size(n),
+        theta: cut.diameter_bound(),
+        agg,
+        c,
+        cs: CsEvidence::Pairs(&rows),
+        use_sn: true,
+    };
+    Ok(Partition::from_groups(n, greedy.groups(anchors_in(&components))))
 }
 
 #[cfg(test)]

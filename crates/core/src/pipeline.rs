@@ -25,7 +25,6 @@ use fuzzydedup_metrics::{
 use fuzzydedup_nnindex::{
     InvertedIndex, InvertedIndexConfig, LookupOrder, NestedLoopIndex, NnIndex, PostingsSource,
 };
-use fuzzydedup_relation::RelationError;
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, BufferStats, InMemoryDisk, StorageError};
 use fuzzydedup_textdist::DistanceKind;
 
@@ -255,10 +254,9 @@ impl DedupConfig {
 pub enum DedupError {
     /// The configuration is invalid (bad cut parameters, `p < 1`, ...).
     InvalidConfig(String),
-    /// A relational-substrate failure during Phase 2.
-    Relation(RelationError),
-    /// A storage-layer failure (buffer pool or disk manager) outside the
-    /// relational substrate.
+    /// A storage-layer failure: the buffer pool or disk manager under the
+    /// index, the `NN_Reln` spill or the relational Phase 2, or a page
+    /// record that does not decode.
     Storage(StorageError),
 }
 
@@ -266,7 +264,6 @@ impl std::fmt::Display for DedupError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
-            Self::Relation(_) => write!(f, "phase 2 relational substrate failed"),
             Self::Storage(_) => write!(f, "storage layer failed"),
         }
     }
@@ -276,15 +273,8 @@ impl std::error::Error for DedupError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::InvalidConfig(_) => None,
-            Self::Relation(e) => Some(e),
             Self::Storage(e) => Some(e),
         }
-    }
-}
-
-impl From<RelationError> for DedupError {
-    fn from(e: RelationError) -> Self {
-        Self::Relation(e)
     }
 }
 
@@ -786,20 +776,19 @@ mod tests {
     #[test]
     fn error_source_chain_is_walkable() {
         use std::error::Error;
-        // A storage failure surfacing through the relational substrate:
-        // DedupError -> RelationError -> StorageError, every link typed.
-        let e: DedupError = RelationError::Storage(StorageError::PageNotFound(3)).into();
-        assert!(matches!(e, DedupError::Relation(_)));
-        let relation = e.source().expect("relation cause");
-        assert!(relation.to_string().contains("storage error"));
-        let storage = relation.source().expect("storage cause");
+        // A storage failure — the relational Phase 2's included, which
+        // returns `StorageResult` — is two links, both typed:
+        // DedupError -> StorageError.
+        let e: DedupError = StorageError::CorruptPage(3, "CSPairs record length").into();
+        assert!(matches!(e, DedupError::Storage(_)));
+        let storage = e.source().expect("storage cause");
         assert!(storage.to_string().contains("page 3"));
         assert!(storage.source().is_none(), "chain ends at the leaf");
 
-        // Direct storage failures wrap too.
-        let e: DedupError = StorageError::BufferPoolFull.into();
-        assert!(matches!(e, DedupError::Storage(_)));
-        assert!(e.source().expect("storage cause").to_string().contains("pinned"));
+        // An I/O failure under the disk manager is one link further down.
+        let e: DedupError = StorageError::Io(std::io::Error::other("disk full")).into();
+        let io = e.source().and_then(|storage| storage.source()).expect("io cause");
+        assert!(io.to_string().contains("disk full"));
 
         // InvalidConfig has no cause.
         assert!(DedupError::InvalidConfig("x".into()).source().is_none());

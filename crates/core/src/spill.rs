@@ -28,7 +28,7 @@
 
 use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_relation::Neighbor;
-use fuzzydedup_storage::{HeapFile, Page, StorageResult};
+use fuzzydedup_storage::{HeapFile, Page, StorageError, StorageResult};
 
 use crate::nnreln::{NnEntry, NnReln};
 
@@ -42,24 +42,31 @@ const NEIGHBOR_BYTES: usize = 4 + 8;
 /// serialized byte. The file should be freshly created — records are
 /// appended.
 pub fn spill_nn_reln(reln: &NnReln, file: &HeapFile) -> StorageResult<()> {
+    let bytes = write_nn_reln(reln, file)?;
+    incr(Counter::SpillEntries, reln.len() as u64);
+    incr(Counter::SpillBytes, bytes);
+    Ok(())
+}
+
+/// The one page encoder of `NN_Reln` — what [`spill_nn_reln`] counts and
+/// what the relational Phase 2 reads its lists from. Returns the bytes
+/// written.
+pub(crate) fn write_nn_reln(reln: &NnReln, file: &HeapFile) -> StorageResult<u64> {
     // Leave headroom so a full chunk's record always fits a fresh page.
     let max_neighbors = (Page::max_record_size() - HEADER_BYTES) / NEIGHBOR_BYTES;
     let mut buf: Vec<u8> = Vec::new();
+    let mut bytes = 0u64;
     for entry in reln.entries() {
-        incr(Counter::SpillEntries, 1);
         let mut chunks = entry.neighbors.chunks(max_neighbors);
         // An empty neighbor list still needs its header record.
         let first: &[Neighbor] = chunks.next().unwrap_or(&[]);
-        write_chunk(entry, first, &mut buf);
-        file.insert(&buf)?;
-        incr(Counter::SpillBytes, buf.len() as u64);
-        for chunk in chunks {
+        for chunk in std::iter::once(first).chain(chunks) {
             write_chunk(entry, chunk, &mut buf);
             file.insert(&buf)?;
-            incr(Counter::SpillBytes, buf.len() as u64);
+            bytes += buf.len() as u64;
         }
     }
-    Ok(())
+    Ok(bytes)
 }
 
 fn write_chunk(entry: &NnEntry, neighbors: &[Neighbor], buf: &mut Vec<u8>) {
@@ -74,39 +81,60 @@ fn write_chunk(entry: &NnEntry, neighbors: &[Neighbor], buf: &mut Vec<u8>) {
 }
 
 /// Read a relation previously written by [`spill_nn_reln`] back into
-/// memory, merging chunked entries.
+/// memory, merging chunked entries. A record whose length disagrees with
+/// its own header is a [`StorageError::CorruptPage`].
 ///
 /// # Panics
-/// Panics if a record is malformed — the spill file is produced by this
-/// module in the same process, so corruption is a logic error, not an
-/// input condition.
+/// Panics if the decoded ids are not dense `0..n` ([`NnReln::new`]).
 pub fn read_nn_reln(file: &HeapFile) -> StorageResult<NnReln> {
     let mut entries: Vec<NnEntry> = Vec::new();
-    file.scan(|_, bytes| {
-        let (id, ng, neighbors) = read_chunk(bytes);
-        match entries.last_mut() {
-            // Continuation chunk of the previous entry.
-            Some(last) if last.id == id => last.neighbors.extend(neighbors),
-            _ => entries.push(NnEntry::new(id, neighbors, ng)),
-        }
+    scan_nn_reln(file, |entry| {
+        entries.push(entry);
+        Ok(())
     })?;
     Ok(NnReln::new(entries))
 }
 
-fn read_chunk(bytes: &[u8]) -> (u32, f64, Vec<Neighbor>) {
-    let fixed = |at: usize| -> [u8; 4] { bytes[at..at + 4].try_into().expect("spill header") };
-    let wide = |at: usize| -> [u8; 8] { bytes[at..at + 8].try_into().expect("spill header") };
-    let id = u32::from_le_bytes(fixed(0));
-    let ng = f64::from_le_bytes(wide(4));
-    let count = u32::from_le_bytes(fixed(12)) as usize;
-    assert_eq!(bytes.len(), HEADER_BYTES + count * NEIGHBOR_BYTES, "spill record length");
-    let mut neighbors = Vec::with_capacity(count);
-    for i in 0..count {
-        let at = HEADER_BYTES + i * NEIGHBOR_BYTES;
-        neighbors
-            .push(Neighbor::new(u32::from_le_bytes(fixed(at)), f64::from_le_bytes(wide(at + 4))));
+/// The one page decoder of `NN_Reln`: visit the entries of a file written
+/// by [`write_nn_reln`] in storage order, one whole entry (continuation
+/// chunks merged) in memory at a time.
+pub(crate) fn scan_nn_reln(
+    file: &HeapFile,
+    mut visit: impl FnMut(NnEntry) -> StorageResult<()>,
+) -> StorageResult<()> {
+    let mut pending: Option<NnEntry> = None;
+    file.try_scan(|at, bytes| {
+        let (id, ng, neighbors) =
+            read_chunk(bytes).ok_or(StorageError::CorruptPage(at.page, "NN_Reln record length"))?;
+        match &mut pending {
+            // Continuation chunk of the previous entry.
+            Some(last) if last.id == id => last.neighbors.extend(neighbors),
+            _ => {
+                if let Some(done) = pending.replace(NnEntry::new(id, neighbors, ng)) {
+                    visit(done)?;
+                }
+            }
+        }
+        Ok(())
+    })?;
+    pending.map_or(Ok(()), visit)
+}
+
+fn read_chunk(bytes: &[u8]) -> Option<(u32, f64, Vec<Neighbor>)> {
+    let (id, rest) = bytes.split_first_chunk::<4>()?;
+    let (ng, rest) = rest.split_first_chunk::<8>()?;
+    let (count, rest) = rest.split_first_chunk::<4>()?;
+    if Some(rest.len()) != (u32::from_le_bytes(*count) as usize).checked_mul(NEIGHBOR_BYTES) {
+        return None;
     }
-    (id, ng, neighbors)
+    let neighbors = rest
+        .chunks_exact(NEIGHBOR_BYTES)
+        .map(|nb| {
+            let (id, dist) = nb.split_first_chunk::<4>()?;
+            Some(Neighbor::new(u32::from_le_bytes(*id), f64::from_le_bytes(dist.try_into().ok()?)))
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some((u32::from_le_bytes(*id), f64::from_le_bytes(*ng), neighbors))
 }
 
 #[cfg(test)]
@@ -157,6 +185,22 @@ mod tests {
         spill_nn_reln(&reln, &file).unwrap();
         assert!(file.len() > 1, "entry must span multiple records");
         assert_eq!(read_nn_reln(&file).unwrap(), reln);
+    }
+
+    #[test]
+    fn malformed_record_is_a_typed_error() {
+        // A record one byte short of what its header promises, and one too
+        // short to hold a header at all.
+        let reln = NnReln::new(vec![entry(0, &[(1, 0.25)], 2.0), entry(1, &[(0, 0.25)], 2.0)]);
+        let mut record = Vec::new();
+        write_chunk(reln.entry(0), &reln.entry(0).neighbors, &mut record);
+        for bad in [&record[..record.len() - 1], &record[..7]] {
+            let file = heap(4);
+            spill_nn_reln(&reln, &file).unwrap();
+            file.insert(bad).unwrap();
+            let e = read_nn_reln(&file).unwrap_err();
+            assert!(matches!(e, StorageError::CorruptPage(_, _)), "{e}");
+        }
     }
 
     #[test]

@@ -4,128 +4,118 @@
 //! the predicate that a tuple NN_Reln.ID is less than NN_Reln2.ID and that
 //! it is in the K-nearest neighbor set of NN_Reln2.ID and vice-versa". Our
 //! [`hash_join`] implements the generic equi-join core (build + probe); the
-//! non-equi residual predicates (`ID < ID2`, mutual-membership) are applied
-//! by the caller's `emit` callback, mirroring how a database would evaluate
-//! residual predicates on top of the join.
+//! non-equi residual predicates (`ID < ID2`) are applied by the caller's
+//! `emit` callback, mirroring how a database would evaluate residual
+//! predicates on top of the join.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use crate::error::RelationResult;
-use crate::table::Table;
-use crate::tuple::Tuple;
-use crate::value::Value;
+use fuzzydedup_storage::{HeapFile, StorageError, StorageResult};
 
-/// Hash-join `left` and `right` on equality of the given key columns,
-/// invoking `emit` for each matching pair. The smaller side should be
-/// passed as `left` (the build side); both sides are streamed through the
-/// buffer pool.
-pub fn hash_join(
-    left: &Table,
-    right: &Table,
-    left_key: &[usize],
-    right_key: &[usize],
-    mut emit: impl FnMut(&Tuple, &Tuple),
-) -> RelationResult<()> {
-    assert_eq!(left_key.len(), right_key.len(), "key arity must match");
-    // Build.
-    let mut build: HashMap<Vec<Value>, Vec<Tuple>> = HashMap::new();
-    left.scan(|_, t| {
-        let key: Vec<Value> = left_key.iter().map(|&k| t.get(k).clone()).collect();
-        build.entry(key).or_default().push(t);
+/// Hash-join `build` and `probe` on equality of their keys, invoking
+/// `emit(key, build row, probe row)` for each matching pair. Each side's
+/// decoder turns a record into its join key and whatever else of the row
+/// `emit` needs (`None` for a record that is not one of that side's); the
+/// smaller side should be `build`, which is held in memory while `probe`
+/// streams through the buffer pool.
+pub fn hash_join<K: Hash + Eq, L, R>(
+    build: &HeapFile,
+    probe: &HeapFile,
+    build_row: impl Fn(&[u8]) -> Option<(K, L)>,
+    probe_row: impl Fn(&[u8]) -> Option<(K, R)>,
+    mut emit: impl FnMut(&K, &L, &R) -> StorageResult<()>,
+) -> StorageResult<()> {
+    const WHY: &str = "record does not decode to a join row";
+    let mut table: HashMap<K, Vec<L>> = HashMap::new();
+    build.try_scan(|at, rec| {
+        let (key, row) = build_row(rec).ok_or(StorageError::CorruptPage(at.page, WHY))?;
+        table.entry(key).or_default().push(row);
+        Ok(())
     })?;
-    // Probe.
-    right.scan(|_, t| {
-        let key: Vec<Value> = right_key.iter().map(|&k| t.get(k).clone()).collect();
-        if let Some(matches) = build.get(&key) {
-            for l in matches {
-                emit(l, &t);
-            }
+    probe.try_scan(|at, rec| {
+        let (key, row) = probe_row(rec).ok_or(StorageError::CorruptPage(at.page, WHY))?;
+        for matched in table.get(&key).into_iter().flatten() {
+            emit(&key, matched, &row)?;
         }
-    })?;
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Column, ColumnType, Schema};
     use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
     use std::sync::Arc;
 
-    fn table_with(rows: &[(i64, &str)]) -> Table {
+    /// A file of `key: u32 | text` records.
+    fn file_with(rows: &[(u32, &str)]) -> HeapFile {
         let disk = Arc::new(InMemoryDisk::new());
         let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(4), disk));
-        let schema = Arc::new(Schema::new(vec![
-            Column::new("k", ColumnType::I64),
-            Column::new("v", ColumnType::Str),
-        ]));
-        let t = Table::create(pool, schema);
+        let file = HeapFile::create(pool);
         for (k, v) in rows {
-            t.insert(&Tuple::new(vec![Value::I64(*k), Value::from(*v)])).unwrap();
+            file.insert(&[&k.to_le_bytes(), v.as_bytes()].concat()).unwrap();
         }
-        t
+        file
+    }
+
+    fn row(rec: &[u8]) -> Option<(u32, String)> {
+        let (key, text) = rec.split_first_chunk::<4>()?;
+        Some((u32::from_le_bytes(*key), String::from_utf8(text.to_vec()).ok()?))
+    }
+
+    fn joined(l: &HeapFile, r: &HeapFile) -> Vec<(String, String)> {
+        let mut pairs = Vec::new();
+        hash_join(l, r, row, row, |_, a, b| {
+            pairs.push((a.clone(), b.clone()));
+            Ok(())
+        })
+        .unwrap();
+        pairs.sort();
+        pairs
     }
 
     #[test]
     fn inner_join_matches() {
-        let l = table_with(&[(1, "a"), (2, "b"), (3, "c")]);
-        let r = table_with(&[(2, "x"), (3, "y"), (4, "z")]);
-        let mut pairs = Vec::new();
-        hash_join(&l, &r, &[0], &[0], |a, b| {
-            pairs.push((
-                a.get(1).as_str().unwrap().to_string(),
-                b.get(1).as_str().unwrap().to_string(),
-            ));
-        })
-        .unwrap();
-        pairs.sort();
-        assert_eq!(
-            pairs,
-            vec![("b".to_string(), "x".to_string()), ("c".to_string(), "y".to_string())]
-        );
+        let l = file_with(&[(1, "a"), (2, "b"), (3, "c")]);
+        let r = file_with(&[(2, "x"), (3, "y"), (4, "z")]);
+        assert_eq!(joined(&l, &r), vec![("b".into(), "x".into()), ("c".into(), "y".into())]);
     }
 
     #[test]
     fn duplicate_keys_produce_cross_product() {
-        let l = table_with(&[(1, "a1"), (1, "a2")]);
-        let r = table_with(&[(1, "b1"), (1, "b2")]);
-        let mut count = 0;
-        hash_join(&l, &r, &[0], &[0], |_, _| count += 1).unwrap();
-        assert_eq!(count, 4);
+        let l = file_with(&[(1, "a1"), (1, "a2")]);
+        let r = file_with(&[(1, "b1"), (1, "b2")]);
+        assert_eq!(joined(&l, &r).len(), 4);
     }
 
     #[test]
     fn self_join_with_residual_predicate() {
         // The CSPairs pattern: self-join on a blocking key, residual
-        // predicate ID1 < ID2 applied in the emit callback.
-        let t = table_with(&[(7, "p"), (7, "q"), (7, "r")]);
-        let mut pairs = Vec::new();
-        hash_join(&t, &t, &[0], &[0], |a, b| {
-            let (x, y) = (a.get(1).as_str().unwrap(), b.get(1).as_str().unwrap());
-            if x < y {
-                pairs.push((x.to_string(), y.to_string()));
-            }
-        })
-        .unwrap();
-        pairs.sort();
+        // predicate applied in the emit callback.
+        let t = file_with(&[(7, "p"), (7, "q"), (7, "r")]);
+        let pairs: Vec<_> = joined(&t, &t).into_iter().filter(|(x, y)| x < y).collect();
         assert_eq!(pairs.len(), 3); // (p,q), (p,r), (q,r)
     }
 
     #[test]
     fn empty_sides() {
-        let l = table_with(&[]);
-        let r = table_with(&[(1, "x")]);
-        let mut count = 0;
-        hash_join(&l, &r, &[0], &[0], |_, _| count += 1).unwrap();
-        hash_join(&r, &l, &[0], &[0], |_, _| count += 1).unwrap();
-        assert_eq!(count, 0);
+        let l = file_with(&[]);
+        let r = file_with(&[(1, "x")]);
+        assert!(joined(&l, &r).is_empty());
+        assert!(joined(&r, &l).is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "key arity")]
-    fn mismatched_key_arity_panics() {
-        let l = table_with(&[(1, "a")]);
-        let r = table_with(&[(1, "b")]);
-        hash_join(&l, &r, &[0], &[0, 1], |_, _| {}).unwrap();
+    fn undecodable_record_and_failing_emit_are_typed_errors() {
+        let good = file_with(&[(1, "x")]);
+        let short = file_with(&[(1, "x")]);
+        short.insert(b"no").unwrap();
+        for (l, r) in [(&short, &good), (&good, &short)] {
+            let e = hash_join(l, r, row, row, |_, _, _| Ok(())).unwrap_err();
+            assert!(matches!(e, StorageError::CorruptPage(_, _)), "{e}");
+        }
+        let e = hash_join(&good, &good, row, row, |_, _, _| Err(StorageError::BufferPoolFull));
+        assert!(matches!(e, Err(StorageError::BufferPoolFull)));
     }
 }

@@ -1,42 +1,42 @@
 #![warn(missing_docs)]
 
-//! Typed relations over the paged storage engine.
+//! The two page operators the relational Phase 2 runs on, and [`Neighbor`].
 //!
-//! The paper's Phase 2 runs "standard SQL queries" against the database
-//! server: a `SELECT INTO` self-join building the `CSPairs` relation, and a
-//! `SELECT * FROM CSPairs ORDER BY ID` grouping query. This crate is the
-//! substrate those queries run on in our reproduction: a small, typed
-//! relational layer with
+//! The paper's Phase 2 is two "standard SQL queries" against the database
+//! server: a `SELECT INTO` self-join that builds `CSPairs`, and
+//! `SELECT * FROM CSPairs ORDER BY ID`. The plan is fixed and so are its
+//! three record layouts (`fuzzydedup_core::phase2`), so what it needs from
+//! a substrate is not a typed engine but two operators over the byte
+//! records of [`HeapFile`](fuzzydedup_storage::HeapFile)s, each taking the
+//! caller's decoder for the part of a record it must understand:
 //!
-//! * [`value::Value`] — typed values including the neighbor lists the
-//!   algorithm materializes;
-//! * [`schema::Schema`] — named, typed columns;
-//! * [`tuple::Tuple`] — records encodable to page bytes;
-//! * [`table::Table`] — heap-file-backed relations with pull-based scans;
-//! * [`sort`] — external merge sort (bounded-memory runs + k-way merge),
-//!   the engine behind `ORDER BY`;
-//! * [`group`] — sorted-input grouping, the engine behind the CS-group
-//!   query;
-//! * [`join`] — hash equi-join, the engine behind the CSPairs self-join.
+//! * [`hash_join`] — build + probe equi-join, the engine behind the
+//!   `CSPairs` self-join;
+//! * [`external_sort`] — bounded runs on the input's buffer pool and a
+//!   k-way merge, the engine behind `ORDER BY`.
 //!
-//! Everything is deliberately minimal — this is not a general query engine,
-//! it is the exact operator set Phase 2 needs, built honestly on pages and
-//! the buffer pool so that I/O behaviour is measurable.
+//! A record its decoder rejects is a
+//! [`StorageError::CorruptPage`](fuzzydedup_storage::StorageError) naming
+//! the page it sits on; all I/O flows through the instrumented pool.
 
-pub mod error;
-pub mod group;
 pub mod join;
-pub mod schema;
 pub mod sort;
-pub mod table;
-pub mod tuple;
-pub mod value;
 
-pub use error::{RelationError, RelationResult};
-pub use group::group_sorted;
 pub use join::hash_join;
-pub use schema::{Column, ColumnType, Schema};
-pub use sort::{external_sort, SortConfig};
-pub use table::{Table, TupleIter};
-pub use tuple::Tuple;
-pub use value::{Neighbor, Value};
+pub use sort::{external_sort, external_sort_in_runs};
+
+/// One entry of an `NN-List`: a neighbor's tuple id and its distance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Neighbor {
+    /// Neighboring tuple's identifier.
+    pub id: u32,
+    /// Distance from the list's owner to this neighbor.
+    pub dist: f64,
+}
+
+impl Neighbor {
+    /// Construct a neighbor entry.
+    pub fn new(id: u32, dist: f64) -> Self {
+        Self { id, dist }
+    }
+}

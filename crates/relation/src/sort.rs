@@ -4,151 +4,89 @@
 //! `select * from CSPairs order by ID`, and observes that "the cost of
 //! sorting the CSPairs relation dominates the partitioning step cost". We
 //! implement the textbook external merge sort: bounded-memory run
-//! generation (quicksort of up to `run_size` tuples) followed by a k-way
-//! merge via a binary heap. Runs are spilled to temporary tables on the
-//! same buffer pool, so sort I/O flows through the instrumented pool like
-//! everything else.
+//! formation (a stable sort of up to [`RUN_RECORDS`] records, written out
+//! as the scan reaches the bound) followed by a k-way merge via a binary
+//! heap. Runs are files on the input's buffer pool, so sort I/O flows
+//! through the instrumented pool like everything else. Run formation is
+//! what is bounded: the merge reads every run back whole.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
-use crate::error::RelationResult;
-use crate::table::Table;
-use crate::tuple::Tuple;
+use fuzzydedup_storage::{HeapFile, RecordId, StorageError, StorageResult};
 
-/// Configuration for the external sort.
-#[derive(Debug, Clone)]
-pub struct SortConfig {
-    /// Key column indices, in significance order.
-    pub key_columns: Vec<usize>,
-    /// Maximum tuples per in-memory run.
-    pub run_size: usize,
+/// Records per in-memory run.
+const RUN_RECORDS: usize = 65_536;
+
+/// Sort `input` by `key` into a fresh file on the same pool. Stable:
+/// records with equal keys keep their input order. `key` returns `None`
+/// for a record that is not one of this file's.
+pub fn external_sort<K: Ord>(
+    input: &HeapFile,
+    key: impl Fn(&[u8]) -> Option<K>,
+) -> StorageResult<HeapFile> {
+    external_sort_in_runs(input, RUN_RECORDS, key)
 }
 
-impl SortConfig {
-    /// Sort on the given key columns with the default run size (64k tuples).
-    pub fn by_columns(key_columns: Vec<usize>) -> Self {
-        Self { key_columns, run_size: 65_536 }
-    }
-
-    /// Override the run size (mainly for tests that want to force merging).
-    pub fn run_size(mut self, run_size: usize) -> Self {
-        self.run_size = run_size.max(1);
-        self
-    }
-}
-
-/// Heap entry for the k-way merge. `BinaryHeap` is a max-heap, so ordering
-/// is reversed; ties are broken by run index to make the sort stable across
-/// runs (within a run, the in-memory sort is stable already).
-struct MergeEntry {
-    tuple: Tuple,
-    run: usize,
-    pos: usize,
-    key_columns: Arc<Vec<usize>>,
-}
-
-impl PartialEq for MergeEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for MergeEntry {}
-impl PartialOrd for MergeEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MergeEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for min-heap behavior.
-        other
-            .tuple
-            .compare_on(&self.tuple, &self.key_columns)
-            .then_with(|| other.run.cmp(&self.run))
-    }
-}
-
-/// Sort `input` into a fresh table with the same schema, using bounded
-/// memory (`config.run_size` tuples per run).
-pub fn external_sort(input: &Table, config: &SortConfig) -> RelationResult<Table> {
-    let pool = input.pool().clone();
-    let schema = input.schema().clone();
-
-    // Run generation.
-    let mut runs: Vec<Table> = Vec::new();
-    let mut current: Vec<Tuple> = Vec::with_capacity(config.run_size.min(1024));
-    let spill = |current: &mut Vec<Tuple>, runs: &mut Vec<Table>| -> RelationResult<()> {
-        if current.is_empty() {
-            return Ok(());
+/// [`external_sort`] with the run bound as a parameter, for tests that
+/// force the merge on a small input.
+#[doc(hidden)]
+pub fn external_sort_in_runs<K: Ord>(
+    input: &HeapFile,
+    run_records: usize,
+    key: impl Fn(&[u8]) -> Option<K>,
+) -> StorageResult<HeapFile> {
+    let pool = input.pool();
+    let keyed = |at: RecordId, rec: &[u8]| -> StorageResult<(K, Vec<u8>)> {
+        const WHY: &str = "record does not decode to a sort key";
+        Ok((key(rec).ok_or(StorageError::CorruptPage(at.page, WHY))?, rec.to_vec()))
+    };
+    let mut runs: Vec<HeapFile> = Vec::new();
+    let mut write_run = |run: &mut Vec<(K, Vec<u8>)>| -> StorageResult<()> {
+        run.sort_by(|a, b| a.0.cmp(&b.0));
+        let file = HeapFile::create(pool.clone());
+        for (_, rec) in run.drain(..) {
+            file.insert(&rec)?;
         }
-        current.sort_by(|a, b| a.compare_on(b, &config.key_columns));
-        let run = Table::create(pool.clone(), schema.clone());
-        for t in current.drain(..) {
-            run.insert(&t)?;
-        }
-        runs.push(run);
+        runs.push(file);
         Ok(())
     };
-
-    // Collect runs; `scan` is closure-based so spills are deferred until
-    // after the scan to keep error handling straightforward.
-    let mut pending: Vec<Vec<Tuple>> = Vec::new();
-    input.scan(|_, t| {
-        current.push(t);
-        if current.len() >= config.run_size {
-            pending.push(std::mem::take(&mut current));
+    let mut current: Vec<(K, Vec<u8>)> = Vec::new();
+    input.try_scan(|at, rec| {
+        current.push(keyed(at, rec)?);
+        if current.len() >= run_records.max(1) {
+            write_run(&mut current)?;
         }
+        Ok(())
     })?;
-    for mut p in pending {
-        spill(&mut p, &mut runs)?;
+    if !current.is_empty() {
+        write_run(&mut current)?;
     }
-    spill(&mut current, &mut runs)?;
-
-    let output = Table::create(pool, schema);
-    if runs.is_empty() {
-        return Ok(output);
+    // A single run is the sorted output.
+    if runs.len() <= 1 {
+        return Ok(runs.pop().unwrap_or_else(|| HeapFile::create(pool.clone())));
     }
 
-    // Fast path: a single run is already sorted.
-    if runs.len() == 1 {
-        runs[0].scan(|_, t| {
-            // Insert errors can only be schema mismatches, impossible here.
-            output.insert(&t).expect("same schema");
+    // K-way merge: one head per run in the heap, ordered by key and then
+    // by run, which (runs being consecutive slices of the input) keeps the
+    // sort stable across runs.
+    let mut rest = Vec::with_capacity(runs.len());
+    for run in &runs {
+        let mut records: Vec<(K, Vec<u8>)> = Vec::with_capacity(run.len() as usize);
+        run.try_scan(|at, rec| {
+            records.push(keyed(at, rec)?);
+            Ok(())
         })?;
-        return Ok(output);
+        rest.push(records.into_iter());
     }
-
-    // K-way merge. Run contents are materialized per run; the merge then
-    // proceeds index-wise. (Runs were just written through the pool, so
-    // reading them back exercises the same I/O path a disk-based merge
-    // would.)
-    let run_tuples: Vec<Vec<Tuple>> =
-        runs.iter().map(|r| r.read_all()).collect::<RelationResult<_>>()?;
-    let key_columns = Arc::new(config.key_columns.clone());
-    let mut heap = BinaryHeap::with_capacity(run_tuples.len());
-    for (run, tuples) in run_tuples.iter().enumerate() {
-        if let Some(first) = tuples.first() {
-            heap.push(MergeEntry {
-                tuple: first.clone(),
-                run,
-                pos: 0,
-                key_columns: key_columns.clone(),
-            });
-        }
+    let mut heap = BinaryHeap::with_capacity(rest.len());
+    for (run, records) in rest.iter_mut().enumerate() {
+        heap.extend(records.next().map(|(k, rec)| Reverse((k, run, rec))));
     }
-    while let Some(entry) = heap.pop() {
-        output.insert(&entry.tuple)?;
-        let next_pos = entry.pos + 1;
-        if let Some(next) = run_tuples[entry.run].get(next_pos) {
-            heap.push(MergeEntry {
-                tuple: next.clone(),
-                run: entry.run,
-                pos: next_pos,
-                key_columns: key_columns.clone(),
-            });
-        }
+    let output = HeapFile::create(pool.clone());
+    while let Some(Reverse((_, run, rec))) = heap.pop() {
+        output.insert(&rec)?;
+        heap.extend(rest[run].next().map(|(k, rec)| Reverse((k, run, rec))));
     }
     Ok(output)
 }
@@ -156,112 +94,81 @@ pub fn external_sort(input: &Table, config: &SortConfig) -> RelationResult<Table
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Column, ColumnType, Schema};
-    use crate::value::Value;
     use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
-    fn make_table() -> Table {
+    /// A file of `key: i64 | tag: u32` records, tagged in insertion order.
+    fn file_of(keys: &[i64]) -> HeapFile {
         let disk = Arc::new(InMemoryDisk::new());
         let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(8), disk));
-        let schema = Arc::new(Schema::new(vec![
-            Column::new("id", ColumnType::I64),
-            Column::new("payload", ColumnType::Str),
-        ]));
-        Table::create(pool, schema)
+        let file = HeapFile::create(pool);
+        for (tag, k) in keys.iter().enumerate() {
+            file.insert(&[&k.to_le_bytes()[..], &(tag as u32).to_le_bytes()].concat()).unwrap();
+        }
+        file
     }
 
-    fn ids_of(t: &Table) -> Vec<i64> {
-        t.read_all().unwrap().iter().map(|t| t.get(0).as_i64().unwrap()).collect()
+    fn key(rec: &[u8]) -> Option<i64> {
+        let (k, tag) = rec.split_first_chunk::<8>()?;
+        (tag.len() == 4).then(|| i64::from_le_bytes(*k))
+    }
+
+    fn rows(file: &HeapFile) -> Vec<(i64, u32)> {
+        let tag = |rec: &[u8]| u32::from_le_bytes(rec[8..].try_into().unwrap());
+        file.read_all().unwrap().iter().map(|(_, r)| (key(r).unwrap(), tag(r))).collect()
+    }
+
+    /// What a stable in-memory sort of the same keys gives.
+    fn expected(keys: &[i64]) -> Vec<(i64, u32)> {
+        let mut rows: Vec<(i64, u32)> = keys.iter().copied().zip(0..).collect();
+        rows.sort_by_key(|r| r.0);
+        rows
     }
 
     #[test]
     fn sorts_random_input() {
-        let t = make_table();
         let mut rng = StdRng::seed_from_u64(7);
-        let mut expected: Vec<i64> = Vec::new();
-        for _ in 0..500 {
-            let v: i64 = rng.gen_range(-1000..1000);
-            expected.push(v);
-            t.insert(&Tuple::new(vec![Value::I64(v), Value::from("x")])).unwrap();
-        }
-        expected.sort();
-        let sorted = external_sort(&t, &SortConfig::by_columns(vec![0])).unwrap();
-        assert_eq!(ids_of(&sorted), expected);
+        let keys: Vec<i64> = (0..500).map(|_| rng.gen_range(-1000..1000)).collect();
+        let sorted = external_sort(&file_of(&keys), key).unwrap();
+        assert_eq!(rows(&sorted), expected(&keys));
     }
 
     #[test]
     fn merges_many_small_runs() {
-        let t = make_table();
         let mut rng = StdRng::seed_from_u64(11);
-        let mut expected: Vec<i64> = Vec::new();
-        for _ in 0..300 {
-            let v: i64 = rng.gen_range(0..10_000);
-            expected.push(v);
-            t.insert(&Tuple::new(vec![Value::I64(v), Value::from("y")])).unwrap();
-        }
-        expected.sort();
-        // run_size 16 → ~19 runs merged.
-        let cfg = SortConfig::by_columns(vec![0]).run_size(16);
-        let sorted = external_sort(&t, &cfg).unwrap();
-        assert_eq!(ids_of(&sorted), expected);
+        let keys: Vec<i64> = (0..300).map(|_| rng.gen_range(0..10_000)).collect();
+        // Runs of 16 → 19 runs merged.
+        let sorted = external_sort_in_runs(&file_of(&keys), 16, key).unwrap();
+        assert_eq!(rows(&sorted), expected(&keys));
     }
 
     #[test]
-    fn multi_key_sort() {
-        let t = make_table();
-        let rows = [(2, "b"), (1, "z"), (2, "a"), (1, "a")];
-        for (i, s) in rows {
-            t.insert(&Tuple::new(vec![Value::I64(i), Value::from(s)])).unwrap();
+    fn merge_is_stable_across_runs() {
+        // Few distinct keys, many runs: equal keys must come out in input
+        // order whichever run they were written to.
+        let keys: Vec<i64> = (0..200).map(|i| i % 3).collect();
+        for run_records in [1, 7, 64, 1000] {
+            let sorted = external_sort_in_runs(&file_of(&keys), run_records, key).unwrap();
+            assert_eq!(rows(&sorted), expected(&keys), "runs of {run_records}");
         }
-        let sorted = external_sort(&t, &SortConfig::by_columns(vec![0, 1]).run_size(2)).unwrap();
-        let got: Vec<(i64, String)> = sorted
-            .read_all()
-            .unwrap()
-            .iter()
-            .map(|t| (t.get(0).as_i64().unwrap(), t.get(1).as_str().unwrap().to_string()))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                (1, "a".to_string()),
-                (1, "z".to_string()),
-                (2, "a".to_string()),
-                (2, "b".to_string())
-            ]
-        );
     }
 
     #[test]
-    fn empty_and_singleton_inputs() {
-        let t = make_table();
-        let sorted = external_sort(&t, &SortConfig::by_columns(vec![0])).unwrap();
-        assert!(sorted.is_empty());
-
-        t.insert(&Tuple::new(vec![Value::I64(9), Value::from("only")])).unwrap();
-        let sorted = external_sort(&t, &SortConfig::by_columns(vec![0])).unwrap();
-        assert_eq!(ids_of(&sorted), vec![9]);
+    fn empty_singleton_and_sorted_inputs() {
+        assert!(external_sort(&file_of(&[]), key).unwrap().is_empty());
+        assert_eq!(rows(&external_sort(&file_of(&[9]), key).unwrap()), vec![(9, 0)]);
+        let ascending: Vec<i64> = (0..100).collect();
+        let sorted = external_sort_in_runs(&file_of(&ascending), 10, key).unwrap();
+        assert_eq!(rows(&sorted), expected(&ascending));
     }
 
     #[test]
-    fn already_sorted_input_is_preserved() {
-        let t = make_table();
-        for i in 0..100 {
-            t.insert(&Tuple::new(vec![Value::I64(i), Value::from("s")])).unwrap();
-        }
-        let sorted = external_sort(&t, &SortConfig::by_columns(vec![0]).run_size(10)).unwrap();
-        assert_eq!(ids_of(&sorted), (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn duplicate_keys_all_survive() {
-        let t = make_table();
-        for _ in 0..50 {
-            t.insert(&Tuple::new(vec![Value::I64(5), Value::from("dup")])).unwrap();
-        }
-        let sorted = external_sort(&t, &SortConfig::by_columns(vec![0]).run_size(7)).unwrap();
-        assert_eq!(sorted.len(), 50);
-        assert!(ids_of(&sorted).iter().all(|&v| v == 5));
+    fn undecodable_record_is_a_typed_error() {
+        let file = file_of(&[3, 1, 2]);
+        file.insert(b"short").unwrap();
+        let e = external_sort(&file, key).err().expect("the short record has no key");
+        assert!(matches!(e, StorageError::CorruptPage(_, _)), "{e}");
     }
 }

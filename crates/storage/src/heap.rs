@@ -3,8 +3,8 @@
 //! A [`HeapFile`] owns a growing list of pages and appends records to the
 //! last page with room, allocating new pages as needed. Records are
 //! addressed by stable [`RecordId`]s (page, slot) and iterated in storage
-//! order. This is the physical representation behind the `relation` crate's
-//! tables (`NN_Reln`, `CSPairs`, and the input relations themselves).
+//! order. This is the physical representation of every relation Phase 2
+//! puts on pages (`NN_Reln`, `Edges`, `CSPairs`, sort runs).
 
 use std::sync::Arc;
 
@@ -115,9 +115,23 @@ impl HeapFile {
     ///
     /// Each page's records are copied out of the buffer frame *before* the
     /// callback runs, so the callback is free to perform further storage
-    /// operations (insert into another table on the same pool, nested
+    /// operations (insert into another file on the same pool, nested
     /// scans, ...) without deadlocking on the pool latch.
     pub fn scan(&self, mut visit: impl FnMut(RecordId, &[u8])) -> StorageResult<()> {
+        self.try_scan(|id, rec| {
+            visit(id, rec);
+            Ok(())
+        })
+    }
+
+    /// [`HeapFile::scan`] with a callback that can fail: the scan stops at
+    /// the callback's first error and returns it — how a record that does
+    /// not decode, or an insert the callback makes, surfaces as a typed
+    /// error.
+    pub fn try_scan(
+        &self,
+        mut visit: impl FnMut(RecordId, &[u8]) -> StorageResult<()>,
+    ) -> StorageResult<()> {
         let pages = self.pages.lock().clone();
         let mut batch: Vec<(u16, Vec<u8>)> = Vec::new();
         for page_id in pages {
@@ -128,7 +142,7 @@ impl HeapFile {
                 }
             })?;
             for (slot, rec) in &batch {
-                visit(RecordId::new(page_id, *slot), rec);
+                visit(RecordId::new(page_id, *slot), rec)?;
             }
         }
         Ok(())

@@ -261,7 +261,7 @@ echo
 echo "configuration fields (pub) and CLI flags:"
 for entry in DedupConfig:crates/core/src/pipeline.rs Parallelism:crates/core/src/pipeline.rs \
     InvertedIndexConfig:crates/nnindex/src/inverted.rs ServiceConfig:crates/core/src/service.rs \
-    BufferPoolConfig:crates/storage/src/buffer.rs SortConfig:crates/relation/src/sort.rs; do
+    BufferPoolConfig:crates/storage/src/buffer.rs; do
     n=$(pub_fields "${entry#*:}" "${entry%%:*}")
     printf '  %-20s %3d\n' "${entry%%:*}" "$n"
     options_json+="\"${entry%%:*}\": $n, "

@@ -12,8 +12,9 @@
 //!   similarity, TF-IDF cosine, Jaccard, Jaro-Winkler);
 //! * [`storage`] — paged storage engine with an instrumented buffer pool
 //!   (the stand-in for the paper's SQL Server backend);
-//! * [`relation`] — schema/tuple model with external sort, grouping, and
-//!   join operators (the Phase-2 SQL substrate);
+//! * [`relation`] — the `Neighbor` row type and the two page operators the
+//!   relational Phase 2 runs on: a hash equi-join and an external sort
+//!   over heap-file byte records;
 //! * [`nnindex`] — nearest-neighbor indexes (IDF-weighted inverted q-gram
 //!   index on buffer-pool pages, exact nested-loop reference) and the
 //!   breadth-first lookup ordering of §4.1.1;

@@ -104,3 +104,22 @@ fn table_path_matches_on_clustered_relations() {
         assert_paths_agree(&points, 500.0, &format!("clustered trial {trial}"));
     }
 }
+
+#[test]
+fn table_path_matches_when_an_nn_list_outgrows_a_page() {
+    // 700 points inside θ of one another: every NN list holds 699
+    // neighbors, 8,404 bytes in `NN_Reln`'s record format against a page's
+    // 8,184 — the relation chunks across records where a one-record-per-
+    // tuple table returned `RecordTooLarge`. (The size bound keeps the
+    // candidate groups small; the lists are what must be long.)
+    let points: Vec<f64> = (0..700).map(|i| f64::from(i) * 1e-4).collect();
+    let idx = MatrixIndex::from_points_1d(&points);
+    let cut = CutSpec::SizeAndDiameter(5, 0.5);
+    let spec = NeighborSpec::from_cut(&cut, points.len());
+    let (reln, _) = compute_nn_reln(&idx, spec, LookupOrder::Sequential, 2.0);
+    assert_eq!(reln.entry(0).neighbors.len(), 699);
+    let par = partition_entries_parallel(&reln, cut, Aggregation::Max, 4.0, 2);
+    let tab = partition_via_tables(&reln, cut, Aggregation::Max, 4.0, fresh_pool(16))
+        .expect("relational phase 2");
+    assert_eq!(par, tab);
+}

@@ -3,14 +3,12 @@
 
 use std::sync::Arc;
 
+use fuzzydedup::core::{read_nn_reln, spill_nn_reln, NnEntry, NnReln};
 use fuzzydedup::nnindex::{
     InvertedIndex, InvertedIndexConfig, NestedLoopIndex, NnIndex, PostingsSource,
 };
-use fuzzydedup::relation::{
-    external_sort, group_sorted, Column, ColumnType, Schema, SortConfig, Table, Tuple, Value,
-};
-use fuzzydedup::storage::DiskManager;
-use fuzzydedup::storage::{BufferPool, BufferPoolConfig, FileDisk, InMemoryDisk};
+use fuzzydedup::relation::{external_sort_in_runs, Neighbor};
+use fuzzydedup::storage::{BufferPool, BufferPoolConfig, FileDisk, HeapFile, InMemoryDisk, Page};
 use fuzzydedup::textdist::{DistanceKind, EditDistance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,72 +18,82 @@ fn table_on_file_disk_survives_restart() {
     let dir = std::env::temp_dir().join(format!("fuzzydedup-it-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("relation.db");
-    let schema = Arc::new(Schema::new(vec![
-        Column::new("id", ColumnType::I64),
-        Column::new("name", ColumnType::Str),
-    ]));
+    // 200 entries of 60 neighbors each (736-byte records) and one whose
+    // list outgrows a page and chunks.
+    let list = |id: u32, len: u32| -> Vec<Neighbor> {
+        (0..len).map(|j| Neighbor::new(id + 1 + j, f64::from(j) * 0.001 + 0.1)).collect()
+    };
+    let mut entries: Vec<NnEntry> =
+        (0..200).map(|id| NnEntry::new(id, list(id, 60), f64::from(id) + 1.5)).collect();
+    entries.push(NnEntry::new(200, list(200, 1500), 7.0));
+    let reln = NnReln::new(entries);
     {
         let disk = Arc::new(FileDisk::create(&path).unwrap());
         let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(4), disk));
-        let table = Table::create(pool.clone(), schema.clone());
-        let padding = "x".repeat(120);
-        for i in 0..200 {
-            table
-                .insert(&Tuple::new(vec![
-                    Value::I64(i),
-                    Value::from(format!("row {i} {padding}").as_str()),
-                ]))
-                .unwrap();
-        }
+        let file = HeapFile::create(pool.clone());
+        spill_nn_reln(&reln, &file).unwrap();
         pool.flush_all().unwrap();
-        // 200 rows don't fit in 4 frames → evictions already wrote pages.
-        assert!(table.num_pages() > 1);
+        // 201 entries don't fit in 4 frames → evictions already wrote pages.
+        assert!(file.num_pages() > 4);
+        assert!(file.len() > 201, "the long list spans records");
     }
-    // Reopen: pages are readable from disk (we re-read raw pages through a
-    // fresh pool; the page payloads decode to the same tuples).
+    // Reopen: a heap file's page list lives in memory, so rebuild it from
+    // the disk's raw pages (a spill file is the pool's only tenant, its
+    // pages in allocation order) and read the relation back bit-exactly.
     let disk = Arc::new(FileDisk::open(&path).unwrap());
-    assert!(disk.num_pages() >= 1);
     let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(4), disk));
-    let mut decoded = 0;
+    let reopened = HeapFile::create(Arc::new(BufferPool::new(
+        BufferPoolConfig::with_capacity(4),
+        Arc::new(InMemoryDisk::new()),
+    )));
     for page_id in 0..pool.disk().num_pages() {
-        pool.with_page(page_id, |p| {
-            for (_, rec) in p.records() {
-                let t = Tuple::decode(rec).unwrap();
-                assert_eq!(t.arity(), 2);
-                decoded += 1;
-            }
-        })
-        .unwrap();
+        let records: Vec<Vec<u8>> = pool
+            .with_page(page_id, |p: &Page| p.records().map(|(_, rec)| rec.to_vec()).collect())
+            .unwrap();
+        for rec in records {
+            reopened.insert(&rec).unwrap();
+        }
     }
-    assert_eq!(decoded, 200);
+    assert_eq!(read_nn_reln(&reopened).unwrap(), reln);
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn sort_and_group_pipeline_over_buffer_pressure() {
+    // CSPairs-width records (four u32 columns) with 20 distinct sort keys,
+    // sorted in runs of 64 through a 3-frame pool: the merge under buffer
+    // pressure equals a stable in-memory sort, so each key's rows arrive
+    // as one group with their input (= run) order kept.
     let disk = Arc::new(InMemoryDisk::new());
     let pool = Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(3), disk));
-    let schema = Arc::new(Schema::new(vec![
-        Column::new("key", ColumnType::I64),
-        Column::new("payload", ColumnType::Str),
-    ]));
-    let table = Table::create(pool, schema);
+    let input = HeapFile::create(pool);
     let mut rng = StdRng::seed_from_u64(5);
-    let payload = "x".repeat(200);
-    for _ in 0..500 {
-        let k: i64 = rng.gen_range(0..20);
-        table.insert(&Tuple::new(vec![Value::I64(k), Value::from(payload.as_str())])).unwrap();
+    let mut rows: Vec<[u32; 4]> = Vec::new();
+    for seq in 0..500 {
+        let row: [u32; 4] = [rng.gen_range(0..20), seq, rng.gen(), rng.gen()];
+        input.insert(&row.iter().flat_map(|c| c.to_le_bytes()).collect::<Vec<u8>>()).unwrap();
+        rows.push(row);
     }
-    let sorted = external_sort(&table, &SortConfig::by_columns(vec![0]).run_size(64)).unwrap();
-    assert_eq!(sorted.len(), 500);
-    let tuples: Vec<Tuple> = sorted.read_all().unwrap();
-    let groups = group_sorted(tuples, &[0]);
+    let columns = |rec: &[u8]| -> Option<[u32; 4]> {
+        let mut row = [0u32; 4];
+        if rec.len() != 16 {
+            return None;
+        }
+        for (c, bytes) in row.iter_mut().zip(rec.chunks_exact(4)) {
+            *c = u32::from_le_bytes(bytes.try_into().ok()?);
+        }
+        Some(row)
+    };
+    let sorted = external_sort_in_runs(&input, 64, |rec| columns(rec).map(|row| row[0])).unwrap();
+    assert!(sorted.pool().stats().evictions > 0, "eight run files through three frames");
+    let got: Vec<[u32; 4]> =
+        sorted.read_all().unwrap().iter().map(|(_, rec)| columns(rec).unwrap()).collect();
+    rows.sort_by_key(|row| row[0]);
+    assert_eq!(got, rows);
+    // The group scan over the sorted rows: 20 groups, keys ascending.
+    let groups: Vec<&[[u32; 4]]> = got.chunk_by(|a, b| a[0] == b[0]).collect();
     assert_eq!(groups.len(), 20, "20 distinct keys");
-    let total: usize = groups.iter().map(|(_, rows)| rows.len()).sum();
-    assert_eq!(total, 500);
-    // Keys ascend across groups.
-    let keys: Vec<i64> = groups.iter().map(|(k, _)| k[0].as_i64().unwrap()).collect();
-    assert!(keys.windows(2).all(|w| w[0] < w[1]));
+    assert!(groups.windows(2).all(|w| w[0][0][0] < w[1][0][0]));
 }
 
 #[test]
