@@ -14,9 +14,9 @@
 //! * the same recall with the candidate ladder disarmed
 //!   (`UnfilteredDistance`), **asserted identical** — the length and
 //!   q-gram count filters must be recall-lossless;
-//! * the two inverted postings layouts (packed, page-backed), asserted to
-//!   agree with each other (the packed merge promises identical answers,
-//!   not merely close recall);
+//! * the two frozen postings layouts (in memory, page-backed), asserted to
+//!   agree with each other on the whole combined lookup, capped too (one
+//!   merge reads both, so identical answers, not merely close recall);
 //! * end-to-end quality deltas when the whole pipeline runs on each index.
 //!
 //! Any violated assertion exits non-zero, which is what makes this binary
@@ -29,10 +29,10 @@ use std::sync::Arc;
 use fuzzydedup_core::{evaluate, CollapseKey, CutSpec, DedupConfig, Deduplicator, IndexChoice};
 use fuzzydedup_datagen::{restaurants, DatasetSpec};
 use fuzzydedup_nnindex::{
-    InvertedIndex, InvertedIndexConfig, NestedLoopIndex, NnIndex, PostingsSource,
+    InvertedIndex, InvertedIndexConfig, LookupSpec, NestedLoopIndex, NnIndex, PostingsSource,
 };
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
-use fuzzydedup_textdist::{DistanceKind, EditDistance, UnfilteredDistance};
+use fuzzydedup_textdist::{Distance, DistanceKind, EditDistance, UnfilteredDistance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,17 +56,14 @@ fn pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(4096), Arc::new(InMemoryDisk::new())))
 }
 
-fn build_inverted(records: &[Vec<String>], source: PostingsSource) -> InvertedIndex<EditDistance> {
-    let config = InvertedIndexConfig { postings_source: source, ..Default::default() };
-    InvertedIndex::build(records.to_vec(), EditDistance, pool(), config)
-}
-
-fn build_inverted_unfiltered(
+fn build_inverted<D: Distance>(
     records: &[Vec<String>],
-    source: PostingsSource,
-) -> InvertedIndex<UnfilteredDistance<EditDistance>> {
-    let config = InvertedIndexConfig { postings_source: source, ..Default::default() };
-    InvertedIndex::build(records.to_vec(), UnfilteredDistance(EditDistance), pool(), config)
+    distance: D,
+    postings_source: PostingsSource,
+    candidate_limit: usize,
+) -> InvertedIndex<D> {
+    let config = InvertedIndexConfig { postings_source, candidate_limit, ..Default::default() };
+    InvertedIndex::build(records.to_vec(), distance, pool(), config)
 }
 
 fn main() {
@@ -80,17 +77,15 @@ fn main() {
     // One inverted index per postings layout, each with an
     // `UnfilteredDistance` control (`admits_qgram_filter() == false`
     // degrades the whole candidate ladder to a no-op).
-    let sources = [PostingsSource::Packed, PostingsSource::Pages];
-    let inverted: Vec<(String, InvertedIndex<EditDistance>)> = sources
-        .iter()
-        .map(|&s| (format!("inverted/{s:?}").to_lowercase(), build_inverted(&records, s)))
-        .collect();
-    let inverted_nofilter: Vec<InvertedIndex<UnfilteredDistance<EditDistance>>> =
-        sources.iter().map(|&s| build_inverted_unfiltered(&records, s)).collect();
+    let sources = [PostingsSource::Memory, PostingsSource::Pages];
+    let names = sources.map(|s| format!("inverted/{s:?}").to_lowercase());
+    let inverted = sources.map(|s| build_inverted(&records, EditDistance, s, 256));
+    let inverted_nofilter =
+        sources.map(|s| build_inverted(&records, UnfilteredDistance(EditDistance), s, 256));
 
     println!("\n# Nearest-neighbor recall vs exact reference (truth within distance bound):");
     println!("{:<18} {:>12} {:>12} {:>12}", "index", "nn<0.2", "nn<0.3", "nn<0.4");
-    for (name, idx) in &inverted {
+    for (name, idx) in names.iter().zip(&inverted) {
         let mut row = format!("{name:<18}");
         for bound in [0.2, 0.3, 0.4] {
             let (recall, n) = nn_recall(idx, &exact, bound);
@@ -103,9 +98,9 @@ fn main() {
     // layout (a still-growing index answers as a built one does, bit for
     // bit: `crates/nnindex/tests/grown_equivalence.rs`).
     for bound in [0.2, 0.3, 0.4] {
-        for (i, (name, idx)) in inverted.iter().enumerate() {
+        for (name, (idx, control)) in names.iter().zip(inverted.iter().zip(&inverted_nofilter)) {
             let (filtered, _) = nn_recall(idx, &exact, bound);
-            let (unfiltered, _) = nn_recall(&inverted_nofilter[i], &exact, bound);
+            let (unfiltered, _) = nn_recall(control, &exact, bound);
             assert_eq!(
                 filtered, unfiltered,
                 "{name}: candidate filters changed nn<{bound} recall — they must be lossless"
@@ -115,18 +110,19 @@ fn main() {
     println!("(filters on/off rows are asserted identical: the candidate ladder is lossless)");
 
     // Gate 2: the two postings layouts answer every query identically —
-    // an equality check on full top-1 results, not a recall comparison.
-    let (reference_name, reference) = &inverted[0];
-    for (name, idx) in &inverted[1..] {
+    // equality of the whole combined lookup (neighbors, growth, cost), at
+    // the default candidate budget and at one that cuts through weight ties.
+    let tight = sources.map(|s| build_inverted(&records, EditDistance, s, 16));
+    for [memory, pages] in [&inverted, &tight] {
         for id in 0..records.len() as u32 {
-            assert_eq!(
-                reference.top_k(id, 1),
-                idx.top_k(id, 1),
-                "{reference_name} vs {name}: top_1({id}) diverged across postings layouts"
-            );
+            for spec in [LookupSpec::TopK(3), LookupSpec::Radius(0.3)] {
+                let (got, want) = (memory.lookup(id, spec, 2.0), pages.lookup(id, spec, 2.0));
+                assert_eq!(got, want, "memory vs pages: lookup({id}, {spec:?}) diverged");
+            }
         }
     }
-    println!("(postings layouts packed/pages are asserted to answer top_1 identically)");
+    println!("(postings layouts memory/pages are asserted to answer capped lookups identically:");
+    println!(" neighbors, growth and cost, at candidate_limit 256 and 16)");
 
     // Gate 3: the exact-duplicate collapse pre-pass. In the exact regime
     // (no candidate budget, so the budget can never bisect a duplicate

@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn inverted_index_is_parallel_safe() {
-        // The packed candidate generator accumulates on a thread-local
+        // Candidate generation accumulates on a thread-local
         // epoch-stamped scoreboard; parallel workers must produce the
         // byte-identical relation the sequential drive produces.
         use fuzzydedup_nnindex::{InvertedIndex, InvertedIndexConfig};

@@ -684,7 +684,7 @@ mod tests {
     fn end_to_end_fms_finds_duplicates() {
         // Pin the page-backed postings source: this test also checks that
         // index lookups flow through the buffer pool, which the default
-        // packed arena never touches.
+        // in-memory postings never touch.
         let config = DedupConfig::new(DistanceKind::FuzzyMatch)
             .cut(CutSpec::Size(4))
             .sn_threshold(4.0)

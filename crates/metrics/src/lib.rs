@@ -276,10 +276,6 @@ run_metrics! {
         /// Scored candidates cut away by the `candidate_limit` partial
         /// selection — capped recall made visible.
         truncated: u64 = Counter::CandidatesTruncated,
-        /// Packed-postings delta blocks decoded by the merge.
-        blocks_scanned: u64 = Counter::CandBlocksScanned,
-        /// Frontier batches flushed by the staged lane-wise merge.
-        frontier_batches: u64 = Counter::CandFrontierBatches,
     }
 
     /// Prepared-query accounting (`textdist` layer): how often query

@@ -66,21 +66,27 @@ impl Gathered {
 /// `merge(include_stops, scored)` merges the query's postings once,
 /// appending every candidate sharing a merged term as `(id, weight, shared
 /// gram mass)`, and returns the query gram mass it left unmerged as stop
-/// grams (the count filter's slack) with the number of stop terms dropped.
-/// The first pass drops stop grams; if that leaves nothing although terms
-/// were dropped — every candidate-bearing term was a stop gram, common for
-/// short records in skewed corpora — the query is not dropped on the floor
-/// (that would silently cost recall, and the SN criterion its growth
-/// estimate) but merged again with stop grams included. The `limit` best
-/// candidates are kept; `weights` — the multiplicities of a collapsed
-/// corpus with the query's own — makes the limit count full-corpus
-/// candidates.
+/// grams (the count filter's slack) with the number of stop terms dropped,
+/// of the query's `n_terms`. The first pass drops stop grams; if that
+/// leaves nothing although terms were dropped — every candidate-bearing
+/// term was a stop gram, common for short records in skewed corpora — the
+/// query is not dropped on the floor (that would silently cost recall, and
+/// the SN criterion its growth estimate) but merged again with stop grams
+/// included. The `limit` best candidates are kept; `weights` — the
+/// multiplicities of a collapsed corpus with the query's own — makes the
+/// limit count full-corpus candidates.
+///
+/// A representative standing for two or more copies does not fall back
+/// once a non-stop term was merged: in the full corpus that pass finds the
+/// record's own copies, so it is not empty there and the lookup stops at
+/// them (DESIGN.md §7.10).
 ///
 /// The untruncated scored set lives in a thread-local buffer
 /// ([`with_scored`]) reused across lookups, so the steady-state hot path
 /// allocates only the two truncated output lists.
 pub(crate) fn gather_merged(
     mut merge: impl FnMut(bool, &mut Vec<(u32, f64, u32)>) -> (u32, u64),
+    n_terms: usize,
     limit: usize,
     weights: Option<(&[u32], u32)>,
     query_meta: RecordMeta,
@@ -89,7 +95,9 @@ pub(crate) fn gather_merged(
         scored.clear();
         let (mut slack, dropped) = merge(false, scored);
         incr(Counter::StopGramsDropped, dropped);
-        if scored.is_empty() && dropped > 0 {
+        let found_own_copies =
+            weights.is_some_and(|(_, self_mult)| self_mult > 1) && dropped < n_terms as u64;
+        if scored.is_empty() && dropped > 0 && !found_own_copies {
             (slack, _) = merge(true, scored);
         }
         let generated = scored.len() as u64;

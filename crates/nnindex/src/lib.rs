@@ -17,12 +17,13 @@
 //! * [`inverted::InvertedIndex`] — an IDF-weighted inverted index over
 //!   q-grams and tokens. One struct serves the batch and the streaming
 //!   entry points: it grows by `push` (the incremental path queries it
-//!   while it does) and `build` is push-all followed by a freeze into a
-//!   packed in-memory arena or onto **buffer-pool pages** (as in the
-//!   paper, "nearest neighbor indexes ... have a structure similar to
-//!   inverted indexes in IR, and are usually large" — lookups therefore
-//!   hit the database buffer, which is what makes the breadth-first
-//!   lookup order of §4.1.1 profitable);
+//!   while it does) and `build` is push-all followed by a freeze that
+//!   keeps the grown lists in memory or writes them onto **buffer-pool
+//!   pages** (as in the paper, "nearest neighbor indexes ... have a
+//!   structure similar to inverted indexes in IR, and are usually large"
+//!   — lookups therefore hit the database buffer, which is what makes
+//!   the breadth-first lookup order of §4.1.1 profitable); one merge
+//!   reads all three;
 //! * [`bforder`] — the lookup-order driver of Figure 5 (breadth-first
 //!   expansion with a bounded queue and a visited bit vector), plus
 //!   sequential and shuffled orders for the Figure-8 comparison.
@@ -44,7 +45,7 @@ pub mod nested_loop;
 mod scratch;
 
 pub use bforder::{drive_lookups, DriveReport, LookupOrder};
-pub use candgen::{PackedPostings, RecordMeta, PACKED_BLOCK};
+pub use candgen::RecordMeta;
 pub use inverted::{Frozen, Growing, InvertedIndex, InvertedIndexConfig, Layout, PostingsSource};
 pub use nested_loop::NestedLoopIndex;
 

@@ -2,16 +2,14 @@
 //!
 //! Candidate generation accumulates per-candidate shared IDF weight and
 //! q-gram overlap while merging postings lists. [`Scoreboard`] is the one
-//! accumulator every postings layout merges onto — the packed arena
-//! through the staged [`Scoreboard::apply_runs`], heap-file pages and the
-//! dynamic index's append-only lists through the scalar
-//! [`Scoreboard::add_run`]: a dense array indexed by record id,
-//! **epoch-stamped** so that starting a new lookup is one counter bump
-//! instead of an `O(n)` clear (a `HashMap` per lookup pays an allocation
-//! plus hashing per posting id). The scoreboard lives in a thread-local,
-//! so repeated lookups allocate nothing and the kernel composes with
-//! `compute_nn_reln_parallel`'s scoped workers (each worker thread lazily
-//! materializes its own scoreboard).
+//! accumulator the merge writes to, through [`Scoreboard::add_run`],
+//! wherever the postings live — growing lists, frozen lists, heap-file
+//! pages: a dense array indexed by record id, **epoch-stamped** so that
+//! starting a new lookup is one counter bump instead of an `O(n)` clear (a
+//! `HashMap` per lookup pays an allocation plus hashing per posting id).
+//! The scoreboard lives in a thread-local, so repeated lookups allocate
+//! nothing and the kernel composes with `compute_nn_reln_parallel`'s scoped
+//! workers (each worker thread lazily materializes its own scoreboard).
 
 use std::cell::RefCell;
 
@@ -77,8 +75,8 @@ impl Scoreboard {
     /// Pre-stamp a slot so it accumulates silently and is withheld from
     /// the drained results. Candidate generation excludes the query's own
     /// id this way once per lookup, which removes the `other != id`
-    /// branch from every posting visit of the staged merge (the self slot
-    /// soaks up the adds and is un-stamped before the stamp scan).
+    /// branch from every posting visit of the merge (the self slot soaks
+    /// up the adds and is un-stamped before the stamp scan).
     #[inline]
     pub fn exclude(&mut self, id: u32) {
         self.slots[id as usize] = Slot { stamp: self.epoch, overlap: 0, score: 0.0 };
@@ -111,127 +109,13 @@ impl Scoreboard {
         }
     }
 
-    /// The scalar merge's inner loop: one term's postings, each gaining
-    /// the term's `weight` and `overlap`. Layouts that hand over a term at
-    /// a time — heap-file chunks, the dynamic index's lists — merge through
-    /// here; the packed arena stages several terms for
-    /// [`Scoreboard::apply_runs`], which must leave the board as this
-    /// would.
+    /// The merge's inner loop: one term's postings, each gaining the
+    /// term's `weight` and `overlap`.
     #[inline]
     pub fn add_run(&mut self, ids: impl IntoIterator<Item = u32>, weight: f64, overlap: u32) {
         for id in ids {
             self.add(id, weight, overlap);
         }
-    }
-
-    /// Pull a candidate's slot toward L1 ahead of its [`Scoreboard::add`]
-    /// — the merge scan knows the next several posting ids while the
-    /// current one is being scored, and the slot accesses are the loop's
-    /// only unpredictable loads.
-    #[inline]
-    pub fn prefetch(&self, id: u32) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: prefetch is a hint; any address is safe to pass. The id
-        // is in-bounds anyway (posting ids index the record table).
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.slots.as_ptr().add(id as usize).cast::<i8>(), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = id;
-    }
-
-    /// Apply a staged frontier batch: `ids` is the flat concatenation of
-    /// the staged term runs, `runs` describes them in query-term order.
-    /// Runs are applied strictly in order — per-candidate `f64` weight
-    /// accumulation must happen in the same term order as the scalar
-    /// merge, so the results stay bit-identical — but the slot prefetch
-    /// lookahead runs over the *flat* id array, crossing run boundaries;
-    /// short lists therefore get the same lookahead depth as long ones,
-    /// which the one-term-at-a-time scalar loop cannot provide.
-    pub fn apply_runs(&mut self, ids: &[u32], runs: &[StageRun]) {
-        /// Matches the merge scan's slot lookahead (`SLOT_LOOKAHEAD` in
-        /// `inverted.rs`): deep enough to cover an L2 miss.
-        const LOOKAHEAD: usize = 16;
-        let n = ids.len();
-        if n == 0 {
-            debug_assert!(runs.iter().all(|r| r.len == 0));
-            return;
-        }
-        let epoch = self.epoch;
-        let last = n - 1;
-        let mut at = 0usize;
-        // The hot loop of the packed merge: one slot update per staged
-        // posting. Bounds checks are hoisted to debug assertions — the
-        // invariants are structural (runs cover `ids` exactly; posting
-        // ids index the record table, which `begin(n)` sized `slots`
-        // for) — the lookahead index is clamped instead of branched, and
-        // the hit-or-first-contact split is *branchless*: whether a slot
-        // was already stamped this epoch is data-dependent and flips
-        // unpredictably through the merge's mid-phase, so both cases
-        // select their inputs (zero or the current accumulators) and
-        // write the slot unconditionally.
-        for run in runs {
-            let end = at + run.len as usize;
-            debug_assert!(end <= n, "runs must not overrun the staged ids");
-            let weight = run.weight;
-            let overlap = run.overlap;
-            // Two postings per step. A decoded run is strictly ascending,
-            // so a pair's ids are distinct and both slots can be *read
-            // before either is written* — the compiler may not reorder
-            // the scalar loop that way (the next load could alias the
-            // previous store for all it knows), but stated explicitly the
-            // two slot updates become independent and their latencies
-            // overlap.
-            while at + 1 < end {
-                // SAFETY: `(at + 1 + LOOKAHEAD).min(last) <= last < n`.
-                let (a0, a1) = unsafe {
-                    (
-                        *ids.get_unchecked((at + LOOKAHEAD).min(last)),
-                        *ids.get_unchecked((at + 1 + LOOKAHEAD).min(last)),
-                    )
-                };
-                self.prefetch(a0);
-                self.prefetch(a1);
-                // SAFETY: `at + 1 < end <= n` (asserted above).
-                let (id0, id1) = unsafe { (*ids.get_unchecked(at), *ids.get_unchecked(at + 1)) };
-                debug_assert!(id0 < id1, "run ids strictly ascending");
-                debug_assert!((id1 as usize) < self.slots.len());
-                // SAFETY: posting ids are record ids; `begin(n)` resized
-                // `slots` to cover every record id (debug-asserted), and
-                // `id0 != id1` makes the two reads-then-writes disjoint.
-                unsafe {
-                    let s0 = *self.slots.get_unchecked(id0 as usize);
-                    let s1 = *self.slots.get_unchecked(id1 as usize);
-                    let hit0 = s0.stamp == epoch;
-                    let hit1 = s1.stamp == epoch;
-                    *self.slots.get_unchecked_mut(id0 as usize) = Slot {
-                        stamp: epoch,
-                        overlap: if hit0 { s0.overlap } else { 0 } + overlap,
-                        score: if hit0 { s0.score } else { 0.0 } + weight,
-                    };
-                    *self.slots.get_unchecked_mut(id1 as usize) = Slot {
-                        stamp: epoch,
-                        overlap: if hit1 { s1.overlap } else { 0 } + overlap,
-                        score: if hit1 { s1.score } else { 0.0 } + weight,
-                    };
-                }
-                at += 2;
-            }
-            if at < end {
-                // SAFETY: `at < end <= n`.
-                let id = unsafe { *ids.get_unchecked(at) };
-                debug_assert!((id as usize) < self.slots.len());
-                // SAFETY: as above.
-                let slot = unsafe { self.slots.get_unchecked_mut(id as usize) };
-                let hit = slot.stamp == epoch;
-                let score = if hit { slot.score } else { 0.0 } + weight;
-                let prev = if hit { slot.overlap } else { 0 };
-                *slot = Slot { stamp: epoch, overlap: prev + overlap, score };
-                at += 1;
-            }
-        }
-        debug_assert_eq!(at, n, "runs must cover the staged ids exactly");
     }
 
     /// Drain the admitted candidates as `(id, score, overlap)` tuples in
@@ -263,38 +147,6 @@ impl Scoreboard {
     }
 }
 
-/// One staged term run of the lane-wise frontier merge: how many ids of
-/// the flat stage belong to this term, and what each contributes.
-#[derive(Clone, Copy)]
-pub(crate) struct StageRun {
-    /// Ids staged for this term.
-    pub len: u32,
-    /// The term's IDF weight.
-    pub weight: f64,
-    /// The term's query-side gram count (overlap mass).
-    pub overlap: u32,
-}
-
-/// Reusable buffers of the staged packed-postings merge: the flat decoded
-/// id stage with its run descriptors. Thread-local like the scoreboard, so
-/// a lookup allocates nothing after warm-up.
-#[derive(Default)]
-pub(crate) struct MergeStage {
-    /// Flat staged posting ids, concatenated across up to
-    /// `FRONTIER_LANES` term runs.
-    pub ids: Vec<u32>,
-    /// Run descriptors, in query-term order.
-    pub runs: Vec<StageRun>,
-}
-
-impl MergeStage {
-    /// Clear the staged runs (capacity retained).
-    pub fn clear(&mut self) {
-        self.ids.clear();
-        self.runs.clear();
-    }
-}
-
 /// Reusable buffers for the bounded-verification loop: the running top-k
 /// distance window survives across lookups on the same thread. What
 /// borrows from the corpus — the prepared query and the lock-step batch
@@ -309,7 +161,6 @@ pub(crate) struct VerifyScratch {
 
 thread_local! {
     static SCOREBOARD: RefCell<Scoreboard> = RefCell::new(Scoreboard::default());
-    static STAGE: RefCell<MergeStage> = RefCell::new(MergeStage::default());
     static SCORED: RefCell<Vec<(u32, f64, u32)>> = const { RefCell::new(Vec::new()) };
     static VERIFY: RefCell<VerifyScratch> = RefCell::new(VerifyScratch::default());
 }
@@ -318,12 +169,6 @@ thread_local! {
 /// lookup does not recurse into another lookup on the same thread).
 pub(crate) fn with_scoreboard<R>(f: impl FnOnce(&mut Scoreboard) -> R) -> R {
     SCOREBOARD.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-/// Run `f` with this thread's merge stage. Panics on reentrant use (a
-/// merge does not recurse into another merge on the same thread).
-pub(crate) fn with_merge_stage<R>(f: impl FnOnce(&mut MergeStage) -> R) -> R {
-    STAGE.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 /// Run `f` with this thread's scored-candidate buffer — the drain target
@@ -351,26 +196,13 @@ mod tests {
         out
     }
 
-    /// The two merges every test that feeds a board runs under: the scalar
-    /// one-term-at-a-time [`Scoreboard::add_run`] and the staged
-    /// [`Scoreboard::apply_runs`], each handed `(ids, weight, overlap)`
-    /// terms in order.
-    type Merge = fn(&mut Scoreboard, &[(&[u32], f64, u32)]);
-    const MERGES: [(&str, Merge); 2] = [
-        ("scalar", |board, terms| {
-            for &(ids, weight, overlap) in terms {
-                board.add_run(ids.iter().copied(), weight, overlap);
-            }
-        }),
-        ("staged", |board, terms| {
-            let ids: Vec<u32> = terms.iter().flat_map(|t| t.0).copied().collect();
-            let runs: Vec<StageRun> = terms
-                .iter()
-                .map(|&(ids, weight, overlap)| StageRun { len: ids.len() as u32, weight, overlap })
-                .collect();
-            board.apply_runs(&ids, &runs);
-        }),
-    ];
+    /// Feed `(ids, weight, overlap)` terms to `board` in order, as the
+    /// merge does.
+    fn merge(board: &mut Scoreboard, terms: &[(&[u32], f64, u32)]) {
+        for &(ids, weight, overlap) in terms {
+            board.add_run(ids.iter().copied(), weight, overlap);
+        }
+    }
 
     #[test]
     fn accumulates_and_resets_by_epoch() {
@@ -390,32 +222,16 @@ mod tests {
 
     #[test]
     fn excluded_id_never_surfaces() {
-        for (label, merge) in MERGES {
-            let mut board = Scoreboard::default();
-            board.begin(10);
-            board.exclude(4);
-            // Self hits are absorbed and withheld from the scan.
-            merge(&mut board, &[(&[4, 5], 1.0, 1), (&[4], 0.5, 1), (&[5], 1.0, 1)]);
-            assert_eq!(drained(&mut board), vec![(5, 2.0, 2)], "{label}");
-            // The exclusion is per-epoch: a later lookup sees id 4 again.
-            board.begin(10);
-            merge(&mut board, &[(&[4], 3.0, 3)]);
-            assert_eq!(drained(&mut board), vec![(4, 3.0, 3)], "{label}");
-        }
-    }
-
-    #[test]
-    fn apply_runs_matches_scalar_adds() {
-        let terms: [(&[u32], f64, u32); 3] =
-            [(&[1, 3, 5], 0.5, 2), (&[3, 7], 1.25, 1), (&[1], 2.0, 4)];
-        let [scalar, staged] = MERGES.map(|(_, merge)| {
-            let mut board = Scoreboard::default();
-            board.begin(10);
-            merge(&mut board, &terms);
-            drained(&mut board)
-        });
-        assert_eq!(staged, scalar);
-        assert_eq!(scalar, vec![(1, 2.5, 6), (3, 1.75, 3), (5, 0.5, 2), (7, 1.25, 1)]);
+        let mut board = Scoreboard::default();
+        board.begin(10);
+        board.exclude(4);
+        // Self hits are absorbed and withheld from the scan.
+        merge(&mut board, &[(&[4, 5], 1.0, 1), (&[4], 0.5, 1), (&[5], 1.0, 1)]);
+        assert_eq!(drained(&mut board), vec![(5, 2.0, 2)]);
+        // The exclusion is per-epoch: a later lookup sees id 4 again.
+        board.begin(10);
+        merge(&mut board, &[(&[4], 3.0, 3)]);
+        assert_eq!(drained(&mut board), vec![(4, 3.0, 3)]);
     }
 
     #[test]
@@ -435,18 +251,16 @@ mod tests {
 
     #[test]
     fn epoch_wraparound_cannot_alias() {
-        for (label, merge) in MERGES {
-            let mut board = Scoreboard::default();
-            board.begin(4);
-            merge(&mut board, &[(&[2], 1.0, 1)]);
-            // Force the wrap: the pre-wrap stamp on slot 2 must not read as
-            // current after the epoch counter cycles through 0.
-            board.epoch = u32::MAX;
-            board.begin(4);
-            assert!(drained(&mut board).is_empty(), "{label}");
-            merge(&mut board, &[(&[2, 3], 5.0, 5), (&[2], 1.0, 1)]);
-            assert_eq!(drained(&mut board), vec![(2, 6.0, 6), (3, 5.0, 5)], "{label}");
-        }
+        let mut board = Scoreboard::default();
+        board.begin(4);
+        merge(&mut board, &[(&[2], 1.0, 1)]);
+        // Force the wrap: the pre-wrap stamp on slot 2 must not read as
+        // current after the epoch counter cycles through 0.
+        board.epoch = u32::MAX;
+        board.begin(4);
+        assert!(drained(&mut board).is_empty());
+        merge(&mut board, &[(&[2, 3], 5.0, 5), (&[2], 1.0, 1)]);
+        assert_eq!(drained(&mut board), vec![(2, 6.0, 6), (3, 5.0, 5)]);
     }
 
     #[test]

@@ -63,7 +63,7 @@ proptest! {
 
         // candidate_limit 0: both sides verify every candidate sharing a
         // term, so results can only diverge through filter unsoundness.
-        for source in [PostingsSource::Packed, PostingsSource::Pages] {
+        for source in [PostingsSource::Memory, PostingsSource::Pages] {
             let config = InvertedIndexConfig {
                 candidate_limit: 0,
                 postings_source: source,

@@ -23,7 +23,7 @@
 #   test-release  cargo test -q --release -p fuzzydedup-textdist
 #                 -p fuzzydedup-nnindex: the kernels' shipped build — no
 #                 debug_assert, inline(always) / const-generic scans, the
-#                 AVX2 chunk kernel, the SSE2 postings decode, set_len —
+#                 AVX2 chunk kernel, the scoreboard drain's set_len —
 #                 which the debug-profile stages above never run
 #                 (--skip-bench runs it, --fast does not). Prints
 #                 "avx2: detected" or "avx2: absent": the oracle tests
@@ -38,10 +38,11 @@
 #   recall-smoke  exp_index_recall: every index type vs the exact
 #                 nested-loop reference, with the candidate ladder
 #                 asserted recall-lossless (filtered vs
-#                 UnfilteredDistance), the two postings layouts
-#                 asserted to agree, and the exact-duplicate collapse
-#                 pre-pass asserted partition-lossless on a
-#                 duplicate-heavy corpus for every index family; then
+#                 UnfilteredDistance), postings in memory and on pages
+#                 asserted to answer capped lookups alike, and the
+#                 exact-duplicate collapse pre-pass asserted
+#                 partition-lossless on a duplicate-heavy corpus for
+#                 every index family; then
 #                 exp_bf_ordering at 2,000 records, which asserts Figure
 #                 8's shape (breadth-first order has the highest buffer
 #                 hit ratio) — the evidence the pipeline's lookup order
@@ -66,7 +67,9 @@
 # Cargo.toml's rust-version) and whether the CPU has AVX2 ("avx2"). Beside
 # it goes the options ledger, "config_fields": the `pub` fields of every
 # configuration struct and the distinct `--flags` of the CLI's usage text,
-# so "a simplicity PR adds no options" is read off a diff of that file.
+# so "a simplicity PR adds no options" is read off a diff of that file; and
+# the unsafe ledger, "unsafe_sites": `grep -c unsafe` per source file under
+# crates/*/src and src (files that have any), totalled per directory.
 #
 # Exits non-zero if any attempted stage fails; later stages still run so
 # one summary shows everything that is broken.
@@ -272,6 +275,26 @@ cli_flags=$(awk '/^fn usage\(/ { on = 1 } on { print } on && /^}/ { exit }' src/
 printf '  %-20s %3d\n' "cli --flags" "$cli_flags"
 options_json+="\"cli_flags\": $cli_flags"
 
+# ---- unsafe ledger ---------------------------------------------------
+# Lines naming `unsafe` (blocks, fns, impls and the comments about them).
+unsafe_total=0
+unsafe_dirs=""
+unsafe_files=""
+echo
+echo "lines naming unsafe, per source directory and file:"
+for d in crates/*/src src; do
+    dir_n=0
+    while IFS=: read -r file n; do
+        dir_n=$((dir_n + n))
+        unsafe_files+=", \"$file\": $n"
+        printf '    %-38s %3d\n' "$file" "$n"
+    done < <(grep -rc unsafe --include='*.rs' "$d" | grep -v ':0$' | sort)
+    printf '  %-40s %3d\n' "$d" "$dir_n"
+    unsafe_dirs+=", \"$d\": $dir_n"
+    unsafe_total=$((unsafe_total + dir_n))
+done
+unsafe_json="\"total\": $unsafe_total$unsafe_dirs$unsafe_files"
+
 # ---- machine-readable summary ---------------------------------------
 mkdir -p results
 {
@@ -281,6 +304,7 @@ mkdir -p results
     echo "  \"avx2\": \"$avx2\","
     echo "  \"rust_lines\": {$ledger_json},"
     echo "  \"config_fields\": {$options_json},"
+    echo "  \"unsafe_sites\": {$unsafe_json},"
     echo '  "stages": ['
     for i in "${!stages[@]}"; do
         sep=','

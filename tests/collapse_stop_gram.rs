@@ -1,16 +1,14 @@
-//! The one known place the exact-duplicate collapse is not lossless
-//! (DESIGN.md §7.10, second caveat; ROADMAP item 1 decides it).
+//! Collapse on ≡ off under the stop-gram fallback (DESIGN.md §7.10).
 //!
 //! A duplicated record whose non-stop terms are shared only with its own
 //! copies: in the full corpus its first merge pass finds the copies and
-//! stops there; its representative in the collapsed corpus finds nothing,
-//! falls back to stop grams, and verifies candidates the full corpus never
-//! sees. Needs a stop-gram floor low enough to fire (`stop_df_floor: 2`
-//! here; the default 100 keeps every corpus this small stop-gram-free).
+//! stops there. Its representative in the collapsed corpus finds nothing in
+//! that pass — its postings hold only itself — and until PR 23 fell back to
+//! stop grams and verified candidates the full corpus never sees. Needs a
+//! stop-gram floor low enough to fire (`stop_df_floor: 2` here; the default
+//! 100 keeps every corpus this small stop-gram-free).
 //!
-//! These tests pin *today's* two relations side by side on both entry
-//! points. Whichever way item 1 decides — fix the fallback, or keep the
-//! caveat — one side of each assertion changes, on purpose.
+//! Both entry points are held to the full corpus's relation on that record.
 
 use std::sync::Arc;
 
@@ -38,7 +36,7 @@ fn pool() -> Arc<BufferPool> {
 }
 
 #[test]
-fn a_representative_falls_back_to_stop_grams_where_the_full_record_stops_at_its_copies() {
+fn a_representative_stops_at_its_copies_as_the_full_record_does() {
     let records = corpus();
     let full = InvertedIndex::build(records.clone(), EditDistance, pool(), config());
     // Classes {0, 1}, {2}, {3}: representatives 0, 1, 2.
@@ -49,24 +47,22 @@ fn a_representative_falls_back_to_stop_grams_where_the_full_record_stops_at_its_
     // Full corpus: `xyzzy`'s grams reach the copy, so the first pass is
     // non-empty and the stop grams are never merged.
     assert_eq!(full.candidates_with_limit(0, 0), [1]);
-    // Collapsed: the representative's non-stop postings hold only itself;
-    // the fallback merges `common` and reaches every other class.
-    let mut seen = collapsed.candidates_with_limit(0, 0);
-    seen.sort_unstable();
-    assert_eq!(seen, [1, 2]);
+    // Collapsed: the representative's non-stop postings hold only itself,
+    // which stands for that copy — no fallback, no other class.
+    assert!(collapsed.candidates_with_limit(0, 0).is_empty());
 
     let ids = |index: &dyn NnIndex, id| -> Vec<u32> {
         index.lookup(id, LookupSpec::TopK(3), 2.0).0.iter().map(|n| n.id).collect()
     };
     assert_eq!(ids(&full, 0), [1], "the full record's list is its copy alone");
-    assert_eq!(ids(&collapsed, 0), [1, 2], "its representative's list is the other classes");
+    assert!(ids(&collapsed, 0).is_empty(), "its representative lists no other class");
     // A record that is not duplicated falls back on both sides alike.
     assert_eq!(ids(&full, 2), [0, 1, 3]);
     assert_eq!(ids(&collapsed, 1), [0, 2]);
 }
 
 #[test]
-fn incremental_dedup_with_and_without_collapse_differ_on_that_record_only() {
+fn incremental_dedup_with_and_without_collapse_hold_the_same_relation() {
     let relation = |collapse: Option<CollapseKey>| -> NnReln {
         let mut state = IncrementalDedup::builder(EditDistance)
             .index_config(config())
@@ -82,12 +78,7 @@ fn incremental_dedup_with_and_without_collapse_differ_on_that_record_only() {
     let ids = |reln: &NnReln, id: usize| -> Vec<u32> {
         reln.entries()[id].neighbors.iter().map(|n| n.id).collect()
     };
-    // The duplicated record and its copy: collapse off stops at the copy,
-    // collapse on also lists what the representative's fallback verified.
+    // The duplicated record and its copy stop at each other, collapsed or not.
     assert_eq!((ids(&off, 0), ids(&off, 1)), (vec![1], vec![0]));
-    assert_eq!((ids(&on, 0), ids(&on, 1)), (vec![1, 2, 3], vec![0, 2, 3]));
-    // Everything else is the same relation.
-    for id in 2..4 {
-        assert_eq!(off.entries()[id], on.entries()[id], "entry {id}");
-    }
+    assert_eq!(off.entries(), on.entries());
 }

@@ -93,14 +93,14 @@ fn lookup_order_follows_the_postings_regime() {
     };
     // Resident postings: id order. Paged postings: the breadth-first order
     // that keeps neighboring tuples' pages buffered. Same partition.
-    let packed = over(PostingsSource::Packed);
+    let memory = over(PostingsSource::Memory);
     let ids: Vec<u32> = (0..dataset.records.len() as u32).collect();
-    assert_eq!(packed.phase1_stats.visit_order, ids);
-    assert_eq!(packed.metrics.phase1.bf_queue_high_water, 0);
+    assert_eq!(memory.phase1_stats.visit_order, ids);
+    assert_eq!(memory.metrics.phase1.bf_queue_high_water, 0);
     let pages = over(PostingsSource::Pages);
     assert!(pages.metrics.phase1.bf_queue_high_water > 0);
     assert_ne!(pages.phase1_stats.visit_order, ids);
-    assert_eq!(packed.partition, pages.partition);
+    assert_eq!(memory.partition, pages.partition);
 }
 
 #[test]
