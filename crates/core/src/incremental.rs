@@ -18,17 +18,9 @@
 //! Equivalence with full recomputation is asserted by the test suite on
 //! randomized batch splits.
 //!
-//! **Three steps, and a delta.** [`IncrementalDedup::insert_batch`] is
-//! *append* (index pushes, collapse bookkeeping, placeholder entries —
-//! the only step that touches the index), *refresh* (the affected-set
-//! scan, the lookups, Phase 2 — reads only) and *install* (write the
-//! refreshed entries and the partition). All three are deterministic, so
-//! a second state with the same history need not repeat the expensive
-//! middle: [`IncrementalDedup::insert_batch_logged`] also returns the
-//! batch's [`BatchDelta`] and [`IncrementalDedup::replay_batch`] runs
-//! append + install from it. The dedup service keeps its two epoch sides
-//! equal this way (`DESIGN.md` §7.9); plain `insert_batch` builds no
-//! delta.
+//! **Forks.** The dedup service never mutates the state it serves: each
+//! batch runs on a fork of the published state (`IncrementalDedup::fork`,
+//! crate-private), which is then published whole (`DESIGN.md` §7.9).
 //!
 //! **The pair memo follows the entry point.** Every batch re-verifies the
 //! unchanged pairs of the entries it refreshes, which is exactly the
@@ -192,19 +184,6 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
         self.build_with(Arc::new(PairCache::new(PAIR_MEMO_SLOTS)))
     }
 
-    /// Build two identical empty states that share one pair memo — the
-    /// two sides of the service's epoch pair. Index ids are the same on
-    /// both sides and only the compute side of a batch runs lookups, so
-    /// one memo sees every batch where two private ones would each see
-    /// every other batch.
-    pub(crate) fn build_pair(self) -> Result<[IncrementalDedup<D>; 2], DedupError>
-    where
-        D: Clone,
-    {
-        let cache = Arc::new(PairCache::new(PAIR_MEMO_SLOTS));
-        Ok([self.clone().build_with(cache.clone())?, self.build_with(cache)?])
-    }
-
     fn build_with(self, pair_cache: Arc<PairCache>) -> Result<IncrementalDedup<D>, DedupError> {
         validate_params(&self.cut, self.c, self.p)?;
         if self.collapse == Some(CollapseKey::RecordString)
@@ -246,9 +225,10 @@ pub struct IncrementalDedup<D: Distance> {
     c: f64,
     p: f64,
     partition: Partition,
-    /// Owned by a lone state; shared by the two sides of a service epoch
-    /// pair ([`IncrementalDedupBuilder::build_pair`]).
-    pair_cache: Arc<PairCache>,
+    /// Owned by a lone state; shared by a state and its forks
+    /// ([`IncrementalDedup::fork`]), so its holder count is the number of
+    /// live states of one history.
+    pub(crate) pair_cache: Arc<PairCache>,
     parallelism: Parallelism,
     /// The class map of the collapse pre-pass, admitting records as they
     /// arrive: index ids are its representative ids, and full-corpus ids
@@ -256,31 +236,35 @@ pub struct IncrementalDedup<D: Distance> {
     collapse: Option<CollapseMap>,
 }
 
-/// What [`IncrementalDedup::append`] changed: the input of the refresh.
-struct Appended {
-    /// Index size before the batch; ids below it pre-exist.
-    first_new: u32,
-    /// Ids the batch indexed, ascending.
-    new_ids: Vec<u32>,
-    /// Pre-existing representatives whose multiplicity the batch bumped
-    /// (collapse mode), ascending and distinct: their own entries change
-    /// (ng pins to 1, the weighted cutoff tightens), and so may any entry
-    /// that sees them.
-    dup_reps: Vec<u32>,
-    /// Records in the batch, collapsed duplicates included.
-    inserted: usize,
-}
-
-/// Everything one [`IncrementalDedup::insert_batch_logged`] call changed,
-/// for [`IncrementalDedup::replay_batch`] on a state that was identical
-/// before the batch: the records to append, the refreshed `NN_Reln`
-/// entries, and the partition. Opaque — the contents are only meaningful
-/// to a state with the same history.
-#[derive(Debug)]
-pub struct BatchDelta {
-    records: Vec<Vec<String>>,
-    entries: Vec<NnEntry>,
-    partition: Partition,
+impl<D: Distance + Clone> IncrementalDedup<D> {
+    /// A copy of this state, sharing its pair memo: what the dedup service
+    /// runs a batch on while readers keep this one. `insert_batch` on the
+    /// fork leaves this state untouched and brings the fork where
+    /// `insert_batch` on this state would have.
+    ///
+    /// The memo is keyed on index ids, which name the same records only
+    /// within one history. It stays sound because only `insert_batch`
+    /// touches it and the service runs one batch at a time, on a fork of
+    /// the state it last published — only the newest fork writes — and a
+    /// fork's ids extend its source's, so what a fork stores holds for
+    /// every later fork of it. A fork dropped unpublished (a batch that
+    /// panicked) may have stored pairs under ids that a second fork of the
+    /// same source would give to other records, so a failed fork must end
+    /// ingest, as it does in the service (`ServiceError::WriterFailed`).
+    pub(crate) fn fork(&self) -> Self {
+        Self {
+            index: self.index.clone(),
+            entries: self.entries.clone(),
+            cut: self.cut,
+            agg: self.agg,
+            c: self.c,
+            p: self.p,
+            partition: self.partition.clone(),
+            pair_cache: Arc::clone(&self.pair_cache),
+            parallelism: self.parallelism,
+            collapse: self.collapse.clone(),
+        }
+    }
 }
 
 impl<D: Distance> IncrementalDedup<D> {
@@ -396,12 +380,16 @@ impl<D: Distance> IncrementalDedup<D> {
         steal_blocks(ids.len(), threads, |i| self.compute_entry(ids[i]))
     }
 
-    /// Step 1 of a batch, the only one both sides of a replayed batch run:
-    /// index the records (or, collapse mode, bump the multiplicity of the
-    /// class an exact duplicate falls in) and give every new id a
-    /// placeholder entry — filled at install, once all ids exist (a batch
-    /// can contain mutual duplicates, so entries must see the whole batch).
-    fn append(&mut self, records: impl IntoIterator<Item = Vec<String>>) -> Appended {
+    /// Append a batch of records, refresh affected entries, and recompute
+    /// the partition.
+    pub fn insert_batch(&mut self, records: impl IntoIterator<Item = Vec<String>>) -> BatchStats {
+        // Index the records (or, collapse mode, bump the multiplicity of
+        // the class an exact duplicate falls in) and give every new id a
+        // placeholder entry, filled once all ids exist (a batch can contain
+        // mutual duplicates, so entries must see the whole batch).
+        // `dup_reps`: pre-existing representatives whose multiplicity the
+        // batch bumped — their own entries change (ng pins to 1, the
+        // weighted cutoff tightens), and so may any entry that sees them.
         let first_new = self.index.len() as u32;
         let mut new_ids: Vec<u32> = Vec::new();
         let mut dup_reps: Vec<u32> = Vec::new();
@@ -427,15 +415,7 @@ impl<D: Distance> IncrementalDedup<D> {
         }
         dup_reps.sort_unstable();
         dup_reps.dedup();
-        Appended { first_new, new_ids, dup_reps, inserted }
-    }
 
-    /// Step 2, compute side only: the affected-set scan, the lookups of
-    /// every new and affected id, and Phase 2 from scratch (cheap) over
-    /// the relation those entries produce. Reads the state, changes
-    /// nothing.
-    fn refresh(&self, appended: &Appended) -> (Vec<NnEntry>, Partition, BatchStats) {
-        let Appended { first_new, new_ids, dup_reps, inserted } = appended;
         // Affected pre-existing ids: candidates of the changed records —
         // the appended representatives plus (collapse mode) the bumped
         // ones, whose weight shift moves every entry they survive in. The
@@ -444,71 +424,29 @@ impl<D: Distance> IncrementalDedup<D> {
         // inside its own top-k even when the (capped) reverse query drops
         // it, and that old record's entry must still refresh.
         let mut affected: Vec<u32> = Vec::new();
-        for &id in new_ids.iter().chain(dup_reps) {
+        for &id in new_ids.iter().chain(&dup_reps) {
             for candidate in self.index.candidates_with_limit(id, 0) {
-                if candidate < *first_new {
+                if candidate < first_new {
                     affected.push(candidate);
                 }
             }
         }
-        affected.extend_from_slice(dup_reps);
+        affected.extend_from_slice(&dup_reps);
         affected.sort_unstable();
         affected.dedup();
 
-        let mut refresh: Vec<u32> = Vec::with_capacity(new_ids.len() + affected.len());
-        refresh.extend_from_slice(new_ids);
+        // Recompute every new and affected entry, then Phase 2 from scratch
+        // (cheap) over the relation they produce.
+        let mut refresh = new_ids;
         refresh.extend_from_slice(&affected);
-        let fresh = self.compute_entries(&refresh);
-
-        let mut entries = self.entries.clone();
-        for entry in &fresh {
-            entries[entry.id as usize] = entry.clone();
-        }
-        let reln = self.expand(NnReln::new(entries));
-        let threads = self.parallelism.phase2_threads.unwrap_or(1);
-        let partition = partition_entries_parallel(&reln, self.cut, self.agg, self.c, threads);
-        (fresh, partition, BatchStats { inserted: *inserted, refreshed: affected.len() })
-    }
-
-    /// Step 3: write the refreshed entries and the partition.
-    fn install(&mut self, fresh: Vec<NnEntry>, partition: Partition) {
-        for entry in fresh {
+        for entry in self.compute_entries(&refresh) {
             let slot = entry.id as usize;
             self.entries[slot] = entry;
         }
-        self.partition = partition;
-    }
-
-    /// Append a batch of records, refresh affected entries, and recompute
-    /// the partition.
-    pub fn insert_batch(&mut self, records: impl IntoIterator<Item = Vec<String>>) -> BatchStats {
-        let appended = self.append(records);
-        let (fresh, partition, stats) = self.refresh(&appended);
-        self.install(fresh, partition);
-        stats
-    }
-
-    /// [`Self::insert_batch`], also returning what the batch changed, so a
-    /// second state with the same history can take the batch through
-    /// [`Self::replay_batch`] without repeating the lookups and Phase 2.
-    /// The records move into the delta; this state indexes clones.
-    pub fn insert_batch_logged(&mut self, records: Vec<Vec<String>>) -> (BatchStats, BatchDelta) {
-        let appended = self.append(records.iter().cloned());
-        let (entries, partition, stats) = self.refresh(&appended);
-        self.install(entries.clone(), partition.clone());
-        (stats, BatchDelta { records, entries, partition })
-    }
-
-    /// Take a batch another state computed. That state must have been
-    /// identical to this one before its [`Self::insert_batch_logged`]
-    /// call — same configuration, same batches in the same order — and is
-    /// identical to it again afterwards: `insert_batch` is a deterministic
-    /// function of (state, batch), the append runs here as it ran there,
-    /// and every entry outside the delta is one no record of the batch
-    /// can reach (the affected-set rule of the module docs).
-    pub fn replay_batch(&mut self, delta: BatchDelta) {
-        self.append(delta.records);
-        self.install(delta.entries, delta.partition);
+        let reln = self.expand(NnReln::new(self.entries.clone()));
+        let threads = self.parallelism.phase2_threads.unwrap_or(1);
+        self.partition = partition_entries_parallel(&reln, self.cut, self.agg, self.c, threads);
+        BatchStats { inserted, refreshed: affected.len() }
     }
 }
 
@@ -798,19 +736,20 @@ mod tests {
     }
 
     #[test]
-    fn only_paired_states_share_a_pair_memo() {
-        let [a, b] = fresh_builder().build_pair().unwrap();
+    fn only_forks_share_a_pair_memo() {
+        let a = fresh();
+        let b = a.fork();
         assert!(Arc::ptr_eq(&a.pair_cache, &b.pair_cache));
         assert!(!Arc::ptr_eq(&a.pair_cache, &fresh().pair_cache));
     }
 
     #[test]
-    fn replayed_delta_equals_recompute_on_alternating_sides() {
-        // The service's left-right discipline without the threads: A and B
-        // take turns computing a batch, the other replays its delta, and a
-        // third state is fed plain `insert_batch`. Near-duplicates, exact
-        // repeats inside and across batches (the collapse path) and two
-        // term-less records.
+    fn a_fork_chain_equals_plain_insert_batch() {
+        // The service's discipline without the threads: every batch runs on
+        // a fork of the previous state, which must come out where plain
+        // `insert_batch` on one state does and leave the state it was
+        // forked from as it was. Near-duplicates, exact repeats inside and
+        // across batches (the collapse path) and two term-less records.
         let mut rng = StdRng::seed_from_u64(29);
         let mut base: Vec<Vec<String>> = (0..72)
             .map(|i| {
@@ -831,34 +770,33 @@ mod tests {
             for collapse in collapses {
                 let what = format!("{cut:?} {collapse:?}");
                 let builder = fresh_builder().cut(cut).collapse(collapse);
-                let mut sides = builder.clone().build_pair().unwrap();
+                let mut forked = builder.clone().build().unwrap();
                 let mut plain = builder.build().unwrap();
+                // What a state answers: relation, partition, length, probes.
+                let view = |s: &IncrementalDedup<EditDistance>| {
+                    let answers: Vec<_> = probes
+                        .iter()
+                        .map(|&probe| {
+                            let (neighbors, ng, _) = s.query_record(&[probe]);
+                            (neighbors, ng)
+                        })
+                        .collect();
+                    (s.nn_reln(), s.partition().clone(), s.len(), answers)
+                };
                 let mut at = 0;
-                let mut compute = 0;
                 while at < base.len() {
                     let take = rng.gen_range(1..=12).min(base.len() - at);
                     let batch = base[at..at + take].to_vec();
                     at += take;
                     let want = plain.insert_batch(batch.clone());
-                    let (got, delta) = sides[compute].insert_batch_logged(batch);
-                    sides[1 - compute].replay_batch(delta);
-                    compute = 1 - compute;
+                    let before = view(&forked);
+                    let mut next = forked.fork();
+                    let got = next.insert_batch(batch);
+                    assert_eq!(view(&forked), before, "{what}: the source moved at {at}");
+                    forked = next;
 
                     assert_eq!(got, want, "{what}: stats at {at}");
-                    let [a, b] = &sides;
-                    assert_eq!(a.nn_reln(), b.nn_reln(), "{what}: relation at {at}");
-                    assert_eq!(a.partition(), b.partition(), "{what}: partition at {at}");
-                    assert_eq!(a.len(), b.len(), "{what}: len at {at}");
-                    assert_eq!(a.nn_reln(), plain.nn_reln(), "{what}: relation at {at}");
-                    assert_eq!(a.partition(), plain.partition(), "{what}: partition at {at}");
-                    assert_eq!(a.len(), plain.len(), "{what}: len at {at}");
-                    for probe in probes {
-                        let (n_a, ng_a, _) = a.query_record(&[probe]);
-                        let (n_b, ng_b, _) = b.query_record(&[probe]);
-                        let (n_p, ng_p, _) = plain.query_record(&[probe]);
-                        assert_eq!((&n_a, ng_a), (&n_b, ng_b), "{what}: probe {probe:?}");
-                        assert_eq!((&n_a, ng_a), (&n_p, ng_p), "{what}: probe {probe:?}");
-                    }
+                    assert_eq!(view(&forked), view(&plain), "{what}: state at {at}");
                 }
             }
         }

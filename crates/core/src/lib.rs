@@ -75,7 +75,7 @@ pub use components::{balance_components, UnionFind};
 pub use criteria::{is_compact_set, sparse_neighborhood_ok, Aggregation};
 pub use distinct::DistinctEstimator;
 pub use eval::{evaluate, PrecisionRecall};
-pub use incremental::{BatchDelta, BatchStats, IncrementalDedup, IncrementalDedupBuilder};
+pub use incremental::{BatchStats, IncrementalDedup, IncrementalDedupBuilder};
 pub use matrix::MatrixIndex;
 pub use nnreln::{NnEntry, NnReln};
 pub use pair_cache::PairCache;
@@ -90,8 +90,7 @@ pub use pipeline::{DedupConfig, DedupError, DedupOutcome, Deduplicator, IndexCho
 pub use problem::CutSpec;
 pub use report::{render_report, ReportOptions};
 pub use service::{
-    epoch_pair, DedupService, EpochReader, EpochWriter, QueryAnswer, ServiceConfig, ServiceError,
-    ServiceStats,
+    DedupService, EpochReader, QueryAnswer, ServiceConfig, ServiceError, ServiceStats,
 };
 pub use spill::{read_nn_reln, spill_nn_reln};
-pub use threshold::{estimate_sn_threshold, estimate_sn_threshold_parallel};
+pub use threshold::estimate_sn_threshold;

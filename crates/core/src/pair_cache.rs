@@ -72,7 +72,8 @@ fn decode_bound(v: f64) -> f64 {
 
 /// Bounded memo of exact distances and rejection bounds keyed on unordered
 /// record-id pairs. Lock-free on both paths; safe to share across refresh
-/// worker threads and the two sides of a service's epoch pair.
+/// worker threads, and shared by an incremental state and its forks (the
+/// service's published snapshot and the fork a batch runs on).
 pub struct PairCache {
     /// Seqlock words: even = stable, odd = writer in flight.
     seqs: Vec<AtomicU64>,

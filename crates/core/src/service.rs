@@ -13,32 +13,22 @@
 //!    affected-set scan and Phase-2 recompute exactly the way the batch
 //!    pipeline amortizes index construction.
 //!
-//! 2. **Epoch-snapshot reads.** Point queries ("find duplicates of this
-//!    record *now*") must not block while the writer rebuilds after a
-//!    batch. We keep **two** complete `IncrementalDedup` states in an
-//!    [`epoch_pair`]: readers run against the active side; the writer
-//!    computes each admitted batch **once**, on the *inactive* side
-//!    ([`IncrementalDedup::insert_batch_logged`]), flips the epoch with one
-//!    atomic store, then brings the stale side up to date by replaying the
-//!    batch's [`crate::incremental::BatchDelta`] — an index append and a
-//!    copy of the refreshed entries and the partition, no lookups and no
-//!    Phase 2 ([`IncrementalDedup::replay_batch`]). This generalizes the
-//!    `pair_cache` seqlock idea from one `(u64, f64)` slot to the whole
-//!    partition+NN state: where a seqlock makes readers *retry* around a
-//!    writer, the left-right pair gives readers an untouched side to
-//!    finish on, so a read never waits on an in-progress rebuild (see
-//!    `DESIGN.md` §7.9 for the full argument). `insert_batch` is a
-//!    deterministic function of (state, batch), so the replayed side is
-//!    bit-identical to the computed one — which is what makes
-//!    drain-identity testable. The left-right pair costs 2× memory and
-//!    1× admission CPU; the two sides share the one pair memo an
-//!    incremental state always holds.
+//! 2. **Immutable snapshots.** Point queries ("find duplicates of this
+//!    record *now*") must not block while the writer applies a batch. The
+//!    published state is an `Arc<IncrementalDedup>` nobody mutates: the
+//!    writer forks it, runs plain [`IncrementalDedup::insert_batch`] on
+//!    the fork, and publishes the fork as the next epoch by swapping the
+//!    `Arc` under a lock that guards only the pointer. A reader clones the
+//!    `Arc` and reads holding nothing, so a read never waits on a batch
+//!    and sees one state from start to end (see `DESIGN.md` §7.9). Memory
+//!    is the published state plus, during a batch, its fork; the two share
+//!    the pair memo an incremental state always holds.
 //!
 //!    A panic on the writer thread (a user [`Distance`], a broken
 //!    invariant) ends ingest, not the service: `submit*` return
 //!    [`ServiceError::WriterFailed`], [`DedupService::drain`] returns,
-//!    and readers keep the last published epoch — the panicking batch
-//!    never flipped it.
+//!    and readers keep the last published epoch — the panicking batch's
+//!    fork is dropped unpublished.
 //!
 //! 3. **Observability.** [`DedupService::metrics`] — a `RunMetrics` of
 //!    this service alone: the writer thread folds what each admitted batch
@@ -51,12 +41,11 @@
 //!    ([`crate::distinct::DistinctEstimator`]) fed with each duplicate
 //!    group's canonical key after every admitted batch.
 
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 
 use fuzzydedup_metrics::{scoped, RunMetrics, ServiceMetrics, Tally};
@@ -70,146 +59,55 @@ use crate::partition::Partition;
 use crate::pipeline::DedupError;
 
 // ---------------------------------------------------------------------------
-// Epoch pair: wait-free snapshot reads over a pair of states.
+// The published snapshot.
 // ---------------------------------------------------------------------------
 
-struct EpochInner<T> {
-    /// Monotone publication counter; `epoch & 1` selects the active slot.
-    epoch: AtomicU64,
-    /// In-flight reader counts, one per slot.
-    readers: [AtomicU64; 2],
-    slots: [UnsafeCell<T>; 2],
-}
-
-// SAFETY: access to `slots` is mediated by the epoch/reader-count protocol
-// below — the writer only mutates a slot after observing its reader count
-// at zero while the epoch parity keeps new readers off it, and readers only
-// dereference a slot they have registered on and re-validated.
-unsafe impl<T: Send + Sync> Sync for EpochInner<T> {}
-unsafe impl<T: Send> Send for EpochInner<T> {}
-
-/// Decrements the registered reader count even if the read closure panics.
-struct ReadGuard<'a> {
-    count: &'a AtomicU64,
-}
-
-impl Drop for ReadGuard<'_> {
-    fn drop(&mut self) {
-        self.count.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Write handle of an [`epoch_pair`]. Not `Clone`: single-writer is
-/// enforced by the type system, not by a runtime lock.
-pub struct EpochWriter<T> {
-    inner: Arc<EpochInner<T>>,
-}
-
-/// Read handle of an [`epoch_pair`]; cheap to clone and share.
+/// Read handle of a service's published snapshot; cheap to clone and share.
 pub struct EpochReader<T> {
-    inner: Arc<EpochInner<T>>,
+    /// The epoch and the state it names, replaced together. The lock
+    /// guards the pointer only: it is held for an `Arc` clone or a swap,
+    /// never while a state is read, built or dropped — so nothing panics
+    /// holding it, and a poisoned guard still holds a whole pair.
+    published: Arc<RwLock<(u64, Arc<T>)>>,
 }
 
 impl<T> Clone for EpochReader<T> {
     fn clone(&self) -> Self {
-        Self { inner: Arc::clone(&self.inner) }
+        Self { published: Arc::clone(&self.published) }
     }
 }
 
-/// Create a left-right epoch pair over two *identical* states.
-///
-/// The caller promises `left` and `right` start out equivalent; every
-/// [`EpochWriter::publish_with`] call computes a mutation on one and
-/// replays it on the other, so they stay equivalent and readers may be
-/// served from either side.
-pub fn epoch_pair<T>(left: T, right: T) -> (EpochWriter<T>, EpochReader<T>) {
-    let inner = Arc::new(EpochInner {
-        epoch: AtomicU64::new(0),
-        readers: [AtomicU64::new(0), AtomicU64::new(0)],
-        slots: [UnsafeCell::new(left), UnsafeCell::new(right)],
-    });
-    (EpochWriter { inner: Arc::clone(&inner) }, EpochReader { inner })
-}
-
 impl<T> EpochReader<T> {
+    fn new(state: T) -> Self {
+        Self { published: Arc::new(RwLock::new((0, Arc::new(state)))) }
+    }
+
     /// Run `f` against the current snapshot and its epoch.
     ///
-    /// Wait-free with respect to the writer's rebuild: the writer mutates
-    /// only the *inactive* slot while this side stays published, so the
-    /// closure runs to completion on a consistent state no matter how long
-    /// the concurrent `insert_batch` takes. A reader retries only across
-    /// the writer's epoch *flip* (one atomic store per admitted batch),
-    /// never across the rebuild itself.
+    /// Never waits on the writer's batch, which runs on a fork while this
+    /// state stays published; the closure runs to completion on that one
+    /// immutable state however many epochs are published meanwhile.
     pub fn read<R>(&self, f: impl FnOnce(u64, &T) -> R) -> R {
-        loop {
-            let e = self.inner.epoch.load(Ordering::SeqCst);
-            let i = (e & 1) as usize;
-            self.inner.readers[i].fetch_add(1, Ordering::SeqCst);
-            if self.inner.epoch.load(Ordering::SeqCst) != e {
-                // Writer flipped between our epoch load and registration;
-                // it may already be mutating slot `i`. Back off and re-read
-                // the new active side.
-                self.inner.readers[i].fetch_sub(1, Ordering::SeqCst);
-                continue;
-            }
-            // Registered on the active slot and re-validated: the writer
-            // cannot start mutating it before observing our count at zero.
-            let guard = ReadGuard { count: &self.inner.readers[i] };
-            // SAFETY: protocol above; the guard keeps the slot pinned (and
-            // unpins it even if `f` panics).
-            let out = f(e, unsafe { &*self.inner.slots[i].get() });
-            drop(guard);
-            return out;
-        }
+        let (epoch, state) = {
+            let published = self.published.read().unwrap_or_else(PoisonError::into_inner);
+            (published.0, Arc::clone(&published.1))
+        };
+        f(epoch, &state)
     }
 
     /// The epoch of the currently published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.inner.epoch.load(Ordering::SeqCst)
+        self.published.read().unwrap_or_else(PoisonError::into_inner).0
     }
-}
 
-impl<T> EpochWriter<T> {
-    /// Compute a mutation on one side, publish it, and replay it on the
-    /// other; returns the new epoch. `apply` runs once, on the inactive
-    /// slot, and returns a log of what it changed; after the flip `replay`
-    /// runs once, on the lagging slot, with that log, and must leave it
-    /// equivalent to the side `apply` mutated.
-    ///
-    /// Readers are never blocked: `apply` runs on the inactive slot while
-    /// reads proceed on the active one; the flip is a single atomic store.
-    /// The *writer* briefly waits for stragglers (a reader mid-closure on a
-    /// slot it is about to touch) — backpressure lands on the ingest path,
-    /// where it belongs.
-    ///
-    /// A panic in `apply` leaves the epoch where it was: readers keep the
-    /// published side, and the half-mutated inactive slot is never read.
-    pub fn publish_with<L>(
-        &mut self,
-        apply: impl FnOnce(&mut T) -> L,
-        replay: impl FnOnce(&mut T, L),
-    ) -> u64 {
-        let e = self.inner.epoch.load(Ordering::SeqCst);
-        let inactive = ((e + 1) & 1) as usize;
-        // Stragglers from epoch e-1 may still be inside the inactive slot
-        // (they will re-validate, fail, and unregister).
-        while self.inner.readers[inactive].load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-        // SAFETY: epoch parity routes all new readers to the other slot,
-        // and the spin above drained the old ones.
-        let log = apply(unsafe { &mut *self.inner.slots[inactive].get() });
-        self.inner.epoch.store(e + 1, Ordering::SeqCst);
-        // Bring the previously active side up to date for the next cycle;
-        // wait out readers still pinned to it.
-        let old = (e & 1) as usize;
-        while self.inner.readers[old].load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-        // SAFETY: no reader is registered on `old` and new readers go to
-        // the published side.
-        replay(unsafe { &mut *self.inner.slots[old].get() }, log);
-        e + 1
+    /// Publish `state` as the next epoch; returns that epoch and the
+    /// snapshot it replaced, which the caller drops after the lock is
+    /// released (or a reader still holding it does, when done).
+    fn publish(&self, state: T) -> (u64, Arc<T>) {
+        let state = Arc::new(state);
+        let mut published = self.published.write().unwrap_or_else(PoisonError::into_inner);
+        let epoch = published.0 + 1;
+        (epoch, std::mem::replace(&mut *published, (epoch, state)).1)
     }
 }
 
@@ -488,16 +386,14 @@ pub struct DedupService<D: Distance + Clone + 'static> {
 
 impl<D: Distance + Clone + 'static> DedupService<D> {
     /// Start a service over an empty incremental state described by
-    /// `builder`. The builder is built twice — once per epoch-pair side,
-    /// the two sharing one pair memo —
-    /// which is why `D: Clone`.
+    /// `builder`. Every batch runs on a fork of the published state, which
+    /// is why `D: Clone`.
     pub fn spawn(
         builder: IncrementalDedupBuilder<D>,
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
         config.validate()?;
-        let [left, right] = builder.build_pair()?;
-        let (writer_handle, reader) = epoch_pair(left, right);
+        let reader = EpochReader::new(builder.build()?);
         let shared = Arc::new(ServiceShared {
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
@@ -519,11 +415,11 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
             tally: Mutex::new(Tally::default()),
         });
         let writer = {
-            let shared = Arc::clone(&shared);
+            let (published, shared) = (reader.clone(), Arc::clone(&shared));
             let admit = config.admit_batch_size;
             std::thread::Builder::new()
                 .name("dedup-service-writer".into())
-                .spawn(move || writer_loop(writer_handle, shared, admit))
+                .spawn(move || writer_loop(published, shared, admit))
                 .expect("spawn service writer thread")
         };
         Ok(Self { shared, reader, writer: Some(writer), config })
@@ -561,8 +457,8 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
         }
     }
 
-    /// Find duplicates of `fields` against the current snapshot — the
-    /// wait-free read path (see [`EpochReader::read`]).
+    /// Find duplicates of `fields` against the current snapshot — a read
+    /// that never waits on a batch (see [`EpochReader::read`]).
     pub fn query(&self, fields: &[&str]) -> QueryAnswer {
         let started = std::time::Instant::now();
         let (answer, tally) = scoped(|| {
@@ -685,8 +581,10 @@ impl<D: Distance + Clone + 'static> Drop for DedupService<D> {
 /// Unwind guard of the writer thread. A panic inside a batch would
 /// otherwise leave `in_flight` set forever: `drain` would never return and
 /// `submit_wait` would block once the queue filled. On unwind the guard
-/// ends ingest and wakes every waiter; the panicking batch never flipped
-/// the epoch, so readers keep the last published side.
+/// ends ingest and wakes every waiter; the panicking batch's fork is never
+/// published, so readers keep the last published snapshot, and no later
+/// fork can reuse the ids its records took in the shared pair memo
+/// (`IncrementalDedup::fork`).
 struct WriterGuard<'a>(&'a ServiceShared);
 
 impl Drop for WriterGuard<'_> {
@@ -706,7 +604,7 @@ impl Drop for WriterGuard<'_> {
 }
 
 fn writer_loop<D: Distance + Clone + 'static>(
-    mut writer: EpochWriter<IncrementalDedup<D>>,
+    published: EpochReader<IncrementalDedup<D>>,
     shared: Arc<ServiceShared>,
     admit_batch_size: usize,
 ) {
@@ -731,26 +629,24 @@ fn writer_loop<D: Distance + Clone + 'static>(
         shared.space.notify_all();
 
         let n_records = batch.len() as u64;
-        // Canonical keys of the duplicate groups after this batch.
-        let mut group_keys: Vec<u64> = Vec::new();
-        // Compute the batch once, on the side published next; the lagging
-        // side replays its delta after the flip.
-        let (epoch, tally) = scoped(|| {
-            writer.publish_with(
-                |state| {
-                    let (_stats, delta) = state.insert_batch_logged(batch);
-                    group_keys.extend(
-                        state
-                            .partition()
-                            .groups()
-                            .iter()
-                            .map(|g| u64::from(*g.iter().min().expect("non-empty group"))),
-                    );
-                    delta
-                },
-                IncrementalDedup::replay_batch,
-            )
+        // The batch runs on a fork of the published state while readers
+        // keep that one; a panic here drops the fork unpublished.
+        let (next, tally) = scoped(|| {
+            let mut next = published.read(|_, state| state.fork());
+            next.insert_batch(batch);
+            next
         });
+        // Canonical keys of the duplicate groups after this batch.
+        let group_keys: Vec<u64> = next
+            .partition()
+            .groups()
+            .iter()
+            .map(|g| u64::from(*g.iter().min().expect("non-empty group")))
+            .collect();
+        let (epoch, previous) = published.publish(next);
+        // Outside the lock, and before `drain` can return: between batches
+        // the service holds one state (unless a reader still pins this one).
+        drop(previous);
 
         shared.batches_admitted.fetch_add(1, Ordering::Relaxed);
         shared.records_admitted.fetch_add(n_records, Ordering::Relaxed);
@@ -798,137 +694,10 @@ mod tests {
             .collect()
     }
 
-    /// `publish_with` adding `delta` to a counter: computed on one side,
-    /// replayed on the other.
-    fn publish_add(w: &mut EpochWriter<u64>, delta: u64) -> u64 {
-        w.publish_with(
-            |v| {
-                *v += delta;
-                delta
-            },
-            |v, delta| *v += delta,
-        )
-    }
-
-    #[test]
-    fn epoch_pair_reads_latest_published_value() {
-        let (mut w, r) = epoch_pair(0u64, 0u64);
-        assert_eq!(r.read(|e, v| (e, *v)), (0, 0));
-        let e = publish_add(&mut w, 7);
-        assert_eq!(e, 1);
-        assert_eq!(r.read(|e, v| (e, *v)), (1, 7));
-        // The second publish computes on the side the first one replayed.
-        publish_add(&mut w, 1);
-        assert_eq!(r.read(|_, v| *v), 8);
-    }
-
-    #[test]
-    fn epoch_pair_reader_is_wait_free_during_rebuild() {
-        // Block the writer mid-apply (inactive slot) and prove a reader
-        // still completes against the published side.
-        let (mut w, r) = epoch_pair(1u64, 1u64);
-        let entered = Arc::new(Barrier::new(2));
-        let release = Arc::new(Barrier::new(2));
-        let writer = {
-            let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
-            std::thread::spawn(move || {
-                w.publish_with(
-                    |v| {
-                        entered.wait(); // writer is now inside the rebuild
-                        release.wait(); // ... and stays there until released
-                        *v = 2;
-                    },
-                    |v, ()| *v = 2,
-                );
-            })
-        };
-        entered.wait();
-        // The writer is parked inside `apply` on the inactive slot. Reads
-        // must still answer from the published snapshot without blocking.
-        for _ in 0..100 {
-            assert_eq!(r.read(|e, v| (e, *v)), (0, 1));
-        }
-        release.wait();
-        writer.join().unwrap();
-        assert_eq!(r.read(|e, v| (e, *v)), (1, 2));
-    }
-
-    #[test]
-    fn epoch_pair_read_survives_panicking_closure() {
-        let (mut w, r) = epoch_pair(5u64, 5u64);
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            r.read(|_, _| panic!("reader closure panic"));
-        }));
-        assert!(panicked.is_err());
-        // The reader count was released by the guard: the writer neither
-        // deadlocks nor observes a phantom reader.
-        publish_add(&mut w, 1);
-        assert_eq!(r.read(|_, v| *v), 6);
-    }
-
-    #[test]
-    fn epoch_pair_applies_once_and_replays_once_on_an_unread_slot() {
-        let (mut w, r) = epoch_pair(0u64, 0u64);
-        let inner = Arc::clone(&r.inner);
-        let applies = Arc::new(AtomicU64::new(0));
-        let replays = Arc::new(AtomicU64::new(0));
-        // A reader parks on the published slot 0 — the one the first
-        // publish replays on.
-        let entered = Arc::new(Barrier::new(2));
-        let release = Arc::new(Barrier::new(2));
-        let parked = {
-            let (r, entered, release) = (r.clone(), Arc::clone(&entered), Arc::clone(&release));
-            std::thread::spawn(move || {
-                r.read(|e, v| {
-                    entered.wait();
-                    release.wait();
-                    (e, *v)
-                })
-            })
-        };
-        entered.wait();
-        let writer = {
-            let (applies, replays) = (Arc::clone(&applies), Arc::clone(&replays));
-            std::thread::spawn(move || {
-                for _ in 0..3 {
-                    let e = inner.epoch.load(Ordering::SeqCst);
-                    w.publish_with(
-                        |v| {
-                            applies.fetch_add(1, Ordering::SeqCst);
-                            *v += 1;
-                        },
-                        |v, ()| {
-                            let lagging = (e & 1) as usize;
-                            assert_eq!(
-                                inner.readers[lagging].load(Ordering::SeqCst),
-                                0,
-                                "replay ran on a slot with a registered reader"
-                            );
-                            replays.fetch_add(1, Ordering::SeqCst);
-                            *v += 1;
-                        },
-                    );
-                }
-            })
-        };
-        // The first publish flips without waiting for the parked reader,
-        // then holds its replay back for as long as that reader stays. The
-        // reader is parked on a barrier, so the sleep cannot make a correct
-        // writer fail; it only gives a wrong one time to replay early and
-        // trip the reader-count assertion inside `replay`.
-        while r.epoch() == 0 {
-            std::thread::yield_now();
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(applies.load(Ordering::SeqCst), 1);
-        assert_eq!(replays.load(Ordering::SeqCst), 0);
-        assert_eq!(r.read(|e, v| (e, *v)), (1, 1));
-        release.wait();
-        assert_eq!(parked.join().unwrap(), (0, 0), "the parked reader saw its epoch untouched");
-        writer.join().unwrap();
-        assert_eq!(applies.load(Ordering::SeqCst), 3);
-        assert_eq!(replays.load(Ordering::SeqCst), 3);
-        assert_eq!(r.read(|e, v| (e, *v)), (3, 3));
+    /// How many `IncrementalDedup`s the service holds: every state of one
+    /// service shares the one pair memo.
+    fn states_held(service: &DedupService<impl Distance + Clone + 'static>) -> usize {
+        service.with_snapshot(|_, state| Arc::strong_count(&state.pair_cache))
     }
 
     #[test]
@@ -993,6 +762,7 @@ mod tests {
         .unwrap();
         let (_, live) = service.snapshot_partition();
         assert_eq!(live, batch.partition, "service-after-drain must equal from-scratch batch");
+        assert_eq!(states_held(&service), 1, "between batches the service holds one state");
         // Point queries agree with membership: an indexed record's own text
         // hits at distance 0 (possibly via an identical twin record).
         for record in records.iter().step_by(13) {
@@ -1200,59 +970,154 @@ mod tests {
         service.shutdown();
     }
 
-    /// Edit distance that panics when either record carries the marker.
-    #[derive(Clone)]
-    struct PanicsOnMarker;
-
     const MARKER: &str = "poison";
 
-    impl Distance for PanicsOnMarker {
+    /// Edit distance that stops the first call on a record carrying
+    /// [`MARKER`]: the calling thread (the writer, inside a batch) meets
+    /// the test thread at [`Self::entered`] and stays parked until
+    /// [`Self::release`]; then, if `panics`, that call and every later
+    /// marked one panic.
+    #[derive(Clone)]
+    struct StopsOnMarker {
+        armed: Arc<AtomicBool>,
+        park: Arc<[Barrier; 2]>,
+        panics: bool,
+    }
+
+    impl StopsOnMarker {
+        fn new(panics: bool) -> Self {
+            let park = Arc::new([Barrier::new(2), Barrier::new(2)]);
+            Self { armed: Arc::new(AtomicBool::new(true)), park, panics }
+        }
+
+        /// Wait until the writer is parked inside the marked batch.
+        fn entered(&self) {
+            self.park[0].wait();
+        }
+
+        /// Let the parked writer go on.
+        fn release(&self) {
+            self.park[1].wait();
+        }
+
+        /// A service over this distance holding `records`, drained.
+        fn service(&self, records: &[Vec<String>], queue: usize) -> DedupService<Self> {
+            let service = DedupService::spawn(
+                IncrementalDedup::builder(self.clone()).cut(CutSpec::Size(4)).sn_threshold(4.0),
+                ServiceConfig::new().admit_batch_size(8).queue_capacity(queue),
+            )
+            .unwrap();
+            for r in records {
+                service.submit_wait(r.clone()).unwrap();
+            }
+            service.drain();
+            service
+        }
+    }
+
+    impl Distance for StopsOnMarker {
         fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
-            let marked = a.iter().chain(b).any(|field| field.contains(MARKER));
-            assert!(!marked, "injected distance panic on the marker record");
+            if a.iter().chain(b).any(|field| field.contains(MARKER)) {
+                if self.armed.swap(false, Ordering::SeqCst) {
+                    self.entered();
+                    self.release();
+                }
+                assert!(!self.panics, "injected distance panic on the marker record");
+            }
             EditDistance.distance(a, b)
         }
         fn name(&self) -> &str {
-            "panics-on-marker"
+            "stops-on-marker"
         }
+    }
+
+    /// Shares terms with [`corpus`], so its lookup verifies candidates.
+    fn marked_record() -> Vec<String> {
+        vec![format!("service entity 003 kappa {MARKER}")]
+    }
+
+    #[test]
+    fn reads_never_wait_on_a_batch() {
+        let records = corpus(40);
+        let marker = StopsOnMarker::new(false);
+        let service = marker.service(&records, 8);
+        let before = service.stats();
+        let (_, published) = service.snapshot_partition();
+        assert_eq!(states_held(&service), 1);
+
+        service.submit_wait(marked_record()).unwrap();
+        marker.entered();
+        // The writer is parked inside the batch, on its fork of the
+        // published state: every read returns, at the old epoch.
+        assert_eq!(states_held(&service), 2, "the published state and the batch's fork");
+        let fields: Vec<&str> = records[0].iter().map(String::as_str).collect();
+        let answer = service.query(&fields);
+        assert_eq!((answer.epoch, answer.corpus_len), (before.epoch, records.len()));
+        let read = service.with_snapshot(|epoch, state| (epoch, state.len()));
+        assert_eq!(read, (before.epoch, records.len()));
+        assert_eq!(service.snapshot_partition(), (before.epoch, published));
+        let stats = service.stats();
+        assert_eq!((stats.epoch, stats.corpus_len), (before.epoch, records.len()));
+        assert_eq!(service.reader().epoch(), before.epoch);
+        // A read that panics holds nothing the publish needs.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.with_snapshot(|_, _| panic!("reader closure panic"));
+        }));
+        assert!(panicked.is_err());
+
+        marker.release();
+        service.drain();
+        let after = service.stats();
+        assert_eq!((after.epoch, after.corpus_len), (before.epoch + 1, records.len() + 1));
+        assert_eq!(states_held(&service), 1, "the replaced snapshot is gone");
     }
 
     #[test]
     fn writer_panic_fails_ingest_and_keeps_the_published_epoch() {
         let records = corpus(40);
-        let service = DedupService::spawn(
-            IncrementalDedup::builder(PanicsOnMarker).cut(CutSpec::Size(4)).sn_threshold(4.0),
-            ServiceConfig::new().admit_batch_size(8).queue_capacity(8),
-        )
-        .unwrap();
-        for r in records.clone() {
-            service.submit_wait(r).unwrap();
-        }
-        service.drain();
+        let marker = StopsOnMarker::new(true);
+        let service = marker.service(&records, 2);
         let before = service.stats();
         assert_eq!(before.corpus_len, records.len());
         assert!(!before.writer_failed);
         let (_, published) = service.snapshot_partition();
 
-        // The marker record shares terms with the corpus, so its lookup
-        // verifies candidates and the injected panic unwinds the writer.
-        service.submit_wait(vec![format!("service entity 003 kappa {MARKER}")]).unwrap();
-        // Keep submitting: before the fix this blocked forever once the
-        // dead writer stopped taking from the full queue.
-        let refused = (0..64)
-            .find_map(|i| service.submit_wait(vec![format!("after the panic {i:02}")]).err());
-        assert!(matches!(refused, Some(ServiceError::WriterFailed)), "{refused:?}");
+        // Park the writer inside the marked batch, fill the queue behind
+        // it, and park submitters on the full queue; then let the writer
+        // panic. Before the unwind guard a dead writer left them blocked
+        // forever.
+        service.submit_wait(marked_record()).unwrap();
+        marker.entered();
+        for i in 0..2 {
+            service.submit(vec![format!("queued behind the marker {i}")]).unwrap();
+        }
+        std::thread::scope(|s| {
+            let service = &service;
+            let parked: Vec<_> = (0..3)
+                .map(|i| s.spawn(move || service.submit_wait(vec![format!("parked {i}")])))
+                .collect();
+            // The queue stays full while the writer is parked, so the sleep
+            // cannot make a correct service fail; it only lets the
+            // submitters reach the condvar before the panic.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            marker.release();
+            for handle in parked {
+                let refused = handle.join().unwrap();
+                assert!(matches!(refused, Err(ServiceError::WriterFailed)), "{refused:?}");
+            }
+        });
         // ... and this never returned, `in_flight` being left set.
         service.drain();
         assert!(matches!(service.submit(vec!["late".into()]), Err(ServiceError::WriterFailed)));
 
-        // Readers keep the last published epoch, untouched by the batch
-        // that panicked half-way through the inactive side.
+        // Readers keep the last published epoch: the panicking batch's
+        // fork was dropped unpublished.
         let after = service.stats();
         assert!(after.writer_failed);
         assert_eq!(after.epoch, before.epoch);
         assert_eq!(after.corpus_len, records.len());
         assert_eq!(service.snapshot_partition(), (before.epoch, published));
+        assert_eq!(states_held(&service), 1);
         let fields: Vec<&str> = records[0].iter().map(String::as_str).collect();
         let answer = service.query(&fields);
         assert_eq!(answer.epoch, before.epoch);

@@ -8,9 +8,9 @@
 //! * ideally, `c` is the `f`-percentile of `D` (duplicates have the lowest
 //!   NG values);
 //! * to be robust, the heuristic picks the least value `x = D⁻¹(y)` around
-//!   the `f`-percentile (`y ∈ [f − δ, f + δ]`, default `δ = 0.05`) where
-//!   the distribution *spikes* — where the mass concentrated at a single
-//!   NG value exceeds a spike threshold (default `0.1`, the paper's
+//!   the `f`-percentile (`y ∈ [f − δ, f + δ]`, `δ = WINDOW`) where the
+//!   distribution *spikes* — where the mass concentrated at a single NG
+//!   value reaches a spike threshold (`SPIKE_MASS`, the paper's
 //!   `D'(x) > 0.1`);
 //! * if no spike exists in the window, fall back to `D⁻¹(f + δ)`.
 //!
@@ -18,139 +18,35 @@
 //! return the spike's NG value itself: groups must be strictly sparser
 //! than the spike.
 
-/// Tuning knobs of the heuristic (the paper: "the parameters for defining
-/// the vicinity of f ... and the spike may be guided by a user").
-#[derive(Debug, Clone, Copy)]
-pub struct SnThresholdConfig {
-    /// Half-width δ of the percentile window around `f`.
-    pub window: f64,
-    /// Minimum probability mass at one NG value to count as a spike.
-    pub spike_mass: f64,
-}
+/// Half-width δ of the percentile window around `f`: the paper's 0.05.
+const WINDOW: f64 = 0.05;
 
-impl Default for SnThresholdConfig {
-    fn default() -> Self {
-        Self { window: 0.05, spike_mass: 0.1 }
-    }
-}
+/// Least probability mass at one NG value that counts as a spike: the
+/// paper's 0.1.
+const SPIKE_MASS: f64 = 0.1;
 
 /// Estimate the SN threshold `c` from NG values and an estimated duplicate
 /// fraction `f ∈ [0, 1]`. Returns `None` for an empty relation.
 pub fn estimate_sn_threshold(ng_values: &[f64], f: f64) -> Option<f64> {
-    estimate_sn_threshold_with(ng_values, f, SnThresholdConfig::default())
-}
-
-/// [`estimate_sn_threshold`] with explicit tuning parameters.
-pub fn estimate_sn_threshold_with(
-    ng_values: &[f64],
-    f: f64,
-    config: SnThresholdConfig,
-) -> Option<f64> {
-    if ng_values.is_empty() {
-        return None;
-    }
-    let n = ng_values.len();
+    let n = ng_values.len() as f64;
     let mut sorted: Vec<f64> = ng_values.to_vec();
     sorted.sort_by(f64::total_cmp);
 
-    // Distinct values with their counts, ascending.
-    let mut distinct: Vec<(f64, u64)> = Vec::new();
-    for &v in &sorted {
-        push_run(&mut distinct, v, 1);
-    }
-    spike_walk(&distinct, n, f, config)
-}
-
-/// Parallel form of [`estimate_sn_threshold`]: the NG-distribution scan
-/// (sort + distinct-run counting over the whole relation) is sharded over
-/// `n_threads` scoped worker threads (`0` = one per CPU) and the per-shard
-/// sorted runs are merged before the same spike walk. The result is
-/// identical to the sequential estimator for every input — only the
-/// distribution construction parallelizes; the walk itself is O(distinct).
-pub fn estimate_sn_threshold_parallel(ng_values: &[f64], f: f64, n_threads: usize) -> Option<f64> {
-    estimate_sn_threshold_parallel_with(ng_values, f, n_threads, SnThresholdConfig::default())
-}
-
-/// [`estimate_sn_threshold_parallel`] with explicit tuning parameters.
-pub fn estimate_sn_threshold_parallel_with(
-    ng_values: &[f64],
-    f: f64,
-    n_threads: usize,
-    config: SnThresholdConfig,
-) -> Option<f64> {
-    if ng_values.is_empty() {
-        return None;
-    }
-    let n = ng_values.len();
-    let threads = crate::parallel::resolve_threads(n_threads, n);
-    let chunk_size = n.div_ceil(threads).max(1);
-
-    // Shard: each worker sorts its slice and collapses it to distinct
-    // (value, count) runs. It reaches no `incr`: no metrics tally to fold.
-    let mut shard_runs: Vec<Vec<(f64, u64)>> = vec![Vec::new(); threads];
-    std::thread::scope(|scope| {
-        for (chunk, out) in ng_values.chunks(chunk_size).zip(shard_runs.iter_mut()) {
-            scope.spawn(move || {
-                let mut sorted: Vec<f64> = chunk.to_vec();
-                sorted.sort_by(f64::total_cmp);
-                let mut runs: Vec<(f64, u64)> = Vec::new();
-                for &v in &sorted {
-                    push_run(&mut runs, v, 1);
-                }
-                *out = runs;
-            });
-        }
-    });
-
-    // K-way merge of the sorted per-shard run lists into one global
-    // distinct-count list (deterministic: order by value via total_cmp).
-    let mut cursors: Vec<usize> = vec![0; shard_runs.len()];
-    let mut distinct: Vec<(f64, u64)> = Vec::new();
-    loop {
-        let mut best: Option<(usize, f64)> = None;
-        for (s, runs) in shard_runs.iter().enumerate() {
-            if let Some(&(v, _)) = runs.get(cursors[s]) {
-                if best.is_none_or(|(_, bv)| v.total_cmp(&bv) == std::cmp::Ordering::Less) {
-                    best = Some((s, v));
-                }
-            }
-        }
-        let Some((s, _)) = best else { break };
-        let (v, count) = shard_runs[s][cursors[s]];
-        cursors[s] += 1;
-        push_run(&mut distinct, v, count);
-    }
-    spike_walk(&distinct, n, f, config)
-}
-
-/// Append `count` occurrences of `v` to an ascending run list, merging
-/// with the last run when the value repeats.
-fn push_run(runs: &mut Vec<(f64, u64)>, v: f64, count: u64) {
-    match runs.last_mut() {
-        Some((last, c)) if *last == v => *c += count,
-        _ => runs.push((v, count)),
-    }
-}
-
-/// The §4.4 spike heuristic over an ascending distinct-count distribution
-/// of `n` total NG values. Shared by the sequential and parallel
-/// estimators so they cannot diverge.
-fn spike_walk(distinct: &[(f64, u64)], n: usize, f: f64, config: SnThresholdConfig) -> Option<f64> {
     let f = f.clamp(0.0, 1.0);
+    let lo = (f - WINDOW).max(0.0);
+    let hi = (f + WINDOW).min(1.0);
     // Percentile position of each distinct value: its mass occupies the
     // span `(below, below + mass]` of the cumulative distribution.
     let mut cumulative = 0.0;
-    let lo = (f - config.window).max(0.0);
-    let hi = (f + config.window).min(1.0);
     let mut fallback = None;
-    for &(value, count) in distinct {
-        let mass = count as f64 / n as f64;
+    for run in sorted.chunk_by(|a, b| a == b) {
+        let (value, mass) = (run[0], run.len() as f64 / n);
         let below = cumulative;
         cumulative += mass;
         // A spike marks where the bulk of *unique* tuples begins: its span
         // must *start* inside the window (a heavy value starting below the
         // window is the duplicates' own NG level, not the boundary).
-        if (lo..=hi).contains(&below) && mass >= config.spike_mass {
+        if (lo..=hi).contains(&below) && mass >= SPIKE_MASS {
             return Some(value);
         }
         // Track D⁻¹(f + δ): the first value whose cumulative mass reaches
@@ -159,7 +55,7 @@ fn spike_walk(distinct: &[(f64, u64)], n: usize, f: f64, config: SnThresholdConf
             fallback = Some(value);
         }
     }
-    fallback.or_else(|| distinct.last().map(|&(v, _)| v))
+    fallback.or_else(|| sorted.last().copied())
 }
 
 #[cfg(test)]
@@ -220,15 +116,13 @@ mod tests {
     }
 
     #[test]
-    fn custom_config_widens_window() {
+    fn heavy_value_starting_below_the_window_is_reached_by_the_fallback() {
+        // 9.0 holds 80 % of the mass but its span (0.2, 1.0] starts below
+        // the window [0.45, 0.55] around f = 0.5, so it is no spike; it is
+        // still the answer, as D⁻¹(f + δ).
         let mut ng = vec![2.0; 20];
         ng.extend(vec![9.0; 80]);
-        // Narrow window around f=0.5 misses the spike at cumulative 1.0?
-        // No: 9.0 spans (0.2, 1.0], overlapping any window. Use a spike
-        // mass too high to trigger instead.
-        let cfg = SnThresholdConfig { window: 0.05, spike_mass: 0.9 };
-        let c = estimate_sn_threshold_with(&ng, 0.5, cfg).unwrap();
-        assert_eq!(c, 9.0, "fallback to D⁻¹(f+δ)");
+        assert_eq!(estimate_sn_threshold(&ng, 0.5), Some(9.0), "fallback to D⁻¹(f+δ)");
     }
 
     #[test]
@@ -239,10 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_estimator_matches_sequential() {
+    fn estimate_ignores_input_order() {
         // Deterministic pseudo-random NG values with heavy ties, plus the
-        // shaped distributions from the other tests: every thread count
-        // must reproduce the sequential estimate exactly.
+        // shaped distributions from the other tests: the estimate is a
+        // function of the NG distribution, so every order of the same
+        // values must give it bit for bit.
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut noisy: Vec<f64> = (0..997)
             .map(|_| {
@@ -263,21 +158,23 @@ mod tests {
             ("all-equal", &all_equal),
             ("singleton", &singleton),
         ] {
+            let reversed: Vec<f64> = ng.iter().rev().copied().collect();
+            let mut rotated = ng.to_vec();
+            rotated.rotate_left(ng.len() / 3);
             for f in [0.0, 0.2, 0.5, 1.0] {
-                let seq = estimate_sn_threshold(ng, f);
-                for threads in [1, 2, 4, 0] {
-                    let par = estimate_sn_threshold_parallel(ng, f, threads);
+                let want = estimate_sn_threshold(ng, f);
+                for (order, other) in [("reversed", &reversed), ("rotated", &rotated)] {
+                    let got = estimate_sn_threshold(other, f);
                     // Bit-level equality so a shared NaN outcome counts as
                     // agreement.
                     assert_eq!(
-                        seq.map(f64::to_bits),
-                        par.map(f64::to_bits),
-                        "{name}: f={f} threads={threads} ({seq:?} vs {par:?})"
+                        want.map(f64::to_bits),
+                        got.map(f64::to_bits),
+                        "{name} {order}: f={f} ({want:?} vs {got:?})"
                     );
                 }
             }
         }
-        assert_eq!(estimate_sn_threshold_parallel(&[], 0.2, 4), None);
     }
 
     #[test]

@@ -418,8 +418,8 @@ run_metrics! {
         batches_admitted: u64 = by service,
         /// Records admitted through those batches.
         records_admitted: u64 = by service,
-        /// Snapshot epochs published (one per admitted batch under the
-        /// left-right protocol).
+        /// Snapshot epochs published: one per admitted batch, each the
+        /// batch's fork of the previous snapshot swapped in whole.
         epochs_published: u64 = by service,
         /// Point queries served from the epoch snapshot.
         point_queries: u64 = by service,

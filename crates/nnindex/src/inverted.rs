@@ -153,7 +153,7 @@ pub trait Layout: Send + Sync + Sized {
 
 /// Postings that still take records: one appendable list per term, term
 /// ids in order of first appearance.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct Growing {
     /// Term string → term id.
     dictionary: HashMap<String, u32>,
@@ -195,6 +195,7 @@ struct PagedPostings {
 }
 
 /// Inverted-index nearest-neighbor search; see module docs.
+#[derive(Clone)]
 pub struct InvertedIndex<D, L = Frozen> {
     records: Vec<Vec<String>>,
     distance: D,
@@ -205,9 +206,8 @@ pub struct InvertedIndex<D, L = Frozen> {
     queries: Vec<Vec<QueryTerm>>,
     /// Per-record length/gram statistics for the pruning filters.
     meta: Vec<RecordMeta>,
-    /// Every record compiled once by the distance
-    /// ([`Distance::compile_record`]): what verification reads candidates
-    /// from.
+    /// Every record compiled once by the distance ([`Distance::compile_record`]):
+    /// what verification reads candidates from.
     compiled: CompiledRecords,
     /// Whether the distance admits the q-gram pruning filters.
     filter_ok: bool,

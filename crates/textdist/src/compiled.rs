@@ -105,12 +105,12 @@ impl Candidate<'_> {
 /// and no pointer chase. A store holds one compiled form: the first push
 /// decides it, and a distance that compiles nothing leaves the store empty
 /// (its candidates are the raw fields).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CompiledRecords {
     repr: Repr,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 enum Repr {
     /// Nothing compiled: candidates are the raw attribute strings.
     #[default]

@@ -59,20 +59,19 @@
 //!
 //! Instead of one batch run, records stream through a
 //! [`fuzzydedup::core::DedupService`]: batched admission off a bounded
-//! queue, point queries answered wait-free from the epoch snapshot while
-//! the writer admits, then a drain. The drained partition is what the
-//! batch pipeline would compute on the same corpus (the drain-identity
-//! invariant), so the CSV output is identical — the subcommand trades
-//! end-to-end latency for live queryability and reports service
-//! statistics (admitted batches, epochs, query p50/p99) on stderr.
+//! queue, point queries answered from the published snapshot without
+//! waiting on the batch the writer admits, then a drain. The drained
+//! partition is what the batch pipeline would compute on the same corpus
+//! (the drain-identity invariant), so the CSV output is identical — the
+//! subcommand trades end-to-end latency for live queryability and reports
+//! service statistics (admitted batches, epochs, query p50/p99) on stderr.
 
 use std::io::Read;
 use std::process::ExitCode;
 
 use fuzzydedup::core::{
-    estimate_sn_threshold_parallel, evaluate, Aggregation, CollapseKey, CutSpec, DedupConfig,
-    DedupService, Deduplicator, IncrementalDedup, Parallelism, Partition, ServiceConfig,
-    ServiceError,
+    estimate_sn_threshold, evaluate, Aggregation, CollapseKey, CutSpec, DedupConfig, DedupService,
+    Deduplicator, IncrementalDedup, Parallelism, Partition, ServiceConfig, ServiceError,
 };
 use fuzzydedup::datagen::csvio::{parse_csv, write_csv};
 use fuzzydedup::datagen::{media, org, restaurants, Dataset, DatasetSpec};
@@ -347,9 +346,7 @@ fn run_service<D: fuzzydedup::textdist::Distance + Clone + 'static>(
             .aggregation(opts.agg)
             .sn_threshold(opts.c.unwrap_or(4.0))
             .collapse(opts.collapse),
-        ServiceConfig::new()
-            .admit_batch_size(opts.batch_size.max(1))
-            .queue_capacity(opts.queue_capacity.max(1)),
+        ServiceConfig::new().admit_batch_size(opts.batch_size).queue_capacity(opts.queue_capacity),
     )
     .map_err(|e| render_error(&e))?;
 
@@ -510,8 +507,7 @@ fn run() -> Result<(), String> {
     let dedup = Deduplicator::new(config.clone());
     let c = match (opts.dup_fraction, opts.c) {
         (Some(f), _) => {
-            // Probe run for NG values, then the heuristic (the NG scan
-            // parallelizes with the same --threads knob; 1 = sequential).
+            // Probe run for NG values, then the heuristic.
             if records.len() < 100 {
                 eprintln!(
                     "warning: --dup-fraction needs a meaningful NG distribution; \
@@ -522,12 +518,8 @@ fn run() -> Result<(), String> {
             let probe = Deduplicator::new(config.clone().sn_threshold(4.0))
                 .run_records(&records)
                 .map_err(|e| render_error(&e))?;
-            let derived = estimate_sn_threshold_parallel(
-                &probe.nn_reln.ng_values(),
-                f,
-                opts.threads.unwrap_or(1),
-            )
-            .ok_or("empty relation")?;
+            let derived =
+                estimate_sn_threshold(&probe.nn_reln.ng_values(), f).ok_or("empty relation")?;
             eprintln!("derived SN threshold c = {derived:.1} from duplicate fraction {f}");
             derived
         }

@@ -164,6 +164,20 @@ fn bad_arguments_fail_cleanly() {
 }
 
 #[test]
+fn replay_passes_sizes_as_given_so_zero_is_the_services_error() {
+    for (flag, field) in
+        [("--batch-size", "admit_batch_size"), ("--queue-capacity", "queue_capacity")]
+    {
+        let out = bin().args(["replay", "--demo", "table1", flag, "0"]).output().unwrap();
+        let want = format!("invalid service configuration: {field} must be >= 1\n");
+        assert_eq!(
+            (out.status.success(), String::from_utf8_lossy(&out.stderr)),
+            (false, want.into())
+        );
+    }
+}
+
+#[test]
 fn removed_pair_cache_flag_is_unknown_and_prints_usage() {
     // The pair memo follows the entry point (always on under `replay`,
     // never in a batch run); neither subcommand takes a flag for it.
