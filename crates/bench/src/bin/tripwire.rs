@@ -23,7 +23,7 @@ use fuzzydedup_core::{
     compute_nn_reln, partition_entries, partition_entries_parallel, partition_via_tables,
     Aggregation, CollapseKey, CollapseMap, CutSpec, NeighborSpec,
 };
-use fuzzydedup_datagen::{org, DatasetSpec};
+use fuzzydedup_datagen::{org, restaurants, DatasetSpec};
 use fuzzydedup_metrics::json::JsonArray;
 use fuzzydedup_nnindex::{
     InvertedIndex, InvertedIndexConfig, LookupOrder, NestedLoopIndex, NnIndex, PostingsSource,
@@ -31,7 +31,7 @@ use fuzzydedup_nnindex::{
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk, PageId};
 use fuzzydedup_textdist::{
     edit::levenshtein_dp_chars_with, myers_bounded_chars, myers_chars, record_string, Candidate,
-    CompiledRecords, Distance, EditDistance,
+    CompiledRecords, Distance, EditDistance, FuzzyMatchDistance, IdfModel,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -272,6 +272,41 @@ fn chunk_kernel(rows: &mut Vec<Row>) {
     }
 }
 
+/// DESIGN §7.5: one lookup's worth of fms verification — prepare a
+/// Restaurants query, then 256 compiled candidates at cutoff 1.0, each
+/// distinct token pair scanned once — against the same 256 pairs through
+/// the unprepared `Distance::distance`, which prepares its query per pair
+/// and takes both decompositions from its memo.
+fn fms_verification(rows: &mut Vec<Row>) {
+    const CANDIDATES: usize = 256;
+    let records =
+        restaurants::generate(&mut StdRng::seed_from_u64(42), DatasetSpec::with_entities(300))
+            .records;
+    assert!(records.len() > CANDIDATES, "need {CANDIDATES} candidates beside the query");
+    let fms = FuzzyMatchDistance::new(IdfModel::fit_records(&records));
+    let store = CompiledRecords::compile(&fms, &records);
+    let fields: Vec<Vec<&str>> =
+        records.iter().map(|r| r.iter().map(String::as_str).collect()).collect();
+    let candidates = 1..=CANDIDATES;
+    Claim {
+        name: format!("fms prepared/{CANDIDATES} <= fms distance/{CANDIDATES}"),
+        max_ratio: 0.3,
+        subject: &mut || {
+            let mut prepared = fms.prepare(&fields[0]);
+            for id in candidates.clone() {
+                let candidate = store.candidate(id, &records[id]);
+                black_box(prepared.distance_bounded(black_box(candidate), 1.0));
+            }
+        },
+        control: &mut || {
+            for id in candidates.clone() {
+                black_box(fms.distance(&fields[0], black_box(&fields[id])));
+            }
+        },
+    }
+    .check(rows);
+}
+
 /// DESIGN §7.7 (postings in memory against pages) and §7.4 (Phase 2's
 /// paths), on one 10k-record Org corpus. Candidate generation: the full merge + score +
 /// truncate over the same 64 queries, the only variable being where
@@ -428,6 +463,7 @@ fn main() {
     println!("{}", render_header());
     edit_kernel(&mut rows);
     chunk_kernel(&mut rows);
+    fms_verification(&mut rows);
     candidates_and_phase2(&mut rows);
     phase1_collapse(&mut rows);
     nn_index(&mut rows);

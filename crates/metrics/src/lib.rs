@@ -242,6 +242,18 @@ run_metrics! {
         early_exit: u64 = Counter::EdKernelEarlyExit,
     }
 
+    /// fms token matching (`textdist` layer): how many token pairs the
+    /// fms evaluations compared, and how many of them a prepared query's
+    /// per-lookup memo answered without a scan.
+    #[derive(Eq)]
+    fms: FmsMetrics = "fms" {
+        /// Token pairs compared: query tokens × candidate tokens, summed
+        /// over fms evaluations.
+        token_pairs: u64 = Counter::FmsTokenPairs,
+        /// Token pairs answered from the memo; the rest were scanned.
+        memo_hits: u64 = Counter::FmsMemoHits,
+    }
+
     /// Index traffic (`nnindex` layer).
     #[derive(Eq)]
     nnindex: NnIndexMetrics = "nnindex" {
@@ -575,7 +587,7 @@ mod tests {
         assert!(json
             .contains("\"timings_ns\": {\"build_distance\": 0, \"build_index\": 0, \"phase1\": 9"));
         // Names, keys and order are held to the README's table below.
-        assert_eq!(written_schema().len(), 14);
+        assert_eq!(written_schema().len(), 15);
     }
 
     #[test]

@@ -12,16 +12,23 @@
 use crate::Distance;
 
 /// One token of a record compiled by `fms`: its chars' span in the store's
-/// arena and its IDF weight.
+/// arena, its IDF vocabulary id ([`NO_ID`] for a token the fit never saw)
+/// and its IDF weight. The length is a `u32` so that the span, id
+/// included, stays at 24 bytes.
 #[derive(Debug, Clone, Copy)]
 struct TokenSpan {
     start: usize,
-    end: usize,
+    len: u32,
+    id: u32,
     weight: f64,
 }
 
+/// [`TokenSpan::id`] of a token without a vocabulary id.
+const NO_ID: u32 = u32::MAX;
+
 /// The token/IDF decomposition of one record: its normalized tokens in
-/// record order, each with its IDF weight, and their total weight.
+/// record order, each with its IDF weight and vocabulary id, and their
+/// total weight.
 #[derive(Debug, Clone, Copy)]
 pub struct WeightedTokens<'c> {
     arena: &'c [char],
@@ -45,9 +52,13 @@ impl<'c> WeightedTokens<'c> {
         self.total
     }
 
-    /// The tokens in record order, as `(chars, weight)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&'c [char], f64)> + '_ {
-        self.spans.iter().map(|t| (&self.arena[t.start..t.end], t.weight))
+    /// The tokens in record order, as `(chars, weight, vocabulary id)`; the
+    /// id is `None` for a token the IDF fit never saw.
+    pub fn iter(&self) -> impl Iterator<Item = (&'c [char], f64, Option<u32>)> + '_ {
+        self.spans.iter().map(|t| {
+            let chars = &self.arena[t.start..t.start + t.len as usize];
+            (chars, t.weight, (t.id != NO_ID).then_some(t.id))
+        })
     }
 }
 
@@ -146,8 +157,17 @@ impl CompiledRecords {
         ends.push(arena.len());
     }
 
-    /// Append a record compiled to its weighted tokens, in record order.
-    pub fn push_tokens<'t>(&mut self, tokens: impl IntoIterator<Item = (&'t str, f64)>) {
+    /// Append a record compiled to its tokens, in record order, each as
+    /// `(text, IDF weight, vocabulary id)`.
+    ///
+    /// An id of `u32::MAX` reads back as `None`.
+    ///
+    /// # Panics
+    /// On a token of 2³² chars or more.
+    pub fn push_tokens<'t>(
+        &mut self,
+        tokens: impl IntoIterator<Item = (&'t str, f64, Option<u32>)>,
+    ) {
         if let Repr::Raw = self.repr {
             self.repr = Repr::Tokens { arena: Vec::new(), spans: Vec::new(), records: Vec::new() };
         }
@@ -155,10 +175,11 @@ impl CompiledRecords {
             panic!("a store holds one compiled form");
         };
         let first = spans.len();
-        for (text, weight) in tokens {
+        for (text, weight, id) in tokens {
             let start = arena.len();
             arena.extend(text.chars());
-            spans.push(TokenSpan { start, end: arena.len(), weight });
+            let len = u32::try_from(arena.len() - start).expect("a token is under 2^32 chars");
+            spans.push(TokenSpan { start, len, id: id.unwrap_or(NO_ID), weight });
         }
         let total = spans[first..].iter().map(|t| t.weight).sum();
         records.push((spans.len(), total));
@@ -225,18 +246,22 @@ mod tests {
     #[test]
     fn token_runs_come_back_per_record() {
         let mut store = CompiledRecords::default();
-        store.push_tokens([("golden", 1.5), ("dragon", 2.0)]);
+        store.push_tokens([("golden", 1.5, Some(0)), ("dragon", 2.0, None)]);
         store.push_tokens([]);
-        store.push_tokens([("café", 0.25)]);
+        store.push_tokens([("café", 0.25, Some(7))]);
         let Candidate::Tokens(first) = store.candidate(0, &[]) else { panic!() };
         assert_eq!(first.len(), 2);
         assert_eq!(first.total_weight(), 3.5);
-        let texts: Vec<String> = first.iter().map(|(c, _)| c.iter().collect()).collect();
-        assert_eq!(texts, ["golden", "dragon"]);
+        let tokens: Vec<(String, Option<u32>)> =
+            first.iter().map(|(c, _, id)| (c.iter().collect(), id)).collect();
+        assert_eq!(tokens, [("golden".into(), Some(0)), ("dragon".into(), None)]);
         let Candidate::Tokens(second) = store.candidate(1, &[]) else { panic!() };
         assert!(second.is_empty());
         let Candidate::Tokens(third) = store.candidate(2, &[]) else { panic!() };
-        assert_eq!(third.iter().next().map(|(c, w)| (c.len(), w)), Some((4, 0.25)));
+        assert_eq!(
+            third.iter().next().map(|(c, w, id)| (c.len(), w, id)),
+            Some((4, 0.25, Some(7)))
+        );
     }
 
     #[test]
@@ -244,7 +269,7 @@ mod tests {
     fn a_store_holds_one_form() {
         let mut store = CompiledRecords::default();
         store.push_chars("abc".chars());
-        store.push_tokens([("abc", 1.0)]);
+        store.push_tokens([("abc", 1.0, None)]);
     }
 
     #[test]

@@ -32,14 +32,27 @@
 //! matching is approximated greedily (largest gain first), which is exact
 //! when gains are distinct across conflicting pairs and is the standard
 //! practical choice for soft-TF-IDF-style measures.
+//!
+//! ## How a query pays for it
+//!
+//! A prepared query compiles each of its tokens once into a Myers pattern.
+//! A token pair is then one scan bounded at the largest distance
+//! `MAX_TOKEN_NED` still admits, so a pair the matching would drop is
+//! abandoned early. Within one lookup, the candidates share tokens, and a
+//! candidate token's IDF vocabulary id fixes its text. So each
+//! (query token, vocabulary id) pair is scanned once and then memoized.
+//! Every answer is exact: the scores are bit-identical to scanning every
+//! pair in full.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use fuzzydedup_metrics::{incr, Counter};
 use parking_lot::Mutex;
 
 use crate::idf::IdfModel;
-use crate::myers::myers_chars;
+use crate::myers::PreparedPattern;
 use crate::tokenize::tokenize_record;
 use crate::{Candidate, CompiledRecords, Distance, Prepared, PreparedDistance, WeightedTokens};
 
@@ -56,11 +69,12 @@ fn tokens_of(decomposition: &CompiledRecords) -> WeightedTokens<'_> {
 
 /// Symmetric fuzzy match distance; see module docs.
 ///
-/// The unprepared [`Distance::distance`] memoizes record decompositions
-/// (tokenization + IDF lookups) behind a bounded, thread-safe cache; the
-/// verification path never touches it — an index compiles every record's
-/// decomposition once ([`Distance::compile_record`]) and a prepared query
-/// pins its own.
+/// Every score comes from one place, a prepared query ([`PreparedFms`]):
+/// the verification path prepares each query once and hands it compiled
+/// candidates ([`Distance::compile_record`]); the unprepared
+/// [`Distance::distance`] prepares its left record for the one call. Both
+/// paths take raw records' decompositions (tokenization + IDF lookups)
+/// from a bounded, thread-safe memo.
 #[derive(Debug)]
 pub struct FuzzyMatchDistance {
     idf: IdfModel,
@@ -81,8 +95,25 @@ const CACHE_CAP: usize = 65_536;
 
 /// Token pairs with normalized edit distance above this threshold are
 /// never matched (their gain would be tiny anyway; the cutoff prunes the
-/// greedy pass).
+/// greedy pass), so no token scan needs to run past [`token_bound`].
 const MAX_TOKEN_NED: f64 = 0.8;
+
+/// The largest edit distance a token pair whose longer side has `max_len`
+/// chars may have and still be matched: the largest `k` with
+/// `k / max_len <= MAX_TOKEN_NED`, evaluated in `f64` exactly as the
+/// matching evaluates `ned`. The quotient only grows with `k`, so a scan
+/// bounded here rejects exactly the pairs the matching drops.
+fn token_bound(max_len: usize) -> usize {
+    let within = |k: usize| k as f64 / max_len as f64 <= MAX_TOKEN_NED;
+    let mut k = (max_len as f64 * MAX_TOKEN_NED) as usize;
+    while k < max_len && within(k + 1) {
+        k += 1;
+    }
+    while k > 0 && !within(k) {
+        k -= 1;
+    }
+    k
+}
 
 impl FuzzyMatchDistance {
     /// Create with a fitted IDF model.
@@ -107,76 +138,42 @@ impl FuzzyMatchDistance {
         value
     }
 
+    /// Compile a query: its decomposition and one pattern per token.
+    fn prepare_fms(&self, query: &[&str]) -> PreparedFms<'_> {
+        let query = self.decompose(query);
+        let mut scratch = Scratch::take();
+        let tokens = tokens_of(&query);
+        let patterns = tokens.iter().map(|(chars, _, _)| PreparedPattern::new(chars.to_vec()));
+        scratch.patterns.extend(patterns);
+        PreparedFms { distance: self, query, scratch }
+    }
+
     /// Similarity in `[0, 1]`; `1` means identical token multisets.
     pub fn similarity(&self, a: &[&str], b: &[&str]) -> f64 {
-        let da = self.decompose(a);
-        let db = self.decompose(b);
-        similarity_decomposed(tokens_of(&da), tokens_of(&db))
+        let b = self.decompose(b);
+        self.prepare_fms(a).similarity(tokens_of(&b))
     }
-}
-
-/// fms similarity over two decompositions. Shared by the per-call path
-/// and the prepared layer so both produce bit-identical results.
-fn similarity_decomposed(ta: WeightedTokens, tb: WeightedTokens) -> f64 {
-    if ta.is_empty() && tb.is_empty() {
-        return 1.0;
-    }
-    if ta.is_empty() || tb.is_empty() {
-        return 0.0;
-    }
-
-    // All candidate token pairs with their gains, scored by the
-    // bit-parallel kernel (tokens are short, so this is always the
-    // single-word path).
-    let mut pairs: Vec<(f64, usize, usize)> = Vec::with_capacity(ta.len() * tb.len());
-    for (i, (ca, wia)) in ta.iter().enumerate() {
-        for (j, (cb, wjb)) in tb.iter().enumerate() {
-            let max_len = ca.len().max(cb.len());
-            if max_len == 0 {
-                continue;
-            }
-            let ned = myers_chars(ca, cb) as f64 / max_len as f64;
-            if ned > MAX_TOKEN_NED {
-                continue;
-            }
-            let gain = (wia + wjb) * (1.0 - ned);
-            if gain > 0.0 {
-                pairs.push((gain, i, j));
-            }
-        }
-    }
-    // Greedy maximum-gain matching. Ties broken by (i, j) for
-    // determinism.
-    pairs.sort_by(|x, y| y.0.partial_cmp(&x.0).unwrap().then_with(|| (x.1, x.2).cmp(&(y.1, y.2))));
-    let mut used_a = vec![false; ta.len()];
-    let mut used_b = vec![false; tb.len()];
-    let mut gain = 0.0;
-    for (g, i, j) in pairs {
-        if !used_a[i] && !used_b[j] {
-            used_a[i] = true;
-            used_b[j] = true;
-            gain += g;
-        }
-    }
-    (gain / (ta.total_weight() + tb.total_weight())).clamp(0.0, 1.0)
 }
 
 impl Distance for FuzzyMatchDistance {
     fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
-        fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::DistFms, 1);
+        incr(Counter::DistFms, 1);
         1.0 - self.similarity(a, b)
     }
 
-    /// Pin the query's decomposition once.
+    /// Pin the query's decomposition and compile its tokens once.
     fn prepare<'a>(&'a self, query: &[&str]) -> Prepared<'a> {
-        Prepared::new(Box::new(PreparedFms { query: self.decompose(query), distance: self }))
+        Prepared::new(Box::new(self.prepare_fms(query)))
     }
 
     /// A record compiles to its decomposition: normalized tokens in
-    /// record order, each with its IDF weight.
+    /// record order, each with its IDF weight and vocabulary id.
     fn compile_record(&self, fields: &[&str], store: &mut CompiledRecords) {
         let tokens = tokenize_record(fields);
-        store.push_tokens(tokens.iter().map(|t| (t.text.as_str(), self.idf.idf(&t.text))));
+        store.push_tokens(tokens.iter().map(|t| {
+            let (weight, id) = self.idf.idf_and_id(&t.text);
+            (t.text.as_str(), weight, id)
+        }));
     }
 
     fn name(&self) -> &str {
@@ -184,27 +181,234 @@ impl Distance for FuzzyMatchDistance {
     }
 }
 
-/// Compiled fms query: the decomposition held directly (no memo lookup).
+/// Compiled fms query: the decomposition held directly (no memo lookup),
+/// and the thread's [`Scratch`] holding one [`PreparedPattern`] per query
+/// token and the token-pair memo of the lookup it serves.
 struct PreparedFms<'a> {
     distance: &'a FuzzyMatchDistance,
     query: Decomposition,
+    scratch: Scratch,
+}
+
+impl PreparedFms<'_> {
+    /// The one fms scorer: every token pair's bounded distance, then the
+    /// greedy largest-gain matching.
+    fn similarity(&mut self, candidate: WeightedTokens) -> f64 {
+        let query = tokens_of(&self.query);
+        if query.is_empty() && candidate.is_empty() {
+            return 1.0;
+        }
+        if query.is_empty() || candidate.is_empty() {
+            return 0.0;
+        }
+        let Scratch { memo, patterns, pairs, used_a, used_b } = &mut self.scratch;
+
+        // Counted once per call: a per-pair counter is a store in the
+        // innermost loop.
+        let mut memo_hits = 0u64;
+        pairs.clear();
+        for (i, ((ca, wia, _), pattern)) in query.iter().zip(patterns).enumerate() {
+            for (j, (cb, wjb, id)) in candidate.iter().enumerate() {
+                let max_len = ca.len().max(cb.len());
+                if max_len == 0 {
+                    continue;
+                }
+                // A candidate token's text is fixed by its id, so is the
+                // distance to query token `i`; a token the IDF fit never
+                // saw has no id and is scanned every time.
+                let key = id.map(|id| PairMemo::key(i, id));
+                let d = match key.and_then(|key| memo.get(key)) {
+                    Some(d) => {
+                        memo_hits += 1;
+                        d
+                    }
+                    None => {
+                        let d = pattern.bounded(cb, token_bound(max_len));
+                        if let Some(key) = key {
+                            memo.insert(key, d);
+                        }
+                        d
+                    }
+                };
+                // `None`: `ned` is past `MAX_TOKEN_NED`, never matched.
+                let Some(d) = d else { continue };
+                let ned = d as f64 / max_len as f64;
+                let gain = (wia + wjb) * (1.0 - ned);
+                if gain > 0.0 {
+                    pairs.push((gain, i, j));
+                }
+            }
+        }
+        incr(Counter::FmsTokenPairs, (query.len() * candidate.len()) as u64);
+        incr(Counter::FmsMemoHits, memo_hits);
+
+        // Greedy maximum-gain matching. Gains are finite and positive;
+        // ties are broken by (i, j) for determinism.
+        pairs.sort_by(|x, y| y.0.total_cmp(&x.0).then_with(|| (x.1, x.2).cmp(&(y.1, y.2))));
+        used_a.clear();
+        used_a.resize(query.len(), false);
+        used_b.clear();
+        used_b.resize(candidate.len(), false);
+        let mut gain = 0.0;
+        for &(g, i, j) in pairs.iter() {
+            if !used_a[i] && !used_b[j] {
+                used_a[i] = true;
+                used_b[j] = true;
+                gain += g;
+            }
+        }
+        (gain / (query.total_weight() + candidate.total_weight())).clamp(0.0, 1.0)
+    }
 }
 
 impl<'c> PreparedDistance<'c> for PreparedFms<'_> {
     /// A compiled candidate pays only the matching; raw fields go through
-    /// the memo, as the unprepared path does.
+    /// the decomposition memo first.
     fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
-        fuzzydedup_metrics::incr(fuzzydedup_metrics::Counter::DistFms, 1);
-        let query = tokens_of(&self.query);
+        incr(Counter::DistFms, 1);
         let similarity = match candidate {
-            Candidate::Tokens(tokens) => similarity_decomposed(query, tokens),
+            Candidate::Tokens(tokens) => self.similarity(tokens),
             raw => {
                 let memo = raw.with_fields(|fields| self.distance.decompose(fields));
-                similarity_decomposed(query, tokens_of(&memo))
+                self.similarity(tokens_of(&memo))
             }
         };
         let d = 1.0 - similarity;
         (d <= cutoff).then_some(d)
+    }
+}
+
+impl Drop for PreparedFms<'_> {
+    fn drop(&mut self) {
+        std::mem::take(&mut self.scratch).give_back();
+    }
+}
+
+/// What a prepared fms query works in: its patterns, its token-pair memo,
+/// and the matching's buffers — the scored pairs as `(gain, query token,
+/// candidate token)` and the tokens matched.
+///
+/// It moves from one prepared query to the next on the same thread
+/// ([`Scratch::take`] / [`Scratch::give_back`]), so of all this a prepared
+/// query — a lookup's, or the one an unprepared call makes for itself —
+/// allocates only its patterns' chars.
+#[derive(Default)]
+struct Scratch {
+    memo: PairMemo,
+    /// Query token `i`'s pattern at `i`.
+    patterns: Vec<PreparedPattern<'static>>,
+    pairs: Vec<(f64, usize, usize)>,
+    used_a: Vec<bool>,
+    used_b: Vec<bool>,
+}
+
+thread_local! {
+    /// The scratch of the thread's last dropped prepared fms query.
+    static SPARE: Cell<Option<Scratch>> = const { Cell::new(None) };
+}
+
+impl Scratch {
+    /// The thread's spare scratch, or a new one, emptied.
+    fn take() -> Self {
+        let mut scratch = SPARE.with(Cell::take).unwrap_or_default();
+        if scratch.memo.slots.is_empty() {
+            scratch.memo.slots = vec![Slot::default(); MEMO_SLOTS];
+        }
+        scratch.memo.clear();
+        scratch.patterns.clear();
+        scratch
+    }
+
+    /// Keep the scratch for the thread's next prepared query. A thread that
+    /// is exiting drops it instead.
+    fn give_back(self) {
+        let _ = SPARE.try_with(|spare| spare.set(Some(self)));
+    }
+}
+
+/// Slots of the token-pair memo, `2^MEMO_BITS` of 16 B (32 KiB). A lookup
+/// on the `rest_fms_pages` input scans ≈ 540 distinct token pairs; past
+/// half the slots the memo clears, so a probe never walks far.
+const MEMO_BITS: u32 = 11;
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
+
+/// [`Slot::value`] of a pair past its token bound.
+const OVER: u32 = u32::MAX;
+
+/// One memoized token pair.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// [`PairMemo::key`] of the pair.
+    key: u64,
+    /// The memo generation that wrote the slot; any other is an empty slot.
+    generation: u32,
+    /// The bounded distance, or [`OVER`].
+    value: u32,
+}
+
+/// The token-pair memo of one prepared query: `(query token index,
+/// candidate token's vocabulary id)` → the bounded scan's answer, in a
+/// fixed open-addressed table (linear probing) cleared when half full.
+/// Clearing bumps the generation rather than touching the slots.
+#[derive(Debug, Default)]
+struct PairMemo {
+    generation: u32,
+    len: usize,
+    /// `MEMO_SLOTS` long once taken ([`Scratch::take`]).
+    slots: Vec<Slot>,
+}
+
+impl PairMemo {
+    fn key(query_token: usize, id: u32) -> u64 {
+        (query_token as u64) << 32 | u64::from(id)
+    }
+
+    /// Empty the table: a new generation, so every slot reads empty.
+    fn clear(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Generation 0 is what fresh slots carry; after a wrap, old
+            // slots could carry any other, so they are reset.
+            self.slots.fill(Slot::default());
+            self.generation = 1;
+        }
+        self.len = 0;
+    }
+
+    /// The slot `key` is in, or the empty slot where it would go.
+    fn probe(&self, key: u64) -> usize {
+        let mask = MEMO_SLOTS - 1;
+        // Fibonacci hashing: the product's top bits.
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize;
+        loop {
+            let slot = &self.slots[at];
+            if slot.generation != self.generation || slot.key == key {
+                return at;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The memoized answer for `key`, if any: `Some(None)` is a pair past
+    /// its bound.
+    fn get(&self, key: u64) -> Option<Option<usize>> {
+        let slot = self.slots[self.probe(key)];
+        (slot.generation == self.generation)
+            .then_some((slot.value != OVER).then_some(slot.value as usize))
+    }
+
+    /// Memoize the answer for `key`, which [`PairMemo::get`] just missed.
+    fn insert(&mut self, key: u64, distance: Option<usize>) {
+        if self.len == MEMO_SLOTS / 2 {
+            self.clear();
+        }
+        let at = self.probe(key);
+        // A distance within the bound is under 0.8 × the longer token's
+        // length, and a token's length fits a `u32` (`CompiledRecords`
+        // checks it): it never reaches `OVER`.
+        let value = distance.map_or(OVER, |d| d as u32);
+        self.slots[at] = Slot { key, generation: self.generation, value };
+        self.len += 1;
     }
 }
 
@@ -294,6 +498,74 @@ mod tests {
         // little); ned 5/6 > 0.8 cannot, shared char or not.
         assert!(fms().distance_str("abcde", "axxxx") < 1.0);
         assert_eq!(fms().distance_str("abcdef", "axxxxx"), 1.0);
+    }
+
+    #[test]
+    fn token_bound_is_the_largest_admitted_distance() {
+        for m in 1..=300usize {
+            let admitted = |k: usize| k as f64 / m as f64 <= MAX_TOKEN_NED;
+            let brute = (0..=m).filter(|&k| admitted(k)).max().expect("k = 0 is admitted");
+            assert_eq!(token_bound(m), brute, "max_len {m}");
+            assert!((0..=m).all(|k| admitted(k) == (k <= brute)), "not monotone at {m}");
+        }
+        // The exact edge: 4 / 5 is 0.8 itself.
+        assert_eq!(token_bound(5), 4);
+    }
+
+    #[test]
+    fn the_memo_answers_what_was_inserted_until_it_clears_at_half_full() {
+        let mut memo = Scratch::take().memo;
+        let keys: Vec<u64> = (0..MEMO_SLOTS / 2).map(|n| PairMemo::key(n % 7, n as u32)).collect();
+        for (n, &key) in keys.iter().enumerate() {
+            assert_eq!(memo.get(key), None);
+            memo.insert(key, (n % 3 != 0).then_some(n % 5));
+        }
+        for (n, &key) in keys.iter().enumerate() {
+            assert_eq!(memo.get(key), Some((n % 3 != 0).then_some(n % 5)), "key {key:#x}");
+        }
+        // One more insert clears the table first.
+        let extra = PairMemo::key(9, 9);
+        memo.insert(extra, Some(1));
+        assert_eq!(memo.get(extra), Some(Some(1)));
+        assert!(keys.iter().all(|&key| memo.get(key).is_none()));
+        assert_eq!(memo.len, 1);
+    }
+
+    #[test]
+    fn a_wrapped_generation_resets_the_slots() {
+        let mut memo = Scratch::take().memo;
+        let key = PairMemo::key(0, 3);
+        memo.insert(key, Some(2));
+        // The generation that wrote the slot comes round again after a
+        // wrap: without the reset, the slot would read as filled.
+        let written = memo.generation;
+        memo.generation = u32::MAX;
+        memo.clear();
+        assert_eq!(memo.generation, 1);
+        memo.generation = written;
+        assert_eq!(memo.get(key), None);
+    }
+
+    #[test]
+    fn a_prepared_query_scans_each_query_token_and_vocabulary_id_once() {
+        let d = fms();
+        let mut store = CompiledRecords::default();
+        let records = [["microsoft corp"], ["intel corp"], ["microsoft zzzz"]];
+        for record in &records {
+            d.compile_record(record, &mut store);
+        }
+        let mut prepared = d.prepare(&["microsft corporation"]);
+        let ((), tally) = fuzzydedup_metrics::scoped(|| {
+            for id in 0..records.len() {
+                prepared.distance_bounded(store.candidate(id, &[]), 1.0);
+            }
+        });
+        // 2 × 6 pairs; "microsoft" and "corp" repeat. "zzzz" was never
+        // fitted: it has no id and is scanned each time.
+        assert_eq!(tally.get(Counter::FmsTokenPairs), 12);
+        assert_eq!(tally.get(Counter::FmsMemoHits), 4);
+        assert_eq!(tally.get(Counter::EdKernelBounded), 8);
+        assert_eq!(tally.get(Counter::EdKernelWord), 0);
     }
 
     #[test]

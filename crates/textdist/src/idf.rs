@@ -17,16 +17,21 @@ use crate::tokenize::tokenize;
 /// tokens receive the maximum observed specificity, `ln(1 + N)`, so that a
 /// rare typo'd token still carries high weight (important: a misspelled rare
 /// token must not become cheap to drop in fms).
+///
+/// Every fitted token also has a dense vocabulary id, `0..vocabulary_size()`
+/// in first-seen order, kept beside its document frequency: fms keys its
+/// token-pair memo on it.
 #[derive(Debug, Clone, Default)]
 pub struct IdfModel {
-    doc_freq: HashMap<String, u32>,
+    /// Per fitted token: `(document frequency, vocabulary id)`.
+    doc_freq: HashMap<String, (u32, u32)>,
     n_docs: u32,
 }
 
 impl IdfModel {
     /// Fit over a corpus of documents, each already tokenized into strings.
     pub fn fit_token_docs<S: AsRef<str>>(docs: &[Vec<S>]) -> Self {
-        let mut doc_freq: HashMap<String, u32> = HashMap::new();
+        let mut doc_freq: HashMap<String, (u32, u32)> = HashMap::new();
         let mut seen: Vec<&str> = Vec::new();
         for doc in docs {
             seen.clear();
@@ -37,7 +42,8 @@ impl IdfModel {
                 }
             }
             for t in &seen {
-                *doc_freq.entry((*t).to_string()).or_insert(0) += 1;
+                let next_id = doc_freq.len() as u32;
+                doc_freq.entry((*t).to_string()).or_insert((0, next_id)).0 += 1;
             }
         }
         Self { doc_freq, n_docs: docs.len() as u32 }
@@ -74,16 +80,22 @@ impl IdfModel {
 
     /// Document frequency of a token (0 if unseen).
     pub fn doc_freq(&self, token: &str) -> u32 {
-        self.doc_freq.get(token).copied().unwrap_or(0)
+        self.doc_freq.get(token).map_or(0, |&(df, _)| df)
     }
 
     /// IDF weight of a token. Unknown tokens get the maximum weight
     /// `ln(1 + N)`; with an empty model every token weighs `ln(2)`.
     pub fn idf(&self, token: &str) -> f64 {
+        self.idf_and_id(token).0
+    }
+
+    /// A token's IDF weight ([`IdfModel::idf`]) and its vocabulary id,
+    /// `None` for a token the fit never saw — one map lookup for both.
+    pub fn idf_and_id(&self, token: &str) -> (f64, Option<u32>) {
         let n = self.n_docs.max(1) as f64;
         match self.doc_freq.get(token) {
-            Some(&df) if df > 0 => (1.0 + n / df as f64).ln(),
-            _ => (1.0 + n).ln(),
+            Some(&(df, id)) => ((1.0 + n / df as f64).ln(), Some(id)),
+            None => ((1.0 + n).ln(), None),
         }
     }
 }
@@ -123,6 +135,13 @@ mod tests {
         assert_eq!(m.doc_freq("b"), 1);
         assert_eq!(m.n_docs(), 2);
         assert_eq!(m.vocabulary_size(), 2);
+    }
+
+    #[test]
+    fn vocabulary_ids_are_dense_in_first_seen_order() {
+        let m = IdfModel::fit_strings(&["b a b", "c a", "d"]);
+        let ids: Vec<Option<u32>> = ["b", "a", "c", "d", "zzzz"].map(|t| m.idf_and_id(t).1).into();
+        assert_eq!(ids, [Some(0), Some(1), Some(2), Some(3), None]);
     }
 
     #[test]
