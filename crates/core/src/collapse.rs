@@ -3,8 +3,8 @@
 //! Duplicate-heavy corpora (the common shape of real ingest traffic) spend
 //! most of Phase 1 re-verifying records that are *exactly* identical. This
 //! module collapses the corpus to unique **representatives** before any
-//! fuzzy matching runs: a hash pass groups records by a configurable
-//! normalization key ([`CollapseKey`]), Phase 1 runs over the
+//! fuzzy matching runs: a hash pass groups records by their normalized
+//! record string ([`CollapseKey`]), Phase 1 runs over the
 //! representatives with per-record multiplicities threaded through every
 //! cutoff and growth computation (`fuzzydedup-nnindex`'s weighted lookups),
 //! and [`CollapseMap::expand_reln`] rebuilds the full-corpus `NN_Reln`
@@ -25,22 +25,18 @@ use fuzzydedup_textdist::record_string;
 use crate::nnreln::{NnEntry, NnReln};
 use crate::phase1::NeighborSpec;
 
-/// Which normalization keys the collapse pass groups records by.
+/// Which normalization key the collapse pass groups records by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollapseKey {
-    /// The existing record-string normalization
+    /// The record-string normalization
     /// ([`fuzzydedup_textdist::record_string`]: lowercase, punctuation to
     /// spaces, whitespace collapsed, fields joined). Two records with the
-    /// same key are indistinguishable to every record-string-invariant
-    /// distance *and* to the q-gram/token indexes (their term sets derive
-    /// from the same string), so they are exact duplicates of the
-    /// pipeline. Requires a record-string-invariant distance — the run is
-    /// rejected otherwise.
+    /// same key are at distance 0 under every
+    /// [`Distance`](fuzzydedup_textdist::Distance) — each is a function of
+    /// the record string by the trait's contract — *and* indistinguishable
+    /// to the q-gram/token indexes (their term sets derive from the same
+    /// string), so they are exact duplicates of the pipeline.
     RecordString,
-    /// The raw attribute values, compared field by field. Strictly finer
-    /// than [`CollapseKey::RecordString`] and sound for *every* distance:
-    /// identical field vectors are indistinguishable, period.
-    ExactFields,
 }
 
 impl CollapseKey {
@@ -49,9 +45,6 @@ impl CollapseKey {
     pub fn key_of(self, fields: &[&str]) -> String {
         match self {
             Self::RecordString => record_string(fields),
-            // \x1f (ASCII unit separator) cannot appear from a join
-            // ambiguity: it delimits raw field boundaries.
-            Self::ExactFields => fields.join("\x1f"),
         }
     }
 }
@@ -265,33 +258,22 @@ mod tests {
 
     #[test]
     fn admit_returns_the_class_and_opens_one_on_a_new_key() {
-        let mut map = CollapseMap::new(CollapseKey::ExactFields);
+        let mut map = CollapseMap::new(CollapseKey::RecordString);
         assert_eq!(map.admit(&["x"]), 0);
         assert_eq!(map.admit(&["y"]), 1);
         assert_eq!(map.admit(&["x"]), 0, "a repeat joins its class");
         assert_eq!((map.n_reps(), map.n_full()), (2, 3));
         let records = [rec(&["x"]), rec(&["y"]), rec(&["x"])];
-        assert_eq!(map, CollapseMap::build(&records, CollapseKey::ExactFields));
+        assert_eq!(map, CollapseMap::build(&records, CollapseKey::RecordString));
     }
 
     #[test]
-    fn exact_fields_key_is_finer() {
-        let records = vec![
-            rec(&["a b", "c"]),
-            rec(&["a", "b c"]), // same record string, different fields
-        ];
-        let by_string = CollapseMap::build(&records, CollapseKey::RecordString);
-        assert_eq!(by_string.n_reps(), 1);
-        let by_fields = CollapseMap::build(&records, CollapseKey::ExactFields);
-        assert_eq!(by_fields.n_reps(), 2);
-    }
-
-    #[test]
-    fn exact_fields_key_respects_field_boundaries() {
-        // The unit-separator join must not conflate ["ab"] with ["a","b"].
-        let records = vec![rec(&["ab"]), rec(&["a", "b"])];
-        let map = CollapseMap::build(&records, CollapseKey::ExactFields);
-        assert_eq!(map.n_reps(), 2);
+    fn record_string_key_ignores_field_boundaries() {
+        // Same record string, different fields: one class, as every
+        // distance sees the two alike.
+        let records = vec![rec(&["a b", "c"]), rec(&["a", "b c"])];
+        let map = CollapseMap::build(&records, CollapseKey::RecordString);
+        assert_eq!(map.n_reps(), 1);
     }
 
     #[test]

@@ -186,15 +186,6 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
 
     fn build_with(self, pair_cache: Arc<PairCache>) -> Result<IncrementalDedup<D>, DedupError> {
         validate_params(&self.cut, self.c, self.p)?;
-        if self.collapse == Some(CollapseKey::RecordString)
-            && !self.distance.record_string_invariant()
-        {
-            return Err(DedupError::InvalidConfig(format!(
-                "collapse key RecordString requires a record-string-invariant distance; {} is \
-                 not — use CollapseKey::ExactFields",
-                self.distance.name()
-            )));
-        }
         let index = match self.collapse {
             Some(_) => InvertedIndex::new_collapsed(self.distance, self.index),
             None => InvertedIndex::new(self.distance, self.index),
@@ -712,26 +703,25 @@ mod tests {
                     .collect()
             })
             .collect();
-        for key in [CollapseKey::RecordString, CollapseKey::ExactFields] {
-            let mut plain = fresh();
-            let mut collapsed = fresh_builder().collapse(Some(key)).build().unwrap();
-            for batch in &batches {
-                let a = plain.insert_batch(batch.clone());
-                let b = collapsed.insert_batch(batch.clone());
-                assert_eq!(a.inserted, b.inserted, "{key:?}");
-                assert_eq!(plain.partition(), collapsed.partition(), "{key:?}");
-                assert_eq!(plain.nn_reln(), collapsed.nn_reln(), "{key:?}");
-                assert_eq!(plain.len(), collapsed.len(), "{key:?}");
-            }
-            // Only unique keys were indexed.
-            assert!(collapsed.records().len() < plain.records().len(), "{key:?}");
-            // Point queries agree after expansion back to full ids.
-            for probe in ["incr entity 04 lambda", "incr entity 07 lambdaa", "no such thing"] {
-                let (n_plain, ng_plain, _) = plain.query_record(&[probe]);
-                let (n_coll, ng_coll, _) = collapsed.query_record(&[probe]);
-                assert_eq!(n_plain, n_coll, "{key:?}: probe {probe:?}");
-                assert_eq!(ng_plain, ng_coll, "{key:?}: probe {probe:?}");
-            }
+        let mut plain = fresh();
+        let mut collapsed =
+            fresh_builder().collapse(Some(CollapseKey::RecordString)).build().unwrap();
+        for batch in &batches {
+            let a = plain.insert_batch(batch.clone());
+            let b = collapsed.insert_batch(batch.clone());
+            assert_eq!(a.inserted, b.inserted);
+            assert_eq!(plain.partition(), collapsed.partition());
+            assert_eq!(plain.nn_reln(), collapsed.nn_reln());
+            assert_eq!(plain.len(), collapsed.len());
+        }
+        // Only unique keys were indexed.
+        assert!(collapsed.records().len() < plain.records().len());
+        // Point queries agree after expansion back to full ids.
+        for probe in ["incr entity 04 lambda", "incr entity 07 lambdaa", "no such thing"] {
+            let (n_plain, ng_plain, _) = plain.query_record(&[probe]);
+            let (n_coll, ng_coll, _) = collapsed.query_record(&[probe]);
+            assert_eq!(n_plain, n_coll, "probe {probe:?}");
+            assert_eq!(ng_plain, ng_coll, "probe {probe:?}");
         }
     }
 
@@ -765,7 +755,7 @@ mod tests {
         base.insert(20, vec!["?!".to_string()]);
         base.insert(50, vec!["?!".to_string()]);
         let probes = ["replay entity 04 sigma", "replay entitty 11 sigmaa", "?!", "no such thing"];
-        let collapses = [None, Some(CollapseKey::RecordString), Some(CollapseKey::ExactFields)];
+        let collapses = [None, Some(CollapseKey::RecordString)];
         for cut in [CutSpec::Size(4), CutSpec::Diameter(0.2)] {
             for collapse in collapses {
                 let what = format!("{cut:?} {collapse:?}");
@@ -800,28 +790,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn collapse_record_string_requires_invariant_distance() {
-        // EditDistance is whole-record, so RecordString is accepted.
-        assert!(fresh_builder().collapse(Some(CollapseKey::RecordString)).build().is_ok());
-        // A per-field composite is not; the builder must reject the pair.
-        let composite = fuzzydedup_textdist::CompositeDistance::uniform(EditDistance);
-        let rejected = IncrementalDedup::builder(composite)
-            .cut(CutSpec::Size(4))
-            .sn_threshold(4.0)
-            .collapse(Some(CollapseKey::RecordString))
-            .build();
-        assert!(matches!(rejected, Err(DedupError::InvalidConfig(_))));
-        // ... while ExactFields stays sound for every distance.
-        let composite = fuzzydedup_textdist::CompositeDistance::uniform(EditDistance);
-        assert!(IncrementalDedup::builder(composite)
-            .cut(CutSpec::Size(4))
-            .sn_threshold(4.0)
-            .collapse(Some(CollapseKey::ExactFields))
-            .build()
-            .is_ok());
     }
 
     #[test]

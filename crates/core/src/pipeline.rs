@@ -139,8 +139,7 @@ pub struct DedupConfig {
     /// bit-identical to the collapse-off run — this is purely a
     /// performance lever for duplicate-heavy corpora. Only applies to the
     /// record entry points ([`Deduplicator::run_records`]); a run over a
-    /// pre-built index is rejected. [`CollapseKey::RecordString`] requires
-    /// a record-string-invariant distance.
+    /// pre-built index is rejected.
     pub collapse: Option<CollapseKey>,
 }
 
@@ -415,13 +414,6 @@ impl Deduplicator {
         // representatives.
         let collapse_pass = match config.collapse {
             Some(key) => {
-                if key == CollapseKey::RecordString && !distance.record_string_invariant() {
-                    return Err(DedupError::InvalidConfig(format!(
-                        "collapse key RecordString requires a record-string-invariant \
-                         distance; {:?} is not — use CollapseKey::ExactFields",
-                        config.distance
-                    )));
-                }
                 let t_collapse = Instant::now();
                 let map = CollapseMap::build(records, key);
                 Some((map, t_collapse.elapsed().as_nanos() as u64))
@@ -950,69 +942,36 @@ mod tests {
             DedupConfig::new(DistanceKind::EditDistance).cut(CutSpec::Size(4)).sn_threshold(4.0);
         let plain = dedup(&records, &base).unwrap();
         assert_eq!(plain.metrics.collapse.classes, 0, "knob defaults off");
-        for key in
-            [crate::collapse::CollapseKey::RecordString, crate::collapse::CollapseKey::ExactFields]
-        {
-            let collapsed = dedup(&records, &base.clone().collapse(Some(key))).unwrap();
-            assert_eq!(plain.partition, collapsed.partition, "{key:?}: partition moved");
-            assert_eq!(plain.nn_reln, collapsed.nn_reln, "{key:?}: relation moved");
-            assert!(collapsed.metrics.collapse.classes > 0, "{key:?}: pass ran");
-            assert!(
-                collapsed.metrics.collapse.collapsed_records > 0,
-                "{key:?}: duplicates collapsed"
-            );
-            assert_eq!(
-                collapsed.metrics.collapse.classes + collapsed.metrics.collapse.collapsed_records,
-                records.len() as u64
-            );
-        }
-        // RecordString merges normalization-equal variants too, so it
-        // collapses strictly more than ExactFields on this corpus.
-        let by_string = dedup(
-            &records,
-            &base.clone().collapse(Some(crate::collapse::CollapseKey::RecordString)),
-        )
-        .unwrap();
-        let by_fields = dedup(
-            &records,
-            &base.clone().collapse(Some(crate::collapse::CollapseKey::ExactFields)),
-        )
-        .unwrap();
-        assert!(
-            by_string.metrics.collapse.collapsed_records
-                > by_fields.metrics.collapse.collapsed_records
+        let key = Some(CollapseKey::RecordString);
+        let collapsed = dedup(&records, &base.clone().collapse(key)).unwrap();
+        assert_eq!(plain.partition, collapsed.partition, "partition moved");
+        assert_eq!(plain.nn_reln, collapsed.nn_reln, "relation moved");
+        assert!(collapsed.metrics.collapse.classes > 0, "pass ran");
+        // Per group, the exact repeat and the normalization-equal variant
+        // join the first row's class.
+        assert_eq!(collapsed.metrics.collapse.collapsed_records, 16, "duplicates collapsed");
+        assert_eq!(
+            collapsed.metrics.collapse.classes + collapsed.metrics.collapse.collapsed_records,
+            records.len() as u64
         );
         // The nested-loop index honors the pass too.
         let nl = base.clone().index_choice(IndexChoice::NestedLoop);
         assert_eq!(
             dedup(&records, &nl).unwrap().partition,
-            dedup(&records, &nl.clone().collapse(Some(crate::collapse::CollapseKey::RecordString)))
-                .unwrap()
-                .partition
+            dedup(&records, &nl.clone().collapse(key)).unwrap().partition
         );
-        // Every built-in DistanceKind is whole-record, so both keys are
-        // legal for fms too (the RecordString invariance guard only trips
-        // for per-field composite distances).
+        // fms is a function of the record string as well.
         let fms =
             DedupConfig::new(DistanceKind::FuzzyMatch).cut(CutSpec::Size(4)).sn_threshold(4.0);
-        let fms_plain = dedup(&records, &fms).unwrap();
-        for key in
-            [crate::collapse::CollapseKey::RecordString, crate::collapse::CollapseKey::ExactFields]
-        {
-            assert_eq!(
-                fms_plain.partition,
-                dedup(&records, &fms.clone().collapse(Some(key))).unwrap().partition,
-                "{key:?}: fms partition moved"
-            );
-        }
+        assert_eq!(
+            dedup(&records, &fms).unwrap().partition,
+            dedup(&records, &fms.clone().collapse(key)).unwrap().partition,
+            "fms partition moved"
+        );
         // A pre-built index has no records to collapse.
         let m = MatrixIndex::from_points_1d(&[1.0, 2.0, 4.0]);
-        let over_index = Deduplicator::new(
-            base.clone()
-                .cut(CutSpec::Size(2))
-                .collapse(Some(crate::collapse::CollapseKey::ExactFields)),
-        )
-        .run(&m);
+        let over_index =
+            Deduplicator::new(base.clone().cut(CutSpec::Size(2)).collapse(key)).run(&m);
         assert!(matches!(over_index, Err(DedupError::InvalidConfig(_))));
     }
 }

@@ -213,16 +213,6 @@ run_metrics! {
         edit: u64 = Counter::DistEdit,
         /// Fuzzy-match-similarity evaluations.
         fms: u64 = Counter::DistFms,
-        /// TF-IDF cosine evaluations.
-        cosine: u64 = Counter::DistCosine,
-        /// Jaccard evaluations.
-        jaccard: u64 = Counter::DistJaccard,
-        /// Jaro-Winkler evaluations.
-        jaro_winkler: u64 = Counter::DistJaroWinkler,
-        /// Monge-Elkan evaluations.
-        monge_elkan: u64 = Counter::DistMongeElkan,
-        /// Composite record-distance evaluations.
-        composite: u64 = Counter::DistComposite,
     } + total
 
     /// Edit-distance kernel-path counts (`textdist` layer): which rung of
@@ -467,13 +457,7 @@ run_metrics! {
 impl TextdistMetrics {
     /// Total exact evaluations across kinds.
     pub fn total(&self) -> u64 {
-        self.edit
-            + self.fms
-            + self.cosine
-            + self.jaccard
-            + self.jaro_winkler
-            + self.monge_elkan
-            + self.composite
+        self.edit + self.fms
     }
 }
 

@@ -415,7 +415,6 @@ impl PairMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosine::CosineDistance;
     use crate::edit::EditDistance;
     use proptest::prelude::*;
 
@@ -438,14 +437,14 @@ mod tests {
     #[test]
     fn identical_records_zero_distance() {
         let d = fms();
-        assert!(d.distance_str("microsoft corp", "microsoft corp") < 1e-12);
-        assert!(d.distance_str("Microsoft CORP", "microsoft corp.") < 1e-12);
+        assert!(d.distance(&["microsoft corp"], &["microsoft corp"]) < 1e-12);
+        assert!(d.distance(&["Microsoft CORP"], &["microsoft corp."]) < 1e-12);
     }
 
     #[test]
     fn disjoint_records_max_distance() {
         let d = fms();
-        assert_eq!(d.distance_str("aaaa bbbb", "xxxx yyyy"), 1.0);
+        assert_eq!(d.distance(&["aaaa bbbb"], &["xxxx yyyy"]), 1.0);
     }
 
     #[test]
@@ -453,42 +452,35 @@ mod tests {
         // fms must rank (microsoft corp, microsft corporation) closer than
         // both (microsoft corp, mic corporation) and
         // (microsft corporation, boeing corporation) — the two misrankings
-        // of plain edit distance and cosine respectively.
+        // the paper attributes to plain edit distance and token cosine.
         let d = fms();
-        let target = d.distance_str("microsoft corp", "microsft corporation");
-        let ed_confusion = d.distance_str("microsoft corp", "mic corporation");
-        let cos_confusion = d.distance_str("microsft corporation", "boeing corporation");
+        let target = d.distance(&["microsoft corp"], &["microsft corporation"]);
+        let ed_confusion = d.distance(&["microsoft corp"], &["mic corporation"]);
+        let cos_confusion = d.distance(&["microsft corporation"], &["boeing corporation"]);
         assert!(target < ed_confusion, "fms: {target} !< {ed_confusion}");
         assert!(target < cos_confusion, "fms: {target} !< {cos_confusion}");
 
-        // And confirm that cosine really does misrank, making the contrast
-        // meaningful. (Plain Levenshtein happens to rank this particular
-        // pair correctly — see `edit::tests::paper_example_strings` — so we
-        // only assert the cosine misranking, plus that fms separates the
-        // pairs by a wider margin than ed does.)
+        // Plain Levenshtein happens to rank this particular pair correctly
+        // — see `edit::tests::paper_example_strings` — so assert only that
+        // fms separates the pairs by a wider margin than ed does.
         let ed = EditDistance;
-        let ed_gap = ed.distance_str("microsoft corp", "mic corporation")
-            - ed.distance_str("microsoft corp", "microsft corporation");
+        let ed_gap = ed.distance(&["microsoft corp"], &["mic corporation"])
+            - ed.distance(&["microsoft corp"], &["microsft corporation"]);
         let fms_gap = ed_confusion - target;
         assert!(fms_gap > ed_gap, "fms margin {fms_gap} should beat ed margin {ed_gap}");
-        let cos = CosineDistance::new(IdfModel::fit_strings(&org_corpus()));
-        assert!(
-            cos.distance_str("microsft corporation", "boeing corporation")
-                < cos.distance_str("microsoft corp", "microsft corporation")
-        );
     }
 
     #[test]
     fn token_order_is_irrelevant() {
         let d = fms();
-        let a = d.distance_str("shania twain", "twain shania");
+        let a = d.distance(&["shania twain"], &["twain shania"]);
         assert!(a < 1e-12, "token swap should be free under fms: {a}");
     }
 
     #[test]
     fn typos_in_rare_tokens_stay_close() {
         let d = fms();
-        let x = d.distance_str("shania twain", "shania twian");
+        let x = d.distance(&["shania twain"], &["shania twian"]);
         assert!(x < 0.25, "transposition in one token: {x}");
     }
 
@@ -496,8 +488,8 @@ mod tests {
     fn cutoff_blocks_weak_token_matches() {
         // ned 4/5 = 0.8 may still match (and one shared char gains a
         // little); ned 5/6 > 0.8 cannot, shared char or not.
-        assert!(fms().distance_str("abcde", "axxxx") < 1.0);
-        assert_eq!(fms().distance_str("abcdef", "axxxxx"), 1.0);
+        assert!(fms().distance(&["abcde"], &["axxxx"]) < 1.0);
+        assert_eq!(fms().distance(&["abcdef"], &["axxxxx"]), 1.0);
     }
 
     #[test]
@@ -571,9 +563,9 @@ mod tests {
     #[test]
     fn empty_record_cases() {
         let d = fms();
-        assert_eq!(d.distance_str("", ""), 0.0);
-        assert_eq!(d.distance_str("", "abc"), 1.0);
-        assert_eq!(d.distance_str("abc", ""), 1.0);
+        assert_eq!(d.distance(&[""], &[""]), 0.0);
+        assert_eq!(d.distance(&[""], &["abc"]), 1.0);
+        assert_eq!(d.distance(&["abc"], &[""]), 1.0);
     }
 
     #[test]
@@ -588,21 +580,21 @@ mod tests {
         #[test]
         fn symmetric(a in "[a-e ]{0,20}", b in "[a-e ]{0,20}") {
             let d = fms();
-            let ab = d.distance_str(&a, &b);
-            let ba = d.distance_str(&b, &a);
+            let ab = d.distance(&[a.as_str()], &[b.as_str()]);
+            let ba = d.distance(&[b.as_str()], &[a.as_str()]);
             prop_assert!((ab - ba).abs() < 1e-12);
         }
 
         #[test]
         fn unit_interval(a in "[a-e ]{0,20}", b in "[a-e ]{0,20}") {
-            let d = fms().distance_str(&a, &b);
+            let d = fms().distance(&[a.as_str()], &[b.as_str()]);
             prop_assert!((0.0..=1.0).contains(&d));
         }
 
         #[test]
         fn reflexive(a in "[a-z ]{0,24}") {
             let d = fms();
-            prop_assert!(d.distance_str(&a, &a) < 1e-12);
+            prop_assert!(d.distance(&[a.as_str()], &[a.as_str()]) < 1e-12);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Inverse-document-frequency model over tokens.
 //!
-//! Both the cosine metric and the fuzzy match similarity weight tokens by
-//! IDF so that frequent, uninformative tokens ("corp", "inc", "the") carry
+//! The fuzzy match similarity weights tokens by IDF (as TF-IDF cosine,
+//! the paper's other token measure, would) so that frequent, uninformative tokens ("corp", "inc", "the") carry
 //! little weight while rare, discriminating tokens ("microsoft") dominate.
 //! The model is fit once over the relation being deduplicated — the paper
 //! treats the relation itself as the corpus.

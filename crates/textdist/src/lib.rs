@@ -14,42 +14,29 @@
 //!   efficient fuzzy match for online data cleaning" (SIGMOD 2003). We
 //!   implement the *symmetric* variant the paper evaluates, see [`fms`].
 //!
-//! In addition we provide TF-IDF [`cosine`] similarity, token/q-gram
-//! [`jaccard`] and [`mod@jaro`]-Winkler as building blocks and extensions,
-//! plus [`composite`] record-level distances that combine per-attribute
-//! distances with weights.
-//!
-//! All distances implement the [`Distance`] trait and are **symmetric** and
-//! bounded in `[0, 1]`, as required by the duplicate-elimination framework
-//! (the paper assumes `d : R × R → [0, 1]` symmetric). Property tests in
-//! each module check symmetry, range, and identity-of-indiscernibles on the
-//! string representation.
+//! Those two are the crate's distances; [`DistanceKind`] names them for
+//! the command line. Both implement the [`Distance`] trait: **symmetric**,
+//! bounded in `[0, 1]` (the paper assumes `d : R × R → [0, 1]` symmetric),
+//! and a function of the record string (see the trait's contract).
+//! Property tests in each module check symmetry, range, and
+//! identity-of-indiscernibles; `tests/record_string_contract.rs` checks
+//! the contract.
 
 pub mod compiled;
-pub mod composite;
-pub mod cosine;
 pub mod edit;
 pub mod fms;
 pub mod idf;
-pub mod jaccard;
-pub mod jaro;
-pub mod monge_elkan;
 pub mod myers;
 pub mod qgram;
 pub mod tokenize;
 
 pub use compiled::{Candidate, CompiledRecords, WeightedTokens};
-pub use composite::{CompositeDistance, FieldWeight};
-pub use cosine::CosineDistance;
 pub use edit::{
     levenshtein, levenshtein_banded, levenshtein_bounded, levenshtein_dp, normalized_levenshtein,
     EditDistance,
 };
 pub use fms::FuzzyMatchDistance;
 pub use idf::IdfModel;
-pub use jaccard::{qgram_jaccard, token_jaccard, JaccardDistance};
-pub use jaro::{jaro, jaro_winkler, JaroWinklerDistance};
-pub use monge_elkan::MongeElkanDistance;
 pub use myers::{myers, myers_bounded, myers_bounded_chars, myers_chars};
 pub use qgram::{qgrams, record_term_set, QgramProfile, TermSet};
 pub use tokenize::{normalize, normalize_into, tokenize, Token};
@@ -69,6 +56,16 @@ pub use tokenize::{record_string, record_string_into};
 /// normalization nor fuzzy match similarity satisfies it, and the
 /// duplicate-elimination framework does not rely on it.
 ///
+/// **Contract: a function of the record string.** A distance sees a
+/// record's fields only through their joined normalized view
+/// ([`record_string`]):
+/// `d(a, b) == d(&[record_string(a)], &[record_string(b)])` for every pair.
+/// Records with equal record strings are therefore at distance 0 and
+/// interchangeable, which is what lets the collapse pre-pass key
+/// duplicate classes on the record string for any distance. `ed` and
+/// `fms` both hold it (`tests/record_string_contract.rs`); a per-field
+/// weighting does not, and is not a `Distance`.
+///
 /// **Extension point.** Only [`Distance::distance`] and
 /// [`Distance::name`] are required. Everything else is a performance
 /// lever with a correct default: `distance_bounded` filters the full
@@ -82,11 +79,6 @@ pub trait Distance: Send + Sync {
     /// Distance between two records, each given as a slice of attribute
     /// strings. Single-attribute records pass a one-element slice.
     fn distance(&self, a: &[&str], b: &[&str]) -> f64;
-
-    /// Convenience wrapper for single-attribute records.
-    fn distance_str(&self, a: &str, b: &str) -> f64 {
-        self.distance(&[a], &[b])
-    }
 
     /// Distance with a cutoff: `Some(d)` iff `d <= cutoff`, else `None`.
     ///
@@ -112,19 +104,6 @@ pub trait Distance: Send + Sync {
     /// no-ops (never silently dropping candidates).
     fn admits_qgram_filter(&self) -> bool {
         false
-    }
-
-    /// Whether this distance sees a record's fields only through the
-    /// joined normalized view ([`record_string`] / [`tokenize_record`]):
-    /// `true` promises
-    /// `d(a, b) == d([record_string(a)], [record_string(b)])` for every
-    /// pair, so records with equal record strings are at distance 0 and
-    /// interchangeable — what lets the collapse pre-pass key duplicate
-    /// classes on the record string. Every whole-record distance in this
-    /// crate qualifies; per-field combinators ([`CompositeDistance`])
-    /// must return `false`.
-    fn record_string_invariant(&self) -> bool {
-        true
     }
 
     /// Compile a query record once for repeated bounded evaluation
@@ -169,7 +148,7 @@ pub trait Distance: Send + Sync {
         let _ = (fields, store);
     }
 
-    /// A short human-readable name ("ed", "fms", "cosine", ...).
+    /// A short human-readable name ("ed", "fms").
     fn name(&self) -> &str;
 }
 
@@ -281,11 +260,6 @@ impl<D: Distance + ?Sized> Distance for &D {
         // the default `false` silently disables pruning through `&D`.
         (**self).admits_qgram_filter()
     }
-    fn record_string_invariant(&self) -> bool {
-        // Same vtable gotcha, opposite polarity: the default `true` would
-        // wrongly bless a per-field inner distance seen through `&D`.
-        (**self).record_string_invariant()
-    }
     fn prepare<'a>(&'a self, query: &[&str]) -> Prepared<'a> {
         // Same vtable gotcha: without this the default fallback would
         // recompile per call even when the inner type compiles queries.
@@ -310,9 +284,6 @@ impl Distance for Box<dyn Distance> {
     }
     fn admits_qgram_filter(&self) -> bool {
         (**self).admits_qgram_filter()
-    }
-    fn record_string_invariant(&self) -> bool {
-        (**self).record_string_invariant()
     }
     fn prepare<'a>(&'a self, query: &[&str]) -> Prepared<'a> {
         (**self).prepare(query)
@@ -339,9 +310,6 @@ impl<D: Distance> Distance for UnfilteredDistance<D> {
     fn distance_bounded(&self, a: &[&str], b: &[&str], cutoff: f64) -> Option<f64> {
         self.0.distance_bounded(a, b, cutoff)
     }
-    fn record_string_invariant(&self) -> bool {
-        self.0.record_string_invariant()
-    }
     fn prepare<'a>(&'a self, query: &[&str]) -> Prepared<'a> {
         // Filter admissibility is hidden, but prepared kernels stay live:
         // distances are identical either way.
@@ -363,14 +331,6 @@ pub enum DistanceKind {
     EditDistance,
     /// Symmetric fuzzy match similarity (token-level edit distance + IDF).
     FuzzyMatch,
-    /// TF-IDF weighted cosine distance over tokens.
-    Cosine,
-    /// Token-set Jaccard distance.
-    Jaccard,
-    /// Jaro-Winkler distance.
-    JaroWinkler,
-    /// Symmetrized Monge-Elkan (average best-match token similarity).
-    MongeElkan,
 }
 
 impl DistanceKind {
@@ -379,10 +339,6 @@ impl DistanceKind {
         match s.to_ascii_lowercase().as_str() {
             "ed" | "edit" | "levenshtein" => Some(Self::EditDistance),
             "fms" | "fuzzy" | "fuzzymatch" => Some(Self::FuzzyMatch),
-            "cos" | "cosine" => Some(Self::Cosine),
-            "jaccard" => Some(Self::Jaccard),
-            "jw" | "jaro" | "jarowinkler" => Some(Self::JaroWinkler),
-            "me" | "monge-elkan" | "mongeelkan" => Some(Self::MongeElkan),
             _ => None,
         }
     }
@@ -392,15 +348,11 @@ impl DistanceKind {
         match self {
             Self::EditDistance => "ed",
             Self::FuzzyMatch => "fms",
-            Self::Cosine => "cosine",
-            Self::Jaccard => "jaccard",
-            Self::JaroWinkler => "jw",
-            Self::MongeElkan => "monge-elkan",
         }
     }
 
     /// Build a boxed distance for a corpus of records. Corpus statistics
-    /// (IDF weights) are only consumed by the kinds that need them.
+    /// (IDF weights) are only consumed by fms.
     pub fn build(&self, corpus: &[Vec<String>]) -> Box<dyn Distance> {
         match self {
             Self::EditDistance => Box::new(EditDistance),
@@ -408,13 +360,6 @@ impl DistanceKind {
                 let idf = IdfModel::fit_records(corpus);
                 Box::new(FuzzyMatchDistance::new(idf))
             }
-            Self::Cosine => {
-                let idf = IdfModel::fit_records(corpus);
-                Box::new(CosineDistance::new(idf))
-            }
-            Self::Jaccard => Box::new(JaccardDistance::default()),
-            Self::JaroWinkler => Box::new(JaroWinklerDistance),
-            Self::MongeElkan => Box::new(MongeElkanDistance),
         }
     }
 }
@@ -425,14 +370,7 @@ mod tests {
 
     #[test]
     fn kind_parsing_round_trips() {
-        for kind in [
-            DistanceKind::EditDistance,
-            DistanceKind::FuzzyMatch,
-            DistanceKind::Cosine,
-            DistanceKind::Jaccard,
-            DistanceKind::JaroWinkler,
-            DistanceKind::MongeElkan,
-        ] {
+        for kind in [DistanceKind::EditDistance, DistanceKind::FuzzyMatch] {
             assert_eq!(DistanceKind::parse(kind.name()), Some(kind));
         }
         assert_eq!(DistanceKind::parse("nope"), None);
@@ -442,17 +380,10 @@ mod tests {
     fn build_produces_named_distances() {
         let corpus =
             vec![vec!["microsoft corp".to_string()], vec!["boeing corporation".to_string()]];
-        for kind in [
-            DistanceKind::EditDistance,
-            DistanceKind::FuzzyMatch,
-            DistanceKind::Cosine,
-            DistanceKind::Jaccard,
-            DistanceKind::JaroWinkler,
-            DistanceKind::MongeElkan,
-        ] {
+        for kind in [DistanceKind::EditDistance, DistanceKind::FuzzyMatch] {
             let d = kind.build(&corpus);
             assert_eq!(d.name(), kind.name());
-            assert_eq!(d.distance_str("abc", "abc"), 0.0);
+            assert_eq!(d.distance(&["abc"], &["abc"]), 0.0);
         }
     }
 
@@ -460,7 +391,7 @@ mod tests {
     fn boxed_distance_delegates() {
         let d: Box<dyn Distance> = Box::new(EditDistance);
         assert_eq!(d.name(), "ed");
-        assert!(d.distance_str("kitten", "sitting") > 0.0);
+        assert!(d.distance(&["kitten"], &["sitting"]) > 0.0);
     }
 
     #[test]
@@ -483,8 +414,10 @@ mod tests {
 
     #[test]
     fn default_distance_bounded_filters_by_cutoff() {
-        let d = JaccardDistance::default();
-        let exact = d.distance_str("alpha beta", "alpha gamma");
+        // fms keeps the trait's default `distance_bounded`.
+        let d = FuzzyMatchDistance::new(IdfModel::fit_strings(&["alpha beta", "alpha gamma"]));
+        let exact = d.distance(&["alpha beta"], &["alpha gamma"]);
+        assert!(exact > 0.0);
         assert_eq!(d.distance_bounded(&["alpha beta"], &["alpha gamma"], 1.0), Some(exact));
         assert_eq!(d.distance_bounded(&["alpha beta"], &["alpha gamma"], exact / 2.0), None);
     }

@@ -98,8 +98,8 @@ pub fn tokenize_record(fields: &[&str]) -> Vec<Token> {
 }
 
 /// Join a record's fields into one normalized string, separating fields with
-/// a single space. This is the string view used by whole-string distances
-/// (edit distance, Jaro-Winkler).
+/// a single space. Every [`Distance`](crate::Distance) is a function of this
+/// string (the trait's contract); edit distance compares it whole.
 pub fn record_string(fields: &[&str]) -> String {
     let mut out = String::new();
     record_string_into(fields, &mut out);

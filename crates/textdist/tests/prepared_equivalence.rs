@@ -15,9 +15,8 @@
 //! Myers path and the prepare-time affix stripping are both exercised.
 
 use fuzzydedup_textdist::{
-    record_string, Candidate, CompiledRecords, CompositeDistance, CosineDistance, Distance,
-    EditDistance, FuzzyMatchDistance, IdfModel, JaccardDistance, JaroWinklerDistance,
-    MongeElkanDistance, UnfilteredDistance,
+    record_string, Candidate, CompiledRecords, Distance, EditDistance, FuzzyMatchDistance,
+    IdfModel, UnfilteredDistance,
 };
 use proptest::prelude::*;
 
@@ -111,14 +110,8 @@ fn idf() -> IdfModel {
 fn all_distances() -> Vec<Box<dyn Distance>> {
     vec![
         Box::new(EditDistance),
-        Box::new(CosineDistance::new(idf())),
         Box::new(FuzzyMatchDistance::new(idf())),
-        Box::new(JaccardDistance::default()),
-        Box::new(JaccardDistance::qgrams(3)),
-        Box::new(JaroWinklerDistance),
-        Box::new(MongeElkanDistance),
         Box::new(UnfilteredDistance(EditDistance)),
-        Box::new(CompositeDistance::uniform(EditDistance)),
         Box::new(LengthGap),
     ]
 }

@@ -66,8 +66,11 @@
 # toolchain that ran ("rustc": `rustc --version`, which must be at least
 # Cargo.toml's rust-version) and whether the CPU has AVX2 ("avx2"). Beside
 # it goes the options ledger, "config_fields": the `pub` fields of every
-# configuration struct and the distinct `--flags` of the CLI's usage text,
-# so "a simplicity PR adds no options" is read off a diff of that file; and
+# configuration struct, the distinct `--flags` of the CLI's usage text,
+# the variants of `DistanceKind` ("distance_kinds") and `CollapseKey`
+# ("collapse_keys") and the `fn`s declared in `trait Distance`
+# ("distance_methods"), so "a simplicity PR adds no options" is read off a
+# diff of that file; and
 # the unsafe ledger, "unsafe_sites": `grep -c unsafe` per source file under
 # crates/*/src and src (files that have any), totalled per directory.
 #
@@ -251,17 +254,21 @@ for d in crates/* src tests examples; do
 done
 
 # ---- options ledger --------------------------------------------------
-# `pub` fields between `pub struct NAME {` and its closing brace.
-pub_fields() { # file struct
-    awk -v open="pub struct $2 {" '
+# Lines matching a pattern between a line starting `open` and the next
+# closing brace in column 0.
+count_in() { # file open pattern
+    awk -v open="$2" -v pat="$3" '
         index($0, open) == 1 { on = 1; next }
         on && /^}/ { exit }
-        on && /^    pub [a-z_0-9]+:/ { n++ }
+        on && $0 ~ pat { n++ }
         END { print n + 0 }' "$1"
 }
+# `pub` fields between `pub struct NAME {` and its closing brace.
+pub_fields() { count_in "$1" "pub struct $2 {" '^    pub [a-z_0-9]+:'; } # file struct
+variants() { count_in "$1" "pub enum $2 {" '^    [A-Z][A-Za-z0-9]*[,( {]'; } # file enum
 options_json=""
 echo
-echo "configuration fields (pub) and CLI flags:"
+echo "configuration fields (pub), CLI flags, distance and collapse surface:"
 for entry in DedupConfig:crates/core/src/pipeline.rs Parallelism:crates/core/src/pipeline.rs \
     InvertedIndexConfig:crates/nnindex/src/inverted.rs ServiceConfig:crates/core/src/service.rs \
     BufferPoolConfig:crates/storage/src/buffer.rs; do
@@ -274,6 +281,14 @@ cli_flags=$(awk '/^fn usage\(/ { on = 1 } on { print } on && /^}/ { exit }' src/
     grep -o -- '--[a-z][a-z-]*' | sort -u | wc -l)
 printf '  %-20s %3d\n' "cli --flags" "$cli_flags"
 options_json+="\"cli_flags\": $cli_flags"
+# The distance and collapse surface: so it cannot regrow unseen either.
+distance_kinds=$(variants crates/textdist/src/lib.rs DistanceKind)
+distance_methods=$(count_in crates/textdist/src/lib.rs "pub trait Distance:" '^    fn ')
+collapse_keys=$(variants crates/core/src/collapse.rs CollapseKey)
+printf '  %-20s %3d\n' "DistanceKind" "$distance_kinds" "trait Distance fns" "$distance_methods" \
+    "CollapseKey" "$collapse_keys"
+options_json+=", \"distance_kinds\": $distance_kinds, \"distance_methods\": $distance_methods"
+options_json+=", \"collapse_keys\": $collapse_keys"
 
 # ---- unsafe ledger ---------------------------------------------------
 # Lines naming `unsafe` (blocks, fns, impls and the comments about them).

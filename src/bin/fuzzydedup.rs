@@ -10,8 +10,9 @@
 //!   --columns 0,2,3       0-based columns to match on (default: all)
 //!   --gold-column N       0-based column holding entity labels; when
 //!                         given, precision/recall are reported and the
-//!                         column is excluded from matching
-//!   --distance NAME       ed | fms | cosine | jaccard | jw | monge-elkan (default fms)
+//!                         column is excluded from matching (naming it
+//!                         in --columns is an error)
+//!   --distance NAME       ed | fms (default fms)
 //!   --k N                 DE_S(K) size cut (default 5)
 //!   --theta X             DE_D(theta) diameter cut instead of --k
 //!   --c X                 SN threshold (default 4)
@@ -28,10 +29,9 @@
 //!                         CPUs); results are identical to sequential
 //!   --collapse KEY        collapse exact duplicates before Phase 1 and
 //!                         run it weighted over the representatives:
-//!                         record-string (normalized join; whole-record
-//!                         distances only) | exact-fields (raw fields;
-//!                         any distance). The partition is identical
-//!                         either way (off by default)
+//!                         record-string (records whose normalized join
+//!                         is equal). The partition is identical either
+//!                         way (off by default)
 //!   --demo NAME           run on a built-in dataset instead of --input:
 //!                         table1 | restaurants | media | org
 //! ```
@@ -43,7 +43,7 @@
 //!
 //!   --input / --output / --no-header / --columns / --demo
 //!                         as above
-//!   --distance NAME       ed | fms (service needs a cloneable kernel)
+//!   --distance NAME       ed | fms (default fms)
 //!   --k N | --theta X     cut specification (default DE_S(4))
 //!   --c X                 SN threshold (default 4)
 //!   --agg NAME            max | avg | max2 (default max)
@@ -138,8 +138,7 @@ struct Options {
 fn parse_collapse_key(name: &str) -> Result<CollapseKey, String> {
     match name {
         "record-string" => Ok(CollapseKey::RecordString),
-        "exact-fields" => Ok(CollapseKey::ExactFields),
-        other => Err(format!("unknown collapse key {other:?} (want record-string | exact-fields)")),
+        other => Err(format!("unknown collapse key {other:?} (want record-string)")),
     }
 }
 
@@ -147,10 +146,10 @@ fn usage(cmd: Cmd) -> &'static str {
     match cmd {
         Cmd::Batch => {
             "usage: fuzzydedup --input records.csv [--output out.csv] [--no-header]\n\
-             \x20                 [--columns 0,1] [--gold-column N] [--distance fms|ed|cosine|jaccard|jw|monge-elkan]\n\
+             \x20                 [--columns 0,1] [--gold-column N] [--distance ed|fms]\n\
              \x20                 [--k N | --theta X] [--c X | --dup-fraction F] [--agg max|avg|max2]\n\
              \x20                 [--minimality] [--report] [--metrics] [--threads N]\n\
-             \x20                 [--collapse record-string|exact-fields]\n\
+             \x20                 [--collapse record-string]\n\
              \x20                 [--demo table1|restaurants|media|org]"
         }
         Cmd::Replay => {
@@ -158,7 +157,7 @@ fn usage(cmd: Cmd) -> &'static str {
              \x20                 [--no-header] [--columns 0,1] [--distance ed|fms]\n\
              \x20                 [--k N | --theta X] [--c X] [--agg max|avg|max2]\n\
              \x20                 [--batch-size N] [--queue-capacity N] [--query-ratio F]\n\
-             \x20                 [--collapse record-string|exact-fields] [--seed N] [--metrics]"
+             \x20                 [--collapse record-string] [--seed N] [--metrics]"
         }
     }
 }
@@ -223,7 +222,7 @@ fn parse_args(cmd: Cmd, args: &[String]) -> Result<Options, String> {
             "--gold-column" => opts.gold_column = Some(parsed(flag, value)?),
             "--distance" => {
                 opts.distance = DistanceKind::parse(value)
-                    .ok_or_else(|| format!("unknown distance {value:?}"))?;
+                    .ok_or_else(|| format!("unknown distance {value:?} (want ed | fms)"))?;
             }
             "--k" | "--theta" => {
                 if cut_set {
@@ -267,6 +266,13 @@ fn parse_args(cmd: Cmd, args: &[String]) -> Result<Options, String> {
         return Err("--gold-column/--columns do not apply to --demo datasets \
                     (demos carry their own gold labels)"
             .to_string());
+    }
+    if let (Some(columns), Some(gold)) = (&opts.columns, opts.gold_column) {
+        if columns.contains(&gold) {
+            return Err(format!(
+                "--columns names the --gold-column {gold}: the gold labels would be matched on"
+            ));
+        }
     }
     Ok(opts)
 }
@@ -464,11 +470,6 @@ fn run_replay(args: &[String]) -> Result<(), String> {
         DistanceKind::FuzzyMatch => {
             let idf = fuzzydedup::textdist::IdfModel::fit_records(&records);
             run_service(fuzzydedup::textdist::FuzzyMatchDistance::new(idf), &records, &opts)?
-        }
-        other => {
-            return Err(format!(
-                "replay supports --distance ed|fms (the service clones its kernel), got {other:?}"
-            ))
         }
     };
 

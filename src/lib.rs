@@ -8,8 +8,8 @@
 //! This facade crate re-exports the workspace's sub-crates under stable
 //! module names:
 //!
-//! * [`textdist`] — distance functions (edit distance, fuzzy match
-//!   similarity, TF-IDF cosine, Jaccard, Jaro-Winkler);
+//! * [`textdist`] — the paper's two distance functions, edit distance
+//!   and fuzzy match similarity;
 //! * [`storage`] — paged storage engine with an instrumented buffer pool
 //!   (the stand-in for the paper's SQL Server backend);
 //! * [`relation`] — the `Neighbor` row type and the two page operators the

@@ -161,6 +161,42 @@ fn bad_arguments_fail_cleanly() {
         assert!(!out.status.success(), "args {args:?} should fail");
         assert!(!out.stderr.is_empty());
     }
+    // Names that are not (or are no longer) accepted: exit 1 with an error
+    // that lists the accepted ones, on both subcommands.
+    for cmd in [vec![], vec!["replay"]] {
+        for (flag, value, accepted) in [
+            ("--distance", "cosine", "(want ed | fms)"),
+            ("--distance", "jw", "(want ed | fms)"),
+            ("--collapse", "exact-fields", "(want record-string)"),
+        ] {
+            let mut args = cmd.clone();
+            args.extend(["--demo", "table1", flag, value]);
+            let out = bin().args(&args).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "args {args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(accepted), "args {args:?}: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn gold_column_is_never_matched_on() {
+    let input = temp_path("gold_overlap.csv");
+    std::fs::write(&input, "name,city,entity\nthe doors,la,A\nthe doorz,la,A\naaliyah,ny,B\n")
+        .unwrap();
+    let run = |columns: &str| {
+        let path = input.to_str().unwrap();
+        bin().args(["--input", path, "--columns", columns, "--gold-column", "2"]).output().unwrap()
+    };
+    // Matching on the gold labels would score the run against itself.
+    let out = run("0,2");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--columns") && stderr.contains("--gold-column"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no partition is written");
+    let out = run("0,1");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_file(&input).ok();
 }
 
 #[test]
