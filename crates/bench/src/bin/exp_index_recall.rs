@@ -40,11 +40,12 @@ fn nn_recall(approx: &dyn NnIndex, exact: &dyn NnIndex, close: f64) -> (f64, usi
     let mut agree = 0usize;
     let mut relevant = 0usize;
     for id in 0..exact.len() as u32 {
-        let truth = exact.top_k(id, 1);
+        let (truth, _, _) = exact.lookup(id, LookupSpec::TopK(1), 2.0);
         let Some(t) = truth.first() else { continue };
         if t.dist < close {
             relevant += 1;
-            if approx.top_k(id, 1).first().map(|x| x.id) == Some(t.id) {
+            let (found, _, _) = approx.lookup(id, LookupSpec::TopK(1), 2.0);
+            if found.first().map(|x| x.id) == Some(t.id) {
                 agree += 1;
             }
         }

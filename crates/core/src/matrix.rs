@@ -6,7 +6,7 @@
 //! explicit symmetric distance matrix, which is what the axiom checkers,
 //! the growth-spheres demo, and many unit tests use.
 
-use fuzzydedup_nnindex::NnIndex;
+use fuzzydedup_nnindex::{LookupCost, LookupSpec, NnIndex};
 use fuzzydedup_relation::Neighbor;
 
 /// A symmetric distance matrix implementing [`NnIndex`] exactly.
@@ -99,13 +99,6 @@ impl MatrixIndex {
         }
         Self::new(matrix)
     }
-
-    fn all_neighbors(&self, id: u32) -> Vec<Neighbor> {
-        (0..self.n as u32)
-            .filter(|&o| o != id)
-            .map(|o| Neighbor::new(o, self.dist(id, o)))
-            .collect()
-    }
 }
 
 impl NnIndex for MatrixIndex {
@@ -113,18 +106,24 @@ impl NnIndex for MatrixIndex {
         self.n
     }
 
-    fn top_k(&self, id: u32, k: usize) -> Vec<Neighbor> {
-        let mut all = self.all_neighbors(id);
-        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        all.truncate(k);
-        all
-    }
-
-    fn within(&self, id: u32, radius: f64) -> Vec<Neighbor> {
-        let mut all = self.all_neighbors(id);
-        all.retain(|n| n.dist < radius);
-        all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        all
+    /// One pass over row `id`: every other id in `(distance, id)` order,
+    /// `ng` counted over the whole row, then the list cut to `spec`. Reads
+    /// the matrix, so the cost records no candidates and no distance calls.
+    fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
+        let mut row: Vec<Neighbor> = (0..self.n as u32)
+            .filter(|&o| o != id)
+            .map(|o| Neighbor::new(o, self.dist(id, o)))
+            .collect();
+        row.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+        let ng =
+            row.first().map_or(1, |nn| 1 + row.iter().filter(|n| n.dist < p * nn.dist).count());
+        match spec {
+            LookupSpec::TopK(k) => row.truncate(k),
+            LookupSpec::Radius(theta) => row.retain(|n| n.dist < theta),
+        }
+        let cost = LookupCost::default();
+        cost.record();
+        (row, ng as f64, cost)
     }
 }
 
@@ -142,14 +141,16 @@ mod tests {
     }
 
     #[test]
-    fn top_k_and_within() {
+    fn lookups_read_the_row() {
         let m = MatrixIndex::from_points_1d(&[0.0, 1.0, 3.0, 10.0]);
-        let nn = m.top_k(0, 2);
-        assert_eq!(nn[0].id, 1);
-        assert_eq!(nn[1].id, 2);
-        let w = m.within(0, 3.5);
+        let (nn, ng, _) = m.lookup(0, LookupSpec::TopK(2), 2.0);
+        assert_eq!(nn.iter().map(|n| n.id).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(ng, 2.0, "nn = 1: only 1 lies within 2");
+        let (w, _, _) = m.lookup(0, LookupSpec::Radius(3.5), 2.0);
         assert_eq!(w.len(), 2);
-        assert!(m.within(0, 1.0).is_empty(), "strict inequality");
+        let (w, ng, _) = m.lookup(0, LookupSpec::Radius(1.0), 2.0);
+        assert!(w.is_empty(), "strict inequality");
+        assert_eq!(ng, 2.0, "nn(v) lies past an empty radius list");
     }
 
     #[test]

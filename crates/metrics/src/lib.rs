@@ -249,9 +249,6 @@ run_metrics! {
     nnindex: NnIndexMetrics = "nnindex" {
         /// Combined lookups answered.
         lookups: u64 = Counter::NnLookups,
-        /// Fallback top-1 probes: the radius fetch came back empty and
-        /// the nearest-neighbor distance had to be probed separately.
-        fallback_probes: u64 = Counter::NnFallbackProbes,
         /// Candidates generated before verification.
         candidates_generated: u64 = Counter::NnCandidates,
         /// Posting ids scanned during candidate generation.
@@ -359,11 +356,9 @@ run_metrics! {
     phase1: Phase1Metrics = "phase1" {
         /// Tuples processed (one combined lookup each).
         tuples: u64 = by pipeline,
-        /// Physical index probes issued (≥ `tuples`; includes fallback and
-        /// growth-sphere probes on indexes that need them).
+        /// Index lookups issued: one per tuple of the index (under
+        /// collapse, one per representative).
         index_probes: u64 = by pipeline,
-        /// Fallback top-1 probes within those.
-        fallback_probes: u64 = by pipeline,
         /// Breadth-first queue high-water mark (0 for other orders).
         bf_queue_high_water: u64 = by pipeline,
         /// Mean |id distance| between consecutive lookups — the

@@ -4,9 +4,8 @@
 //! ng(v) using index I". Here an index family is only a
 //! [`CandidateSource`]: it says which records are worth verifying for a
 //! query ([`Gathered`]) and how to read them; this module turns a source
-//! and a [`Query`] into every answer the crate serves — `top_k`,
-//! `within`, the combined lookup, and the by-content probe — through the
-//! one verification loop ([`crate::verify_candidates_bounded`]). Kernel
+//! and a [`Query`] into the one answer the crate serves — the combined
+//! lookup, by id or by content — through the one verification loop ([`crate::verify_candidates_bounded`]). Kernel
 //! work and instrumentation therefore have one place to go. The gather
 //! has one scaffold too ([`gather_merged`]): an inverted index supplies
 //! only its merge pass, and the stop-gram fallback, the counting and the
@@ -21,8 +20,8 @@ use crate::candgen::{
 };
 use crate::scratch::with_scored;
 use crate::{
-    lookup_from_verified, sort_neighbors, verify_candidates_bounded, LookupCost, LookupSpec,
-    LookupWeights, PairDistanceCache, RecordView,
+    lookup_from_verified, verify_candidates_bounded, LookupCost, LookupSpec, LookupWeights,
+    PairDistanceCache, RecordView,
 };
 
 /// The query of one lookup.
@@ -136,42 +135,10 @@ pub(crate) trait CandidateSource {
     fn gather_candidates(&self, id: u32) -> Gathered;
 }
 
-/// Verify one gather: arm the q-gram filter from the source's statistics
-/// and run the verification loop. Returns the unsorted survivors and the
-/// number of distance calls attempted.
-fn verify<S: CandidateSource>(
-    source: &S,
-    query: Query<'_>,
-    gathered: &Gathered,
-    spec: LookupSpec,
-    p: f64,
-    weights: Option<&LookupWeights<'_>>,
-    cache: Option<&dyn PairDistanceCache>,
-) -> (Vec<Neighbor>, u64) {
-    let filter = source.filter_stats().map(|(q, meta)| CandFilter {
-        q,
-        query: gathered.query_meta,
-        meta,
-        overlaps: gathered.overlaps.as_deref(),
-        slack: gathered.slack,
-    });
-    verify_candidates_bounded(
-        source.distance(),
-        source.record_view(),
-        query,
-        &gathered.ids,
-        spec,
-        p,
-        weights,
-        filter.as_ref(),
-        cache,
-    )
-}
-
-/// The combined lookup over an already-gathered candidate list: one
-/// verification pass serves both the neighbor list and the neighborhood
-/// growth. Candidates count in full-corpus units when the source is
-/// collapsed.
+/// The combined lookup over an already-gathered candidate list: the q-gram
+/// filter armed from the source's statistics, then one verification pass
+/// serves both the neighbor list and the neighborhood growth. Candidates
+/// count in full-corpus units when the source is collapsed.
 pub(crate) fn lookup_gathered<S: CandidateSource>(
     source: &S,
     query: Query<'_>,
@@ -187,7 +154,24 @@ pub(crate) fn lookup_gathered<S: CandidateSource>(
             Query::External(_) => 1,
         },
     });
-    let (verified, attempted) = verify(source, query, &gathered, spec, p, weights.as_ref(), cache);
+    let filter = source.filter_stats().map(|(q, meta)| CandFilter {
+        q,
+        query: gathered.query_meta,
+        meta,
+        overlaps: gathered.overlaps.as_deref(),
+        slack: gathered.slack,
+    });
+    let (verified, attempted) = verify_candidates_bounded(
+        source.distance(),
+        source.record_view(),
+        query,
+        &gathered.ids,
+        spec,
+        p,
+        weights.as_ref(),
+        filter.as_ref(),
+        cache,
+    );
     lookup_from_verified(verified, gathered.generated, attempted, spec, p, weights.as_ref())
 }
 
@@ -201,24 +185,4 @@ pub(crate) fn lookup<S: CandidateSource>(
     cache: Option<&dyn PairDistanceCache>,
 ) -> (Vec<Neighbor>, f64, LookupCost) {
     lookup_gathered(source, Query::Indexed(id), source.gather_candidates(id), spec, p, cache)
-}
-
-/// [`crate::NnIndex::top_k`]: in the index's own id space, unweighted.
-pub(crate) fn top_k<S: CandidateSource>(source: &S, id: u32, k: usize) -> Vec<Neighbor> {
-    let gathered = source.gather_candidates(id);
-    let (mut verified, _) =
-        verify(source, Query::Indexed(id), &gathered, LookupSpec::TopK(k), 1.0, None, None);
-    sort_neighbors(&mut verified);
-    verified.truncate(k);
-    verified
-}
-
-/// [`crate::NnIndex::within`]: in the index's own id space, unweighted.
-pub(crate) fn within<S: CandidateSource>(source: &S, id: u32, radius: f64) -> Vec<Neighbor> {
-    let gathered = source.gather_candidates(id);
-    let (mut verified, _) =
-        verify(source, Query::Indexed(id), &gathered, LookupSpec::Radius(radius), 1.0, None, None);
-    verified.retain(|n| n.dist < radius);
-    sort_neighbors(&mut verified);
-    verified
 }

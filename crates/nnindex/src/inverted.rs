@@ -676,14 +676,6 @@ impl<D: Distance, L: Layout> NnIndex for InvertedIndex<D, L> {
         self.records.len()
     }
 
-    fn top_k(&self, id: u32, k: usize) -> Vec<Neighbor> {
-        driver::top_k(self, id, k)
-    }
-
-    fn within(&self, id: u32, radius: f64) -> Vec<Neighbor> {
-        driver::within(self, id, radius)
-    }
-
     fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
         driver::lookup(self, id, spec, p, None)
     }
@@ -692,7 +684,7 @@ impl<D: Distance, L: Layout> NnIndex for InvertedIndex<D, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NestedLoopIndex;
+    use crate::{neighbors, NestedLoopIndex};
     use fuzzydedup_storage::{BufferPoolConfig, InMemoryDisk};
     use fuzzydedup_textdist::{EditDistance, UnfilteredDistance};
 
@@ -745,9 +737,9 @@ mod tests {
     #[test]
     fn finds_obvious_neighbors() {
         let idx = build(InvertedIndexConfig::default());
-        let nn = idx.top_k(0, 1);
+        let nn = neighbors(&idx, 0, LookupSpec::TopK(1));
         assert_eq!(nn[0].id, 1, "'doors' is the nearest neighbor of 'the doors'");
-        let nn = idx.top_k(4, 1);
+        let nn = neighbors(&idx, 4, LookupSpec::TopK(1));
         assert_eq!(nn[0].id, 5, "transposed tokens still share grams");
     }
 
@@ -755,7 +747,7 @@ mod tests {
     fn excludes_self() {
         let idx = build(InvertedIndexConfig::default());
         for id in 0..idx.len() as u32 {
-            assert!(idx.top_k(id, 5).iter().all(|n| n.id != id));
+            assert!(neighbors(&idx, id, LookupSpec::TopK(5)).iter().all(|n| n.id != id));
         }
     }
 
@@ -765,7 +757,7 @@ mod tests {
         let memory = InvertedIndex::build(corpus(), EditDistance, pool.clone(), Default::default());
         // An in-memory index never touches the pool, building or answering...
         assert_eq!(memory.postings_pages(), 0);
-        assert_eq!(memory.top_k(0, 1)[0].id, 1);
+        assert_eq!(neighbors(&memory, 0, LookupSpec::TopK(1))[0].id, 1);
         assert_eq!(pool.stats(), Default::default());
         let (raw, resident) = memory.postings_bytes();
         assert!(raw > 0);
@@ -783,8 +775,8 @@ mod tests {
         let idx = build(InvertedIndexConfig::default());
         let exact = NestedLoopIndex::new(corpus(), EditDistance);
         for id in 0..idx.len() as u32 {
-            let approx = idx.top_k(id, 3);
-            let truth = exact.top_k(id, 3);
+            let approx = neighbors(&idx, id, LookupSpec::TopK(3));
+            let truth = neighbors(&exact, id, LookupSpec::TopK(3));
             // The nearest neighbor (which drives nn(v) and the CS checks)
             // must agree whenever it is genuinely close.
             if truth[0].dist < 0.5 {
@@ -795,10 +787,10 @@ mod tests {
     }
 
     #[test]
-    fn within_respects_radius() {
+    fn radius_lookups_respect_the_radius() {
         let idx = build(InvertedIndexConfig::default());
         for id in 0..idx.len() as u32 {
-            for n in idx.within(id, 0.3) {
+            for n in neighbors(&idx, id, LookupSpec::Radius(0.3)) {
                 assert!(n.dist < 0.3);
                 let (a, b) = (&idx.records()[id as usize], &idx.records()[n.id as usize]);
                 assert_eq!(n.dist, EditDistance.distance(&[a[0].as_str()], &[b[0].as_str()]));
@@ -810,11 +802,11 @@ mod tests {
     fn candidate_limit_caps_verification() {
         let small = build(InvertedIndexConfig { candidate_limit: 1, ..Default::default() });
         for id in 0..small.len() as u32 {
-            assert!(small.top_k(id, 10).len() <= 1);
+            assert!(neighbors(&small, id, LookupSpec::TopK(10)).len() <= 1);
         }
         let unlimited = build(InvertedIndexConfig { candidate_limit: 0, ..Default::default() });
         // Unlimited: everything sharing a term is verified.
-        assert!(unlimited.top_k(0, 10).len() >= 2);
+        assert!(neighbors(&unlimited, 0, LookupSpec::TopK(10)).len() >= 2);
     }
 
     #[test]
@@ -826,7 +818,7 @@ mod tests {
         assert!(idx.layout.terms.len() > 10);
         assert!(idx.postings_pages() >= 1);
         pool.reset_stats();
-        idx.top_k(0, 3);
+        neighbors(&idx, 0, LookupSpec::TopK(3));
         assert!(pool.stats().accesses() > 0, "page-backed queries must touch the buffer pool");
     }
 
@@ -840,12 +832,11 @@ mod tests {
                 ..Default::default()
             });
             for id in 0..memory.len() as u32 {
-                assert_eq!(memory.top_k(id, 4), pages.top_k(id, 4), "id {id}");
-                assert_eq!(memory.within(id, 0.4), pages.within(id, 0.4), "id {id}");
-                let (n_k, ng_k, _) = memory.lookup(id, LookupSpec::TopK(3), 2.0);
-                let (n_p, ng_p, _) = pages.lookup(id, LookupSpec::TopK(3), 2.0);
-                assert_eq!(n_k, n_p, "id {id}");
-                assert_eq!(ng_k, ng_p, "id {id}");
+                for spec in [LookupSpec::TopK(3), LookupSpec::TopK(4), LookupSpec::Radius(0.4)] {
+                    let (n_k, ng_k, _) = memory.lookup(id, spec, 2.0);
+                    let (n_p, ng_p, _) = pages.lookup(id, spec, 2.0);
+                    assert_eq!((n_k, ng_k), (n_p, ng_p), "id {id} {spec:?}");
+                }
             }
         }
     }
@@ -860,7 +851,7 @@ mod tests {
             ..Default::default()
         });
         // Index still functions.
-        let nn = strict.top_k(0, 1);
+        let nn = neighbors(&strict, 0, LookupSpec::TopK(1));
         assert_eq!(nn[0].id, 1);
     }
 
@@ -882,7 +873,8 @@ mod tests {
                 ..Default::default()
             };
             let idx = build_records(records.clone(), config);
-            let (nn, delta) = fuzzydedup_metrics::scoped(|| idx.top_k(0, 2));
+            let (nn, delta) =
+                fuzzydedup_metrics::scoped(|| neighbors(&idx, 0, LookupSpec::TopK(2)));
             assert!(!nn.is_empty(), "{source:?}: fallback must produce candidates");
             assert_eq!(nn[0].dist, 0.0, "{source:?}: the exact duplicate is found");
             assert_eq!(
@@ -898,28 +890,31 @@ mod tests {
     fn empty_and_tiny_corpora() {
         let mut growing = InvertedIndex::new(EditDistance, Default::default());
         assert!(growing.is_empty());
-        let (neighbors, ng, _) = growing.probe(&["anything"], LookupSpec::TopK(3), 2.0);
-        assert!(neighbors.is_empty());
+        let (nn, ng, _) = growing.probe(&["anything"], LookupSpec::TopK(3), 2.0);
+        assert!(nn.is_empty());
         assert_eq!(ng, 1.0);
         assert_eq!(growing.push(vec!["solo".to_string()]), 0);
         let built = build_records(vec![vec!["solo".to_string()]], Default::default());
         for idx in [&growing as &dyn NnIndex, &built] {
-            assert!(idx.top_k(0, 3).is_empty());
-            assert!(idx.within(0, 0.9).is_empty());
+            assert!(neighbors(&idx, 0, LookupSpec::TopK(3)).is_empty());
+            assert!(neighbors(&idx, 0, LookupSpec::Radius(0.9)).is_empty());
         }
     }
 
     #[test]
     fn grows_and_finds_new_neighbors() {
         let mut idx = grown(&["the doors", "aaliyah"], EditDistance, Default::default());
-        assert!(idx.top_k(0, 1).first().map(|n| n.dist > 0.5).unwrap_or(true));
+        assert!(neighbors(&idx, 0, LookupSpec::TopK(1))
+            .first()
+            .map(|n| n.dist > 0.5)
+            .unwrap_or(true));
         let new_id = idx.push(vec!["doors".to_string()]);
         assert_eq!(new_id, 2);
         // The old record's nearest neighbor is now the new one.
-        let nn = idx.top_k(0, 1);
+        let nn = neighbors(&idx, 0, LookupSpec::TopK(1));
         assert_eq!(nn[0].id, 2);
         // And symmetrically.
-        assert_eq!(idx.top_k(2, 1)[0].id, 0);
+        assert_eq!(neighbors(&idx, 2, LookupSpec::TopK(1))[0].id, 0);
     }
 
     #[test]
@@ -951,7 +946,6 @@ mod tests {
         assert_eq!(neighbors[0].id, 0);
         assert_eq!(neighbors[0].dist, 0.0);
         assert!(ng >= 1.0);
-        assert_eq!(cost.probes, 1);
         assert!(cost.distance_calls <= cost.candidates);
     }
 
@@ -1006,33 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn combined_lookup_matches_separate_calls() {
-        let built = build(InvertedIndexConfig::default());
-        let growing = grown(&CORPUS, EditDistance, Default::default());
-        for idx in [&built as &dyn NnIndex, &growing] {
-            for id in 0..idx.len() as u32 {
-                // Top-K flavor.
-                let (neighbors, ng, cost) = idx.lookup(id, LookupSpec::TopK(3), 2.0);
-                assert_eq!(neighbors, idx.top_k(id, 3), "id {id}");
-                let nn = idx.top_k(id, 1).first().map(|n| n.dist);
-                let expected_ng = match nn {
-                    Some(nn) if nn > 0.0 => idx.within(id, 2.0 * nn).len() as f64 + 1.0,
-                    _ => 1.0,
-                };
-                assert_eq!(ng, expected_ng, "id {id}");
-                // The combined lookup gathers once: one probe; the pruning
-                // filters may spare some candidates their distance call.
-                assert_eq!(cost.probes, 1, "id {id}");
-                assert_eq!(cost.fallback_probes, 0, "id {id}");
-                assert!(cost.distance_calls <= cost.candidates, "id {id}");
-                // Radius flavor.
-                let (neighbors, _, _) = idx.lookup(id, LookupSpec::Radius(0.4), 2.0);
-                assert_eq!(neighbors, idx.within(id, 0.4), "id {id}");
-            }
-        }
-    }
-
-    #[test]
     fn filters_are_lossless_against_unfiltered_distance() {
         // The UnfilteredDistance adapter computes identical distances but
         // reports no q-gram bound, so generation and verification run
@@ -1049,16 +1016,19 @@ mod tests {
             [(&filtered, &control), (&growing, &growing_control)];
         for (filtered, control) in pairs {
             for id in 0..filtered.len() as u32 {
-                assert_eq!(filtered.top_k(id, 5), control.top_k(id, 5), "id {id}");
-                for radius in [0.1, 0.3, 0.6] {
-                    assert_eq!(filtered.within(id, radius), control.within(id, radius), "id {id}");
+                for spec in [
+                    LookupSpec::TopK(3),
+                    LookupSpec::TopK(5),
+                    LookupSpec::Radius(0.1),
+                    LookupSpec::Radius(0.3),
+                    LookupSpec::Radius(0.6),
+                ] {
+                    let (n_f, ng_f, cost_f) = filtered.lookup(id, spec, 2.0);
+                    let (n_u, ng_u, cost_u) = control.lookup(id, spec, 2.0);
+                    assert_eq!((n_f, ng_f), (n_u, ng_u), "id {id} {spec:?}");
+                    assert_eq!(cost_f.candidates, cost_u.candidates, "id {id}");
+                    assert!(cost_f.distance_calls <= cost_u.distance_calls, "id {id}");
                 }
-                let (n_f, ng_f, cost_f) = filtered.lookup(id, LookupSpec::TopK(3), 2.0);
-                let (n_u, ng_u, cost_u) = control.lookup(id, LookupSpec::TopK(3), 2.0);
-                assert_eq!(n_f, n_u, "id {id}");
-                assert_eq!(ng_f, ng_u, "id {id}");
-                assert_eq!(cost_f.candidates, cost_u.candidates, "id {id}");
-                assert!(cost_f.distance_calls <= cost_u.distance_calls, "id {id}");
             }
         }
     }
@@ -1066,7 +1036,7 @@ mod tests {
     #[test]
     fn radius_results_match_the_unfiltered_control() {
         // Corpora with shared prefixes and varied lengths, tight radii
-        // over long queries: `within` must return exactly what the
+        // over long queries: a radius lookup must return exactly what the
         // unfiltered control returns.
         let records: Vec<Vec<String>> = (0..40)
             .map(|i| {
@@ -1085,7 +1055,11 @@ mod tests {
         let control = InvertedIndex::build(records, UnfilteredDistance(EditDistance), pool, config);
         for id in 0..idx.len() as u32 {
             for radius in [0.05, 0.15, 0.3] {
-                assert_eq!(idx.within(id, radius), control.within(id, radius), "id {id}");
+                let ((n_f, ng_f, _), (n_u, ng_u, _)) = (
+                    idx.lookup(id, LookupSpec::Radius(radius), 2.0),
+                    control.lookup(id, LookupSpec::Radius(radius), 2.0),
+                );
+                assert_eq!((n_f, ng_f), (n_u, ng_u), "id {id} radius {radius}");
             }
         }
     }
@@ -1109,7 +1083,7 @@ mod tests {
         // The shared token (and its grams) are the terms every record holds.
         assert!(paged.chunks.iter().any(|term_chunks| term_chunks.len() >= 5));
         // And the index still answers queries.
-        assert!(!idx.top_k(0, 2).is_empty());
+        assert!(!neighbors(&idx, 0, LookupSpec::TopK(2)).is_empty());
     }
 
     #[test]
@@ -1133,7 +1107,11 @@ mod tests {
         for chunk_size in [0, usize::MAX] {
             let idx = build(chunk_size);
             for id in [0, 1500, 2999] {
-                assert_eq!(idx.top_k(id, 3), reference.top_k(id, 3), "chunk_size {chunk_size}");
+                assert_eq!(
+                    neighbors(&idx, id, LookupSpec::TopK(3)),
+                    neighbors(&reference, id, LookupSpec::TopK(3)),
+                    "chunk_size {chunk_size}"
+                );
             }
         }
     }
@@ -1187,8 +1165,11 @@ mod tests {
             "a distance that compiles nothing is verified from raw fields"
         );
         for id in 0..compiled.len() as u32 {
-            assert_eq!(compiled.top_k(id, 3), control.top_k(id, 3), "top_k id {id}");
-            assert_eq!(compiled.within(id, 0.4), control.within(id, 0.4), "within id {id}");
+            for spec in [LookupSpec::TopK(3), LookupSpec::Radius(0.4)] {
+                let (n_c, ng_c, _) = compiled.lookup(id, spec, 2.0);
+                let (n_r, ng_r, _) = control.lookup(id, spec, 2.0);
+                assert_eq!((n_c, ng_c), (n_r, ng_r), "id {id} {spec:?}");
+            }
         }
     }
 }

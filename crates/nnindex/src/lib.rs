@@ -29,13 +29,14 @@
 //!   sequential and shuffled orders for the Figure-8 comparison.
 //!
 //! Every index family only says which records are worth verifying for a
-//! query; one private lookup driver turns that into `top_k`, `within`,
-//! the combined lookup and by-content probes through one
+//! query; one private lookup driver turns that into the one answer an
+//! index gives — the combined lookup, by id or by content — through one
 //! bounded-verification loop.
 //!
 //! Like the paper, we treat the (probabilistic) inverted index as if it
-//! were exact; `tests/` cross-validate its results against the nested-loop
-//! reference and the experiment drivers measure its recall.
+//! were exact; `tests/` hold every family's lookups to the paper's
+//! definitions (the `fuzzydedup-reference` crate) and the experiment
+//! drivers measure its recall.
 
 pub mod bforder;
 pub mod candgen;
@@ -56,17 +57,11 @@ use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::{Candidate, CompiledRecords, Distance, Prepared};
 
-/// Cost accounting for one combined [`NnIndex::lookup`], reported by every
-/// implementation and aggregated by Phase 1 into `Phase1Stats` /
-/// `RunMetrics`.
+/// Cost accounting for one combined [`NnIndex::lookup`] — one probe of the
+/// index, whatever the spec — reported by every implementation and
+/// aggregated into `RunMetrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LookupCost {
-    /// Physical index probes issued: the primary fetch plus any fallback
-    /// or neighborhood-growth probes (always ≥ 1 for a served lookup).
-    pub probes: u64,
-    /// Fallback top-1 probes within `probes`: the radius fetch came back
-    /// empty, but `nn(v)` was still needed for the growth estimate.
-    pub fallback_probes: u64,
     /// Candidates generated before verification (0 when the
     /// implementation does not expose candidate generation).
     pub candidates: u64,
@@ -77,18 +72,10 @@ pub struct LookupCost {
 }
 
 impl LookupCost {
-    /// Accumulate another lookup's cost into this one.
-    pub fn absorb(&mut self, other: &LookupCost) {
-        self.probes += other.probes;
-        self.fallback_probes += other.fallback_probes;
-        self.candidates += other.candidates;
-        self.distance_calls += other.distance_calls;
-    }
-
-    /// Count this lookup's cost on the calling thread's tally.
-    fn record(&self) {
+    /// Count this lookup and its cost on the calling thread's tally — what
+    /// every lookup of this crate does before it returns.
+    pub fn record(&self) {
         incr(Counter::NnLookups, 1);
-        incr(Counter::NnFallbackProbes, self.fallback_probes);
         incr(Counter::NnCandidates, self.candidates);
         incr(Counter::NnExactDistCalls, self.distance_calls);
     }
@@ -135,18 +122,31 @@ pub trait PairDistanceCache: Sync {
 }
 
 /// A nearest-neighbor index over a fixed corpus of records with dense ids
-/// `0..len`.
+/// `0..len`, answering the one question the paper's Phase 1 asks of it:
+/// "get NN-List(v) and the number of neighbors within radius 2·NN(v) using
+/// index I".
 ///
-/// Result contracts shared by all implementations:
+/// Result contract shared by all implementations, which the paper's
+/// definitions (the `fuzzydedup-reference` crate) state naively and the
+/// tests hold every index of this crate to:
 ///
-/// * the query record itself is **excluded** from results;
-/// * results are sorted ascending by `(distance, id)` — the deterministic
+/// * the query record itself is **excluded** from the neighbor list;
+/// * the list is sorted ascending by `(distance, id)` — the deterministic
 ///   tie-break the partitioning phase relies on;
-/// * `top_k` returns at most `k` entries (fewer if the corpus is small);
-/// * `within` returns every neighbor at distance strictly less than
-///   `radius` (for the inverted index: every such neighbor that shares at
-///   least one indexed term with the query — the probabilistic caveat the
-///   paper accepts).
+/// * `TopK(k)` keeps the first `k` of what the index sees, `Radius(θ)`
+///   every neighbor at distance strictly less than θ (an index over a
+///   collapsed corpus answers in representative space and keeps every
+///   TopK survivor, for the caller to expand to full ids — DESIGN.md
+///   §7.10);
+/// * `ng(v) = |{u : d(u, v) < p · nn(v)}|` counts `v` itself, with `nn(v)`
+///   the nearest distance the index sees whatever the spec (a radius list
+///   may be empty while `nn(v)` lies beyond it), and is 1 when the index
+///   sees nothing.
+///
+/// What an index *sees*: the nested-loop index every other record; the
+/// inverted index every record sharing at least one indexed term with the
+/// query — the probabilistic caveat the paper accepts — cut further by
+/// `candidate_limit` and stop grams when those are armed.
 ///
 /// Every index of this crate compiles its records once with the
 /// verification distance ([`Distance::compile_record`]) and verifies
@@ -156,7 +156,7 @@ pub trait PairDistanceCache: Sync {
 /// `distance_bounded`, one call per candidate — the same answers, none
 /// of the compile-once savings; overriding `prepare` alone compiles the
 /// query side only. An index implemented outside this crate is free to
-/// verify however it likes; only the result contracts above bind it.
+/// verify however it likes; only the result contract above binds it.
 pub trait NnIndex: Send + Sync {
     /// Number of records in the indexed corpus.
     fn len(&self) -> usize;
@@ -166,55 +166,11 @@ pub trait NnIndex: Send + Sync {
         self.len() == 0
     }
 
-    /// The `k` nearest neighbors of record `id`, excluding itself.
-    fn top_k(&self, id: u32, k: usize) -> Vec<Neighbor>;
-
-    /// All neighbors of record `id` at distance `< radius`, excluding
-    /// itself.
-    fn within(&self, id: u32, radius: f64) -> Vec<Neighbor>;
-
-    /// One combined lookup, as the paper's Phase 1 performs it ("get
-    /// NN-List(v) and the number of neighbors within radius 2·NN(v) using
-    /// index I"): the neighbor list per `spec`, plus the neighborhood
-    /// growth `ng(v) = |{u : d(u, v) < p · nn(v)}|` (counting `v` itself),
-    /// plus the [`LookupCost`] actually paid to answer.
-    ///
-    /// This default composes the answer from separate `top_k`/`within`
-    /// probes (each counted in `LookupCost::probes`). It serves
-    /// implementations outside this crate that only offer the two
-    /// primitives, and is the composition the driver-equivalence suite
-    /// holds the combined lookups of this crate's indexes to: every index
-    /// here overrides it with one call into the crate's single lookup
-    /// driver (gather candidates once, verify them once with a running
-    /// cutoff, derive the neighbor list and `ng` from the survivors).
-    fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
-        let mut cost = LookupCost { probes: 1, ..LookupCost::default() };
-        let neighbors = match spec {
-            LookupSpec::TopK(k) => self.top_k(id, k),
-            LookupSpec::Radius(theta) => self.within(id, theta),
-        };
-        let nn = match neighbors.first() {
-            Some(first) => Some(first.dist),
-            None => {
-                // The radius fetch (or a degenerate top-k) came back
-                // empty; nn(v) still drives the growth estimate, so probe
-                // for it separately — the fallback probe Phase 1 counts.
-                cost.probes += 1;
-                cost.fallback_probes += 1;
-                self.top_k(id, 1).first().map(|f| f.dist)
-            }
-        };
-        let ng = match nn {
-            Some(nn) if nn > 0.0 => {
-                cost.probes += 1;
-                self.within(id, p * nn).len() as f64 + 1.0
-            }
-            Some(_) => 1.0,
-            None => 1.0,
-        };
-        cost.record();
-        (neighbors, ng, cost)
-    }
+    /// The combined lookup of record `id`: its neighbor list per `spec`,
+    /// its neighborhood growth `ng` for multiplier `p`, and the
+    /// [`LookupCost`] paid — one candidate gather and one verification
+    /// pass for every index of this crate.
+    fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost);
 }
 
 /// What a combined [`NnIndex::lookup`] fetches.
@@ -265,8 +221,8 @@ impl LookupWeights<'_> {
 
 /// Bounded verification of a candidate list — the one verification loop
 /// in the crate, called only by the lookup driver ([`driver`]), which
-/// every index family and every query flavor (`top_k`, `within`, the
-/// combined lookup, by-content probes) goes through.
+/// every index family and both query flavors (the combined lookup by id,
+/// the by-content probe) go through.
 ///
 /// Every candidate is scored with the prepared query's
 /// `distance_bounded`, passing the current best-so-far as the cutoff so
@@ -574,9 +530,8 @@ impl<'r> RecordView<'r> {
 
 /// Shared implementation of the combined lookup over a *verified*
 /// candidate list (every surviving candidate carries its exact distance,
-/// self excluded, unsorted). Used by the candidate-generation indexes: one
-/// gather answers both the neighbor list and the growth estimate, so the
-/// cost is a single probe over `generated` candidates, of which
+/// self excluded, unsorted). One gather answers both the neighbor list and
+/// the growth estimate, so the cost is `generated` candidates, of which
 /// `attempted` reached a (possibly bounded) distance call — the rest were
 /// pruned by the q-gram filters.
 pub(crate) fn lookup_from_verified(
@@ -587,12 +542,7 @@ pub(crate) fn lookup_from_verified(
     p: f64,
     weights: Option<&LookupWeights<'_>>,
 ) -> (Vec<Neighbor>, f64, LookupCost) {
-    let cost = LookupCost {
-        probes: 1,
-        fallback_probes: 0,
-        candidates: generated,
-        distance_calls: attempted,
-    };
+    let cost = LookupCost { candidates: generated, distance_calls: attempted };
     sort_neighbors(&mut verified);
     let nn = verified.first().map(|n| n.dist);
     let ng = match nn {
@@ -634,15 +584,7 @@ impl<I: NnIndex + ?Sized> NnIndex for &I {
     fn len(&self) -> usize {
         (**self).len()
     }
-    fn top_k(&self, id: u32, k: usize) -> Vec<Neighbor> {
-        (**self).top_k(id, k)
-    }
-    fn within(&self, id: u32, radius: f64) -> Vec<Neighbor> {
-        (**self).within(id, radius)
-    }
     fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
-        // Forward explicitly — the default body would bypass the inner
-        // type's override (the same vtable gotcha as `Distance::prepare`).
         (**self).lookup(id, spec, p)
     }
 }
@@ -651,6 +593,16 @@ impl<I: NnIndex + ?Sized> NnIndex for &I {
 /// ascending distance, ties by id.
 pub(crate) fn sort_neighbors(neighbors: &mut [Neighbor]) {
     neighbors.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+}
+
+/// The neighbor list of `index`'s combined lookup at the paper's `p = 2`.
+#[cfg(test)]
+pub(crate) fn neighbors(
+    index: &(impl NnIndex + ?Sized),
+    id: u32,
+    spec: LookupSpec,
+) -> Vec<Neighbor> {
+    index.lookup(id, spec, 2.0).0
 }
 
 /// `n` single-field records in groups of four: a base string, two

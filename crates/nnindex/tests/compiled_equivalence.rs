@@ -36,6 +36,12 @@ fn pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(64), Arc::new(InMemoryDisk::new())))
 }
 
+/// The distance between records `a` and `b` through the unprepared call.
+fn unprepared(distance: &impl Distance, records: &Records, a: u32, b: u32) -> f64 {
+    let fields = |id: u32| records[id as usize].iter().map(String::as_str).collect::<Vec<_>>();
+    distance.distance(&fields(a), &fields(b))
+}
+
 fn built<D: Distance>(records: &Records, distance: D) -> InvertedIndex<D> {
     let config = InvertedIndexConfig { candidate_limit: 0, ..Default::default() };
     InvertedIndex::build(records.clone(), distance, pool(), config)
@@ -54,15 +60,16 @@ fn indexes_agree_on_a_char_whose_lowercase_mapping_expands() {
     let exact = NestedLoopIndex::new(records.clone(), EditDistance);
     let inverted = built(&records, EditDistance);
     for id in 0..records.len() as u32 {
-        let truth = exact.top_k(id, 2);
-        for n in &truth {
-            let a: Vec<&str> = records[id as usize].iter().map(String::as_str).collect();
-            let b: Vec<&str> = records[n.id as usize].iter().map(String::as_str).collect();
-            assert_eq!(n.dist, EditDistance.distance(&a, &b), "id {id} vs {}", n.id);
+        let truth = exact.lookup(id, LookupSpec::TopK(2), 2.0);
+        for n in &truth.0 {
+            assert_eq!(
+                n.dist,
+                unprepared(&EditDistance, &records, id, n.id),
+                "id {id} vs {}",
+                n.id
+            );
         }
-        assert_eq!(inverted.top_k(id, 2), truth, "inverted id {id}");
-        let (combined, _, _) = exact.lookup(id, LookupSpec::TopK(2), 2.0);
-        assert_eq!(combined, truth, "nested-loop combined lookup id {id}");
+        assert_eq!(inverted.lookup(id, LookupSpec::TopK(2), 2.0), truth, "inverted id {id}");
     }
 }
 
@@ -86,16 +93,18 @@ fn messy_corpus() -> Records {
 }
 
 /// Whatever the store holds — chars, tokens, or nothing — the distances an
-/// index verifies from it are the exact reference's.
+/// index verifies from it are the unprepared `Distance::distance`'s.
 #[test]
-fn compiled_distances_match_the_exact_reference() {
+fn compiled_distances_match_the_unprepared_distance() {
     fn check<D: Distance + Clone>(records: &Records, distance: D) {
         let name = distance.name().to_string();
         let index = built(records, distance.clone());
-        let exact = NestedLoopIndex::new(records.clone(), distance);
         for id in 0..records.len() as u32 {
-            for n in index.top_k(id, 4) {
-                assert_eq!(n.dist, exact.distance_between(id, n.id), "{name}: {id} vs {}", n.id);
+            for spec in [LookupSpec::TopK(4), LookupSpec::Radius(0.5)] {
+                for n in index.lookup(id, spec, 2.0).0 {
+                    let want = unprepared(&distance, records, id, n.id);
+                    assert_eq!(n.dist, want, "{name}: {id} vs {}", n.id);
+                }
             }
         }
     }

@@ -233,7 +233,7 @@ fn fully_stopped_queries_fall_back_identically() {
         ..Default::default()
     };
     let (plain, _) = assert_layouts_agree(&records, &config, 2, "fully-stopped");
-    let nn = plain.top_k(0, 2);
+    let (nn, _, _) = plain.lookup(0, LookupSpec::TopK(2), P);
     assert!(!nn.is_empty(), "fallback must produce candidates");
     assert_eq!(nn[0].dist, 0.0);
 }

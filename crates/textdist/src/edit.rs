@@ -1,4 +1,4 @@
-//! Levenshtein edit distance: full, bounded, banded, and normalized.
+//! Levenshtein edit distance: full, bounded, and normalized.
 //!
 //! The paper evaluates its framework with "the edit distance (ed) \[27\]".
 //! Because the duplicate-elimination framework expects distances in
@@ -8,10 +8,10 @@
 //! candidate verification.
 //!
 //! The public [`levenshtein`] / [`levenshtein_bounded`] entry points route
-//! to the bit-parallel Myers kernel in [`crate::myers`]; the classic two-row
-//! DP survives as [`levenshtein_dp`] (the reference implementation the
-//! equivalence property tests and the bench crate's tripwire compare against), and
-//! the banded DP as [`levenshtein_banded`].
+//! to the bit-parallel Myers kernel in [`crate::myers`]. The dynamic
+//! programs they replaced are oracles now, and live with the tests: the
+//! full-matrix DP of `fuzzydedup-reference` and of this crate's integration
+//! suites, and a two-row DP in the kernel's unit tests.
 
 use crate::myers::{myers_bounded_chars, myers_chars, PreparedPattern};
 use crate::tokenize::{record_string, record_string_into};
@@ -42,51 +42,13 @@ pub fn levenshtein_chars(a: &[char], b: &[char]) -> usize {
     myers_chars(a, b)
 }
 
-/// Reference two-row DP Levenshtein, `O(|a|·|b|)` time. Kept as the
-/// independently-derived oracle for the Myers kernel (property tests) and
-/// as the control of the tripwire's `myers/… <= dp/…` rows.
-pub fn levenshtein_dp(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    levenshtein_dp_chars_with(&mut (Vec::new(), Vec::new()), &a, &b)
-}
-
-/// [`levenshtein_dp`] over char slices with caller-provided DP row buffers,
-/// letting benchmark loops avoid two allocations per comparison. Buffers
-/// are resized as needed and may be reused across calls.
-pub fn levenshtein_dp_chars_with(
-    bufs: &mut (Vec<usize>, Vec<usize>),
-    a: &[char],
-    b: &[char],
-) -> usize {
-    // Ensure `b` is the shorter side so the DP rows are minimal.
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    if b.is_empty() {
-        return a.len();
-    }
-    let (prev, cur) = (&mut bufs.0, &mut bufs.1);
-    prev.clear();
-    prev.extend(0..=b.len());
-    cur.clear();
-    cur.resize(b.len() + 1, 0);
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(prev, cur);
-    }
-    prev[b.len()]
-}
-
 /// Levenshtein distance with an upper bound: returns `None` as soon as the
 /// distance provably exceeds `bound`, which lets candidate verification in
 /// the nearest-neighbor index abandon hopeless candidates early.
 ///
-/// Routes to the k-bounded Myers kernel ([`crate::myers::myers_bounded`]);
-/// the banded-DP predecessor survives as [`levenshtein_banded`] and the two
-/// are regression-tested against each other on both sides of the cutoff.
+/// Routes to the k-bounded Myers kernel ([`crate::myers::myers_bounded`]),
+/// held to "the DP's distance if it is at most `bound`" on both sides of
+/// the cutoff.
 ///
 /// ```
 /// use fuzzydedup_textdist::levenshtein_bounded;
@@ -104,59 +66,6 @@ pub fn levenshtein_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
 /// [`levenshtein_bounded`].
 pub fn levenshtein_bounded_chars(a: &[char], b: &[char], bound: usize) -> Option<usize> {
     myers_bounded_chars(a, b, bound)
-}
-
-/// Banded-DP bounded Levenshtein: cells farther than `bound` off the
-/// diagonal can never participate in a path of cost `<= bound`, so only a
-/// `2·bound + 1` wide band is evaluated per row. Superseded on hot paths by
-/// the k-bounded Myers kernel but kept as its regression oracle.
-pub fn levenshtein_banded(a: &str, b: &str, bound: usize) -> Option<usize> {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    levenshtein_banded_chars(&a, &b, bound)
-}
-
-/// [`levenshtein_banded`] over pre-collected char slices.
-pub fn levenshtein_banded_chars(a: &[char], b: &[char], bound: usize) -> Option<usize> {
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    // Length difference is a lower bound on the distance.
-    if a.len() - b.len() > bound {
-        return None;
-    }
-    if b.is_empty() {
-        return (a.len() <= bound).then_some(a.len());
-    }
-    const INF: usize = usize::MAX / 2;
-    let mut prev: Vec<usize> = (0..=b.len()).map(|j| if j <= bound { j } else { INF }).collect();
-    let mut cur: Vec<usize> = vec![INF; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        let row = i + 1;
-        // Band: only columns with |row - col| <= bound can stay <= bound.
-        let lo = row.saturating_sub(bound);
-        let hi = (row + bound).min(b.len());
-        cur[0] = if row <= bound { row } else { INF };
-        if lo > 0 {
-            cur[lo - 1] = INF;
-        }
-        let mut row_min = cur[0];
-        for j in lo.max(1)..=hi {
-            let cost = usize::from(ca != b[j - 1]);
-            let diag = prev[j - 1] + cost;
-            let up = prev[j] + 1;
-            let left = cur[j - 1] + 1;
-            cur[j] = diag.min(up).min(left);
-            row_min = row_min.min(cur[j]);
-        }
-        if hi < b.len() {
-            cur[hi + 1] = INF;
-        }
-        if row_min > bound {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    let d = prev[b.len()];
-    (d <= bound).then_some(d)
 }
 
 /// Levenshtein distance normalized to `[0, 1]` by the longer string's length

@@ -28,7 +28,12 @@
 //!
 //! with `W(·)` the total token weight. The measure is symmetric by
 //! construction, `0` distance iff the token multisets are identical, and `1`
-//! iff no token pair has any character overlap worth matching. The optimal
+//! iff no token pair has any character overlap worth matching. `d` is
+//! evaluated as the weight the matching loses over `W(A) + W(B)` — each
+//! matched pair's `(w(a) + w(b)) · ned(a, b)`, then each unmatched token's
+//! `w` — which is the same quantity and is exactly `0` in floating point
+//! when the multisets are identical, as the collapse of exact duplicates
+//! (DESIGN.md §7.10) assumes. The optimal
 //! matching is approximated greedily (largest gain first), which is exact
 //! when gains are distinct across conflicting pairs and is the standard
 //! practical choice for soft-TF-IDF-style measures.
@@ -150,15 +155,19 @@ impl FuzzyMatchDistance {
 
     /// Similarity in `[0, 1]`; `1` means identical token multisets.
     pub fn similarity(&self, a: &[&str], b: &[&str]) -> f64 {
+        1.0 - self.fms_distance(a, b)
+    }
+
+    fn fms_distance(&self, a: &[&str], b: &[&str]) -> f64 {
         let b = self.decompose(b);
-        self.prepare_fms(a).similarity(tokens_of(&b))
+        self.prepare_fms(a).distance(tokens_of(&b))
     }
 }
 
 impl Distance for FuzzyMatchDistance {
     fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
         incr(Counter::DistFms, 1);
-        1.0 - self.similarity(a, b)
+        self.fms_distance(a, b)
     }
 
     /// Pin the query's decomposition and compile its tokens once.
@@ -192,14 +201,14 @@ struct PreparedFms<'a> {
 
 impl PreparedFms<'_> {
     /// The one fms scorer: every token pair's bounded distance, then the
-    /// greedy largest-gain matching.
-    fn similarity(&mut self, candidate: WeightedTokens) -> f64 {
+    /// greedy largest-gain matching. Returns the distance `1 − fms`.
+    fn distance(&mut self, candidate: WeightedTokens) -> f64 {
         let query = tokens_of(&self.query);
         if query.is_empty() && candidate.is_empty() {
-            return 1.0;
+            return 0.0;
         }
         if query.is_empty() || candidate.is_empty() {
-            return 0.0;
+            return 1.0;
         }
         let Scratch { memo, patterns, pairs, used_a, used_b } = &mut self.scratch;
 
@@ -235,7 +244,7 @@ impl PreparedFms<'_> {
                 let ned = d as f64 / max_len as f64;
                 let gain = (wia + wjb) * (1.0 - ned);
                 if gain > 0.0 {
-                    pairs.push((gain, i, j));
+                    pairs.push((gain, i, j, (wia + wjb) * ned));
                 }
             }
         }
@@ -249,15 +258,28 @@ impl PreparedFms<'_> {
         used_a.resize(query.len(), false);
         used_b.clear();
         used_b.resize(candidate.len(), false);
-        let mut gain = 0.0;
-        for &(g, i, j) in pairs.iter() {
+        // `1 − gain / W` is summed as the weight the matching loses — each
+        // matched pair's `(w(a) + w(b)) · ned`, then every unmatched token's
+        // weight — over `W`: the same quantity, and exactly 0 when the
+        // token multisets are identical.
+        let mut lost = 0.0;
+        for &(_, i, j, loss) in pairs.iter() {
             if !used_a[i] && !used_b[j] {
                 used_a[i] = true;
                 used_b[j] = true;
-                gain += g;
+                lost += loss;
             }
         }
-        (gain / (query.total_weight() + candidate.total_weight())).clamp(0.0, 1.0)
+        let unmatched = |tokens: WeightedTokens, used: &[bool]| {
+            tokens
+                .iter()
+                .zip(used)
+                .filter(|(_, &used)| !used)
+                .fold(0.0, |sum, ((_, w, _), _)| sum + w)
+        };
+        // One sum of the two sides, so that `d(a, b) == d(b, a)` to the bit.
+        lost += unmatched(query, used_a) + unmatched(candidate, used_b);
+        (lost / (query.total_weight() + candidate.total_weight())).clamp(0.0, 1.0)
     }
 }
 
@@ -266,14 +288,13 @@ impl<'c> PreparedDistance<'c> for PreparedFms<'_> {
     /// the decomposition memo first.
     fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
         incr(Counter::DistFms, 1);
-        let similarity = match candidate {
-            Candidate::Tokens(tokens) => self.similarity(tokens),
+        let d = match candidate {
+            Candidate::Tokens(tokens) => self.distance(tokens),
             raw => {
                 let memo = raw.with_fields(|fields| self.distance.decompose(fields));
-                self.similarity(tokens_of(&memo))
+                self.distance(tokens_of(&memo))
             }
         };
-        let d = 1.0 - similarity;
         (d <= cutoff).then_some(d)
     }
 }
@@ -286,7 +307,7 @@ impl Drop for PreparedFms<'_> {
 
 /// What a prepared fms query works in: its patterns, its token-pair memo,
 /// and the matching's buffers — the scored pairs as `(gain, query token,
-/// candidate token)` and the tokens matched.
+/// candidate token, loss)` and the tokens matched.
 ///
 /// It moves from one prepared query to the next on the same thread
 /// ([`Scratch::take`] / [`Scratch::give_back`]), so of all this a prepared
@@ -297,7 +318,7 @@ struct Scratch {
     memo: PairMemo,
     /// Query token `i`'s pattern at `i`.
     patterns: Vec<PreparedPattern<'static>>,
-    pairs: Vec<(f64, usize, usize)>,
+    pairs: Vec<(f64, usize, usize, f64)>,
     used_a: Vec<bool>,
     used_b: Vec<bool>,
 }

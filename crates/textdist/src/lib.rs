@@ -31,10 +31,7 @@ pub mod qgram;
 pub mod tokenize;
 
 pub use compiled::{Candidate, CompiledRecords, WeightedTokens};
-pub use edit::{
-    levenshtein, levenshtein_banded, levenshtein_bounded, levenshtein_dp, normalized_levenshtein,
-    EditDistance,
-};
+pub use edit::{levenshtein, levenshtein_bounded, normalized_levenshtein, EditDistance};
 pub use fms::FuzzyMatchDistance;
 pub use idf::IdfModel;
 pub use myers::{myers, myers_bounded, myers_bounded_chars, myers_chars};

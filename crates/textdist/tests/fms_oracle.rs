@@ -4,7 +4,8 @@
 //! nothing from the production scorer: full-matrix DP Levenshtein per
 //! token pair, `ned` over the longer token, pairs past `ned = 0.8`
 //! dropped, the greedy largest-gain matching with ties broken by
-//! `(i, j)`, the gains summed in that order. Tokenization and IDF weights
+//! `(i, j)`, the lost weight summed in that order, then the unmatched
+//! tokens' weight. Tokenization and IDF weights
 //! are inputs to the definition and come from the crate.
 //!
 //! One prepared query is scored against 600+ candidates, compiled and raw,
@@ -21,30 +22,11 @@ use fuzzydedup_textdist::tokenize::tokenize_record;
 use fuzzydedup_textdist::{Candidate, CompiledRecords, Distance, FuzzyMatchDistance, IdfModel};
 use proptest::prelude::*;
 
+mod common;
+use common::levenshtein_matrix;
+
 /// Token pairs the memo holds before it clears (half its 2,048 slots).
 const MEMO_HOLDS: usize = 1024;
-
-/// Levenshtein distance by the full `(|a| + 1) × (|b| + 1)` matrix, row
-/// by row in one flat buffer.
-fn levenshtein_matrix(a: &[char], b: &[char]) -> usize {
-    let width = b.len() + 1;
-    let mut d = vec![0usize; (a.len() + 1) * width];
-    for i in 0..=a.len() {
-        d[i * width] = i;
-    }
-    for (j, cell) in d[..width].iter_mut().enumerate() {
-        *cell = j;
-    }
-    for i in 1..=a.len() {
-        for j in 1..=b.len() {
-            let substitute = d[(i - 1) * width + j - 1] + usize::from(a[i - 1] != b[j - 1]);
-            let delete = d[(i - 1) * width + j] + 1;
-            let insert = d[i * width + j - 1] + 1;
-            d[i * width + j] = substitute.min(delete).min(insert);
-        }
-    }
-    d[a.len() * width + b.len()]
-}
 
 /// A record's tokens as `(chars, IDF weight)`, in record order.
 type Weighted = Vec<(Vec<char>, f64)>;
@@ -56,37 +38,38 @@ fn weighted(idf: &IdfModel, fields: &[&str]) -> Weighted {
         .collect()
 }
 
-/// The fms distance of the module docs between two records' tokens.
+/// The fms distance of the module docs between two records' tokens: the
+/// weight the matching loses over the total weight.
 fn oracle(ta: &Weighted, tb: &Weighted) -> f64 {
-    let similarity = if ta.is_empty() && tb.is_empty() {
-        1.0
-    } else if ta.is_empty() || tb.is_empty() {
-        0.0
-    } else {
-        let mut pairs = Vec::new();
-        for (i, (ca, wa)) in ta.iter().enumerate() {
-            for (j, (cb, wb)) in tb.iter().enumerate() {
-                let longer = ca.len().max(cb.len());
-                let ned = levenshtein_matrix(ca, cb) as f64 / longer as f64;
-                let gain = (wa + wb) * (1.0 - ned);
-                if ned <= 0.8 && gain > 0.0 {
-                    pairs.push((gain, i, j));
-                }
+    if ta.is_empty() || tb.is_empty() {
+        return if ta.is_empty() && tb.is_empty() { 0.0 } else { 1.0 };
+    }
+    let mut pairs = Vec::new();
+    for (i, (ca, wa)) in ta.iter().enumerate() {
+        for (j, (cb, wb)) in tb.iter().enumerate() {
+            let longer = ca.len().max(cb.len());
+            let ned = levenshtein_matrix(ca, cb) as f64 / longer as f64;
+            let gain = (wa + wb) * (1.0 - ned);
+            if ned <= 0.8 && gain > 0.0 {
+                pairs.push((gain, i, j, (wa + wb) * ned));
             }
         }
-        pairs.sort_by(|x, y| y.0.total_cmp(&x.0).then((x.1, x.2).cmp(&(y.1, y.2))));
-        let (mut matched_a, mut matched_b) = (vec![false; ta.len()], vec![false; tb.len()]);
-        let mut gain = 0.0;
-        for (g, i, j) in pairs {
-            if !matched_a[i] && !matched_b[j] {
-                (matched_a[i], matched_b[j]) = (true, true);
-                gain += g;
-            }
+    }
+    pairs.sort_by(|x, y| y.0.total_cmp(&x.0).then((x.1, x.2).cmp(&(y.1, y.2))));
+    let (mut matched_a, mut matched_b) = (vec![false; ta.len()], vec![false; tb.len()]);
+    let mut lost = 0.0;
+    for (_, i, j, loss) in pairs {
+        if !matched_a[i] && !matched_b[j] {
+            (matched_a[i], matched_b[j]) = (true, true);
+            lost += loss;
         }
-        let total = |t: &Weighted| t.iter().fold(0.0, |sum, (_, w)| sum + w);
-        (gain / (total(ta) + total(tb))).clamp(0.0, 1.0)
+    }
+    let unmatched = |t: &Weighted, matched: &[bool]| {
+        t.iter().zip(matched).filter(|(_, m)| !**m).fold(0.0, |sum, ((_, w), _)| sum + w)
     };
-    1.0 - similarity
+    lost += unmatched(ta, &matched_a) + unmatched(tb, &matched_b);
+    let total = |t: &Weighted| t.iter().fold(0.0, |sum, (_, w)| sum + w);
+    (lost / (total(ta) + total(tb))).clamp(0.0, 1.0)
 }
 
 /// The candidate vocabulary past the fitted tokens: the tokens the fit

@@ -1,19 +1,23 @@
 //! Property tests pinning the bit-parallel Myers kernel to the classic
-//! dynamic-programming implementations it replaced (DESIGN.md, "kernel
-//! selection ladder").
-//!
-//! Two oracles, both kept in `edit.rs` precisely for this purpose:
-//! - `levenshtein_dp` — the full two-row DP, exact by construction;
-//! - `levenshtein_banded` — the k-banded DP that the nnindex
-//!   verification paths used before `myers_bounded` took over.
+//! dynamic program it replaced (DESIGN.md, "kernel selection ladder"):
+//! the full-matrix DP of `common`, exact by construction, and for the
+//! bounded kernel the DP's distance whenever it is at most the bound.
 //!
 //! Strings are drawn from a Unicode-heavy alphabet (ASCII + 2–3-byte
 //! accents/CJK + a 4-byte astral emoji) at lengths 0–200, which crosses
 //! the 64-char single-word boundary and exercises the blocked multi-word
 //! path, the non-ASCII spill table, and common prefix/suffix stripping.
 
-use fuzzydedup_textdist::{levenshtein_banded, levenshtein_bounded, levenshtein_dp, myers};
+use fuzzydedup_textdist::{levenshtein_bounded, myers};
 use proptest::prelude::*;
+
+mod common;
+
+/// Levenshtein by the full DP matrix.
+fn levenshtein_dp(a: &str, b: &str) -> usize {
+    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+    common::levenshtein_matrix(&a, &b)
+}
 
 /// Mixed alphabet as a shim pattern: ASCII letters/digits, 2-byte
 /// (`é` `ü` `ß` `ñ`), 3-byte CJK (`日` `本` `語`), and 4-byte `😀`, so
@@ -72,13 +76,14 @@ proptest! {
     /// oracle on BOTH sides of the cutoff: identical `Some(d)` when the
     /// distance is within the bound, identical `None` when it is not.
     #[test]
-    fn bounded_matches_banded_oracle(
+    fn bounded_matches_the_dp_on_near_duplicates(
         a in "[a-z0-9éüßñ日本語😀]{0,120}",
         edits in prop::collection::vec((0usize..1000, 0usize..64), 0..9),
         bound in 0usize..12,
     ) {
         let b = near_duplicate(&a, &edits);
-        prop_assert_eq!(levenshtein_bounded(&a, &b, bound), levenshtein_banded(&a, &b, bound));
+        let d = levenshtein_dp(&a, &b);
+        prop_assert_eq!(levenshtein_bounded(&a, &b, bound), (d <= bound).then_some(d));
     }
 
     /// Bounded semantics are exactly "distance if ≤ k": tie the bounded

@@ -61,7 +61,9 @@
 #                 service's writer thread panicked
 #
 # Every run also counts the ROADMAP's line ledger — Rust outside vendored/
-# and benchmark/, total and per crate — prints it under the stage table
+# and benchmark/, total and per crate, and on a line of its own the oracle:
+# crates/reference (the paper's definitions written naively) with the two
+# suites holding production to it — prints it under the stage table
 # and writes it as "rust_lines" into results/ci_summary.json, beside the
 # toolchain that ran ("rustc": `rustc --version`, which must be at least
 # Cargo.toml's rust-version) and whether the CPU has AVX2 ("avx2"). Beside
@@ -69,8 +71,8 @@
 # configuration struct, the distinct `--flags` of the CLI's usage text,
 # the variants of `DistanceKind` ("distance_kinds") and `CollapseKey`
 # ("collapse_keys") and the `fn`s declared in `trait Distance`
-# ("distance_methods"), so "a simplicity PR adds no options" is read off a
-# diff of that file; and
+# ("distance_methods") and `trait NnIndex` ("nnindex_methods"), so "a
+# simplicity PR adds no options" is read off a diff of that file; and
 # the unsafe ledger, "unsafe_sites": `grep -c unsafe` per source file under
 # crates/*/src and src (files that have any), totalled per directory.
 #
@@ -252,6 +254,12 @@ for d in crates/* src tests examples; do
     printf '  %-16s %6d\n' "$d" "$n"
     ledger_json+=", \"$d\": $n"
 done
+# Counted in the total too; shown apart so that its growth reads as test
+# weight, not program.
+oracle_lines=$(rust_lines crates/reference tests/reference_property.rs \
+    crates/nnindex/tests/reference_lookup.rs)
+printf '  %-16s %6d\n' "oracle" "$oracle_lines"
+ledger_json+=", \"oracle\": $oracle_lines"
 
 # ---- options ledger --------------------------------------------------
 # Lines matching a pattern between a line starting `open` and the next
@@ -268,7 +276,7 @@ pub_fields() { count_in "$1" "pub struct $2 {" '^    pub [a-z_0-9]+:'; } # file 
 variants() { count_in "$1" "pub enum $2 {" '^    [A-Z][A-Za-z0-9]*[,( {]'; } # file enum
 options_json=""
 echo
-echo "configuration fields (pub), CLI flags, distance and collapse surface:"
+echo "configuration fields (pub), CLI flags, distance, index and collapse surface:"
 for entry in DedupConfig:crates/core/src/pipeline.rs Parallelism:crates/core/src/pipeline.rs \
     InvertedIndexConfig:crates/nnindex/src/inverted.rs ServiceConfig:crates/core/src/service.rs \
     BufferPoolConfig:crates/storage/src/buffer.rs; do
@@ -281,14 +289,16 @@ cli_flags=$(awk '/^fn usage\(/ { on = 1 } on { print } on && /^}/ { exit }' src/
     grep -o -- '--[a-z][a-z-]*' | sort -u | wc -l)
 printf '  %-20s %3d\n' "cli --flags" "$cli_flags"
 options_json+="\"cli_flags\": $cli_flags"
-# The distance and collapse surface: so it cannot regrow unseen either.
+# The distance, index and collapse surface: so it cannot regrow unseen
+# either.
 distance_kinds=$(variants crates/textdist/src/lib.rs DistanceKind)
 distance_methods=$(count_in crates/textdist/src/lib.rs "pub trait Distance:" '^    fn ')
+nnindex_methods=$(count_in crates/nnindex/src/lib.rs "pub trait NnIndex:" '^    fn ')
 collapse_keys=$(variants crates/core/src/collapse.rs CollapseKey)
 printf '  %-20s %3d\n' "DistanceKind" "$distance_kinds" "trait Distance fns" "$distance_methods" \
-    "CollapseKey" "$collapse_keys"
+    "trait NnIndex fns" "$nnindex_methods" "CollapseKey" "$collapse_keys"
 options_json+=", \"distance_kinds\": $distance_kinds, \"distance_methods\": $distance_methods"
-options_json+=", \"collapse_keys\": $collapse_keys"
+options_json+=", \"nnindex_methods\": $nnindex_methods, \"collapse_keys\": $collapse_keys"
 
 # ---- unsafe ledger ---------------------------------------------------
 # Lines naming `unsafe` (blocks, fns, impls and the comments about them).

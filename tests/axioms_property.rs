@@ -1,14 +1,47 @@
 //! Property-based integration tests of the §3.1 axioms over randomized
 //! metric relations.
+//!
+//! Each property first holds the production pipeline over the relation
+//! (`axioms::de_on_matrix`) to the paper's definitions, written naively in
+//! `fuzzydedup-reference`, and checks the axiom on the definition itself:
+//! the Lemmas are properties of `DE`, so an axiom checked only against
+//! the production Phase 2 would check it against itself.
 
-use fuzzydedup::core::axioms::{
-    check_scale_invariance, check_split_merge_consistency, check_uniqueness, de_on_matrix,
-};
-use fuzzydedup::core::{Aggregation, CutSpec, MatrixIndex};
+use fuzzydedup::core::axioms::{check_uniqueness, de_on_matrix, p_conscious_transform};
+use fuzzydedup::core::{Aggregation, CutSpec, MatrixIndex, Partition};
+use fuzzydedup::nnindex::NnIndex;
+use fuzzydedup_reference as reference;
 use proptest::prelude::*;
 
 fn points_strategy() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0f64..1000.0, 3..20)
+}
+
+fn reference_cut(cut: CutSpec) -> reference::Cut {
+    match cut {
+        CutSpec::Size(k) => reference::Cut::Size(k),
+        CutSpec::Diameter(theta) => reference::Cut::Diameter(theta),
+        CutSpec::SizeAndDiameter(k, theta) => reference::Cut::SizeAndDiameter(k, theta),
+        CutSpec::Unbounded => reference::Cut::Unbounded,
+    }
+}
+
+/// `DE` over `m` by the definitions: the NN relation at `p = 2` and its
+/// partition.
+fn definition(m: &MatrixIndex, cut: CutSpec, c: f64) -> (Vec<reference::Entry>, Partition) {
+    let d = reference::Matrix::from_fn(m.len(), |a, b| m.dist(a, b));
+    let cut = reference_cut(cut);
+    let relation = reference::nn_relation(&d, |_, _| true, cut.spec(m.len()), 2.0);
+    let groups = reference::partition(&relation, &d, cut, reference::Agg::Max, c);
+    (relation, Partition::from_groups(m.len(), groups))
+}
+
+/// `DE_S(K)` / `DE_D(θ)` with max-aggregated growth below `c`, by the
+/// definitions — after checking that the production pipeline agrees.
+fn de(m: &MatrixIndex, cut: CutSpec, c: f64) -> Partition {
+    let (_, want) = definition(m, cut, c);
+    assert_eq!(de_on_matrix(m, cut, Aggregation::Max, c), want, "production ≠ definition");
+    want
 }
 
 proptest! {
@@ -17,14 +50,16 @@ proptest! {
     #[test]
     fn uniqueness_holds_on_random_relations(points in points_strategy()) {
         let m = MatrixIndex::from_points_1d(&points);
-        prop_assert!(check_uniqueness(&m, CutSpec::Size(4), Aggregation::Max, 4.0));
-        prop_assert!(check_uniqueness(&m, CutSpec::Diameter(10.0), Aggregation::Max, 4.0));
+        for cut in [CutSpec::Size(4), CutSpec::Diameter(10.0)] {
+            de(&m, cut, 4.0);
+            prop_assert!(check_uniqueness(&m, cut, Aggregation::Max, 4.0));
+        }
     }
 
     #[test]
     fn scale_invariance_holds_for_de_s(points in points_strategy(), alpha in 0.001f64..1000.0) {
         let m = MatrixIndex::from_points_1d(&points);
-        prop_assert!(check_scale_invariance(&m, 4, Aggregation::Max, 4.0, &[alpha]));
+        prop_assert_eq!(de(&m.scaled(alpha), CutSpec::Size(4), 4.0), de(&m, CutSpec::Size(4), 4.0));
     }
 
     #[test]
@@ -34,14 +69,20 @@ proptest! {
         expand in 1.0f64..8.0,
     ) {
         let m = MatrixIndex::from_points_1d(&points);
-        prop_assert!(check_split_merge_consistency(
-            &m, CutSpec::Size(4), Aggregation::Max, 4.0, shrink, expand));
+        let p = de(&m, CutSpec::Size(4), 4.0);
+        let q = de(&p_conscious_transform(&m, &p, shrink, expand), CutSpec::Size(4), 4.0);
+        for g in q.groups() {
+            let inside_one = g.iter().all(|&id| p.group_index_of(id) == p.group_index_of(g[0]));
+            let union_of_groups =
+                g.iter().all(|&id| p.group_of(id).iter().all(|other| g.contains(other)));
+            prop_assert!(inside_one || union_of_groups, "group {:?} of {:?}", g, q.groups());
+        }
     }
 
     #[test]
     fn partitions_cover_the_relation(points in points_strategy()) {
         let m = MatrixIndex::from_points_1d(&points);
-        let p = de_on_matrix(&m, CutSpec::Size(4), Aggregation::Max, 4.0);
+        let p = de(&m, CutSpec::Size(4), 4.0);
         prop_assert_eq!(p.n(), points.len());
         let covered: usize = p.groups().iter().map(Vec::len).sum();
         prop_assert_eq!(covered, points.len());
@@ -52,7 +93,7 @@ proptest! {
     #[test]
     fn diameter_cut_is_respected(points in points_strategy(), theta in 0.5f64..50.0) {
         let m = MatrixIndex::from_points_1d(&points);
-        let p = de_on_matrix(&m, CutSpec::Diameter(theta), Aggregation::Max, 6.0);
+        let p = de(&m, CutSpec::Diameter(theta), 6.0);
         for g in p.groups() {
             for (i, &a) in g.iter().enumerate() {
                 for &b in &g[i + 1..] {
@@ -65,10 +106,7 @@ proptest! {
 
     #[test]
     fn every_duplicate_group_satisfies_both_criteria(points in points_strategy()) {
-        use fuzzydedup::core::{
-            compute_nn_reln, is_compact_set, partition_entries, sparse_neighborhood_ok,
-            NeighborSpec,
-        };
+        use fuzzydedup::core::{compute_nn_reln, NeighborSpec};
         use fuzzydedup::nnindex::LookupOrder;
         let m = MatrixIndex::from_points_1d(&points);
         let cut = CutSpec::Size(4);
@@ -78,24 +116,27 @@ proptest! {
             LookupOrder::Sequential,
             2.0,
         );
-        let p = partition_entries(&reln, cut, Aggregation::Max, 4.0);
-        for g in p.groups() {
-            if g.len() > 1 {
-                prop_assert!(is_compact_set(&reln, g), "non-compact group {:?}", g);
-                prop_assert!(
-                    sparse_neighborhood_ok(&reln, g, Aggregation::Max, 4.0),
-                    "dense group {:?}",
-                    g
-                );
-            }
+        let (relation, p) = definition(&m, cut, 4.0);
+        for (got, want) in reln.entries().iter().zip(&relation) {
+            let neighbors: Vec<(u32, f64)> = got.neighbors.iter().map(|n| (n.id, n.dist)).collect();
+            prop_assert_eq!(&neighbors, &want.neighbors);
+            prop_assert_eq!(got.ng, want.ng);
+        }
+        for g in p.duplicate_groups() {
+            prop_assert!(reference::is_compact(&relation, g), "non-compact group {:?}", g);
+            prop_assert!(
+                reference::is_sparse(&relation, g, reference::Agg::Max, 4.0),
+                "dense group {:?}",
+                g
+            );
         }
     }
 
     #[test]
     fn stricter_sn_threshold_never_adds_pairs(points in points_strategy()) {
         let m = MatrixIndex::from_points_1d(&points);
-        let loose = de_on_matrix(&m, CutSpec::Size(4), Aggregation::Max, 8.0);
-        let strict = de_on_matrix(&m, CutSpec::Size(4), Aggregation::Max, 3.0);
+        let loose = de(&m, CutSpec::Size(4), 8.0);
+        let strict = de(&m, CutSpec::Size(4), 3.0);
         // Monotonicity of the SN criterion in c: every group admitted at
         // c=3 is admitted at c=8, so strict pairs ⊆ loose pairs... note the
         // greedy anchor choice makes this subtle; we check the weaker and

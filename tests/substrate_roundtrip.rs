@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use fuzzydedup::core::{read_nn_reln, spill_nn_reln, NnEntry, NnReln};
 use fuzzydedup::nnindex::{
-    InvertedIndex, InvertedIndexConfig, NestedLoopIndex, NnIndex, PostingsSource,
+    InvertedIndex, InvertedIndexConfig, LookupSpec, NestedLoopIndex, NnIndex, PostingsSource,
 };
 use fuzzydedup::relation::{external_sort_in_runs, Neighbor};
 use fuzzydedup::storage::{BufferPool, BufferPoolConfig, FileDisk, HeapFile, InMemoryDisk, Page};
@@ -123,10 +123,10 @@ fn inverted_index_recall_against_exact_reference() {
     let mut agree = 0;
     let mut relevant = 0;
     for id in 0..records.len() as u32 {
-        let truth = exact.top_k(id, 1);
+        let (truth, _, _) = exact.lookup(id, LookupSpec::TopK(1), 2.0);
         if truth[0].dist < 0.4 {
             relevant += 1;
-            let approx = inv.top_k(id, 1);
+            let (approx, _, _) = inv.lookup(id, LookupSpec::TopK(1), 2.0);
             if approx.first().map(|n| n.id) == Some(truth[0].id) {
                 agree += 1;
             }
@@ -154,7 +154,7 @@ fn buffer_stats_flow_through_the_whole_stack() {
     );
     pool.reset_stats();
     for id in 0..50u32 {
-        index.top_k(id, 3);
+        index.lookup(id, LookupSpec::TopK(3), 2.0);
     }
     let stats = pool.stats();
     assert!(stats.accesses() > 50, "index lookups must hit the pool: {stats:?}");
