@@ -47,7 +47,7 @@ fn index_config() -> InvertedIndexConfig {
         max_df_fraction: 0.02,
         stop_df_floor: 50,
         // This experiment is *about* postings page traffic: the default
-        // packed arena never touches the pool, which would make every
+        // in-memory lists never touch the pool, which would make every
         // order hit 100% BHR vacuously.
         postings_source: PostingsSource::Pages,
         ..Default::default()

@@ -109,14 +109,16 @@ pub fn org_corpus(records: usize) -> Vec<Vec<String>> {
 /// partition against a from-scratch batch run.
 ///
 /// # Errors
+/// [`ServiceError::InvalidConfig`] for a zero `batch_size` or
+/// `queue_capacity` (passed to the service as given), and
 /// [`ServiceError::WriterFailed`] if the service's writer thread panicked
 /// at any point of the replay — the drained partition would be short.
 pub fn replay(config: ReplayConfig) -> Result<ReplayOutcome, ServiceError> {
     assert!((0.0..1.0).contains(&config.query_ratio), "query_ratio must be in [0, 1)");
     let records = org_corpus(config.records);
     let service_config = ServiceConfig::new()
-        .admit_batch_size(config.batch_size.max(1))
-        .queue_capacity(config.queue_capacity.max(1));
+        .admit_batch_size(config.batch_size)
+        .queue_capacity(config.queue_capacity);
     // The service `fuzzydedup replay` and the repo benchmark's
     // `service_replay` ship: the builder's defaults under the cut and
     // threshold the drain-identity suite pins.
@@ -212,5 +214,16 @@ mod tests {
         assert!(outcome.metrics.service.batches_admitted >= 300 / 32);
         let covered: usize = outcome.partition.groups().iter().map(Vec::len).sum();
         assert_eq!(covered, 300);
+    }
+
+    #[test]
+    fn zero_sizes_are_the_services_error_not_one() {
+        let tiny = ReplayConfig { records: 20, ..ReplayConfig::default() };
+        for config in
+            [ReplayConfig { batch_size: 0, ..tiny }, ReplayConfig { queue_capacity: 0, ..tiny }]
+        {
+            let err = replay(config).expect_err("a zero size is not clamped to 1");
+            assert!(matches!(err, ServiceError::InvalidConfig(_)), "{err}");
+        }
     }
 }

@@ -48,11 +48,10 @@ use crate::collapse::{CollapseKey, CollapseMap};
 use crate::criteria::Aggregation;
 use crate::nnreln::{NnEntry, NnReln};
 use crate::pair_cache::PairCache;
-use crate::parallel::{resolve_threads, steal_blocks};
 use crate::partition::Partition;
 use crate::phase1::NeighborSpec;
 use crate::phase2::partition_entries_parallel;
-use crate::pipeline::{validate_params, DedupError, Parallelism};
+use crate::pipeline::{validate_params, DedupError};
 use crate::problem::CutSpec;
 
 /// Slots of the pair memo every incremental state holds (768 KiB): the
@@ -75,18 +74,18 @@ pub struct BatchStats {
 /// [`crate::pipeline::DedupConfig`] surface on the incremental path.
 ///
 /// Defaults match `DedupConfig::new`: `DE_S(5)`, `Max` aggregation,
-/// `c = 4`, `p = 2`, both phases sequential, and
-/// [`InvertedIndexConfig::default`] for the index.
+/// `c = 4`, `p = 2` and [`InvertedIndexConfig::default`] for the index.
+/// A state refreshes its entries and recomputes its partition on the
+/// calling thread — the dedup service's writer thread.
 ///
 /// ```no_run
-/// use fuzzydedup_core::{Aggregation, CutSpec, IncrementalDedup, Parallelism};
+/// use fuzzydedup_core::{Aggregation, CutSpec, IncrementalDedup};
 /// use fuzzydedup_textdist::EditDistance;
 ///
 /// let state = IncrementalDedup::builder(EditDistance)
 ///     .cut(CutSpec::Size(4))
 ///     .aggregation(Aggregation::Max)
 ///     .sn_threshold(4.0)
-///     .parallelism(Parallelism::threads(0))
 ///     .build()
 ///     .unwrap();
 /// # let _ = state;
@@ -99,7 +98,6 @@ pub struct IncrementalDedupBuilder<D> {
     agg: Aggregation,
     c: f64,
     p: f64,
-    parallelism: Parallelism,
     collapse: Option<CollapseKey>,
 }
 
@@ -113,7 +111,6 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
             agg: Aggregation::Max,
             c: 4.0,
             p: 2.0,
-            parallelism: Parallelism::sequential(),
             collapse: None,
         }
     }
@@ -142,22 +139,11 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
         self
     }
 
-    /// Set the index configuration (q-gram length, candidate limit,
-    /// stop-gram thresholds, ...). The state's index keeps growing, so
-    /// `postings_source` and `chunk_size` — what a batch build freezes
-    /// into — are never read.
+    /// Set the index configuration (candidate limit, stop-gram
+    /// thresholds). The state's index keeps growing, so `postings_source`
+    /// — where a batch build freezes into — is never read.
     pub fn index_config(mut self, config: InvertedIndexConfig) -> Self {
         self.index = config;
-        self
-    }
-
-    /// Per-phase worker-thread counts, as on the batch pipeline: entry
-    /// refreshes shard over `phase1_threads` workers and the partition
-    /// recompute over `phase2_threads`. Results are identical to the
-    /// sequential drive either way — every entry is an independent
-    /// lookup (see [`crate::parallel`]).
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -199,7 +185,6 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
             p: self.p,
             partition: Partition::singletons(0),
             pair_cache,
-            parallelism: self.parallelism,
             collapse: self.collapse.map(CollapseMap::new),
         })
     }
@@ -220,7 +205,6 @@ pub struct IncrementalDedup<D: Distance> {
     /// ([`IncrementalDedup::fork`]), so its holder count is the number of
     /// live states of one history.
     pub(crate) pair_cache: Arc<PairCache>,
-    parallelism: Parallelism,
     /// The class map of the collapse pre-pass, admitting records as they
     /// arrive: index ids are its representative ids, and full-corpus ids
     /// only materialize on the expansion surfaces.
@@ -252,7 +236,6 @@ impl<D: Distance + Clone> IncrementalDedup<D> {
             p: self.p,
             partition: self.partition.clone(),
             pair_cache: Arc::clone(&self.pair_cache),
-            parallelism: self.parallelism,
             collapse: self.collapse.clone(),
         }
     }
@@ -354,23 +337,6 @@ impl<D: Distance> IncrementalDedup<D> {
         NnEntry::new(id, neighbors, ng)
     }
 
-    /// Compute the entries for `ids`, sequentially or sharded over the
-    /// configured Phase-1 worker threads. Every entry is an independent
-    /// lookup, so the parallel drive produces bit-identical results (the
-    /// same argument as [`crate::parallel::compute_nn_reln_parallel`]);
-    /// the shared pair cache stays sound under interleaving by its
-    /// contract.
-    fn compute_entries(&self, ids: &[u32]) -> Vec<NnEntry> {
-        let threads = match self.parallelism.phase1_threads {
-            None => 1,
-            Some(n) => resolve_threads(n, ids.len()),
-        };
-        if threads <= 1 {
-            return ids.iter().map(|&id| self.compute_entry(id)).collect();
-        }
-        steal_blocks(ids.len(), threads, |i| self.compute_entry(ids[i]))
-    }
-
     /// Append a batch of records, refresh affected entries, and recompute
     /// the partition.
     pub fn insert_batch(&mut self, records: impl IntoIterator<Item = Vec<String>>) -> BatchStats {
@@ -413,12 +379,16 @@ impl<D: Distance> IncrementalDedup<D> {
         // scan is *uncapped*: term-sharing visibility is symmetric, but the
         // per-query candidate cap is not — an old record can rank a new one
         // inside its own top-k even when the (capped) reverse query drops
-        // it, and that old record's entry must still refresh.
+        // it, and that old record's entry must still refresh. A state that
+        // was empty has no earlier record to find (and no bumped one), so
+        // its first batch gathers exactly what a batch run does.
         let mut affected: Vec<u32> = Vec::new();
-        for &id in new_ids.iter().chain(&dup_reps) {
-            for candidate in self.index.candidates_with_limit(id, 0) {
-                if candidate < first_new {
-                    affected.push(candidate);
+        if first_new > 0 {
+            for &id in new_ids.iter().chain(&dup_reps) {
+                for candidate in self.index.candidates_with_limit(id, 0) {
+                    if candidate < first_new {
+                        affected.push(candidate);
+                    }
                 }
             }
         }
@@ -428,15 +398,11 @@ impl<D: Distance> IncrementalDedup<D> {
 
         // Recompute every new and affected entry, then Phase 2 from scratch
         // (cheap) over the relation they produce.
-        let mut refresh = new_ids;
-        refresh.extend_from_slice(&affected);
-        for entry in self.compute_entries(&refresh) {
-            let slot = entry.id as usize;
-            self.entries[slot] = entry;
+        for &id in new_ids.iter().chain(&affected) {
+            self.entries[id as usize] = self.compute_entry(id);
         }
         let reln = self.expand(NnReln::new(self.entries.clone()));
-        let threads = self.parallelism.phase2_threads.unwrap_or(1);
-        self.partition = partition_entries_parallel(&reln, self.cut, self.agg, self.c, threads);
+        self.partition = partition_entries_parallel(&reln, self.cut, self.agg, self.c, 1);
         BatchStats { inserted, refreshed: affected.len() }
     }
 }
@@ -444,7 +410,7 @@ impl<D: Distance> IncrementalDedup<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuzzydedup_metrics::{scoped, Counter, Tally};
+    use fuzzydedup_metrics::{scoped, Counter};
     use fuzzydedup_textdist::EditDistance;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -548,35 +514,32 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_does_not_change_results() {
-        let base: Vec<Vec<String>> = (0..80)
+    fn a_first_batch_counts_what_a_batch_run_counts() {
+        // A state that was empty has no earlier record a new one could
+        // refresh, so one `insert_batch(all)` must gather and scan exactly
+        // what the batch pipeline does over the same records — and land on
+        // its relation and partition.
+        let records: Vec<Vec<String>> = (0..90)
             .map(|i| {
-                let v = if i % 4 == 0 {
-                    format!("workload entity {:03} omega", i / 4)
-                } else {
-                    format!("workload entity {:03} omegaa", i / 4)
+                let v = match i % 3 {
+                    0 => format!("first batch entity {:02} kappa", i / 3),
+                    1 => format!("first batch entity {:02} kapa", i / 3),
+                    _ => format!("unrelated payload {i:02}"),
                 };
                 vec![v]
             })
             .collect();
-        let mut seq = fresh();
-        let mut par = fresh_builder().parallelism(Parallelism::threads(2)).build().unwrap();
-        // One scope per state: what the parallel refresh's workers count
-        // lands in `par`'s scope through the fold, and only there.
-        let (mut seq_counted, mut par_counted) = (Tally::default(), Tally::default());
-        for chunk in base.chunks(17) {
-            seq_counted.absorb(&scoped(|| seq.insert_batch(chunk.to_vec())).1);
-            par_counted.absorb(&scoped(|| par.insert_batch(chunk.to_vec())).1);
-            assert_eq!(seq.partition(), par.partition());
-            assert_eq!(seq.nn_reln(), par.nn_reln());
+        let (batch, batch_counted) = scoped(|| batch_run(&records, CutSpec::Size(4)));
+        let mut inc = fresh();
+        let (stats, inc_counted) = scoped(|| inc.insert_batch(records.clone()));
+        assert_eq!(stats, BatchStats { inserted: records.len(), refreshed: 0 });
+        for counter in
+            [Counter::CandidatesGenerated, Counter::NnPostingsScanned, Counter::NnLookups]
+        {
+            assert_eq!(inc_counted.get(counter), batch_counted.get(counter), "{counter:?}");
         }
-        assert_eq!(seq_counted.get(Counter::Phase1StealBlocks), 0, "one thread steals nothing");
-        assert!(
-            par_counted.get(Counter::Phase1StealBlocks) > 0,
-            "the parallel refresh must actually steal blocks"
-        );
-        // The same lookups ran on both, whoever ran them.
-        assert_eq!(par_counted.get(Counter::NnLookups), seq_counted.get(Counter::NnLookups));
+        assert_eq!(inc.nn_reln(), batch.nn_reln);
+        assert_eq!(inc.partition(), &batch.partition);
     }
 
     #[test]
@@ -636,15 +599,13 @@ mod tests {
     }
 
     #[test]
-    fn tiny_pair_memo_under_heavy_eviction_is_sound_seq_and_par() {
+    fn tiny_pair_memo_under_heavy_eviction_is_sound() {
         // The soundness contract on `PairDistanceCache`: exact hits carry
         // true distances and `KnownAbove` only skips calls that would be
         // rejected anyway, so the state must not depend on the memo's
-        // size or on how refresh workers interleave on its contents. A
-        // 64-slot memo (the smallest `PairCache`) collides on nearly every
-        // store, which exercises the overwrite/eviction path; four refresh
-        // workers race on it. Edit distance is the bit-symmetric kernel
-        // the contract requires.
+        // size. A 64-slot memo (the smallest `PairCache`) collides on
+        // nearly every store, which exercises the overwrite/eviction path.
+        // Edit distance is the bit-symmetric kernel the contract requires.
         let near_dups: Vec<Vec<String>> = (0..120)
             .map(|i| {
                 let s = match i % 3 {
@@ -662,23 +623,18 @@ mod tests {
             for cut in [CutSpec::Size(4), CutSpec::Diameter(0.2)] {
                 let builder = fresh_builder().cut(cut);
                 let mut roomy = builder.clone().build().unwrap();
-                let mut seq = builder.clone().build_with(tiny()).unwrap();
-                let mut par =
-                    builder.parallelism(Parallelism::threads(4)).build_with(tiny()).unwrap();
+                let mut small = builder.build_with(tiny()).unwrap();
                 for chunk in records.chunks(23) {
                     roomy.insert_batch(chunk.to_vec());
-                    seq.insert_batch(chunk.to_vec());
-                    par.insert_batch(chunk.to_vec());
-                    assert_eq!(roomy.nn_reln(), seq.nn_reln(), "{cut:?}: tiny memo diverged");
-                    assert_eq!(roomy.partition(), seq.partition(), "{cut:?}");
-                    assert_eq!(seq.nn_reln(), par.nn_reln(), "{cut:?}: parallel refresh diverged");
-                    assert_eq!(seq.partition(), par.partition(), "{cut:?}");
+                    small.insert_batch(chunk.to_vec());
+                    assert_eq!(roomy.nn_reln(), small.nn_reln(), "{cut:?}: tiny memo diverged");
+                    assert_eq!(roomy.partition(), small.partition(), "{cut:?}");
                 }
-                assert!(seq.pair_cache.len() > 32, "the tiny memo saw traffic");
+                assert!(small.pair_cache.len() > 32, "the tiny memo saw traffic");
                 // Memo-off: the batch pipeline never holds one.
                 let batch = batch_run(&records, cut);
-                assert_eq!(seq.nn_reln(), batch.nn_reln, "{cut:?}: batch pipeline");
-                assert_eq!(seq.partition(), &batch.partition, "{cut:?}: batch pipeline");
+                assert_eq!(small.nn_reln(), batch.nn_reln, "{cut:?}: batch pipeline");
+                assert_eq!(small.partition(), &batch.partition, "{cut:?}: batch pipeline");
             }
         }
     }

@@ -88,7 +88,7 @@ pub use phase2::{
 };
 pub use pipeline::{DedupConfig, DedupError, DedupOutcome, Deduplicator, IndexChoice, Parallelism};
 pub use problem::CutSpec;
-pub use report::{render_report, ReportOptions};
+pub use report::render_report;
 pub use service::{
     DedupService, EpochReader, QueryAnswer, ServiceConfig, ServiceError, ServiceStats,
 };

@@ -36,7 +36,7 @@ pub fn resolve_threads(n_threads: usize, n_items: usize) -> usize {
 
 /// Run `work(i)` for every `i` in `0..n` on `threads` scoped workers and
 /// return the results in index order: the work-stealing dispenser behind
-/// every parallel Phase-1 drive. Static range sharding strands workers
+/// the parallel Phase-1 drive. Static range sharding strands workers
 /// when lookup costs are skewed (duplicate-dense neighborhoods verify far
 /// more candidates than sparse ones); a shared cursor over fixed blocks
 /// keeps every worker busy until the index space drains. ~8 blocks per
@@ -46,7 +46,7 @@ pub fn resolve_threads(n_threads: usize, n_items: usize) -> usize {
 /// independent query — nor in what the caller counts: each worker hands
 /// its metrics tally back through its join handle and the caller absorbs
 /// it, so `work`'s `incr`s land in the scopes the caller has open.
-pub(crate) fn steal_blocks<T: Send + Sync>(
+fn steal_blocks<T: Send + Sync>(
     n: usize,
     threads: usize,
     work: impl Fn(usize) -> T + Sync,

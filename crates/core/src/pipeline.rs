@@ -5,16 +5,17 @@
 //! pages live in the database buffer, and (2) the partitioning phase
 //! running as relational queries. [`Deduplicator`] is the single entry
 //! point: construct it with a [`DedupConfig`], then
-//! [`Deduplicator::run_records`] deduplicates string records (building the
-//! distance function and the configured index) while [`Deduplicator::run`]
-//! drives the same phases over any pre-built [`NnIndex`] (e.g. a
-//! [`crate::matrix::MatrixIndex`]).
+//! [`Deduplicator::run_records`] deduplicates string records, building the
+//! distance function and the configured index. (Over a pre-built
+//! [`NnIndex`], e.g. a [`crate::matrix::MatrixIndex`], call
+//! [`crate::phase1::compute_nn_reln`] and [`crate::phase2::partition_entries`]
+//! directly.)
 //!
-//! Both phases scale over threads through one [`Parallelism`] knob:
+//! Both phases scale over threads through one [`Parallelism`] count:
 //! Phase 1 shards the id space ([`crate::parallel`]), Phase 2 processes
 //! CS-pair components concurrently
 //! ([`crate::phase2::partition_entries_parallel`]); either way results are
-//! bit-for-bit identical to the sequential drive.
+//! bit-for-bit identical to the one-thread drive.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,44 +55,25 @@ impl Default for IndexChoice {
     }
 }
 
-/// Per-phase worker-thread counts — the one knob driving every parallel
-/// path of the pipeline. `None` for a phase means the sequential drive
-/// (for Phase 1 the ordered scan — breadth-first exactly when the index's
-/// postings are paged, see [`DedupConfig::new`]; for Phase 2 one worker on
-/// the component path); `Some(0)` means one worker per available CPU.
-/// Parallel and sequential drives produce identical results for both
-/// phases, so this is purely a performance knob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// The worker-thread count of both phases — the one knob driving every
+/// parallel path of the pipeline. `1` (the default) is the ordered drive:
+/// Phase 1 looks tuples up one after another, breadth-first exactly when
+/// the index's postings are paged (see [`DedupConfig::new`]), and Phase 2
+/// runs the component path on one worker. `n ≥ 2` shards both phases over
+/// `n` workers and `0` over one per available CPU. Every drive produces
+/// identical results, so this is purely a performance knob. The relational
+/// Phase 2 ([`DedupConfig::via_tables`]) stays on one thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
-    /// Worker threads for Phase 1 (NN-list materialization).
-    pub phase1_threads: Option<usize>,
-    /// Worker threads for Phase 2 (component-parallel partitioning).
-    /// Ignored when Phase 2 routes through the relational substrate
-    /// ([`DedupConfig::via_tables`]), which stays sequential.
-    pub phase2_threads: Option<usize>,
+    /// Worker threads of both phases (`0` = all CPUs, `1` = ordered).
+    pub threads: usize,
 }
 
 impl Parallelism {
-    /// Both phases sequential (the default).
-    pub fn sequential() -> Self {
-        Self::default()
-    }
-
-    /// Both phases on `n` worker threads (`0` = all CPUs).
+    /// Both phases on `n` worker threads (`0` = all CPUs, `1` = the ordered
+    /// drive).
     pub fn threads(n: usize) -> Self {
-        Self { phase1_threads: Some(n), phase2_threads: Some(n) }
-    }
-
-    /// Set the Phase-1 worker count.
-    pub fn phase1(mut self, n: usize) -> Self {
-        self.phase1_threads = Some(n);
-        self
-    }
-
-    /// Set the Phase-2 worker count.
-    pub fn phase2(mut self, n: usize) -> Self {
-        self.phase2_threads = Some(n);
-        self
+        Self { threads: n }
     }
 }
 
@@ -120,9 +102,9 @@ pub struct DedupConfig {
     pub via_tables: bool,
     /// Buffer-pool frames for index pages and Phase-2 tables.
     pub buffer_frames: usize,
-    /// Per-phase worker-thread counts. Results are identical to the
-    /// sequential drive either way — see [`crate::parallel`] and
-    /// [`crate::phase2::partition_entries_parallel`]; the sequential
+    /// Worker threads of both phases. Results are identical at any count
+    /// — see [`crate::parallel`] and
+    /// [`crate::phase2::partition_entries_parallel`]; the one-thread
     /// drive's lookup order only matters for paged postings, and follows
     /// them (see [`DedupConfig::new`]).
     pub parallelism: Parallelism,
@@ -137,17 +119,15 @@ pub struct DedupConfig {
     /// Phase 1 and expand the `NN_Reln` back afterwards (DESIGN.md §7.10);
     /// `None` (the default) disables the pass. The expanded partition is
     /// bit-identical to the collapse-off run — this is purely a
-    /// performance lever for duplicate-heavy corpora. Only applies to the
-    /// record entry points ([`Deduplicator::run_records`]); a run over a
-    /// pre-built index is rejected.
+    /// performance lever for duplicate-heavy corpora.
     pub collapse: Option<CollapseKey>,
 }
 
 impl DedupConfig {
     /// Defaults: `DE_S(5)`, `Max` aggregation, `c = 4`, `p = 2`, inverted
-    /// index, 4096 buffer frames (32 MB), both phases sequential.
+    /// index, 4096 buffer frames (32 MB), both phases on one thread.
     ///
-    /// The sequential Phase-1 lookup order is not a setting: it is
+    /// The one-thread Phase-1 lookup order is not a setting: it is
     /// breadth-first (§4.1.1) iff the index is an inverted index with
     /// [`PostingsSource::Pages`] — the regime where consecutive lookups of
     /// neighboring tuples reuse buffered postings pages (55 % vs 35 % hit
@@ -166,7 +146,7 @@ impl DedupConfig {
             minimality: false,
             via_tables: false,
             buffer_frames: 4096,
-            parallelism: Parallelism::sequential(),
+            parallelism: Parallelism::threads(1),
             spill_threshold: 0,
             collapse: None,
         }
@@ -220,7 +200,7 @@ impl DedupConfig {
         self
     }
 
-    /// Set the per-phase worker-thread counts.
+    /// Set the worker-thread count of both phases.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
@@ -333,8 +313,7 @@ pub(crate) fn validate_params(cut: &CutSpec, c: f64, p: f64) -> Result<(), Dedup
 }
 
 /// The unified entry point: one configured deduplicator driving both
-/// phases, over raw string records ([`Deduplicator::run_records`]) or any
-/// pre-built index ([`Deduplicator::run`]).
+/// phases over raw string records ([`Deduplicator::run_records`]).
 ///
 /// ```no_run
 /// use fuzzydedup_core::{CutSpec, DedupConfig, Deduplicator, Parallelism};
@@ -490,26 +469,7 @@ impl Deduplicator {
         Ok(outcome)
     }
 
-    /// Run the pipeline over an arbitrary pre-built index (used for matrix
-    /// relations and custom indexes). A private pool is created for
-    /// Phase-2 tables. Rejects configurations with
-    /// [`DedupConfig::collapse`] set — the pass needs the raw records.
-    pub fn run(&self, index: &dyn NnIndex) -> Result<DedupOutcome, DedupError> {
-        if self.config.collapse.is_some() {
-            return Err(DedupError::InvalidConfig(
-                "collapse requires the record entry points (run_records); \
-                 a pre-built index carries no raw records to hash"
-                    .into(),
-            ));
-        }
-        let pool = Arc::new(BufferPool::new(
-            BufferPoolConfig::with_capacity(self.config.buffer_frames),
-            Arc::new(InMemoryDisk::new()),
-        ));
-        self.run_phases(index, pool, LookupOrder::Sequential, None)
-    }
-
-    /// Run both phases over an already-built index, the sequential drive
+    /// Run both phases over an already-built index, the one-thread drive
     /// looking tuples up in `order`. `pool` carries Phase-2 tables (and,
     /// for a paged inverted index, already carried Phase-1 lookups). With
     /// a collapse context the index holds weighted representatives,
@@ -524,7 +484,7 @@ impl Deduplicator {
         collapse: Option<CollapseCtx<'_>>,
     ) -> Result<DedupOutcome, DedupError> {
         let config = &self.config;
-        validate_params(&config.cut, config.c, config.p)?;
+        let threads = config.parallelism.threads;
         let n = index.len();
         // The cut's neighbor spec counts *full corpus* neighbors: under
         // collapse the index holds representatives, but k/θ budgets (and
@@ -536,11 +496,9 @@ impl Deduplicator {
         // `steal_blocks`' fold — on the Phase-1 workers.
         let (phases, tally) = fuzzydedup_metrics::scoped(|| -> Result<_, DedupError> {
             let t1 = Instant::now();
-            let (nn_reln, phase1_stats) = match config.parallelism.phase1_threads {
-                Some(threads) => {
-                    crate::parallel::compute_nn_reln_parallel(index, spec, config.p, threads)
-                }
-                None => crate::phase1::compute_nn_reln(index, spec, order, config.p),
+            let (nn_reln, phase1_stats) = match threads {
+                1 => crate::phase1::compute_nn_reln(index, spec, order, config.p),
+                _ => crate::parallel::compute_nn_reln_parallel(index, spec, config.p, threads),
             };
             // Expand the representative-space relation back to full ids; the
             // partition downstream is bit-identical to the collapse-off run
@@ -578,9 +536,9 @@ impl Deduplicator {
             let mut partition = if config.via_tables {
                 partition_via_tables(&nn_reln, config.cut, config.agg, config.c, pool.clone())?
             } else {
-                // `None` is one worker on the same component path: its CS-pair
-                // pruning, not its threads, is what beats the naive greedy.
-                let threads = config.parallelism.phase2_threads.unwrap_or(1);
+                // One thread is one worker on the same component path: its
+                // CS-pair pruning, not its threads, is what beats the naive
+                // greedy.
                 partition_entries_parallel(&nn_reln, config.cut, config.agg, config.c, threads)
             };
             let phase2_duration = t2.elapsed();
@@ -596,10 +554,8 @@ impl Deduplicator {
 
         // Counter-backed fields from the scope; the rest is filled below.
         let mut run_metrics = RunMetrics::from_tally(&tally);
-        run_metrics.phase2.threads = match (config.via_tables, config.parallelism.phase2_threads) {
-            (true, _) | (false, None) => 1,
-            (false, Some(t)) => resolve_threads(t, n_full) as u64,
-        };
+        run_metrics.phase2.threads =
+            if config.via_tables { 1 } else { resolve_threads(threads, n_full) as u64 };
         run_metrics.collapse = collapse_metrics;
         run_metrics.spill.peak_rss_bytes = fuzzydedup_metrics::peak_rss_bytes();
         // Storage section covers the whole run on this pool: Phase-1 index
@@ -617,10 +573,7 @@ impl Deduplicator {
             index_probes: phase1_stats.lookups,
             bf_queue_high_water: phase1_stats.bf_queue_high_water,
             visit_stride_mean: fuzzydedup_metrics::visit_stride_mean(&phase1_stats.visit_order),
-            threads: match config.parallelism.phase1_threads {
-                Some(t) => resolve_threads(t, n) as u64,
-                None => 1,
-            },
+            threads: resolve_threads(threads, n) as u64,
             ..run_metrics.phase1 // `steal_blocks` is counter-backed
         };
         run_metrics.timings = StageTimings {
@@ -647,7 +600,6 @@ impl Deduplicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::MatrixIndex;
 
     fn music_records() -> Vec<Vec<String>> {
         [
@@ -714,18 +666,6 @@ mod tests {
         let mem = dedup(&music_records(), &base).unwrap();
         let tab = dedup(&music_records(), &base.clone().via_tables(true)).unwrap();
         assert_eq!(mem.partition, tab.partition);
-    }
-
-    #[test]
-    fn run_over_matrix_index() {
-        let m = MatrixIndex::from_points_1d(&[1.0, 2.0, 4.0, 20.0, 22.0, 30.0, 32.0]);
-        let config = DedupConfig::new(DistanceKind::EditDistance) // distance unused
-            .cut(CutSpec::Size(3))
-            .sn_threshold(4.0);
-        let outcome = Deduplicator::new(config).run(&m).unwrap();
-        assert!(outcome.partition.are_together(0, 1));
-        assert!(outcome.partition.are_together(3, 4));
-        assert!(outcome.partition.are_together(5, 6));
     }
 
     #[test]
@@ -859,7 +799,7 @@ mod tests {
     fn overlapped_runs_count_only_their_own_work() {
         let config = DedupConfig::new(DistanceKind::EditDistance)
             .cut(CutSpec::Size(4))
-            .parallelism(Parallelism::sequential().phase1(2));
+            .parallelism(Parallelism::threads(2));
         let corpora = [tagged_corpus("northern", 240), tagged_corpus("coastal branch", 150)];
         let alone: Vec<RunMetrics> =
             corpora.iter().map(|c| counted(&dedup(c, &config).unwrap().metrics)).collect();
@@ -892,15 +832,38 @@ mod tests {
             m
         };
         let corpus = tagged_corpus("thread", 180);
-        for (distance, records) in [
-            (DistanceKind::FuzzyMatch, &music_records()),
-            (DistanceKind::FuzzyMatch, &corpus),
-            (DistanceKind::EditDistance, &corpus),
+        let paged = IndexChoice::Inverted(InvertedIndexConfig {
+            postings_source: PostingsSource::Pages,
+            ..Default::default()
+        });
+        for (distance, records, index) in [
+            (DistanceKind::FuzzyMatch, &music_records(), IndexChoice::default()),
+            (DistanceKind::FuzzyMatch, &corpus, IndexChoice::default()),
+            (DistanceKind::EditDistance, &corpus, IndexChoice::default()),
+            (DistanceKind::EditDistance, &corpus, paged),
         ] {
-            let base = DedupConfig::new(distance).cut(CutSpec::Size(4)).sn_threshold(4.0);
+            let base = DedupConfig::new(distance)
+                .cut(CutSpec::Size(4))
+                .sn_threshold(4.0)
+                .index_choice(index.clone());
+            let breadth_first = matches!(index, IndexChoice::Inverted(ref c)
+                if c.postings_source == PostingsSource::Pages);
+            // One thread is the ordered drive: the default, a visit order
+            // that is a permutation of the ids — id order over resident
+            // postings, breadth-first over paged ones — and no stolen block.
             let seq = dedup(records, &base).unwrap();
+            let ordered =
+                dedup(records, &base.clone().parallelism(Parallelism::threads(1))).unwrap();
+            assert_eq!(counted(&seq.metrics), counted(&ordered.metrics));
+            let mut visited = seq.phase1_stats.visit_order.clone();
+            let ids: Vec<u32> = (0..records.len() as u32).collect();
+            assert_eq!(visited == ids, !breadth_first, "{distance:?} {index:?}");
+            assert_eq!(seq.metrics.phase1.bf_queue_high_water > 0, breadth_first);
+            visited.sort_unstable();
+            assert_eq!(visited, ids, "the ordered drive visits every tuple once");
             assert_eq!(seq.metrics.phase1.steal_blocks, 0);
-            for threads in [1, 2, 4, 0] {
+            assert_eq!((seq.metrics.phase1.threads, seq.metrics.phase2.threads), (1, 1));
+            for threads in [2, 4, 0] {
                 let par = dedup(records, &base.clone().parallelism(Parallelism::threads(threads)))
                     .unwrap();
                 assert_eq!(seq.partition, par.partition, "threads={threads}");
@@ -916,12 +879,6 @@ mod tests {
                     "{distance:?} threads={threads}"
                 );
             }
-            // Phases can also be parallelized independently.
-            let p2_only =
-                dedup(records, &base.clone().parallelism(Parallelism::sequential().phase2(2)))
-                    .unwrap();
-            assert_eq!(seq.partition, p2_only.partition);
-            assert!(!p2_only.phase1_stats.visit_order.is_empty(), "phase 1 stayed ordered");
         }
     }
 
@@ -967,10 +924,5 @@ mod tests {
             dedup(&records, &fms.clone().collapse(key)).unwrap().partition,
             "fms partition moved"
         );
-        // A pre-built index has no records to collapse.
-        let m = MatrixIndex::from_points_1d(&[1.0, 2.0, 4.0]);
-        let over_index =
-            Deduplicator::new(base.clone().cut(CutSpec::Size(2)).collapse(key)).run(&m);
-        assert!(matches!(over_index, Err(DedupError::InvalidConfig(_))));
     }
 }

@@ -12,24 +12,16 @@ use std::fmt::Write as _;
 use crate::nnreln::NnReln;
 use crate::partition::Partition;
 
-/// Options controlling report size.
-#[derive(Debug, Clone, Copy)]
-pub struct ReportOptions {
-    /// Maximum duplicate groups listed (0 = all).
-    pub max_groups: usize,
-    /// Maximum records printed per group (0 = all).
-    pub max_records_per_group: usize,
-}
+/// Duplicate groups a report lists; the rest are counted.
+const MAX_GROUPS: usize = 50;
 
-impl Default for ReportOptions {
-    fn default() -> Self {
-        Self { max_groups: 50, max_records_per_group: 8 }
-    }
-}
+/// Records a report prints per group; the rest are counted.
+const MAX_RECORDS_PER_GROUP: usize = 8;
 
-/// Render a report. `reln` enables the per-group diameter annotation and
-/// the confidence ordering; without it, groups are listed in canonical
-/// order.
+/// Render a report: at most 50 groups of at most 8 records each, the rest
+/// counted. `reln` enables the per-group
+/// diameter annotation and the confidence ordering; without it, groups are
+/// listed in canonical order.
 ///
 /// # Panics
 /// Panics if `records.len() != partition.n()`.
@@ -37,7 +29,6 @@ pub fn render_report(
     partition: &Partition,
     records: &[Vec<String>],
     reln: Option<&NnReln>,
-    options: ReportOptions,
 ) -> String {
     assert_eq!(records.len(), partition.n(), "records must cover the partition");
     let mut out = String::new();
@@ -77,8 +68,7 @@ pub fn render_report(
             .then_with(|| a.0[0].cmp(&b.0[0]))
     });
 
-    let limit = if options.max_groups == 0 { ordered.len() } else { options.max_groups };
-    for (i, (group, diameter)) in ordered.iter().take(limit).enumerate() {
+    for (i, (group, diameter)) in ordered.iter().take(MAX_GROUPS).enumerate() {
         match diameter {
             Some(d) => {
                 let _ =
@@ -88,20 +78,15 @@ pub fn render_report(
                 let _ = writeln!(out, "\ngroup {} (size {}):", i + 1, group.len());
             }
         }
-        let rec_limit = if options.max_records_per_group == 0 {
-            group.len()
-        } else {
-            options.max_records_per_group
-        };
-        for &id in group.iter().take(rec_limit) {
+        for &id in group.iter().take(MAX_RECORDS_PER_GROUP) {
             let _ = writeln!(out, "  [{id}] {}", records[id as usize].join(" | "));
         }
-        if group.len() > rec_limit {
-            let _ = writeln!(out, "  ... and {} more", group.len() - rec_limit);
+        if group.len() > MAX_RECORDS_PER_GROUP {
+            let _ = writeln!(out, "  ... and {} more", group.len() - MAX_RECORDS_PER_GROUP);
         }
     }
-    if ordered.len() > limit {
-        let _ = writeln!(out, "\n... and {} more group(s)", ordered.len() - limit);
+    if ordered.len() > MAX_GROUPS {
+        let _ = writeln!(out, "\n... and {} more group(s)", ordered.len() - MAX_GROUPS);
     }
     out
 }
@@ -128,7 +113,7 @@ mod tests {
 
     #[test]
     fn headline_counts() {
-        let report = render_report(&partition(), &records(), None, ReportOptions::default());
+        let report = render_report(&partition(), &records(), None);
         assert!(report.contains("5 records -> 3 entities"));
         assert!(report.contains("2 duplicate group(s) covering 4 records (2 pairs)"));
         assert!(report.contains("group sizes: 2x2"));
@@ -144,7 +129,7 @@ mod tests {
             NnEntry::new(3, vec![Neighbor::new(4, 0.4)], 2.0),
             NnEntry::new(4, vec![Neighbor::new(3, 0.4)], 2.0),
         ]);
-        let report = render_report(&partition(), &records(), Some(&reln), ReportOptions::default());
+        let report = render_report(&partition(), &records(), Some(&reln));
         let twain_at = report.find("shania twain").unwrap();
         let doors_at = report.find("the doors").unwrap();
         assert!(twain_at < doors_at, "looser group (0.4) reviewed before tighter (0.1)");
@@ -153,31 +138,29 @@ mod tests {
 
     #[test]
     fn limits_are_applied() {
-        let n = 30;
+        // One group of ten, then 61 pairs: 62 groups, twelve past the list.
+        let n = 10 + 2 * 61;
         let recs: Vec<Vec<String>> = (0..n).map(|i| vec![format!("r{i}")]).collect();
-        let groups: Vec<Vec<u32>> = (0..n as u32 / 2).map(|i| vec![2 * i, 2 * i + 1]).collect();
-        let p = Partition::from_groups(n, groups);
-        let report = render_report(
-            &p,
-            &recs,
-            None,
-            ReportOptions { max_groups: 3, max_records_per_group: 1 },
-        );
+        let mut groups: Vec<Vec<u32>> = vec![(0..10).collect()];
+        groups.extend((0..61).map(|i| vec![10 + 2 * i, 11 + 2 * i]));
+        let p = Partition::from_groups(n as usize, groups);
+        let report = render_report(&p, &recs, None);
         assert!(report.contains("... and 12 more group(s)"));
-        assert!(report.contains("... and 1 more"));
+        assert!(report.contains("... and 2 more\n"), "the group of ten prints eight");
+        assert!(report.contains("[7] r7") && !report.contains("[8] r8"));
     }
 
     #[test]
     fn no_duplicates_report() {
         let p = Partition::singletons(3);
         let recs: Vec<Vec<String>> = (0..3).map(|i| vec![format!("r{i}")]).collect();
-        let report = render_report(&p, &recs, None, ReportOptions::default());
+        let report = render_report(&p, &recs, None);
         assert!(report.contains("0 duplicate group(s)"));
     }
 
     #[test]
     #[should_panic(expected = "records must cover")]
     fn mismatched_records_panic() {
-        render_report(&partition(), &records()[..3], None, ReportOptions::default());
+        render_report(&partition(), &records()[..3], None);
     }
 }

@@ -56,7 +56,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fuzzydedup_relation::Neighbor;
-use fuzzydedup_storage::{BufferPool, HeapFile, Page, RecordId};
+use fuzzydedup_storage::{BufferPool, HeapFile, RecordId};
 use fuzzydedup_textdist::{record_term_set, CompiledRecords, Distance};
 
 use crate::candgen::RecordMeta;
@@ -81,13 +81,20 @@ pub enum PostingsSource {
     Pages,
 }
 
-/// Configuration of the inverted index.
+/// q-gram length of the index's terms: every record is indexed under its
+/// padded 3-grams and its whole tokens.
+const Q: usize = 3;
+
+/// Posting ids per heap record of a [`PostingsSource::Pages`] index: 1 KiB,
+/// so a page holds several terms' chunks (cross-term locality) and a longer
+/// list spans several records.
+const CHUNK_IDS: usize = 256;
+
+/// Configuration of the inverted index. The term shape is fixed (padded
+/// 3-grams plus whole tokens); what stays configurable is what the
+/// experiments and the repo benchmark set.
 #[derive(Debug, Clone)]
 pub struct InvertedIndexConfig {
-    /// q-gram length (default 3).
-    pub q: usize,
-    /// Also index whole tokens (helps token-level distances like fms).
-    pub index_tokens: bool,
     /// Verify at most this many candidates per query, highest shared
     /// weight first (0 = verify everything sharing a term).
     pub candidate_limit: usize,
@@ -99,24 +106,17 @@ pub struct InvertedIndexConfig {
     /// moderately-shared terms destroys recall (and with it the
     /// neighborhood-growth estimates the SN criterion depends on).
     pub stop_df_floor: u32,
-    /// Posting ids per storage chunk of a [`PostingsSource::Pages`] index
-    /// (clamped to `[1, what one heap page holds]`). Smaller chunks pack
-    /// more distinct terms per page, increasing cross-term locality.
-    pub chunk_size: usize,
     /// Where [`InvertedIndex::build`] leaves the postings. A growing index
-    /// reads neither this nor `chunk_size`.
+    /// never reads it.
     pub postings_source: PostingsSource,
 }
 
 impl Default for InvertedIndexConfig {
     fn default() -> Self {
         Self {
-            q: 3,
-            index_tokens: true,
             candidate_limit: 256,
             max_df_fraction: 0.2,
             stop_df_floor: 100,
-            chunk_size: 256,
             postings_source: PostingsSource::Memory,
         }
     }
@@ -254,7 +254,7 @@ impl<D: Distance> InvertedIndex<D, Growing> {
     pub fn push(&mut self, record: Vec<String>) -> u32 {
         let id = self.records.len() as u32;
         let fields: Vec<&str> = record.iter().map(String::as_str).collect();
-        let ts = record_term_set(&fields, self.config.q, self.config.index_tokens);
+        let ts = record_term_set(&fields, Q);
         let Growing { dictionary, df, lists } = &mut self.layout;
         let query = ts.terms.into_iter().map(|(term, gram_count)| {
             let tid = *dictionary.entry(term).or_insert_with(|| {
@@ -311,7 +311,7 @@ impl<D: Distance> InvertedIndex<D, Growing> {
     ) -> (Vec<Neighbor>, f64, LookupCost) {
         // The probe's text is not indexed, so this is the one lookup that
         // tokenizes; a term no record holds has nothing to merge.
-        let ts = record_term_set(fields, self.config.q, self.config.index_tokens);
+        let ts = record_term_set(fields, Q);
         let query: Vec<QueryTerm> = ts
             .terms
             .iter()
@@ -339,7 +339,6 @@ impl<D: Distance> InvertedIndex<D, Growing> {
                 chunks: Vec::with_capacity(sorted.len()),
             }),
         };
-        let chunk_size = self.config.chunk_size.clamp(1, Page::max_record_size() / 4);
         let mut frozen_tid = vec![0u32; sorted.len()];
         let mut terms = Vec::with_capacity(sorted.len());
         for (_, grown_tid) in sorted {
@@ -347,8 +346,8 @@ impl<D: Distance> InvertedIndex<D, Growing> {
             match &mut postings {
                 Postings::Lists(frozen) => frozen.push(ids),
                 Postings::Pages(PagedPostings { heap, chunks }) => {
-                    let mut term_chunks = Vec::with_capacity(ids.len().div_ceil(chunk_size));
-                    for chunk in ids.chunks(chunk_size) {
+                    let mut term_chunks = Vec::with_capacity(ids.len().div_ceil(CHUNK_IDS));
+                    for chunk in ids.chunks(CHUNK_IDS) {
                         let mut bytes = Vec::with_capacity(chunk.len() * 4);
                         for &id in chunk {
                             bytes.extend_from_slice(&id.to_le_bytes());
@@ -660,7 +659,7 @@ impl<D: Distance, L: Layout> CandidateSource for InvertedIndex<D, L> {
     }
 
     fn filter_stats(&self) -> Option<(u32, &[RecordMeta])> {
-        self.filter_ok.then_some((self.config.q as u32, &self.meta[..]))
+        self.filter_ok.then_some((Q as u32, &self.meta[..]))
     }
 
     fn gather_candidates(&self, id: u32) -> Gathered {
@@ -927,11 +926,10 @@ mod tests {
 
     #[test]
     fn record_has_terms_bit_matches_retokenization() {
-        let config = InvertedIndexConfig::default();
-        let idx = grown(&["golden dragon", "", "  ", "ab", "?!"], EditDistance, config.clone());
+        let idx = grown(&["golden dragon", "", "  ", "ab", "?!"], EditDistance, Default::default());
         for (id, record) in idx.records().iter().enumerate() {
             let fields: Vec<&str> = record.iter().map(String::as_str).collect();
-            let terms = record_term_set(&fields, config.q, config.index_tokens).terms;
+            let terms = record_term_set(&fields, Q).terms;
             assert_eq!(idx.record_has_terms(id as u32), !terms.is_empty(), "record {record:?}");
         }
         assert!(idx.record_has_terms(0));
@@ -1066,54 +1064,25 @@ mod tests {
 
     #[test]
     fn chunking_splits_long_postings() {
-        // 300 records sharing one token with chunk_size 64 → ≥5 chunks.
+        // 600 records sharing one token: its list spans three chunks of
+        // `CHUNK_IDS`, and every chunk fits the page it is written to.
         let records: Vec<Vec<String>> =
-            (0..300).map(|i| vec![format!("shared token{i:03}")]).collect();
+            (0..600).map(|i| vec![format!("shared token{i:03}")]).collect();
         let idx = build_records(
             records,
             InvertedIndexConfig {
-                chunk_size: 64,
                 max_df_fraction: 1.1,
                 stop_df_floor: 1000,
                 postings_source: PostingsSource::Pages,
                 ..Default::default()
             },
         );
+        assert!(CHUNK_IDS * 4 <= fuzzydedup_storage::Page::max_record_size());
         let Postings::Pages(paged) = &idx.layout.postings else { panic!("built as Pages") };
         // The shared token (and its grams) are the terms every record holds.
-        assert!(paged.chunks.iter().any(|term_chunks| term_chunks.len() >= 5));
+        assert!(paged.chunks.iter().any(|term_chunks| term_chunks.len() == 3));
         // And the index still answers queries.
         assert!(!neighbors(&idx, 0, LookupSpec::TopK(2)).is_empty());
-    }
-
-    #[test]
-    fn chunk_size_is_clamped_to_what_a_page_holds() {
-        // One token with 3000 postings: `chunk_size: 0` used to divide by
-        // zero sizing the chunk vector, and a single 12 kB chunk does not
-        // fit a page.
-        let records: Vec<Vec<String>> =
-            (0..3000).map(|i| vec![format!("shared t{i:04}")]).collect();
-        let build = |chunk_size| {
-            build_records(
-                records.clone(),
-                InvertedIndexConfig {
-                    chunk_size,
-                    postings_source: PostingsSource::Pages,
-                    ..Default::default()
-                },
-            )
-        };
-        let reference = build(256);
-        for chunk_size in [0, usize::MAX] {
-            let idx = build(chunk_size);
-            for id in [0, 1500, 2999] {
-                assert_eq!(
-                    neighbors(&idx, id, LookupSpec::TopK(3)),
-                    neighbors(&reference, id, LookupSpec::TopK(3)),
-                    "chunk_size {chunk_size}"
-                );
-            }
-        }
     }
 
     /// Delegates to [`EditDistance`] but compiles nothing, so candidates

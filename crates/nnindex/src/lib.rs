@@ -837,7 +837,7 @@ mod tests {
             .iter()
             .map(|r| {
                 let fields: Vec<&str> = r.iter().map(String::as_str).collect();
-                let ts = record_term_set(&fields, q, true);
+                let ts = record_term_set(&fields, q);
                 RecordMeta { chars: ts.chars, grams: ts.gram_total }
             })
             .collect();

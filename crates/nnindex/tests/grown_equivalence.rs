@@ -240,13 +240,15 @@ fn fully_stopped_queries_fall_back_identically() {
 
 #[test]
 fn a_shared_token_list_outgrows_one_page_chunk() {
-    // 40 records sharing one token at four ids a chunk: its postings span
-    // ten heap records, which the page merge must stitch back into the one
-    // list the other two layouts hold. The per-id suffix keeps records
-    // distinguishable.
-    let records: Records = (0..40).map(|i| vec![format!("sharedtoken entry{i:03}")]).collect();
+    // 300 records sharing one token, past the 256 ids a page chunk holds:
+    // its postings span two heap records, which the page merge must stitch
+    // back into the one list the other two layouts hold. The stop-gram
+    // floor is lifted so that the shared terms are merged. The per-id
+    // suffix keeps records distinguishable.
+    let records: Records = (0..300).map(|i| vec![format!("sharedtoken entry{i:03}")]).collect();
     for candidate_limit in [0, 16] {
-        let config = InvertedIndexConfig { candidate_limit, chunk_size: 4, ..Default::default() };
+        let config =
+            InvertedIndexConfig { candidate_limit, stop_df_floor: 1000, ..Default::default() };
         assert_layouts_agree(&records, &config, 3, "chunk-crossing");
     }
 }

@@ -183,7 +183,7 @@ fn reference_spec(spec: LookupSpec) -> reference::Spec {
 /// per spec.
 fn expected(family: &Family, metric: &Metric, records: &Records) -> Vec<Vec<reference::Entry>> {
     let matrix = metric.matrix(records);
-    let sees_term = reference::shares_a_term(records, 3, true);
+    let sees_term = reference::shares_a_term(records);
     let sees = |v: u32, u: u32| family.sees_all || sees_term(v, u);
     SPECS
         .iter()

@@ -131,18 +131,11 @@ pub fn fms(idf: &IdfModel, a: &[String], b: &[String]) -> f64 {
 
 /// What the inverted index sees with no candidate cap and no stop grams:
 /// `u` is visible to `v` iff the two records share an indexed term — a
-/// padded q-gram of the record string or, with `index_tokens`, a whole
-/// token.
-pub fn shares_a_term(
-    records: &[Vec<String>],
-    q: usize,
-    index_tokens: bool,
-) -> impl Fn(u32, u32) -> bool {
+/// padded 3-gram of the record string or a whole token.
+pub fn shares_a_term(records: &[Vec<String>]) -> impl Fn(u32, u32) -> bool {
     let terms: Vec<BTreeSet<String>> = records
         .iter()
-        .map(|r| {
-            record_term_set(&fields(r), q, index_tokens).terms.into_iter().map(|t| t.0).collect()
-        })
+        .map(|r| record_term_set(&fields(r), 3).terms.into_iter().map(|t| t.0).collect())
         .collect();
     move |v, u| !terms[v as usize].is_disjoint(&terms[u as usize])
 }
@@ -520,7 +513,7 @@ mod tests {
     fn sight_limits_the_lists_and_the_growth() {
         let records: Vec<Vec<String>> =
             ["golden dragon", "golden dragn", "zq"].iter().map(|s| vec![s.to_string()]).collect();
-        let sees = shares_a_term(&records, 3, true);
+        let sees = shares_a_term(&records);
         assert!(sees(0, 1) && sees(1, 0));
         assert!(!sees(0, 2), "\"zq\" shares no gram or token");
         let d = Matrix::of_records(&records, ed);

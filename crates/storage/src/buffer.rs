@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use crate::disk::DiskManager;
 use crate::error::{StorageError, StorageResult};
-use crate::page::{Page, PageId, PAGE_SIZE};
+use crate::page::{Page, PageId};
 
 /// Buffer pool configuration.
 #[derive(Debug, Clone)]
@@ -33,14 +33,8 @@ pub struct BufferPoolConfig {
 }
 
 impl BufferPoolConfig {
-    /// Capacity given as a memory budget in bytes (rounded down to whole
-    /// pages, minimum one frame). `BufferPoolConfig::with_memory(32 << 20)`
-    /// models the paper's "32MB" database buffer.
-    pub fn with_memory(bytes: usize) -> Self {
-        Self { capacity: (bytes / PAGE_SIZE).max(1) }
-    }
-
-    /// Capacity in frames.
+    /// Capacity in frames (minimum one; a frame holds one
+    /// [`crate::PAGE_SIZE`] page, so the paper's "32MB" buffer is 4096 frames).
     pub fn with_capacity(frames: usize) -> Self {
         Self { capacity: frames.max(1) }
     }
@@ -395,14 +389,6 @@ mod tests {
         // Flushing again is a no-op (page now clean).
         pool.flush_all().unwrap();
         assert_eq!(disk.writes(), 1);
-    }
-
-    #[test]
-    fn with_memory_config() {
-        let cfg = BufferPoolConfig::with_memory(32 << 20);
-        assert_eq!(cfg.capacity, (32 << 20) / PAGE_SIZE);
-        let tiny = BufferPoolConfig::with_memory(1);
-        assert_eq!(tiny.capacity, 1, "minimum one frame");
     }
 
     #[test]

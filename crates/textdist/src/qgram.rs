@@ -114,8 +114,9 @@ pub struct TermSet {
     pub gram_total: u32,
 }
 
-/// Extract the [`TermSet`] of a multi-attribute record for gram length `q`.
-pub fn record_term_set(fields: &[&str], q: usize, index_tokens: bool) -> TermSet {
+/// Extract the [`TermSet`] of a multi-attribute record: its padded q-grams
+/// for gram length `q` and its whole tokens.
+pub fn record_term_set(fields: &[&str], q: usize) -> TermSet {
     let joined = record_string(fields);
     let chars = joined.chars().count() as u32;
     let mut counts: HashMap<String, u32> = HashMap::new();
@@ -124,10 +125,8 @@ pub fn record_term_set(fields: &[&str], q: usize, index_tokens: bool) -> TermSet
         *counts.entry(gram).or_insert(0) += 1;
         gram_total += 1;
     }
-    if index_tokens {
-        for token in tokenize_record(fields) {
-            counts.entry(token.text).or_insert(0);
-        }
+    for token in tokenize_record(fields) {
+        counts.entry(token.text).or_insert(0);
     }
     let mut terms: Vec<(String, u32)> = counts.into_iter().collect();
     terms.sort_by(|a, b| a.0.cmp(&b.0));
@@ -180,7 +179,7 @@ mod tests {
         // Same term *set* as the historical per-index extraction:
         // qgrams(record_string) ∪ tokens, sorted, deduplicated.
         let fields = ["The Doors", "LA Woman"];
-        let ts = record_term_set(&fields, 3, true);
+        let ts = record_term_set(&fields, 3);
         let joined = record_string(&fields);
         let mut legacy = qgrams(&joined, 3);
         legacy.extend(tokenize_record(&fields).into_iter().map(|t| t.text));
@@ -197,14 +196,12 @@ mod tests {
 
     #[test]
     fn term_set_token_only_and_empty() {
-        let ts = record_term_set(&["ab"], 3, true);
+        let ts = record_term_set(&["ab"], 3);
         // "ab" padded yields 4 grams of length 3; token "ab" is distinct
         // from every padded gram, so it appears with count 0.
         assert!(ts.terms.iter().any(|(t, c)| t == "ab" && *c == 0));
-        let empty = record_term_set(&[""], 3, true);
+        let empty = record_term_set(&[""], 3);
         assert_eq!(empty, TermSet::default());
-        let no_tokens = record_term_set(&["abc def"], 2, false);
-        assert!(no_tokens.terms.iter().all(|(_, c)| *c > 0));
     }
 
     proptest! {

@@ -101,16 +101,16 @@ fn assert_batch_equals_scalar(dist: &dyn Distance, query: &[&str], candidates: &
             dist.name()
         );
         for forms in [&compiled, &mixed] {
-            for chunk_size in [candidates.len().max(1), 1, 3] {
+            for chunk_len in [candidates.len().max(1), 1, 3] {
                 let mut got: Vec<Option<f64>> = Vec::new();
-                for chunk in forms.chunks(chunk_size) {
+                for chunk in forms.chunks(chunk_len) {
                     prepared.distance_bounded_batch(chunk, cutoff, &mut out);
                     got.extend_from_slice(&out);
                 }
                 assert_eq!(
                     got,
                     expected,
-                    "{}: batch(chunk={chunk_size}) != scalar at cutoff {cutoff} for {query:?} vs {candidates:?}",
+                    "{}: batch(chunk={chunk_len}) != scalar at cutoff {cutoff} for {query:?} vs {candidates:?}",
                     dist.name()
                 );
             }

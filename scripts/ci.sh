@@ -68,7 +68,9 @@
 # toolchain that ran ("rustc": `rustc --version`, which must be at least
 # Cargo.toml's rust-version) and whether the CPU has AVX2 ("avx2"). Beside
 # it goes the options ledger, "config_fields": the `pub` fields of every
-# configuration struct, the distinct `--flags` of the CLI's usage text,
+# configuration struct, the `pub fn`s of `IncrementalDedupBuilder`
+# ("builder_fns", the incremental path's option surface), the distinct
+# `--flags` of the CLI's usage text,
 # the variants of `DistanceKind` ("distance_kinds") and `CollapseKey`
 # ("collapse_keys") and the `fn`s declared in `trait Distance`
 # ("distance_methods") and `trait NnIndex` ("nnindex_methods"), so "a
@@ -284,6 +286,11 @@ for entry in DedupConfig:crates/core/src/pipeline.rs Parallelism:crates/core/src
     printf '  %-20s %3d\n' "${entry%%:*}" "$n"
     options_json+="\"${entry%%:*}\": $n, "
 done
+# The incremental builder's methods: its options are methods, not fields.
+builder_fns=$(count_in crates/core/src/incremental.rs "impl<D: Distance> IncrementalDedupBuilder<D> {" \
+    '^    pub fn ')
+printf '  %-20s %3d\n' "builder pub fns" "$builder_fns"
+options_json+="\"builder_fns\": $builder_fns, "
 # Distinct --flags in the usage text of both subcommands.
 cli_flags=$(awk '/^fn usage\(/ { on = 1 } on { print } on && /^}/ { exit }' src/bin/fuzzydedup.rs |
     grep -o -- '--[a-z][a-z-]*' | sort -u | wc -l)

@@ -549,12 +549,7 @@ fn run() -> Result<(), String> {
         eprintln!("{}", outcome.metrics.to_json());
     }
     if opts.report {
-        let report = fuzzydedup::core::render_report(
-            partition,
-            &records,
-            Some(&outcome.nn_reln),
-            fuzzydedup::core::ReportOptions::default(),
-        );
+        let report = fuzzydedup::core::render_report(partition, &records, Some(&outcome.nn_reln));
         eprintln!("\n{report}");
     }
     write_grouped(&opts, &header, &rows, partition)

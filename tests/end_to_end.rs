@@ -208,17 +208,41 @@ fn constraining_predicates_split_product_versions() {
 
 #[test]
 fn parallel_pipeline_is_identical_on_real_data() {
-    // The Parallelism knob is a pure performance lever: both phases must
-    // reproduce the sequential partition bit-for-bit on realistic data.
+    // The thread count is a pure performance lever. One thread is the
+    // ordered drive — every tuple visited once, breadth-first over paged
+    // postings — and two or all CPUs must reproduce its relation, partition
+    // and counted metrics bit for bit on realistic data.
+    use fuzzydedup::metrics::RunMetrics;
+    use fuzzydedup::nnindex::{InvertedIndexConfig, PostingsSource};
     let mut rng = StdRng::seed_from_u64(8);
     let dataset = restaurants::generate(&mut rng, DatasetSpec::with_entities(150));
-    let base = de_config(DistanceKind::FuzzyMatch);
-    let seq = dedup(&dataset.records, &base).unwrap();
-    for threads in [2, 0] {
-        let par = dedup(&dataset.records, &base.clone().parallelism(Parallelism::threads(threads)))
-            .unwrap();
-        assert_eq!(seq.partition, par.partition, "threads={threads}");
-        assert_eq!(seq.nn_reln, par.nn_reln, "threads={threads}");
+    let ids: Vec<u32> = (0..dataset.records.len() as u32).collect();
+    // What a run counts, without wall times, memory, and the thread-count
+    // telemetry of `phase1` and `phase2.threads`.
+    let counted = |m: &RunMetrics| {
+        let mut m = *m;
+        (m.timings, m.spill.peak_rss_bytes, m.phase1, m.phase2.threads) = Default::default();
+        m
+    };
+    for postings_source in [PostingsSource::Memory, PostingsSource::Pages] {
+        let index = InvertedIndexConfig { postings_source, ..Default::default() };
+        let base = de_config(DistanceKind::FuzzyMatch).index_choice(IndexChoice::Inverted(index));
+        let ordered =
+            dedup(&dataset.records, &base.clone().parallelism(Parallelism::threads(1))).unwrap();
+        let mut visited = ordered.phase1_stats.visit_order.clone();
+        let breadth_first = postings_source == PostingsSource::Pages;
+        assert_eq!(visited != ids, breadth_first, "{postings_source:?}");
+        assert_eq!(ordered.metrics.phase1.bf_queue_high_water > 0, breadth_first);
+        visited.sort_unstable();
+        assert_eq!(visited, ids, "{postings_source:?}: a permutation of the ids");
+        for threads in [2, 0] {
+            let par =
+                dedup(&dataset.records, &base.clone().parallelism(Parallelism::threads(threads)))
+                    .unwrap();
+            assert_eq!(ordered.partition, par.partition, "threads={threads}");
+            assert_eq!(ordered.nn_reln, par.nn_reln, "threads={threads}");
+            assert_eq!(counted(&ordered.metrics), counted(&par.metrics), "threads={threads}");
+        }
     }
 }
 
@@ -226,41 +250,36 @@ fn parallel_pipeline_is_identical_on_real_data() {
 /// on the batch run's partition and NN relation.
 fn assert_incremental_equals_batch<D: Distance>(
     distance: D,
-    parallelism: Parallelism,
     records: &[Vec<String>],
     batch: &DedupOutcome,
 ) {
     let mut inc = IncrementalDedup::builder(distance)
         .cut(CutSpec::Size(4))
         .sn_threshold(4.0)
-        .parallelism(parallelism)
         .build()
         .unwrap();
     for chunk in records.chunks(37) {
         inc.insert_batch(chunk.to_vec());
     }
-    assert_eq!(inc.partition(), &batch.partition, "{parallelism:?}");
-    assert_eq!(inc.nn_reln(), batch.nn_reln, "{parallelism:?}");
+    assert_eq!(inc.partition(), &batch.partition);
+    assert_eq!(inc.nn_reln(), batch.nn_reln);
 }
 
 #[test]
-fn pair_memo_is_invisible_in_results_seq_and_par() {
+fn pair_memo_is_invisible_in_results() {
     // The pair-distance memo follows the entry point: an incremental
     // state always holds one, the batch pipeline never does. It is a pure
     // performance lever: under both of the service's distances (each
     // symmetric to the bit, as the memo contract requires) the partition
-    // AND the NN relation of a chunked incremental load, sequential or
-    // with a parallel refresh, must be bit-identical to the batch run.
+    // AND the NN relation of a chunked incremental load must be
+    // bit-identical to the batch run.
     let mut rng = StdRng::seed_from_u64(9);
     let records = restaurants::generate(&mut rng, DatasetSpec::with_entities(150)).records;
     let ed = dedup(&records, &de_config(DistanceKind::EditDistance)).unwrap();
     let fms = dedup(&records, &de_config(DistanceKind::FuzzyMatch)).unwrap();
-    for parallelism in [Parallelism::sequential(), Parallelism::threads(2), Parallelism::threads(0)]
-    {
-        assert_incremental_equals_batch(EditDistance, parallelism, &records, &ed);
-        let fuzzy = FuzzyMatchDistance::new(IdfModel::fit_records(&records));
-        assert_incremental_equals_batch(fuzzy, parallelism, &records, &fms);
-    }
+    assert_incremental_equals_batch(EditDistance, &records, &ed);
+    let fuzzy = FuzzyMatchDistance::new(IdfModel::fit_records(&records));
+    assert_incremental_equals_batch(fuzzy, &records, &fms);
 }
 
 #[test]

@@ -7,12 +7,11 @@
 //! chars, exact and near copies (distance ties), and real Unicode (the
 //! proptest shim's `.`). The configuration draws the distance, the cut, the
 //! aggregation, `c`, `p`, the index (nested loop, or the inverted index at
-//! `candidate_limit: 0` with its postings in memory or on pages, any `q`,
-//! tokens indexed or not), minimality, the relational Phase 2, both
-//! phases' threads, the spill and the collapse of exact duplicates. No
-//! stop gram fires on relations this small, so the inverted index sees
-//! exactly the records sharing a term with the query — what the reference
-//! is told it sees. The property is two-sided: relation and partition,
+//! `candidate_limit: 0` with its postings in memory or on pages),
+//! minimality, the relational Phase 2, the thread count, the spill and the
+//! collapse of exact duplicates. No stop gram fires on relations this
+//! small, so the inverted index sees exactly the records sharing a term
+//! with the query — what the reference is told it sees. The property is two-sided: relation and partition,
 //! bit for bit.
 
 use fuzzydedup::core::{
@@ -78,8 +77,9 @@ struct Case {
     config: DedupConfig,
     cut: reference::Cut,
     agg: reference::Agg,
-    /// `(q, index_tokens)` of an inverted index; `None` for the nested loop.
-    terms: Option<(usize, bool)>,
+    /// Whether the index is the inverted one (it sees the records sharing a
+    /// term) rather than the nested loop (it sees every record).
+    inverted: bool,
 }
 
 fn case(rng: &mut StdRng, n: usize) -> Case {
@@ -103,21 +103,15 @@ fn case(rng: &mut StdRng, n: usize) -> Case {
         (Aggregation::Max2, reference::Agg::Max2),
         (Aggregation::Min, reference::Agg::Min),
     ][rng.gen_range(0..4)];
-    let (index, terms) = if rng.gen_bool(0.3) {
-        (IndexChoice::NestedLoop, None)
-    } else {
-        let config = InvertedIndexConfig {
-            q: rng.gen_range(2..5),
-            index_tokens: rng.gen_bool(0.7),
+    let inverted = rng.gen_bool(0.7);
+    let index = match inverted {
+        false => IndexChoice::NestedLoop,
+        true => IndexChoice::Inverted(InvertedIndexConfig {
             candidate_limit: 0,
-            chunk_size: rng.gen_range(0..64),
             postings_source: [PostingsSource::Memory, PostingsSource::Pages][rng.gen_range(0..2)],
             ..InvertedIndexConfig::default()
-        };
-        let terms = Some((config.q, config.index_tokens));
-        (IndexChoice::Inverted(config), terms)
+        }),
     };
-    let threads = |rng: &mut StdRng| rng.gen_bool(0.5).then(|| rng.gen_range(1..4));
     let config = DedupConfig::new(distance)
         .cut(cut)
         .aggregation(agg)
@@ -127,10 +121,10 @@ fn case(rng: &mut StdRng, n: usize) -> Case {
         .minimality(rng.gen_bool(0.3))
         .via_tables(rng.gen_bool(0.3))
         .buffer_frames(rng.gen_range(4..64))
-        .parallelism(Parallelism { phase1_threads: threads(rng), phase2_threads: threads(rng) })
+        .parallelism(Parallelism::threads(rng.gen_range(0..4)))
         .spill_threshold(if rng.gen_bool(0.3) { rng.gen_range(1..=n.max(1)) } else { 0 })
         .collapse(rng.gen_bool(0.4).then_some(CollapseKey::RecordString));
-    Case { config, cut: reference_cut, agg: reference_agg, terms }
+    Case { config, cut: reference_cut, agg: reference_agg, inverted }
 }
 
 /// The reference's relation and partition of `records` under `case`.
@@ -142,20 +136,10 @@ fn expected(records: &Records, case: &Case) -> (Vec<reference::Entry>, Vec<Vec<u
             reference::Matrix::of_records(records, |a, b| reference::fms(&idf, a, b))
         }
     };
-    let relation = match case.terms {
-        None => reference::nn_relation(
-            &matrix,
-            |_, _| true,
-            case.cut.spec(records.len()),
-            case.config.p,
-        ),
-        Some((q, index_tokens)) => reference::nn_relation(
-            &matrix,
-            reference::shares_a_term(records, q, index_tokens),
-            case.cut.spec(records.len()),
-            case.config.p,
-        ),
-    };
+    let sees_term = reference::shares_a_term(records);
+    let sees = |v, u| !case.inverted || sees_term(v, u);
+    let relation =
+        reference::nn_relation(&matrix, sees, case.cut.spec(records.len()), case.config.p);
     let mut groups = reference::partition(&relation, &matrix, case.cut, case.agg, case.config.c);
     if case.config.minimality {
         groups = reference::enforce_minimality(&relation, &groups);
