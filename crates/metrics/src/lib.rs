@@ -233,15 +233,21 @@ run_metrics! {
     }
 
     /// fms token matching (`textdist` layer): how many token pairs the
-    /// fms evaluations compared, and how many of them a prepared query's
-    /// per-lookup memo answered without a scan.
+    /// fms evaluations compared, how many of them a prepared query's
+    /// per-lookup memo answered without a scan, and how many evaluations
+    /// the loss bound ended before the matching.
     #[derive(Eq)]
     fms: FmsMetrics = "fms" {
-        /// Token pairs compared: query tokens × candidate tokens, summed
-        /// over fms evaluations.
+        /// Token pairs compared, summed over fms evaluations: the query
+        /// tokens whose rows were scanned × the candidate's tokens. A call
+        /// the loss bound rejects after a row skips the remaining rows.
         token_pairs: u64 = Counter::FmsTokenPairs,
         /// Token pairs answered from the memo; the rest were scanned.
         memo_hits: u64 = Counter::FmsMemoHits,
+        /// Evaluations at a cutoff below 1 that the lower bound on the
+        /// lost weight rejected, after a row or after the last one,
+        /// without running the matching.
+        early_rejects: u64 = Counter::FmsEarlyRejects,
     }
 
     /// Index traffic (`nnindex` layer).

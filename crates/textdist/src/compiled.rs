@@ -55,10 +55,17 @@ impl<'c> WeightedTokens<'c> {
     /// The tokens in record order, as `(chars, weight, vocabulary id)`; the
     /// id is `None` for a token the IDF fit never saw.
     pub fn iter(&self) -> impl Iterator<Item = (&'c [char], f64, Option<u32>)> + '_ {
-        self.spans.iter().map(|t| {
-            let chars = &self.arena[t.start..t.start + t.len as usize];
-            (chars, t.weight, (t.id != NO_ID).then_some(t.id))
-        })
+        self.spans.iter().map(|t| self.token(t))
+    }
+
+    /// Token `j` in record order, as [`WeightedTokens::iter`] yields it.
+    pub(crate) fn get(&self, j: usize) -> (&'c [char], f64, Option<u32>) {
+        self.token(&self.spans[j])
+    }
+
+    fn token(&self, t: &TokenSpan) -> (&'c [char], f64, Option<u32>) {
+        let chars = &self.arena[t.start..t.start + t.len as usize];
+        (chars, t.weight, (t.id != NO_ID).then_some(t.id))
     }
 }
 

@@ -46,8 +46,22 @@
 //! abandoned early. Within one lookup, the candidates share tokens, and a
 //! candidate token's IDF vocabulary id fixes its text. So each
 //! (query token, vocabulary id) pair is scanned once and then memoized.
+//!
+//! A lookup verifies each candidate against a running cutoff below 1, and
+//! most candidates are past it. So before the matching, a candidate is
+//! held to a lower bound on the weight it loses ([`LossBound`]): every
+//! token loses at least its weight times the smallest admitted `ned` in its
+//! row or column, or its whole weight when nothing in it is admitted. The
+//! query's rows are scanned heaviest token first, and after each row the
+//! bound over what was scanned is held to the cutoff: a candidate past it
+//! is rejected there, skipping the remaining rows, the sort and the
+//! matching. At a cutoff of 1 or more — the unprepared
+//! [`Distance::distance`] and a lookup's first candidates — the bound is
+//! kept the same way and rejects nothing: the weight lost is at most the
+//! total.
+//!
 //! Every answer is exact: the scores are bit-identical to scanning every
-//! pair in full.
+//! pair in full, and the bound rejects only candidates past the cutoff.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -120,6 +134,103 @@ fn token_bound(max_len: usize) -> usize {
     k
 }
 
+/// What a bound compared with the cutoff may exceed it by, relative to the
+/// total weight, and still not reject. The bound and the matching sum the
+/// same shares in different orders, so they may differ in their last bits,
+/// a few ulps of the total weight; never by this much.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// A lower bound on the weight the matching of a query against a candidate
+/// loses, kept while their token pairs are scored, query token by query
+/// token (row by row).
+///
+/// A matched pair loses `(w_a + w_b)·ned(a, b)`: a share `w_a·ned` for
+/// token `a` and `w_b·ned` for token `b`. An unmatched token loses its
+/// whole weight. The matching takes only admitted pairs, and IDF weights
+/// are never negative. So a query token `a` whose row was scanned loses at
+/// least `w_a·m_a`, where `m_a` is the smallest admitted `ned` in its row,
+/// or 1 when nothing there is admitted. A candidate token `b` loses at
+/// least `w_b·m_b`, `m_b` the same over its column in the rows scanned so
+/// far, unless it is matched to a row not yet scanned; with `r` rows left,
+/// at most `r` candidate tokens are. So after each row
+///
+/// ```text
+/// lost ≥ Σ_{a scanned} w_a·m_a + (Σ_b w_b·m_b less its r largest terms)
+/// ```
+///
+/// and after the last row, `r = 0`, the bound is `Σ_a w_a·m_a + Σ_b w_b·m_b`.
+///
+/// Use: [`LossBound::start`] for a candidate, then per row
+/// [`LossBound::admit`] for each admitted pair, [`LossBound::end_row`] and
+/// [`LossBound::past`].
+#[derive(Debug, Default)]
+pub struct LossBound {
+    /// `Σ w_a·m_a` over the rows ended so far.
+    rows: f64,
+    /// `m_a` of the row being scanned, so far.
+    row: f64,
+    /// Each candidate token's `(w_b, m_b)`, `m_b` so far.
+    columns: Vec<(f64, f64)>,
+    /// `Σ w_b`: the most the candidate's side can add.
+    columns_weight: f64,
+    /// The candidate tokens' shares `w_b·m_b`, as [`LossBound::lower`]
+    /// selects from them.
+    shares: Vec<f64>,
+}
+
+impl LossBound {
+    /// Begin a candidate whose tokens have these weights, in record order,
+    /// with nothing admitted yet.
+    pub fn start(&mut self, weights: impl Iterator<Item = f64>) {
+        self.rows = 0.0;
+        self.row = 1.0;
+        self.columns.clear();
+        self.columns.extend(weights.map(|w| (w, 1.0)));
+        self.columns_weight = self.columns.iter().fold(0.0, |sum, &(w, _)| sum + w);
+    }
+
+    /// Pair (the current row, candidate token `j`) is admitted at `ned`.
+    #[inline]
+    pub fn admit(&mut self, j: usize, ned: f64) {
+        self.row = self.row.min(ned);
+        let m = &mut self.columns[j].1;
+        *m = m.min(ned);
+    }
+
+    /// End the current row, a query token of weight `weight`.
+    #[inline]
+    pub fn end_row(&mut self, weight: f64) {
+        self.rows += weight * self.row;
+        self.row = 1.0;
+    }
+
+    /// Whether the bound, with `remaining` rows still to scan, is past
+    /// `limit`. The candidate's side adds at most its whole weight, so
+    /// while even that stays within `limit` — always, at a cutoff of 1 or
+    /// more — nothing is selected.
+    #[inline]
+    pub fn past(&mut self, remaining: usize, limit: f64) -> bool {
+        self.rows + self.columns_weight > limit && self.lower(remaining) > limit
+    }
+
+    /// The bound over the rows ended so far, with `remaining` rows still
+    /// to scan.
+    pub fn lower(&mut self, remaining: usize) -> f64 {
+        // The candidate tokens whose shares count: all but the `remaining`
+        // largest, which rows not yet scanned may match.
+        let kept = self.columns.len().saturating_sub(remaining);
+        if kept == 0 {
+            return self.rows;
+        }
+        self.shares.clear();
+        self.shares.extend(self.columns.iter().map(|&(w, m)| w * m));
+        if kept < self.shares.len() {
+            self.shares.select_nth_unstable_by(kept, f64::total_cmp);
+        }
+        self.shares[..kept].iter().fold(self.rows, |sum, share| sum + share)
+    }
+}
+
 impl FuzzyMatchDistance {
     /// Create with a fitted IDF model.
     pub fn new(idf: IdfModel) -> Self {
@@ -150,6 +261,11 @@ impl FuzzyMatchDistance {
         let tokens = tokens_of(&query);
         let patterns = tokens.iter().map(|(chars, _, _)| PreparedPattern::new(chars.to_vec()));
         scratch.patterns.extend(patterns);
+        // Heaviest first, so that a candidate the query's heavy tokens do
+        // not find is rejected after the fewest rows.
+        scratch.order.extend(0..tokens.len());
+        let weight = |i: usize| tokens.get(i).1;
+        scratch.order.sort_by(|&x, &y| weight(y).total_cmp(&weight(x)).then(x.cmp(&y)));
         PreparedFms { distance: self, query, scratch }
     }
 
@@ -160,7 +276,7 @@ impl FuzzyMatchDistance {
 
     fn fms_distance(&self, a: &[&str], b: &[&str]) -> f64 {
         let b = self.decompose(b);
-        self.prepare_fms(a).distance(tokens_of(&b))
+        self.prepare_fms(a).distance(tokens_of(&b), 1.0).expect("every fms distance is <= 1")
     }
 }
 
@@ -201,22 +317,28 @@ struct PreparedFms<'a> {
 
 impl PreparedFms<'_> {
     /// The one fms scorer: every token pair's bounded distance, then the
-    /// greedy largest-gain matching. Returns the distance `1 − fms`.
-    fn distance(&mut self, candidate: WeightedTokens) -> f64 {
+    /// greedy largest-gain matching. Returns the distance `1 − fms` if it
+    /// is at most `cutoff`. The rows are scanned heaviest query token
+    /// first, and the [`LossBound`] may reject the candidate after any row,
+    /// before the matching; below a cutoff of 1 it can.
+    fn distance(&mut self, candidate: WeightedTokens, cutoff: f64) -> Option<f64> {
         let query = tokens_of(&self.query);
-        if query.is_empty() && candidate.is_empty() {
-            return 0.0;
-        }
         if query.is_empty() || candidate.is_empty() {
-            return 1.0;
+            let d = if query.is_empty() && candidate.is_empty() { 0.0 } else { 1.0 };
+            return (d <= cutoff).then_some(d);
         }
-        let Scratch { memo, patterns, pairs, used_a, used_b } = &mut self.scratch;
+        let Scratch { memo, patterns, order, bound, pairs, used_a, used_b } = &mut self.scratch;
+        let total = query.total_weight() + candidate.total_weight();
+        let limit = (cutoff + BOUND_MARGIN) * total;
 
         // Counted once per call: a per-pair counter is a store in the
         // innermost loop.
         let mut memo_hits = 0u64;
+        let (mut rows, mut rejected) = (query.len(), false);
         pairs.clear();
-        for (i, ((ca, wia, _), pattern)) in query.iter().zip(patterns).enumerate() {
+        bound.start(candidate.iter().map(|(_, weight, _)| weight));
+        for (n, &i) in order.iter().enumerate() {
+            let ((ca, wia, _), pattern) = (query.get(i), &mut patterns[i]);
             for (j, (cb, wjb, id)) in candidate.iter().enumerate() {
                 let max_len = ca.len().max(cb.len());
                 if max_len == 0 {
@@ -242,18 +364,32 @@ impl PreparedFms<'_> {
                 // `None`: `ned` is past `MAX_TOKEN_NED`, never matched.
                 let Some(d) = d else { continue };
                 let ned = d as f64 / max_len as f64;
+                bound.admit(j, ned);
                 let gain = (wia + wjb) * (1.0 - ned);
                 if gain > 0.0 {
                     pairs.push((gain, i, j, (wia + wjb) * ned));
                 }
             }
+            bound.end_row(wia);
+            if bound.past(order.len() - n - 1, limit) {
+                (rows, rejected) = (n + 1, true);
+                break;
+            }
         }
-        incr(Counter::FmsTokenPairs, (query.len() * candidate.len()) as u64);
+        incr(Counter::FmsTokenPairs, (rows * candidate.len()) as u64);
         incr(Counter::FmsMemoHits, memo_hits);
+        if rejected {
+            incr(Counter::FmsEarlyRejects, 1);
+            return None;
+        }
 
         // Greedy maximum-gain matching. Gains are finite and positive;
-        // ties are broken by (i, j) for determinism.
-        pairs.sort_by(|x, y| y.0.total_cmp(&x.0).then_with(|| (x.1, x.2).cmp(&(y.1, y.2))));
+        // ties are broken by (i, j), so the order is total: it does not
+        // depend on the order the rows were scanned in, and an unstable
+        // sort gives it too. (The stable sort took 1.5× as long on one
+        // Restaurants query's pairs pushed heaviest row first.)
+        pairs
+            .sort_unstable_by(|x, y| y.0.total_cmp(&x.0).then_with(|| (x.1, x.2).cmp(&(y.1, y.2))));
         used_a.clear();
         used_a.resize(query.len(), false);
         used_b.clear();
@@ -279,23 +415,23 @@ impl PreparedFms<'_> {
         };
         // One sum of the two sides, so that `d(a, b) == d(b, a)` to the bit.
         lost += unmatched(query, used_a) + unmatched(candidate, used_b);
-        (lost / (query.total_weight() + candidate.total_weight())).clamp(0.0, 1.0)
+        let d = (lost / total).clamp(0.0, 1.0);
+        (d <= cutoff).then_some(d)
     }
 }
 
 impl<'c> PreparedDistance<'c> for PreparedFms<'_> {
-    /// A compiled candidate pays only the matching; raw fields go through
-    /// the decomposition memo first.
+    /// A compiled candidate pays only the scan and the matching; raw fields
+    /// go through the decomposition memo first.
     fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
         incr(Counter::DistFms, 1);
-        let d = match candidate {
-            Candidate::Tokens(tokens) => self.distance(tokens),
+        match candidate {
+            Candidate::Tokens(tokens) => self.distance(tokens, cutoff),
             raw => {
                 let memo = raw.with_fields(|fields| self.distance.decompose(fields));
-                self.distance(tokens_of(&memo))
+                self.distance(tokens_of(&memo), cutoff)
             }
-        };
-        (d <= cutoff).then_some(d)
+        }
     }
 }
 
@@ -305,9 +441,10 @@ impl Drop for PreparedFms<'_> {
     }
 }
 
-/// What a prepared fms query works in: its patterns, its token-pair memo,
-/// and the matching's buffers — the scored pairs as `(gain, query token,
-/// candidate token, loss)` and the tokens matched.
+/// What a prepared fms query works in: its patterns and row order, its
+/// token-pair memo, the loss bound, and the matching's buffers — the
+/// scored pairs as `(gain, query token, candidate token, loss)` and the
+/// tokens matched.
 ///
 /// It moves from one prepared query to the next on the same thread
 /// ([`Scratch::take`] / [`Scratch::give_back`]), so of all this a prepared
@@ -318,6 +455,10 @@ struct Scratch {
     memo: PairMemo,
     /// Query token `i`'s pattern at `i`.
     patterns: Vec<PreparedPattern<'static>>,
+    /// The query tokens, heaviest first, ties by index: the order rows
+    /// are scanned in.
+    order: Vec<usize>,
+    bound: LossBound,
     pairs: Vec<(f64, usize, usize, f64)>,
     used_a: Vec<bool>,
     used_b: Vec<bool>,
@@ -337,6 +478,7 @@ impl Scratch {
         }
         scratch.memo.clear();
         scratch.patterns.clear();
+        scratch.order.clear();
         scratch
     }
 
@@ -579,6 +721,30 @@ mod tests {
         assert_eq!(tally.get(Counter::FmsMemoHits), 4);
         assert_eq!(tally.get(Counter::EdKernelBounded), 8);
         assert_eq!(tally.get(Counter::EdKernelWord), 0);
+    }
+
+    #[test]
+    fn the_bound_rejects_a_candidate_sharing_no_token_after_a_row_below_cutoff_1() {
+        let d = fms();
+        let mut store = CompiledRecords::default();
+        d.compile_record(&["xyzq"], &mut store);
+        let mut prepared = d.prepare(&["boeing apple"]);
+        let mut count = |cutoff| {
+            fuzzydedup_metrics::scoped(|| {
+                prepared.distance_bounded(store.candidate(0, &[]), cutoff)
+            })
+        };
+        // The heaviest query token finds nothing in the candidate: its row
+        // alone loses more than 0.3 of the total weight.
+        let (d_low, tally) = count(0.3);
+        assert_eq!(d_low, None);
+        assert_eq!(tally.get(Counter::FmsEarlyRejects), 1);
+        assert!(tally.get(Counter::FmsTokenPairs) < 2, "{tally:?}");
+        // At cutoff 1.0 nothing is rejected and every pair is compared.
+        let (d_one, tally) = count(1.0);
+        assert_eq!(d_one, Some(1.0));
+        assert_eq!(tally.get(Counter::FmsEarlyRejects), 0);
+        assert_eq!(tally.get(Counter::FmsTokenPairs), 2);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! are inputs to the definition and come from the crate.
 //!
 //! One prepared query is scored against 600+ candidates, compiled and raw,
-//! bit for bit against the oracle. The candidates share a vocabulary, so
+//! bit for bit against the oracle, at cutoff 1.0 and at the cutoffs where
+//! the loss bound must give way: the oracle's distance, the `f64`s on
+//! either side of it, and 0. The candidates share a vocabulary, so
 //! the prepared query's token-pair memo both hits and clears. The
 //! vocabulary holds tokens the IDF fit never saw (no vocabulary id), tokens
 //! over 64 chars (the blocked patterns, their window and their stock
@@ -18,6 +20,7 @@
 use std::collections::HashSet;
 
 use fuzzydedup_metrics::{scoped, Counter};
+use fuzzydedup_textdist::fms::LossBound;
 use fuzzydedup_textdist::tokenize::tokenize_record;
 use fuzzydedup_textdist::{Candidate, CompiledRecords, Distance, FuzzyMatchDistance, IdfModel};
 use proptest::prelude::*;
@@ -38,19 +41,34 @@ fn weighted(idf: &IdfModel, fields: &[&str]) -> Weighted {
         .collect()
 }
 
+/// `ned(a, b)` if the pair may be matched (`ned <= 0.8`), else `None`.
+fn admitted_ned(a: &[char], b: &[char]) -> Option<f64> {
+    let longer = a.len().max(b.len());
+    let ned = levenshtein_matrix(a, b) as f64 / longer as f64;
+    (ned <= 0.8).then_some(ned)
+}
+
 /// The fms distance of the module docs between two records' tokens: the
 /// weight the matching loses over the total weight.
 fn oracle(ta: &Weighted, tb: &Weighted) -> f64 {
     if ta.is_empty() || tb.is_empty() {
         return if ta.is_empty() && tb.is_empty() { 0.0 } else { 1.0 };
     }
+    (oracle_lost(ta, tb) / (total(ta) + total(tb))).clamp(0.0, 1.0)
+}
+
+fn total(tokens: &Weighted) -> f64 {
+    tokens.iter().fold(0.0, |sum, (_, w)| sum + w)
+}
+
+/// The weight the greedy matching of two non-empty token lists loses.
+fn oracle_lost(ta: &Weighted, tb: &Weighted) -> f64 {
     let mut pairs = Vec::new();
     for (i, (ca, wa)) in ta.iter().enumerate() {
         for (j, (cb, wb)) in tb.iter().enumerate() {
-            let longer = ca.len().max(cb.len());
-            let ned = levenshtein_matrix(ca, cb) as f64 / longer as f64;
+            let Some(ned) = admitted_ned(ca, cb) else { continue };
             let gain = (wa + wb) * (1.0 - ned);
-            if ned <= 0.8 && gain > 0.0 {
+            if gain > 0.0 {
                 pairs.push((gain, i, j, (wa + wb) * ned));
             }
         }
@@ -67,9 +85,14 @@ fn oracle(ta: &Weighted, tb: &Weighted) -> f64 {
     let unmatched = |t: &Weighted, matched: &[bool]| {
         t.iter().zip(matched).filter(|(_, m)| !**m).fold(0.0, |sum, ((_, w), _)| sum + w)
     };
-    lost += unmatched(ta, &matched_a) + unmatched(tb, &matched_b);
-    let total = |t: &Weighted| t.iter().fold(0.0, |sum, (_, w)| sum + w);
-    (lost / (total(ta) + total(tb))).clamp(0.0, 1.0)
+    lost + (unmatched(ta, &matched_a) + unmatched(tb, &matched_b))
+}
+
+/// The `f64`s just below and just above a distance in `[0, 1]`
+/// (`f64::next_down` / `next_up` need a newer Rust than the workspace's).
+fn neighbours(d: f64) -> [f64; 2] {
+    let below = if d == 0.0 { -f64::from_bits(1) } else { f64::from_bits(d.to_bits() - 1) };
+    [below, f64::from_bits(d.to_bits() + 1)]
 }
 
 /// The candidate vocabulary past the fitted tokens: the tokens the fit
@@ -130,11 +153,18 @@ proptest! {
         let ((), tally) = scoped(|| {
             for (id, candidate) in candidates.iter().enumerate() {
                 let want = oracle(&query_weighted, &weighted(&idf, &[candidate[0].as_str()]));
+                // At 1.0 every pair is scanned; below it, the loss bound
+                // may reject, and must not at `want` itself.
+                let [below, above] = neighbours(want);
+                let cutoffs = [1.0, want, below, above, 0.0];
                 for (form, view) in
                     [("compiled", store.candidate(id, candidate)), ("raw", Candidate::Fields(candidate))]
                 {
-                    let got = prepared.distance_bounded(view, 1.0).expect("every distance is <= 1");
-                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{} {:?}: {} != {}", form, candidate, got, want);
+                    for cutoff in cutoffs {
+                        let got = prepared.distance_bounded(view, cutoff).map(f64::to_bits);
+                        let within = (want <= cutoff).then_some(want.to_bits());
+                        prop_assert_eq!(got, within, "{} {:?} at {}: want {}", form, candidate, cutoff, want);
+                    }
                 }
             }
         });
@@ -166,4 +196,57 @@ fn the_edge_pair_is_matched_at_exactly_ned_0_8() {
     // 4 / 5 is admitted and gains a little; 5 / 6 is not.
     assert!(oracle("abcde", "axxxx") < 1.0);
     assert_eq!(oracle("abcdef", "axxxxx"), 1.0);
+}
+
+/// A token list as drawn: `(token, weight, zeroed)`, the weight taken as 0
+/// when `zeroed` is 0 — a weight no IDF fit gives, which the bound allows.
+type Drawn = Vec<(String, f64, u8)>;
+
+fn drawn_tokens() -> impl Strategy<Value = Drawn> {
+    prop::collection::vec(("[a-e]{1,6}", 0.0f64..10.0, 0u8..8), 1..8)
+}
+
+fn weighted_drawn(drawn: &Drawn) -> Weighted {
+    drawn
+        .iter()
+        .map(|(t, w, zeroed)| (t.chars().collect(), if *zeroed == 0 { 0.0 } else { *w }))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn the_loss_bound_never_exceeds_the_lost_weight(
+        a in drawn_tokens(),
+        b in drawn_tokens(),
+        first_row in 0usize..8,
+    ) {
+        let (ta, tb) = (weighted_drawn(&a), weighted_drawn(&b));
+        let lost = oracle_lost(&ta, &tb);
+        let total = total(&ta) + total(&tb);
+        // Every row, in a drawn rotation of record order, as a prepared
+        // query scans them (in its own order). The bound after each row,
+        // not only the last, must stay under the loss, and never be past
+        // it.
+        let mut bound = LossBound::default();
+        bound.start(tb.iter().map(|(_, w)| *w));
+        for n in 0..ta.len() {
+            let (ca, wa) = &ta[(first_row + n) % ta.len()];
+            for (j, (cb, _)) in tb.iter().enumerate() {
+                if let Some(ned) = admitted_ned(ca, cb) {
+                    bound.admit(j, ned);
+                }
+            }
+            bound.end_row(*wa);
+            let remaining = ta.len() - n - 1;
+            // In exact arithmetic `so_far <= lost`. The two sum shares in
+            // different orders, a few ulps apart at most: far inside the
+            // margin the prepared query leaves the cutoff.
+            let slack = lost + 1e-12 * total;
+            let so_far = bound.lower(remaining);
+            prop_assert!(so_far <= slack, "row {}: bound {} > lost {}", n, so_far, lost);
+            prop_assert!(!bound.past(remaining, slack), "row {}: past the lost weight {}", n, lost);
+        }
+    }
 }

@@ -236,7 +236,14 @@ fn parse_args(cmd: Cmd, args: &[String]) -> Result<Options, String> {
                 };
             }
             "--c" => opts.c = Some(parsed(flag, value)?),
-            "--dup-fraction" => opts.dup_fraction = Some(parsed(flag, value)?),
+            "--dup-fraction" => {
+                let fraction: f64 = parsed(flag, value)?;
+                // `contains` is false for NaN too.
+                if !(0.0..=1.0).contains(&fraction) {
+                    return Err("--dup-fraction must be in [0, 1]".to_string());
+                }
+                opts.dup_fraction = Some(fraction);
+            }
             "--agg" => {
                 opts.agg = Aggregation::parse(value)
                     .ok_or_else(|| format!("unknown aggregation {value:?}"))?;

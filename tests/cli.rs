@@ -161,6 +161,14 @@ fn bad_arguments_fail_cleanly() {
         assert!(!out.status.success(), "args {args:?} should fail");
         assert!(!out.stderr.is_empty());
     }
+    // A fraction outside [0, 1] is refused, not clamped into a threshold.
+    for value in ["NaN", "1.5"] {
+        let args = ["--demo", "restaurants", "--dup-fraction", value];
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "args {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--dup-fraction"), "args {args:?}: {stderr}");
+    }
     // Names that are not (or are no longer) accepted: exit 1 with an error
     // that lists the accepted ones, on both subcommands.
     for cmd in [vec![], vec!["replay"]] {
