@@ -19,9 +19,10 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use fuzzydedup_core::minimality::enforce_minimality;
 use fuzzydedup_core::{
     compute_nn_reln, partition_entries, partition_entries_parallel, partition_via_tables,
-    Aggregation, CollapseKey, CollapseMap, CutSpec, NeighborSpec,
+    Aggregation, CollapseKey, CollapseMap, CutSpec, MatrixIndex, NeighborSpec, Partition,
 };
 use fuzzydedup_datagen::{org, restaurants, DatasetSpec};
 use fuzzydedup_metrics::json::JsonArray;
@@ -445,6 +446,56 @@ fn phase1_collapse(rows: &mut Vec<Row>) {
     .check(rows);
 }
 
+/// DESIGN §7.12: the §4.5.2 post-pass. A group of exact copies is every
+/// member's tie, so its compact subsets nest all the way down; from 128 to
+/// 256 copies the post-pass grows no faster than quadratically. Then the
+/// post-pass against the Phase 2 it follows on the collapse row's corpus
+/// shape, cut at `DE_D(0.15)`.
+fn minimality(rows: &mut Vec<Row>) {
+    let copies = |g: usize| {
+        let index = MatrixIndex::from_points_1d(&vec![0.0; g]);
+        let (reln, _) =
+            compute_nn_reln(&index, NeighborSpec::TopK(g - 1), LookupOrder::Sequential, 2.0);
+        (reln, Partition::from_groups(g, [(0..g as u32).collect()]))
+    };
+    let (small, large) = (copies(128), copies(256));
+    assert_eq!(enforce_minimality(&large.0, &large.1), large.1, "a class of copies is minimal");
+    Claim {
+        name: "minimality 256 copies <= 6 x 128 copies".into(),
+        max_ratio: 6.0,
+        subject: &mut || drop(black_box(enforce_minimality(&large.0, &large.1))),
+        control: &mut || drop(black_box(enforce_minimality(&small.0, &small.1))),
+    }
+    .check(rows);
+    drop((small, large));
+
+    const CORPUS: usize = 1_600;
+    let records = org_records(DatasetSpec::with_entities(660).dup_rate(0.5), CORPUS);
+    let index = InvertedIndex::build(
+        records,
+        EditDistance,
+        in_memory_pool(64),
+        InvertedIndexConfig::default(),
+    );
+    let (reln, _) =
+        compute_nn_reln(&index, NeighborSpec::Radius(0.15), LookupOrder::Sequential, 2.0);
+    drop(index);
+    let cut = CutSpec::Diameter(0.15);
+    let phase2 = || partition_entries_parallel(&reln, cut, Aggregation::Max, 4.0, 1);
+    let partition = phase2();
+    assert!(
+        partition.groups().iter().any(|g| g.len() > 3),
+        "the corpus has groups the post-pass must search"
+    );
+    Claim {
+        name: "minimality <= 0.5 x phase2 components(1)".into(),
+        max_ratio: 0.5,
+        subject: &mut || drop(black_box(enforce_minimality(&reln, &partition))),
+        control: &mut || drop(black_box(phase2())),
+    }
+    .check(rows);
+}
+
 /// DESIGN §6 ablation 4: 64 top-5 lookups through the inverted index
 /// against the same lookups over the exact nested-loop scan, 2,000 Org
 /// entities. Both verify through the one bounded, batched driver, so the
@@ -504,6 +555,7 @@ fn main() {
     fms_verification(&mut rows);
     candidates_and_phase2(&mut rows);
     phase1_collapse(&mut rows);
+    minimality(&mut rows);
     nn_index(&mut rows);
     buffer_pool(&mut rows);
     let failed = rows.iter().filter(|r| r.failure.is_some()).count();

@@ -15,12 +15,29 @@ use std::fmt::Write as _;
 /// Returns an error message with a line number on malformed input
 /// (unterminated quote, characters after a closing quote).
 pub fn parse_csv(text: &str) -> Result<Vec<Vec<String>>, String> {
-    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut rows = Vec::new();
+    parse_records(text, |_, row| rows.push(row))?;
+    Ok(rows)
+}
+
+/// [`parse_csv`], each row with the line it starts on (1-based; a quoted
+/// newline makes a row span lines, and blank lines are skipped).
+pub fn parse_csv_lines(text: &str) -> Result<Vec<(usize, Vec<String>)>, String> {
+    let mut rows = Vec::new();
+    parse_records(text, |line, row| rows.push((line, row)))?;
+    Ok(rows)
+}
+
+/// The parser behind [`parse_csv`]: hands each record and the line it
+/// starts on to `emit`.
+fn parse_records(text: &str, mut emit: impl FnMut(usize, Vec<String>)) -> Result<(), String> {
     let mut row: Vec<String> = Vec::new();
     let mut field = String::new();
     let mut chars = text.chars().peekable();
     let mut in_quotes = false;
     let mut line = 1usize;
+    // The line the current record starts on.
+    let mut start = 1usize;
     // Whether the current field was quoted (affects what may follow).
     let mut was_quoted = false;
     // Whether any character belongs to the current record.
@@ -72,8 +89,9 @@ pub fn parse_csv(text: &str) -> Result<Vec<Vec<String>>, String> {
                 line += 1;
                 if record_started || !field.is_empty() || !row.is_empty() {
                     row.push(std::mem::take(&mut field));
-                    rows.push(std::mem::take(&mut row));
+                    emit(start, std::mem::take(&mut row));
                 }
+                start = line;
                 was_quoted = false;
                 record_started = false;
             }
@@ -93,9 +111,9 @@ pub fn parse_csv(text: &str) -> Result<Vec<Vec<String>>, String> {
     }
     if record_started || !field.is_empty() || !row.is_empty() {
         row.push(field);
-        rows.push(row);
+        emit(start, row);
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// Quote a field if it contains a separator, quote, or newline.
@@ -171,6 +189,14 @@ mod tests {
         assert_eq!(rows, vec![vec!["a", "", "c"], vec!["", "", ""]]);
         assert!(parse_csv("").unwrap().is_empty());
         assert!(parse_csv("\n").unwrap().is_empty());
+    }
+
+    #[test]
+    fn rows_carry_the_line_they_start_on() {
+        let rows = parse_csv_lines("a,b\n\n\"multi\nline\",c\r\nd\n").unwrap();
+        let lines: Vec<usize> = rows.iter().map(|(line, _)| *line).collect();
+        assert_eq!(lines, vec![1, 3, 5]);
+        assert_eq!(rows[1].1, vec!["multi\nline", "c"]);
     }
 
     #[test]

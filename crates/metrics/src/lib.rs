@@ -393,6 +393,8 @@ run_metrics! {
         /// Connected components of the CS-pair graph — the unit of
         /// Phase-2 parallelism; singletons included.
         components: u64 = Counter::Phase2Components,
+        /// Groups the §4.5.2 minimality post-pass split (0 when it is off).
+        minimality_splits: u64 = Counter::MinimalitySplits,
         /// Worker threads that drove the partitioner (1 = sequential).
         threads: u64 = by pipeline,
     }

@@ -73,7 +73,7 @@ use fuzzydedup::core::{
     estimate_sn_threshold, evaluate, Aggregation, CollapseKey, CutSpec, DedupConfig, DedupService,
     Deduplicator, IncrementalDedup, Parallelism, Partition, ServiceConfig, ServiceError,
 };
-use fuzzydedup::datagen::csvio::{parse_csv, write_csv};
+use fuzzydedup::datagen::csvio::{parse_csv_lines, write_csv};
 use fuzzydedup::datagen::{media, org, restaurants, Dataset, DatasetSpec};
 use fuzzydedup::textdist::DistanceKind;
 use rand::rngs::StdRng;
@@ -312,10 +312,18 @@ fn load_input(opts: &Options) -> Result<LoadedInput, String> {
     } else {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
     };
-    let mut rows = parse_csv(&text)?;
-    if rows.is_empty() {
+    let lines = parse_csv_lines(&text)?;
+    if lines.is_empty() {
         return Ok((Vec::new(), Vec::new(), None));
     }
+    // A row wider than the header would add a nameless column to match on.
+    if opts.header {
+        let width = lines[0].1.len();
+        if let Some((line, row)) = lines.iter().find(|(_, row)| row.len() > width) {
+            return Err(format!("line {line} has {} fields, the header has {width}", row.len()));
+        }
+    }
+    let mut rows: Vec<Vec<String>> = lines.into_iter().map(|(_, row)| row).collect();
     let arity = rows.iter().map(Vec::len).max().unwrap_or(0);
     for row in &mut rows {
         row.resize(arity, String::new());

@@ -274,6 +274,26 @@ fn each_subcommand_takes_its_own_flags_and_prints_its_own_usage() {
 }
 
 #[test]
+fn a_row_wider_than_the_header_is_reported() {
+    let input = temp_path("wide.csv");
+    std::fs::write(&input, "a,b\n1\n\n1,2,3\n").unwrap();
+    let out = bin().args(["--input", input.to_str().unwrap()]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 4 has 3 fields, the header has 2"), "{stderr}");
+    // Short rows are still padded, and without a header the widest row
+    // sets the width.
+    std::fs::write(&input, "a,b\n1\n1,2\n").unwrap();
+    let out = bin().args(["--input", input.to_str().unwrap()]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::write(&input, "1\n1,2,3\n").unwrap();
+    let out = bin().args(["--input", input.to_str().unwrap(), "--no-header"]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("col0,col1,col2,group_id\n"));
+    std::fs::remove_file(&input).ok();
+}
+
+#[test]
 fn malformed_csv_is_reported() {
     let input = temp_path("bad.csv");
     std::fs::write(&input, "name\n\"unterminated\n").unwrap();
