@@ -446,6 +446,41 @@ fn phase1_collapse(rows: &mut Vec<Row>) {
     .check(rows);
 }
 
+/// DESIGN §7.10: candidate generation over a collapsed corpus against the
+/// same representatives indexed plainly, on the `org_dup_collapse_spill`
+/// corpus at seed 42 (8,000 Org records, half exact copies). Both merge
+/// the same postings; the collapsed gather selects by multiplicity, so the
+/// row holds that selection to the plain one, which sorts only what it
+/// keeps.
+fn candgen_collapsed(rows: &mut Vec<Row>) {
+    const CORPUS: usize = 8_000;
+    let spec = DatasetSpec { n_entities: 3280, ..DatasetSpec::medium() }.dup_rate(0.5);
+    let records = org_records(spec, CORPUS);
+    let map = CollapseMap::build(&records, CollapseKey::RecordString);
+    let reps = map.rep_records(&records);
+    let config = InvertedIndexConfig::default;
+    let collapsed = InvertedIndex::build_collapsed(
+        reps.clone(),
+        map.multiplicities().to_vec(),
+        EditDistance,
+        in_memory_pool(64),
+        config(),
+    );
+    let plain = InvertedIndex::build(reps, EditDistance, in_memory_pool(64), config());
+    let mut rng = StdRng::seed_from_u64(7);
+    let queries: Vec<u32> = (0..64).map(|_| rng.gen_range(0..map.n_reps()) as u32).collect();
+    let generate = |index: &InvertedIndex<EditDistance>| {
+        queries.iter().for_each(|&id| drop(black_box(index.generate_candidates(id))))
+    };
+    Claim {
+        name: "candgen collapsed <= 1.5 x plain".into(),
+        max_ratio: 1.5,
+        subject: &mut || generate(&collapsed),
+        control: &mut || generate(&plain),
+    }
+    .check(rows);
+}
+
 /// DESIGN §7.12: the §4.5.2 post-pass. A group of exact copies is every
 /// member's tie, so its compact subsets nest all the way down; from 128 to
 /// 256 copies the post-pass grows no faster than quadratically. Then the
@@ -555,6 +590,7 @@ fn main() {
     fms_verification(&mut rows);
     candidates_and_phase2(&mut rows);
     phase1_collapse(&mut rows);
+    candgen_collapsed(&mut rows);
     minimality(&mut rows);
     nn_index(&mut rows);
     buffer_pool(&mut rows);

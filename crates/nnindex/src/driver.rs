@@ -15,9 +15,7 @@ use fuzzydedup_metrics::{incr, Counter};
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::Distance;
 
-use crate::candgen::{
-    select_top_candidates, select_top_candidates_weighted, CandFilter, RecordMeta,
-};
+use crate::candgen::{select_top_candidates, CandFilter, RecordMeta};
 use crate::scratch::with_scored;
 use crate::{
     lookup_from_verified, verify_candidates_bounded, LookupCost, LookupSpec, LookupWeights,
@@ -101,12 +99,7 @@ pub(crate) fn gather_merged(
         }
         let generated = scored.len() as u64;
         incr(Counter::CandidatesGenerated, generated);
-        let (ids, overlaps) = match weights {
-            Some((mult, self_mult)) => {
-                select_top_candidates_weighted(scored, limit, mult, self_mult)
-            }
-            None => select_top_candidates(scored, limit),
-        };
+        let (ids, overlaps) = select_top_candidates(scored, limit, weights);
         Gathered { ids, generated, query_meta, overlaps: Some(overlaps), slack }
     })
 }

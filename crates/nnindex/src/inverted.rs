@@ -57,7 +57,7 @@ use std::sync::Arc;
 
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_storage::{BufferPool, HeapFile, RecordId};
-use fuzzydedup_textdist::{record_term_set, CompiledRecords, Distance};
+use fuzzydedup_textdist::{record_terms, CompiledRecords, Distance};
 
 use crate::candgen::RecordMeta;
 use crate::driver::{self, CandidateSource, Gathered, Query};
@@ -250,18 +250,26 @@ impl<D: Distance> InvertedIndex<D, Growing> {
     }
 
     /// Append a record, returning its id. All per-record work of the
-    /// index happens here, whichever way the index is later read.
+    /// index happens here, whichever way the index is later read. Terms
+    /// are looked up as slices of the padded record string; only a term
+    /// the dictionary does not hold yet is copied into it.
     pub fn push(&mut self, record: Vec<String>) -> u32 {
         let id = self.records.len() as u32;
         let fields: Vec<&str> = record.iter().map(String::as_str).collect();
-        let ts = record_term_set(&fields, Q);
+        let mut padded = String::new();
+        let ts = record_terms(&fields, Q, &mut padded);
         let Growing { dictionary, df, lists } = &mut self.layout;
-        let query = ts.terms.into_iter().map(|(term, gram_count)| {
-            let tid = *dictionary.entry(term).or_insert_with(|| {
-                df.push(0);
-                lists.push(Vec::new());
-                (lists.len() - 1) as u32
-            });
+        let query = ts.terms.iter().map(|&(term, gram_count)| {
+            let tid = match dictionary.get(term) {
+                Some(&tid) => tid,
+                None => {
+                    let tid = lists.len() as u32;
+                    dictionary.insert(term.to_owned(), tid);
+                    df.push(0);
+                    lists.push(Vec::new());
+                    tid
+                }
+            };
             df[tid as usize] += 1;
             // Term sets are deduplicated per record, so ids arrive in
             // strictly increasing order.
@@ -311,12 +319,13 @@ impl<D: Distance> InvertedIndex<D, Growing> {
     ) -> (Vec<Neighbor>, f64, LookupCost) {
         // The probe's text is not indexed, so this is the one lookup that
         // tokenizes; a term no record holds has nothing to merge.
-        let ts = record_term_set(fields, Q);
+        let mut padded = String::new();
+        let ts = record_terms(fields, Q, &mut padded);
         let query: Vec<QueryTerm> = ts
             .terms
             .iter()
-            .filter_map(|(term, gram_count)| {
-                Some((*self.layout.dictionary.get(term)?, *gram_count))
+            .filter_map(|&(term, gram_count)| {
+                Some((*self.layout.dictionary.get(term)?, gram_count))
             })
             .collect();
         let meta = RecordMeta { chars: ts.chars, grams: ts.gram_total };
@@ -685,7 +694,7 @@ mod tests {
     use super::*;
     use crate::{neighbors, NestedLoopIndex};
     use fuzzydedup_storage::{BufferPoolConfig, InMemoryDisk};
-    use fuzzydedup_textdist::{EditDistance, UnfilteredDistance};
+    use fuzzydedup_textdist::{record_term_set, EditDistance, UnfilteredDistance};
 
     const CORPUS: [&str; 10] = [
         "the doors",

@@ -35,7 +35,7 @@ pub use edit::{levenshtein, levenshtein_bounded, normalized_levenshtein, EditDis
 pub use fms::FuzzyMatchDistance;
 pub use idf::IdfModel;
 pub use myers::{myers, myers_bounded, myers_bounded_chars, myers_chars};
-pub use qgram::{qgrams, record_term_set, QgramProfile, TermSet};
+pub use qgram::{qgrams, record_term_set, record_terms, QgramProfile, TermSet};
 pub use tokenize::{normalize, normalize_into, tokenize, Token};
 
 pub use tokenize::{record_string, record_string_into};

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use crate::tokenize::{record_string, tokenize_record};
+use crate::tokenize::record_string_into;
 
 /// Sentinel used for left/right padding. `'\u{1}'` cannot appear in
 /// normalized text (normalization maps non-alphanumerics to spaces), so
@@ -97,16 +97,18 @@ impl QgramProfile {
 /// `fuzzydedup-nnindex` extracts them: padded q-grams of the normalized
 /// record string, optionally plus whole tokens, deduplicated and sorted.
 ///
-/// Alongside the term strings this carries the per-term q-gram *multiset
-/// counts* and the record's normalized length statistics — the inputs of
-/// the q-gram count/length filters ([`QgramProfile::required_overlap`]).
+/// Alongside the terms this carries the per-term q-gram *multiset counts*
+/// and the record's normalized length statistics — the inputs of the
+/// q-gram count/length filters ([`QgramProfile::required_overlap`]). The
+/// terms are owned (`T = String`, [`record_term_set`]) or borrowed from
+/// the padded record string (`T = &str`, [`record_terms`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TermSet {
+pub struct TermSet<T = String> {
     /// Distinct terms with their q-gram multiset count, sorted by term.
     /// A count of `0` marks a token-only term (whole tokens carry IDF
     /// weight but no q-gram overlap mass); a term that is both a q-gram
     /// and a token keeps its gram count.
-    pub terms: Vec<(String, u32)>,
+    pub terms: Vec<(T, u32)>,
     /// Char count of the normalized record string.
     pub chars: u32,
     /// Total padded q-gram occurrences (`chars + q - 1`, or `0` for an
@@ -115,21 +117,52 @@ pub struct TermSet {
 }
 
 /// Extract the [`TermSet`] of a multi-attribute record: its padded q-grams
-/// for gram length `q` and its whole tokens.
+/// for gram length `q` and its whole tokens. The owned form of
+/// [`record_terms`].
 pub fn record_term_set(fields: &[&str], q: usize) -> TermSet {
-    let joined = record_string(fields);
-    let chars = joined.chars().count() as u32;
-    let mut counts: HashMap<String, u32> = HashMap::new();
-    let mut gram_total = 0u32;
-    for gram in qgrams(&joined, q) {
-        *counts.entry(gram).or_insert(0) += 1;
-        gram_total += 1;
+    let mut padded = String::new();
+    let TermSet { terms, chars, gram_total } = record_terms(fields, q, &mut padded);
+    let terms = terms.into_iter().map(|(term, count)| (term.to_owned(), count)).collect();
+    TermSet { terms, chars, gram_total }
+}
+
+/// [`record_term_set`] with every term a slice of one string, which is
+/// written into `padded`: `PAD × (q − 1)`, the record string, `PAD × (q −
+/// 1)`. A q-gram is a `q`-char window of it and a token a space-split piece
+/// of its interior ([`tokenize_record`](crate::tokenize::tokenize_record) is
+/// the record string split at its spaces), so extracting a record's terms allocates no string per term —
+/// what an index that looks most terms up in a dictionary it already has
+/// wants.
+pub fn record_terms<'p>(fields: &[&str], q: usize, padded: &'p mut String) -> TermSet<&'p str> {
+    record_string_into(fields, padded);
+    let body_len = padded.len();
+    let chars = padded.chars().count() as u32;
+    if chars > 0 {
+        for _ in 1..q {
+            padded.insert(0, PAD);
+            padded.push(PAD);
+        }
     }
-    for token in tokenize_record(fields) {
-        counts.entry(token.text).or_insert(0);
+    let padded: &'p str = padded;
+    let pad_bytes = (padded.len() - body_len) / 2;
+    let interior = &padded[pad_bytes..pad_bytes + body_len];
+    let mut terms: Vec<(&str, u32)> = Vec::new();
+    if q > 0 && chars > 0 {
+        // Byte offset of every char start, plus the end.
+        let starts: Vec<usize> =
+            padded.char_indices().map(|(i, _)| i).chain([padded.len()]).collect();
+        terms.extend(starts.windows(q + 1).map(|w| (&padded[w[0]..w[q]], 1)));
     }
-    let mut terms: Vec<(String, u32)> = counts.into_iter().collect();
-    terms.sort_by(|a, b| a.0.cmp(&b.0));
+    let gram_total = terms.len() as u32;
+    terms.extend(interior.split(' ').filter(|t| !t.is_empty()).map(|t| (t, 0)));
+    terms.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    terms.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 += later.1;
+        }
+        same
+    });
     TermSet { terms, chars, gram_total }
 }
 
@@ -137,6 +170,7 @@ pub fn record_term_set(fields: &[&str], q: usize) -> TermSet {
 mod tests {
     use super::*;
     use crate::edit::levenshtein;
+    use crate::tokenize::{record_string, tokenize_record};
     use proptest::prelude::*;
 
     #[test]
@@ -202,6 +236,82 @@ mod tests {
         assert!(ts.terms.iter().any(|(t, c)| t == "ab" && *c == 0));
         let empty = record_term_set(&[""], 3);
         assert_eq!(empty, TermSet::default());
+    }
+
+    /// The term set as it was first stated: `qgrams` of the record string,
+    /// `tokenize_record`'s tokens, counted in a map of owned strings.
+    fn naive_term_set(fields: &[&str], q: usize) -> TermSet {
+        let joined = record_string(fields);
+        let chars = joined.chars().count() as u32;
+        let mut counts: HashMap<String, u32> = HashMap::new();
+        let mut gram_total = 0u32;
+        for gram in qgrams(&joined, q) {
+            *counts.entry(gram).or_insert(0) += 1;
+            gram_total += 1;
+        }
+        for token in tokenize_record(fields) {
+            counts.entry(token.text).or_insert(0);
+        }
+        let mut terms: Vec<(String, u32)> = counts.into_iter().collect();
+        terms.sort_by(|a, b| a.0.cmp(&b.0));
+        TermSet { terms, chars, gram_total }
+    }
+
+    /// The borrowed extractor against [`naive_term_set`]: terms, order,
+    /// gram counts, `chars` and `gram_total`.
+    fn assert_terms_as_naive(fields: &[&str], q: usize) {
+        let want = naive_term_set(fields, q);
+        let mut padded = String::from("left over from an earlier record");
+        let got = record_terms(fields, q, &mut padded);
+        let want_terms: Vec<(&str, u32)> =
+            want.terms.iter().map(|(t, c)| (t.as_str(), *c)).collect();
+        assert_eq!(got.terms, want_terms, "fields {fields:?}, q {q}");
+        assert_eq!((got.chars, got.gram_total), (want.chars, want.gram_total), "{fields:?}");
+        assert_eq!(record_term_set(fields, q), want, "the owned form is the same set");
+    }
+
+    #[test]
+    fn a_token_equal_to_a_gram_keeps_its_gram_count() {
+        let mut padded = String::new();
+        let ts = record_terms(&["abc"], 3, &mut padded);
+        assert!(ts.terms.contains(&("abc", 1)), "{:?}", ts.terms);
+        let ts = record_terms(&["the cat", "cat"], 3, &mut padded);
+        // "cat" is a window twice (once per field), "the" once.
+        assert!(ts.terms.contains(&("cat", 2)) && ts.terms.contains(&("the", 1)));
+        assert_eq!(ts.gram_total, ts.chars + 2);
+        for fields in [&["abc"][..], &["the cat", "cat"], &["ab"], &["a"], &["", "?!"]] {
+            assert_terms_as_naive(fields, 3);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Records of one to four fields over chars that change length
+        /// when lowercased (`İ`, `ẞ`), `ß`, combining marks, digits and
+        /// punctuation, so fields come out empty, punctuation-only or with
+        /// repeated tokens; then the same record plus one field of any
+        /// chars.
+        #[test]
+        fn borrowed_terms_equal_the_naive_extraction(
+            fields in prop::collection::vec("[abİßẞ\u{301}\u{308}19 .,/-]{0,9}", 1..5),
+            wild in ".{0,6}",
+            q in 1usize..5,
+        ) {
+            let fields: Vec<&str> = fields.iter().map(String::as_str).collect();
+            assert_terms_as_naive(&fields, q);
+            assert_terms_as_naive(&fields, 3);
+            let mut with_wild = fields.clone();
+            with_wild.push(&wild);
+            assert_terms_as_naive(&with_wild, 3);
+        }
+
+        /// Records of one or two chars, where the padding is most of every
+        /// gram.
+        #[test]
+        fn short_records_equal_the_naive_extraction(short in "[aİß1 .]{1,2}", q in 1usize..5) {
+            assert_terms_as_naive(&[&short], q);
+        }
     }
 
     proptest! {

@@ -32,7 +32,8 @@
 //!                         record-string (records whose normalized join
 //!                         is equal). The partition is identical either
 //!                         way (off by default)
-//!   --demo NAME           run on a built-in dataset instead of --input:
+//!   --demo NAME           run on a built-in dataset instead of --input
+//!                         (the two are mutually exclusive):
 //!                         table1 | restaurants | media | org
 //! ```
 //!
@@ -266,8 +267,10 @@ fn parse_args(cmd: Cmd, args: &[String]) -> Result<Options, String> {
             other => unreachable!("{other} is in FLAGS but not applied"),
         }
     }
-    if opts.input.is_none() && opts.demo.is_none() {
-        return Err(format!("--input or --demo is required\n{}", usage(cmd)));
+    match (&opts.input, &opts.demo) {
+        (None, None) => return Err(format!("--input or --demo is required\n{}", usage(cmd))),
+        (Some(_), Some(_)) => return Err("--input and --demo are mutually exclusive".to_string()),
+        _ => {}
     }
     if opts.demo.is_some() && (opts.gold_column.is_some() || opts.columns.is_some()) {
         return Err("--gold-column/--columns do not apply to --demo datasets \
@@ -307,7 +310,7 @@ fn load_input(opts: &Options) -> Result<LoadedInput, String> {
     let path = opts.input.as_deref().expect("validated");
     let text = if path == "-" {
         let mut buf = String::new();
-        std::io::stdin().read_to_string(&mut buf).map_err(|e| e.to_string())?;
+        std::io::stdin().read_to_string(&mut buf).map_err(|e| format!("cannot read stdin: {e}"))?;
         buf
     } else {
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
@@ -463,7 +466,9 @@ fn write_grouped(
     }
     let text = write_csv(&out_rows);
     match &opts.output {
-        Some(path) => std::fs::write(path, text).map_err(|e| e.to_string())?,
+        Some(path) => {
+            std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?
+        }
         None => print!("{text}"),
     }
     Ok(())

@@ -303,3 +303,46 @@ fn malformed_csv_is_reported() {
     assert!(stderr.contains("unterminated"), "{stderr}");
     std::fs::remove_file(&input).ok();
 }
+
+#[test]
+fn input_and_demo_are_mutually_exclusive_on_both_subcommands() {
+    // `--demo` used to win silently: the demo was deduplicated and the
+    // named file never read.
+    let input = temp_path("ignored.csv");
+    std::fs::write(&input, "name\nthe doors\n").unwrap();
+    for cmd in [vec![], vec!["replay"]] {
+        let mut args = cmd.clone();
+        args.extend(["--input", input.to_str().unwrap(), "--demo", "org"]);
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "args {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.trim(), "--input and --demo are mutually exclusive", "args {args:?}");
+        assert!(out.stdout.is_empty(), "no partition is written");
+    }
+    std::fs::remove_file(&input).ok();
+}
+
+#[test]
+fn io_errors_name_what_failed() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let output = temp_path("no-such-dir").join("x.csv");
+    let path = output.to_str().unwrap();
+    let out = bin().args(["--demo", "table1", "--output", path]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("cannot write {path}: ")), "{stderr}");
+    // Bytes that are not UTF-8 on stdin.
+    let mut child = bin()
+        .args(["--input", "-", "--no-header"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child.stdin.as_mut().unwrap().write_all(b"caf\xe9\n").unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("cannot read stdin: "), "{stderr}");
+}
