@@ -15,6 +15,7 @@
 //! of standard output, the same rows as a JSON array; exits 1 when a claim
 //! fails.
 
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,8 +33,8 @@ use fuzzydedup_nnindex::{
 };
 use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk, PageId};
 use fuzzydedup_textdist::{
-    myers_bounded_chars, myers_chars, record_string, Candidate, CompiledRecords, Distance,
-    EditDistance, FuzzyMatchDistance, IdfModel,
+    myers_bounded_chars, myers_chars, record_string, record_terms, Candidate, CompiledRecords,
+    Distance, EditDistance, FuzzyMatchDistance, IdfModel,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -481,6 +482,86 @@ fn candgen_collapsed(rows: &mut Vec<Row>) {
     .check(rows);
 }
 
+/// DESIGN §7.7: a gather is its postings merge plus a drain and a
+/// selection, and the scoreboard adds nothing to the merge. 64
+/// `generate_candidates` over the `org_ed_topk` corpus at seed 42 (4,000
+/// Org records) against the same queries' postings — rebuilt from
+/// `record_terms`, stop grams dropped as the index drops them — added into
+/// a plain `Vec<f64>` / `Vec<u32>` and zeroed again.
+fn candgen_kernel(rows: &mut Vec<Row>) {
+    const CORPUS: usize = 4_000;
+    let records = org_records(DatasetSpec { n_entities: 3280, ..DatasetSpec::medium() }, CORPUS);
+    let mut padded = String::new();
+    let terms: Vec<Vec<(String, u32)>> = records
+        .iter()
+        .map(|record| {
+            let fields: Vec<&str> = record.iter().map(String::as_str).collect();
+            let set = record_terms(&fields, 3, &mut padded);
+            set.terms.into_iter().map(|(term, grams)| (term.to_owned(), grams)).collect()
+        })
+        .collect();
+    let mut postings: HashMap<&str, Vec<u32>> = HashMap::new();
+    for (id, set) in terms.iter().enumerate() {
+        for (term, _) in set {
+            postings.entry(term).or_default().push(id as u32);
+        }
+    }
+    let config = InvertedIndexConfig::default();
+    let n = CORPUS as f64;
+    let stop_df = (config.max_df_fraction * n).max(f64::from(config.stop_df_floor));
+    let index = InvertedIndex::build(records, EditDistance, in_memory_pool(64), config);
+    let mut rng = StdRng::seed_from_u64(7);
+    let queries: Vec<u32> = (0..64).map(|_| rng.gen_range(0..CORPUS) as u32).collect();
+    // Per query, in term-string order as the index merges them: each
+    // non-stop term's postings, IDF weight and gram count.
+    let merges: Vec<Vec<(&[u32], f64, u32)>> = queries
+        .iter()
+        .map(|&id| {
+            terms[id as usize]
+                .iter()
+                .map(|(term, grams)| (&postings[term.as_str()][..], *grams))
+                .filter(|(ids, _)| ids.len() as f64 <= stop_df)
+                .map(|(ids, grams)| (ids, (1.0 + n / ids.len() as f64).ln(), grams))
+                .collect()
+        })
+        .collect();
+    let (mut score, mut overlap) = (vec![0.0f64; CORPUS], vec![0u32; CORPUS]);
+    let accumulate = |query: usize, score: &mut [f64], overlap: &mut [u32]| {
+        for &(ids, weight, grams) in &merges[query] {
+            for &id in ids {
+                score[id as usize] += weight;
+                overlap[id as usize] += grams;
+            }
+        }
+    };
+    // The control merges what the index merges: the same candidate set.
+    for (query, &id) in queries.iter().enumerate() {
+        accumulate(query, &mut score, &mut overlap);
+        let admitted = (0..CORPUS as u32).filter(|&c| c != id && score[c as usize] != 0.0);
+        let mut uncapped = index.candidates_with_limit(id, 0);
+        uncapped.sort_unstable();
+        assert_eq!(admitted.collect::<Vec<_>>(), uncapped, "query {id}");
+        score.fill(0.0);
+        overlap.fill(0);
+    }
+    Claim {
+        name: "candgen <= 3.2 x dense accumulate".into(),
+        max_ratio: 3.2,
+        subject: &mut || {
+            queries.iter().for_each(|&id| drop(black_box(index.generate_candidates(id))))
+        },
+        control: &mut || {
+            for query in 0..queries.len() {
+                accumulate(query, &mut score, &mut overlap);
+                black_box((&score, &overlap));
+                score.fill(0.0);
+                overlap.fill(0);
+            }
+        },
+    }
+    .check(rows);
+}
+
 /// DESIGN §7.12: the §4.5.2 post-pass. A group of exact copies is every
 /// member's tie, so its compact subsets nest all the way down; from 128 to
 /// 256 copies the post-pass grows no faster than quadratically. Then the
@@ -591,6 +672,7 @@ fn main() {
     candidates_and_phase2(&mut rows);
     phase1_collapse(&mut rows);
     candgen_collapsed(&mut rows);
+    candgen_kernel(&mut rows);
     minimality(&mut rows);
     nn_index(&mut rows);
     buffer_pool(&mut rows);

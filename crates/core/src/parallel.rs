@@ -269,7 +269,7 @@ mod tests {
     #[test]
     fn inverted_index_is_parallel_safe() {
         // Candidate generation accumulates on a thread-local
-        // epoch-stamped scoreboard; parallel workers must produce the
+        // scoreboard, zero between lookups; parallel workers must produce the
         // byte-identical relation the sequential drive produces.
         use fuzzydedup_nnindex::{InvertedIndex, InvertedIndexConfig};
         use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};

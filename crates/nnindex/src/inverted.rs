@@ -32,7 +32,7 @@
 //! [`Frozen`] index has no `push`; no lookup, growing or frozen,
 //! re-tokenizes an indexed record.
 //!
-//! There is one merge, onto the one epoch-stamped scoreboard
+//! There is one merge, onto the one zeroed dense scoreboard
 //! (`scratch::Scoreboard`): a term at a time in term-string order, fed from
 //! a growing list, a frozen list or a heap page's chunks alike — so every
 //! candidate's weight is the same `f64` sum wherever its postings live, and
@@ -561,20 +561,11 @@ impl<D: Distance, L: Layout> InvertedIndex<D, L> {
     }
 }
 
-/// Start a merge pass on `board`: ids `0..n`, the query's own id — when it
-/// has one — excluded by pre-stamping its slot, which spares a per-posting
-/// `other != id` branch without changing the admitted set.
-fn begin_merge(board: &mut Scoreboard, n: usize, exclude: Option<u32>) {
-    board.begin(n);
-    if let Some(id) = exclude {
-        board.exclude(id);
-    }
-}
-
 /// The merge: one term at a time in cached-query (term-string) order, which
 /// fixes every per-candidate `f64` weight sum wherever the postings live.
-/// `add_list` feeds a term's postings to [`Scoreboard::add_run`] and returns
-/// how many there were.
+/// The query's own id, `exclude`, is withheld by the drain rather than
+/// tested per posting. `add_list` feeds a term's postings to
+/// [`Scoreboard::add_run`] and returns how many there were.
 fn merge_scalar(
     n: usize,
     terms: &[MergeTerm],
@@ -584,11 +575,11 @@ fn merge_scalar(
 ) {
     let mut scanned = 0u64;
     with_scoreboard(|board| {
-        begin_merge(board, n, exclude);
+        board.begin(n);
         for &(tid, gram_count, weight) in terms {
             scanned += add_list(board, tid, weight, gram_count);
         }
-        board.drain_into(out);
+        board.drain_into(exclude, out);
     });
     incr(Counter::NnPostingsScanned, scanned);
 }
@@ -1112,6 +1103,33 @@ mod tests {
         fn name(&self) -> &str {
             "rawfields-ed"
         }
+    }
+
+    /// A lookup that unwinds mid-merge — a `Pages` chunk that cannot be
+    /// read — leaves its sums on the thread's scoreboard. The next lookup on
+    /// that thread answers as the same lookup on a fresh thread does, cost
+    /// included.
+    #[test]
+    fn a_lookup_after_an_unwound_merge_answers_as_on_a_fresh_thread() {
+        let idx = build(InvertedIndexConfig::default());
+        let Postings::Lists(lists) = &idx.layout.postings else { unreachable!("a Memory build") };
+        // "the doors": its terms share postings with three other records.
+        let terms: Vec<MergeTerm> =
+            idx.queries[0].iter().map(|&(tid, g)| (tid, g, Frozen::term(&idx, tid).0)).collect();
+        let lists_fed = std::cell::Cell::new(0);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let add_list = |board: &mut Scoreboard, tid: u32, weight, gram_count| {
+                assert!(lists_fed.get() < 4, "postings chunk unreadable");
+                lists_fed.set(lists_fed.get() + 1);
+                add_ids(board, &lists[tid as usize], weight, gram_count)
+            };
+            merge_scalar(idx.len(), &terms, Some(0), add_list, &mut Vec::new());
+        }));
+        assert!(unwound.is_err(), "the merge unwound");
+        // "bob dylan" shares no term with "the doors".
+        let lookup = || idx.lookup(9, LookupSpec::TopK(3), 2.0);
+        let fresh = std::thread::scope(|s| s.spawn(lookup).join().expect("fresh lookup"));
+        assert_eq!(lookup(), fresh);
     }
 
     #[test]

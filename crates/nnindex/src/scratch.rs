@@ -1,149 +1,121 @@
-//! Reusable per-thread lookup scratch: an epoch-stamped dense scoreboard.
+//! Reusable per-thread lookup scratch: a dense scoreboard that is zero
+//! between lookups.
 //!
 //! Candidate generation accumulates per-candidate shared IDF weight and
 //! q-gram overlap while merging postings lists. [`Scoreboard`] is the one
 //! accumulator the merge writes to, through [`Scoreboard::add_run`],
 //! wherever the postings live — growing lists, frozen lists, heap-file
-//! pages: a dense array indexed by record id, **epoch-stamped** so that
-//! starting a new lookup is one counter bump instead of an `O(n)` clear (a
-//! `HashMap` per lookup pays an allocation plus hashing per posting id).
-//! The scoreboard lives in a thread-local, so repeated lookups allocate
-//! nothing and the kernel composes with `compute_nn_reln_parallel`'s scoped
-//! workers (each worker thread lazily materializes its own scoreboard).
+//! pages: two dense arrays indexed by record id, **all zero between
+//! lookups**, so a posting is two unconditional adds and the drain that
+//! reads the candidates back puts the zeros back (a `HashMap` per lookup
+//! pays an allocation plus hashing per posting id). The scoreboard lives in
+//! a thread-local, so repeated lookups allocate nothing and the kernel
+//! composes with `compute_nn_reln_parallel`'s scoped workers (each worker
+//! thread lazily materializes its own scoreboard).
 
 use std::cell::RefCell;
 
-/// One candidate's accumulator cell: epoch stamp, shared gram mass, and
-/// shared IDF weight, fused so the merge loop's random access costs one
-/// cache line.
-#[derive(Clone, Copy, Default)]
-struct Slot {
-    stamp: u32,
-    overlap: u32,
-    score: f64,
-}
-
-/// Epoch-stamped dense accumulator over record ids; see module docs.
+/// Dense accumulator over record ids, zero between lookups; see module docs.
 ///
-/// Laid out as a single slot array rather than parallel stamp / score /
-/// overlap slabs: every [`Scoreboard::add`] — hit or first contact —
-/// writes all three fields, and the postings merge issues hundreds of
-/// millions of adds at effectively random ids, so fusing the fields turns
-/// three random cache-line touches per posting into one (a 16-byte `Slot`
-/// never straddles a 64-byte line).
+/// A candidate is a slot with a non-zero `score`. That is sound because
+/// every weight the merge adds is an IDF weight `ln(1 + N/df)` with
+/// `df ≤ N` — in a growing, a frozen and a collapsed index alike — so at
+/// least `ln 2`: a slot that took any add is positive. So no slot carries
+/// a stamp: an epoch stamp would cost every posting a load, a compare and
+/// a store, plus a first-contact branch that goes the other way on about
+/// a fifth of them, which is more than putting the zeros back costs a
+/// lookup. There is deliberately **no first-contact list** either:
+/// tracking touched ids would cost the merge an extra store per posting,
+/// and reading results back through it one *random* load per candidate.
+/// The admitted set is recovered by a sequential scan over
+/// `score[..active]` ([`Scoreboard::drain_into`]), a dense,
+/// prefetcher-friendly sweep followed by a `fill` of the same prefix —
+/// cheaper than the random walk whenever a lookup admits more than a few
+/// percent of the corpus, which the postings merge always does.
 ///
-/// There is deliberately **no first-contact list**: tracking touched ids
-/// would cost the merge's hot loop an extra store (plus length
-/// bookkeeping) per posting, and reading the results back through such a
-/// list costs one *random* slot load per candidate. Instead the admitted
-/// set is recovered by a sequential stamp scan over `slots[..active]`
-/// ([`Scoreboard::drain_into`]) — a dense, prefetcher-friendly sweep that
-/// is cheaper than the random walk whenever a lookup admits more than a
-/// few percent of the corpus, which the postings merge always does.
+/// **Unwinding.** A lookup that panics mid-merge (a `Pages` chunk that
+/// cannot be read) leaves its sums on the board. `dirty` is set by
+/// [`Scoreboard::begin`] and cleared only at the end of the drain, so the
+/// next `begin` on the thread finds it set and zeroes the whole slab.
 #[derive(Default)]
 pub(crate) struct Scoreboard {
-    epoch: u32,
-    /// Id pre-stamped by [`Scoreboard::exclude`] this epoch
-    /// (`u32::MAX` = none).
-    excluded: u32,
-    /// Ids `0..active` participate in the current epoch; the slab may be
-    /// larger if an earlier lookup served a bigger corpus.
+    /// Ids `0..active` take part in the current lookup; the arrays may be
+    /// longer (and are zero there) if an earlier lookup served a bigger
+    /// corpus.
     active: usize,
-    slots: Vec<Slot>,
+    /// From `begin` until the drain has zeroed what the merge wrote.
+    dirty: bool,
+    /// Shared IDF weight per id.
+    score: Vec<f64>,
+    /// Shared q-gram mass per id.
+    overlap: Vec<u32>,
 }
 
 impl Scoreboard {
-    /// Start a new accumulation over ids `0..n`: grows the slab if the
-    /// corpus outgrew it and advances the epoch (wrapping safely — on
-    /// wrap-around every stamp is reset so stale epochs cannot alias,
-    /// and the epoch counter skips 0 so a zeroed stamp is never current).
+    /// Start a new accumulation over ids `0..n`: zeroes a board the last
+    /// lookup left undrained (see the struct docs) and grows the arrays if
+    /// the corpus outgrew them.
     pub fn begin(&mut self, n: usize) {
-        if self.slots.len() < n {
-            self.slots.resize(n, Slot::default());
+        if self.dirty {
+            self.score.fill(0.0);
+            self.overlap.fill(0);
         }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            for slot in &mut self.slots {
-                slot.stamp = 0;
-            }
-            self.epoch = 1;
+        if self.score.len() < n {
+            self.score.resize(n, 0.0);
+            self.overlap.resize(n, 0);
         }
         self.active = n;
-        self.excluded = u32::MAX;
-    }
-
-    /// Pre-stamp a slot so it accumulates silently and is withheld from
-    /// the drained results. Candidate generation excludes the query's own
-    /// id this way once per lookup, which removes the `other != id`
-    /// branch from every posting visit of the merge (the self slot soaks
-    /// up the adds and is un-stamped before the stamp scan).
-    #[inline]
-    pub fn exclude(&mut self, id: u32) {
-        self.slots[id as usize] = Slot { stamp: self.epoch, overlap: 0, score: 0.0 };
-        self.excluded = id;
-    }
-
-    /// Drop the excluded slot's stamp so the stamp scan skips it without
-    /// a per-slot comparison. Stamp 0 is never the current epoch (see
-    /// [`Scoreboard::begin`]). Further [`Scoreboard::add`]s to the id would
-    /// re-admit it, so the scan must come after the merge — which is the
-    /// only order the lookup paths ever use.
-    #[inline]
-    fn unstamp_excluded(&mut self) {
-        if let Some(slot) = self.slots.get_mut(self.excluded as usize) {
-            slot.stamp = 0;
-        }
-    }
-
-    /// Add `weight` (and `overlap` gram mass) to a candidate's slot,
-    /// stamping it on first contact this epoch.
-    #[inline]
-    pub fn add(&mut self, id: u32, weight: f64, overlap: u32) {
-        let epoch = self.epoch;
-        let slot = &mut self.slots[id as usize];
-        if slot.stamp == epoch {
-            slot.score += weight;
-            slot.overlap += overlap;
-        } else {
-            *slot = Slot { stamp: epoch, overlap, score: weight };
-        }
+        self.dirty = true;
     }
 
     /// The merge's inner loop: one term's postings, each gaining the
-    /// term's `weight` and `overlap`.
+    /// term's `weight` and `overlap` — two unconditional adds a posting.
+    /// `weight` is an IDF weight, so at least `ln 2` (see the struct docs).
     #[inline]
     pub fn add_run(&mut self, ids: impl IntoIterator<Item = u32>, weight: f64, overlap: u32) {
+        debug_assert!(weight >= std::f64::consts::LN_2, "IDF weight {weight} is below ln 2");
+        let score = &mut self.score[..self.active];
+        let mass = &mut self.overlap[..self.active];
         for id in ids {
-            self.add(id, weight, overlap);
+            score[id as usize] += weight;
+            mass[id as usize] += overlap;
         }
     }
 
-    /// Drain the admitted candidates as `(id, score, overlap)` tuples in
-    /// ascending-id order, appended to `out`. A branchless sequential
-    /// stamp scan over the active slots (see the struct docs): the tuple
-    /// is written to the output cursor unconditionally and the cursor
-    /// advances by the stamp match. Takes a caller-provided buffer so the
-    /// hot lookup path can reuse a thread-local one (see [`with_scored`])
-    /// instead of allocating ~100 KB per query.
-    pub fn drain_into(&mut self, out: &mut Vec<(u32, f64, u32)>) {
-        self.unstamp_excluded();
-        let epoch = self.epoch;
+    /// Drain the candidates as `(id, score, overlap)` tuples in
+    /// ascending-id order, appended to `out`, with `exclude` — the query's
+    /// own id, whose slot soaked up its self-postings and so spared the
+    /// merge an `other != id` branch a posting — withheld; then zero the
+    /// active prefix. A branchless sequential scan (see the struct docs):
+    /// the tuple is written to the output cursor unconditionally and the
+    /// cursor advances by `score != 0.0`. Takes a caller-provided buffer so
+    /// the hot lookup path can reuse a thread-local one (see
+    /// [`with_scored`]) instead of allocating ~100 KB per query.
+    pub fn drain_into(&mut self, exclude: Option<u32>, out: &mut Vec<(u32, f64, u32)>) {
         let active = self.active;
+        let score = &mut self.score[..active];
+        let mass = &mut self.overlap[..active];
+        if let Some(id) = exclude {
+            score[id as usize] = 0.0;
+        }
         let base = out.len();
         out.reserve(active + 1);
         let ptr = out.as_mut_ptr();
         let mut len = base;
-        for (i, slot) in self.slots[..active].iter().enumerate() {
+        for (i, (&s, &m)) in score.iter().zip(mass.iter()).enumerate() {
             // SAFETY: `len <= base + i < base + active`, and capacity for
             // `base + active + 1` tuples was reserved above — the
             // unconditional store is in-bounds even when every slot
-            // matches.
-            unsafe { ptr.add(len).write((i as u32, slot.score, slot.overlap)) };
-            len += usize::from(slot.stamp == epoch);
+            // is a candidate.
+            unsafe { ptr.add(len).write((i as u32, s, m)) };
+            len += usize::from(s != 0.0);
         }
         // SAFETY: slots `..len` hold initialized tuples (prefix survived
         // from before the call; the rest written above), `len` ≤ capacity.
         unsafe { out.set_len(len) };
+        score.fill(0.0);
+        mass.fill(0);
+        self.dirty = false;
     }
 }
 
@@ -189,10 +161,13 @@ pub(crate) fn with_verify_scratch<R>(f: impl FnOnce(&mut VerifyScratch) -> R) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
-    fn drained(board: &mut Scoreboard) -> Vec<(u32, f64, u32)> {
+    fn drained(board: &mut Scoreboard, exclude: Option<u32>) -> Vec<(u32, f64, u32)> {
         let mut out = Vec::new();
-        board.drain_into(&mut out);
+        board.drain_into(exclude, &mut out);
         out
     }
 
@@ -205,78 +180,146 @@ mod tests {
     }
 
     #[test]
-    fn accumulates_and_resets_by_epoch() {
+    fn accumulates_and_starts_each_lookup_from_zero() {
         let mut board = Scoreboard::default();
         board.begin(10);
-        board.add(7, 1.0, 0);
-        board.add(3, 1.5, 2);
-        board.add(3, 0.5, 1);
-        // Drained ascending by id regardless of first-contact order.
-        assert_eq!(drained(&mut board), vec![(3, 2.0, 3), (7, 1.0, 0)]);
-        // New epoch: previous contributions vanish without any clearing.
+        merge(&mut board, &[(&[7], 1.0, 0), (&[3], 1.25, 2), (&[3], 0.75, 1)]);
+        // Drained ascending by id regardless of first-contact order; a
+        // candidate with no shared gram mass still surfaces.
+        assert_eq!(drained(&mut board, None), vec![(3, 2.0, 3), (7, 1.0, 0)]);
+        // The drain left the board zero: the next lookup sees nothing of
+        // the last one.
         board.begin(10);
-        assert!(drained(&mut board).is_empty());
-        board.add(3, 9.0, 9);
-        assert_eq!(drained(&mut board), vec![(3, 9.0, 9)]);
+        assert!(drained(&mut board, None).is_empty());
+        merge(&mut board, &[(&[3], 9.0, 9)]);
+        assert_eq!(drained(&mut board, None), vec![(3, 9.0, 9)]);
     }
 
     #[test]
     fn excluded_id_never_surfaces() {
         let mut board = Scoreboard::default();
         board.begin(10);
-        board.exclude(4);
         // Self hits are absorbed and withheld from the scan.
-        merge(&mut board, &[(&[4, 5], 1.0, 1), (&[4], 0.5, 1), (&[5], 1.0, 1)]);
-        assert_eq!(drained(&mut board), vec![(5, 2.0, 2)]);
-        // The exclusion is per-epoch: a later lookup sees id 4 again.
+        merge(&mut board, &[(&[4, 5], 1.0, 1), (&[4], 1.5, 1), (&[5], 1.0, 1)]);
+        assert_eq!(drained(&mut board, Some(4)), vec![(5, 2.0, 2)]);
+        // The exclusion is per-lookup: a later lookup sees id 4 again.
         board.begin(10);
         merge(&mut board, &[(&[4], 3.0, 3)]);
-        assert_eq!(drained(&mut board), vec![(4, 3.0, 3)]);
+        assert_eq!(drained(&mut board, None), vec![(4, 3.0, 3)]);
     }
 
     #[test]
     fn grows_with_corpus() {
         let mut board = Scoreboard::default();
         board.begin(2);
-        board.add(1, 1.0, 1);
+        merge(&mut board, &[(&[1], 1.0, 1)]);
         board.begin(100);
-        board.add(99, 1.0, 1);
-        assert_eq!(drained(&mut board), vec![(99, 1.0, 1)]);
-        // Shrinking back re-activates only the smaller prefix: the stale
-        // stamp on slot 99 is from a dead epoch and cannot resurface.
+        merge(&mut board, &[(&[99], 1.0, 1)]);
+        assert_eq!(drained(&mut board, None), vec![(99, 1.0, 1)]);
+        // Shrinking back re-activates only the smaller prefix, and the
+        // drain of the larger one left slot 99 zero.
         board.begin(2);
-        board.add(1, 2.0, 2);
-        assert_eq!(drained(&mut board), vec![(1, 2.0, 2)]);
-    }
-
-    #[test]
-    fn epoch_wraparound_cannot_alias() {
-        let mut board = Scoreboard::default();
-        board.begin(4);
-        merge(&mut board, &[(&[2], 1.0, 1)]);
-        // Force the wrap: the pre-wrap stamp on slot 2 must not read as
-        // current after the epoch counter cycles through 0.
-        board.epoch = u32::MAX;
-        board.begin(4);
-        assert!(drained(&mut board).is_empty());
-        merge(&mut board, &[(&[2, 3], 5.0, 5), (&[2], 1.0, 1)]);
-        assert_eq!(drained(&mut board), vec![(2, 6.0, 6), (3, 5.0, 5)]);
+        merge(&mut board, &[(&[1], 2.0, 2)]);
+        assert_eq!(drained(&mut board, None), vec![(1, 2.0, 2)]);
+        board.begin(100);
+        assert!(drained(&mut board, None).is_empty());
     }
 
     #[test]
     fn thread_local_is_per_thread() {
         with_scoreboard(|b| {
             b.begin(4);
-            b.add(0, 1.0, 0);
+            merge(b, &[(&[0], 1.0, 0)]);
         });
         std::thread::scope(|s| {
             s.spawn(|| {
                 with_scoreboard(|b| {
                     b.begin(4);
                     // A sibling thread starts from its own scoreboard.
-                    assert!(drained(b).is_empty());
+                    assert!(drained(b, None).is_empty());
                 });
             });
         });
+    }
+
+    /// One begin/drain cycle: the corpus size, the terms in merge order as
+    /// `(posting ids, weight, overlap)`, and the query's own id.
+    type Cycle = (usize, Vec<(Vec<u32>, f64, u32)>, Option<u32>);
+
+    /// The accumulation restated naively: a sorted map from id to sums,
+    /// created on first contact, the query's own id removed.
+    fn naive(terms: &[(Vec<u32>, f64, u32)], exclude: Option<u32>) -> Vec<(u32, u64, u32)> {
+        let mut sums: BTreeMap<u32, (f64, u32)> = BTreeMap::new();
+        for (ids, weight, overlap) in terms {
+            for &id in ids {
+                let sum = sums.entry(id).or_insert((0.0, 0));
+                sum.0 += weight;
+                sum.1 += overlap;
+            }
+        }
+        if let Some(id) = exclude {
+            sums.remove(&id);
+        }
+        sums.into_iter().map(|(id, (score, overlap))| (id, score.to_bits(), overlap)).collect()
+    }
+
+    fn bits(drained: &[(u32, f64, u32)]) -> Vec<(u32, u64, u32)> {
+        drained.iter().map(|&(id, score, overlap)| (id, score.to_bits(), overlap)).collect()
+    }
+
+    /// A random cycle over at most 300 ids: up to 11 terms of sorted,
+    /// distinct postings, IDF weights `ln(1 + N/df)` with `1 ≤ df ≤ N` (so
+    /// down to exactly `ln 2`), gram counts 0–4, and half the time a query
+    /// id.
+    fn cycle(rng: &mut StdRng) -> Cycle {
+        let n = rng.gen_range(1..=300);
+        let terms = (0..rng.gen_range(0..12))
+            .map(|_| {
+                let mut ids: Vec<u32> =
+                    (0..rng.gen_range(0..=n.min(24))).map(|_| rng.gen_range(0..n as u32)).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                let (a, b) = (rng.gen_range(1..2000u32), rng.gen_range(1..2000u32));
+                let weight = (1.0 + f64::from(a.max(b)) / f64::from(a.min(b))).ln();
+                (ids, weight, rng.gen_range(0..=4))
+            })
+            .collect();
+        let exclude = rng.gen_bool(0.5).then(|| rng.gen_range(0..n as u32));
+        (n, terms, exclude)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Several gathers on one board while the corpus grows and
+        /// shrinks; each gather runs one begin/drain cycle or two into
+        /// the same buffer (the stop-gram re-merge), and some lookups are
+        /// abandoned before their drain (a lookup that unwound). Every
+        /// drain equals the naive map bit for bit: ascending ids, the
+        /// `to_bits` of each sum, and overlaps.
+        #[test]
+        fn board_equals_a_naive_map(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut board = Scoreboard::default();
+            for _ in 0..rng.gen_range(1..8) {
+                let cycles = rng.gen_range(1..=2);
+                let abandon = rng.gen_bool(0.15);
+                let mut out = Vec::new();
+                let mut expected = Vec::new();
+                for _ in 0..cycles {
+                    let (n, terms, exclude) = cycle(&mut rng);
+                    board.begin(n);
+                    for (ids, weight, overlap) in &terms {
+                        board.add_run(ids.iter().copied(), *weight, *overlap);
+                    }
+                    if abandon {
+                        break;
+                    }
+                    board.drain_into(exclude, &mut out);
+                    expected.extend(naive(&terms, exclude));
+                }
+                proptest::prop_assert_eq!(bits(&out), expected);
+            }
+        }
     }
 }
