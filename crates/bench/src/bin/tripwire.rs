@@ -275,7 +275,7 @@ fn chunk_kernel(rows: &mut Vec<Row>) {
         let candidates: Vec<Candidate> = (0..records.len())
             .filter(|&id| id != query)
             .take(CANDIDATES)
-            .map(|id| store.candidate(id, &records[id]))
+            .map(|id| store.candidate(id))
             .collect();
         let mut batched = EditDistance.prepare(&fields(query));
         let mut scalar = EditDistance.prepare(&fields(query));
@@ -291,7 +291,7 @@ fn chunk_kernel(rows: &mut Vec<Row>) {
             },
             control: &mut || {
                 for &candidate in &candidates {
-                    black_box(scalar.distance_bounded(black_box(candidate), 0.6));
+                    black_box(scalar.bounded(black_box(candidate), 0.6));
                 }
             },
         }
@@ -302,8 +302,9 @@ fn chunk_kernel(rows: &mut Vec<Row>) {
 /// DESIGN §7.5: one lookup's worth of fms verification — prepare a
 /// Restaurants query, then 256 compiled candidates at cutoff 1.0, each
 /// distinct token pair scanned once — against the same 256 pairs through
-/// the unprepared `Distance::distance`, which prepares its query per pair
-/// and takes both decompositions from its memo. Then the same lookup at
+/// the unprepared `Distance::distance`, which per pair decomposes both
+/// records (tokenization and IDF lookups), compiles the query's patterns
+/// and scans every token pair with a fresh memo. Then the same lookup at
 /// cutoff 0.3 against cutoff 1.0: below 1 the loss bound rejects most
 /// candidates before their matching.
 fn fms_verification(rows: &mut Vec<Row>) {
@@ -320,8 +321,8 @@ fn fms_verification(rows: &mut Vec<Row>) {
     let prepared_at = |cutoff: f64| {
         let mut prepared = fms.prepare(&fields[0]);
         for id in candidates.clone() {
-            let candidate = store.candidate(id, &records[id]);
-            black_box(prepared.distance_bounded(black_box(candidate), cutoff));
+            let candidate = store.candidate(id);
+            black_box(prepared.bounded(black_box(candidate), cutoff));
         }
     };
     Claim {

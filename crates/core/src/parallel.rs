@@ -299,4 +299,90 @@ mod tests {
             }
         }
     }
+
+    const POISON: &str = "poison";
+
+    /// `ed`, except that `prepare` panics on a query carrying [`POISON`].
+    struct PanicsOnPoison;
+
+    impl fuzzydedup_textdist::Distance for PanicsOnPoison {
+        fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
+            fuzzydedup_textdist::EditDistance.distance(a, b)
+        }
+        fn admits_qgram_filter(&self) -> bool {
+            fuzzydedup_textdist::EditDistance.admits_qgram_filter()
+        }
+        fn prepare<'a>(&'a self, query: &[&str]) -> fuzzydedup_textdist::Prepared<'a> {
+            assert!(!query.iter().any(|f| f.contains(POISON)), "prepare met the poison record");
+            fuzzydedup_textdist::EditDistance.prepare(query)
+        }
+        fn compile_record(
+            &self,
+            fields: &[&str],
+            store: &mut fuzzydedup_textdist::CompiledRecords,
+        ) {
+            fuzzydedup_textdist::EditDistance.compile_record(fields, store)
+        }
+        fn name(&self) -> &str {
+            "panics-on-poison"
+        }
+    }
+
+    /// A lookup whose `prepare` panics, on one of Phase 1's workers or on
+    /// the sequential drive, unwinds to the caller with the distance's own
+    /// message: `steal_blocks` re-raises the first panic it joins, and
+    /// neither drive hangs or hands back a relation.
+    #[test]
+    fn a_panicking_prepare_unwinds_to_the_caller() {
+        use fuzzydedup_nnindex::{InvertedIndex, InvertedIndexConfig};
+        use fuzzydedup_storage::{BufferPool, BufferPoolConfig, InMemoryDisk};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+
+        let records: Vec<Vec<String>> = (0..120)
+            .map(|i| match i {
+                77 => vec![format!("customer record number {i:03} {POISON}")],
+                _ => vec![format!("customer record number {i:03}")],
+            })
+            .collect();
+        let pool = Arc::new(BufferPool::new(
+            BufferPoolConfig::with_capacity(64),
+            Arc::new(InMemoryDisk::new()),
+        ));
+        let idx = Arc::new(InvertedIndex::build(
+            records,
+            PanicsOnPoison,
+            pool,
+            InvertedIndexConfig::default(),
+        ));
+        let spec = NeighborSpec::TopK(3);
+        type Drive = fn(&dyn NnIndex, NeighborSpec) -> NnReln;
+        let drives: [(&str, Drive); 2] = [
+            ("parallel, 2 threads", |idx, spec| compute_nn_reln_parallel(idx, spec, 2.0, 2).0),
+            ("sequential", |idx, spec| compute_nn_reln(idx, spec, LookupOrder::Sequential, 2.0).0),
+        ];
+        for (name, drive) in drives {
+            let (sent, received) = mpsc::channel();
+            let idx = Arc::clone(&idx);
+            // On a thread of its own, so that a hang fails the test.
+            let driver = std::thread::spawn(move || {
+                let outcome = catch_unwind(AssertUnwindSafe(|| drive(&*idx, spec)));
+                let _ = sent.send(outcome.map_err(|panic| {
+                    panic
+                        .downcast_ref::<&str>()
+                        .map(|m| m.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                }));
+            });
+            let outcome = received.recv_timeout(Duration::from_secs(120)).expect(name);
+            driver.join().expect("the panic was caught on the driving thread");
+            match outcome {
+                Ok(reln) => panic!("{name}: returned a relation of {} entries", reln.len()),
+                Err(message) => {
+                    assert_eq!(message.as_deref(), Some("prepare met the poison record"), "{name}")
+                }
+            }
+        }
+    }
 }

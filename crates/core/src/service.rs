@@ -972,10 +972,10 @@ mod tests {
 
     const MARKER: &str = "poison";
 
-    /// Edit distance that stops the first call on a record carrying
-    /// [`MARKER`]: the calling thread (the writer, inside a batch) meets
-    /// the test thread at [`Self::entered`] and stays parked until
-    /// [`Self::release`]; then, if `panics`, that call and every later
+    /// Edit distance that stops the first query it prepares on a record
+    /// carrying [`MARKER`]: the calling thread (the writer, inside a batch)
+    /// meets the test thread at [`Self::entered`] and stays parked until
+    /// [`Self::release`]; then, if `panics`, that `prepare` and every later
     /// marked one panic.
     #[derive(Clone)]
     struct StopsOnMarker {
@@ -1017,14 +1017,27 @@ mod tests {
 
     impl Distance for StopsOnMarker {
         fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
-            if a.iter().chain(b).any(|field| field.contains(MARKER)) {
+            EditDistance.distance(a, b)
+        }
+        fn admits_qgram_filter(&self) -> bool {
+            EditDistance.admits_qgram_filter()
+        }
+        fn prepare<'a>(&'a self, query: &[&str]) -> fuzzydedup_textdist::Prepared<'a> {
+            if query.iter().any(|field| field.contains(MARKER)) {
                 if self.armed.swap(false, Ordering::SeqCst) {
                     self.entered();
                     self.release();
                 }
                 assert!(!self.panics, "injected distance panic on the marker record");
             }
-            EditDistance.distance(a, b)
+            EditDistance.prepare(query)
+        }
+        fn compile_record(
+            &self,
+            fields: &[&str],
+            store: &mut fuzzydedup_textdist::CompiledRecords,
+        ) {
+            EditDistance.compile_record(fields, store)
         }
         fn name(&self) -> &str {
             "stops-on-marker"

@@ -37,7 +37,7 @@ pub struct RecordMeta {
 /// Verification-time pruning filter; see module docs. Constructed per
 /// query by the index (only when its distance admits the q-gram bounds)
 /// and applied by `verify_candidates_bounded` with the *same* running
-/// cutoff it passes to `distance_bounded` — so a pruned candidate is one
+/// cutoff it passes to `Prepared::bounded` — so a pruned candidate is one
 /// the bounded distance call would provably have rejected, and the
 /// surviving set is identical to the unfiltered one.
 pub(crate) struct CandFilter<'a> {

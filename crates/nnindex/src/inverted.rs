@@ -1085,26 +1085,6 @@ mod tests {
         assert!(!neighbors(&idx, 0, LookupSpec::TopK(2)).is_empty());
     }
 
-    /// Delegates to [`EditDistance`] but compiles nothing, so candidates
-    /// reach the prepared query as raw fields — what a third-party
-    /// distance that overrides only `prepare` gets.
-    struct RawFieldsEdit;
-
-    impl Distance for RawFieldsEdit {
-        fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
-            EditDistance.distance(a, b)
-        }
-        fn distance_bounded(&self, a: &[&str], b: &[&str], cutoff: f64) -> Option<f64> {
-            EditDistance.distance_bounded(a, b, cutoff)
-        }
-        fn prepare<'a>(&'a self, query: &[&str]) -> fuzzydedup_textdist::Prepared<'a> {
-            EditDistance.prepare(query)
-        }
-        fn name(&self) -> &str {
-            "rawfields-ed"
-        }
-    }
-
     /// A lookup that unwinds mid-merge — a `Pages` chunk that cannot be
     /// read — leaves its sums on the thread's scoreboard. The next lookup on
     /// that thread answers as the same lookup on a fresh thread does, cost
@@ -1130,42 +1110,5 @@ mod tests {
         let lookup = || idx.lookup(9, LookupSpec::TopK(3), 2.0);
         let fresh = std::thread::scope(|s| s.spawn(lookup).join().expect("fresh lookup"));
         assert_eq!(lookup(), fresh);
-    }
-
-    #[test]
-    fn compiled_store_matches_raw_field_path() {
-        use fuzzydedup_textdist::Candidate;
-        // Multi-field records with messy whitespace/case/punctuation so
-        // the per-call normalize+join actually has work to do.
-        let records: Vec<Vec<String>> = [
-            vec!["Acme  Widgets", "12 Main St", "Springfield"],
-            vec!["ACME widgets", "12 Main Street", "Springfield"],
-            vec!["Beta Corp", "9 Pier Rd", "Oakland"],
-            vec!["beta corp.", "9 pier road", "oakland"],
-            vec!["Gamma LLC", "", "Dover"],
-            vec!["Gama LLC", "--", "Dover"],
-        ]
-        .into_iter()
-        .map(|r| r.into_iter().map(str::to_owned).collect())
-        .collect();
-        let config = InvertedIndexConfig::default();
-        let compiled = build_records(records.clone(), config.clone());
-        assert!(
-            matches!(compiled.record_view().candidate(0), Candidate::Chars(_)),
-            "ed compiles records to chars"
-        );
-        let pool = pool(16);
-        let control = InvertedIndex::build(records, RawFieldsEdit, pool, config);
-        assert!(
-            matches!(control.record_view().candidate(0), Candidate::Fields(_)),
-            "a distance that compiles nothing is verified from raw fields"
-        );
-        for id in 0..compiled.len() as u32 {
-            for spec in [LookupSpec::TopK(3), LookupSpec::Radius(0.4)] {
-                let (n_c, ng_c, _) = compiled.lookup(id, spec, 2.0);
-                let (n_r, ng_r, _) = control.lookup(id, spec, 2.0);
-                assert_eq!((n_c, ng_c), (n_r, ng_r), "id {id} {spec:?}");
-            }
-        }
     }
 }

@@ -150,13 +150,9 @@ pub trait PairDistanceCache: Sync {
 ///
 /// Every index of this crate compiles its records once with the
 /// verification distance ([`Distance::compile_record`]) and verifies
-/// candidates from that store. What a third-party distance gets by
-/// default: one that overrides neither `prepare` nor `compile_record` is
-/// verified from the raw attribute strings through its own
-/// `distance_bounded`, one call per candidate — the same answers, none
-/// of the compile-once savings; overriding `prepare` alone compiles the
-/// query side only. An index implemented outside this crate is free to
-/// verify however it likes; only the result contract above binds it.
+/// candidates from that store through the query [`Distance::prepare`]
+/// compiled. An index implemented outside this crate is free to verify
+/// however it likes; only the result contract above binds it.
 pub trait NnIndex: Send + Sync {
     /// Number of records in the indexed corpus.
     fn len(&self) -> usize;
@@ -224,11 +220,10 @@ impl LookupWeights<'_> {
 /// every index family and both query flavors (the combined lookup by id,
 /// the by-content probe) go through.
 ///
-/// Every candidate is scored with the prepared query's
-/// `distance_bounded`, passing the current best-so-far as the cutoff so
-/// the k-bounded edit kernel can abandon hopeless pairs early. The
-/// running cutoff is the larger of what the `spec` still needs and what
-/// the growth estimate still needs:
+/// Every candidate is scored with the prepared query's `bounded`, passing
+/// the current best-so-far as the cutoff so the k-bounded edit kernel can
+/// abandon hopeless pairs early. The running cutoff is the larger of what
+/// the `spec` still needs and what the growth estimate still needs:
 ///
 /// * **TopK(k)** — the running k-th best distance (`∞` until `k`
 ///   candidates survive);
@@ -238,7 +233,7 @@ impl LookupWeights<'_> {
 ///   `ng(v)` counts neighbors within `p · nn(v)`.
 ///
 /// Both running cutoffs only shrink toward their final values, and
-/// `distance_bounded` is inclusive (`Some(d)` iff `d <= cutoff`), so every
+/// `bounded` is inclusive (`Some(d)` iff `d <= cutoff`), so every
 /// candidate the final answer needs survives with its exact distance — the
 /// result after [`lookup_from_verified`]'s sort/filter is identical to full
 /// verification. Returns the surviving neighbors (unsorted) and the number
@@ -260,7 +255,7 @@ impl LookupWeights<'_> {
 ///
 /// * `filter` — the q-gram length/count bounds (only sound for distances
 ///   with [`Distance::admits_qgram_filter`]), tested **with the same
-///   running cutoff** passed to `distance_bounded`: a pruned candidate is
+///   running cutoff** passed to `bounded`: a pruned candidate is
 ///   one the bounded call would provably have rejected, so it skips the
 ///   distance call (and the `attempted` count) entirely;
 /// * `cache` — a shared [`PairDistanceCache`], probed after the filter at
@@ -324,7 +319,7 @@ pub(crate) fn verify_candidates_bounded<D: Distance>(
                 run.defer(c, records.candidate(c), cutoff, &mut prepared);
                 continue;
             }
-            run.resolve(c, prepared.distance_bounded(records.candidate(c), cutoff), cutoff);
+            run.resolve(c, prepared.bounded(records.candidate(c), cutoff), cutoff);
         }
         run.flush_batch(&mut prepared);
         (run.survivors, run.attempted)
@@ -509,9 +504,8 @@ impl<'a, 'r> Running<'a, 'r> {
 }
 
 /// How verification reads the indexed corpus: the raw records — the query
-/// side of a lookup, and the candidates of a distance that compiles
-/// nothing — beside the store the index compiled them into, once, with
-/// [`Distance::compile_record`].
+/// side of a lookup — beside the store the index compiled them into, once,
+/// with [`Distance::compile_record`], which is where candidates are read.
 #[derive(Clone, Copy)]
 pub(crate) struct RecordView<'r> {
     /// One slice of attribute strings per record.
@@ -524,7 +518,7 @@ impl<'r> RecordView<'r> {
     /// Record `c` as verification reads it.
     #[inline]
     pub fn candidate(self, c: u32) -> Candidate<'r> {
-        self.compiled.candidate(c as usize, &self.records[c as usize])
+        self.compiled.candidate(c as usize)
     }
 }
 
@@ -695,11 +689,12 @@ mod tests {
         }
     }
 
-    /// Scalar reference: the pre-batching, pre-compilation driver — one
-    /// immediate `distance_bounded` per candidate, read as raw fields, at
-    /// its own running cutoff.
+    /// Scalar reference: the pre-batching driver — one immediate `bounded`
+    /// per candidate, read from the compiled store, at its own running
+    /// cutoff.
     fn verify_scalar(
         records: &[Vec<String>],
+        compiled: &CompiledRecords,
         id: u32,
         candidates: &[u32],
         spec: LookupSpec,
@@ -722,8 +717,7 @@ mod tests {
                 LookupSpec::Radius(theta) => theta,
             };
             let cutoff = spec_cut.max(p * run.nn_running);
-            let raw = Candidate::Fields(&records[c as usize]);
-            if let Some(d) = prepared.distance_bounded(raw, cutoff) {
+            if let Some(d) = prepared.bounded(compiled.candidate(c as usize), cutoff) {
                 run.survive(c, d);
             }
         }
@@ -761,7 +755,7 @@ mod tests {
                         None,
                     );
                     assert_eq!(attempted, candidates.len() as u64);
-                    let scalar = verify_scalar(&records, id, &candidates, spec, p);
+                    let scalar = verify_scalar(&records, &compiled, id, &candidates, spec, p);
                     let n = candidates.len() as u64;
                     let (got_n, got_ng, _) =
                         lookup_from_verified(survivors, n, attempted, spec, p, None);

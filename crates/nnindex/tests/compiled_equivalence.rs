@@ -1,9 +1,8 @@
 //! Compiled-store equivalence: every index family compiles each record
 //! once with the verification distance and verifies from that store
 //! (DESIGN.md §7.5). Whatever the store holds — decoded chars for `ed`,
-//! token decompositions for `fms`, nothing for a distance on the trait's
-//! defaults — the answers must be the ones the unprepared
-//! `Distance::distance` gives on the raw fields.
+//! token decompositions for `fms` — the answers must be the ones the
+//! unprepared `Distance::distance` gives on the raw fields.
 
 use std::sync::Arc;
 
@@ -17,20 +16,6 @@ mod common;
 use common::noisy_corpus;
 
 type Records = Vec<Vec<String>>;
-
-/// `ed` through the two required methods only: an index compiles nothing
-/// for it and verifies on the trait's defaults, from the raw fields.
-#[derive(Clone)]
-struct OnDefaults;
-
-impl Distance for OnDefaults {
-    fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
-        EditDistance.distance(a, b)
-    }
-    fn name(&self) -> &str {
-        "ed-on-defaults"
-    }
-}
 
 fn pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::new(BufferPoolConfig::with_capacity(64), Arc::new(InMemoryDisk::new())))
@@ -74,7 +59,7 @@ fn indexes_agree_on_a_char_whose_lowercase_mapping_expands() {
 }
 
 /// Noisy single-field records plus the shapes compilation must see
-/// exactly as the per-call path does: several fields, empty fields,
+/// exactly as the unprepared `distance` does: several fields, empty fields,
 /// uppercase, punctuation, non-ASCII, and a record past 64 chars.
 fn messy_corpus() -> Records {
     let mut records = noisy_corpus(11, 90);
@@ -92,7 +77,7 @@ fn messy_corpus() -> Records {
     records
 }
 
-/// Whatever the store holds — chars, tokens, or nothing — the distances an
+/// Whatever the store holds — chars or tokens — the distances an
 /// index verifies from it are the unprepared `Distance::distance`'s.
 #[test]
 fn compiled_distances_match_the_unprepared_distance() {
@@ -111,5 +96,4 @@ fn compiled_distances_match_the_unprepared_distance() {
     let records = messy_corpus();
     check(&records, EditDistance);
     check(&records, FuzzyMatchDistance::new(IdfModel::fit_records(&records)));
-    check(&records, OnDefaults);
 }

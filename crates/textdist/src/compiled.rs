@@ -8,6 +8,8 @@
 //! by [`Distance::compile_record`](crate::Distance::compile_record), into a
 //! [`CompiledRecords`] store the index owns. Verification then hands the
 //! prepared query a [`Candidate`] view of the store (DESIGN.md §7.5).
+//! A candidate has one form, the one its distance compiled: a prepared
+//! query never sees raw attribute strings.
 
 use crate::Distance;
 
@@ -69,18 +71,11 @@ impl<'c> WeightedTokens<'c> {
     }
 }
 
-/// One candidate record as a prepared query sees it.
-///
-/// A prepared query is handed either the raw attribute strings — always
-/// acceptable, and all a distance that compiles nothing ever sees — or the
-/// form its **own** distance compiled. Handing it another distance's
+/// One candidate record as a prepared query sees it: the form its
+/// **own** distance compiled. Handing a prepared query another distance's
 /// compiled form is a bug in the caller and panics.
 #[derive(Debug, Clone, Copy)]
 pub enum Candidate<'c> {
-    /// The raw attribute strings; normalized, decoded and tokenized per
-    /// call, exactly as [`Distance::distance_bounded`](crate::Distance::distance_bounded)
-    /// would.
-    Fields(&'c [String]),
     /// The normalized record string ([`crate::record_string`]) decoded to
     /// chars: what `ed` compiles.
     Chars(&'c [char]),
@@ -88,29 +83,26 @@ pub enum Candidate<'c> {
     Tokens(WeightedTokens<'c>),
 }
 
-impl Candidate<'_> {
-    /// Run `f` on the raw attribute strings of a [`Candidate::Fields`]
-    /// candidate — the per-call path of every prepared query.
+impl<'c> Candidate<'c> {
+    /// The chars of a [`Candidate::Chars`] candidate.
     ///
     /// # Panics
-    /// On a compiled form: the prepared query that reaches for raw fields
-    /// is not the one this candidate was compiled for.
-    pub fn with_fields<R>(self, f: impl FnOnce(&[&str]) -> R) -> R {
-        let Candidate::Fields(fields) = self else {
-            panic!("candidate was compiled by another distance: {self:?}");
-        };
-        // Records rarely have more than a handful of attributes; those
-        // that do pay one allocation.
-        const INLINE: usize = 8;
-        if fields.len() <= INLINE {
-            let mut buf = [""; INLINE];
-            for (slot, field) in buf.iter_mut().zip(fields) {
-                *slot = field;
-            }
-            f(&buf[..fields.len()])
-        } else {
-            let all: Vec<&str> = fields.iter().map(String::as_str).collect();
-            f(&all)
+    /// On another form: the candidate was compiled by another distance.
+    pub(crate) fn chars(self) -> &'c [char] {
+        match self {
+            Candidate::Chars(chars) => chars,
+            other => panic!("candidate was compiled by another distance: {other:?}"),
+        }
+    }
+
+    /// The tokens of a [`Candidate::Tokens`] candidate.
+    ///
+    /// # Panics
+    /// On another form: the candidate was compiled by another distance.
+    pub(crate) fn tokens(self) -> WeightedTokens<'c> {
+        match self {
+            Candidate::Tokens(tokens) => tokens,
+            other => panic!("candidate was compiled by another distance: {other:?}"),
         }
     }
 }
@@ -121,18 +113,15 @@ impl Candidate<'_> {
 ///
 /// All records live in flat arenas, so a candidate costs two offset loads
 /// and no pointer chase. A store holds one compiled form: the first push
-/// decides it, and a distance that compiles nothing leaves the store empty
-/// (its candidates are the raw fields).
+/// decides it.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledRecords {
-    repr: Repr,
+    /// `None` until the first push.
+    repr: Option<Repr>,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 enum Repr {
-    /// Nothing compiled: candidates are the raw attribute strings.
-    #[default]
-    Raw,
     /// One run of chars per record; `ends[id]` closes record `id`'s run.
     Chars { arena: Vec<char>, ends: Vec<usize> },
     /// One run of tokens per record; `records[id]` holds where its run of
@@ -154,10 +143,9 @@ impl CompiledRecords {
 
     /// Append a record compiled to its record-string chars.
     pub fn push_chars(&mut self, chars: impl IntoIterator<Item = char>) {
-        if let Repr::Raw = self.repr {
-            self.repr = Repr::Chars { arena: Vec::new(), ends: Vec::new() };
-        }
-        let Repr::Chars { arena, ends } = &mut self.repr else {
+        let repr =
+            self.repr.get_or_insert_with(|| Repr::Chars { arena: Vec::new(), ends: Vec::new() });
+        let Repr::Chars { arena, ends } = repr else {
             panic!("a store holds one compiled form");
         };
         arena.extend(chars);
@@ -175,10 +163,12 @@ impl CompiledRecords {
         &mut self,
         tokens: impl IntoIterator<Item = (&'t str, f64, Option<u32>)>,
     ) {
-        if let Repr::Raw = self.repr {
-            self.repr = Repr::Tokens { arena: Vec::new(), spans: Vec::new(), records: Vec::new() };
-        }
-        let Repr::Tokens { arena, spans, records } = &mut self.repr else {
+        let repr = self.repr.get_or_insert_with(|| Repr::Tokens {
+            arena: Vec::new(),
+            spans: Vec::new(),
+            records: Vec::new(),
+        });
+        let Repr::Tokens { arena, spans, records } = repr else {
             panic!("a store holds one compiled form");
         };
         let first = spans.len();
@@ -192,23 +182,22 @@ impl CompiledRecords {
         records.push((spans.len(), total));
     }
 
-    /// Record `id` as a candidate: its compiled form, or `fields` — its
-    /// raw attribute strings — when the distance compiled nothing.
+    /// Record `id` as a candidate, in its compiled form.
     ///
     /// # Panics
-    /// If the store holds a compiled form but no record `id`.
-    pub fn candidate<'c>(&'c self, id: usize, fields: &'c [String]) -> Candidate<'c> {
+    /// If the store holds no record `id`.
+    pub fn candidate(&self, id: usize) -> Candidate<'_> {
         match &self.repr {
-            Repr::Raw => Candidate::Fields(fields),
-            Repr::Chars { arena, ends } => {
+            Some(Repr::Chars { arena, ends }) => {
                 let start = if id == 0 { 0 } else { ends[id - 1] };
                 Candidate::Chars(&arena[start..ends[id]])
             }
-            Repr::Tokens { arena, spans, records } => {
+            Some(Repr::Tokens { arena, spans, records }) => {
                 let start = if id == 0 { 0 } else { records[id - 1].0 };
                 let (end, total) = records[id];
                 Candidate::Tokens(WeightedTokens { arena, spans: &spans[start..end], total })
             }
+            None => panic!("an empty store holds no record {id}"),
         }
     }
 }
@@ -218,35 +207,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn an_empty_store_hands_back_the_raw_fields() {
-        let store = CompiledRecords::default();
-        let fields = vec!["The Doors".to_string(), "LA Woman".to_string()];
-        let seen = store.candidate(7, &fields).with_fields(|f| f.join("|"));
-        assert_eq!(seen, "The Doors|LA Woman");
-    }
-
-    #[test]
-    fn with_fields_serves_wide_records() {
-        let fields: Vec<String> = (0..20).map(|i| format!("f{i}")).collect();
-        let n = Candidate::Fields(&fields).with_fields(|f| {
-            assert_eq!(f[19], "f19");
-            f.len()
-        });
-        assert_eq!(n, 20);
-    }
-
-    #[test]
     fn char_runs_come_back_per_record() {
         let mut store = CompiledRecords::default();
         store.push_chars("abc".chars());
         store.push_chars("".chars());
         store.push_chars("dé".chars());
-        let runs: Vec<String> = (0..3)
-            .map(|id| match store.candidate(id, &[]) {
-                Candidate::Chars(c) => c.iter().collect(),
-                other => panic!("{other:?}"),
-            })
-            .collect();
+        let runs: Vec<String> =
+            (0..3).map(|id| store.candidate(id).chars().iter().collect()).collect();
         assert_eq!(runs, ["abc", "", "dé"]);
     }
 
@@ -256,15 +223,15 @@ mod tests {
         store.push_tokens([("golden", 1.5, Some(0)), ("dragon", 2.0, None)]);
         store.push_tokens([]);
         store.push_tokens([("café", 0.25, Some(7))]);
-        let Candidate::Tokens(first) = store.candidate(0, &[]) else { panic!() };
+        let first = store.candidate(0).tokens();
         assert_eq!(first.len(), 2);
         assert_eq!(first.total_weight(), 3.5);
         let tokens: Vec<(String, Option<u32>)> =
             first.iter().map(|(c, _, id)| (c.iter().collect(), id)).collect();
         assert_eq!(tokens, [("golden".into(), Some(0)), ("dragon".into(), None)]);
-        let Candidate::Tokens(second) = store.candidate(1, &[]) else { panic!() };
+        let second = store.candidate(1).tokens();
         assert!(second.is_empty());
-        let Candidate::Tokens(third) = store.candidate(2, &[]) else { panic!() };
+        let third = store.candidate(2).tokens();
         assert_eq!(
             third.iter().next().map(|(c, w, id)| (c.len(), w, id)),
             Some((4, 0.25, Some(7)))
@@ -281,7 +248,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "another distance")]
-    fn raw_field_access_on_a_compiled_candidate_panics() {
-        Candidate::Chars(&['a']).with_fields(|_| ());
+    fn another_distances_form_panics() {
+        Candidate::Chars(&['a']).tokens();
     }
 }

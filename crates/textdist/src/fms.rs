@@ -62,55 +62,31 @@
 //!
 //! Every answer is exact: the scores are bit-identical to scanning every
 //! pair in full, and the bound rejects only candidates past the cutoff.
+//!
+//! Only a prepared query's candidates come compiled. The unprepared
+//! [`Distance::distance`] decomposes both of its records (tokenization and
+//! IDF lookups) on every call, and keeps nothing between calls.
 
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 use fuzzydedup_metrics::{incr, Counter};
-use parking_lot::Mutex;
 
 use crate::idf::IdfModel;
 use crate::myers::PreparedPattern;
 use crate::tokenize::tokenize_record;
 use crate::{Candidate, CompiledRecords, Distance, Prepared, PreparedDistance, WeightedTokens};
 
-/// A memoized decomposition: a store holding the one record.
-type Decomposition = Arc<CompiledRecords>;
-
-/// The tokens of a one-record store.
-fn tokens_of(decomposition: &CompiledRecords) -> WeightedTokens<'_> {
-    match decomposition.candidate(0, &[]) {
-        Candidate::Tokens(tokens) => tokens,
-        other => unreachable!("fms compiles records to tokens, not {other:?}"),
-    }
-}
-
 /// Symmetric fuzzy match distance; see module docs.
 ///
 /// Every score comes from one place, a prepared query ([`PreparedFms`]):
 /// the verification path prepares each query once and hands it compiled
 /// candidates ([`Distance::compile_record`]); the unprepared
-/// [`Distance::distance`] prepares its left record for the one call. Both
-/// paths take raw records' decompositions (tokenization + IDF lookups)
-/// from a bounded, thread-safe memo.
-#[derive(Debug)]
+/// [`Distance::distance`] prepares its left record and compiles its right
+/// one for the one call.
+#[derive(Debug, Clone)]
 pub struct FuzzyMatchDistance {
     idf: IdfModel,
-    /// Decomposition memo, keyed by the record's joined text. Cleared
-    /// wholesale when it outgrows `CACHE_CAP` (simpler than LRU and fine
-    /// for scan-shaped workloads).
-    cache: Mutex<HashMap<String, Decomposition>>,
 }
-
-impl Clone for FuzzyMatchDistance {
-    fn clone(&self) -> Self {
-        Self { idf: self.idf.clone(), cache: Mutex::new(HashMap::new()) }
-    }
-}
-
-/// Decomposition cache bound (records, not bytes).
-const CACHE_CAP: usize = 65_536;
 
 /// Token pairs with normalized edit distance above this threshold are
 /// never matched (their gain would be tiny anyway; the cutoff prunes the
@@ -234,31 +210,21 @@ impl LossBound {
 impl FuzzyMatchDistance {
     /// Create with a fitted IDF model.
     pub fn new(idf: IdfModel) -> Self {
-        Self { idf, cache: Mutex::new(HashMap::new()) }
+        Self { idf }
     }
 
-    /// The memoized decomposition of a record given as raw fields.
-    fn decompose(&self, fields: &[&str]) -> Decomposition {
-        let key = fields.join("\u{1f}");
-        if let Some(hit) = self.cache.lock().get(&key) {
-            return hit.clone();
-        }
+    /// A record's decomposition: a store holding the one record.
+    fn decompose(&self, fields: &[&str]) -> CompiledRecords {
         let mut store = CompiledRecords::default();
         self.compile_record(fields, &mut store);
-        let value: Decomposition = Arc::new(store);
-        let mut cache = self.cache.lock();
-        if cache.len() >= CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, value.clone());
-        value
+        store
     }
 
     /// Compile a query: its decomposition and one pattern per token.
-    fn prepare_fms(&self, query: &[&str]) -> PreparedFms<'_> {
+    fn prepare_fms(&self, query: &[&str]) -> PreparedFms {
         let query = self.decompose(query);
         let mut scratch = Scratch::take();
-        let tokens = tokens_of(&query);
+        let tokens = query.candidate(0).tokens();
         let patterns = tokens.iter().map(|(chars, _, _)| PreparedPattern::new(chars.to_vec()));
         scratch.patterns.extend(patterns);
         // Heaviest first, so that a candidate the query's heavy tokens do
@@ -266,7 +232,7 @@ impl FuzzyMatchDistance {
         scratch.order.extend(0..tokens.len());
         let weight = |i: usize| tokens.get(i).1;
         scratch.order.sort_by(|&x, &y| weight(y).total_cmp(&weight(x)).then(x.cmp(&y)));
-        PreparedFms { distance: self, query, scratch }
+        PreparedFms { query, scratch }
     }
 
     /// Similarity in `[0, 1]`; `1` means identical token multisets.
@@ -276,7 +242,9 @@ impl FuzzyMatchDistance {
 
     fn fms_distance(&self, a: &[&str], b: &[&str]) -> f64 {
         let b = self.decompose(b);
-        self.prepare_fms(a).distance(tokens_of(&b), 1.0).expect("every fms distance is <= 1")
+        self.prepare_fms(a)
+            .distance(b.candidate(0).tokens(), 1.0)
+            .expect("every fms distance is <= 1")
     }
 }
 
@@ -286,7 +254,13 @@ impl Distance for FuzzyMatchDistance {
         self.fms_distance(a, b)
     }
 
-    /// Pin the query's decomposition and compile its tokens once.
+    /// fms is not Levenshtein over the record string: a token swap costs
+    /// it nothing, so the q-gram length/count bounds do not hold for it.
+    fn admits_qgram_filter(&self) -> bool {
+        false
+    }
+
+    /// Decompose the query and compile its tokens once.
     fn prepare<'a>(&'a self, query: &[&str]) -> Prepared<'a> {
         Prepared::new(Box::new(self.prepare_fms(query)))
     }
@@ -306,23 +280,23 @@ impl Distance for FuzzyMatchDistance {
     }
 }
 
-/// Compiled fms query: the decomposition held directly (no memo lookup),
-/// and the thread's [`Scratch`] holding one [`PreparedPattern`] per query
-/// token and the token-pair memo of the lookup it serves.
-struct PreparedFms<'a> {
-    distance: &'a FuzzyMatchDistance,
-    query: Decomposition,
+/// Compiled fms query: the query's decomposition, and the thread's
+/// [`Scratch`] holding one [`PreparedPattern`] per query token and the
+/// token-pair memo of the lookup it serves.
+struct PreparedFms {
+    /// A store holding the one query record.
+    query: CompiledRecords,
     scratch: Scratch,
 }
 
-impl PreparedFms<'_> {
+impl PreparedFms {
     /// The one fms scorer: every token pair's bounded distance, then the
     /// greedy largest-gain matching. Returns the distance `1 − fms` if it
     /// is at most `cutoff`. The rows are scanned heaviest query token
     /// first, and the [`LossBound`] may reject the candidate after any row,
     /// before the matching; below a cutoff of 1 it can.
     fn distance(&mut self, candidate: WeightedTokens, cutoff: f64) -> Option<f64> {
-        let query = tokens_of(&self.query);
+        let query = self.query.candidate(0).tokens();
         if query.is_empty() || candidate.is_empty() {
             let d = if query.is_empty() && candidate.is_empty() { 0.0 } else { 1.0 };
             return (d <= cutoff).then_some(d);
@@ -420,22 +394,15 @@ impl PreparedFms<'_> {
     }
 }
 
-impl<'c> PreparedDistance<'c> for PreparedFms<'_> {
-    /// A compiled candidate pays only the scan and the matching; raw fields
-    /// go through the decomposition memo first.
+impl<'c> PreparedDistance<'c> for PreparedFms {
+    /// A compiled candidate pays only the scan and the matching.
     fn distance_bounded_prepared(&mut self, candidate: Candidate<'c>, cutoff: f64) -> Option<f64> {
         incr(Counter::DistFms, 1);
-        match candidate {
-            Candidate::Tokens(tokens) => self.distance(tokens, cutoff),
-            raw => {
-                let memo = raw.with_fields(|fields| self.distance.decompose(fields));
-                self.distance(tokens_of(&memo), cutoff)
-            }
-        }
+        self.distance(candidate.tokens(), cutoff)
     }
 }
 
-impl Drop for PreparedFms<'_> {
+impl Drop for PreparedFms {
     fn drop(&mut self) {
         std::mem::take(&mut self.scratch).give_back();
     }
@@ -712,7 +679,7 @@ mod tests {
         let mut prepared = d.prepare(&["microsft corporation"]);
         let ((), tally) = fuzzydedup_metrics::scoped(|| {
             for id in 0..records.len() {
-                prepared.distance_bounded(store.candidate(id, &[]), 1.0);
+                prepared.bounded(store.candidate(id), 1.0);
             }
         });
         // 2 × 6 pairs; "microsoft" and "corp" repeat. "zzzz" was never
@@ -729,11 +696,8 @@ mod tests {
         let mut store = CompiledRecords::default();
         d.compile_record(&["xyzq"], &mut store);
         let mut prepared = d.prepare(&["boeing apple"]);
-        let mut count = |cutoff| {
-            fuzzydedup_metrics::scoped(|| {
-                prepared.distance_bounded(store.candidate(0, &[]), cutoff)
-            })
-        };
+        let mut count =
+            |cutoff| fuzzydedup_metrics::scoped(|| prepared.bounded(store.candidate(0), cutoff));
         // The heaviest query token finds nothing in the candidate: its row
         // alone loses more than 0.3 of the total weight.
         let (d_low, tally) = count(0.3);

@@ -36,8 +36,7 @@
 //! the *stripped* pattern length: [`myers_chars`] / [`myers_bounded_chars`]
 //! are the two entries of the one stock kernel (table built per pair),
 //! `PreparedPattern` is the compiled query the verification loop holds,
-//! and [`crate::edit::levenshtein`] / [`crate::edit::levenshtein_bounded`]
-//! are the public edit-distance API that routes here.
+//! and [`myers`] / [`myers_bounded`] are the same over `&str`.
 //!
 //! Every invocation counts which rung fired (`edit_kernel` section of
 //! `RunMetrics`), so pipeline runs show which path verification actually

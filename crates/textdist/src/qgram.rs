@@ -169,7 +169,7 @@ pub fn record_terms<'p>(fields: &[&str], q: usize, padded: &'p mut String) -> Te
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edit::levenshtein;
+    use crate::myers::myers;
     use crate::tokenize::{record_string, tokenize_record};
     use proptest::prelude::*;
 
@@ -320,7 +320,7 @@ mod tests {
             // If ed(a,b) = k, the q-gram overlap is at least
             // max(|A|,|B|) - k*q. This is the filter the NN index relies on.
             let q = 2usize;
-            let k = levenshtein(&a, &b);
+            let k = myers(&a, &b);
             let pa = QgramProfile::build(&a, q);
             let pb = QgramProfile::build(&b, q);
             let overlap = pa.overlap(&pb) as i64;

@@ -1,37 +1,19 @@
 //! Property tests pinning the lock-step batched prepared path to the
 //! scalar prepared path it accelerates (DESIGN.md §7.6).
 //!
-//! For every built-in distance — and one custom distance running on the
-//! trait's defaults — `Prepared::distance_bounded_batch` over a list of
-//! compiled candidates must agree *bit-exactly*, slot for slot, with
-//! calling `Prepared::distance_bounded` per candidate at the same cutoff,
-//! and with the unprepared `Distance::distance_bounded` on the raw fields
-//! — across Unicode (including 4-byte supplementary-plane chars), >64-char
+//! For every built-in distance, `Prepared::distance_bounded_batch` over a
+//! list of compiled candidates must agree *bit-exactly*, slot for slot,
+//! with calling `Prepared::bounded` per candidate at the same
+//! cutoff, and with the unprepared `Distance::distance` filtered at it —
+//! across Unicode (including 4-byte supplementary-plane chars), >64-char
 //! blocked patterns, cutoffs on both sides of the true distance, ragged
-//! final batches, batch size 1, and batches mixing compiled candidates
-//! with raw-field ones.
+//! final batches and batch size 1.
 
 use fuzzydedup_textdist::{
-    record_string, Candidate, CompiledRecords, Distance, EditDistance, FuzzyMatchDistance,
-    IdfModel, UnfilteredDistance,
+    Candidate, CompiledRecords, Distance, EditDistance, FuzzyMatchDistance, IdfModel,
+    UnfilteredDistance,
 };
 use proptest::prelude::*;
-
-/// A third-party distance that implements only what the trait demands
-/// (the relative length gap of the record strings); bounded calls,
-/// `prepare`, `compile_record` and the batch call are all defaults.
-struct LengthGap;
-
-impl Distance for LengthGap {
-    fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
-        let la = record_string(a).chars().count();
-        let lb = record_string(b).chars().count();
-        la.abs_diff(lb) as f64 / la.max(lb).max(1) as f64
-    }
-    fn name(&self) -> &str {
-        "length-gap"
-    }
-}
 
 fn idf() -> IdfModel {
     IdfModel::fit_strings(&[
@@ -50,70 +32,56 @@ fn all_distances() -> Vec<Box<dyn Distance>> {
         Box::new(EditDistance),
         Box::new(FuzzyMatchDistance::new(idf())),
         Box::new(UnfilteredDistance(EditDistance)),
-        Box::new(LengthGap),
     ]
 }
 
 /// Cutoff grid straddling every candidate's true distance, plus fixed
 /// points — one shared cutoff per batch call, as the verification driver
 /// issues them.
-fn batch_cutoffs(dist: &dyn Distance, query: &[&str], candidates: &[Vec<&str>]) -> Vec<f64> {
+fn batch_cutoffs(plain: &[f64]) -> Vec<f64> {
     let mut cuts = vec![0.0, 0.2, 0.5, 0.8, 1.0];
-    for cand in candidates {
-        let fields: Vec<&str> = cand.to_vec();
-        let d = dist.distance(query, &fields);
+    for &d in plain {
         cuts.extend([d, (d - 1e-9).max(0.0), (d + 1e-9).min(1.0)]);
     }
     cuts
 }
 
 /// Core check: batched results over compiled candidates equal the
-/// unprepared call on the raw fields and the per-candidate scalar
+/// unprepared call filtered at the cutoff and the per-candidate scalar
 /// results — for the whole list in one call and re-chunked at sizes 1
-/// and 3 (ragged final chunks included whenever `len % 3 != 0`), and
-/// again with every other candidate handed over as raw fields.
+/// and 3 (ragged final chunks included whenever `len % 3 != 0`).
 fn assert_batch_equals_scalar(dist: &dyn Distance, query: &[&str], candidates: &[Vec<&str>]) {
-    let owned: Vec<Vec<String>> =
-        candidates.iter().map(|c| c.iter().map(|f| f.to_string()).collect()).collect();
     let mut store = CompiledRecords::default();
     for cand in candidates {
         dist.compile_record(cand, &mut store);
     }
-    let compiled: Vec<Candidate> =
-        owned.iter().enumerate().map(|(i, fields)| store.candidate(i, fields)).collect();
-    let mixed: Vec<Candidate> = compiled
-        .iter()
-        .zip(&owned)
-        .enumerate()
-        .map(|(i, (&form, fields))| if i % 2 == 0 { form } else { Candidate::Fields(fields) })
-        .collect();
+    let compiled: Vec<Candidate> = (0..candidates.len()).map(|i| store.candidate(i)).collect();
+    let plain: Vec<f64> = candidates.iter().map(|c| dist.distance(query, c)).collect();
     let mut prepared = dist.prepare(query);
     let mut out = Vec::new();
-    for cutoff in batch_cutoffs(dist, query, candidates) {
+    for cutoff in batch_cutoffs(&plain) {
         let expected: Vec<Option<f64>> =
-            candidates.iter().map(|c| dist.distance_bounded(query, c, cutoff)).collect();
+            plain.iter().map(|&d| (d <= cutoff).then_some(d)).collect();
         let scalar: Vec<Option<f64>> =
-            compiled.iter().map(|&c| prepared.distance_bounded(c, cutoff)).collect();
+            compiled.iter().map(|&c| prepared.bounded(c, cutoff)).collect();
         assert_eq!(
             scalar,
             expected,
             "{}: scalar(compiled) != unprepared at cutoff {cutoff} for {query:?} vs {candidates:?}",
             dist.name()
         );
-        for forms in [&compiled, &mixed] {
-            for chunk_len in [candidates.len().max(1), 1, 3] {
-                let mut got: Vec<Option<f64>> = Vec::new();
-                for chunk in forms.chunks(chunk_len) {
-                    prepared.distance_bounded_batch(chunk, cutoff, &mut out);
-                    got.extend_from_slice(&out);
-                }
-                assert_eq!(
-                    got,
-                    expected,
-                    "{}: batch(chunk={chunk_len}) != scalar at cutoff {cutoff} for {query:?} vs {candidates:?}",
-                    dist.name()
-                );
+        for chunk_len in [candidates.len().max(1), 1, 3] {
+            let mut got: Vec<Option<f64>> = Vec::new();
+            for chunk in compiled.chunks(chunk_len) {
+                prepared.distance_bounded_batch(chunk, cutoff, &mut out);
+                got.extend_from_slice(&out);
             }
+            assert_eq!(
+                got,
+                expected,
+                "{}: batch(chunk={chunk_len}) != scalar at cutoff {cutoff} for {query:?} vs {candidates:?}",
+                dist.name()
+            );
         }
     }
 }

@@ -8,21 +8,21 @@
 //! tokens' weight. Tokenization and IDF weights
 //! are inputs to the definition and come from the crate.
 //!
-//! One prepared query is scored against 600+ candidates, compiled and raw,
-//! bit for bit against the oracle, at cutoff 1.0 and at the cutoffs where
-//! the loss bound must give way: the oracle's distance, the `f64`s on
-//! either side of it, and 0. The candidates share a vocabulary, so
-//! the prepared query's token-pair memo both hits and clears. The
-//! vocabulary holds tokens the IDF fit never saw (no vocabulary id), tokens
-//! over 64 chars (the blocked patterns, their window and their stock
-//! fallback), Unicode, and the exact `ned = 0.8` edge.
+//! One prepared query is scored against 600+ compiled candidates, bit for
+//! bit against the oracle, at cutoff 1.0 and at the cutoffs where the loss
+//! bound must give way: the oracle's distance, the `f64`s on either side of
+//! it, and 0; the unprepared `distance` is held to it too. The candidates
+//! share a vocabulary, so the prepared query's token-pair memo both hits
+//! and clears. The vocabulary holds tokens the IDF fit never saw (no
+//! vocabulary id), tokens over 64 chars (the blocked patterns, their window
+//! and their stock fallback), Unicode, and the exact `ned = 0.8` edge.
 
 use std::collections::HashSet;
 
 use fuzzydedup_metrics::{scoped, Counter};
 use fuzzydedup_textdist::fms::LossBound;
 use fuzzydedup_textdist::tokenize::tokenize_record;
-use fuzzydedup_textdist::{Candidate, CompiledRecords, Distance, FuzzyMatchDistance, IdfModel};
+use fuzzydedup_textdist::{CompiledRecords, Distance, FuzzyMatchDistance, IdfModel};
 use proptest::prelude::*;
 
 mod common;
@@ -157,15 +157,13 @@ proptest! {
                 // may reject, and must not at `want` itself.
                 let [below, above] = neighbours(want);
                 let cutoffs = [1.0, want, below, above, 0.0];
-                for (form, view) in
-                    [("compiled", store.candidate(id, candidate)), ("raw", Candidate::Fields(candidate))]
-                {
-                    for cutoff in cutoffs {
-                        let got = prepared.distance_bounded(view, cutoff).map(f64::to_bits);
-                        let within = (want <= cutoff).then_some(want.to_bits());
-                        prop_assert_eq!(got, within, "{} {:?} at {}: want {}", form, candidate, cutoff, want);
-                    }
+                for cutoff in cutoffs {
+                    let got = prepared.bounded(store.candidate(id), cutoff).map(f64::to_bits);
+                    let within = (want <= cutoff).then_some(want.to_bits());
+                    prop_assert_eq!(got, within, "{:?} at {}: want {}", candidate, cutoff, want);
                 }
+                let unprepared = fms.distance(&[query.as_str()], &[candidate[0].as_str()]);
+                prop_assert_eq!(unprepared.to_bits(), want.to_bits(), "unprepared {:?}", candidate);
             }
         });
 
@@ -190,7 +188,7 @@ fn the_edge_pair_is_matched_at_exactly_ned_0_8() {
         let want = oracle(a, b);
         let store = CompiledRecords::compile(&fms, &[vec![b.to_string()]]);
         let mut prepared = fms.prepare(&[a]);
-        let got = prepared.distance_bounded(store.candidate(0, &[]), 1.0);
+        let got = prepared.bounded(store.candidate(0), 1.0);
         assert_eq!(got.map(f64::to_bits), Some(want.to_bits()), "{a} vs {b}");
     }
     // 4 / 5 is admitted and gains a little; 5 / 6 is not.

@@ -8,7 +8,7 @@
 //! the 64-char single-word boundary and exercises the blocked multi-word
 //! path, the non-ASCII spill table, and common prefix/suffix stripping.
 
-use fuzzydedup_textdist::{levenshtein_bounded, myers};
+use fuzzydedup_textdist::{myers, myers_bounded};
 use proptest::prelude::*;
 
 mod common;
@@ -72,9 +72,9 @@ proptest! {
         prop_assert_eq!(myers(&a, &b), levenshtein_dp(&a, &b));
     }
 
-    /// `levenshtein_bounded` (now Myers-backed) agrees with the banded-DP
-    /// oracle on BOTH sides of the cutoff: identical `Some(d)` when the
-    /// distance is within the bound, identical `None` when it is not.
+    /// `myers_bounded` agrees with the banded-DP oracle on BOTH sides of
+    /// the cutoff: identical `Some(d)` when the distance is within the
+    /// bound, identical `None` when it is not.
     #[test]
     fn bounded_matches_the_dp_on_near_duplicates(
         a in "[a-z0-9éüßñ日本語😀]{0,120}",
@@ -83,7 +83,7 @@ proptest! {
     ) {
         let b = near_duplicate(&a, &edits);
         let d = levenshtein_dp(&a, &b);
-        prop_assert_eq!(levenshtein_bounded(&a, &b, bound), (d <= bound).then_some(d));
+        prop_assert_eq!(myers_bounded(&a, &b, bound), (d <= bound).then_some(d));
     }
 
     /// Bounded semantics are exactly "distance if ≤ k": tie the bounded
@@ -96,7 +96,7 @@ proptest! {
     ) {
         let d = levenshtein_dp(&a, &b);
         let expect = (d <= bound).then_some(d);
-        prop_assert_eq!(levenshtein_bounded(&a, &b, bound), expect);
+        prop_assert_eq!(myers_bounded(&a, &b, bound), expect);
     }
 
     /// Metric sanity carried over from the DP era: symmetry and the
@@ -124,8 +124,8 @@ fn word_boundary_with_multibyte_chars() {
         let mut b = a.clone();
         b.push('語');
         assert_eq!(myers(&a, &b), 1, "append at m={m}");
-        assert_eq!(levenshtein_bounded(&a, &b, 1), Some(1), "bounded at m={m}");
-        assert_eq!(levenshtein_bounded(&a, &b, 0), None, "cutoff at m={m}");
+        assert_eq!(myers_bounded(&a, &b, 1), Some(1), "bounded at m={m}");
+        assert_eq!(myers_bounded(&a, &b, 0), None, "cutoff at m={m}");
         // Substitution in the middle defeats prefix AND suffix stripping.
         let mut c: Vec<char> = a.chars().collect();
         c[m / 2] = '😀';

@@ -1,40 +1,20 @@
 //! Property tests pinning the prepared-query layer to the unprepared
 //! [`Distance`] API it accelerates (DESIGN.md §7.5).
 //!
-//! For every built-in distance — and one custom distance that overrides
-//! nothing, so it runs on the trait's defaults — compiling the query once
-//! via [`Distance::prepare`] and evaluating candidates through
-//! `Prepared::distance_bounded` must agree *bit-exactly* with the
-//! per-call [`Distance::distance_bounded`] on the raw fields, whether the
-//! candidate reaches the prepared query as raw fields or in the form
-//! [`Distance::compile_record`] compiled once — and all must equal the
-//! plain [`Distance::distance`] filtered at the cutoff. Cutoffs are
-//! sampled on both sides of the true distance (including the exact
-//! boundary), candidates include Unicode/multibyte text, and the edit
-//! distance is driven across the 64-char word boundary so the blocked
-//! Myers path and the prepare-time affix stripping are both exercised.
+//! For every built-in distance, compiling the query once via
+//! [`Distance::prepare`] and evaluating candidates, in the form
+//! [`Distance::compile_record`] compiled once, through
+//! `Prepared::bounded` must agree *bit-exactly* with the plain
+//! [`Distance::distance`] filtered at the cutoff. Cutoffs are sampled on
+//! both sides of the true distance (including the exact boundary),
+//! candidates include Unicode/multibyte text, and the edit distance is
+//! driven across the 64-char word boundary so the blocked Myers path and
+//! the prepare-time affix stripping are both exercised.
 
 use fuzzydedup_textdist::{
-    record_string, Candidate, CompiledRecords, Distance, EditDistance, FuzzyMatchDistance,
-    IdfModel, UnfilteredDistance,
+    CompiledRecords, Distance, EditDistance, FuzzyMatchDistance, IdfModel, UnfilteredDistance,
 };
 use proptest::prelude::*;
-
-/// A third-party distance that implements only what the trait demands:
-/// the relative length gap of the record strings. Everything else —
-/// bounded calls, `prepare`, `compile_record` — is the trait's default.
-struct LengthGap;
-
-impl Distance for LengthGap {
-    fn distance(&self, a: &[&str], b: &[&str]) -> f64 {
-        let la = record_string(a).chars().count();
-        let lb = record_string(b).chars().count();
-        la.abs_diff(lb) as f64 / la.max(lb).max(1) as f64
-    }
-    fn name(&self) -> &str {
-        "length-gap"
-    }
-}
 
 /// Cutoffs straddling the true distance `d`: fixed grid points plus the
 /// exact boundary and points just inside/outside it.
@@ -55,10 +35,8 @@ fn cutoffs(d: f64) -> Vec<f64> {
 
 /// Core equivalence check: the candidates compiled once, one query
 /// prepared once, every candidate evaluated at every cutoff through the
-/// unprepared call and through the prepared query in both forms.
+/// prepared query and through the unprepared call, filtered.
 fn assert_equivalent(dist: &dyn Distance, query: &[&str], candidates: &[Vec<&str>]) {
-    let owned: Vec<Vec<String>> =
-        candidates.iter().map(|c| c.iter().map(|f| f.to_string()).collect()).collect();
     let mut store = CompiledRecords::default();
     for cand in candidates {
         dist.compile_record(cand, &mut store);
@@ -67,26 +45,11 @@ fn assert_equivalent(dist: &dyn Distance, query: &[&str], candidates: &[Vec<&str
     for (i, cand) in candidates.iter().enumerate() {
         let plain = dist.distance(query, cand);
         for cutoff in cutoffs(plain) {
-            let bounded = dist.distance_bounded(query, cand, cutoff);
-            let via_raw = prepared.distance_bounded(Candidate::Fields(&owned[i]), cutoff);
-            let via_compiled = prepared.distance_bounded(store.candidate(i, &owned[i]), cutoff);
-            assert_eq!(
-                bounded,
-                via_raw,
-                "{}: prepared(raw) != bounded at cutoff {cutoff} for {query:?} vs {cand:?}",
-                dist.name()
-            );
-            assert_eq!(
-                bounded,
-                via_compiled,
-                "{}: prepared(compiled) != bounded at cutoff {cutoff} for {query:?} vs {cand:?}",
-                dist.name()
-            );
             let expect = (plain <= cutoff).then_some(plain);
             assert_eq!(
-                bounded,
+                prepared.bounded(store.candidate(i), cutoff),
                 expect,
-                "{}: bounded != filtered distance at cutoff {cutoff} for {query:?} vs {cand:?}",
+                "{}: prepared != filtered distance at cutoff {cutoff} for {query:?} vs {cand:?}",
                 dist.name()
             );
         }
@@ -112,15 +75,14 @@ fn all_distances() -> Vec<Box<dyn Distance>> {
         Box::new(EditDistance),
         Box::new(FuzzyMatchDistance::new(idf())),
         Box::new(UnfilteredDistance(EditDistance)),
-        Box::new(LengthGap),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Tentpole property: prepared ≡ bounded ≡ filtered-plain for every
-    /// distance on arbitrary Unicode records.
+    /// prepared ≡ filtered-plain for every distance on arbitrary Unicode
+    /// records.
     #[test]
     fn prepared_equals_unprepared(
         query in "[a-f0-9éüß日語 ]{0,40}",
@@ -190,7 +152,7 @@ fn deterministic_boundary_cases() {
     }
 }
 
-/// What compilation must see exactly as the per-call path does:
+/// What compilation must see exactly as the unprepared `distance` does:
 /// uppercase, punctuation, empty and multiple fields, non-ASCII whose
 /// lowercase mapping expands (U+0130), and records past 64 chars.
 #[test]
@@ -214,9 +176,8 @@ fn compiled_candidates_on_messy_records() {
     }
 }
 
-/// One prepared query evaluated against many candidates in sequence, raw
-/// and compiled forms interleaved — internal scratch buffers must not
-/// leak state between candidates.
+/// One prepared query evaluated against many candidates in sequence —
+/// internal scratch buffers must not leak state between candidates.
 #[test]
 fn prepared_reuse_across_candidates() {
     let cands: Vec<Vec<String>> = [
@@ -238,11 +199,10 @@ fn prepared_reuse_across_candidates() {
         }
         let mut prepared = dist.prepare(&query);
         for (i, c) in cands.iter().enumerate() {
-            let expect = dist.distance_bounded(&query, &[c[0].as_str()], 0.75);
-            let raw = prepared.distance_bounded(Candidate::Fields(c), 0.75);
-            let compiled = prepared.distance_bounded(store.candidate(i, c), 0.75);
-            assert_eq!(expect, raw, "{}: raw reuse mismatch on {c:?}", dist.name());
-            assert_eq!(expect, compiled, "{}: compiled reuse mismatch on {c:?}", dist.name());
+            let plain = dist.distance(&query, &[c[0].as_str()]);
+            let expect = (plain <= 0.75).then_some(plain);
+            let compiled = prepared.bounded(store.candidate(i), 0.75);
+            assert_eq!(expect, compiled, "{}: reuse mismatch on {c:?}", dist.name());
         }
     }
 }

@@ -76,7 +76,12 @@
 # ("distance_methods") and `trait NnIndex` ("nnindex_methods"), so "a
 # simplicity PR adds no options" is read off a diff of that file; and
 # the unsafe ledger, "unsafe_sites": `grep -c unsafe` per source file under
-# crates/*/src and src (files that have any), totalled per directory.
+# crates/*/src and src (files that have any), totalled per directory; and
+# the unwrap ledger, "unwrap_sites": the lines calling `unwrap()` or
+# `expect(` in each .rs file under crates/*/src and src, up to the file's
+# first `#[cfg(test)]`, totalled per directory — the places a program can
+# still panic on an `Option` or a `Result` (78 when it was introduced; a
+# change should not raise it).
 #
 # Exits non-zero if any attempted stage fails; later stages still run so
 # one summary shows everything that is broken.
@@ -327,6 +332,26 @@ for d in crates/*/src src; do
 done
 unsafe_json="\"total\": $unsafe_total$unsafe_dirs$unsafe_files"
 
+# ---- unwrap ledger ---------------------------------------------------
+# Lines calling `unwrap()` or `expect(`, each file read up to its first
+# `#[cfg(test)]`.
+unwrap_total=0
+unwrap_json=""
+echo
+echo "lines calling unwrap() or expect( outside tests, per source directory:"
+for d in crates/*/src src; do
+    dir_n=$(find "$d" -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { on = 1 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { on = 0 }
+        on && /unwrap\(\)|expect\(/ { n++ }
+        END { print n + 0 }')
+    printf '  %-40s %3d\n' "$d" "$dir_n"
+    unwrap_json+=", \"$d\": $dir_n"
+    unwrap_total=$((unwrap_total + dir_n))
+done
+printf '  %-40s %3d\n' "total" "$unwrap_total"
+unwrap_json="\"total\": $unwrap_total$unwrap_json"
+
 # ---- machine-readable summary ---------------------------------------
 mkdir -p results
 {
@@ -337,6 +362,7 @@ mkdir -p results
     echo "  \"rust_lines\": {$ledger_json},"
     echo "  \"config_fields\": {$options_json},"
     echo "  \"unsafe_sites\": {$unsafe_json},"
+    echo "  \"unwrap_sites\": {$unwrap_json},"
     echo '  "stages": ['
     for i in "${!stages[@]}"; do
         sep=','

@@ -345,4 +345,21 @@ fn io_errors_name_what_failed() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.starts_with("cannot read stdin: "), "{stderr}");
+    // A file that is not UTF-8 and a directory, as `--input` of both
+    // subcommands: a clean exit 1 naming the path, never a panic's 101.
+    let latin1 = temp_path("latin1.csv");
+    std::fs::write(&latin1, b"name\ncaf\xe9\n").unwrap();
+    let dir = temp_path("a-directory");
+    std::fs::create_dir_all(&dir).unwrap();
+    for input in [&latin1, &dir] {
+        let input = input.to_str().unwrap();
+        for subcommand in [&[][..], &["replay"][..]] {
+            let out = bin().args(subcommand).args(["--input", input]).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{subcommand:?} --input {input}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(&format!("cannot read {input}: ")), "{stderr}");
+        }
+    }
+    std::fs::remove_file(&latin1).ok();
+    std::fs::remove_dir(&dir).ok();
 }
