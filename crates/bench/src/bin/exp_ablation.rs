@@ -4,23 +4,21 @@
 //!    necessary: CS alone admits mutual-NN pairs among uniques, SN alone
 //!    has no mutuality requirement at all);
 //! 2. **minimality post-pass** on/off (§4.5.2 — mergers of disjoint
-//!    compact sets should be rare on realistic data);
-//! 3. **axiom battery** (Lemmas 1–4) on randomized numeric relations.
+//!    compact sets should be rare on realistic data).
+//!
+//! Lemmas 1–4 are properties of `DE` itself; `tests/axioms_property.rs`
+//! checks them against the paper's definitions (`fuzzydedup-reference`).
 //!
 //! Run with: `cargo run --release -p fuzzydedup-bench --bin exp_ablation`
 
-use fuzzydedup_core::axioms::{
-    check_richness, check_scale_invariance, check_split_merge_consistency, check_uniqueness,
-};
 use fuzzydedup_core::minimality::enforce_minimality;
 use fuzzydedup_core::{
     evaluate, partition_entries_ablation, Aggregation, CutSpec, DedupConfig, Deduplicator,
-    MatrixIndex,
 };
 use fuzzydedup_datagen::{restaurants, DatasetSpec};
 use fuzzydedup_textdist::DistanceKind;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -76,31 +74,7 @@ fn main() {
         minimal.num_groups().saturating_sub(base.num_groups()),
     );
     println!("  (the paper predicts such mergers are 'very rare' — expect ~0 splits)");
-
-    println!("\n# Axiom battery (Lemmas 1-4) on randomized 1-D relations:");
-    let mut all_ok = true;
-    for trial in 0..20 {
-        let n = rng.gen_range(6..24);
-        let points: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..100.0)).collect();
-        let m = MatrixIndex::from_points_1d(&points);
-        let ok_unique = check_uniqueness(&m, CutSpec::Size(4), Aggregation::Max, 4.0)
-            && check_uniqueness(&m, CutSpec::Diameter(5.0), Aggregation::Max, 4.0);
-        let ok_scale =
-            check_scale_invariance(&m, 4, Aggregation::Max, 4.0, &[0.01, 0.5, 3.0, 250.0]);
-        let ok_smc =
-            check_split_merge_consistency(&m, CutSpec::Size(4), Aggregation::Max, 4.0, 0.5, 2.0);
-        if !(ok_unique && ok_scale && ok_smc) {
-            all_ok = false;
-            println!(
-                "  trial {trial}: uniqueness={ok_unique} scale={ok_scale} split/merge={ok_smc}"
-            );
-        }
-    }
-    let rich = check_richness(&[2, 2, 3, 1, 2], 3, Aggregation::Max, 10.0)
-        && check_richness(&[2; 12], 4, Aggregation::Max, 10.0);
     println!(
-        "  uniqueness/scale/split-merge over 20 random relations: {}",
-        if all_ok { "ALL PASS" } else { "FAILURES (above)" }
+        "\n# Lemmas 1-4: against the paper's definitions in `cargo test --test axioms_property`"
     );
-    println!("  constrained richness realizations: {}", if rich { "PASS" } else { "FAIL" });
 }

@@ -9,10 +9,19 @@
 //!
 //! Run with: `cargo run --release -p fuzzydedup-bench --bin exp_growth_spheres`
 
-use fuzzydedup_core::axioms::de_on_matrix;
-use fuzzydedup_core::{compute_nn_reln, Aggregation, CutSpec, MatrixIndex, NeighborSpec};
+use fuzzydedup_core::{
+    compute_nn_reln, partition_entries, Aggregation, CutSpec, MatrixIndex, NeighborSpec, Partition,
+};
 use fuzzydedup_datagen::numeric::{paper_integers, paper_integers_gold};
-use fuzzydedup_nnindex::LookupOrder;
+use fuzzydedup_nnindex::{LookupOrder, NnIndex};
+
+/// `DE` over `idx` with max-aggregated growth below `c`: Phase 1 in id
+/// order at `p = 2`, then the partition.
+fn de(idx: &MatrixIndex, cut: CutSpec, c: f64) -> Partition {
+    let spec = NeighborSpec::from_cut(&cut, idx.len());
+    let (reln, _) = compute_nn_reln(idx, spec, LookupOrder::Sequential, 2.0);
+    partition_entries(&reln, cut, Aggregation::Max, c)
+}
 
 fn main() {
     let points = paper_integers();
@@ -36,16 +45,16 @@ fn main() {
 
     println!("\nInitial formulation (no cut), AGG=max, c=2 ... 8:");
     for c in [2.0, 3.0, 4.0, 8.0] {
-        let p = de_on_matrix(&idx, CutSpec::Unbounded, Aggregation::Max, c);
+        let p = de(&idx, CutSpec::Unbounded, c);
         println!("  c={c:<4} groups={:?}", p.groups());
     }
     println!("\nWith a lenient c the whole relation collapses (the paper's warning):");
-    let p = de_on_matrix(&idx, CutSpec::Unbounded, Aggregation::Max, 100.0);
+    let p = de(&idx, CutSpec::Unbounded, 100.0);
     println!("  c=100  groups={:?}", p.groups());
 
     println!("\nCut formulations recover the intuitive partition {:?}:", paper_integers_gold());
-    let p = de_on_matrix(&idx, CutSpec::Size(3), Aggregation::Max, 4.0);
+    let p = de(&idx, CutSpec::Size(3), 4.0);
     println!("  DE_S(3), c=4:   groups={:?}", p.groups());
-    let p = de_on_matrix(&idx, CutSpec::Diameter(3.5), Aggregation::Max, 4.0);
+    let p = de(&idx, CutSpec::Diameter(3.5), 4.0);
     println!("  DE_D(3.5), c=4: groups={:?}", p.groups());
 }

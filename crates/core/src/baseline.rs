@@ -5,41 +5,9 @@
 //! from `NN_Reln` (an edge between tuples at distance below θ) and return
 //! each maximal connected component as a set of duplicates.
 
+use crate::components::UnionFind;
 use crate::nnreln::NnReln;
 use crate::partition::Partition;
-
-/// Union-find with path halving and union by size.
-struct UnionFind {
-    parent: Vec<u32>,
-    size: Vec<u32>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        Self { parent: (0..n as u32).collect(), size: vec![1; n] }
-    }
-
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let grandparent = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = grandparent;
-            x = grandparent;
-        }
-        x
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        if self.size[ra as usize] < self.size[rb as usize] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb as usize] = ra;
-        self.size[ra as usize] += self.size[rb as usize];
-    }
-}
 
 /// Single-linkage with a global threshold (the `thr` baseline): connected
 /// components of the threshold graph induced by the NN lists. An edge
@@ -55,12 +23,7 @@ pub fn single_linkage(reln: &NnReln, theta: f64) -> Partition {
             }
         }
     }
-    let mut groups: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for id in 0..n as u32 {
-        let root = uf.find(id);
-        groups[root as usize].push(id);
-    }
-    Partition::from_groups(n, groups.into_iter().filter(|g| !g.is_empty()))
+    Partition::from_groups(n, uf.components())
 }
 
 #[cfg(test)]

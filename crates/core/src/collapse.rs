@@ -67,8 +67,8 @@ pub struct CollapseMap {
     /// Per representative, the full-corpus member ids, ascending (records
     /// are admitted in full-id order).
     classes: Vec<Vec<u32>>,
-    /// Per full-corpus id, its representative id.
-    owner: Vec<u32>,
+    /// Full-corpus record count (records admitted so far).
+    n_full: usize,
     /// Per representative, its class size (`classes[r].len()`).
     mult: Vec<u32>,
 }
@@ -76,20 +76,13 @@ pub struct CollapseMap {
 impl CollapseMap {
     /// An empty map grouping records by `key`.
     pub fn new(key: CollapseKey) -> Self {
-        Self {
-            key,
-            by_key: HashMap::new(),
-            classes: Vec::new(),
-            owner: Vec::new(),
-            mult: Vec::new(),
-        }
+        Self { key, by_key: HashMap::new(), classes: Vec::new(), n_full: 0, mult: Vec::new() }
     }
 
     /// Group `records` into exact-duplicate classes under `key`.
     pub fn build(records: &[Vec<String>], key: CollapseKey) -> Self {
         let mut map = Self::new(key);
         map.by_key.reserve(records.len());
-        map.owner.reserve(records.len());
         for record in records {
             let fields: Vec<&str> = record.iter().map(String::as_str).collect();
             map.admit(&fields);
@@ -106,9 +99,9 @@ impl CollapseMap {
             self.classes.push(Vec::new());
             self.mult.push(0);
         }
-        self.classes[rep as usize].push(self.owner.len() as u32);
+        self.classes[rep as usize].push(self.n_full as u32);
         self.mult[rep as usize] += 1;
-        self.owner.push(rep);
+        self.n_full += 1;
         rep
     }
 
@@ -119,7 +112,7 @@ impl CollapseMap {
 
     /// Full-corpus record count.
     pub fn n_full(&self) -> usize {
-        self.owner.len()
+        self.n_full
     }
 
     /// Records removed by collapsing: `n_full − n_reps`.
@@ -137,29 +130,10 @@ impl CollapseMap {
         &self.classes
     }
 
-    /// Representative id of full-corpus record `id`.
-    pub fn rep_of(&self, id: u32) -> u32 {
-        self.owner[id as usize]
-    }
-
     /// The representative corpus: one record per class, in rep-id order
     /// (each class's first member).
     pub fn rep_records(&self, records: &[Vec<String>]) -> Vec<Vec<String>> {
         self.classes.iter().map(|members| records[members[0] as usize].clone()).collect()
-    }
-
-    /// Expand rep-space groups (e.g. a partition over representatives) to
-    /// full-corpus id sets, each sorted ascending.
-    pub fn expand_groups(&self, groups: &[Vec<u32>]) -> Vec<Vec<u32>> {
-        groups
-            .iter()
-            .map(|group| {
-                let mut ids: Vec<u32> =
-                    group.iter().flat_map(|&r| self.classes[r as usize].iter().copied()).collect();
-                ids.sort_unstable();
-                ids
-            })
-            .collect()
     }
 
     /// Reconstruct the full-corpus `NN_Reln` from the representative-space
@@ -250,7 +224,6 @@ mod tests {
         assert_eq!(map.collapsed_records(), 2);
         assert_eq!(map.classes(), &[vec![0, 1, 3], vec![2]]);
         assert_eq!(map.multiplicities(), &[3, 1]);
-        assert_eq!(map.rep_of(3), 0);
         let reps = map.rep_records(&records);
         assert_eq!(reps.len(), 2);
         assert_eq!(reps[0], records[0], "rep record is the first member's");
@@ -282,15 +255,6 @@ mod tests {
         assert_eq!(map.n_reps(), 0);
         assert_eq!(map.n_full(), 0);
         assert!(map.expand_reln(&NnReln::new(vec![]), NeighborSpec::TopK(3), &[]).is_empty());
-    }
-
-    #[test]
-    fn expand_groups_sorts_members() {
-        let records = vec![rec(&["x"]), rec(&["y"]), rec(&["x"]), rec(&["z"])];
-        let map = CollapseMap::build(&records, CollapseKey::RecordString);
-        // reps: 0 -> {0, 2}, 1 -> {1}, 2 -> {3}
-        let expanded = map.expand_groups(&[vec![1, 0], vec![2]]);
-        assert_eq!(expanded, vec![vec![0, 1, 2], vec![3]]);
     }
 
     #[test]

@@ -19,17 +19,19 @@
 //!   against ([`baseline`]);
 //! * **precision/recall evaluation** against gold clusterings ([`eval`]);
 //! * the **SN-threshold estimation heuristic** of §4.4 ([`threshold`]);
-//! * checkers for the **axiomatic properties** of §3.1 — uniqueness, scale
-//!   invariance, split/merge consistency, constrained richness
-//!   ([`axioms`]);
-//! * the §4.5 extensions: minimality of compact sets ([`minimality`]) and
-//!   negative constraining predicates ([`constraints`]).
+//! * the §4.5.2 extension: minimality of compact sets ([`minimality`]).
+//!
+//! The axiomatic properties of §3.1 (Lemmas 1–4) are properties of `DE`
+//! itself; they are checked once, in the workspace's
+//! `tests/axioms_property.rs`, against the paper's definitions
+//! (`fuzzydedup-reference`). The §4.5.1 negative constraining predicates
+//! are not implemented (DESIGN.md §9).
 //!
 //! The whole framework is generic over the distance source: either a
 //! string-record corpus with a [`fuzzydedup_textdist::Distance`] function
 //! (via the nearest-neighbor indexes of `fuzzydedup-nnindex`), or an
 //! explicit distance matrix ([`matrix::MatrixIndex`]) for numeric examples
-//! and axiom tests.
+//! and tests.
 //!
 //! The entry point is the [`pipeline::Deduplicator`] facade:
 //!
@@ -45,11 +47,9 @@
 //! .unwrap();
 //! ```
 
-pub mod axioms;
 pub mod baseline;
 pub mod collapse;
 pub mod components;
-pub mod constraints;
 pub mod criteria;
 pub mod distinct;
 pub mod eval;

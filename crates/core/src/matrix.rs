@@ -3,7 +3,7 @@
 //! The axiomatic analysis of §3.1 quantifies over arbitrary distance
 //! functions, and the motivating integer example of §3 uses
 //! `d(a, b) = |a − b|`. [`MatrixIndex`] runs the whole DE machinery over an
-//! explicit symmetric distance matrix, which is what the axiom checkers,
+//! explicit symmetric distance matrix, which is what the axiom properties,
 //! the growth-spheres demo, and many unit tests use.
 
 use fuzzydedup_nnindex::{LookupCost, LookupSpec, NnIndex};

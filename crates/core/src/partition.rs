@@ -5,7 +5,7 @@ use std::collections::HashMap;
 /// A partition of tuple ids `0..n` into disjoint groups. Groups are stored
 /// in canonical form: each group sorted ascending, groups ordered by their
 /// minimum id, singletons included. Canonical form makes partitions
-/// directly comparable — which the uniqueness axiom tests rely on.
+/// directly comparable — which the uniqueness property relies on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     n: usize,
@@ -123,18 +123,6 @@ impl Partition {
         self.groups.len()
     }
 
-    /// Whether `other` refines `self` (every group of `other` is contained
-    /// in a group of `self`).
-    pub fn is_refined_by(&self, other: &Partition) -> bool {
-        if self.n != other.n {
-            return false;
-        }
-        other.groups.iter().all(|g| {
-            let host = self.group_of[g[0] as usize];
-            g.iter().all(|&id| self.group_of[id as usize] == host)
-        })
-    }
-
     /// Size histogram: map from group size to count, useful for the
     /// "most groups of duplicates are of size 2 or 3" observations.
     pub fn size_histogram(&self) -> HashMap<usize, usize> {
@@ -177,16 +165,6 @@ mod tests {
         assert_eq!(pairs, vec![(0, 1), (0, 2), (1, 2)]);
         assert_eq!(p.num_duplicate_pairs(), 3);
         assert_eq!(Partition::singletons(5).num_duplicate_pairs(), 0);
-    }
-
-    #[test]
-    fn refinement() {
-        let coarse = Partition::from_groups(4, vec![vec![0, 1, 2, 3]]);
-        let fine = Partition::from_groups(4, vec![vec![0, 1], vec![2, 3]]);
-        assert!(coarse.is_refined_by(&fine));
-        assert!(!fine.is_refined_by(&coarse));
-        assert!(coarse.is_refined_by(&coarse));
-        assert!(!coarse.is_refined_by(&Partition::singletons(3)));
     }
 
     #[test]

@@ -345,7 +345,7 @@ struct CollapseCtx<'a> {
 impl Deduplicator {
     /// Wrap a configuration. The configuration is validated on each run
     /// (not here) so a `Deduplicator` can be constructed in const-ish
-    /// contexts and reconfigured via [`Deduplicator::config_mut`].
+    /// contexts.
     pub fn new(config: DedupConfig) -> Self {
         Self { config }
     }
@@ -353,11 +353,6 @@ impl Deduplicator {
     /// The wrapped configuration.
     pub fn config(&self) -> &DedupConfig {
         &self.config
-    }
-
-    /// Mutable access for reconfiguring between runs.
-    pub fn config_mut(&mut self) -> &mut DedupConfig {
-        &mut self.config
     }
 
     /// Deduplicate string records: builds the distance function (fitting

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tiered CI driver: every quality gate the repo has, in cheap-to-expensive
-# order, with a per-stage pass/fail summary and a machine-readable
-# results/ci_summary.json.
+# order, with a per-stage pass/fail summary, a machine-readable
+# results/ci_summary.json and the tracked results/ledger.json.
 #
 #   scripts/ci.sh                 # all stages
 #   scripts/ci.sh --fast          # tier-1 only: build + root tests
@@ -59,29 +59,36 @@
 #                 through the live dedup service as `fuzzydedup replay`
 #                 builds it, drain-identity asserted; also fails if the
 #                 service's writer thread panicked
+#   ledger        on every run, whatever the flags: results/ledger.json
+#                 regenerated and compared with the committed file (below)
 #
-# Every run also counts the ROADMAP's line ledger — Rust outside vendored/
-# and benchmark/, total and per crate, and on a line of its own the oracle:
-# crates/reference (the paper's definitions written naively) with the two
-# suites holding production to it — prints it under the stage table
-# and writes it as "rust_lines" into results/ci_summary.json, beside the
-# toolchain that ran ("rustc": `rustc --version`, which must be at least
-# Cargo.toml's rust-version) and whether the CPU has AVX2 ("avx2"). Beside
-# it goes the options ledger, "config_fields": the `pub` fields of every
-# configuration struct, the `pub fn`s of `IncrementalDedupBuilder`
-# ("builder_fns", the incremental path's option surface), the distinct
-# `--flags` of the CLI's usage text,
-# the variants of `DistanceKind` ("distance_kinds") and `CollapseKey`
-# ("collapse_keys") and the `fn`s declared in `trait Distance`
-# ("distance_methods") and `trait NnIndex` ("nnindex_methods"), so "a
-# simplicity PR adds no options" is read off a diff of that file; and
-# the unsafe ledger, "unsafe_sites": `grep -c unsafe` per source file under
-# crates/*/src and src (files that have any), totalled per directory; and
-# the unwrap ledger, "unwrap_sites": the lines calling `unwrap()` or
-# `expect(` in each .rs file under crates/*/src and src, up to the file's
-# first `#[cfg(test)]`, totalled per directory — the places a program can
-# still panic on an `Option` or a `Result` (78 when it was introduced; a
-# change should not raise it).
+# Every run also counts the ROADMAP's ledgers and writes them to the
+# tracked results/ledger.json, one number to a line. The "ledger" row of
+# the stage table fails when the regenerated file differs from the
+# committed (or staged) one: a change that moves a number commits the new
+# file, so the diff shows the move. The ledgers are the line ledger,
+# "rust_lines" — Rust outside vendored/ and benchmark/, total and per
+# crate, and on a line of its own the oracle: crates/reference (the
+# paper's definitions written naively) with the two suites holding
+# production to it; the options ledger, "config_fields": the `pub` fields
+# of every configuration struct, the `pub fn`s of
+# `IncrementalDedupBuilder` ("builder_fns", the incremental path's option
+# surface), the distinct `--flags` of the CLI's usage text, the variants of
+# `DistanceKind` ("distance_kinds") and `CollapseKey` ("collapse_keys") and
+# the `fn`s declared in `trait Distance` ("distance_methods") and `trait
+# NnIndex` ("nnindex_methods"), so "a simplicity PR adds no options" is
+# read off a diff of that file; the unsafe ledger, "unsafe_sites": `grep -c
+# unsafe` per source file under crates/*/src and src (files that have
+# any), totalled per directory; the unwrap ledger, "unwrap_sites": the
+# lines calling `unwrap()` or `expect(` in each .rs file under
+# crates/*/src and src, up to the file's first `#[cfg(test)]`, totalled
+# per directory — the places a program can still panic on an `Option` or
+# a `Result` (78 when it was introduced; a change should not raise it);
+# and "core_pub_modules", the `pub mod` lines of crates/core/src/lib.rs.
+# What depends on the machine or the run — the toolchain ("rustc":
+# `rustc --version`, which must be at least Cargo.toml's rust-version),
+# whether the CPU has AVX2 ("avx2"), the stages' results and wall times
+# and the tripwire's rows — goes to the untracked results/ci_summary.json.
 #
 # Exits non-zero if any attempted stage fails; later stages still run so
 # one summary shows everything that is broken.
@@ -236,19 +243,6 @@ for stage in "${all_stages[@]}"; do
     esac
 done
 
-# ---- summary table ---------------------------------------------------
-echo
-echo "stage            result   wall(s)"
-echo "---------------  -------  -------"
-for i in "${!stages[@]}"; do
-    printf '%-16s %-8s %6ss\n' "${stages[$i]}" "${results[$i]}" "${seconds[$i]}"
-done
-if [[ $overall -eq 0 ]]; then
-    echo "ci: OK"
-else
-    echo "ci: FAIL"
-fi
-
 # ---- line ledger -----------------------------------------------------
 # ROADMAP's count: find crates src tests examples -name '*.rs' | xargs wc -l.
 rust_lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
@@ -352,6 +346,54 @@ done
 printf '  %-40s %3d\n' "total" "$unwrap_total"
 unwrap_json="\"total\": $unwrap_total$unwrap_json"
 
+# ---- tracked ledger --------------------------------------------------
+# The deterministic part of the summary, one number to a line, so that a
+# change to any of them is a reviewable diff of a committed file. The run
+# fails if the regenerated file differs from the committed (or staged) one.
+core_pub_modules=$(grep -c '^pub mod ' crates/core/src/lib.rs)
+echo
+echo "pub mod lines in crates/core/src/lib.rs: $core_pub_modules"
+one_per_line() { local body="$1"; echo "${body//, /,$'\n'    }"; }
+mkdir -p results
+{
+    echo '{'
+    echo "  \"rust_lines\": {"
+    echo "    $(one_per_line "$ledger_json")"
+    echo '  },'
+    echo "  \"config_fields\": {"
+    echo "    $(one_per_line "$options_json")"
+    echo '  },'
+    echo "  \"unsafe_sites\": {"
+    echo "    $(one_per_line "$unsafe_json")"
+    echo '  },'
+    echo "  \"unwrap_sites\": {"
+    echo "    $(one_per_line "$unwrap_json")"
+    echo '  },'
+    echo "  \"core_pub_modules\": $core_pub_modules"
+    echo '}'
+} > results/ledger.json
+ledger_check() {
+    if ! git ls-files --error-unmatch results/ledger.json >/dev/null 2>&1; then
+        echo "ci: results/ledger.json is not tracked; commit it" >&2
+        return 1
+    fi
+    git diff --exit-code -- results/ledger.json
+}
+run_stage ledger ledger_check
+
+# ---- summary table ---------------------------------------------------
+echo
+echo "stage            result   wall(s)"
+echo "---------------  -------  -------"
+for i in "${!stages[@]}"; do
+    printf '%-16s %-8s %6ss\n' "${stages[$i]}" "${results[$i]}" "${seconds[$i]}"
+done
+if [[ $overall -eq 0 ]]; then
+    echo "ci: OK"
+else
+    echo "ci: FAIL"
+fi
+
 # ---- machine-readable summary ---------------------------------------
 mkdir -p results
 {
@@ -359,10 +401,6 @@ mkdir -p results
     echo "  \"overall\": \"$([[ $overall -eq 0 ]] && echo pass || echo fail)\","
     echo "  \"rustc\": \"$rustc_version\","
     echo "  \"avx2\": \"$avx2\","
-    echo "  \"rust_lines\": {$ledger_json},"
-    echo "  \"config_fields\": {$options_json},"
-    echo "  \"unsafe_sites\": {$unsafe_json},"
-    echo "  \"unwrap_sites\": {$unwrap_json},"
     echo '  "stages": ['
     for i in "${!stages[@]}"; do
         sep=','

@@ -20,8 +20,8 @@
 //!   breadth-first lookup ordering of §4.1.1;
 //! * [`core`] — the paper's contribution: compact-set / sparse-neighborhood
 //!   criteria, the `DE_S(K)` / `DE_D(θ)` problems, the two-phase algorithm,
-//!   the single-linkage baseline, evaluation metrics, and the axiomatic
-//!   property checkers of §3.1;
+//!   the single-linkage baseline, evaluation metrics, the SN-threshold
+//!   heuristic and the §4.5.2 minimality post-pass;
 //! * [`datagen`] — gold-labelled synthetic dataset generators standing in
 //!   for the paper's Media/Org warehouses and the Riddle repository
 //!   datasets;

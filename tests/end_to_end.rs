@@ -161,52 +161,6 @@ fn aggregation_functions_agree_on_small_groups() {
 }
 
 #[test]
-fn constraining_predicates_split_product_versions() {
-    // §4.5.1's scenario: "two product descriptions are identical but for
-    // the version number at the end" cannot be duplicates. Without the
-    // predicate, DE merges them (they are mutual NNs with a sparse
-    // neighborhood); the constraining predicate splits them back.
-    use fuzzydedup::core::constraints::apply_constraints;
-    let records: Vec<Vec<String>> = [
-        "frobulator pro version 1",
-        "frobulator pro version 2",
-        "widgetworks assembler",
-        "widgetworks asembler", // true duplicate (typo)
-        "completely different product",
-        "another unrelated gadget",
-    ]
-    .iter()
-    .map(|s| vec![s.to_string()])
-    .collect();
-
-    let outcome = dedup(&records, &de_config(DistanceKind::FuzzyMatch)).unwrap();
-    assert!(outcome.partition.are_together(0, 1), "versions merge without the predicate");
-    assert!(outcome.partition.are_together(2, 3));
-
-    // Predicate: identical after stripping a trailing version number.
-    let version_conflict = |a: u32, b: u32| {
-        let strip = |s: &str| -> Option<String> {
-            let mut tokens: Vec<&str> = s.split_whitespace().collect();
-            let last = tokens.pop()?;
-            if last.chars().all(|c| c.is_ascii_digit()) && tokens.last() == Some(&"version") {
-                tokens.pop();
-                Some(tokens.join(" "))
-            } else {
-                None
-            }
-        };
-        match (strip(&records[a as usize][0]), strip(&records[b as usize][0])) {
-            (Some(x), Some(y)) => x == y && records[a as usize] != records[b as usize],
-            _ => false,
-        }
-    };
-    let constrained = apply_constraints(&outcome.partition, &version_conflict);
-    assert!(!constrained.are_together(0, 1), "predicate splits the version pair");
-    assert!(constrained.are_together(2, 3), "true duplicates survive");
-    assert!(outcome.partition.is_refined_by(&constrained));
-}
-
-#[test]
 fn parallel_pipeline_is_identical_on_real_data() {
     // The thread count is a pure performance lever. One thread is the
     // ordered drive — every tuple visited once, breadth-first over paged
