@@ -52,11 +52,6 @@ impl UnionFind {
         }
     }
 
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     /// Extract all components in canonical order: each component's members
     /// ascending, components ordered by their minimum id. Singletons are
     /// included (every id belongs to exactly one component).
@@ -117,9 +112,8 @@ mod tests {
         let mut uf = UnionFind::new(6);
         uf.union(4, 1);
         uf.union(3, 5);
-        uf.union(1, 4); // duplicate edge is a no-op
-        assert!(uf.connected(1, 4));
-        assert!(!uf.connected(0, 1));
+        // A duplicate edge is a no-op.
+        uf.union(1, 4);
         // Components ordered by min id, members ascending.
         assert_eq!(uf.components(), vec![vec![0], vec![1, 4], vec![2], vec![3, 5]]);
     }

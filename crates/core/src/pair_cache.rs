@@ -2,7 +2,8 @@
 //!
 //! Verification sees each candidate pair from both sides — record `a` sees
 //! `b` among its candidates and vice versa — and an incremental state
-//! re-verifies the unchanged pairs of every entry a batch refreshes.
+//! re-verifies the unchanged pairs of every standing entry, since each
+//! batch recomputes them all.
 //! [`PairCache`] stores one entry per *unordered* pair so every
 //! verification after the first is a table probe instead of a distance
 //! call. Every [`crate::incremental::IncrementalDedup`] holds one; the

@@ -110,9 +110,10 @@ pub struct DedupConfig {
     pub parallelism: Parallelism,
     /// Spill `NN_Reln` through heap-file storage once the relation holds
     /// at least this many tuples; `0` (the default) keeps it purely in
-    /// memory. Spilled pages flow through the run's buffer pool, so a
-    /// bounded pool backed by a real disk caps the relation's resident
-    /// footprint (see [`crate::spill`]). The round-trip is bit-exact —
+    /// memory. Spilled pages flow through the run's buffer pool, but the
+    /// round trip bounds no memory today: the relation is built whole
+    /// before the write and read back whole before Phase 2 (see
+    /// [`crate::spill`]; ROADMAP items 7(c) and 13). It is bit-exact —
     /// results are identical either way.
     pub spill_threshold: usize,
     /// Collapse exact duplicates into weighted representatives before

@@ -9,9 +9,9 @@
 //!    [`ServiceError::QueueFull`]; [`DedupService::submit_wait`] blocks for
 //!    space). A dedicated writer thread drains up to
 //!    [`ServiceConfig::admit_batch_size`] records at a time and admits them
-//!    as one [`IncrementalDedup::insert_batch`] call — amortizing the
-//!    affected-set scan and Phase-2 recompute exactly the way the batch
-//!    pipeline amortizes index construction.
+//!    as one [`IncrementalDedup::insert_batch`] call — amortizing its
+//!    re-run of both phases over the whole corpus exactly the way the
+//!    batch pipeline amortizes index construction.
 //!
 //! 2. **Immutable snapshots.** Point queries ("find duplicates of this
 //!    record *now*") must not block while the writer applies a batch. The
@@ -120,7 +120,7 @@ impl<T> EpochReader<T> {
 #[non_exhaustive]
 pub struct ServiceConfig {
     /// Maximum records admitted per `insert_batch` call (default 64).
-    /// Larger batches amortize the affected-set scan and Phase-2 recompute
+    /// Larger batches amortize the re-run of both phases each batch pays
     /// but lengthen the freshness lag between submission and visibility.
     pub admit_batch_size: usize,
     /// Bounded ingest-queue capacity (default 1024). When full,
@@ -671,8 +671,9 @@ fn writer_loop<D: Distance + Clone + 'static>(
 mod tests {
     use super::*;
     use crate::criteria::Aggregation;
-    use crate::pipeline::{DedupConfig, Deduplicator};
+    use crate::pipeline::{DedupConfig, DedupOutcome, Deduplicator, IndexChoice};
     use crate::problem::CutSpec;
+    use fuzzydedup_nnindex::InvertedIndexConfig;
     use fuzzydedup_textdist::{DistanceKind, EditDistance};
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
@@ -739,98 +740,75 @@ mod tests {
         ));
     }
 
+    /// The batch pipeline under `builder()`'s parameters and `index`. It
+    /// holds no pair memo.
+    fn batch_run(records: &[Vec<String>], index: InvertedIndexConfig) -> DedupOutcome {
+        let config = DedupConfig::new(DistanceKind::EditDistance)
+            .cut(CutSpec::Size(4))
+            .aggregation(Aggregation::Max)
+            .sn_threshold(4.0)
+            .index_choice(IndexChoice::Inverted(index));
+        Deduplicator::new(config).run_records(records).unwrap()
+    }
+
     /// Also a memo-on ≡ memo-off check: the service's states always hold
     /// the pair memo, the batch pipeline never does.
     #[test]
     fn drain_identity_matches_batch_pipeline() {
+        // 30 entities × (1 kappa + 2 kappaa): exact repeats.
         let records = corpus(90);
-        let mut service =
-            DedupService::spawn(builder(), ServiceConfig::new().admit_batch_size(16)).unwrap();
-        for r in records.clone() {
-            service.submit_wait(r).unwrap();
+        // The default index; a candidate cap that binds at this size; and
+        // the collapse pre-pass, which bumps representative multiplicities
+        // instead of re-indexing and must still match the collapse-off
+        // batch pipeline on every surface.
+        let capped = InvertedIndexConfig { candidate_limit: 4, ..Default::default() };
+        let inputs = [
+            (InvertedIndexConfig::default(), None),
+            (capped, None),
+            (InvertedIndexConfig::default(), Some(crate::collapse::CollapseKey::RecordString)),
+        ];
+        for (index, collapse) in inputs {
+            let what = format!("candidate_limit {}, {collapse:?}", index.candidate_limit);
+            let mut service = DedupService::spawn(
+                builder().index_config(index.clone()).collapse(collapse),
+                ServiceConfig::new().admit_batch_size(16),
+            )
+            .unwrap();
+            for r in records.clone() {
+                service.submit_wait(r).unwrap();
+            }
+            service.drain();
+            let batch = batch_run(&records, index);
+            let (_, live) = service.snapshot_partition();
+            assert_eq!(live, batch.partition, "{what}: service-after-drain must equal batch");
+            let live_reln = service.with_snapshot(|_, state| state.nn_reln());
+            assert_eq!(live_reln, batch.nn_reln, "{what}: full-corpus relation must match too");
+            assert_eq!(states_held(&service), 1, "between batches the service holds one state");
+            // Point queries answer in full-corpus ids: an indexed record's
+            // own text hits at distance 0 (possibly via an identical twin).
+            for record in records.iter().step_by(13) {
+                let fields: Vec<&str> = record.iter().map(String::as_str).collect();
+                let answer = service.query(&fields);
+                assert_eq!(answer.corpus_len, records.len());
+                let hit = answer.neighbors[0];
+                assert_eq!(hit.dist, 0.0);
+                assert_eq!(&records[hit.id as usize], record);
+            }
+            let stats = service.stats();
+            assert_eq!(stats.records_admitted, records.len() as u64);
+            assert_eq!(stats.corpus_len, records.len());
+            assert!(stats.batches_admitted >= (records.len() / 16) as u64);
+            assert_eq!(stats.epochs_published, stats.epoch);
+            assert!(stats.point_queries >= 7);
+            assert!(stats.query_p50_ns > 0);
+            assert!(stats.distinct_groups_estimate > 0);
+            service.shutdown();
+            // Queries keep working after shutdown; ingest does not.
+            let fields: Vec<&str> = records[0].iter().map(String::as_str).collect();
+            assert_eq!(service.query(&fields).neighbors[0].id, 0);
+            let late = service.submit(vec!["late".into()]);
+            assert!(matches!(late, Err(ServiceError::ShuttingDown)), "{what}");
         }
-        service.drain();
-        // Identical config on the batch pipeline: EditDistance, DE_S(4),
-        // Max, c=4 — the static/dynamic index defaults already agree.
-        let batch = Deduplicator::new(
-            DedupConfig::new(DistanceKind::EditDistance)
-                .cut(CutSpec::Size(4))
-                .aggregation(Aggregation::Max)
-                .sn_threshold(4.0),
-        )
-        .run_records(&records)
-        .unwrap();
-        let (_, live) = service.snapshot_partition();
-        assert_eq!(live, batch.partition, "service-after-drain must equal from-scratch batch");
-        assert_eq!(states_held(&service), 1, "between batches the service holds one state");
-        // Point queries agree with membership: an indexed record's own text
-        // hits at distance 0 (possibly via an identical twin record).
-        for record in records.iter().step_by(13) {
-            let fields: Vec<&str> = record.iter().map(String::as_str).collect();
-            let answer = service.query(&fields);
-            let hit = answer.neighbors[0];
-            assert_eq!(hit.dist, 0.0);
-            assert_eq!(&records[hit.id as usize], record);
-        }
-        let stats = service.stats();
-        assert_eq!(stats.records_admitted, records.len() as u64);
-        assert_eq!(stats.corpus_len, records.len());
-        assert!(stats.batches_admitted >= (records.len() / 16) as u64);
-        assert_eq!(stats.epochs_published, stats.epoch);
-        assert!(stats.point_queries >= 7);
-        assert!(stats.query_p50_ns > 0);
-        assert!(stats.distinct_groups_estimate > 0);
-        service.shutdown();
-        // Queries keep working after shutdown; ingest does not.
-        let fields: Vec<&str> = records[0].iter().map(String::as_str).collect();
-        assert_eq!(service.query(&fields).neighbors[0].id, 0);
-        assert!(matches!(service.submit(vec!["late".into()]), Err(ServiceError::ShuttingDown)));
-    }
-
-    #[test]
-    fn drain_identity_holds_with_collapse() {
-        // The collapse pre-pass on the ingest path: duplicate-heavy
-        // streams bump representative multiplicities instead of
-        // re-indexing, and the service surfaces (partition, corpus_len,
-        // point queries) still match the collapse-off batch pipeline —
-        // which, unlike the service, holds no pair memo.
-        let records = corpus(90); // 30 entities × (1 kappa + 2 kappaa): exact repeats
-        let mut service = DedupService::spawn(
-            builder().collapse(Some(crate::collapse::CollapseKey::RecordString)),
-            ServiceConfig::new().admit_batch_size(16),
-        )
-        .unwrap();
-        for r in records.clone() {
-            service.submit_wait(r).unwrap();
-        }
-        service.drain();
-        let batch = Deduplicator::new(
-            DedupConfig::new(DistanceKind::EditDistance)
-                .cut(CutSpec::Size(4))
-                .aggregation(Aggregation::Max)
-                .sn_threshold(4.0),
-        )
-        .run_records(&records)
-        .unwrap();
-        let (_, live) = service.snapshot_partition();
-        assert_eq!(live, batch.partition, "collapsed service must equal collapse-off batch");
-        let (live_reln, live_len) =
-            service.with_snapshot(|_, state| (state.nn_reln(), state.len()));
-        assert_eq!(live_reln, batch.nn_reln, "full-corpus relation must match too");
-        assert_eq!(live_len, records.len());
-        // Point queries answer in full-corpus ids, duplicates included.
-        for record in records.iter().step_by(13) {
-            let fields: Vec<&str> = record.iter().map(String::as_str).collect();
-            let answer = service.query(&fields);
-            assert_eq!(answer.corpus_len, records.len());
-            let hit = answer.neighbors[0];
-            assert_eq!(hit.dist, 0.0);
-            assert_eq!(&records[hit.id as usize], record);
-        }
-        let stats = service.stats();
-        assert_eq!(stats.records_admitted, records.len() as u64);
-        assert_eq!(stats.corpus_len, records.len());
-        service.shutdown();
     }
 
     #[test]
@@ -967,6 +945,51 @@ mod tests {
         assert_eq!(stats.records_admitted, 200);
         assert_eq!(stats.queue_rejections, rejected);
         assert!(stats.queue_depth_high_water >= 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_queue_full_storm_admits_or_refuses_every_submit() {
+        // Four submitters race `submit` against a two-slot queue that the
+        // writer empties one record at a time: every call is admitted or
+        // refused with the configured capacity, the counters agree with
+        // what the callers saw, and the drained state is the batch run's.
+        let mut service = DedupService::spawn(
+            builder(),
+            ServiceConfig::new().admit_batch_size(1).queue_capacity(2),
+        )
+        .unwrap();
+        let (mut admitted, mut refused) = (0u64, 0u64);
+        std::thread::scope(|s| {
+            let service = &service;
+            let submitters: Vec<_> = (0..4)
+                .map(|t| {
+                    s.spawn(move || {
+                        (0..100)
+                            .map(|i| service.submit(vec![format!("storm {t} record {i:03}")]))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for handle in submitters {
+                for outcome in handle.join().unwrap() {
+                    match outcome {
+                        Ok(()) => admitted += 1,
+                        Err(ServiceError::QueueFull { capacity: 2 }) => refused += 1,
+                        Err(other) => panic!("unexpected error: {other}"),
+                    }
+                }
+            }
+        });
+        service.drain();
+        assert_eq!(admitted + refused, 400);
+        let stats = service.stats();
+        assert_eq!(stats.records_admitted, admitted);
+        assert_eq!(stats.queue_rejections, refused);
+        assert_eq!(stats.corpus_len as u64, admitted);
+        let (records, live) =
+            service.with_snapshot(|_, state| (state.records().to_vec(), state.partition().clone()));
+        assert_eq!(live, batch_run(&records, InvertedIndexConfig::default()).partition);
         service.shutdown();
     }
 
@@ -1136,6 +1159,40 @@ mod tests {
         assert_eq!(answer.epoch, before.epoch);
         assert_eq!(answer.neighbors[0].dist, 0.0);
         // Dropping the service joins the dead writer without hanging.
+    }
+
+    #[test]
+    fn a_query_whose_distance_panics_unwinds_to_its_caller() {
+        let records = corpus(40);
+        let marker = StopsOnMarker::new(true);
+        // Disarmed: a marked `prepare` panics at once instead of parking.
+        marker.armed.store(false, Ordering::SeqCst);
+        let service = marker.service(&records, 8);
+        let before = service.stats();
+        let marked = marked_record();
+        let fields: Vec<&str> = marked.iter().map(String::as_str).collect();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.query(&fields);
+        }));
+        let payload = unwound.expect_err("the distance's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned());
+        assert_eq!(message.as_deref(), Some("injected distance panic on the marker record"));
+
+        // The service goes on: queries, `submit_wait` and `drain` work, and
+        // the next batch publishes the next epoch.
+        let fields: Vec<&str> = records[0].iter().map(String::as_str).collect();
+        let answer = service.query(&fields);
+        assert_eq!((answer.epoch, answer.neighbors[0].dist), (before.epoch, 0.0));
+        service.submit_wait(vec!["admitted after the panic".into()]).unwrap();
+        service.drain();
+        let after = service.stats();
+        assert!(!after.writer_failed);
+        assert_eq!((after.epoch, after.corpus_len), (before.epoch + 1, records.len() + 1));
+        assert_eq!(after.point_queries, 1, "a query that unwound is not counted");
+        assert_eq!(service.query(&fields).epoch, after.epoch);
     }
 
     #[test]

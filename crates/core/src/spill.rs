@@ -5,10 +5,15 @@
 //! architecture already assumes `NN_Reln` lives in the database ("the
 //! partitioning phase runs as relational queries" over it). This module
 //! gives the relation a storage-resident form: entries serialize into
-//! [`HeapFile`] records whose pages flow through the buffer pool, so a
-//! bounded pool backed by a [`FileDisk`](fuzzydedup_storage::FileDisk)
-//! caps the memory the spilled relation can pin regardless of corpus
-//! size.
+//! [`HeapFile`] records whose pages flow through the buffer pool.
+//!
+//! The pipeline uses it as a round trip that caps nothing yet: it spills
+//! a relation it built whole in memory, drops it, and reads it back whole
+//! with [`read_nn_reln`] before Phase 2, so peak memory holds the whole
+//! relation either way; a bounded pool backed by a
+//! [`FileDisk`](fuzzydedup_storage::FileDisk) bounds only the pages
+//! resident during the round trip. Making the spill a memory bound is
+//! ROADMAP items 7(c) and 13.
 //!
 //! # Record format (little-endian)
 //!

@@ -1,7 +1,4 @@
-//! Numeric demonstration relations (§3's integer example and synthetic
-//! 1-D cluster mixtures for the axiom experiments).
-
-use rand::Rng;
+//! Numeric demonstration relations (§3's integer example).
 
 /// The §3 example instance: `{1, 2, 4, 20, 22, 30, 32}` with
 /// `d(a, b) = |a − b|`. The intuitive partition (which DE with a cut
@@ -15,40 +12,9 @@ pub fn paper_integers_gold() -> Vec<Vec<u32>> {
     vec![vec![0, 1, 2], vec![3, 4], vec![5, 6]]
 }
 
-/// A 1-D mixture: `n_clusters` tight clusters of `cluster_size` points
-/// (spread `jitter`) centered `separation` apart, plus `n_noise` uniform
-/// background points. Returns `(points, gold)` where gold labels cluster
-/// members by cluster id and each noise point uniquely.
-pub fn cluster_mixture(
-    rng: &mut impl Rng,
-    n_clusters: usize,
-    cluster_size: usize,
-    jitter: f64,
-    separation: f64,
-    n_noise: usize,
-) -> (Vec<f64>, Vec<usize>) {
-    let mut points = Vec::new();
-    let mut gold = Vec::new();
-    for c in 0..n_clusters {
-        let center = c as f64 * separation;
-        for _ in 0..cluster_size {
-            points.push(center + rng.gen_range(-jitter..=jitter));
-            gold.push(c);
-        }
-    }
-    let span = n_clusters as f64 * separation;
-    for i in 0..n_noise {
-        points.push(rng.gen_range(0.0..span.max(1.0)));
-        gold.push(n_clusters + i);
-    }
-    (points, gold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn paper_example_is_the_papers() {
@@ -57,30 +23,5 @@ mod tests {
         assert_eq!(p[3], 20.0);
         let gold = paper_integers_gold();
         assert_eq!(gold.iter().map(Vec::len).sum::<usize>(), 7);
-    }
-
-    #[test]
-    fn mixture_shapes() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let (points, gold) = cluster_mixture(&mut rng, 5, 3, 0.1, 100.0, 7);
-        assert_eq!(points.len(), 22);
-        assert_eq!(gold.len(), 22);
-        // Noise labels are unique.
-        let noise: Vec<usize> = gold[15..].to_vec();
-        let set: std::collections::HashSet<usize> = noise.iter().copied().collect();
-        assert_eq!(set.len(), 7);
-        // Cluster members are near their center.
-        for (i, &p) in points[..15].iter().enumerate() {
-            let center = (gold[i] as f64) * 100.0;
-            assert!((p - center).abs() <= 0.1);
-        }
-    }
-
-    #[test]
-    fn zero_noise_and_zero_clusters() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let (points, gold) = cluster_mixture(&mut rng, 0, 3, 0.1, 100.0, 4);
-        assert_eq!(points.len(), 4);
-        assert_eq!(gold, vec![0, 1, 2, 3]);
     }
 }

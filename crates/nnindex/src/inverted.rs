@@ -485,11 +485,8 @@ impl<D: Distance, L: Layout> InvertedIndex<D, L> {
     }
 
     /// [`Self::generate_candidates`] with an explicit cap (`0` =
-    /// unlimited). The incremental-dedup affected-set scan needs the
-    /// *uncapped* variant: candidate visibility is symmetric in shared
-    /// terms, but the per-query cap is not — an existing record can rank a
-    /// new record inside its own top-k while falling outside the new
-    /// record's.
+    /// unlimited): the uncapped candidate set is the oracle that tests
+    /// and the tripwire hold capped gathering to.
     pub fn candidates_with_limit(&self, id: u32, limit: usize) -> Vec<u32> {
         self.gather_indexed(id, limit).ids
     }

@@ -84,6 +84,11 @@
 # crates/*/src and src, up to the file's first `#[cfg(test)]`, totalled
 # per directory — the places a program can still panic on an `Option` or
 # a `Result` (78 when it was introduced; a change should not raise it);
+# the atomic ledger, "atomic_sites": counted the same way, the lines naming
+# a memory ordering (`Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}`)
+# or calling `fence(` — the places whose correctness rests on an ordering
+# argument rather than on a lock or on `&mut` (52 when it was introduced:
+# the pair memo's seqlock in core, the buffer pool in storage);
 # and "core_pub_modules", the `pub mod` lines of crates/core/src/lib.rs.
 # What depends on the machine or the run — the toolchain ("rustc":
 # `rustc --version`, which must be at least Cargo.toml's rust-version),
@@ -326,25 +331,35 @@ for d in crates/*/src src; do
 done
 unsafe_json="\"total\": $unsafe_total$unsafe_dirs$unsafe_files"
 
-# ---- unwrap ledger ---------------------------------------------------
-# Lines calling `unwrap()` or `expect(`, each file read up to its first
-# `#[cfg(test)]`.
-unwrap_total=0
-unwrap_json=""
-echo
-echo "lines calling unwrap() or expect( outside tests, per source directory:"
-for d in crates/*/src src; do
-    dir_n=$(find "$d" -name '*.rs' -print0 | xargs -0 awk '
+# ---- unwrap and atomic ledgers ---------------------------------------
+# Lines matching an (awk) pattern in each .rs file under a directory, each
+# file read up to its first `#[cfg(test)]`.
+count_outside_tests() { # dir pattern
+    find "$1" -name '*.rs' -print0 | xargs -0 awk -v pat="$2" '
         FNR == 1 { on = 1 }
         /^[[:space:]]*#\[cfg\(test\)\]/ { on = 0 }
-        on && /unwrap\(\)|expect\(/ { n++ }
-        END { print n + 0 }')
-    printf '  %-40s %3d\n' "$d" "$dir_n"
-    unwrap_json+=", \"$d\": $dir_n"
-    unwrap_total=$((unwrap_total + dir_n))
-done
-printf '  %-40s %3d\n' "total" "$unwrap_total"
-unwrap_json="\"total\": $unwrap_total$unwrap_json"
+        on && $0 ~ pat { n++ }
+        END { print n + 0 }'
+}
+# Per source directory and in total: writes "<total><, "dir": n...>" to
+# the named variable.
+ledger_per_dir() { # title pattern result-var
+    local total=0 json="" d n
+    echo
+    echo "$1, per source directory:"
+    for d in crates/*/src src; do
+        n=$(count_outside_tests "$d" "$2")
+        printf '  %-40s %3d\n' "$d" "$n"
+        json+=", \"$d\": $n"
+        total=$((total + n))
+    done
+    printf '  %-40s %3d\n' "total" "$total"
+    printf -v "$3" '"total": %d%s' "$total" "$json"
+}
+ledger_per_dir "lines calling unwrap() or expect( outside tests" \
+    'unwrap\(\)|expect\(' unwrap_json
+ledger_per_dir "lines naming a memory ordering or fence( outside tests" \
+    'Ordering::(Relaxed|Acquire|Release|AcqRel|SeqCst)|fence\(' atomic_json
 
 # ---- tracked ledger --------------------------------------------------
 # The deterministic part of the summary, one number to a line, so that a
@@ -368,6 +383,9 @@ mkdir -p results
     echo '  },'
     echo "  \"unwrap_sites\": {"
     echo "    $(one_per_line "$unwrap_json")"
+    echo '  },'
+    echo "  \"atomic_sites\": {"
+    echo "    $(one_per_line "$atomic_json")"
     echo '  },'
     echo "  \"core_pub_modules\": $core_pub_modules"
     echo '}'

@@ -8,7 +8,7 @@ use fuzzydedup::core::{
 use fuzzydedup::datagen::{media, restaurants, standard_quality_datasets, DatasetSpec};
 use fuzzydedup::textdist::{Distance, DistanceKind, EditDistance, FuzzyMatchDistance, IdfModel};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn de_config(distance: DistanceKind) -> DedupConfig {
     DedupConfig::new(distance).cut(CutSpec::Size(4)).sn_threshold(4.0)
@@ -200,23 +200,40 @@ fn parallel_pipeline_is_identical_on_real_data() {
     }
 }
 
-/// Load `records` into an incremental state in chunks and assert it lands
-/// on the batch run's partition and NN relation.
-fn assert_incremental_equals_batch<D: Distance>(
-    distance: D,
+/// Load `records` into `inc` in batches of the given sizes and return
+/// where its `NN_Reln` or partition differs from the batch run's.
+fn incremental_diffs_from_batch<D: Distance>(
+    mut inc: IncrementalDedup<D>,
     records: &[Vec<String>],
+    splits: &[usize],
     batch: &DedupOutcome,
-) {
-    let mut inc = IncrementalDedup::builder(distance)
-        .cut(CutSpec::Size(4))
-        .sn_threshold(4.0)
-        .build()
-        .unwrap();
-    for chunk in records.chunks(37) {
-        inc.insert_batch(chunk.to_vec());
+) -> Vec<&'static str> {
+    let mut at = 0;
+    for &take in splits {
+        inc.insert_batch(records[at..at + take].to_vec());
+        at += take;
     }
-    assert_eq!(inc.partition(), &batch.partition);
-    assert_eq!(inc.nn_reln(), batch.nn_reln);
+    assert_eq!(at, records.len(), "the splits cover the records");
+    let mut diffs = Vec::new();
+    if inc.nn_reln() != batch.nn_reln {
+        diffs.push("nn_reln");
+    }
+    if inc.partition() != &batch.partition {
+        diffs.push("partition");
+    }
+    diffs
+}
+
+/// Random batch sizes in `1..=max` covering `n` records.
+fn random_splits(rng: &mut StdRng, n: usize, max: usize) -> Vec<usize> {
+    let mut splits = Vec::new();
+    let mut at = 0;
+    while at < n {
+        let take = rng.gen_range(1..=max).min(n - at);
+        splits.push(take);
+        at += take;
+    }
+    splits
 }
 
 #[test]
@@ -229,11 +246,87 @@ fn pair_memo_is_invisible_in_results() {
     // bit-identical to the batch run.
     let mut rng = StdRng::seed_from_u64(9);
     let records = restaurants::generate(&mut rng, DatasetSpec::with_entities(150)).records;
+    let splits: Vec<usize> = records.chunks(37).map(<[_]>::len).collect();
     let ed = dedup(&records, &de_config(DistanceKind::EditDistance)).unwrap();
     let fms = dedup(&records, &de_config(DistanceKind::FuzzyMatch)).unwrap();
-    assert_incremental_equals_batch(EditDistance, &records, &ed);
+    let inc = IncrementalDedup::builder(EditDistance).cut(CutSpec::Size(4)).sn_threshold(4.0);
+    let diffs = incremental_diffs_from_batch(inc.build().unwrap(), &records, &splits, &ed);
+    assert!(diffs.is_empty(), "edit distance: {diffs:?}");
     let fuzzy = FuzzyMatchDistance::new(IdfModel::fit_records(&records));
-    assert_incremental_equals_batch(fuzzy, &records, &fms);
+    let inc = IncrementalDedup::builder(fuzzy).cut(CutSpec::Size(4)).sn_threshold(4.0);
+    let diffs = incremental_diffs_from_batch(inc.build().unwrap(), &records, &splits, &fms);
+    assert!(diffs.is_empty(), "fms: {diffs:?}");
+}
+
+#[test]
+fn incremental_equals_batch_when_stop_grams_and_the_cap_bind() {
+    // IDF weights `ln(1 + N/df)` and the stop threshold `max(0.2·N, floor)`
+    // move with `N` for every entry, not only for those that share a term
+    // with an arrival. Low stop-gram floors and small candidate caps make
+    // both bind at this size; exact copies exercise the collapse path's
+    // multiplicity bumps. Every case must land on the batch run.
+    use fuzzydedup::core::CollapseKey;
+    use fuzzydedup::datagen::org;
+    use fuzzydedup::nnindex::InvertedIndexConfig;
+    let mut rng = StdRng::seed_from_u64(38);
+    let with_copies = |mut records: Vec<Vec<String>>, rng: &mut StdRng| {
+        for _ in 0..30 {
+            let copy = records[rng.gen_range(0..records.len())].clone();
+            records.insert(rng.gen_range(0..=records.len()), copy);
+        }
+        records
+    };
+    let spec = DatasetSpec::with_entities(120);
+    let corpora = [
+        ("org", with_copies(org::generate(&mut rng, spec).records, &mut rng)),
+        ("restaurants", with_copies(restaurants::generate(&mut rng, spec).records, &mut rng)),
+    ];
+    let indexes = [(3, 0), (100, 4), (5, 8)]
+        .map(|(stop_df_floor, candidate_limit)| InvertedIndexConfig {
+            stop_df_floor,
+            candidate_limit,
+            ..Default::default()
+        })
+        .into_iter()
+        .chain([InvertedIndexConfig::default()]);
+    let mut failed = Vec::new();
+    let mut cases = 0;
+    for index in indexes {
+        for (name, records) in &corpora {
+            for cut in [CutSpec::Size(4), CutSpec::Diameter(0.25)] {
+                for collapse in [None, Some(CollapseKey::RecordString)] {
+                    let config = de_config(DistanceKind::EditDistance)
+                        .cut(cut)
+                        .index_choice(IndexChoice::Inverted(index.clone()))
+                        .collapse(collapse);
+                    let batch = dedup(records, &config).unwrap();
+                    for split in 0..3 {
+                        let inc = IncrementalDedup::builder(EditDistance)
+                            .cut(cut)
+                            .sn_threshold(4.0)
+                            .index_config(index.clone())
+                            .collapse(collapse)
+                            .build()
+                            .unwrap();
+                        let splits = random_splits(&mut rng, records.len(), 40);
+                        let diffs = incremental_diffs_from_batch(inc, records, &splits, &batch);
+                        cases += 1;
+                        if !diffs.is_empty() {
+                            failed.push(format!(
+                                "{name} floor={} cap={} {cut:?} collapse={} split {split}: \
+                                 {diffs:?}",
+                                index.stop_df_floor,
+                                index.candidate_limit,
+                                collapse.is_some()
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 96);
+    assert!(failed.is_empty(), "{} of {cases} cases differ:\n{}", failed.len(), failed.join("\n"));
 }
 
 #[test]
