@@ -7,11 +7,13 @@
 //! batch run over the same records would.
 //!
 //! **An append is a re-run.** A batch is appended to the growing index,
-//! then every entry is recomputed in id order and Phase 2 partitions the
-//! relation they form. No narrower rule is exact: the IDF weights
-//! `ln(1 + N/df)` and the stop threshold `max(0.2·N, floor)` move with `N`
-//! for every entry, so an entry that shares no term with an arrival can
-//! still re-rank its candidates under the cap or gain or lose a stop gram.
+//! then the batch pipeline's own Phase 1 driver
+//! ([`crate::phase1::compute_nn_reln`], in id order) recomputes every entry
+//! and Phase 2 partitions the relation they form. No narrower rule is
+//! exact: the IDF weights `ln(1 + N/df)` and the stop threshold
+//! `max(0.2·N, floor)` move with `N` for every entry, so an entry that
+//! shares no term with an arrival can still re-rank its candidates under
+//! the cap or gain or lose a stop gram.
 //! The affected-set scan this replaced (refresh only entries that share a
 //! non-stop term with an arrival) missed exactly those: it left 4 of the
 //! 96 cases of `tests/end_to_end.rs`'s incremental ≡ batch test with a
@@ -20,49 +22,35 @@
 //! refreshed on Org at 387, 1,895 and 7,629 records, 15,657 of 15,660 on
 //! Restaurants at 1,918, and 99 % on the repo benchmark's
 //! `service_replay`, whose `run_s` the re-run lowered from 0.123 to
-//! 0.106 s (medians of ten alternating pairs, 2 vCPU). The pair memo
-//! below absorbs the re-verification.
+//! 0.106 s (medians of ten alternating pairs, 2 vCPU).
 //!
-//! **Forks.** The dedup service never mutates the state it serves: each
-//! batch runs on a fork of the published state (`IncrementalDedup::fork`,
-//! crate-private), which is then published whole (`DESIGN.md` §7.9).
+//! **No pair memo.** The re-run re-verifies the unchanged pairs of every
+//! standing entry. A 2^15-slot pair-distance memo once absorbed that, but
+//! re-timed on `service_replay` its `run_s` gain (3.9 %) sat inside the
+//! run-to-run spread while it cost 1.8 % of peak RSS, so it went
+//! (`DESIGN.md` §7.5).
 //!
-//! **The pair memo follows the entry point.** Every batch re-verifies the
-//! unchanged pairs of every standing entry, which is exactly the
-//! traffic a symmetric pair-distance memo absorbs, so an incremental state
-//! always holds one [`PairCache`] of `PAIR_MEMO_SLOTS` slots — there is
-//! no setting for it, and the batch pipeline, where a pair is verified at
-//! most twice, never holds one (`DESIGN.md` §7.5). The memo is keyed on
-//! the unordered pair, so it leans on the [`Distance`] contract's symmetry
-//! holding to the bit, as it does for every built-in distance. It only
-//! skips recomputation: the incremental ≡ batch identities asserted here
-//! and in `crate::service` are the memo-on ≡ memo-off check.
+//! **Clones.** The dedup service never mutates the state it serves: each
+//! batch runs on a clone of the published state, which is then published
+//! whole (`DESIGN.md` §7.9).
 //!
 //! Construct states with [`IncrementalDedup::builder`], which exposes the
 //! same configuration surface as [`crate::pipeline::DedupConfig`].
 
-use std::sync::Arc;
-
 use fuzzydedup_nnindex::{
-    Growing, InvertedIndex, InvertedIndexConfig, LookupCost, LookupSpec, NnIndex,
+    Growing, InvertedIndex, InvertedIndexConfig, LookupCost, LookupOrder, LookupSpec, NnIndex,
 };
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::Distance;
 
 use crate::collapse::{CollapseKey, CollapseMap};
 use crate::criteria::Aggregation;
-use crate::nnreln::{NnEntry, NnReln};
-use crate::pair_cache::PairCache;
+use crate::nnreln::NnReln;
 use crate::partition::Partition;
-use crate::phase1::NeighborSpec;
+use crate::phase1::{compute_nn_reln, NeighborSpec};
 use crate::phase2::partition_entries_parallel;
 use crate::pipeline::{validate_params, DedupError};
 use crate::problem::CutSpec;
-
-/// Slots of the pair memo every incremental state holds (768 KiB): the
-/// largest size that keeps `peak_rss_mb` within +5 % on every workload of
-/// the repo benchmark (sizing table in `DESIGN.md` §7.5).
-const PAIR_MEMO_SLOTS: usize = 1 << 15;
 
 /// Statistics of one incremental batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,10 +160,6 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
     /// [`DedupError::InvalidConfig`] for an invalid cut, a non-positive
     /// (or NaN) SN threshold, or a growth multiplier below 1.
     pub fn build(self) -> Result<IncrementalDedup<D>, DedupError> {
-        self.build_with(Arc::new(PairCache::new(PAIR_MEMO_SLOTS)))
-    }
-
-    fn build_with(self, pair_cache: Arc<PairCache>) -> Result<IncrementalDedup<D>, DedupError> {
         validate_params(&self.cut, self.c, self.p)?;
         let index = match self.collapse {
             Some(_) => InvertedIndex::new_collapsed(self.distance, self.index),
@@ -189,13 +173,17 @@ impl<D: Distance> IncrementalDedupBuilder<D> {
             c: self.c,
             p: self.p,
             partition: Partition::singletons(0),
-            pair_cache,
             collapse: self.collapse.map(CollapseMap::new),
+            #[cfg(test)]
+            holders: std::sync::Arc::default(),
         })
     }
 }
 
-/// An incrementally-maintained deduplication state; see module docs.
+/// An incrementally-maintained deduplication state; see module docs. A
+/// clone is independent of its source: `insert_batch` on one leaves the
+/// other as it was.
+#[derive(Clone)]
 pub struct IncrementalDedup<D: Distance> {
     /// The batch pipeline's index, never frozen: with the collapse
     /// pre-pass on it holds one record per class of `collapse`.
@@ -208,44 +196,14 @@ pub struct IncrementalDedup<D: Distance> {
     c: f64,
     p: f64,
     partition: Partition,
-    /// Owned by a lone state; shared by a state and its forks
-    /// ([`IncrementalDedup::fork`]), so its holder count is the number of
-    /// live states of one history.
-    pub(crate) pair_cache: Arc<PairCache>,
     /// The class map of the collapse pre-pass, admitting records as they
     /// arrive: index ids are its representative ids, and full-corpus ids
     /// only materialize on the expansion surfaces.
     collapse: Option<CollapseMap>,
-}
-
-impl<D: Distance + Clone> IncrementalDedup<D> {
-    /// A copy of this state, sharing its pair memo: what the dedup service
-    /// runs a batch on while readers keep this one. `insert_batch` on the
-    /// fork leaves this state untouched and brings the fork where
-    /// `insert_batch` on this state would have.
-    ///
-    /// The memo is keyed on index ids, which name the same records only
-    /// within one history. It stays sound because only `insert_batch`
-    /// touches it and the service runs one batch at a time, on a fork of
-    /// the state it last published — only the newest fork writes — and a
-    /// fork's ids extend its source's, so what a fork stores holds for
-    /// every later fork of it. A fork dropped unpublished (a batch that
-    /// panicked) may have stored pairs under ids that a second fork of the
-    /// same source would give to other records, so a failed fork must end
-    /// ingest, as it does in the service (`ServiceError::WriterFailed`).
-    pub(crate) fn fork(&self) -> Self {
-        Self {
-            index: self.index.clone(),
-            reln: self.reln.clone(),
-            cut: self.cut,
-            agg: self.agg,
-            c: self.c,
-            p: self.p,
-            partition: self.partition.clone(),
-            pair_cache: Arc::clone(&self.pair_cache),
-            collapse: self.collapse.clone(),
-        }
-    }
+    /// Shared by a state and its clones, so its strong count is the number
+    /// of live states of one history (what the service's tests count).
+    #[cfg(test)]
+    pub(crate) holders: std::sync::Arc<()>,
 }
 
 impl<D: Distance> IncrementalDedup<D> {
@@ -319,10 +277,7 @@ impl<D: Distance> IncrementalDedup<D> {
     fn spec(&self) -> LookupSpec {
         // Full-corpus units: a weighted lookup's cutoffs and k count every
         // collapsed duplicate, so the spec is derived from the full count.
-        match NeighborSpec::from_cut(&self.cut, self.len()) {
-            NeighborSpec::TopK(k) => LookupSpec::TopK(k),
-            NeighborSpec::Radius(theta) => LookupSpec::Radius(theta),
-        }
+        NeighborSpec::from_cut(&self.cut, self.len()).into()
     }
 
     /// Append a batch of records, recompute every entry over the grown
@@ -351,22 +306,15 @@ impl<D: Distance> IncrementalDedup<D> {
         }
 
         // Phase 1 over every entry (module docs), then Phase 2.
-        let spec = self.spec();
-        let entries = (0..self.index.len() as u32)
-            .map(|id| {
-                let (neighbors, ng, _) =
-                    self.index.lookup_memoized(id, spec, self.p, &*self.pair_cache);
-                NnEntry::new(id, neighbors, ng)
-            })
-            .collect();
-        let reln = NnReln::new(entries);
+        let spec = NeighborSpec::from_cut(&self.cut, self.len());
+        let (reln, _) = compute_nn_reln(&self.index, spec, LookupOrder::Sequential, self.p);
         self.reln = match &self.collapse {
             None => reln,
             // Back to full-corpus ids through the class structure.
             Some(map) => {
                 let visible: Vec<bool> =
                     (0..map.n_reps()).map(|r| self.index.record_has_terms(r as u32)).collect();
-                map.expand_reln(&reln, NeighborSpec::from_cut(&self.cut, self.len()), &visible)
+                map.expand_reln(&reln, spec, &visible)
             }
         };
         self.partition = partition_entries_parallel(&self.reln, self.cut, self.agg, self.c, 1);
@@ -390,9 +338,7 @@ mod tests {
         fresh_builder().build().unwrap()
     }
 
-    /// The batch pipeline under `fresh_builder`'s parameters and `cut`. It
-    /// never holds a pair memo, so it is the memo-off side of every
-    /// incremental ≡ batch assertion below.
+    /// The batch pipeline under `fresh_builder`'s parameters and `cut`.
     fn batch_run(records: &[Vec<String>], cut: CutSpec) -> crate::pipeline::DedupOutcome {
         use crate::pipeline::{DedupConfig, Deduplicator};
         let config = DedupConfig::new(fuzzydedup_textdist::DistanceKind::EditDistance)
@@ -504,74 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_memo_hits_without_changing_results() {
-        // Duplicate-heavy append stream: every batch lands near the same
-        // entities, so refreshed entries re-verify the same pairs over
-        // and over — exactly the traffic the memo exists to absorb.
-        let batches: Vec<Vec<Vec<String>>> = (0..6)
-            .map(|b| {
-                (0..10).map(|i| vec![format!("shared entity record {:02} v{b}", i % 5)]).collect()
-            })
-            .collect();
-        let mut inc = fresh();
-        let ((), d) = scoped(|| {
-            for batch in &batches {
-                inc.insert_batch(batch.clone());
-            }
-        });
-        // Sequential refreshes over fixed batches: the memo traffic repeats
-        // exactly.
-        assert_eq!(d.get(Counter::PairCacheHits), 2698, "duplicate-heavy refreshes hit the memo");
-        assert_eq!(d.get(Counter::PairCacheMisses), 592);
-        // The memo only skips recomputation; the memo-less batch pipeline
-        // must land on the same state.
-        let batch = batch_run(&batches.concat(), CutSpec::Size(4));
-        assert_eq!(inc.partition(), &batch.partition);
-        assert_eq!(inc.nn_reln(), batch.nn_reln);
-    }
-
-    #[test]
-    fn tiny_pair_memo_under_heavy_eviction_is_sound() {
-        // The soundness contract on `PairDistanceCache`: exact hits carry
-        // true distances and `KnownAbove` only skips calls that would be
-        // rejected anyway, so the state must not depend on the memo's
-        // size. A 64-slot memo (the smallest `PairCache`) collides on
-        // nearly every store, which exercises the overwrite/eviction path.
-        // Edit distance is the bit-symmetric kernel the contract requires.
-        let near_dups: Vec<Vec<String>> = (0..120)
-            .map(|i| {
-                let s = match i % 3 {
-                    0 => format!("customer record number {i:03}"),
-                    1 => format!("customer record numbr {i:03}"),
-                    _ => format!("unrelated payload {i:03}"),
-                };
-                vec![s]
-            })
-            .collect();
-        let repeats: Vec<Vec<String>> =
-            (0..90).map(|i| vec![format!("shared prefix token row {:02}", i % 45)]).collect();
-        let tiny = || Arc::new(PairCache::new(64));
-        for records in [near_dups, repeats] {
-            for cut in [CutSpec::Size(4), CutSpec::Diameter(0.2)] {
-                let builder = fresh_builder().cut(cut);
-                let mut roomy = builder.clone().build().unwrap();
-                let mut small = builder.build_with(tiny()).unwrap();
-                for chunk in records.chunks(23) {
-                    roomy.insert_batch(chunk.to_vec());
-                    small.insert_batch(chunk.to_vec());
-                    assert_eq!(roomy.nn_reln(), small.nn_reln(), "{cut:?}: tiny memo diverged");
-                    assert_eq!(roomy.partition(), small.partition(), "{cut:?}");
-                }
-                assert!(small.pair_cache.len() > 32, "the tiny memo saw traffic");
-                // Memo-off: the batch pipeline never holds one.
-                let batch = batch_run(&records, cut);
-                assert_eq!(small.nn_reln(), batch.nn_reln, "{cut:?}: batch pipeline");
-                assert_eq!(small.partition(), &batch.partition, "{cut:?}: batch pipeline");
-            }
-        }
-    }
-
-    #[test]
     fn collapse_does_not_change_incremental_results() {
         // Duplicate-heavy append stream with exact repeats inside and
         // across batches: collapse-on must track collapse-off (and thus
@@ -614,19 +492,11 @@ mod tests {
     }
 
     #[test]
-    fn only_forks_share_a_pair_memo() {
-        let a = fresh();
-        let b = a.fork();
-        assert!(Arc::ptr_eq(&a.pair_cache, &b.pair_cache));
-        assert!(!Arc::ptr_eq(&a.pair_cache, &fresh().pair_cache));
-    }
-
-    #[test]
-    fn a_fork_chain_equals_plain_insert_batch() {
+    fn a_clone_chain_equals_plain_insert_batch() {
         // The service's discipline without the threads: every batch runs on
-        // a fork of the previous state, which must come out where plain
+        // a clone of the previous state, which must come out where plain
         // `insert_batch` on one state does and leave the state it was
-        // forked from as it was. Near-duplicates, exact repeats inside and
+        // cloned from as it was. Near-duplicates, exact repeats inside and
         // across batches (the collapse path) and two term-less records.
         let mut rng = StdRng::seed_from_u64(29);
         let mut base: Vec<Vec<String>> = (0..72)
@@ -648,7 +518,7 @@ mod tests {
             for collapse in collapses {
                 let what = format!("{cut:?} {collapse:?}");
                 let builder = fresh_builder().cut(cut).collapse(collapse);
-                let mut forked = builder.clone().build().unwrap();
+                let mut cloned = builder.clone().build().unwrap();
                 let mut plain = builder.build().unwrap();
                 // What a state answers: relation, partition, length, probes.
                 let view = |s: &IncrementalDedup<EditDistance>| {
@@ -667,14 +537,14 @@ mod tests {
                     let batch = base[at..at + take].to_vec();
                     at += take;
                     let want = plain.insert_batch(batch.clone());
-                    let before = view(&forked);
-                    let mut next = forked.fork();
+                    let before = view(&cloned);
+                    let mut next = cloned.clone();
                     let got = next.insert_batch(batch);
-                    assert_eq!(view(&forked), before, "{what}: the source moved at {at}");
-                    forked = next;
+                    assert_eq!(view(&cloned), before, "{what}: the source moved at {at}");
+                    cloned = next;
 
                     assert_eq!(got, want, "{what}: stats at {at}");
-                    assert_eq!(view(&forked), view(&plain), "{what}: state at {at}");
+                    assert_eq!(view(&cloned), view(&plain), "{what}: state at {at}");
                 }
             }
         }

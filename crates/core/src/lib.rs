@@ -57,7 +57,6 @@ pub mod incremental;
 pub mod matrix;
 pub mod minimality;
 pub mod nnreln;
-pub mod pair_cache;
 pub mod parallel;
 pub mod partition;
 pub mod phase1;
@@ -78,7 +77,6 @@ pub use eval::{evaluate, PrecisionRecall};
 pub use incremental::{BatchStats, IncrementalDedup, IncrementalDedupBuilder};
 pub use matrix::MatrixIndex;
 pub use nnreln::{NnEntry, NnReln};
-pub use pair_cache::PairCache;
 pub use parallel::{compute_nn_reln_parallel, resolve_threads};
 pub use partition::Partition;
 pub use phase1::{compute_nn_reln, NeighborSpec, Phase1Stats};

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use fuzzydedup_metrics::{absorb, incr, scoped, Counter};
-use fuzzydedup_nnindex::{LookupSpec, NnIndex};
+use fuzzydedup_nnindex::NnIndex;
 
 use crate::nnreln::{NnEntry, NnReln};
 use crate::phase1::{NeighborSpec, Phase1Stats};
@@ -80,11 +80,7 @@ fn steal_blocks<T: Send + Sync>(
 /// Compute one tuple's `NN_Reln` entry (shared by the sequential and
 /// parallel drivers) via the index's combined lookup.
 pub(crate) fn compute_entry(index: &dyn NnIndex, spec: NeighborSpec, p: f64, id: u32) -> NnEntry {
-    let lookup_spec = match spec {
-        NeighborSpec::TopK(k) => LookupSpec::TopK(k),
-        NeighborSpec::Radius(theta) => LookupSpec::Radius(theta),
-    };
-    let (neighbors, ng, _) = index.lookup(id, lookup_spec, p);
+    let (neighbors, ng, _) = index.lookup(id, spec.into(), p);
     NnEntry::new(id, neighbors, ng)
 }
 

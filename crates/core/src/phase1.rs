@@ -6,7 +6,7 @@
 //! feeds each lookup's results back into the traversal queue, giving the
 //! buffer-locality win of Figure 8.
 
-use fuzzydedup_nnindex::{drive_lookups, LookupOrder, NnIndex};
+use fuzzydedup_nnindex::{drive_lookups, LookupOrder, LookupSpec, NnIndex};
 
 use crate::nnreln::{NnEntry, NnReln};
 use crate::problem::CutSpec;
@@ -37,6 +37,16 @@ impl NeighborSpec {
                 NeighborSpec::Radius(theta)
             }
             CutSpec::Unbounded => NeighborSpec::TopK(n.saturating_sub(1)),
+        }
+    }
+}
+
+/// The index lookup a Phase-1 spec asks for.
+impl From<NeighborSpec> for LookupSpec {
+    fn from(spec: NeighborSpec) -> Self {
+        match spec {
+            NeighborSpec::TopK(k) => LookupSpec::TopK(k),
+            NeighborSpec::Radius(theta) => LookupSpec::Radius(theta),
         }
     }
 }

@@ -742,8 +742,6 @@ mod tests {
         assert_eq!(m.cand_gen.pruned_by_count, 0);
         // textdist: the verification distance calls are attributed per kind.
         assert!(m.textdist.total() >= m.nnindex.exact_distance_calls);
-        // pair_cache: the batch pipeline holds no memo.
-        assert_eq!(m.pair_cache, fuzzydedup_metrics::PairCacheMetrics::default());
         // storage: index lookups and Phase-2 tables hit the buffer pool.
         assert!(m.storage.hits + m.storage.misses > 0);
         assert!((0.0..=1.0).contains(&m.storage.hit_ratio));

@@ -16,19 +16,20 @@
 //! 2. **Immutable snapshots.** Point queries ("find duplicates of this
 //!    record *now*") must not block while the writer applies a batch. The
 //!    published state is an `Arc<IncrementalDedup>` nobody mutates: the
-//!    writer forks it, runs plain [`IncrementalDedup::insert_batch`] on
-//!    the fork, and publishes the fork as the next epoch by swapping the
+//!    writer clones it, runs plain [`IncrementalDedup::insert_batch`] on
+//!    the clone, and publishes the clone as the next epoch by swapping the
 //!    `Arc` under a lock that guards only the pointer. A reader clones the
 //!    `Arc` and reads holding nothing, so a read never waits on a batch
 //!    and sees one state from start to end (see `DESIGN.md` §7.9). Memory
-//!    is the published state plus, during a batch, its fork; the two share
-//!    the pair memo an incremental state always holds.
+//!    is the published state plus, during a batch, its clone.
 //!
 //!    A panic on the writer thread (a user [`Distance`], a broken
 //!    invariant) ends ingest, not the service: `submit*` return
 //!    [`ServiceError::WriterFailed`], [`DedupService::drain`] returns,
 //!    and readers keep the last published epoch — the panicking batch's
-//!    fork is dropped unpublished.
+//!    clone is dropped unpublished. Ingest ends because that batch's
+//!    records have already left the queue: going on would publish a state
+//!    that silently lacks them.
 //!
 //! 3. **Observability.** [`DedupService::metrics`] — a `RunMetrics` of
 //!    this service alone: the writer thread folds what each admitted batch
@@ -84,7 +85,7 @@ impl<T> EpochReader<T> {
 
     /// Run `f` against the current snapshot and its epoch.
     ///
-    /// Never waits on the writer's batch, which runs on a fork while this
+    /// Never waits on the writer's batch, which runs on a clone while this
     /// state stays published; the closure runs to completion on that one
     /// immutable state however many epochs are published meanwhile.
     pub fn read<R>(&self, f: impl FnOnce(u64, &T) -> R) -> R {
@@ -386,7 +387,7 @@ pub struct DedupService<D: Distance + Clone + 'static> {
 
 impl<D: Distance + Clone + 'static> DedupService<D> {
     /// Start a service over an empty incremental state described by
-    /// `builder`. Every batch runs on a fork of the published state, which
+    /// `builder`. Every batch runs on a clone of the published state, which
     /// is why `D: Clone`.
     pub fn spawn(
         builder: IncrementalDedupBuilder<D>,
@@ -581,10 +582,10 @@ impl<D: Distance + Clone + 'static> Drop for DedupService<D> {
 /// Unwind guard of the writer thread. A panic inside a batch would
 /// otherwise leave `in_flight` set forever: `drain` would never return and
 /// `submit_wait` would block once the queue filled. On unwind the guard
-/// ends ingest and wakes every waiter; the panicking batch's fork is never
-/// published, so readers keep the last published snapshot, and no later
-/// fork can reuse the ids its records took in the shared pair memo
-/// (`IncrementalDedup::fork`).
+/// ends ingest and wakes every waiter; the panicking batch's clone is never
+/// published, so readers keep the last published snapshot. Ingest ends
+/// rather than going on because the batch's records have already left the
+/// queue: a later batch would publish a state that silently lacks them.
 struct WriterGuard<'a>(&'a ServiceShared);
 
 impl Drop for WriterGuard<'_> {
@@ -629,10 +630,10 @@ fn writer_loop<D: Distance + Clone + 'static>(
         shared.space.notify_all();
 
         let n_records = batch.len() as u64;
-        // The batch runs on a fork of the published state while readers
-        // keep that one; a panic here drops the fork unpublished.
+        // The batch runs on a clone of the published state while readers
+        // keep that one; a panic here drops the clone unpublished.
         let (next, tally) = scoped(|| {
-            let mut next = published.read(|_, state| state.fork());
+            let mut next = published.read(|_, state| state.clone());
             next.insert_batch(batch);
             next
         });
@@ -696,9 +697,9 @@ mod tests {
     }
 
     /// How many `IncrementalDedup`s the service holds: every state of one
-    /// service shares the one pair memo.
+    /// service is a clone of the first, sharing its `holders` token.
     fn states_held(service: &DedupService<impl Distance + Clone + 'static>) -> usize {
-        service.with_snapshot(|_, state| Arc::strong_count(&state.pair_cache))
+        service.with_snapshot(|_, state| Arc::strong_count(&state.holders))
     }
 
     #[test]
@@ -740,8 +741,7 @@ mod tests {
         ));
     }
 
-    /// The batch pipeline under `builder()`'s parameters and `index`. It
-    /// holds no pair memo.
+    /// The batch pipeline under `builder()`'s parameters and `index`.
     fn batch_run(records: &[Vec<String>], index: InvertedIndexConfig) -> DedupOutcome {
         let config = DedupConfig::new(DistanceKind::EditDistance)
             .cut(CutSpec::Size(4))
@@ -751,8 +751,6 @@ mod tests {
         Deduplicator::new(config).run_records(records).unwrap()
     }
 
-    /// Also a memo-on ≡ memo-off check: the service's states always hold
-    /// the pair memo, the batch pipeline never does.
     #[test]
     fn drain_identity_matches_batch_pipeline() {
         // 30 entities × (1 kappa + 2 kappaa): exact repeats.
@@ -845,7 +843,7 @@ mod tests {
         assert_eq!(m.service.records_admitted, 45);
         assert_eq!(m.service.batches_admitted, 45);
         assert_eq!(m.service.point_queries, probes.len() as u64);
-        assert!(m.nnindex.lookups > 45 && m.pair_cache.hits > 0, "{m:?}");
+        assert!(m.nnindex.lookups > 45, "{m:?}");
         assert_eq!(
             RunMetrics { service: ServiceMetrics::default(), ..m },
             RunMetrics::from_tally(&expected),
@@ -871,14 +869,17 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut last_epoch = 0u64;
                     let mut reads = 0u64;
+                    // The first answer per (probe, len): (len, probe, neighbors, ng).
+                    let mut answers: Vec<(usize, usize, Vec<Neighbor>, f64)> = Vec::new();
+                    let mut last_len = vec![usize::MAX; probes.len()];
                     while !stop.load(Ordering::Relaxed) {
-                        for probe in &probes {
+                        for (p, probe) in probes.iter().enumerate() {
                             let fields: Vec<&str> = probe.iter().map(String::as_str).collect();
-                            let (epoch, len, covered, neighbors) = reader.read(|e, state| {
+                            let (epoch, len, covered, (neighbors, ng)) = reader.read(|e, state| {
                                 let covered: usize =
                                     state.partition().groups().iter().map(Vec::len).sum();
-                                let (n, _, _) = state.query_record(&fields);
-                                (e, state.len(), covered, n)
+                                let (n, ng, _) = state.query_record(&fields);
+                                (e, state.len(), covered, (n, ng))
                             });
                             // Torn-state checks, all within ONE snapshot:
                             // the partition covers exactly the corpus, every
@@ -888,9 +889,13 @@ mod tests {
                             assert!(epoch >= last_epoch, "epochs must be monotone");
                             last_epoch = epoch;
                             reads += 1;
+                            if last_len[p] != len {
+                                last_len[p] = len;
+                                answers.push((len, p, neighbors, ng));
+                            }
                         }
                     }
-                    reads
+                    (reads, answers)
                 })
             })
             .collect();
@@ -899,9 +904,24 @@ mod tests {
         }
         service.drain();
         stop.store(true, Ordering::Relaxed);
+        // Records are admitted in submit order, so a state of `len` records
+        // holds `records[..len]`: every answer must be what a fresh state
+        // loaded with that prefix in one batch answers.
+        let mut prefixes: std::collections::BTreeMap<usize, IncrementalDedup<EditDistance>> =
+            Default::default();
         for handle in readers {
-            let reads = handle.join().expect("no reader assertion may fire");
+            let (reads, answers) = handle.join().expect("no reader assertion may fire");
             assert!(reads > 0);
+            for (len, p, neighbors, ng) in answers {
+                let state = prefixes.entry(len).or_insert_with(|| {
+                    let mut state = builder().build().unwrap();
+                    state.insert_batch(records[..len].to_vec());
+                    state
+                });
+                let fields: Vec<&str> = probes[p].iter().map(String::as_str).collect();
+                let (want_n, want_ng, _) = state.query_record(&fields);
+                assert_eq!((neighbors, ng), (want_n, want_ng), "probe {p} over {len} records");
+            }
         }
         // And after the concurrent episode, drain-identity still holds.
         let batch = Deduplicator::new(
@@ -1083,9 +1103,9 @@ mod tests {
 
         service.submit_wait(marked_record()).unwrap();
         marker.entered();
-        // The writer is parked inside the batch, on its fork of the
+        // The writer is parked inside the batch, on its clone of the
         // published state: every read returns, at the old epoch.
-        assert_eq!(states_held(&service), 2, "the published state and the batch's fork");
+        assert_eq!(states_held(&service), 2, "the published state and the batch's clone");
         let fields: Vec<&str> = records[0].iter().map(String::as_str).collect();
         let answer = service.query(&fields);
         assert_eq!((answer.epoch, answer.corpus_len), (before.epoch, records.len()));
@@ -1147,7 +1167,7 @@ mod tests {
         assert!(matches!(service.submit(vec!["late".into()]), Err(ServiceError::WriterFailed)));
 
         // Readers keep the last published epoch: the panicking batch's
-        // fork was dropped unpublished.
+        // clone was dropped unpublished.
         let after = service.stats();
         assert!(after.writer_failed);
         assert_eq!(after.epoch, before.epoch);

@@ -5,8 +5,8 @@
 //! Every layer of the deduplication pipeline reports events with
 //! [`incr`] — `textdist` counts exact distance evaluations per kind and
 //! kernel rung, `nnindex` counts lookups / candidates / postings traffic /
-//! verification calls, `core` counts Phase-2 cardinalities, spill bytes
-//! and pair-memo traffic. There is no process-global state:
+//! verification calls, `core` counts Phase-2 cardinalities and spill
+//! bytes. There is no process-global state:
 //!
 //! * **tally** — [`incr`] adds to the *calling thread's* tally, a
 //!   `thread_local!` array of `Cell<u64>` with a `const` initializer: a
@@ -112,8 +112,7 @@ pub fn absorb(worker: &Tally) {
 /// `field: SectionStruct = "json key" { rows } [+ derived_method]` — and
 /// one row per field — `name [as "json key"]: type = source` — where the
 /// source is `Counter::Variant` (declares the variant and backs the
-/// field with it), `same_as Counter::Variant` (reads a variant another row
-/// declares) or `by pipeline` / `by service` (filled by that caller).
+/// field with it) or `by pipeline` / `by service` (filled by that caller).
 macro_rules! run_metrics {
     ($(
         $(#[$section_meta:meta])*
@@ -122,7 +121,6 @@ macro_rules! run_metrics {
                 $(#[$field_meta:meta])*
                 $field:ident $(as $field_key:literal)?: $ty:ident
                     $(= Counter::$Counter:ident)?
-                    $(= same_as Counter::$Alias:ident)?
                     $(= by $filler:ident)?
             ),* $(,)?
         } $(+ $derived:ident)?
@@ -151,7 +149,6 @@ macro_rules! run_metrics {
                     $(#[$field_meta])*
                     #[doc = ""]
                     $(#[doc = concat!("Counted by [`Counter::", stringify!($Counter), "`].")])?
-                    $(#[doc = concat!("Reads [`Counter::", stringify!($Alias), "`].")])?
                     $(#[doc = concat!("Filled by the ", stringify!($filler), ", not counted.")])?
                     pub $field: $ty,
                 )*
@@ -177,7 +174,6 @@ macro_rules! run_metrics {
                 let mut m = Self::default();
                 $($(
                     $(m.$section.$field = tally.get(Counter::$Counter);)?
-                    $(m.$section.$field = tally.get(Counter::$Alias);)?
                 )*)*
                 m
             }
@@ -294,22 +290,6 @@ run_metrics! {
         reuses: u64 = Counter::PreparedReuses,
     }
 
-    /// Symmetric pair-distance memo accounting (`core` layer).
-    #[derive(Eq)]
-    pair_cache: PairCacheMetrics = "pair_cache" {
-        /// Probes answered from the memo.
-        hits: u64 = Counter::PairCacheHits,
-        /// Probes that found no usable entry.
-        misses: u64 = Counter::PairCacheMisses,
-        /// Occupied slots overwritten by a colliding pair (the
-        /// direct-mapped table's in-place eviction).
-        evictions: u64 = Counter::PairCacheEvictions,
-        /// Distance results inserted.
-        inserts: u64 = Counter::PairCacheInserts,
-        /// Verification distance calls avoided (= hits).
-        distance_calls_saved: u64 = same_as Counter::PairCacheHits,
-    }
-
     /// Batched verification (`nnindex` driver, `textdist` chunk kernel): how
     /// much of the candidate-verification workload went through the batched
     /// kernel, and how many of the columns it was offered it had to scan.
@@ -424,7 +404,7 @@ run_metrics! {
         /// Records admitted through those batches.
         records_admitted: u64 = by service,
         /// Snapshot epochs published: one per admitted batch, each the
-        /// batch's fork of the previous snapshot swapped in whole.
+        /// batch's clone of the previous snapshot swapped in whole.
         epochs_published: u64 = by service,
         /// Point queries served from the epoch snapshot.
         point_queries: u64 = by service,
@@ -574,7 +554,7 @@ mod tests {
         assert!(json
             .contains("\"timings_ns\": {\"build_distance\": 0, \"build_index\": 0, \"phase1\": 9"));
         // Names, keys and order are held to the README's table below.
-        assert_eq!(written_schema().len(), 15);
+        assert_eq!(written_schema().len(), 14);
     }
 
     #[test]
@@ -599,14 +579,13 @@ mod tests {
             assert_eq!(read(section, key), (1u64 << i) as f64, "{section}.{key}");
             backed_total += read(section, key);
         }
-        // The two derived keys, and nothing else, also carry counts.
-        assert_eq!(m.pair_cache.distance_calls_saved, m.pair_cache.hits);
+        // The derived key, and nothing else, also carries counts.
         assert_eq!(read("textdist", "total"), m.textdist.total() as f64);
         let written: f64 = written_schema()
             .iter()
             .flat_map(|(section, keys)| keys.iter().map(|key| read(section, key)))
             .sum();
-        let derived = (m.pair_cache.hits + m.textdist.total()) as f64;
+        let derived = m.textdist.total() as f64;
         assert_eq!(written, backed_total + derived, "a filled field read a counter");
     }
 

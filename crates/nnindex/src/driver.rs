@@ -19,17 +19,17 @@ use crate::candgen::{select_top_candidates, CandFilter, RecordMeta};
 use crate::scratch::with_scored;
 use crate::{
     lookup_from_verified, verify_candidates_bounded, LookupCost, LookupSpec, LookupWeights,
-    PairDistanceCache, RecordView,
+    RecordView,
 };
 
 /// The query of one lookup.
 #[derive(Clone, Copy)]
 pub(crate) enum Query<'q> {
-    /// Record `id` of the indexed corpus: weighted by its own
-    /// multiplicity, and the id a [`PairDistanceCache`] keys its pairs on.
+    /// Record `id` of the indexed corpus, weighted by its own
+    /// multiplicity.
     Indexed(u32),
     /// The attribute strings of a record that need not be indexed (a
-    /// point query): multiplicity 1, never cached.
+    /// point query): multiplicity 1.
     External(&'q [&'q str]),
 }
 
@@ -138,7 +138,6 @@ pub(crate) fn lookup_gathered<S: CandidateSource>(
     gathered: Gathered,
     spec: LookupSpec,
     p: f64,
-    cache: Option<&dyn PairDistanceCache>,
 ) -> (Vec<Neighbor>, f64, LookupCost) {
     let weights = source.multiplicities().map(|mult| LookupWeights {
         mult,
@@ -163,19 +162,16 @@ pub(crate) fn lookup_gathered<S: CandidateSource>(
         p,
         weights.as_ref(),
         filter.as_ref(),
-        cache,
     );
     lookup_from_verified(verified, gathered.generated, attempted, spec, p, weights.as_ref())
 }
 
-/// [`crate::NnIndex::lookup`] for indexed record `id`, through `cache` when
-/// the caller holds a pair memo.
+/// [`crate::NnIndex::lookup`] for indexed record `id`.
 pub(crate) fn lookup<S: CandidateSource>(
     source: &S,
     id: u32,
     spec: LookupSpec,
     p: f64,
-    cache: Option<&dyn PairDistanceCache>,
 ) -> (Vec<Neighbor>, f64, LookupCost) {
-    lookup_gathered(source, Query::Indexed(id), source.gather_candidates(id), spec, p, cache)
+    lookup_gathered(source, Query::Indexed(id), source.gather_candidates(id), spec, p)
 }

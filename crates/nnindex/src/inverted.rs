@@ -62,7 +62,7 @@ use fuzzydedup_textdist::{record_terms, CompiledRecords, Distance};
 use crate::candgen::RecordMeta;
 use crate::driver::{self, CandidateSource, Gathered, Query};
 use crate::scratch::{with_scoreboard, Scoreboard};
-use crate::{LookupCost, LookupSpec, NnIndex, PairDistanceCache, RecordView};
+use crate::{LookupCost, LookupSpec, NnIndex, RecordView};
 use fuzzydedup_metrics::{incr, Counter};
 
 /// Where [`InvertedIndex::build`] leaves the postings — the one Phase-1
@@ -330,7 +330,7 @@ impl<D: Distance> InvertedIndex<D, Growing> {
             .collect();
         let meta = RecordMeta { chars: ts.chars, grams: ts.gram_total };
         let gathered = self.gather(&query, meta, None, self.config.candidate_limit);
-        driver::lookup_gathered(self, Query::External(fields), gathered, spec, p, None)
+        driver::lookup_gathered(self, Query::External(fields), gathered, spec, p)
     }
 
     /// Leave the postings where [`InvertedIndexConfig::postings_source`]
@@ -489,20 +489,6 @@ impl<D: Distance, L: Layout> InvertedIndex<D, L> {
     /// and the tripwire hold capped gathering to.
     pub fn candidates_with_limit(&self, id: u32, limit: usize) -> Vec<u32> {
         self.gather_indexed(id, limit).ids
-    }
-
-    /// [`NnIndex::lookup`] with a shared [`PairDistanceCache`] consulted
-    /// during candidate verification — same answer, fewer distance calls
-    /// where lookups re-verify pairs (the incremental path, DESIGN.md
-    /// §7.5).
-    pub fn lookup_memoized(
-        &self,
-        id: u32,
-        spec: LookupSpec,
-        p: f64,
-        memo: &dyn PairDistanceCache,
-    ) -> (Vec<Neighbor>, f64, LookupCost) {
-        driver::lookup(self, id, spec, p, Some(memo))
     }
 
     /// IDF weight `ln(1 + N/df)` of a term, `N` and `df` in full-corpus
@@ -673,7 +659,7 @@ impl<D: Distance, L: Layout> NnIndex for InvertedIndex<D, L> {
     }
 
     fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
-        driver::lookup(self, id, spec, p, None)
+        driver::lookup(self, id, spec, p)
     }
 }
 

@@ -81,46 +81,6 @@ impl LookupCost {
     }
 }
 
-/// Outcome of probing a [`PairDistanceCache`] for an unordered record
-/// pair at a cutoff.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PairProbe {
-    /// The exact distance of the pair is memoized.
-    Exact(f64),
-    /// The pair's distance is known to be **strictly greater** than the
-    /// probed cutoff (a previous bounded verification at a cutoff at
-    /// least this large came back empty), so the candidate can be
-    /// rejected without a distance call.
-    KnownAbove,
-    /// Nothing useful is memoized for this pair.
-    Miss,
-}
-
-/// A symmetric (unordered-pair) memo of distances, consulted by candidate
-/// verification before paying for a distance call and populated with
-/// whatever each bounded call learns — the exact distance on success, a
-/// lower bound (`d > cutoff`) on rejection.
-///
-/// Soundness contract: implementations may drop entries at any time
-/// (bounded caches evict), but must never return [`PairProbe::Exact`]
-/// with a value other than the true distance, nor
-/// [`PairProbe::KnownAbove`] unless `d > cutoff` is certain. Under that
-/// contract verification results are identical with and without a cache,
-/// and independent of thread interleaving — which is what keeps parallel
-/// Phase 1 deterministic while sharing one cache across threads. The
-/// distance itself must be symmetric to the bit (`d(a,b) == d(b,a)`),
-/// since the memo is keyed on the unordered pair; every built-in distance
-/// satisfies this.
-pub trait PairDistanceCache: Sync {
-    /// What the cache knows about pair `(a, b)` relative to `cutoff`.
-    fn probe(&self, a: u32, b: u32, cutoff: f64) -> PairProbe;
-    /// Memoize the exact distance of pair `(a, b)`.
-    fn store_exact(&self, a: u32, b: u32, d: f64);
-    /// Memoize that `d(a, b) > cutoff` (the bounded call rejected at
-    /// `cutoff`). Never called with a non-finite cutoff.
-    fn store_bound(&self, a: u32, b: u32, cutoff: f64);
-}
-
 /// A nearest-neighbor index over a fixed corpus of records with dense ids
 /// `0..len`, answering the one question the paper's Phase 1 asks of it:
 /// "get NN-List(v) and the number of neighbors within radius 2·NN(v) using
@@ -249,20 +209,13 @@ impl LookupWeights<'_> {
 /// batches (see [`Running::flush_batch`]); the rest verify immediately.
 ///
 /// `weights` puts the cutoffs in full-corpus units when the corpus is
-/// collapsed (see [`LookupWeights`]). Two optional layers sit in front of
-/// the distance call, each a pure performance lever — the surviving set
-/// is identical with or without:
-///
-/// * `filter` — the q-gram length/count bounds (only sound for distances
-///   with [`Distance::admits_qgram_filter`]), tested **with the same
-///   running cutoff** passed to `bounded`: a pruned candidate is
-///   one the bounded call would provably have rejected, so it skips the
-///   distance call (and the `attempted` count) entirely;
-/// * `cache` — a shared [`PairDistanceCache`], probed after the filter at
-///   the running cutoff: an exact hit resolves the candidate without a
-///   distance call, a known-above hit rejects it, and a miss pays the
-///   distance call and stores what it learned. The memo is keyed on
-///   record ids, so only indexed queries consult it.
+/// collapsed (see [`LookupWeights`]). `filter` — the q-gram length/count
+/// bounds (only sound for distances with
+/// [`Distance::admits_qgram_filter`]) — sits in front of the distance call
+/// as a pure performance lever: it is tested **with the same running
+/// cutoff** passed to `bounded`, so a pruned candidate is one the bounded
+/// call would provably have rejected, and it skips the distance call (and
+/// the `attempted` count) entirely.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_candidates_bounded<D: Distance>(
     distance: &D,
@@ -273,40 +226,19 @@ pub(crate) fn verify_candidates_bounded<D: Distance>(
     p: f64,
     weights: Option<&LookupWeights<'_>>,
     filter: Option<&CandFilter<'_>>,
-    cache: Option<&dyn PairDistanceCache>,
 ) -> (Vec<Neighbor>, u64) {
-    // The memo with the id it keys this query's pairs under.
-    let (query_fields, cache): (Vec<&str>, _) = match query {
-        Query::Indexed(id) => (
-            records.records[id as usize].iter().map(String::as_str).collect(),
-            cache.map(|cache| (id, cache)),
-        ),
-        Query::External(fields) => (fields.to_vec(), None),
+    let query_fields: Vec<&str> = match query {
+        Query::Indexed(id) => records.records[id as usize].iter().map(String::as_str).collect(),
+        Query::External(fields) => fields.to_vec(),
     };
     let mut prepared = distance.prepare(&query_fields);
     scratch::with_verify_scratch(|scratch| {
-        let mut run = Running::start(spec, weights, cache, &mut scratch.kth, candidates.len());
+        let mut run = Running::start(spec, weights, &mut scratch.kth, candidates.len());
         for (i, &c) in candidates.iter().enumerate() {
             let cutoff = run.cutoff(p);
             if let Some(f) = filter {
                 if f.prunes(i, c, cutoff) {
                     continue;
-                }
-            }
-            if let Some((id, cache)) = cache {
-                match cache.probe(id, c, cutoff) {
-                    PairProbe::Exact(d) => {
-                        incr(Counter::PairCacheHits, 1);
-                        if d <= cutoff {
-                            run.survive(c, d);
-                        }
-                        continue;
-                    }
-                    PairProbe::KnownAbove => {
-                        incr(Counter::PairCacheHits, 1);
-                        continue;
-                    }
-                    PairProbe::Miss => incr(Counter::PairCacheMisses, 1),
                 }
             }
             // Finite sub-ratio-1 cutoffs defer into a lock-step batch at
@@ -319,7 +251,7 @@ pub(crate) fn verify_candidates_bounded<D: Distance>(
                 run.defer(c, records.candidate(c), cutoff, &mut prepared);
                 continue;
             }
-            run.resolve(c, prepared.bounded(records.candidate(c), cutoff), cutoff);
+            run.resolve(c, prepared.bounded(records.candidate(c), cutoff));
         }
         run.flush_batch(&mut prepared);
         (run.survivors, run.attempted)
@@ -334,13 +266,11 @@ const VERIFY_BATCH: usize = 32;
 
 /// The running state of one verification pass over records read as
 /// `'r`: the survivors so far, the two cutoffs they tighten, the weights
-/// and memo every resolved candidate is reported through, and the
-/// lock-step batch of deferred candidates.
+/// every survivor is counted with, and the lock-step batch of deferred
+/// candidates.
 struct Running<'a, 'r> {
     spec: LookupSpec,
     weights: Option<&'a LookupWeights<'a>>,
-    /// The memo with the id it keys this query's pairs under.
-    cache: Option<(u32, &'a dyn PairDistanceCache)>,
     survivors: Vec<Neighbor>,
     /// Ascending running top-k distances (TopK spec only), capped at k.
     kth: &'a mut Vec<f64>,
@@ -362,7 +292,6 @@ impl<'a, 'r> Running<'a, 'r> {
     fn start(
         spec: LookupSpec,
         weights: Option<&'a LookupWeights<'a>>,
-        cache: Option<(u32, &'a dyn PairDistanceCache)>,
         kth: &'a mut Vec<f64>,
         capacity: usize,
     ) -> Self {
@@ -378,7 +307,6 @@ impl<'a, 'r> Running<'a, 'r> {
         Self {
             spec,
             weights,
-            cache,
             survivors: Vec::with_capacity(capacity),
             kth,
             // A query standing for m ≥ 2 identical records has nn = 0 in
@@ -431,25 +359,12 @@ impl<'a, 'r> Running<'a, 'r> {
         }
     }
 
-    /// Account for one distance call on candidate `c` at `cutoff`: a
-    /// result survives, a rejection proves `d > cutoff`; the memo learns
-    /// whichever it was.
-    fn resolve(&mut self, c: u32, result: Option<f64>, cutoff: f64) {
+    /// Account for one distance call on candidate `c`: a result survives,
+    /// a rejection drops it.
+    fn resolve(&mut self, c: u32, result: Option<f64>) {
         self.attempted += 1;
-        match result {
-            Some(d) => {
-                if let Some((id, cache)) = self.cache {
-                    cache.store_exact(id, c, d);
-                }
-                self.survive(c, d);
-            }
-            None => {
-                if let Some((id, cache)) = self.cache {
-                    if cutoff.is_finite() {
-                        cache.store_bound(id, c, cutoff);
-                    }
-                }
-            }
+        if let Some(d) = result {
+            self.survive(c, d);
         }
     }
 
@@ -481,9 +396,8 @@ impl<'a, 'r> Running<'a, 'r> {
     /// sort/filter discards it, while feeding it into [`Self::survive`]
     /// meanwhile only tightens the running cutoffs toward (never past)
     /// their final values. A batch rejection proves `d > batch_cutoff ≥`
-    /// the member's own cutoff, so caching the bound and dropping the
-    /// candidate is exactly what the scalar path would have done. The
-    /// final relation is therefore bit-identical to unbatched
+    /// the member's own cutoff, so dropping the candidate is exactly what
+    /// the scalar path would have done. The final relation is therefore bit-identical to unbatched
     /// verification.
     fn flush_batch<'p>(&mut self, prepared: &mut Prepared<'p>)
     where
@@ -496,7 +410,7 @@ impl<'a, 'r> Running<'a, 'r> {
         incr(Counter::VerifyBatchedCandidates, self.pending.len() as u64);
         prepared.distance_bounded_batch(&self.pending_forms, self.batch_cutoff, &mut self.results);
         for i in 0..self.pending.len() {
-            self.resolve(self.pending[i], self.results[i], self.batch_cutoff);
+            self.resolve(self.pending[i], self.results[i]);
         }
         self.pending.clear();
         self.pending_forms.clear();
@@ -675,7 +589,6 @@ mod tests {
                     p,
                     None,
                     None,
-                    None,
                 );
                 assert_eq!(attempted, candidates.len() as u64);
                 let n = candidates.len() as u64;
@@ -703,7 +616,7 @@ mod tests {
         let query: Vec<&str> = records[id as usize].iter().map(String::as_str).collect();
         let mut prepared = EditDistance.prepare(&query);
         let mut kth: Vec<f64> = Vec::new();
-        let mut run = Running::start(spec, None, None, &mut kth, candidates.len());
+        let mut run = Running::start(spec, None, &mut kth, candidates.len());
         for &c in candidates {
             let spec_cut = match spec {
                 LookupSpec::TopK(0) => f64::NEG_INFINITY,
@@ -752,7 +665,6 @@ mod tests {
                         p,
                         None,
                         None,
-                        None,
                     );
                     assert_eq!(attempted, candidates.len() as u64);
                     let scalar = verify_scalar(&records, &compiled, id, &candidates, spec, p);
@@ -784,7 +696,6 @@ mod tests {
                 &candidates,
                 LookupSpec::TopK(3),
                 2.0,
-                None,
                 None,
                 None,
             )
@@ -867,7 +778,6 @@ mod tests {
                     p,
                     None,
                     Some(&filter),
-                    None,
                 );
                 let (unfiltered, u_attempted) = verify_candidates_bounded(
                     &EditDistance,
@@ -876,7 +786,6 @@ mod tests {
                     &candidates,
                     spec,
                     p,
-                    None,
                     None,
                     None,
                 );
@@ -915,7 +824,6 @@ mod tests {
                 &candidates,
                 LookupSpec::TopK(1),
                 2.0,
-                None,
                 None,
                 None,
             )

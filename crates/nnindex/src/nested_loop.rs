@@ -81,7 +81,7 @@ impl<D: Distance> NnIndex for NestedLoopIndex<D> {
     /// neighbor list and the growth estimate, verifying with the current
     /// best-so-far as cutoff.
     fn lookup(&self, id: u32, spec: LookupSpec, p: f64) -> (Vec<Neighbor>, f64, LookupCost) {
-        driver::lookup(self, id, spec, p, None)
+        driver::lookup(self, id, spec, p)
     }
 }
 

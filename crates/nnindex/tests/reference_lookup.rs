@@ -10,15 +10,13 @@
 //! collapsed (multiplicity-weighted)}. The collapsed case expands the
 //! representative-space answer back to full-corpus ids and compares it with
 //! the reference over the *uncollapsed* corpus — the bit-equivalence
-//! DESIGN.md §7.10 promises. A shared pair-distance memo, cold and then
-//! warm, must change nothing on the inverted index, frozen or growing.
+//! DESIGN.md §7.10 promises.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use fuzzydedup_nnindex::{
-    Growing, InvertedIndex, InvertedIndexConfig, Layout, LookupSpec, NestedLoopIndex, NnIndex,
-    PairDistanceCache, PairProbe, PostingsSource,
+    Growing, InvertedIndex, InvertedIndexConfig, LookupSpec, NestedLoopIndex, NnIndex,
+    PostingsSource,
 };
 use fuzzydedup_reference as reference;
 use fuzzydedup_relation::Neighbor;
@@ -29,39 +27,6 @@ mod common;
 use common::noisy_corpus;
 
 type Records = Vec<Vec<String>>;
-
-/// An unbounded, exact pair memo: what a cache is allowed to know.
-#[derive(Default)]
-struct MapCache(Mutex<HashMap<(u32, u32), Known>>);
-
-enum Known {
-    Exact(f64),
-    Above(f64),
-}
-
-fn key(a: u32, b: u32) -> (u32, u32) {
-    (a.min(b), a.max(b))
-}
-
-impl PairDistanceCache for MapCache {
-    fn probe(&self, a: u32, b: u32, cutoff: f64) -> PairProbe {
-        match self.0.lock().unwrap().get(&key(a, b)) {
-            Some(Known::Exact(d)) => PairProbe::Exact(*d),
-            Some(Known::Above(bound)) if *bound >= cutoff => PairProbe::KnownAbove,
-            _ => PairProbe::Miss,
-        }
-    }
-    fn store_exact(&self, a: u32, b: u32, d: f64) {
-        self.0.lock().unwrap().insert(key(a, b), Known::Exact(d));
-    }
-    fn store_bound(&self, a: u32, b: u32, cutoff: f64) {
-        let mut map = self.0.lock().unwrap();
-        let slot = map.entry(key(a, b)).or_insert(Known::Above(cutoff));
-        if let Known::Above(bound) = slot {
-            *bound = bound.max(cutoff);
-        }
-    }
-}
 
 /// A verification distance beside its definition, both fit on one corpus.
 enum Metric {
@@ -220,8 +185,8 @@ fn plain_corpus() -> Records {
 fn every_family_answers_the_reference_lookup() {
     let records = plain_corpus();
     for metric in &Metric::both(&records) {
-        // The pair memo keys on unordered pairs: the distance must be
-        // symmetric to the bit, and production is the definition's bits.
+        // The `Distance` contract's symmetry holds to the bit, and
+        // production is the definition's bits.
         let matrix = metric.matrix(&records);
         for (v, u) in (0..records.len() as u32).flat_map(|v| (0..v).map(move |u| (v, u))) {
             assert_eq!(matrix.dist(v, u).to_bits(), matrix.dist(u, v).to_bits(), "d({v}, {u})");
@@ -269,43 +234,6 @@ fn collapse(records: Records) -> (Records, Vec<u32>, Records, Vec<u32>) {
         offsets.push(full.len() as u32);
     }
     (reps, mult, full, offsets)
-}
-
-/// `lookup_memoized` with a shared memo — first cold, then warm — must
-/// return exactly what the memo-less `lookup` returns, once both neighbor
-/// lists are passed through `canonical` (the identity for a plain index;
-/// the full-corpus expansion for a weighted one, whose raw TopK list keeps
-/// every survivor and so depends on how fast the cutoffs tightened).
-fn assert_memo_is_transparent<L: Layout>(
-    index: &InvertedIndex<EditDistance, L>,
-    label: &str,
-    canonical: &dyn Fn(u32, LookupSpec, Vec<Neighbor>) -> Vec<Neighbor>,
-) {
-    let cache = MapCache::default();
-    for pass in ["cold", "warm"] {
-        for id in 0..index.len() as u32 {
-            for spec in SPECS {
-                let (want_n, want_ng, _) = index.lookup(id, spec, P);
-                let (got_n, got_ng, _) = index.lookup_memoized(id, spec, P, &cache);
-                assert_eq!(
-                    canonical(id, spec, got_n),
-                    canonical(id, spec, want_n),
-                    "{label}: {pass} cache changed neighbors({id}, {spec:?})"
-                );
-                assert_eq!(got_ng, want_ng, "{label}: {pass} cache changed ng({id}, {spec:?})");
-            }
-        }
-    }
-    assert!(!cache.0.lock().unwrap().is_empty(), "{label}: the memo was never consulted");
-}
-
-#[test]
-fn a_shared_memo_changes_no_plain_lookup() {
-    let records = noisy_corpus(0xD21E, 90);
-    let config = inverted_config(PostingsSource::Memory);
-    let built = InvertedIndex::build(records.clone(), EditDistance, pool(), config);
-    assert_memo_is_transparent(&built, "frozen", &|_, _, neighbors| neighbors);
-    assert_memo_is_transparent(&grown(records, None, EditDistance), "growing", &|_, _, n| n);
 }
 
 #[test]
@@ -362,9 +290,4 @@ fn weighted_lookups_answer_the_reference_over_the_full_corpus() {
             }
         }
     }
-    let config = inverted_config(PostingsSource::Memory);
-    let (r, m) = (reps.clone(), mult.clone());
-    let built = InvertedIndex::build_collapsed(r, m, EditDistance, pool(), config);
-    assert_memo_is_transparent(&built, "frozen", &expand);
-    assert_memo_is_transparent(&grown(reps, Some(mult), EditDistance), "growing", &expand);
 }

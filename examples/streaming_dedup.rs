@@ -63,8 +63,8 @@ fn main() {
         pr.f1()
     );
     println!(
-        "incremental work: {lookups} lookups for {} records; the pair memo absorbs the \
-         verifications that re-running Phase 1 on every batch repeats",
+        "incremental work: {lookups} lookups for {} records; every batch re-runs Phase 1 \
+         over every entry",
         records.len(),
     );
 }

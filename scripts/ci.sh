@@ -87,8 +87,10 @@
 # the atomic ledger, "atomic_sites": counted the same way, the lines naming
 # a memory ordering (`Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}`)
 # or calling `fence(` — the places whose correctness rests on an ordering
-# argument rather than on a lock or on `&mut` (52 when it was introduced:
-# the pair memo's seqlock in core, the buffer pool in storage);
+# argument rather than on a lock or on `&mut` (52 when it was introduced,
+# 38 once the pair memo's seqlock left core: what is left there is the
+# service's counters and the work-stealing cursor, beside the buffer pool
+# in storage);
 # and "core_pub_modules", the `pub mod` lines of crates/core/src/lib.rs.
 # What depends on the machine or the run — the toolchain ("rustc":
 # `rustc --version`, which must be at least Cargo.toml's rust-version),

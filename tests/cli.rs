@@ -223,8 +223,8 @@ fn replay_passes_sizes_as_given_so_zero_is_the_services_error() {
 
 #[test]
 fn removed_pair_cache_flag_is_unknown_and_prints_usage() {
-    // The pair memo follows the entry point (always on under `replay`,
-    // never in a batch run); neither subcommand takes a flag for it.
+    // There is no pair-distance memo, so neither subcommand takes a flag
+    // for one.
     for args in [
         vec!["--demo", "table1", "--pair-cache-capacity", "1024"],
         vec!["replay", "--demo", "table1", "--pair-cache-capacity", "1024"],

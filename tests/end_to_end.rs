@@ -237,13 +237,12 @@ fn random_splits(rng: &mut StdRng, n: usize, max: usize) -> Vec<usize> {
 }
 
 #[test]
-fn pair_memo_is_invisible_in_results() {
-    // The pair-distance memo follows the entry point: an incremental
-    // state always holds one, the batch pipeline never does. It is a pure
-    // performance lever: under both of the service's distances (each
-    // symmetric to the bit, as the memo contract requires) the partition
-    // AND the NN relation of a chunked incremental load must be
-    // bit-identical to the batch run.
+fn a_chunked_load_equals_the_batch_run_under_ed_and_fms() {
+    // Under both of the service's distances, the partition AND the NN
+    // relation of a chunked incremental load must be bit-identical to the
+    // batch run. Then two synthetic edit-distance corpora in 23-record
+    // chunks under both cut kinds: near-duplicates among fillers, and rows
+    // repeated twice across chunks.
     let mut rng = StdRng::seed_from_u64(9);
     let records = restaurants::generate(&mut rng, DatasetSpec::with_entities(150)).records;
     let splits: Vec<usize> = records.chunks(37).map(<[_]>::len).collect();
@@ -256,6 +255,29 @@ fn pair_memo_is_invisible_in_results() {
     let inc = IncrementalDedup::builder(fuzzy).cut(CutSpec::Size(4)).sn_threshold(4.0);
     let diffs = incremental_diffs_from_batch(inc.build().unwrap(), &records, &splits, &fms);
     assert!(diffs.is_empty(), "fms: {diffs:?}");
+
+    let near_dups: Vec<Vec<String>> = (0..120)
+        .map(|i| {
+            let s = match i % 3 {
+                0 => format!("customer record number {i:03}"),
+                1 => format!("customer record numbr {i:03}"),
+                _ => format!("unrelated payload {i:03}"),
+            };
+            vec![s]
+        })
+        .collect();
+    let repeats: Vec<Vec<String>> =
+        (0..90).map(|i| vec![format!("shared prefix token row {:02}", i % 45)]).collect();
+    for (name, records) in [("near-dups", near_dups), ("repeats", repeats)] {
+        let splits: Vec<usize> = records.chunks(23).map(<[_]>::len).collect();
+        for cut in [CutSpec::Size(4), CutSpec::Diameter(0.2)] {
+            let batch = dedup(&records, &de_config(DistanceKind::EditDistance).cut(cut)).unwrap();
+            let inc = IncrementalDedup::builder(EditDistance).cut(cut).sn_threshold(4.0);
+            let diffs =
+                incremental_diffs_from_batch(inc.build().unwrap(), &records, &splits, &batch);
+            assert!(diffs.is_empty(), "{name} {cut:?}: {diffs:?}");
+        }
+    }
 }
 
 #[test]
