@@ -58,8 +58,8 @@ fn main() {
             .via_tables(true) // the paper's Phase 2 runs on the server
             .buffer_frames(8192);
         let outcome = Deduplicator::new(config.clone()).run_records(&records).expect("pipeline");
-        let p1 = outcome.phase1_duration.as_secs_f64() * 1000.0;
-        let p2 = outcome.phase2_duration.as_secs_f64() * 1000.0;
+        let p1 = outcome.metrics.timings.phase1_ns as f64 / 1e6;
+        let p2 = outcome.metrics.timings.phase2_ns as f64 / 1e6;
         let base = *baseline_p1.get_or_insert(p1);
         println!("{:>9} {:>12.1} {:>12.1} {:>10.2} {:>10.2}", n, p1, p2, p1 / base, p2 / base);
         rows.push((n, p1, p2));

@@ -32,7 +32,7 @@
 //! instead.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use fuzzydedup_core::{CutSpec, DedupConfig, Deduplicator, Parallelism};
 use fuzzydedup_datagen::{org, DatasetSpec};
@@ -131,8 +131,8 @@ fn main() {
          (phase1 {:.1?}, phase2 {:.1?})",
         records_n,
         outcome.partition.num_groups(),
-        outcome.phase1_duration,
-        outcome.phase2_duration,
+        Duration::from_nanos(m.timings.phase1_ns),
+        Duration::from_nanos(m.timings.phase2_ns),
     );
     eprintln!(
         "[exp_scale_1m] spill: {} entries / {} bytes; peak RSS {:.2} GiB; \

@@ -87,8 +87,6 @@ pub use phase2::{
 pub use pipeline::{DedupConfig, DedupError, DedupOutcome, Deduplicator, IndexChoice, Parallelism};
 pub use problem::CutSpec;
 pub use report::render_report;
-pub use service::{
-    DedupService, EpochReader, QueryAnswer, ServiceConfig, ServiceError, ServiceStats,
-};
+pub use service::{DedupService, QueryAnswer, ServiceConfig, ServiceError, ServiceStats};
 pub use spill::{read_nn_reln, spill_nn_reln};
 pub use threshold::estimate_sn_threshold;

@@ -18,7 +18,7 @@
 //! bit-for-bit identical to the one-thread drive.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use fuzzydedup_metrics::{
     CollapseMetrics, Phase1Metrics, RunMetrics, StageTimings, StorageMetrics,
@@ -276,10 +276,6 @@ pub struct DedupOutcome {
     pub nn_reln: NnReln,
     /// Phase-1 statistics (lookup count, visit order).
     pub phase1_stats: Phase1Stats,
-    /// Wall-clock duration of Phase 1.
-    pub phase1_duration: Duration,
-    /// Wall-clock duration of Phase 2.
-    pub phase2_duration: Duration,
     /// Buffer-pool statistics accumulated during Phase 1 (index lookups);
     /// zeroed when the index does not use the pool.
     pub buffer_stats: BufferStats,
@@ -581,15 +577,7 @@ impl Deduplicator {
             total_ns: (phase1_duration + phase2_duration + minimality_duration).as_nanos() as u64,
         };
 
-        Ok(DedupOutcome {
-            partition,
-            nn_reln,
-            phase1_stats,
-            phase1_duration,
-            phase2_duration,
-            buffer_stats,
-            metrics: run_metrics,
-        })
+        Ok(DedupOutcome { partition, nn_reln, phase1_stats, buffer_stats, metrics: run_metrics })
     }
 }
 

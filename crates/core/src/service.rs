@@ -34,19 +34,19 @@
 //! 3. **Observability.** [`DedupService::metrics`] — a `RunMetrics` of
 //!    this service alone: the writer thread folds what each admitted batch
 //!    counted, and [`DedupService::query`] what each query counted, into a
-//!    sink the service owns (reads through a raw [`DedupService::reader`]
-//!    handle count on the caller's thread instead). Beside it: per-service
-//!    atomics surfaced via [`DedupService::stats`], a log2-bucket latency
-//!    histogram for coarse-grained p50/p99, per-request [`LookupCost`] on
-//!    every [`QueryAnswer`], and a streaming distinct-entity estimate
+//!    sink the service owns, beside a log2-bucket latency histogram of the
+//!    queries (coarse p50/p99) under the same lock. [`DedupService::stats`]
+//!    reads each count where it is kept: batches, epochs and admitted
+//!    records off the published snapshot, queue counts off the queue
+//!    state. Beside them: per-request [`LookupCost`] on every
+//!    [`QueryAnswer`], and a streaming distinct-entity estimate
 //!    ([`crate::distinct::DistinctEstimator`]) fed with each duplicate
 //!    group's canonical key after every admitted batch.
 
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use fuzzydedup_metrics::{scoped, RunMetrics, ServiceMetrics, Tally};
@@ -58,59 +58,6 @@ use crate::distinct::DistinctEstimator;
 use crate::incremental::{IncrementalDedup, IncrementalDedupBuilder};
 use crate::partition::Partition;
 use crate::pipeline::DedupError;
-
-// ---------------------------------------------------------------------------
-// The published snapshot.
-// ---------------------------------------------------------------------------
-
-/// Read handle of a service's published snapshot; cheap to clone and share.
-pub struct EpochReader<T> {
-    /// The epoch and the state it names, replaced together. The lock
-    /// guards the pointer only: it is held for an `Arc` clone or a swap,
-    /// never while a state is read, built or dropped — so nothing panics
-    /// holding it, and a poisoned guard still holds a whole pair.
-    published: Arc<RwLock<(u64, Arc<T>)>>,
-}
-
-impl<T> Clone for EpochReader<T> {
-    fn clone(&self) -> Self {
-        Self { published: Arc::clone(&self.published) }
-    }
-}
-
-impl<T> EpochReader<T> {
-    fn new(state: T) -> Self {
-        Self { published: Arc::new(RwLock::new((0, Arc::new(state)))) }
-    }
-
-    /// Run `f` against the current snapshot and its epoch.
-    ///
-    /// Never waits on the writer's batch, which runs on a clone while this
-    /// state stays published; the closure runs to completion on that one
-    /// immutable state however many epochs are published meanwhile.
-    pub fn read<R>(&self, f: impl FnOnce(u64, &T) -> R) -> R {
-        let (epoch, state) = {
-            let published = self.published.read().unwrap_or_else(PoisonError::into_inner);
-            (published.0, Arc::clone(&published.1))
-        };
-        f(epoch, &state)
-    }
-
-    /// The epoch of the currently published snapshot.
-    pub fn epoch(&self) -> u64 {
-        self.published.read().unwrap_or_else(PoisonError::into_inner).0
-    }
-
-    /// Publish `state` as the next epoch; returns that epoch and the
-    /// snapshot it replaced, which the caller drops after the lock is
-    /// released (or a reader still holding it does, when done).
-    fn publish(&self, state: T) -> (u64, Arc<T>) {
-        let state = Arc::new(state);
-        let mut published = self.published.write().unwrap_or_else(PoisonError::into_inner);
-        let epoch = published.0 + 1;
-        (epoch, std::mem::replace(&mut *published, (epoch, state)).1)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Service configuration and errors.
@@ -219,7 +166,7 @@ impl From<DedupError> for ServiceError {
 }
 
 // ---------------------------------------------------------------------------
-// Latency histogram (log2 buckets, lock-free).
+// Latency histogram (log2 buckets).
 // ---------------------------------------------------------------------------
 
 /// 64 power-of-two buckets over nanoseconds. Coarse by construction —
@@ -227,29 +174,35 @@ impl From<DedupError> for ServiceError {
 /// endpoint needs. The replay bench computes *exact* quantiles from its own
 /// recorded timings instead.
 struct LatencyHistogram {
-    buckets: [AtomicU64; 64],
+    buckets: [u64; 64],
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self { buckets: [0; 64] }
+    }
 }
 
 impl LatencyHistogram {
-    fn new() -> Self {
-        Self { buckets: std::array::from_fn(|_| AtomicU64::new(0)) }
+    fn record(&mut self, ns: u64) {
+        let b = (64 - ns.leading_zeros()).min(63) as usize;
+        self.buckets[b] += 1;
     }
 
-    fn record(&self, ns: u64) {
-        let b = (64 - ns.leading_zeros()).min(63) as usize;
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
+    /// Latencies recorded.
+    fn total(&self) -> u64 {
+        self.buckets.iter().sum()
     }
 
     /// Upper bound of the bucket holding the `q`-quantile, 0 if empty.
     fn quantile_ns(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let total: u64 = counts.iter().sum();
+        let total = self.total();
         if total == 0 {
             return 0;
         }
         let target = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
-        for (b, &count) in counts.iter().enumerate() {
+        for (b, &count) in self.buckets.iter().enumerate() {
             seen += count;
             if seen >= target {
                 return if b == 0 { 0 } else { (1u64 << b) - 1 };
@@ -272,6 +225,8 @@ struct QueueState {
     /// records are still becoming visible — drain must wait this out).
     in_flight: bool,
     depth_high_water: usize,
+    /// Fast-fail submissions refused with [`ServiceError::QueueFull`].
+    rejections: u64,
 }
 
 impl QueueState {
@@ -291,7 +246,14 @@ impl QueueState {
 /// many distinct groups are seen.
 const DISTINCT_SAMPLE_CAP: usize = 4096;
 
-struct ServiceShared {
+/// What a service's handle and its writer thread share; `T` is the state.
+struct ServiceShared<T> {
+    /// The published snapshot: the epoch and the state it names, replaced
+    /// together. The lock guards the pointer only: it is held for an `Arc`
+    /// clone or a swap, never while a state is read, built or dropped — so
+    /// nothing panics holding it, and a poisoned guard still holds a whole
+    /// pair.
+    published: Mutex<(u64, Arc<T>)>,
     queue: Mutex<QueueState>,
     /// Signaled when records arrive or shutdown begins (writer waits).
     work: Condvar,
@@ -299,23 +261,48 @@ struct ServiceShared {
     space: Condvar,
     /// Signaled when the queue is empty *and* nothing is in flight.
     idle: Condvar,
-    batches_admitted: AtomicU64,
-    records_admitted: AtomicU64,
-    epochs_published: AtomicU64,
-    point_queries: AtomicU64,
-    queue_rejections: AtomicU64,
-    latency: LatencyHistogram,
     distinct: Mutex<DistinctEstimator>,
-    /// The sink behind [`DedupService::metrics`].
-    tally: Mutex<Tally>,
+    counted: Mutex<Counted>,
 }
 
-impl ServiceShared {
-    /// What this service's batches and queries counted so far. The writer
-    /// folds each batch's scope in and `query()` each query's: one
-    /// uncontended lock per batch / per query.
-    fn counted(&self) -> MutexGuard<'_, Tally> {
-        self.tally.lock().expect("the sink is only held for a plain add or copy")
+/// What this service's batches and queries counted so far.
+#[derive(Default)]
+struct Counted {
+    /// The sink behind [`DedupService::metrics`].
+    tally: Tally,
+    /// One latency per [`DedupService::query`] that returned.
+    latency: LatencyHistogram,
+}
+
+impl<T> ServiceShared<T> {
+    /// The writer folds each batch's scope in and `query()` each query's
+    /// scope and latency: one uncontended lock per batch / per query.
+    fn counted(&self) -> MutexGuard<'_, Counted> {
+        self.counted.lock().expect("the sink is only held for plain adds or copies")
+    }
+
+    fn published(&self) -> MutexGuard<'_, (u64, Arc<T>)> {
+        self.published.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run `f` against the published snapshot and its epoch, holding the
+    /// lock only for the `Arc` clone.
+    fn read<R>(&self, f: impl FnOnce(u64, &T) -> R) -> R {
+        let (epoch, state) = {
+            let published = self.published();
+            (published.0, Arc::clone(&published.1))
+        };
+        f(epoch, &state)
+    }
+
+    /// Publish `state` as the next epoch; returns the snapshot it
+    /// replaced, which the caller drops after the lock is released (or a
+    /// reader still holding it does, when done).
+    fn publish(&self, state: T) -> Arc<T> {
+        let state = Arc::new(state);
+        let mut published = self.published();
+        let epoch = published.0 + 1;
+        std::mem::replace(&mut *published, (epoch, state)).1
     }
 }
 
@@ -347,11 +334,12 @@ pub struct ServiceStats {
     pub num_groups: usize,
     /// Epoch of the published snapshot.
     pub epoch: u64,
-    /// `insert_batch` calls admitted so far.
+    /// `insert_batch` calls admitted so far: each publishes one epoch, so
+    /// this is [`Self::epoch`].
     pub batches_admitted: u64,
-    /// Records admitted so far.
+    /// Records admitted so far: [`Self::corpus_len`].
     pub records_admitted: u64,
-    /// Snapshot epochs published so far.
+    /// Snapshot epochs published so far: [`Self::epoch`].
     pub epochs_published: u64,
     /// Point queries served so far.
     pub point_queries: u64,
@@ -379,8 +367,7 @@ pub struct ServiceStats {
 /// Dropping the handle shuts the service down gracefully: the writer
 /// drains every already-submitted record, then exits.
 pub struct DedupService<D: Distance + Clone + 'static> {
-    shared: Arc<ServiceShared>,
-    reader: EpochReader<IncrementalDedup<D>>,
+    shared: Arc<ServiceShared<IncrementalDedup<D>>>,
     writer: Option<JoinHandle<()>>,
     config: ServiceConfig,
 }
@@ -394,36 +381,31 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
         config: ServiceConfig,
     ) -> Result<Self, ServiceError> {
         config.validate()?;
-        let reader = EpochReader::new(builder.build()?);
         let shared = Arc::new(ServiceShared {
+            published: Mutex::new((0, Arc::new(builder.build()?))),
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
                 shutdown: false,
                 writer_failed: false,
                 in_flight: false,
                 depth_high_water: 0,
+                rejections: 0,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
             idle: Condvar::new(),
-            batches_admitted: AtomicU64::new(0),
-            records_admitted: AtomicU64::new(0),
-            epochs_published: AtomicU64::new(0),
-            point_queries: AtomicU64::new(0),
-            queue_rejections: AtomicU64::new(0),
-            latency: LatencyHistogram::new(),
             distinct: Mutex::new(DistinctEstimator::new(DISTINCT_SAMPLE_CAP)),
-            tally: Mutex::new(Tally::default()),
+            counted: Mutex::default(),
         });
         let writer = {
-            let (published, shared) = (reader.clone(), Arc::clone(&shared));
+            let shared = Arc::clone(&shared);
             let admit = config.admit_batch_size;
             std::thread::Builder::new()
                 .name("dedup-service-writer".into())
-                .spawn(move || writer_loop(published, shared, admit))
+                .spawn(move || writer_loop(shared, admit))
                 .expect("spawn service writer thread")
         };
-        Ok(Self { shared, reader, writer: Some(writer), config })
+        Ok(Self { shared, writer: Some(writer), config })
     }
 
     /// Submit one record for admission; fails fast when the queue is full.
@@ -431,7 +413,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
         let mut q = self.shared.queue.lock().unwrap();
         q.accepting()?;
         if q.pending.len() >= self.config.queue_capacity {
-            self.shared.queue_rejections.fetch_add(1, Ordering::Relaxed);
+            q.rejections += 1;
             return Err(ServiceError::QueueFull { capacity: self.config.queue_capacity });
         }
         q.pending.push_back(record);
@@ -459,37 +441,37 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     }
 
     /// Find duplicates of `fields` against the current snapshot — a read
-    /// that never waits on a batch (see [`EpochReader::read`]).
+    /// that never waits on a batch (see [`Self::with_snapshot`]).
     pub fn query(&self, fields: &[&str]) -> QueryAnswer {
         let started = std::time::Instant::now();
         let (answer, tally) = scoped(|| {
-            self.reader.read(|epoch, state| {
+            self.shared.read(|epoch, state| {
                 let (neighbors, growth, cost) = state.query_record(fields);
                 QueryAnswer { epoch, corpus_len: state.len(), neighbors, growth, cost }
             })
         });
         let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.shared.latency.record(ns);
-        self.shared.point_queries.fetch_add(1, Ordering::Relaxed);
-        self.shared.counted().absorb(&tally);
+        let mut counted = self.shared.counted();
+        counted.latency.record(ns);
+        counted.tally.absorb(&tally);
         answer
     }
 
     /// Run `f` against the published snapshot (epoch + state). For
     /// consumers that need more than one coherent answer — e.g. the drain
     /// identity check reads the whole partition in one snapshot.
+    ///
+    /// Never waits on the writer's batch, which runs on a clone while this
+    /// state stays published; `f` runs to completion on that one immutable
+    /// state however many epochs are published meanwhile. Unlike
+    /// [`Self::query`], a read through here is not counted by the service.
     pub fn with_snapshot<R>(&self, f: impl FnOnce(u64, &IncrementalDedup<D>) -> R) -> R {
-        self.reader.read(f)
+        self.shared.read(f)
     }
 
     /// Clone the published partition along with its epoch.
     pub fn snapshot_partition(&self) -> (u64, Partition) {
-        self.reader.read(|epoch, state| (epoch, state.partition().clone()))
-    }
-
-    /// An additional read handle for other threads (queries only).
-    pub fn reader(&self) -> EpochReader<IncrementalDedup<D>> {
-        self.reader.clone()
+        self.shared.read(|epoch, state| (epoch, state.partition().clone()))
     }
 
     /// Block until every record submitted so far is visible to queries —
@@ -502,13 +484,19 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
         }
     }
 
-    /// Current statistics.
+    /// Current statistics. The batch, epoch and record counts come from
+    /// one published snapshot: every batch publishes one epoch, and the
+    /// snapshot holds every record admitted.
     pub fn stats(&self) -> ServiceStats {
         let (epoch, corpus_len, num_groups) =
-            self.reader.read(|epoch, state| (epoch, state.len(), state.partition().num_groups()));
-        let (queue_depth, depth_high_water, writer_failed) = {
+            self.shared.read(|epoch, state| (epoch, state.len(), state.partition().num_groups()));
+        let (queue_depth, depth_high_water, queue_rejections, writer_failed) = {
             let q = self.shared.queue.lock().unwrap();
-            (q.pending.len(), q.depth_high_water, q.writer_failed)
+            (q.pending.len(), q.depth_high_water, q.rejections, q.writer_failed)
+        };
+        let (point_queries, query_p50_ns, query_p99_ns) = {
+            let latency = &self.shared.counted().latency;
+            (latency.total(), latency.quantile_ns(0.50), latency.quantile_ns(0.99))
         };
         let (distinct_groups_estimate, distinct_is_exact) = {
             let d = self.shared.distinct.lock().unwrap();
@@ -518,15 +506,15 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
             corpus_len,
             num_groups,
             epoch,
-            batches_admitted: self.shared.batches_admitted.load(Ordering::Relaxed),
-            records_admitted: self.shared.records_admitted.load(Ordering::Relaxed),
-            epochs_published: self.shared.epochs_published.load(Ordering::Relaxed),
-            point_queries: self.shared.point_queries.load(Ordering::Relaxed),
-            queue_rejections: self.shared.queue_rejections.load(Ordering::Relaxed),
+            batches_admitted: epoch,
+            records_admitted: corpus_len as u64,
+            epochs_published: epoch,
+            point_queries,
+            queue_rejections,
             queue_depth,
             queue_depth_high_water: depth_high_water,
-            query_p50_ns: self.shared.latency.quantile_ns(0.50),
-            query_p99_ns: self.shared.latency.quantile_ns(0.99),
+            query_p50_ns,
+            query_p99_ns,
             distinct_groups_estimate,
             distinct_is_exact,
             writer_failed,
@@ -540,7 +528,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     /// probe telemetry, `collapse`, `timings`) stay zero: a service has no
     /// single run to time.
     pub fn metrics(&self) -> RunMetrics {
-        let counted = *self.shared.counted();
+        let counted = self.shared.counted().tally;
         let s = self.stats();
         RunMetrics {
             service: ServiceMetrics {
@@ -586,9 +574,9 @@ impl<D: Distance + Clone + 'static> Drop for DedupService<D> {
 /// published, so readers keep the last published snapshot. Ingest ends
 /// rather than going on because the batch's records have already left the
 /// queue: a later batch would publish a state that silently lacks them.
-struct WriterGuard<'a>(&'a ServiceShared);
+struct WriterGuard<'a, T>(&'a ServiceShared<T>);
 
-impl Drop for WriterGuard<'_> {
+impl<T> Drop for WriterGuard<'_, T> {
     fn drop(&mut self) {
         if !std::thread::panicking() {
             return;
@@ -605,8 +593,7 @@ impl Drop for WriterGuard<'_> {
 }
 
 fn writer_loop<D: Distance + Clone + 'static>(
-    published: EpochReader<IncrementalDedup<D>>,
-    shared: Arc<ServiceShared>,
+    shared: Arc<ServiceShared<IncrementalDedup<D>>>,
     admit_batch_size: usize,
 ) {
     let _guard = WriterGuard(&shared);
@@ -629,11 +616,10 @@ fn writer_loop<D: Distance + Clone + 'static>(
         };
         shared.space.notify_all();
 
-        let n_records = batch.len() as u64;
         // The batch runs on a clone of the published state while readers
         // keep that one; a panic here drops the clone unpublished.
         let (next, tally) = scoped(|| {
-            let mut next = published.read(|_, state| state.clone());
+            let mut next = shared.read(|_, state| state.clone());
             next.insert_batch(batch);
             next
         });
@@ -644,15 +630,12 @@ fn writer_loop<D: Distance + Clone + 'static>(
             .iter()
             .map(|g| u64::from(*g.iter().min().expect("non-empty group")))
             .collect();
-        let (epoch, previous) = published.publish(next);
+        let previous = shared.publish(next);
         // Outside the lock, and before `drain` can return: between batches
         // the service holds one state (unless a reader still pins this one).
         drop(previous);
 
-        shared.batches_admitted.fetch_add(1, Ordering::Relaxed);
-        shared.records_admitted.fetch_add(n_records, Ordering::Relaxed);
-        shared.epochs_published.store(epoch, Ordering::Relaxed);
-        shared.counted().absorb(&tally);
+        shared.counted().tally.absorb(&tally);
         {
             let mut distinct = shared.distinct.lock().unwrap();
             for key in group_keys {
@@ -676,7 +659,7 @@ mod tests {
     use crate::problem::CutSpec;
     use fuzzydedup_nnindex::InvertedIndexConfig;
     use fuzzydedup_textdist::{DistanceKind, EditDistance};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Barrier;
 
     fn builder() -> IncrementalDedupBuilder<EditDistance> {
@@ -859,58 +842,79 @@ mod tests {
             ServiceConfig::new().admit_batch_size(8).queue_capacity(32),
         )
         .unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = AtomicBool::new(false);
         let probes: Vec<Vec<String>> = records.iter().step_by(11).cloned().collect();
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let reader = service.reader();
-                let stop = Arc::clone(&stop);
-                let probes = probes.clone();
-                std::thread::spawn(move || {
-                    let mut last_epoch = 0u64;
-                    let mut reads = 0u64;
-                    // The first answer per (probe, len): (len, probe, neighbors, ng).
-                    let mut answers: Vec<(usize, usize, Vec<Neighbor>, f64)> = Vec::new();
-                    let mut last_len = vec![usize::MAX; probes.len()];
-                    while !stop.load(Ordering::Relaxed) {
-                        for (p, probe) in probes.iter().enumerate() {
-                            let fields: Vec<&str> = probe.iter().map(String::as_str).collect();
-                            let (epoch, len, covered, (neighbors, ng)) = reader.read(|e, state| {
-                                let covered: usize =
-                                    state.partition().groups().iter().map(Vec::len).sum();
-                                let (n, ng, _) = state.query_record(&fields);
-                                (e, state.len(), covered, (n, ng))
-                            });
-                            // Torn-state checks, all within ONE snapshot:
-                            // the partition covers exactly the corpus, every
-                            // neighbor id is in range, epochs are monotone.
-                            assert_eq!(covered, len, "partition must cover the corpus exactly");
-                            assert!(neighbors.iter().all(|nb| (nb.id as usize) < len));
-                            assert!(epoch >= last_epoch, "epochs must be monotone");
-                            last_epoch = epoch;
-                            reads += 1;
-                            if last_len[p] != len {
-                                last_len[p] = len;
-                                answers.push((len, p, neighbors, ng));
-                            }
-                        }
+        let read = |service: &DedupService<EditDistance>| {
+            let mut last_epoch = 0u64;
+            let mut reads = 0u64;
+            // The first answer per (probe, len): (len, probe, neighbors, ng).
+            let mut answers: Vec<(usize, usize, Vec<Neighbor>, f64)> = Vec::new();
+            let mut last_len = vec![usize::MAX; probes.len()];
+            while !stop.load(Ordering::Relaxed) {
+                for (p, probe) in probes.iter().enumerate() {
+                    let fields: Vec<&str> = probe.iter().map(String::as_str).collect();
+                    let (epoch, len, covered, (neighbors, ng)) =
+                        service.with_snapshot(|e, state| {
+                            let covered: usize =
+                                state.partition().groups().iter().map(Vec::len).sum();
+                            let (n, ng, _) = state.query_record(&fields);
+                            (e, state.len(), covered, (n, ng))
+                        });
+                    // Torn-state checks, all within ONE snapshot: the
+                    // partition covers exactly the corpus, every neighbor id
+                    // is in range, epochs are monotone.
+                    assert_eq!(covered, len, "partition must cover the corpus exactly");
+                    assert!(neighbors.iter().all(|nb| (nb.id as usize) < len));
+                    assert!(epoch >= last_epoch, "epochs must be monotone");
+                    last_epoch = epoch;
+                    reads += 1;
+                    if last_len[p] != len {
+                        last_len[p] = len;
+                        answers.push((len, p, neighbors, ng));
                     }
-                    (reads, answers)
-                })
-            })
-            .collect();
-        for r in records.clone() {
-            service.submit_wait(r).unwrap();
-        }
-        service.drain();
-        stop.store(true, Ordering::Relaxed);
+                }
+            }
+            (reads, answers)
+        };
+        // Beside them, `stats()` reads its counts from one snapshot, and
+        // each `query()` that returned is counted once.
+        let sample = || {
+            let fields: Vec<&str> = probes[0].iter().map(String::as_str).collect();
+            let mut queries = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let stats = service.stats();
+                let batches_and_epochs = (stats.batches_admitted, stats.epochs_published);
+                assert_eq!(batches_and_epochs, (stats.epoch, stats.epoch), "{stats:?}");
+                assert_eq!(stats.records_admitted, stats.corpus_len as u64, "{stats:?}");
+                service.query(&fields);
+                queries += 1;
+            }
+            queries
+        };
+        let (per_reader, queries) = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2).map(|_| s.spawn(|| read(&service))).collect();
+            let sampler = s.spawn(sample);
+            for r in records.clone() {
+                service.submit_wait(r).unwrap();
+            }
+            service.drain();
+            stop.store(true, Ordering::Relaxed);
+            let per_reader: Vec<_> = readers
+                .into_iter()
+                .map(|h| h.join().expect("no reader assertion may fire"))
+                .collect();
+            (per_reader, sampler.join().expect("no sample may tear"))
+        });
+        assert!(queries > 0);
+        assert_eq!(service.stats().point_queries, queries);
+        let bucketed: u64 = service.shared.counted().latency.buckets.iter().sum();
+        assert_eq!(bucketed, queries, "one latency per query");
         // Records are admitted in submit order, so a state of `len` records
         // holds `records[..len]`: every answer must be what a fresh state
         // loaded with that prefix in one batch answers.
         let mut prefixes: std::collections::BTreeMap<usize, IncrementalDedup<EditDistance>> =
             Default::default();
-        for handle in readers {
-            let (reads, answers) = handle.join().expect("no reader assertion may fire");
+        for (reads, answers) in per_reader {
             assert!(reads > 0);
             for (len, p, neighbors, ng) in answers {
                 let state = prefixes.entry(len).or_insert_with(|| {
@@ -1114,7 +1118,6 @@ mod tests {
         assert_eq!(service.snapshot_partition(), (before.epoch, published));
         let stats = service.stats();
         assert_eq!((stats.epoch, stats.corpus_len), (before.epoch, records.len()));
-        assert_eq!(service.reader().epoch(), before.epoch);
         // A read that panics holds nothing the publish needs.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             service.with_snapshot(|_, _| panic!("reader closure panic"));

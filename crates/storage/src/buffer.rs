@@ -16,13 +16,11 @@
 //! runs it, and Figure 8's committed hit ratios are LRU's.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::disk::DiskManager;
 use crate::error::{StorageError, StorageResult};
+use crate::lock;
 use crate::page::{Page, PageId};
 
 /// Buffer pool configuration.
@@ -85,6 +83,8 @@ struct Inner {
     /// tick -> frame index, for O(log n) LRU victim selection.
     lru_index: BTreeMap<u64, usize>,
     next_tick: u64,
+    /// Counted under the latch that serializes the accesses they count.
+    stats: BufferStats,
 }
 
 /// A fixed-capacity pool of page frames over a [`DiskManager`].
@@ -92,10 +92,6 @@ pub struct BufferPool {
     disk: Arc<dyn DiskManager>,
     inner: Mutex<Inner>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    writebacks: AtomicU64,
 }
 
 impl BufferPool {
@@ -111,12 +107,9 @@ impl BufferPool {
                 page_table: HashMap::new(),
                 lru_index: BTreeMap::new(),
                 next_tick: 1,
+                stats: BufferStats::default(),
             }),
             capacity: config.capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            writebacks: AtomicU64::new(0),
         }
     }
 
@@ -137,21 +130,13 @@ impl BufferPool {
 
     /// Snapshot of the cumulative statistics.
     pub fn stats(&self) -> BufferStats {
-        BufferStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            writebacks: self.writebacks.load(Ordering::Relaxed),
-        }
+        lock(&self.inner).stats
     }
 
     /// Reset the statistics (frame contents are untouched), e.g. between a
     /// warm-up phase and a measured phase.
     pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.writebacks.store(0, Ordering::Relaxed);
+        lock(&self.inner).stats = BufferStats::default();
     }
 
     /// Run `f` with shared access to a page, pinning it for the duration.
@@ -160,7 +145,7 @@ impl BufferPool {
     /// this pool (use [`crate::heap::HeapFile::scan`]-style copy-out when a
     /// visitor needs to perform further storage operations).
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let idx = self.fetch(&mut inner, id)?;
         inner.frames[idx].pins += 1;
         // The pool lock is held across `f`; all consumers in this workspace
@@ -172,7 +157,7 @@ impl BufferPool {
 
     /// Run `f` with exclusive access to a page, marking it dirty.
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> StorageResult<R> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let idx = self.fetch(&mut inner, id)?;
         inner.frames[idx].pins += 1;
         inner.frames[idx].dirty = true;
@@ -183,12 +168,12 @@ impl BufferPool {
 
     /// Write all dirty frames back to disk.
     pub fn flush_all(&self) -> StorageResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         for idx in 0..inner.frames.len() {
             if inner.frames[idx].dirty {
                 if let Some(pid) = inner.frames[idx].page_id {
                     self.disk.write(pid, &inner.frames[idx].page)?;
-                    self.writebacks.fetch_add(1, Ordering::Relaxed);
+                    inner.stats.writebacks += 1;
                     inner.frames[idx].dirty = false;
                 }
             }
@@ -198,24 +183,24 @@ impl BufferPool {
 
     /// Number of currently resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.inner.lock().page_table.len()
+        lock(&self.inner).page_table.len()
     }
 
     fn fetch(&self, inner: &mut Inner, id: PageId) -> StorageResult<usize> {
         if let Some(&idx) = inner.page_table.get(&id) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            inner.stats.hits += 1;
             inner.touch(idx);
             return Ok(idx);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        inner.stats.misses += 1;
         let idx = inner.find_victim()?;
         // Write back the evicted page if needed.
         if let Some(old_id) = inner.frames[idx].page_id.take() {
             inner.page_table.remove(&old_id);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            inner.stats.evictions += 1;
             if inner.frames[idx].dirty {
                 self.disk.write(old_id, &inner.frames[idx].page)?;
-                self.writebacks.fetch_add(1, Ordering::Relaxed);
+                inner.stats.writebacks += 1;
             }
         }
         let page = self.disk.read(id)?;
@@ -380,15 +365,29 @@ mod tests {
         let pool = BufferPool::new(BufferPoolConfig::with_capacity(4), disk.clone());
         let id = pool.allocate_page();
         write_marker(&pool, id, 42);
-        assert_eq!(disk.writes(), 0, "write should be buffered");
+        assert_eq!(pool.stats().writebacks, 0, "write should be buffered");
+        assert_eq!(disk.read(id).unwrap().slot_count(), 0, "the disk holds no write yet");
         pool.flush_all().unwrap();
-        assert_eq!(disk.writes(), 1);
+        assert_eq!(pool.stats().writebacks, 1);
         // Direct disk read sees the flushed content.
         let p = disk.read(id).unwrap();
         assert_eq!(p.get(0), Some(&[42u8][..]));
         // Flushing again is a no-op (page now clean).
         pool.flush_all().unwrap();
-        assert_eq!(disk.writes(), 1);
+        assert_eq!(pool.stats().writebacks, 1);
+    }
+
+    #[test]
+    fn a_panicking_page_closure_does_not_poison_the_latch() {
+        let pool = pool(2);
+        let id = pool.allocate_page();
+        write_marker(&pool, id, 7);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.with_page(id, |_| panic!("page closure panic"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(read_marker(&pool, id), 7, "the latch is taken again, not poisoned");
+        assert_eq!(pool.stats().misses, 1);
     }
 
     #[test]

@@ -10,16 +10,17 @@
 //! * [`FileDisk`] — pages in a real file via positioned reads/writes, for
 //!   datasets larger than memory and for persistence tests.
 //!
-//! Both count physical reads and writes.
+//! Neither counts its I/O: the buffer pool's [`crate::BufferStats`] count
+//! every page it reads (a miss) and writes (a write-back), under the latch
+//! that serializes them.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use crate::error::{StorageError, StorageResult};
+use crate::lock;
 use crate::page::{Page, PageId, PAGE_SIZE};
 
 /// Whole-page storage behind the buffer pool.
@@ -35,20 +36,12 @@ pub trait DiskManager: Send + Sync {
 
     /// Number of pages allocated so far.
     fn num_pages(&self) -> u64;
-
-    /// Physical reads performed.
-    fn reads(&self) -> u64;
-
-    /// Physical writes performed.
-    fn writes(&self) -> u64;
 }
 
 /// Pages kept in memory. Reads clone the stored page (the buffer pool holds
 /// its own frame copy, as it would with real I/O).
 pub struct InMemoryDisk {
     pages: Mutex<Vec<Option<Page>>>,
-    reads: AtomicU64,
-    writes: AtomicU64,
 }
 
 impl Default for InMemoryDisk {
@@ -60,20 +53,19 @@ impl Default for InMemoryDisk {
 impl InMemoryDisk {
     /// Empty in-memory disk.
     pub fn new() -> Self {
-        Self { pages: Mutex::new(Vec::new()), reads: AtomicU64::new(0), writes: AtomicU64::new(0) }
+        Self { pages: Mutex::new(Vec::new()) }
     }
 }
 
 impl DiskManager for InMemoryDisk {
     fn allocate(&self) -> PageId {
-        let mut pages = self.pages.lock();
+        let mut pages = lock(&self.pages);
         pages.push(None);
         (pages.len() - 1) as PageId
     }
 
     fn read(&self, id: PageId) -> StorageResult<Page> {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        let pages = self.pages.lock();
+        let pages = lock(&self.pages);
         match pages.get(id as usize) {
             Some(Some(p)) => Ok(p.clone()),
             // Allocated but never written: hand back an empty page, exactly
@@ -84,8 +76,7 @@ impl DiskManager for InMemoryDisk {
     }
 
     fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        let mut pages = self.pages.lock();
+        let mut pages = lock(&self.pages);
         match pages.get_mut(id as usize) {
             Some(slot) => {
                 *slot = Some(page.clone());
@@ -96,24 +87,19 @@ impl DiskManager for InMemoryDisk {
     }
 
     fn num_pages(&self) -> u64 {
-        self.pages.lock().len() as u64
-    }
-
-    fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
+        lock(&self.pages).len() as u64
     }
 }
 
 /// Pages stored in a single file at `id * PAGE_SIZE` offsets.
 pub struct FileDisk {
-    file: Mutex<File>,
-    next_page: AtomicU64,
-    reads: AtomicU64,
-    writes: AtomicU64,
+    file: Mutex<PageFile>,
+}
+
+/// The file and its allocated page count, under one mutex.
+struct PageFile {
+    file: File,
+    next_page: u64,
 }
 
 impl FileDisk {
@@ -121,72 +107,54 @@ impl FileDisk {
     pub fn create(path: impl AsRef<Path>) -> StorageResult<Self> {
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(Self {
-            file: Mutex::new(file),
-            next_page: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-        })
+        Ok(Self { file: Mutex::new(PageFile { file, next_page: 0 }) })
     }
 
     /// Open an existing database file; page count is derived from its
     /// length.
     pub fn open(path: impl AsRef<Path>) -> StorageResult<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.metadata()?.len();
-        Ok(Self {
-            file: Mutex::new(file),
-            next_page: AtomicU64::new(len / PAGE_SIZE as u64),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-        })
+        let next_page = file.metadata()?.len() / PAGE_SIZE as u64;
+        Ok(Self { file: Mutex::new(PageFile { file, next_page }) })
     }
 }
 
 impl DiskManager for FileDisk {
     fn allocate(&self) -> PageId {
-        self.next_page.fetch_add(1, Ordering::SeqCst)
+        let mut pf = lock(&self.file);
+        pf.next_page += 1;
+        pf.next_page - 1
     }
 
     fn read(&self, id: PageId) -> StorageResult<Page> {
-        if id >= self.next_page.load(Ordering::SeqCst) {
+        let mut pf = lock(&self.file);
+        if id >= pf.next_page {
             return Err(StorageError::PageNotFound(id));
         }
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        let mut file = self.file.lock();
         let offset = id * PAGE_SIZE as u64;
-        let file_len = file.metadata()?.len();
+        let file_len = pf.file.metadata()?.len();
         if offset >= file_len {
             // Allocated but never written.
             return Ok(Page::new());
         }
-        file.seek(SeekFrom::Start(offset))?;
+        pf.file.seek(SeekFrom::Start(offset))?;
         let mut buf = vec![0u8; PAGE_SIZE];
-        file.read_exact(&mut buf)?;
+        pf.file.read_exact(&mut buf)?;
         Page::from_bytes(id, &buf)
     }
 
     fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
-        if id >= self.next_page.load(Ordering::SeqCst) {
+        let mut pf = lock(&self.file);
+        if id >= pf.next_page {
             return Err(StorageError::PageNotFound(id));
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
-        file.write_all(page.bytes().as_slice())?;
+        pf.file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
+        pf.file.write_all(page.bytes().as_slice())?;
         Ok(())
     }
 
     fn num_pages(&self) -> u64 {
-        self.next_page.load(Ordering::SeqCst)
-    }
-
-    fn reads(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
+        lock(&self.file).next_page
     }
 }
 
@@ -214,9 +182,6 @@ mod tests {
         // Out-of-range access fails.
         assert!(disk.read(999).is_err());
         assert!(disk.write(999, &p).is_err());
-
-        assert!(disk.reads() >= 2);
-        assert!(disk.writes() >= 1);
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! order. This is the physical representation of every relation Phase 2
 //! puts on pages (`NN_Reln`, `Edges`, `CSPairs`, sort runs).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::buffer::BufferPool;
 use crate::error::{StorageError, StorageResult};
+use crate::lock;
 use crate::page::{Page, PageId};
 
 /// Stable address of a record: (page, slot).
@@ -33,14 +32,20 @@ impl RecordId {
 /// An unordered file of variable-length records.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
-    pages: Mutex<Vec<PageId>>,
-    records: Mutex<u64>,
+    state: Mutex<HeapState>,
+}
+
+/// The file's pages and its live record count, under one mutex.
+#[derive(Default)]
+struct HeapState {
+    pages: Vec<PageId>,
+    records: u64,
 }
 
 impl HeapFile {
     /// Create an empty heap file on a buffer pool.
     pub fn create(pool: Arc<BufferPool>) -> Self {
-        Self { pool, pages: Mutex::new(Vec::new()), records: Mutex::new(0) }
+        Self { pool, state: Mutex::default() }
     }
 
     /// The buffer pool backing this file.
@@ -50,7 +55,7 @@ impl HeapFile {
 
     /// Number of live records ever inserted minus deletions.
     pub fn len(&self) -> u64 {
-        *self.records.lock()
+        lock(&self.state).records
     }
 
     /// Whether the file holds no records.
@@ -60,7 +65,7 @@ impl HeapFile {
 
     /// Number of pages allocated by this file.
     pub fn num_pages(&self) -> usize {
-        self.pages.lock().len()
+        lock(&self.state).pages.len()
     }
 
     /// Append a record, returning its id.
@@ -71,9 +76,9 @@ impl HeapFile {
                 max: Page::max_record_size(),
             });
         }
-        let mut pages = self.pages.lock();
+        let mut state = lock(&self.state);
         // Try the last page first (append workload).
-        if let Some(&last) = pages.last() {
+        if let Some(&last) = state.pages.last() {
             let slot = self.pool.with_page_mut(last, |p| {
                 if p.fits(record.len()) {
                     Some(p.insert(record).expect("fits was checked"))
@@ -82,16 +87,16 @@ impl HeapFile {
                 }
             })?;
             if let Some(slot) = slot {
-                *self.records.lock() += 1;
+                state.records += 1;
                 return Ok(RecordId::new(last, slot));
             }
         }
         // Allocate a fresh page.
         let page_id = self.pool.allocate_page();
-        pages.push(page_id);
+        state.pages.push(page_id);
         let slot =
             self.pool.with_page_mut(page_id, |p| p.insert(record).expect("empty page must fit"))?;
-        *self.records.lock() += 1;
+        state.records += 1;
         Ok(RecordId::new(page_id, slot))
     }
 
@@ -105,7 +110,7 @@ impl HeapFile {
     pub fn delete(&self, id: RecordId) -> StorageResult<bool> {
         let deleted = self.pool.with_page_mut(id.page, |p| p.delete(id.slot))?;
         if deleted {
-            *self.records.lock() -= 1;
+            lock(&self.state).records -= 1;
         }
         Ok(deleted)
     }
@@ -132,7 +137,7 @@ impl HeapFile {
         &self,
         mut visit: impl FnMut(RecordId, &[u8]) -> StorageResult<()>,
     ) -> StorageResult<()> {
-        let pages = self.pages.lock().clone();
+        let pages = lock(&self.state).pages.clone();
         let mut batch: Vec<(u16, Vec<u8>)> = Vec::new();
         for page_id in pages {
             batch.clear();

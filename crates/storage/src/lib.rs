@@ -15,7 +15,7 @@
 //!
 //! * [`page`] — fixed-size pages with a slotted record layout;
 //! * [`disk`] — [`disk::DiskManager`] trait with in-memory and file-backed
-//!   implementations (reads/writes whole pages, counts I/O);
+//!   implementations (reads/writes whole pages);
 //! * [`buffer`] — [`buffer::BufferPool`] with LRU replacement, pin counts,
 //!   dirty tracking, and [`buffer::BufferStats`];
 //! * [`heap`] — [`heap::HeapFile`], an unordered record file over the
@@ -32,3 +32,13 @@ pub use disk::{DiskManager, FileDisk, InMemoryDisk};
 pub use error::{StorageError, StorageResult};
 pub use heap::{HeapFile, RecordId};
 pub use page::{Page, PageId, PAGE_SIZE};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Take `mutex` whether or not a panic poisoned it, so that a page closure
+/// that panics under the pool latch does not take the latch with it. The
+/// other locks here are held only for plain reads, pushes and whole-page
+/// copies.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

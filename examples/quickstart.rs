@@ -2,6 +2,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use std::time::Duration;
+
 use fuzzydedup::core::{Aggregation, CutSpec, DedupConfig, Deduplicator};
 use fuzzydedup::textdist::DistanceKind;
 
@@ -41,7 +43,9 @@ fn main() {
     }
     println!(
         "\nphase 1 took {:?} ({} index lookups), phase 2 took {:?}",
-        outcome.phase1_duration, outcome.phase1_stats.lookups, outcome.phase2_duration
+        Duration::from_nanos(outcome.metrics.timings.phase1_ns),
+        outcome.phase1_stats.lookups,
+        Duration::from_nanos(outcome.metrics.timings.phase2_ns),
     );
     println!(
         "buffer pool: {:.1}% hit ratio over {} page accesses",

@@ -69,6 +69,7 @@
 
 use std::io::Read;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use fuzzydedup::core::{
     estimate_sn_threshold, evaluate, Aggregation, CollapseKey, CutSpec, DedupConfig, DedupService,
@@ -560,8 +561,8 @@ fn run() -> Result<(), String> {
         partition.num_groups(),
         partition.duplicate_groups().count(),
         partition.num_duplicate_pairs(),
-        outcome.phase1_duration,
-        outcome.phase2_duration,
+        Duration::from_nanos(outcome.metrics.timings.phase1_ns),
+        Duration::from_nanos(outcome.metrics.timings.phase2_ns),
     );
     report_gold(partition, gold.as_ref());
     if opts.metrics {
