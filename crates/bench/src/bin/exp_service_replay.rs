@@ -14,19 +14,27 @@
 //!   mismatch — this is the CI `service-smoke` invariant — and on a
 //!   service error (`ServiceError::WriterFailed`: the writer thread
 //!   panicked, so the drained partition would be short);
+//! - reports ingest ÷ batch: the mixed phase's wall time over that batch
+//!   run's, with what the service counted per admitted record (lookups,
+//!   postings scanned, distance calls; queries included). With
+//!   `--max-ingest-ratio R` it exits non-zero when the ratio exceeds `R`;
 //! - reports exact point-query latency quantiles and service throughput;
-//! - emits the `RunMetrics` JSON (with the `service` section filled) to
-//!   `--out`, or stdout.
+//! - emits the `RunMetrics` JSON (with the `service` and `timings_ns`
+//!   sections filled) to `--out`, or stdout.
 //!
-//! Run with e.g.:
+//! The writer admits everything queued as one epoch and re-runs both
+//! phases on every core, so `--queue-capacity` is the only admission knob:
+//! it bounds an epoch. Run with e.g.:
 //!
 //! ```text
 //! cargo run --release -p fuzzydedup-bench --bin exp_service_replay -- \
-//!     --records 10000 --batch-size 64 --query-ratio 0.3 --qps 0
+//!     --records 10000 --query-ratio 0.3 --qps 0 --max-ingest-ratio 4
 //! ```
 //!
-//! `--records 5000` is the CI smoke configuration (`scripts/ci.sh`
-//! service-smoke tier).
+//! `--records 5000 --query-ratio 0.3 --max-ingest-ratio 4` is the CI smoke
+//! configuration (`scripts/ci.sh` service-smoke tier).
+//! `results/exp_service_curve.txt` holds the ingest curve at `--query-ratio
+//! 0 --qps 0`.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -39,16 +47,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let mut config = ReplayConfig { records: 10_000, ..ReplayConfig::default() };
     let mut out_path: Option<String> = None;
+    let mut max_ingest_ratio: Option<f64> = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
             "--records" => {
                 i += 1;
                 config.records = args[i].parse().expect("--records <n>");
-            }
-            "--batch-size" => {
-                i += 1;
-                config.batch_size = args[i].parse().expect("--batch-size <n>");
             }
             "--queue-capacity" => {
                 i += 1;
@@ -70,15 +75,18 @@ fn main() -> ExitCode {
                 i += 1;
                 out_path = Some(args[i].clone());
             }
+            "--max-ingest-ratio" => {
+                i += 1;
+                max_ingest_ratio = Some(args[i].parse().expect("--max-ingest-ratio <ratio>"));
+            }
             other => panic!("unknown argument {other}"),
         }
         i += 1;
     }
 
     eprintln!(
-        "[exp_service_replay] replaying {} Org records (batch {}, queue {}, \
-         query ratio {:.2}, qps {})...",
-        config.records, config.batch_size, config.queue_capacity, config.query_ratio, config.qps
+        "[exp_service_replay] replaying {} Org records (queue {}, query ratio {:.2}, qps {})...",
+        config.records, config.queue_capacity, config.query_ratio, config.qps
     );
     let outcome = match replay(config) {
         Ok(outcome) => outcome,
@@ -117,6 +125,7 @@ fn main() -> ExitCode {
     )
     .run_records(&outcome.records)
     .expect("batch pipeline");
+    let batch_s = t.elapsed().as_secs_f64();
     if outcome.partition != batch.partition {
         eprintln!(
             "[exp_service_replay] DRAIN-IDENTITY VIOLATION: service partition \
@@ -127,9 +136,22 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "[exp_service_replay] drain-identity holds: {} groups, batch recompute took {:.1?}",
+        "[exp_service_replay] drain-identity holds: {} groups, batch recompute took {batch_s:.2} s",
         batch.partition.num_groups(),
-        t.elapsed(),
+    );
+
+    let ingest_s = outcome.replay_wall_ns as f64 / 1e9;
+    let ratio = ingest_s / batch_s;
+    let m = &outcome.metrics;
+    let per_record = |count: u64| count as f64 / s.records_admitted.max(1) as f64;
+    eprintln!(
+        "[exp_service_replay] ingest {ingest_s:.2} s over {} epochs, batch run {batch_s:.2} s: \
+         ingest / batch {ratio:.2}; per admitted record {:.1} lookups, {:.0} postings scanned, \
+         {:.0} distance calls",
+        s.epochs_published,
+        per_record(m.nnindex.lookups),
+        per_record(m.nnindex.postings_scanned),
+        per_record(m.nnindex.exact_distance_calls),
     );
 
     let json = outcome.metrics.to_json();
@@ -139,6 +161,12 @@ fn main() -> ExitCode {
             eprintln!("[exp_service_replay] metrics written to {path}");
         }
         None => println!("{json}"),
+    }
+    if let Some(bound) = max_ingest_ratio {
+        if ratio > bound {
+            eprintln!("[exp_service_replay] INGEST TOO SLOW: ingest / batch {ratio:.2} > {bound}");
+            return ExitCode::FAILURE;
+        }
     }
     ExitCode::SUCCESS
 }

@@ -38,9 +38,8 @@ use rand::{Rng, SeedableRng};
 pub struct ReplayConfig {
     /// Org records to generate and ingest.
     pub records: usize,
-    /// Service admission batch size ([`ServiceConfig::admit_batch_size`]).
-    pub batch_size: usize,
-    /// Bounded ingest-queue capacity.
+    /// Bounded ingest-queue capacity ([`ServiceConfig::queue_capacity`]),
+    /// which also bounds an epoch: the writer admits all that is queued.
     pub queue_capacity: usize,
     /// Point queries issued per operation, as a fraction of total ops in
     /// `[0, 1)` — e.g. `0.3` ≈ 30% of the op stream are queries.
@@ -54,14 +53,7 @@ pub struct ReplayConfig {
 
 impl Default for ReplayConfig {
     fn default() -> Self {
-        Self {
-            records: 10_000,
-            batch_size: 64,
-            queue_capacity: 1024,
-            query_ratio: 0.3,
-            qps: 0,
-            seed: 7,
-        }
+        Self { records: 10_000, queue_capacity: 1024, query_ratio: 0.3, qps: 0, seed: 7 }
     }
 }
 
@@ -109,16 +101,14 @@ pub fn org_corpus(records: usize) -> Vec<Vec<String>> {
 /// partition against a from-scratch batch run.
 ///
 /// # Errors
-/// [`ServiceError::InvalidConfig`] for a zero `batch_size` or
-/// `queue_capacity` (passed to the service as given), and
+/// [`ServiceError::InvalidConfig`] for a zero `queue_capacity` (passed
+/// to the service as given), and
 /// [`ServiceError::WriterFailed`] if the service's writer thread panicked
 /// at any point of the replay — the drained partition would be short.
 pub fn replay(config: ReplayConfig) -> Result<ReplayOutcome, ServiceError> {
     assert!((0.0..1.0).contains(&config.query_ratio), "query_ratio must be in [0, 1)");
     let records = org_corpus(config.records);
-    let service_config = ServiceConfig::new()
-        .admit_batch_size(config.batch_size)
-        .queue_capacity(config.queue_capacity);
+    let service_config = ServiceConfig::new().queue_capacity(config.queue_capacity);
     // The service `fuzzydedup replay` and the repo benchmark's
     // `service_replay` ship: the builder's defaults under the cut and
     // threshold the drain-identity suite pins.
@@ -199,8 +189,7 @@ mod tests {
     fn tiny_replay_round_trips() {
         let outcome = replay(ReplayConfig {
             records: 300,
-            batch_size: 32,
-            queue_capacity: 128,
+            queue_capacity: 32,
             query_ratio: 0.25,
             qps: 0,
             seed: 7,
@@ -211,19 +200,16 @@ mod tests {
         // ~1 query per 3 ingests at ratio 0.25.
         assert!(outcome.stats.point_queries >= 90);
         assert!(outcome.metrics.service.query_p50_ns > 0);
+        // An epoch admits at most a full queue.
         assert!(outcome.metrics.service.batches_admitted >= 300 / 32);
         let covered: usize = outcome.partition.groups().iter().map(Vec::len).sum();
         assert_eq!(covered, 300);
     }
 
     #[test]
-    fn zero_sizes_are_the_services_error_not_one() {
-        let tiny = ReplayConfig { records: 20, ..ReplayConfig::default() };
-        for config in
-            [ReplayConfig { batch_size: 0, ..tiny }, ReplayConfig { queue_capacity: 0, ..tiny }]
-        {
-            let err = replay(config).expect_err("a zero size is not clamped to 1");
-            assert!(matches!(err, ServiceError::InvalidConfig(_)), "{err}");
-        }
+    fn a_zero_queue_is_the_services_error_not_one() {
+        let config = ReplayConfig { records: 20, queue_capacity: 0, ..ReplayConfig::default() };
+        let err = replay(config).expect_err("a zero size is not clamped to 1");
+        assert!(matches!(err, ServiceError::InvalidConfig(_)), "{err}");
     }
 }

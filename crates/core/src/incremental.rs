@@ -6,11 +6,14 @@
 //! relation's `NN_Reln` (Lemma 1), so a batch must leave the state where a
 //! batch run over the same records would.
 //!
-//! **An append is a re-run.** A batch is appended to the growing index,
-//! then the batch pipeline's own Phase 1 driver
-//! ([`crate::phase1::compute_nn_reln`], in id order) recomputes every entry
-//! and Phase 2 partitions the relation they form. No narrower rule is
-//! exact: the IDF weights `ln(1 + N/df)` and the stop threshold
+//! **An append is a re-run, on every core.** A batch is appended to the
+//! growing index, then the batch pipeline's parallel Phase 1 driver
+//! ([`crate::parallel::compute_nn_reln_parallel`]) recomputes every entry
+//! and Phase 2 ([`partition_entries_parallel`]) partitions the relation
+//! they form, each on one worker per available CPU. Both drivers produce
+//! exactly what their one-thread drive does (an entry is an independent
+//! lookup, Lemma 1), so the thread count shows in no result. No narrower
+//! rule is exact: the IDF weights `ln(1 + N/df)` and the stop threshold
 //! `max(0.2·N, floor)` move with `N` for every entry, so an entry that
 //! shares no term with an arrival can still re-rank its candidates under
 //! the cap or gain or lose a stop gram.
@@ -22,7 +25,9 @@
 //! refreshed on Org at 387, 1,895 and 7,629 records, 15,657 of 15,660 on
 //! Restaurants at 1,918, and 99 % on the repo benchmark's
 //! `service_replay`, whose `run_s` the re-run lowered from 0.123 to
-//! 0.106 s (medians of ten alternating pairs, 2 vCPU).
+//! 0.106 s (medians of ten alternating pairs, 2 vCPU). Running it on both
+//! of those CPUs instead of one lowered `run_s` again, 0.120 → 0.080 s
+//! (ten alternating 10 s pairs, faster in all ten).
 //!
 //! **No pair memo.** The re-run re-verifies the unchanged pairs of every
 //! standing entry. A 2^15-slot pair-distance memo once absorbed that, but
@@ -37,8 +42,10 @@
 //! Construct states with [`IncrementalDedup::builder`], which exposes the
 //! same configuration surface as [`crate::pipeline::DedupConfig`].
 
+use std::time::{Duration, Instant};
+
 use fuzzydedup_nnindex::{
-    Growing, InvertedIndex, InvertedIndexConfig, LookupCost, LookupOrder, LookupSpec, NnIndex,
+    Growing, InvertedIndex, InvertedIndexConfig, LookupCost, LookupSpec, NnIndex,
 };
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::Distance;
@@ -46,14 +53,15 @@ use fuzzydedup_textdist::Distance;
 use crate::collapse::{CollapseKey, CollapseMap};
 use crate::criteria::Aggregation;
 use crate::nnreln::NnReln;
+use crate::parallel::compute_nn_reln_parallel;
 use crate::partition::Partition;
-use crate::phase1::{compute_nn_reln, NeighborSpec};
+use crate::phase1::NeighborSpec;
 use crate::phase2::partition_entries_parallel;
 use crate::pipeline::{validate_params, DedupError};
 use crate::problem::CutSpec;
 
 /// Statistics of one incremental batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct BatchStats {
     /// Records appended in this batch.
@@ -61,6 +69,11 @@ pub struct BatchStats {
     /// Entries standing before the batch, all recomputed; 0 for a first or
     /// empty batch.
     pub refreshed: usize,
+    /// Wall time of the Phase 1 re-run (zero for an empty batch).
+    pub phase1: Duration,
+    /// Wall time of Phase 2 over the re-run's relation (zero for an empty
+    /// batch).
+    pub phase2: Duration,
 }
 
 /// Builder for [`IncrementalDedup`], mirroring the
@@ -68,8 +81,9 @@ pub struct BatchStats {
 ///
 /// Defaults match `DedupConfig::new`: `DE_S(5)`, `Max` aggregation,
 /// `c = 4`, `p = 2` and [`InvertedIndexConfig::default`] for the index.
-/// A state recomputes its entries and its partition on the calling
-/// thread — the dedup service's writer thread.
+/// A state recomputes its entries and its partition on every core: both
+/// phases run one worker per available CPU, with results identical to a
+/// one-thread drive, so there is no thread-count option.
 ///
 /// ```no_run
 /// use fuzzydedup_core::{Aggregation, CutSpec, IncrementalDedup};
@@ -302,12 +316,13 @@ impl<D: Distance> IncrementalDedup<D> {
             self.index.push(record);
         }
         if inserted == 0 {
-            return BatchStats { inserted, refreshed: 0 };
+            return BatchStats { inserted, ..BatchStats::default() };
         }
 
         // Phase 1 over every entry (module docs), then Phase 2.
+        let started = Instant::now();
         let spec = NeighborSpec::from_cut(&self.cut, self.len());
-        let (reln, _) = compute_nn_reln(&self.index, spec, LookupOrder::Sequential, self.p);
+        let (reln, _) = compute_nn_reln_parallel(&self.index, spec, self.p, 0);
         self.reln = match &self.collapse {
             None => reln,
             // Back to full-corpus ids through the class structure.
@@ -317,8 +332,10 @@ impl<D: Distance> IncrementalDedup<D> {
                 map.expand_reln(&reln, spec, &visible)
             }
         };
-        self.partition = partition_entries_parallel(&self.reln, self.cut, self.agg, self.c, 1);
-        BatchStats { inserted, refreshed: standing }
+        let phase1 = started.elapsed();
+        let started = Instant::now();
+        self.partition = partition_entries_parallel(&self.reln, self.cut, self.agg, self.c, 0);
+        BatchStats { inserted, refreshed: standing, phase1, phase2: started.elapsed() }
     }
 }
 
@@ -410,7 +427,7 @@ mod tests {
         let (batch, batch_counted) = scoped(|| batch_run(&records, CutSpec::Size(4)));
         let mut inc = fresh();
         let (stats, inc_counted) = scoped(|| inc.insert_batch(records.clone()));
-        assert_eq!(stats, BatchStats { inserted: records.len(), refreshed: 0 });
+        assert_eq!((stats.inserted, stats.refreshed), (records.len(), 0));
         for counter in
             [Counter::CandidatesGenerated, Counter::NnPostingsScanned, Counter::NnLookups]
         {
@@ -441,7 +458,7 @@ mod tests {
     fn empty_batches_are_noops() {
         let mut inc = fresh();
         let stats = inc.insert_batch(Vec::<Vec<String>>::new());
-        assert_eq!(stats, BatchStats { inserted: 0, refreshed: 0 });
+        assert_eq!(stats, BatchStats::default(), "nothing ran, so nothing was timed");
         assert!(inc.is_empty());
         inc.insert_batch(vec![vec!["solo".to_string()]]);
         let stats = inc.insert_batch(Vec::<Vec<String>>::new());
@@ -543,7 +560,8 @@ mod tests {
                     assert_eq!(view(&cloned), before, "{what}: the source moved at {at}");
                     cloned = next;
 
-                    assert_eq!(got, want, "{what}: stats at {at}");
+                    let counts = |s: BatchStats| (s.inserted, s.refreshed);
+                    assert_eq!(counts(got), counts(want), "{what}: stats at {at}");
                     assert_eq!(view(&cloned), view(&plain), "{what}: state at {at}");
                 }
             }
@@ -557,6 +575,6 @@ mod tests {
         let mut inc = fresh();
         inc.insert_batch((0..20).map(|i| vec![format!("record {i:02}")]));
         let stats = inc.insert_batch(vec![vec!["zzz".to_string()]]);
-        assert_eq!(stats, BatchStats { inserted: 1, refreshed: 20 });
+        assert_eq!((stats.inserted, stats.refreshed), (1, 20));
     }
 }

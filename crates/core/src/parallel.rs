@@ -10,7 +10,9 @@
 //! the same fact Lemma 1's uniqueness rests on).
 //!
 //! This is an engineering extension beyond the paper; every batch
-//! workload of the repo benchmark runs it on two threads.
+//! workload of the repo benchmark runs it on two threads, and every epoch
+//! of the dedup service re-runs it on one thread per CPU
+//! ([`crate::incremental`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

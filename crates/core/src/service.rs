@@ -4,14 +4,16 @@
 //! The paper's pipeline is batch-only; this module turns the incremental
 //! path ([`IncrementalDedup`]) into a live service. Three moving parts:
 //!
-//! 1. **Batched admission.** Submitters push single records into a bounded
-//!    queue ([`DedupService::submit`] fails fast with
+//! 1. **The whole backlog as one epoch.** Submitters push single records
+//!    into a bounded queue ([`DedupService::submit`] fails fast with
 //!    [`ServiceError::QueueFull`]; [`DedupService::submit_wait`] blocks for
-//!    space). A dedicated writer thread drains up to
-//!    [`ServiceConfig::admit_batch_size`] records at a time and admits them
-//!    as one [`IncrementalDedup::insert_batch`] call — amortizing its
-//!    re-run of both phases over the whole corpus exactly the way the
-//!    batch pipeline amortizes index construction.
+//!    space). A dedicated writer thread takes everything pending and
+//!    admits it as one [`IncrementalDedup::insert_batch`] call, whose
+//!    re-run of both phases over the whole corpus runs on every core. That
+//!    re-run costs about the same whether an epoch admits one record or a
+//!    thousand, so records that queue while it runs cost nothing extra:
+//!    they all ride the next epoch. There is no batch-size knob; the queue
+//!    capacity bounds an epoch.
 //!
 //! 2. **Immutable snapshots.** Point queries ("find duplicates of this
 //!    record *now*") must not block while the writer applies a batch. The
@@ -33,12 +35,12 @@
 //!
 //! 3. **Observability.** [`DedupService::metrics`] — a `RunMetrics` of
 //!    this service alone: the writer thread folds what each admitted batch
-//!    counted, and [`DedupService::query`] what each query counted, into a
-//!    sink the service owns, beside a log2-bucket latency histogram of the
-//!    queries (coarse p50/p99) under the same lock. [`DedupService::stats`]
-//!    reads each count where it is kept: batches, epochs and admitted
-//!    records off the published snapshot, queue counts off the queue
-//!    state. Beside them: per-request [`LookupCost`] on every
+//!    counted and how long its phases took, and [`DedupService::query`]
+//!    what each query counted, into a sink the service owns, beside a
+//!    log2-bucket latency histogram of the queries (coarse p50/p99) under
+//!    the same lock. [`DedupService::stats`] reads each count where it is
+//!    kept: batches, epochs and admitted records off the published
+//!    snapshot, queue counts off the queue state. Beside them: per-request [`LookupCost`] on every
 //!    [`QueryAnswer`], and a streaming distinct-entity estimate
 //!    ([`crate::distinct::DistinctEstimator`]) fed with each duplicate
 //!    group's canonical key after every admitted batch.
@@ -48,8 +50,9 @@ use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use fuzzydedup_metrics::{scoped, RunMetrics, ServiceMetrics, Tally};
+use fuzzydedup_metrics::{scoped, RunMetrics, ServiceMetrics, StageTimings, Tally};
 use fuzzydedup_nnindex::LookupCost;
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::Distance;
@@ -67,19 +70,16 @@ use crate::pipeline::DedupError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ServiceConfig {
-    /// Maximum records admitted per `insert_batch` call (default 64).
-    /// Larger batches amortize the re-run of both phases each batch pays
-    /// but lengthen the freshness lag between submission and visibility.
-    pub admit_batch_size: usize,
     /// Bounded ingest-queue capacity (default 1024). When full,
     /// [`DedupService::submit`] fails fast and
-    /// [`DedupService::submit_wait`] blocks.
+    /// [`DedupService::submit_wait`] blocks. The writer admits whatever is
+    /// queued as one epoch, so this also bounds an epoch.
     pub queue_capacity: usize,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
-        Self { admit_batch_size: 64, queue_capacity: 1024 }
+        Self { queue_capacity: 1024 }
     }
 }
 
@@ -90,9 +90,11 @@ impl ServiceConfig {
         Self::default()
     }
 
-    /// Set [`Self::admit_batch_size`].
-    pub fn admit_batch_size(mut self, n: usize) -> Self {
-        self.admit_batch_size = n;
+    /// Ignored: the writer admits the whole backlog as one epoch. Kept
+    /// only because the repo benchmark's sources still call it; ROADMAP
+    /// item 7, the benchmark's next update, deletes it.
+    #[doc(hidden)]
+    pub fn admit_batch_size(self, _ignored: usize) -> Self {
         self
     }
 
@@ -103,9 +105,6 @@ impl ServiceConfig {
     }
 
     fn validate(&self) -> Result<(), ServiceError> {
-        if self.admit_batch_size == 0 {
-            return Err(ServiceError::InvalidConfig("admit_batch_size must be >= 1".into()));
-        }
         if self.queue_capacity == 0 {
             return Err(ServiceError::InvalidConfig("queue_capacity must be >= 1".into()));
         }
@@ -270,6 +269,9 @@ struct ServiceShared<T> {
 struct Counted {
     /// The sink behind [`DedupService::metrics`].
     tally: Tally,
+    /// Phase 1, Phase 2 and whole-epoch wall times, summed over the
+    /// admitted epochs.
+    timings: StageTimings,
     /// One latency per [`DedupService::query`] that returned.
     latency: LatencyHistogram,
 }
@@ -399,10 +401,9 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
         });
         let writer = {
             let shared = Arc::clone(&shared);
-            let admit = config.admit_batch_size;
             std::thread::Builder::new()
                 .name("dedup-service-writer".into())
-                .spawn(move || writer_loop(shared, admit))
+                .spawn(move || writer_loop(shared))
                 .expect("spawn service writer thread")
         };
         Ok(Self { shared, writer: Some(writer), config })
@@ -450,9 +451,8 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
                 QueryAnswer { epoch, corpus_len: state.len(), neighbors, growth, cost }
             })
         });
-        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let mut counted = self.shared.counted();
-        counted.latency.record(ns);
+        counted.latency.record(nanos(started.elapsed()));
         counted.tally.absorb(&tally);
         answer
     }
@@ -524,11 +524,16 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     /// The `RunMetrics` of this service alone: every counter-backed
     /// section as counted by its admitted batches and its
     /// [`Self::query`] calls, and the `service` section from
-    /// [`Self::stats`]. The pipeline-filled sections (`storage`, `phase1`
-    /// probe telemetry, `collapse`, `timings`) stay zero: a service has no
-    /// single run to time.
+    /// [`Self::stats`]. `timings` sums the admitted epochs: `phase1` and
+    /// `phase2` their re-runs' phases, `total` each epoch from the clone of
+    /// the published state to the publish of the next. The other
+    /// pipeline-filled sections (`storage`, `phase1` probe telemetry,
+    /// `collapse`) stay zero.
     pub fn metrics(&self) -> RunMetrics {
-        let counted = self.shared.counted().tally;
+        let (counted, timings) = {
+            let counted = self.shared.counted();
+            (counted.tally, counted.timings)
+        };
         let s = self.stats();
         RunMetrics {
             service: ServiceMetrics {
@@ -541,6 +546,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
                 query_p50_ns: s.query_p50_ns,
                 query_p99_ns: s.query_p99_ns,
             },
+            timings,
             ..RunMetrics::from_tally(&counted)
         }
     }
@@ -592,20 +598,21 @@ impl<T> Drop for WriterGuard<'_, T> {
     }
 }
 
-fn writer_loop<D: Distance + Clone + 'static>(
-    shared: Arc<ServiceShared<IncrementalDedup<D>>>,
-    admit_batch_size: usize,
-) {
+/// A wall time in nanoseconds, saturating.
+fn nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+}
+
+fn writer_loop<D: Distance + Clone + 'static>(shared: Arc<ServiceShared<IncrementalDedup<D>>>) {
     let _guard = WriterGuard(&shared);
     loop {
-        let batch: Vec<Vec<String>> = {
+        // Everything queued is the next epoch (module docs, point 1).
+        let batch = {
             let mut q = shared.queue.lock().unwrap();
             loop {
                 if !q.pending.is_empty() {
-                    let take = admit_batch_size.min(q.pending.len());
-                    let batch: Vec<Vec<String>> = q.pending.drain(..take).collect();
                     q.in_flight = true;
-                    break batch;
+                    break std::mem::take(&mut q.pending);
                 }
                 if q.shutdown {
                     // Queue fully drained: safe to exit.
@@ -618,10 +625,11 @@ fn writer_loop<D: Distance + Clone + 'static>(
 
         // The batch runs on a clone of the published state while readers
         // keep that one; a panic here drops the clone unpublished.
-        let (next, tally) = scoped(|| {
+        let started = Instant::now();
+        let ((next, stats), tally) = scoped(|| {
             let mut next = shared.read(|_, state| state.clone());
-            next.insert_batch(batch);
-            next
+            let stats = next.insert_batch(batch);
+            (next, stats)
         });
         // Canonical keys of the duplicate groups after this batch.
         let group_keys: Vec<u64> = next
@@ -631,11 +639,19 @@ fn writer_loop<D: Distance + Clone + 'static>(
             .map(|g| u64::from(*g.iter().min().expect("non-empty group")))
             .collect();
         let previous = shared.publish(next);
+        let total = started.elapsed();
         // Outside the lock, and before `drain` can return: between batches
         // the service holds one state (unless a reader still pins this one).
         drop(previous);
 
-        shared.counted().tally.absorb(&tally);
+        {
+            let mut counted = shared.counted();
+            counted.tally.absorb(&tally);
+            let timings = &mut counted.timings;
+            timings.phase1_ns += nanos(stats.phase1);
+            timings.phase2_ns += nanos(stats.phase2);
+            timings.total_ns += nanos(total);
+        }
         {
             let mut distinct = shared.distinct.lock().unwrap();
             for key in group_keys {
@@ -700,17 +716,12 @@ mod tests {
         let source = build.source().expect("Build carries its cause");
         assert_eq!(source.to_string(), "invalid configuration: bad cut");
 
-        let bad = ServiceError::InvalidConfig("admit_batch_size must be >= 1".into());
+        let bad = ServiceError::InvalidConfig("queue_capacity must be >= 1".into());
         assert!(bad.to_string().contains("invalid service configuration"));
     }
 
     #[test]
     fn spawn_rejects_invalid_configs() {
-        let zero_batch = ServiceConfig::new().admit_batch_size(0);
-        assert!(matches!(
-            DedupService::spawn(builder(), zero_batch),
-            Err(ServiceError::InvalidConfig(_))
-        ));
         let zero_queue = ServiceConfig::new().queue_capacity(0);
         assert!(matches!(
             DedupService::spawn(builder(), zero_queue),
@@ -752,7 +763,7 @@ mod tests {
             let what = format!("candidate_limit {}, {collapse:?}", index.candidate_limit);
             let mut service = DedupService::spawn(
                 builder().index_config(index.clone()).collapse(collapse),
-                ServiceConfig::new().admit_batch_size(16),
+                ServiceConfig::new().queue_capacity(16),
             )
             .unwrap();
             for r in records.clone() {
@@ -778,7 +789,8 @@ mod tests {
             let stats = service.stats();
             assert_eq!(stats.records_admitted, records.len() as u64);
             assert_eq!(stats.corpus_len, records.len());
-            assert!(stats.batches_admitted >= (records.len() / 16) as u64);
+            // An epoch admits at most a full queue.
+            assert!(stats.batches_admitted >= records.len().div_ceil(16) as u64);
             assert_eq!(stats.epochs_published, stats.epoch);
             assert!(stats.point_queries >= 7);
             assert!(stats.query_p50_ns > 0);
@@ -796,26 +808,31 @@ mod tests {
     fn each_service_counts_only_its_own_batches_and_queries() {
         let records = corpus(45);
         let probes: Vec<&Vec<String>> = records.iter().step_by(7).collect();
-        // One-record batches, so the batches are the same on every run.
-        let config = ServiceConfig::new().admit_batch_size(1);
-        let idle = DedupService::spawn(builder(), config).unwrap();
-        let busy = DedupService::spawn(builder(), config).unwrap();
-        for r in records.clone() {
-            busy.submit_wait(r).unwrap();
-        }
-        // The same batches and queries on a state of this thread's own,
-        // while `busy`'s writer thread is admitting them.
-        let mut own = builder().build().unwrap();
-        let ((), expected) = scoped(|| {
+        let idle = DedupService::spawn(builder(), ServiceConfig::new()).unwrap();
+        let busy = DedupService::spawn(builder(), ServiceConfig::new()).unwrap();
+        // The same one-record batches and the same queries on a state of a
+        // thread's own, while `busy`'s writer thread is admitting them.
+        let ((), expected) = std::thread::scope(|s| {
+            let own = s.spawn(|| {
+                let mut own = builder().build().unwrap();
+                scoped(|| {
+                    for r in records.clone() {
+                        own.insert_batch(vec![r]);
+                    }
+                    for probe in &probes {
+                        let fields: Vec<&str> = probe.iter().map(String::as_str).collect();
+                        own.query_record(&fields);
+                    }
+                })
+            });
+            // One-record batches, so the batches are the same on every run:
+            // each record is drained before the next is submitted.
             for r in records.clone() {
-                own.insert_batch(vec![r]);
+                busy.submit_wait(r).unwrap();
+                busy.drain();
             }
-            for probe in &probes {
-                let fields: Vec<&str> = probe.iter().map(String::as_str).collect();
-                own.query_record(&fields);
-            }
+            own.join().unwrap()
         });
-        busy.drain();
         for probe in &probes {
             let fields: Vec<&str> = probe.iter().map(String::as_str).collect();
             busy.query(&fields);
@@ -827,8 +844,15 @@ mod tests {
         assert_eq!(m.service.batches_admitted, 45);
         assert_eq!(m.service.point_queries, probes.len() as u64);
         assert!(m.nnindex.lookups > 45, "{m:?}");
+        // Wall times are not deterministic: only their shape is compared.
+        let t = m.timings;
+        assert!(t.phase1_ns > 0 && t.phase1_ns + t.phase2_ns <= t.total_ns, "{t:?}");
         assert_eq!(
-            RunMetrics { service: ServiceMetrics::default(), ..m },
+            RunMetrics {
+                service: ServiceMetrics::default(),
+                timings: StageTimings::default(),
+                ..m
+            },
             RunMetrics::from_tally(&expected),
             "the service counted what the same work counts alone"
         );
@@ -837,11 +861,8 @@ mod tests {
     #[test]
     fn queries_never_observe_torn_state_during_ingest() {
         let records = corpus(120);
-        let mut service = DedupService::spawn(
-            builder(),
-            ServiceConfig::new().admit_batch_size(8).queue_capacity(32),
-        )
-        .unwrap();
+        let mut service =
+            DedupService::spawn(builder(), ServiceConfig::new().queue_capacity(8)).unwrap();
         let stop = AtomicBool::new(false);
         let probes: Vec<Vec<String>> = records.iter().step_by(11).cloned().collect();
         let read = |service: &DedupService<EditDistance>| {
@@ -946,11 +967,8 @@ mod tests {
     fn submit_fails_fast_when_queue_full_and_submit_wait_recovers() {
         // A tiny queue against a slow admission cadence: fill it, observe
         // QueueFull, then watch submit_wait push through as space frees.
-        let mut service = DedupService::spawn(
-            builder(),
-            ServiceConfig::new().admit_batch_size(1).queue_capacity(2),
-        )
-        .unwrap();
+        let mut service =
+            DedupService::spawn(builder(), ServiceConfig::new().queue_capacity(2)).unwrap();
         let mut rejected = 0u64;
         for i in 0..200 {
             match service.submit(vec![format!("burst record {i:03}")]) {
@@ -975,14 +993,12 @@ mod tests {
     #[test]
     fn a_queue_full_storm_admits_or_refuses_every_submit() {
         // Four submitters race `submit` against a two-slot queue that the
-        // writer empties one record at a time: every call is admitted or
-        // refused with the configured capacity, the counters agree with
-        // what the callers saw, and the drained state is the batch run's.
-        let mut service = DedupService::spawn(
-            builder(),
-            ServiceConfig::new().admit_batch_size(1).queue_capacity(2),
-        )
-        .unwrap();
+        // writer empties at most two records at a time: every call is
+        // admitted or refused with the configured capacity, the counters
+        // agree with what the callers saw, and the drained state is the
+        // batch run's.
+        let mut service =
+            DedupService::spawn(builder(), ServiceConfig::new().queue_capacity(2)).unwrap();
         let (mut admitted, mut refused) = (0u64, 0u64);
         std::thread::scope(|s| {
             let service = &service;
@@ -1020,10 +1036,11 @@ mod tests {
     const MARKER: &str = "poison";
 
     /// Edit distance that stops the first query it prepares on a record
-    /// carrying [`MARKER`]: the calling thread (the writer, inside a batch)
-    /// meets the test thread at [`Self::entered`] and stays parked until
-    /// [`Self::release`]; then, if `panics`, that `prepare` and every later
-    /// marked one panic.
+    /// carrying [`MARKER`]: the calling thread (a Phase 1 worker of the
+    /// writer's epoch, or a query's caller) meets the test thread at
+    /// [`Self::entered`] and stays parked until [`Self::release`], holding
+    /// the epoch open; then, if `panics`, that `prepare` and every later
+    /// marked one panic, and a worker's panic unwinds the writer.
     #[derive(Clone)]
     struct StopsOnMarker {
         armed: Arc<AtomicBool>,
@@ -1051,7 +1068,7 @@ mod tests {
         fn service(&self, records: &[Vec<String>], queue: usize) -> DedupService<Self> {
             let service = DedupService::spawn(
                 IncrementalDedup::builder(self.clone()).cut(CutSpec::Size(4)).sn_threshold(4.0),
-                ServiceConfig::new().admit_batch_size(8).queue_capacity(queue),
+                ServiceConfig::new().queue_capacity(queue),
             )
             .unwrap();
             for r in records {
@@ -1129,6 +1146,31 @@ mod tests {
         let after = service.stats();
         assert_eq!((after.epoch, after.corpus_len), (before.epoch + 1, records.len() + 1));
         assert_eq!(states_held(&service), 1, "the replaced snapshot is gone");
+    }
+
+    #[test]
+    fn records_queued_during_an_epoch_are_published_as_the_next_one() {
+        let records = corpus(40);
+        let marker = StopsOnMarker::new(false);
+        let service = marker.service(&records, 128);
+        let before = service.stats();
+
+        service.submit_wait(marked_record()).unwrap();
+        marker.entered();
+        // The writer is parked inside the marker's epoch: all of these
+        // queue behind it, more than a 64-record admission limit would let
+        // into one epoch.
+        let queued = 100;
+        for i in 0..queued {
+            service.submit(vec![format!("queued during the epoch {i:02}")]).unwrap();
+        }
+        assert_eq!(service.stats().queue_depth, queued);
+        marker.release();
+        service.drain();
+
+        let after = service.stats();
+        assert_eq!(after.epoch, before.epoch + 2, "the marker's epoch, then one for the queue");
+        assert_eq!(after.corpus_len, records.len() + 1 + queued);
     }
 
     #[test]
@@ -1222,7 +1264,7 @@ mod tests {
     fn distinct_estimate_is_exact_on_small_corpora() {
         let records = corpus(60); // 20 entities, 3 records each
         let mut service =
-            DedupService::spawn(builder(), ServiceConfig::new().admit_batch_size(7)).unwrap();
+            DedupService::spawn(builder(), ServiceConfig::new().queue_capacity(7)).unwrap();
         for r in records {
             service.submit_wait(r).unwrap();
         }

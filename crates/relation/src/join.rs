@@ -115,7 +115,7 @@ mod tests {
             let e = hash_join(l, r, row, row, |_, _, _| Ok(())).unwrap_err();
             assert!(matches!(e, StorageError::CorruptPage(_, _)), "{e}");
         }
-        let e = hash_join(&good, &good, row, row, |_, _, _| Err(StorageError::BufferPoolFull));
-        assert!(matches!(e, Err(StorageError::BufferPoolFull)));
+        let e = hash_join(&good, &good, row, row, |_, _, _| Err(StorageError::PageNotFound(7)));
+        assert!(matches!(e, Err(StorageError::PageNotFound(7))));
     }
 }

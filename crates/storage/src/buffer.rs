@@ -9,17 +9,19 @@
 //! cost) and lookup throughput from them.
 //!
 //! Access is closure-based ([`BufferPool::with_page`] /
-//! [`BufferPool::with_page_mut`]): the page is pinned for the duration of
-//! the closure and unpinned afterwards, which makes pin leaks impossible in
-//! safe code. Replacement is LRU (via an ordered recency index, `O(log n)`
-//! per access): every pool an entry point, workload or experiment builds
-//! runs it, and Figure 8's committed hit ratios are LRU's.
+//! [`BufferPool::with_page_mut`]) and the pool latch is held across the
+//! closure, so no other access can evict a page while a closure reads it:
+//! there are no pins, and a closure that panics leaves nothing held. Every
+//! frame is therefore evictable, and replacement takes the LRU head (via
+//! an ordered recency index, `O(log n)` per access): every pool an entry
+//! point, workload or experiment builds runs it, and Figure 8's committed
+//! hit ratios are LRU's.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use crate::disk::DiskManager;
-use crate::error::{StorageError, StorageResult};
+use crate::error::StorageResult;
 use crate::lock;
 use crate::page::{Page, PageId};
 
@@ -72,13 +74,14 @@ struct Frame {
     page_id: Option<PageId>,
     page: Page,
     dirty: bool,
-    pins: u32,
     /// LRU recency tick (key into `lru_index`).
     tick: u64,
 }
 
 struct Inner {
     frames: Vec<Frame>,
+    /// Frames holding no page: never filled, or emptied by a failed load.
+    free: Vec<usize>,
     page_table: HashMap<PageId, usize>,
     /// tick -> frame index, for O(log n) LRU victim selection.
     lru_index: BTreeMap<u64, usize>,
@@ -95,21 +98,23 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Create a pool over a disk manager.
+    /// Create a pool over a disk manager, with at least one frame.
     pub fn new(config: BufferPoolConfig, disk: Arc<dyn DiskManager>) -> Self {
-        let frames = (0..config.capacity)
-            .map(|_| Frame { page_id: None, page: Page::new(), dirty: false, pins: 0, tick: 0 })
+        let capacity = config.capacity.max(1);
+        let frames = (0..capacity)
+            .map(|_| Frame { page_id: None, page: Page::new(), dirty: false, tick: 0 })
             .collect();
         Self {
             disk,
             inner: Mutex::new(Inner {
                 frames,
+                free: (0..capacity).rev().collect(),
                 page_table: HashMap::new(),
                 lru_index: BTreeMap::new(),
                 next_tick: 1,
                 stats: BufferStats::default(),
             }),
-            capacity: config.capacity,
+            capacity,
         }
     }
 
@@ -139,31 +144,25 @@ impl BufferPool {
         lock(&self.inner).stats = BufferStats::default();
     }
 
-    /// Run `f` with shared access to a page, pinning it for the duration.
+    /// Run `f` with shared access to a page.
     ///
-    /// The pool latch is held while `f` runs: `f` must not call back into
-    /// this pool (use [`crate::heap::HeapFile::scan`]-style copy-out when a
-    /// visitor needs to perform further storage operations).
+    /// The pool latch is held while `f` runs, which is what keeps the page
+    /// resident: `f` must not call back into this pool (use
+    /// [`crate::heap::HeapFile::scan`]-style copy-out when a visitor needs
+    /// to perform further storage operations). All consumers in this
+    /// workspace perform short, CPU-only work inside the closure.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R> {
         let mut inner = lock(&self.inner);
         let idx = self.fetch(&mut inner, id)?;
-        inner.frames[idx].pins += 1;
-        // The pool lock is held across `f`; all consumers in this workspace
-        // perform short, CPU-only work inside the closure.
-        let result = f(&inner.frames[idx].page);
-        inner.frames[idx].pins -= 1;
-        Ok(result)
+        Ok(f(&inner.frames[idx].page))
     }
 
     /// Run `f` with exclusive access to a page, marking it dirty.
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> StorageResult<R> {
         let mut inner = lock(&self.inner);
         let idx = self.fetch(&mut inner, id)?;
-        inner.frames[idx].pins += 1;
         inner.frames[idx].dirty = true;
-        let result = f(&mut inner.frames[idx].page);
-        inner.frames[idx].pins -= 1;
-        Ok(result)
+        Ok(f(&mut inner.frames[idx].page))
     }
 
     /// Write all dirty frames back to disk.
@@ -193,8 +192,18 @@ impl BufferPool {
             return Ok(idx);
         }
         inner.stats.misses += 1;
-        let idx = inner.find_victim()?;
-        // Write back the evicted page if needed.
+        let idx = inner.find_victim();
+        let loaded = self.load(inner, idx, id);
+        if loaded.is_err() {
+            // The frame lost its page and got none: the next miss fills it.
+            inner.free.push(idx);
+        }
+        loaded.map(|()| idx)
+    }
+
+    /// Evict frame `idx`'s page (written back if dirty) and read page `id`
+    /// into it.
+    fn load(&self, inner: &mut Inner, idx: usize, id: PageId) -> StorageResult<()> {
         if let Some(old_id) = inner.frames[idx].page_id.take() {
             inner.page_table.remove(&old_id);
             inner.stats.evictions += 1;
@@ -210,7 +219,7 @@ impl BufferPool {
         frame.dirty = false;
         inner.page_table.insert(id, idx);
         inner.touch(idx);
-        Ok(idx)
+        Ok(())
     }
 }
 
@@ -227,25 +236,16 @@ impl Inner {
         self.lru_index.insert(tick, idx);
     }
 
-    fn find_victim(&mut self) -> StorageResult<usize> {
-        // Prefer a frame that has never held a page.
-        if let Some(idx) = self.frames.iter().position(|f| f.page_id.is_none()) {
-            return Ok(idx);
+    /// A frame holding no page if there is one, else the least recently
+    /// used, taken out of the recency index.
+    fn find_victim(&mut self) -> usize {
+        if let Some(idx) = self.free.pop() {
+            return idx;
         }
-        // The least-recently-used unpinned frame.
-        let victim = self
-            .lru_index
-            .iter()
-            .map(|(&tick, &idx)| (tick, idx))
-            .find(|&(_, idx)| self.frames[idx].pins == 0);
-        match victim {
-            Some((tick, idx)) => {
-                self.lru_index.remove(&tick);
-                self.frames[idx].tick = 0;
-                Ok(idx)
-            }
-            None => Err(StorageError::BufferPoolFull),
-        }
+        // Every frame is free or resident, and a pool has one at least.
+        let (_, idx) = self.lru_index.pop_first().expect("no free frame, so one is resident");
+        self.frames[idx].tick = 0;
+        idx
     }
 }
 
@@ -388,6 +388,33 @@ mod tests {
         assert!(unwound.is_err());
         assert_eq!(read_marker(&pool, id), 7, "the latch is taken again, not poisoned");
         assert_eq!(pool.stats().misses, 1);
+    }
+
+    #[test]
+    fn a_panicking_page_closure_leaves_a_one_frame_pool_usable() {
+        // The one frame holds `a` when its closure unwinds; the next miss
+        // must still be able to evict it.
+        let pool = pool(1);
+        let a = pool.allocate_page();
+        let b = pool.allocate_page();
+        write_marker(&pool, a, 1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.with_page(a, |_| panic!("page closure panic"))
+        }));
+        assert!(unwound.is_err());
+        write_marker(&pool, b, 2);
+        assert_eq!(read_marker(&pool, b), 2);
+        assert_eq!(read_marker(&pool, a), 1);
+    }
+
+    #[test]
+    fn a_failed_read_leaves_its_frame_usable() {
+        let pool = pool(1);
+        let a = pool.allocate_page();
+        write_marker(&pool, a, 3);
+        assert!(pool.with_page(u64::MAX, |_| ()).is_err());
+        assert_eq!(pool.resident_pages(), 0, "the miss evicted `a` and loaded nothing");
+        assert_eq!(read_marker(&pool, a), 3, "`a` was written back, and the frame refills");
     }
 
     #[test]

@@ -10,8 +10,6 @@ pub type StorageResult<T> = Result<T, StorageError>;
 pub enum StorageError {
     /// The requested page does not exist on the disk manager.
     PageNotFound(u64),
-    /// Every frame in the buffer pool is pinned; nothing can be evicted.
-    BufferPoolFull,
     /// A record does not fit into a single page.
     RecordTooLarge {
         /// The record's payload size in bytes.
@@ -36,7 +34,6 @@ impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::PageNotFound(id) => write!(f, "page {id} not found"),
-            Self::BufferPoolFull => write!(f, "buffer pool full: all frames pinned"),
             Self::RecordTooLarge { size, max } => {
                 write!(f, "record of {size} bytes exceeds page capacity {max}")
             }
@@ -71,7 +68,6 @@ mod tests {
     #[test]
     fn display_messages() {
         assert_eq!(StorageError::PageNotFound(7).to_string(), "page 7 not found");
-        assert!(StorageError::BufferPoolFull.to_string().contains("pinned"));
         let e = StorageError::RecordTooLarge { size: 9000, max: 8100 };
         assert!(e.to_string().contains("9000"));
         let e = StorageError::RecordNotFound { page: 1, slot: 2 };

@@ -55,9 +55,9 @@ impl Page {
         if bytes.len() != PAGE_SIZE {
             return Err(StorageError::CorruptPage(id, "wrong page length"));
         }
-        let mut data = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        let mut data = Box::new([0u8; PAGE_SIZE]);
         data.copy_from_slice(bytes);
-        let page = Self { data: data.try_into().unwrap() };
+        let page = Self { data };
         let slots = page.slot_count() as usize;
         let fse = page.free_space_end() as usize;
         if fse > PAGE_SIZE || HEADER_SIZE + slots * SLOT_SIZE > fse {

@@ -58,7 +58,8 @@
 #   service-smoke exp_service_replay at 5k records: mixed ingest/query
 #                 through the live dedup service as `fuzzydedup replay`
 #                 builds it, drain-identity asserted; also fails if the
-#                 service's writer thread panicked
+#                 service's writer thread panicked, or if ingest took
+#                 more than 4x the batch run on the same records
 #   ledger        on every run, whatever the flags: results/ledger.json
 #                 regenerated and compared with the committed file (below)
 #
@@ -234,17 +235,19 @@ for stage in "${all_stages[@]}"; do
         service-smoke)
             # 5k-record mixed ingest/query replay through the live dedup
             # service, built as `fuzzydedup replay` and the repo benchmark's
-            # `service_replay` build it: exercises batched admission,
+            # `service_replay` build it: exercises whole-backlog admission,
             # epoch-snapshot point queries, and drain — the binary exits
-            # non-zero if the
-            # drained service partition is not bit-identical to a
-            # from-scratch batch run, or if the replay met a service
-            # error (ServiceError::WriterFailed: the writer thread
-            # panicked) (~1 min on 2 cores). Scratch
-            # artifact, same policy as scale-smoke.
+            # non-zero if the drained service partition is not
+            # bit-identical to a from-scratch batch run, if the replay met
+            # a service error (ServiceError::WriterFailed: the writer thread
+            # panicked), or if ingest took more than 4x that batch run
+            # (reads 1.7–2.3 on 2 cores; admitting 64 records an epoch on
+            # one core read ≈ 28) (~5 s on 2 cores). Scratch artifact, same
+            # policy as scale-smoke.
             run_stage service-smoke cargo run -q --release -p fuzzydedup-bench \
                 --bin exp_service_replay -- \
-                --records 5000 --query-ratio 0.3 --out results/ci_service_smoke.json
+                --records 5000 --query-ratio 0.3 --max-ingest-ratio 4 \
+                --out results/ci_service_smoke.json
             rm -f results/ci_service_smoke.json
             ;;
     esac

@@ -48,9 +48,10 @@
 //!   --k N | --theta X     cut specification (default DE_S(4))
 //!   --c X                 SN threshold (default 4)
 //!   --agg NAME            max | avg | max2 (default max)
-//!   --batch-size N        records admitted per insert_batch (default 64)
 //!   --queue-capacity N    bounded ingest queue; submission blocks when
-//!                         full — backpressure, not loss (default 1024)
+//!                         full — backpressure, not loss. The writer
+//!                         admits all that is queued as one epoch, so
+//!                         this also bounds an epoch (default 1024)
 //!   --query-ratio F       interleave F point queries per op in [0,1)
 //!                         against the live epoch snapshot (default 0)
 //!   --seed N              probe-selection seed (default 7)
@@ -59,9 +60,10 @@
 //! ```
 //!
 //! Instead of one batch run, records stream through a
-//! [`fuzzydedup::core::DedupService`]: batched admission off a bounded
-//! queue, point queries answered from the published snapshot without
-//! waiting on the batch the writer admits, then a drain. The drained
+//! [`fuzzydedup::core::DedupService`]: the writer admits whatever waits in
+//! a bounded queue as one epoch and re-runs both phases on every core,
+//! point queries are answered from the published snapshot without waiting
+//! on that epoch, then a drain. The drained
 //! partition is what the batch pipeline would compute on the same corpus
 //! (the drain-identity invariant), so the CSV output is identical — the
 //! subcommand trades end-to-end latency for live queryability and reports
@@ -108,7 +110,6 @@ const FLAGS: &[(&str, bool, bool, bool)] = &[
     ("--threads", true, true, false),
     ("--collapse", true, true, true),
     ("--demo", true, true, true),
-    ("--batch-size", true, false, true),
     ("--queue-capacity", true, false, true),
     ("--query-ratio", true, false, true),
     ("--seed", true, false, true),
@@ -131,7 +132,6 @@ struct Options {
     threads: Option<usize>,
     collapse: Option<CollapseKey>,
     demo: Option<String>,
-    batch_size: usize,
     queue_capacity: usize,
     query_ratio: f64,
     seed: u64,
@@ -158,7 +158,7 @@ fn usage(cmd: Cmd) -> &'static str {
             "usage: fuzzydedup replay (--input records.csv | --demo NAME) [--output out.csv]\n\
              \x20                 [--no-header] [--columns 0,1] [--distance ed|fms]\n\
              \x20                 [--k N | --theta X] [--c X] [--agg max|avg|max2]\n\
-             \x20                 [--batch-size N] [--queue-capacity N] [--query-ratio F]\n\
+             \x20                 [--queue-capacity N] [--query-ratio F]\n\
              \x20                 [--collapse record-string] [--seed N] [--metrics]"
         }
     }
@@ -191,7 +191,6 @@ fn parse_args(cmd: Cmd, args: &[String]) -> Result<Options, String> {
         threads: None,
         collapse: None,
         demo: None,
-        batch_size: 64,
         queue_capacity: 1024,
         query_ratio: 0.0,
         seed: 7,
@@ -256,7 +255,6 @@ fn parse_args(cmd: Cmd, args: &[String]) -> Result<Options, String> {
             "--threads" => opts.threads = Some(parsed(flag, value)?),
             "--collapse" => opts.collapse = Some(parse_collapse_key(value)?),
             "--demo" => opts.demo = Some(value.to_string()),
-            "--batch-size" => opts.batch_size = parsed(flag, value)?,
             "--queue-capacity" => opts.queue_capacity = parsed(flag, value)?,
             "--query-ratio" => {
                 opts.query_ratio = parsed(flag, value)?;
@@ -371,7 +369,7 @@ fn run_service<D: fuzzydedup::textdist::Distance + Clone + 'static>(
             .aggregation(opts.agg)
             .sn_threshold(opts.c.unwrap_or(4.0))
             .collapse(opts.collapse),
-        ServiceConfig::new().admit_batch_size(opts.batch_size).queue_capacity(opts.queue_capacity),
+        ServiceConfig::new().queue_capacity(opts.queue_capacity),
     )
     .map_err(|e| render_error(&e))?;
 
