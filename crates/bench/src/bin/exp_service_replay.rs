@@ -99,7 +99,7 @@ fn main() -> ExitCode {
     eprintln!(
         "[exp_service_replay] mixed phase {:.1?}: {} batches / {} records admitted over \
          {} epochs; {} point queries (p50 {} ns, p99 {} ns); queue high-water {}; \
-         {} groups, distinct-entity estimate {}{}",
+         {} groups",
         std::time::Duration::from_nanos(outcome.replay_wall_ns),
         s.batches_admitted,
         s.records_admitted,
@@ -109,8 +109,6 @@ fn main() -> ExitCode {
         outcome.metrics.service.query_p99_ns,
         s.queue_depth_high_water,
         s.num_groups,
-        s.distinct_groups_estimate,
-        if s.distinct_is_exact { " (exact)" } else { "" },
     );
 
     // Drain-identity: the service partition after the final drain must be

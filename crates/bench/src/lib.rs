@@ -55,18 +55,18 @@ impl QualityPoint {
 
 /// The θ grid used for threshold sweeps (both for the `thr` baseline and
 /// `DE_D(θ)`).
-pub fn theta_grid() -> Vec<f64> {
+fn theta_grid() -> Vec<f64> {
     vec![0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50, 0.60, 0.70]
 }
 
 /// The K grid for `DE_S(K)` sweeps.
-pub fn k_grid() -> Vec<usize> {
+fn k_grid() -> Vec<usize> {
     vec![2, 3, 4, 5, 6, 8]
 }
 
 /// Phase-1 outputs reusable across a whole sweep: top-K lists fetched once
-/// at the largest K of [`k_grid`], radius lists fetched once at the
-/// largest θ of [`theta_grid`].
+/// at the largest K of `k_grid`, radius lists fetched once at the
+/// largest θ of `theta_grid`.
 ///
 /// The reuse is sound because NN lists for a smaller K are *prefixes* of
 /// the larger-K lists, and partitioning at a smaller θ over larger-θ lists
@@ -156,7 +156,7 @@ pub fn best_f1(points: &[QualityPoint]) -> f64 {
 
 /// Best precision at recall ≥ `floor` — the paper's "for the same recall,
 /// higher precision" comparison.
-pub fn best_precision_at_recall(points: &[QualityPoint], floor: f64) -> Option<f64> {
+fn best_precision_at_recall(points: &[QualityPoint], floor: f64) -> Option<f64> {
     points
         .iter()
         .filter(|p| p.recall >= floor)

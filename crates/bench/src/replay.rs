@@ -74,7 +74,7 @@ pub struct ReplayOutcome {
 }
 
 /// Exact quantile over an ascending-sorted latency slice (0 if empty).
-pub fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
+fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

@@ -42,7 +42,7 @@ pub enum CollapseKey {
 impl CollapseKey {
     /// The normalization key of one record under this keying. Two records
     /// with equal keys belong to the same exact-duplicate class.
-    pub fn key_of(self, fields: &[&str]) -> String {
+    fn key_of(self, fields: &[&str]) -> String {
         match self {
             Self::RecordString => record_string(fields),
         }

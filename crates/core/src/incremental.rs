@@ -53,7 +53,7 @@ use fuzzydedup_textdist::Distance;
 use crate::collapse::{CollapseKey, CollapseMap};
 use crate::criteria::Aggregation;
 use crate::nnreln::NnReln;
-use crate::parallel::compute_nn_reln_parallel;
+use crate::parallel::{compute_nn_reln_parallel, resolve_threads};
 use crate::partition::Partition;
 use crate::phase1::NeighborSpec;
 use crate::phase2::partition_entries_parallel;
@@ -74,6 +74,9 @@ pub struct BatchStats {
     /// Wall time of Phase 2 over the re-run's relation (zero for an empty
     /// batch).
     pub phase2: Duration,
+    /// Workers that ran the Phase 1 re-run and Phase 2 (zero for an empty
+    /// batch).
+    pub threads: (usize, usize),
 }
 
 /// Builder for [`IncrementalDedup`], mirroring the
@@ -322,7 +325,8 @@ impl<D: Distance> IncrementalDedup<D> {
         // Phase 1 over every entry (module docs), then Phase 2.
         let started = Instant::now();
         let spec = NeighborSpec::from_cut(&self.cut, self.len());
-        let (reln, _) = compute_nn_reln_parallel(&self.index, spec, self.p, 0);
+        let threads = (resolve_threads(0, self.index.len()), resolve_threads(0, self.len()));
+        let (reln, _) = compute_nn_reln_parallel(&self.index, spec, self.p, threads.0);
         self.reln = match &self.collapse {
             None => reln,
             // Back to full-corpus ids through the class structure.
@@ -334,8 +338,9 @@ impl<D: Distance> IncrementalDedup<D> {
         };
         let phase1 = started.elapsed();
         let started = Instant::now();
-        self.partition = partition_entries_parallel(&self.reln, self.cut, self.agg, self.c, 0);
-        BatchStats { inserted, refreshed: standing, phase1, phase2: started.elapsed() }
+        self.partition =
+            partition_entries_parallel(&self.reln, self.cut, self.agg, self.c, threads.1);
+        BatchStats { inserted, refreshed: standing, phase1, phase2: started.elapsed(), threads }
     }
 }
 

@@ -51,7 +51,6 @@ pub mod baseline;
 pub mod collapse;
 pub mod components;
 pub mod criteria;
-pub mod distinct;
 pub mod eval;
 pub mod incremental;
 pub mod matrix;
@@ -72,7 +71,6 @@ pub use baseline::single_linkage;
 pub use collapse::{CollapseKey, CollapseMap};
 pub use components::{balance_components, UnionFind};
 pub use criteria::{is_compact_set, sparse_neighborhood_ok, Aggregation};
-pub use distinct::DistinctEstimator;
 pub use eval::{evaluate, PrecisionRecall};
 pub use incremental::{BatchStats, IncrementalDedup, IncrementalDedupBuilder};
 pub use matrix::MatrixIndex;

@@ -39,11 +39,10 @@
 //!    what each query counted, into a sink the service owns, beside a
 //!    log2-bucket latency histogram of the queries (coarse p50/p99) under
 //!    the same lock. [`DedupService::stats`] reads each count where it is
-//!    kept: batches, epochs and admitted records off the published
-//!    snapshot, queue counts off the queue state. Beside them: per-request [`LookupCost`] on every
-//!    [`QueryAnswer`], and a streaming distinct-entity estimate
-//!    ([`crate::distinct::DistinctEstimator`]) fed with each duplicate
-//!    group's canonical key after every admitted batch.
+//!    kept: batches, epochs, admitted records and the group count off the
+//!    published snapshot, whose partition is whole, so every count is
+//!    exact; queue counts off the queue state. Beside them: per-request
+//!    [`LookupCost`] on every [`QueryAnswer`].
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -57,7 +56,6 @@ use fuzzydedup_nnindex::LookupCost;
 use fuzzydedup_relation::Neighbor;
 use fuzzydedup_textdist::Distance;
 
-use crate::distinct::DistinctEstimator;
 use crate::incremental::{IncrementalDedup, IncrementalDedupBuilder};
 use crate::partition::Partition;
 use crate::pipeline::DedupError;
@@ -215,6 +213,7 @@ impl LatencyHistogram {
 // The service.
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct QueueState {
     pending: VecDeque<Vec<String>>,
     shutdown: bool,
@@ -241,10 +240,6 @@ impl QueueState {
     }
 }
 
-/// Sample cap of the streaming distinct-entity estimate: exact until that
-/// many distinct groups are seen.
-const DISTINCT_SAMPLE_CAP: usize = 4096;
-
 /// What a service's handle and its writer thread share; `T` is the state.
 struct ServiceShared<T> {
     /// The published snapshot: the epoch and the state it names, replaced
@@ -260,7 +255,6 @@ struct ServiceShared<T> {
     space: Condvar,
     /// Signaled when the queue is empty *and* nothing is in flight.
     idle: Condvar,
-    distinct: Mutex<DistinctEstimator>,
     counted: Mutex<Counted>,
 }
 
@@ -274,17 +268,36 @@ struct Counted {
     timings: StageTimings,
     /// One latency per [`DedupService::query`] that returned.
     latency: LatencyHistogram,
+    /// Phase 1 and Phase 2 workers of the latest epoch.
+    threads: (u64, u64),
+}
+
+/// Take `mutex` whether or not a panic poisoned it. Every lock here guards
+/// a value that is whole between statements — a pointer pair, queue flags
+/// and counts, plain adds — so a guard a panic left behind still holds a
+/// consistent one, and one poisoned lock does not take the service down.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wait on `condvar` under the poison policy of [`lock`].
+fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 impl<T> ServiceShared<T> {
     /// The writer folds each batch's scope in and `query()` each query's
     /// scope and latency: one uncontended lock per batch / per query.
     fn counted(&self) -> MutexGuard<'_, Counted> {
-        self.counted.lock().expect("the sink is only held for plain adds or copies")
+        lock(&self.counted)
     }
 
     fn published(&self) -> MutexGuard<'_, (u64, Arc<T>)> {
-        self.published.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.published)
+    }
+
+    fn queue(&self) -> MutexGuard<'_, QueueState> {
+        lock(&self.queue)
     }
 
     /// Run `f` against the published snapshot and its epoch, holding the
@@ -355,10 +368,6 @@ pub struct ServiceStats {
     pub query_p50_ns: u64,
     /// 99th-percentile point-query latency (log2-bucket upper bound).
     pub query_p99_ns: u64,
-    /// Streaming estimate of distinct entities carried by the stream.
-    pub distinct_groups_estimate: u64,
-    /// Whether that estimate is still exact (sample under its cap).
-    pub distinct_is_exact: bool,
     /// The writer thread panicked: ingest is over
     /// ([`ServiceError::WriterFailed`]) and the snapshot is final.
     pub writer_failed: bool,
@@ -385,18 +394,10 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
         config.validate()?;
         let shared = Arc::new(ServiceShared {
             published: Mutex::new((0, Arc::new(builder.build()?))),
-            queue: Mutex::new(QueueState {
-                pending: VecDeque::new(),
-                shutdown: false,
-                writer_failed: false,
-                in_flight: false,
-                depth_high_water: 0,
-                rejections: 0,
-            }),
+            queue: Mutex::default(),
             work: Condvar::new(),
             space: Condvar::new(),
             idle: Condvar::new(),
-            distinct: Mutex::new(DistinctEstimator::new(DISTINCT_SAMPLE_CAP)),
             counted: Mutex::default(),
         });
         let writer = {
@@ -411,7 +412,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
 
     /// Submit one record for admission; fails fast when the queue is full.
     pub fn submit(&self, record: Vec<String>) -> Result<(), ServiceError> {
-        let mut q = self.shared.queue.lock().unwrap();
+        let mut q = self.shared.queue();
         q.accepting()?;
         if q.pending.len() >= self.config.queue_capacity {
             q.rejections += 1;
@@ -427,7 +428,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     /// Submit one record, blocking for queue space if necessary (the
     /// "await" flavor of backpressure).
     pub fn submit_wait(&self, record: Vec<String>) -> Result<(), ServiceError> {
-        let mut q = self.shared.queue.lock().unwrap();
+        let mut q = self.shared.queue();
         loop {
             q.accepting()?;
             if q.pending.len() < self.config.queue_capacity {
@@ -437,7 +438,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
                 self.shared.work.notify_one();
                 return Ok(());
             }
-            q = self.shared.space.wait(q).unwrap();
+            q = wait(&self.shared.space, q);
         }
     }
 
@@ -478,9 +479,9 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     /// or, if the writer thread panicked, until it is known that no more
     /// will be ([`ServiceStats::writer_failed`] tells the two apart).
     pub fn drain(&self) {
-        let mut q = self.shared.queue.lock().unwrap();
+        let mut q = self.shared.queue();
         while !q.writer_failed && (!q.pending.is_empty() || q.in_flight) {
-            q = self.shared.idle.wait(q).unwrap();
+            q = wait(&self.shared.idle, q);
         }
     }
 
@@ -491,16 +492,12 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
         let (epoch, corpus_len, num_groups) =
             self.shared.read(|epoch, state| (epoch, state.len(), state.partition().num_groups()));
         let (queue_depth, depth_high_water, queue_rejections, writer_failed) = {
-            let q = self.shared.queue.lock().unwrap();
+            let q = self.shared.queue();
             (q.pending.len(), q.depth_high_water, q.rejections, q.writer_failed)
         };
         let (point_queries, query_p50_ns, query_p99_ns) = {
             let latency = &self.shared.counted().latency;
             (latency.total(), latency.quantile_ns(0.50), latency.quantile_ns(0.99))
-        };
-        let (distinct_groups_estimate, distinct_is_exact) = {
-            let d = self.shared.distinct.lock().unwrap();
-            (d.estimate(), d.is_exact())
         };
         ServiceStats {
             corpus_len,
@@ -515,8 +512,6 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
             queue_depth_high_water: depth_high_water,
             query_p50_ns,
             query_p99_ns,
-            distinct_groups_estimate,
-            distinct_is_exact,
             writer_failed,
         }
     }
@@ -526,29 +521,30 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     /// [`Self::query`] calls, and the `service` section from
     /// [`Self::stats`]. `timings` sums the admitted epochs: `phase1` and
     /// `phase2` their re-runs' phases, `total` each epoch from the clone of
-    /// the published state to the publish of the next. The other
+    /// the published state to the publish of the next. `phase1.threads`
+    /// and `phase2.threads` are the latest epoch's workers. The other
     /// pipeline-filled sections (`storage`, `phase1` probe telemetry,
     /// `collapse`) stay zero.
     pub fn metrics(&self) -> RunMetrics {
-        let (counted, timings) = {
+        let mut m = {
             let counted = self.shared.counted();
-            (counted.tally, counted.timings)
+            let mut m = RunMetrics::from_tally(&counted.tally);
+            m.timings = counted.timings;
+            (m.phase1.threads, m.phase2.threads) = counted.threads;
+            m
         };
         let s = self.stats();
-        RunMetrics {
-            service: ServiceMetrics {
-                batches_admitted: s.batches_admitted,
-                records_admitted: s.records_admitted,
-                epochs_published: s.epochs_published,
-                point_queries: s.point_queries,
-                queue_rejections: s.queue_rejections,
-                queue_depth_high_water: s.queue_depth_high_water as u64,
-                query_p50_ns: s.query_p50_ns,
-                query_p99_ns: s.query_p99_ns,
-            },
-            timings,
-            ..RunMetrics::from_tally(&counted)
-        }
+        m.service = ServiceMetrics {
+            batches_admitted: s.batches_admitted,
+            records_admitted: s.records_admitted,
+            epochs_published: s.epochs_published,
+            point_queries: s.point_queries,
+            queue_rejections: s.queue_rejections,
+            queue_depth_high_water: s.queue_depth_high_water as u64,
+            query_p50_ns: s.query_p50_ns,
+            query_p99_ns: s.query_p99_ns,
+        };
+        m
     }
 
     /// Stop accepting records, drain everything already submitted, and
@@ -556,7 +552,7 @@ impl<D: Distance + Clone + 'static> DedupService<D> {
     /// against the final snapshot.
     pub fn shutdown(&mut self) {
         {
-            let mut q = self.shared.queue.lock().unwrap();
+            let mut q = self.shared.queue();
             q.shutdown = true;
         }
         self.shared.work.notify_all();
@@ -587,7 +583,7 @@ impl<T> Drop for WriterGuard<'_, T> {
         if !std::thread::panicking() {
             return;
         }
-        let mut q = self.0.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut q = self.0.queue();
         q.shutdown = true;
         q.writer_failed = true;
         q.in_flight = false;
@@ -608,7 +604,7 @@ fn writer_loop<D: Distance + Clone + 'static>(shared: Arc<ServiceShared<Incremen
     loop {
         // Everything queued is the next epoch (module docs, point 1).
         let batch = {
-            let mut q = shared.queue.lock().unwrap();
+            let mut q = shared.queue();
             loop {
                 if !q.pending.is_empty() {
                     q.in_flight = true;
@@ -618,7 +614,7 @@ fn writer_loop<D: Distance + Clone + 'static>(shared: Arc<ServiceShared<Incremen
                     // Queue fully drained: safe to exit.
                     return;
                 }
-                q = shared.work.wait(q).unwrap();
+                q = wait(&shared.work, q);
             }
         };
         shared.space.notify_all();
@@ -631,13 +627,6 @@ fn writer_loop<D: Distance + Clone + 'static>(shared: Arc<ServiceShared<Incremen
             let stats = next.insert_batch(batch);
             (next, stats)
         });
-        // Canonical keys of the duplicate groups after this batch.
-        let group_keys: Vec<u64> = next
-            .partition()
-            .groups()
-            .iter()
-            .map(|g| u64::from(*g.iter().min().expect("non-empty group")))
-            .collect();
         let previous = shared.publish(next);
         let total = started.elapsed();
         // Outside the lock, and before `drain` can return: between batches
@@ -651,15 +640,10 @@ fn writer_loop<D: Distance + Clone + 'static>(shared: Arc<ServiceShared<Incremen
             timings.phase1_ns += nanos(stats.phase1);
             timings.phase2_ns += nanos(stats.phase2);
             timings.total_ns += nanos(total);
-        }
-        {
-            let mut distinct = shared.distinct.lock().unwrap();
-            for key in group_keys {
-                distinct.observe(key);
-            }
+            counted.threads = (stats.threads.0 as u64, stats.threads.1 as u64);
         }
 
-        let mut q = shared.queue.lock().unwrap();
+        let mut q = shared.queue();
         q.in_flight = false;
         if q.pending.is_empty() {
             shared.idle.notify_all();
@@ -794,7 +778,6 @@ mod tests {
             assert_eq!(stats.epochs_published, stats.epoch);
             assert!(stats.point_queries >= 7);
             assert!(stats.query_p50_ns > 0);
-            assert!(stats.distinct_groups_estimate > 0);
             service.shutdown();
             // Queries keep working after shutdown; ingest does not.
             let fields: Vec<&str> = records[0].iter().map(String::as_str).collect();
@@ -839,7 +822,7 @@ mod tests {
         }
 
         assert_eq!(idle.metrics(), RunMetrics::default(), "an idle service counted nothing");
-        let m = busy.metrics();
+        let mut m = busy.metrics();
         assert_eq!(m.service.records_admitted, 45);
         assert_eq!(m.service.batches_admitted, 45);
         assert_eq!(m.service.point_queries, probes.len() as u64);
@@ -847,6 +830,10 @@ mod tests {
         // Wall times are not deterministic: only their shape is compared.
         let t = m.timings;
         assert!(t.phase1_ns > 0 && t.phase1_ns + t.phase2_ns <= t.total_ns, "{t:?}");
+        // Every epoch ran both phases on at least one worker; how many
+        // depends on the machine, so the comparison below leaves them out.
+        assert!(m.phase1.threads >= 1 && m.phase2.threads >= 1, "{m:?}");
+        (m.phase1.threads, m.phase2.threads) = (0, 0);
         assert_eq!(
             RunMetrics {
                 service: ServiceMetrics::default(),
@@ -1261,20 +1248,19 @@ mod tests {
     }
 
     #[test]
-    fn distinct_estimate_is_exact_on_small_corpora() {
+    fn num_groups_is_the_published_partitions_and_the_batch_runs() {
         let records = corpus(60); // 20 entities, 3 records each
         let mut service =
             DedupService::spawn(builder(), ServiceConfig::new().queue_capacity(7)).unwrap();
-        for r in records {
+        for r in records.clone() {
             service.submit_wait(r).unwrap();
         }
         service.drain();
         let stats = service.stats();
-        assert!(stats.distinct_is_exact);
-        // Every group key ever observed: intermediate batches can expose
-        // singleton groups that later merge, so the estimate is at least
-        // the final group count.
-        assert!(stats.distinct_groups_estimate >= stats.num_groups as u64);
+        let (_, published) = service.snapshot_partition();
+        let batch = batch_run(&records, InvertedIndexConfig::default()).partition;
+        assert_eq!(stats.num_groups, published.num_groups());
+        assert_eq!(stats.num_groups, batch.num_groups());
         service.shutdown();
     }
 }

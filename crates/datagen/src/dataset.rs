@@ -162,7 +162,7 @@ impl DatasetSpec {
     }
 
     /// Sample the total group size for a duplicated entity (≥ 2).
-    pub fn sample_group_size<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    fn sample_group_size<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let mut size = 2;
         while size < self.max_group && rng.gen_bool(self.extra_dup_prob) {
             size += 1;

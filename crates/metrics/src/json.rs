@@ -8,7 +8,7 @@
 //! `NaN`/`inf`. Nothing in the workspace reads JSON back.
 
 /// Escape a string for embedding between JSON double quotes.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -139,7 +139,7 @@ impl JsonArray {
     }
 
     /// Append an already-rendered JSON value verbatim.
-    pub fn push_raw(&mut self, v: &str) -> &mut Self {
+    fn push_raw(&mut self, v: &str) -> &mut Self {
         self.sep();
         self.buf.push_str(v);
         self

@@ -180,11 +180,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Number of currently resident pages.
-    pub fn resident_pages(&self) -> usize {
-        lock(&self.inner).page_table.len()
-    }
-
     fn fetch(&self, inner: &mut Inner, id: PageId) -> StorageResult<usize> {
         if let Some(&idx) = inner.page_table.get(&id) {
             inner.stats.hits += 1;
@@ -413,8 +408,11 @@ mod tests {
         let a = pool.allocate_page();
         write_marker(&pool, a, 3);
         assert!(pool.with_page(u64::MAX, |_| ()).is_err());
-        assert_eq!(pool.resident_pages(), 0, "the miss evicted `a` and loaded nothing");
+        pool.reset_stats();
         assert_eq!(read_marker(&pool, a), 3, "`a` was written back, and the frame refills");
+        // A miss that evicts nothing: the failed read emptied the frame.
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (0, 1, 0), "the failed read loaded nothing");
     }
 
     #[test]
@@ -440,13 +438,12 @@ mod tests {
     }
 
     #[test]
-    fn resident_pages_tracks_occupancy() {
+    fn six_pages_through_four_frames_evict_two() {
         let pool = pool(4);
-        assert_eq!(pool.resident_pages(), 0);
         let ids: Vec<PageId> = (0..6).map(|_| pool.allocate_page()).collect();
         for &id in &ids {
             write_marker(&pool, id, 0);
         }
-        assert_eq!(pool.resident_pages(), 4, "occupancy capped at capacity");
+        assert_eq!(pool.stats().evictions, 2, "occupancy capped at capacity");
     }
 }

@@ -108,7 +108,7 @@ impl Page {
     }
 
     /// Free bytes available for one more record (including its slot entry).
-    pub fn free_space(&self) -> usize {
+    fn free_space(&self) -> usize {
         let dir_end = HEADER_SIZE + self.slot_count() as usize * SLOT_SIZE;
         (self.free_space_end() as usize).saturating_sub(dir_end)
     }

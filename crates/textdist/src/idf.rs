@@ -18,8 +18,8 @@ use crate::tokenize::tokenize;
 /// rare typo'd token still carries high weight (important: a misspelled rare
 /// token must not become cheap to drop in fms).
 ///
-/// Every fitted token also has a dense vocabulary id, `0..vocabulary_size()`
-/// in first-seen order, kept beside its document frequency: fms keys its
+/// Every fitted token also has a dense vocabulary id, counting from 0 in
+/// first-seen order, kept beside its document frequency: fms keys its
 /// token-pair memo on it.
 #[derive(Debug, Clone, Default)]
 pub struct IdfModel {
@@ -30,7 +30,7 @@ pub struct IdfModel {
 
 impl IdfModel {
     /// Fit over a corpus of documents, each already tokenized into strings.
-    pub fn fit_token_docs<S: AsRef<str>>(docs: &[Vec<S>]) -> Self {
+    fn fit_token_docs<S: AsRef<str>>(docs: &[Vec<S>]) -> Self {
         let mut doc_freq: HashMap<String, (u32, u32)> = HashMap::new();
         let mut seen: Vec<&str> = Vec::new();
         for doc in docs {
@@ -66,21 +66,6 @@ impl IdfModel {
             .map(|r| r.iter().flat_map(|f| tokenize(f).into_iter().map(|t| t.text)).collect())
             .collect();
         Self::fit_token_docs(&token_docs)
-    }
-
-    /// Number of documents the model was fit on.
-    pub fn n_docs(&self) -> u32 {
-        self.n_docs
-    }
-
-    /// Number of distinct tokens observed.
-    pub fn vocabulary_size(&self) -> usize {
-        self.doc_freq.len()
-    }
-
-    /// Document frequency of a token (0 if unseen).
-    pub fn doc_freq(&self, token: &str) -> u32 {
-        self.doc_freq.get(token).map_or(0, |&(df, _)| df)
     }
 
     /// IDF weight of a token. Unknown tokens get the maximum weight
@@ -130,11 +115,12 @@ mod tests {
 
     #[test]
     fn doc_freq_counts_documents_not_occurrences() {
+        // `ln(1 + N/df)`: the unknown token's weight pins N = 2, and then
+        // each token's weight pins its df.
         let m = IdfModel::fit_strings(&["a a a", "a b"]);
-        assert_eq!(m.doc_freq("a"), 2);
-        assert_eq!(m.doc_freq("b"), 1);
-        assert_eq!(m.n_docs(), 2);
-        assert_eq!(m.vocabulary_size(), 2);
+        assert_eq!(m.idf("zzzz"), 3f64.ln());
+        assert_eq!(m.idf_and_id("a"), (2f64.ln(), Some(0)));
+        assert_eq!(m.idf_and_id("b"), (3f64.ln(), Some(1)));
     }
 
     #[test]
@@ -147,8 +133,7 @@ mod tests {
     #[test]
     fn empty_model_is_usable() {
         let m = IdfModel::default();
-        assert!(m.idf("anything") > 0.0);
-        assert_eq!(m.n_docs(), 0);
+        assert_eq!(m.idf_and_id("anything"), (2f64.ln(), None));
     }
 
     #[test]
@@ -167,8 +152,9 @@ mod tests {
             vec!["The Doors".into(), "LA Woman".into()],
             vec!["Doors".into(), "LA Woman".into()],
         ]);
-        assert_eq!(m.doc_freq("doors"), 2);
-        assert_eq!(m.doc_freq("la"), 2);
-        assert_eq!(m.doc_freq("the"), 1);
+        // N = 2: df 2 weighs ln 2, df 1 weighs ln 3.
+        assert_eq!(m.idf("doors"), 2f64.ln());
+        assert_eq!(m.idf("la"), 2f64.ln());
+        assert_eq!(m.idf_and_id("the"), (3f64.ln(), Some(0)));
     }
 }

@@ -92,7 +92,12 @@
 # 38 once the pair memo's seqlock left core, 1 once the service's and
 # storage's counters moved under the locks they sit beside: what is left
 # is Phase 1's work-stealing cursor, which has no lock to sit under);
-# and "core_pub_modules", the `pub mod` lines of crates/core/src/lib.rs.
+# "core_pub_modules", the `pub mod` lines of crates/core/src/lib.rs;
+# and the reach ledger, "dead_pub_fns": each `pub fn` under crates/*/src
+# whose name appears as a word in no other .rs file under crates, src,
+# tests, examples or benchmark/src — public API nothing outside its own
+# file calls (14 when it was introduced, 0 once those were deleted or made
+# private), so a new dead name shows as a diff.
 # What depends on the machine or the run — the toolchain ("rustc":
 # `rustc --version`, which must be at least Cargo.toml's rust-version),
 # whether the CPU has AVX2 ("avx2"), the stages' results and wall times
@@ -375,6 +380,18 @@ ledger_per_dir "lines naming a memory ordering or fence( outside tests" \
 core_pub_modules=$(grep -c '^pub mod ' crates/core/src/lib.rs)
 echo
 echo "pub mod lines in crates/core/src/lib.rs: $core_pub_modules"
+# A name used only in its own file, listed so a failing ledger says which.
+dead_pub_fns=0
+while IFS=: read -r file name; do
+    others=$(grep -rlw --include='*.rs' -- "$name" crates src tests examples benchmark/src |
+        grep -vxF "$file")
+    if [ -z "$others" ]; then
+        dead_pub_fns=$((dead_pub_fns + 1))
+        echo "  dead pub fn: $file: $name"
+    fi
+done < <(grep -rHoE --include='*.rs' '^[[:space:]]*pub fn [A-Za-z_0-9]+' crates/*/src |
+    sed -E 's/:[[:space:]]*pub fn /:/' | sort -u)
+echo "pub fns named in no other file: $dead_pub_fns"
 one_per_line() { local body="$1"; echo "${body//, /,$'\n'    }"; }
 mkdir -p results
 {
@@ -394,7 +411,8 @@ mkdir -p results
     echo "  \"atomic_sites\": {"
     echo "    $(one_per_line "$atomic_json")"
     echo '  },'
-    echo "  \"core_pub_modules\": $core_pub_modules"
+    echo "  \"core_pub_modules\": $core_pub_modules,"
+    echo "  \"dead_pub_fns\": $dead_pub_fns"
     echo '}'
 } > results/ledger.json
 ledger_check() {

@@ -395,8 +395,7 @@ fn run_service<D: fuzzydedup::textdist::Distance + Clone + 'static>(
     }
     eprintln!(
         "service: {} records in {} batches over {} epochs ({:.1?} wall); \
-         queue high-water {}; {} point queries (p50 ~{} ns, p99 ~{} ns); \
-         distinct-entity estimate {}{}",
+         queue high-water {}; {} point queries (p50 ~{} ns, p99 ~{} ns); {} groups",
         stats.records_admitted,
         stats.batches_admitted,
         stats.epochs_published,
@@ -405,8 +404,7 @@ fn run_service<D: fuzzydedup::textdist::Distance + Clone + 'static>(
         stats.point_queries,
         stats.query_p50_ns,
         stats.query_p99_ns,
-        stats.distinct_groups_estimate,
-        if stats.distinct_is_exact { " (exact)" } else { "" },
+        stats.num_groups,
     );
     if opts.metrics {
         eprintln!("{}", service.metrics().to_json());

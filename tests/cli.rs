@@ -215,6 +215,18 @@ fn replay_passes_sizes_as_given_so_zero_is_the_services_error() {
 }
 
 #[test]
+fn replay_reports_the_published_group_count() {
+    let out = bin().args(["replay", "--demo", "table1"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    // The service holds the partition whole: its count is the batch run's
+    // "14 records -> 11 groups", not an estimate.
+    let service = stderr.lines().find(|l| l.starts_with("service:")).unwrap_or_default();
+    assert!(service.ends_with("; 11 groups"), "{stderr}");
+    assert!(!stderr.contains("distinct-entity"), "{stderr}");
+}
+
+#[test]
 fn removed_pair_cache_flag_is_unknown_and_prints_usage() {
     // There is no pair-distance memo, so neither subcommand takes a flag
     // for one; and the service admits its whole backlog as one epoch, so
